@@ -20,7 +20,6 @@ from repro.engine.catalog import Catalog
 from repro.engine.column import ColumnData
 from repro.engine.encoding_cache import DEFAULT_ENCODING_CACHE_BYTES
 from repro.engine.executor import (DEFAULT_MORSEL_ROWS,
-                                   DEFAULT_PARALLEL_ROW_THRESHOLD,
                                    PARALLEL_BACKENDS, Executor,
                                    ExecutorOptions)
 from repro.engine.governor import ResourceBudget, ResourceGovernor
@@ -63,18 +62,18 @@ class Database:
             = unlimited).  A generated percentage plan counts as one
             query: its whole multi-statement script shares one budget
             window.
-        parallel_workers / parallel_row_threshold:
-            intra-query parallelism: aggregations over at least
-            ``parallel_row_threshold`` input rows fan out across up to
-            ``parallel_workers`` workers.  Bit-identical to serial
+        parallel_workers:
+            intra-query parallelism: above 1, a grouped aggregation
+            whose grouping splits into at least two morsels of
+            ``morsel_rows`` fans out.  Bit-identical to serial
             execution; wall-clock only.
         parallel_backend / morsel_rows:
-            the parallel substrate -- ``"thread"`` (default, shared
-            operator thread pool), ``"process"`` (GIL-free worker
-            processes over shared-memory column blocks; see
-            docs/parallelism.md) or ``"serial"`` (parallelism off
-            regardless of ``parallel_workers``).  ``morsel_rows``
-            tunes the process backend's work-unit size.
+            which dispatcher runs the morsels -- ``"thread"``
+            (default, shared operator thread pool), ``"process"``
+            (GIL-free worker processes over shared-memory column
+            blocks; see docs/parallelism.md) or ``"serial"``
+            (parallelism off regardless of ``parallel_workers``).
+            ``morsel_rows`` is the work-unit size on both.
         keep_history: record per-statement stats in
             ``db.stats.history``.
         tracing: start with the span tracer enabled (it can also be
@@ -108,8 +107,6 @@ class Database:
                  max_query_rows: Optional[int] = None,
                  max_result_width: Optional[int] = None,
                  parallel_workers: int = 1,
-                 parallel_row_threshold: int =
-                 DEFAULT_PARALLEL_ROW_THRESHOLD,
                  parallel_backend: str = "thread",
                  morsel_rows: int = DEFAULT_MORSEL_ROWS,
                  keep_history: bool = False,
@@ -182,7 +179,6 @@ class Database:
             use_indexes=use_indexes,
             use_encoding_cache=use_encoding_cache,
             parallel_degree=parallel_workers,
-            parallel_row_threshold=parallel_row_threshold,
             parallel_backend=parallel_backend,
             morsel_rows=morsel_rows,
             storage=storage)
@@ -400,24 +396,17 @@ class Database:
     def set_use_encoding_cache(self, enabled: bool) -> None:
         self.options.use_encoding_cache = bool(enabled)
 
-    def set_parallel_workers(self, workers: int,
-                             row_threshold: Optional[int] = None) -> None:
-        """Set the intra-query parallelism budget (1 = serial).
-
-        ``row_threshold`` (optional) adjusts the minimum input size
-        that triggers a parallel aggregation.
-        """
+    def set_parallel_workers(self, workers: int) -> None:
+        """Set the intra-query parallelism budget (1 = serial)."""
         if workers < 1:
             raise ValueError("parallel_workers must be >= 1")
         self.options.parallel_degree = int(workers)
-        if row_threshold is not None:
-            self.options.parallel_row_threshold = int(row_threshold)
 
     def set_parallel_backend(self, backend: str,
                              morsel_rows: Optional[int] = None) -> None:
-        """Choose the parallel substrate: ``"serial"``, ``"thread"``
+        """Choose the morsel dispatcher: ``"serial"``, ``"thread"``
         or ``"process"`` (see docs/parallelism.md).  ``morsel_rows``
-        (optional) tunes the process backend's work-unit size."""
+        (optional) sets the work-unit size."""
         if backend not in PARALLEL_BACKENDS:
             raise ValueError(
                 f"parallel_backend must be one of "

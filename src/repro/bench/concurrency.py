@@ -9,7 +9,7 @@ concurrency``:
   through the service at 1/2/4/8 pool workers; reports queries/sec and
   the speedup over the single-worker run.
 * **intra-query parallelism** -- one large aggregation at
-  ``parallel_workers`` 1/2/4/8 (partition-parallel group-by), serial
+  ``parallel_workers`` 1/2/4/8 (morsel-parallel group-by), serial
   result asserted bit-identical.
 * **mixed latency** -- readers and writers interleaved through one
   4-worker service; per-class queue-wait and execution latency.
@@ -29,6 +29,7 @@ import statistics
 import time
 
 from repro.api.database import Database
+from repro.bench.multicore import sweep_morsel_rows
 from repro.service import QueryService
 
 
@@ -91,9 +92,11 @@ def _run_intra_query_sweep(db: Database,
            "GROUP BY dweek, monthno, dept")
     db.set_parallel_workers(1)
     baseline_rows = db.query(sql)
+    db.set_parallel_backend("thread", morsel_rows=sweep_morsel_rows(
+        db.table("sales").n_rows, worker_counts))
     entries = []
     for workers in worker_counts:
-        db.set_parallel_workers(workers, row_threshold=1)
+        db.set_parallel_workers(workers)
         runs = []
         for _ in range(repeats):
             started = time.perf_counter()
@@ -179,7 +182,7 @@ def run_concurrency_benchmark(sales_n: int = 120_000,
     load_sales(db, sales_n)
     report = {
         "workload": f"sales n={sales_n}; service reads (plain + "
-                    f"Vpct/Hpct), partition-parallel group-by, "
+                    f"Vpct/Hpct), morsel-parallel group-by, "
                     f"mixed read/write",
         "cpu_count": os.cpu_count(),
         "note": "speedups are bounded by cpu_count and the GIL; on a "

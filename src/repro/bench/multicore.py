@@ -7,8 +7,9 @@ of the ``sales`` fact table -- is swept over 1/2/4/8 workers on both
 parallel backends, every run asserted bit-identical to the serial
 baseline.
 
-Honesty note: the thread backend's kernels only overlap inside
-numpy's GIL-released sections, so its scaling ceiling is low by
+Both backends run the same group-aligned morsels; only the dispatcher
+differs.  Honesty note: the thread backend's kernels only overlap
+inside numpy's GIL-released sections, so its scaling ceiling is low by
 construction; the process backend is the one that can use real cores.
 Both are bounded by ``os.cpu_count()``.  On hosts with fewer than 4
 cores the speedup target is unreachable, so the suite records
@@ -23,6 +24,7 @@ import os
 import time
 
 from repro.api.database import Database
+from repro.engine.executor import DEFAULT_MORSEL_ROWS
 
 #: The measured statement: enough aggregate work per row that kernel
 #: compute dominates dispatch/merge overhead.
@@ -40,13 +42,22 @@ def _time_runs(db: Database, repeats: int) -> list[float]:
     return runs
 
 
+def sweep_morsel_rows(n_rows: int, worker_counts: tuple[int, ...]) -> int:
+    """The morsel target a worker sweep runs with: the default, lowered
+    on small inputs until the widest degree still gets two morsels per
+    worker -- otherwise a small ``--sales`` would not split and the
+    bit-identity gate would compare serial with serial."""
+    return max(1, min(DEFAULT_MORSEL_ROWS,
+                      n_rows // (2 * max(worker_counts))))
+
+
 def _sweep(db: Database, backend: str, baseline_rows: list,
            worker_counts: tuple[int, ...], repeats: int,
-           serial_best: float) -> list[dict]:
+           serial_best: float, morsel_rows: int) -> list[dict]:
     entries = []
     for workers in worker_counts:
-        db.set_parallel_workers(workers, row_threshold=1)
-        db.set_parallel_backend(backend)
+        db.set_parallel_workers(workers)
+        db.set_parallel_backend(backend, morsel_rows=morsel_rows)
         rows = db.query(QUERY)
         runs = _time_runs(db, repeats)
         best = min(runs)
@@ -77,10 +88,11 @@ def run_multicore_benchmark(sales_n: int = 300_000,
     serial_runs = _time_runs(db, repeats)
     serial_best = min(serial_runs)
 
+    morsel_rows = sweep_morsel_rows(sales_n, worker_counts)
     process = _sweep(db, "process", baseline_rows, worker_counts,
-                     repeats, serial_best)
+                     repeats, serial_best, morsel_rows)
     threads = _sweep(db, "thread", baseline_rows, worker_counts,
-                     repeats, serial_best)
+                     repeats, serial_best, morsel_rows)
     db.set_parallel_workers(1)
     db.set_parallel_backend("serial")
 
@@ -98,6 +110,7 @@ def run_multicore_benchmark(sales_n: int = 300_000,
         "workload": f"sales n={sales_n}; {QUERY}",
         "cpu_count": cpu_count,
         "repeats": repeats,
+        "morsel_rows": morsel_rows,
         "note": "acceptance: >2x at 4 workers on hosts with >= 4 "
                 "cores; on smaller hosts the suite certifies the "
                 "fallback instead -- process-backend overhead within "

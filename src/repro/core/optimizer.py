@@ -50,9 +50,12 @@ def choose_horizontal_strategy(
         naming: NamingPolicy | None = None) -> HorizontalStrategy:
     """Pick direct-from-F versus indirect-via-FV per the paper's rule."""
     naming = naming or NamingPolicy()
-    by_columns: set[str] = set()
-    for term in query.horizontal_terms():
-        by_columns.update(term.by_columns)
+    # First-appearance query order, de-duplicated: the probe loop
+    # below stops at the first high-selectivity column, so its logical
+    # I/O must not depend on set (hash-seed) iteration order.
+    by_columns = list(dict.fromkeys(
+        column for term in query.horizontal_terms()
+        for column in term.by_columns))
     distinct_ok = not any(
         t.distinct or t.func in ("var", "stdev")
         for t in query.terms)
@@ -114,31 +117,6 @@ def alternate_strategy(
         return replace(recommended, use_update=True,
                        single_statement=False)
     return None
-
-
-def recommended_parallel_degree(db: Database,
-                                query: model.PercentageQuery) -> int:
-    """The intra-query fan-out the optimizer would admit for this
-    query's fact-table aggregations.
-
-    Applies the same rule the executor uses at run time
-    (:func:`repro.core.partitioning.choose_parallel_degree`) to the
-    fact table's row count, sizing the request by the configured
-    ``parallel_degree`` -- or, when the engine is serial, by the
-    shared operator pool so callers can preview what enabling
-    parallelism would do.  EXPLAIN's ``parallel:`` line reflects the
-    configured degree; this is the per-query admission decision.
-    """
-    from repro.core.partitioning import (choose_parallel_degree,
-                                         operator_pool_size)
-    if not db.has_table(query.table):
-        return 1
-    n_rows = db.table(query.table).n_rows
-    requested = db.options.parallel_degree
-    if requested <= 1:
-        requested = operator_pool_size()
-    return choose_parallel_degree(n_rows, requested,
-                                  db.options.parallel_row_threshold)
 
 
 def column_cardinality(db: Database, query: model.PercentageQuery,

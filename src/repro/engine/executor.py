@@ -23,17 +23,15 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.engine import aggregates as agg_mod
-from repro.engine import cancel
+from repro.engine import cancel, morsels
 from repro.engine import pivot as pivot_mod
 from repro.engine.catalog import Catalog
 from repro.engine.column import ColumnData
 from repro.engine.expressions import Frame, evaluate, untyped_null
 from repro.engine.governor import ResourceGovernor
 from repro.engine import groupingsets as gs_mod
-from repro.engine.groupby import (PartitionedGrouping, distinct_indices,
-                                  encode_column, factorize,
-                                  factorize_partitioned)
+from repro.engine.groupby import (distinct_indices, encode_column,
+                                  factorize)
 from repro.engine.join import join_indices, prepare_side
 from repro.engine.planner import (FromPlan, PlannedJoin,
                                   null_safe_equality, plan_from)
@@ -66,23 +64,23 @@ class ExecutorOptions:
         recomputed per plan step.  Disabling it (the
         ``--no-encoding-cache`` ablation) changes wall-clock time only;
         results and logical-I/O counters are identical either way.
-    ``parallel_degree`` / ``parallel_row_threshold``:
-        intra-query parallelism: aggregations over at least
-        ``parallel_row_threshold`` input rows fan out over up to
-        ``parallel_degree`` workers.  Results are bit-identical to
-        serial execution on every backend, so this is a wall-clock
-        knob only.
+    ``parallel_degree``:
+        intra-query parallelism: with a degree above 1 a grouped
+        aggregation whose grouping splits into at least two morsels
+        fans out (the thread backend runs at most this many morsels at
+        once).  Results are bit-identical to serial execution on every
+        backend, so this is a wall-clock knob only.
     ``parallel_backend``:
-        which substrate runs the fan-out: ``"thread"`` (default)
-        hash-partitions over the shared operator thread pool;
-        ``"process"`` dispatches group-aligned morsels to the worker
-        *process* pool over shared-memory column blocks (GIL-free --
-        see docs/parallelism.md); ``"serial"`` disables parallel
-        aggregation regardless of ``parallel_degree``.
+        which dispatcher runs the morsels: ``"thread"`` (default) the
+        shared operator thread pool over the in-process arrays;
+        ``"process"`` the worker *process* pool over shared-memory
+        column blocks (GIL-free -- see docs/parallelism.md);
+        ``"serial"`` disables parallel aggregation regardless of
+        ``parallel_degree``.
     ``morsel_rows``:
-        target rows per process-backend morsel.  Smaller morsels
-        improve load balancing on skewed groups; larger morsels
-        amortize per-task dispatch overhead.
+        target rows per morsel.  Smaller morsels improve load
+        balancing on skewed groups; larger morsels amortize per-task
+        dispatch overhead.
     ``storage``:
         which table substrate the owning Database runs on --
         ``"memory"`` (heap tables) or ``"disk"`` (page-backed tables
@@ -102,21 +100,16 @@ class ExecutorOptions:
     use_indexes: bool = True
     use_encoding_cache: bool = True
     parallel_degree: int = 1
-    parallel_row_threshold: int = 20_000
     parallel_backend: str = "thread"
     morsel_rows: int = 8192
     storage: str = "memory"
     matview_rewrite: bool = True
 
 
-#: Default row count below which parallel aggregation is not worth the
-#: fan-out overhead (mirrors ``ExecutorOptions.parallel_row_threshold``).
-DEFAULT_PARALLEL_ROW_THRESHOLD = 20_000
-
 #: Parallel execution substrates (``ExecutorOptions.parallel_backend``).
 PARALLEL_BACKENDS = ("serial", "thread", "process")
 
-#: Default target rows per process-backend morsel (mirrors
+#: Default target rows per morsel (mirrors
 #: ``ExecutorOptions.morsel_rows``).
 DEFAULT_MORSEL_ROWS = 8192
 
@@ -232,25 +225,10 @@ class Executor:
         current = getattr(self._parallel_local, "observed", 1)
         self._parallel_local.observed = max(current, int(degree))
 
-    def _note_thread_parallel(self, degree: int) -> None:
-        """Observation plus the per-backend task counter for thread
-        fan-outs (the process backend counts its own dispatches)."""
-        self.note_parallel_degree(degree)
-        self.stats.registry.counter(
-            "engine_parallel_tasks_total",
-            help="parallel tasks dispatched, by backend",
-            backend="thread").inc(int(degree))
-
     def parallel_degree_observed(self) -> int:
         """The widest fan-out any operator on this thread used since
         the last :meth:`reset_parallel_observation` (1 = all serial)."""
         return getattr(self._parallel_local, "observed", 1)
-
-    def _parallel_degree_for(self, n_rows: int) -> int:
-        from repro.core.partitioning import choose_parallel_degree
-        return choose_parallel_degree(
-            n_rows, self.options.parallel_degree,
-            self.options.parallel_row_threshold)
 
     # ------------------------------------------------------------------
     # Instrumented stats charging
@@ -605,28 +583,11 @@ class Executor:
                        for e in group_exprs]
         with self.tracer.span("group-by-build", kind="operator",
                               input_rows=frame.n_rows) as build_span:
-            backend = self.options.parallel_backend
-            degree = 1 if backend == "serial" \
-                else self._parallel_degree_for(frame.n_rows)
-            pgrouping: Optional[PartitionedGrouping] = None
-            if degree > 1 and backend == "thread":
-                # The process backend factorizes serially: its fan-out
-                # unit is the group-aligned morsel, planned after the
-                # grouping exists (see _compute_aggregates).
-                pgrouping = factorize_partitioned(
-                    key_columns, frame.n_rows, self.encoding_cache,
-                    degree)
-            if pgrouping is not None:
-                grouping = pgrouping.grouping
-                self._note_thread_parallel(pgrouping.degree)
-            else:
-                grouping = factorize(key_columns, frame.n_rows,
-                                     self.encoding_cache)
+            grouping = factorize(key_columns, frame.n_rows,
+                                 self.encoding_cache)
             self.governor.charge_rows(grouping.n_groups, "group-by")
             if build_span is not None:
                 build_span.attrs["groups"] = grouping.n_groups
-                build_span.attrs["degree"] = (
-                    pgrouping.degree if pgrouping is not None else 1)
         firsts = _first_positions(grouping.group_ids, grouping.n_groups)
 
         group_frame = Frame(grouping.n_groups)
@@ -677,8 +638,7 @@ class Executor:
                               groups=grouping.n_groups,
                               aggregates=len(agg_specs)):
             self._compute_aggregates(agg_specs, frame, grouping,
-                                     group_frame, pgrouping=pgrouping,
-                                     parallel_degree=degree)
+                                     group_frame)
 
         named: list[tuple[str, ColumnData]] = []
         for i, (item, expr) in enumerate(rewritten_items):
@@ -838,10 +798,6 @@ class Executor:
         for j in range(len(pct_specs)):
             compute.append((f"__pctsum{j}", "sum", pct_args[j], False))
 
-        backend = self.options.parallel_backend
-        degree = 1 if backend == "serial" \
-            else self._parallel_degree_for(frame.n_rows)
-
         # -- compute each distinct set once, finest first, so fold
         # sources exist before their dependants ------------------------
         by_dims: dict[tuple[int, ...], gs_mod.SetGrouping] = {}
@@ -884,8 +840,10 @@ class Executor:
                         folded += 1
                     else:
                         recompute.append((name, func, arg, distinct))
-                self._compute_set_aggregates(recompute, sg.grouping,
-                                             local, degree)
+                if recompute:
+                    local.update(self._aggregate_batch(
+                        recompute, sg.grouping.group_ids,
+                        sg.grouping.n_groups))
                 partials[dims] = local
                 if set_span is not None:
                     set_span.attrs["groups"] = sg.grouping.n_groups
@@ -939,149 +897,57 @@ class Executor:
         assert result is not None  # expansion yields >= 1 set
         return result
 
-    def _compute_set_aggregates(self, items: list[tuple[str, str,
-                                                        Optional[ColumnData],
-                                                        bool]],
-                                grouping, out: dict[str, ColumnData],
-                                degree: int) -> None:
-        """Aggregate pre-evaluated argument columns under one derived
-        set grouping.  With the process backend the whole batch ships
-        as one shared-memory dispatch (morsel partials merge per set);
-        the thread backend's partition fan-out needs the raw key
-        columns, so derived groupings aggregate serially there."""
-        if not items:
-            return
-        use_process = (degree > 1
-                       and self.options.parallel_backend == "process")
-        if use_process:
-            from repro.engine import process_backend
-            results = process_backend.run_grouped_aggregates(
-                [(i, func, arg, distinct)
-                 for i, (_, func, arg, distinct) in enumerate(items)],
-                grouping.group_ids, grouping.n_groups,
-                self.encoding_cache,
-                morsel_rows=self.options.morsel_rows,
-                metrics=self.stats.registry, tracer=self.tracer,
-                on_parallel=self.note_parallel_degree)
-            for i, data in results.items():
-                out[items[i][0]] = data
-            return
-        for name, func, arg, distinct in items:
-            if arg is None:
-                out[name] = agg_mod.count_star(grouping.group_ids,
-                                               grouping.n_groups)
-            else:
-                out[name] = agg_mod.compute_aggregate(
-                    func, arg, distinct, grouping.group_ids,
-                    grouping.n_groups, self.encoding_cache)
+    def _aggregate_batch(self, items, group_ids: np.ndarray,
+                         n_groups: int) -> dict[Any, ColumnData]:
+        """Every grouped aggregate of every operator goes through here:
+        ``(key, func, arg, distinct)`` items over one grouping in,
+        ``{key: ColumnData}`` out, on whichever dispatcher the options
+        select (see repro.engine.morsels)."""
+        opts = self.options
+        return morsels.run_grouped_aggregates(
+            items, group_ids, n_groups, self.encoding_cache,
+            backend=opts.parallel_backend, workers=opts.parallel_degree,
+            morsel_rows=opts.morsel_rows, metrics=self.stats.registry,
+            tracer=self.tracer, on_parallel=self.note_parallel_degree)
 
     def _compute_aggregates(self, agg_specs: list[ast.FuncCall],
-                            frame: Frame, grouping, group_frame,
-                            pgrouping: Optional[PartitionedGrouping]
-                            = None,
-                            parallel_degree: int = 1) -> None:
+                            frame: Frame, grouping,
+                            group_frame: Frame) -> None:
         """Evaluate each distinct aggregate over the base frame, binding
         ``__aggI`` columns into the group frame.  When hash dispatch is
         enabled, disjoint pivot-style CASE aggregations are computed in
-        one factorize pass instead of N masked passes.  With a
-        partitioned grouping, per-spec aggregation fans out over the
-        operator pool (bit-identical merge by scatter); with the
-        process backend, all eligible aggregates ship to worker
-        processes in one shared-memory dispatch."""
+        one factorize pass instead of N masked passes."""
         handled: set[int] = set()
-        use_process = (parallel_degree > 1
-                       and self.options.parallel_backend == "process")
-        process_agg = self._process_agg_hook() if use_process else None
         if self.options.case_dispatch == "hash":
             with self.tracer.span("pivot", kind="operator") as span:
                 handled = pivot_mod.compute_pivot_aggregates(
                     agg_specs, frame, grouping, group_frame, self.stats,
-                    self.encoding_cache,
-                    parallel_degree=1 if use_process
-                    else parallel_degree,
-                    on_parallel=self._note_thread_parallel,
-                    process_agg=process_agg)
+                    self._aggregate_batch, self.encoding_cache)
                 if span is not None:
                     span.attrs["aggregates"] = len(handled)
                     span.attrs["groups"] = grouping.n_groups
-        if use_process:
-            self._compute_aggregates_process(agg_specs, frame, grouping,
-                                             group_frame, handled)
-            return
-        for i, spec in enumerate(agg_specs):
-            if i in handled:
-                continue
-            if spec.args and isinstance(spec.args[0], ast.Star):
-                if spec.name != "count":
-                    raise PlanningError(
-                        f"{spec.name}(*) is not valid; only count(*)")
-                if pgrouping is not None:
-                    data = agg_mod.count_star_partitioned(pgrouping)
+
+        def items():
+            # Lazy: the inline dispatcher pulls one item at a time, so
+            # argument expressions are evaluated (and released) per
+            # aggregate exactly as a plain loop would.
+            for i, spec in enumerate(agg_specs):
+                if i in handled:
+                    continue
+                if spec.args and isinstance(spec.args[0], ast.Star):
+                    if spec.name != "count":
+                        raise PlanningError(
+                            f"{spec.name}(*) is not valid; only count(*)")
+                    yield i, "count", None, False
                 else:
-                    data = agg_mod.count_star(grouping.group_ids,
-                                              grouping.n_groups)
-            else:
-                if len(spec.args) != 1:
-                    raise PlanningError(
-                        f"{spec.name}() takes exactly one argument")
-                arg = evaluate(spec.args[0], frame, self.stats)
-                if pgrouping is not None:
-                    data = agg_mod.compute_aggregate_partitioned(
-                        spec.name, _concrete(arg), spec.distinct,
-                        pgrouping)
-                else:
-                    data = agg_mod.compute_aggregate(
-                        spec.name, _concrete(arg), spec.distinct,
-                        grouping.group_ids, grouping.n_groups,
-                        self.encoding_cache)
-            group_frame.add_column(f"__agg{i}", data)
+                    if len(spec.args) != 1:
+                        raise PlanningError(
+                            f"{spec.name}() takes exactly one argument")
+                    arg = evaluate(spec.args[0], frame, self.stats)
+                    yield i, spec.name, _concrete(arg), spec.distinct
 
-    def _process_agg_hook(self):
-        """The batch-aggregation closure handed to operators that run
-        on the multiprocess backend (currently the pivot family)."""
-        from repro.engine import process_backend
-
-        def process_agg(items, group_ids, n_groups):
-            return process_backend.run_grouped_aggregates(
-                items, group_ids, n_groups, None,
-                morsel_rows=self.options.morsel_rows,
-                metrics=self.stats.registry, tracer=self.tracer,
-                on_parallel=self.note_parallel_degree)
-
-        return process_agg
-
-    def _compute_aggregates_process(self, agg_specs: list[ast.FuncCall],
-                                    frame: Frame, grouping, group_frame,
-                                    handled: set[int]) -> None:
-        """Process-backend aggregation: evaluate every argument
-        expression here (exactly once, charging stats as serial does),
-        then ship the whole batch in one shared-memory dispatch.
-        Ineligible aggregates are computed locally inside the backend,
-        so results and errors match the serial path."""
-        from repro.engine import process_backend
-
-        items: list[tuple] = []
-        for i, spec in enumerate(agg_specs):
-            if i in handled:
-                continue
-            if spec.args and isinstance(spec.args[0], ast.Star):
-                if spec.name != "count":
-                    raise PlanningError(
-                        f"{spec.name}(*) is not valid; only count(*)")
-                items.append((i, "count", None, False))
-            else:
-                if len(spec.args) != 1:
-                    raise PlanningError(
-                        f"{spec.name}() takes exactly one argument")
-                arg = evaluate(spec.args[0], frame, self.stats)
-                items.append((i, spec.name, _concrete(arg),
-                              spec.distinct))
-        results = process_backend.run_grouped_aggregates(
-            items, grouping.group_ids, grouping.n_groups,
-            self.encoding_cache,
-            morsel_rows=self.options.morsel_rows,
-            metrics=self.stats.registry, tracer=self.tracer,
-            on_parallel=self.note_parallel_degree)
+        results = self._aggregate_batch(items(), grouping.group_ids,
+                                        grouping.n_groups)
         for i, data in results.items():
             group_frame.add_column(f"__agg{i}", data)
 

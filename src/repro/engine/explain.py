@@ -111,12 +111,9 @@ def _parallel_line(executor) -> Optional[str]:
     opts = executor.options
     if opts.parallel_degree <= 1 or opts.parallel_backend == "serial":
         return None
-    line = (f"parallel: degree={opts.parallel_degree} "
+    return (f"parallel: degree={opts.parallel_degree} "
             f"backend={opts.parallel_backend} "
-            f"(row threshold {opts.parallel_row_threshold}")
-    if opts.parallel_backend == "process":
-        line += f", morsel rows {opts.morsel_rows}"
-    return line + ")"
+            f"(morsel rows {opts.morsel_rows})")
 
 
 def _governor_line(executor) -> str:

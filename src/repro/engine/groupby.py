@@ -187,112 +187,6 @@ def _factorize_lex(encodings: list[EncodedColumn]) -> Grouping:
                     encodings)
 
 
-# ----------------------------------------------------------------------
-# Partition-parallel factorization (the service's intra-query
-# parallelism)
-# ----------------------------------------------------------------------
-
-@dataclass
-class GroupPartition:
-    """One hash partition of the input rows, with its local grouping.
-
-    Partitioning is on the combined key code, so every global group's
-    rows live wholly in one partition; ``global_groups[local_id]``
-    maps a partition-local group id to the global one.
-    """
-
-    rows: np.ndarray            # original row positions, ascending
-    group_ids: np.ndarray       # partition-local id per row
-    n_groups: int               # partition-local group count
-    global_groups: np.ndarray   # local id -> global id
-
-
-@dataclass
-class PartitionedGrouping:
-    """A :class:`Grouping` plus the partition layout that produced it.
-
-    ``grouping`` is bit-identical to what serial :func:`factorize`
-    returns for the same input: global group ids are ranks in the
-    sorted set of combined key codes either way.  The partitions let
-    aggregate evaluation fan out and merge by pure scatter (see
-    :func:`repro.engine.aggregates.compute_aggregate_partitioned`).
-    """
-
-    grouping: Grouping
-    partitions: list[GroupPartition]
-
-    @property
-    def degree(self) -> int:
-        return len(self.partitions)
-
-
-def factorize_partitioned(columns: list[ColumnData], n_rows: int,
-                          cache: Optional[EncodingCache] = None,
-                          degree: int = 1
-                          ) -> Optional[PartitionedGrouping]:
-    """Parallel :func:`factorize` over ``degree`` hash partitions.
-
-    Returns ``None`` when the input is not eligible (no key columns,
-    empty input, degree <= 1, or a code space too large for mixed
-    radix) -- the caller then runs serial :func:`factorize`.  The
-    ``group-by`` fault site fires exactly once per factorization
-    either way: here only after eligibility is decided, so fault-sweep
-    hit indexes match serial runs.
-    """
-    if degree <= 1 or not columns or n_rows <= 0:
-        return None
-    encodings = [encode_column(c, cache) for c in columns]
-    code_space = 1
-    for enc in encodings:
-        code_space *= enc.cardinality
-        if code_space > _MAX_CODE_SPACE:
-            return None  # lex fallback stays serial
-    cancel.checkpoint("group-by")
-    faults.fire("group-by")
-
-    combined = np.zeros(n_rows, dtype=np.int64)
-    for enc in encodings:
-        combined *= enc.cardinality
-        combined += enc.codes
-
-    from repro.core.partitioning import hash_partition, map_partitions
-    degree = min(degree, n_rows)
-    # Empty partitions (fewer distinct residues than workers) carry no
-    # groups; dropping them saves pool round-trips and keeps merge
-    # prototypes meaningful (an empty np.bincount reverts to int64
-    # regardless of its weights dtype).
-    partition_rows = [rows for rows in hash_partition(combined, degree)
-                      if len(rows)]
-
-    def factorize_partition(rows: np.ndarray):
-        present, local = np.unique(combined[rows], return_inverse=True)
-        return present, local.astype(np.int64)
-
-    results = map_partitions(factorize_partition, partition_rows)
-
-    # Partitions own disjoint residue classes of the combined code, so
-    # the sorted union of their uniques is exactly the serial
-    # np.unique(combined) -- global ids are ranks in that order.
-    present = np.unique(np.concatenate([p for p, _ in results]))
-    group_ids = np.empty(n_rows, dtype=np.int64)
-    partitions: list[GroupPartition] = []
-    for rows, (part_present, local) in zip(partition_rows, results):
-        global_groups = np.searchsorted(present, part_present)
-        group_ids[rows] = global_groups[local]
-        partitions.append(GroupPartition(
-            rows=rows, group_ids=local, n_groups=len(part_present),
-            global_groups=global_groups))
-
-    key_codes = np.empty((len(present), len(encodings)), dtype=np.int64)
-    remaining = present.copy()
-    for position in range(len(encodings) - 1, -1, -1):
-        radix = encodings[position].cardinality
-        key_codes[:, position] = remaining % radix
-        remaining //= radix
-    grouping = Grouping(group_ids, len(present), key_codes, encodings)
-    return PartitionedGrouping(grouping, partitions)
-
-
 def distinct_indices(columns: list[ColumnData], n_rows: int,
                      cache: Optional[EncodingCache] = None) -> np.ndarray:
     """Positions of the first row of each distinct key combination, in

@@ -6,34 +6,29 @@ is a pure function over raw numpy buffers::
     (value/null buffers, group_ids, n_groups) -> PartialAggState
 
 with no engine objects in its signature: no ``ColumnData``, no frames,
-no catalog.  The serial path (:mod:`repro.engine.aggregates`), the
-thread-partitioned path (:mod:`repro.core.partitioning`) and the
-multiprocess shared-memory backend
-(:mod:`repro.engine.process_backend`) all call the *same* kernel
-bodies, so a numerical behavior exists exactly once -- including the
-dtype edge cases the differential fuzzer caught (an empty
-``np.bincount`` reverts to int64 regardless of its weights dtype,
-which is why merge buffers are always allocated from the result SQL
-type, never from a partial's array).
+no catalog.  The inline path (:mod:`repro.engine.aggregates`) and the
+morsel tasks of the thread and process backends
+(:mod:`repro.engine.morsels`) all call the *same* kernel bodies, so a
+numerical behavior exists exactly once -- including the dtype edge
+cases the differential fuzzer caught (an empty ``np.bincount`` reverts
+to int64 regardless of its weights dtype, which is why merge buffers
+are always allocated from the result SQL type, never from a partial's
+array).
 
 **Bit-identity across backends.**  Floating-point addition is not
 associative, so parallel execution is only bit-identical to serial
 execution if every group's addends are accumulated in the serial
-order.  Two partitioning schemes guarantee that here:
-
-* hash partitioning (thread backend): each partition holds *complete*
-  groups with rows in original order;
-* morsel partitioning (process backend, :func:`plan_morsels`): morsels
-  are contiguous ranges of the *stable group-sorted* row permutation
-  with cuts snapped to group boundaries, so again every group lives
-  wholly inside one morsel and its rows keep their original relative
-  order.  The merge is then a contiguous slice assignment -- no
-  re-aggregation, no reordering, no rounding drift.
+order.  :func:`plan_morsels` -- the only work-partitioning scheme --
+guarantees that: morsels are contiguous ranges of the *stable
+group-sorted* row permutation with cuts snapped to group boundaries,
+so every group lives wholly inside one morsel and its rows keep their
+original relative order.  The merge is then a contiguous slice
+assignment -- no re-aggregation, no reordering, no rounding drift.
 
 A consequence worth stating: one giant group is unsplittable (it is a
-single morsel), exactly as a skewed hash partition is.  Skew across
-*many* groups is what morsels fix -- workers pull roughly equal row
-ranges regardless of how unevenly groups are sized.
+single morsel).  Skew across *many* groups is what morsels fix --
+workers pull roughly equal row ranges regardless of how unevenly
+groups are sized.
 """
 
 from __future__ import annotations
@@ -91,8 +86,8 @@ def result_sql_type(func: str, arg_type: Optional[SQLType]) -> SQLType:
 
 # ----------------------------------------------------------------------
 # Kernels.  Each body is the single implementation of its aggregate's
-# numpy sequence; repro.engine.aggregates wraps these for the serial
-# and thread paths, repro.engine.process_backend for workers.
+# numpy sequence; repro.engine.aggregates wraps these for the inline
+# path, repro.engine.morsels.run_morsel for morsel tasks.
 # ----------------------------------------------------------------------
 def kernel_count_star(group_ids: np.ndarray,
                       n_groups: int) -> PartialAggState:
@@ -253,7 +248,7 @@ def _min_sentinel(sql_type: SQLType):
 
 
 # ----------------------------------------------------------------------
-# Morsel planning (the process backend's work partitioning)
+# Morsel planning (the one work-partitioning scheme)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Morsel:
@@ -324,7 +319,8 @@ def plan_morsels(group_ids: np.ndarray, n_groups: int,
     g = 0
     while g < n_groups:
         # One safepoint per morsel planned: a cancel lands before any
-        # shared-memory export, so nothing has to be unwound yet.
+        # dispatch or shared-memory export, so nothing has to be
+        # unwound yet.
         cancel.checkpoint("morsel")
         target = bounds[g] + morsel_rows
         g_next = int(np.searchsorted(bounds, target, side="left"))

@@ -24,16 +24,14 @@ row is recorded, versus ``N`` per row for the linear strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.engine import aggregates as agg_mod
 from repro.engine import cancel, faults
 from repro.engine.column import ColumnData
 from repro.engine.encoding_cache import EncodingCache
 from repro.engine.expressions import Frame, evaluate
-from repro.engine import groupby as groupby_mod
 from repro.engine.groupby import Grouping, factorize
 from repro.engine.stats import StatsCollector
 from repro.engine.types import SQLType
@@ -53,21 +51,15 @@ class _PivotTerm:
 def compute_pivot_aggregates(agg_specs: list[ast.FuncCall], frame: Frame,
                              grouping: Grouping, group_frame: Frame,
                              stats: Optional[StatsCollector],
-                             cache: Optional[EncodingCache] = None,
-                             parallel_degree: int = 1,
-                             on_parallel=None,
-                             process_agg=None) -> set[int]:
+                             aggregate: Callable[..., dict],
+                             cache: Optional[EncodingCache] = None
+                             ) -> set[int]:
     """Compute every pivot-family aggregate, binding ``__aggI`` columns
     into ``group_frame``.  Returns the set of handled spec indexes.
 
-    ``parallel_degree`` > 1 partitions the family's cell factorization
-    and aggregation over the operator pool; ``on_parallel`` (if given)
-    is called with the degree actually used, so the executor's
-    parallel-degree observation covers pivot families too.
-    ``process_agg`` is the multiprocess backend's batch hook --
-    ``(items, group_ids, n_groups) -> {key: ColumnData}`` -- used for
-    the per-cell aggregation instead of thread partitioning when the
-    executor runs with ``parallel_backend="process"``.
+    ``aggregate`` is the executor's batch entry point --
+    ``(items, group_ids, n_groups) -> {key: ColumnData}`` -- which runs
+    the per-cell aggregation on whichever backend the query uses.
     """
     families = _detect_families(agg_specs, frame)
     handled: set[int] = set()
@@ -78,10 +70,8 @@ def compute_pivot_aggregates(agg_specs: list[ast.FuncCall], frame: Frame,
         cancel.checkpoint("pivot")
         faults.fire("pivot")
         _compute_family(terms, list(column_keys), columns, result_expr,
-                        frame, grouping, group_frame, stats, cache,
-                        parallel_degree=parallel_degree,
-                        on_parallel=on_parallel,
-                        process_agg=process_agg)
+                        frame, grouping, group_frame, stats, aggregate,
+                        cache)
         handled.update(t.index for t in terms)
     return handled
 
@@ -177,10 +167,8 @@ def _compute_family(terms: list[_PivotTerm], column_keys: list,
                     result_expr: ast.Expr, frame: Frame,
                     grouping: Grouping, group_frame: Frame,
                     stats: Optional[StatsCollector],
-                    cache: Optional[EncodingCache] = None,
-                    parallel_degree: int = 1,
-                    on_parallel=None,
-                    process_agg=None) -> None:
+                    aggregate: Callable[..., dict],
+                    cache: Optional[EncodingCache] = None) -> None:
     n_rows = frame.n_rows
     if stats is not None:
         # One hash probe per input row for the whole family.
@@ -194,17 +182,7 @@ def _compute_family(terms: list[_PivotTerm], column_keys: list,
     # The synthetic group-id column carries no cache token, but the
     # pivot columns themselves are usually base-table references whose
     # encodings the cache serves.
-    cell_columns = [group_id_column] + pivot_columns
-    pcombined = None
-    if parallel_degree > 1:
-        pcombined = groupby_mod.factorize_partitioned(
-            cell_columns, n_rows, cache, parallel_degree)
-    if pcombined is not None:
-        combined = pcombined.grouping
-        if on_parallel is not None:
-            on_parallel(pcombined.degree)
-    else:
-        combined = factorize(cell_columns, n_rows, cache)
+    combined = factorize([group_id_column] + pivot_columns, n_rows, cache)
 
     arg = evaluate(result_expr, frame, None)
     if arg.sql_type is None:
@@ -212,22 +190,10 @@ def _compute_family(terms: list[_PivotTerm], column_keys: list,
     # One aggregation pass per distinct function: terms with different
     # functions share the factorization (the O(1) dispatch) but must
     # not share cell values.
-    if process_agg is not None:
-        funcs = sorted({t.func for t in terms})
-        cells_by_func = process_agg(
-            [(func, func, arg, False) for func in funcs],
-            combined.group_ids, combined.n_groups)
-    elif pcombined is not None:
-        cells_by_func = {
-            func: agg_mod.compute_aggregate_partitioned(
-                func, arg, False, pcombined)
-            for func in {t.func for t in terms}}
-    else:
-        cells_by_func = {
-            func: agg_mod.compute_aggregate(func, arg, False,
-                                            combined.group_ids,
-                                            combined.n_groups)
-            for func in {t.func for t in terms}}
+    cells_by_func = aggregate(
+        [(func, func, arg, False)
+         for func in sorted({t.func for t in terms})],
+        combined.group_ids, combined.n_groups)
 
     firsts = _first_positions(combined.group_ids, combined.n_groups)
     cell_group = grouping.group_ids[firsts]

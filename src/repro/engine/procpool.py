@@ -20,7 +20,7 @@ matter here:
   the pool rebuilds itself for the next dispatch.
 
 Fork discipline mirrors the operator thread pool
-(:mod:`repro.core.partitioning`): the pool is lazily created, keyed by
+(:mod:`repro.engine.morsels`): the pool is lazily created, keyed by
 pid so a forked child never inherits a handle to its parent's queues,
 ``os.register_at_fork`` drops the child's inherited state, and an
 ``atexit`` hook shuts the pool down (sending one poison pill per

@@ -113,8 +113,8 @@ class SharedColumnBlock:
     Build with :meth:`export`; the parent then dispatches
     ``block.descriptor`` to workers and calls :meth:`close` in a
     ``finally``.  Object-dtype (VARCHAR) arrays are rejected -- the
-    eligibility rules in :mod:`repro.engine.process_backend` route
-    those to dictionary codes or to local evaluation instead.
+    eligibility rules in :mod:`repro.engine.morsels` route those to
+    dictionary codes or to inline evaluation instead.
     """
 
     def __init__(self, segment: shared_memory.SharedMemory,

@@ -102,20 +102,16 @@ def build_parser() -> argparse.ArgumentParser:
                              "(enforced by the resource governor; "
                              "timed-out variants are excluded from "
                              "comparison)")
-    parser.add_argument("--parallel", action="store_true",
-                        help="add partition-parallel engine variants "
-                             "(2 workers, row threshold 0); they must "
-                             "match the serial variants bit-for-bit")
     parser.add_argument("--backend", action="append",
                         choices=("serial", "thread", "process"),
                         default=None, metavar="BACKEND",
                         help="add engine variants pinned to this "
                              "parallel backend (repeatable; serial, "
-                             "thread or process).  Process variants "
+                             "thread or process).  Parallel variants "
                              "use 2-row morsels so tiny tables still "
-                             "fan out over shared memory, and any "
-                             "segment leaked after a case counts as "
-                             "a divergence")
+                             "fan out, and any shared-memory segment "
+                             "leaked after a case counts as a "
+                             "divergence")
     parser.add_argument("--storage", action="append",
                         choices=("memory", "disk"), default=None,
                         metavar="BACKEND",
@@ -172,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 #: One-line description per axis value of the variant matrix.
 _AXIS_DESCRIPTIONS = {
     "serial": "interpreted engine, one worker (the baseline plans)",
-    "thread": "thread pool, 2 workers, row threshold 0 (every "
-              "aggregation partitions)",
+    "thread": "operator thread pool, 2 workers, 2-row morsels",
     "process": "shared-memory process pool, 2 workers, 2-row morsels "
                "(leaked segments are divergences)",
     "memory": "in-memory column store (the default substrate)",
@@ -242,7 +237,7 @@ def _fuzz(args: argparse.Namespace) -> int:
         families[case.family] += 1
         result = run_case(case, inject_bug=args.inject_bug,
                           case_timeout=args.case_timeout,
-                          parallel=args.parallel, trace=args.trace,
+                          trace=args.trace,
                           backends=tuple(args.backend or ()),
                           storages=tuple(args.storage or ()))
         if result.divergent:
@@ -268,12 +263,11 @@ def _report(case: FuzzCase, result, args: argparse.Namespace) -> None:
     storages = tuple(args.storage or ())
     minimized = reduce_case(
         case, lambda c: run_case(c, args.inject_bug,
-                                 parallel=args.parallel,
                                  trace=args.trace,
                                  backends=backends,
                                  storages=storages).divergent)
     final = run_case(minimized, inject_bug=args.inject_bug,
-                     parallel=args.parallel, trace=args.trace,
+                     trace=args.trace,
                      backends=backends, storages=storages)
     path = save_repro(
         minimized, Path(args.out),
@@ -383,8 +377,7 @@ def _replay(args: argparse.Namespace) -> int:
     total = 0
     for path, case, expect in load_corpus(args.replay):
         total += 1
-        result = run_case(case, parallel=args.parallel,
-                          trace=args.trace,
+        result = run_case(case, trace=args.trace,
                           backends=tuple(args.backend or ()),
                           storages=tuple(args.storage or ()))
         verdict = "divergent" if result.divergent else "consistent"

@@ -112,7 +112,6 @@ class CaseResult:
 def run_case(case: FuzzCase,
              inject_bug: Optional[str] = None,
              case_timeout: Optional[float] = None,
-             parallel: bool = False,
              trace: bool = False,
              backends: Sequence[str] = (),
              storages: Sequence[str] = ()) -> CaseResult:
@@ -124,16 +123,11 @@ def run_case(case: FuzzCase,
     way) rather than counted as an error outcome, so a slow plan on a
     loaded machine cannot masquerade as a correctness divergence.
 
-    ``parallel`` adds partition-parallel engine variants (2 workers,
-    row threshold forced to 0 so every aggregation takes the parallel
-    path); they must agree bit-for-bit with the serial variants and
-    the oracle.
-
     ``backends`` adds one engine variant per named parallel backend
-    (``serial``/``thread``/``process``), each with 2 workers, a zero
-    row threshold and -- for the process backend -- a 2-row morsel
-    target, so even the fuzzer's tiny tables actually fan out.  All
-    must agree bit-for-bit.  When ``process`` is among them, a
+    (``serial``/``thread``/``process``), each with 2 workers and a
+    2-row morsel target, so even the fuzzer's tiny tables actually fan
+    out.  All must agree bit-for-bit with the serial variants and the
+    oracle.  When ``process`` is among them, a
     shared-memory segment left live after the case counts as a
     divergence (the leaked names are reclaimed and reported).
 
@@ -156,7 +150,7 @@ def run_case(case: FuzzCase,
     """
     result = CaseResult(case=case)
     for name, thunk in _variants(case, inject_bug, case_timeout,
-                                 parallel, trace, backends, storages):
+                                 trace, backends, storages):
         result.variants.append(_evaluate(name, thunk))
     if "process" in backends:
         leaked = shm.live_segment_names()
@@ -327,21 +321,15 @@ def _sqlite_union_rows(case: FuzzCase) -> list:
         oracle.close()
 
 
-#: Engine options for the parallel fuzz variants: two workers and a
-#: zero row threshold force every eligible aggregation down the
-#: hash-partitioned path even on the fuzzer's tiny tables.
-_PARALLEL_KW: dict[str, Any] = {"parallel_workers": 2,
-                                "parallel_row_threshold": 0}
-
-#: Engine options per ``--backend`` variant.  The process backend gets
-#: a 2-row morsel target so the fuzzer's tiny tables still split into
-#: multiple morsels and exercise shared-memory dispatch + merge.
+#: Engine options per ``--backend`` variant.  The parallel backends
+#: get a 2-row morsel target so the fuzzer's tiny tables still split
+#: into multiple morsels and exercise dispatch + merge.
 _BACKEND_KW: dict[str, dict[str, Any]] = {
-    "serial": {"parallel_workers": 2, "parallel_row_threshold": 0,
-               "parallel_backend": "serial"},
-    "thread": {"parallel_workers": 2, "parallel_row_threshold": 0},
-    "process": {"parallel_workers": 2, "parallel_row_threshold": 0,
-                "parallel_backend": "process", "morsel_rows": 2},
+    "serial": {"parallel_workers": 2, "parallel_backend": "serial"},
+    "thread": {"parallel_workers": 2, "parallel_backend": "thread",
+               "morsel_rows": 2},
+    "process": {"parallel_workers": 2, "parallel_backend": "process",
+                "morsel_rows": 2},
 }
 
 
@@ -413,7 +401,6 @@ def _storage_variants(case: FuzzCase, kw: dict[str, Any]
 
 def _variants(case: FuzzCase, inject_bug: Optional[str],
               case_timeout: Optional[float] = None,
-              parallel: bool = False,
               trace: bool = False,
               backends: Sequence[str] = (),
               storages: Sequence[str] = ()
@@ -439,11 +426,6 @@ def _variants(case: FuzzCase, inject_bug: Optional[str],
         kw["tracing"] = True
     if case.family == "vpct":
         variants = _vpct_variants(case, inject_bug, kw)
-        if parallel:
-            variants.append(
-                ("engine:join-insert-parallel",
-                 lambda: _strategy_rows(case, VerticalStrategy(),
-                                        **_PARALLEL_KW, **kw)))
         for backend in backends:
             variants.append(
                 (f"engine:join-insert-{backend}",
@@ -454,27 +436,15 @@ def _variants(case: FuzzCase, inject_bug: Optional[str],
         return variants
     if case.family in ("hpct", "hagg"):
         variants = _horizontal_variants(case, kw)
-        if parallel:
-            variants += [
-                ("engine:case-direct-parallel",
-                 lambda: _strategy_rows(case,
-                                        HorizontalStrategy(source="F"),
-                                        **_PARALLEL_KW, **kw)),
-                ("engine:case-indirect-parallel",
-                 lambda: _strategy_rows(case,
-                                        HorizontalStrategy(source="FV"),
-                                        **_PARALLEL_KW, **kw)),
-                ("engine:case-direct-hash-parallel",
-                 lambda: _strategy_rows(case,
-                                        HorizontalStrategy(source="F"),
-                                        case_dispatch="hash",
-                                        **_PARALLEL_KW, **kw)),
-            ]
         for backend in backends:
             variants += [
                 (f"engine:case-direct-{backend}",
                  lambda b=backend: _strategy_rows(
                      case, HorizontalStrategy(source="F"),
+                     **_BACKEND_KW[b], **kw)),
+                (f"engine:case-indirect-{backend}",
+                 lambda b=backend: _strategy_rows(
+                     case, HorizontalStrategy(source="FV"),
                      **_BACKEND_KW[b], **kw)),
                 (f"engine:case-direct-hash-{backend}",
                  lambda b=backend: _strategy_rows(
@@ -489,10 +459,6 @@ def _variants(case: FuzzCase, inject_bug: Optional[str],
             ("engine:shared-scan", lambda: _direct_rows(case, **kw)),
             ("sqlite:union-all", lambda: _sqlite_union_rows(case)),
         ]
-        if parallel:
-            variants.insert(
-                1, ("engine:shared-scan-parallel",
-                    lambda: _direct_rows(case, **_PARALLEL_KW, **kw)))
         for backend in backends:
             variants.append(
                 (f"engine:shared-scan-{backend}",
@@ -505,10 +471,6 @@ def _variants(case: FuzzCase, inject_bug: Optional[str],
         ("engine:direct", lambda: _direct_rows(case, **kw)),
         ("sqlite:direct", lambda: _sqlite_direct_rows(case)),
     ]
-    if parallel:
-        variants.insert(
-            1, ("engine:direct-parallel",
-                lambda: _direct_rows(case, **_PARALLEL_KW, **kw)))
     for backend in backends:
         variants.append(
             (f"engine:direct-{backend}",

@@ -29,11 +29,11 @@ Threading
 ---------
 
 Each thread keeps its own span stack, so concurrent sessions sharing
-one tracer interleave without corrupting each other's nesting.  A
-worker thread that runs on behalf of a span opened elsewhere (the
-partition pool) parents explicitly with :meth:`Tracer.span_under`.
+one tracer interleave without corrupting each other's nesting.
+Morsel tasks (pool threads, worker processes) open no spans: the
+coordinator records them as events once the fan-out is collected.
 Deep modules with no executor reference (the governor, the encoding
-cache, the partitioner) reach the ambient tracer through
+cache) reach the ambient tracer through
 :func:`activate` / :func:`active_tracer`, which is also thread-local.
 
 When the tracer is disabled, :meth:`Tracer.span` returns a shared
@@ -126,16 +126,14 @@ class _SpanHandle:
     attached to its parent at ``__enter__`` (so sibling order is open
     order, deterministic under serial execution) and closed at exit."""
 
-    __slots__ = ("_tracer", "_name", "_kind", "_attrs", "_parent",
-                 "span")
+    __slots__ = ("_tracer", "_name", "_kind", "_attrs", "span")
 
     def __init__(self, tracer: "Tracer", name: str, kind: str,
-                 attrs: dict, parent: Optional[Span] = None):
+                 attrs: dict):
         self._tracer = tracer
         self._name = name
         self._kind = kind
         self._attrs = attrs
-        self._parent = parent
         self.span: Optional[Span] = None
 
     def __enter__(self) -> Span:
@@ -143,9 +141,7 @@ class _SpanHandle:
         span = Span(self._name, self._kind, tracer.clock.now(),
                     self._attrs)
         stack = tracer._stack()
-        parent = self._parent if self._parent is not None else \
-            (stack[-1] if stack else None)
-        tracer._attach(span, parent)
+        tracer._attach(span, stack[-1] if stack else None)
         stack.append(span)
         self.span = span
         return span
@@ -209,15 +205,6 @@ class Tracer:
         if not self.enabled:
             return _NULL_CONTEXT
         return _SpanHandle(self, name, kind, attrs)
-
-    def span_under(self, parent: Optional[Span], name: str,
-                   kind: str = "span", **attrs: Any):
-        """Open a span under an *explicit* parent -- the cross-thread
-        handover used by partition workers, whose thread-local stack
-        is empty when the work item starts."""
-        if not self.enabled:
-            return _NULL_CONTEXT
-        return _SpanHandle(self, name, kind, attrs, parent=parent)
 
     def event(self, name: str, kind: str = "event",
               **attrs: Any) -> Optional[Span]:
@@ -420,6 +407,6 @@ class _Activation:
 
 def activate(tracer: Optional[Tracer]) -> _Activation:
     """Make ``tracer`` this thread's ambient tracer for a ``with``
-    block, so modules without an executor reference (governor, cache,
-    partitioner) can emit events into the right tree."""
+    block, so modules without an executor reference (governor, cache)
+    can emit events into the right tree."""
     return _Activation(tracer)

@@ -29,7 +29,7 @@ Typical use::
 
 Writes serialize through one writer lock with all-or-nothing script
 semantics; reads scale out across the pool and, within a query, across
-the partition-parallel operators (``parallel_workers``).
+the morsel-parallel aggregation operators (``parallel_workers``).
 """
 
 from __future__ import annotations

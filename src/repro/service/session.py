@@ -45,7 +45,6 @@ class SessionDefaults:
     use_indexes: Optional[bool] = None
     use_encoding_cache: Optional[bool] = None
     parallel_workers: Optional[int] = None
-    parallel_row_threshold: Optional[int] = None
     parallel_backend: Optional[str] = None
     morsel_rows: Optional[int] = None
     #: Wall-clock deadline (seconds) every script submitted through
@@ -67,9 +66,6 @@ class SessionDefaults:
             raise ValueError("storage must be 'memory' or 'disk'")
         if self.parallel_workers is not None and self.parallel_workers < 1:
             raise ValueError("parallel_workers must be >= 1")
-        if (self.parallel_row_threshold is not None
-                and self.parallel_row_threshold < 0):
-            raise ValueError("parallel_row_threshold must be >= 0")
         if self.parallel_backend not in (None, *PARALLEL_BACKENDS):
             raise ValueError(
                 f"parallel_backend must be one of "
@@ -97,8 +93,6 @@ class SessionDefaults:
                                     base.use_encoding_cache),
             parallel_degree=pick(self.parallel_workers,
                                  base.parallel_degree),
-            parallel_row_threshold=pick(self.parallel_row_threshold,
-                                        base.parallel_row_threshold),
             parallel_backend=pick(self.parallel_backend,
                                   base.parallel_backend),
             morsel_rows=pick(self.morsel_rows, base.morsel_rows))

@@ -1,7 +1,12 @@
 """Unit tests for the strategy chooser (the paper's recommendations)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.model import parse_percentage_query
 from repro.core.optimizer import (choose_horizontal_strategy,
                                   choose_vertical_strategy,
@@ -60,6 +65,40 @@ class TestHorizontalChoice:
             "SELECT count(DISTINCT rid BY high) FROM f")
         strategy = choose_horizontal_strategy(wide_db, query)
         assert strategy.source == "F"
+
+
+#: Probes `high` then stops when BY columns are walked in query order;
+#: walking them in set order probes `low` first under some hash seeds.
+_PROBE_SCRIPT = """
+from repro import Database
+from repro.core.model import parse_percentage_query
+from repro.core.optimizer import choose_horizontal_strategy
+
+db = Database()
+db.load_table("f", [("low", "int"), ("high", "int"), ("m", "real")],
+              [(i % 3, i % 100, float(i)) for i in range(200)])
+before = db.stats.snapshot()
+query = parse_percentage_query("SELECT Hpct(m BY high, low) FROM f")
+strategy = choose_horizontal_strategy(db, query)
+print(strategy.source, db.stats.diff_since(before).logical_io())
+"""
+
+
+class TestProbeOrderIsDeterministic:
+    def test_logical_io_does_not_depend_on_hash_seed(self):
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = []
+        for seed in ("0", "1"):  # {'high', 'low'} iterates both ways
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=src_dir)
+            done = subprocess.run(
+                [sys.executable, "-c", _PROBE_SCRIPT], env=env,
+                capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout.split())
+        # One probe of `high` (200 rows) decides FV; `low` is never
+        # scanned, whatever the seed.
+        assert outputs == [["FV", "200"], ["FV", "200"]]
 
 
 class TestCardinalityProbe:

@@ -184,7 +184,7 @@ class TestPlanMorsels:
 
 class TestMorselMergeBitIdentity:
     """Splitting by morsels and slice-merging the partials must equal
-    one serial kernel call *bitwise* -- the process backend's whole
+    one serial kernel call *bitwise* -- the morsel pipeline's whole
     correctness argument in miniature."""
 
     @pytest.mark.parametrize("func", ["sum", "avg", "var", "stdev"])

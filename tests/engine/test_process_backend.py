@@ -1,145 +1,28 @@
-"""The multiprocess backend end to end: bit-identity against serial
-execution, shared-memory lifecycle under injected faults and worker
-death, metric/EXPLAIN/tracer surfaces, and the configuration knobs."""
+"""What only the process dispatcher has: shared-memory lifecycle under
+injected faults and worker death, its metrics and worker-pid spans,
+and the configuration knobs.  Bit-identity, EXPLAIN and the span shape
+are backend-parametrised in test_parallel_groupby.py."""
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.api.database import Database
 from repro.engine import faults, shm
-from repro.engine.aggregates import compute_aggregate, count_star
-from repro.engine.column import ColumnData
 from repro.engine.executor import ExecutorOptions
 from repro.engine.faults import FaultInjector, FaultSpec
 from repro.engine.procpool import ProcessPool
-from repro.engine.process_backend import run_grouped_aggregates
-from repro.engine.types import SQLType
 from repro.errors import TransientError, WorkerCrashError
 from repro.service.session import SessionDefaults
 
-SETUP = """
-    CREATE TABLE t (d INT, c VARCHAR, a REAL, b INT);
-    INSERT INTO t VALUES (1, 'x', 10.0, 3), (1, 'y', 30.0, NULL),
-                         (2, 'x', 60.0, 1), (2, 'y', 0.25, 4),
-                         (3, NULL, NULL, 2), (3, 'x', 5.5, NULL),
-                         (4, 'z', -1.5, 7), (4, 'x', 2.25, 0)
-"""
-
-QUERIES = [
-    "SELECT d, sum(a) FROM t GROUP BY d ORDER BY d",
-    "SELECT d, avg(a), count(*) FROM t GROUP BY d ORDER BY d",
-    "SELECT d, min(a), max(b) FROM t GROUP BY d ORDER BY d",
-    "SELECT d, min(c), max(c) FROM t GROUP BY d ORDER BY d",
-    "SELECT d, count(a), count(b) FROM t GROUP BY d ORDER BY d",
-    "SELECT d, count(DISTINCT c) FROM t GROUP BY d ORDER BY d",
-    "SELECT d, var(a), stdev(a) FROM t GROUP BY d ORDER BY d",
-    "SELECT d, c, sum(b) FROM t GROUP BY d, c ORDER BY d, c",
-]
-
-
-def _process_db(**extra) -> Database:
-    # morsel_rows=2 so even this 8-row table splits into multiple
-    # morsels and actually crosses the process boundary.
-    kwargs = dict(parallel_workers=4, parallel_row_threshold=1,
-                  parallel_backend="process", morsel_rows=2)
-    kwargs.update(extra)
-    db = Database(**kwargs)
-    db.execute_script(SETUP)
-    return db
-
-
-def _serial_db() -> Database:
-    db = Database()
-    db.execute_script(SETUP)
-    return db
-
-
-class TestBitIdentity:
-    @pytest.mark.parametrize("sql", QUERIES)
-    def test_matches_serial(self, sql):
-        assert _process_db().query(sql) == _serial_db().query(sql)
-
-    def test_real_sum_dtype_across_morsels(self):
-        # The bincount dtype trap, morsel edition: an all-NULL morsel's
-        # partial is int64; the merge buffer must come from the result
-        # SQL type so 0.25 survives.
-        db = Database(parallel_workers=2, parallel_row_threshold=1,
-                      parallel_backend="process", morsel_rows=2)
-        db.execute_script("""
-            CREATE TABLE r (d INT, a REAL);
-            INSERT INTO r VALUES (1, 10.0), (1, 0.25),
-                                 (2, NULL), (2, NULL),
-                                 (3, 1.5), (3, 2.5)
-        """)
-        assert db.query(
-            "SELECT d, sum(a) FROM r GROUP BY d ORDER BY d") == [
-            (1, 10.25), (2, None), (3, 4.0)]
-
-    def test_vpct_plan_matches_serial(self):
-        from repro.core.execute import run_resilient
-        sql = "SELECT d, Vpct(a) FROM t GROUP BY d"
-        rows = [run_resilient(db, sql).result.to_rows()
-                for db in (_serial_db(), _process_db())]
-        assert rows[0] == rows[1]
-
-    def test_no_segments_survive_queries(self):
-        db = _process_db()
-        for sql in QUERIES:
-            db.query(sql)
-        assert shm.live_segment_names() == []
-
-
-class TestRunGroupedAggregates:
-    def test_mixed_eligible_and_local_items(self):
-        rng = np.random.default_rng(5)
-        n_rows, n_groups = 400, 9
-        group_ids = rng.integers(0, n_groups, size=n_rows)
-        group_ids[:n_groups] = np.arange(n_groups)
-        group_ids = group_ids.astype(np.int64)
-        reals = ColumnData(SQLType.REAL,
-                           rng.normal(size=n_rows),
-                           rng.random(n_rows) < 0.2)
-        words = ColumnData.from_values(
-            SQLType.VARCHAR,
-            [None if i % 7 == 0 else f"w{i % 5}"
-             for i in range(n_rows)])
-        items = [("s", "sum", reals, False),
-                 ("m", "min", words, False),     # VARCHAR -> local
-                 ("c", "count", None, False),
-                 ("d", "count", words, True)]    # DISTINCT -> codes
-        out = run_grouped_aggregates(items, group_ids, n_groups,
-                                     morsel_rows=32)
-        assert set(out) == {"s", "m", "c", "d"}
-        serial = {
-            "s": compute_aggregate("sum", reals, False, group_ids,
-                                   n_groups),
-            "m": compute_aggregate("min", words, False, group_ids,
-                                   n_groups),
-            "c": count_star(group_ids, n_groups),
-            "d": compute_aggregate("count", words, True, group_ids,
-                                   n_groups),
-        }
-        for key, expected in serial.items():
-            assert np.array_equal(out[key].values, expected.values)
-            assert np.array_equal(out[key].nulls, expected.nulls)
-        assert shm.live_segment_names() == []
-
-    def test_small_input_runs_local(self):
-        group_ids = np.array([0, 1, 0], dtype=np.int64)
-        arg = ColumnData.from_values(SQLType.REAL, [1.0, 2.0, 3.0])
-        out = run_grouped_aggregates([("s", "sum", arg, False)],
-                                     group_ids, 2, morsel_rows=8192)
-        assert out["s"].values.tolist() == [4.0, 2.0]
-        assert shm.live_segment_names() == []
+from tests.engine.test_parallel_groupby import backend_db, serial_db
 
 
 class TestFaultsAndDeath:
     def test_injected_fault_unlinks_segments(self):
-        db = _process_db()
+        db = backend_db("process")
         injector = FaultInjector([FaultSpec("process-worker")])
         with faults.active(injector):
             with pytest.raises(TransientError):
@@ -149,7 +32,7 @@ class TestFaultsAndDeath:
         # The backend is fully usable again afterwards.
         assert db.query(
             "SELECT d, sum(a) FROM t GROUP BY d ORDER BY d") == \
-            _serial_db().query(
+            serial_db().query(
                 "SELECT d, sum(a) FROM t GROUP BY d ORDER BY d")
 
     def test_worker_death_raises_and_pool_recovers(self):
@@ -211,7 +94,7 @@ class TestFaultsAndDeath:
 
 class TestObservability:
     def test_backend_metrics(self):
-        db = _process_db()
+        db = backend_db("process")
         db.query("SELECT d, sum(a), count(*) FROM t GROUP BY d")
         samples = db.stats.registry.samples()
         tasks = [v for k, v in samples.items()
@@ -225,41 +108,15 @@ class TestObservability:
                       if k.startswith("engine_worker_pool_saturation")]
         assert saturation and saturation[0] > 0
 
-    def test_thread_backend_labels_its_tasks(self):
-        db = Database(parallel_workers=4, parallel_row_threshold=1)
-        db.execute_script(SETUP)
-        db.query("SELECT d, sum(a) FROM t GROUP BY d")
-        samples = db.stats.registry.samples()
-        assert any(k.startswith("engine_parallel_tasks_total")
-                   and 'backend="thread"' in k and v > 0
-                   for k, v in samples.items())
-
-    def test_explain_shows_backend_and_morsels(self):
-        db = _process_db()
-        lines = [row[0] for row in db.query(
-            "EXPLAIN SELECT d, sum(a) FROM t GROUP BY d")]
-        assert ("parallel: degree=4 backend=process "
-                "(row threshold 1, morsel rows 2)") in lines
-
-    def test_explain_silent_for_serial_backend(self):
-        db = Database(parallel_workers=4, parallel_row_threshold=1,
-                      parallel_backend="serial")
-        db.execute_script(SETUP)
-        lines = [row[0] for row in db.query(
-            "EXPLAIN SELECT d, sum(a) FROM t GROUP BY d")]
-        assert not [l for l in lines if l.startswith("parallel:")]
-
-    def test_worker_spans_in_trace(self):
-        db = _process_db(tracing=True)
+    def test_morsels_ran_in_worker_processes(self):
+        db = backend_db("process", tracing=True)
         db.query("SELECT d, sum(a) FROM t GROUP BY d")
         dispatches = [s for root in db.tracer.roots()
-                      for s in root.find(name="process-dispatch")]
-        assert dispatches
+                      for s in root.find(name="morsel-dispatch")]
+        assert dispatches and dispatches[0].attrs["shm_bytes"] > 0
         morsels = dispatches[0].children
-        assert morsels and all(s.name == "process-morsel"
+        assert morsels and all(s.attrs["worker_pid"] != os.getpid()
                                for s in morsels)
-        assert all(s.attrs["worker_pid"] != os.getpid()
-                   for s in morsels)
 
 
 class TestConfiguration:
@@ -272,12 +129,12 @@ class TestConfiguration:
             Database(morsel_rows=0)
 
     def test_set_parallel_backend(self):
-        db = _serial_db()
-        db.set_parallel_workers(4, row_threshold=1)
+        db = serial_db()
+        db.set_parallel_workers(4)
         db.set_parallel_backend("process", morsel_rows=2)
         assert db.query(
             "SELECT d, sum(a) FROM t GROUP BY d ORDER BY d") == \
-            _serial_db().query(
+            serial_db().query(
                 "SELECT d, sum(a) FROM t GROUP BY d ORDER BY d")
         with pytest.raises(ValueError):
             db.set_parallel_backend("quantum")

@@ -2,9 +2,9 @@
 
 * The metrics registry never drops increments under contention (the
   lost-update race its single lock exists to prevent).
-* Parallel hash-partitioned group-by parents each partition span under
-  the operator span that fanned it out, even though the work ran on
-  pool threads with empty span stacks.
+* Morsel-parallel group-by records one ``morsel-dispatch`` span under
+  the operator span that fanned out, with one ``morsel`` child per
+  task -- the same shape on the thread and process backends.
 * Concurrent traced sessions through the query service produce well
   formed trees per script and an accurate in-flight gauge afterwards.
 """
@@ -12,6 +12,8 @@
 from __future__ import annotations
 
 import threading
+
+import pytest
 
 from repro.api.database import Database
 from repro.obs.metrics import MetricsRegistry
@@ -74,40 +76,47 @@ class TestRegistryRaces:
         assert stats.rows_written == 2 * total
 
 
-class TestParallelPartitionSpans:
-    def _parallel_db(self) -> Database:
-        db = Database(tracing=True, parallel_workers=4,
-                      parallel_row_threshold=1)
-        rows = ", ".join(f"({i % 7}, {float(i)})" for i in range(64))
+@pytest.mark.parametrize("backend", ["thread", "process"])
+class TestMorselDispatchSpans:
+    ROWS = ", ".join(f"({i % 7}, {float(i)})" for i in range(64))
+
+    def _db(self, **kwargs) -> Database:
+        db = Database(tracing=True, **kwargs)
         db.execute("CREATE TABLE t (d INT, a REAL)")
-        db.execute(f"INSERT INTO t VALUES {rows}")
+        db.execute(f"INSERT INTO t VALUES {self.ROWS}")
         return db
 
-    def test_partition_spans_parent_under_group_by_build(self):
-        db = self._parallel_db()
+    def _parallel_db(self, backend: str) -> Database:
+        return self._db(parallel_workers=4, parallel_backend=backend,
+                        morsel_rows=8)
+
+    def test_morsel_spans_parent_under_the_dispatch_span(self, backend):
+        db = self._parallel_db(backend)
         db.tracer.reset()
         db.execute("SELECT d, sum(a) FROM t GROUP BY d")
         (root,) = db.tracer.roots()
         validate_span_tree(root)
-        builds = root.find(name="group-by-build")
-        assert builds, "expected a group-by-build operator span"
-        partitions = root.find(name="partition")
-        assert partitions, "parallel run must emit partition spans"
-        # every partition span hangs off an operator span, and their
-        # indexes cover the fan-out without duplicates
-        for build in builds:
-            local = [c for c in build.children
-                     if c.name == "partition"]
-            indexes = sorted(c.attrs["partition"] for c in local)
-            assert indexes == list(range(len(local)))
-        assert all(p.kind == "operator" for p in partitions)
+        (aggregate,) = root.find(name="group-by-aggregate")
+        (dispatch,) = root.find(name="morsel-dispatch")
+        assert dispatch in aggregate.children
+        assert dispatch.kind == "parallel"
+        assert dispatch.attrs["backend"] == backend
+        assert set(dispatch.attrs) == {"backend", "morsels", "workers",
+                                       "shm_bytes"}
+        morsels = root.find(name="morsel")
+        assert morsels, "parallel run must emit morsel spans"
+        # every morsel span hangs off the dispatch span, and together
+        # they cover the input without overlap
+        assert morsels == dispatch.children
+        assert len(morsels) == dispatch.attrs["morsels"]
+        assert sum(m.attrs["rows"] for m in morsels) == 64
+        assert sum(m.attrs["groups"] for m in morsels) == 7
+        assert all(set(m.attrs) == {"worker_pid", "worker_seconds",
+                                    "rows", "groups"} for m in morsels)
 
-    def test_parallel_results_and_trace_agree_with_serial(self):
-        parallel = self._parallel_db()
-        serial = Database(tracing=True)
-        rows = ", ".join(f"({i % 7}, {float(i)})" for i in range(64))
-        serial.execute("CREATE TABLE t (d INT, a REAL)")
-        serial.execute(f"INSERT INTO t VALUES {rows}")
+    def test_parallel_results_and_trace_agree_with_serial(self, backend):
+        parallel = self._parallel_db(backend)
+        serial = self._db()
         sql = "SELECT d, sum(a) FROM t GROUP BY d ORDER BY d"
         assert parallel.query(sql) == serial.query(sql)
         for db in (parallel, serial):

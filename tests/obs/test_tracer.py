@@ -80,18 +80,6 @@ class TestSpanNesting:
         assert span.end is not None
         validate_span_tree(span)
 
-    def test_span_under_explicit_parent_from_other_thread(self):
-        tracer = Tracer(clock=ManualClock(), enabled=True)
-        with tracer.span("parent") as parent:
-            def work():
-                with tracer.span_under(parent, "worker",
-                                       partition=0):
-                    pass
-            thread = threading.Thread(target=work)
-            thread.start()
-            thread.join()
-        assert [c.name for c in parent.children] == ["worker"]
-
     def test_reset_drops_roots(self):
         tracer = Tracer(clock=ManualClock(), enabled=True)
         with tracer.span("a"):

@@ -21,12 +21,12 @@ class TestSessionDefaults:
         resolved = SessionDefaults(
             case_dispatch="hash", use_indexes=False,
             use_encoding_cache=False, parallel_workers=2,
-            parallel_row_threshold=5).resolve(db.options)
+            morsel_rows=5).resolve(db.options)
         assert resolved.case_dispatch == "hash"
         assert resolved.use_indexes is False
         assert resolved.use_encoding_cache is False
         assert resolved.parallel_degree == 2
-        assert resolved.parallel_row_threshold == 5
+        assert resolved.morsel_rows == 5
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -37,7 +37,7 @@ class TestSessionDefaults:
     def test_defaults_steer_read_execution(self, db):
         with QueryService(db, workers=2) as service:
             defaults = SessionDefaults(parallel_workers=2,
-                                       parallel_row_threshold=1)
+                                       morsel_rows=1)
             with service.create_session(defaults) as session:
                 report = session.execute(
                     "SELECT d1, sum(a) FROM f GROUP BY d1")

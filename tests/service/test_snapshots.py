@@ -69,12 +69,12 @@ class TestSnapshotReader:
     def test_session_defaults_reach_reader_options(self, service, db):
         defaults = SessionDefaults(case_dispatch="hash",
                                    parallel_workers=3,
-                                   parallel_row_threshold=7)
+                                   morsel_rows=7)
         reader = service.snapshots.reader(
             options=defaults.resolve(db.options))
         assert reader.options.case_dispatch == "hash"
         assert reader.options.parallel_degree == 3
-        assert reader.options.parallel_row_threshold == 7
+        assert reader.options.morsel_rows == 7
         # The base database's own options are untouched.
         assert db.options.case_dispatch == "linear"
         assert db.options.parallel_degree == 1

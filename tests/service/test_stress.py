@@ -144,8 +144,7 @@ def test_stress_parallel_readers_match_serial(service, db):
     sql = ("SELECT d1, d2, sum(a), count(*) FROM f "
            "GROUP BY d1, d2 ORDER BY d1, d2")
     expected = db.query(sql)
-    defaults = SessionDefaults(parallel_workers=4,
-                               parallel_row_threshold=1)
+    defaults = SessionDefaults(parallel_workers=4, morsel_rows=1)
     results: list = []
     errors: list[BaseException] = []
 
