@@ -69,7 +69,7 @@ def _view_read(db: Database, sql: str) -> float:
 def run_views_benchmark(sales_n: int = 200_000,
                         repeats: int = 3) -> dict:
     from repro.datagen import load_sales
-    from repro.fuzz.views import table_diff
+    from repro.fuzz.comparator import table_diff
 
     db = Database()
     load_sales(db, sales_n)

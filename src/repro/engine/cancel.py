@@ -19,8 +19,8 @@ Determinism: the token reads time through an injected
 safepoint hits (mirroring :class:`~repro.engine.faults.FaultInjector`)
 and can be armed to cancel itself at the N-th hit of a named
 safepoint (``cancel_at``) -- that is the mechanism the fuzz harness's
-``--cancel-sweep`` uses to fire a cancellation at every safepoint a
-query crosses (:mod:`repro.fuzz.cancelsweep`).
+``--sweep cancel`` uses to fire a cancellation at every safepoint a
+query crosses (:mod:`repro.fuzz.sweep`).
 
 Threading model: tokens are activated into a thread-local ambient slot
 (:func:`activate`), mirroring :mod:`repro.engine.faults` and the

@@ -13,12 +13,19 @@ This package turns that claim into an executable check:
   oracle (:mod:`repro.fuzz.oracle`, via the dialect adapter in
   :mod:`repro.fuzz.dialect`),
 * :mod:`repro.fuzz.comparator` decides agreement with explicit NULL
-  and float-tolerance semantics,
+  and float-tolerance semantics (and bitwise, where the contract is
+  bit-identity),
+* :mod:`repro.fuzz.variants` states the backend x storage variant
+  matrix and the leak post-condition once, for every harness,
+* :mod:`repro.fuzz.sweep` disturbs each case -- injected faults,
+  armed cancellations, DML under a materialized view -- on every cell
+  of that matrix and checks one post-condition set after every shot,
 * :mod:`repro.fuzz.reducer` delta-debugs any divergence down to a
   minimal reproducer, persisted by :mod:`repro.fuzz.corpus` and
   replayed forever by ``tests/fuzz/test_corpus.py``.
 
-Run it with ``python -m repro.fuzz --seed 0 --budget 500``.
+Run it with ``python -m repro.fuzz --seed 0 --budget 500``; add
+``--sweep {fault,cancel,views}`` for the sweep.
 """
 
 from repro.fuzz.comparator import compare_outcomes, normalize_rows

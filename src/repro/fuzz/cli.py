@@ -6,42 +6,32 @@ Examples::
     python -m repro.fuzz --seed 7 --budget 200 --max-seconds 60
     python -m repro.fuzz --replay tests/fuzz/corpus
     python -m repro.fuzz --seed 0 --budget 50 --inject-bug vpct-denominator
-    python -m repro.fuzz --fault-sweep --seed 0 --budget 40
     python -m repro.fuzz --seed 0 --budget 200 --case-timeout 10
     python -m repro.fuzz --seed 0 --budget 100 --trace
     python -m repro.fuzz --seed 0 --budget 100 --storage disk
-    python -m repro.fuzz --fault-sweep --storage disk --seed 0 --budget 20
-    python -m repro.fuzz --cancel-sweep --seed 0 --budget 10
-    python -m repro.fuzz --views --seed 0 --budget 20
-    python -m repro.fuzz --views --budget 10 --inject-bug views-skip-retraction
+    python -m repro.fuzz --sweep fault --seed 0 --budget 40
+    python -m repro.fuzz --sweep fault --backend process --storage disk
+    python -m repro.fuzz --sweep cancel --seed 0 --budget 10
+    python -m repro.fuzz --sweep views --seed 0 --budget 20
+    python -m repro.fuzz --sweep views --inject-bug views-skip-retraction
     python -m repro.fuzz --list-variants
 
 Exit status 0 means every case was consistent across all strategies
-and the sqlite oracle; 1 means at least one divergence (each one is
-minimized and written to ``--out`` as a replayable JSON repro).
+and the sqlite oracle (or, under ``--sweep``, that no post-condition
+broke); 1 means at least one divergence (each one is minimized and
+written to ``--out`` as a replayable JSON repro) or finding; 2 is a
+usage error.
 
-``--case-timeout`` runs every engine variant under the resource
-governor's wall-clock budget so one pathological case cannot stall a
-whole run; timed-out variants are excluded from comparison.
-``--fault-sweep`` switches to the crash-consistency sweep: instead of
-comparing strategies it injects faults at every statement boundary of
-every case's plan and verifies recovery (see
-:mod:`repro.fuzz.crash`).
-``--cancel-sweep`` switches to the cancel-point chaos sweep: it arms a
-cancellation at every safepoint each case's query crosses and verifies
-the unwind (typed error, no leaks, bit-identical re-run; see
-:mod:`repro.fuzz.cancelsweep`).
-``--trace`` runs every engine variant on a traced database and
-validates the trace after each run (well-formed span trees, charge
-audits, statement-count drift against the stats ledger); a malformed
-trace surfaces as a divergence.
-``--views`` switches to the materialized-view maintenance sweep: each
-case's query becomes a materialized view, a deterministic interleaved
-DML script mutates the base table, and after every statement the
-view-served answer must be bit-identical to a from-scratch recompute
-(see :mod:`repro.fuzz.views`).
-``--list-variants`` prints the backend x storage x trace variant
-matrix the sweeps iterate, with one-line descriptions, and exits.
+``--backend`` / ``--storage`` (repeatable) pick cells of the variant
+matrix, backends x storages.  Under ``--sweep`` an axis left unnamed
+contributes every value; a differential run adds no matrix variants
+unless an axis is named, and then an unnamed axis contributes its
+first value (``serial``, ``memory``).
+``--sweep KIND`` switches from comparing strategies to disturbing
+them on every selected matrix cell -- injected faults, armed
+cancellations, DML under a materialized view -- and holds each shot to
+one post-condition set (:mod:`repro.fuzz.sweep`; ``--list-variants``
+prints the matrix, the post-conditions and the kinds).
 """
 
 from __future__ import annotations
@@ -57,7 +47,8 @@ from repro.fuzz.corpus import load_corpus, save_repro
 from repro.fuzz.generator import FAMILIES, CaseGenerator, FuzzCase
 from repro.fuzz.reducer import reduce_case
 from repro.fuzz.runner import INJECTABLE_BUGS, run_case
-from repro.views.maintenance import VIEWS_BUGS
+from repro.fuzz.sweep import KINDS, Stats, describe, sweep_cases
+from repro.fuzz.variants import BACKENDS, STORAGES, Variant, matrix
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,15 +78,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="where minimized divergences are written "
                              "(default: fuzz-failures/)")
     parser.add_argument("--inject-bug",
-                        choices=INJECTABLE_BUGS + VIEWS_BUGS,
+                        choices=INJECTABLE_BUGS + tuple(
+                            bug for kind in KINDS.values()
+                            for bug in kind.bugs),
                         default=None,
                         help="deliberately mis-compile one variant "
-                             "(or, with --views, break one maintenance "
-                             "path); the run must diverge (harness "
-                             "self-test)")
+                             "(or, with --sweep views, break one "
+                             "maintenance path); the run must diverge "
+                             "(harness self-test)")
     parser.add_argument("--stop-on-first", action="store_true",
-                        help="exit after minimizing the first "
-                             "divergence")
+                        help="exit after the first divergence (or the "
+                             "first case with a finding)")
     parser.add_argument("--case-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget per engine variant "
@@ -103,130 +96,80 @@ def build_parser() -> argparse.ArgumentParser:
                              "timed-out variants are excluded from "
                              "comparison)")
     parser.add_argument("--backend", action="append",
-                        choices=("serial", "thread", "process"),
-                        default=None, metavar="BACKEND",
-                        help="add engine variants pinned to this "
-                             "parallel backend (repeatable; serial, "
-                             "thread or process).  Parallel variants "
-                             "use 2-row morsels so tiny tables still "
-                             "fan out, and any shared-memory segment "
-                             "leaked after a case counts as a "
-                             "divergence")
-    parser.add_argument("--storage", action="append",
-                        choices=("memory", "disk"), default=None,
+                        choices=BACKENDS, default=None,
                         metavar="BACKEND",
-                        help="add engine variants pinned to this table "
-                             "substrate (repeatable).  'memory' is the "
-                             "baseline every case already runs; 'disk' "
-                             "adds page-backed variants with a tiny "
-                             "buffer pool that must match the memory "
-                             "variants bit-for-bit, with leaked page "
-                             "files or live stores counted as "
-                             "divergences.  With --fault-sweep, 'disk' "
-                             "additionally sweeps the WAL/buffer-pool "
-                             "kill points (torn page writes, pre-fsync "
-                             "and post-commit crashes) and verifies "
-                             "recovery after a simulated kill")
+                        help="parallel-backend axis of the variant "
+                             "matrix (repeatable; "
+                             f"{', '.join(BACKENDS)})")
+    parser.add_argument("--storage", action="append",
+                        choices=STORAGES, default=None,
+                        metavar="STORAGE",
+                        help="table-substrate axis of the variant "
+                             "matrix (repeatable; "
+                             f"{', '.join(STORAGES)})")
     parser.add_argument("--trace", action="store_true",
                         help="run engine variants on traced databases "
                              "and validate every trace (well-formed "
                              "span trees, charge audits, statement-"
                              "count drift); a malformed trace counts "
                              "as a divergence")
-    parser.add_argument("--fault-sweep", action="store_true",
-                        help="run the crash-consistency sweep instead "
-                             "of differential comparison: inject a "
-                             "fault at every statement boundary and "
-                             "check recovery invariants")
-    parser.add_argument("--cancel-sweep", action="store_true",
-                        help="run the cancel-point chaos sweep: arm a "
-                             "cancellation at every safepoint the "
-                             "query crosses (per backend x storage "
-                             "variant; defaults to all combinations, "
-                             "narrow with --backend/--storage) and "
-                             "check that each shot unwinds as a clean "
-                             "typed QueryCancelledError with no "
-                             "catalog/shm/store leakage and a "
-                             "bit-identical re-run")
-    parser.add_argument("--views", action="store_true",
-                        help="run the materialized-view maintenance "
-                             "sweep: each case's query becomes a "
-                             "materialized view, interleaved DML "
-                             "mutates its base table, and every "
-                             "view-served read must match a "
-                             "from-scratch recompute bit-for-bit "
-                             "(per backend x storage variant; narrow "
-                             "with --backend/--storage)")
+    parser.add_argument("--sweep", choices=tuple(KINDS), default=None,
+                        metavar="KIND",
+                        help="disturb each case instead of comparing "
+                             f"strategies ({', '.join(KINDS)}); "
+                             "--list-variants describes the kinds and "
+                             "the post-conditions checked after "
+                             "every shot")
     parser.add_argument("--list-variants", action="store_true",
-                        help="print the backend x storage x trace "
-                             "variant matrix and exit")
+                        help="print the variant matrix, the sweep's "
+                             "post-conditions and its injection kinds, "
+                             "and exit")
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="suppress per-divergence detail")
     return parser
 
 
-#: One-line description per axis value of the variant matrix.
-_AXIS_DESCRIPTIONS = {
-    "serial": "interpreted engine, one worker (the baseline plans)",
-    "thread": "operator thread pool, 2 workers, 2-row morsels",
-    "process": "shared-memory process pool, 2 workers, 2-row morsels "
-               "(leaked segments are divergences)",
-    "memory": "in-memory column store (the default substrate)",
-    "disk": "page-backed store, 8-page buffer pool (evictions on "
-            "purpose; stray files are divergences)",
-    "untraced": "no span capture (fastest)",
-    "traced": "span trees validated + charge audits after every run",
-}
-
-
-def _list_variants() -> int:
-    print("variant matrix (backend x storage x trace):")
-    for backend in ("serial", "thread", "process"):
-        for storage in ("memory", "disk"):
-            for trace in ("untraced", "traced"):
-                name = f"{backend}/{storage}/{trace}"
-                print(f"  {name:<24} backend: "
-                      f"{_AXIS_DESCRIPTIONS[backend]}")
-                print(f"  {'':<24} storage: "
-                      f"{_AXIS_DESCRIPTIONS[storage]}")
-                print(f"  {'':<24} trace:   "
-                      f"{_AXIS_DESCRIPTIONS[trace]}")
-    print("sweeps: differential (default), --fault-sweep, "
-          "--cancel-sweep, --views; select axes with --backend, "
-          "--storage, --trace")
-    return 0
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_variants:
-        return _list_variants()
-    if sum((args.fault_sweep, args.cancel_sweep, args.views)) > 1:
-        print("error: --fault-sweep, --cancel-sweep and --views are "
-              "mutually exclusive", file=sys.stderr)
-        return 2
-    if args.inject_bug in VIEWS_BUGS and not args.views:
+        print(describe())
+        return 0
+    allowed = KINDS[args.sweep].bugs if args.sweep else INJECTABLE_BUGS
+    if args.inject_bug is not None and args.inject_bug not in allowed:
+        owner = next((name for name, kind in KINDS.items()
+                      if args.inject_bug in kind.bugs), None)
         print(f"error: --inject-bug {args.inject_bug} requires "
-              f"--views", file=sys.stderr)
+              + (f"--sweep {owner}" if owner else "a differential run"),
+              file=sys.stderr)
         return 2
-    if args.views:
-        return _views(args)
-    if args.cancel_sweep:
-        return _cancel_sweep(args)
-    if args.fault_sweep:
-        return _sweep(args)
+    if args.replay and args.sweep:
+        print("error: --replay replays the differential corpus; it "
+              "does not combine with --sweep", file=sys.stderr)
+        return 2
     if args.replay:
         return _replay(args)
-    return _fuzz(args)
+    return _generate(args)
+
+
+def _variants(args: argparse.Namespace) -> list[Variant]:
+    """The matrix cells ``--backend`` / ``--storage`` select."""
+    if args.sweep:
+        return matrix(args.backend or BACKENDS,
+                      args.storage or STORAGES)
+    if not (args.backend or args.storage):
+        return []
+    return matrix(args.backend or BACKENDS[:1],
+                  args.storage or STORAGES[:1])
 
 
 # ----------------------------------------------------------------------
-def _fuzz(args: argparse.Namespace) -> int:
+def _generate(args: argparse.Namespace) -> int:
+    """The one generator loop: differential by default, a sweep under
+    ``--sweep``."""
     generator = CaseGenerator(seed=args.seed,
                               families=tuple(args.family or FAMILIES))
+    mode = _Sweep(args) if args.sweep else _Differential(args)
     started = time.monotonic()
-    families: Counter = Counter()
-    divergences = 0
     ran = 0
     for case in generator.cases(args.budget):
         if args.max_seconds is not None and \
@@ -234,152 +177,94 @@ def _fuzz(args: argparse.Namespace) -> int:
             print(f"time budget reached after {ran} cases")
             break
         ran += 1
-        families[case.family] += 1
-        result = run_case(case, inject_bug=args.inject_bug,
-                          case_timeout=args.case_timeout,
-                          trace=args.trace,
-                          backends=tuple(args.backend or ()),
-                          storages=tuple(args.storage or ()))
-        if result.divergent:
-            divergences += 1
-            _report(case, result, args)
-            if args.stop_on_first:
-                break
-    elapsed = time.monotonic() - started
-    mix = ", ".join(f"{family}={count}"
-                    for family, count in sorted(families.items()))
-    print(f"ran {ran} cases in {elapsed:.1f}s ({mix}); "
-          f"{divergences} divergence(s)")
-    if args.inject_bug and divergences == 0:
+        if mode.run(case) and args.stop_on_first:
+            break
+    problems = mode.report(ran, time.monotonic() - started)
+    if args.inject_bug and not problems:
         print(f"error: --inject-bug {args.inject_bug} produced no "
-              f"divergence -- the harness is blind to it", file=sys.stderr)
+              f"{mode.noun} -- the harness is blind to it",
+              file=sys.stderr)
         return 1
-    return 1 if divergences else 0
+    return 1 if problems else 0
 
 
-def _report(case: FuzzCase, result, args: argparse.Namespace) -> None:
-    print(f"DIVERGENCE at case {case.index}: {result.explanation}")
-    backends = tuple(args.backend or ())
-    storages = tuple(args.storage or ())
-    minimized = reduce_case(
-        case, lambda c: run_case(c, args.inject_bug,
-                                 trace=args.trace,
-                                 backends=backends,
-                                 storages=storages).divergent)
-    final = run_case(minimized, inject_bug=args.inject_bug,
-                     trace=args.trace,
-                     backends=backends, storages=storages)
-    path = save_repro(
-        minimized, Path(args.out),
-        description=f"minimized divergence (seed={case.seed}, "
-                    f"case={case.index}): {final.explanation}",
-        expect="divergent")
-    print(f"  minimized to {len(minimized.rows)} row(s), "
-          f"{len(minimized.group_by)} group column(s): "
-          f"{minimized.query_sql()}")
-    print(f"  repro written to {path}")
-    if not args.quiet:
-        print(final.divergence_report())
+class _Differential:
+    noun = "divergence"
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args = args
+        self.variants = _variants(args)
+        self.families: Counter = Counter()
+        self.divergences = 0
+
+    def _run_case(self, case: FuzzCase):
+        return run_case(case, inject_bug=self.args.inject_bug,
+                        case_timeout=self.args.case_timeout,
+                        trace=self.args.trace, variants=self.variants)
+
+    def run(self, case: FuzzCase) -> bool:
+        self.families[case.family] += 1
+        result = self._run_case(case)
+        if not result.divergent:
+            return False
+        self.divergences += 1
+        print(f"DIVERGENCE at case {case.index}: {result.explanation}")
+        minimized = reduce_case(
+            case, lambda c: self._run_case(c).divergent)
+        final = self._run_case(minimized)
+        path = save_repro(
+            minimized, Path(self.args.out),
+            description=f"minimized divergence (seed={case.seed}, "
+                        f"case={case.index}): {final.explanation}",
+            expect="divergent")
+        print(f"  minimized to {len(minimized.rows)} row(s), "
+              f"{len(minimized.group_by)} group column(s): "
+              f"{minimized.query_sql()}")
+        print(f"  repro written to {path}")
+        if not self.args.quiet:
+            print(final.divergence_report())
+        return True
+
+    def report(self, ran: int, elapsed: float) -> int:
+        mix = ", ".join(f"{family}={count}" for family, count
+                        in sorted(self.families.items()))
+        print(f"ran {ran} cases in {elapsed:.1f}s ({mix}); "
+              f"{self.divergences} divergence(s)")
+        return self.divergences
 
 
-def _sweep(args: argparse.Namespace) -> int:
-    from repro.fuzz.crash import (SweepStats, sweep_case,
-                                  sweep_case_storage)
+class _Sweep:
+    noun = "finding"
 
-    sweep_disk = "disk" in (args.storage or ())
-    generator = CaseGenerator(seed=args.seed,
-                              families=tuple(args.family or FAMILIES))
-    started = time.monotonic()
-    stats = SweepStats()
-    for case in generator.cases(args.budget):
-        if args.max_seconds is not None and \
-                time.monotonic() - started > args.max_seconds:
-            print(f"time budget reached after {stats.cases} cases")
-            break
-        if sweep_disk:
-            sweep_case_storage(case, stats)
-        else:
-            sweep_case(case, stats)
-    elapsed = time.monotonic() - started
-    kind = "storage kill points" if sweep_disk \
-        else "statement/operator sites"
-    print(f"{stats.summary()} ({kind}) in {elapsed:.1f}s")
-    for finding in stats.findings:
-        print(f"FINDING: {finding.describe()}", file=sys.stderr)
-    return 0 if stats.ok else 1
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args = args
+        self.variants = _variants(args)
+        self.stats = Stats()
 
+    def run(self, case: FuzzCase) -> bool:
+        before = len(self.stats.findings)
+        sweep_cases([case], self.args.sweep, self.stats, self.variants,
+                    inject_bug=self.args.inject_bug)
+        return len(self.stats.findings) > before
 
-def _cancel_sweep(args: argparse.Namespace) -> int:
-    from repro.fuzz.cancelsweep import (BACKENDS, STORAGES,
-                                        CancelSweepStats,
-                                        sweep_case_cancel)
-
-    backends = tuple(args.backend or BACKENDS)
-    storages = tuple(args.storage or STORAGES)
-    generator = CaseGenerator(seed=args.seed,
-                              families=tuple(args.family or FAMILIES))
-    started = time.monotonic()
-    stats = CancelSweepStats()
-    for case in generator.cases(args.budget):
-        if args.max_seconds is not None and \
-                time.monotonic() - started > args.max_seconds:
-            print(f"time budget reached after {stats.cases} cases")
-            break
-        sweep_case_cancel(case, stats, backends=backends,
-                          storages=storages)
-    elapsed = time.monotonic() - started
-    print(f"{stats.summary()} "
-          f"(backends: {', '.join(backends)}; "
-          f"storages: {', '.join(storages)}) in {elapsed:.1f}s")
-    for finding in stats.findings:
-        print(f"FINDING: {finding.describe()}", file=sys.stderr)
-    return 0 if stats.ok else 1
-
-
-def _views(args: argparse.Namespace) -> int:
-    from repro.fuzz.views import (BACKENDS, STORAGES, ViewSweepStats,
-                                  sweep_case_views)
-
-    if args.inject_bug is not None and args.inject_bug not in VIEWS_BUGS:
-        print(f"error: --views supports --inject-bug "
-              f"{'/'.join(VIEWS_BUGS)} only", file=sys.stderr)
-        return 2
-    backends = tuple(args.backend or BACKENDS)
-    storages = tuple(args.storage or STORAGES)
-    generator = CaseGenerator(seed=args.seed,
-                              families=tuple(args.family or FAMILIES))
-    started = time.monotonic()
-    stats = ViewSweepStats()
-    for case in generator.cases(args.budget):
-        if args.max_seconds is not None and \
-                time.monotonic() - started > args.max_seconds:
-            print(f"time budget reached after {stats.cases} cases")
-            break
-        sweep_case_views(case, stats, backends=backends,
-                         storages=storages,
-                         inject_bug=args.inject_bug)
-    elapsed = time.monotonic() - started
-    print(f"{stats.summary()} "
-          f"(backends: {', '.join(backends)}; "
-          f"storages: {', '.join(storages)}) in {elapsed:.1f}s")
-    if not args.quiet:
-        for finding in stats.findings:
-            print(f"FINDING: {finding.describe()}", file=sys.stderr)
-    if args.inject_bug and stats.ok:
-        print(f"error: --inject-bug {args.inject_bug} produced no "
-              f"finding -- the sweep is blind to it", file=sys.stderr)
-        return 1
-    return 0 if stats.ok else 1
+    def report(self, ran: int, elapsed: float) -> int:
+        print(f"{self.stats.summary(self.args.sweep)} over {ran} "
+              f"case(s) x {len(self.variants)} variant(s) in "
+              f"{elapsed:.1f}s")
+        if not self.args.quiet:
+            print("\n".join(self.stats.breakdown()))
+            for finding in self.stats.findings:
+                print(f"FINDING: {finding.describe()}", file=sys.stderr)
+        return len(self.stats.findings)
 
 
 def _replay(args: argparse.Namespace) -> int:
     failures = 0
     total = 0
+    variants = _variants(args)
     for path, case, expect in load_corpus(args.replay):
         total += 1
-        result = run_case(case, trace=args.trace,
-                          backends=tuple(args.backend or ()),
-                          storages=tuple(args.storage or ()))
+        result = run_case(case, trace=args.trace, variants=variants)
         verdict = "divergent" if result.divergent else "consistent"
         ok = verdict == expect
         status = "ok" if ok else f"FAIL (expected {expect}, got {verdict})"

@@ -15,12 +15,21 @@ Rules, stated once so every divergence report means the same thing:
 * An **error is an outcome**: if every variant raises, the case is
   consistent (the engines agree the input is degenerate); if some
   raise and some return rows, that is a divergence.
+
+Where the documented contract is *bit-identical* rather than "same
+answer" -- a view against its recompute, a re-run after a cancelled
+or faulted query -- :func:`table_diff` compares result tables
+bitwise instead.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Any, Optional, Sequence
+
+import numpy as np
+
+from repro.engine.table import Table
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-9
@@ -90,3 +99,40 @@ def _brief(outcome: tuple) -> str:
     if outcome[0] == "error":
         return str(outcome[1])
     return f"{len(outcome[1])} rows"
+
+
+def table_diff(expected: Table, actual: Table) -> Optional[str]:
+    """First bitwise difference between two result tables, or None.
+
+    Stricter than row comparison: SQL types, null masks, row order and
+    the raw bytes of the live values must all match, so NaN payloads
+    and signed zeros count."""
+    if expected.column_names() != actual.column_names():
+        return (f"column names differ: {expected.column_names()} != "
+                f"{actual.column_names()}")
+    for name in expected.column_names():
+        left, right = expected.column(name), actual.column(name)
+        if left.sql_type != right.sql_type:
+            return (f"column {name!r}: type {left.sql_type.name} != "
+                    f"{right.sql_type.name}")
+        if len(left.values) != len(right.values):
+            return (f"column {name!r}: {len(left.values)} vs "
+                    f"{len(right.values)} rows")
+        if not np.array_equal(left.nulls, right.nulls):
+            return f"column {name!r}: null masks differ"
+        live = ~np.asarray(left.nulls, dtype=bool)
+        lv = np.asarray(left.values)[live]
+        rv = np.asarray(right.values)[live]
+        if lv.size == 0:
+            # All-NULL column: the backing array under the mask is an
+            # implementation detail with no observable value bits.
+            continue
+        if lv.dtype != rv.dtype:
+            return (f"column {name!r}: dtype {lv.dtype} != "
+                    f"{rv.dtype}")
+        if lv.dtype == object:
+            if any(x != y for x, y in zip(lv, rv)):
+                return f"column {name!r}: values differ"
+        elif lv.tobytes() != rv.tobytes():
+            return f"column {name!r}: values differ bitwise"
+    return None

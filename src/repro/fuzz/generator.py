@@ -21,6 +21,10 @@ from typing import Any, Optional, Sequence
 #: :mod:`repro.fuzz.runner`.
 FAMILIES = ("vpct", "hpct", "hagg", "plain", "cube")
 
+#: the families evaluated through the code generator's multi-statement
+#: plans; the rest run on the engine as one direct statement.
+PLAN_FAMILIES = ("vpct", "hpct", "hagg")
+
 #: aggregate functions safe on both engines (sqlite has no var/stdev).
 PLAIN_FUNCS = ("sum", "count", "avg", "min", "max")
 HAGG_FUNCS = ("sum", "count", "avg", "min", "max")
@@ -341,3 +345,81 @@ class CaseGenerator:
         if func == "count" and rng.random() < 0.5:
             return TermSpec("plain", "count", "*")
         return TermSpec("plain", func, rng.choice(measures))
+
+
+# ----------------------------------------------------------------------
+# DML scripts against a case's table (the views and cancel sweeps)
+# ----------------------------------------------------------------------
+
+#: Statements per generated DML script.
+DML_SCRIPT_LENGTH = 6
+
+#: Value pools for generated DML.  The dimension pools deliberately
+#: include values the base data never contains ("z", 7), so inserts
+#: and key-migrating updates give birth to brand-new groups.
+_DML_VALUES = {
+    "varchar": ("a", "b", "c", "z"),
+    "int": (0, 1, 2, 7, -3),
+    "real": (0.0, 1.0, 2.5, -1.5, 10.0),
+}
+
+
+def dml_script(case: FuzzCase) -> list[str]:
+    """A deterministic interleaving of inserts, measure updates,
+    key-migrating updates and deletes against the case's table --
+    group birth, group death, NULL keys and NULL/zero denominators,
+    from the same adversarial pools as the base data."""
+    rng = random.Random(f"views:{case.seed}:{case.index}")
+    dims = [(n, t) for n, t in case.columns if n.startswith("d")]
+    measures = [(n, t) for n, t in case.columns if n.startswith("m")]
+    ops = ["insert", "insert", "update-measure", "delete"]
+    if dims:
+        ops.append("update-key")
+    statements = []
+    for _ in range(DML_SCRIPT_LENGTH):
+        op = rng.choice(ops)
+        if op == "insert":
+            statements.append(_insert(rng, case))
+        elif op.startswith("update") and (
+                pool := measures if op == "update-measure" else dims):
+            name, type_name = rng.choice(pool)
+            statements.append(
+                f"UPDATE {case.table} SET {name} = "
+                f"{_literal(_dml_value(rng, type_name))}"
+                f"{_where(rng, case)}")
+        else:
+            # An unfiltered DELETE (rare) kills every group at once.
+            where = _where(rng, case) if rng.random() < 0.85 else ""
+            statements.append(f"DELETE FROM {case.table}{where}")
+    return statements
+
+
+def _insert(rng: random.Random, case: FuzzCase) -> str:
+    rows = []
+    for _ in range(rng.randint(1, 2)):
+        values = []
+        for _, type_name in case.columns:
+            value = None if rng.random() < 0.2 \
+                else _dml_value(rng, type_name)
+            values.append(_literal(value))
+        rows.append("(" + ", ".join(values) + ")")
+    return f"INSERT INTO {case.table} VALUES {', '.join(rows)}"
+
+
+def _where(rng: random.Random, case: FuzzCase) -> str:
+    name, type_name = rng.choice(case.columns)
+    if rng.random() < 0.25:
+        return f" WHERE {name} IS NULL"
+    return f" WHERE {name} = {_literal(_dml_value(rng, type_name))}"
+
+
+def _dml_value(rng: random.Random, type_name: str):
+    return rng.choice(_DML_VALUES[type_name])
+
+
+def _literal(value) -> str:
+    if value is None:
+        return "NULL"
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    return repr(value)

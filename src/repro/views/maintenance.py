@@ -38,7 +38,7 @@ from repro.views.state import (DeltaInfo, GroupLevel, MaterializedView,
                                ViewDefinition, ViewState, normalize_key)
 
 #: Deliberately mis-maintain state for harness self-tests (set via
-#: ``fuzz --views --inject-bug ...``; see :data:`VIEWS_BUGS`).
+#: ``fuzz --sweep views --inject-bug ...``; see :data:`VIEWS_BUGS`).
 INJECT_BUG: Optional[str] = None
 
 #: Bugs the views fuzz oracle must be able to see.

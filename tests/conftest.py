@@ -1,14 +1,12 @@
 """Shared fixtures: small fact tables from the papers' examples,
-plus the temp-table leak guard used by the integration and fuzz
-packages (their conftests install it as an autouse fixture)."""
+plus the one leak guard every test runs under."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import Database
-from repro.engine import shm
-from repro.storage import engine as storage_engine
+from repro.fuzz.variants import leaks
 
 
 def pytest_addoption(parser) -> None:
@@ -18,13 +16,16 @@ def pytest_addoption(parser) -> None:
              "instead of comparing against them")
 
 
-def install_database_tracker(monkeypatch) -> list:
-    """Record every :class:`Database` constructed while active.
-
-    The returned list fills up as tests build databases (directly or
-    via fixtures), so a teardown can sweep all of them for leftover
-    plan temp tables.
-    """
+@pytest.fixture(autouse=True)
+def no_leaks(request, monkeypatch):
+    """Every test must leave nothing behind -- the sweep's own leak
+    post-condition (:func:`repro.fuzz.variants.leaks`): no
+    ``_``-prefixed plan temp table in any :class:`Database` the test
+    built (directly or via fixtures; snapshot overlays skip
+    ``__init__``, so the service suites track their readers
+    explicitly), no live shared-memory segment, no open page store.
+    Debris is reclaimed either way; opt out of the assertion with
+    ``@pytest.mark.allow_leaks``."""
     created: list[Database] = []
     original = Database.__init__
 
@@ -33,62 +34,14 @@ def install_database_tracker(monkeypatch) -> list:
         created.append(self)
 
     monkeypatch.setattr(Database, "__init__", tracking)
-    return created
-
-
-def assert_no_temp_leaks(databases) -> None:
-    """Fail if any tracked database still holds a ``_``-prefixed
-    table -- the naming space :func:`repro.core.plan.fresh_prefix`
-    reserves for generated plan temps."""
-    leaks = []
-    for db in databases:
-        temps = sorted(n for n in db.table_names()
-                       if n.startswith("_"))
-        if temps:
-            leaks.append(temps)
-    assert not leaks, (
-        f"temp tables leaked past the plan boundary: {leaks}; either "
-        f"the plan's cleanup/rollback is broken or the test wants "
-        f"@pytest.mark.allow_temp_leaks")
-
-
-@pytest.fixture(autouse=True)
-def no_shm_leaks(request):
-    """Every test must leave zero live shared-memory segments behind:
-    the exporter's try/finally (and the registry's force-unlink) are
-    the product's cleanup guarantees, and this guard is their oracle.
-    Opt out with ``@pytest.mark.allow_shm_leaks``."""
     yield
-    if request.node.get_closest_marker("allow_shm_leaks"):
-        shm.force_unlink_all()
-        return
-    leaked = shm.live_segment_names()
-    if leaked:
-        shm.force_unlink_all()
-    assert not leaked, (
-        f"shared-memory segments leaked past the test: {leaked}; "
-        f"either an exporter skipped its close() or the test wants "
-        f"@pytest.mark.allow_shm_leaks")
+    problems = leaks(created, stores=())
+    if not request.node.get_closest_marker("allow_leaks"):
+        assert not problems, (
+            f"leaked past the test: {problems}; either a cleanup, "
+            f"rollback or close() is broken or the test wants "
+            f"@pytest.mark.allow_leaks")
 
-
-@pytest.fixture(autouse=True)
-def no_storage_leaks(request):
-    """Every test must leave zero open page stores behind: a disk
-    database's close()/abandon() must always run, and this guard is
-    the oracle for that discipline (a leaked store holds open file
-    descriptors and undeleted page/WAL files).  Opt out with
-    ``@pytest.mark.allow_storage_leaks``."""
-    yield
-    if request.node.get_closest_marker("allow_storage_leaks"):
-        storage_engine.force_close_all()
-        return
-    leaked = storage_engine.live_store_paths()
-    if leaked:
-        storage_engine.force_close_all()
-    assert not leaked, (
-        f"page stores leaked past the test: {leaked}; either a "
-        f"database skipped its close() or the test wants "
-        f"@pytest.mark.allow_storage_leaks")
 
 #: The SIGMOD paper's Table 1 example fact table.
 PAPER_SALES_ROWS = [

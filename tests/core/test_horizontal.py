@@ -183,6 +183,7 @@ class TestVerticalPartitioning:
             total = sum(v for k, v in record.items() if k != "g")
             assert total == pytest.approx(1.0)
 
+    @pytest.mark.allow_leaks
     def test_partition_tables_respect_limit(self):
         from repro import Database
         from repro.core.execute import execute_plan

@@ -91,6 +91,7 @@ class TestSharedSummaries:
         assert "monthno" in first.column_names()
 
 
+@pytest.mark.allow_leaks  # the kept summary *is* the subject
 class TestKeptSummaryReuse:
     @pytest.fixture()
     def rdb(self):

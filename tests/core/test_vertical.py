@@ -92,6 +92,7 @@ class TestExecution:
                      if t.startswith("_vp")]
         assert leftovers == []
 
+    @pytest.mark.allow_leaks
     def test_keep_temps(self, sales_db):
         from repro.core.execute import execute_plan
         plan = generate_plan(sales_db, QUERY)

@@ -1,20 +1,13 @@
-"""Fuzz-test hygiene: same temp-table leak guard as the integration
-package -- every engine database a fuzz case builds must come out of
-the run with zero ``_``-prefixed plan temps.  Opt out with
-``@pytest.mark.allow_temp_leaks``."""
+"""Helpers shared by the fuzz-harness tests."""
 
 from __future__ import annotations
 
-import pytest
+from repro.fuzz.generator import FAMILIES, CaseGenerator
+from repro.fuzz.variants import Variant
 
-from tests.conftest import assert_no_temp_leaks, install_database_tracker
+#: The cheapest single cell, for self-tests that need only one.
+SERIAL_MEMORY = [Variant("serial", "memory")]
 
 
-@pytest.fixture(autouse=True)
-def no_temp_leaks(request, monkeypatch):
-    if request.node.get_closest_marker("allow_temp_leaks"):
-        yield
-        return
-    created = install_database_tracker(monkeypatch)
-    yield
-    assert_no_temp_leaks(created)
+def cases(count, seed=0, families=FAMILIES):
+    return list(CaseGenerator(seed=seed, families=families).cases(count))

@@ -1,52 +1,35 @@
-"""The cancel-point chaos sweep as a test, plus its self-tests (the
-sweep must not be blind to the failure classes it exists to catch)."""
-
-import pytest
+"""The ``cancel`` sweep as a test, plus its self-tests (the sweep must
+not be blind to the failure classes it exists to catch)."""
 
 from repro.core import execute as execute_mod
 from repro.engine.cancel import CancelToken
-from repro.fuzz.cancelsweep import (CancelSweepStats, sweep_case_cancel,
-                                    sweep_cases_cancel)
-from repro.fuzz.generator import CaseGenerator
-
-
-def _cases(count, seed=0, families=None):
-    generator = CaseGenerator(seed=seed) if families is None \
-        else CaseGenerator(seed=seed, families=families)
-    return list(generator.cases(count))
-
-#: The self-tests need a percentage case whose plan materializes temp
-#: tables and crosses safepoints; pin the family mix so they stay
-#: deterministic as new families join the default stream.
-_PLAN_FAMILIES = ("vpct", "hpct", "hagg")
+from repro.fuzz.generator import PLAN_FAMILIES
+from repro.fuzz.sweep import sweep_cases
+from tests.fuzz.conftest import SERIAL_MEMORY, cases
 
 
 class TestCancelSweep:
     def test_small_budget_sweep_is_clean(self):
         """Every backend x storage variant over a few cases: every
         armed shot must unwind as a clean typed cancellation."""
-        stats = sweep_cases_cancel(_cases(3))
+        stats = sweep_cases(cases(3), "cancel")
         assert stats.ok, "\n".join(f.describe()
                                    for f in stats.findings)
-        assert stats.injections > 0
-        assert stats.cancelled > 0
+        assert stats.total("cancel", "shots") > 0
+        assert stats.total("cancel", "cancelled") > 0
 
     def test_sweep_covers_all_variants(self):
-        stats = CancelSweepStats()
-        sweep_case_cancel(_cases(1)[0], stats)
+        stats = sweep_cases(cases(1), "cancel")
         # 2 storages x 3 backends
-        assert stats.variants == 6
+        assert stats.total("cancel", "runs") == 6
 
-    @pytest.mark.allow_temp_leaks
     def test_sweep_detects_a_leaky_unwind(self, monkeypatch):
         """Self-test: neuter the plan cleanup and the sweep must
         report leaked temp tables (it is not blind to leaks)."""
         monkeypatch.setattr(execute_mod, "cleanup_plan",
                             lambda db, plan: None)
-        stats = CancelSweepStats()
-        case = _cases(1, families=_PLAN_FAMILIES)[0]
-        sweep_case_cancel(case, stats, backends=("serial",),
-                          storages=("memory",))
+        stats = sweep_cases(cases(1, families=PLAN_FAMILIES), "cancel",
+                            variants=SERIAL_MEMORY)
         assert any(f.problem == "temp tables leaked"
                    for f in stats.findings)
 
@@ -57,9 +40,7 @@ class TestCancelSweep:
             self.hits[safepoint] = self.hits.get(safepoint, 0) + 1
 
         monkeypatch.setattr(CancelToken, "check", blind_check)
-        stats = CancelSweepStats()
-        case = _cases(1, families=_PLAN_FAMILIES)[0]
-        sweep_case_cancel(case, stats, backends=("serial",),
-                          storages=("memory",))
+        stats = sweep_cases(cases(1, families=PLAN_FAMILIES), "cancel",
+                            variants=SERIAL_MEMORY)
         assert any(f.problem == "armed cancellation did not fire"
                    for f in stats.findings)

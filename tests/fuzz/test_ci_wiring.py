@@ -1,0 +1,73 @@
+"""The CI workflow against the real argument parsers.
+
+Nobody can run Actions offline, and a renamed flag otherwise surfaces
+on the next scheduled run: every ``python -m repro.fuzz`` command in
+``.github/workflows/ci.yml`` must parse with the fuzz CLI's parser,
+and every ``python -m repro.bench`` command with the bench CLI's."""
+
+import itertools
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from repro.bench.harness import main as bench_main
+from repro.fuzz.cli import build_parser
+from repro.fuzz.sweep import KINDS
+
+yaml = pytest.importorskip("yaml")
+
+WORKFLOW = Path(__file__).resolve().parents[2] \
+    / ".github" / "workflows" / "ci.yml"
+
+
+def _commands(module):
+    """Every ``python -m <module> ...`` argument list in the workflow,
+    with each job's ``matrix.include`` entries substituted in and the
+    shell's own expansions replaced by a literal."""
+    jobs = yaml.safe_load(WORKFLOW.read_text())["jobs"]
+    found = []
+    for job in jobs.values():
+        matrix = job.get("strategy", {}).get("matrix", {})
+        for entry in matrix.get("include", [{}]):
+            for step in job["steps"]:
+                script = step.get("run", "")
+                for key, value in entry.items():
+                    script = script.replace(
+                        "${{ matrix.%s }}" % key, str(value))
+                script = re.sub(r"\$\{\{.*?\}\}|\$\(.*?\)", "1", script)
+                command = script.split("2>&1")[0]
+                if f"python -m {module} " in command:
+                    found.append(shlex.split(
+                        command.split(f"python -m {module} ")[1]))
+    return found
+
+
+def test_at_most_five_jobs():
+    assert len(yaml.safe_load(WORKFLOW.read_text())["jobs"]) <= 5
+
+
+def test_fuzz_commands_parse():
+    commands = _commands("repro.fuzz")
+    assert commands
+    for argv in commands:      # argparse exits on a bad flag or choice
+        build_parser().parse_args(argv)
+
+
+def test_every_sweep_kind_runs_in_smoke_and_nightly():
+    swept = [argv[argv.index("--sweep") + 1]
+             for argv in _commands("repro.fuzz") if "--sweep" in argv]
+    assert sorted(swept) == sorted(itertools.chain(KINDS, KINDS))
+
+
+def test_bench_commands_parse(capsys):
+    """``--repeats 0`` is refused only after every other argument --
+    the ``--suite`` choice included -- has parsed, so each command is
+    checked without running a benchmark."""
+    commands = _commands("repro.bench")
+    assert len(commands) == 8
+    for argv in commands:
+        with pytest.raises(SystemExit):
+            bench_main(argv + ["--repeats", "0"])
+        assert "--repeats must be at least 1" in capsys.readouterr().err

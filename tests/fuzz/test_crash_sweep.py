@@ -1,68 +1,34 @@
-"""The crash-consistency sweep as a test, plus its self-tests (the
-sweep must not be blind to the failure classes it exists to catch)."""
-
-import itertools
-
-import pytest
+"""The ``fault`` sweep as a test, plus its self-tests (the sweep must
+not be blind to the failure classes it exists to catch)."""
 
 from repro.core import execute as execute_mod
-from repro.fuzz.crash import SweepStats, sweep_case, sweep_cases
-from repro.fuzz.generator import CaseGenerator
-from repro.fuzz.runner import run_case
-
-
-def _cases(count, seed=0, families=None):
-    generator = CaseGenerator(seed=seed) if families is None \
-        else CaseGenerator(seed=seed, families=families)
-    return list(generator.cases(count))
+from repro.fuzz.generator import PLAN_FAMILIES
+from repro.fuzz.sweep import FaultKind, sweep_cases
+from tests.fuzz.conftest import SERIAL_MEMORY, cases
 
 
 class TestSweep:
     def test_small_budget_sweep_is_clean(self):
-        stats = sweep_cases(_cases(6))
+        stats = sweep_cases(cases(6), "fault", variants=SERIAL_MEMORY)
         assert stats.ok, "\n".join(f.describe()
                                    for f in stats.findings)
-        assert stats.injections > 0
+        assert stats.total("fault", "shots") > 0
         # both recovery modes must actually occur in the sample
-        assert stats.recovered > 0
-        assert stats.clean_errors > 0
+        assert stats.total("fault", "recovered") > 0
+        assert stats.total("fault", "clean-errors") > 0
 
     def test_sweep_counts_every_site_and_kind(self):
-        stats = SweepStats()
-        case = _cases(1)[0]
-        sweep_case(case, stats)
-        assert stats.cases == 1
-        # one injection per (site, index, kind) triple
-        assert stats.injections % len(
-            ("transient", "resource", "crash")) == 0
+        stats = sweep_cases(cases(1), "fault", variants=SERIAL_MEMORY)
+        assert stats.total("fault", "runs") == 1
+        # one shot per (site, index, kind) triple
+        assert stats.total("fault", "shots") % len(FaultKind.GRID) == 0
 
     def test_sweep_detects_a_leaky_runtime(self, monkeypatch):
         """Self-test: neuter the plan cleanup and the sweep must
         report leaked temp tables (it is not blind)."""
         monkeypatch.setattr(execute_mod, "cleanup_plan",
                             lambda db, plan: None)
-        stats = SweepStats()
-        # pin to a percentage case whose plan materializes temp
-        # tables, so the self-test stays deterministic as new
-        # families join the default stream
-        case = _cases(1, families=("vpct", "hpct", "hagg"))[0]
-        sweep_case(case, stats)
+        stats = sweep_cases(cases(1, families=PLAN_FAMILIES), "fault",
+                            variants=SERIAL_MEMORY)
         assert any(f.problem == "temp tables leaked"
                    for f in stats.findings)
-
-
-class TestCaseTimeout:
-    def test_timed_out_variants_are_excluded_not_divergent(self):
-        case = _cases(1)[0]
-        result = run_case(case, case_timeout=1e-9)
-        statuses = {v.name: v.status for v in result.variants}
-        assert any(s == "timeout" for s in statuses.values()), statuses
-        assert not result.divergent, result.divergence_report()
-
-    def test_generous_timeout_changes_nothing(self):
-        for case in itertools.islice(_cases(4), 4):
-            plain = run_case(case)
-            timed = run_case(case, case_timeout=60.0)
-            assert plain.divergent == timed.divergent
-            assert [v.status for v in plain.variants] \
-                == [v.status for v in timed.variants]

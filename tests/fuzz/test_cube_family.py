@@ -6,6 +6,7 @@ import pytest
 from repro.fuzz.dialect import DialectError, cube_to_union_sql
 from repro.fuzz.generator import FAMILIES, CaseGenerator, FuzzCase
 from repro.fuzz.runner import run_case
+from repro.fuzz.variants import matrix
 
 
 def _cube_cases(count, seed=0):
@@ -98,16 +99,15 @@ class TestDifferentialSmoke:
     def test_backends_and_disk_join_the_net(self):
         case = next(c for c in _cube_cases(30, seed=2)
                     if len(c.rows) >= 4)
-        result = run_case(case,
-                          backends=("serial", "thread", "process"),
-                          storages=("disk",))
+        result = run_case(case, variants=matrix())
         assert not result.divergent, result.divergence_report()
         names = [v.name for v in result.variants]
-        assert names == [
-            "engine:shared-scan", "sqlite:union-all",
-            "engine:shared-scan-serial", "engine:shared-scan-thread",
-            "engine:shared-scan-process", "engine:shared-scan-disk",
-        ]
+        # engine:<strategy>, then the oracle, then
+        # engine:<strategy>@<backend>/<storage> per matrix cell
+        assert names == ["engine:shared-scan", "sqlite:union-all"] + [
+            f"engine:shared-scan@{backend}/{storage}"
+            for storage in ("memory", "disk")
+            for backend in ("serial", "thread", "process")]
 
     def test_injected_fold_bug_is_caught(self, monkeypatch):
         """Harness self-test: break the fold path (coarse levels get

@@ -1,0 +1,70 @@
+"""The differential runner: per-case timeouts, the variant-naming
+rule, and debris as a divergence."""
+
+import numpy as np
+
+from repro.engine import shm
+from repro.fuzz import runner as runner_mod
+from repro.fuzz.runner import run_case
+from repro.fuzz.variants import matrix
+from tests.fuzz.conftest import cases
+
+
+class TestCaseTimeout:
+    def test_timed_out_variants_are_excluded_not_divergent(self):
+        case = cases(1)[0]
+        result = run_case(case, case_timeout=1e-9)
+        statuses = {v.name: v.status for v in result.variants}
+        assert any(s == "timeout" for s in statuses.values()), statuses
+        assert not result.divergent, result.divergence_report()
+
+    def test_generous_timeout_changes_nothing(self):
+        for case in cases(4):
+            plain = run_case(case)
+            timed = run_case(case, case_timeout=60.0)
+            assert plain.divergent == timed.divergent
+            assert [v.status for v in plain.variants] \
+                == [v.status for v in timed.variants]
+
+
+class TestMatrixVariants:
+    def test_primary_strategies_cross_the_matrix(self):
+        """``engine:<strategy>@<backend>/<storage>``: every primary
+        strategy of the family on every requested cell, after the
+        baseline and oracle variants."""
+        case = cases(1, families=("vpct",))[0]
+        result = run_case(case, variants=matrix())
+        assert not result.divergent, result.divergence_report()
+        names = [v.name for v in result.variants]
+        crossed = [n for n in names if "@" in n]
+        assert crossed == [f"engine:{strategy}@{variant.name}"
+                           for variant in matrix()
+                           for strategy in ("join-insert",
+                                            "join-update")]
+        assert names[0] == "engine:join-insert"
+        assert names[-len(crossed):] == crossed
+
+    def test_debris_is_a_divergence(self, monkeypatch):
+        """A variant that leaves a shared-memory segment live diverges
+        even though every variant returned the same rows."""
+        real = runner_mod._check_trace
+        held = []
+
+        def leaky(db):
+            real(db)
+            if not held:
+                held.append(shm.SharedColumnBlock.export(
+                    {"a": np.arange(3)}))
+
+        monkeypatch.setattr(runner_mod, "_check_trace", leaky)
+        result = run_case(cases(1)[0])
+        assert result.divergent
+        assert "shared-memory segments leaked" in result.explanation
+
+
+def test_injected_denominator_bug_is_caught():
+    """Harness self-test: the mis-compiled OLAP variant (coarse
+    denominator flipped to the grand total) must diverge on some
+    case, or the differential net has no teeth."""
+    assert any(run_case(case, inject_bug="vpct-denominator").divergent
+               for case in cases(12, families=("vpct",)))

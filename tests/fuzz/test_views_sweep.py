@@ -1,48 +1,43 @@
-"""The views differential sweep as a test, plus its blindness
-self-tests (a deliberately broken maintenance path must surface as
-findings) and the ``--list-variants`` CLI smoke."""
+"""The ``views`` sweep as a test, plus its blindness self-tests (a
+deliberately broken maintenance path must surface as findings) and
+the CLI smoke."""
 
 import pytest
 
 from repro.fuzz.cli import main as fuzz_main
-from repro.fuzz.generator import CaseGenerator
-from repro.fuzz.views import (ViewSweepStats, sweep_case_views,
-                              sweep_cases_views)
-
-
-def _cases(count, seed=0):
-    return list(CaseGenerator(seed=seed).cases(count))
+from repro.fuzz.sweep import KINDS, POSTCONDITIONS, Stats, sweep_cases
+from repro.fuzz.variants import matrix
+from tests.fuzz.conftest import SERIAL_MEMORY, cases
 
 
 class TestViewsSweep:
     def test_small_budget_sweep_is_clean(self):
         """A few cases through every backend x storage variant: every
         served read bit-identical to recompute after every DML."""
-        stats = sweep_cases_views(_cases(3))
+        stats = sweep_cases(cases(3), "views")
         assert stats.ok, "\n".join(f.describe()
                                    for f in stats.findings)
-        assert stats.checks > 0
+        assert stats.total("views", "shots") > 0
 
     def test_sweep_covers_all_variants(self):
-        stats = ViewSweepStats()
-        sweep_case_views(_cases(1)[0], stats)
+        stats = sweep_cases(cases(1), "views")
         # 2 storages x 3 backends; rejection (unsupported view shape)
         # is a per-variant outcome, not a skipped variant.
-        assert stats.variants + stats.rejected == 6
+        assert stats.total("views", "runs") \
+            + stats.total("views", "rejected") == 6
 
     @pytest.mark.parametrize("bug", ("views-skip-retraction",
                                      "views-stale-denominator"))
     def test_sweep_is_not_blind(self, bug):
         """Self-test: each injectable maintenance bug must produce a
         divergence finding, or the sweep proves nothing."""
-        stats = ViewSweepStats()
+        stats = Stats()
         # pin to percentage families: both injectable bugs live in
-        # percentage-view maintenance, and the default stream now
-        # mixes in families the views sweep only rejects (cube)
-        generator = CaseGenerator(seed=0, families=("vpct", "hpct"))
-        for case in generator.cases(8):
-            sweep_case_views(case, stats, backends=("serial",),
-                             storages=("memory",), inject_bug=bug)
+        # percentage-view maintenance, and the default stream mixes in
+        # families the views sweep only rejects (cube)
+        for case in cases(8, families=("vpct", "hpct")):
+            sweep_cases([case], "views", stats, SERIAL_MEMORY,
+                        inject_bug=bug)
             if not stats.ok:
                 break
         assert any(
@@ -51,31 +46,37 @@ class TestViewsSweep:
 
     def test_unknown_bug_rejected(self):
         with pytest.raises(ValueError, match="unknown views bug"):
-            sweep_case_views(_cases(1)[0], ViewSweepStats(),
-                             inject_bug="views-no-such-bug")
+            sweep_cases(cases(1), "views",
+                        inject_bug="views-no-such-bug")
 
 
 class TestCli:
     def test_list_variants(self, capsys):
+        """The listing is rendered from the registries: every matrix
+        cell, every post-condition and every kind appears."""
         assert fuzz_main(["--list-variants"]) == 0
         out = capsys.readouterr().out
-        for variant in ("serial/memory/untraced", "process/disk/traced"):
-            assert variant in out
-        assert "--views" in out
+        for variant in matrix():
+            assert variant.name in out
+        for name in POSTCONDITIONS:
+            assert f"  {name}:" in out
+        for kind in KINDS:
+            assert f"  {kind}:" in out
+        assert "--sweep" in out
 
     def test_views_sweep_exit_codes(self, capsys):
-        assert fuzz_main(["--views", "--seed", "0",
+        assert fuzz_main(["--sweep", "views", "--seed", "0",
                           "--budget", "1", "--backend", "serial",
                           "--storage", "memory", "--quiet"]) == 0
         # Injected bug + findings = the self-test passed = exit 1
         # (mirrors --inject-bug under the differential fuzz).
-        assert fuzz_main(["--views", "--seed", "0", "--budget", "2",
-                          "--backend", "serial", "--storage", "memory",
-                          "--inject-bug", "views-skip-retraction",
-                          "--quiet"]) == 1
+        assert fuzz_main(["--sweep", "views", "--seed", "0",
+                          "--budget", "2", "--backend", "serial",
+                          "--storage", "memory", "--inject-bug",
+                          "views-skip-retraction", "--quiet"]) == 1
         capsys.readouterr()
 
     def test_views_bug_requires_views_sweep(self, capsys):
         assert fuzz_main(["--inject-bug", "views-skip-retraction",
                           "--budget", "1"]) == 2
-        assert "requires --views" in capsys.readouterr().err
+        assert "requires --sweep views" in capsys.readouterr().err

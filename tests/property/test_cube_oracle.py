@@ -12,10 +12,13 @@ degenerate corners (empty tables, all-NULL key columns).
 import math
 import struct
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database
+from repro.core import run_percentage_query
+from repro.fuzz.comparator import rows_equal
 
 DIMS = ("d1", "d2", "d3")
 
@@ -253,3 +256,46 @@ def test_pct_hierarchy_sums_to_one_per_parent(rows):
     for d1, share in children.items():
         assert math.isclose(share, 1.0)
     assert set(children) == {r[0] for r in by_mask[1]}
+
+
+# ----------------------------------------------------------------------
+# Cross-feature oracle: the lattice identity ties pct() to the paper's
+# Vpct (Data Cube: a ROLLUP cell *is* the plain GROUP BY on that edge)
+# ----------------------------------------------------------------------
+def _finest_level_pct(db, table, d1, d2, measure):
+    rows = db.execute(
+        f"SELECT {d1}, {d2}, pct({measure}), grouping({d1}, {d2}) "
+        f"FROM {table} GROUP BY ROLLUP({d1}, {d2})").to_rows()
+    return [row[:3] for row in rows if row[3] == 0]
+
+
+def _vpct(db, table, d1, d2, measure):
+    return run_percentage_query(
+        db, f"SELECT {d1}, {d2}, Vpct({measure} BY {d2}) FROM {table} "
+            f"GROUP BY {d1}, {d2}").to_rows()
+
+
+@given(ROWS, st.sampled_from(("m1", "m2")))
+@settings(max_examples=60, deadline=None)
+def test_pct_on_the_rollup_edge_is_the_papers_vpct(rows, measure):
+    """For ``GROUP BY ROLLUP(d1, d2)`` the ``grouping() = 0`` rows are
+    the plain ``GROUP BY d1, d2`` and their parent level is ``GROUP BY
+    d1``, so their ``pct(m)`` must equal ``Vpct(m BY d2) ... GROUP BY
+    d1, d2`` as the code generator evaluates it (1e-9, NULL == NULL)
+    -- NULL keys, NULL measures and zero denominators included."""
+    db = load(rows)
+    assert rows_equal(_finest_level_pct(db, "t", "d1", "d2", measure),
+                      _vpct(db, "t", "d1", "d2", measure)) is None
+
+
+def test_pct_on_the_rollup_edge_on_the_papers_table_1(sales_db):
+    engine = _finest_level_pct(sales_db, "sales", "state", "city",
+                               "salesamt")
+    assert rows_equal(engine, _vpct(sales_db, "sales", "state", "city",
+                                    "salesamt")) is None
+    assert dict((row[:2], row[2]) for row in engine) == pytest.approx({
+        ("CA", "Los Angeles"): 0.2169811320754717,
+        ("CA", "San Francisco"): 0.7830188679245284,
+        ("TX", "Dallas"): 0.5704697986577181,
+        ("TX", "Houston"): 0.42953020134228187,
+    }, abs=1e-12)

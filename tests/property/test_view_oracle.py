@@ -2,7 +2,7 @@
 random interleaving of INSERT / UPDATE / DELETE against the base table
 leaves the delta-maintained view bit-identical to recomputing its
 defining query from scratch (the same comparator and pinned-strategy
-baselines as the ``--views`` fuzz sweep).
+baselines as the ``--sweep views`` fuzz sweep).
 
 The value domains are adversarial on purpose: dimension pools include
 NULL (NULL group keys), the measure pool includes NULL and 0.0 (NULL
@@ -17,7 +17,7 @@ from repro import Database
 from repro.core.execute import run_percentage_query
 from repro.core.horizontal import HorizontalStrategy
 from repro.core.vertical import VerticalStrategy
-from repro.fuzz.views import table_diff
+from repro.fuzz.comparator import table_diff
 
 VPCT_SQL = "SELECT d, g, Vpct(m BY g) FROM t GROUP BY d, g"
 HPCT_SQL = "SELECT d, Hpct(m BY g) FROM t GROUP BY d"

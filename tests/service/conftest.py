@@ -1,10 +1,9 @@
-"""Service-test hygiene: the temp-table leak guard from the
-integration suite, plus a ready-made service over a small fact table.
+"""A ready-made service over a small fact table.
 
-``install_database_tracker`` patches ``Database.__init__``, which the
-snapshot overlays deliberately skip -- so the guard here sweeps the
-*base* databases; tests that care about overlay temps track readers
-explicitly (see the stress suite)."""
+The global leak guard (tests/conftest.py) patches
+``Database.__init__``, which the snapshot overlays deliberately skip
+-- so it sweeps the *base* databases; tests that care about overlay
+temps track readers explicitly (see the stress suite)."""
 
 from __future__ import annotations
 
@@ -12,17 +11,6 @@ import pytest
 
 from repro.api.database import Database
 from repro.service import QueryService
-from tests.conftest import assert_no_temp_leaks, install_database_tracker
-
-
-@pytest.fixture(autouse=True)
-def no_temp_leaks(request, monkeypatch):
-    if request.node.get_closest_marker("allow_temp_leaks"):
-        yield
-        return
-    created = install_database_tracker(monkeypatch)
-    yield
-    assert_no_temp_leaks(created)
 
 
 @pytest.fixture

@@ -1,22 +1,10 @@
-"""Views-test hygiene: the temp-table leak guard from the integration
-suite, plus a small fact table every test builds its views over."""
+"""A small fact table every views test builds its views over."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.api.database import Database
-from tests.conftest import assert_no_temp_leaks, install_database_tracker
-
-
-@pytest.fixture(autouse=True)
-def no_temp_leaks(request, monkeypatch):
-    if request.node.get_closest_marker("allow_temp_leaks"):
-        yield
-        return
-    created = install_database_tracker(monkeypatch)
-    yield
-    assert_no_temp_leaks(created)
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import pytest
 from repro.core.execute import run_percentage_query
 from repro.core.vertical import VerticalStrategy
 from repro.errors import CatalogError
-from repro.fuzz.views import table_diff
+from repro.fuzz.comparator import table_diff
 
 VPCT = "SELECT d1, d2, Vpct(a BY d2) FROM f GROUP BY d1, d2"
 PLAIN = "SELECT d1, sum(a), count(*) FROM f GROUP BY d1"

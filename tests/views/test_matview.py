@@ -14,7 +14,7 @@ from repro.core.execute import (generate_plan, run_percentage_query,
 from repro.core.horizontal import HorizontalStrategy
 from repro.core.vertical import VerticalStrategy
 from repro.errors import CatalogError, MaterializedViewError
-from repro.fuzz.views import table_diff
+from repro.fuzz.comparator import table_diff
 
 VPCT = "SELECT d1, d2, Vpct(a BY d2) FROM f GROUP BY d1, d2"
 HPCT = "SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1"
