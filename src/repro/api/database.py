@@ -18,7 +18,6 @@ from repro.engine import cancel as cancel_mod
 from repro.engine.cancel import CancelToken
 from repro.engine.catalog import Catalog
 from repro.engine.column import ColumnData
-from repro.engine.encoding_cache import DEFAULT_ENCODING_CACHE_BYTES
 from repro.engine.executor import (DEFAULT_MORSEL_ROWS,
                                    PARALLEL_BACKENDS, Executor,
                                    ExecutorOptions)
@@ -55,7 +54,6 @@ class Database:
         use_encoding_cache: serve base-table dictionary encodings from
             the table-versioned cache (wall-clock only; results and
             logical I/O are identical with it off).
-        encoding_cache_bytes: LRU byte budget for that cache.
         max_query_seconds / max_query_rows / max_result_width:
             per-query resource budgets enforced cooperatively by the
             :class:`~repro.engine.governor.ResourceGovernor` (``None``
@@ -102,7 +100,6 @@ class Database:
                  case_dispatch: str = "linear",
                  use_indexes: bool = True,
                  use_encoding_cache: bool = True,
-                 encoding_cache_bytes: int = DEFAULT_ENCODING_CACHE_BYTES,
                  max_query_seconds: Optional[float] = None,
                  max_query_rows: Optional[int] = None,
                  max_result_width: Optional[int] = None,
@@ -147,8 +144,7 @@ class Database:
             else MetricsRegistry()
         self.tracer = Tracer(clock=self.clock, enabled=tracing)
         self.catalog = Catalog(max_columns=max_columns,
-                               max_name_length=max_name_length,
-                               encoding_cache_bytes=encoding_cache_bytes)
+                               max_name_length=max_name_length)
         self.stats = StatsCollector(keep_history=keep_history,
                                     registry=self.metrics)
         self.storage_backend = storage

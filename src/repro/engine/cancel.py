@@ -47,15 +47,15 @@ from repro.obs.metrics import MetricsRegistry, global_registry
 #: table in sync when adding one.
 SAFEPOINTS = (
     "statement",          # executor entry, once per statement
-    "scan",               # per FROM source materialized
+    "scan",               # per FROM source, entering its scan
     "join-build",         # hash-join build side (engine/join.py)
     "group-by",           # factorize entry (engine/groupby.py)
     "pivot",              # pivot-family pass (engine/pivot.py)
     "morsel",             # per morsel planned (engine/kernels.py)
     "process-dispatch",   # before a shared-memory pool dispatch
     "page-fetch",         # per column page run (storage/engine.py)
-    "projection",         # final projection of a SELECT
-    "dml",                # INSERT/UPDATE/DELETE entry
+    "projection",         # entering a SELECT's projection
+    "dml",                # entering an INSERT/UPDATE/DELETE's write
     "view-maintenance",   # per measure re-aggregated (views/maintenance)
 )
 

@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from repro.engine.encoding_cache import (DEFAULT_ENCODING_CACHE_BYTES,
-                                         EncodingCache)
+from repro.engine.encoding_cache import EncodingCache
 from repro.engine.index import HashIndex
 from repro.engine.schema import (DEFAULT_MAX_COLUMNS,
                                  DEFAULT_MAX_NAME_LENGTH, TableSchema)
@@ -95,12 +94,11 @@ class Catalog:
 
     def __init__(self, max_columns: int = DEFAULT_MAX_COLUMNS,
                  max_name_length: int = DEFAULT_MAX_NAME_LENGTH,
-                 encoding_cache_bytes: int = DEFAULT_ENCODING_CACHE_BYTES,
                  encoding_cache: EncodingCache | None = None):
         self.max_columns = max_columns
         self.max_name_length = max_name_length
         self.encoding_cache = encoding_cache if encoding_cache is not None \
-            else EncodingCache(encoding_cache_bytes)
+            else EncodingCache()
         #: Mutation counter: bumped once per mutating operation (not
         #: per statement), so snapshot versions totally order catalog
         #: states.

@@ -1,10 +1,11 @@
 """EXPLAIN: render the evaluation plan of a statement as text rows.
 
-The explanation mirrors what the interpreting executor will actually
-do -- scan order, join keys and whether a covering index serves the
-build side, residual filters, grouping, and the post-processing steps
--- without executing anything.  The output is a one-column table so it
-flows through the same result channels as any query (cursor, CLI...).
+EXPLAIN renders the very :class:`~repro.engine.planner.SelectPlan`
+the executor would run -- scan order, join keys and whether an index
+serves the build side, residual filters, grouping, and the
+post-processing steps -- without executing anything, so what it prints
+is what runs.  The output is a one-column table so it flows through
+the same result channels as any query (cursor, CLI...).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Optional
 
 from repro.engine import cancel
 from repro.engine.column import ColumnData
-from repro.engine.planner import plan_from
+from repro.engine.planner import plan_update_join
 from repro.engine.table import Table
 from repro.engine.types import SQLType
 from repro.obs import tracer as tracer_mod
@@ -71,11 +72,7 @@ def _plan_table(lines: list[str]) -> Table:
 def _plan_lines(executor, statement: ast.Statement) -> list[str]:
     lines: list[str] = []
     if isinstance(statement, ast.Select):
-        mv = executor.matview_for_select(statement)
-        if mv is not None:
-            lines.append(_matview_line(executor, mv))
-        else:
-            _explain_select(executor, statement, lines, indent=0)
+        _explain_select(executor, statement, lines, indent=0)
     elif isinstance(statement, ast.InsertSelect):
         lines.append(f"insert into {statement.table}")
         _explain_select(executor, statement.select, lines, indent=1)
@@ -86,6 +83,10 @@ def _plan_lines(executor, statement: ast.Statement) -> list[str]:
         lines.append(f"update {statement.table.name}"
                      + (" (join update)" if statement.from_tables
                         else ""))
+        if statement.from_tables:
+            _explain_joins(plan_update_join(
+                statement, executor.catalog,
+                executor.options.use_indexes), lines, indent=1)
     elif isinstance(statement, ast.Delete):
         lines.append(f"delete from {statement.table.name}")
     else:
@@ -164,11 +165,16 @@ def _cache_line(executor) -> str:
 
 def _explain_select(executor, select: ast.Select, lines: list[str],
                     indent: int) -> None:
+    """Render the SelectPlan the executor would run, top step first."""
+    plan = executor.plan_select(select)
     pad = "  " * indent
 
     def emit(text: str, extra: int = 0) -> None:
         lines.append(pad + "  " * extra + text)
 
+    if plan.matview is not None:
+        emit(_matview_line(executor, plan.matview))
+        return
     if select.limit is not None:
         emit(f"limit {select.limit}")
     if select.order_by:
@@ -178,85 +184,43 @@ def _explain_select(executor, select: ast.Select, lines: list[str],
         emit(f"sort by {keys}")
     if select.distinct:
         emit("distinct")
-    if _is_aggregate(select):
+    if plan.mode != "projection":
         group = ", ".join(format_expr(e) for e in select.group_by)
         emit("aggregate" + (f" group by {group}" if group
                             else " (global)"))
-        if ast.has_grouping_sets(select):
-            emit(f"grouping-sets: {_count_grouping_sets(select)} sets, "
+        if plan.mode == "grouping-sets":
+            emit(f"grouping-sets: {len(plan.grouping_sets)} sets, "
                  f"shared-scan", 1)
         if select.having is not None:
             emit(f"having {format_expr(select.having)}", 1)
 
-    if select.from_ is None:
+    if plan.from_plan is None:
         emit("single-row source")
         return
+    _explain_joins(plan.from_plan, lines, indent)
+    emit(_scan_line(executor, plan.from_plan.first))
 
-    schemas = {}
-    for source in select.from_.sources():
-        binding = source.binding.lower()
-        schemas[binding] = _source_schema(executor, source)
 
-    def resolve_binding(ref: ast.ColumnRef,
-                        candidates: list[str]) -> Optional[str]:
-        if ref.table:
-            key = ref.table.lower()
-            if key in candidates and schemas.get(key) is not None \
-                    and schemas[key].has_column(ref.name):
-                return key
-            return None
-        owners = [b for b in candidates
-                  if schemas.get(b) is not None
-                  and schemas[b].has_column(ref.name)]
-        return owners[0] if len(owners) == 1 else None
-
-    plan = plan_from(select.from_, select.where, resolve_binding)
-    if plan.residual_where is not None:
-        emit(f"filter {format_expr(plan.residual_where)}")
-    for join in reversed(plan.joins):
+def _explain_joins(from_plan, lines: list[str], indent: int) -> None:
+    """The residual filter, then one line per join, last join first."""
+    pad = "  " * indent
+    if from_plan.residual_where is not None:
+        lines.append(
+            f"{pad}filter {format_expr(from_plan.residual_where)}")
+    for join in reversed(from_plan.joins):
         if not join.left_keys:
-            emit(f"cartesian join {join.source.binding}")
+            lines.append(f"{pad}cartesian join {join.source.binding}")
         else:
             keys = ", ".join(
                 f"{format_expr(l)} = {format_expr(r)}"
                 for l, r in zip(join.left_keys, join.right_keys))
-            index_note = _index_note(executor, join)
             kind = "left outer join" if join.kind == "left" \
                 else "hash join"
-            emit(f"{kind} {join.source.binding} on {keys}{index_note}")
+            note = f" [index {join.index.name}]" if join.index else ""
+            lines.append(
+                f"{pad}{kind} {join.source.binding} on {keys}{note}")
         if join.residual is not None:
-            emit(f"filter {format_expr(join.residual)}", 1)
-    emit(_scan_line(executor, plan.first.source))
-
-
-def _count_grouping_sets(select: ast.Select) -> int:
-    """How many grouping sets the GROUP BY clause requests (the cross
-    product of its elements' expansions)."""
-    total = 1
-    for element in select.group_by:
-        if isinstance(element, ast.Cube):
-            total *= 2 ** len(element.exprs)
-        elif isinstance(element, ast.Rollup):
-            total *= len(element.exprs) + 1
-        elif isinstance(element, ast.GroupingSets):
-            total *= len(element.sets)
-    return total
-
-
-def _is_aggregate(select: ast.Select) -> bool:
-    if select.group_by or select.having is not None:
-        return True
-    return any(not isinstance(item.expr, ast.Star)
-               and ast.contains_aggregate(item.expr)
-               for item in select.items)
-
-
-def _source_schema(executor, source: ast.FromSource):
-    if isinstance(source, ast.TableRef):
-        if executor.catalog.has_table(source.name):
-            return executor.catalog.table(source.name).schema
-        return None  # view or missing: columns resolved at run time
-    return None      # derived table
+            lines.append(f"{pad}  filter {format_expr(join.residual)}")
 
 
 def _matview_line(executor, mv) -> str:
@@ -267,29 +231,13 @@ def _matview_line(executor, mv) -> str:
     return f"view: {mv.definition.name} ({freshness}@v{mv.base_version})"
 
 
-def _scan_line(executor, source: ast.FromSource) -> str:
-    if isinstance(source, ast.TableRef):
-        if executor.catalog.has_matview(source.name):
-            return _matview_line(
-                executor, executor.catalog.matview(source.name)) \
-                .replace("view: ", "materialized view scan ", 1)
-        if executor.catalog.has_view(source.name):
-            return f"view scan {source.name}"
-        if executor.catalog.has_table(source.name):
-            rows = executor.catalog.table(source.name).n_rows
-            return f"scan {source.name} ({rows} rows)"
-        return f"scan {source.name}"
-    return f"derived table {source.alias}"
-
-
-def _index_note(executor, join) -> str:
-    source = join.source.source
-    if not isinstance(source, ast.TableRef) \
-            or not executor.options.use_indexes \
-            or not executor.catalog.has_table(source.name):
-        return ""
-    key_names = [ref.name for ref in join.right_keys]
-    index = executor.catalog.find_index(source.name, key_names)
-    if index is not None:
-        return f" [index {index.name}]"
-    return ""
+def _scan_line(executor, source) -> str:
+    if source.kind == "derived":
+        return f"derived table {source.binding}"
+    name = source.source.name
+    if source.kind == "matview":
+        return _matview_line(executor, executor.catalog.matview(name)) \
+            .replace("view: ", "materialized view scan ", 1)
+    if source.kind == "view":
+        return f"view scan {name}"
+    return f"scan {name} ({executor.catalog.table(name).n_rows} rows)"

@@ -171,6 +171,14 @@ def evaluate(expr: ast.Expr, frame: Frame,
     raise PlanningError(f"cannot evaluate expression node {expr!r}")
 
 
+def truth_mask(expr: ast.Expr, frame: Frame,
+               stats: Optional[StatsCollector] = None) -> np.ndarray:
+    """The rows where ``expr`` is TRUE -- what WHERE, ON and HAVING
+    keep (FALSE and NULL both drop the row)."""
+    column = evaluate(expr, frame, stats)
+    return np.asarray(column.values, dtype=bool) & ~column.nulls
+
+
 def evaluate_scalar(expr: ast.Expr) -> Any:
     """Evaluate a constant expression to one Python value."""
     frame = Frame(n_rows=1)

@@ -187,6 +187,22 @@ def _factorize_lex(encodings: list[EncodedColumn]) -> Grouping:
                     encodings)
 
 
+def first_positions(group_ids: np.ndarray, n_groups: int) -> np.ndarray:
+    """Index of the first row of each group, ordered by group id."""
+    if n_groups == 0:
+        return np.empty(0, dtype=np.int64)
+    if len(group_ids) == 0:
+        # The single global group over an empty input: no representative
+        # row exists; callers only use firsts with key columns, which
+        # are absent in this case.
+        return np.zeros(n_groups, dtype=np.int64)
+    order = np.argsort(group_ids, kind="stable")
+    sorted_ids = group_ids[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    return order[starts]
+
+
 def distinct_indices(columns: list[ColumnData], n_rows: int,
                      cache: Optional[EncodingCache] = None) -> np.ndarray:
     """Positions of the first row of each distinct key combination, in

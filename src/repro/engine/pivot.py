@@ -32,7 +32,8 @@ from repro.engine import cancel, faults
 from repro.engine.column import ColumnData
 from repro.engine.encoding_cache import EncodingCache
 from repro.engine.expressions import Frame, evaluate
-from repro.engine.groupby import Grouping, factorize
+from repro.engine.groupby import Grouping, factorize, first_positions
+from repro.engine.planner import split_conjuncts
 from repro.engine.stats import StatsCollector
 from repro.engine.types import SQLType
 from repro.sql import ast
@@ -124,7 +125,7 @@ def _parse_term(index: int, spec: ast.FuncCall, frame: Frame
     condition, result_expr = case.whens[0]
     literals: dict[Any, Any] = {}
     columns: dict[Any, ast.ColumnRef] = {}
-    for conjunct in _split_and(condition):
+    for conjunct in split_conjuncts(condition):
         pair = _column_equals_literal(conjunct)
         if pair is None:
             return None
@@ -141,12 +142,6 @@ def _parse_term(index: int, spec: ast.FuncCall, frame: Frame
         return None
     return (_PivotTerm(index, spec.name, literals, else_zero),
             columns, result_expr)
-
-
-def _split_and(expr: ast.Expr) -> list[ast.Expr]:
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        return _split_and(expr.left) + _split_and(expr.right)
-    return [expr]
 
 
 def _column_equals_literal(expr: ast.Expr
@@ -195,7 +190,7 @@ def _compute_family(terms: list[_PivotTerm], column_keys: list,
          for func in sorted({t.func for t in terms})],
         combined.group_ids, combined.n_groups)
 
-    firsts = _first_positions(combined.group_ids, combined.n_groups)
+    firsts = first_positions(combined.group_ids, combined.n_groups)
     cell_group = grouping.group_ids[firsts]
     cell_pivot = [col.take(firsts) for col in pivot_columns]
 
@@ -231,13 +226,3 @@ def _equals_scalar(column: ColumnData, literal: Any) -> np.ndarray:
     if isinstance(literal, str):
         return np.zeros(len(values), dtype=bool)
     return np.asarray(values == literal, dtype=bool)
-
-
-def _first_positions(group_ids: np.ndarray, n_groups: int) -> np.ndarray:
-    if n_groups == 0 or len(group_ids) == 0:
-        return np.empty(0, dtype=np.int64)
-    order = np.argsort(group_ids, kind="stable")
-    sorted_ids = group_ids[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = sorted_ids[1:] != sorted_ids[:-1]
-    return order[starts]

@@ -1,18 +1,22 @@
-"""FROM-clause planning: turning sources, joins and WHERE predicates
-into a sequence of hash-join steps.
+"""SELECT planning: one :class:`SelectPlan` value per SELECT, built
+from catalog schemas alone.
+
+:func:`plan_select` classifies the FROM sources, infers every source's
+output column names statically, plans the joins, decides per join
+whether an index serves the build side, and fixes the evaluation mode
+and select list.  ``Executor.run_select`` executes that value and
+``EXPLAIN`` renders the same one, so the static plan cannot drift from
+what runs.
 
 The paper's generated SQL writes joins in the classic comma form::
 
     FROM Fj, Fk WHERE Fj.D1 = Fk.D1 AND ... AND Fj.Dj = Fk.Dj
 
-so the planner must recover equi-join keys from the WHERE conjunction.
-Explicit ``[LEFT OUTER] JOIN ... ON`` clauses (used by the SPJ strategy
-of the companion paper) are planned directly from their ON condition.
-
-The planner produces a :class:`FromPlan`: an ordered list of sources
-and, for each source after the first, the join kind plus key pairs
-linking it to the already-accumulated sources; predicates that are not
-equi-join keys are returned as residual filters.
+so :func:`plan_from` must recover equi-join keys from the WHERE
+conjunction.  Explicit ``[LEFT OUTER] JOIN ... ON`` clauses (used by
+the SPJ strategy of the companion paper) are planned directly from
+their ON condition.  Predicates that are not equi-join keys are
+returned as residual filters.
 """
 
 from __future__ import annotations
@@ -20,16 +24,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import PlanningError
+from repro.engine import groupingsets
+from repro.errors import GroupingSetError, PlanningError
 from repro.sql import ast
 
 
 @dataclass
 class PlannedSource:
-    """One FROM source with its binding name."""
+    """One FROM source, classified from the catalog: a base ``table``,
+    a ``view`` or ``derived`` table (both run ``plan``), or a
+    ``matview`` (served from the catalog's view of that name)."""
 
     source: ast.FromSource
     binding: str
+    kind: str = "table"
+    columns: tuple[str, ...] = ()
+    plan: Optional["SelectPlan"] = None
+
+    def __post_init__(self) -> None:
+        self._names = frozenset(c.lower() for c in self.columns)
+
+    def has_column(self, name: str) -> bool:
+        return name.lower() in self._names
 
 
 @dataclass
@@ -41,6 +57,7 @@ class PlannedJoin:
     ``null_safe`` flags (parallel to the keys) mark pairs written as
     ``a = b OR (a IS NULL AND b IS NULL)``, where NULL joins NULL.
     ``residual`` holds non-equi parts of an explicit ON condition.
+    ``index`` is the index serving the build side (:func:`join_index`).
     """
 
     kind: str                       # "inner" | "left"
@@ -49,6 +66,7 @@ class PlannedJoin:
     right_keys: list[ast.ColumnRef] = field(default_factory=list)
     null_safe: list[bool] = field(default_factory=list)
     residual: Optional[ast.Expr] = None
+    index: Optional[object] = None
 
 
 @dataclass
@@ -56,6 +74,235 @@ class FromPlan:
     first: PlannedSource
     joins: list[PlannedJoin]
     residual_where: Optional[ast.Expr]
+
+
+@dataclass
+class SelectPlan:
+    """Everything decided about one SELECT before it runs.
+
+    ``matview`` set means the whole statement is answered from that
+    materialized view and nothing else applies.  ``items`` is the
+    select list with ``*`` expanded, as ``(output name, expression)``;
+    ``mode`` is ``projection``, ``aggregate`` (``group_by`` holds the
+    resolved keys) or ``grouping-sets`` (``grouping_sets`` holds the
+    expanded sets).  DISTINCT / ORDER BY / LIMIT are read off
+    ``select`` in that order.
+    """
+
+    select: ast.Select
+    matview: Optional[object] = None
+    from_plan: Optional[FromPlan] = None
+    mode: str = "projection"
+    items: list[tuple[str, ast.Expr]] = field(default_factory=list)
+    group_by: list[ast.Expr] = field(default_factory=list)
+    grouping_sets: list[tuple[ast.Expr, ...]] = field(default_factory=list)
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        if self.matview is not None:
+            return tuple(self.matview.result.column_names())
+        return tuple(name for name, _ in self.items)
+
+    def sources(self) -> list[PlannedSource]:
+        if self.from_plan is None:
+            return []
+        return [self.from_plan.first] \
+            + [join.source for join in self.from_plan.joins]
+
+
+def plan_select(select: ast.Select, catalog, use_indexes: bool = True,
+                use_views: bool = True) -> SelectPlan:
+    """Plan ``select`` against ``catalog`` without touching any row."""
+    if use_views and catalog.matviews():
+        from repro.views.rewrite import match_view
+        mv = match_view(catalog, select)
+        if mv is not None:
+            return SelectPlan(select, matview=mv)
+    plan = SelectPlan(select, mode=_mode(select))
+    if select.from_ is not None:
+        sources: dict[str, PlannedSource] = {}
+        for source in select.from_.sources():
+            planned = _classify(source, catalog, use_indexes, use_views)
+            if planned.binding.lower() in sources:
+                raise PlanningError(
+                    f"duplicate table binding {source.binding!r}")
+            sources[planned.binding.lower()] = planned
+        plan.from_plan = plan_from(select.from_, select.where, sources)
+        for join in plan.from_plan.joins:
+            join.index = join_index(catalog, join.source.source,
+                                    join.right_keys, join.null_safe,
+                                    use_indexes)
+    plan.items = _select_items(select, plan)
+
+    def resolve(expr: ast.Expr) -> ast.Expr:
+        return _resolve_group_expr(expr, select)
+    if plan.mode == "grouping-sets":
+        plan.grouping_sets = groupingsets.expand_group_by(
+            select.group_by, resolve)
+    else:
+        plan.group_by = [resolve(e) for e in select.group_by]
+    return plan
+
+
+def _mode(select: ast.Select) -> str:
+    exprs = [item.expr for item in select.items
+             if not isinstance(item.expr, ast.Star)]
+    if any(ast.contains_extended(e) for e in exprs):
+        raise PlanningError(
+            "Vpct()/Hpct()/BY-extended aggregates are not "
+            "executable directly; rewrite the query with "
+            "repro.core first (this engine plays the role of "
+            "the standard-SQL DBMS in the paper's architecture)")
+    if ast.has_grouping_sets(select):
+        if any(ast.contains_window(e) for e in exprs):
+            raise PlanningError(
+                "window functions are not supported with "
+                "CUBE/ROLLUP/GROUPING SETS")
+        return "grouping-sets"
+    if select.having is not None:
+        exprs.append(select.having)
+    if any(ast.contains_grouping_func(e) for e in exprs):
+        # Outside a lattice they get a typed error, not an unknown-
+        # function failure.
+        raise GroupingSetError(
+            "grouping() and pct() require GROUP BY "
+            "CUBE/ROLLUP/GROUPING SETS")
+    if select.group_by or select.having is not None \
+            or any(ast.contains_aggregate(e) for e in exprs):
+        return "aggregate"
+    return "projection"
+
+
+def _classify(source: ast.FromSource, catalog, use_indexes: bool,
+              use_views: bool) -> PlannedSource:
+    if not isinstance(source, ast.TableRef):
+        plan = plan_select(source.select, catalog, use_indexes, use_views)
+        return PlannedSource(source, source.alias, "derived",
+                             plan.columns, plan)
+    if catalog.has_matview(source.name):
+        mv = catalog.matview(source.name)
+        return PlannedSource(source, source.binding, "matview",
+                             tuple(mv.result.column_names()))
+    if catalog.has_view(source.name):
+        plan = plan_select(catalog.view(source.name), catalog,
+                           use_indexes, use_views)
+        return PlannedSource(source, source.binding, "view",
+                             plan.columns, plan)
+    return _base_table(source, catalog)
+
+
+def _base_table(ref: ast.TableRef, catalog) -> PlannedSource:
+    schema = catalog.table(ref.name).schema
+    return PlannedSource(ref, ref.binding, "table",
+                         tuple(schema.column_names()))
+
+
+def plan_update_join(statement: ast.Update, catalog,
+                     use_indexes: bool = True) -> FromPlan:
+    """``UPDATE t ... FROM f WHERE ...`` is the left join of the target
+    with the one FROM table on the WHERE clause's key equalities; what
+    is left of WHERE lands on the join's ``residual``."""
+    if len(statement.from_tables) != 1:
+        raise PlanningError(
+            "UPDATE ... FROM supports exactly one joined table")
+    from_ref = statement.from_tables[0]
+    sources = {ref.binding.lower(): _base_table(ref, catalog)
+               for ref in (statement.table, from_ref)}
+    plan = plan_from(
+        ast.FromClause(statement.table, (ast.JoinStep("cross", from_ref),)),
+        statement.where, sources)
+    join = plan.joins[0]
+    if not join.left_keys:
+        raise PlanningError(
+            "UPDATE ... FROM requires equality predicates joining "
+            "the target and the FROM table")
+    join.kind = "left"
+    join.residual, plan.residual_where = plan.residual_where, None
+    join.index = join_index(catalog, from_ref, join.right_keys,
+                            join.null_safe, use_indexes)
+    return plan
+
+
+def join_index(catalog, source: ast.FromSource,
+               keys: list[ast.ColumnRef], null_safe: list[bool],
+               use_indexes: bool):
+    """The one index rule: a join probes an index iff indexes are on,
+    its build side is a base table (always a pristine scan: sources
+    are never filtered before they join), no key is null-safe (index
+    digests drop NULL keys) and an index covers exactly the keys."""
+    if not use_indexes or not keys or any(null_safe) \
+            or not isinstance(source, ast.TableRef) \
+            or not catalog.has_table(source.name):
+        return None
+    index = catalog.find_index(source.name, [ref.name for ref in keys])
+    return index if index is not None and index.prepared is not None \
+        else None
+
+
+def output_name(item: ast.SelectItem, position: int) -> str:
+    if item.alias:
+        return item.alias
+    if isinstance(item.expr, ast.ColumnRef):
+        return item.expr.name
+    return f"col{position + 1}"
+
+
+def dedupe_names(names: list[str]) -> list[str]:
+    seen: dict[str, int] = {}
+    out = []
+    for name in names:
+        key = name.lower()
+        if key in seen:
+            seen[key] += 1
+            name = f"{name}_{seen[key]}"
+        else:
+            seen[key] = 0
+        out.append(name)
+    return out
+
+
+def _select_items(select: ast.Select, plan: SelectPlan
+                  ) -> list[tuple[str, ast.Expr]]:
+    """The select list as ``(output name, expression)``, ``*`` expanded
+    to qualified column references over the planned sources."""
+    sources = plan.sources()
+    named: list[tuple[str, ast.Expr]] = []
+    for i, item in enumerate(select.items):
+        if not isinstance(item.expr, ast.Star):
+            named.append((output_name(item, i), item.expr))
+            continue
+        if plan.mode != "projection":
+            raise PlanningError("'*' cannot appear in an aggregate "
+                                "select list")
+        if not sources:
+            raise PlanningError("'*' requires a FROM clause")
+        star = item.expr
+        chosen = [s for s in sources if not star.table
+                  or s.binding.lower() == star.table.lower()]
+        if not chosen:
+            raise PlanningError(f"unknown table {star.table!r} in "
+                                f"'{star.table}.*'")
+        named.extend((column, ast.ColumnRef(column, s.binding))
+                     for s in chosen for column in s.columns)
+    names = dedupe_names([name for name, _ in named])
+    return [(name, expr) for name, (_, expr) in zip(names, named)]
+
+
+def _resolve_group_expr(expr: ast.Expr, select: ast.Select) -> ast.Expr:
+    """Positional GROUP BY resolution for one expression (also
+    applied inside CUBE/ROLLUP/GROUPING SETS elements)."""
+    if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
+        position = expr.value
+        if not 1 <= position <= len(select.items):
+            raise PlanningError(
+                f"GROUP BY position {position} is out of range")
+        target = select.items[position - 1].expr
+        if ast.contains_aggregate(target):
+            raise PlanningError(
+                f"GROUP BY position {position} refers to an "
+                f"aggregate expression")
+        return target
+    return expr
 
 
 def split_conjuncts(expr: Optional[ast.Expr]) -> list[ast.Expr]:
@@ -76,83 +323,45 @@ def join_conjuncts(conjuncts: list[ast.Expr]) -> Optional[ast.Expr]:
     return result
 
 
-def plan_from(from_clause: ast.FromClause,
-              where: Optional[ast.Expr],
-              resolve_binding) -> FromPlan:
-    """Plan the FROM clause.
-
-    ``resolve_binding(column_ref, candidate_bindings)`` must return the
-    binding name owning the reference, or None when it cannot be
-    resolved among the candidates (the executor supplies a callback
-    with schema knowledge).
-    """
-    first = PlannedSource(from_clause.first, from_clause.first.binding)
+def plan_from(from_clause: ast.FromClause, where: Optional[ast.Expr],
+              sources: dict[str, PlannedSource]) -> FromPlan:
+    """Plan the FROM clause over the classified ``sources`` (keyed by
+    lower-cased binding)."""
+    first = sources[from_clause.first.binding.lower()]
     joins: list[PlannedJoin] = []
     conjuncts = split_conjuncts(where)
     used = [False] * len(conjuncts)
     accumulated = [first.binding.lower()]
 
     for step in from_clause.joins:
-        source = PlannedSource(step.source, step.source.binding)
-        new_binding = source.binding.lower()
-        if step.kind in ("inner", "left"):
-            planned = _plan_explicit_join(step, source, accumulated,
-                                          new_binding, resolve_binding)
-        else:
-            planned = _plan_comma_join(source, accumulated, new_binding,
-                                       conjuncts, used, resolve_binding)
+        source = sources[step.source.binding.lower()]
+        explicit = step.kind in ("inner", "left")
+        pool = split_conjuncts(step.on) if explicit else conjuncts
+        taken = [False] * len(pool) if explicit else used
+        planned = PlannedJoin(step.kind if explicit else "inner", source)
+        for i, conjunct in enumerate(pool):
+            pair = None if taken[i] else _equi_key_pair(
+                conjunct, accumulated, source.binding.lower(), sources)
+            if pair is not None:
+                planned.left_keys.append(pair[0])
+                planned.right_keys.append(pair[1])
+                planned.null_safe.append(pair[2])
+                taken[i] = True
+        if explicit:
+            planned.residual = join_conjuncts(
+                [c for c, t in zip(pool, taken) if not t])
+            if step.kind == "left" and planned.residual is not None:
+                raise PlanningError(
+                    "LEFT OUTER JOIN supports only conjunctions of "
+                    "column equalities in ON")
+            if not planned.left_keys:
+                raise PlanningError("JOIN ... ON requires at least one "
+                                    "equality between the two sides")
         joins.append(planned)
-        accumulated.append(new_binding)
+        accumulated.append(source.binding.lower())
 
     leftovers = [c for c, u in zip(conjuncts, used) if not u]
     return FromPlan(first, joins, join_conjuncts(leftovers))
-
-
-def _plan_explicit_join(step: ast.JoinStep, source: PlannedSource,
-                        accumulated: list[str], new_binding: str,
-                        resolve_binding) -> PlannedJoin:
-    left_keys: list[ast.ColumnRef] = []
-    right_keys: list[ast.ColumnRef] = []
-    null_safe: list[bool] = []
-    residual: list[ast.Expr] = []
-    for conjunct in split_conjuncts(step.on):
-        pair = _equi_key_pair(conjunct, accumulated, new_binding,
-                              resolve_binding)
-        if pair is not None:
-            left_keys.append(pair[0])
-            right_keys.append(pair[1])
-            null_safe.append(pair[2])
-        else:
-            residual.append(conjunct)
-    if step.kind == "left" and residual:
-        raise PlanningError(
-            "LEFT OUTER JOIN supports only conjunctions of column "
-            "equalities in ON")
-    if not left_keys:
-        raise PlanningError("JOIN ... ON requires at least one "
-                            "equality between the two sides")
-    return PlannedJoin(step.kind, source, left_keys, right_keys,
-                       null_safe, join_conjuncts(residual))
-
-
-def _plan_comma_join(source: PlannedSource, accumulated: list[str],
-                     new_binding: str, conjuncts: list[ast.Expr],
-                     used: list[bool], resolve_binding) -> PlannedJoin:
-    left_keys: list[ast.ColumnRef] = []
-    right_keys: list[ast.ColumnRef] = []
-    null_safe: list[bool] = []
-    for i, conjunct in enumerate(conjuncts):
-        if used[i]:
-            continue
-        pair = _equi_key_pair(conjunct, accumulated, new_binding,
-                              resolve_binding)
-        if pair is not None:
-            left_keys.append(pair[0])
-            right_keys.append(pair[1])
-            null_safe.append(pair[2])
-            used[i] = True
-    return PlannedJoin("inner", source, left_keys, right_keys,
-                       null_safe, None)
 
 
 def null_safe_equality(expr: ast.Expr
@@ -183,7 +392,7 @@ def null_safe_equality(expr: ast.Expr
 
 
 def _equi_key_pair(conjunct: ast.Expr, accumulated: list[str],
-                   new_binding: str, resolve_binding
+                   new_binding: str, sources: dict[str, PlannedSource]
                    ) -> Optional[tuple[ast.ColumnRef, ast.ColumnRef,
                                        bool]]:
     """``(left_key, right_key, null_safe)`` when ``conjunct`` equates a
@@ -201,8 +410,9 @@ def _equi_key_pair(conjunct: ast.Expr, accumulated: list[str],
             return None
         left, right = pair
         null_safe = True
-    left_owner = resolve_binding(left, accumulated + [new_binding])
-    right_owner = resolve_binding(right, accumulated + [new_binding])
+    candidates = accumulated + [new_binding]
+    left_owner = _owner(left, candidates, sources)
+    right_owner = _owner(right, candidates, sources)
     if left_owner is None or right_owner is None:
         return None
     if left_owner in accumulated and right_owner == new_binding:
@@ -210,3 +420,13 @@ def _equi_key_pair(conjunct: ast.Expr, accumulated: list[str],
     if right_owner in accumulated and left_owner == new_binding:
         return right, left, null_safe
     return None
+
+
+def _owner(ref: ast.ColumnRef, candidates: list[str],
+           sources: dict[str, PlannedSource]) -> Optional[str]:
+    """The candidate binding that owns ``ref``; None when no candidate
+    or more than one has the column."""
+    if ref.table:
+        candidates = [b for b in candidates if b == ref.table.lower()]
+    owners = [b for b in candidates if sources[b].has_column(ref.name)]
+    return owners[0] if len(owners) == 1 else None

@@ -56,6 +56,11 @@ POSTCONDITIONS = {
               "(table_diff) to the undisturbed reference; a fault "
               "shot that recovers returns the reference rows "
               "(strategy fallback may re-plan, so rows not bits)",
+    "fresh": "wherever a materialized view rides along (views; "
+             "cancel's DML target): after every committed DML each "
+             "dependent view satisfies mv.fresh(base) and "
+             "view_refreshes_total{mode=\"full\"} did not move -- the "
+             "write delta-maintained it, on every backend and storage",
 }
 
 #: Retries should not slow the sweep down.
@@ -536,7 +541,8 @@ class ViewsKind(Kind):
     """The case's query becomes a materialized view and every
     statement of the case's INSERT/UPDATE/DELETE script is one shot,
     committed for real; after the build and after every statement the
-    view-served answer must be bit-identical to recomputing with
+    view must have been delta-maintained (post-condition *fresh*) and
+    the view-served answer must be bit-identical to recomputing with
     views off."""
 
     name = "views"
@@ -582,9 +588,21 @@ def _materialized_view(run: _Run, db: Database) -> Iterator[bool]:
 
 
 def _check_view(run: _Run, db: Database) -> None:
-    """The view-served answer (``db.execute(sql)``, rewritten to the
-    view) must be bit-identical to recomputing the query from scratch
-    on the current base table with views disabled."""
+    """Post-condition *fresh*, then: the view-served answer
+    (``db.execute(sql)``, rewritten to the view) must be bit-identical
+    to recomputing the query from scratch on the current base table
+    with views disabled.  Freshness goes first -- the read below
+    refreshes a stale view on the quiet, which is how the equality
+    oracle alone missed views that never served."""
+    for mv in db.catalog.matviews().values():
+        base = db.catalog.table(mv.definition.base_table)
+        full = db.metrics.counter("view_refreshes_total", view=mv.name,
+                                  mode="full").value
+        if not mv.fresh(base) or full:
+            run.finding("materialized view was not delta-maintained",
+                        f"{mv.name}: fresh={mv.fresh(base)} "
+                        f"(view@v{mv.base_version}, base@v{base.version})"
+                        f", full refreshes={full:g}")
     case, sql = run.case, run.case.query_sql()
     difference, error = run.attempt(lambda: table_diff(
         _recompute(case, db, sql), db.execute(sql)), "view check")

@@ -154,13 +154,17 @@ class StorageEngine:
     def persist_table(self, table: Table) -> StoredTable:
         """Write ``table``'s columns to fresh pages (shadow copy) and
         return the page-backed equivalent.  Nothing is committed until
-        a WAL record referencing these pages lands."""
+        a WAL record referencing these pages lands.  The copy keeps
+        the table's version (same content, same identity -- the rule
+        ``Table.renamed`` follows): views maintained against the heap
+        table stay ``fresh()`` for the stored one."""
         pages: dict[str, list[int]] = {}
         for col_def in table.schema.columns:
             pages[col_def.name.lower()] = self._write_column(
                 table.column(col_def.name))
         self.disk.sync()
-        return StoredTable(table.schema, self, pages, table.n_rows)
+        return StoredTable(table.schema, self, pages, table.n_rows,
+                           version=table.version)
 
     # ------------------------------------------------------------------
     # Commit protocol

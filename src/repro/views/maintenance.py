@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.engine import cancel
 from repro.engine.aggregates import compute_aggregate, count_star
-from repro.engine.expressions import Frame, evaluate
+from repro.engine.expressions import Frame, evaluate, truth_mask
 from repro.sql import ast
 from repro.views import rewrite
 from repro.views.state import (DeltaInfo, GroupLevel, MaterializedView,
@@ -201,8 +201,7 @@ def _frame_over(definition, table, positions, stats):
 def _where_mask(definition, frame, n: int, stats) -> np.ndarray:
     if definition.where is None:
         return np.ones(n, dtype=bool)
-    col = evaluate(definition.where, frame, stats)
-    return np.asarray(col.values, dtype=bool) & ~col.nulls
+    return truth_mask(definition.where, frame, stats)
 
 
 def _assign_ids(definition, level: GroupLevel, table,

@@ -545,11 +545,10 @@ def _analyze_plain(catalog, name, select, sql, ref, base
             _reject(True, "select items must be group columns or "
                           "aggregate calls")
     key_types = _key_types(base, tuple(group_by))
-    # Output names mirror the executor's _output_name/_dedupe_names.
-    from repro.engine.executor import _dedupe_names, _output_name
-    raw = [(_output_name(item, i), None)
-           for i, item in enumerate(select.items)]
-    names = tuple(n for n, _ in _dedupe_names(raw))
+    # Output names follow the planner's rule for any SELECT.
+    from repro.engine.planner import dedupe_names, output_name
+    names = tuple(dedupe_names([output_name(item, i) for i, item
+                                in enumerate(select.items)]))
     return ViewDefinition(
         name=name, select=select, sql=sql, kind=PLAIN,
         base_table=ref.name.lower(), binding=ref.binding,

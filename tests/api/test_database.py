@@ -30,6 +30,12 @@ class TestExecute:
         with pytest.raises(TypeError):
             db.query("INSERT INTO t VALUES (1)")
 
+    def test_encoding_cache_budget_is_not_a_database_option(self):
+        """Nobody set it; a test that needs a small budget hands the
+        catalog an ``EncodingCache`` (ROADMAP item 6's option trial)."""
+        with pytest.raises(TypeError):
+            Database(encoding_cache_bytes=1)
+
     def test_bad_option_rejected(self):
         with pytest.raises(ValueError):
             Database(case_dispatch="quantum")

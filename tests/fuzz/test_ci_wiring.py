@@ -3,7 +3,8 @@
 Nobody can run Actions offline, and a renamed flag otherwise surfaces
 on the next scheduled run: every ``python -m repro.fuzz`` command in
 ``.github/workflows/ci.yml`` must parse with the fuzz CLI's parser,
-and every ``python -m repro.bench`` command with the bench CLI's."""
+every ``python -m repro.bench`` command with the bench CLI's, and
+every ``python -m benchmarks.e2e`` command with the benchmark's."""
 
 import itertools
 import re
@@ -71,3 +72,19 @@ def test_bench_commands_parse(capsys):
         with pytest.raises(SystemExit):
             bench_main(argv + ["--repeats", "0"])
         assert "--repeats must be at least 1" in capsys.readouterr().err
+
+
+def test_benchmark_commands_parse(monkeypatch):
+    """The benchmark's parser lives inside its ``main``; with the
+    self-test body stubbed out, ``main`` is parse + dispatch."""
+    from benchmarks.e2e import selftest
+    from benchmarks.e2e.__main__ import main
+
+    ran = []
+    monkeypatch.setattr(selftest, "run", lambda: ran.append(True))
+    commands = _commands("benchmarks.e2e")
+    assert ["--selftest"] in commands
+    for argv in commands:
+        assert argv == ["--selftest"], "stub the mode this line runs"
+        assert main(argv) == 0
+    assert len(ran) == len(commands)

@@ -44,6 +44,30 @@ class TestViewsSweep:
             f.problem == "view-served result diverges from recompute"
             for f in stats.findings)
 
+    def test_sweep_sees_a_view_that_is_not_delta_maintained(
+            self, monkeypatch):
+        """Self-test of post-condition *fresh*: give the shadow copy a
+        version of its own again (the parent commit's bug) and every
+        disk cell must report it -- view == recompute alone cannot,
+        because a stale view refreshes on read."""
+        from repro.fuzz.variants import Variant
+        from repro.storage.engine import StorageEngine
+        from repro.storage.stored import StoredTable
+
+        original = StorageEngine.persist_table
+
+        def reminted(self, table):
+            stored = original(self, table)
+            return StoredTable(stored.schema, self, stored._pages,
+                               stored.n_rows)
+
+        monkeypatch.setattr(StorageEngine, "persist_table", reminted)
+        stats = sweep_cases(cases(3), "views",
+                            variants=[Variant("serial", "disk")])
+        assert stats.total("views", "shots") > 0
+        assert {f.problem for f in stats.findings} == {
+            "materialized view was not delta-maintained"}
+
     def test_unknown_bug_rejected(self):
         with pytest.raises(ValueError, match="unknown views bug"):
             sweep_cases(cases(1), "views",

@@ -243,3 +243,19 @@ def test_checkpoint_manifest_is_json(tmp_path):
     entry = state["tables"]["sales"]
     assert entry["n_rows"] == len(PAPER_SALES_ROWS)
     assert set(entry["pages"]) == {"rid", "state", "city", "salesamt"}
+
+
+def test_shadow_copy_keeps_the_table_version(tmp_path):
+    """``persist_table`` is a copy of the same content, so it carries
+    the heap table's version -- the identity a materialized view
+    maintained against the heap table was stamped with."""
+    from repro.engine.table import Table
+
+    with _disk_db(tmp_path) as db:
+        _load_sales(db)
+        heap = Table(db.table("sales").schema,
+                     {c.name: db.table("sales").column(c.name)
+                      for c in db.table("sales").schema.columns})
+        stored = db.storage_engine.persist_table(heap)
+        assert stored.version == heap.version
+        assert stored.to_rows() == heap.to_rows()
