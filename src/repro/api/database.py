@@ -8,6 +8,7 @@ JDBC stand-in) both talk to it.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from contextlib import nullcontext
 from typing import Any, Iterable, Optional, Sequence
@@ -18,9 +19,7 @@ from repro.engine import cancel as cancel_mod
 from repro.engine.cancel import CancelToken
 from repro.engine.catalog import Catalog
 from repro.engine.column import ColumnData
-from repro.engine.executor import (DEFAULT_MORSEL_ROWS,
-                                   PARALLEL_BACKENDS, Executor,
-                                   ExecutorOptions)
+from repro.engine.executor import Executor, ExecutorOptions
 from repro.engine.governor import ResourceBudget, ResourceGovernor
 from repro.engine.schema import (DEFAULT_MAX_COLUMNS,
                                  DEFAULT_MAX_NAME_LENGTH, TableSchema)
@@ -34,6 +33,7 @@ from repro.obs.tracer import Tracer
 from repro.sql import ast
 from repro.sql.parser import parse_script, parse_statement
 from repro.storage.engine import StorageEngine
+from repro.storage.pages import DEFAULT_PAGE_SIZE
 from repro.storage.pool import DEFAULT_POOL_PAGES
 
 #: Table storage backends: heap-resident (the original engine) or
@@ -48,30 +48,13 @@ class Database:
         max_columns: per-table column ceiling (the DBMS limit the
             paper's vertical partitioning works around).
         max_name_length: identifier length ceiling.
-        case_dispatch: ``"linear"`` (faithful DBMS behavior) or
-            ``"hash"`` (the paper's proposed O(1) CASE dispatch).
-        use_indexes: let joins reuse covering hash indexes.
-        use_encoding_cache: serve base-table dictionary encodings from
-            the table-versioned cache (wall-clock only; results and
-            logical I/O are identical with it off).
-        max_query_seconds / max_query_rows / max_result_width:
-            per-query resource budgets enforced cooperatively by the
-            :class:`~repro.engine.governor.ResourceGovernor` (``None``
-            = unlimited).  A generated percentage plan counts as one
+        budget: per-query resource budgets (wall clock, rows, result
+            width) enforced cooperatively by the
+            :class:`~repro.engine.governor.ResourceGovernor`; the
+            default :class:`~repro.engine.governor.ResourceBudget` is
+            unlimited.  A generated percentage plan counts as one
             query: its whole multi-statement script shares one budget
             window.
-        parallel_workers:
-            intra-query parallelism: above 1, a grouped aggregation
-            whose grouping splits into at least two morsels of
-            ``morsel_rows`` fans out.  Bit-identical to serial
-            execution; wall-clock only.
-        parallel_backend / morsel_rows:
-            which dispatcher runs the morsels -- ``"thread"``
-            (default, shared operator thread pool), ``"process"``
-            (GIL-free worker processes over shared-memory column
-            blocks; see docs/parallelism.md) or ``"serial"``
-            (parallelism off regardless of ``parallel_workers``).
-            ``morsel_rows`` is the work-unit size on both.
         keep_history: record per-statement stats in
             ``db.stats.history``.
         tracing: start with the span tracer enabled (it can also be
@@ -93,30 +76,32 @@ class Database:
             existing store recovers its committed state.
         pool_pages / page_size: buffer-pool capacity (in pages) and
             on-disk page size for the disk backend.
+        default_deadline_seconds: wall-clock deadline of every
+            top-level statement that names none of its own.
+        **execution: the execution knobs -- ``case_dispatch``,
+            ``use_indexes``, ``use_encoding_cache``,
+            ``parallel_workers``, ``parallel_backend``, ``morsel_rows``
+            -- passed straight to
+            :class:`~repro.engine.executor.ExecutorOptions`, which
+            states their defaults and legal values;
+            :meth:`configure` changes them later.
     """
 
     def __init__(self, max_columns: int = DEFAULT_MAX_COLUMNS,
                  max_name_length: int = DEFAULT_MAX_NAME_LENGTH,
-                 case_dispatch: str = "linear",
-                 use_indexes: bool = True,
-                 use_encoding_cache: bool = True,
-                 max_query_seconds: Optional[float] = None,
-                 max_query_rows: Optional[int] = None,
-                 max_result_width: Optional[int] = None,
-                 parallel_workers: int = 1,
-                 parallel_backend: str = "thread",
-                 morsel_rows: int = DEFAULT_MORSEL_ROWS,
+                 budget: ResourceBudget = ResourceBudget(),
                  keep_history: bool = False,
                  tracing: bool = False,
                  clock: Optional[Clock] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  storage: str = "memory",
                  storage_path: Optional[str] = None,
-                 pool_pages: Optional[int] = None,
-                 page_size: Optional[int] = None,
-                 default_deadline_seconds: Optional[float] = None):
-        if case_dispatch not in ("linear", "hash"):
-            raise ValueError("case_dispatch must be 'linear' or 'hash'")
+                 pool_pages: int = DEFAULT_POOL_PAGES,
+                 page_size: int = DEFAULT_PAGE_SIZE,
+                 default_deadline_seconds: Optional[float] = None,
+                 **execution: Any):
+        # First: a bad knob must fail before a disk store is opened.
+        options = ExecutorOptions(**execution)
         if storage not in STORAGE_BACKENDS:
             raise ValueError(
                 f"storage must be one of {', '.join(STORAGE_BACKENDS)}")
@@ -125,70 +110,78 @@ class Database:
         if storage == "memory" and storage_path is not None:
             raise ValueError(
                 "storage_path is only valid with storage='disk'")
-        if pool_pages is not None and pool_pages < 1:
+        if pool_pages < 1:
             raise ValueError("pool_pages must be >= 1")
-        if parallel_workers < 1:
-            raise ValueError("parallel_workers must be >= 1")
-        if parallel_backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"parallel_backend must be one of "
-                f"{', '.join(PARALLEL_BACKENDS)}")
-        if morsel_rows < 1:
-            raise ValueError("morsel_rows must be >= 1")
         if default_deadline_seconds is not None \
                 and default_deadline_seconds <= 0:
             raise ValueError("default_deadline_seconds must be > 0")
-        self.default_deadline_seconds = default_deadline_seconds
-        self.clock = clock if clock is not None else MonotonicClock()
-        self.metrics = metrics if metrics is not None \
-            else MetricsRegistry()
-        self.tracer = Tracer(clock=self.clock, enabled=tracing)
-        self.catalog = Catalog(max_columns=max_columns,
-                               max_name_length=max_name_length)
-        self.stats = StatsCollector(keep_history=keep_history,
-                                    registry=self.metrics)
-        self.storage_backend = storage
-        self.storage_engine: Optional[StorageEngine] = None
+        clock = clock if clock is not None else MonotonicClock()
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        catalog = Catalog(max_columns=max_columns,
+                          max_name_length=max_name_length)
+        stats = StatsCollector(keep_history=keep_history,
+                               registry=metrics)
+        storage_engine = None
         if storage == "disk":
-            engine_kwargs = {}
-            if page_size is not None:
-                engine_kwargs["page_size"] = page_size
-            self.storage_engine = StorageEngine(
-                storage_path,
-                pool_pages=(pool_pages if pool_pages is not None
-                            else DEFAULT_POOL_PAGES),
-                registry=self.metrics,
-                stats=self.stats,
-                **engine_kwargs)
-            self.catalog.storage = self.storage_engine
+            storage_engine = StorageEngine(
+                storage_path, page_size=page_size, pool_pages=pool_pages,
+                registry=metrics, stats=stats)
+            catalog.storage = storage_engine
             # Recover whatever a previous incarnation committed; a
             # fresh directory just writes a clean baseline checkpoint.
             # A failed recovery (e.g. a corrupt committed page) must
             # not leak the half-open store.
             try:
-                self.storage_engine.open_catalog(self.catalog)
+                storage_engine.open_catalog(catalog)
             except BaseException:
-                self.storage_engine.abandon()
+                storage_engine.abandon()
                 raise
-        self.options = ExecutorOptions(
-            case_dispatch=case_dispatch,
-            use_indexes=use_indexes,
-            use_encoding_cache=use_encoding_cache,
-            parallel_degree=parallel_workers,
-            parallel_backend=parallel_backend,
-            morsel_rows=morsel_rows,
-            storage=storage)
-        self.governor = ResourceGovernor(ResourceBudget(
-            max_seconds=max_query_seconds,
-            max_rows=max_query_rows,
-            max_result_width=max_result_width), clock=self.clock)
-        self.executor = Executor(self.catalog, self.stats, self.options,
-                                 governor=self.governor,
-                                 tracer=self.tracer)
+        self._assemble(
+            catalog, stats, options,
+            ResourceGovernor(budget, clock=clock),
+            Tracer(clock=clock, enabled=tracing), clock, metrics,
+            storage_engine, default_deadline_seconds)
+
+    def _assemble(self, catalog: Catalog, stats: StatsCollector,
+                  options: ExecutorOptions, governor: ResourceGovernor,
+                  tracer: Tracer, clock: Clock, metrics: MetricsRegistry,
+                  storage_engine: Optional[StorageEngine],
+                  default_deadline_seconds: Optional[float]) -> None:
+        """Wire a database from its parts.  ``__init__`` builds fresh
+        parts from keywords; a snapshot reader
+        (:class:`~repro.service.snapshots.SnapshotDatabase`) hands in
+        the base's shared ones beside its private catalog and options.
+        Every attribute a Database has is set here and nowhere else."""
+        self.catalog = catalog
+        self.stats = stats
+        self.governor = governor
+        self.tracer = tracer
+        self.clock = clock
+        self.metrics = metrics
+        self.storage_engine = storage_engine
+        self.default_deadline_seconds = default_deadline_seconds
+        self.executor = Executor(catalog, stats, options,
+                                 governor=governor, tracer=tracer)
         # Statement-level serialization: concurrent sessions (the
         # paper's closing scenario, "users concurrently submit
         # percentage queries") interleave whole statements safely.
         self._lock = threading.RLock()
+
+    @property
+    def options(self) -> ExecutorOptions:
+        """The execution knobs in force (immutable; see
+        :meth:`configure`)."""
+        return self.executor.options
+
+    def configure(self, **overrides: Any) -> None:
+        """Change execution knobs: ``db.configure(parallel_workers=4,
+        parallel_backend="process")``.  Takes the fields of
+        :class:`~repro.engine.executor.ExecutorOptions` and validates
+        exactly as the constructor does; waits out a statement in
+        flight, so no statement runs under a mix of old and new."""
+        with self._lock:
+            self.executor.options = dataclasses.replace(self.options,
+                                                        **overrides)
 
     # ------------------------------------------------------------------
     # SQL execution
@@ -210,11 +203,9 @@ class Database:
         disables materialized-view rewrites for this statement (the
         recompute baseline the differential oracle compares against).
         """
-        statement = parse_statement(sql)
-        return self._run(statement, sql,
-                         deadline_seconds=deadline_seconds,
-                         cancel_token=cancel_token,
-                         use_views=use_views)
+        return self.execute_statement(parse_statement(sql), sql,
+                                      deadline_seconds, cancel_token,
+                                      use_views)
 
     def execute_statement(self, statement: ast.Statement,
                           sql: str = "",
@@ -222,11 +213,34 @@ class Database:
                           cancel_token: Optional[CancelToken] = None,
                           use_views: bool = True
                           ) -> Table | int:
-        """Run an already-parsed statement (used by the code generator)."""
-        return self._run(statement, sql,
-                         deadline_seconds=deadline_seconds,
-                         cancel_token=cancel_token,
-                         use_views=use_views)
+        """Run an already-parsed statement (used by the code
+        generator); :meth:`execute` is this after parsing."""
+        token = self._statement_token(deadline_seconds, cancel_token)
+        cancel_ctx = cancel_mod.activate(token) if token is not None \
+            else nullcontext()
+        with self._lock, cancel_ctx, self.governor.window():
+            tracer = self.tracer
+            before = self.stats.snapshot()
+            started = self.clock.now()
+            with tracer_mod.activate(tracer), \
+                    tracer.span("statement", kind="statement",
+                                sql=sql or type(statement).__name__
+                                ) as span:
+                result = self.executor.execute(statement, use_views)
+                record = self.stats.diff_since(before)
+                record.sql = sql
+                record.elapsed_seconds = self.clock.now() - started
+                if span is not None:
+                    span.attrs["result_rows"] = (
+                        result.n_rows if isinstance(result, Table)
+                        else int(result))
+                    # Counter deltas on the span: what this statement
+                    # charged.  Under concurrency the diff can include
+                    # other sessions' work (shared counters); the
+                    # charge audit therefore only runs serially.
+                    span.attrs.update(record.counters())
+            self.stats.record_statement(record)
+            return result
 
     def execute_script(self, sql: str,
                        deadline_seconds: Optional[float] = None,
@@ -240,7 +254,8 @@ class Database:
         ctx = cancel_mod.activate(token) if token is not None \
             else nullcontext()
         with ctx:
-            return [self._run(s, sql) for s in parse_script(sql)]
+            return [self.execute_statement(s, sql)
+                    for s in parse_script(sql)]
 
     def query(self, sql: str) -> list[tuple[Any, ...]]:
         """Run a SELECT and return rows as Python tuples."""
@@ -273,48 +288,6 @@ class Database:
                 self.default_deadline_seconds, clock=self.clock,
                 registry=self.metrics)
         return None
-
-    def _run(self, statement: ast.Statement, sql: str,
-             deadline_seconds: Optional[float] = None,
-             cancel_token: Optional[CancelToken] = None,
-             use_views: bool = True) -> Table | int:
-        token = self._statement_token(deadline_seconds, cancel_token)
-        cancel_ctx = cancel_mod.activate(token) if token is not None \
-            else nullcontext()
-        with self._lock, cancel_ctx, self.governor.window():
-            # Flipped under the statement lock, so the per-statement
-            # override cannot leak into a concurrent session.
-            saved_rewrite = self.options.matview_rewrite
-            self.options.matview_rewrite = saved_rewrite and use_views
-            try:
-                return self._run_locked(statement, sql)
-            finally:
-                self.options.matview_rewrite = saved_rewrite
-
-    def _run_locked(self, statement: ast.Statement,
-                    sql: str) -> Table | int:
-        tracer = self.tracer
-        before = self.stats.snapshot()
-        started = self.clock.now()
-        with tracer_mod.activate(tracer), \
-                tracer.span("statement", kind="statement",
-                            sql=sql or type(statement).__name__
-                            ) as span:
-            result = self.executor.execute(statement)
-            record = self.stats.diff_since(before)
-            record.sql = sql
-            record.elapsed_seconds = self.clock.now() - started
-            if span is not None:
-                span.attrs["result_rows"] = (
-                    result.n_rows if isinstance(result, Table)
-                    else int(result))
-                # Counter deltas on the span: what this statement
-                # charged.  Under concurrency the diff can include
-                # other sessions' work (shared counters); the
-                # charge audit therefore only runs serially.
-                span.attrs.update(record.counters())
-        self.stats.record_statement(record)
-        return result
 
     def last_statement_stats(self) -> Optional[StatementStats]:
         if self.stats.history:
@@ -381,56 +354,21 @@ class Database:
     def table_names(self) -> list[str]:
         return self.catalog.table_names()
 
-    def set_case_dispatch(self, mode: str) -> None:
-        if mode not in ("linear", "hash"):
-            raise ValueError("case_dispatch must be 'linear' or 'hash'")
-        self.options.case_dispatch = mode
-
-    def set_use_indexes(self, enabled: bool) -> None:
-        self.options.use_indexes = bool(enabled)
-
-    def set_use_encoding_cache(self, enabled: bool) -> None:
-        self.options.use_encoding_cache = bool(enabled)
-
-    def set_parallel_workers(self, workers: int) -> None:
-        """Set the intra-query parallelism budget (1 = serial)."""
-        if workers < 1:
-            raise ValueError("parallel_workers must be >= 1")
-        self.options.parallel_degree = int(workers)
-
-    def set_parallel_backend(self, backend: str,
-                             morsel_rows: Optional[int] = None) -> None:
-        """Choose the morsel dispatcher: ``"serial"``, ``"thread"``
-        or ``"process"`` (see docs/parallelism.md).  ``morsel_rows``
-        (optional) sets the work-unit size."""
-        if backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"parallel_backend must be one of "
-                f"{', '.join(PARALLEL_BACKENDS)}")
-        self.options.parallel_backend = backend
-        if morsel_rows is not None:
-            if morsel_rows < 1:
-                raise ValueError("morsel_rows must be >= 1")
-            self.options.morsel_rows = int(morsel_rows)
-
     def encoding_cache_info(self) -> dict[str, Any]:
         """Occupancy and traffic counters of the dictionary-encoding
         cache (hits/misses/evictions, bytes, hit rate)."""
         return self.catalog.encoding_cache.info()
 
     def set_resource_budget(self,
-                            max_seconds: Optional[float] = None,
-                            max_rows: Optional[int] = None,
-                            max_result_width: Optional[int] = None
+                            budget: ResourceBudget = ResourceBudget()
                             ) -> None:
-        """Replace the per-query resource budgets (None = unlimited).
+        """Replace the per-query resource budgets (no argument =
+        unlimited).
 
         Takes effect for the next query window; a window already open
         keeps the budget it started with only for its elapsed clock
         (limits are read at each checkpoint)."""
-        self.governor.set_budget(ResourceBudget(
-            max_seconds=max_seconds, max_rows=max_rows,
-            max_result_width=max_result_width))
+        self.governor.set_budget(budget)
 
     def resource_budget(self) -> ResourceBudget:
         return self.governor.budget
@@ -440,10 +378,9 @@ class Database:
     # ------------------------------------------------------------------
     def storage_info(self) -> dict[str, Any]:
         """Backend name plus, on disk, store/pool occupancy."""
-        info: dict[str, Any] = {"backend": self.storage_backend}
-        if self.storage_engine is not None:
-            info.update(self.storage_engine.info())
-        return info
+        if self.storage_engine is None:
+            return {"backend": "memory"}
+        return {"backend": "disk", **self.storage_engine.info()}
 
     def checkpoint(self) -> None:
         """Persist the full catalog manifest and truncate the WAL.

@@ -90,13 +90,13 @@ def _run_intra_query_sweep(db: Database,
     sql = ("SELECT dweek, monthno, dept, sum(salesamt), "
            "avg(salesamt), count(*) FROM sales "
            "GROUP BY dweek, monthno, dept")
-    db.set_parallel_workers(1)
+    db.configure(parallel_workers=1)
     baseline_rows = db.query(sql)
-    db.set_parallel_backend("thread", morsel_rows=sweep_morsel_rows(
+    db.configure(parallel_backend="thread", morsel_rows=sweep_morsel_rows(
         db.table("sales").n_rows, worker_counts))
     entries = []
     for workers in worker_counts:
-        db.set_parallel_workers(workers)
+        db.configure(parallel_workers=workers)
         runs = []
         for _ in range(repeats):
             started = time.perf_counter()
@@ -108,7 +108,7 @@ def _run_intra_query_sweep(db: Database,
             "runs": [round(r, 6) for r in runs],
             "bit_identical_to_serial": rows == baseline_rows,
         })
-    db.set_parallel_workers(1)
+    db.configure(parallel_workers=1)
     base = entries[0]["best_seconds"]
     for entry in entries:
         entry["speedup_vs_serial"] = round(

@@ -219,7 +219,7 @@ def run_encoding_cache_benchmark(employee_n: int = 100_000,
 
     entries = []
     for label, form, sql, strategy in queries:
-        db.set_use_encoding_cache(True)
+        db.configure(use_encoding_cache=True)
         cache.clear()
         cache.reset_counters()
         cold_seconds, cold_io = run_once(sql, strategy)
@@ -231,9 +231,9 @@ def run_encoding_cache_benchmark(employee_n: int = 100_000,
         warm_seconds = min(warm_runs)
         info = cache.info()
 
-        db.set_use_encoding_cache(False)
+        db.configure(use_encoding_cache=False)
         off_seconds, off_io = run_once(sql, strategy)
-        db.set_use_encoding_cache(True)
+        db.configure(use_encoding_cache=True)
 
         entries.append({
             "label": label,
@@ -296,7 +296,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                              "vs off, plus the deadline-token "
                              "bookkeeping overhead; views: "
                              "materialized percentage views -- delta "
-                             "maintenance vs full recompute at a 1% "
+                             "maintenance vs full recompute at a 1%% "
                              "update rate, and view-answered reads vs "
                              "cold Vpct evaluation; cube: shared-scan "
                              "grouping-sets evaluation vs the per-set "

@@ -24,7 +24,7 @@ import os
 import time
 
 from repro.api.database import Database
-from repro.engine.executor import DEFAULT_MORSEL_ROWS
+from repro.engine.executor import ExecutorOptions
 
 #: The measured statement: enough aggregate work per row that kernel
 #: compute dominates dispatch/merge overhead.
@@ -47,7 +47,7 @@ def sweep_morsel_rows(n_rows: int, worker_counts: tuple[int, ...]) -> int:
     on small inputs until the widest degree still gets two morsels per
     worker -- otherwise a small ``--sales`` would not split and the
     bit-identity gate would compare serial with serial."""
-    return max(1, min(DEFAULT_MORSEL_ROWS,
+    return max(1, min(ExecutorOptions.morsel_rows,
                       n_rows // (2 * max(worker_counts))))
 
 
@@ -56,8 +56,8 @@ def _sweep(db: Database, backend: str, baseline_rows: list,
            serial_best: float, morsel_rows: int) -> list[dict]:
     entries = []
     for workers in worker_counts:
-        db.set_parallel_workers(workers)
-        db.set_parallel_backend(backend, morsel_rows=morsel_rows)
+        db.configure(parallel_workers=workers, parallel_backend=backend,
+                     morsel_rows=morsel_rows)
         rows = db.query(QUERY)
         runs = _time_runs(db, repeats)
         best = min(runs)
@@ -82,8 +82,7 @@ def run_multicore_benchmark(sales_n: int = 300_000,
     db = Database()
     load_sales(db, sales_n)
 
-    db.set_parallel_workers(1)
-    db.set_parallel_backend("serial")
+    db.configure(parallel_workers=1, parallel_backend="serial")
     baseline_rows = db.query(QUERY)
     serial_runs = _time_runs(db, repeats)
     serial_best = min(serial_runs)
@@ -93,8 +92,7 @@ def run_multicore_benchmark(sales_n: int = 300_000,
                      repeats, serial_best, morsel_rows)
     threads = _sweep(db, "thread", baseline_rows, worker_counts,
                      repeats, serial_best, morsel_rows)
-    db.set_parallel_workers(1)
-    db.set_parallel_backend("serial")
+    db.configure(parallel_workers=1, parallel_backend="serial")
 
     registry = db.stats.registry.samples()
     shm_bytes = sum(v for k, v in registry.items()

@@ -41,7 +41,7 @@ from repro.core.optimizer import (alternate_strategy,
 from repro.core.plan import GeneratedPlan
 from repro.core.vertical import VerticalStrategy, generate_vertical
 from repro.engine import faults
-from repro.engine.catalog import CatalogSavepoint
+from repro.engine.catalog import CatalogSnapshot
 from repro.engine.table import Table
 from repro.errors import (PercentageQueryError, ReproError,
                           TransientError)
@@ -126,8 +126,7 @@ def _view_plan(db: Database,
     the view (refreshing first when stale), so the answer is the
     maintained result itself -- no re-projection layer that could
     perturb bit-identity."""
-    if not query.sql or not db.options.matview_rewrite \
-            or not db.catalog.matviews():
+    if not query.sql or not db.catalog.matviews():
         return None
     from repro.sql import ast as sql_ast
     from repro.sql.parser import parse_statement
@@ -320,7 +319,7 @@ def _run_steps(db: Database, plan: GeneratedPlan) -> tuple[Any, int]:
     return result, statements
 
 
-def _rollback_or_chain(db: Database, savepoint: CatalogSavepoint,
+def _rollback_or_chain(db: Database, savepoint: CatalogSnapshot,
                        exc: BaseException) -> None:
     """Roll the catalog back; if rollback itself fails, re-raise the
     *original* error with the rollback failure chained (never mask the

@@ -17,7 +17,7 @@ Concurrency model (the substrate under :mod:`repro.service`):
 * **Snapshots.**  :meth:`snapshot` captures the current dicts plus a
   monotonically increasing :attr:`version` as an immutable
   :class:`CatalogSnapshot` -- an O(1) operation (no copying) thanks to
-  copy-on-write.  :meth:`from_snapshot` rehydrates a snapshot into a
+  copy-on-write.  :meth:`overlay` rehydrates a snapshot into a
   private overlay catalog that snapshot-isolated readers can run whole
   multi-statement plans against (their temp tables never touch the
   shared catalog).
@@ -30,7 +30,7 @@ Concurrency model (the substrate under :mod:`repro.service`):
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -43,25 +43,6 @@ from repro.errors import CatalogError
 
 
 @dataclass(frozen=True)
-class CatalogSavepoint:
-    """An O(#names) snapshot of the catalog's name spaces.
-
-    Tables are immutable (every DML swaps in a whole new
-    :class:`~repro.engine.table.Table`), so shallow dict copies pin the
-    exact pre-savepoint contents; no column data is duplicated.
-    Indexes are immutable once published (DML swaps in freshly
-    digested replacements), so rollback normally restores the captured
-    objects as-is and only re-digests an index whose table binding no
-    longer matches the restored table.
-    """
-
-    tables: dict[str, Table] = field(default_factory=dict)
-    views: dict[str, object] = field(default_factory=dict)
-    indexes: dict[str, HashIndex] = field(default_factory=dict)
-    matviews: dict[str, object] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class CatalogSnapshot:
     """An immutable, internally consistent view of the catalog.
 
@@ -69,17 +50,31 @@ class CatalogSnapshot:
     snapshots with equal versions saw byte-identical catalogs.  The
     mappings are read-only proxies over the published (never again
     mutated) dicts, so holding a snapshot costs no copying and pins the
-    exact table/index objects -- the same immutability argument behind
-    :meth:`Catalog.fingerprint`.
+    exact table/index/view objects.  That makes it the savepoint too:
+    :meth:`Catalog.rollback` restores the captured objects as-is
+    (indexes are immutable once published -- DML swaps in freshly
+    digested replacements -- so only an index whose table binding no
+    longer matches the restored table is re-digested).
     """
 
     version: int
     tables: Mapping[str, Table]
     views: Mapping[str, object]
     indexes: Mapping[str, HashIndex]
-    fingerprint: tuple
-    matviews: Mapping[str, object] = \
-        field(default_factory=lambda: MappingProxyType({}))
+    matviews: Mapping[str, object]
+
+    @property
+    def fingerprint(self) -> tuple:
+        """Object identities per name space.  Tables are immutable, so
+        "same name bound to the same object" implies "same content":
+        equal fingerprints mean the catalog is byte-identical from a
+        reader's point of view (the snapshot pins the objects, so
+        ``id`` values cannot be recycled while it is held)."""
+        return (tuple(sorted((k, id(t)) for k, t in self.tables.items())),
+                tuple(sorted(self.views)),
+                tuple(sorted((k, id(i)) for k, i in self.indexes.items())),
+                tuple(sorted((k, id(m))
+                             for k, m in self.matviews.items())))
 
 
 class Catalog:
@@ -108,7 +103,7 @@ class Catalog:
         #: mutating operation commits through the engine's write-ahead
         #: log *before* publishing in memory, and tables are persisted
         #: to pages on the way in.  Overlay catalogs built by
-        #: :meth:`from_snapshot` leave it ``None``: snapshot-isolated
+        #: :meth:`overlay` leave it ``None``: snapshot-isolated
         #: temp DDL stays in memory (published StoredTables keep their
         #: own engine reference, so overlay reads still work).
         self.storage = None
@@ -158,26 +153,22 @@ class Catalog:
             tables=MappingProxyType(tables),
             views=MappingProxyType(views),
             indexes=MappingProxyType(indexes),
-            fingerprint=_fingerprint(tables, views, indexes, matviews),
             matviews=MappingProxyType(matviews))
 
-    @classmethod
-    def from_snapshot(cls, snapshot: CatalogSnapshot,
-                      max_columns: int, max_name_length: int,
-                      encoding_cache: EncodingCache) -> "Catalog":
-        """A private overlay catalog seeded from ``snapshot``.
+    def overlay(self, snapshot: CatalogSnapshot) -> "Catalog":
+        """A private overlay of this catalog seeded from ``snapshot``.
 
         The overlay starts with the snapshot's exact objects and keeps
-        full catalog semantics, so a snapshot-isolated reader can run
-        multi-statement plans (temp CREATE/INSERT/UPDATE/DROP) without
-        any of it becoming visible outside -- the copy-on-write
-        discipline guarantees the shared objects are never mutated.
-        The dictionary-encoding cache is shared: it is thread-safe and
-        version-keyed, so overlay temps and base tables coexist.
+        full catalog semantics (this catalog's limits included), so a
+        snapshot-isolated reader can run multi-statement plans (temp
+        CREATE/INSERT/UPDATE/DROP) without any of it becoming visible
+        outside -- the copy-on-write discipline guarantees the shared
+        objects are never mutated.  The dictionary-encoding cache is
+        shared: it is thread-safe and version-keyed, so overlay temps
+        and base tables coexist.
         """
-        overlay = cls(max_columns=max_columns,
-                      max_name_length=max_name_length,
-                      encoding_cache=encoding_cache)
+        overlay = Catalog(self.max_columns, self.max_name_length,
+                          self.encoding_cache)
         overlay._tables = dict(snapshot.tables)
         overlay._views = dict(snapshot.views)
         overlay._indexes = dict(snapshot.indexes)
@@ -465,28 +456,17 @@ class Catalog:
     # ------------------------------------------------------------------
     # Savepoints (the atomicity substrate for multi-statement plans)
     # ------------------------------------------------------------------
-    def savepoint(self) -> CatalogSavepoint:
-        """Snapshot every name space; cheap (no data is copied)."""
-        with self._publish_lock:
-            return CatalogSavepoint(tables=dict(self._tables),
-                                    views=dict(self._views),
-                                    indexes=dict(self._indexes),
-                                    matviews=dict(self._matviews))
+    def savepoint(self) -> CatalogSnapshot:
+        """The state :meth:`rollback` restores: a :meth:`snapshot`
+        (O(1) under copy-on-write publication; no data is copied)."""
+        return self.snapshot()
 
     def fingerprint(self) -> tuple:
-        """An identity snapshot for crash-consistency checks.
+        """The current state's :attr:`CatalogSnapshot.fingerprint`,
+        for crash-consistency checks."""
+        return self.snapshot().fingerprint
 
-        Because tables are immutable, "same name bound to the same
-        object" implies "same content": two fingerprints being equal
-        means the catalog is byte-identical from a reader's point of
-        view.  Hold a :meth:`savepoint` alongside the fingerprint to
-        pin the objects (so ``id`` values cannot be recycled).
-        """
-        with self._publish_lock:
-            return _fingerprint(self._tables, self._views,
-                                self._indexes, self._matviews)
-
-    def rollback(self, savepoint: CatalogSavepoint) -> None:
+    def rollback(self, savepoint: CatalogSnapshot) -> None:
         """Restore the catalog to ``savepoint``.
 
         Tables and views snap back to the exact objects captured
@@ -547,13 +527,3 @@ class Catalog:
                       indexes=dict(indexes),
                       matviews=dict(matviews) if matviews is not None
                       else None)
-
-
-def _fingerprint(tables: Mapping[str, Table],
-                 views: Mapping[str, object],
-                 indexes: Mapping[str, HashIndex],
-                 matviews: Mapping[str, object] = {}) -> tuple:
-    return (tuple(sorted((k, id(t)) for k, t in tables.items())),
-            tuple(sorted(views)),
-            tuple(sorted((k, id(i)) for k, i in indexes.items())),
-            tuple(sorted((k, id(m)) for k, m in matviews.items())))

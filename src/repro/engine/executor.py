@@ -55,72 +55,72 @@ from repro.obs.tracer import Tracer
 from repro.sql import ast
 
 
-@dataclass
+#: Parallel execution substrates (``ExecutorOptions.parallel_backend``).
+PARALLEL_BACKENDS = ("serial", "thread", "process")
+
+
+@dataclass(frozen=True)
 class ExecutorOptions:
-    """Tunable evaluation behavior.
+    """The execution knobs -- names, defaults and legal values -- stated
+    once.  ``Database(**execution)``, ``Database.configure``,
+    ``SessionDefaults``, ``QueryService`` and ``dbapi.connect`` all
+    build or ``dataclasses.replace`` this value, so every surface
+    accepts the same names and rejects an illegal value with the same
+    ``ValueError`` from ``__post_init__``.  What each knob costs or
+    buys, and which of the paper's levers it is:
+    docs/engine_internals.md, "Execution options".
 
     ``case_dispatch``:
-        ``"linear"`` (default) evaluates every CASE term for every row,
-        which is what the paper says real optimizers do; ``"hash"``
-        enables the O(1)-per-row dispatch the paper proposes for
-        disjoint pivot-style CASE aggregations (Section 3.2 /
-        DMKD Section 3.5) -- the ablation benchmark toggles this.
+        ``"linear"`` evaluates every CASE term for every row, which is
+        what the paper says real optimizers do; ``"hash"`` is the
+        O(1)-per-row dispatch the paper proposes for disjoint
+        pivot-style CASE aggregations (Section 3.2 / DMKD Section 3.5).
     ``use_indexes``:
-        when True, joins reuse a covering index's pre-built hash side.
+        joins reuse a covering index's pre-built hash side.
     ``use_encoding_cache``:
-        when True (default), base-table dictionary encodings are served
-        from the catalog's table-versioned cache instead of being
-        recomputed per plan step.  Disabling it (the
-        ``--no-encoding-cache`` ablation) changes wall-clock time only;
-        results and logical-I/O counters are identical either way.
-    ``parallel_degree``:
-        intra-query parallelism: with a degree above 1 a grouped
-        aggregation whose grouping splits into at least two morsels
-        fans out (the thread backend runs at most this many morsels at
-        once).  Results are bit-identical to serial execution on every
-        backend, so this is a wall-clock knob only.
+        base-table dictionary encodings are served from the catalog's
+        table-versioned cache instead of recomputed per plan step.
+        Wall-clock only: results and logical-I/O counters are identical
+        either way.
+    ``parallel_workers``:
+        intra-query parallelism: above 1, a grouped aggregation whose
+        grouping splits into at least two morsels fans out (the thread
+        backend runs at most this many morsels at once).  Bit-identical
+        to serial execution on every backend.
     ``parallel_backend``:
-        which dispatcher runs the morsels: ``"thread"`` (default) the
-        shared operator thread pool over the in-process arrays;
-        ``"process"`` the worker *process* pool over shared-memory
-        column blocks (GIL-free -- see docs/parallelism.md);
-        ``"serial"`` disables parallel aggregation regardless of
-        ``parallel_degree``.
+        which dispatcher runs the morsels: ``"thread"`` the shared
+        operator thread pool over the in-process arrays; ``"process"``
+        the worker *process* pool over shared-memory column blocks
+        (GIL-free -- see docs/parallelism.md); ``"serial"`` disables
+        parallel aggregation regardless of ``parallel_workers``.
     ``morsel_rows``:
-        target rows per morsel.  Smaller morsels improve load
-        balancing on skewed groups; larger morsels amortize per-task
-        dispatch overhead.
-    ``storage``:
-        which table substrate the owning Database runs on --
-        ``"memory"`` (heap tables) or ``"disk"`` (page-backed tables
-        behind a buffer pool).  Informational at the executor level
-        (tables arrive already bound to their backend); EXPLAIN
-        reports it.
-    ``matview_rewrite``:
-        when True (default), a SELECT that matches a registered
-        materialized view's canonical definition is answered from the
-        view (refreshing it first when stale), and percentage queries
-        short-circuit through :func:`repro.core.execute.generate_plan`
-        the same way.  ``Database.execute(..., use_views=False)``
-        disables it per statement for recompute baselines.
+        target rows per morsel.  Smaller morsels balance skewed groups
+        better; larger ones amortize per-task dispatch overhead.
     """
 
     case_dispatch: str = "linear"
     use_indexes: bool = True
     use_encoding_cache: bool = True
-    parallel_degree: int = 1
+    parallel_workers: int = 1
     parallel_backend: str = "thread"
     morsel_rows: int = 8192
-    storage: str = "memory"
-    matview_rewrite: bool = True
 
-
-#: Parallel execution substrates (``ExecutorOptions.parallel_backend``).
-PARALLEL_BACKENDS = ("serial", "thread", "process")
-
-#: Default target rows per morsel (mirrors
-#: ``ExecutorOptions.morsel_rows``).
-DEFAULT_MORSEL_ROWS = 8192
+    def __post_init__(self) -> None:
+        if self.case_dispatch not in ("linear", "hash"):
+            raise ValueError("case_dispatch must be 'linear' or 'hash'")
+        for knob in ("use_indexes", "use_encoding_cache"):
+            # Not truthiness: a None meant as "unset" must not
+            # silently read as "off".
+            if not isinstance(getattr(self, knob), bool):
+                raise ValueError(f"{knob} must be True or False")
+        if self.parallel_workers < 1:
+            raise ValueError("parallel_workers must be >= 1")
+        if self.parallel_backend not in PARALLEL_BACKENDS:
+            raise ValueError(
+                f"parallel_backend must be one of "
+                f"{', '.join(PARALLEL_BACKENDS)}")
+        if self.morsel_rows < 1:
+            raise ValueError("morsel_rows must be >= 1")
 
 
 @dataclass
@@ -287,16 +287,19 @@ class Executor:
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def execute(self, statement: ast.Statement) -> Table | int:
-        """Run one statement; SELECT returns a Table, DML a row count."""
+    def execute(self, statement: ast.Statement,
+                use_views: bool = True) -> Table | int:
+        """Run one statement; SELECT returns a Table, DML a row count.
+        ``use_views=False`` keeps every SELECT in the statement off the
+        materialized views (the recompute baseline)."""
         cancel.checkpoint("statement")
         self.governor.check_time("statement start")
         if isinstance(statement, ast.Select):
-            return self.run_select(statement)
+            return self.run_select(statement, use_views=use_views)
         if isinstance(statement, ast.CreateTable):
             return self._create_table(statement)
         if isinstance(statement, ast.CreateTableAs):
-            return self._create_table_as(statement)
+            return self._create_table_as(statement, use_views)
         if isinstance(statement, ast.DropTable):
             self.catalog.drop_table(statement.name, statement.if_exists)
             return 0
@@ -310,7 +313,7 @@ class Executor:
         if isinstance(statement, ast.InsertValues):
             return self._insert_values(statement)
         if isinstance(statement, ast.InsertSelect):
-            return self._insert_select(statement)
+            return self._insert_select(statement, use_views)
         if isinstance(statement, ast.Update):
             return self._update(statement)
         if isinstance(statement, ast.Delete):
@@ -332,23 +335,24 @@ class Executor:
         if isinstance(statement, ast.Explain):
             from repro.engine.explain import (explain_analyze_statement,
                                               explain_statement)
-            if statement.analyze:
-                return explain_analyze_statement(self,
-                                                 statement.statement)
-            return explain_statement(self, statement.statement)
+            explain = explain_analyze_statement if statement.analyze \
+                else explain_statement
+            return explain(self, statement.statement, use_views)
         raise PlanningError(f"cannot execute statement {statement!r}")
 
     # ------------------------------------------------------------------
     # SELECT: plan, then run the plan (EXPLAIN renders the same value)
     # ------------------------------------------------------------------
-    def plan_select(self, select: ast.Select) -> SelectPlan:
+    def plan_select(self, select: ast.Select,
+                    use_views: bool = True) -> SelectPlan:
         return plan_select(select, self.catalog,
-                           self.options.use_indexes,
-                           self.options.matview_rewrite)
+                           self.options.use_indexes, use_views)
 
     def run_select(self, select: ast.Select,
-                   result_name: str = "result") -> Table:
-        return self._run_plan(self.plan_select(select), result_name)
+                   result_name: str = "result",
+                   use_views: bool = True) -> Table:
+        return self._run_plan(self.plan_select(select, use_views),
+                              result_name)
 
     def _run_plan(self, plan: SelectPlan, result_name: str) -> Table:
         if plan.matview is not None:
@@ -698,7 +702,7 @@ class Executor:
         opts = self.options
         return morsels.run_grouped_aggregates(
             items, group_ids, n_groups, self.encoding_cache,
-            backend=opts.parallel_backend, workers=opts.parallel_degree,
+            backend=opts.parallel_backend, workers=opts.parallel_workers,
             morsel_rows=opts.morsel_rows, metrics=self.stats.registry,
             tracer=self.tracer, on_parallel=self.note_parallel_degree)
 
@@ -867,9 +871,10 @@ class Executor:
         self.catalog.create_table(Table(schema))
         return 0
 
-    def _create_table_as(self, statement: ast.CreateTableAs) -> int:
-        result = self.run_select(statement.select,
-                                 result_name=statement.name)
+    def _create_table_as(self, statement: ast.CreateTableAs,
+                         use_views: bool) -> int:
+        result = self.run_select(statement.select, statement.name,
+                                 use_views)
         with self._operator("dml-write", charge="write",
                             table=statement.name) as op:
             self.catalog.create_table(result)
@@ -920,10 +925,11 @@ class Executor:
                           len(rows), "insert", rows_written=len(rows))
         return len(rows)
 
-    def _insert_select(self, statement: ast.InsertSelect) -> int:
+    def _insert_select(self, statement: ast.InsertSelect,
+                       use_views: bool) -> int:
         table = self.catalog.table(statement.table)
         schema = table.schema
-        result = self.run_select(statement.select)
+        result = self.run_select(statement.select, use_views=use_views)
         with self._operator("dml-write", site="dml", charge="write",
                             table=statement.table) as op:
             column_order = list(statement.columns) \

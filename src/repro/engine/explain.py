@@ -23,12 +23,14 @@ from repro.sql import ast
 from repro.sql.formatter import format_expr, format_statement
 
 
-def explain_statement(executor, statement: ast.Statement) -> Table:
+def explain_statement(executor, statement: ast.Statement,
+                      use_views: bool = True) -> Table:
     """One plan line per row (column ``plan``)."""
-    return _plan_table(_plan_lines(executor, statement))
+    return _plan_table(_plan_lines(executor, statement, use_views))
 
 
 def explain_analyze_statement(executor, statement: ast.Statement,
+                              use_views: bool = True,
                               normalize=None) -> Table:
     """EXPLAIN ANALYZE: the static plan, then the actuals span tree.
 
@@ -38,7 +40,7 @@ def explain_analyze_statement(executor, statement: ast.Statement,
     trace renders from a private statement span, so concurrent
     statements on other threads never leak into the output.
     """
-    lines = _plan_lines(executor, statement)
+    lines = _plan_lines(executor, statement, use_views)
     tracer = executor.tracer
     was_enabled = tracer.enabled
     tracer.enable()
@@ -47,7 +49,7 @@ def explain_analyze_statement(executor, statement: ast.Statement,
         with tracer_mod.activate(tracer), \
                 tracer.span("statement", kind="statement",
                             sql=format_statement(statement)) as span:
-            result = executor.execute(statement)
+            result = executor.execute(statement, use_views)
             if span is not None:
                 span.attrs["result_rows"] = (
                     result.n_rows if isinstance(result, Table)
@@ -69,16 +71,17 @@ def _plan_table(lines: list[str]) -> Table:
     return Table.from_columns("explain", [("plan", data)])
 
 
-def _plan_lines(executor, statement: ast.Statement) -> list[str]:
+def _plan_lines(executor, statement: ast.Statement,
+                use_views: bool) -> list[str]:
     lines: list[str] = []
     if isinstance(statement, ast.Select):
-        _explain_select(executor, statement, lines, indent=0)
+        _explain_select(executor, statement, lines, 0, use_views)
     elif isinstance(statement, ast.InsertSelect):
         lines.append(f"insert into {statement.table}")
-        _explain_select(executor, statement.select, lines, indent=1)
+        _explain_select(executor, statement.select, lines, 1, use_views)
     elif isinstance(statement, ast.CreateTableAs):
         lines.append(f"create table {statement.name} as")
-        _explain_select(executor, statement.select, lines, indent=1)
+        _explain_select(executor, statement.select, lines, 1, use_views)
     elif isinstance(statement, ast.Update):
         lines.append(f"update {statement.table.name}"
                      + (" (join update)" if statement.from_tables
@@ -110,9 +113,9 @@ def _parallel_line(executor) -> Optional[str]:
     entirely when the engine is serial, so serial plans are unchanged
     (the governor line stays second-to-last either way)."""
     opts = executor.options
-    if opts.parallel_degree <= 1 or opts.parallel_backend == "serial":
+    if opts.parallel_workers <= 1 or opts.parallel_backend == "serial":
         return None
-    return (f"parallel: degree={opts.parallel_degree} "
+    return (f"parallel: degree={opts.parallel_workers} "
             f"backend={opts.parallel_backend} "
             f"(morsel rows {opts.morsel_rows})")
 
@@ -137,14 +140,13 @@ def _deadline_line() -> Optional[str]:
 
 
 def _storage_line(executor) -> Optional[str]:
-    """The table substrate plus buffer-pool occupancy; omitted on the
-    memory backend so existing plans are unchanged (the cache line
-    stays last either way)."""
-    if executor.options.storage != "disk":
-        return None
-    engine = getattr(executor.catalog, "storage", None)
+    """The table substrate plus buffer-pool occupancy; omitted when
+    the catalog is memory-resident (no storage engine behind it) so
+    those plans are unchanged (the cache line stays last either
+    way)."""
+    engine = executor.catalog.storage
     if engine is None:
-        return "storage: disk"
+        return None
     pool = engine.pool.info()
     return (f"storage: disk page_size={engine.page_size} "
             f"pool={pool['pages']}/{pool['capacity']} pages "
@@ -164,9 +166,9 @@ def _cache_line(executor) -> str:
 
 
 def _explain_select(executor, select: ast.Select, lines: list[str],
-                    indent: int) -> None:
+                    indent: int, use_views: bool) -> None:
     """Render the SelectPlan the executor would run, top step first."""
-    plan = executor.plan_select(select)
+    plan = executor.plan_select(select, use_views)
     pad = "  " * indent
 
     def emit(text: str, extra: int = 0) -> None:

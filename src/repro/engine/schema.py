@@ -44,13 +44,14 @@ class TableSchema:
     primary_key: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for col in self.columns:
-            key = col.name.lower()
-            if key in seen:
+        # Case-folded name -> position, built once: every lookup below
+        # answers from it (a 1,201-column Hpct result resolves
+        # thousands of names per statement).
+        self._positions: dict[str, int] = {}
+        for i, col in enumerate(self.columns):
+            if self._positions.setdefault(col.name.lower(), i) != i:
                 raise CatalogError(
                     f"duplicate column {col.name!r} in table {self.name!r}")
-            seen.add(key)
         for key_col in self.primary_key:
             if not self.has_column(key_col):
                 raise CatalogError(
@@ -62,24 +63,17 @@ class TableSchema:
         return [c.name for c in self.columns]
 
     def has_column(self, name: str) -> bool:
-        lowered = name.lower()
-        return any(c.name.lower() == lowered for c in self.columns)
+        return name.lower() in self._positions
 
     def column(self, name: str) -> ColumnDef:
-        lowered = name.lower()
-        for col in self.columns:
-            if col.name.lower() == lowered:
-                return col
-        raise CatalogError(
-            f"no column {name!r} in table {self.name!r}")
+        return self.columns[self.column_index(name)]
 
     def column_index(self, name: str) -> int:
-        lowered = name.lower()
-        for i, col in enumerate(self.columns):
-            if col.name.lower() == lowered:
-                return i
-        raise CatalogError(
-            f"no column {name!r} in table {self.name!r}")
+        try:
+            return self._positions[name.lower()]
+        except KeyError:
+            raise CatalogError(
+                f"no column {name!r} in table {self.name!r}") from None
 
     def column_type(self, name: str) -> SQLType:
         return self.column(name).sql_type

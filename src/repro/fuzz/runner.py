@@ -54,6 +54,7 @@ from repro.core.hagg import HorizontalAggStrategy
 from repro.core.horizontal import HorizontalStrategy
 from repro.core.model import parse_percentage_query
 from repro.core.vertical import VerticalStrategy
+from repro.engine.governor import ResourceBudget
 from repro.errors import QueryTimeout
 from repro.fuzz.comparator import compare_outcomes
 from repro.fuzz.dialect import cube_to_union_sql
@@ -357,7 +358,7 @@ def _variants(case: FuzzCase, inject_bug: Optional[str],
     # budget; the sqlite oracle has no governor.
     kw: dict[str, Any] = {}
     if case_timeout is not None:
-        kw["max_query_seconds"] = case_timeout
+        kw["budget"] = ResourceBudget(max_seconds=case_timeout)
     if trace:
         kw["tracing"] = True
     engine, sqlite = _strategies(case, inject_bug)

@@ -241,7 +241,7 @@ class _Run:
         # The savepoint pins the baseline objects so the identity-based
         # fingerprint cannot suffer id() recycling.
         savepoint = db.catalog.savepoint()
-        fingerprint = db.catalog.fingerprint()
+        fingerprint = savepoint.fingerprint
         if armed is None:
             armed = self.kind.counter()
         with self.kind.activate(armed):

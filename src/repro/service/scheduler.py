@@ -372,7 +372,7 @@ class Scheduler:
                  "capacity").inc()
         return dataclasses.replace(
             options, case_dispatch="hash", parallel_backend="serial",
-            parallel_degree=1), True
+            parallel_workers=1), True
 
     def _run_read(self, session: Session, sql: str,
                   statements: list[ast.Statement], enqueued: float,

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from repro.engine.executor import PARALLEL_BACKENDS, ExecutorOptions
+from repro.engine.executor import ExecutorOptions
 from repro.errors import (AdmissionRejected, CircuitBreakerOpen,
                           SessionClosed)
 
@@ -29,73 +28,39 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.service.scheduler import ServiceReport
 
 
-@dataclass(frozen=True)
 class SessionDefaults:
     """Per-session execution defaults.
 
-    ``None`` means "inherit the base database's setting"; anything else
-    overrides it for this session's snapshot readers.  Write scripts
-    run on the base database and keep its settings -- the knobs below
-    steer read evaluation (CASE dispatch, index usage, cache usage,
-    parallelism), and applying them to the shared writer would leak one
-    session's preferences into every other client's view.
+    ``SessionDefaults(deadline_seconds=2.0, case_dispatch="hash",
+    parallel_workers=4)``: every keyword but ``deadline_seconds`` is an
+    override of one :class:`~repro.engine.executor.ExecutorOptions`
+    field for this session's snapshot readers -- same names, same
+    legal values, checked here at construction; a knob not named
+    inherits the base database's setting.  Write scripts run on the
+    base database and keep its settings: the knobs steer read
+    evaluation (CASE dispatch, index usage, cache usage, parallelism),
+    and applying them to the shared writer would leak one session's
+    preferences into every other client's view.
     """
 
-    case_dispatch: Optional[str] = None
-    use_indexes: Optional[bool] = None
-    use_encoding_cache: Optional[bool] = None
-    parallel_workers: Optional[int] = None
-    parallel_backend: Optional[str] = None
-    morsel_rows: Optional[int] = None
-    #: Wall-clock deadline (seconds) every script submitted through
-    #: this session runs under.  The clock starts at *submission*, so
-    #: queue wait counts against it -- that is what lets the scheduler
-    #: shed a query whose predicted wait already exceeds it.  ``None``
-    #: falls back to the database's ``default_deadline_seconds``.
-    deadline_seconds: Optional[float] = None
-    #: Not an override but a *pin*: a session cannot switch table
-    #: substrates (tables are already bound to one), so a non-None
-    #: value asserts the base database runs on that backend and
-    #: :meth:`resolve` raises on mismatch.
-    storage: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.case_dispatch not in (None, "linear", "hash"):
-            raise ValueError("case_dispatch must be 'linear' or 'hash'")
-        if self.storage not in (None, "memory", "disk"):
-            raise ValueError("storage must be 'memory' or 'disk'")
-        if self.parallel_workers is not None and self.parallel_workers < 1:
-            raise ValueError("parallel_workers must be >= 1")
-        if self.parallel_backend not in (None, *PARALLEL_BACKENDS):
-            raise ValueError(
-                f"parallel_backend must be one of "
-                f"{', '.join(PARALLEL_BACKENDS)}")
-        if self.morsel_rows is not None and self.morsel_rows < 1:
-            raise ValueError("morsel_rows must be >= 1")
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
+    def __init__(self, deadline_seconds: Optional[float] = None,
+                 **overrides: Any):
+        if deadline_seconds is not None and deadline_seconds <= 0:
             raise ValueError("deadline_seconds must be > 0")
+        #: Wall-clock deadline (seconds) every script submitted through
+        #: this session runs under.  The clock starts at *submission*,
+        #: so queue wait counts against it -- that is what lets the
+        #: scheduler shed a query whose predicted wait already exceeds
+        #: it.  ``None`` falls back to the database's
+        #: ``default_deadline_seconds``.
+        self.deadline_seconds = deadline_seconds
+        self.overrides = overrides
+        self.resolve(ExecutorOptions())  # unknown knob or illegal value
 
     def resolve(self, base: ExecutorOptions) -> ExecutorOptions:
         """The effective options: ``base`` with this session's
         overrides applied (a fresh object; ``base`` is not touched)."""
-        def pick(override, inherited):
-            return inherited if override is None else override
-
-        if self.storage is not None and self.storage != base.storage:
-            raise ValueError(
-                f"session pinned storage={self.storage!r} but the "
-                f"database runs on {base.storage!r}")
-        return dataclasses.replace(
-            base,
-            case_dispatch=pick(self.case_dispatch, base.case_dispatch),
-            use_indexes=pick(self.use_indexes, base.use_indexes),
-            use_encoding_cache=pick(self.use_encoding_cache,
-                                    base.use_encoding_cache),
-            parallel_degree=pick(self.parallel_workers,
-                                 base.parallel_degree),
-            parallel_backend=pick(self.parallel_backend,
-                                  base.parallel_backend),
-            morsel_rows=pick(self.morsel_rows, base.morsel_rows))
+        return dataclasses.replace(base, **self.overrides)
 
 
 class Session:

@@ -28,14 +28,13 @@ statements commit to the catalog one at a time.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.api.database import Database
-from repro.engine.catalog import Catalog, CatalogSnapshot
-from repro.engine.executor import Executor, ExecutorOptions
+from repro.engine.catalog import CatalogSnapshot
+from repro.engine.executor import ExecutorOptions
 
 
 @dataclass(frozen=True)
@@ -69,49 +68,46 @@ class Snapshot:
 class SnapshotDatabase(Database):
     """A Database facade over a private overlay of one snapshot.
 
-    Shares with the base database everything that is thread-safe and
-    global by design -- the statistics collector, the resource governor
-    and the dictionary-encoding cache (version-keyed, so overlay temps
-    and base tables coexist) -- and owns everything that carries
-    per-query state: the overlay catalog, the executor options (where
-    per-session defaults land) and the executor itself.
+    Assembled by the same :meth:`Database._assemble` as its base, from
+    the base's shared parts -- everything that is thread-safe and
+    global by design -- plus what carries per-query state:
+
+    * shared: the statistics collector (the executor binds it to the
+      shared encoding cache; a private one would steal the cache's
+      stats mirror from the base), the resource governor, the
+      dictionary-encoding cache (version-keyed, so overlay temps and
+      base tables coexist), the clock, and the tracer and metrics
+      registry -- overlay statements trace under whatever script span
+      the scheduler opened and meter into the base registry, so the
+      telemetry view stays whole-service;
+    * private: the overlay catalog, the executor options (where
+      per-session defaults land), the executor and the statement lock.
 
     DML against this object mutates only the overlay; the base catalog
     and every published object stay untouched.  That is what lets a
     snapshot reader run the paper's multi-statement Vpct/Hpct plans
     (CREATE temp / INSERT / result SELECT / DROP) with zero
-    coordination.
+    coordination.  The page store, on a disk base, is read through but
+    never written: :meth:`storage_info` reports it, while
+    :meth:`checkpoint` and :meth:`close` leave it to the base.
     """
 
     def __init__(self, base: Database, snapshot: Snapshot,
                  options: Optional[ExecutorOptions] = None):
-        # Deliberately no super().__init__(): the overlay borrows the
-        # base's shared services instead of building fresh ones.
-        base_catalog = base.catalog
-        self.catalog = Catalog.from_snapshot(
-            snapshot.catalog, base_catalog.max_columns,
-            base_catalog.max_name_length, base_catalog.encoding_cache)
-        # The stats collector must be the base's: the executor binds it
-        # to the shared encoding cache, and a private collector would
-        # steal the cache's stats mirror from the base.
-        self.stats = base.stats
-        self.options = (dataclasses.replace(options) if options is not None
-                        else dataclasses.replace(base.options))
-        self.governor = base.governor
-        # Observability is shared too: overlay statements trace into
-        # the base tracer (under whatever script span the scheduler
-        # opened) and meter into the base registry, so per-query state
-        # stays private while the telemetry view stays whole-service.
-        self.clock = base.clock
-        self.default_deadline_seconds = base.default_deadline_seconds
-        self.tracer = base.tracer
-        self.metrics = base.metrics
-        self.executor = Executor(self.catalog, self.stats, self.options,
-                                 governor=self.governor,
-                                 tracer=self.tracer)
-        self._lock = threading.RLock()
+        self._assemble(base.catalog.overlay(snapshot.catalog),
+                       base.stats, options or base.options,
+                       base.governor, base.tracer, base.clock,
+                       base.metrics, base.storage_engine,
+                       base.default_deadline_seconds)
         self.snapshot = snapshot
         self.base = base
+
+    def checkpoint(self) -> None:
+        """A reader has nothing durable to persist."""
+
+    def close(self) -> None:
+        """The store is the base's to close; a reader holds no
+        resources of its own."""
 
 
 class SnapshotManager:

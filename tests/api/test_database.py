@@ -36,12 +36,6 @@ class TestExecute:
         with pytest.raises(TypeError):
             Database(encoding_cache_bytes=1)
 
-    def test_bad_option_rejected(self):
-        with pytest.raises(ValueError):
-            Database(case_dispatch="quantum")
-        with pytest.raises(ValueError):
-            Database().set_case_dispatch("quantum")
-
 
 class TestLoadTable:
     def test_bulk_numpy_arrays(self, db):

@@ -3,12 +3,16 @@
 ``BENCHMARK.json`` builds the benchmark from the checkout, so a PR
 that renames something it imports, or a span it folds into a per-layer
 metric, breaks it *after* review.  The full ``--selftest`` runs in CI;
-this is the cheap part: the modules import, and every engine span
-``layers._ENGINE_OPS`` reads is still emitted by some golden trace.
+this is the cheap part: the modules import, the constructor and
+report surface ``workloads.py`` / ``pipeline.py`` call still exists
+with those names, and every engine span ``layers._ENGINE_OPS`` reads is
+still emitted by some golden trace.
 """
 
 import importlib
 from pathlib import Path
+
+from repro.engine.cancel import CancelToken
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "obs" / "golden"
 
@@ -26,6 +30,59 @@ def test_program_surface_the_benchmark_reaches_for():
 
     assert callable(report_header) and callable(Database.execute)
     assert workloads and shm
+
+
+def test_database_surface_the_benchmark_constructs(tmp_path):
+    """``workloads.build_mixed`` / ``_finish_mixed`` and
+    ``pipeline.StagedDatabase``, call for call."""
+    from repro.api.database import Database
+    from repro.sql.parser import parse_statement
+
+    class Staged(Database):
+        def __init__(self, **options):
+            super().__init__(tracing=True, **options)
+
+        def execute(self, sql, **options):
+            return self.execute_statement(parse_statement(sql), sql,
+                                          **options)
+
+    staged = Staged()
+    staged.execute("CREATE TABLE t (a INT)")
+    staged.execute("INSERT INTO t VALUES (1)")
+    assert staged.execute("SELECT a FROM t", use_views=False,
+                          deadline_seconds=60.0).to_rows() == [(1,)]
+    assert staged.execute("SELECT a FROM t",
+                          cancel_token=CancelToken()).n_rows == 1
+    assert staged.tracer.roots()
+    staged.tracer.reset()
+    assert not staged.tracer.roots()
+
+    assert Database().tracer.roots() == []
+    store = str(tmp_path)
+    with Database(storage="disk", storage_path=store, pool_pages=8,
+                  tracing=False) as db:
+        db.checkpoint()
+        options = dict(storage="disk", storage_path=store,
+                       pool_pages=db.storage_engine.pool.capacity)
+    assert options["pool_pages"] == 8
+    Database(**options).close()
+
+
+def test_service_surface_the_benchmark_reads():
+    """``QueryService(db, workers=2)`` and the ``ServiceReport``
+    fields ``pipeline.run_op_staged`` folds into the op span."""
+    from repro.api.database import Database
+    from repro.service import QueryService
+
+    db = Database(tracing=True)
+    db.execute("CREATE TABLE t (a INT)")
+    with QueryService(db, workers=2) as service:
+        report = service.create_session().execute("SELECT a FROM t")
+    assert report.result.n_rows == 0
+    assert report.trace.start >= 0.0
+    assert report.queue_wait_seconds >= 0.0
+    assert report.elapsed_seconds >= 0.0
+    assert report.brownout is False
 
 
 def test_every_folded_engine_span_is_in_some_golden():

@@ -21,9 +21,10 @@ def no_leaks(request, monkeypatch):
     """Every test must leave nothing behind -- the sweep's own leak
     post-condition (:func:`repro.fuzz.variants.leaks`): no
     ``_``-prefixed plan temp table in any :class:`Database` the test
-    built (directly or via fixtures; snapshot overlays skip
-    ``__init__``, so the service suites track their readers
-    explicitly), no live shared-memory segment, no open page store.
+    built (directly or via fixtures; snapshot overlays are assembled
+    from their base's parts, not through ``__init__``, so the service
+    suites track their readers explicitly), no live shared-memory
+    segment, no open page store.
     Debris is reclaimed either way; opt out of the assertion with
     ``@pytest.mark.allow_leaks``."""
     created: list[Database] = []

@@ -119,8 +119,9 @@ class TestFallback:
         assert fact_db.table_names() == ["sales"]
 
     def test_timeout_is_not_fallback_eligible(self, fact_db):
-        fact_db.set_resource_budget(max_seconds=0.0)
+        from repro.engine.governor import ResourceBudget
         from repro.errors import QueryTimeout
+        fact_db.set_resource_budget(ResourceBudget(max_seconds=0.0))
         with pytest.raises(QueryTimeout):
             run_resilient(fact_db, HQUERY)
         fact_db.set_resource_budget()

@@ -193,12 +193,12 @@ class TestDMLInvalidation:
 
     def test_ablation_toggle(self, versioned_db):
         db = versioned_db
-        db.set_use_encoding_cache(False)
+        db.configure(use_encoding_cache=False)
         _grouped(db)
         _grouped(db)
         assert db.catalog.encoding_cache.hits == 0
         assert db.catalog.encoding_cache.entry_count == 0
-        db.set_use_encoding_cache(True)
+        db.configure(use_encoding_cache=True)
         _grouped(db)
         _grouped(db)
         assert db.catalog.encoding_cache.hits > 0

@@ -76,7 +76,7 @@ class TestWindows:
 
 class TestDatabaseIntegration:
     def test_row_budget_stops_a_statement(self):
-        db = Database(max_query_rows=3)
+        db = Database(budget=ResourceBudget(max_rows=3))
         db.execute("CREATE TABLE t (a INT)")
         db.execute("INSERT INTO t VALUES (1), (2), (3)")
         # loading counted 3 rows written; a scan of 3 more overruns
@@ -88,19 +88,19 @@ class TestDatabaseIntegration:
 
     def test_set_resource_budget_round_trip(self):
         db = Database()
-        db.set_resource_budget(max_seconds=2.0, max_rows=100)
-        assert db.resource_budget() == ResourceBudget(max_seconds=2.0,
-                                                      max_rows=100)
+        budget = ResourceBudget(max_seconds=2.0, max_rows=100)
+        db.set_resource_budget(budget)
+        assert db.resource_budget() == budget
         db.set_resource_budget()
         assert db.resource_budget().unlimited
 
     def test_width_budget_blocks_create_table(self):
-        db = Database(max_result_width=2)
+        db = Database(budget=ResourceBudget(max_result_width=2))
         with pytest.raises(WidthBudgetExceeded):
             db.execute("CREATE TABLE wide (a INT, b INT, c INT)")
 
     def test_explain_reports_the_budget_before_the_cache_line(self):
-        db = Database(max_query_seconds=5.0)
+        db = Database(budget=ResourceBudget(max_seconds=5.0))
         db.execute("CREATE TABLE t (a INT)")
         lines = [row[0] for row in
                  db.execute("EXPLAIN SELECT * FROM t").to_rows()]

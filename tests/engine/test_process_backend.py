@@ -128,22 +128,15 @@ class TestConfiguration:
         with pytest.raises(ValueError, match="morsel_rows"):
             Database(morsel_rows=0)
 
-    def test_set_parallel_backend(self):
+    def test_configure_switches_backend(self):
         db = serial_db()
-        db.set_parallel_workers(4)
-        db.set_parallel_backend("process", morsel_rows=2)
+        db.configure(parallel_workers=4, parallel_backend="process",
+                     morsel_rows=2)
         assert db.query(
             "SELECT d, sum(a) FROM t GROUP BY d ORDER BY d") == \
             serial_db().query(
                 "SELECT d, sum(a) FROM t GROUP BY d ORDER BY d")
-        with pytest.raises(ValueError):
-            db.set_parallel_backend("quantum")
-
-    def test_session_defaults_validation(self):
-        with pytest.raises(ValueError, match="parallel_backend"):
-            SessionDefaults(parallel_backend="gpu")
-        with pytest.raises(ValueError, match="morsel_rows"):
-            SessionDefaults(morsel_rows=0)
+        assert db.executor.parallel_degree_observed() > 1
 
     def test_session_defaults_resolve(self):
         base = ExecutorOptions()

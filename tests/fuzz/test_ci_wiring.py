@@ -74,6 +74,15 @@ def test_bench_commands_parse(capsys):
         assert "--repeats must be at least 1" in capsys.readouterr().err
 
 
+def test_bench_help_renders(capsys):
+    """argparse %-formats help strings: a bare ``%`` in one kills
+    ``--help`` with a TypeError instead of printing."""
+    with pytest.raises(SystemExit) as exit_info:
+        bench_main(["--help"])
+    assert exit_info.value.code == 0
+    assert "--suite" in capsys.readouterr().out
+
+
 def test_benchmark_commands_parse(monkeypatch):
     """The benchmark's parser lives inside its ``main``; with the
     self-test body stubbed out, ``main`` is parse + dispatch."""

@@ -73,7 +73,7 @@ class TestHorizontalGoldens:
                                            golden):
         """The paper's proposed O(1) CASE dispatch: the one golden
         that runs the ``pivot`` operator."""
-        traced_store_db.set_case_dispatch("hash")
+        traced_store_db.configure(case_dispatch="hash")
         golden("horizontal-case-hash", _golden_text(
             traced_store_db, HPCT_SQL, HorizontalStrategy(source="F")))
 

@@ -1,9 +1,10 @@
 """A ready-made service over a small fact table.
 
 The global leak guard (tests/conftest.py) patches
-``Database.__init__``, which the snapshot overlays deliberately skip
--- so it sweeps the *base* databases; tests that care about overlay
-temps track readers explicitly (see the stress suite)."""
+``Database.__init__``; snapshot overlays are assembled from their
+base's parts without it -- so it sweeps the *base* databases; tests
+that care about overlay temps track readers explicitly (see the stress
+suite)."""
 
 from __future__ import annotations
 

@@ -71,8 +71,8 @@ class TestReports:
         assert total == pytest.approx(1.0)
 
     def test_parallel_degree_observed(self, db):
-        db.set_parallel_workers(2)
-        db.set_parallel_backend("thread", morsel_rows=1)
+        db.configure(parallel_workers=2, parallel_backend="thread",
+                     morsel_rows=1)
         with QueryService(db, workers=2) as service:
             report = service.execute(
                 "SELECT d1, sum(a) FROM f GROUP BY d1")

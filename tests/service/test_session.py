@@ -13,9 +13,7 @@ from repro.service import QueryService, SessionDefaults
 
 class TestSessionDefaults:
     def test_none_means_inherit(self, db):
-        resolved = SessionDefaults().resolve(db.options)
-        assert resolved == db.options
-        assert resolved is not db.options
+        assert SessionDefaults().resolve(db.options) == db.options
 
     def test_overrides_apply(self, db):
         resolved = SessionDefaults(
@@ -25,14 +23,8 @@ class TestSessionDefaults:
         assert resolved.case_dispatch == "hash"
         assert resolved.use_indexes is False
         assert resolved.use_encoding_cache is False
-        assert resolved.parallel_degree == 2
+        assert resolved.parallel_workers == 2
         assert resolved.morsel_rows == 5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SessionDefaults(case_dispatch="bogus")
-        with pytest.raises(ValueError):
-            SessionDefaults(parallel_workers=0)
 
     def test_defaults_steer_read_execution(self, db):
         with QueryService(db, workers=2) as service:

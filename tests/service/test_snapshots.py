@@ -73,15 +73,39 @@ class TestSnapshotReader:
         reader = service.snapshots.reader(
             options=defaults.resolve(db.options))
         assert reader.options.case_dispatch == "hash"
-        assert reader.options.parallel_degree == 3
+        assert reader.options.parallel_workers == 3
         assert reader.options.morsel_rows == 7
         # The base database's own options are untouched.
         assert db.options.case_dispatch == "linear"
-        assert db.options.parallel_degree == 1
+        assert db.options.parallel_workers == 1
 
     def test_reader_is_a_database(self, service):
         assert isinstance(service.snapshots.reader(), Database)
         assert isinstance(service.snapshots.reader(), SnapshotDatabase)
+
+    @pytest.mark.parametrize("storage", ["memory", "disk"])
+    def test_reader_has_the_whole_database_surface(self, storage,
+                                                   tmp_path):
+        """A reader is assembled by the constructor its base is, so
+        the storage lifecycle exists on it -- read-only: it reports
+        the base's store and never checkpoints or closes it."""
+        kwargs = {} if storage == "memory" else dict(
+            storage="disk", storage_path=str(tmp_path), pool_pages=8)
+        with Database(**kwargs) as db, QueryService(db) as service:
+            db.execute("CREATE TABLE f (a INT)")
+            db.execute("INSERT INTO f VALUES (1), (2)")
+            assert vars(service.snapshots.reader()).keys() \
+                >= vars(db).keys()
+            with service.snapshots.reader() as reader:
+                assert reader.storage_info() == db.storage_info()
+                assert reader.storage_info()["backend"] == storage
+                reader.checkpoint()
+            reader.close()
+            # The base store is still open and still the base's.
+            assert reader.query("SELECT count(*) FROM f") == [(2,)]
+            db.execute("INSERT INTO f VALUES (3)")
+            db.checkpoint()
+            assert db.query("SELECT count(*) FROM f") == [(3,)]
 
 
 class TestWriterInteraction:

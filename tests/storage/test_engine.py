@@ -8,7 +8,6 @@ import pytest
 
 from repro import Database
 from repro.errors import StorageError
-from repro.service import SessionDefaults
 from tests.conftest import PAPER_SALES_ROWS
 
 SALES_SCHEMA = [("rid", "int"), ("state", "varchar"),
@@ -219,17 +218,6 @@ def test_memory_close_and_checkpoint_are_noops():
     db.checkpoint()
     db.close()
     db.close()
-
-
-def test_session_storage_pin(tmp_path):
-    with _disk_db(tmp_path) as db:
-        base = db.options
-        assert SessionDefaults(storage="disk").resolve(base).storage \
-            == "disk"
-        with pytest.raises(ValueError, match="pinned storage"):
-            SessionDefaults(storage="memory").resolve(base)
-    with pytest.raises(ValueError, match="storage must be"):
-        SessionDefaults(storage="floppy")
 
 
 def test_checkpoint_manifest_is_json(tmp_path):
