@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from contextlib import nullcontext
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,10 +22,10 @@ from repro.engine.executor import Executor, ExecutorOptions
 from repro.engine.governor import ResourceBudget, ResourceGovernor
 from repro.engine.schema import (DEFAULT_MAX_COLUMNS,
                                  DEFAULT_MAX_NAME_LENGTH, TableSchema)
-from repro.engine.stats import StatementStats, StatsCollector
+from repro.engine.scope import query_scope
+from repro.engine.stats import StatsCollector
 from repro.engine.table import Table
 from repro.engine.types import SQLType, type_from_name
-from repro.obs import tracer as tracer_mod
 from repro.obs.clock import Clock, MonotonicClock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
@@ -52,9 +51,10 @@ class Database:
             width) enforced cooperatively by the
             :class:`~repro.engine.governor.ResourceGovernor`; the
             default :class:`~repro.engine.governor.ResourceBudget` is
-            unlimited.  A generated percentage plan counts as one
-            query: its whole multi-statement script shares one budget
-            window.
+            unlimited.  A script and a generated percentage plan each
+            count as one query: the whole multi-statement sequence
+            shares one budget window (docs/robustness.md, "What counts
+            as one query").
         keep_history: record per-statement stats in
             ``db.stats.history``.
         tracing: start with the span tracer enabled (it can also be
@@ -77,7 +77,8 @@ class Database:
         pool_pages / page_size: buffer-pool capacity (in pages) and
             on-disk page size for the disk backend.
         default_deadline_seconds: wall-clock deadline of every
-            top-level statement that names none of its own.
+            top-level query (statement, script or generated plan) that
+            names none of its own.
         **execution: the execution knobs -- ``case_dispatch``,
             ``use_indexes``, ``use_encoding_cache``,
             ``parallel_workers``, ``parallel_backend``, ``morsel_rows``
@@ -215,31 +216,12 @@ class Database:
                           ) -> Table | int:
         """Run an already-parsed statement (used by the code
         generator); :meth:`execute` is this after parsing."""
-        token = self._statement_token(deadline_seconds, cancel_token)
-        cancel_ctx = cancel_mod.activate(token) if token is not None \
-            else nullcontext()
-        with self._lock, cancel_ctx, self.governor.window():
-            tracer = self.tracer
-            before = self.stats.snapshot()
-            started = self.clock.now()
-            with tracer_mod.activate(tracer), \
-                    tracer.span("statement", kind="statement",
-                                sql=sql or type(statement).__name__
-                                ) as span:
-                result = self.executor.execute(statement, use_views)
-                record = self.stats.diff_since(before)
-                record.sql = sql
-                record.elapsed_seconds = self.clock.now() - started
-                if span is not None:
-                    span.attrs["result_rows"] = (
-                        result.n_rows if isinstance(result, Table)
-                        else int(result))
-                    # Counter deltas on the span: what this statement
-                    # charged.  Under concurrency the diff can include
-                    # other sessions' work (shared counters); the
-                    # charge audit therefore only runs serially.
-                    span.attrs.update(record.counters())
-            self.stats.record_statement(record)
+        token = self._resolve_token(deadline_seconds, cancel_token)
+        with self._lock:
+            result, record = self.executor.run_statement(
+                statement, use_views, sql, token)
+            record.counters.sql = sql
+            self.stats.record_statement(record.counters)
             return result
 
     def execute_script(self, sql: str,
@@ -247,15 +229,28 @@ class Database:
                        cancel_token: Optional[CancelToken] = None
                        ) -> list[Table | int]:
         """Run a ';'-separated script, returning one result per
-        statement.  A ``deadline_seconds`` here covers the *whole*
-        script: one token spans every statement, so remaining time
-        shrinks as the script progresses."""
-        token = self._statement_token(deadline_seconds, cancel_token)
-        ctx = cancel_mod.activate(token) if token is not None \
-            else nullcontext()
-        with ctx:
+        statement.  The script is one query: one scope, so a
+        ``deadline_seconds`` here (or the database default) and the
+        resource budget cover the *whole* script -- remaining time and
+        rows shrink as it progresses."""
+        with self.scope("script", deadline_seconds, cancel_token):
             return [self.execute_statement(s, sql)
                     for s in parse_script(sql)]
+
+    def scope(self, name: str,
+              deadline_seconds: Optional[float] = None,
+              cancel_token: Optional[CancelToken] = None,
+              **options: Any):
+        """Open a query scope (:func:`repro.engine.scope.query_scope`)
+        on this database under the token the arguments and the
+        database default resolve to.  Scripts, generated plans and the
+        service's scripts open theirs here; ``options`` are the
+        scope's own (``force_trace``, ``queue_wait``, span
+        attributes)."""
+        return query_scope(
+            self.executor, name,
+            token=self._resolve_token(deadline_seconds, cancel_token),
+            **options)
 
     def query(self, sql: str) -> list[tuple[Any, ...]]:
         """Run a SELECT and return rows as Python tuples."""
@@ -264,16 +259,17 @@ class Database:
             raise TypeError("query() requires a SELECT statement")
         return result.to_rows()
 
-    def _statement_token(self, deadline_seconds: Optional[float],
-                         cancel_token: Optional[CancelToken]
-                         ) -> Optional[CancelToken]:
-        """Resolve the token a statement (or script) runs under.
+    def _resolve_token(self, deadline_seconds: Optional[float],
+                       cancel_token: Optional[CancelToken]
+                       ) -> Optional[CancelToken]:
+        """Resolve the token a query scope installs (None = inherit).
 
         Precedence: an explicit token wins outright; an explicit
         deadline builds a fresh token as a *child* of any ambient one
         (the tighter deadline fires first); otherwise an ambient token
-        (a script's, or the service's) is inherited as-is, and the
-        database-wide default deadline applies only at top level."""
+        (the enclosing scope's) is inherited as-is, and the
+        database-wide default deadline applies only at top level --
+        to the outermost scope, whatever its shape."""
         if cancel_token is not None:
             return cancel_token
         ambient = cancel_mod.active_token()
@@ -287,11 +283,6 @@ class Database:
             return CancelToken.with_timeout(
                 self.default_deadline_seconds, clock=self.clock,
                 registry=self.metrics)
-        return None
-
-    def last_statement_stats(self) -> Optional[StatementStats]:
-        if self.stats.history:
-            return self.stats.history[-1]
         return None
 
     # ------------------------------------------------------------------

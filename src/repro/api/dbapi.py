@@ -36,6 +36,7 @@ one connection per thread or go through the service's scheduler.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Any, Iterable, Optional, Sequence
 
@@ -43,7 +44,9 @@ from repro.api.database import Database
 from repro.engine.table import Table
 from repro.engine.types import SQLType
 from repro.errors import (CrossThreadError, ExecutionError, ReproError,
-                          ResourceExhausted)
+                          ResourceExhausted, SQLSyntaxError)
+from repro.sql.formatter import format_literal
+from repro.sql.tokens import TokenType, tokenize
 
 apilevel = "2.0"
 #: Threads may share the module and connections: the Database
@@ -282,76 +285,45 @@ def _map_error(exc: ReproError) -> DatabaseError:
 def _bind_parameters(operation: str, parameters: Sequence[Any]) -> str:
     """Substitute qmark placeholders with quoted literals.
 
-    The tokenizer is reused so '?' inside string literals or comments
-    is never touched.
+    Placeholders are found with the engine's own lexer, so a ``?``
+    inside a string literal, a quoted identifier or a comment is never
+    touched.  Text the lexer rejects is passed through unbound: the
+    parser reports it with its typed error.
     """
+    if "?" not in operation and not parameters:
+        return operation  # nothing to bind: skip the extra lexer pass
+    try:
+        marks = [token for token in tokenize(operation)
+                 if token.type == TokenType.SYMBOL and token.value == "?"]
+    except SQLSyntaxError:
+        return operation
     if not parameters:
-        if "?" in _strip_literals(operation):
+        if marks:
             raise ProgrammingError(
                 "statement has placeholders but no parameters given")
         return operation
-    parameters = list(parameters)
-    pieces: list[str] = []
-    used = 0
-    i = 0
-    text = operation
-    # Walk the raw text, but consult tokenization for literal spans.
-    literal_spans = _literal_spans(text)
-    while i < len(text):
-        ch = text[i]
-        if ch == "?" and not _in_spans(i, literal_spans):
-            if used >= len(parameters):
-                raise ProgrammingError(
-                    "more placeholders than parameters")
-            pieces.append(_quote(parameters[used]))
-            used += 1
-        else:
-            pieces.append(ch)
-        i += 1
-    if used != len(parameters):
+    if len(marks) > len(parameters):
+        raise ProgrammingError("more placeholders than parameters")
+    if len(marks) < len(parameters):
         raise ProgrammingError(
-            f"{len(parameters)} parameters supplied but {used} "
+            f"{len(parameters)} parameters supplied but {len(marks)} "
             f"placeholders found")
-    return "".join(pieces)
+    # Token positions are 1-based (line, column) and only "\n" ends a
+    # line; substituting from the right keeps earlier columns valid.
+    lines = operation.split("\n")
+    for mark, value in reversed(list(zip(marks, parameters))):
+        line = lines[mark.line - 1]
+        lines[mark.line - 1] = (line[:mark.column - 1] + _literal(value)
+                                + line[mark.column:])
+    return "\n".join(lines)
 
 
-def _literal_spans(text: str) -> list[tuple[int, int]]:
-    spans = []
-    i = 0
-    while i < len(text):
-        if text[i] == "'":
-            start = i
-            i += 1
-            while i < len(text):
-                if text[i] == "'":
-                    if i + 1 < len(text) and text[i + 1] == "'":
-                        i += 2
-                        continue
-                    break
-                i += 1
-            spans.append((start, i))
-        i += 1
-    return spans
-
-
-def _in_spans(position: int, spans: list[tuple[int, int]]) -> bool:
-    return any(start <= position <= end for start, end in spans)
-
-
-def _strip_literals(text: str) -> str:
-    spans = _literal_spans(text)
-    return "".join(ch for i, ch in enumerate(text)
-                   if not _in_spans(i, spans))
-
-
-def _quote(value: Any) -> str:
-    if value is None:
-        return "NULL"
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    raise ProgrammingError(f"cannot bind parameter of type "
-                           f"{type(value).__name__}")
+def _literal(value: Any) -> str:
+    if not isinstance(value, (type(None), bool, int, float, str)):
+        raise ProgrammingError(f"cannot bind parameter of type "
+                               f"{type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ProgrammingError(
+            f"cannot bind non-finite float {value!r}: SQL has no "
+            f"literal for it")
+    return format_literal(value)

@@ -24,7 +24,7 @@ from typing import Any, Optional, Sequence
 from repro.api.database import Database
 from repro.engine.table import Table
 from repro.errors import PercentageQueryError
-from repro.sql.formatter import quote_ident
+from repro.sql.formatter import format_literal, quote_ident
 
 
 @dataclass
@@ -42,17 +42,11 @@ class _BuilderTerm:
         if self.by:
             inner += " BY " + ", ".join(quote_ident(c) for c in self.by)
         if self.default is not None:
-            inner += f" DEFAULT {_literal(self.default)}"
+            inner += f" DEFAULT {format_literal(self.default)}"
         text = f"{self.func}({inner})"
         if self.alias:
             text += f" AS {quote_ident(self.alias)}"
         return text
-
-
-def _literal(value: Any) -> str:
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    return repr(value)
 
 
 @dataclass

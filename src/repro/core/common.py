@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.api.database import Database
 from repro.core import model
@@ -118,18 +118,6 @@ def vertical_term_name(term: model.AggregateTerm,
         i += 1
     used.add(name.lower())
     return name
-
-
-def literal_sql(value: Any) -> str:
-    if value is None:
-        return "NULL"
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def materialization_select(query: model.PercentageQuery) -> str:

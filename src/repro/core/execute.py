@@ -27,7 +27,7 @@ Execution is *resilient*:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Union
 
 from repro.api.database import Database
@@ -42,11 +42,10 @@ from repro.core.plan import GeneratedPlan
 from repro.core.vertical import VerticalStrategy, generate_vertical
 from repro.engine import faults
 from repro.engine.catalog import CatalogSnapshot
+from repro.engine.scope import QueryRecord, render_explain_analyze
 from repro.engine.table import Table
 from repro.errors import (PercentageQueryError, ReproError,
                           TransientError)
-from repro.obs import tracer as tracer_mod
-from repro.obs.tracer import Span, render_tree
 
 Strategy = Union[VerticalStrategy, HorizontalStrategy,
                  HorizontalAggStrategy]
@@ -113,7 +112,7 @@ def generate_plan(db: Database, query: Union[str, PercentageQuery],
     try:
         return _generate(db, query, strategy)
     except BaseException as exc:
-        _rollback_or_chain(db, savepoint, exc)
+        rollback_or_chain(db, savepoint, exc)
         raise
 
 
@@ -172,13 +171,15 @@ def _generate(db: Database, query: PercentageQuery,
         "run it directly with db.execute()")
 
 
-@dataclass
-class ExecutionReport:
-    """What executing a plan cost (and what it took to succeed)."""
+@dataclass(kw_only=True)
+class ExecutionReport(QueryRecord):
+    """What executing a plan cost -- the plan scope's
+    :class:`~repro.engine.scope.QueryRecord` -- and what it took to
+    succeed.  ``elapsed_seconds`` is the plan's governed execution;
+    dropping the temps afterwards is outside it."""
 
     result: Table
     plan: GeneratedPlan
-    elapsed_seconds: float
     #: Statements the successful attempt ran (plan steps + result
     #: SELECT); generation-time steps are not counted.
     statements_run: int
@@ -190,18 +191,6 @@ class ExecutionReport:
     fallback_from: Optional[str] = None
     #: ``"ErrorType: message"`` of the error that triggered fallback.
     fallback_error: Optional[str] = None
-    #: Resource-governor snapshot of the plan's query window.
-    governor_usage: dict[str, Any] = field(default_factory=dict)
-    #: Widest partition fan-out any aggregation in the plan used
-    #: (1 = fully serial execution).
-    parallel_degree: int = 1
-    #: Seconds the query waited in the service scheduler's queue before
-    #: execution began (0.0 when run without the scheduler).
-    queue_wait_seconds: float = 0.0
-    #: Root span of the plan's execution trace (statement ->
-    #: plan-step -> operator actuals), or None when the database's
-    #: tracer was disabled.
-    trace: Optional[Span] = None
 
     def explain_analyze(self, normalize=None) -> str:
         """EXPLAIN ANALYZE text: the plan header plus the actuals
@@ -216,60 +205,58 @@ class ExecutionReport:
                 "no trace recorded; enable tracing "
                 "(Database(tracing=True) or run_explain_analyze) "
                 "before executing the plan")
-        header = [
+        return render_explain_analyze([
             f"plan: {self.plan.description}",
             f"statements: {self.statements_run}  "
             f"attempts: {self.attempts}  "
             f"parallel degree: {self.parallel_degree}",
-        ]
-        return "\n".join(header) + "\n" \
-            + render_tree(self.trace, normalize=normalize)
+        ], self.trace, normalize)
 
 
 def execute_plan(db: Database, plan: GeneratedPlan,
                  keep_temps: bool = False,
-                 retry: Optional[RetryPolicy] = None) -> ExecutionReport:
+                 retry: Optional[RetryPolicy] = None,
+                 force_trace: bool = False) -> ExecutionReport:
     """Run a generated plan and fetch its result.
 
-    The whole plan runs inside one savepoint and one governor window:
-    on any failure the catalog is rolled back to its pre-execution
-    state; :class:`~repro.errors.TransientError` additionally re-runs
-    the plan per ``retry`` (default :data:`DEFAULT_RETRY`).  When the
-    final attempt fails, generation-time temp tables are dropped too,
-    so the caller observes the catalog exactly as it was before the
-    plan -- and a cleanup/rollback failure never masks the execution
-    error (it is chained via ``__cause__`` instead).
+    The whole plan runs inside one savepoint and one query scope --
+    one governor window, one cancel token (so the database's default
+    deadline covers the plan, not each statement afresh), one ``plan``
+    span: on any failure the catalog is rolled back to its
+    pre-execution state; :class:`~repro.errors.TransientError`
+    additionally re-runs the plan per ``retry`` (default
+    :data:`DEFAULT_RETRY`).  When the final attempt fails,
+    generation-time temp tables are dropped too, so the caller
+    observes the catalog exactly as it was before the plan -- and a
+    cleanup/rollback failure never masks the execution error (it is
+    chained via ``__cause__`` instead).  ``force_trace`` is
+    :func:`run_explain_analyze`'s: the report carries a trace even on
+    a tracing-off database.
     """
     policy = retry if retry is not None else DEFAULT_RETRY
-    started = db.clock.now()
     savepoint = db.catalog.savepoint()
     attempts = 0
-    db.executor.reset_parallel_observation()
-    tracer = db.tracer
-    plan_span: Optional[Span] = None
-    with tracer_mod.activate(tracer), db.governor.window():
-        with tracer.span("plan", kind="plan",
-                         strategy=plan.description) as plan_span:
-            tracer.event("savepoint", kind="catalog")
-            while True:
-                attempts += 1
-                try:
-                    result, statements = _run_steps(db, plan)
-                    break
-                except TransientError as exc:
-                    _rollback_or_chain(db, savepoint, exc)
-                    if attempts >= policy.max_attempts:
-                        _cleanup_or_chain(db, plan, exc)
-                        raise
-                    time.sleep(policy.delay(attempts))
-                except BaseException as exc:
-                    _rollback_or_chain(db, savepoint, exc)
+    with db.scope("plan", force_trace=force_trace,
+                  strategy=plan.description) as record:
+        db.tracer.event("savepoint", kind="catalog")
+        while True:
+            attempts += 1
+            try:
+                result, statements = _run_steps(db, plan)
+                break
+            except TransientError as exc:
+                rollback_or_chain(db, savepoint, exc)
+                if attempts >= policy.max_attempts:
                     _cleanup_or_chain(db, plan, exc)
                     raise
-            if plan_span is not None:
-                plan_span.attrs["attempts"] = attempts
-                plan_span.attrs["statements"] = statements
-        usage = db.governor.usage()
+                time.sleep(policy.delay(attempts))
+            except BaseException as exc:
+                rollback_or_chain(db, savepoint, exc)
+                _cleanup_or_chain(db, plan, exc)
+                raise
+        if record.trace is not None:
+            record.trace.attrs["attempts"] = attempts
+            record.trace.attrs["statements"] = statements
     if not isinstance(result, Table):
         error = PercentageQueryError(
             "the plan's result statement did not return rows")
@@ -285,15 +272,11 @@ def execute_plan(db: Database, plan: GeneratedPlan,
             # pre-plan savepoint heals both sides atomically (the
             # restore re-asserts a state without the temps), and the
             # failure surfaces as the plan's error rather than a leak.
-            _rollback_or_chain(db, savepoint, exc)
+            rollback_or_chain(db, savepoint, exc)
             raise
-    elapsed = db.clock.now() - started
-    return ExecutionReport(
-        result=result, plan=plan, elapsed_seconds=elapsed,
-        statements_run=statements, attempts=attempts,
-        governor_usage=usage,
-        parallel_degree=db.executor.parallel_degree_observed(),
-        trace=plan_span)
+    return ExecutionReport(result=result, plan=plan,
+                           statements_run=statements, attempts=attempts,
+                           **vars(record))
 
 
 def _run_steps(db: Database, plan: GeneratedPlan) -> tuple[Any, int]:
@@ -319,16 +302,15 @@ def _run_steps(db: Database, plan: GeneratedPlan) -> tuple[Any, int]:
     return result, statements
 
 
-def _rollback_or_chain(db: Database, savepoint: CatalogSnapshot,
-                       exc: BaseException) -> None:
-    """Roll the catalog back; if rollback itself fails, re-raise the
-    *original* error with the rollback failure chained (never mask the
-    root cause)."""
+def rollback_or_chain(db: Database, savepoint: CatalogSnapshot,
+                      exc: BaseException) -> None:
+    """Roll the catalog back (a plan's, or a service write script's);
+    if rollback itself fails, re-raise the *original* error with the
+    rollback failure chained (never mask the root cause)."""
     try:
         db.catalog.rollback(savepoint)
-        if db.tracer.enabled:
-            db.tracer.event("rollback", kind="catalog",
-                            error=type(exc).__name__)
+        db.tracer.event("rollback", kind="catalog",
+                        error=type(exc).__name__)
     except Exception as rollback_exc:
         raise exc from rollback_exc
 
@@ -434,21 +416,16 @@ def run_explain_analyze(db: Database,
                         keep_temps: bool = False,
                         retry: Optional[RetryPolicy] = None
                         ) -> ExecutionReport:
-    """Plan and execute ``query`` with tracing force-enabled, so the
-    returned report always carries a trace and
+    """Plan and execute ``query`` with tracing forced for the plan's
+    scope, so the returned report always carries a trace and
     :meth:`ExecutionReport.explain_analyze` works even on databases
-    opened with tracing off.
+    opened with tracing off (whose shared tracer is left untouched:
+    the force is this thread's, for this plan).
 
     The query runs for real (EXPLAIN ANALYZE semantics): temp tables
     are created and dropped, statements execute, the governor meters
-    rows.  The tracer's prior enabled state is restored afterwards.
+    rows.
     """
-    was_enabled = db.tracer.enabled
-    db.tracer.enable()
-    try:
-        plan = generate_plan(db, query, strategy)
-        return execute_plan(db, plan, keep_temps=keep_temps,
-                            retry=retry)
-    finally:
-        if not was_enabled:
-            db.tracer.disable()
+    plan = generate_plan(db, query, strategy)
+    return execute_plan(db, plan, keep_temps=keep_temps, retry=retry,
+                        force_trace=True)

@@ -37,7 +37,7 @@ from repro.core.naming import NamingPolicy, combo_column_name
 from repro.core.partitioning import split_result_columns
 from repro.core.plan import GeneratedPlan
 from repro.errors import PercentageQueryError
-from repro.sql.formatter import quote_ident
+from repro.sql.formatter import format_literal, quote_ident
 
 
 @dataclass(frozen=True)
@@ -265,7 +265,7 @@ def _assemble(db: Database, query: model.PercentageQuery, f0: str,
         select = f"{p.table}.{quote_ident(p.column)}"
         if p.default is not None:
             select = (f"coalesce({select}, "
-                      f"{common.literal_sql(p.default)})")
+                      f"{format_literal(p.default)})")
         result_columns.append((p, select))
 
     partitions = split_result_columns(

@@ -29,7 +29,7 @@ from repro.api.database import Database
 from repro.core import common, model, plan as plan_mod
 from repro.core.plan import GeneratedPlan
 from repro.errors import PercentageQueryError
-from repro.sql.formatter import quote_ident
+from repro.sql.formatter import format_literal, quote_ident
 
 
 @dataclass(frozen=True)
@@ -410,7 +410,7 @@ def _generate_update_division(db: Database,
             else:
                 result.add(
                     f"UPDATE {fk} SET {column} = {column} / "
-                    f"{common.literal_sql(float(total))}",
+                    f"{format_literal(float(total))}",
                     plan_mod.UPDATE_DIVIDE)
 
 

@@ -23,7 +23,6 @@ evaluations, index lookups).
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
@@ -44,6 +43,7 @@ from repro.engine.join import join_indices
 from repro.engine.planner import (PlannedJoin, PlannedSource, SelectPlan,
                                   plan_select, plan_update_join)
 from repro.engine.schema import ColumnDef, TableSchema
+from repro.engine.scope import QueryRecord, ScopeLocal, query_scope
 from repro.engine.stats import StatsCollector
 from repro.engine.table import Table
 from repro.engine.types import SQLType, coerce_scalar, type_from_name
@@ -225,10 +225,11 @@ class Executor:
         self.tracer = tracer if tracer is not None \
             else Tracer(enabled=False)
         self.catalog.encoding_cache.bind_stats(stats)
-        # Per-thread parallel-degree observation: one executor serves
-        # every scheduler worker, so the record of "what degree did my
-        # statements run at" must not leak across concurrent queries.
-        self._parallel_local = threading.local()
+        #: This thread's query scopes (repro.engine.scope):
+        #: ``scopes.current`` is the innermost open one's record,
+        #: ``scopes.last`` the record of the last outermost one that
+        #: finished -- what a plain ``db.execute`` cost.
+        self.scopes = ScopeLocal()
 
     @property
     def encoding_cache(self):
@@ -239,21 +240,33 @@ class Executor:
         return self.catalog.encoding_cache
 
     # ------------------------------------------------------------------
-    # Parallel-degree observation (per thread, i.e. per in-flight query)
+    # The query boundary (repro.engine.scope)
     # ------------------------------------------------------------------
-    def reset_parallel_observation(self) -> None:
-        """Start a fresh observation window on this thread (the plan
-        runner calls this before a plan's first statement)."""
-        self._parallel_local.observed = 1
+    def _note_parallel_degree(self, degree: int) -> None:
+        record = self.scopes.current
+        if record is not None:
+            record.parallel_degree = max(record.parallel_degree,
+                                         int(degree))
 
-    def note_parallel_degree(self, degree: int) -> None:
-        current = getattr(self._parallel_local, "observed", 1)
-        self._parallel_local.observed = max(current, int(degree))
-
-    def parallel_degree_observed(self) -> int:
-        """The widest fan-out any operator on this thread used since
-        the last :meth:`reset_parallel_observation` (1 = all serial)."""
-        return getattr(self._parallel_local, "observed", 1)
+    def run_statement(self, statement: ast.Statement,
+                      use_views: bool = True, sql: str = "",
+                      token=None, force_trace: bool = False
+                      ) -> tuple[Table | int, QueryRecord]:
+        """One statement as one query scope: its result and its
+        record, the ``statement`` span stamped with result size and
+        counter deltas."""
+        with query_scope(self, "statement", token=token,
+                         force_trace=force_trace,
+                         sql=sql or type(statement).__name__) as record:
+            result = self.execute(statement, use_views)
+        if record.trace is not None:
+            # What audit_statement_span checks the charge events
+            # against.
+            record.trace.attrs.update(
+                record.counters.counters(),
+                result_rows=result.n_rows if isinstance(result, Table)
+                else int(result))
+        return result, record
 
     # ------------------------------------------------------------------
     # The operator boundary
@@ -704,7 +717,7 @@ class Executor:
             items, group_ids, n_groups, self.encoding_cache,
             backend=opts.parallel_backend, workers=opts.parallel_workers,
             morsel_rows=opts.morsel_rows, metrics=self.stats.registry,
-            tracer=self.tracer, on_parallel=self.note_parallel_degree)
+            tracer=self.tracer, on_parallel=self._note_parallel_degree)
 
     def _aggregate_items(self, calls: list[ast.FuncCall], frame: Frame,
                          skip: frozenset = frozenset()):

@@ -15,10 +15,9 @@ from typing import Optional
 from repro.engine import cancel
 from repro.engine.column import ColumnData
 from repro.engine.planner import plan_update_join
+from repro.engine.scope import render_explain_analyze
 from repro.engine.table import Table
 from repro.engine.types import SQLType
-from repro.obs import tracer as tracer_mod
-from repro.obs.tracer import render_tree
 from repro.sql import ast
 from repro.sql.formatter import format_expr, format_statement
 
@@ -30,40 +29,22 @@ def explain_statement(executor, statement: ast.Statement,
 
 
 def explain_analyze_statement(executor, statement: ast.Statement,
-                              use_views: bool = True,
-                              normalize=None) -> Table:
+                              use_views: bool = True) -> Table:
     """EXPLAIN ANALYZE: the static plan, then the actuals span tree.
 
     The statement **executes for real** (DML mutates, temps persist)
-    under the executor's own tracer, force-enabled for the duration so
-    EXPLAIN ANALYZE works on databases opened with tracing off.  The
-    trace renders from a private statement span, so concurrent
-    statements on other threads never leak into the output.
+    as a nested query scope with tracing forced, so EXPLAIN ANALYZE
+    works on databases opened with tracing off.  The force is
+    thread-scoped and the trace renders from the scope's own
+    statement span, so concurrent statements on other threads neither
+    leak into the output nor start recording themselves.
     """
     lines = _plan_lines(executor, statement, use_views)
-    tracer = executor.tracer
-    was_enabled = tracer.enabled
-    tracer.enable()
-    try:
-        before = executor.stats.snapshot()
-        with tracer_mod.activate(tracer), \
-                tracer.span("statement", kind="statement",
-                            sql=format_statement(statement)) as span:
-            result = executor.execute(statement, use_views)
-            if span is not None:
-                span.attrs["result_rows"] = (
-                    result.n_rows if isinstance(result, Table)
-                    else int(result))
-                # Counter deltas, mirroring Database._run_locked, so
-                # this statement span passes the charge audit too.
-                span.attrs.update(
-                    executor.stats.diff_since(before).counters())
-    finally:
-        if not was_enabled:
-            tracer.disable()
-    lines.append("-- actual --")
-    lines.extend(render_tree(span, normalize=normalize).splitlines())
-    return _plan_table(lines)
+    _, record = executor.run_statement(
+        statement, use_views, sql=format_statement(statement),
+        force_trace=True)
+    return _plan_table(render_explain_analyze(
+        lines + ["-- actual --"], record.trace).splitlines())
 
 
 def _plan_table(lines: list[str]) -> Table:

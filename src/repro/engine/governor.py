@@ -10,13 +10,13 @@ operator boundaries (scan, join, factorize, DML append, final
 projection), so a single vectorized numpy call is never interrupted
 but every statement crosses a checkpoint many times.
 
-Windows nest and are thread-local: :class:`~repro.api.database.
-Database` opens a window around every statement, and the plan runner
-opens an outer window around a whole generated plan so the *plan* is
-the governed unit (the paper's multi-statement scripts stand or fall
-together).  Inner windows join the outer one instead of resetting the
-clock.  Budget overruns raise the typed errors from
-:mod:`repro.errors` (:class:`~repro.errors.QueryTimeout`,
+Windows nest and are thread-local, and exactly one piece of code
+opens them: the query scope (:mod:`repro.engine.scope`).  A statement,
+a script, a generated plan and a service script each open a scope, and
+the *outermost* one on a thread is the governed unit (the paper's
+multi-statement scripts stand or fall together); inner windows join it
+instead of resetting the clock.  Budget overruns raise the typed
+errors from :mod:`repro.errors` (:class:`~repro.errors.QueryTimeout`,
 :class:`~repro.errors.RowBudgetExceeded`,
 :class:`~repro.errors.WidthBudgetExceeded`).
 """
@@ -72,13 +72,12 @@ class ResourceBudget:
 
 
 class _Window:
-    __slots__ = ("depth", "started", "rows", "queue_wait")
+    __slots__ = ("depth", "started", "rows")
 
     def __init__(self) -> None:
         self.depth = 0
         self.started = 0.0
         self.rows = 0
-        self.queue_wait = 0.0
 
 
 class ResourceGovernor:
@@ -92,9 +91,6 @@ class ResourceGovernor:
         #: deterministically under ``ManualClock``.
         self.clock = clock if clock is not None else MonotonicClock()
         self._local = threading.local()
-        #: Usage of the most recently closed top-level window on any
-        #: thread (reporting only; not part of enforcement).
-        self.last_usage: Optional[dict] = None
 
     # ------------------------------------------------------------------
     def set_budget(self, budget: ResourceBudget) -> None:
@@ -124,13 +120,10 @@ class ResourceGovernor:
         if state.depth == 1:
             state.started = self.clock.now()
             state.rows = 0
-            state.queue_wait = 0.0
         try:
             yield self
         finally:
             state.depth -= 1
-            if state.depth == 0:
-                self.last_usage = self.usage()
 
     # ------------------------------------------------------------------
     # Checkpoints
@@ -185,14 +178,6 @@ class ResourceGovernor:
                 f"budget of {limit}"
                 + (f" (at {context})" if context else ""))
 
-    def note_queue_wait(self, seconds: float) -> None:
-        """Attribute scheduler queue time to this thread's window, so
-        :meth:`usage` (and through it ``ExecutionReport``) can split
-        latency into waiting versus executing.  The wait does **not**
-        count against the wall-clock budget: the clock starts when the
-        window opens, i.e. when execution begins."""
-        self._window().queue_wait += float(seconds)
-
     # ------------------------------------------------------------------
     def usage(self) -> dict:
         """A snapshot of the current (or just-closed) window."""
@@ -203,7 +188,6 @@ class ResourceGovernor:
             "active": state.depth > 0,
             "elapsed_seconds": elapsed,
             "rows_charged": state.rows,
-            "queue_wait_seconds": state.queue_wait,
             "budget": {
                 "max_seconds": self.budget.max_seconds,
                 "max_rows": self.budget.max_rows,

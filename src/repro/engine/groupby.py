@@ -128,15 +128,24 @@ _MAX_CODE_SPACE = 2 ** 62
 
 def factorize(columns: list[ColumnData], n_rows: int,
               cache: Optional[EncodingCache] = None) -> Grouping:
+    """:func:`group_rows` as a query operator: crosses the
+    ``group-by`` cancel safepoint and fault site first."""
+    cancel.checkpoint("group-by")
+    faults.fire("group-by")
+    return group_rows(columns, n_rows, cache)
+
+
+def group_rows(columns: list[ColumnData], n_rows: int,
+               cache: Optional[EncodingCache] = None) -> Grouping:
     """Group rows by the tuple of ``columns`` (possibly empty).
 
     With no key columns every row lands in one global group, which is
     exactly SQL's "aggregation without GROUP BY".  ``cache`` lets
     base-table key columns reuse dictionary encodings across plan
-    steps and queries.
+    steps and queries.  Pure: no safepoint, no fault site -- view
+    maintenance keys rows with it without adding ``group-by``
+    crossings to the DML that triggered it.
     """
-    cancel.checkpoint("group-by")
-    faults.fire("group-by")
     if not columns:
         group_ids = np.zeros(n_rows, dtype=np.int64)
         return Grouping(group_ids, 1 if n_rows >= 0 else 0,

@@ -1,0 +1,132 @@
+"""The query boundary: the one scope every kind of query opens.
+
+The paper's unit of cost is the *query* -- one Vpct/Hpct request
+becomes a sequence of SQL statements and Tables 4/5/6 report one
+number for the whole sequence.  :func:`query_scope` is where a query
+begins and ends, whatever its shape: a statement
+(``Database.execute_statement``, SQL ``EXPLAIN ANALYZE``'s inner run),
+a script (``Database.execute_script``, a service script) or a
+generated plan (``core.execute.execute_plan``).  It is the only code
+outside ``repro.fuzz`` that activates a cancel token, opens a governor
+window, activates the tracer and opens a root span, and it fills one
+:class:`QueryRecord` on the way out.
+
+Scopes nest per thread: an inner scope joins its parent's governor
+window, inherits its token and queue wait, and propagates the widest
+parallel fan-out it saw upwards.  The *outermost* scope is therefore
+the unit every limit applies to -- ``ResourceBudget`` meters it as one
+window and one deadline token covers it.
+"""
+
+from __future__ import annotations
+
+import threading
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field
+from typing import Any, Iterator, Optional
+
+from repro.engine import cancel
+from repro.engine.cancel import CancelToken
+from repro.engine.stats import StatementStats
+from repro.obs import tracer as tracer_mod
+from repro.obs.tracer import Span, render_tree
+
+
+@dataclass
+class QueryRecord:
+    """What one query cost, filled when its scope exits.
+    ``ExecutionReport`` and ``ServiceReport`` extend it with what is
+    specific to a plan and to a scheduled script."""
+
+    #: Clock seconds inside the scope (queue wait excluded).
+    elapsed_seconds: float = 0.0
+    #: Engine counter deltas over the scope (with the elapsed time
+    #: again, as the statement history keeps them).  Under concurrency
+    #: the diff can include other sessions' work (shared counters);
+    #: the charge audit therefore only runs serially.
+    counters: StatementStats = field(default_factory=StatementStats)
+    #: Resource-governor snapshot of the (outermost) query window as
+    #: this scope left it, plus ``queue_wait_seconds``.
+    governor_usage: dict[str, Any] = field(default_factory=dict)
+    #: Widest morsel fan-out any aggregation used (1 = fully serial).
+    parallel_degree: int = 1
+    #: Seconds between submission and the start of execution (0.0
+    #: when run without the service scheduler).  The wait does not
+    #: count against ``max_seconds``: the window's clock starts when
+    #: execution does.
+    queue_wait_seconds: float = 0.0
+    #: The scope's root span (script -> statement -> plan -> plan-step
+    #: -> statement -> operator), or None when neither the database
+    #: nor the scope's opener asked for a trace.
+    trace: Optional[Span] = None
+
+
+class ScopeLocal(threading.local):
+    """The per-thread scope state an ``Executor`` owns: one executor
+    serves every scheduler worker, so what "my query" observed must
+    not leak across concurrent queries."""
+
+    #: The innermost open scope's record.
+    current: Optional[QueryRecord] = None
+    #: The record of the last outermost scope that finished.
+    last: Optional[QueryRecord] = None
+
+
+@contextmanager
+def query_scope(executor, name: str,
+                token: Optional[CancelToken] = None,
+                force_trace: bool = False, queue_wait: float = 0.0,
+                **attrs: Any) -> Iterator[QueryRecord]:
+    """Open a query scope over ``executor``'s stats, governor and
+    tracer; yields the :class:`QueryRecord` it fills on exit.
+
+    ``token`` is the cancel token to install (None inherits whatever
+    is ambient).  It activates *outside* the governor window so every
+    governor checkpoint inside also polls the deadline.  ``name`` is
+    both the name and the kind of the root span, ``attrs`` its
+    attributes.  ``force_trace`` records a trace on a tracing-off
+    database for this thread only (see :meth:`Tracer.forced`).
+    """
+    local: ScopeLocal = executor.scopes
+    parent = local.current
+    record = QueryRecord(
+        queue_wait_seconds=queue_wait if parent is None
+        else parent.queue_wait_seconds)
+    governor, tracer = executor.governor, executor.tracer
+    stats, clock = executor.stats, governor.clock
+    cancel_ctx = cancel.activate(token) if token is not None \
+        else nullcontext()
+    force_ctx = tracer.forced() if force_trace else nullcontext()
+    local.current = record
+    try:
+        with cancel_ctx, governor.window(), force_ctx, \
+                tracer_mod.activate(tracer):
+            before = stats.snapshot()
+            started = clock.now()
+            try:
+                with tracer.span(name, kind=name, **attrs) as span:
+                    record.trace = span
+                    yield record
+            finally:
+                record.elapsed_seconds = clock.now() - started
+                record.counters = stats.diff_since(before)
+                record.counters.elapsed_seconds = record.elapsed_seconds
+                record.governor_usage = {
+                    **governor.usage(),
+                    "queue_wait_seconds": record.queue_wait_seconds}
+    finally:
+        local.current = parent
+        if parent is None:
+            local.last = record
+        else:
+            parent.parallel_degree = max(parent.parallel_degree,
+                                         record.parallel_degree)
+
+
+def render_explain_analyze(header: list[str], trace: Span,
+                           normalize=None) -> str:
+    """EXPLAIN ANALYZE text, for every surface: ``header`` lines, then
+    the actuals span tree.  ``normalize`` is passed through to
+    :func:`repro.obs.tracer.render_tree`."""
+    return "\n".join(header) + "\n" \
+        + render_tree(trace, normalize=normalize)

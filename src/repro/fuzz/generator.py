@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Sequence
 
+from repro.sql.formatter import format_literal
+
 #: families of generated queries; each maps to a strategy set in
 #: :mod:`repro.fuzz.runner`.
 FAMILIES = ("vpct", "hpct", "hagg", "plain", "cube")
@@ -385,7 +387,7 @@ def dml_script(case: FuzzCase) -> list[str]:
             name, type_name = rng.choice(pool)
             statements.append(
                 f"UPDATE {case.table} SET {name} = "
-                f"{_literal(_dml_value(rng, type_name))}"
+                f"{format_literal(_dml_value(rng, type_name))}"
                 f"{_where(rng, case)}")
         else:
             # An unfiltered DELETE (rare) kills every group at once.
@@ -401,7 +403,7 @@ def _insert(rng: random.Random, case: FuzzCase) -> str:
         for _, type_name in case.columns:
             value = None if rng.random() < 0.2 \
                 else _dml_value(rng, type_name)
-            values.append(_literal(value))
+            values.append(format_literal(value))
         rows.append("(" + ", ".join(values) + ")")
     return f"INSERT INTO {case.table} VALUES {', '.join(rows)}"
 
@@ -410,16 +412,8 @@ def _where(rng: random.Random, case: FuzzCase) -> str:
     name, type_name = rng.choice(case.columns)
     if rng.random() < 0.25:
         return f" WHERE {name} IS NULL"
-    return f" WHERE {name} = {_literal(_dml_value(rng, type_name))}"
+    return f" WHERE {name} = {format_literal(_dml_value(rng, type_name))}"
 
 
 def _dml_value(rng: random.Random, type_name: str):
     return rng.choice(_DML_VALUES[type_name])
-
-
-def _literal(value) -> str:
-    if value is None:
-        return "NULL"
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    return repr(value)

@@ -216,10 +216,19 @@ class MetricsRegistry:
         return self.counter(name, **labels).value
 
     def read(self, names: Iterable[str], **labels: str) -> dict:
-        """Consistent multi-counter read (one lock acquisition)."""
+        """Consistent multi-counter read (one lock acquisition).  Every
+        query scope pays two of these, so a counter that already exists
+        is read straight from the map; only a new one goes through
+        :meth:`counter`."""
+        key = _label_key(labels)
+        values = {}
         with self._lock:
-            return {name: self.counter(name, **labels).value
-                    for name in names}
+            for name in names:
+                metric = self._metrics.get((name, key)) \
+                    if self._types.get(name) == "counter" else None
+                values[name] = (metric
+                                or self.counter(name, **labels))._value
+        return values
 
     def zero(self, names: Iterable[str], **labels: str) -> None:
         """Reset the named counters to zero (for ``stats.reset()``)."""

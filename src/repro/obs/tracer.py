@@ -37,14 +37,21 @@ cache) reach the ambient tracer through
 :func:`activate` / :func:`active_tracer`, which is also thread-local.
 
 When the tracer is disabled, :meth:`Tracer.span` returns a shared
-null context manager -- the off-path cost is one attribute read and
+null context manager -- the off-path cost is one property read and
 one branch, measured by ``repro.bench --suite obs``.
+
+Forced capture (EXPLAIN ANALYZE on a tracing-off database) is
+*thread-scoped*: :meth:`Tracer.forced` makes the calling thread record
+for a ``with`` block without flipping the shared switch, so no other
+thread starts recording, and the root it opens is handed to whoever
+forced it rather than appended to :meth:`Tracer.roots`.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional
 
 from repro.obs.clock import Clock, MonotonicClock
@@ -166,36 +173,61 @@ class _SpanHandle:
         return False
 
 
+class _ThreadState(threading.local):
+    """One thread's view of a tracer: its span stack, and whether a
+    :meth:`Tracer.forced` capture is open on it."""
+
+    forced = False
+
+    def __init__(self) -> None:
+        self.stack: list[Span] = []
+
+
 class Tracer:
     """Span collector with per-thread stacks and a shared root list."""
 
     def __init__(self, clock: Optional[Clock] = None,
                  enabled: bool = False):
         self.clock = clock if clock is not None else MonotonicClock()
-        self.enabled = enabled
+        self._shared = enabled
         self._lock = threading.Lock()
         self._roots: list[Span] = []
-        self._local = threading.local()
+        self._local = _ThreadState()
 
     # ------------------------------------------------------------------
+    @property
+    def enabled(self) -> bool:
+        """Whether the calling thread records: the shared switch, or a
+        :meth:`forced` capture open on this thread."""
+        return self._shared or self._local.forced
+
     def enable(self) -> None:
-        self.enabled = True
+        self._shared = True
 
     def disable(self) -> None:
-        self.enabled = False
+        self._shared = False
+
+    @contextmanager
+    def forced(self) -> Iterator[None]:
+        """Record this thread's spans for the duration, whatever the
+        shared switch says.  Other threads are unaffected, and a root
+        opened while only the force is on stays out of :meth:`roots`
+        (its opener holds it)."""
+        previous = self._local.forced
+        self._local.forced = True
+        try:
+            yield
+        finally:
+            self._local.forced = previous
 
     def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
+        return self._local.stack
 
     def _attach(self, span: Span, parent: Optional[Span]) -> None:
         if parent is not None:
             with self._lock:
                 parent.children.append(span)
-        else:
+        elif self._shared:
             with self._lock:
                 self._roots.append(span)
 

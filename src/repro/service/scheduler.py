@@ -3,8 +3,8 @@
 The scheduler is a bounded :class:`~concurrent.futures.
 ThreadPoolExecutor` (thread prefix ``repro-query``; deliberately
 distinct from the shared *operator* pool in
-:mod:`repro.core.partitioning`, so one query fanning its aggregation
-out across partitions never competes for the slots that admit whole
+:mod:`repro.engine.morsels`, so one query fanning its aggregation
+out across morsels never competes for the slots that admit whole
 queries) with three admission gates layered on the resource governor:
 
 * a global queue-depth bound -- submissions beyond
@@ -12,10 +12,9 @@ queries) with three admission gates layered on the resource governor:
   :class:`~repro.errors.AdmissionRejected` instead of piling up;
 * a per-session in-flight cap -- one client cannot monopolize the pool;
 * the per-query budgets the governor already enforces (time, rows,
-  width) apply inside each query window, with the measured queue wait
-  reported separately via
-  :meth:`~repro.engine.governor.ResourceGovernor.note_queue_wait` (the
-  clock starts when execution does).
+  width) apply inside each script's query scope
+  (:mod:`repro.engine.scope`), with the measured queue wait reported
+  separately on its record (the clock starts when execution does).
 
 Scripts are classified on the submitting thread (syntax errors surface
 immediately, not through the future):
@@ -40,22 +39,23 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.core.execute import run_resilient
+from repro.core.execute import rollback_or_chain, run_resilient
 from repro.core.model import build_percentage_query
-from repro.engine import cancel as cancel_mod
 from repro.engine.cancel import CancelToken
+from repro.engine.scope import QueryRecord, render_explain_analyze
 from repro.engine.table import Table
 from repro.errors import AdmissionRejected, OverloadError, ServiceError
-from repro.obs import tracer as tracer_mod
-from repro.obs.tracer import Span, render_tree
 from repro.service.session import Session
 from repro.sql import ast
 from repro.sql.parser import parse_script
 
 
-@dataclass
-class ServiceReport:
-    """What one scheduled script did and what it cost."""
+@dataclass(kw_only=True)
+class ServiceReport(QueryRecord):
+    """What one scheduled script did and what it cost -- the script
+    scope's :class:`~repro.engine.scope.QueryRecord` (elapsed time,
+    queue wait, governor usage, parallel degree, trace) plus what is
+    the service's."""
 
     #: ``"read"`` (snapshot-isolated) or ``"write"`` (writer lock).
     kind: str
@@ -67,12 +67,6 @@ class ServiceReport:
     #: Catalog version the script saw: the snapshot's version for
     #: reads, the post-commit version for writes.
     snapshot_version: int = 0
-    #: Seconds between submission and the start of execution (pool
-    #: queue plus, for writes, contention on the writer lock).
-    queue_wait_seconds: float = 0.0
-    elapsed_seconds: float = 0.0
-    #: Widest partition fan-out any aggregation used (1 = serial).
-    parallel_degree: int = 1
     statements_run: int = 0
     #: True when the scheduler forced cheaper evaluation options
     #: (brownout) because the service was near capacity.
@@ -80,11 +74,6 @@ class ServiceReport:
     #: The deadline (seconds from submission) this script ran under,
     #: or None when unbounded.
     deadline_seconds: Optional[float] = None
-    #: Resource-governor snapshot of the script's query window.
-    governor_usage: dict[str, Any] = field(default_factory=dict)
-    #: Root span of the script's trace (script -> statement ->
-    #: plan/operator), or None when the service's tracer is disabled.
-    trace: Optional[Span] = None
 
     @property
     def result(self) -> Any:
@@ -106,13 +95,11 @@ class ServiceReport:
             raise ServiceError(
                 "no trace recorded; open the service's database with "
                 "tracing=True before submitting the script")
-        header = [
+        return render_explain_analyze([
             f"script: {self.kind}  session: {self.session_id}  "
             f"statements: {self.statements_run}  "
             f"parallel degree: {self.parallel_degree}",
-        ]
-        return "\n".join(header) + "\n" \
-            + render_tree(self.trace, normalize=normalize)
+        ], self.trace, normalize)
 
 
 def _is_extended_select(statement: ast.Statement) -> bool:
@@ -329,12 +316,6 @@ class Scheduler:
                     self._ewma_run_seconds += self._EWMA_ALPHA * (
                         elapsed - self._ewma_run_seconds)
 
-    def _observe_wait(self, session: Session, wait: float) -> None:
-        self._metrics.histogram(
-            "service_queue_wait_seconds",
-            help="seconds between submission and execution start",
-            session=str(session.id)).observe(wait)
-
     def shutdown(self, wait: bool = True) -> None:
         with self._lock:
             self._shutdown = True
@@ -347,11 +328,50 @@ class Scheduler:
              statements: list[ast.Statement], kind: str,
              enqueued: float, token: Optional[CancelToken],
              deadline: Optional[float]) -> ServiceReport:
-        if kind == "read":
-            return self._run_read(session, sql, statements, enqueued,
-                                  token, deadline)
-        return self._run_write(session, sql, statements, enqueued,
-                               token, deadline)
+        """Run one admitted script as one query scope.  A read runs on
+        a private snapshot reader; a write on the base database under
+        the writer lock, inside a catalog savepoint."""
+        service = self._service
+        write = kind == "write"
+        with service.write_lock if write else nullcontext():
+            brownout, attrs = False, {}
+            if write:
+                db = service.db
+                savepoint = db.catalog.savepoint()
+            else:
+                snapshot = service.snapshots.acquire()
+                options, brownout = self._brownout_options(
+                    session.defaults.resolve(service.db.options))
+                db = service.snapshots.reader(snapshot, options)
+                attrs["snapshot_version"] = snapshot.version
+            wait = self._clock.now() - enqueued
+            self._metrics.histogram(
+                "service_queue_wait_seconds",
+                help="seconds between submission and execution start",
+                session=str(session.id)).observe(wait)
+            # The script is the governed unit, exactly like a generated
+            # percentage plan: one scope for all of it.
+            with db.scope("script", cancel_token=token, queue_wait=wait,
+                          script_kind=kind, session=session.id,
+                          **attrs) as record:
+                try:
+                    results, statements_run = self._run_statements(
+                        db, statements, sql)
+                except BaseException as exc:
+                    # All-or-nothing write scripts: a mid-script
+                    # failure (including a deadline firing between
+                    # statements) restores the pre-script catalog, so
+                    # the torn middle never becomes the committed
+                    # state.  A reader's overlay is simply dropped.
+                    if write:
+                        rollback_or_chain(db, savepoint, exc)
+                    raise
+            version = db.catalog.version if write else snapshot.version
+        return ServiceReport(
+            kind=kind, sql=sql, session_id=session.id, results=results,
+            snapshot_version=version, statements_run=statements_run,
+            brownout=brownout, deadline_seconds=deadline,
+            **vars(record))
 
     def _brownout_options(self, options):
         """Cheaper evaluation options for near-capacity operation, or
@@ -374,110 +394,27 @@ class Scheduler:
             options, case_dispatch="hash", parallel_backend="serial",
             parallel_workers=1), True
 
-    def _run_read(self, session: Session, sql: str,
-                  statements: list[ast.Statement], enqueued: float,
-                  token: Optional[CancelToken],
-                  deadline: Optional[float]) -> ServiceReport:
-        service = self._service
-        snapshot = service.snapshots.acquire()
-        options, brownout = self._brownout_options(
-            session.defaults.resolve(service.db.options))
-        reader = service.snapshots.reader(snapshot, options)
-        wait = self._clock.now() - enqueued
-        self._observe_wait(session, wait)
-        report = ServiceReport(kind="read", sql=sql,
-                               session_id=session.id,
-                               snapshot_version=snapshot.version,
-                               queue_wait_seconds=wait,
-                               brownout=brownout,
-                               deadline_seconds=deadline)
-        started = self._clock.now()
-        tracer = service.db.tracer
-        cancel_ctx = (cancel_mod.activate(token) if token is not None
-                      else nullcontext())
-        # One window for the whole script: the script is the governed
-        # unit, exactly like a generated percentage plan.  The cancel
-        # token activates outside the window so every governor
-        # checkpoint inside also polls the deadline.
-        with cancel_ctx, reader.governor.window():
-            reader.governor.note_queue_wait(wait)
-            with tracer_mod.activate(tracer), \
-                    tracer.span("script", kind="script",
-                                script_kind="read",
-                                session=session.id,
-                                snapshot_version=snapshot.version
-                                ) as span:
-                self._run_statements(reader, statements, sql, report)
-            report.trace = span
-            report.governor_usage = reader.governor.usage()
-        report.elapsed_seconds = self._clock.now() - started
-        return report
-
-    def _run_write(self, session: Session, sql: str,
-                   statements: list[ast.Statement], enqueued: float,
-                   token: Optional[CancelToken],
-                   deadline: Optional[float]) -> ServiceReport:
-        service = self._service
-        db = service.db
-        with service.write_lock:
-            wait = self._clock.now() - enqueued
-            self._observe_wait(session, wait)
-            report = ServiceReport(kind="write", sql=sql,
-                                   session_id=session.id,
-                                   queue_wait_seconds=wait,
-                                   deadline_seconds=deadline)
-            started = self._clock.now()
-            tracer = db.tracer
-            savepoint = db.catalog.savepoint()
-            cancel_ctx = (cancel_mod.activate(token) if token is not None
-                          else nullcontext())
-            with cancel_ctx, db.governor.window():
-                db.governor.note_queue_wait(wait)
-                try:
-                    with tracer_mod.activate(tracer), \
-                            tracer.span("script", kind="script",
-                                        script_kind="write",
-                                        session=session.id) as span:
-                        self._run_statements(db, statements, sql, report)
-                    report.trace = span
-                except BaseException as exc:
-                    # All-or-nothing scripts: a mid-script failure
-                    # (including a deadline firing between statements)
-                    # restores the pre-script catalog, so the torn
-                    # middle never becomes the committed state.  A
-                    # rollback failure chains under the original error
-                    # rather than masking it.
-                    try:
-                        db.catalog.rollback(savepoint)
-                    except Exception as rollback_exc:
-                        raise exc from rollback_exc
-                    raise
-                report.governor_usage = db.governor.usage()
-            report.snapshot_version = db.catalog.version
-        report.elapsed_seconds = self._clock.now() - started
-        return report
-
-    def _run_statements(self, db, statements: list[ast.Statement],
-                        sql: str, report: ServiceReport) -> None:
-        """Execute ``statements`` against ``db``, accumulating results
-        and the widest parallel fan-out into ``report``.
+    @staticmethod
+    def _run_statements(db, statements: list[ast.Statement],
+                        sql: str) -> tuple[list[Any], int]:
+        """Execute ``statements`` against ``db``: the results, and how
+        many engine statements that took.
 
         Extended Vpct/Hpct selects route through the resilient
         percentage-query runner (savepoints, transient retry, strategy
-        fallback); everything else is a plain engine statement.
+        fallback); everything else is a plain engine statement.  Each
+        is a scope nested in the script's, which is how the widest
+        parallel fan-out reaches the script's record.
         """
+        results: list[Any] = []
+        statements_run = 0
         for statement in statements:
             if _is_extended_select(statement):
-                query = build_percentage_query(statement, sql)
-                sub = run_resilient(db, query)
-                report.results.append(sub.result)
-                report.statements_run += sub.statements_run
-                report.parallel_degree = max(report.parallel_degree,
-                                             sub.parallel_degree)
+                sub = run_resilient(
+                    db, build_percentage_query(statement, sql))
+                results.append(sub.result)
+                statements_run += sub.statements_run
             else:
-                db.executor.reset_parallel_observation()
-                report.results.append(db.execute_statement(statement, sql))
-                report.statements_run += 1
-                report.parallel_degree = max(
-                    report.parallel_degree,
-                    db.executor.parallel_degree_observed())
+                results.append(db.execute_statement(statement, sql))
+                statements_run += 1
+        return results, statements_run

@@ -171,7 +171,7 @@ def _format_update(statement: ast.Update) -> str:
 # ----------------------------------------------------------------------
 def format_expr(expr: ast.Expr) -> str:
     if isinstance(expr, ast.Literal):
-        return _format_literal(expr.value)
+        return format_literal(expr.value)
     if isinstance(expr, ast.ColumnRef):
         if expr.table:
             return f"{quote_ident(expr.table)}.{quote_ident(expr.name)}"
@@ -273,7 +273,10 @@ def quote_ident(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
-def _format_literal(value) -> str:
+def format_literal(value) -> str:
+    """A Python value as a SQL literal -- the one printer the
+    formatter, the code generator and the DB-API's parameter binding
+    share."""
     if value is None:
         return "NULL"
     if isinstance(value, bool):

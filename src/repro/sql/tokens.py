@@ -43,9 +43,13 @@ class Token:
                 and self.value.upper() == keyword.upper())
 
 
-#: Multi-character symbols first so maximal munch applies.
+#: Multi-character symbols first so maximal munch applies.  ``?`` is
+#: the DB-API's qmark placeholder: the driver substitutes it by token
+#: position before parsing, and no grammar rule accepts one that
+#: survives (the parser's usual "unexpected token" SQLSyntaxError).
 _SYMBOLS = ["<>", "<=", ">=", "!=", "||",
-            "(", ")", ",", ".", ";", "*", "+", "-", "/", "=", "<", ">"]
+            "(", ")", ",", ".", ";", "*", "+", "-", "/", "=", "<", ">",
+            "?"]
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyz"
                    "ABCDEFGHIJKLMNOPQRSTUVWXYZ_")

@@ -32,6 +32,7 @@ import numpy as np
 from repro.engine import cancel
 from repro.engine.aggregates import compute_aggregate, count_star
 from repro.engine.expressions import Frame, evaluate, truth_mask
+from repro.engine.groupby import first_positions, group_rows
 from repro.sql import ast
 from repro.views import rewrite
 from repro.views.state import (DeltaInfo, GroupLevel, MaterializedView,
@@ -215,16 +216,25 @@ def _assign_ids(definition, level: GroupLevel, table,
     an unchanged group never transits through zero)."""
     sub, frame = _frame_over(definition, table, positions, stats)
     n = sub.n_rows
-    passing = _where_mask(definition, frame, n, stats)
-    key_cols = [evaluate(ast.ColumnRef(name=c), frame, stats)
-                for c in level.columns]
+    passing = np.flatnonzero(_where_mask(definition, frame, n, stats))
     ids = np.full(n, -1, dtype=np.int64)
     touched: set[int] = set()
     births = False
-    for i in range(n):
-        if not passing[i]:
-            continue
-        raw = tuple(col[i] for col in key_cols)
+    if not len(passing):
+        return ids, touched, births
+    # Group the passing rows with the engine's own grouping core, then
+    # probe the slot index once per *distinct key*, in first-appearance
+    # order -- the slot numbering a row-at-a-time walk would produce.
+    key_cols = [evaluate(ast.ColumnRef(name=c), frame, stats)
+                .take(passing) for c in level.columns]
+    grouping = group_rows(key_cols, len(passing))
+    firsts = first_positions(grouping.group_ids, grouping.n_groups)
+    members = np.bincount(grouping.group_ids,
+                          minlength=grouping.n_groups)
+    slot_of = np.empty(grouping.n_groups, dtype=np.int64)
+    representatives = [col.take(firsts).to_pylist() for col in key_cols]
+    for group in np.argsort(firsts, kind="stable").tolist():
+        raw = tuple(values[group] for values in representatives)
         key = normalize_key(raw)
         slot = level.slots.get(key)
         if slot is None:
@@ -235,9 +245,10 @@ def _assign_ids(definition, level: GroupLevel, table,
             for values in level.values:
                 values.append(None)
             births = True
-        level.counts[slot] += 1
-        ids[i] = slot
+        level.counts[slot] += int(members[group])
+        slot_of[group] = slot
         touched.add(slot)
+    ids[passing] = slot_of[grouping.group_ids]
     return ids, touched, births
 
 

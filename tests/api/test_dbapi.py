@@ -72,6 +72,31 @@ class TestCursor:
         cur.execute("SELECT a FROM t WHERE b = '?' ")
         assert cur.rowcount == 0
 
+    @pytest.mark.parametrize("operation", [
+        "SELECT a FROM t -- what?\n WHERE a = ?",
+        "SELECT a FROM t /* one ?\n or two ?? */ WHERE a = ?",
+        'SELECT a AS "why?" FROM t WHERE a = ?',
+        "SELECT a FROM t WHERE b <> '?' AND\n  a = ?",
+    ])
+    def test_only_real_placeholders_bind(self, conn, operation):
+        """Placeholders are found by the engine's lexer: a ``?`` in a
+        comment, a quoted identifier or a string is text."""
+        cur = conn.cursor()
+        cur.execute(operation, (2,))
+        assert cur.fetchall() == [(2,)]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_float_rejected(self, conn, value):
+        with pytest.raises(dbapi.ProgrammingError, match="non-finite"):
+            conn.cursor().execute("SELECT a FROM t WHERE a = ?",
+                                  (value,))
+
+    def test_unbound_placeholder_is_a_typed_syntax_error(self, conn):
+        from repro.errors import SQLSyntaxError
+        with pytest.raises(SQLSyntaxError, match="unexpected token"):
+            conn.database.execute("SELECT a FROM t WHERE a = ?")
+
     def test_null_parameter(self, conn):
         cur = conn.cursor()
         cur.execute("SELECT coalesce(?, 5)", (None,))

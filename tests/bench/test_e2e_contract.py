@@ -57,6 +57,15 @@ def test_database_surface_the_benchmark_constructs(tmp_path):
     staged.tracer.reset()
     assert not staged.tracer.roots()
 
+    # What ``StagedDatabase.execute`` folds after each statement: one
+    # statement root carrying its SQL, operator spans directly below.
+    sql = "SELECT a, count(*) FROM t GROUP BY a"
+    staged.execute(sql)
+    (root,) = staged.tracer.roots()
+    assert root.kind == "statement" and root.attrs["sql"] == sql
+    spans = [child for child in root.children if not child.is_event]
+    assert spans and all(child.kind == "operator" for child in spans)
+
     assert Database().tracer.roots() == []
     store = str(tmp_path)
     with Database(storage="disk", storage_path=store, pool_pages=8,
@@ -79,10 +88,35 @@ def test_service_surface_the_benchmark_reads():
     with QueryService(db, workers=2) as service:
         report = service.create_session().execute("SELECT a FROM t")
     assert report.result.n_rows == 0
+    assert report.results == [report.result]
     assert report.trace.start >= 0.0
     assert report.queue_wait_seconds >= 0.0
     assert report.elapsed_seconds >= 0.0
     assert report.brownout is False
+    # ``_engine_name`` / ``_replay_sql``: a script root over statement
+    # spans that each carry the SQL the engine ran.
+    assert report.trace.kind == "script"
+    statements = report.trace.find(kind="statement")
+    assert statements and all(s.attrs["sql"] for s in statements)
+
+
+def test_plan_trace_the_benchmark_names():
+    """``pipeline._engine_name`` maps ``plan`` and ``plan-step`` kinds
+    to ``core.*`` and the statement below each step to its class."""
+    from repro.api.database import Database
+    from repro.core.execute import run_resilient
+
+    db = Database(tracing=True)
+    db.execute("CREATE TABLE t (g INT, a REAL)")
+    db.execute("INSERT INTO t VALUES (1, 2.0), (2, 6.0)")
+    trace = run_resilient(db, "SELECT g, Vpct(a) FROM t GROUP BY g").trace
+    assert trace.kind == "plan" and trace in db.tracer.roots()
+    steps = [child for child in trace.children if not child.is_event]
+    assert steps and all(step.kind == "plan-step" for step in steps)
+    for step in steps:
+        (statement,) = [c for c in step.children if not c.is_event]
+        assert statement.kind == "statement"
+        assert statement.attrs["sql"] == step.attrs["sql"]
 
 
 def test_every_folded_engine_span_is_in_some_golden():

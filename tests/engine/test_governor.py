@@ -66,13 +66,6 @@ class TestWindows:
         with governor.window():
             governor.charge_rows(8)  # fresh window: no overrun
 
-    def test_last_usage_snapshot(self):
-        governor = ResourceGovernor()
-        with governor.window():
-            governor.charge_rows(5)
-        assert governor.last_usage["rows_charged"] == 5
-        assert not governor.last_usage["active"]
-
 
 class TestDatabaseIntegration:
     def test_row_budget_stops_a_statement(self):

@@ -244,11 +244,10 @@ class TestBackendsAndStorage:
     def test_parallel_backends_fan_out_bit_identical(self, backend):
         db = make_db(parallel_workers=2, parallel_backend=backend,
                      morsel_rows=2)
-        db.executor.reset_parallel_observation()
         assert db.query(self.QUERY) == self.reference()
         # Derived set groupings ride the same morsel pipeline as a
         # plain GROUP BY, on both parallel backends.
-        assert db.executor.parallel_degree_observed() > 1
+        assert db.executor.scopes.last.parallel_degree > 1
 
     def test_disk_storage_bit_identical(self, tmp_path):
         db = make_db(storage="disk", storage_path=str(tmp_path),

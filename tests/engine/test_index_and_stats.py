@@ -88,7 +88,8 @@ class TestStatsCollector:
         db.execute("CREATE TABLE t (a INT)")
         db.execute("INSERT INTO t VALUES (1)")
         assert len(db.stats.history) == 2
-        last = db.last_statement_stats()
+        last = db.stats.history[-1]
+        assert last is db.executor.scopes.last.counters
         assert last.rows_written == 1
         assert last.elapsed_seconds >= 0
 

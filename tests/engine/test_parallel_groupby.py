@@ -118,10 +118,9 @@ class TestDtypeRegressions:
             CREATE TABLE r (d INT, a REAL);
             INSERT INTO r VALUES (1, 10.0), (1, 0.25), (1, 0.5)
         """, parallel_workers=2)
-        db.executor.reset_parallel_observation()
         assert db.query("SELECT d, sum(a) FROM r GROUP BY d") == [
             (1, 10.75)]
-        assert db.executor.parallel_degree_observed() == 1
+        assert db.executor.scopes.last.parallel_degree == 1
 
     def test_sum_preserves_float_dtype(self, backend):
         db = backend_db(backend, """
@@ -203,9 +202,8 @@ class TestRunGroupedAggregates:
 class TestObservability:
     def test_fan_out_is_observed_and_counted_per_backend(self, backend):
         db = backend_db(backend)
-        db.executor.reset_parallel_observation()
         db.query("SELECT d, sum(a), count(*) FROM t GROUP BY d")
-        assert db.executor.parallel_degree_observed() > 1
+        assert db.executor.scopes.last.parallel_degree > 1
         samples = db.stats.registry.samples()
         assert any(k.startswith("engine_parallel_tasks_total")
                    and f'backend="{backend}"' in k and v > 0

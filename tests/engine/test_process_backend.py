@@ -136,7 +136,7 @@ class TestConfiguration:
             "SELECT d, sum(a) FROM t GROUP BY d ORDER BY d") == \
             serial_db().query(
                 "SELECT d, sum(a) FROM t GROUP BY d ORDER BY d")
-        assert db.executor.parallel_degree_observed() > 1
+        assert db.executor.scopes.last.parallel_degree > 1
 
     def test_session_defaults_resolve(self):
         base = ExecutorOptions()
