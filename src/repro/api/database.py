@@ -80,9 +80,7 @@ class Database:
             top-level query (statement, script or generated plan) that
             names none of its own.
         **execution: the execution knobs -- ``case_dispatch``,
-            ``use_indexes``, ``use_encoding_cache``,
-            ``parallel_workers``, ``parallel_backend``, ``morsel_rows``
-            -- passed straight to
+            ``use_indexes``, ``use_encoding_cache`` -- passed straight to
             :class:`~repro.engine.executor.ExecutorOptions`, which
             states their defaults and legal values;
             :meth:`configure` changes them later.
@@ -175,8 +173,8 @@ class Database:
         return self.executor.options
 
     def configure(self, **overrides: Any) -> None:
-        """Change execution knobs: ``db.configure(parallel_workers=4,
-        parallel_backend="process")``.  Takes the fields of
+        """Change execution knobs:
+        ``db.configure(case_dispatch="hash")``.  Takes the fields of
         :class:`~repro.engine.executor.ExecutorOptions` and validates
         exactly as the constructor does; waits out a statement in
         flight, so no statement runs under a mix of old and new."""

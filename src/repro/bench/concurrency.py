@@ -1,6 +1,6 @@
 """Concurrency benchmark: the query service under multi-client load.
 
-Three experiments over the paper's ``sales`` fact table, written to
+Two experiments over the paper's ``sales`` fact table, written to
 ``BENCH_concurrency.json`` by ``python -m repro.bench --suite
 concurrency``:
 
@@ -8,9 +8,6 @@ concurrency``:
   GROUP BY aggregations plus Vpct/Hpct percentage queries) pushed
   through the service at 1/2/4/8 pool workers; reports queries/sec and
   the speedup over the single-worker run.
-* **intra-query parallelism** -- one large aggregation at
-  ``parallel_workers`` 1/2/4/8 (morsel-parallel group-by), serial
-  result asserted bit-identical.
 * **mixed latency** -- readers and writers interleaved through one
   4-worker service; per-class queue-wait and execution latency.
 
@@ -18,8 +15,8 @@ Honesty note: speedups are bounded by ``os.cpu_count()`` and by the
 GIL (the engine's numpy kernels release it only inside vectorized
 calls).  The report records ``cpu_count`` so a 1-core container's
 ~1.0x read-scaling is read as the environment's ceiling, not as a
-regression; the correctness claims (bit-identical parallel results,
-zero failed queries) hold at any core count.
+regression; the correctness claim (every write applied) holds at any
+core count.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ import statistics
 import time
 
 from repro.api.database import Database
-from repro.bench.multicore import sweep_morsel_rows
 from repro.service import QueryService
 
 
@@ -81,38 +77,6 @@ def _run_read_sweep(db: Database, worker_counts: tuple[int, ...],
     for entry in entries:
         entry["speedup_vs_1_worker"] = round(
             base / entry["elapsed_seconds"], 4)
-    return entries
-
-
-def _run_intra_query_sweep(db: Database,
-                           worker_counts: tuple[int, ...],
-                           repeats: int) -> list[dict]:
-    sql = ("SELECT dweek, monthno, dept, sum(salesamt), "
-           "avg(salesamt), count(*) FROM sales "
-           "GROUP BY dweek, monthno, dept")
-    db.configure(parallel_workers=1)
-    baseline_rows = db.query(sql)
-    db.configure(parallel_backend="thread", morsel_rows=sweep_morsel_rows(
-        db.table("sales").n_rows, worker_counts))
-    entries = []
-    for workers in worker_counts:
-        db.configure(parallel_workers=workers)
-        runs = []
-        for _ in range(repeats):
-            started = time.perf_counter()
-            rows = db.query(sql)
-            runs.append(time.perf_counter() - started)
-        entries.append({
-            "parallel_workers": workers,
-            "best_seconds": round(min(runs), 6),
-            "runs": [round(r, 6) for r in runs],
-            "bit_identical_to_serial": rows == baseline_rows,
-        })
-    db.configure(parallel_workers=1)
-    base = entries[0]["best_seconds"]
-    for entry in entries:
-        entry["speedup_vs_serial"] = round(
-            base / entry["best_seconds"], 4)
     return entries
 
 
@@ -172,7 +136,6 @@ def _run_mixed_latency(db: Database, n_ops: int) -> dict:
 def run_concurrency_benchmark(sales_n: int = 120_000,
                               read_queries: int = 20,
                               mixed_ops: int = 40,
-                              repeats: int = 3,
                               worker_counts: tuple[int, ...] = (1, 2, 4, 8)
                               ) -> dict:
     """The full concurrency suite; returns the JSON-ready report."""
@@ -182,8 +145,7 @@ def run_concurrency_benchmark(sales_n: int = 120_000,
     load_sales(db, sales_n)
     report = {
         "workload": f"sales n={sales_n}; service reads (plain + "
-                    f"Vpct/Hpct), morsel-parallel group-by, "
-                    f"mixed read/write",
+                    f"Vpct/Hpct), mixed read/write",
         "cpu_count": os.cpu_count(),
         "note": "speedups are bounded by cpu_count and the GIL; on a "
                 "single-core host expect ~1.0x scaling -- the suite "
@@ -191,8 +153,6 @@ def run_concurrency_benchmark(sales_n: int = 120_000,
                 "parallel speedup",
         "read_throughput": _run_read_sweep(db, worker_counts,
                                            read_queries),
-        "intra_query_parallelism": _run_intra_query_sweep(
-            db, worker_counts, repeats),
         "mixed_latency": _run_mixed_latency(db, mixed_ops),
     }
     reads = report["read_throughput"]
@@ -202,13 +162,6 @@ def run_concurrency_benchmark(sales_n: int = 120_000,
         "read_speedup_at_4_workers": next(
             (e["speedup_vs_1_worker"] for e in reads
              if e["workers"] == 4), None),
-        "intra_query_speedup_at_4_workers": next(
-            (e["speedup_vs_serial"]
-             for e in report["intra_query_parallelism"]
-             if e["parallel_workers"] == 4), None),
-        "all_parallel_results_bit_identical": all(
-            e["bit_identical_to_serial"]
-            for e in report["intra_query_parallelism"]),
         "all_writes_applied": report["mixed_latency"][
             "all_writes_applied"],
     }

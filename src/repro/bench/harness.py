@@ -68,9 +68,8 @@ def report_header(suite: str) -> dict:
 def write_report(report: dict, out: str, suite: str) -> dict:
     """Prepend the shared header and write ``out`` as pretty JSON.
 
-    Suite keys win on collision (the concurrency and multicore
-    reports carry their own top-level ``cpu_count``; it is the same
-    value either way)."""
+    Suite keys win on collision (the concurrency report carries its
+    own top-level ``cpu_count``; it is the same value either way)."""
     merged = {**report_header(suite), **report}
     with open(out, "w") as handle:
         json.dump(merged, handle, indent=2)
@@ -279,16 +278,14 @@ def main(argv: Optional[list[str]] = None) -> int:
                     "machine-readable JSON report.")
     parser.add_argument("--suite",
                         choices=("encoding-cache", "concurrency",
-                                 "obs", "multicore", "storage",
+                                 "obs", "storage",
                                  "overload", "views", "cube"),
                         default="encoding-cache",
                         help="encoding-cache: cold/warm dictionary-"
                              "encoding sweep; concurrency: service "
-                             "throughput, intra-query parallelism and "
-                             "mixed read/write latency; obs: tracing "
-                             "overhead on and off; multicore: process "
-                             "vs thread vs serial backends on one "
-                             "compute-heavy aggregation; storage: "
+                             "throughput and mixed read/write "
+                             "latency; obs: tracing overhead on and "
+                             "off; storage: "
                              "cold/warm buffer pool and memory-vs-disk "
                              "overhead on the page-based backend; "
                              "overload: open-loop arrival ramp past "
@@ -321,16 +318,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         # The concurrency workload is service-bound, not scan-bound;
         # cap the fact table so the default run stays interactive.
         report = run_concurrency_benchmark(
-            sales_n=min(args.sales, 120_000), repeats=args.repeats)
+            sales_n=min(args.sales, 120_000))
         write_report(report, out, args.suite)
         summary = report["summary"]
         print(f"wrote {out}: cpu_count={report['cpu_count']}, "
               f"{summary['best_read_throughput_qps']} qps best, "
-              f"read x{summary['read_speedup_at_4_workers']} / "
-              f"intra-query x"
-              f"{summary['intra_query_speedup_at_4_workers']} at 4 "
-              f"workers, parallel bit-identical="
-              f"{summary['all_parallel_results_bit_identical']}")
+              f"read x{summary['read_speedup_at_4_workers']} at 4 "
+              f"workers, all writes applied="
+              f"{summary['all_writes_applied']}")
         return 0
 
     if args.suite == "overload":
@@ -390,25 +385,6 @@ def main(argv: Optional[list[str]] = None) -> int:
               f"{summary['speedup_at_least_2x_at_4plus_sets']}), "
               f"best x{summary['best_speedup']}, "
               f"bit-identical={summary['all_bit_identical']}")
-        return 0
-
-    if args.suite == "multicore":
-        from repro.bench.multicore import run_multicore_benchmark
-
-        out = args.out or "BENCH_multicore.json"
-        report = run_multicore_benchmark(sales_n=args.sales,
-                                         repeats=args.repeats)
-        write_report(report, out, args.suite)
-        summary = report["summary"]
-        print(f"wrote {out}: cpu_count={report['cpu_count']}, "
-              f"process x{summary['process_speedup_at_4_workers']} at "
-              f"4 workers (target met: "
-              f"{summary['speedup_target_met']}), overhead "
-              f"{summary['process_overhead_fraction'] * 100:+.1f}% "
-              f"(within 10%: "
-              f"{summary['process_overhead_within_10pct']}), "
-              f"bit-identical="
-              f"{summary['all_results_bit_identical']}")
         return 0
 
     if args.suite == "storage":

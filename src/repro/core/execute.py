@@ -208,8 +208,7 @@ class ExecutionReport(QueryRecord):
         return render_explain_analyze([
             f"plan: {self.plan.description}",
             f"statements: {self.statements_run}  "
-            f"attempts: {self.attempts}  "
-            f"parallel degree: {self.parallel_degree}",
+            f"attempts: {self.attempts}",
         ], self.trace, normalize)
 
 

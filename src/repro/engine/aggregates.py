@@ -11,14 +11,10 @@ definition, which "preserves the semantics of sum()"):
 * ``avg`` returns REAL; ``sum``/``min``/``max`` keep the input type
   (INTEGER sums stay INTEGER).
 
-The numpy bodies live in :mod:`repro.engine.kernels` -- the
-executor-neutral kernel layer shared with the morsel tasks of the
-thread and process backends (:mod:`repro.engine.morsels`).  This module
-is the :class:`ColumnData`-facing adapter: it unwraps columns into raw
-buffers, dispatches on function name, and rewraps
-:class:`~repro.engine.kernels.PartialAggState` results.  Keeping
-exactly one implementation of each numpy sequence is what makes every
-backend bit-identical by construction.
+The numpy bodies live in :mod:`repro.engine.kernels`; this module
+unwraps argument columns into raw buffers and dispatches on the
+function name.  There is one aggregate path: every operator computes
+one aggregate at a time, inline, through :func:`compute_aggregate`.
 """
 
 from __future__ import annotations
@@ -35,51 +31,48 @@ from repro.engine.types import SQLType
 from repro.errors import PlanningError
 
 
-def _wrap(state: kernels.PartialAggState) -> ColumnData:
-    return ColumnData(state.sql_type, state.values, state.nulls)
-
-
 def count_star(group_ids: np.ndarray, n_groups: int) -> ColumnData:
-    return _wrap(kernels.kernel_count_star(group_ids, n_groups))
+    return kernels.kernel_count_star(group_ids, n_groups)
 
 
-def compute_aggregate(func: str, arg: ColumnData, distinct: bool,
-                      group_ids: np.ndarray, n_groups: int,
+def compute_aggregate(func: str, arg: Optional[ColumnData],
+                      distinct: bool, group_ids: np.ndarray,
+                      n_groups: int,
                       cache: Optional[EncodingCache] = None) -> ColumnData:
-    """Aggregate ``arg`` per group.
+    """Aggregate ``arg`` per group; ``arg`` is ``None`` for ``f(*)``.
 
-    ``func`` is one of sum/count/avg/min/max; ``count`` honors
-    ``distinct`` (and can reuse a cached dictionary encoding of a
-    base-table argument via ``cache``).
+    ``func`` is one of sum/count/avg/min/max/var/stdev; ``count``
+    honors ``distinct`` (and can reuse a cached dictionary encoding of
+    a base-table argument via ``cache``).
     """
+    if arg is None:
+        if func == "count" and not distinct:
+            return count_star(group_ids, n_groups)
+        raise PlanningError(f"{func}(*) is not valid; only count(*) "
+                            f"may take *")
     if func == "count":
         if distinct:
             encoded = encode_column(arg, cache)
-            return _wrap(kernels.kernel_count_distinct(
-                encoded.codes, encoded.cardinality, group_ids,
-                n_groups))
-        return _wrap(kernels.kernel_count(arg.nulls, group_ids,
-                                          n_groups))
+            return kernels.kernel_count_distinct(
+                encoded.codes, encoded.cardinality, group_ids, n_groups)
+        return kernels.kernel_count(arg.nulls, group_ids, n_groups)
     if distinct:
         raise PlanningError(f"DISTINCT is only supported with count(), "
                             f"not {func}()")
     if func == "sum":
-        return _wrap(kernels.kernel_sum(arg.values, arg.nulls,
-                                        arg.sql_type, group_ids,
-                                        n_groups))
+        return kernels.kernel_sum(arg.values, arg.nulls, arg.sql_type,
+                                  group_ids, n_groups)
     if func == "avg":
-        return _wrap(kernels.kernel_avg(arg.values, arg.nulls,
-                                        arg.sql_type, group_ids,
-                                        n_groups))
+        return kernels.kernel_avg(arg.values, arg.nulls, arg.sql_type,
+                                  group_ids, n_groups)
     if func in ("min", "max"):
         if arg.sql_type == SQLType.VARCHAR:
-            return _wrap(kernels.kernel_min_max_sorted(
-                func, arg.values, arg.nulls, group_ids, n_groups))
-        return _wrap(kernels.kernel_min_max(func, arg.values, arg.nulls,
-                                            arg.sql_type, group_ids,
-                                            n_groups))
+            return kernels.kernel_min_max_sorted(
+                func, arg.values, arg.nulls, group_ids, n_groups)
+        return kernels.kernel_min_max(func, arg.values, arg.nulls,
+                                      arg.sql_type, group_ids, n_groups)
     if func in ("var", "stdev"):
-        return _wrap(kernels.kernel_var_stdev(
+        return kernels.kernel_var_stdev(
             func, arg.values, arg.nulls, arg.sql_type, group_ids,
-            n_groups))
+            n_groups)
     raise PlanningError(f"unknown aggregate function {func}()")

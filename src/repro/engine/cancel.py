@@ -10,8 +10,8 @@ interrupted but every statement crosses many safepoints.  A safepoint
 that observes a cancelled token raises
 :class:`~repro.errors.QueryCancelledError`, which unwinds through the
 existing savepoint/finally discipline -- catalog rollback, WAL
-restore, shared-memory unlink, buffer-pool unpin, temp-table drop --
-so a cancelled query leaves nothing behind.
+restore, buffer-pool unpin, temp-table drop -- so a cancelled query
+leaves nothing behind.
 
 Determinism: the token reads time through an injected
 :class:`~repro.obs.clock.Clock`, so deadline tests run under
@@ -51,8 +51,6 @@ SAFEPOINTS = (
     "join-build",         # hash-join build side (engine/join.py)
     "group-by",           # factorize entry (engine/groupby.py)
     "pivot",              # pivot-family pass (engine/pivot.py)
-    "morsel",             # per morsel planned (engine/kernels.py)
-    "process-dispatch",   # before a shared-memory pool dispatch
     "page-fetch",         # per column page run (storage/engine.py)
     "projection",         # entering a SELECT's projection
     "dml",                # entering an INSERT/UPDATE/DELETE's write
@@ -170,7 +168,7 @@ class CancelToken:
     def poll(self, context: str = "") -> None:
         """Raise if cancelled, without counting a safepoint hit.  Used
         where crossing counts would be timing-dependent (governor
-        checkpoints, the process pool's result-drain loop)."""
+        checkpoints)."""
         self._raise_if_cancelled(context)
 
     def _raise_if_cancelled(self, where: str) -> None:

@@ -29,8 +29,9 @@ from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
-from repro.engine import cancel, morsels
+from repro.engine import cancel
 from repro.engine import pivot as pivot_mod
+from repro.engine.aggregates import compute_aggregate
 from repro.engine.catalog import Catalog
 from repro.engine.column import ColumnData
 from repro.engine.expressions import (Frame, evaluate, evaluate_scalar,
@@ -53,10 +54,6 @@ from repro.errors import (CatalogError, ExecutionError,
                           TypeMismatchError)
 from repro.obs.tracer import Tracer
 from repro.sql import ast
-
-
-#: Parallel execution substrates (``ExecutorOptions.parallel_backend``).
-PARALLEL_BACKENDS = ("serial", "thread", "process")
 
 
 @dataclass(frozen=True)
@@ -82,28 +79,11 @@ class ExecutorOptions:
         table-versioned cache instead of recomputed per plan step.
         Wall-clock only: results and logical-I/O counters are identical
         either way.
-    ``parallel_workers``:
-        intra-query parallelism: above 1, a grouped aggregation whose
-        grouping splits into at least two morsels fans out (the thread
-        backend runs at most this many morsels at once).  Bit-identical
-        to serial execution on every backend.
-    ``parallel_backend``:
-        which dispatcher runs the morsels: ``"thread"`` the shared
-        operator thread pool over the in-process arrays; ``"process"``
-        the worker *process* pool over shared-memory column blocks
-        (GIL-free -- see docs/parallelism.md); ``"serial"`` disables
-        parallel aggregation regardless of ``parallel_workers``.
-    ``morsel_rows``:
-        target rows per morsel.  Smaller morsels balance skewed groups
-        better; larger ones amortize per-task dispatch overhead.
     """
 
     case_dispatch: str = "linear"
     use_indexes: bool = True
     use_encoding_cache: bool = True
-    parallel_workers: int = 1
-    parallel_backend: str = "thread"
-    morsel_rows: int = 8192
 
     def __post_init__(self) -> None:
         if self.case_dispatch not in ("linear", "hash"):
@@ -113,14 +93,6 @@ class ExecutorOptions:
             # silently read as "off".
             if not isinstance(getattr(self, knob), bool):
                 raise ValueError(f"{knob} must be True or False")
-        if self.parallel_workers < 1:
-            raise ValueError("parallel_workers must be >= 1")
-        if self.parallel_backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"parallel_backend must be one of "
-                f"{', '.join(PARALLEL_BACKENDS)}")
-        if self.morsel_rows < 1:
-            raise ValueError("morsel_rows must be >= 1")
 
 
 @dataclass
@@ -242,12 +214,6 @@ class Executor:
     # ------------------------------------------------------------------
     # The query boundary (repro.engine.scope)
     # ------------------------------------------------------------------
-    def _note_parallel_degree(self, degree: int) -> None:
-        record = self.scopes.current
-        if record is not None:
-            record.parallel_degree = max(record.parallel_degree,
-                                         int(degree))
-
     def run_statement(self, statement: ast.Statement,
                       use_views: bool = True, sql: str = "",
                       token=None, force_trace: bool = False
@@ -290,8 +256,8 @@ class Executor:
         through which it charges the ledger (as event ``charge``,
         default ``name``) and the governor and stamps the span.  Fault
         sites and the safepoints of kernels several operators share
-        (``join-build``, ``group-by``, ``pivot``, ``morsel``) stay
-        inside those kernels, where their crossing counts are."""
+        (``join-build``, ``group-by``, ``pivot``) stay inside those
+        kernels, where their crossing counts are."""
         if site is not None:
             cancel.checkpoint(site)
         with self.tracer.span(name, kind="operator", **attrs) as span:
@@ -710,20 +676,21 @@ class Executor:
                          n_groups: int) -> dict[Any, ColumnData]:
         """Every grouped aggregate of every operator goes through here:
         ``(key, func, arg, distinct)`` items over one grouping in,
-        ``{key: ColumnData}`` out, on whichever dispatcher the options
-        select (see repro.engine.morsels)."""
-        opts = self.options
-        return morsels.run_grouped_aggregates(
-            items, group_ids, n_groups, self.encoding_cache,
-            backend=opts.parallel_backend, workers=opts.parallel_workers,
-            morsel_rows=opts.morsel_rows, metrics=self.stats.registry,
-            tracer=self.tracer, on_parallel=self._note_parallel_degree)
+        ``{key: ColumnData}`` out, in item order.  ``items`` may be a
+        generator and is consumed one aggregate at a time, so a caller
+        that evaluates argument expressions lazily never holds more
+        than one argument column (the 1,000-column Hpct statements
+        depend on this)."""
+        cache = self.encoding_cache
+        return {key: compute_aggregate(func, arg, distinct, group_ids,
+                                       n_groups, cache)
+                for key, func, arg, distinct in items}
 
     def _aggregate_items(self, calls: list[ast.FuncCall], frame: Frame,
                          skip: frozenset = frozenset()):
         """``(__aggI, func, argument column, distinct)`` per aggregate
         call, validated; ``None`` is ``count(*)``'s argument.  Lazy:
-        the inline dispatcher pulls one item at a time, so argument
+        :meth:`_aggregate_batch` pulls one item at a time, so argument
         expressions are evaluated (and released) per aggregate exactly
         as a plain loop would."""
         for i, call in enumerate(calls):

@@ -75,9 +75,6 @@ def _plan_lines(executor, statement: ast.Statement,
         lines.append(f"delete from {statement.table.name}")
     else:
         lines.append(type(statement).__name__.lower())
-    parallel = _parallel_line(executor)
-    if parallel is not None:
-        lines.append(parallel)
     lines.append(_governor_line(executor))
     deadline = _deadline_line()
     if deadline is not None:
@@ -87,18 +84,6 @@ def _plan_lines(executor, statement: ast.Statement,
         lines.append(storage)
     lines.append(_cache_line(executor))
     return lines
-
-
-def _parallel_line(executor) -> Optional[str]:
-    """The intra-query parallelism this statement may use; omitted
-    entirely when the engine is serial, so serial plans are unchanged
-    (the governor line stays second-to-last either way)."""
-    opts = executor.options
-    if opts.parallel_workers <= 1 or opts.parallel_backend == "serial":
-        return None
-    return (f"parallel: degree={opts.parallel_workers} "
-            f"backend={opts.parallel_backend} "
-            f"(morsel rows {opts.morsel_rows})")
 
 
 def _governor_line(executor) -> str:

@@ -50,8 +50,7 @@ from repro.obs.metrics import global_registry
 #: appended (a crash there loses the mutation cleanly), and
 #: ``storage-commit`` fires after the record is durable but before the
 #: in-memory publish (a crash there must be redone on reopen).
-SITES = ("statement", "join-build", "group-by", "pivot",
-         "encoding-cache", "process-worker",
+SITES = ("statement", "join-build", "group-by", "pivot", "encoding-cache",
          "storage-page-write", "storage-wal-fsync", "storage-commit")
 
 #: Fault kinds and the exception class each raises.

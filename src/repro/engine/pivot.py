@@ -60,7 +60,7 @@ def compute_pivot_aggregates(agg_specs: list[ast.FuncCall], frame: Frame,
 
     ``aggregate`` is the executor's batch entry point --
     ``(items, group_ids, n_groups) -> {key: ColumnData}`` -- which runs
-    the per-cell aggregation on whichever backend the query uses.
+    the per-cell aggregation.
     """
     families = _detect_families(agg_specs, frame)
     handled: set[int] = set()

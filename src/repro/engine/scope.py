@@ -12,10 +12,9 @@ window, activates the tracer and opens a root span, and it fills one
 :class:`QueryRecord` on the way out.
 
 Scopes nest per thread: an inner scope joins its parent's governor
-window, inherits its token and queue wait, and propagates the widest
-parallel fan-out it saw upwards.  The *outermost* scope is therefore
-the unit every limit applies to -- ``ResourceBudget`` meters it as one
-window and one deadline token covers it.
+window and inherits its token and queue wait.  The *outermost* scope
+is therefore the unit every limit applies to -- ``ResourceBudget``
+meters it as one window and one deadline token covers it.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ class QueryRecord:
     #: Resource-governor snapshot of the (outermost) query window as
     #: this scope left it, plus ``queue_wait_seconds``.
     governor_usage: dict[str, Any] = field(default_factory=dict)
-    #: Widest morsel fan-out any aggregation used (1 = fully serial).
-    parallel_degree: int = 1
     #: Seconds between submission and the start of execution (0.0
     #: when run without the service scheduler).  The wait does not
     #: count against ``max_seconds``: the window's clock starts when
@@ -118,9 +115,6 @@ def query_scope(executor, name: str,
         local.current = parent
         if parent is None:
             local.last = record
-        else:
-            parent.parallel_degree = max(parent.parallel_degree,
-                                         record.parallel_degree)
 
 
 def render_explain_analyze(header: list[str], trace: Span,

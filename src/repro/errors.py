@@ -93,12 +93,6 @@ class TransientError(ExecutionError):
     retryable = True
 
 
-class WorkerCrashError(TransientError):
-    """A worker process of the multiprocess backend died (or stopped
-    responding) mid-batch.  The pool rebuilds itself before raising,
-    so a retry runs against fresh workers -- hence retryable."""
-
-
 class ResourceExhausted(ExecutionError):
     """A per-query resource budget was exceeded.
 

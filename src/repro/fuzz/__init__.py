@@ -15,8 +15,8 @@ This package turns that claim into an executable check:
 * :mod:`repro.fuzz.comparator` decides agreement with explicit NULL
   and float-tolerance semantics (and bitwise, where the contract is
   bit-identity),
-* :mod:`repro.fuzz.variants` states the backend x storage variant
-  matrix and the leak post-condition once, for every harness,
+* :mod:`repro.fuzz.variants` states the storage variant matrix and
+  the leak post-condition once, for every harness,
 * :mod:`repro.fuzz.sweep` disturbs each case -- injected faults,
   armed cancellations, DML under a materialized view -- on every cell
   of that matrix and checks one post-condition set after every shot,

@@ -10,7 +10,7 @@ Examples::
     python -m repro.fuzz --seed 0 --budget 100 --trace
     python -m repro.fuzz --seed 0 --budget 100 --storage disk
     python -m repro.fuzz --sweep fault --seed 0 --budget 40
-    python -m repro.fuzz --sweep fault --backend process --storage disk
+    python -m repro.fuzz --sweep fault --storage disk
     python -m repro.fuzz --sweep cancel --seed 0 --budget 10
     python -m repro.fuzz --sweep views --seed 0 --budget 20
     python -m repro.fuzz --sweep views --inject-bug views-skip-retraction
@@ -22,11 +22,9 @@ broke); 1 means at least one divergence (each one is minimized and
 written to ``--out`` as a replayable JSON repro) or finding; 2 is a
 usage error.
 
-``--backend`` / ``--storage`` (repeatable) pick cells of the variant
-matrix, backends x storages.  Under ``--sweep`` an axis left unnamed
-contributes every value; a differential run adds no matrix variants
-unless an axis is named, and then an unnamed axis contributes its
-first value (``serial``, ``memory``).
+``--storage`` (repeatable) picks cells of the variant matrix.  Left
+unnamed, a sweep covers every cell; a differential run covers its
+baseline (``memory``) and adds the other cells only when named.
 ``--sweep KIND`` switches from comparing strategies to disturbing
 them on every selected matrix cell -- injected faults, armed
 cancellations, DML under a materialized view -- and holds each shot to
@@ -48,7 +46,7 @@ from repro.fuzz.generator import FAMILIES, CaseGenerator, FuzzCase
 from repro.fuzz.reducer import reduce_case
 from repro.fuzz.runner import INJECTABLE_BUGS, run_case
 from repro.fuzz.sweep import KINDS, Stats, describe, sweep_cases
-from repro.fuzz.variants import BACKENDS, STORAGES, Variant, matrix
+from repro.fuzz.variants import STORAGES, Variant, matrix
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,17 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "(enforced by the resource governor; "
                              "timed-out variants are excluded from "
                              "comparison)")
-    parser.add_argument("--backend", action="append",
-                        choices=BACKENDS, default=None,
-                        metavar="BACKEND",
-                        help="parallel-backend axis of the variant "
-                             "matrix (repeatable; "
-                             f"{', '.join(BACKENDS)})")
     parser.add_argument("--storage", action="append",
                         choices=STORAGES, default=None,
                         metavar="STORAGE",
-                        help="table-substrate axis of the variant "
-                             "matrix (repeatable; "
+                        help="cell of the variant matrix, a table "
+                             "substrate (repeatable; "
                              f"{', '.join(STORAGES)})")
     parser.add_argument("--trace", action="store_true",
                         help="run engine variants on traced databases "
@@ -152,14 +144,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _variants(args: argparse.Namespace) -> list[Variant]:
-    """The matrix cells ``--backend`` / ``--storage`` select."""
-    if args.sweep:
-        return matrix(args.backend or BACKENDS,
-                      args.storage or STORAGES)
-    if not (args.backend or args.storage):
-        return []
-    return matrix(args.backend or BACKENDS[:1],
-                  args.storage or STORAGES[:1])
+    """The matrix cells ``--storage`` selects."""
+    return matrix(args.storage or (STORAGES if args.sweep else ()))
 
 
 # ----------------------------------------------------------------------

@@ -26,9 +26,10 @@ Per family:
     recomputation.
 
 Variant names follow one rule: ``engine:<strategy>`` runs on a plain
-``Database()``, ``engine:<strategy>@<backend>/<storage>`` is the same
-strategy on one cell of the variant matrix
-(:mod:`repro.fuzz.variants`), and ``sqlite:<path>`` is an oracle run.
+``Database()`` (the matrix's ``memory`` cell),
+``engine:<strategy>@<storage>`` is the same strategy on another cell
+of the variant matrix (:mod:`repro.fuzz.variants`), and
+``sqlite:<path>`` is an oracle run.
 
 An exception is an outcome, not a crash: if **every** variant raises,
 the engines agree the input is degenerate and the case is consistent;
@@ -125,17 +126,15 @@ def run_case(case: FuzzCase,
     way) rather than counted as an error outcome, so a slow plan on a
     loaded machine cannot masquerade as a correctness divergence.
 
-    ``variants`` adds, per matrix cell, one engine variant for each of
-    the family's primary strategies (see :func:`_strategies`).  The
-    parallel cells run 2 workers over 2-row morsels so even the
-    fuzzer's tiny tables fan out; the disk cells run against a
-    page-backed store with a deliberately tiny buffer pool, so even
-    small tables evict.  All must agree bit-for-bit with the baseline
-    variants and the oracle.  Every engine database is built by
-    :func:`~repro.fuzz.variants.open_variant`, so debris -- a live
-    shared-memory segment, a page store left open, a stray store file,
-    a plan temp table -- counts as a divergence whatever else the
-    variant returned.
+    ``variants`` adds, per matrix cell other than the baseline's, one
+    engine variant for each of the family's primary strategies (see
+    :func:`_strategies`).  The disk cell runs against a page-backed
+    store with a deliberately tiny buffer pool, so even small tables
+    evict.  All must agree bit-for-bit with the baseline variants and
+    the oracle.  Every engine database is built by
+    :func:`~repro.fuzz.variants.open_variant`, so debris -- a page
+    store left open, a stray store file, a plan temp table -- counts
+    as a divergence whatever else the variant returned.
 
     ``trace`` runs every engine variant on a traced database and
     checks the trace after each successful run: every span tree must
@@ -367,7 +366,9 @@ def _variants(case: FuzzCase, inject_bug: Optional[str],
         return partial(_engine_rows, case, strategy, variant, kw)
 
     # The baseline (engine defaults) first: it is the comparison base.
-    return ([(f"engine:{s.name}", on(s, Variant())) for s in engine]
+    baseline = Variant()
+    return ([(f"engine:{s.name}", on(s, baseline)) for s in engine]
             + [(f"sqlite:{name}", thunk) for name, thunk in sqlite]
             + [(f"engine:{s.name}@{v.name}", on(s, v))
-               for v in variants for s in engine if s.primary])
+               for v in variants if v != baseline
+               for s in engine if s.primary])

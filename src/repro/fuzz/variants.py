@@ -5,11 +5,10 @@ engine in the same few configurations and hold it to the same "nothing
 left behind" rule, so a new axis value or a new kind of debris is
 added here once and covered everywhere:
 
-* the **matrix** is parallel backend x table substrate: a
-  :class:`Variant` carries one cell's ``Database`` keyword arguments,
-  :func:`matrix` enumerates cells, and the CLI's ``choices=``,
-  ``--list-variants`` and the tests read :data:`BACKENDS` and
-  :data:`STORAGES`;
+* the **matrix** is the table substrate: a :class:`Variant` carries
+  one cell's ``Database`` keyword arguments, :func:`matrix` enumerates
+  cells, and the CLI's ``choices=``, ``--list-variants`` and the tests
+  read :data:`STORAGES`;
 * :func:`open_variant` is the only place a harness database is built:
   it owns the temp store directory, the ``close()`` and the leak check;
 * :func:`leaks` is the leak check itself.
@@ -24,12 +23,8 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.api.database import Database
-from repro.engine import shm
 from repro.fuzz.generator import FuzzCase
 from repro.storage import engine as storage_engine
-
-#: Parallel backends (the ``--backend`` axis).
-BACKENDS = ("serial", "thread", "process")
 
 #: Table substrates (the ``--storage`` axis).
 STORAGES = ("memory", "disk")
@@ -39,66 +34,47 @@ STORAGES = ("memory", "disk")
 #: is inside the net, not just the happy path.
 POOL_PAGES = 8
 
-#: Engine options per backend.  The parallel backends get a 2-row
-#: morsel target so the fuzzer's tiny tables still split into multiple
-#: morsels and exercise dispatch + merge.
-_BACKEND_KW: dict[str, dict[str, Any]] = {
-    "serial": {"parallel_workers": 2, "parallel_backend": "serial"},
-    "thread": {"parallel_workers": 2, "parallel_backend": "thread",
-               "morsel_rows": 2},
-    "process": {"parallel_workers": 2, "parallel_backend": "process",
-                "morsel_rows": 2},
-}
-
 #: One line per axis value, printed by ``--list-variants`` and
 #: mirrored in docs/testing.md.
 AXIS_DESCRIPTIONS = {
-    "serial": "inline dispatcher, 2 workers configured",
-    "thread": "operator thread pool, 2 workers, 2-row morsels",
-    "process": "shared-memory process pool, 2 workers, 2-row morsels",
     "memory": "in-memory column store",
     "disk": f"page-backed store in a fresh temp directory, "
             f"{POOL_PAGES}-page buffer pool (evicts on purpose)",
-    "--trace": "the differential run opens every cell (and its "
-               "baseline) traced and validates each trace",
+    "--trace": "the differential run opens every cell traced and "
+               "validates each trace",
 }
 
 
 @dataclass(frozen=True)
 class Variant:
-    """One cell of the matrix, named ``backend/storage``.
-    ``backend=None`` is the engine's own defaults -- the differential
-    runner's baseline, not a matrix cell."""
+    """One cell of the matrix: a table substrate, named after it.
+    The default is the engine's own defaults -- the differential
+    runner's baseline."""
 
-    backend: Optional[str] = None
     storage: str = "memory"
 
     def __post_init__(self) -> None:
-        if self.backend not in (None,) + BACKENDS \
-                or self.storage not in STORAGES:
-            raise ValueError(f"unknown variant {self.name}; the axes "
-                             f"are {BACKENDS} x {STORAGES}")
+        if self.storage not in STORAGES:
+            raise ValueError(f"unknown variant {self.name}; the "
+                             f"matrix is {STORAGES}")
 
     @property
     def name(self) -> str:
-        return f"{self.backend or 'default'}/{self.storage}"
+        return self.storage
 
     def database_kwargs(self, store: Optional[str] = None
                         ) -> dict[str, Any]:
         """``Database`` keyword arguments of this cell; ``store`` is
         the page-store directory of a disk variant."""
-        kwargs = dict(_BACKEND_KW[self.backend]) if self.backend else {}
         if self.storage == "disk":
-            kwargs.update(storage="disk", storage_path=store,
-                          pool_pages=POOL_PAGES)
-        return kwargs
+            return dict(storage="disk", storage_path=store,
+                        pool_pages=POOL_PAGES)
+        return {}
 
 
-def matrix(backends: Sequence[str] = BACKENDS,
-           storages: Sequence[str] = STORAGES) -> list[Variant]:
-    """The cells backends x storages, in sweep order."""
-    return [Variant(backend, storage)
-            for storage in storages for backend in backends]
+def matrix(storages: Sequence[str] = STORAGES) -> list[Variant]:
+    """The cells, in sweep order."""
+    return [Variant(storage) for storage in storages]
 
 
 class LeakError(Exception):
@@ -119,8 +95,6 @@ def leaks(databases: Iterable[Database] = (),
 
     * no given database holds a ``_``-prefixed table -- the name space
       :func:`repro.core.plan.fresh_prefix` reserves for plan temps;
-    * no shared-memory segment is live (the exporter's try/finally is
-      the product's guarantee; found segments are reclaimed);
     * with ``stores`` -- the directories of page stores the caller has
       already closed or abandoned, ``()`` when it merely expects none
       open -- no storage engine is still registered live (found ones
@@ -132,11 +106,6 @@ def leaks(databases: Iterable[Database] = (),
         temps = sorted(n for n in db.table_names() if n.startswith("_"))
         if temps:
             problems.append(("temp tables leaked", ", ".join(temps)))
-    segments = shm.live_segment_names()
-    if segments:
-        shm.force_unlink_all()
-        problems.append(("shared-memory segments leaked",
-                         ", ".join(segments)))
     if stores is not None:
         live = storage_engine.live_store_paths()
         if live:

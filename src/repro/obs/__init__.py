@@ -9,10 +9,9 @@ Three pieces, zero dependencies beyond the standard library:
   by a fixed step, so span durations (and therefore rendered trees and
   EXPLAIN ANALYZE output) are bit-identical run over run.
 * :mod:`repro.obs.tracer` -- nested spans (statement -> plan-step ->
-  operator) with thread-local stacks, explicit cross-thread parenting
-  for partition workers, JSON-lines export, a rendered tree, and the
-  well-formedness / row-accounting validators the fuzz harness and the
-  property tests share.
+  operator) with thread-local stacks, JSON-lines export, a rendered
+  tree, and the well-formedness / row-accounting validators the fuzz
+  harness and the property tests share.
 * :mod:`repro.obs.metrics` -- counters, gauges, and fixed-bucket
   histograms under one registry lock, with a Prometheus text exporter
   (and a parser for round-trip tests).  ``engine/stats.py`` keeps its

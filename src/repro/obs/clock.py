@@ -38,8 +38,8 @@ class ManualClock(Clock):
     With the default step of 1ms, the Nth reading anywhere in the
     process observes exactly ``start + (N-1) * step`` -- so as long as
     the *sequence* of clock reads is deterministic (serial execution),
-    every span duration is too.  Thread-safe so parallel-partition
-    tests can share one instance without torn updates, though the
+    every span duration is too.  Thread-safe so concurrent service
+    sessions can share one instance without torn updates, though the
     read ordering (and thus the durations) is only deterministic when
     execution is serial.
     """

@@ -10,7 +10,6 @@ engine emits three levels of nesting::
       plan-step               (one generated SQL statement boundary)
         statement             (api/database.py: one executed statement)
           join / group-by / pivot          (operator spans)
-            partition                      (parallel workers)
           scan / write / update / ...      (zero-duration "charge"
                                             events carrying counter
                                             deltas)
@@ -30,8 +29,6 @@ Threading
 
 Each thread keeps its own span stack, so concurrent sessions sharing
 one tracer interleave without corrupting each other's nesting.
-Morsel tasks (pool threads, worker processes) open no spans: the
-coordinator records them as events once the fan-out is collected.
 Deep modules with no executor reference (the governor, the encoding
 cache) reach the ambient tracer through
 :func:`activate` / :func:`active_tracer`, which is also thread-local.

@@ -1,5 +1,5 @@
 """The concurrent query service: sessions, snapshot isolation and a
-parallel worker pool.
+query worker pool.
 
 The paper closes by observing that percentage queries are interactive,
 OLAP-style workloads: many analysts submitting Vpct/Hpct queries over
@@ -28,8 +28,7 @@ Typical use::
             rows = report.rows()
 
 Writes serialize through one writer lock with all-or-nothing script
-semantics; reads scale out across the pool and, within a query, across
-the morsel-parallel aggregation operators (``parallel_workers``).
+semantics; reads scale out across the pool, one query per worker.
 """
 
 from __future__ import annotations

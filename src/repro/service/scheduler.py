@@ -1,11 +1,8 @@
 """Admission control and scheduling for the concurrent query service.
 
 The scheduler is a bounded :class:`~concurrent.futures.
-ThreadPoolExecutor` (thread prefix ``repro-query``; deliberately
-distinct from the shared *operator* pool in
-:mod:`repro.engine.morsels`, so one query fanning its aggregation
-out across morsels never competes for the slots that admit whole
-queries) with three admission gates layered on the resource governor:
+ThreadPoolExecutor` (thread prefix ``repro-query``; one query per
+worker) with three admission gates layered on the resource governor:
 
 * a global queue-depth bound -- submissions beyond
   ``workers + max_queue_depth`` raise
@@ -54,8 +51,7 @@ from repro.sql.parser import parse_script
 class ServiceReport(QueryRecord):
     """What one scheduled script did and what it cost -- the script
     scope's :class:`~repro.engine.scope.QueryRecord` (elapsed time,
-    queue wait, governor usage, parallel degree, trace) plus what is
-    the service's."""
+    queue wait, governor usage, trace) plus what is the service's."""
 
     #: ``"read"`` (snapshot-isolated) or ``"write"`` (writer lock).
     kind: str
@@ -97,8 +93,7 @@ class ServiceReport(QueryRecord):
                 "tracing=True before submitting the script")
         return render_explain_analyze([
             f"script: {self.kind}  session: {self.session_id}  "
-            f"statements: {self.statements_run}  "
-            f"parallel degree: {self.parallel_degree}",
+            f"statements: {self.statements_run}",
         ], self.trace, normalize)
 
 
@@ -377,8 +372,7 @@ class Scheduler:
         """Cheaper evaluation options for near-capacity operation, or
         ``options`` unchanged when the service has headroom.  Brownout
         trades per-query speed for service-wide capacity: hash CASE
-        dispatch (no strategy search) and serial operators (no fan-out
-        competing for cores the backlog needs)."""
+        dispatch (no strategy search)."""
         if self.brownout_fraction >= 1.0:
             return options, False
         capacity = self.workers + self.max_queue_depth
@@ -390,9 +384,7 @@ class Scheduler:
             "service_brownout_total",
             help="read scripts forced onto cheaper options near "
                  "capacity").inc()
-        return dataclasses.replace(
-            options, case_dispatch="hash", parallel_backend="serial",
-            parallel_workers=1), True
+        return dataclasses.replace(options, case_dispatch="hash"), True
 
     @staticmethod
     def _run_statements(db, statements: list[ast.Statement],
@@ -403,8 +395,7 @@ class Scheduler:
         Extended Vpct/Hpct selects route through the resilient
         percentage-query runner (savepoints, transient retry, strategy
         fallback); everything else is a plain engine statement.  Each
-        is a scope nested in the script's, which is how the widest
-        parallel fan-out reaches the script's record.
+        is a scope nested in the script's.
         """
         results: list[Any] = []
         statements_run = 0

@@ -32,13 +32,13 @@ class SessionDefaults:
     """Per-session execution defaults.
 
     ``SessionDefaults(deadline_seconds=2.0, case_dispatch="hash",
-    parallel_workers=4)``: every keyword but ``deadline_seconds`` is an
+    use_indexes=False)``: every keyword but ``deadline_seconds`` is an
     override of one :class:`~repro.engine.executor.ExecutorOptions`
     field for this session's snapshot readers -- same names, same
     legal values, checked here at construction; a knob not named
     inherits the base database's setting.  Write scripts run on the
     base database and keep its settings: the knobs steer read
-    evaluation (CASE dispatch, index usage, cache usage, parallelism),
+    evaluation (CASE dispatch, index usage, cache usage),
     and applying them to the shared writer would leak one session's
     preferences into every other client's view.
     """

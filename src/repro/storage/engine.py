@@ -73,7 +73,7 @@ _live_stores: dict[str, "StorageEngine"] = {}
 
 def live_store_paths() -> list[str]:
     """Directories of engines opened but not yet closed/abandoned --
-    the leak oracle mirrored on the shared-memory registry."""
+    the leak oracle for page stores."""
     with _live_lock:
         return sorted(_live_stores)
 

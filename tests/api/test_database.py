@@ -32,7 +32,7 @@ class TestExecute:
 
     def test_encoding_cache_budget_is_not_a_database_option(self):
         """Nobody set it; a test that needs a small budget hands the
-        catalog an ``EncodingCache`` (ROADMAP item 6's option trial)."""
+        catalog an ``EncodingCache`` (ROADMAP item 7's option trial)."""
         with pytest.raises(TypeError):
             Database(encoding_cache_bytes=1)
 
@@ -86,3 +86,24 @@ class TestIntrospection:
         with pytest.raises(CatalogError):
             db.drop_table("t")
         db.drop_table("t", if_exists=True)
+
+
+def test_importing_the_engine_does_not_import_multiprocessing():
+    """There is no intra-query parallelism (DESIGN.md section 5), so
+    nothing on the import path of the service or the database may pull
+    in ``multiprocessing`` -- numpy alone does not."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = ("import sys; import repro.service, repro.api.database; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'multiprocessing'))")
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=src_dir))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -27,10 +27,13 @@ VALUES = {
     "case_dispatch": ("hash", "quantum"),
     "use_indexes": (False, None),
     "use_encoding_cache": (False, "off"),
-    "parallel_workers": (3, 0),
-    "parallel_backend": ("process", "gpu"),
-    "morsel_rows": (7, 0),
 }
+
+#: Names that are not knobs: the intra-query parallelism knobs retired
+#: with the feature (DESIGN.md section 5; no alias, no deprecation
+#: path), each with a value that used to be legal.
+REFUSED = {"parallel_workers": 2, "parallel_backend": "thread",
+           "morsel_rows": 8192}
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "engine_internals.md"
 
@@ -62,11 +65,17 @@ def _connect(**knobs):
         connection.close()
 
 
+def _statement(**knobs):
+    return Database().execute("SELECT 1", **knobs)
+
+
 SURFACES = [_database, _configure, _session_defaults, _query_service,
             _connect]
 
 
 def test_every_knob_has_a_row():
+    assert KNOBS == ["case_dispatch", "use_indexes",
+                     "use_encoding_cache"]
     assert sorted(VALUES) == sorted(KNOBS)
 
 
@@ -86,20 +95,22 @@ def test_surface_accepts_and_rejects_like_the_dataclass(surface, knob):
     assert str(through.value) == str(direct.value)
 
 
-@pytest.mark.parametrize("surface", SURFACES,
+@pytest.mark.parametrize("surface", SURFACES + [_statement],
                          ids=lambda s: s.__name__.lstrip("_"))
 def test_surface_refuses_a_name_the_dataclass_lacks(surface):
-    # The observed fan-out on reports, not a knob; nor is anything
-    # else that is not a field.
-    with pytest.raises(TypeError):
-        surface(parallel_degree=2)
+    """A ``TypeError`` that names the refused keyword, on every
+    surface that takes knobs and on the per-statement options."""
+    for name, value in REFUSED.items():
+        with pytest.raises(TypeError, match=name):
+            surface(**{name: value})
 
 
 def test_configure_keeps_the_knobs_it_was_not_given():
-    db = Database(case_dispatch="hash", morsel_rows=2)
-    db.configure(parallel_workers=4)
+    db = Database(case_dispatch="hash", use_indexes=False)
+    db.configure(use_encoding_cache=False)
     assert db.options == ExecutorOptions(
-        case_dispatch="hash", morsel_rows=2, parallel_workers=4)
+        case_dispatch="hash", use_indexes=False,
+        use_encoding_cache=False)
     assert db.executor.options is db.options
 
 

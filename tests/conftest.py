@@ -23,8 +23,7 @@ def no_leaks(request, monkeypatch):
     ``_``-prefixed plan temp table in any :class:`Database` the test
     built (directly or via fixtures; snapshot overlays are assembled
     from their base's parts, not through ``__init__``, so the service
-    suites track their readers explicitly), no live shared-memory
-    segment, no open page store.
+    suites track their readers explicitly), no open page store.
     Debris is reclaimed either way; opt out of the assertion with
     ``@pytest.mark.allow_leaks``."""
     created: list[Database] = []

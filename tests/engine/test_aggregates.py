@@ -118,5 +118,17 @@ class TestErrors:
             agg("median", int_col([1, 2, 3, 4, 5]))
 
     def test_distinct_only_for_count(self):
-        with pytest.raises(PlanningError):
+        with pytest.raises(PlanningError,
+                           match=r"DISTINCT is only supported with "
+                                 r"count\(\), not sum\(\)"):
             agg("sum", int_col([1, 2, 3, 4, 5]), distinct=True)
+
+    def test_only_count_takes_star(self):
+        """``arg=None`` is ``f(*)``: count(*) counts rows, anything
+        else -- count(DISTINCT *) included -- is a planning error."""
+        assert agg("count", None) == [2, 2, 1]
+        for func, distinct in (("sum", False), ("min", False),
+                               ("count", True)):
+            with pytest.raises(PlanningError,
+                               match=rf"{func}\(\*\) is not valid"):
+                agg(func, None, distinct)

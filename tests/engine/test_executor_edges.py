@@ -143,3 +143,51 @@ class TestFeatureInteractions:
                    "(2, 'y', 1.5), (3, 'z', 2.5)")
         rows = db.query("SELECT a FROM t WHERE c BETWEEN 1.0 AND 2.0")
         assert rows == [(2,)]
+
+
+class TestAggregateBatchIsLazy:
+    """``Executor._aggregate_batch`` consumes its items one aggregate
+    at a time: the 1,000-column Hpct statements evaluate one argument
+    column, aggregate it, and only then evaluate the next, so peak
+    memory is one argument, not a thousand."""
+
+    def test_item_k_plus_1_is_pulled_after_aggregate_k(self, db,
+                                                       monkeypatch):
+        import weakref
+
+        import numpy as np
+
+        from repro.engine import executor as executor_mod
+        from repro.engine.column import ColumnData
+        from repro.engine.types import SQLType
+
+        events = []
+        group_ids = np.array([0, 1, 0, 1], dtype=np.int64)
+        arguments = []          # weak: the batch must not be kept alive
+
+        def items():
+            for k in range(4):
+                events.append(("pulled", k))
+                # By the time item k is asked for, the argument of
+                # item k - 2 is garbage (k - 1's is still the loop
+                # variable of the consumer).
+                assert all(ref() is None for ref in arguments[:-1])
+                arg = ColumnData.from_values(
+                    SQLType.REAL, [float(k), 1.0, 2.0, 3.0])
+                arguments.append(weakref.ref(arg))
+                yield k, "sum", arg, False
+                del arg
+
+        real = executor_mod.compute_aggregate
+
+        def recording(func, arg, *rest):
+            out = real(func, arg, *rest)
+            events.append(("computed", int(arg.values[0])))
+            return out
+
+        monkeypatch.setattr(executor_mod, "compute_aggregate", recording)
+        out = db.executor._aggregate_batch(items(), group_ids, 2)
+        assert events == [(what, k) for k in range(4)
+                          for what in ("pulled", "computed")]
+        assert list(out) == [0, 1, 2, 3]
+        assert out[3].to_pylist() == [5.0, 4.0]

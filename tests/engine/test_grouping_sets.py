@@ -1,7 +1,7 @@
 """End-to-end tests for GROUP BY CUBE/ROLLUP/GROUPING SETS through the
 shared-scan operator: lattice expansion, NULL placeholders, GROUPING()
 bitmasks, percentage hierarchies, fold-vs-recompute, error paths, and
-bit-identity across every backend x storage combination."""
+bit-identity across storages."""
 
 import pytest
 
@@ -239,15 +239,6 @@ class TestBackendsAndStorage:
     def reference(self):
         db = make_db()
         return db.query(self.QUERY)
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_backends_fan_out_bit_identical(self, backend):
-        db = make_db(parallel_workers=2, parallel_backend=backend,
-                     morsel_rows=2)
-        assert db.query(self.QUERY) == self.reference()
-        # Derived set groupings ride the same morsel pipeline as a
-        # plain GROUP BY, on both parallel backends.
-        assert db.executor.scopes.last.parallel_degree > 1
 
     def test_disk_storage_bit_identical(self, tmp_path):
         db = make_db(storage="disk", storage_path=str(tmp_path),

@@ -1,7 +1,5 @@
-"""The executor-neutral kernel layer: numerical correctness against
-plain-numpy references, the morsel planner's alignment invariants, and
-the bit-identity of a morsel-split + slice-merge against one serial
-kernel call (the property the process backend's correctness rests on)."""
+"""The aggregate kernels: numerical correctness against plain-numpy
+references, and the SQL type each aggregate returns whatever the data."""
 
 from __future__ import annotations
 
@@ -9,8 +7,10 @@ import numpy as np
 import pytest
 
 from repro.engine import kernels
+from repro.engine.aggregates import compute_aggregate
+from repro.engine.column import ColumnData
 from repro.engine.types import SQLType
-from repro.errors import PlanningError, TypeMismatchError
+from repro.errors import TypeMismatchError
 
 
 def _grouping(seed: int = 0, n_rows: int = 500, n_groups: int = 13):
@@ -126,6 +126,14 @@ class TestKernelCorrectness:
 
 
 class TestResultSqlType:
+    """The result type depends only on the function and the declared
+    argument type, never on the data: an all-NULL argument (whose
+    ``np.bincount`` reverts to int64 whatever its weights) still
+    returns the type a populated one does."""
+
+    SAMPLES = {SQLType.INTEGER: [3, 1, 2], SQLType.REAL: [0.5, 1.5, 2.5],
+               SQLType.VARCHAR: ["b", "a", "c"]}
+
     @pytest.mark.parametrize("func,arg,expected", [
         ("count", SQLType.VARCHAR, SQLType.INTEGER),
         ("sum", SQLType.INTEGER, SQLType.INTEGER),
@@ -137,80 +145,9 @@ class TestResultSqlType:
         ("max", SQLType.INTEGER, SQLType.INTEGER),
     ])
     def test_table(self, func, arg, expected):
-        assert kernels.result_sql_type(func, arg) == expected
-
-    def test_unknown_function(self):
-        with pytest.raises(PlanningError):
-            kernels.result_sql_type("median", SQLType.REAL)
-
-
-class TestPlanMorsels:
-    def test_none_when_too_small(self):
-        group_ids, n_groups = _grouping(n_rows=50, n_groups=5)
-        assert kernels.plan_morsels(group_ids, n_groups, 50) is None
-        assert kernels.plan_morsels(group_ids, n_groups, 0) is None
-        assert kernels.plan_morsels(
-            np.empty(0, dtype=np.int64), 0, 8) is None
-
-    def test_none_for_single_dominant_group(self):
-        # One group swallows everything: unsplittable, stay serial.
-        group_ids = np.zeros(100, dtype=np.int64)
-        assert kernels.plan_morsels(group_ids, 1, 10) is None
-
-    def test_alignment_invariants(self):
-        group_ids, n_groups = _grouping(n_rows=1000, n_groups=37)
-        plan = kernels.plan_morsels(group_ids, n_groups, 64)
-        assert plan is not None and plan.degree >= 2
-        # Every row exactly once, morsels contiguous in rows AND groups.
-        assert sorted(plan.order.tolist()) == list(range(1000))
-        assert plan.morsels[0].lo == 0 and plan.morsels[0].g_lo == 0
-        assert plan.morsels[-1].hi == 1000
-        assert plan.morsels[-1].g_hi == n_groups
-        for a, b in zip(plan.morsels, plan.morsels[1:]):
-            assert a.hi == b.lo and a.g_hi == b.g_lo
-        for m in plan.morsels:
-            span = plan.sorted_group_ids[m.lo:m.hi]
-            # Group-aligned cuts: a morsel holds complete groups only.
-            assert span.min() == m.g_lo and span.max() == m.g_hi - 1
-
-    def test_stable_within_group(self):
-        group_ids, n_groups = _grouping(n_rows=300, n_groups=7)
-        plan = kernels.plan_morsels(group_ids, n_groups, 32)
-        for g in range(n_groups):
-            rows = plan.order[plan.sorted_group_ids == g]
-            # Original relative order preserved -> serial addend order.
-            assert rows.tolist() == sorted(rows.tolist())
-
-
-class TestMorselMergeBitIdentity:
-    """Splitting by morsels and slice-merging the partials must equal
-    one serial kernel call *bitwise* -- the morsel pipeline's whole
-    correctness argument in miniature."""
-
-    @pytest.mark.parametrize("func", ["sum", "avg", "var", "stdev"])
-    def test_float_aggregates(self, func):
-        group_ids, n_groups = _grouping(n_rows=2000, n_groups=19)
-        values, nulls = _numeric(n_rows=2000)
-
-        def run(v, n, g, k):
-            if func == "sum":
-                return kernels.kernel_sum(v, n, SQLType.REAL, g, k)
-            if func == "avg":
-                return kernels.kernel_avg(v, n, SQLType.REAL, g, k)
-            return kernels.kernel_var_stdev(func, v, n, SQLType.REAL,
-                                            g, k)
-
-        serial = run(values, nulls, group_ids, n_groups)
-        plan = kernels.plan_morsels(group_ids, n_groups, 128)
-        assert plan is not None
-        merged = np.zeros(n_groups, dtype=np.float64)
-        merged_nulls = np.zeros(n_groups, dtype=bool)
-        for m in plan.morsels:
-            rows = plan.order[m.lo:m.hi]
-            local = plan.sorted_group_ids[m.lo:m.hi] - m.g_lo
-            state = run(values[rows], nulls[rows], local, m.n_groups)
-            merged[m.g_lo:m.g_hi] = state.values
-            merged_nulls[m.g_lo:m.g_hi] = state.nulls
-        # Bitwise equality, not approx: same addends in same order.
-        assert np.array_equal(merged, serial.values)
-        assert np.array_equal(merged_nulls, serial.nulls)
+        group_ids = np.array([0, 0, 1], dtype=np.int64)
+        for values in (self.SAMPLES[arg], [None, None, None]):
+            out = compute_aggregate(
+                func, ColumnData.from_values(arg, values), False,
+                group_ids, 2)
+            assert out.sql_type == expected

@@ -6,7 +6,7 @@ from repro.fuzz.generator import FAMILIES, CaseGenerator
 from repro.fuzz.variants import Variant
 
 #: The cheapest single cell, for self-tests that need only one.
-SERIAL_MEMORY = [Variant("serial", "memory")]
+MEMORY = [Variant("memory")]
 
 
 def cases(count, seed=0, families=FAMILIES):

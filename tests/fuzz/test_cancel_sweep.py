@@ -5,13 +5,14 @@ from repro.core import execute as execute_mod
 from repro.engine.cancel import CancelToken
 from repro.fuzz.generator import PLAN_FAMILIES
 from repro.fuzz.sweep import sweep_cases
-from tests.fuzz.conftest import SERIAL_MEMORY, cases
+from repro.fuzz.variants import matrix
+from tests.fuzz.conftest import MEMORY, cases
 
 
 class TestCancelSweep:
     def test_small_budget_sweep_is_clean(self):
-        """Every backend x storage variant over a few cases: every
-        armed shot must unwind as a clean typed cancellation."""
+        """Every storage variant over a few cases: every armed shot
+        must unwind as a clean typed cancellation."""
         stats = sweep_cases(cases(3), "cancel")
         assert stats.ok, "\n".join(f.describe()
                                    for f in stats.findings)
@@ -20,8 +21,7 @@ class TestCancelSweep:
 
     def test_sweep_covers_all_variants(self):
         stats = sweep_cases(cases(1), "cancel")
-        # 2 storages x 3 backends
-        assert stats.total("cancel", "runs") == 6
+        assert stats.total("cancel", "runs") == len(matrix()) == 2
 
     def test_sweep_detects_a_leaky_unwind(self, monkeypatch):
         """Self-test: neuter the plan cleanup and the sweep must
@@ -29,7 +29,7 @@ class TestCancelSweep:
         monkeypatch.setattr(execute_mod, "cleanup_plan",
                             lambda db, plan: None)
         stats = sweep_cases(cases(1, families=PLAN_FAMILIES), "cancel",
-                            variants=SERIAL_MEMORY)
+                            variants=MEMORY)
         assert any(f.problem == "temp tables leaked"
                    for f in stats.findings)
 
@@ -41,6 +41,6 @@ class TestCancelSweep:
 
         monkeypatch.setattr(CancelToken, "check", blind_check)
         stats = sweep_cases(cases(1, families=PLAN_FAMILIES), "cancel",
-                            variants=SERIAL_MEMORY)
+                            variants=MEMORY)
         assert any(f.problem == "armed cancellation did not fire"
                    for f in stats.findings)

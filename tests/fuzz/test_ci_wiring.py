@@ -67,7 +67,7 @@ def test_bench_commands_parse(capsys):
     the ``--suite`` choice included -- has parsed, so each command is
     checked without running a benchmark."""
     commands = _commands("repro.bench")
-    assert len(commands) == 8
+    assert len(commands) == 7
     for argv in commands:
         with pytest.raises(SystemExit):
             bench_main(argv + ["--repeats", "0"])

@@ -1,5 +1,5 @@
 """The ``cube`` fuzz family: generator shapes, the UNION ALL sqlite
-oracle, and differential smoke runs across backends and storage."""
+oracle, and differential smoke runs across storages."""
 
 import pytest
 
@@ -96,18 +96,16 @@ class TestDifferentialSmoke:
             names = [v.name for v in result.variants]
             assert names == ["engine:shared-scan", "sqlite:union-all"]
 
-    def test_backends_and_disk_join_the_net(self):
+    def test_disk_joins_the_net(self):
         case = next(c for c in _cube_cases(30, seed=2)
                     if len(c.rows) >= 4)
         result = run_case(case, variants=matrix())
         assert not result.divergent, result.divergence_report()
         names = [v.name for v in result.variants]
-        # engine:<strategy>, then the oracle, then
-        # engine:<strategy>@<backend>/<storage> per matrix cell
-        assert names == ["engine:shared-scan", "sqlite:union-all"] + [
-            f"engine:shared-scan@{backend}/{storage}"
-            for storage in ("memory", "disk")
-            for backend in ("serial", "thread", "process")]
+        # engine:<strategy> (the memory cell), then the oracle, then
+        # engine:<strategy>@<storage> per other matrix cell
+        assert names == ["engine:shared-scan", "sqlite:union-all",
+                         "engine:shared-scan@disk"]
 
     def test_injected_fold_bug_is_caught(self, monkeypatch):
         """Harness self-test: break the fold path (coarse levels get

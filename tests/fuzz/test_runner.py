@@ -1,9 +1,8 @@
 """The differential runner: per-case timeouts, the variant-naming
 rule, and debris as a divergence."""
 
-import numpy as np
+import pytest
 
-from repro.engine import shm
 from repro.fuzz import runner as runner_mod
 from repro.fuzz.runner import run_case
 from repro.fuzz.variants import matrix
@@ -29,37 +28,36 @@ class TestCaseTimeout:
 
 class TestMatrixVariants:
     def test_primary_strategies_cross_the_matrix(self):
-        """``engine:<strategy>@<backend>/<storage>``: every primary
-        strategy of the family on every requested cell, after the
-        baseline and oracle variants."""
+        """``engine:<strategy>@<storage>``: every primary strategy of
+        the family on every requested cell but the baseline's own,
+        after the baseline and oracle variants."""
         case = cases(1, families=("vpct",))[0]
         result = run_case(case, variants=matrix())
         assert not result.divergent, result.divergence_report()
         names = [v.name for v in result.variants]
         crossed = [n for n in names if "@" in n]
-        assert crossed == [f"engine:{strategy}@{variant.name}"
-                           for variant in matrix()
+        assert crossed == [f"engine:{strategy}@disk"
                            for strategy in ("join-insert",
                                             "join-update")]
         assert names[0] == "engine:join-insert"
         assert names[-len(crossed):] == crossed
 
+    @pytest.mark.allow_leaks  # the debris is the point
     def test_debris_is_a_divergence(self, monkeypatch):
-        """A variant that leaves a shared-memory segment live diverges
+        """A variant that leaves a plan temp table behind diverges
         even though every variant returned the same rows."""
         real = runner_mod._check_trace
-        held = []
+        leaked = []
 
         def leaky(db):
             real(db)
-            if not held:
-                held.append(shm.SharedColumnBlock.export(
-                    {"a": np.arange(3)}))
+            if not leaked:
+                leaked.append(db.execute("CREATE TABLE _debris (a INT)"))
 
         monkeypatch.setattr(runner_mod, "_check_trace", leaky)
         result = run_case(cases(1)[0])
         assert result.divergent
-        assert "shared-memory segments leaked" in result.explanation
+        assert "temp tables leaked: _debris" in result.explanation
 
 
 def test_injected_denominator_bug_is_caught():

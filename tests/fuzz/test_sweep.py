@@ -1,7 +1,6 @@
 """The sweep as a whole: the tier-1 smoke over the variant matrix,
 coverage by registration, per-cell accounting, and the CLI."""
 
-import itertools
 import re
 from pathlib import Path
 
@@ -12,12 +11,12 @@ from repro.engine.cancel import SAFEPOINTS
 from repro.fuzz.cli import main as fuzz_main
 from repro.fuzz.generator import CaseGenerator
 from repro.fuzz.sweep import KINDS, Stats, describe, sweep_cases
-from repro.fuzz.variants import BACKENDS, STORAGES, matrix
+from repro.fuzz.variants import STORAGES, matrix
 
-#: Seed-0 cases that between them reach every site, cycled over the
-#: six cells: #15 a 3-row Vpct whose plan joins and (on serial/disk)
-#: writes pages, #12 a 9-row CUBE, #25 a 4-row plain GROUP BY that
-#: fans out on the process cells and is accepted as a view.
+#: Seed-0 cases that between them reach every site, each run on both
+#: cells: #15 a 3-row Vpct whose plan joins and (on disk) writes
+#: pages, #12 a 9-row CUBE, #25 a 4-row plain GROUP BY that is
+#: accepted as a view.
 SMOKE_CASES = (15, 12, 25)
 
 #: Registered names the matrix cannot reach, each with its reason.
@@ -25,7 +24,7 @@ UNSWEPT = {
     # The pivot operator only runs under ``case_dispatch="hash"``,
     # which is a differential-runner strategy (``case-direct-hash``),
     # not a matrix cell -- so no sweep has ever reached it (the old
-    # fault driver listed it and never hit it either).  ROADMAP item 4
+    # fault driver listed it and never hit it either).  ROADMAP item 2
     # keeps the gap open.
     "pivot",
 }
@@ -33,13 +32,12 @@ UNSWEPT = {
 
 @pytest.fixture(scope="module")
 def smoke():
-    """Every kind over every matrix cell, one smoke case per cell."""
+    """Every kind over every matrix cell, every smoke case on each."""
     generator = CaseGenerator(seed=0)
     stats = Stats()
     for kind in KINDS:
-        for index, variant in zip(itertools.cycle(SMOKE_CASES),
-                                  matrix()):
-            sweep_cases([generator.case(index)], kind, stats, [variant])
+        sweep_cases([generator.case(index) for index in SMOKE_CASES],
+                    kind, stats)
     return stats
 
 
@@ -62,24 +60,21 @@ class TestSmoke:
                     if not smoke.armed[("cancel", site)]}
         assert {site for _, site in unarmed} == UNSWEPT, unarmed
 
-    def test_fault_reaches_the_parallel_backends(self, smoke):
-        for backend, storage in itertools.product(("thread", "process"),
-                                                  STORAGES):
-            cell = [c for (kind, variant, _), c in smoke.cells.items()
-                    if (kind, variant) == ("fault",
-                                           f"{backend}/{storage}")]
-            assert sum(c["shots"] for c in cell) > 0
-        assert smoke.armed[("fault", "process-worker")] > 0
-
-    def test_cancel_arms_view_maintained_dml_on_process(self, smoke):
+    def test_fault_reaches_every_storage(self, smoke):
         for storage in STORAGES:
-            cell = smoke.cells[("cancel", f"process/{storage}", "plain")]
+            cell = [c for (kind, variant, _), c in smoke.cells.items()
+                    if (kind, variant) == ("fault", storage)]
+            assert sum(c["shots"] for c in cell) > 0
+
+    def test_cancel_arms_view_maintained_dml(self, smoke):
+        for storage in STORAGES:
+            cell = smoke.cells[("cancel", storage, "plain")]
             assert cell["dml-cancelled"] > 0
         assert smoke.armed[("cancel", "dml")] > 0
         assert smoke.armed[("cancel", "view-maintenance")] > 0
 
     def test_cube_on_disk_is_faulted_then_killed(self, smoke):
-        cell = smoke.cells[("fault", "thread/disk", "cube")]
+        cell = smoke.cells[("fault", "disk", "cube")]
         assert cell["shots"] > 0 and cell["shots"] == cell["clean-errors"]
 
 
@@ -89,9 +84,9 @@ class TestStats:
         family is always rejected by the view subsystem."""
         generator = CaseGenerator(seed=0, families=("cube", "vpct"))
         stats = sweep_cases(generator.cases(6), "views",
-                            variants=matrix(("serial",), ("memory",)))
-        cube = stats.cells[("views", "serial/memory", "cube")]
-        vpct = stats.cells[("views", "serial/memory", "vpct")]
+                            variants=matrix(("memory",)))
+        cube = stats.cells[("views", "memory", "cube")]
+        vpct = stats.cells[("views", "memory", "vpct")]
         assert cube["rejected"] > 0 and not cube["runs"]
         assert vpct["runs"] > 0
         assert stats.total("views", "rejected") \
@@ -104,11 +99,10 @@ class TestCli:
     @pytest.mark.parametrize("kind", tuple(KINDS))
     def test_clean_sweep_exits_zero(self, kind, capsys):
         assert fuzz_main(["--sweep", kind, "--seed", "0", "--budget",
-                          "2", "--backend", "serial", "--storage",
-                          "memory"]) == 0
+                          "2", "--storage", "memory"]) == 0
         out = capsys.readouterr().out
         assert f"{kind} sweep: " in out and "over 2 case(s)" in out
-        assert f"  {kind} serial/memory" in out
+        assert f"  {kind} memory" in out
 
     def test_usage_errors_exit_two(self, capsys):
         with pytest.raises(SystemExit) as unknown_kind:
@@ -125,12 +119,10 @@ class TestCli:
         capsys.readouterr()
 
     def test_axes_are_read_from_the_matrix(self, capsys):
-        for flag, values in (("--backend", BACKENDS),
-                             ("--storage", STORAGES)):
-            with pytest.raises(SystemExit):
-                fuzz_main([flag, "nope"])
-            err = capsys.readouterr().err
-            assert all(value in err for value in values)
+        with pytest.raises(SystemExit):
+            fuzz_main(["--storage", "nope"])
+        err = capsys.readouterr().err
+        assert all(value in err for value in STORAGES)
 
 
 def test_docs_mirror_the_registry():

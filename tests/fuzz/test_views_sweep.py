@@ -7,13 +7,13 @@ import pytest
 from repro.fuzz.cli import main as fuzz_main
 from repro.fuzz.sweep import KINDS, POSTCONDITIONS, Stats, sweep_cases
 from repro.fuzz.variants import matrix
-from tests.fuzz.conftest import SERIAL_MEMORY, cases
+from tests.fuzz.conftest import MEMORY, cases
 
 
 class TestViewsSweep:
     def test_small_budget_sweep_is_clean(self):
-        """A few cases through every backend x storage variant: every
-        served read bit-identical to recompute after every DML."""
+        """A few cases through every storage variant: every served
+        read bit-identical to recompute after every DML."""
         stats = sweep_cases(cases(3), "views")
         assert stats.ok, "\n".join(f.describe()
                                    for f in stats.findings)
@@ -21,10 +21,10 @@ class TestViewsSweep:
 
     def test_sweep_covers_all_variants(self):
         stats = sweep_cases(cases(1), "views")
-        # 2 storages x 3 backends; rejection (unsupported view shape)
-        # is a per-variant outcome, not a skipped variant.
+        # Rejection (unsupported view shape) is a per-variant
+        # outcome, not a skipped variant.
         assert stats.total("views", "runs") \
-            + stats.total("views", "rejected") == 6
+            + stats.total("views", "rejected") == len(matrix()) == 2
 
     @pytest.mark.parametrize("bug", ("views-skip-retraction",
                                      "views-stale-denominator"))
@@ -36,7 +36,7 @@ class TestViewsSweep:
         # percentage-view maintenance, and the default stream mixes in
         # families the views sweep only rejects (cube)
         for case in cases(8, families=("vpct", "hpct")):
-            sweep_cases([case], "views", stats, SERIAL_MEMORY,
+            sweep_cases([case], "views", stats, MEMORY,
                         inject_bug=bug)
             if not stats.ok:
                 break
@@ -63,7 +63,7 @@ class TestViewsSweep:
 
         monkeypatch.setattr(StorageEngine, "persist_table", reminted)
         stats = sweep_cases(cases(3), "views",
-                            variants=[Variant("serial", "disk")])
+                            variants=[Variant("disk")])
         assert stats.total("views", "shots") > 0
         assert {f.problem for f in stats.findings} == {
             "materialized view was not delta-maintained"}
@@ -90,14 +90,14 @@ class TestCli:
 
     def test_views_sweep_exit_codes(self, capsys):
         assert fuzz_main(["--sweep", "views", "--seed", "0",
-                          "--budget", "1", "--backend", "serial",
-                          "--storage", "memory", "--quiet"]) == 0
+                          "--budget", "1", "--storage", "memory",
+                          "--quiet"]) == 0
         # Injected bug + findings = the self-test passed = exit 1
         # (mirrors --inject-bug under the differential fuzz).
         assert fuzz_main(["--sweep", "views", "--seed", "0",
-                          "--budget", "2", "--backend", "serial",
-                          "--storage", "memory", "--inject-bug",
-                          "views-skip-retraction", "--quiet"]) == 1
+                          "--budget", "2", "--storage", "memory",
+                          "--inject-bug", "views-skip-retraction",
+                          "--quiet"]) == 1
         capsys.readouterr()
 
     def test_views_bug_requires_views_sweep(self, capsys):

@@ -2,9 +2,6 @@
 
 * The metrics registry never drops increments under contention (the
   lost-update race its single lock exists to prevent).
-* Morsel-parallel group-by records one ``morsel-dispatch`` span under
-  the operator span that fanned out, with one ``morsel`` child per
-  task -- the same shape on the thread and process backends.
 * Concurrent traced sessions through the query service produce well
   formed trees per script and an accurate in-flight gauge afterwards.
 """
@@ -12,8 +9,6 @@
 from __future__ import annotations
 
 import threading
-
-import pytest
 
 from repro.api.database import Database
 from repro.obs.metrics import MetricsRegistry
@@ -74,54 +69,6 @@ class TestRegistryRaces:
         total = self.N_THREADS * self.N_INCREMENTS
         assert stats.rows_scanned == total
         assert stats.rows_written == 2 * total
-
-
-@pytest.mark.parametrize("backend", ["thread", "process"])
-class TestMorselDispatchSpans:
-    ROWS = ", ".join(f"({i % 7}, {float(i)})" for i in range(64))
-
-    def _db(self, **kwargs) -> Database:
-        db = Database(tracing=True, **kwargs)
-        db.execute("CREATE TABLE t (d INT, a REAL)")
-        db.execute(f"INSERT INTO t VALUES {self.ROWS}")
-        return db
-
-    def _parallel_db(self, backend: str) -> Database:
-        return self._db(parallel_workers=4, parallel_backend=backend,
-                        morsel_rows=8)
-
-    def test_morsel_spans_parent_under_the_dispatch_span(self, backend):
-        db = self._parallel_db(backend)
-        db.tracer.reset()
-        db.execute("SELECT d, sum(a) FROM t GROUP BY d")
-        (root,) = db.tracer.roots()
-        validate_span_tree(root)
-        (aggregate,) = root.find(name="group-by-aggregate")
-        (dispatch,) = root.find(name="morsel-dispatch")
-        assert dispatch in aggregate.children
-        assert dispatch.kind == "parallel"
-        assert dispatch.attrs["backend"] == backend
-        assert set(dispatch.attrs) == {"backend", "morsels", "workers",
-                                       "shm_bytes"}
-        morsels = root.find(name="morsel")
-        assert morsels, "parallel run must emit morsel spans"
-        # every morsel span hangs off the dispatch span, and together
-        # they cover the input without overlap
-        assert morsels == dispatch.children
-        assert len(morsels) == dispatch.attrs["morsels"]
-        assert sum(m.attrs["rows"] for m in morsels) == 64
-        assert sum(m.attrs["groups"] for m in morsels) == 7
-        assert all(set(m.attrs) == {"worker_pid", "worker_seconds",
-                                    "rows", "groups"} for m in morsels)
-
-    def test_parallel_results_and_trace_agree_with_serial(self, backend):
-        parallel = self._parallel_db(backend)
-        serial = self._db()
-        sql = "SELECT d, sum(a) FROM t GROUP BY d ORDER BY d"
-        assert parallel.query(sql) == serial.query(sql)
-        for db in (parallel, serial):
-            for root in db.tracer.roots():
-                validate_span_tree(root)
 
 
 class TestTracedServiceConcurrency:

@@ -162,7 +162,6 @@ def test_every_surface_fills_the_same_record(run, tracing):
     assert RECORD_FIELDS <= {f.name for f in dataclasses.fields(record)}
     assert record.elapsed_seconds > 0.0
     assert record.counters.rows_scanned >= 12
-    assert record.parallel_degree == 1
     assert record.queue_wait_seconds >= 0.0
     usage = record.governor_usage
     assert usage["rows_charged"] >= 12
@@ -203,19 +202,6 @@ class TestNestedScopesJoinTheirParent:
         assert outer.governor_usage["rows_charged"] == 2 * inner_rows
         # Only the outermost scope is "the last query".
         assert db.executor.scopes.last is outer
-
-    def test_parallel_degree_propagates_to_the_outermost_scope(self):
-        db = _load(Database(parallel_workers=2, parallel_backend="thread",
-                            morsel_rows=1))
-        with db.scope("script") as outer:
-            with db.scope("plan") as inner:
-                db.execute(GROUP_BY)
-            db.execute("SELECT count(*) FROM f")
-        assert inner.parallel_degree == 2
-        assert outer.parallel_degree == 2
-        # Opening an outermost scope is the reset.
-        db.execute("SELECT a FROM f")
-        assert db.executor.scopes.last.parallel_degree == 1
 
     def test_queue_wait_is_the_records_not_the_governors(self):
         db = _load(Database())

@@ -65,14 +65,6 @@ class TestReports:
         total = sum(row[-1] for row in report.rows())
         assert total == pytest.approx(1.0)
 
-    def test_parallel_degree_observed(self, db):
-        db.configure(parallel_workers=2, parallel_backend="thread",
-                     morsel_rows=1)
-        with QueryService(db, workers=2) as service:
-            report = service.execute(
-                "SELECT d1, sum(a) FROM f GROUP BY d1")
-            assert report.parallel_degree == 2
-
 
 class TestAdmission:
     def test_queue_depth_rejects(self, db):

@@ -18,22 +18,21 @@ class TestSessionDefaults:
     def test_overrides_apply(self, db):
         resolved = SessionDefaults(
             case_dispatch="hash", use_indexes=False,
-            use_encoding_cache=False, parallel_workers=2,
-            morsel_rows=5).resolve(db.options)
+            use_encoding_cache=False).resolve(db.options)
         assert resolved.case_dispatch == "hash"
         assert resolved.use_indexes is False
         assert resolved.use_encoding_cache is False
-        assert resolved.parallel_workers == 2
-        assert resolved.morsel_rows == 5
 
     def test_defaults_steer_read_execution(self, db):
+        explain = "EXPLAIN SELECT d1, sum(a) FROM f GROUP BY d1"
         with QueryService(db, workers=2) as service:
-            defaults = SessionDefaults(parallel_workers=2,
-                                       morsel_rows=1)
+            defaults = SessionDefaults(use_encoding_cache=False)
             with service.create_session(defaults) as session:
-                report = session.execute(
-                    "SELECT d1, sum(a) FROM f GROUP BY d1")
-                assert report.parallel_degree == 2
+                assert session.execute(explain).rows()[-1] == (
+                    "encoding cache: off",)
+            with service.create_session() as session:
+                assert session.execute(explain).rows()[-1] != (
+                    "encoding cache: off",)
 
 
 class TestSessionLifecycle:

@@ -68,16 +68,14 @@ class TestSnapshotReader:
 
     def test_session_defaults_reach_reader_options(self, service, db):
         defaults = SessionDefaults(case_dispatch="hash",
-                                   parallel_workers=3,
-                                   morsel_rows=7)
+                                   use_indexes=False)
         reader = service.snapshots.reader(
             options=defaults.resolve(db.options))
         assert reader.options.case_dispatch == "hash"
-        assert reader.options.parallel_workers == 3
-        assert reader.options.morsel_rows == 7
+        assert reader.options.use_indexes is False
         # The base database's own options are untouched.
         assert db.options.case_dispatch == "linear"
-        assert db.options.parallel_workers == 1
+        assert db.options.use_indexes is True
 
     def test_reader_is_a_database(self, service):
         assert isinstance(service.snapshots.reader(), Database)

@@ -138,13 +138,14 @@ def test_stress_snapshot_consistency(service, db):
 
 
 def test_stress_parallel_readers_match_serial(service, db):
-    """Parallel-degree readers agree with the serial base answer."""
+    """Concurrent readers under session defaults agree with the base
+    database's own answer."""
     from repro.service import SessionDefaults
 
     sql = ("SELECT d1, d2, sum(a), count(*) FROM f "
            "GROUP BY d1, d2 ORDER BY d1, d2")
     expected = db.query(sql)
-    defaults = SessionDefaults(parallel_workers=4, morsel_rows=1)
+    defaults = SessionDefaults(case_dispatch="hash")
     results: list = []
     errors: list[BaseException] = []
 
