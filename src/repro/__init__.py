@@ -12,8 +12,9 @@ The package provides:
 * :mod:`repro.olap` -- the ANSI OLAP window-function baseline;
 * :mod:`repro.api` -- the Database facade and a DB-API 2.0 driver;
 * :mod:`repro.datagen` -- the paper's synthetic workload generators;
-* :mod:`repro.bench` -- the experiment harness reproducing every
-  results table.
+* :mod:`repro.bench` -- the paper-table harness: one query under one
+  strategy per cell of every results table (a library;
+  ``benchmarks/run_experiments.py`` drives it).
 
 Quickstart::
 

@@ -1,4 +1,11 @@
-"""Experiment harness reproducing every results table of both papers."""
+"""The paper-table harness: one query, one strategy, one measured cell
+(:mod:`~repro.bench.harness`), the query specs of every results-table
+row of both papers (:mod:`~repro.bench.workloads`) and the table
+printers (:mod:`~repro.bench.report`).
+
+A library with no CLI: ``benchmarks/run_experiments.py`` generates the
+tables and ``python -m benchmarks.e2e`` is the benchmark.
+"""
 
 from repro.bench.harness import (ExperimentResult, run_hagg_experiment,
                                  run_hpct_experiment, run_olap_experiment,

@@ -389,9 +389,6 @@ class Catalog:
         del matviews[key]
         self._publish(matviews=matviews)
 
-    def matview_names(self) -> list[str]:
-        return list(self._matviews)
-
     def matviews(self) -> Mapping[str, object]:
         return self._matviews
 

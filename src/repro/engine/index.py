@@ -5,14 +5,12 @@ indexes on the common subkey of ``Fj`` and ``Fk`` to speed up the
 division join.  An index stores a pre-digested
 :class:`~repro.engine.join.PreparedJoinSide` for its columns, so a join
 whose build keys are covered by an index skips the hash-build phase --
-the same saving a DBMS gets.  A lazily-built exact-key bucket map is
-also available for point lookups.
+the same saving a DBMS gets.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.engine.join import PreparedJoinSide, prepare_side
 from repro.engine.table import Table
@@ -28,12 +26,7 @@ class HashIndex:
         #: indexed columns, lower-cased, in declaration order
         self.column_names = tuple(c.lower() for c in column_names)
         self.prepared: PreparedJoinSide | None = None
-        self._buckets: dict[tuple[Any, ...], list[int]] | None = None
         self._table: Table | None = None
-        # Published indexes are shared by concurrent snapshot readers;
-        # the lock makes the lazy bucket build single-flight (rebuild
-        # itself only ever runs before publication).
-        self._bucket_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def rebuild(self, table: Table, cache=None) -> None:
@@ -46,7 +39,6 @@ class HashIndex:
         self._table = table
         columns = [table.column(c) for c in self.column_names]
         self.prepared = prepare_side(columns, cache)
-        self._buckets = None  # rebuilt lazily on next point lookup
 
     def source_table(self) -> Table | None:
         """The table object this index was last digested from (used by
@@ -57,26 +49,6 @@ class HashIndex:
         """True when this index is exactly on ``column_names``
         (order-insensitive, case-insensitive)."""
         return set(self.column_names) == {c.lower() for c in column_names}
-
-    # ------------------------------------------------------------------
-    def _ensure_buckets(self) -> dict[tuple[Any, ...], list[int]]:
-        with self._bucket_lock:
-            if self._buckets is None:
-                if self._table is None:
-                    raise RuntimeError(
-                        f"index {self.name!r} was never built")
-                columns = [self._table.column(c)
-                           for c in self.column_names]
-                buckets: dict[tuple[Any, ...], list[int]] = {}
-                for i in range(self._table.n_rows):
-                    key = tuple(col[i] for col in columns)
-                    buckets.setdefault(key, []).append(i)
-                self._buckets = buckets
-            return self._buckets
-
-    def lookup(self, key: tuple[Any, ...]) -> list[int]:
-        """Row positions whose indexed columns equal ``key``."""
-        return self._ensure_buckets().get(key, [])
 
     @property
     def built_rows(self) -> int:

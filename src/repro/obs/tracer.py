@@ -35,7 +35,8 @@ cache) reach the ambient tracer through
 
 When the tracer is disabled, :meth:`Tracer.span` returns a shared
 null context manager -- the off-path cost is one property read and
-one branch, measured by ``repro.bench --suite obs``.
+one branch (``obs.tracing_overhead_ratio`` in ``benchmarks/e2e`` is
+the measured cost of turning it on).
 
 Forced capture (EXPLAIN ANALYZE on a tracing-off database) is
 *thread-scoped*: :meth:`Tracer.forced` makes the calling thread record

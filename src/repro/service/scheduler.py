@@ -202,15 +202,6 @@ class Scheduler:
             help="submissions refused at admission, by reason",
             reason=reason).inc()
 
-    def predicted_wait_seconds(self) -> float:
-        """Expected queue wait for a submission arriving now: the
-        backlog ahead of it (admitted beyond the worker count) divided
-        by estimated throughput.  0.0 until the first script completes
-        (no runtime estimate yet)."""
-        with self._lock:
-            backlog = max(0, self._admitted - self.workers + 1)
-            return backlog * self._ewma_run_seconds / self.workers
-
     def submit(self, session: Session, sql: str) -> "Future[ServiceReport]":
         """Admit ``sql`` for ``session`` and return its future.
 

@@ -128,9 +128,6 @@ class GroupLevel:
     def n_slots(self) -> int:
         return len(self.keys)
 
-    def live_slots(self) -> list[int]:
-        return list(self.slots.values())
-
     def ordered_slots(self) -> list[int]:
         """Live slots in the engine's result-row order."""
         return sorted(self.slots.values(),

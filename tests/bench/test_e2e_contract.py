@@ -10,7 +10,10 @@ still emitted by some golden trace.
 """
 
 import importlib
+import subprocess
 from pathlib import Path
+
+import pytest
 
 from repro.engine.cancel import CancelToken
 
@@ -33,6 +36,21 @@ def test_program_surface_the_benchmark_reaches_for():
     # runner.py ends every run with ``not shm.live_segment_names()``;
     # the engine exports no shared memory, so the stub is empty.
     assert shm.live_segment_names() == ()
+
+
+def test_report_header_names_the_commit_the_code_came_from(
+        tmp_path, monkeypatch):
+    """Not the shell's: reports are written from scratch directories
+    and from inside other checkouts."""
+    from repro.bench.harness import report_header
+
+    repo = Path(__file__).resolve().parents[2]
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo,
+                          capture_output=True, text=True)
+    if head.returncode != 0:
+        pytest.skip("the tree is not a git checkout")
+    monkeypatch.chdir(tmp_path)
+    assert report_header("x")["git_rev"] == head.stdout.strip()
 
 
 def test_database_surface_the_benchmark_constructs(tmp_path):

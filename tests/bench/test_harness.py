@@ -124,37 +124,3 @@ class TestReport:
         text = format_table("t", results)
         assert "-" in text.splitlines()[-1]
 
-
-class TestOverloadSuite:
-    def test_run_overload_benchmark_smoke(self):
-        from repro.bench.overload import run_overload_benchmark
-        report = run_overload_benchmark(sales_n=2_000, offered=12,
-                                        repeats=1)
-        ramp = report["ramp"]
-        # every offered query is accounted for at admission
-        for leg in (ramp["shed_on"], ramp["shed_off"]):
-            assert leg["offered"] == leg["accepted"] + leg["shed"] \
-                + leg["queue_full"]
-            assert leg["accepted"] == leg["completed"] \
-                + leg["deadline_cancelled"]
-        assert ramp["shed_off"]["shed"] == 0
-        summary = report["summary"]
-        assert summary["goodput_shed_on_qps"] > 0
-        assert isinstance(summary["accepted_p99_under_2x_unloaded"],
-                          bool)
-        assert isinstance(summary["deadline_overhead_within_5pct"],
-                          bool)
-
-
-class TestObsSuite:
-    def test_run_obs_benchmark_smoke(self):
-        from repro.bench.obs import run_obs_benchmark
-        report = run_obs_benchmark(sales_n=2_000, repeats=1)
-        summary = report["summary"]
-        assert report["trace_ops_per_run"] > 0
-        assert summary["tracing_off_seconds"] > 0
-        assert summary["tracing_on_seconds"] > 0
-        assert isinstance(
-            summary["tracing_off_overhead_under_5pct"], bool)
-        # the estimate is a fraction derived from positive quantities
-        assert summary["estimated_tracing_off_overhead_fraction"] >= 0

@@ -196,12 +196,16 @@ class TestDMLInvalidation:
         db.configure(use_encoding_cache=False)
         _grouped(db)
         _grouped(db)
+        off_io = db.executor.scopes.last.counters.logical_io()
         assert db.catalog.encoding_cache.hits == 0
         assert db.catalog.encoding_cache.entry_count == 0
         db.configure(use_encoding_cache=True)
         _grouped(db)
         _grouped(db)
+        on_io = db.executor.scopes.last.counters.logical_io()
         assert db.catalog.encoding_cache.hits > 0
+        # the cache saves encoding work, never a ledger charge
+        assert off_io == on_io > 0
 
     def test_stats_mirror_cache_counters(self, versioned_db):
         db = versioned_db

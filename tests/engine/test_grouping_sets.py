@@ -231,6 +231,77 @@ class TestPostProcessing:
                    for line in lines)
 
 
+class TestSharedScanLedger:
+    """The Data Cube one-pass argument as a ledger fact: a
+    grouping-sets statement reads the fact table once however many
+    sets it computes; the per-set rewrite a user without grouping
+    sets would run reads it once per set, for the same answer."""
+
+    AGGS = "sum(salesamt), min(salesamt), max(salesamt), count(*)"
+
+    @pytest.fixture(scope="class")
+    def sales_db(self):
+        from repro.datagen import load_sales
+        db = Database()
+        load_sales(db, 2_000)
+        return db
+
+    @staticmethod
+    def expanded_sets(clause):
+        """The clause's grouping sets in the engine's request order,
+        each a tuple of dim names -- the planner's own expansion."""
+        from repro.engine.groupingsets import expand_group_by
+        from repro.sql.formatter import format_expr
+        from repro.sql.parser import parse_statement
+        statement = parse_statement(
+            f"SELECT count(*) FROM sales GROUP BY {clause}")
+        raw = expand_group_by(statement.group_by, lambda e: e)
+        return [tuple(format_expr(e) for e in one_set)
+                for one_set in raw]
+
+    @staticmethod
+    def run(db, sql):
+        rows = db.query(sql)
+        return rows, db.executor.scopes.last.counters.rows_scanned
+
+    @pytest.mark.parametrize("clause, n_sets", [
+        ("CUBE(dweek, monthno, dept)", 8),
+        ("ROLLUP(dweek, monthno, dept)", 4),
+        ("GROUPING SETS ((dweek, dept), (dweek), (monthno), ())", 4),
+    ])
+    def test_one_scan_where_the_per_set_rewrite_pays_n(
+            self, sales_db, clause, n_sets):
+        sets = self.expanded_sets(clause)
+        assert len(sets) == n_sets
+        dims = tuple(dict.fromkeys(d for s in sets for d in s))
+        cols = ", ".join(dims)
+
+        shared_rows, shared_scanned = self.run(
+            sales_db, f"SELECT {cols}, {self.AGGS}, grouping({cols}) "
+                      f"FROM sales GROUP BY {clause}")
+        _, plain_scanned = self.run(
+            sales_db, f"SELECT {cols}, {self.AGGS} FROM sales "
+                      f"GROUP BY {cols}")
+        assert shared_scanned == plain_scanned == 2_000
+
+        rewrite_rows, rewrite_scanned = [], 0
+        for one_set in sets:
+            absent = [d not in one_set for d in dims]
+            mask = sum(1 << (len(dims) - 1 - j)
+                       for j, gone in enumerate(absent) if gone)
+            sql = "SELECT {}, {}, {} FROM sales".format(
+                ", ".join("NULL" if gone else d
+                          for d, gone in zip(dims, absent)),
+                self.AGGS, mask)
+            if one_set:
+                sql += f" GROUP BY {', '.join(one_set)}"
+            rows, scanned = self.run(sales_db, sql)
+            rewrite_rows += rows
+            rewrite_scanned += scanned
+        assert rewrite_scanned == n_sets * shared_scanned
+        assert rewrite_rows == shared_rows
+
+
 class TestBackendsAndStorage:
     QUERY = ("SELECT region, product, sum(qty), count(*), min(price), "
              "avg(price), pct(qty), grouping(region, product) "

@@ -22,12 +22,6 @@ class TestHashIndex:
         assert index.covers(["B", "A"])
         assert not index.covers(["a"])
 
-    def test_point_lookup(self):
-        index = HashIndex("ix", "t", ["a"])
-        index.rebuild(make_table())
-        assert index.lookup((1,)) == [0, 2]
-        assert index.lookup((9,)) == []
-
     def test_prepared_side_built(self):
         index = HashIndex("ix", "t", ["a"])
         index.rebuild(make_table())

@@ -2,9 +2,8 @@
 
 Nobody can run Actions offline, and a renamed flag otherwise surfaces
 on the next scheduled run: every ``python -m repro.fuzz`` command in
-``.github/workflows/ci.yml`` must parse with the fuzz CLI's parser,
-every ``python -m repro.bench`` command with the bench CLI's, and
-every ``python -m benchmarks.e2e`` command with the benchmark's."""
+``.github/workflows/ci.yml`` must parse with the fuzz CLI's parser
+and every ``python -m benchmarks.e2e`` command with the benchmark's."""
 
 import itertools
 import re
@@ -13,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import main as bench_main
 from repro.fuzz.cli import build_parser
 from repro.fuzz.sweep import KINDS
 
@@ -45,8 +43,13 @@ def _commands(module):
     return found
 
 
-def test_at_most_five_jobs():
-    assert len(yaml.safe_load(WORKFLOW.read_text())["jobs"]) <= 5
+def test_exactly_three_jobs():
+    """``repro.bench`` has no CLI any more (docs/testing.md has where
+    its bars went): no fourth job, and no line that half-wires one."""
+    text = WORKFLOW.read_text()
+    assert sorted(yaml.safe_load(text)["jobs"]) == [
+        "nightly", "sweep-smoke", "tier1"]
+    assert "repro.bench" not in text
 
 
 def test_fuzz_commands_parse():
@@ -60,27 +63,6 @@ def test_every_sweep_kind_runs_in_smoke_and_nightly():
     swept = [argv[argv.index("--sweep") + 1]
              for argv in _commands("repro.fuzz") if "--sweep" in argv]
     assert sorted(swept) == sorted(itertools.chain(KINDS, KINDS))
-
-
-def test_bench_commands_parse(capsys):
-    """``--repeats 0`` is refused only after every other argument --
-    the ``--suite`` choice included -- has parsed, so each command is
-    checked without running a benchmark."""
-    commands = _commands("repro.bench")
-    assert len(commands) == 7
-    for argv in commands:
-        with pytest.raises(SystemExit):
-            bench_main(argv + ["--repeats", "0"])
-        assert "--repeats must be at least 1" in capsys.readouterr().err
-
-
-def test_bench_help_renders(capsys):
-    """argparse %-formats help strings: a bare ``%`` in one kills
-    ``--help`` with a TypeError instead of printing."""
-    with pytest.raises(SystemExit) as exit_info:
-        bench_main(["--help"])
-    assert exit_info.value.code == 0
-    assert "--suite" in capsys.readouterr().out
 
 
 def test_benchmark_commands_parse(monkeypatch):

@@ -147,6 +147,22 @@ class TestMetricsAndBypass:
         assert db.stats.registry.value("view_hits_total",
                                        view="v") == 0
 
+    def test_view_read_scans_nothing_where_recompute_scans(self, db):
+        """The view-read bar as a ledger fact: a served Vpct charges
+        no scan, the recomputation does -- before and after a
+        maintained write."""
+        def last_scanned():
+            return db.executor.scopes.last.counters.rows_scanned
+
+        db.execute(f"CREATE MATERIALIZED VIEW v AS {VPCT}")
+        for dml in (None, "UPDATE f SET a = 2.0 WHERE d1 = 1"):
+            if dml:
+                db.execute(dml)
+            db.execute(VPCT)
+            assert last_scanned() == 0
+            _recompute(db, VPCT)
+            assert last_scanned() > 0
+
 
 class TestServiceReadPath:
     def test_service_answers_from_the_view(self, db):
