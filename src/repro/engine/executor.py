@@ -529,7 +529,8 @@ class Executor:
                                  self.encoding_cache)
             op.charge(rows=grouping.n_groups, context="group-by")
             op.stamp(groups=grouping.n_groups)
-        firsts = first_positions(grouping.group_ids, grouping.n_groups)
+            firsts = first_positions(grouping.group_ids,
+                                     grouping.n_groups)
 
         group_frame = Frame(grouping.n_groups)
         keys: dict[Any, int] = {}

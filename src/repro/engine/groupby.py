@@ -8,7 +8,11 @@ window partitions, hash joins -- goes through :func:`factorize`:
 2. multi-column keys are combined either by mixed-radix arithmetic (the
    fast path, when the code space fits in int64) or by lexicographic
    ``np.unique(axis=0)``;
-3. the result is a :class:`Grouping`: one group id per row, the group
+3. the (combined) codes are ranked in ascending order -- by a counting
+   pass over the code space when it is small for the row count, by
+   ``np.unique`` when it is sparse (the density rule,
+   :func:`counting_pass_fits`); both yield the same arrays;
+4. the result is a :class:`Grouping`: one group id per row, the group
    count, and per-column representative values for each group.
 """
 
@@ -161,31 +165,69 @@ def group_rows(columns: list[ColumnData], n_rows: int,
         if code_space > _MAX_CODE_SPACE:
             break
     if code_space <= _MAX_CODE_SPACE:
-        return _factorize_radix(encodings)
+        return _factorize_radix(encodings, code_space)
     return _factorize_lex(encodings)
 
 
+#: The density rule.  Ranking codes by counting costs O(rows + space)
+#: time and ``space`` bytes of bitmap; ranking by sort costs
+#: O(rows log rows) whatever the space.  Dictionary codes are dense by
+#: construction, so the counting pass serves every grouping whose code
+#: space is within a small multiple of its row count (the additive term
+#: keeps small inputs from ever sorting); only a sparse space -- a
+#: product of cardinalities far beyond the rows that can populate it --
+#: is worth a sort.  Computed from the call's own arguments: there is
+#: no knob, because no caller knows better than ``space`` and ``n``.
+_DENSE_SPACE_PER_ROW = 4
+_DENSE_SPACE_SLACK = 65_536
+
+
+def counting_pass_fits(space: int, n_rows: int) -> bool:
+    """Whether a code space of ``space`` slots is small enough, for
+    ``n_rows`` rows, to be ranked by a bitmap instead of a sort."""
+    return space <= _DENSE_SPACE_PER_ROW * n_rows + _DENSE_SPACE_SLACK
+
+
+def _rank_codes(codes: np.ndarray,
+                space: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(present, group_ids)``: the distinct values of ``codes`` in
+    ascending order and each row's rank among them, both int64 --
+    ``np.unique(codes, return_inverse=True)`` without the sort when
+    ``codes`` (all in ``[0, space)``) are dense enough to count."""
+    if not counting_pass_fits(space, len(codes)):
+        present, group_ids = np.unique(codes, return_inverse=True)
+        return present, group_ids.astype(np.int64)
+    seen = np.zeros(space, dtype=bool)
+    seen[codes] = True
+    present = np.flatnonzero(seen)
+    # The narrowest dtype that holds a group id keeps the lookup table
+    # (the one allocation proportional to ``space``) small.
+    lookup = np.empty(space, dtype=np.min_scalar_type(len(present)))
+    lookup[present] = np.arange(len(present))
+    return present, lookup[codes].astype(np.int64)
+
+
 def _factorize_single(enc: EncodedColumn) -> Grouping:
-    present, group_ids = np.unique(enc.codes, return_inverse=True)
-    return Grouping(group_ids.astype(np.int64), len(present),
-                    present.reshape(-1, 1), [enc])
+    present, group_ids = _rank_codes(enc.codes, enc.cardinality)
+    return Grouping(group_ids, len(present), present.reshape(-1, 1),
+                    [enc])
 
 
-def _factorize_radix(encodings: list[EncodedColumn]) -> Grouping:
+def _factorize_radix(encodings: list[EncodedColumn],
+                     code_space: int) -> Grouping:
     """Combine per-column codes into one int64 with mixed radix."""
     combined = np.zeros(len(encodings[0].codes), dtype=np.int64)
     for enc in encodings:
         combined *= enc.cardinality
         combined += enc.codes
-    present, group_ids = np.unique(combined, return_inverse=True)
+    present, group_ids = _rank_codes(combined, code_space)
     key_codes = np.empty((len(present), len(encodings)), dtype=np.int64)
     remaining = present.copy()
     for position in range(len(encodings) - 1, -1, -1):
         radix = encodings[position].cardinality
         key_codes[:, position] = remaining % radix
         remaining //= radix
-    return Grouping(group_ids.astype(np.int64), len(present), key_codes,
-                    encodings)
+    return Grouping(group_ids, len(present), key_codes, encodings)
 
 
 def _factorize_lex(encodings: list[EncodedColumn]) -> Grouping:
@@ -197,19 +239,17 @@ def _factorize_lex(encodings: list[EncodedColumn]) -> Grouping:
 
 
 def first_positions(group_ids: np.ndarray, n_groups: int) -> np.ndarray:
-    """Index of the first row of each group, ordered by group id."""
-    if n_groups == 0:
-        return np.empty(0, dtype=np.int64)
-    if len(group_ids) == 0:
-        # The single global group over an empty input: no representative
-        # row exists; callers only use firsts with key columns, which
-        # are absent in this case.
-        return np.zeros(n_groups, dtype=np.int64)
-    order = np.argsort(group_ids, kind="stable")
-    sorted_ids = group_ids[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = sorted_ids[1:] != sorted_ids[:-1]
-    return order[starts]
+    """Index of the first row of each group, ordered by group id.
+
+    Every group id in ``range(n_groups)`` must occur, except over an
+    empty input, where the single global group has no representative
+    row and gets position 0 (callers only use firsts with key columns,
+    which are absent in that case).
+    """
+    n_rows = len(group_ids)
+    firsts = np.full(n_groups, n_rows, dtype=np.int64)
+    np.minimum.at(firsts, group_ids, np.arange(n_rows, dtype=np.int64))
+    return firsts
 
 
 def distinct_indices(columns: list[ColumnData], n_rows: int,
@@ -219,7 +259,5 @@ def distinct_indices(columns: list[ColumnData], n_rows: int,
     grouping = factorize(columns, n_rows, cache)
     if n_rows == 0:
         return np.empty(0, dtype=np.int64)
-    # np.unique(return_index=True) yields the first occurrence of each
-    # group id; sorting those positions restores appearance order.
-    _, firsts = np.unique(grouping.group_ids, return_index=True)
-    return np.sort(firsts.astype(np.int64))
+    # Sorting the groups' first rows restores appearance order.
+    return np.sort(first_positions(grouping.group_ids, grouping.n_groups))

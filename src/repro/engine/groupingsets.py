@@ -18,10 +18,12 @@ derives every set's grouping from it at *group level*:
 
 Because per-column codes come from the same :func:`encode_column`
 encodings a standalone ``GROUP BY`` of S's dims would build, and both
-paths rank the same combined codes with ``np.unique``, the derived
-group ids (and key codes) are **bit-identical** to a direct
-factorization -- which is what makes the shared scan safe to substitute
-for N separate group-bys (see docs/cube.md for the full argument).
+paths give the same combined codes the same ascending ranking
+(``np.unique`` here; a counting pass or ``np.unique`` in
+:mod:`repro.engine.groupby`, by its density rule), the derived group
+ids (and key codes) are **bit-identical** to a direct factorization --
+which is what makes the shared scan safe to substitute for N separate
+group-bys (see docs/cube.md for the full argument).
 
 Coarser sets *fold* exact aggregates (count, count(*), INTEGER sum,
 min, max) from the partials of their fold source -- the requested

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from repro.engine.column import ColumnData
+from repro.engine.groupby import counting_pass_fits
 from repro.engine.types import SQLType
 from repro.errors import TypeMismatchError
 
@@ -53,16 +54,18 @@ def kernel_count_distinct(codes: np.ndarray, cardinality: int,
     convention (0 = NULL); the caller encodes, so the encoding cache
     is charged there.
     """
-    valid = codes != 0
-    if not valid.any():
-        zeros = np.zeros(n_groups, dtype=np.int64)
-        return ColumnData(SQLType.INTEGER, zeros,
-                          np.zeros(n_groups, dtype=bool))
-    pairs = group_ids[valid] * np.int64(cardinality) + codes[valid]
-    unique_pairs = np.unique(pairs)
-    owner = unique_pairs // np.int64(cardinality)
-    counts = np.bincount(owner, minlength=n_groups)
-    return ColumnData(SQLType.INTEGER, counts.astype(np.int64),
+    if counting_pass_fits(n_groups * cardinality, len(codes)):
+        # The (group, code) space is small for this many rows: mark the
+        # pairs that occur and count each group's row, NULL slot aside.
+        seen = np.zeros((n_groups, cardinality), dtype=bool)
+        seen[group_ids, codes] = True
+        counts = seen[:, 1:].sum(axis=1, dtype=np.int64)
+    else:
+        valid = codes != 0
+        pairs = group_ids[valid] * np.int64(cardinality) + codes[valid]
+        owner = np.unique(pairs) // np.int64(cardinality)
+        counts = np.bincount(owner, minlength=n_groups).astype(np.int64)
+    return ColumnData(SQLType.INTEGER, counts,
                       np.zeros(n_groups, dtype=bool))
 
 

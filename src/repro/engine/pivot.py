@@ -130,6 +130,10 @@ def _parse_term(index: int, spec: ast.FuncCall, frame: Frame
         if pair is None:
             return None
         ref, value = pair
+        if value is None:
+            # ``d = NULL`` is never true, not ``d IS NULL``: no cell of
+            # the family is this term's; the generic evaluator has it.
+            return None
         try:
             key = _normalize(ref, frame)
         except Exception:
@@ -199,12 +203,8 @@ def _compute_family(terms: list[_PivotTerm], column_keys: list,
         out = ColumnData.all_null(cell_values.sql_type, grouping.n_groups)
         mask = np.ones(combined.n_groups, dtype=bool)
         for key, cell_col in zip(column_keys, cell_pivot):
-            literal = term.literals[key]
-            if literal is None:
-                mask &= cell_col.nulls
-            else:
-                mask &= ~cell_col.nulls
-                mask &= _equals_scalar(cell_col, literal)
+            mask &= ~cell_col.nulls
+            mask &= _equals_scalar(cell_col, term.literals[key])
         hit = np.nonzero(mask)[0]
         out.values[cell_group[hit]] = cell_values.values[hit]
         out.nulls[cell_group[hit]] = cell_values.nulls[hit]

@@ -118,6 +118,20 @@ class TestNonPivotShapesFallThrough:
         linear, hashed = pair
         assert linear.query(sql) == hashed.query(sql)
 
+    def test_null_literal_is_never_equal(self):
+        # ``d = NULL`` is UNKNOWN for every row -- the term is NULL, not
+        # the sum over the rows where d IS NULL (which hash dispatch
+        # returned: 10 and 30).
+        sql = ("SELECT g, sum(CASE WHEN d = NULL THEN a END), "
+               "sum(CASE WHEN d = 1 THEN a END) "
+               "FROM t GROUP BY g ORDER BY g")
+        for mode in ("linear", "hash"):
+            db = Database(case_dispatch=mode)
+            db.execute("CREATE TABLE t (g INT, d INT, a INT)")
+            db.execute("INSERT INTO t VALUES (1, NULL, 10), (1, 1, 20), "
+                       "(2, NULL, 30), (2, 1, 5)")
+            assert db.query(sql) == [(1, None, 20), (2, None, 5)], mode
+
 
 class TestMixedFunctionFamilies:
     """Terms sharing (pivot column, argument) form one dispatch family

@@ -17,8 +17,8 @@ from repro.fuzz.sweep import KINDS
 
 yaml = pytest.importorskip("yaml")
 
-WORKFLOW = Path(__file__).resolve().parents[2] \
-    / ".github" / "workflows" / "ci.yml"
+ROOT = Path(__file__).resolve().parents[2]
+WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 
 
 def _commands(module):
@@ -79,3 +79,23 @@ def test_benchmark_commands_parse(monkeypatch):
         assert argv == ["--selftest"], "stub the mode this line runs"
         assert main(argv) == 0
     assert len(ran) == len(commands)
+
+
+def test_declared_numpy_floor_is_the_tested_floor():
+    """``pyproject.toml`` states the floor once; the README's install
+    note and the tier1 floor cell (oldest Python, numpy pinned to that
+    release after the package is installed) must name the same one."""
+    floor = re.search(r'^dependencies = \["numpy>=([0-9.]+)"\]$',
+                      (ROOT / "pyproject.toml").read_text(),
+                      re.MULTILINE).group(1)
+    assert f"`numpy>={floor}`" in (ROOT / "README.md").read_text()
+    tier1 = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]
+    matrix = tier1["strategy"]["matrix"]
+    oldest = min(matrix["python-version"],
+                 key=lambda v: tuple(map(int, v.split("."))))
+    assert {"python-version": oldest, "numpy": "floor"} \
+        in matrix["include"]
+    runs = [step.get("run", "") for step in tier1["steps"]]
+    install = runs.index('python -m pip install -e ".[test]" pytest-cov')
+    assert runs[install + 1] == \
+        f'python -m pip install "numpy=={floor}.*"'
