@@ -221,6 +221,15 @@ The engine's logical-I/O counter (rows read + rows written +
 2 x rows updated) restores the cost asymmetries that RAM hides:
 UPDATE write-amplification, the SPJ strategy's N extra scans, and the
 OLAP window spools.
+
+The CASE columns of Table 5 and DMKD Table 3 are computed by the pivot
+kernel -- one pass per `agg(CASE WHEN d = v THEN a END)` family,
+whatever the fan-out -- while the ledger still books the N WHEN tests
+per row the paper's DBMS performed (DESIGN.md section 5). Ablation A1
+(the O(1) hash dispatch both papers propose) is therefore a *ledger*
+factor, `case_evaluations` under `case_dispatch="linear"` over
+`"hash"`, asserted by `benchmarks/bench_ablations.py::TestCaseDispatch`;
+there is no wall-clock pair, and no cell below depends on the knob.
 """
 
 

@@ -68,10 +68,14 @@ class ExecutorOptions:
     docs/engine_internals.md, "Execution options".
 
     ``case_dispatch``:
-        ``"linear"`` evaluates every CASE term for every row, which is
-        what the paper says real optimizers do; ``"hash"`` is the
-        O(1)-per-row dispatch the paper proposes for disjoint
-        pivot-style CASE aggregations (Section 3.2 / DMKD Section 3.5).
+        what the ledger *charges* for a family of disjoint pivot-style
+        CASE aggregations, not how it is computed (the pivot kernel
+        computes it either way, :mod:`repro.engine.pivot`):
+        ``"linear"`` books one WHEN test per term per row, which is
+        what the paper says real optimizers do; ``"hash"`` books the
+        one probe per row of the dispatch the paper proposes
+        (Section 3.2 / DMKD Section 3.5).  Ledger only: results and
+        wall-clock are identical either way.
     ``use_indexes``:
         joins reuse a covering index's pre-built hash side.
     ``use_encoding_cache``:
@@ -714,15 +718,20 @@ class Executor:
                             frame: Frame, grouping,
                             group_frame: Frame) -> None:
         """Evaluate each distinct aggregate over the base frame, binding
-        ``__aggI`` columns into the group frame.  When hash dispatch is
-        enabled, disjoint pivot-style CASE aggregations are computed in
-        one factorize pass instead of N masked passes."""
+        ``__aggI`` columns into the group frame.  Families of disjoint
+        pivot-style CASE aggregations go through the pivot kernel (one
+        factorize pass instead of N masked passes; the ``pivot``
+        operator opens only for a statement that has one), everything
+        else through the generic evaluator."""
         handled: set[int] = set()
-        if self.options.case_dispatch == "hash":
+        families = pivot_mod.detect_families(calls, frame)
+        if families:
             with self._operator("pivot") as op:
-                handled = pivot_mod.compute_pivot_aggregates(
-                    calls, frame, grouping, group_frame, self.stats,
-                    self._aggregate_batch, self.encoding_cache)
+                handled = pivot_mod.compute_families(
+                    families, frame, grouping.group_ids,
+                    grouping.n_groups, group_frame, self.stats,
+                    self._aggregate_batch, self.encoding_cache,
+                    self.options.case_dispatch)
                 op.stamp(aggregates=len(handled),
                          groups=grouping.n_groups)
         results = self._aggregate_batch(
@@ -1068,8 +1077,17 @@ def _group_rewriter(frame: Frame, keys: dict[Any, int], aggs: _Bound,
     aggregate call its ``aggs`` column.  Under grouping sets
     (``set_dims`` = the set's dims) ``grouping()`` folds to its mask
     literal and ``pct()`` binds like an aggregate."""
+    # Keys of every node under the expression being rewritten: the
+    # first visit normalizes the whole tree once (raising what it
+    # always raised, in the same order), the descent only looks up.
+    # Emptied per expression -- a 1,201-item select list would
+    # otherwise hold every key until the statement ends.
+    norms: dict[int, Any] = {}
+
     def rewrite(node: ast.Expr) -> ast.Expr:
-        norm = _normalize(node, frame)
+        norm = norms.get(id(node))
+        if norm is None:
+            norm = _normalize(node, frame, norms)
         if norm in keys:
             return ast.ColumnRef(f"__key{keys[norm]}")
         if isinstance(node, ast.FuncCall) and node.over is None:
@@ -1099,7 +1117,11 @@ def _group_rewriter(frame: Frame, keys: dict[Any, int], aggs: _Bound,
                 f"column {node.name!r} must appear in GROUP BY or "
                 f"inside an aggregate")
         return _rebuild(node, rewrite)
-    return rewrite
+
+    def rewrite_expression(expr: ast.Expr) -> ast.Expr:
+        norms.clear()
+        return rewrite(expr)
+    return rewrite_expression
 
 
 def _concrete(data: ColumnData) -> ColumnData:
@@ -1160,40 +1182,55 @@ def _rebuild(expr: ast.Expr, rewrite: Callable[[ast.Expr], ast.Expr]
     raise PlanningError(f"cannot rewrite expression node {expr!r}")
 
 
-def _normalize(expr: ast.Expr, frame: Frame):
+def _normalize(expr: ast.Expr, frame: Frame,
+               memo: Optional[dict[int, Any]] = None):
     """A hashable structural key for an expression, with column
     references resolved to the identity of their backing arrays so that
-    ``D1``, ``F.D1`` and an aliased spelling all normalize equally."""
+    ``D1``, ``F.D1`` and an aliased spelling all normalize equally.
+    ``memo``, when given, collects every sub-expression's key under
+    ``id(node)`` on the way, so a caller that needs the keys of a whole
+    tree pays for one traversal."""
     if isinstance(expr, ast.Literal):
-        return ("lit", expr.value)
-    if isinstance(expr, ast.ColumnRef):
-        return ("col", id(frame.resolve(expr)))
-    if isinstance(expr, ast.Star):
-        return ("star", expr.table and expr.table.lower())
-    if isinstance(expr, ast.UnaryOp):
-        return ("un", expr.op, _normalize(expr.operand, frame))
-    if isinstance(expr, ast.BinaryOp):
-        return ("bin", expr.op, _normalize(expr.left, frame),
-                _normalize(expr.right, frame))
-    if isinstance(expr, ast.IsNull):
-        return ("isnull", expr.negated, _normalize(expr.operand, frame))
-    if isinstance(expr, ast.InList):
-        return ("in", expr.negated, _normalize(expr.operand, frame),
-                tuple(_normalize(i, frame) for i in expr.items))
-    if isinstance(expr, ast.CaseWhen):
-        whens = tuple((_normalize(c, frame), _normalize(r, frame))
+        # Typed: ``0``, ``0.0`` and ``FALSE`` are equal Python values
+        # but different SQL literals (``ELSE 0.0`` widens an INTEGER
+        # CASE).
+        key = ("lit", type(expr.value), expr.value)
+    elif isinstance(expr, ast.ColumnRef):
+        key = ("col", id(frame.resolve(expr)))
+    elif isinstance(expr, ast.Star):
+        key = ("star", expr.table and expr.table.lower())
+    elif isinstance(expr, ast.UnaryOp):
+        key = ("un", expr.op, _normalize(expr.operand, frame, memo))
+    elif isinstance(expr, ast.BinaryOp):
+        key = ("bin", expr.op, _normalize(expr.left, frame, memo),
+               _normalize(expr.right, frame, memo))
+    elif isinstance(expr, ast.IsNull):
+        key = ("isnull", expr.negated,
+               _normalize(expr.operand, frame, memo))
+    elif isinstance(expr, ast.InList):
+        key = ("in", expr.negated,
+               _normalize(expr.operand, frame, memo),
+               tuple(_normalize(i, frame, memo) for i in expr.items))
+    elif isinstance(expr, ast.CaseWhen):
+        whens = tuple((_normalize(c, frame, memo),
+                       _normalize(r, frame, memo))
                       for c, r in expr.whens)
-        else_ = _normalize(expr.else_, frame) \
+        else_ = _normalize(expr.else_, frame, memo) \
             if expr.else_ is not None else None
-        return ("case", whens, else_)
-    if isinstance(expr, ast.Cast):
-        return ("cast", expr.type_name.upper(),
-                _normalize(expr.operand, frame))
-    if isinstance(expr, ast.FuncCall):
+        key = ("case", whens, else_)
+    elif isinstance(expr, ast.Cast):
+        key = ("cast", expr.type_name.upper(),
+               _normalize(expr.operand, frame, memo))
+    elif isinstance(expr, ast.FuncCall):
         over = None
         if expr.over is not None:
-            over = tuple(_normalize(p, frame)
+            over = tuple(_normalize(p, frame, memo)
                          for p in expr.over.partition_by)
-        return ("func", expr.name, expr.distinct,
-                tuple(_normalize(a, frame) for a in expr.args), over)
-    raise PlanningError(f"cannot normalize expression {expr!r}")
+        key = ("func", expr.name, expr.distinct,
+               tuple(_normalize(a, frame, memo) for a in expr.args),
+               over)
+    else:
+        raise PlanningError(f"cannot normalize expression {expr!r}")
+    if memo is not None:
+        memo[id(expr)] = key
+    return key

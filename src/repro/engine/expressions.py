@@ -276,13 +276,18 @@ _FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<",
             ">=": "<="}
 
 
+def comparable_types(left: SQLType, right: SQLType) -> bool:
+    """Whether a comparison between the two types is accepted: equal
+    types, or two numerics."""
+    return left == right or (left.is_numeric and right.is_numeric)
+
+
 def _compare_scalar(op: str, left: ColumnData, value) -> ColumnData:
     """``column op scalar`` without materializing a constant column."""
     value_type = infer_type(value)
     if left.sql_type is _UNTYPED:
         return ColumnData.all_null(SQLType.BOOLEAN, len(left))
-    if left.sql_type != value_type and not (
-            left.sql_type.is_numeric and value_type.is_numeric):
+    if not comparable_types(left.sql_type, value_type):
         raise TypeMismatchError(
             f"incompatible types: {left.sql_type} and {value_type}")
     lhs = left.values

@@ -154,8 +154,14 @@ def group_rows(columns: list[ColumnData], n_rows: int,
         group_ids = np.zeros(n_rows, dtype=np.int64)
         return Grouping(group_ids, 1 if n_rows >= 0 else 0,
                         np.empty((1, 0), dtype=np.int64), [])
+    return group_encoded([encode_column(c, cache) for c in columns])
 
-    encodings = [encode_column(c, cache) for c in columns]
+
+def group_encoded(encodings: list[EncodedColumn]) -> Grouping:
+    """:func:`group_rows` over key columns that are already dictionary
+    codes (at least one).  The pivot kernel enters here: its group-id
+    column is dense by construction and its cells' pivot columns are
+    columns of ``key_codes``, so neither needs encoding again."""
     if len(encodings) == 1:
         return _factorize_single(encodings[0])
 
@@ -216,8 +222,8 @@ def _factorize_single(enc: EncodedColumn) -> Grouping:
 def _factorize_radix(encodings: list[EncodedColumn],
                      code_space: int) -> Grouping:
     """Combine per-column codes into one int64 with mixed radix."""
-    combined = np.zeros(len(encodings[0].codes), dtype=np.int64)
-    for enc in encodings:
+    combined = encodings[0].codes.astype(np.int64)   # a copy
+    for enc in encodings[1:]:
         combined *= enc.cardinality
         combined += enc.codes
     present, group_ids = _rank_codes(combined, code_space)

@@ -37,10 +37,21 @@ def kernel_count_star(group_ids: np.ndarray,
                       np.zeros(n_groups, dtype=bool))
 
 
+def _non_null(nulls: np.ndarray, group_ids: np.ndarray,
+              values: Optional[np.ndarray] = None):
+    """``(group_ids, values)`` of the rows that are not NULL -- the
+    arrays themselves when no row is, which is the common case and
+    saves a row-length copy of each per aggregate."""
+    if not nulls.any():
+        return group_ids, values
+    valid = ~nulls
+    return group_ids[valid], None if values is None else values[valid]
+
+
 def kernel_count(nulls: np.ndarray, group_ids: np.ndarray,
                  n_groups: int) -> ColumnData:
-    valid = ~nulls
-    counts = np.bincount(group_ids[valid], minlength=n_groups)
+    ids, _ = _non_null(nulls, group_ids)
+    counts = np.bincount(ids, minlength=n_groups)
     return ColumnData(SQLType.INTEGER, counts.astype(np.int64),
                       np.zeros(n_groups, dtype=bool))
 
@@ -79,11 +90,10 @@ def kernel_sum(values: np.ndarray, nulls: np.ndarray,
                sql_type: Optional[SQLType], group_ids: np.ndarray,
                n_groups: int) -> ColumnData:
     _require_numeric("sum", sql_type)
-    valid = ~nulls
-    weights = values.astype(np.float64)
-    sums = np.bincount(group_ids[valid], weights=weights[valid],
-                       minlength=n_groups)
-    non_null = np.bincount(group_ids[valid], minlength=n_groups)
+    ids, weights = _non_null(nulls, group_ids,
+                             values.astype(np.float64, copy=False))
+    sums = np.bincount(ids, weights=weights, minlength=n_groups)
+    non_null = np.bincount(ids, minlength=n_groups)
     out_nulls = non_null == 0
     if sql_type == SQLType.INTEGER:
         out = np.rint(sums).astype(np.int64)
@@ -95,11 +105,10 @@ def kernel_avg(values: np.ndarray, nulls: np.ndarray,
                sql_type: Optional[SQLType], group_ids: np.ndarray,
                n_groups: int) -> ColumnData:
     _require_numeric("avg", sql_type)
-    valid = ~nulls
-    weights = values.astype(np.float64)
-    sums = np.bincount(group_ids[valid], weights=weights[valid],
-                       minlength=n_groups)
-    non_null = np.bincount(group_ids[valid], minlength=n_groups)
+    ids, weights = _non_null(nulls, group_ids,
+                             values.astype(np.float64, copy=False))
+    sums = np.bincount(ids, weights=weights, minlength=n_groups)
+    non_null = np.bincount(ids, minlength=n_groups)
     out_nulls = non_null == 0
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(out_nulls, 0.0,
@@ -113,13 +122,11 @@ def kernel_var_stdev(func: str, values: np.ndarray, nulls: np.ndarray,
     """Sample variance / standard deviation (n - 1 denominator); NULL
     for groups with fewer than two non-NULL inputs."""
     _require_numeric(func, sql_type)
-    valid = ~nulls
-    weights = values.astype(np.float64)
-    counts = np.bincount(group_ids[valid], minlength=n_groups)
-    sums = np.bincount(group_ids[valid], weights=weights[valid],
-                       minlength=n_groups)
-    squares = np.bincount(group_ids[valid],
-                          weights=weights[valid] ** 2,
+    ids, weights = _non_null(nulls, group_ids,
+                             values.astype(np.float64, copy=False))
+    counts = np.bincount(ids, minlength=n_groups)
+    sums = np.bincount(ids, weights=weights, minlength=n_groups)
+    squares = np.bincount(ids, weights=weights ** 2,
                           minlength=n_groups)
     out_nulls = counts < 2
     safe_counts = np.where(out_nulls, 2, counts)
@@ -141,16 +148,16 @@ def kernel_min_max(func: str, values: np.ndarray, nulls: np.ndarray,
     VARCHAR goes through :func:`kernel_min_max_sorted` -- object
     arrays have no sentinels.
     """
-    valid = ~nulls
-    out_nulls = np.bincount(group_ids[valid], minlength=n_groups) == 0
+    ids, present = _non_null(nulls, group_ids, values)
+    out_nulls = np.bincount(ids, minlength=n_groups) == 0
     if func == "min":
         out = np.full(n_groups, _max_sentinel(sql_type),
                       dtype=sql_type.numpy_dtype)
-        np.minimum.at(out, group_ids[valid], values[valid])
+        np.minimum.at(out, ids, present)
     else:
         out = np.full(n_groups, _min_sentinel(sql_type),
                       dtype=sql_type.numpy_dtype)
-        np.maximum.at(out, group_ids[valid], values[valid])
+        np.maximum.at(out, ids, present)
     out[out_nulls] = 0
     return ColumnData(sql_type, out, out_nulls)
 
@@ -159,10 +166,8 @@ def kernel_min_max_sorted(func: str, values: np.ndarray,
                           nulls: np.ndarray, group_ids: np.ndarray,
                           n_groups: int) -> ColumnData:
     """min/max for VARCHAR via a (group, value) sort."""
-    valid = ~nulls
-    out_nulls = np.bincount(group_ids[valid], minlength=n_groups) == 0
-    ids = group_ids[valid]
-    present = values[valid]
+    ids, present = _non_null(nulls, group_ids, values)
+    out_nulls = np.bincount(ids, minlength=n_groups) == 0
     value_order = np.argsort(present, kind="stable")
     order = value_order[np.argsort(ids[value_order], kind="stable")]
     sorted_ids = ids[order]

@@ -1,4 +1,4 @@
-"""Hash-dispatch evaluation of disjoint pivot-style CASE aggregations.
+"""The CASE fan-out evaluator: disjoint pivot-style aggregations.
 
 Both papers observe that queries of the shape
 
@@ -12,13 +12,23 @@ result column -- and propose reducing the per-row cost from ``O(N)`` to
 ``O(1)`` "using a hash table that maps one conjunction to one result
 column" (DMKD Section 3.5).
 
-This module is that proposed optimizer improvement.  When the executor
-runs with ``case_dispatch="hash"``, it detects families of aggregate
-terms matching the pattern, factorizes the input *once* over
-(group keys x pivot columns) -- a vectorized stand-in for the per-row
-hash probe -- aggregates each cell once, and scatters cell values into
-the per-term result columns.  Only one ``case_evaluations`` charge per
-row is recorded, versus ``N`` per row for the linear strategy.
+This module is how the engine *computes* every such family, whatever
+``ExecutorOptions.case_dispatch`` says: the input is factorized once
+over (group keys x pivot columns) -- a vectorized stand-in for the
+per-row hash probe -- each cell is aggregated once, and the cells are
+scattered into the per-term result columns.  The option only selects
+what the ledger *charges* for it (DESIGN.md section 5, "Period-faithful
+cost choices"): ``"linear"`` books the ``N`` WHEN tests per row the
+period DBMS performed -- the number the generic evaluator
+(:func:`repro.engine.expressions._eval_case`) books for the same
+terms -- and ``"hash"`` the one probe per row of the proposed
+optimizer.
+
+A term the kernel cannot reproduce bit for bit is declined by
+:func:`_parse_term` (or, for the typing of the THEN expression, by
+:func:`_compute_family`) and keeps the generic evaluator, as does a
+family of one; ``tests/property/test_pivot_bitwise.py`` holds the two
+evaluators against each other.
 """
 
 from __future__ import annotations
@@ -31,11 +41,13 @@ import numpy as np
 from repro.engine import cancel, faults
 from repro.engine.column import ColumnData
 from repro.engine.encoding_cache import EncodingCache
-from repro.engine.expressions import Frame, evaluate
-from repro.engine.groupby import Grouping, factorize, first_positions
+from repro.engine.expressions import Frame, comparable_types, evaluate
+from repro.engine.groupby import (EncodedColumn, encode_column,
+                                  group_encoded)
 from repro.engine.planner import split_conjuncts
 from repro.engine.stats import StatsCollector
-from repro.engine.types import SQLType
+from repro.engine.types import SQLType, infer_type
+from repro.errors import PlanningError
 from repro.sql import ast
 
 
@@ -49,57 +61,66 @@ class _PivotTerm:
     else_zero: bool
 
 
-def compute_pivot_aggregates(agg_specs: list[ast.FuncCall], frame: Frame,
-                             grouping: Grouping, group_frame: Frame,
-                             stats: Optional[StatsCollector],
-                             aggregate: Callable[..., dict],
-                             cache: Optional[EncodingCache] = None
-                             ) -> set[int]:
-    """Compute every pivot-family aggregate, binding ``__aggI`` columns
-    into ``group_frame``.  Returns the set of handled spec indexes.
+@dataclass
+class _Family:
+    """The terms that share pivot columns and a THEN expression."""
 
-    ``aggregate`` is the executor's batch entry point --
-    ``(items, group_ids, n_groups) -> {key: ColumnData}`` -- which runs
-    the per-cell aggregation.
-    """
-    families = _detect_families(agg_specs, frame)
-    handled: set[int] = set()
-    for (column_keys, _result_norm), (terms, columns, result_expr) \
-            in families.items():
-        if len(terms) < 2:
-            continue  # linear evaluation is fine for a single term
-        cancel.checkpoint("pivot")
-        faults.fire("pivot")
-        _compute_family(terms, list(column_keys), columns, result_expr,
-                        frame, grouping, group_frame, stats, aggregate,
-                        cache)
-        handled.update(t.index for t in terms)
-    return handled
+    terms: list[_PivotTerm]
+    column_keys: tuple              # the pivot columns' norm-keys
+    columns: dict[Any, ast.ColumnRef]
+    result_expr: ast.Expr
 
 
-# ----------------------------------------------------------------------
-def _detect_families(agg_specs: list[ast.FuncCall], frame: Frame):
-    """Group pivot-pattern aggregates by (pivot columns, THEN expr)."""
+def detect_families(agg_specs: list[ast.FuncCall],
+                    frame: Frame) -> list[_Family]:
+    """The families of two or more pivot-pattern aggregates, grouped by
+    (pivot columns, THEN expr).  A lone term gains nothing from the
+    kernel and stays with the generic evaluator."""
     from repro.engine.executor import _normalize
 
-    families: dict[tuple, tuple[list[_PivotTerm],
-                                dict[Any, ast.ColumnRef], ast.Expr]] = {}
+    families: dict[tuple, _Family] = {}
     for index, spec in enumerate(agg_specs):
         parsed = _parse_term(index, spec, frame)
         if parsed is None:
             continue
         term, columns, result_expr = parsed
-        if term.else_zero and term.func != "sum":
-            continue  # ELSE 0 only preserves semantics for sum()
         column_keys = tuple(sorted(term.literals, key=repr))
         key = (column_keys, _normalize(result_expr, frame))
         if key in families:
-            families[key][0].append(term)
+            families[key].terms.append(term)
         else:
-            families[key] = ([term], columns, result_expr)
-    return families
+            families[key] = _Family([term], column_keys, columns,
+                                    result_expr)
+    return [f for f in families.values() if len(f.terms) >= 2]
 
 
+def compute_families(families: list[_Family], frame: Frame,
+                     group_ids: np.ndarray, n_groups: int,
+                     group_frame: Frame,
+                     stats: Optional[StatsCollector],
+                     aggregate: Callable[..., dict],
+                     cache: Optional[EncodingCache],
+                     case_dispatch: str) -> set[int]:
+    """Compute each family, binding its terms' ``__aggI`` columns into
+    ``group_frame``.  Returns the handled spec indexes; a family the
+    kernel declines is left out of them.
+
+    ``aggregate`` is the executor's batch entry point --
+    ``(items, group_ids, n_groups) -> {key: ColumnData}`` -- which runs
+    the per-cell aggregation.
+    """
+    handled: set[int] = set()
+    for family in families:
+        cancel.checkpoint("pivot")
+        faults.fire("pivot")
+        if _compute_family(family, frame, group_ids, n_groups,
+                           group_frame, stats, aggregate, cache,
+                           case_dispatch):
+            handled.update(t.index for t in family.terms)
+    return handled
+
+
+# ----------------------------------------------------------------------
 def _parse_term(index: int, spec: ast.FuncCall, frame: Frame
                 ) -> Optional[tuple[_PivotTerm,
                                     dict[Any, ast.ColumnRef], ast.Expr]]:
@@ -114,15 +135,24 @@ def _parse_term(index: int, spec: ast.FuncCall, frame: Frame
         return None
     else_zero = False
     if case.else_ is not None:
-        if isinstance(case.else_, ast.Literal) and case.else_.value == 0:
-            else_zero = True
-        elif isinstance(case.else_, ast.Literal) \
-                and case.else_.value is None:
-            else_zero = False
-        else:
+        if not isinstance(case.else_, ast.Literal):
             return None
+        value = case.else_.value
+        if value is not None:
+            # ELSE 0 keeps the THEN expression's type and only turns a
+            # missing cell's NULL into 0 under sum(); ``0.0`` would
+            # widen an INTEGER sum, any other function would count or
+            # compare the zeros.
+            if type(value) is not int or value != 0 or spec.name != "sum":
+                return None
+            else_zero = True
 
     condition, result_expr = case.whens[0]
+    if any(isinstance(node, ast.CaseWhen)
+           for node in ast.walk(result_expr)):
+        # The generic evaluator charges a nested CASE once per term;
+        # declining keeps the "linear" ledger equal to its own.
+        return None
     literals: dict[Any, Any] = {}
     columns: dict[Any, ast.ColumnRef] = {}
     for conjunct in split_conjuncts(condition):
@@ -135,8 +165,16 @@ def _parse_term(index: int, spec: ast.FuncCall, frame: Frame
             # the family is this term's; the generic evaluator has it.
             return None
         try:
+            column_type = frame.resolve(ref).sql_type
             key = _normalize(ref, frame)
-        except Exception:
+        except PlanningError:
+            return None
+        if column_type is None or not comparable_types(
+                column_type, infer_type(value)):
+            # The generic evaluator raises TypeMismatchError for
+            # ``varchar_column = 1``; the kernel's lookup would just
+            # find no cell.  (So a string literal never meets a
+            # non-VARCHAR column there: like compares with like.)
             return None
         if key in literals:
             return None
@@ -161,68 +199,111 @@ def _column_equals_literal(expr: ast.Expr
 
 
 # ----------------------------------------------------------------------
-def _compute_family(terms: list[_PivotTerm], column_keys: list,
-                    columns: dict[Any, ast.ColumnRef],
-                    result_expr: ast.Expr, frame: Frame,
-                    grouping: Grouping, group_frame: Frame,
+def _compute_family(family: _Family, frame: Frame,
+                    group_ids: np.ndarray, n_groups: int,
+                    group_frame: Frame,
                     stats: Optional[StatsCollector],
                     aggregate: Callable[..., dict],
-                    cache: Optional[EncodingCache] = None) -> None:
+                    cache: Optional[EncodingCache],
+                    case_dispatch: str) -> bool:
+    terms = family.terms
     n_rows = frame.n_rows
-    if stats is not None:
-        # One hash probe per input row for the whole family.
-        stats.add(case_evaluations=n_rows)
-
-    pivot_columns = [evaluate(columns[k], frame, None)
-                     for k in column_keys]
-    group_id_column = ColumnData(
-        SQLType.INTEGER, grouping.group_ids.astype(np.int64),
-        np.zeros(n_rows, dtype=bool))
-    # The synthetic group-id column carries no cache token, but the
-    # pivot columns themselves are usually base-table references whose
-    # encodings the cache serves.
-    combined = factorize([group_id_column] + pivot_columns, n_rows, cache)
-
-    arg = evaluate(result_expr, frame, None)
+    arg = evaluate(family.result_expr, frame, None)
+    any_else_zero = any(t.else_zero for t in terms)
+    if any_else_zero and not (arg.sql_type is not None
+                              and arg.sql_type.is_numeric):
+        # ``THEN NULL ELSE 0`` is INTEGER and ``THEN 'x' ELSE 0`` a
+        # type error in the generic evaluator: let it say so.
+        return False
     if arg.sql_type is None:
         arg = ColumnData.all_null(SQLType.REAL, len(arg))
+    if stats is not None:
+        # What the fan-out costs on the ledger, not what it cost here:
+        # one WHEN test per term per row, or one hash probe per row.
+        stats.add(case_evaluations=n_rows * len(terms)
+                  if case_dispatch == "linear" else n_rows)
+
+    # One cell per (group, pivot-value combination) that occurs.  The
+    # group ids are dense already, so they are their own codes, as
+    # they stand: no row's group is NULL, so the slot the convention
+    # keeps for NULL is simply the last one instead of code 0 (this
+    # column is never decoded) and no shifted copy of the ids is made.
+    # The pivot columns are usually base-table references whose
+    # encodings the cache serves.
+    pivots = [encode_column(evaluate(family.columns[k], frame, None),
+                            cache)
+              for k in family.column_keys]
+    cells = group_encoded(
+        [EncodedColumn(group_ids, np.arange(n_groups),
+                       SQLType.INTEGER)] + pivots)
+    cell_group = cells.key_codes[:, 0]
+
     # One aggregation pass per distinct function: terms with different
     # functions share the factorization (the O(1) dispatch) but must
     # not share cell values.
     cells_by_func = aggregate(
         [(func, func, arg, False)
          for func in sorted({t.func for t in terms})],
-        combined.group_ids, combined.n_groups)
+        cells.group_ids, cells.n_groups)
 
-    firsts = first_positions(combined.group_ids, combined.n_groups)
-    cell_group = grouping.group_ids[firsts]
-    cell_pivot = [col.take(firsts) for col in pivot_columns]
-
+    # One ranking of the cells' pivot-value combinations, and the
+    # literal tuple -> combination lookup: each distinct conjunction a
+    # term asks for gets a *slot*, and every cell is routed to its
+    # slot (or dropped) in one pass -- O(cells + terms), not a mask
+    # over all cells per term.
+    combos = group_encoded(
+        [EncodedColumn(cells.key_codes[:, j + 1], enc.uniques,
+                       enc.sql_type)
+         for j, enc in enumerate(pivots)])
+    combo_keys = combos.key_columns()
+    real = np.flatnonzero(~np.logical_or.reduce(
+        [col.nulls for col in combo_keys]))   # a NULL never equals
+    combo_of = dict(zip(
+        zip(*(col.values[real].tolist() for col in combo_keys)),
+        real.tolist()))
+    slot_of_combo = np.full(combos.n_groups, -1, dtype=np.int64)
+    n_slots = 1   # slot 0 receives no cell: the literals no row has
+    term_slots = []
     for term in terms:
-        cell_values = cells_by_func[term.func]
-        out = ColumnData.all_null(cell_values.sql_type, grouping.n_groups)
-        mask = np.ones(combined.n_groups, dtype=bool)
-        for key, cell_col in zip(column_keys, cell_pivot):
-            mask &= ~cell_col.nulls
-            mask &= _equals_scalar(cell_col, term.literals[key])
-        hit = np.nonzero(mask)[0]
-        out.values[cell_group[hit]] = cell_values.values[hit]
-        out.nulls[cell_group[hit]] = cell_values.nulls[hit]
-        if term.else_zero or term.func == "count":
-            # count() never returns NULL, and ELSE 0 makes sums of
-            # missing cells 0: backfill the untouched groups.
-            out.values[out.nulls] = 0
-            out.nulls[:] = False
-        group_frame.add_column(f"__agg{term.index}", out)
+        combo = combo_of.get(tuple(term.literals[k]
+                                   for k in family.column_keys))
+        if combo is None:
+            term_slots.append(0)
+            continue
+        if slot_of_combo[combo] < 0:
+            slot_of_combo[combo] = n_slots
+            n_slots += 1
+        term_slots.append(int(slot_of_combo[combo]))
+    cell_slot = slot_of_combo[combos.group_ids]
+    hit = np.flatnonzero(cell_slot >= 0)
+    where = (cell_slot[hit], cell_group[hit])
 
+    scattered: dict[str, tuple[SQLType, np.ndarray, np.ndarray]] = {}
+    for func, cell_values in cells_by_func.items():
+        blank = ColumnData.all_null(cell_values.sql_type,
+                                    n_slots * n_groups)
+        values = blank.values.reshape(n_slots, n_groups)
+        nulls = blank.nulls.reshape(n_slots, n_groups)
+        values[where] = cell_values.values[hit]
+        nulls[where] = cell_values.nulls[hit]
+        if func == "count":
+            nulls[:] = False   # count() of a missing cell is 0
+        scattered[func] = cell_values.sql_type, values, nulls
+    if any_else_zero:
+        # Under ELSE 0 every row outside the cell adds a zero: the sum
+        # is NULL only where an all-NULL cell is its whole group (or
+        # the group has no rows at all -- the empty input's one).
+        whole = np.bincount(cells.group_ids, minlength=cells.n_groups) \
+            == np.bincount(group_ids, minlength=n_groups)[cell_group]
+        else_zero_nulls = np.full((n_slots, n_groups), n_rows == 0)
+        else_zero_nulls[where] = cells_by_func["sum"].nulls[hit] \
+            & whole[hit]
 
-def _equals_scalar(column: ColumnData, literal: Any) -> np.ndarray:
-    values = column.values
-    if column.sql_type == SQLType.VARCHAR:
-        values = np.where(column.nulls, "", values)
-        return np.asarray(values == str(literal), dtype=bool) \
-            if isinstance(literal, str) else np.zeros(len(values),
-                                                      dtype=bool)
-    if isinstance(literal, str):
-        return np.zeros(len(values), dtype=bool)
-    return np.asarray(values == literal, dtype=bool)
+    for term, slot in zip(terms, term_slots):
+        sql_type, values, nulls = scattered[term.func]
+        if term.else_zero:
+            nulls = else_zero_nulls
+        group_frame.add_column(
+            f"__agg{term.index}",
+            ColumnData(sql_type, values[slot], nulls[slot]))
+    return True

@@ -144,31 +144,40 @@ def plan_select(select: ast.Select, catalog, use_indexes: bool = True,
     return plan
 
 
+def _calls(expr: ast.Expr) -> list[ast.FuncCall]:
+    return [node for node in ast.walk(expr)
+            if isinstance(node, ast.FuncCall)]
+
+
 def _mode(select: ast.Select) -> str:
-    exprs = [item.expr for item in select.items
-             if not isinstance(item.expr, ast.Star)]
-    if any(ast.contains_extended(e) for e in exprs):
+    # One walk per expression (a generated Hpct select list is tens of
+    # thousands of nodes): every question below is about its calls.
+    calls = [call for item in select.items
+             if not isinstance(item.expr, ast.Star)
+             for call in _calls(item.expr)]
+    if any(call.is_extended for call in calls):
         raise PlanningError(
             "Vpct()/Hpct()/BY-extended aggregates are not "
             "executable directly; rewrite the query with "
             "repro.core first (this engine plays the role of "
             "the standard-SQL DBMS in the paper's architecture)")
     if ast.has_grouping_sets(select):
-        if any(ast.contains_window(e) for e in exprs):
+        if any(call.over is not None for call in calls):
             raise PlanningError(
                 "window functions are not supported with "
                 "CUBE/ROLLUP/GROUPING SETS")
         return "grouping-sets"
     if select.having is not None:
-        exprs.append(select.having)
-    if any(ast.contains_grouping_func(e) for e in exprs):
+        calls += _calls(select.having)
+    if any(call.name in ast.GROUPING_SET_FUNCS for call in calls):
         # Outside a lattice they get a typed error, not an unknown-
         # function failure.
         raise GroupingSetError(
             "grouping() and pct() require GROUP BY "
             "CUBE/ROLLUP/GROUPING SETS")
     if select.group_by or select.having is not None \
-            or any(ast.contains_aggregate(e) for e in exprs):
+            or any(call.name in ast.AGGREGATE_NAMES and call.over is None
+                   for call in calls):
         return "aggregate"
     return "projection"
 

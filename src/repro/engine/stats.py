@@ -12,8 +12,9 @@ Counters (all cumulative until :meth:`reset`):
 * ``rows_written``   -- rows materialized into tables (INSERT/CREATE).
 * ``rows_updated``   -- rows rewritten in place by UPDATE.
 * ``rows_joined``    -- rows produced by join operators.
-* ``case_evaluations`` -- WHEN-branch evaluations performed by CASE
-  expressions (the paper's ``N`` comparisons-per-row cost).
+* ``case_evaluations`` -- WHEN-branch evaluations *charged* to CASE
+  expressions: what the period DBMS would perform (the paper's ``N``
+  comparisons-per-row cost), whichever way the engine computed them.
 * ``statements``     -- SQL statements executed.
 * ``index_lookups``  -- probes served by a hash index.
 * ``encode_cache_hits`` / ``encode_cache_misses`` /
@@ -71,7 +72,8 @@ _HELP = {
     "rows_written": "rows materialized into tables (INSERT/CREATE)",
     "rows_updated": "rows rewritten in place by UPDATE",
     "rows_joined": "rows produced by join operators",
-    "case_evaluations": "WHEN-branch evaluations in CASE expressions",
+    "case_evaluations": "WHEN-branch evaluations charged to CASE "
+                        "expressions",
     "index_lookups": "probes served by a hash index",
     "encode_cache_hits": "dictionary-encoding cache hits",
     "encode_cache_misses": "dictionary-encoding cache misses",

@@ -9,11 +9,12 @@ Per family:
     sqlite, and sqlite replays of the insert-join and update-join
     plans.
 ``hpct``
-    both CASE pivots (direct F, indirect FV), the hash-dispatch
-    engine, and a sqlite replay of the direct CASE plan.
+    both CASE pivots (direct F, indirect FV) and a sqlite replay of
+    the direct CASE plan -- the independent oracle for the pivot
+    kernel, which computes every engine variant's CASE fan-out.
 ``hagg``
-    the CASE pivots plus both SPJ forms, hash dispatch, and sqlite
-    replays of the CASE and SPJ plans.
+    the CASE pivots plus both SPJ forms, and sqlite replays of the
+    CASE and SPJ plans.
 ``plain``
     the engine executing the query directly versus sqlite -- a pure
     engine-vs-oracle check with no code generator in the loop.
@@ -216,8 +217,7 @@ def _evaluate(name: str, thunk: Callable[[], list]) -> VariantResult:
 
 def _engine_rows(case: FuzzCase, strategy: "_Strategy",
                  variant: Variant, db_kwargs: dict[str, Any]) -> list:
-    with open_variant(case, variant, **strategy.db_kwargs,
-                      **db_kwargs) as db:
+    with open_variant(case, variant, **db_kwargs) as db:
         rows = strategy.rows(case, db)
         _check_trace(db)
         return rows
@@ -260,16 +260,14 @@ class _Strategy:
     #: Primary strategies are crossed with the variant matrix; the
     #: rest run on the baseline database only.
     primary: bool = False
-    db_kwargs: dict = field(default_factory=dict)
 
 
-def _plan(name: str, strategy, primary: bool = False,
-          **db_kwargs: Any) -> _Strategy:
+def _plan(name: str, strategy, primary: bool = False) -> _Strategy:
     """The generated multi-statement plan of ``strategy``."""
     def rows(case: FuzzCase, db: Database) -> list:
         plan = generate_plan(db, case.query_sql(), strategy)
         return execute_plan(db, plan).result.to_rows()
-    return _Strategy(name, rows, primary, db_kwargs)
+    return _Strategy(name, rows, primary)
 
 
 def _direct(name: str) -> _Strategy:
@@ -318,8 +316,6 @@ def _strategies(case: FuzzCase, inject_bug: Optional[str]
                   primary=True),
             _plan("case-indirect", HorizontalStrategy(source="FV"),
                   primary=True),
-            _plan("case-direct-hash", HorizontalStrategy(source="F"),
-                  primary=True, case_dispatch="hash"),
         ]
         sqlite = [("replay-case-direct", lambda: _replay_rows(
             case, HorizontalStrategy(source="F")))]

@@ -123,9 +123,14 @@ class Stats:
                            for outcome in KINDS[kind].outcomes)
         return f"{kind} sweep: {totals}, {len(self.findings)} finding(s)"
 
+    def unarmed(self, kind: str) -> list[str]:
+        """The names ``kind`` registers that no shot was armed at."""
+        return [site for site in KINDS[kind].sites
+                if not self.armed[(kind, site)]]
+
     def breakdown(self) -> list[str]:
-        """One line per (kind, variant, family) cell, then the armed
-        sites per kind."""
+        """One line per (kind, variant, family) cell, then per kind the
+        armed sites and the registered ones no case reached."""
         lines = [f"  {kind} {variant:<15} {family:<5} "
                  + " ".join(f"{o}={n}" for o, n in cell.items())
                  for (kind, variant, family), cell
@@ -134,6 +139,9 @@ class Stats:
             sites = " ".join(f"{site}={n}" for (k, site), n
                              in self.armed.items() if k == kind)
             lines.append(f"  {kind} armed: {sites}")
+            if KINDS[kind].sites:
+                lines.append(
+                    f"  {kind} unarmed: {' '.join(self.unarmed(kind))}")
         return lines
 
 
@@ -328,6 +336,9 @@ class Kind:
     outcomes: tuple[str, ...] = ()
     #: ``--inject-bug`` names this kind's blindness self-tests accept.
     bugs: tuple[str, ...] = ()
+    #: The registered names this kind arms shots at, when it has a
+    #: registry (what ``Stats.unarmed`` is measured against).
+    sites: tuple[str, ...] = ()
     #: Fire every shot at a fresh database instead of the probe's.
     isolated = False
 
@@ -369,6 +380,7 @@ class FaultKind(Kind):
 
     name = "fault"
     outcomes = ("runs", "shots", "recovered", "clean-errors")
+    sites = faults.SITES
     isolated = True
     counter = FaultInjector
     activate = staticmethod(faults.active)
@@ -386,7 +398,7 @@ class FaultKind(Kind):
 
     def shots(self, hits: dict) -> list[Shot]:
         shots = []
-        for site in faults.SITES:
+        for site in self.sites:
             count = hits.get(site, 0)
             storage = site.startswith("storage-")
             indexes = range(count) if site == "statement" \
@@ -480,6 +492,7 @@ class CancelKind(Kind):
     name = "cancel"
     outcomes = ("runs", "shots", "cancelled", "unreached",
                 "dml-shots", "dml-cancelled", "dml-unreached")
+    sites = SAFEPOINTS
     counter = CancelToken
     activate = staticmethod(cancel_mod.activate)
 
@@ -495,7 +508,7 @@ class CancelKind(Kind):
 
     def shots(self, hits: dict) -> list[Shot]:
         return [Shot(f"{site}#{index}", site, index)
-                for site in SAFEPOINTS
+                for site in self.sites
                 for index in _sample_indexes(hits.get(site, 0))]
 
     def arm(self, shot: Shot) -> CancelToken:

@@ -64,10 +64,10 @@ class QueryService:
             the pool before submissions raise
             :class:`~repro.errors.AdmissionRejected`.
         session_inflight_cap: per-session concurrent-query ceiling.
-        shed_enabled / breaker_threshold / breaker_cooldown_seconds /
-            brownout_fraction: overload-protection knobs forwarded to
-            the :class:`~repro.service.scheduler.Scheduler` (load
-            shedding, per-session circuit breaker, brownout).
+        shed_enabled / breaker_threshold / breaker_cooldown_seconds:
+            overload-protection knobs forwarded to the
+            :class:`~repro.service.scheduler.Scheduler` (load shedding,
+            per-session circuit breaker).
 
     Usable as a context manager; :meth:`shutdown` closes every session
     and drains the pool.
@@ -78,8 +78,7 @@ class QueryService:
                  session_inflight_cap: int = 4,
                  shed_enabled: bool = True,
                  breaker_threshold: int = 5,
-                 breaker_cooldown_seconds: float = 1.0,
-                 brownout_fraction: float = 0.75, **db_options):
+                 breaker_cooldown_seconds: float = 1.0, **db_options):
         if db is not None and db_options:
             raise ValueError(
                 "pass database options or an existing database, not both")
@@ -95,8 +94,7 @@ class QueryService:
             session_inflight_cap=session_inflight_cap,
             shed_enabled=shed_enabled,
             breaker_threshold=breaker_threshold,
-            breaker_cooldown_seconds=breaker_cooldown_seconds,
-            brownout_fraction=brownout_fraction)
+            breaker_cooldown_seconds=breaker_cooldown_seconds)
 
     # ------------------------------------------------------------------
     def create_session(self,

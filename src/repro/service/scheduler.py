@@ -29,7 +29,6 @@ immediately, not through the future):
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
@@ -64,8 +63,8 @@ class ServiceReport(QueryRecord):
     #: reads, the post-commit version for writes.
     snapshot_version: int = 0
     statements_run: int = 0
-    #: True when the scheduler forced cheaper evaluation options
-    #: (brownout) because the service was near capacity.
+    #: Always False (brownout is gone); kept for its sole reader, the
+    #: frozen ``benchmarks/e2e/pipeline.py:244``.
     brownout: bool = False
     #: The deadline (seconds from submission) this script ran under,
     #: or None when unbounded.
@@ -131,10 +130,6 @@ class Scheduler:
             failures the session's submissions are refused
             (:class:`~repro.errors.CircuitBreakerOpen`) for the
             cooldown, then one trial query half-opens it.
-        brownout_fraction: load fraction (admitted over total capacity)
-            at which read scripts are forced onto cheaper evaluation
-            options (hash CASE dispatch, serial operators) *before*
-            the service resorts to shedding.  1.0 disables brownout.
     """
 
     #: EWMA smoothing factor for the per-script runtime estimate.
@@ -145,8 +140,7 @@ class Scheduler:
                  session_inflight_cap: int = 4,
                  shed_enabled: bool = True,
                  breaker_threshold: int = 5,
-                 breaker_cooldown_seconds: float = 1.0,
-                 brownout_fraction: float = 0.75):
+                 breaker_cooldown_seconds: float = 1.0):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if max_queue_depth < 0:
@@ -157,8 +151,6 @@ class Scheduler:
             raise ValueError("breaker_threshold must be >= 1")
         if breaker_cooldown_seconds < 0:
             raise ValueError("breaker_cooldown_seconds must be >= 0")
-        if not 0.0 < brownout_fraction <= 1.0:
-            raise ValueError("brownout_fraction must be in (0, 1]")
         self._service = service
         self.workers = workers
         self.max_queue_depth = max_queue_depth
@@ -166,7 +158,6 @@ class Scheduler:
         self.shed_enabled = shed_enabled
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown_seconds = breaker_cooldown_seconds
-        self.brownout_fraction = brownout_fraction
         self._pool = ThreadPoolExecutor(max_workers=workers,
                                         thread_name_prefix="repro-query")
         self._lock = threading.Lock()
@@ -320,15 +311,15 @@ class Scheduler:
         service = self._service
         write = kind == "write"
         with service.write_lock if write else nullcontext():
-            brownout, attrs = False, {}
+            attrs = {}
             if write:
                 db = service.db
                 savepoint = db.catalog.savepoint()
             else:
                 snapshot = service.snapshots.acquire()
-                options, brownout = self._brownout_options(
+                db = service.snapshots.reader(
+                    snapshot,
                     session.defaults.resolve(service.db.options))
-                db = service.snapshots.reader(snapshot, options)
                 attrs["snapshot_version"] = snapshot.version
             wait = self._clock.now() - enqueued
             self._metrics.histogram(
@@ -356,26 +347,8 @@ class Scheduler:
         return ServiceReport(
             kind=kind, sql=sql, session_id=session.id, results=results,
             snapshot_version=version, statements_run=statements_run,
-            brownout=brownout, deadline_seconds=deadline,
+            deadline_seconds=deadline,
             **vars(record))
-
-    def _brownout_options(self, options):
-        """Cheaper evaluation options for near-capacity operation, or
-        ``options`` unchanged when the service has headroom.  Brownout
-        trades per-query speed for service-wide capacity: hash CASE
-        dispatch (no strategy search)."""
-        if self.brownout_fraction >= 1.0:
-            return options, False
-        capacity = self.workers + self.max_queue_depth
-        with self._lock:
-            load = self._admitted
-        if load < self.brownout_fraction * capacity:
-            return options, False
-        self._metrics.counter(
-            "service_brownout_total",
-            help="read scripts forced onto cheaper options near "
-                 "capacity").inc()
-        return dataclasses.replace(options, case_dispatch="hash"), True
 
     @staticmethod
     def _run_statements(db, statements: list[ast.Statement],

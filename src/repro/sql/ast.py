@@ -428,42 +428,39 @@ class Explain(Statement):
 # AST utilities
 # ----------------------------------------------------------------------
 def walk(expr: Expr):
-    """Yield ``expr`` and every sub-expression, depth first."""
-    yield expr
-    if isinstance(expr, UnaryOp):
-        yield from walk(expr.operand)
-    elif isinstance(expr, BinaryOp):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
-    elif isinstance(expr, IsNull):
-        yield from walk(expr.operand)
-    elif isinstance(expr, InList):
-        yield from walk(expr.operand)
-        for item in expr.items:
-            yield from walk(item)
-    elif isinstance(expr, CaseWhen):
-        for cond, result in expr.whens:
-            yield from walk(cond)
-            yield from walk(result)
-        if expr.else_ is not None:
-            yield from walk(expr.else_)
-    elif isinstance(expr, Cast):
-        yield from walk(expr.operand)
-    elif isinstance(expr, FuncCall):
-        for arg in expr.args:
-            yield from walk(arg)
-        if expr.default is not None:
-            yield from walk(expr.default)
-        if expr.over is not None:
-            for part in expr.over.partition_by:
-                yield from walk(part)
-    elif isinstance(expr, (Cube, Rollup)):
-        for sub in expr.exprs:
-            yield from walk(sub)
-    elif isinstance(expr, GroupingSets):
-        for gset in expr.sets:
-            for sub in gset:
-                yield from walk(sub)
+    """Yield ``expr`` and every sub-expression, depth first (parents
+    before children, children left to right).  An explicit stack, not
+    recursive generators: a generated Hpct select list is tens of
+    thousands of nodes and the planner walks all of it."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (Literal, ColumnRef, Star)):
+            continue
+        if isinstance(node, BinaryOp):
+            stack += (node.right, node.left)
+        elif isinstance(node, (UnaryOp, IsNull, Cast)):
+            stack.append(node.operand)
+        elif isinstance(node, InList):
+            stack += node.items[::-1]
+            stack.append(node.operand)
+        elif isinstance(node, CaseWhen):
+            if node.else_ is not None:
+                stack.append(node.else_)
+            for cond, result in node.whens[::-1]:
+                stack += (result, cond)
+        elif isinstance(node, FuncCall):
+            if node.over is not None:
+                stack += node.over.partition_by[::-1]
+            if node.default is not None:
+                stack.append(node.default)
+            stack += node.args[::-1]
+        elif isinstance(node, (Cube, Rollup)):
+            stack += node.exprs[::-1]
+        elif isinstance(node, GroupingSets):
+            for gset in node.sets[::-1]:
+                stack += gset[::-1]
 
 
 def contains_aggregate(expr: Expr) -> bool:

@@ -1,126 +1,171 @@
-"""Unit tests for the hash-dispatch CASE optimization (the paper's
-proposed O(1)-per-row evaluation of disjoint pivot aggregations)."""
+"""Unit tests for the pivot kernel (the one evaluator of a disjoint
+``agg(CASE WHEN d = v THEN a END)`` family) and for what
+``case_dispatch`` charges for it.
+
+The oracle is the generic CASE evaluator, reached without any hook: a
+term asked for alone is a family of one, which the kernel leaves
+alone.  ``tests/property/test_pivot_bitwise.py`` is the same comparison
+over random tables and statements."""
+
+from unittest import mock
 
 import pytest
 
 from repro import Database
+from repro.engine import pivot as pivot_mod
 
-PIVOT_SQL = """
-SELECT g,
-  sum(CASE WHEN d = 1 THEN a ELSE null END) AS c1,
-  sum(CASE WHEN d = 2 THEN a ELSE null END) AS c2,
-  sum(CASE WHEN d = 3 THEN a ELSE null END) AS c3
-FROM t GROUP BY g ORDER BY g
-"""
+ROWS = ("(1, 1, 10.0), (1, 1, 5.0), (1, 2, 2.0), (2, 2, 7.0), "
+        "(2, 3, NULL), (3, 1, 1.0)")
 
-PIVOT_ZERO_SQL = PIVOT_SQL.replace("ELSE null", "ELSE 0")
+
+def case_terms(func="sum", else_=" ELSE null", values=(1, 2, 3)):
+    return [f"{func}(CASE WHEN d = {v} THEN a{else_} END)"
+            for v in values]
+
+
+PIVOT_TERMS = case_terms()
+PIVOT_ZERO_TERMS = case_terms(else_=" ELSE 0")
 
 
 @pytest.fixture
-def pair():
-    """Two identical databases, one linear and one hash dispatch."""
-    databases = (Database(case_dispatch="linear"),
-                 Database(case_dispatch="hash"))
-    for db in databases:
-        db.execute("CREATE TABLE t (g INT, d INT, a REAL)")
-        db.execute(
-            "INSERT INTO t VALUES (1, 1, 10.0), (1, 1, 5.0), "
-            "(1, 2, 2.0), (2, 2, 7.0), (2, 3, NULL), (3, 1, 1.0)")
-    return databases
+def db():
+    db = Database()
+    db.execute("CREATE TABLE t (g INT, d INT, a REAL)")
+    db.execute(f"INSERT INTO t VALUES {ROWS}")
+    return db
+
+
+def select(terms, group_by="g"):
+    if not group_by:
+        return f"SELECT {', '.join(terms)} FROM t"
+    return (f"SELECT {group_by}, {', '.join(terms)} FROM t "
+            f"GROUP BY {group_by} ORDER BY {group_by}")
+
+
+def together(db, terms, group_by="g"):
+    """One N-term statement: the kernel, wherever it takes the family."""
+    return db.query(select(terms, group_by))
+
+
+def alone(db, terms, group_by="g"):
+    """N single-term statements, zipped back into rows: the generic
+    evaluator."""
+    columns = [db.query(select([term], group_by)) for term in terms]
+    return [tuple(columns[0][i][:-1])
+            + tuple(column[i][-1] for column in columns)
+            for i in range(len(columns[0]))]
 
 
 class TestEquivalence:
-    def test_else_null(self, pair):
-        linear, hashed = pair
-        assert linear.query(PIVOT_SQL) == hashed.query(PIVOT_SQL)
+    def test_else_null(self, db):
+        assert together(db, PIVOT_TERMS) == alone(db, PIVOT_TERMS)
 
-    def test_else_zero(self, pair):
-        linear, hashed = pair
-        assert linear.query(PIVOT_ZERO_SQL) == \
-            hashed.query(PIVOT_ZERO_SQL)
+    def test_else_zero(self, db):
+        assert together(db, PIVOT_ZERO_TERMS) == \
+            alone(db, PIVOT_ZERO_TERMS)
 
-    def test_expected_values(self, pair):
-        _, hashed = pair
-        rows = hashed.query(PIVOT_SQL)
-        assert rows == [(1, 15.0, 2.0, None),
-                        (2, None, 7.0, None),
-                        (3, 1.0, None, None)]
+    def test_expected_values(self, db):
+        assert together(db, PIVOT_TERMS) == [(1, 15.0, 2.0, None),
+                                             (2, None, 7.0, None),
+                                             (3, 1.0, None, None)]
 
-    def test_all_null_cell_with_else_zero(self, pair):
-        # Group 2 / d=3 has only a NULL measure: linear CASE sums the
-        # zeros of non-matching rows, so the result is 0 -- the hash
-        # path must agree.
-        linear, hashed = pair
-        rows_linear = linear.query(PIVOT_ZERO_SQL)
-        rows_hashed = hashed.query(PIVOT_ZERO_SQL)
-        assert rows_linear[1][3] == 0.0
-        assert rows_linear == rows_hashed
+    def test_all_null_cell_with_else_zero(self, db):
+        # Group 2 / d=3 has only a NULL measure, but the group's other
+        # row adds ELSE's zero, so the sum is 0 -- and the kernel, which
+        # never sees that zero, must agree.
+        rows = together(db, PIVOT_ZERO_TERMS)
+        assert rows[1][3] == 0.0
+        assert rows == alone(db, PIVOT_ZERO_TERMS)
 
-    def test_multi_column_conjunction(self, pair):
-        linear, hashed = pair
-        sql = """
-        SELECT sum(CASE WHEN g = 1 AND d = 1 THEN a ELSE null END),
-               sum(CASE WHEN g = 1 AND d = 2 THEN a ELSE null END)
-        FROM t
-        """
-        assert linear.query(sql) == hashed.query(sql) == [(15.0, 2.0)]
+    def test_all_null_cell_that_is_its_whole_group(self, db):
+        # ...whereas a group made of nothing but that cell has no row
+        # to add a zero: NULL under either evaluator.
+        db.execute("INSERT INTO t VALUES (4, 3, NULL)")
+        rows = together(db, PIVOT_ZERO_TERMS)
+        assert rows[3] == (4, 0.0, 0.0, None)
+        assert rows == alone(db, PIVOT_ZERO_TERMS)
 
-    def test_count_min_max_families(self, pair):
-        linear, hashed = pair
-        sql = """
-        SELECT g,
-          count(CASE WHEN d = 1 THEN a ELSE null END),
-          count(CASE WHEN d = 2 THEN a ELSE null END)
-        FROM t GROUP BY g ORDER BY g
-        """
-        assert linear.query(sql) == hashed.query(sql)
+    def test_multi_column_conjunction(self, db):
+        terms = ["sum(CASE WHEN g = 1 AND d = 1 THEN a ELSE null END)",
+                 "sum(CASE WHEN g = 1 AND d = 2 THEN a ELSE null END)"]
+        assert together(db, terms, "") == alone(db, terms, "") \
+            == [(15.0, 2.0)]
+
+    def test_count_min_max_families(self, db):
+        for func in ("count", "min", "max"):
+            terms = case_terms(func, values=(1, 2))
+            assert together(db, terms) == alone(db, terms), func
 
 
 class TestCostAccounting:
-    def test_hash_dispatch_charges_one_probe_per_row(self, pair):
-        linear, hashed = pair
-        linear.query(PIVOT_SQL)
-        hashed.query(PIVOT_SQL)
-        n = 6
-        # Linear: 3 CASE terms x 1 WHEN x n rows; hash: n probes.
-        assert linear.stats.case_evaluations >= 3 * n
-        assert hashed.stats.case_evaluations < linear. \
-            stats.case_evaluations
+    """``case_dispatch`` selects the charge; the kernel runs either
+    way and the results are the same."""
+
+    N_ROWS = 6
+
+    def run(self, mode, terms):
+        db = Database(case_dispatch=mode)
+        db.execute("CREATE TABLE t (g INT, d INT, a REAL)")
+        db.execute(f"INSERT INTO t VALUES {ROWS}")
+        before = db.stats.case_evaluations
+        with mock.patch.object(pivot_mod, "_compute_family",
+                               wraps=pivot_mod._compute_family) as spy:
+            rows = together(db, terms)
+        return (rows, db.stats.case_evaluations - before,
+                spy.call_count)
+
+    def test_hash_dispatch_charges_one_probe_per_row(self):
+        # A family of N terms over n rows: N*n WHEN tests by default
+        # (the period DBMS), n probes under "hash"; one kernel pass and
+        # the same rows under both.
+        linear = self.run("linear", PIVOT_TERMS)
+        hashed = self.run("hash", PIVOT_TERMS)
+        assert linear == (hashed[0], 3 * self.N_ROWS, 1)
+        assert hashed[1:] == (self.N_ROWS, 1)
+
+    def test_linear_charge_is_the_generic_evaluators(self, db):
+        before = db.stats.case_evaluations
+        alone(db, PIVOT_TERMS)
+        assert db.stats.case_evaluations - before == 3 * self.N_ROWS
 
     def test_single_term_stays_linear(self):
-        db = Database(case_dispatch="hash", keep_history=True)
-        db.execute("CREATE TABLE t (g INT, d INT, a REAL)")
-        db.execute("INSERT INTO t VALUES (1, 1, 1.0)")
-        rows = db.query("SELECT g, sum(CASE WHEN d = 1 THEN a "
-                        "ELSE null END) FROM t GROUP BY g")
-        assert rows == [(1, 1.0)]
+        # A family of one is the generic evaluator's under either
+        # setting, charge included.
+        for mode in ("linear", "hash"):
+            assert self.run(mode, PIVOT_TERMS[:1]) == \
+                ([(1, 15.0), (2, None), (3, 1.0)], self.N_ROWS, 0)
 
 
 class TestNonPivotShapesFallThrough:
-    """Shapes outside the disjoint-pivot pattern must still be correct
-    under hash dispatch (they take the linear path)."""
+    """Shapes outside the disjoint-pivot pattern are declined by the
+    kernel and must still be correct (the generic evaluator has
+    them)."""
 
-    @pytest.mark.parametrize("sql", [
+    @pytest.mark.parametrize("sql, expected", [pytest.param(
+        sql, expected, id=sql) for sql, expected in [
         # two WHENs in one CASE
-        "SELECT sum(CASE WHEN d = 1 THEN a WHEN d = 2 THEN a END) "
-        "FROM t",
+        ("SELECT sum(CASE WHEN d = 1 THEN a WHEN d = 2 THEN a END) "
+         "FROM t", [(25.0,)]),
         # non-equality condition
-        "SELECT sum(CASE WHEN d > 1 THEN a END), "
-        "sum(CASE WHEN d > 2 THEN a END) FROM t",
+        ("SELECT sum(CASE WHEN d > 1 THEN a END), "
+         "sum(CASE WHEN d > 2 THEN a END) FROM t", [(9.0, None)]),
         # non-zero ELSE
-        "SELECT sum(CASE WHEN d = 1 THEN a ELSE 1 END), "
-        "sum(CASE WHEN d = 2 THEN a ELSE 1 END) FROM t",
+        ("SELECT sum(CASE WHEN d = 1 THEN a ELSE 1 END), "
+         "sum(CASE WHEN d = 2 THEN a ELSE 1 END) FROM t",
+         [(19.0, 13.0)]),
         # avg with ELSE 0 must not take the pivot path
-        "SELECT avg(CASE WHEN d = 1 THEN a ELSE 0 END), "
-        "avg(CASE WHEN d = 2 THEN a ELSE 0 END) FROM t",
-    ])
-    def test_matches_linear(self, pair, sql):
-        linear, hashed = pair
-        assert linear.query(sql) == hashed.query(sql)
+        ("SELECT avg(CASE WHEN d = 1 THEN a ELSE 0 END), "
+         "avg(CASE WHEN d = 2 THEN a ELSE 0 END) FROM t",
+         [(16.0 / 6, 9.0 / 6)]),
+    ]])
+    def test_matches_linear(self, db, sql, expected):
+        with mock.patch.object(pivot_mod, "_compute_family") as kernel:
+            assert db.query(sql) == expected
+        assert not kernel.called
 
     def test_null_literal_is_never_equal(self):
         # ``d = NULL`` is UNKNOWN for every row -- the term is NULL, not
-        # the sum over the rows where d IS NULL (which hash dispatch
+        # the sum over the rows where d IS NULL (which the kernel once
         # returned: 10 and 30).
         sql = ("SELECT g, sum(CASE WHEN d = NULL THEN a END), "
                "sum(CASE WHEN d = 1 THEN a END) "
@@ -139,30 +184,20 @@ class TestMixedFunctionFamilies:
     function still needs its own aggregate pass.  A shared family must
     never reuse the first term's aggregate for the others."""
 
-    MIXED_SQL = """
-    SELECT g,
-      avg(CASE WHEN d = 1 THEN a ELSE null END) AS a1,
-      sum(CASE WHEN d = 1 THEN a ELSE null END) AS s1,
-      sum(CASE WHEN d = 2 THEN a ELSE null END) AS s2
-    FROM t GROUP BY g ORDER BY g
-    """
+    MIXED_TERMS = ["avg(CASE WHEN d = 1 THEN a ELSE null END)",
+                   "sum(CASE WHEN d = 1 THEN a ELSE null END)",
+                   "sum(CASE WHEN d = 2 THEN a ELSE null END)"]
 
-    def test_avg_and_sum_differ_per_cell(self, pair):
-        linear, hashed = pair
-        expected = linear.query(self.MIXED_SQL)
-        assert hashed.query(self.MIXED_SQL) == expected
+    def test_avg_and_sum_differ_per_cell(self, db):
+        rows = together(db, self.MIXED_TERMS)
+        assert rows == alone(db, self.MIXED_TERMS)
         # g=1, d=1 holds 10.0 and 5.0: avg 7.5, sum 15.0.
-        assert expected[0] == (1, 7.5, 15.0, 2.0)
+        assert rows[0] == (1, 7.5, 15.0, 2.0)
 
-    def test_count_zero_does_not_leak_into_min(self, pair):
-        # count() backfills 0 for untouched cells; min() of the same
-        # family must stay NULL.
-        sql = """
-        SELECT
-          count(CASE WHEN d = 3 THEN a ELSE null END) AS c3,
-          min(CASE WHEN d = 3 THEN a ELSE null END) AS m3
-        FROM t
-        """
-        linear, hashed = pair
-        for db in (linear, hashed):
-            assert db.query(sql) == [(0, None)]
+    def test_count_zero_does_not_leak_into_min(self, db):
+        # count() of a missing cell is 0; min() of the same family
+        # must stay NULL.
+        terms = ["count(CASE WHEN d = 9 THEN a ELSE null END)",
+                 "min(CASE WHEN d = 9 THEN a ELSE null END)"]
+        assert together(db, terms, "") == alone(db, terms, "") \
+            == [(0, None)]

@@ -16,29 +16,32 @@ from repro.fuzz.variants import STORAGES, matrix
 #: Seed-0 cases that between them reach every site, each run on both
 #: cells: #15 a 3-row Vpct whose plan joins and (on disk) writes
 #: pages, #12 a 9-row CUBE, #25 a 4-row plain GROUP BY that is
-#: accepted as a view.
-SMOKE_CASES = (15, 12, 25)
-
-#: Registered names the matrix cannot reach, each with its reason.
-UNSWEPT = {
-    # The pivot operator only runs under ``case_dispatch="hash"``,
-    # which is a differential-runner strategy (``case-direct-hash``),
-    # not a matrix cell -- so no sweep has ever reached it (the old
-    # fault driver listed it and never hit it either).  ROADMAP item 2
-    # keeps the gap open.
-    "pivot",
-}
+#: accepted as a view, #44 an 11-row Hpct over three BY values
+#: (the pivot kernel).
+SMOKE_CASES = (15, 12, 25, 44)
 
 
 @pytest.fixture(scope="module")
-def smoke():
-    """Every kind over every matrix cell, every smoke case on each."""
+def smoke_runs():
+    """Every kind over every matrix cell, every smoke case on each:
+    the stats, and per (kind, variant) the registered names that cell
+    armed no shot at."""
     generator = CaseGenerator(seed=0)
-    stats = Stats()
+    cases = [generator.case(index) for index in SMOKE_CASES]
+    stats, unarmed = Stats(), {}
     for kind in KINDS:
-        sweep_cases([generator.case(index) for index in SMOKE_CASES],
-                    kind, stats)
-    return stats
+        for variant in matrix():
+            before = stats.armed.copy()
+            sweep_cases(cases, kind, stats, variants=(variant,))
+            unarmed[(kind, variant.name)] = [
+                site for site in KINDS[kind].sites
+                if stats.armed[(kind, site)] == before[(kind, site)]]
+    return stats, unarmed
+
+
+@pytest.fixture(scope="module")
+def smoke(smoke_runs):
+    return smoke_runs[0]
 
 
 class TestSmoke:
@@ -50,15 +53,22 @@ class TestSmoke:
         assert ran == {(kind, variant.name)
                        for kind in KINDS for variant in matrix()}
 
-    def test_every_registered_site_is_armed(self, smoke):
+    def test_every_registered_site_is_armed(self, smoke, smoke_runs):
         """Coverage by registration: a name added to ``faults.SITES``
-        or ``cancel.SAFEPOINTS`` must be reached by the smoke, or be
-        exempted above with a reason."""
-        unarmed = {("fault", site) for site in faults.SITES
-                   if not smoke.armed[("fault", site)]}
-        unarmed |= {("cancel", site) for site in SAFEPOINTS
-                    if not smoke.armed[("cancel", site)]}
-        assert {site for _, site in unarmed} == UNSWEPT, unarmed
+        or ``cancel.SAFEPOINTS`` must be reached by the smoke on every
+        matrix cell -- the summary's ``unarmed:`` line (what the
+        ``sweep-smoke`` job log shows) stays empty."""
+        assert KINDS["fault"].sites == faults.SITES
+        assert KINDS["cancel"].sites == SAFEPOINTS
+        lines = smoke.breakdown()
+        assert "  fault unarmed: " in lines, lines
+        assert "  cancel unarmed: " in lines, lines
+        # Cell by cell, only what the memory cell has no pages for.
+        for (kind, variant), sites in smoke_runs[1].items():
+            assert all(variant == "memory"
+                       and (site.startswith("storage-")
+                            or site == "page-fetch")
+                       for site in sites), (kind, variant, sites)
 
     def test_fault_reaches_every_storage(self, smoke):
         for storage in STORAGES:

@@ -5,8 +5,12 @@ import pytest
 
 from repro import Database
 from repro.core import (HorizontalAggStrategy, HorizontalStrategy,
-                        VerticalStrategy, run_percentage_query)
+                        VerticalStrategy, generate_plan,
+                        run_percentage_query)
+from repro.core.execute import execute_plan
 from repro.datagen import load_transaction_line
+from repro.sql.formatter import format_expr
+from repro.sql.parser import parse_statement
 
 VERTICAL_STRATEGIES = [
     VerticalStrategy(),
@@ -122,14 +126,49 @@ class TestHorizontalVsVerticalConsistency:
 
 
 class TestHashDispatchEquivalence:
+    """The pivot kernel computes every generated CASE fan-out, so two
+    databases that differ in ``case_dispatch`` prove nothing about it.
+    The oracle is the generic evaluator: each column of the generated
+    transpose statement asked for alone is a family of one, which the
+    kernel leaves alone."""
+
+    SQL = ("SELECT deptid, sum(salesamt BY dayofweekno), "
+           "Hpct(itemqty BY yearno) FROM transactionline "
+           "GROUP BY deptid")
+
+    def run(self, case_dispatch):
+        db = Database(case_dispatch=case_dispatch)
+        load_transaction_line(db, 2_000, seed=5)
+        plan = generate_plan(db, self.SQL, HorizontalStrategy(source="F"))
+        before = db.stats.case_evaluations
+        result = execute_plan(db, plan).result
+        return db, plan, result, db.stats.case_evaluations - before
+
     def test_hash_engine_matches_linear(self):
-        linear_db, hash_db = Database(), Database(case_dispatch="hash")
-        load_transaction_line(linear_db, 2_000, seed=5)
-        load_transaction_line(hash_db, 2_000, seed=5)
-        sql = ("SELECT deptid, sum(salesamt BY dayofweekno), "
-               "Hpct(itemqty BY yearno) FROM transactionline "
-               "GROUP BY deptid")
-        left = run_percentage_query(linear_db, sql)
-        right = run_percentage_query(hash_db, sql)
-        assert left.column_names() == right.column_names()
-        rows_match(left.to_rows(), right.to_rows())
+        db, plan, result, linear_charge = self.run("linear")
+        _, _, hashed_result, hashed_charge = self.run("hash")
+        assert hashed_result.to_rows() == result.to_rows()
+
+        (transpose,) = [parse_statement(step.sql) for step in plan.steps
+                        if step.purpose == "transpose"]
+        items = transpose.select.items[1:]
+        assert len(items) == result.schema.width() - 1
+        for name, item in zip(result.column_names()[1:], items):
+            alone = db.execute(
+                f"SELECT deptid, {format_expr(item.expr)} "
+                f"FROM transactionline GROUP BY deptid ORDER BY deptid")
+            assert alone.column(alone.column_names()[1]).to_pylist() \
+                == result.column(name).to_pylist(), name
+
+        # The ledger: one family per BY list and THEN expression -- the
+        # Hagg's, and the Hpct's numerator and match count -- of N
+        # terms each over n rows is N*n WHEN tests by default and n
+        # probes under "hash"; the two outer CASEs of every Hpct
+        # column run over the groups either way.
+        table = db.table("transactionline")
+        n, groups = table.n_rows, result.n_rows
+        days = len(set(table.column("dayofweekno").to_pylist()))
+        years = len(set(table.column("yearno").to_pylist()))
+        outer = 2 * years * groups
+        assert linear_charge == (days + 2 * years) * n + outer
+        assert hashed_charge == 3 * n + outer

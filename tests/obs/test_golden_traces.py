@@ -69,14 +69,6 @@ class TestHorizontalGoldens:
             traced_store_db, HPCT_SQL,
             HorizontalStrategy(source="FV")))
 
-    def test_horizontal_case_hash_dispatch(self, traced_store_db,
-                                           golden):
-        """The paper's proposed O(1) CASE dispatch: the one golden
-        that runs the ``pivot`` operator."""
-        traced_store_db.configure(case_dispatch="hash")
-        golden("horizontal-case-hash", _golden_text(
-            traced_store_db, HPCT_SQL, HorizontalStrategy(source="F")))
-
 
 class TestHorizontalAggGoldens:
     """Hagg: the companion paper's SPJ strategies."""

@@ -1,5 +1,5 @@
-"""Overload protection: load shedding, circuit breaker, brownout, and
-the typed/metered admission rejections."""
+"""Overload protection: load shedding, circuit breaker, and the
+typed/metered admission rejections."""
 
 import threading
 
@@ -25,15 +25,12 @@ class _Gate:
         self.event = threading.Event()
         #: Set when a worker reaches the gate (before blocking).
         self.entered = threading.Event()
-        #: Flip to True to let later arrivals straight through.
-        self.passthrough = False
         self._real = service.snapshots.acquire
 
     def install(self, monkeypatch):
         def gated():
-            if not self.passthrough:
-                self.entered.set()
-                self.event.wait(timeout=10.0)
+            self.entered.set()
+            self.event.wait(timeout=10.0)
             return self._real()
         monkeypatch.setattr(self.service.snapshots, "acquire", gated)
 
@@ -187,51 +184,6 @@ class TestCircuitBreaker:
                                     ).rows() == [(4,)]
 
 
-class TestBrownout:
-    def test_brownout_forces_cheaper_options_near_capacity(
-            self, db, monkeypatch):
-        with QueryService(db, workers=2, max_queue_depth=2,
-                          brownout_fraction=0.5) as service:
-            gate = _Gate(service)
-            gate.install(monkeypatch)
-            with service.create_session() as session:
-                first = session.submit("SELECT d1 FROM f")
-                assert gate.entered.wait(timeout=10.0)
-                # One worker is pinned at the gate; the next query runs
-                # on the second worker with 2/4 capacity admitted.
-                gate.passthrough = True
-                second = session.submit("SELECT d2 FROM f")
-                report = second.result()
-                assert report.brownout
-                assert db.metrics.value("service_brownout_total") >= 1
-                gate.event.set()
-                assert not first.result().brownout
-
-    def test_no_brownout_with_headroom(self, service):
-        report = service.execute("SELECT d1 FROM f")
-        assert not report.brownout
-
-    def test_brownout_results_identical(self, db, monkeypatch):
-        from repro.core.execute import run_resilient
-        reference = sorted(run_resilient(
-            db, "SELECT d1, Vpct(a) FROM f GROUP BY d1"
-            ).result.to_rows())
-        with QueryService(db, workers=2, max_queue_depth=2,
-                          brownout_fraction=0.5) as service:
-            gate = _Gate(service)
-            gate.install(monkeypatch)
-            with service.create_session() as session:
-                first = session.submit("SELECT d1 FROM f")
-                assert gate.entered.wait(timeout=10.0)
-                gate.passthrough = True
-                report = session.execute(
-                    "SELECT d1, Vpct(a) FROM f GROUP BY d1")
-                assert report.brownout
-                assert sorted(report.rows()) == reference
-                gate.event.set()
-                first.result()
-
-
 class TestReportFields:
     def test_report_carries_deadline(self, db):
         with QueryService(db, workers=2) as service:
@@ -249,8 +201,6 @@ class TestReportFields:
                 assert report.deadline_seconds == 60.0
 
     def test_invalid_knobs_rejected(self, db):
-        with pytest.raises(ValueError):
-            QueryService(db, brownout_fraction=0.0)
         with pytest.raises(ValueError):
             QueryService(db, breaker_threshold=0)
         with pytest.raises(ValueError):

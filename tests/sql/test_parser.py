@@ -236,3 +236,23 @@ class TestQuotedKeywordColumns:
     def test_quoted_from_is_a_table_name(self):
         stmt = parse_statement('SELECT x FROM "from"')
         assert stmt.from_.first.name == "from"
+
+
+class TestWalk:
+    def test_parents_first_children_left_to_right(self):
+        """``ast.walk`` is depth-first pre-order over every node kind
+        (``column_refs`` promises "walk order")."""
+        expr = parse_expression(
+            "CASE WHEN a IN (b, c) THEN -d WHEN e IS NULL THEN "
+            "CAST(f AS INT) ELSE sum(g BY h DEFAULT i) + "
+            "max(j) OVER (PARTITION BY k, l) END")
+        assert [ref.name for ref in ast.column_refs(expr)] == \
+            list("abcdefgijkl")
+        kinds = [type(node).__name__ for node in ast.walk(expr)]
+        assert kinds[:4] == ["CaseWhen", "InList", "ColumnRef",
+                             "ColumnRef"]
+        sets = parse_statement(
+            "SELECT 1 FROM t GROUP BY GROUPING SETS ((a, b), (c)), "
+            "CUBE (d, e), ROLLUP (f)").group_by
+        assert [ref.name for gset in sets
+                for ref in ast.column_refs(gset)] == list("abcdef")
