@@ -4,8 +4,6 @@
   perform versus the O(1) hash probe the papers propose (Section 3.2 /
   DMKD Section 3.5) -- a *ledger* factor: the pivot kernel computes
   both, so there is no wall-clock pair to present.
-* ``join_index``: the division join of the vertical strategy with and
-  without the recommended index on the common subkey.
 * ``scaling``: direct versus indirect CASE as n grows (DMKD
   Section 4.2's scalability discussion).
 * ``encoding_cache``: warm repeats of a Vpct plan with the
@@ -42,23 +40,6 @@ class TestCaseDispatch:
         linear, hashed = results["linear"], results["hash"]
         assert linear.case_evaluations >= 10 * hashed.case_evaluations
         assert linear.result_rows == hashed.result_rows
-
-
-class TestJoinIndex:
-    SPEC = SIGMOD_QUERIES[6]  # sales dept | dweek,monthNo
-
-    def test_with_index(self, benchmark, sigmod_db):
-        result = run_once(benchmark, lambda: run_vpct_experiment(
-            sigmod_db, self.SPEC, VerticalStrategy(),
-            name="with-index"))
-        assert result.result_rows > 0
-
-    def test_without_index(self, benchmark, sigmod_db):
-        result = run_once(benchmark, lambda: run_vpct_experiment(
-            sigmod_db, self.SPEC,
-            VerticalStrategy(create_indexes=False),
-            name="without-index"))
-        assert result.result_rows > 0
 
 
 class TestEncodingCache:

@@ -79,8 +79,8 @@ class Database:
         default_deadline_seconds: wall-clock deadline of every
             top-level query (statement, script or generated plan) that
             names none of its own.
-        **execution: the execution knobs -- ``case_dispatch``,
-            ``use_indexes``, ``use_encoding_cache`` -- passed straight to
+        **execution: the execution knobs -- ``case_dispatch`` and
+            ``use_encoding_cache`` -- passed straight to
             :class:`~repro.engine.executor.ExecutorOptions`, which
             states their defaults and legal values;
             :meth:`configure` changes them later.

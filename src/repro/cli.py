@@ -87,8 +87,7 @@ class Shell:
                        f"scanned={stats.rows_scanned} "
                        f"written={stats.rows_written} "
                        f"updated={stats.rows_updated} "
-                       f"case_evals={stats.case_evaluations} "
-                       f"index_lookups={stats.index_lookups}")
+                       f"case_evals={stats.case_evaluations}")
             return True
         self.write(f"unknown command \\{name} (try \\quit, \\tables, "
                    f"\\schema, \\plan, \\strategy, \\load, \\stats)")
@@ -175,23 +174,27 @@ class Shell:
         return self.db.execute_statement(statement, sql)
 
 
+_VERTICAL_FLAGS = frozenset({"update", "fj_from_f", "noindex", "single"})
+
+
 def _parse_strategy(words: list[str]):
-    if not words or words[0] in ("auto", "optimizer"):
+    """The strategy ``\\strategy`` names; any word it does not know,
+    or one too many, is the usage error (never a silent default)."""
+    head, rest = (words[0], words[1:]) if words else ("auto", [])
+    if head in ("auto", "optimizer") and not rest:
         return None
-    if words[0] == "vertical":
-        flags = set(words[1:])
+    if head == "vertical" and set(rest) <= _VERTICAL_FLAGS:
         return VerticalStrategy(
-            fj_from_fk="fj_from_f" not in flags,
-            use_update="update" in flags,
-            create_indexes="noindex" not in flags,
-            single_statement="single" in flags)
-    if words[0] == "horizontal":
-        source = words[1].upper() if len(words) > 1 else "F"
-        if source == "SPJ":
-            return HorizontalAggStrategy(
-                source=words[2].upper() if len(words) > 2 else "F")
-        if source in ("F", "FV"):
+            fj_from_fk="fj_from_f" not in rest,
+            use_update="update" in rest,
+            create_indexes="noindex" not in rest,
+            single_statement="single" in rest)
+    if head == "horizontal":
+        source, *more = [w.upper() for w in rest] or ["F"]
+        if source in ("F", "FV") and not more:
             return HorizontalStrategy(source=source)
+        if source == "SPJ" and more in ([], ["F"], ["FV"]):
+            return HorizontalAggStrategy(source=(more or ["F"])[0])
     raise ValueError(
         "usage: \\strategy auto | vertical [update|fj_from_f|noindex|"
         "single] | horizontal F|FV | horizontal SPJ [F|FV]")

@@ -44,10 +44,12 @@ class VerticalStrategy:
             of inserting into a third table (column (3)); saves the
             third temp table at the cost the paper measured.
         create_indexes: create indexes on the common subkey of ``Fj``
-            and ``Fk`` before the division join.
+            and ``Fk`` before the division join.  The statements are
+            emitted as the paper writes them; this engine keeps an
+            index as a catalog definition only (DESIGN.md section 2).
         matching_indexes: make those indexes identical; when False only
-            ``Fk`` is indexed (on a key the join cannot use as the
-            build side), reproducing column (2)'s mismatched setup.
+            ``Fk`` is indexed, reproducing column (2)'s mismatched
+            setup.
         single_statement: emit the derived-table rephrasal (one SELECT
             with two subqueries) -- "a rephrasal of the first
             strategy"; only valid for one Vpct term and no UPDATE.

@@ -1,4 +1,4 @@
-"""The catalog: named tables, their indexes, and DBMS limits.
+"""The catalog: named tables, their index definitions, and DBMS limits.
 
 The catalog enforces the limits the paper calls out as practical issues
 for horizontal aggregations: the maximum number of columns per table
@@ -9,7 +9,7 @@ exercise the failure paths at small sizes.
 Concurrency model (the substrate under :mod:`repro.service`):
 
 * **Copy-on-write publication.**  Every mutating operation builds a
-  *new* name-space dict (and, for DML, new table/index objects) and
+  *new* name-space dict (and, for DML, new table objects) and
   swaps it in atomically under :attr:`_publish_lock`.  Published dicts
   and the objects inside them are never mutated again, so any thread
   that captured a reference keeps a frozen, internally consistent view
@@ -32,14 +32,28 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.engine.encoding_cache import EncodingCache
-from repro.engine.index import HashIndex
 from repro.engine.schema import (DEFAULT_MAX_COLUMNS,
                                  DEFAULT_MAX_NAME_LENGTH, TableSchema)
 from repro.engine.table import Table
 from repro.errors import CatalogError
+
+
+@dataclass(frozen=True)
+class IndexDefinition:
+    """A ``CREATE INDEX`` as the catalog keeps it: a definition and
+    nothing more.  No join reads it -- every join builds its own side,
+    and DESIGN.md section 2 says why the paper's index lever is kept as
+    SQL text only -- but the statement stays honest: names collide,
+    columns must exist, the index drops with its table, rolls back with
+    a savepoint and persists in a disk store."""
+
+    name: str
+    table_name: str
+    #: indexed columns, lower-cased, in declaration order
+    column_names: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -51,16 +65,13 @@ class CatalogSnapshot:
     mappings are read-only proxies over the published (never again
     mutated) dicts, so holding a snapshot costs no copying and pins the
     exact table/index/view objects.  That makes it the savepoint too:
-    :meth:`Catalog.rollback` restores the captured objects as-is
-    (indexes are immutable once published -- DML swaps in freshly
-    digested replacements -- so only an index whose table binding no
-    longer matches the restored table is re-digested).
+    :meth:`Catalog.rollback` restores the captured objects as-is.
     """
 
     version: int
     tables: Mapping[str, Table]
     views: Mapping[str, object]
-    indexes: Mapping[str, HashIndex]
+    indexes: Mapping[str, IndexDefinition]
     matviews: Mapping[str, object]
 
     @property
@@ -109,7 +120,7 @@ class Catalog:
         self.storage = None
         self._publish_lock = threading.Lock()
         self._tables: dict[str, Table] = {}
-        self._indexes: dict[str, HashIndex] = {}
+        self._indexes: dict[str, IndexDefinition] = {}
         self._views: dict[str, object] = {}  # name -> ast.Select
         # name -> repro.views.state.MaterializedView (immutable;
         # maintenance publishes replacement objects, never mutates)
@@ -120,7 +131,7 @@ class Catalog:
     # ------------------------------------------------------------------
     def _publish(self, tables: dict[str, Table] | None = None,
                  views: dict[str, object] | None = None,
-                 indexes: dict[str, HashIndex] | None = None,
+                 indexes: dict[str, IndexDefinition] | None = None,
                  matviews: dict[str, object] | None = None) -> None:
         """Atomically swap in replacement name-space dicts.
 
@@ -223,13 +234,10 @@ class Catalog:
     def replace_table(self, table: Table,
                       matviews: Mapping[str, object] | None = None
                       ) -> None:
-        """Swap in new contents for an existing table and refresh its
-        indexes.  The replacement carries a fresh version, so its
-        cached encodings start cold; the old version's entries are
-        dropped eagerly.  Indexes on the table are replaced by freshly
-        digested *new* objects (never rebuilt in place), so snapshot
-        holders keep index digests consistent with their table
-        version.
+        """Swap in new contents for an existing table (its index
+        definitions stand).  The replacement carries a fresh version,
+        so its cached encodings start cold; the old version's entries
+        are dropped eagerly.
 
         ``matviews`` optionally carries delta-maintained replacement
         materialized views (key -> MaterializedView); they are
@@ -245,18 +253,11 @@ class Catalog:
         table.seal_cache_tokens()
         tables = dict(self._tables)
         tables[key] = table
-        indexes = dict(self._indexes)
-        for idx_name, index in self._indexes.items():
-            if index.table_name.lower() == key:
-                rebuilt = HashIndex(index.name, index.table_name,
-                                    index.column_names)
-                rebuilt.rebuild(table, cache=self.encoding_cache)
-                indexes[idx_name] = rebuilt
         merged = None
         if matviews:
             merged = dict(self._matviews)
             merged.update(matviews)
-        self._publish(tables=tables, indexes=indexes, matviews=merged)
+        self._publish(tables=tables, matviews=merged)
 
     def drop_table(self, name: str, if_exists: bool = False) -> None:
         key = name.lower()
@@ -402,18 +403,17 @@ class Catalog:
     # Indexes
     # ------------------------------------------------------------------
     def create_index(self, name: str, table_name: str,
-                     column_names: Sequence[str],
-                     replace: bool = False) -> HashIndex:
+                     column_names: Sequence[str]) -> IndexDefinition:
         key = name.lower()
-        if key in self._indexes and not replace:
+        if key in self._indexes:
             raise CatalogError(f"index {name!r} already exists")
         table = self.table(table_name)
         for col in column_names:
             if not table.schema.has_column(col):
                 raise CatalogError(
                     f"no column {col!r} in table {table_name!r}")
-        index = HashIndex(name, table.name, column_names)
-        index.rebuild(table, cache=self.encoding_cache)
+        index = IndexDefinition(name, table.name,
+                                tuple(c.lower() for c in column_names))
         if self.storage is not None:
             self.storage.log_create_index(index)
         indexes = dict(self._indexes)
@@ -432,20 +432,6 @@ class Catalog:
         indexes = dict(self._indexes)
         del indexes[key]
         self._publish(indexes=indexes)
-
-    def indexes_on(self, table_name: str) -> list[HashIndex]:
-        lowered = table_name.lower()
-        return [idx for idx in self._indexes.values()
-                if idx.table_name.lower() == lowered]
-
-    def find_index(self, table_name: str,
-                   column_names: Iterable[str]) -> HashIndex | None:
-        """An index on exactly these columns of this table, if any."""
-        wanted = list(column_names)
-        for index in self.indexes_on(table_name):
-            if index.covers(wanted):
-                return index
-        return None
 
     def index_names(self) -> list[str]:
         return [idx.name for idx in self._indexes.values()]
@@ -466,28 +452,16 @@ class Catalog:
     def rollback(self, savepoint: CatalogSnapshot) -> None:
         """Restore the catalog to ``savepoint``.
 
-        Tables and views snap back to the exact objects captured
-        (immutability makes that sufficient); encoding-cache entries
-        of tables created or replaced since the savepoint are
-        invalidated.  Under the copy-on-write discipline the captured
-        index objects were never mutated, so they are restored as-is;
-        the re-digest loop remains as a belt-and-braces check for an
-        index whose table binding doesn't match the restored table
-        (only reachable through out-of-band index mutation).
+        Tables, views and index definitions snap back to the exact
+        objects captured (immutability makes that sufficient);
+        encoding-cache entries of tables created or replaced since the
+        savepoint are invalidated.
         """
         for key, table in self._tables.items():
             if savepoint.tables.get(key) is not table:
                 # Created or replaced since the savepoint: its cached
                 # encodings (any version) must not outlive it.
                 self.encoding_cache.invalidate_table(key)
-        indexes = dict(savepoint.indexes)
-        for key, index in indexes.items():
-            table = savepoint.tables.get(index.table_name.lower())
-            if table is not None and index.source_table() is not table:
-                rebuilt = HashIndex(index.name, index.table_name,
-                                    index.column_names)
-                rebuilt.rebuild(table, cache=self.encoding_cache)
-                indexes[key] = rebuilt
         if self.storage is not None:
             # One full-manifest WAL record re-asserting the restored
             # state.  This is what heals a fault injected mid-commit:
@@ -495,7 +469,7 @@ class Catalog:
             # in the log, the restore record replayed after them lands
             # the recovered store back on the savepoint state.
             self.storage.log_restore(savepoint.tables, savepoint.views,
-                                     indexes,
+                                     savepoint.indexes,
                                      matviews=savepoint.matviews)
         # Materialized views snap back with their tables: each captured
         # MaterializedView is immutable and was published atomically
@@ -503,7 +477,7 @@ class Catalog:
         # consistent by construction (no stale hit after rollback).
         self._publish(tables=dict(savepoint.tables),
                       views=dict(savepoint.views),
-                      indexes=indexes,
+                      indexes=dict(savepoint.indexes),
                       matviews=dict(savepoint.matviews))
 
     # ------------------------------------------------------------------
@@ -511,7 +485,7 @@ class Catalog:
     # ------------------------------------------------------------------
     def bootstrap(self, tables: Mapping[str, Table],
                   views: Mapping[str, object],
-                  indexes: Mapping[str, HashIndex],
+                  indexes: Mapping[str, IndexDefinition],
                   matviews: Mapping[str, object] | None = None) -> None:
         """Publish recovered name spaces wholesale, bypassing the
         storage hooks (the state *came from* the store; re-logging it

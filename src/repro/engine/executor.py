@@ -7,7 +7,7 @@ plans, no operator classes).  A SELECT is planned once into a
 renders -- and :meth:`Executor._run_plan` walks it:
 
     scan each source (a view or derived table runs its own plan)
-    -> join (hash / indexed / cartesian) -> residual filter
+    -> join (hash / cartesian) -> residual filter
     -> group-by build + aggregate, or grouping sets, or nothing
     -> projection (window functions, HAVING)
        -> DISTINCT -> ORDER BY -> LIMIT
@@ -18,7 +18,7 @@ the stats ledger and the governor.  DML statements
 (CREATE/INSERT/UPDATE/DELETE) mutate the catalog through the same
 boundary and charge the statistics counters that the paper's cost
 arguments rely on (rows scanned/written/updated, CASE term
-evaluations, index lookups).
+evaluations).
 """
 
 from __future__ import annotations
@@ -76,8 +76,6 @@ class ExecutorOptions:
         one probe per row of the dispatch the paper proposes
         (Section 3.2 / DMKD Section 3.5).  Ledger only: results and
         wall-clock are identical either way.
-    ``use_indexes``:
-        joins reuse a covering index's pre-built hash side.
     ``use_encoding_cache``:
         base-table dictionary encodings are served from the catalog's
         table-versioned cache instead of recomputed per plan step.
@@ -86,17 +84,15 @@ class ExecutorOptions:
     """
 
     case_dispatch: str = "linear"
-    use_indexes: bool = True
     use_encoding_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.case_dispatch not in ("linear", "hash"):
             raise ValueError("case_dispatch must be 'linear' or 'hash'")
-        for knob in ("use_indexes", "use_encoding_cache"):
-            # Not truthiness: a None meant as "unset" must not
-            # silently read as "off".
-            if not isinstance(getattr(self, knob), bool):
-                raise ValueError(f"{knob} must be True or False")
+        # Not truthiness: a None meant as "unset" must not silently
+        # read as "off".
+        if not isinstance(self.use_encoding_cache, bool):
+            raise ValueError("use_encoding_cache must be True or False")
 
 
 @dataclass
@@ -328,8 +324,7 @@ class Executor:
     # ------------------------------------------------------------------
     def plan_select(self, select: ast.Select,
                     use_views: bool = True) -> SelectPlan:
-        return plan_select(select, self.catalog,
-                           self.options.use_indexes, use_views)
+        return plan_select(select, self.catalog, use_views)
 
     def run_select(self, select: ast.Select,
                    result_name: str = "result",
@@ -436,17 +431,16 @@ class Executor:
                 right_frame.add_table(binding, right_table)
                 right_cols = [evaluate(k, right_frame, self.stats)
                               for k in join.right_keys]
-                # The smaller side builds -- unless the plan says an
-                # index already holds the right side's build phase.
-                if join.index is None and join.kind != "left" \
+                # The smaller side builds; a left join's right side
+                # always does.
+                if join.kind != "left" \
                         and dataset.n_rows < right_table.n_rows:
                     right_indices, left_indices = self._join_rows(
                         right_cols, left_cols, join, outer=False)
                 else:
                     left_indices, right_indices = self._join_rows(
                         left_cols, right_cols, join,
-                        outer=join.kind == "left", index=join.index)
-                op.stamp(indexed=join.index is not None)
+                        outer=join.kind == "left")
             op.charge(rows=len(left_indices),
                       context="join" if join.left_keys
                       else "cartesian join",
@@ -460,22 +454,11 @@ class Executor:
 
     def _join_rows(self, probe_cols: list[ColumnData],
                    build_cols: list[ColumnData], join: PlannedJoin,
-                   outer: bool, index=None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """``(probe, build)`` row-index pairs; ``index`` (on the build
-        side's ``join.right_keys``) stands in for the build phase."""
-        prepared = None
-        if index is not None:
-            names = [ref.name.lower() for ref in join.right_keys]
-            order = [names.index(c) for c in index.column_names]
-            probe_cols = [probe_cols[i] for i in order]
-            build_cols = [build_cols[i] for i in order]
-            prepared = index.prepared
-            self._charge("index-probe", index_lookups=len(probe_cols[0]))
-        probe_idx, build_idx, _ = join_indices(
-            probe_cols, build_cols, outer, prepared_right=prepared,
-            cache=self.encoding_cache, null_safe=join.null_safe)
-        return probe_idx, build_idx
+                   outer: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``(probe, build)`` row-index pairs."""
+        return join_indices(probe_cols, build_cols, outer,
+                            cache=self.encoding_cache,
+                            null_safe=join.null_safe)
 
     # -- select-list evaluation ---------------------------------------------
     def _project(self, frame: Frame, items: list[tuple[str, ast.Expr]],
@@ -994,8 +977,7 @@ class Executor:
         """A join update's target table, the frame its assignments see
         (target columns plus the at most one matching row of the FROM
         table per target row) and the rows to update."""
-        join = plan_update_join(statement, self.catalog,
-                                self.options.use_indexes).joins[0]
+        join = plan_update_join(statement, self.catalog).joins[0]
         binding, from_binding = statement.table.binding, \
             join.source.binding
         from_table = self.catalog.table(join.source.source.name) \
@@ -1010,7 +992,7 @@ class Executor:
             probe_idx, build_idx = self._join_rows(
                 [target_frame.resolve(k) for k in join.left_keys],
                 [from_frame.resolve(k) for k in join.right_keys],
-                join, outer=True, index=join.index)
+                join, outer=True)
             if len(probe_idx) != table.n_rows:
                 raise ExecutionError(
                     "UPDATE ... FROM matched a target row against more "
@@ -1019,8 +1001,7 @@ class Executor:
                                                     kind="stable")]
             matched = build_for_target >= 0
             op.charge(rows_joined=int(matched.sum()))
-            op.stamp(rows=int(matched.sum()),
-                     indexed=join.index is not None)
+            op.stamp(rows=int(matched.sum()))
 
             frame = Frame(table.n_rows)
             frame.add_table(binding, table)

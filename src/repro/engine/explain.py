@@ -1,11 +1,11 @@
 """EXPLAIN: render the evaluation plan of a statement as text rows.
 
 EXPLAIN renders the very :class:`~repro.engine.planner.SelectPlan`
-the executor would run -- scan order, join keys and whether an index
-serves the build side, residual filters, grouping, and the
-post-processing steps -- without executing anything, so what it prints
-is what runs.  The output is a one-column table so it flows through
-the same result channels as any query (cursor, CLI...).
+the executor would run -- scan order, join keys, residual filters,
+grouping, and the post-processing steps -- without executing
+anything, so what it prints is what runs.  The output is a one-column
+table so it flows through the same result channels as any query
+(cursor, CLI...).
 """
 
 from __future__ import annotations
@@ -68,9 +68,8 @@ def _plan_lines(executor, statement: ast.Statement,
                      + (" (join update)" if statement.from_tables
                         else ""))
         if statement.from_tables:
-            _explain_joins(plan_update_join(
-                statement, executor.catalog,
-                executor.options.use_indexes), lines, indent=1)
+            _explain_joins(plan_update_join(statement, executor.catalog),
+                           lines, indent=1)
     elif isinstance(statement, ast.Delete):
         lines.append(f"delete from {statement.table.name}")
     else:
@@ -184,9 +183,7 @@ def _explain_joins(from_plan, lines: list[str], indent: int) -> None:
                 for l, r in zip(join.left_keys, join.right_keys))
             kind = "left outer join" if join.kind == "left" \
                 else "hash join"
-            note = f" [index {join.index.name}]" if join.index else ""
-            lines.append(
-                f"{pad}{kind} {join.source.binding} on {keys}{note}")
+            lines.append(f"{pad}{kind} {join.source.binding} on {keys}")
         if join.residual is not None:
             lines.append(f"{pad}  filter {format_expr(join.residual)}")
 

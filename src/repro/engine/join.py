@@ -8,11 +8,9 @@ The join works in two phases, mirroring a classic hash join:
 * :func:`probe` encodes the probe side's keys against those
   dictionaries and emits matching row-index pairs.
 
-A :class:`~repro.engine.index.HashIndex` stores a pre-built
-``PreparedJoinSide``; when the executor finds an index covering the
-build keys it skips the build phase entirely, which is the concrete
-mechanism behind the paper's "identical indexes on D1..Dj improve the
-join used to perform divisions" finding.
+Every join builds its side afresh: ``CREATE INDEX`` is a catalog
+definition only (DESIGN.md section 2 says why the paper's index lever
+is kept as SQL text and nothing more).
 
 NULL join keys never match (SQL equality semantics) unless a key is
 marked *null-safe*: the planner recognizes the generated pattern
@@ -187,18 +185,10 @@ def probe(prepared: PreparedJoinSide, columns: list[ColumnData],
 def join_indices(left_columns: list[ColumnData],
                  right_columns: list[ColumnData],
                  outer: bool,
-                 prepared_right: PreparedJoinSide | None = None,
                  cache: Optional[EncodingCache] = None,
                  null_safe: Optional[Sequence[bool]] = None
-                 ) -> tuple[np.ndarray, np.ndarray, PreparedJoinSide]:
-    """Join row indices for ``left JOIN right`` on positional key pairs.
-
-    Returns ``(left_idx, right_idx, prepared)`` where ``prepared`` is
-    the build-side digest actually used (caller may have supplied a
-    cached one from an index; cached sides carry their own null-safe
-    flags, so ``null_safe`` applies only when building fresh).
-    """
-    if prepared_right is None:
-        prepared_right = prepare_side(right_columns, cache, null_safe)
-    left_idx, right_idx = probe(prepared_right, left_columns, outer)
-    return left_idx, right_idx, prepared_right
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Join row indices ``(left_idx, right_idx)`` for ``left JOIN
+    right`` on positional key pairs; the right side builds."""
+    return probe(prepare_side(right_columns, cache, null_safe),
+                 left_columns, outer)

@@ -2,11 +2,10 @@
 from catalog schemas alone.
 
 :func:`plan_select` classifies the FROM sources, infers every source's
-output column names statically, plans the joins, decides per join
-whether an index serves the build side, and fixes the evaluation mode
-and select list.  ``Executor.run_select`` executes that value and
-``EXPLAIN`` renders the same one, so the static plan cannot drift from
-what runs.
+output column names statically, plans the joins and fixes the
+evaluation mode and select list.  ``Executor.run_select`` executes
+that value and ``EXPLAIN`` renders the same one, so the static plan
+cannot drift from what runs.
 
 The paper's generated SQL writes joins in the classic comma form::
 
@@ -57,7 +56,6 @@ class PlannedJoin:
     ``null_safe`` flags (parallel to the keys) mark pairs written as
     ``a = b OR (a IS NULL AND b IS NULL)``, where NULL joins NULL.
     ``residual`` holds non-equi parts of an explicit ON condition.
-    ``index`` is the index serving the build side (:func:`join_index`).
     """
 
     kind: str                       # "inner" | "left"
@@ -66,7 +64,6 @@ class PlannedJoin:
     right_keys: list[ast.ColumnRef] = field(default_factory=list)
     null_safe: list[bool] = field(default_factory=list)
     residual: Optional[ast.Expr] = None
-    index: Optional[object] = None
 
 
 @dataclass
@@ -110,8 +107,8 @@ class SelectPlan:
             + [join.source for join in self.from_plan.joins]
 
 
-def plan_select(select: ast.Select, catalog, use_indexes: bool = True,
-                use_views: bool = True) -> SelectPlan:
+def plan_select(select: ast.Select, catalog, use_views: bool = True
+                ) -> SelectPlan:
     """Plan ``select`` against ``catalog`` without touching any row."""
     if use_views and catalog.matviews():
         from repro.views.rewrite import match_view
@@ -122,16 +119,12 @@ def plan_select(select: ast.Select, catalog, use_indexes: bool = True,
     if select.from_ is not None:
         sources: dict[str, PlannedSource] = {}
         for source in select.from_.sources():
-            planned = _classify(source, catalog, use_indexes, use_views)
+            planned = _classify(source, catalog, use_views)
             if planned.binding.lower() in sources:
                 raise PlanningError(
                     f"duplicate table binding {source.binding!r}")
             sources[planned.binding.lower()] = planned
         plan.from_plan = plan_from(select.from_, select.where, sources)
-        for join in plan.from_plan.joins:
-            join.index = join_index(catalog, join.source.source,
-                                    join.right_keys, join.null_safe,
-                                    use_indexes)
     plan.items = _select_items(select, plan)
 
     def resolve(expr: ast.Expr) -> ast.Expr:
@@ -182,10 +175,10 @@ def _mode(select: ast.Select) -> str:
     return "projection"
 
 
-def _classify(source: ast.FromSource, catalog, use_indexes: bool,
-              use_views: bool) -> PlannedSource:
+def _classify(source: ast.FromSource, catalog, use_views: bool
+              ) -> PlannedSource:
     if not isinstance(source, ast.TableRef):
-        plan = plan_select(source.select, catalog, use_indexes, use_views)
+        plan = plan_select(source.select, catalog, use_views)
         return PlannedSource(source, source.alias, "derived",
                              plan.columns, plan)
     if catalog.has_matview(source.name):
@@ -193,8 +186,7 @@ def _classify(source: ast.FromSource, catalog, use_indexes: bool,
         return PlannedSource(source, source.binding, "matview",
                              tuple(mv.result.column_names()))
     if catalog.has_view(source.name):
-        plan = plan_select(catalog.view(source.name), catalog,
-                           use_indexes, use_views)
+        plan = plan_select(catalog.view(source.name), catalog, use_views)
         return PlannedSource(source, source.binding, "view",
                              plan.columns, plan)
     return _base_table(source, catalog)
@@ -206,8 +198,7 @@ def _base_table(ref: ast.TableRef, catalog) -> PlannedSource:
                          tuple(schema.column_names()))
 
 
-def plan_update_join(statement: ast.Update, catalog,
-                     use_indexes: bool = True) -> FromPlan:
+def plan_update_join(statement: ast.Update, catalog) -> FromPlan:
     """``UPDATE t ... FROM f WHERE ...`` is the left join of the target
     with the one FROM table on the WHERE clause's key equalities; what
     is left of WHERE lands on the join's ``residual``."""
@@ -227,25 +218,7 @@ def plan_update_join(statement: ast.Update, catalog,
             "the target and the FROM table")
     join.kind = "left"
     join.residual, plan.residual_where = plan.residual_where, None
-    join.index = join_index(catalog, from_ref, join.right_keys,
-                            join.null_safe, use_indexes)
     return plan
-
-
-def join_index(catalog, source: ast.FromSource,
-               keys: list[ast.ColumnRef], null_safe: list[bool],
-               use_indexes: bool):
-    """The one index rule: a join probes an index iff indexes are on,
-    its build side is a base table (always a pristine scan: sources
-    are never filtered before they join), no key is null-safe (index
-    digests drop NULL keys) and an index covers exactly the keys."""
-    if not use_indexes or not keys or any(null_safe) \
-            or not isinstance(source, ast.TableRef) \
-            or not catalog.has_table(source.name):
-        return None
-    index = catalog.find_index(source.name, [ref.name for ref in keys])
-    return index if index is not None and index.prepared is not None \
-        else None
 
 
 def output_name(item: ast.SelectItem, position: int) -> str:

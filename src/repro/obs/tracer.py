@@ -63,7 +63,7 @@ from repro.obs.clock import Clock, MonotonicClock
 #: neither has a span-event mirror, so neither is audited.)
 AUDITED_COUNTERS = (
     "rows_scanned", "rows_written", "rows_updated", "rows_joined",
-    "index_lookups", "encode_cache_hits", "encode_cache_misses",
+    "encode_cache_hits", "encode_cache_misses",
     "storage_page_fetches", "storage_pool_hits", "storage_page_reads",
 )
 

@@ -23,8 +23,8 @@ A *checkpoint* writes the whole catalog manifest to
 the WAL, and frees every allocated page the manifest no longer
 references.  Recovery is therefore always: load the checkpoint, replay
 the WAL on top (records are complete-or-truncated, see
-:mod:`repro.storage.wal`), verify every live page's checksum, rebuild
-indexes, and hand the catalog its recovered name spaces.
+:mod:`repro.storage.wal`), verify every live page's checksum, and hand
+the catalog its recovered name spaces.
 
 Page reclamation happens **only** at checkpoints.  In between, pages
 of superseded table versions stay on disk, which is what lets catalog
@@ -46,7 +46,7 @@ import threading
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.engine import cancel, faults
-from repro.engine.index import HashIndex
+from repro.engine.catalog import IndexDefinition
 from repro.engine.schema import TableSchema
 from repro.engine.table import Table
 from repro.engine.types import SQLType
@@ -233,7 +233,7 @@ class StorageEngine:
         with self._lock:
             self._commit({"op": "drop_matview", "name": name.lower()})
 
-    def log_create_index(self, index: HashIndex) -> None:
+    def log_create_index(self, index: IndexDefinition) -> None:
         with self._lock:
             self._commit({"op": "create_index",
                           "index": _index_entry(index)})
@@ -244,7 +244,7 @@ class StorageEngine:
 
     def log_restore(self, tables: Mapping[str, Table],
                     views: Mapping[str, Any],
-                    indexes: Mapping[str, HashIndex],
+                    indexes: Mapping[str, IndexDefinition],
                     matviews: Mapping[str, Any] | None = None) -> None:
         """One record re-asserting the whole catalog state (savepoint
         rollback).  Every table must already be page-backed -- true by
@@ -385,15 +385,13 @@ class StorageEngine:
             from repro.sql.parser import parse_statement
             recovered_views = {key: parse_statement(sql)
                                for key, sql in views.items()}
-            recovered_indexes: dict[str, HashIndex] = {}
+            recovered_indexes: dict[str, IndexDefinition] = {}
             for key, entry in indexes.items():
                 table = recovered_tables.get(entry["table"].lower())
-                if table is None:
-                    continue
-                index = HashIndex(entry["display_name"],
-                                  table.name, entry["columns"])
-                index.rebuild(table, cache=catalog.encoding_cache)
-                recovered_indexes[key] = index
+                if table is not None:
+                    recovered_indexes[key] = IndexDefinition(
+                        entry["display_name"], table.name,
+                        tuple(entry["columns"]))
             catalog.bootstrap(recovered_tables, recovered_views,
                               recovered_indexes)
             if matviews:
@@ -502,7 +500,7 @@ def _matview_entry(mv) -> dict:
     }
 
 
-def _index_entry(index: HashIndex) -> dict:
+def _index_entry(index: IndexDefinition) -> dict:
     return {
         "name": index.name.lower(),
         "display_name": index.name,

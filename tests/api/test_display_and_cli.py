@@ -107,6 +107,12 @@ class TestShell:
         shell.handle("\\strategy auto")
         assert shell.strategy is None
 
+    def test_strategy_command_refuses_an_unknown_word(self, shell):
+        shell.handle("\\strategy vertical update")
+        shell.handle("\\strategy vertical updte")
+        assert "error: usage: \\strategy" in self.output(shell)
+        assert shell.strategy == VerticalStrategy(use_update=True)
+
     def test_load_command(self, shell):
         shell.handle("\\load employee 500")
         assert "loaded employee (500 rows)" in self.output(shell)
@@ -141,5 +147,13 @@ class TestParseStrategy:
         assert strategy == HorizontalAggStrategy(source="FV")
 
     def test_bad_input(self):
-        with pytest.raises(ValueError):
-            _parse_strategy(["sideways"])
+        """An unknown or extra word is the usage error, never the
+        default strategy."""
+        for words in (["sideways"], ["vertical", "updte"],
+                      ["vertical", "update", "x"],
+                      ["horizontal", "f", "extra"], ["horizontal", "fh"],
+                      ["horizontal", "spj", "x"],
+                      ["horizontal", "spj", "f", "fv"],
+                      ["auto", "vertical"]):
+            with pytest.raises(ValueError, match="usage"):
+                _parse_strategy(words)

@@ -25,15 +25,15 @@ KNOBS = [f.name for f in dataclasses.fields(ExecutorOptions)]
 #: Per knob: a legal non-default value and an illegal one.
 VALUES = {
     "case_dispatch": ("hash", "quantum"),
-    "use_indexes": (False, None),
     "use_encoding_cache": (False, "off"),
 }
 
-#: Names that are not knobs: the intra-query parallelism knobs retired
-#: with the feature (DESIGN.md section 5; no alias, no deprecation
-#: path), each with a value that used to be legal.
+#: Names that are not knobs, each with a value that used to be legal
+#: (no alias, no deprecation path): the intra-query parallelism knobs
+#: retired with the feature (DESIGN.md section 5) and ``use_indexes``,
+#: retired with the index probe (DESIGN.md section 2).
 REFUSED = {"parallel_workers": 2, "parallel_backend": "thread",
-           "morsel_rows": 8192}
+           "morsel_rows": 8192, "use_indexes": False}
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "engine_internals.md"
 
@@ -74,8 +74,7 @@ SURFACES = [_database, _configure, _session_defaults, _query_service,
 
 
 def test_every_knob_has_a_row():
-    assert KNOBS == ["case_dispatch", "use_indexes",
-                     "use_encoding_cache"]
+    assert KNOBS == ["case_dispatch", "use_encoding_cache"]
     assert sorted(VALUES) == sorted(KNOBS)
 
 
@@ -106,11 +105,10 @@ def test_surface_refuses_a_name_the_dataclass_lacks(surface):
 
 
 def test_configure_keeps_the_knobs_it_was_not_given():
-    db = Database(case_dispatch="hash", use_indexes=False)
+    db = Database(case_dispatch="hash")
     db.configure(use_encoding_cache=False)
     assert db.options == ExecutorOptions(
-        case_dispatch="hash", use_indexes=False,
-        use_encoding_cache=False)
+        case_dispatch="hash", use_encoding_cache=False)
     assert db.executor.options is db.options
 
 

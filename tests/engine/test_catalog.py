@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.catalog import Catalog
+from repro.engine.catalog import Catalog, IndexDefinition
 from repro.engine.schema import TableSchema
 from repro.engine.table import Table
 from repro.engine.types import SQLType
@@ -74,12 +74,17 @@ class TestIndexes:
             TableSchema.build("t", [("a", SQLType.INTEGER),
                                     ("b", SQLType.INTEGER)]),
             [(1, 2), (3, 4)]))
-        catalog.create_index("ix", "t", ["a"])
-        assert catalog.find_index("t", ["A"]) is not None
-        assert catalog.find_index("t", ["a", "b"]) is None
+        index = catalog.create_index("ix", "t", ["B", "a"])
+        # a definition only: name, table, lower-cased columns in
+        # declaration order
+        assert index == IndexDefinition("ix", "t", ("b", "a"))
+        assert dict(catalog.snapshot().indexes) == {"ix": index}
         assert catalog.index_names() == ["ix"]
         catalog.drop_index("ix")
-        assert catalog.find_index("t", ["a"]) is None
+        assert catalog.index_names() == []
+        with pytest.raises(CatalogError):
+            catalog.drop_index("ix")
+        catalog.drop_index("ix", if_exists=True)
 
     def test_index_on_missing_column_raises(self):
         catalog = Catalog()
@@ -101,16 +106,12 @@ class TestIndexes:
         catalog.drop_table("t")
         assert catalog.index_names() == []
 
-    def test_replace_table_rebuilds_indexes(self):
+    def test_replace_table_keeps_its_indexes(self):
         schema = TableSchema.build("t", [("a", SQLType.INTEGER)])
         catalog = Catalog()
         catalog.create_table(Table.from_rows(schema, [(1,)]))
         index = catalog.create_index("ix", "t", ["a"])
-        assert index.built_rows == 1
         catalog.replace_table(Table.from_rows(schema, [(1,), (2,)]))
-        rebuilt = catalog.find_index("t", ["a"])
-        assert rebuilt.built_rows == 2
-        # copy-on-write: the published index is a fresh object; the
-        # old one stays frozen for any snapshot that captured it
-        assert rebuilt is not index
-        assert index.built_rows == 1
+        # nothing is digested from the rows, so DML leaves the
+        # definition as it was
+        assert catalog.snapshot().indexes["ix"] is index

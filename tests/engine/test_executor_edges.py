@@ -129,7 +129,7 @@ class TestFeatureInteractions:
         db.execute("CREATE TABLE u (a INT)")
         db.execute("INSERT INTO u VALUES (9)")
         rows = db.query("SELECT t.c FROM u, t WHERE u.a = t.a")
-        assert rows == [(1.0,)]  # index rebuilt after update
+        assert rows == [(1.0,)]  # the join sees the updated rows
 
     def test_in_list_with_strings(self, db):
         db.execute("INSERT INTO t VALUES (1, 'x', 1.0), "

@@ -21,51 +21,51 @@ def pairs(left_idx, right_idx):
 
 class TestInnerJoin:
     def test_one_to_one(self):
-        left, right, _ = join_indices([int_col([1, 2, 3])],
-                                      [int_col([2, 3, 4])], outer=False)
+        left, right = join_indices([int_col([1, 2, 3])],
+                                   [int_col([2, 3, 4])], outer=False)
         assert pairs(left, right) == [(1, 0), (2, 1)]
 
     def test_one_to_many(self):
-        left, right, _ = join_indices([int_col([7])],
-                                      [int_col([7, 7, 8])], outer=False)
+        left, right = join_indices([int_col([7])],
+                                   [int_col([7, 7, 8])], outer=False)
         assert pairs(left, right) == [(0, 0), (0, 1)]
 
     def test_many_to_many(self):
-        left, right, _ = join_indices([int_col([1, 1])],
-                                      [int_col([1, 1])], outer=False)
+        left, right = join_indices([int_col([1, 1])],
+                                   [int_col([1, 1])], outer=False)
         assert len(left) == 4
 
     def test_no_matches(self):
-        left, right, _ = join_indices([int_col([1])], [int_col([2])],
-                                      outer=False)
+        left, right = join_indices([int_col([1])], [int_col([2])],
+                                   outer=False)
         assert len(left) == 0
 
     def test_multi_column_keys(self):
-        left, right, _ = join_indices(
+        left, right = join_indices(
             [int_col([1, 1, 2]), str_col(["a", "b", "a"])],
             [int_col([1, 2]), str_col(["b", "a"])], outer=False)
         assert pairs(left, right) == [(1, 0), (2, 1)]
 
     def test_nulls_never_match(self):
-        left, right, _ = join_indices([int_col([None, 1])],
-                                      [int_col([None, 1])], outer=False)
+        left, right = join_indices([int_col([None, 1])],
+                                   [int_col([None, 1])], outer=False)
         assert pairs(left, right) == [(1, 1)]
 
 
 class TestLeftOuterJoin:
     def test_unmatched_rows_get_minus_one(self):
-        left, right, _ = join_indices([int_col([1, 5])],
-                                      [int_col([1])], outer=True)
+        left, right = join_indices([int_col([1, 5])],
+                                   [int_col([1])], outer=True)
         assert pairs(left, right) == [(0, 0), (1, -1)]
 
     def test_null_probe_key_unmatched(self):
-        left, right, _ = join_indices([int_col([None])],
-                                      [int_col([None])], outer=True)
+        left, right = join_indices([int_col([None])],
+                                   [int_col([None])], outer=True)
         assert pairs(left, right) == [(0, -1)]
 
     def test_every_probe_row_appears(self):
-        left, right, _ = join_indices([int_col([9, 9, 1])],
-                                      [int_col([1])], outer=True)
+        left, right = join_indices([int_col([9, 9, 1])],
+                                   [int_col([1])], outer=True)
         assert sorted(left.tolist()) == [0, 1, 2]
 
 
@@ -88,8 +88,10 @@ class TestPreparedReuse:
         left, right = probe(prepared, [int_col([1, 2])], outer=True)
         assert right.tolist() == [-1, -1]
 
-    def test_join_indices_returns_prepared(self):
-        _, _, prepared = join_indices([int_col([1])], [int_col([1])],
-                                      outer=False)
-        left, right = probe(prepared, [int_col([1])], outer=False)
-        assert right.tolist() == [0]
+    def test_join_indices_is_prepare_then_probe(self):
+        left_cols, right_cols = [int_col([1, 3, 1])], [int_col([1, 2, 1])]
+        left, right = join_indices(left_cols, right_cols, outer=True)
+        e_left, e_right = probe(prepare_side(right_cols), left_cols,
+                                outer=True)
+        assert left.tolist() == e_left.tolist()
+        assert right.tolist() == e_right.tolist()

@@ -51,18 +51,23 @@ class TestRollback:
         loaded.catalog.rollback(savepoint)
         assert loaded.catalog.index_names() == []
 
-    def test_index_redigested_after_rollback(self, loaded):
+    def test_index_kept_across_rollback_of_dml(self, loaded):
         loaded.execute("CREATE INDEX f_k ON f (k)")
         savepoint = loaded.catalog.savepoint()
+        index = savepoint.indexes["f_k"]
         loaded.execute("INSERT INTO f VALUES (3, 8.0)")
-        # DML re-binds the index to the new table version in place
         loaded.catalog.rollback(savepoint)
-        index = loaded.catalog.find_index("f", ["k"])
-        assert index is not None
-        assert index.source_table() is loaded.table("f")
-        # the digest must reflect the restored (2-row) content
+        assert loaded.catalog.snapshot().indexes["f_k"] is index
         assert loaded.query(
             "SELECT v FROM f WHERE k = 3") == []
+
+    def test_dropped_index_restored(self, loaded):
+        loaded.execute("CREATE INDEX f_k ON f (k)")
+        savepoint = loaded.catalog.savepoint()
+        loaded.execute("DROP TABLE f")
+        assert loaded.catalog.index_names() == []
+        loaded.catalog.rollback(savepoint)
+        assert loaded.catalog.index_names() == ["f_k"]
 
     def test_encoding_cache_entries_invalidated(self, loaded):
         savepoint = loaded.catalog.savepoint()

@@ -17,10 +17,9 @@ class TestSessionDefaults:
 
     def test_overrides_apply(self, db):
         resolved = SessionDefaults(
-            case_dispatch="hash", use_indexes=False,
+            case_dispatch="hash",
             use_encoding_cache=False).resolve(db.options)
         assert resolved.case_dispatch == "hash"
-        assert resolved.use_indexes is False
         assert resolved.use_encoding_cache is False
 
     def test_defaults_steer_read_execution(self, db):

@@ -68,14 +68,14 @@ class TestSnapshotReader:
 
     def test_session_defaults_reach_reader_options(self, service, db):
         defaults = SessionDefaults(case_dispatch="hash",
-                                   use_indexes=False)
+                                   use_encoding_cache=False)
         reader = service.snapshots.reader(
             options=defaults.resolve(db.options))
         assert reader.options.case_dispatch == "hash"
-        assert reader.options.use_indexes is False
+        assert reader.options.use_encoding_cache is False
         # The base database's own options are untouched.
         assert db.options.case_dispatch == "linear"
-        assert db.options.use_indexes is True
+        assert db.options.use_encoding_cache is True
 
     def test_reader_is_a_database(self, service):
         assert isinstance(service.snapshots.reader(), Database)

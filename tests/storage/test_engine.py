@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro import Database
+from repro.engine.catalog import IndexDefinition
 from repro.errors import StorageError
 from tests.conftest import PAPER_SALES_ROWS
 
@@ -58,8 +59,9 @@ def test_views_and_indexes_recovered(tmp_path):
     with _disk_db(tmp_path) as db:
         assert db.query("SELECT rid FROM ca_sales ORDER BY rid") \
             == expected
-        assert "idx_state" in [name.lower()
-                               for name in db.catalog.index_names()]
+        assert dict(db.catalog.snapshot().indexes) == {
+            "idx_state": IndexDefinition("idx_state", "sales",
+                                         ("state",))}
 
 
 def test_drop_table_survives_reopen(tmp_path):
