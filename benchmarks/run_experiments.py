@@ -1,14 +1,16 @@
-"""Regenerate every results table of both papers and write
-EXPERIMENTS.md.
+"""Regenerate every results table of both papers, plus ablation A3 and
+extension A4, and write EXPERIMENTS.md.
 
 Usage:
     python benchmarks/run_experiments.py [--out EXPERIMENTS.md]
-        [--employee N] [--sales N] [--tl N] [--census N] [--full]
+        [--employee N] [--sales N] [--tl N] [--census N]
+        [--reduced-sales N] [--full] [--no-encoding-cache]
 
 Without ``--full`` the widest SIGMOD row (sales dept,store -> 10,000
 result columns) runs the Hpct strategies on a reduced sales sample so
 the whole harness finishes in a few minutes; ``--full`` runs it at the
-configured sales scale (tens of seconds per cell).
+configured sales scale (tens of seconds per cell).  Each section is
+echoed to stdout as the markdown it adds to the output file.
 """
 
 from __future__ import annotations
@@ -19,16 +21,18 @@ import time
 from pathlib import Path
 
 from repro import Database
-from repro.bench.harness import (ExperimentResult, run_hagg_experiment,
+from repro.bench.harness import (ExperimentResult, measure,
+                                 run_hagg_experiment,
                                  run_hpct_experiment,
                                  run_olap_experiment,
                                  run_vpct_experiment)
-from repro.bench.report import format_markdown, format_table
+from repro.bench.report import format_markdown
 from repro.bench.workloads import (DMKD_CENSUS_QUERIES,
                                    DMKD_TRANSACTION_QUERIES,
                                    SIGMOD_QUERIES)
 from repro.core import (HorizontalAggStrategy, HorizontalStrategy,
-                        VerticalStrategy)
+                        VerticalStrategy, run_percentage_batch,
+                        run_percentage_query)
 from repro.datagen import (load_census, load_employee, load_sales,
                            load_transaction_line)
 
@@ -58,6 +62,11 @@ tl 1M: 48/33/10/12, 127/102/15/13, 2077/1623/30/37, 68/56/14/13,
 tl 2M: 94/38/20/13, 159/105/28/15, 2280/1965/39/36, 104/58/20/14,
        1744/1458/35/34, 1783/1369/40/40"""
 
+PAPER_A3 = """\
+Paper DMKD Table 3, transactionLine deptId | dayOfWeekNo,monthNo
+(seconds): CASE-F / CASE-FV
+tl 1M: 28/32 | tl 2M: 35/34"""
+
 
 TABLE4_NOTE = """\
 Columns (1) and (2) differ only in which `CREATE INDEX` statements the
@@ -65,6 +74,40 @@ plan emits, and this engine keeps an index as a catalog entry that no
 join reads (DESIGN.md section 2), so the two columns are
 ledger-identical by construction; their wall times differ by noise.
 """
+
+A3_NOTE = """\
+One DMKD Table 3 row under direct (from F) and indirect (from FV) CASE
+while transactionLine doubles twice (DMKD section 4.2's scalability
+discussion). The two larger sizes rerun the cells on the DMKD Table 3
+databases; the smallest loads its own. Every size answers the query
+once untimed before its cells, so no cell pays the encoding cache's
+first fill.
+"""
+
+#: Extension A4's batch: four percentage queries over one fact table.
+SHARED_BATCH = [
+    "SELECT regionid, dayofweekno, Vpct(salesamt BY dayofweekno) "
+    "FROM transactionline GROUP BY regionid, dayofweekno",
+    "SELECT regionid, Hpct(salesamt BY monthno) FROM transactionline "
+    "GROUP BY regionid",
+    "SELECT monthno, sum(salesamt BY regionid) FROM transactionline "
+    "GROUP BY monthno",
+    "SELECT yearno, Vpct(salesamt BY yearno) FROM transactionline "
+    "GROUP BY yearno",
+]
+
+A4_NOTE = """\
+The paper's section 6 names shared summaries as future work:
+`run_percentage_batch` aggregates transactionLine once at the union
+of the batch's grouping and BY columns and answers every query from
+that summary, where separate evaluation scans the fact table once or
+more per query. The summary has at most 4 x 7 x 12 x 4 = 1,344 rows
+(regionId x dayOfWeekNo x monthNo x yearNo), so the batch only pays
+once transactionLine is several times that size. The batch is these
+four queries, run on the DMKD Table 3 transactionLine table:
+
+```
+""" + "\n".join(SHARED_BATCH) + "\n```\n"
 
 
 def run_table4(db: Database) -> list[ExperimentResult]:
@@ -82,13 +125,13 @@ def run_table4(db: Database) -> list[ExperimentResult]:
     return results
 
 
-def run_table5(db: Database, full_db: Database | None
+def run_table5(db: Database, reduced_db: Database | None
                ) -> list[ExperimentResult]:
     results = []
     for spec in SIGMOD_QUERIES:
         target = db
-        if "dept,store" in spec.label and full_db is not None:
-            target = full_db
+        if "dept,store" in spec.label and reduced_db is not None:
+            target = reduced_db
         for name, source in (("from FV", "FV"), ("from F", "F")):
             results.append(run_hpct_experiment(
                 target, spec, HorizontalStrategy(source=source),
@@ -96,15 +139,15 @@ def run_table5(db: Database, full_db: Database | None
     return results
 
 
-def run_table6(db: Database, full_db: Database | None
+def run_table6(db: Database, reduced_db: Database | None
                ) -> list[ExperimentResult]:
     results = []
     for spec in SIGMOD_QUERIES:
         results.append(run_vpct_experiment(db, spec, VerticalStrategy(),
                                            name="Vpct"))
         target = db
-        if "dept,store" in spec.label and full_db is not None:
-            target = full_db
+        if "dept,store" in spec.label and reduced_db is not None:
+            target = reduced_db
         results.append(run_hpct_experiment(
             target, spec, HorizontalStrategy(source="FV"), name="Hpct"))
         results.append(run_olap_experiment(db, spec,
@@ -133,7 +176,34 @@ def run_dmkd(db: Database, doubled: Database) -> list[ExperimentResult]:
     return results
 
 
-def main(argv: list[str]) -> int:
+def run_a3(by_size: dict[int, Database]) -> list[ExperimentResult]:
+    """Ablation A3: one CASE row, direct and indirect, at each size."""
+    spec = DMKD_TRANSACTION_QUERIES[4]
+    results = []
+    for n_rows, db in by_size.items():
+        # Untimed: the first query over a table fills the encoding
+        # cache, which about doubles that cell's wall time.
+        run_hagg_experiment(db, spec)
+        for name, source in (("CASE from F", "F"), ("CASE from FV", "FV")):
+            result = run_hagg_experiment(
+                db, spec, HorizontalStrategy(source=source), name=name)
+            result.label = f"n = {n_rows:,}"
+            results.append(result)
+    return results
+
+
+def run_a4(db: Database) -> list[ExperimentResult]:
+    """Extension A4: the shared-summary batch vs one query at a time."""
+    label = f"{len(SHARED_BATCH)}-query batch"
+    return [
+        measure(db, label, "separate", lambda: [
+            run_percentage_query(db, sql) for sql in SHARED_BATCH]),
+        measure(db, label, "shared summary",
+                lambda: run_percentage_batch(db, SHARED_BATCH).results),
+    ]
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="EXPERIMENTS.md")
     parser.add_argument("--employee", type=int, default=100_000)
@@ -148,12 +218,16 @@ def main(argv: list[str]) -> int:
                         help="ablation: recompute dictionary encodings "
                              "at every plan step (results and logical "
                              "I/O are unchanged; wall time grows)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str]) -> int:
+    args = build_parser().parse_args(argv)
     use_cache = not args.no_encoding_cache
 
     started = time.perf_counter()
     print(f"Loading data (employee={args.employee:,}, "
-          f"sales={args.sales:,}, tl={args.tl:,}/"
+          f"sales={args.sales:,}, tl={args.tl // 2:,}/{args.tl:,}/"
           f"{2 * args.tl:,}, census={args.census:,}) ...")
     sigmod = Database(use_encoding_cache=use_cache)
     load_employee(sigmod, args.employee)
@@ -167,61 +241,73 @@ def main(argv: list[str]) -> int:
     load_transaction_line(dmkd, args.tl)
     doubled = Database(use_encoding_cache=use_cache)
     load_transaction_line(doubled, 2 * args.tl)
+    halved = Database(use_encoding_cache=use_cache)
+    load_transaction_line(halved, args.tl // 2)
 
-    sections = []
-    print("Running Table 4 (Vpct optimizations) ...")
-    table4 = run_table4(sigmod)
-    sections.append(("Table 4 -- Vpct optimization strategies",
-                     PAPER_TABLE4, table4, TABLE4_NOTE))
-    print("Running Table 5 (Hpct strategies) ...")
-    table5 = run_table5(sigmod, reduced)
-    sections.append(("Table 5 -- Hpct strategy comparison",
-                     PAPER_TABLE5, table5, ""))
-    print("Running Table 6 (vs OLAP extensions) ...")
-    table6 = run_table6(sigmod, reduced)
-    sections.append(("Table 6 -- percentage aggregations vs OLAP "
-                     "extensions", PAPER_TABLE6, table6, ""))
-    print("Running DMKD Table 3 (SPJ vs CASE) ...")
-    dmkd3 = run_dmkd(dmkd, doubled)
-    sections.append(("DMKD Table 3 -- SPJ vs CASE strategies",
-                     PAPER_DMKD3, dmkd3, ""))
-
-    note = ""
-    if reduced is not None:
-        note = (f"\n> The `sales dept,store` row (10,000 result "
-                f"columns) ran its Hpct cells on a reduced sales "
-                f"sample of n = {args.reduced_sales:,} "
-                f"(pass `--full` for the configured scale).\n")
-
-    output = [_header(args, time.perf_counter() - started, note)]
-    for title, paper, results, table_note in sections:
-        output.append(f"## {title}\n")
-        if table_note:
-            output.append(table_note)
-        output.append("Paper numbers (for shape comparison):\n")
-        output.append("```\n" + paper + "\n```\n")
-        output.append(format_markdown("Measured wall time (seconds)",
-                                      results, "seconds") + "\n")
-        output.append(format_markdown("Measured logical I/O (rows)",
-                                      results, "logical_io") + "\n")
-        print()
-        print(format_table(title, results))
+    sections = [
+        ("Table 4 -- Vpct optimization strategies", PAPER_TABLE4,
+         TABLE4_NOTE, lambda: run_table4(sigmod)),
+        ("Table 5 -- Hpct strategy comparison", PAPER_TABLE5, "",
+         lambda: run_table5(sigmod, reduced)),
+        ("Table 6 -- percentage aggregations vs OLAP extensions",
+         PAPER_TABLE6, "", lambda: run_table6(sigmod, reduced)),
+        ("DMKD Table 3 -- SPJ vs CASE strategies", PAPER_DMKD3, "",
+         lambda: run_dmkd(dmkd, doubled)),
+        ("Ablation A3 -- direct vs indirect CASE as n grows "
+         "(DMKD section 4.2)", PAPER_A3, A3_NOTE,
+         lambda: run_a3({args.tl // 2: halved, args.tl: dmkd,
+                         2 * args.tl: doubled})),
+        ("Extension A4 -- shared summaries (section 6 future work)",
+         "", A4_NOTE, lambda: run_a4(dmkd)),
+    ]
+    output = [_header(args)]
+    for title, paper, note, run in sections:
+        print(f"Running {title} ...")
+        section = _section(title, paper, note, run())
+        print(section)
+        output.append(section)
 
     Path(args.out).write_text("\n".join(output))
-    print(f"\nWrote {args.out} "
+    print(f"Wrote {args.out} "
           f"({time.perf_counter() - started:.1f}s total)")
     return 0
 
 
-def _header(args, elapsed: float, note: str) -> str:
+def _section(title: str, paper: str, note: str,
+             results: list[ExperimentResult]) -> str:
+    parts = [f"## {title}\n"]
+    if note:
+        parts.append(note)
+    if paper:
+        parts.append("Paper numbers (for shape comparison):\n")
+        parts.append("```\n" + paper + "\n```\n")
+    parts.append(format_markdown("Measured wall time (seconds)",
+                                 results, "seconds") + "\n")
+    parts.append(format_markdown("Measured logical I/O (rows)",
+                                 results, "logical_io") + "\n")
+    return "\n".join(parts)
+
+
+def _header(args) -> str:
+    notes = ""
+    if not args.full:
+        notes += (f"\n> The `sales dept,store` row (10,000 result "
+                  f"columns) ran its Hpct cells on a reduced sales "
+                  f"sample of n = {args.reduced_sales:,} "
+                  f"(pass `--full` for the configured scale).\n")
+    if args.no_encoding_cache:
+        notes += ("\n> **Encoding cache off** (`--no-encoding-cache`): "
+                  "every plan step recomputed its dictionary "
+                  "encodings, so the wall times are the cache "
+                  "ablation's; results and logical I/O are unchanged.\n")
     return f"""# EXPERIMENTS -- paper versus measured
 
 Generated by `python benchmarks/run_experiments.py`
 (employee n={args.employee:,}, sales n={args.sales:,},
-transactionLine n={args.tl:,} and {2 * args.tl:,},
-census n={args.census:,}; the paper used 1M / 10M / 1M+2M / 200k on an
-800 MHz Teradata node).
-{note}
+transactionLine n={args.tl:,} and {2 * args.tl:,} (A3 adds
+{args.tl // 2:,}), census n={args.census:,}; the paper used
+1M / 10M / 1M+2M / 200k on an 800 MHz Teradata node).
+{notes}
 **How to read these tables.** Absolute seconds are not comparable to
 the paper's (different hardware, disk-based DBMS vs in-memory columnar
 engine); what should match -- and does, see the per-table notes in
@@ -238,8 +324,10 @@ whatever the fan-out -- while the ledger still books the N WHEN tests
 per row the paper's DBMS performed (DESIGN.md section 5). Ablation A1
 (the O(1) hash dispatch both papers propose) is therefore a *ledger*
 factor, `case_evaluations` under `case_dispatch="linear"` over
-`"hash"`, asserted by `benchmarks/bench_ablations.py::TestCaseDispatch`;
-there is no wall-clock pair, and no cell below depends on the knob.
+`"hash"`, asserted in tier 1 on the DMKD `transactionLine subdeptId`
+cell by `tests/integration/test_reproduction_shapes.py`
+(`test_hash_dispatch_removes_the_n_factor`); there is no wall-clock
+pair, and no cell below depends on the knob.
 """
 
 

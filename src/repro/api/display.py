@@ -17,7 +17,7 @@ def render_value(value: Any, float_digits: int = 4) -> str:
     return str(value)
 
 
-def format_table(table: Table, max_rows: Optional[int] = 50,
+def render_table(table: Table, max_rows: Optional[int] = 50,
                  float_digits: int = 4) -> str:
     """An aligned text rendering of a result table.
 

@@ -1,7 +1,7 @@
 """The paper-table harness: one query, one strategy, one measured cell
 (:mod:`~repro.bench.harness`), the query specs of every results-table
-row of both papers (:mod:`~repro.bench.workloads`) and the table
-printers (:mod:`~repro.bench.report`).
+row of both papers (:mod:`~repro.bench.workloads`) and the markdown
+table printer (:mod:`~repro.bench.report`).
 
 A library with no CLI: ``benchmarks/run_experiments.py`` generates the
 tables and ``python -m benchmarks.e2e`` is the benchmark.

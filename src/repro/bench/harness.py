@@ -70,31 +70,28 @@ class ExperimentResult:
     statements: int
     result_rows: int
     result_columns: int
-    encode_cache_hits: int = 0
-    encode_cache_misses: int = 0
-
-    def row(self) -> tuple:
-        return (self.label, self.strategy, round(self.seconds, 4),
-                self.logical_io, self.statements, self.result_rows)
 
 
-def _measure(db: Database, label: str, strategy_name: str,
-             run) -> ExperimentResult:
+def measure(db: Database, label: str, strategy_name: str,
+            run) -> ExperimentResult:
+    """Time ``run()`` and charge it the ledger delta it caused.
+
+    ``run`` returns the result table, or a list of tables for a batch
+    (their rows and columns add up)."""
     before = db.stats.snapshot()
     statements_before = db.stats.statements
     started = time.perf_counter()
     result = run()
     elapsed = time.perf_counter() - started
     diff = db.stats.diff_since(before)
+    tables = result if isinstance(result, list) else [result]
     return ExperimentResult(
         label=label, strategy=strategy_name, seconds=elapsed,
         logical_io=diff.logical_io(),
         case_evaluations=diff.case_evaluations,
         statements=db.stats.statements - statements_before,
-        result_rows=result.n_rows,
-        result_columns=result.schema.width(),
-        encode_cache_hits=diff.encode_cache_hits,
-        encode_cache_misses=diff.encode_cache_misses)
+        result_rows=sum(table.n_rows for table in tables),
+        result_columns=sum(table.schema.width() for table in tables))
 
 
 def run_vpct_experiment(db: Database, spec: QuerySpec,
@@ -107,7 +104,7 @@ def run_vpct_experiment(db: Database, spec: QuerySpec,
         plan = generate_plan(db, spec.vpct_sql(), strategy)
         return execute_plan(db, plan).result
 
-    return _measure(db, spec.label, name or strategy.describe(), run)
+    return measure(db, spec.label, name or strategy.describe(), run)
 
 
 def run_hpct_experiment(db: Database, spec: QuerySpec,
@@ -120,7 +117,7 @@ def run_hpct_experiment(db: Database, spec: QuerySpec,
         plan = generate_plan(db, spec.hpct_sql(), strategy)
         return execute_plan(db, plan).result
 
-    return _measure(db, spec.label, name or strategy.describe(), run)
+    return measure(db, spec.label, name or strategy.describe(), run)
 
 
 def run_hagg_experiment(db: Database, spec: QuerySpec,
@@ -137,7 +134,7 @@ def run_hagg_experiment(db: Database, spec: QuerySpec,
         plan = generate_plan(db, spec.hagg_sql(func), strategy)
         return execute_plan(db, plan).result
 
-    return _measure(db, spec.label, name or strategy.describe(), run)
+    return measure(db, spec.label, name or strategy.describe(), run)
 
 
 def run_olap_experiment(db: Database, spec: QuerySpec,
@@ -149,4 +146,4 @@ def run_olap_experiment(db: Database, spec: QuerySpec,
         sql = generate_olap_percentage_query(spec.vpct_sql())
         return db.execute(sql)
 
-    return _measure(db, spec.label, name, run)
+    return measure(db, spec.label, name, run)

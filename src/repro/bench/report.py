@@ -2,13 +2,12 @@
 
 The harness produces :class:`~repro.bench.harness.ExperimentResult`
 cells; this module pivots them into the row/column layout the papers
-print (queries down, strategies across) as aligned plain text or
-markdown.
+print (queries down, strategies across) as markdown.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.bench.harness import ExperimentResult
 
@@ -42,27 +41,9 @@ def pivot_results(results: Iterable[ExperimentResult],
     return strategies, rows
 
 
-def format_table(title: str, results: Iterable[ExperimentResult],
-                 value: str = "seconds") -> str:
-    """An aligned plain-text table (queries x strategies)."""
-    strategies, rows = pivot_results(results, value)
-    header = ["query"] + strategies
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-
-    def line(cells: Sequence[str]) -> str:
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths))
-
-    out = [title, line(header), line(["-" * w for w in widths])]
-    out.extend(line(row) for row in rows)
-    return "\n".join(out)
-
-
 def format_markdown(title: str, results: Iterable[ExperimentResult],
                     value: str = "seconds") -> str:
-    """The same pivot as a markdown table."""
+    """The pivot as a markdown table (queries x strategies)."""
     strategies, rows = pivot_results(results, value)
     out = [f"### {title}", "",
            "| query | " + " | ".join(strategies) + " |",

@@ -26,7 +26,7 @@ import sys
 from typing import Optional
 
 from repro import Database
-from repro.api.display import format_table
+from repro.api.display import render_table
 from repro.core import (HorizontalAggStrategy, HorizontalStrategy,
                         VerticalStrategy, generate_plan,
                         run_percentage_query)
@@ -158,7 +158,7 @@ class Shell:
             self.write(f"error: {exc}")
             return True
         if isinstance(result, Table):
-            self.write(format_table(result))
+            self.write(render_table(result))
         else:
             self.write(f"ok ({result} rows)")
         return True

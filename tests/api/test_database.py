@@ -31,8 +31,9 @@ class TestExecute:
             db.query("INSERT INTO t VALUES (1)")
 
     def test_encoding_cache_budget_is_not_a_database_option(self):
-        """Nobody set it; a test that needs a small budget hands the
-        catalog an ``EncodingCache`` (ROADMAP item 7's option trial)."""
+        """Nobody set it, so the knob was dropped from the constructor;
+        a test that needs a small budget hands the catalog an
+        ``EncodingCache`` itself."""
         with pytest.raises(TypeError):
             Database(encoding_cache_bytes=1)
 

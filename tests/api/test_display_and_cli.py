@@ -5,7 +5,7 @@ import io
 import pytest
 
 from repro import Database
-from repro.api.display import format_table, render_value
+from repro.api.display import render_table, render_value
 from repro.cli import Shell, _parse_strategy
 from repro.core import (HorizontalAggStrategy, HorizontalStrategy,
                         VerticalStrategy)
@@ -41,20 +41,20 @@ class TestFormatTable:
         ])
 
     def test_alignment_and_counts(self, table):
-        text = format_table(table)
+        text = render_table(table)
         lines = text.splitlines()
         assert lines[0].startswith("name")
         assert "(3 rows)" in lines[-1]
         assert "NULL" in text
 
     def test_truncation(self, table):
-        text = format_table(table, max_rows=2)
+        text = render_table(table, max_rows=2)
         assert "(1 more rows)" in text
 
     def test_single_row_grammar(self):
         table = Table.from_columns("t", [
             ("a", ColumnData.from_values(SQLType.INTEGER, [1]))])
-        assert "(1 row)" in format_table(table)
+        assert "(1 row)" in render_table(table)
 
 
 class TestShell:

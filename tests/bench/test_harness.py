@@ -7,7 +7,7 @@ from repro.bench.harness import (run_hagg_experiment,
                                  run_hpct_experiment,
                                  run_olap_experiment,
                                  run_vpct_experiment)
-from repro.bench.report import format_markdown, format_table
+from repro.bench.report import format_markdown
 from repro.bench.workloads import (DMKD_QUERIES, SIGMOD_QUERIES,
                                    QuerySpec)
 from repro.core import HorizontalAggStrategy, HorizontalStrategy
@@ -101,11 +101,11 @@ class TestReport:
             run_hpct_experiment(bench_db, SPEC, name="hpct"),
         ]
 
-    def test_format_table(self, results):
-        text = format_table("My table", results)
-        assert "My table" in text
-        assert "best" in text and "hpct" in text
-        assert SPEC.label in text
+    def test_markdown_names_strategies_and_queries(self, results):
+        text = format_markdown("My table", results)
+        assert "| query | best | hpct |" in text
+        assert text.splitlines()[-1].startswith(
+            "| " + SPEC.label.replace("|", "\\|") + " | ")
 
     def test_format_markdown(self, results):
         text = format_markdown("My table", results)
@@ -113,14 +113,15 @@ class TestReport:
         assert text.count("|") > 6
 
     def test_metric_selection(self, results):
-        text = format_table("io", results, value="logical_io")
-        assert "." not in text.splitlines()[-1].split()[-1]
+        text = format_markdown("io", results, value="logical_io")
+        cells = text.splitlines()[-1].strip("| ").split(" | ")
+        assert all(cell.isdigit() for cell in cells[1:])
 
     def test_missing_cells_dashed(self, bench_db, results):
         other = QuerySpec("other", "transactionline", "salesamt",
                           totals=(), by=("regionid",))
         results.append(run_vpct_experiment(bench_db, other,
                                            name="best"))
-        text = format_table("t", results)
-        assert "-" in text.splitlines()[-1]
+        text = format_markdown("t", results)
+        assert text.splitlines()[-1].endswith(" | - |")
 
