@@ -47,14 +47,15 @@ class Database:
         max_columns: per-table column ceiling (the DBMS limit the
             paper's vertical partitioning works around).
         max_name_length: identifier length ceiling.
-        budget: per-query resource budgets (wall clock, rows, result
-            width) enforced cooperatively by the
+        budget: per-query resource budgets (rows, result width)
+            enforced cooperatively by the
             :class:`~repro.engine.governor.ResourceGovernor`; the
             default :class:`~repro.engine.governor.ResourceBudget` is
             unlimited.  A script and a generated percentage plan each
             count as one query: the whole multi-statement sequence
-            shares one budget window (docs/robustness.md, "What counts
-            as one query").
+            shares one row meter (docs/robustness.md, "What counts as
+            one query").  The wall-clock limit is a deadline
+            (``default_deadline_seconds`` below).
         keep_history: record per-statement stats in
             ``db.stats.history``.
         tracing: start with the span tracer enabled (it can also be
@@ -137,7 +138,7 @@ class Database:
                 raise
         self._assemble(
             catalog, stats, options,
-            ResourceGovernor(budget, clock=clock),
+            ResourceGovernor(budget),
             Tracer(clock=clock, enabled=tracing), clock, metrics,
             storage_engine, default_deadline_seconds)
 
@@ -354,9 +355,8 @@ class Database:
         """Replace the per-query resource budgets (no argument =
         unlimited).
 
-        Takes effect for the next query window; a window already open
-        keeps the budget it started with only for its elapsed clock
-        (limits are read at each checkpoint)."""
+        Limits are read at each check, so a query already running
+        meets the new ones at its next check."""
         self.governor.set_budget(budget)
 
     def resource_budget(self) -> ResourceBudget:

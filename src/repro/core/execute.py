@@ -279,7 +279,7 @@ def execute_plan(db: Database, plan: GeneratedPlan,
 
 
 def _run_steps(db: Database, plan: GeneratedPlan) -> tuple[Any, int]:
-    """One execution attempt.  The ``statement`` fault site fires at
+    """One execution attempt.  The ``plan-step`` site is crossed at
     every statement boundary (index i = before the i-th executable
     statement; the last index is the result SELECT), which is what the
     crash-consistency sweep iterates over."""
@@ -288,12 +288,12 @@ def _run_steps(db: Database, plan: GeneratedPlan) -> tuple[Any, int]:
     for step in plan.steps:
         if step.purpose in _GENERATION_TIME:
             continue
-        faults.fire("statement")
+        faults.cross("plan-step")
         with tracer.span("plan-step", kind="plan-step",
                          purpose=step.purpose, sql=step.sql):
             db.execute(step.sql)
         statements += 1
-    faults.fire("statement")
+    faults.cross("plan-step")
     with tracer.span("plan-step", kind="plan-step",
                      purpose=plan_mod.RESULT, sql=plan.result_select):
         result = db.execute(plan.result_select)

@@ -1,35 +1,33 @@
-"""Cooperative cancellation: tokens, deadlines and safepoints.
+"""Cooperative cancellation: tokens and deadlines.
 
 A :class:`CancelToken` carries "stop this query" state from whoever
 owns the query (a client, a deadline, the overloaded service) to the
 operators executing it.  Cancellation is *cooperative*, exactly like
-the resource governor's budget checks: operators call
-:func:`checkpoint` at their boundaries (the enumerated
-:data:`SAFEPOINTS`), so a single vectorized numpy call is never
-interrupted but every statement crosses many safepoints.  A safepoint
-that observes a cancelled token raises
-:class:`~repro.errors.QueryCancelledError`, which unwinds through the
-existing savepoint/finally discipline -- catalog rollback, WAL
-restore, buffer-pool unpin, temp-table drop -- so a cancelled query
-leaves nothing behind.
+the resource governor's budget checks: the token is checked at the
+cancellable named sites (:data:`repro.engine.faults.SITES`, crossed
+through :func:`repro.engine.faults.cross`) and at every governor row
+charge, so a single vectorized numpy call is never interrupted but
+every statement is checked many times.  A check that observes a
+cancelled token raises :class:`~repro.errors.QueryCancelledError`,
+which unwinds through the existing savepoint/finally discipline --
+catalog rollback, WAL restore, buffer-pool unpin, temp-table drop --
+so a cancelled query leaves nothing behind.
 
-Determinism: the token reads time through an injected
-:class:`~repro.obs.clock.Clock`, so deadline tests run under
-:class:`~repro.obs.clock.ManualClock`.  Each token also counts its
-safepoint hits (mirroring :class:`~repro.engine.faults.FaultInjector`)
-and can be armed to cancel itself at the N-th hit of a named
-safepoint (``cancel_at``) -- that is the mechanism the fuzz harness's
-``--sweep cancel`` uses to fire a cancellation at every safepoint a
-query crosses (:mod:`repro.fuzz.sweep`).
+The deadline is the engine's only wall-clock limit.  The token reads
+time through an injected :class:`~repro.obs.clock.Clock`, so deadline
+tests run under :class:`~repro.obs.clock.ManualClock`.  An armed
+cancellation at the N-th hit of a site is a fault
+(``FaultSpec(site, error="cancel", at=N)``) that cancels the ambient
+token -- the mechanism of the fuzz harness's ``--sweep cancel``.
 
 Threading model: tokens are activated into a thread-local ambient slot
 (:func:`activate`), mirroring :mod:`repro.engine.faults` and the
-tracer.  The module-level :func:`checkpoint`/:func:`poll` hooks are
-no-ops when no token is active, so ungoverned code paths (unit tests,
-recovery, cleanup) pay one ``getattr`` per safepoint.  A token raises
-**once**: after it has fired, later safepoints on the unwind path
-(catalog rollback re-reading pages, cleanup DROPs) pass through
-untouched, which is what keeps cancellation leak-free.
+tracer.  The module-level :func:`poll` is a no-op when no token is
+active, so ungoverned code paths (unit tests, recovery, cleanup) pay
+one ``getattr`` per check.  A token raises **once**: after it has
+fired, later checks on the unwind path (catalog rollback re-reading
+pages, cleanup DROPs) pass through untouched, which is what keeps
+cancellation leak-free.
 """
 
 from __future__ import annotations
@@ -41,21 +39,6 @@ from typing import Iterator, Optional
 from repro.errors import QueryCancelledError
 from repro.obs.clock import Clock, MonotonicClock
 from repro.obs.metrics import MetricsRegistry, global_registry
-
-#: Every named safepoint an engine query can cross, in rough dataflow
-#: order.  The cancel sweep enumerates these; keep the docs/robustness
-#: table in sync when adding one.
-SAFEPOINTS = (
-    "statement",          # executor entry, once per statement
-    "scan",               # per FROM source, entering its scan
-    "join-build",         # hash-join build side (engine/join.py)
-    "group-by",           # factorize entry (engine/groupby.py)
-    "pivot",              # pivot-family pass (engine/pivot.py)
-    "page-fetch",         # per column page run (storage/engine.py)
-    "projection",         # entering a SELECT's projection
-    "dml",                # entering an INSERT/UPDATE/DELETE's write
-    "view-maintenance",   # per measure re-aggregated (views/maintenance)
-)
 
 #: Cancellation reasons carried on the error and the metric label.
 REASONS = ("client", "deadline", "shed")
@@ -87,13 +70,6 @@ class CancelToken:
         self.deadline = deadline
         self.parent = parent
         self.registry = registry
-        #: Safepoint hit counts, ``{site: times crossed}`` -- the
-        #: cancel sweep's probe reads these to enumerate injection
-        #: points, mirroring ``FaultInjector.hits``.
-        self.hits: dict[str, int] = {}
-        #: Arm the token to cancel itself at the ``index``-th crossing
-        #: of ``site``: ``cancel_at = (site, index)``.
-        self.cancel_at: Optional[tuple[str, int]] = None
         self._reason: Optional[str] = None
         self._fired = False
         self._lock = threading.Lock()
@@ -155,25 +131,11 @@ class CancelToken:
         return remaining
 
     # ------------------------------------------------------------------
-    def check(self, safepoint: str) -> None:
-        """Cross a named safepoint: count the hit, fire an armed
-        ``cancel_at``, and raise if the token is cancelled."""
-        index = self.hits.get(safepoint, 0)
-        self.hits[safepoint] = index + 1
-        if self.cancel_at is not None \
-                and self.cancel_at == (safepoint, index):
-            self.cancel("client")
-        self._raise_if_cancelled(safepoint)
-
-    def poll(self, context: str = "") -> None:
-        """Raise if cancelled, without counting a safepoint hit.  Used
-        where crossing counts would be timing-dependent (governor
-        checkpoints)."""
-        self._raise_if_cancelled(context)
-
-    def _raise_if_cancelled(self, where: str) -> None:
+    def poll(self, where: str = "") -> None:
+        """Raise if cancelled -- the check every cancellable site and
+        every governor row charge makes."""
         if self._fired:
-            # The query is already unwinding; safepoints on the
+            # The query is already unwinding; checks on the
             # rollback/cleanup path must not re-raise or the unwind
             # itself would leak.
             return
@@ -216,17 +178,8 @@ def activate(token: Optional[CancelToken]
         _local.token = previous
 
 
-def checkpoint(site: str) -> None:
-    """Cross safepoint ``site`` on the ambient token (no-op without
-    one) -- the hook operators call."""
+def poll(where: str = "") -> None:
+    """Check the ambient token (no-op without one)."""
     token = getattr(_local, "token", None)
     if token is not None:
-        token.check(site)
-
-
-def poll(context: str = "") -> None:
-    """Non-counting cancellation check on the ambient token (no-op
-    without one)."""
-    token = getattr(_local, "token", None)
-    if token is not None:
-        token.poll(context)
+        token.poll(where)

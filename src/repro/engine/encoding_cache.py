@@ -90,7 +90,7 @@ class EncodingCache:
         miss -- callers only ask for tokens they are about to fill)."""
         if not self.enabled:
             return None
-        faults.fire("encoding-cache")
+        faults.cross("encoding-cache")
         with self._lock:
             entry = self._entries.get(token)
             if entry is None:

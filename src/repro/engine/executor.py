@@ -13,7 +13,7 @@ renders -- and :meth:`Executor._run_plan` walks it:
        -> DISTINCT -> ORDER BY -> LIMIT
 
 Every step runs inside :meth:`Executor._operator`, the one boundary
-that crosses the cancel safepoint, opens the operator span and charges
+that crosses the named site, opens the operator span and charges
 the stats ledger and the governor.  DML statements
 (CREATE/INSERT/UPDATE/DELETE) mutate the catalog through the same
 boundary and charge the statistics counters that the paper's cost
@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
-from repro.engine import cancel
+from repro.engine import faults
 from repro.engine import pivot as pivot_mod
 from repro.engine.aggregates import compute_aggregate
 from repro.engine.catalog import Catalog
@@ -171,8 +171,9 @@ class _Op:
         if counts:
             self._executor._charge(self._event, **counts)
         if rows is not None:
-            self._executor.governor.charge_rows(rows,
-                                                context or self._name)
+            executor = self._executor
+            executor.governor.charge_rows(executor.scopes.root, rows,
+                                          context or self._name)
 
     def stamp(self, **attrs: Any) -> None:
         if self._span is not None:
@@ -189,8 +190,8 @@ class Executor:
         self.catalog = catalog
         self.stats = stats
         self.options = options or ExecutorOptions()
-        # Budget checks are no-ops outside an open governor window, so
-        # a standalone Executor (unit tests) runs ungoverned.
+        # Budget checks are no-ops outside an open query scope, so a
+        # standalone Executor (unit tests) runs ungoverned.
         self.governor = governor or ResourceGovernor()
         # A standalone Executor traces nothing; the Database hands in
         # its (possibly enabled) tracer.
@@ -198,7 +199,7 @@ class Executor:
             else Tracer(enabled=False)
         self.catalog.encoding_cache.bind_stats(stats)
         #: This thread's query scopes (repro.engine.scope):
-        #: ``scopes.current`` is the innermost open one's record,
+        #: ``scopes.root`` is the outermost open one's record,
         #: ``scopes.last`` the record of the last outermost one that
         #: finished -- what a plain ``db.execute`` cost.
         self.scopes = ScopeLocal()
@@ -250,16 +251,16 @@ class Executor:
     def _operator(self, name: str, site: Optional[str] = None,
                   charge: Optional[str] = None,
                   **attrs: Any) -> Iterator[_Op]:
-        """Every operator runs inside this: cross the cancel safepoint
+        """Every operator runs inside this: cross the named site
         ``site`` (when the operator owns one), open the
         ``kind="operator"`` span, and hand the body an :class:`_Op`
         through which it charges the ledger (as event ``charge``,
-        default ``name``) and the governor and stamps the span.  Fault
-        sites and the safepoints of kernels several operators share
-        (``join-build``, ``group-by``, ``pivot``) stay inside those
-        kernels, where their crossing counts are."""
+        default ``name``) and the governor and stamps the span.  The
+        sites of kernels several operators share (``join-build``,
+        ``group-by``, ``pivot``) stay inside those kernels, where their
+        crossing counts are."""
         if site is not None:
-            cancel.checkpoint(site)
+            faults.cross(site)
         with self.tracer.span(name, kind="operator", **attrs) as span:
             yield _Op(self, name, charge or name, span)
 
@@ -271,8 +272,7 @@ class Executor:
         """Run one statement; SELECT returns a Table, DML a row count.
         ``use_views=False`` keeps every SELECT in the statement off the
         materialized views (the recompute baseline)."""
-        cancel.checkpoint("statement")
-        self.governor.check_time("statement start")
+        faults.cross("statement")
         if isinstance(statement, ast.Select):
             return self.run_select(statement, use_views=use_views)
         if isinstance(statement, ast.CreateTable):
@@ -374,8 +374,8 @@ class Executor:
             if select.limit is not None:
                 result = result.take(
                     np.arange(min(select.limit, result.n_rows)))
-            self.governor.check_width(result.schema.width(),
-                                      "projection")
+            self.governor.check_width(self.scopes.root,
+                                      result.schema.width(), "projection")
             op.charge(rows=result.n_rows)
         return result
 
@@ -840,7 +840,8 @@ class Executor:
                    for c in statement.columns]
         schema = TableSchema(statement.name, columns,
                              tuple(statement.primary_key))
-        self.governor.check_width(schema.width(), "create table")
+        self.governor.check_width(self.scopes.root, schema.width(),
+                                  "create table")
         self.catalog.create_table(Table(schema))
         return 0
 

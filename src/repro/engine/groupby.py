@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.engine import cancel, faults
+from repro.engine import faults
 from repro.engine.column import ColumnData
 from repro.engine.encoding_cache import EncodingCache
 from repro.engine.types import SQLType
@@ -133,9 +133,8 @@ _MAX_CODE_SPACE = 2 ** 62
 def factorize(columns: list[ColumnData], n_rows: int,
               cache: Optional[EncodingCache] = None) -> Grouping:
     """:func:`group_rows` as a query operator: crosses the
-    ``group-by`` cancel safepoint and fault site first."""
-    cancel.checkpoint("group-by")
-    faults.fire("group-by")
+    ``group-by`` site first."""
+    faults.cross("group-by")
     return group_rows(columns, n_rows, cache)
 
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.engine import cancel, faults
+from repro.engine import faults
 from repro.engine.column import ColumnData
 from repro.engine.encoding_cache import EncodingCache
 from repro.engine.groupby import encode_column
@@ -89,8 +89,7 @@ def prepare_side(columns: list[ColumnData],
     """
     if not columns:
         raise ValueError("join requires at least one key column")
-    cancel.checkpoint("join-build")
-    faults.fire("join-build")
+    faults.cross("join-build")
     flags = _null_safe_flags(null_safe, len(columns))
     n = len(columns[0])
     uniques_list: list[np.ndarray] = []

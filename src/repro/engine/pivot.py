@@ -38,7 +38,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.engine import cancel, faults
+from repro.engine import faults
 from repro.engine.column import ColumnData
 from repro.engine.encoding_cache import EncodingCache
 from repro.engine.expressions import Frame, comparable_types, evaluate
@@ -111,8 +111,7 @@ def compute_families(families: list[_Family], frame: Frame,
     """
     handled: set[int] = set()
     for family in families:
-        cancel.checkpoint("pivot")
-        faults.fire("pivot")
+        faults.cross("pivot")
         if _compute_family(family, frame, group_ids, n_groups,
                            group_frame, stats, aggregate, cache,
                            case_dispatch):

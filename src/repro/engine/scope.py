@@ -7,14 +7,15 @@ begins and ends, whatever its shape: a statement
 (``Database.execute_statement``, SQL ``EXPLAIN ANALYZE``'s inner run),
 a script (``Database.execute_script``, a service script) or a
 generated plan (``core.execute.execute_plan``).  It is the only code
-outside ``repro.fuzz`` that activates a cancel token, opens a governor
-window, activates the tracer and opens a root span, and it fills one
-:class:`QueryRecord` on the way out.
+outside ``repro.fuzz`` that activates a cancel token, activates the
+tracer and opens a root span, and it fills one :class:`QueryRecord`
+on the way out.
 
-Scopes nest per thread: an inner scope joins its parent's governor
-window and inherits its token and queue wait.  The *outermost* scope
-is therefore the unit every limit applies to -- ``ResourceBudget``
-meters it as one window and one deadline token covers it.
+Scopes nest per thread: an inner scope inherits its parent's token and
+queue wait and charges its rows to the outermost scope's record.  The
+*outermost* scope is therefore the unit every limit applies to --
+``ResourceBudget`` meters its ``rows_charged`` and one deadline token
+covers it.
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ class QueryRecord:
     #: the diff can include other sessions' work (shared counters);
     #: the charge audit therefore only runs serially.
     counters: StatementStats = field(default_factory=StatementStats)
-    #: Resource-governor snapshot of the (outermost) query window as
-    #: this scope left it, plus ``queue_wait_seconds``.
-    governor_usage: dict[str, Any] = field(default_factory=dict)
+    #: The governor's row meter: rows materialized by the outermost
+    #: scope so far (an inner scope's record keeps the outermost's
+    #: count as it left it; ``ResourceBudget.max_rows`` caps it).
+    rows_charged: int = 0
     #: Seconds between submission and the start of execution (0.0
-    #: when run without the service scheduler).  The wait does not
-    #: count against ``max_seconds``: the window's clock starts when
-    #: execution does.
+    #: when run without the service scheduler).  A service deadline
+    #: counts it: the script's token is built at submission.
     queue_wait_seconds: float = 0.0
     #: The scope's root span (script -> statement -> plan -> plan-step
     #: -> statement -> operator), or None when neither the database
@@ -63,8 +64,9 @@ class ScopeLocal(threading.local):
     serves every scheduler worker, so what "my query" observed must
     not leak across concurrent queries."""
 
-    #: The innermost open scope's record.
-    current: Optional[QueryRecord] = None
+    #: The outermost open scope's record -- the query every limit
+    #: applies to, whose ``rows_charged`` the governor meters.
+    root: Optional[QueryRecord] = None
     #: The record of the last outermost scope that finished.
     last: Optional[QueryRecord] = None
 
@@ -74,30 +76,30 @@ def query_scope(executor, name: str,
                 token: Optional[CancelToken] = None,
                 force_trace: bool = False, queue_wait: float = 0.0,
                 **attrs: Any) -> Iterator[QueryRecord]:
-    """Open a query scope over ``executor``'s stats, governor and
-    tracer; yields the :class:`QueryRecord` it fills on exit.
+    """Open a query scope over ``executor``'s stats and tracer; yields
+    the :class:`QueryRecord` it fills on exit.
 
     ``token`` is the cancel token to install (None inherits whatever
-    is ambient).  It activates *outside* the governor window so every
-    governor checkpoint inside also polls the deadline.  ``name`` is
-    both the name and the kind of the root span, ``attrs`` its
-    attributes.  ``force_trace`` records a trace on a tracing-off
-    database for this thread only (see :meth:`Tracer.forced`).
+    is ambient); every cancellable site and governor row charge inside
+    checks it.  ``name`` is both the name and the kind of the root
+    span, ``attrs`` its attributes.  ``force_trace`` records a trace
+    on a tracing-off database for this thread only (see
+    :meth:`Tracer.forced`).
     """
     local: ScopeLocal = executor.scopes
-    parent = local.current
+    root = local.root
     record = QueryRecord(
-        queue_wait_seconds=queue_wait if parent is None
-        else parent.queue_wait_seconds)
-    governor, tracer = executor.governor, executor.tracer
-    stats, clock = executor.stats, governor.clock
+        queue_wait_seconds=queue_wait if root is None
+        else root.queue_wait_seconds)
+    tracer, stats = executor.tracer, executor.stats
+    clock = tracer.clock
     cancel_ctx = cancel.activate(token) if token is not None \
         else nullcontext()
     force_ctx = tracer.forced() if force_trace else nullcontext()
-    local.current = record
+    if root is None:
+        local.root = record
     try:
-        with cancel_ctx, governor.window(), force_ctx, \
-                tracer_mod.activate(tracer):
+        with cancel_ctx, force_ctx, tracer_mod.activate(tracer):
             before = stats.snapshot()
             started = clock.now()
             try:
@@ -108,12 +110,11 @@ def query_scope(executor, name: str,
                 record.elapsed_seconds = clock.now() - started
                 record.counters = stats.diff_since(before)
                 record.counters.elapsed_seconds = record.elapsed_seconds
-                record.governor_usage = {
-                    **governor.usage(),
-                    "queue_wait_seconds": record.queue_wait_seconds}
+                if root is not None:
+                    record.rows_charged = root.rows_charged
     finally:
-        local.current = parent
-        if parent is None:
+        if root is None:
+            local.root = None
             local.last = record
 
 

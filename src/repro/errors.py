@@ -24,9 +24,10 @@ do next*:
 * :class:`ResourceExhausted` (``fallback_eligible``) -- the query blew
   a resource budget; retrying the same plan would fail identically,
   but re-planning with the alternate evaluation strategy may succeed.
-  Concrete budgets raise the subtypes :class:`QueryTimeout`
-  (wall-clock; never falls back -- an alternate plan is not presumed
-  faster), :class:`RowBudgetExceeded` and :class:`WidthBudgetExceeded`.
+  Concrete budgets raise the subtypes :class:`RowBudgetExceeded` and
+  :class:`WidthBudgetExceeded`.  The wall-clock limit is the deadline,
+  a :class:`QueryCancelledError`, which never falls back -- an
+  alternate plan is not presumed faster.
 * :class:`SimulatedCrash` -- a fault-injection-only hard stop; neither
   retried nor replanned, it must surface to the caller after rollback
   (the crash-consistency sweep asserts the catalog is untouched).
@@ -103,16 +104,6 @@ class ResourceExhausted(ExecutionError):
     """
 
     fallback_eligible = True
-
-
-class QueryTimeout(ResourceExhausted):
-    """The per-query wall-clock budget expired.
-
-    Not fallback-eligible: an alternate strategy is not presumed any
-    faster, so the timeout surfaces immediately after rollback.
-    """
-
-    fallback_eligible = False
 
 
 class RowBudgetExceeded(ResourceExhausted):

@@ -89,10 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "first case with a finding)")
     parser.add_argument("--case-timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="wall-clock budget per engine variant "
-                             "(enforced by the resource governor; "
-                             "timed-out variants are excluded from "
-                             "comparison)")
+                        help="deadline of every top-level query of an "
+                             "engine variant (its database's "
+                             "default_deadline_seconds; timed-out "
+                             "variants are excluded from comparison)")
     parser.add_argument("--storage", action="append",
                         choices=STORAGES, default=None,
                         metavar="STORAGE",

@@ -56,8 +56,7 @@ from repro.core.hagg import HorizontalAggStrategy
 from repro.core.horizontal import HorizontalStrategy
 from repro.core.model import parse_percentage_query
 from repro.core.vertical import VerticalStrategy
-from repro.engine.governor import ResourceBudget
-from repro.errors import QueryTimeout
+from repro.errors import QueryCancelledError
 from repro.fuzz.comparator import compare_outcomes
 from repro.fuzz.dialect import cube_to_union_sql
 from repro.fuzz.generator import FuzzCase
@@ -121,8 +120,8 @@ def run_case(case: FuzzCase,
              variants: Sequence[Variant] = ()) -> CaseResult:
     """Evaluate every variant and compare outcomes pairwise.
 
-    ``case_timeout`` puts every engine variant under the resource
-    governor's wall-clock budget.  A timed-out variant is excluded
+    ``case_timeout`` opens every engine variant's database with that
+    ``default_deadline_seconds``.  A timed-out variant is excluded
     from the divergence comparison (it produced no evidence either
     way) rather than counted as an error outcome, so a slow plan on a
     loaded machine cannot masquerade as a correctness divergence.
@@ -204,12 +203,13 @@ def _check_trace(db: Database) -> None:
 def _evaluate(name: str, thunk: Callable[[], list]) -> VariantResult:
     try:
         rows = thunk()
-    except QueryTimeout as exc:
-        return VariantResult(name=name, status="timeout",
-                             error=str(exc))
     except LeakError as exc:
         return VariantResult(name=name, status="leak", error=str(exc))
     except Exception as exc:  # noqa: BLE001 - errors are outcomes here
+        if isinstance(exc, QueryCancelledError) \
+                and exc.reason == "deadline":
+            return VariantResult(name=name, status="timeout",
+                                 error=str(exc))
         return VariantResult(name=name, status="error",
                              error=type(exc).__name__)
     return VariantResult(name=name, status="rows", rows=rows)
@@ -349,11 +349,11 @@ def _variants(case: FuzzCase, inject_bug: Optional[str],
     if inject_bug is not None and inject_bug not in INJECTABLE_BUGS:
         raise ValueError(f"unknown injectable bug {inject_bug!r}; "
                          f"known: {', '.join(INJECTABLE_BUGS)}")
-    # Only engine variants run under the governor's wall-clock
-    # budget; the sqlite oracle has no governor.
+    # Only engine variants run under the deadline; the sqlite oracle
+    # has none.
     kw: dict[str, Any] = {}
     if case_timeout is not None:
-        kw["budget"] = ResourceBudget(max_seconds=case_timeout)
+        kw["default_deadline_seconds"] = case_timeout
     if trace:
         kw["tracing"] = True
     engine, sqlite = _strategies(case, inject_bug)

@@ -10,9 +10,9 @@ post-conditions, stated once in :data:`POSTCONDITIONS` and checked by
 An *injection kind* (:data:`KINDS`) supplies only what is specific to
 its disturbance: how an undisturbed probe run turns into a list of
 :class:`Shot` s, how one shot is armed, and the verdict on an armed
-run.  A new fault site, safepoint or feature gets cross-variant
-coverage by registering -- in ``faults.SITES``, ``cancel.SAFEPOINTS``
-or :data:`KINDS` -- not by writing another driver.
+run.  A new site or feature gets cross-variant coverage by
+registering -- in ``faults.SITES`` or :data:`KINDS` -- not by writing
+another harness.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.core.horizontal import HorizontalStrategy
 from repro.core.vertical import VerticalStrategy
 from repro.engine import cancel as cancel_mod
 from repro.engine import faults
-from repro.engine.cancel import SAFEPOINTS, CancelToken
+from repro.engine.cancel import CancelToken
 from repro.engine.faults import FaultInjector, FaultSpec
 from repro.engine.table import Table
 from repro.errors import QueryCancelledError, ReproError
@@ -72,7 +72,7 @@ VIEW_NAME = "v_fuzz"
 
 
 def _sample_indexes(hits: int) -> list[int]:
-    """First, middle and last hit of a hot site: safepoints like
+    """First, middle and last hit of a hot site: sites like
     ``page-fetch`` are crossed many times per query, and every
     storage-site shot pays a store build + reopen."""
     return sorted({0, hits // 2, hits - 1}) if hits > 0 else []
@@ -324,11 +324,11 @@ class _Run:
 # Injection kinds
 # ----------------------------------------------------------------------
 class Kind:
-    """An injection kind.  A subclass supplies ``counter()`` (what a
-    probe runs under; it exposes ``hits``), ``activate(armed)`` (the
-    context manager that makes a counter or an armed shot ambient),
-    ``shots(hits)``, ``arm(shot)`` and ``verdict(run, target, shot,
-    armed, result, error, reference)``."""
+    """An injection kind.  A probe runs under a counting
+    :class:`FaultInjector` and a shot under an armed one, each made
+    ambient by ``activate``; a subclass supplies ``shots(hits)``,
+    ``arm(shot)`` and ``verdict(run, target, shot, armed, result,
+    error, reference)``."""
 
     name = ""
     #: Outcome names in summary order (every kind counts ``runs`` and
@@ -341,6 +341,8 @@ class Kind:
     sites: tuple[str, ...] = ()
     #: Fire every shot at a fresh database instead of the probe's.
     isolated = False
+    counter = FaultInjector
+    activate = staticmethod(faults.active)
 
     def targets(self, run: _Run, db: Database) -> Iterator[Target]:
         yield _query_target(run.case)
@@ -369,9 +371,10 @@ class Kind:
 
 class FaultKind(Kind):
     """One shot per ``(site, hit index, fault kind)`` from
-    ``faults.SITES``: every statement boundary, the first hit of every
-    operator site, sampled hits of the storage kill points.  A
-    one-shot transient at a statement boundary must be absorbed by the
+    ``faults.SITES`` but ``view-maintenance`` (the cancel kind's DML
+    target arms that one): every ``plan-step`` boundary, the first hit
+    of every other site, sampled hits of the storage kill points.  A
+    one-shot transient at a plan-step boundary must be absorbed by the
     retry loop; a permanent crash must surface.  On a disk variant
     every shot ends with a simulated kill: the store is abandoned
     without a checkpoint and reopened, recovery must reproduce the
@@ -380,10 +383,9 @@ class FaultKind(Kind):
 
     name = "fault"
     outcomes = ("runs", "shots", "recovered", "clean-errors")
-    sites = faults.SITES
+    sites = tuple(site for site in faults.SITES
+                  if site != "view-maintenance")
     isolated = True
-    counter = FaultInjector
-    activate = staticmethod(faults.active)
 
     #: ``(error, times)``: a one-shot transient (the retry loop must
     #: absorb it), a one-shot resource fault (fallback may absorb it),
@@ -401,7 +403,7 @@ class FaultKind(Kind):
         for site in self.sites:
             count = hits.get(site, 0)
             storage = site.startswith("storage-")
-            indexes = range(count) if site == "statement" \
+            indexes = range(count) if site == "plan-step" \
                 else _sample_indexes(count) if storage \
                 else range(min(count, 1))
             shots += [Shot(f"{site}#{index} {spec[0]}", site, index, spec)
@@ -432,7 +434,7 @@ class FaultKind(Kind):
                 run.finding("permanent crash fault did not surface")
         elif isinstance(error, ReproError):
             run.count("clean-errors")
-            if kind == "transient" and shot.site == "statement" \
+            if kind == "transient" and shot.site == "plan-step" \
                     and reference is not None:
                 run.finding("retry loop failed to absorb a one-shot "
                             "transient fault",
@@ -478,23 +480,30 @@ class FaultKind(Kind):
 
 
 class CancelKind(Kind):
-    """One shot per ``(safepoint, sampled hit index)`` from
-    ``cancel.SAFEPOINTS``: the armed token must raise
+    """One shot per ``(site, sampled hit index)`` of the cancellable
+    ``faults.SITES``, armed as ``FaultSpec(site, error="cancel")``
+    under a live ambient token: the token must raise
     ``QueryCancelledError(reason="client")``, or the crossing was not
     reached (counts on disk drift with cache state) and the run is
     held to the reference.  When the case's query is accepted as a
     materialized view, each statement of the case's DML script is
     swept as a second, mutating target, so the ``dml`` and
-    ``view-maintenance`` safepoints are armed too: a cancelled
+    ``view-maintenance`` sites are armed too: a cancelled
     statement is atomic (catalog unchanged) and the view still equals
     its recompute."""
 
     name = "cancel"
     outcomes = ("runs", "shots", "cancelled", "unreached",
                 "dml-shots", "dml-cancelled", "dml-unreached")
-    sites = SAFEPOINTS
-    counter = CancelToken
-    activate = staticmethod(cancel_mod.activate)
+    sites = tuple(site for site, checked in faults.SITES.items()
+                  if checked)
+
+    @staticmethod
+    @contextmanager
+    def activate(injector: FaultInjector) -> Iterator[FaultInjector]:
+        """The injector, plus the live token an armed cancel cancels."""
+        with faults.active(injector), cancel_mod.activate(CancelToken()):
+            yield injector
 
     def targets(self, run: _Run, db: Database) -> Iterator[Target]:
         yield _query_target(run.case)
@@ -511,10 +520,9 @@ class CancelKind(Kind):
                 for site in self.sites
                 for index in _sample_indexes(hits.get(site, 0))]
 
-    def arm(self, shot: Shot) -> CancelToken:
-        token = CancelToken()
-        token.cancel_at = (shot.site, shot.index)
-        return token
+    def arm(self, shot: Shot) -> FaultInjector:
+        return FaultInjector([FaultSpec(shot.site, error="cancel",
+                                        at=shot.index)])
 
     def verdict(self, run, target, shot, armed, result, error,
                 reference) -> None:
@@ -527,7 +535,7 @@ class CancelKind(Kind):
             else:
                 run.count(target.prefix + "cancelled")
         elif isinstance(error, ReproError):
-            # The arm point may legitimately be unreached: safepoint
+            # The arm point may legitimately be unreached: site
             # counts on the disk backend drift a little across shots
             # (rollbacks evict cached pages, changing how many fetches
             # a run needs).  An unreached shot of a degenerate case is

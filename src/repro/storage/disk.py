@@ -89,14 +89,14 @@ class DiskManager:
     # I/O
     # ------------------------------------------------------------------
     def write_page(self, page_id: int, payload: bytes) -> None:
-        """Write one page image; passes the ``storage-page-write``
-        fault site mid-image so an injected crash tears the page."""
+        """Write one page image; crosses the ``storage-page-write``
+        site mid-image so an injected crash tears the page."""
         self._check_open()
         raw = encode_page(page_id, payload, self.page_size)
         offset = page_id * self.page_size
         half = len(raw) // 2
         os.pwrite(self._fd, raw[:half], offset)
-        faults.fire("storage-page-write")
+        faults.cross("storage-page-write")
         os.pwrite(self._fd, raw[half:], offset + half)
 
     def read_page(self, page_id: int) -> bytes:

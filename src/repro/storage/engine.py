@@ -45,7 +45,7 @@ import os
 import threading
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
-from repro.engine import cancel, faults
+from repro.engine import faults
 from repro.engine.catalog import IndexDefinition
 from repro.engine.schema import TableSchema
 from repro.engine.table import Table
@@ -127,9 +127,10 @@ class StorageEngine:
         """Fetch a column's page run through the pool and deserialize;
         charges the fetches to the stats ledger (mirrored as a trace
         charge event, keeping the span/ledger audit exact)."""
-        # Safepoint before the pool touches anything: a cancel here
-        # leaves no pages pinned, so the unwind has nothing to release.
-        cancel.checkpoint("page-fetch")
+        # Cross the site before the pool touches anything: a cancel
+        # here leaves no pages pinned, so the unwind has nothing to
+        # release.
+        faults.cross("page-fetch")
         payloads, hits, misses = self.pool.fetch_many(page_ids)
         if self.stats is not None and (hits or misses):
             counts = {"storage_page_fetches": hits + misses}
@@ -177,9 +178,9 @@ class StorageEngine:
         before the in-memory publish (a crash there must be redone on
         reopen)."""
         self._check_open()
-        faults.fire("storage-wal-fsync")
+        faults.cross("storage-wal-fsync")
         self.wal.append(record, sync=True)
-        faults.fire("storage-commit")
+        faults.cross("storage-commit")
 
     # ------------------------------------------------------------------
     # Catalog mutation hooks (called by Catalog before publishing)

@@ -29,7 +29,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.engine import cancel
+from repro.engine import faults
 from repro.engine.aggregates import compute_aggregate, count_star
 from repro.engine.expressions import Frame, evaluate, truth_mask
 from repro.engine.groupby import first_positions, group_rows
@@ -274,7 +274,7 @@ def _recompute(definition, level: GroupLevel, table,
     local = remap[ids[positions]]
     sub, frame = _frame_over(definition, table, positions, stats)
     for m, spec in enumerate(level.measures):
-        cancel.checkpoint("view-maintenance")
+        faults.cross("view-maintenance")
         if spec.argument is None:
             col = count_star(local, len(touched))
         else:

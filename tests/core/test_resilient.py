@@ -14,8 +14,8 @@ from repro.core.model import parse_percentage_query
 from repro.core.hagg import HorizontalAggStrategy
 from repro.engine import faults
 from repro.engine.faults import FaultInjector, FaultSpec
-from repro.errors import (ResourceExhausted, SimulatedCrash,
-                          TransientError)
+from repro.errors import (QueryCancelledError, ResourceExhausted,
+                          SimulatedCrash, TransientError)
 
 NO_BACKOFF = RetryPolicy(backoff_seconds=0.0)
 
@@ -38,7 +38,7 @@ class TestRetry:
     def test_transient_fault_is_retried(self, fact_db):
         reference = run_resilient(fact_db, VQUERY).result.to_rows()
         injector = FaultInjector(
-            [FaultSpec("statement", error="transient", at=2, times=1)])
+            [FaultSpec("plan-step", error="transient", at=2, times=1)])
         with faults.active(injector):
             report = run_resilient(fact_db, VQUERY, retry=NO_BACKOFF)
         assert report.attempts == 2
@@ -48,7 +48,7 @@ class TestRetry:
     def test_retry_exhaustion_raises_with_clean_catalog(self, fact_db):
         fingerprint = fact_db.catalog.fingerprint()
         injector = FaultInjector(
-            [FaultSpec("statement", error="transient", times=None)])
+            [FaultSpec("plan-step", error="transient", times=None)])
         with pytest.raises(TransientError):
             with faults.active(injector):
                 run_resilient(fact_db, VQUERY, retry=NO_BACKOFF)
@@ -57,7 +57,7 @@ class TestRetry:
 
     def test_crash_is_never_retried(self, fact_db):
         injector = FaultInjector(
-            [FaultSpec("statement", error="crash", times=None)])
+            [FaultSpec("plan-step", error="crash", times=None)])
         with pytest.raises(SimulatedCrash):
             with faults.active(injector):
                 run_resilient(fact_db, VQUERY, retry=NO_BACKOFF)
@@ -78,15 +78,16 @@ class TestRetry:
 
 class TestReport:
     def test_report_carries_governor_usage(self, fact_db):
+        """The plan's record carries the governor's row meter."""
         report = run_resilient(fact_db, VQUERY)
         assert report.attempts == 1
         assert report.fallback_from is None
-        assert report.governor_usage["rows_charged"] > 0
+        assert report.rows_charged > 0
 
     def test_statements_run_counts_one_attempt(self, fact_db):
         clean = run_resilient(fact_db, VQUERY, retry=NO_BACKOFF)
         injector = FaultInjector(
-            [FaultSpec("statement", error="transient", at=0, times=1)])
+            [FaultSpec("plan-step", error="transient", at=0, times=1)])
         with faults.active(injector):
             retried = run_resilient(fact_db, VQUERY, retry=NO_BACKOFF)
         assert retried.statements_run == clean.statements_run
@@ -119,12 +120,14 @@ class TestFallback:
         assert fact_db.table_names() == ["sales"]
 
     def test_timeout_is_not_fallback_eligible(self, fact_db):
-        from repro.engine.governor import ResourceBudget
-        from repro.errors import QueryTimeout
-        fact_db.set_resource_budget(ResourceBudget(max_seconds=0.0))
-        with pytest.raises(QueryTimeout):
+        """The wall-clock limit is the deadline: an expired one surfaces
+        after rollback instead of re-planning."""
+        fact_db.default_deadline_seconds = 1e-9
+        with pytest.raises(QueryCancelledError) as info:
             run_resilient(fact_db, HQUERY)
-        fact_db.set_resource_budget()
+        assert info.value.reason == "deadline"
+        assert not info.value.fallback_eligible
+        fact_db.default_deadline_seconds = None
         assert fact_db.table_names() == ["sales"]
 
 
@@ -179,7 +182,7 @@ class TestErrorMasking:
 
         monkeypatch.setattr(fact_db, "drop_table", broken_drop)
         injector = FaultInjector(
-            [FaultSpec("statement", error="crash", times=None)])
+            [FaultSpec("plan-step", error="crash", times=None)])
         with pytest.raises(SimulatedCrash) as info:
             with faults.active(injector):
                 run_resilient(fact_db, VQUERY, retry=NO_BACKOFF)
@@ -193,7 +196,7 @@ class TestErrorMasking:
         monkeypatch.setattr(fact_db.catalog, "rollback",
                             broken_rollback)
         injector = FaultInjector(
-            [FaultSpec("statement", error="crash", times=None)])
+            [FaultSpec("plan-step", error="crash", times=None)])
         with pytest.raises(SimulatedCrash) as info:
             with faults.active(injector):
                 run_resilient(fact_db, VQUERY, retry=NO_BACKOFF)

@@ -1,10 +1,13 @@
-"""Cooperative cancellation: tokens, deadlines, safepoints."""
+"""Cooperative cancellation: tokens, deadlines and the checks at the
+cancellable sites."""
 
 import pytest
 
 from repro.api.database import Database
-from repro.engine import cancel
-from repro.engine.cancel import REASONS, SAFEPOINTS, CancelToken
+from repro.engine import cancel, faults
+from repro.engine.cancel import REASONS, CancelToken
+from repro.engine.faults import FaultInjector, FaultSpec
+from repro.engine.scope import QueryRecord
 from repro.errors import ExecutionError, QueryCancelledError
 from repro.obs.clock import ManualClock
 from repro.obs.metrics import MetricsRegistry
@@ -13,17 +16,17 @@ from repro.obs.metrics import MetricsRegistry
 class TestToken:
     def test_live_token_passes_checkpoints(self):
         token = CancelToken()
-        for site in SAFEPOINTS:
-            token.check(site)
+        with cancel.activate(token):
+            for site in faults.SITES:
+                faults.cross(site)
         assert not token.cancelled
-        assert token.hits == {site: 1 for site in SAFEPOINTS}
 
     def test_cancel_fires_at_next_checkpoint(self):
         token = CancelToken()
-        token.check("statement")
+        token.poll("statement")
         token.cancel()
         with pytest.raises(QueryCancelledError) as info:
-            token.check("scan")
+            token.poll("scan")
         assert info.value.reason == "client"
         assert "scan" in str(info.value)
 
@@ -39,16 +42,16 @@ class TestToken:
         token = CancelToken()
         token.cancel()
         with pytest.raises(QueryCancelledError):
-            token.check("statement")
-        token.check("dml")       # cleanup DROP crosses a safepoint
+            token.poll("statement")
+        token.poll("dml")        # cleanup DROP crosses a site
         token.poll("governor")   # and a governor checkpoint
 
     def test_deadline_fires_with_manual_clock(self):
         clock = ManualClock(step=0.5)
         token = CancelToken.with_timeout(1.0, clock=clock)
-        token.check("statement")  # t=0.5: inside the deadline
+        token.poll("statement")  # t=0.5: inside the deadline
         with pytest.raises(QueryCancelledError) as info:
-            token.check("scan")   # t=1.0: expired
+            token.poll("scan")   # t=1.0: expired
         assert info.value.reason == "deadline"
 
     def test_with_timeout_rejects_non_positive(self):
@@ -61,7 +64,7 @@ class TestToken:
         parent.cancel("client")
         assert child.cancelled
         with pytest.raises(QueryCancelledError):
-            child.check("statement")
+            child.poll("statement")
 
     def test_remaining_reports_tightest_deadline(self):
         clock = ManualClock(step=0.0)
@@ -72,14 +75,6 @@ class TestToken:
         clock.advance(4.0)
         assert statement.remaining() == pytest.approx(6.0)
         assert CancelToken().remaining() is None
-
-    def test_armed_cancel_at_fires_on_exact_hit(self):
-        token = CancelToken()
-        token.cancel_at = ("scan", 1)
-        token.check("scan")  # index 0: passes
-        with pytest.raises(QueryCancelledError):
-            token.check("scan")  # index 1: fires
-        assert token.hits["scan"] == 2
 
     def test_fired_token_charges_reason_metric(self):
         registry = MetricsRegistry()
@@ -101,7 +96,7 @@ class TestToken:
 class TestAmbient:
     def test_checkpoint_is_noop_without_token(self):
         assert cancel.active_token() is None
-        cancel.checkpoint("statement")
+        faults.cross("statement")
         cancel.poll()
 
     def test_activate_installs_and_restores(self):
@@ -119,7 +114,7 @@ class TestAmbient:
         token.cancel()
         with cancel.activate(token):
             with cancel.activate(None):
-                cancel.checkpoint("statement")  # shielded: no raise
+                faults.cross("statement")  # shielded: no raise
 
 
 class TestDatabaseDeadlines:
@@ -161,8 +156,8 @@ class TestDatabaseDeadlines:
     def test_cancelled_dml_rolls_back(self):
         db = self._db()
         token = CancelToken(clock=db.clock)
-        token.cancel_at = ("dml", 0)
-        with pytest.raises(QueryCancelledError):
+        armed = FaultInjector([FaultSpec("dml", error="cancel")])
+        with faults.active(armed), pytest.raises(QueryCancelledError):
             db.execute("INSERT INTO t VALUES (3, 30)",
                        cancel_token=token)
         assert db.query("SELECT count(*) FROM t") == [(2,)]
@@ -174,21 +169,23 @@ class TestDatabaseDeadlines:
         db = self._db()
         clock = db.clock
         token = CancelToken.with_timeout(1e9, clock=clock)
-        db.execute_script(
-            "INSERT INTO t VALUES (3, 30); INSERT INTO t VALUES (4, 40)",
-            cancel_token=token)
+        with faults.active(FaultInjector()) as counter:
+            db.execute_script(
+                "INSERT INTO t VALUES (3, 30); "
+                "INSERT INTO t VALUES (4, 40)", cancel_token=token)
         assert db.query("SELECT count(*) FROM t") == [(4,)]
-        assert token.hits["statement"] == 2
+        assert counter.hits["statement"] == 2
 
     def test_governor_checkpoints_enforce_ambient_deadline(self):
-        """check_time folds the cancel poll in, so a deadline fires at
-        governor checkpoints even between named safepoints."""
+        """A row charge polls the token, so a deadline fires at
+        governor checkpoints even between named sites."""
         db = self._db()
         token = CancelToken(clock=db.clock)
         token.cancel("deadline")
         with cancel.activate(token):
-            with pytest.raises(QueryCancelledError):
-                db.governor.check_time("mid-operator")
+            with pytest.raises(QueryCancelledError) as info:
+                db.governor.charge_rows(QueryRecord(), 1, "mid-operator")
+        assert info.value.reason == "deadline"
 
     def test_explain_shows_deadline_line_only_when_active(self):
         db = self._db()

@@ -367,10 +367,12 @@ class TestErrors:
 class TestCancellation:
     def test_group_by_safepoint_unwinds_cleanly(self, db):
         from repro.engine import cancel as cancel_mod
+        from repro.engine import faults
+        from repro.engine.faults import FaultInjector, FaultSpec
 
-        token = cancel_mod.CancelToken()
-        token.cancel_at = ("group-by", 0)
-        with cancel_mod.activate(token):
+        armed = FaultInjector([FaultSpec("group-by", error="cancel")])
+        with faults.active(armed), \
+                cancel_mod.activate(cancel_mod.CancelToken()):
             with pytest.raises(QueryCancelledError):
                 db.query("SELECT region, count(*) FROM sales "
                          "GROUP BY CUBE(region, product)")

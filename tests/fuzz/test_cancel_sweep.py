@@ -34,12 +34,11 @@ class TestCancelSweep:
                    for f in stats.findings)
 
     def test_sweep_detects_a_swallowed_cancel(self, monkeypatch):
-        """Self-test: a safepoint that counts crossings but never
-        raises must surface as 'armed cancellation did not fire'."""
-        def blind_check(self, safepoint):
-            self.hits[safepoint] = self.hits.get(safepoint, 0) + 1
-
-        monkeypatch.setattr(CancelToken, "check", blind_check)
+        """Self-test: a token check that never raises (the sites still
+        count their crossings) must surface as 'armed cancellation did
+        not fire'."""
+        monkeypatch.setattr(CancelToken, "poll",
+                            lambda self, where="": None)
         stats = sweep_cases(cases(1, families=PLAN_FAMILIES), "cancel",
                             variants=MEMORY)
         assert any(f.problem == "armed cancellation did not fire"

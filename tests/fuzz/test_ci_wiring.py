@@ -59,6 +59,13 @@ def test_fuzz_commands_parse():
         build_parser().parse_args(argv)
 
 
+def test_a_fuzz_line_runs_under_a_deadline():
+    """``--case-timeout`` (each variant's ``default_deadline_seconds``)
+    is the deadline path's only caller outside the tests."""
+    assert any("--case-timeout" in argv
+               for argv in _commands("repro.fuzz"))
+
+
 def test_every_sweep_kind_runs_in_smoke_and_nightly():
     swept = [argv[argv.index("--sweep") + 1]
              for argv in _commands("repro.fuzz") if "--sweep" in argv]

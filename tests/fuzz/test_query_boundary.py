@@ -1,6 +1,6 @@
 """Keep the query boundary one: ``repro.engine.scope`` is the only
-module under ``src/repro`` that opens a governor window, activates a
-cancel token, activates the tracer or forces a trace, and nothing
+module under ``src/repro`` that activates a cancel token, activates
+the tracer or forces a trace, and nothing
 outside ``obs/tracer.py`` flips the shared tracer switch.
 
 ``src/repro/fuzz`` is exempt from the activation rules: the sweep's
@@ -15,7 +15,6 @@ SCOPE = "engine/scope.py"
 
 #: ``<receiver>.<method>(`` calls only the scope module may make.
 SCOPE_ONLY = {
-    ("governor", "window"),
     ("cancel", "activate"), ("cancel_mod", "activate"),
     ("tracer_mod", "activate"),
     ("tracer", "forced"),
@@ -49,7 +48,7 @@ def _callers(wanted: set) -> dict:
 def test_only_the_scope_opens_a_query():
     callers = _callers(SCOPE_ONLY)
     # The scope really does make each kind of call...
-    for receiver in ("governor", "cancel", "tracer_mod", "tracer"):
+    for receiver in ("cancel", "tracer_mod", "tracer"):
         assert any(SCOPE in modules for call, modules in callers.items()
                    if call[0] == receiver), receiver
     # ...and nobody else does.

@@ -1,13 +1,13 @@
 """The sweep as a whole: the tier-1 smoke over the variant matrix,
 coverage by registration, per-cell accounting, and the CLI."""
 
+import ast
 import re
 from pathlib import Path
 
 import pytest
 
 from repro.engine import faults
-from repro.engine.cancel import SAFEPOINTS
 from repro.fuzz.cli import main as fuzz_main
 from repro.fuzz.generator import CaseGenerator
 from repro.fuzz.sweep import KINDS, Stats, describe, sweep_cases
@@ -55,11 +55,11 @@ class TestSmoke:
 
     def test_every_registered_site_is_armed(self, smoke, smoke_runs):
         """Coverage by registration: a name added to ``faults.SITES``
-        or ``cancel.SAFEPOINTS`` must be reached by the smoke on every
+        is armed by a kind and must be reached by the smoke on every
         matrix cell -- the summary's ``unarmed:`` line (what the
         ``sweep-smoke`` job log shows) stays empty."""
-        assert KINDS["fault"].sites == faults.SITES
-        assert KINDS["cancel"].sites == SAFEPOINTS
+        assert {site for kind in KINDS.values() for site in kind.sites} \
+            == set(faults.SITES)
         lines = smoke.breakdown()
         assert "  fault unarmed: " in lines, lines
         assert "  cancel unarmed: " in lines, lines
@@ -141,3 +141,43 @@ def test_docs_mirror_the_registry():
     squeezed = re.sub(r"\s+", " ", docs.read_text())
     for line in describe().splitlines():
         assert re.sub(r"\s+", " ", line.strip()) in squeezed, line
+
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+def _crossings():
+    """``(module, site)`` for every site name the sources hand the
+    hook: ``faults.cross(<site>)`` and ``self._operator(...,
+    site=<site>)``; ``site`` is None where the name is not a literal."""
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call) \
+                    or not isinstance(node.func, ast.Attribute):
+                continue
+            if node.func.attr == "cross" \
+                    and getattr(node.func.value, "id", None) == "faults":
+                arg = node.args[0]
+            elif node.func.attr == "_operator":
+                arg = next((k.value for k in node.keywords
+                            if k.arg == "site"), None)
+                if arg is None:
+                    continue
+            else:
+                continue
+            yield module, (arg.value if isinstance(arg, ast.Constant)
+                           else None)
+
+
+def test_every_crossed_site_is_registered_and_every_site_crossed():
+    """The one registry and the code agree: a misspelt literal (which
+    would count silently) and a registered name nothing crosses both
+    fail.  The only non-literal crossing is ``_operator`` forwarding
+    its own ``site`` argument."""
+    crossings = list(_crossings())
+    literal = {site for _, site in crossings if site is not None}
+    assert literal - set(faults.SITES) == set()
+    assert set(faults.SITES) - literal == set()
+    assert [module for module, site in crossings if site is None] \
+        == ["engine/executor.py"]

@@ -163,10 +163,7 @@ def test_every_surface_fills_the_same_record(run, tracing):
     assert record.elapsed_seconds > 0.0
     assert record.counters.rows_scanned >= 12
     assert record.queue_wait_seconds >= 0.0
-    usage = record.governor_usage
-    assert usage["rows_charged"] >= 12
-    assert usage["elapsed_seconds"] > 0.0
-    assert usage["queue_wait_seconds"] == record.queue_wait_seconds
+    assert record.rows_charged >= 12
     if tracing:
         assert record.trace.kind == kind
         assert record.trace.end is not None
@@ -195,11 +192,10 @@ class TestNestedScopesJoinTheirParent:
                 db.execute(GROUP_BY)
             db.execute(GROUP_BY)
         assert cancel.active_token() is None
-        assert not db.governor.active
-        # One window: the outer meter includes what the inner charged.
-        inner_rows = inner.governor_usage["rows_charged"]
-        assert inner_rows >= 12
-        assert outer.governor_usage["rows_charged"] == 2 * inner_rows
+        assert db.executor.scopes.root is None
+        # One row meter: the outer count includes what the inner charged.
+        assert inner.rows_charged >= 12
+        assert outer.rows_charged == 2 * inner.rows_charged
         # Only the outermost scope is "the last query".
         assert db.executor.scopes.last is outer
 
@@ -207,7 +203,6 @@ class TestNestedScopesJoinTheirParent:
         db = _load(Database())
         with db.scope("script", queue_wait=1.5) as outer:
             with db.scope("plan") as inner:
-                assert "queue_wait_seconds" not in db.governor.usage()
+                pass
         for record in (outer, inner):
             assert record.queue_wait_seconds == 1.5
-            assert record.governor_usage["queue_wait_seconds"] == 1.5
