@@ -46,7 +46,7 @@ from repro.engine.types import SQLType
 from repro.errors import (CrossThreadError, ExecutionError, ReproError,
                           ResourceExhausted, SQLSyntaxError)
 from repro.sql.formatter import format_literal
-from repro.sql.tokens import TokenType, tokenize
+from repro.sql.tokens import tokenize
 
 apilevel = "2.0"
 #: Threads may share the module and connections: the Database
@@ -294,7 +294,7 @@ def _bind_parameters(operation: str, parameters: Sequence[Any]) -> str:
         return operation  # nothing to bind: skip the extra lexer pass
     try:
         marks = [token for token in tokenize(operation)
-                 if token.type == TokenType.SYMBOL and token.value == "?"]
+                 if token.key == "?"]
     except SQLSyntaxError:
         return operation
     if not parameters:
@@ -308,14 +308,14 @@ def _bind_parameters(operation: str, parameters: Sequence[Any]) -> str:
         raise ProgrammingError(
             f"{len(parameters)} parameters supplied but {len(marks)} "
             f"placeholders found")
-    # Token positions are 1-based (line, column) and only "\n" ends a
-    # line; substituting from the right keeps earlier columns valid.
-    lines = operation.split("\n")
-    for mark, value in reversed(list(zip(marks, parameters))):
-        line = lines[mark.line - 1]
-        lines[mark.line - 1] = (line[:mark.column - 1] + _literal(value)
-                                + line[mark.column:])
-    return "\n".join(lines)
+    # Splice each literal in at its placeholder's character offset.
+    pieces: list[str] = []
+    done = 0
+    for mark, value in zip(marks, parameters):
+        pieces += (operation[done:mark.offset], _literal(value))
+        done = mark.offset + 1
+    pieces.append(operation[done:])
+    return "".join(pieces)
 
 
 def _literal(value: Any) -> str:

@@ -482,7 +482,7 @@ class Executor:
             return expr
         counter = [0]
 
-        def rewrite(node: ast.Expr) -> ast.Expr:
+        def replace(node: ast.Expr) -> Optional[ast.Expr]:
             if isinstance(node, ast.FuncCall) and node.over is not None:
                 with self._operator("window", func=node.name):
                     partition = [evaluate(p, frame, self.stats)
@@ -502,9 +502,9 @@ class Executor:
                 counter[0] += 1
                 frame.add_column(name, result)
                 return ast.ColumnRef(name)
-            return _rebuild(node, rewrite)
+            return None
 
-        return rewrite(expr)
+        return _rewrite_tree(expr, replace)
 
     # -- aggregation --------------------------------------------------------
     def _run_aggregate(self, plan: SelectPlan, frame: Frame):
@@ -1066,7 +1066,7 @@ def _group_rewriter(frame: Frame, keys: dict[Any, int], aggs: _Bound,
     # otherwise hold every key until the statement ends.
     norms: dict[int, Any] = {}
 
-    def rewrite(node: ast.Expr) -> ast.Expr:
+    def replace(node: ast.Expr) -> Optional[ast.Expr]:
         norm = norms.get(id(node))
         if norm is None:
             norm = _normalize(node, frame, norms)
@@ -1098,11 +1098,11 @@ def _group_rewriter(frame: Frame, keys: dict[Any, int], aggs: _Bound,
             raise PlanningError(
                 f"column {node.name!r} must appear in GROUP BY or "
                 f"inside an aggregate")
-        return _rebuild(node, rewrite)
+        return None
 
     def rewrite_expression(expr: ast.Expr) -> ast.Expr:
         norms.clear()
-        return rewrite(expr)
+        return _rewrite_tree(expr, replace)
     return rewrite_expression
 
 
@@ -1126,6 +1126,21 @@ def _coerce_column(data: ColumnData, target: SQLType) -> ColumnData:
         return data.cast(target)
     raise TypeMismatchError(
         f"cannot store {data.sql_type} values into a {target} column")
+
+
+def _rewrite_tree(expr: ast.Expr,
+                  replace: Callable[[ast.Expr], Optional[ast.Expr]]
+                  ) -> ast.Expr:
+    """``expr`` with nodes swapped top-down: ``replace(node)`` returns
+    the node's replacement, or None to keep the node and rewrite its
+    children.  The recursion lives here, so no rewriter refers to
+    itself: a closure over a statement's :class:`Frame` is then freed
+    by refcount when the statement ends, not by the cyclic collector
+    whenever it next runs."""
+    replaced = replace(expr)
+    if replaced is not None:
+        return replaced
+    return _rebuild(expr, lambda child: _rewrite_tree(child, replace))
 
 
 def _rebuild(expr: ast.Expr, rewrite: Callable[[ast.Expr], ast.Expr]

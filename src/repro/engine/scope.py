@@ -9,7 +9,8 @@ a script (``Database.execute_script``, a service script) or a
 generated plan (``core.execute.execute_plan``).  It is the only code
 outside ``repro.fuzz`` that activates a cancel token, activates the
 tracer and opens a root span, and it fills one :class:`QueryRecord`
-on the way out.
+on the way out.  The outermost scope on a thread also holds the
+columns its query reads from disk pages until it ends (:func:`hold`).
 
 Scopes nest per thread: an inner scope inherits its parent's token and
 queue wait and charges its rows to the outermost scope's record.  The
@@ -71,6 +72,25 @@ class ScopeLocal(threading.local):
     last: Optional[QueryRecord] = None
 
 
+class _Held(threading.local):
+    #: Columns read from disk pages under the outermost query scope
+    #: open on this thread; None outside every scope.
+    columns: Optional[list] = None
+
+
+_HELD = _Held()
+
+
+def hold(column: Any) -> None:
+    """Keep a column just read from disk pages materialized until the
+    outermost query scope open on this thread ends, so the statements
+    of one query -- a generated plan, a script -- share it instead of
+    each re-reading its pages.  Outside every scope this does
+    nothing."""
+    if _HELD.columns is not None:
+        _HELD.columns.append(column)
+
+
 @contextmanager
 def query_scope(executor, name: str,
                 token: Optional[CancelToken] = None,
@@ -98,6 +118,9 @@ def query_scope(executor, name: str,
     force_ctx = tracer.forced() if force_trace else nullcontext()
     if root is None:
         local.root = record
+    holds = _HELD.columns is None
+    if holds:
+        _HELD.columns = []
     try:
         with cancel_ctx, force_ctx, tracer_mod.activate(tracer):
             before = stats.snapshot()
@@ -113,6 +136,8 @@ def query_scope(executor, name: str,
                 if root is not None:
                     record.rows_charged = root.rows_charged
     finally:
+        if holds:
+            _HELD.columns = None
         if root is None:
             local.root = None
             local.last = record

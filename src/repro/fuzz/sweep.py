@@ -246,10 +246,16 @@ class _Run:
         changed catalog is rolled back afterwards: that undoes a
         mutating target's commit, and contains damage so later shots
         still sweep against the intended baseline."""
-        # A disk table's column cache holds its columns weakly, and the
-        # cyclic collector frees them whenever it happens to run; run
-        # it here so a leg's ``page-fetch`` count depends on (seed,
-        # index, variant) alone and a disk shot reproduces.
+        # A disk table's column cache holds its columns weakly.  The
+        # engine frees a statement's columns by refcount, but a
+        # cancelled or faulted leg leaves its error's traceback in a
+        # cycle with the frames it unwound through, and those keep
+        # columns cached until the cyclic collector runs.  Collect here
+        # so every leg starts from the same cache and a leg's
+        # ``page-fetch`` count depends on (seed, index, variant) alone:
+        # without it the armed leg finds columns its counting leg
+        # fetched, and shots go unreached (17 of 131 disk cancel shots
+        # at seed 0, budget 10, against none).
         gc.collect()
         # The savepoint pins the baseline objects so the identity-based
         # fingerprint cannot suffer id() recycling.

@@ -61,37 +61,72 @@ def parse_expression(text: str) -> ast.Expr:
     return expr
 
 
+#: Binding powers of the expression grammar, loosest first.  ``NOT`` is
+#: the prefix operator: its operand is a comparison (or another NOT),
+#: so ``NOT a = b AND c`` is ``(NOT (a = b)) AND c``.
+_OR, _AND, _NOT, _COMPARE, _ADD, _MUL = range(1, 7)
+
+#: Infix operators by token key -> (binding power, AST operator).  The
+#: comparison level also holds ``IS``, ``IN``, ``BETWEEN`` and the
+#: ``NOT`` of ``NOT IN`` / ``NOT BETWEEN``; :meth:`_Parser._comparison`
+#: builds those.  ``!=`` is spelled ``<>`` in the tree.
+_INFIX = {
+    "OR": (_OR, "OR"), "AND": (_AND, "AND"),
+    "=": (_COMPARE, "="), "<>": (_COMPARE, "<>"), "!=": (_COMPARE, "<>"),
+    "<": (_COMPARE, "<"), "<=": (_COMPARE, "<="),
+    ">": (_COMPARE, ">"), ">=": (_COMPARE, ">="),
+    "IS": (_COMPARE, None), "IN": (_COMPARE, None),
+    "BETWEEN": (_COMPARE, None), "NOT": (_COMPARE, None),
+    "+": (_ADD, "+"), "-": (_ADD, "-"),
+    "*": (_MUL, "*"), "/": (_MUL, "/"),
+}
+
+#: Keywords that are literal values in an expression.
+_LITERAL_KEYWORDS = {"NULL": None, "TRUE": True, "FALSE": False}
+
+_END = TokenType.END
+_IDENT = TokenType.IDENT
+_NUMBER = TokenType.NUMBER
+_STRING = TokenType.STRING
+
+
 class _Parser:
+    """Keywords and symbols are matched by comparing a token's ``key``
+    (the upper-cased word of an unquoted identifier, a symbol's text,
+    otherwise ``None``) with the upper-case keyword or the symbol, so
+    each probe is one equality test."""
+
     def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
+        # Two spare END tokens let peek(1) and peek(2) index past the
+        # end without a bounds check; the position never passes the
+        # first END.
+        self._tokens = tokens + tokens[-1:] * 2
         self._pos = 0
 
     # ------------------------------------------------------------------
     # Token plumbing
     # ------------------------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
-        return self._tokens[min(self._pos + offset,
-                                len(self._tokens) - 1)]
+        return self._tokens[self._pos + offset]
 
     def advance(self) -> Token:
         token = self._tokens[self._pos]
-        if token.type != TokenType.END:
+        if token.type is not _END:
             self._pos += 1
         return token
 
     def at_end(self) -> bool:
-        return self.peek().type == TokenType.END
+        return self._tokens[self._pos].type is _END
 
     def error(self, message: str) -> SQLSyntaxError:
-        token = self.peek()
+        token = self._tokens[self._pos]
         return SQLSyntaxError(message, token.line, token.column)
 
-    def accept_keyword(self, *keywords: str) -> Optional[str]:
-        token = self.peek()
-        for keyword in keywords:
-            if token.matches_keyword(keyword):
-                self.advance()
-                return keyword.upper()
+    def accept_keyword(self, keyword: str) -> Optional[str]:
+        """Consume the upper-case ``keyword`` if it is next."""
+        if self._tokens[self._pos].key == keyword:
+            self._pos += 1
+            return keyword
         return None
 
     def expect_keyword(self, keyword: str) -> None:
@@ -99,14 +134,12 @@ class _Parser:
             raise self.error(f"expected {keyword}, got "
                              f"{self._describe(self.peek())}")
 
-    def peek_keyword(self, *keywords: str) -> bool:
-        token = self.peek()
-        return any(token.matches_keyword(k) for k in keywords)
+    def peek_keyword(self, keyword: str, offset: int = 0) -> bool:
+        return self._tokens[self._pos + offset].key == keyword
 
     def accept_symbol(self, symbol: str) -> bool:
-        token = self.peek()
-        if token.type == TokenType.SYMBOL and token.value == symbol:
-            self.advance()
+        if self._tokens[self._pos].key == symbol:
+            self._pos += 1
             return True
         return False
 
@@ -116,16 +149,23 @@ class _Parser:
                              f"{self._describe(self.peek())}")
 
     def peek_symbol(self, symbol: str, offset: int = 0) -> bool:
-        token = self.peek(offset)
-        return token.type == TokenType.SYMBOL and token.value == symbol
+        return self._tokens[self._pos + offset].key == symbol
 
     def expect_ident(self, what: str = "identifier") -> str:
-        token = self.peek()
-        if token.type != TokenType.IDENT:
+        token = self._tokens[self._pos]
+        if token.type is not _IDENT:
             raise self.error(f"expected {what}, got "
                              f"{self._describe(token)}")
-        self.advance()
+        self._pos += 1
         return token.value
+
+    def _skip_type_suffix(self) -> None:
+        """Swallow a (precision[, scale]) suffix like VARCHAR(20)."""
+        if self.accept_symbol("("):
+            while not self.accept_symbol(")"):
+                if self.at_end():
+                    raise self.error("expected ')', got end of input")
+                self._pos += 1
 
     def expect_end(self) -> None:
         if not self.at_end():
@@ -134,7 +174,7 @@ class _Parser:
 
     @staticmethod
     def _describe(token: Token) -> str:
-        if token.type == TokenType.END:
+        if token.type is _END:
             return "end of input"
         return repr(token.value)
 
@@ -191,7 +231,7 @@ class _Parser:
         limit = None
         if self.accept_keyword("LIMIT"):
             token = self.peek()
-            if token.type != TokenType.NUMBER or \
+            if token.type is not _NUMBER or \
                     not isinstance(token.value, int):
                 raise self.error("LIMIT requires an integer")
             self.advance()
@@ -206,7 +246,7 @@ class _Parser:
             self.advance()
             return ast.SelectItem(ast.Star())
         # t.* form
-        if (self.peek().type == TokenType.IDENT
+        if (self.peek().type is _IDENT
                 and self.peek_symbol(".", 1) and self.peek_symbol("*", 2)):
             table = self.expect_ident()
             self.advance()  # .
@@ -216,7 +256,7 @@ class _Parser:
         alias = None
         if self.accept_keyword("AS"):
             alias = self.expect_ident("alias")
-        elif (self.peek().type == TokenType.IDENT
+        elif (self.peek().type is _IDENT
               and not self._is_clause_boundary(self.peek())):
             alias = self.expect_ident("alias")
         return ast.SelectItem(expr, alias)
@@ -228,9 +268,7 @@ class _Parser:
         "PRIMARY", "ELSE", "END", "WHEN", "THEN"})
 
     def _is_clause_boundary(self, token: Token) -> bool:
-        return (isinstance(token.value, str)
-                and not token.quoted
-                and token.value.upper() in self._CLAUSE_KEYWORDS)
+        return token.key in self._CLAUSE_KEYWORDS
 
     def _from_clause(self) -> ast.FromClause:
         first = self._from_source()
@@ -273,7 +311,7 @@ class _Parser:
         alias = None
         if self.accept_keyword("AS"):
             alias = self.expect_ident("alias")
-        elif (self.peek().type == TokenType.IDENT
+        elif (self.peek().type is _IDENT
               and not self._is_clause_boundary(self.peek())):
             alias = self.expect_ident("alias")
         return ast.TableRef(name, alias)
@@ -303,7 +341,7 @@ class _Parser:
         if self.peek_keyword("ROLLUP") and self.peek_symbol("(", 1):
             self.advance()
             return ast.Rollup(self._construct_columns("ROLLUP"))
-        if self.peek_keyword("GROUPING") and self.peek(1).matches_keyword("SETS") \
+        if self.peek_keyword("GROUPING") and self.peek_keyword("SETS", 1) \
                 and self.peek_symbol("(", 2):
             self.advance()
             self.advance()
@@ -427,10 +465,7 @@ class _Parser:
             else:
                 col_name = self.expect_ident("column name")
                 type_name = self.expect_ident("type name")
-                # Swallow (precision[, scale]) suffixes like VARCHAR(20).
-                if self.accept_symbol("("):
-                    while not self.accept_symbol(")"):
-                        self.advance()
+                self._skip_type_suffix()
                 columns.append(ast.ColumnSpec(col_name, type_name))
             if not self.accept_symbol(","):
                 break
@@ -500,7 +535,7 @@ class _Parser:
         name = self.expect_ident("table name")
         alias = None
         if not self.peek_keyword("SET") and \
-                self.peek().type == TokenType.IDENT:
+                self.peek().type is _IDENT:
             alias = self.expect_ident("alias")
         self.expect_keyword("SET")
         assignments = [self._assignment()]
@@ -520,7 +555,7 @@ class _Parser:
         alias = None
         if self.accept_keyword("AS"):
             alias = self.expect_ident("alias")
-        elif (self.peek().type == TokenType.IDENT
+        elif (self.peek().type is _IDENT
               and not self._is_clause_boundary(self.peek())):
             alias = self.expect_ident("alias")
         return ast.TableRef(name, alias)
@@ -546,34 +581,47 @@ class _Parser:
     # ------------------------------------------------------------------
     # Expressions (precedence climbing)
     # ------------------------------------------------------------------
-    def expression(self) -> ast.Expr:
-        return self._or_expr()
+    def expression(self, min_power: int = _OR) -> ast.Expr:
+        """An expression whose infix operators all bind at least as
+        tightly as ``min_power``.
 
-    def _or_expr(self) -> ast.Expr:
-        left = self._and_expr()
-        while self.accept_keyword("OR"):
-            left = ast.BinaryOp("OR", left, self._and_expr())
-        return left
+        One loop over :data:`_INFIX` instead of a function per level.
+        ``ceiling`` is the loosest operator that may still extend the
+        expression: after a left-associative operator of power p the
+        right operand has taken everything tighter, so only p or looser
+        follows; a comparison does not associate, so after one only
+        AND/OR may follow (``a = b = c`` stops before the second
+        ``=``), and the same holds after a prefix NOT.
+        """
+        tokens = self._tokens
+        if min_power <= _NOT and tokens[self._pos].key == "NOT":
+            self._pos += 1
+            left: ast.Expr = ast.UnaryOp("NOT", self.expression(_NOT))
+            ceiling = _AND
+        else:
+            left = self._unary()
+            ceiling = _MUL
+        while True:
+            infix = _INFIX.get(tokens[self._pos].key)
+            if infix is None:
+                return left
+            power, op = infix
+            if power < min_power or power > ceiling:
+                return left
+            if power == _COMPARE:
+                left = self._comparison(left, op)
+                ceiling = _AND
+            else:
+                self._pos += 1
+                left = ast.BinaryOp(op, left, self.expression(power + 1))
+                ceiling = power
 
-    def _and_expr(self) -> ast.Expr:
-        left = self._not_expr()
-        while self.accept_keyword("AND"):
-            left = ast.BinaryOp("AND", left, self._not_expr())
-        return left
-
-    def _not_expr(self) -> ast.Expr:
-        if self.accept_keyword("NOT"):
-            return ast.UnaryOp("NOT", self._not_expr())
-        return self._comparison()
-
-    def _comparison(self) -> ast.Expr:
-        left = self._additive()
-        token = self.peek()
-        if token.type == TokenType.SYMBOL and token.value in (
-                "=", "<>", "!=", "<", "<=", ">", ">="):
-            self.advance()
-            op = "<>" if token.value == "!=" else token.value
-            return ast.BinaryOp(op, left, self._additive())
+    def _comparison(self, left: ast.Expr, op: Optional[str]) -> ast.Expr:
+        """The comparison-level operator next after ``left``: a binary
+        ``op``, or (``op`` None) IS / IN / BETWEEN, maybe after NOT."""
+        if op is not None:
+            self._pos += 1
+            return ast.BinaryOp(op, left, self.expression(_ADD))
         if self.accept_keyword("IS"):
             negated = bool(self.accept_keyword("NOT"))
             self.expect_keyword("NULL")
@@ -585,75 +633,53 @@ class _Parser:
             self.expect_symbol(")")
             return ast.InList(left, items, negated)
         if self.accept_keyword("BETWEEN"):
-            low = self._additive()
+            low = self.expression(_ADD)
             self.expect_keyword("AND")
-            high = self._additive()
+            high = self.expression(_ADD)
             between = ast.BinaryOp("AND",
                                    ast.BinaryOp(">=", left, low),
                                    ast.BinaryOp("<=", left, high))
             if negated:
                 return ast.UnaryOp("NOT", between)
             return between
-        if negated:
-            raise self.error("expected IN or BETWEEN after NOT")
-        return left
-
-    def _additive(self) -> ast.Expr:
-        left = self._multiplicative()
-        while True:
-            if self.accept_symbol("+"):
-                left = ast.BinaryOp("+", left, self._multiplicative())
-            elif self.accept_symbol("-"):
-                left = ast.BinaryOp("-", left, self._multiplicative())
-            else:
-                return left
-
-    def _multiplicative(self) -> ast.Expr:
-        left = self._unary()
-        while True:
-            if self.accept_symbol("*"):
-                left = ast.BinaryOp("*", left, self._unary())
-            elif self.accept_symbol("/"):
-                left = ast.BinaryOp("/", left, self._unary())
-            else:
-                return left
+        raise self.error("expected IN or BETWEEN after NOT")
 
     def _unary(self) -> ast.Expr:
-        if self.accept_symbol("-"):
+        key = self._tokens[self._pos].key
+        if key == "-":
+            self._pos += 1
             # Fold a minus directly applied to a number into a negative
             # literal, so formatting round-trips exactly.
-            token = self.peek()
-            if token.type == TokenType.NUMBER:
-                self.advance()
+            token = self._tokens[self._pos]
+            if token.type is _NUMBER:
+                self._pos += 1
                 return ast.Literal(-token.value)
             return ast.UnaryOp("-", self._unary())
-        if self.accept_symbol("+"):
+        if key == "+":
+            self._pos += 1
             return self._unary()
         return self._primary()
 
     def _primary(self) -> ast.Expr:
-        token = self.peek()
-        if token.type == TokenType.NUMBER:
-            self.advance()
+        token = self._tokens[self._pos]
+        kind = token.type
+        if kind is _NUMBER or kind is _STRING:
+            self._pos += 1
             return ast.Literal(token.value)
-        if token.type == TokenType.STRING:
-            self.advance()
-            return ast.Literal(token.value)
-        if self.accept_symbol("("):
+        key = token.key
+        if key == "(":
+            self._pos += 1
             expr = self.expression()
             self.expect_symbol(")")
             return expr
-        if self.peek_keyword("CASE"):
+        if key == "CASE":
             return self._case()
-        if self.peek_keyword("CAST"):
+        if key == "CAST":
             return self._cast()
-        if self.accept_keyword("NULL"):
-            return ast.Literal(None)
-        if self.accept_keyword("TRUE"):
-            return ast.Literal(True)
-        if self.accept_keyword("FALSE"):
-            return ast.Literal(False)
-        if token.type == TokenType.IDENT:
+        if key in _LITERAL_KEYWORDS:
+            self._pos += 1
+            return ast.Literal(_LITERAL_KEYWORDS[key])
+        if kind is _IDENT:
             if self._is_clause_boundary(token):
                 raise self.error(
                     f"unexpected keyword {token.value!r} in "
@@ -684,9 +710,7 @@ class _Parser:
         operand = self.expression()
         self.expect_keyword("AS")
         type_name = self.expect_ident("type name")
-        if self.accept_symbol("("):
-            while not self.accept_symbol(")"):
-                self.advance()
+        self._skip_type_suffix()
         self.expect_symbol(")")
         return ast.Cast(operand, type_name)
 

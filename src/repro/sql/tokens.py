@@ -1,18 +1,24 @@
 """Tokenizer for the SQL subset.
 
-Produces a flat list of :class:`Token` with 1-based line/column
-positions for error reporting.  Keywords are not distinguished from
-identifiers here; the parser matches identifier tokens against keyword
-strings case-insensitively, which keeps the lexer independent of the
-grammar (and lets ``state``, ``store`` etc. be column names even though
-they start like keywords).
+One compiled master regular expression, driven by ``finditer``, cuts
+the text into lexemes; each match folds in the whitespace before it.
+A :class:`Token` keeps its character offset into the text (the DB-API
+splices bound parameters in at it); its 1-based line and column are
+derived from the offset only when an error message asks for them.
+
+Keywords are not distinguished from identifiers here.  Instead every
+token carries a comparison *key*: the upper-cased word of an unquoted
+identifier, the text of a symbol, ``None`` otherwise.  The parser
+matches keywords and symbols by comparing keys for equality, which
+keeps the lexer independent of the grammar (and lets ``state``,
+``store`` etc. be column names even though they start like keywords).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
+import re
+from typing import Any, Optional
 
 from repro.errors import SQLSyntaxError
 
@@ -25,183 +31,123 @@ class TokenType(enum.Enum):
     END = "END"
 
 
-@dataclass(frozen=True)
 class Token:
-    type: TokenType
-    value: Any
-    line: int
-    column: int
-    quoted: bool = False
+    """One lexeme: its type, value, comparison key and offset."""
+
+    __slots__ = ("type", "value", "key", "offset", "_text")
+
+    def __init__(self, type: TokenType, value: Any, key: Optional[str],
+                 offset: int, text: str):
+        self.type = type
+        self.value = value
+        self.key = key
+        self.offset = offset
+        self._text = text
+
+    @property
+    def quoted(self) -> bool:
+        """A double-quoted identifier (the only IDENT without a key)."""
+        return self.type is TokenType.IDENT and self.key is None
+
+    @property
+    def line(self) -> int:
+        return _position(self._text, self.offset)[0]
+
+    @property
+    def column(self) -> int:
+        return _position(self._text, self.offset)[1]
 
     def matches_keyword(self, keyword: str) -> bool:
         # A double-quoted identifier is never a keyword: the generated
         # horizontal column for a NULL combination is literally named
         # "null", and must not re-parse as the NULL literal.
-        return (self.type == TokenType.IDENT
-                and not self.quoted
-                and isinstance(self.value, str)
-                and self.value.upper() == keyword.upper())
+        return (self.type is TokenType.IDENT
+                and self.key == keyword.upper())
+
+    def __repr__(self) -> str:
+        return (f"Token({self.type.name}, {self.value!r}, "
+                f"{self.line}:{self.column})")
 
 
-#: Multi-character symbols first so maximal munch applies.  ``?`` is
-#: the DB-API's qmark placeholder: the driver substitutes it by token
-#: position before parsing, and no grammar rule accepts one that
-#: survives (the parser's usual "unexpected token" SQLSyntaxError).
-_SYMBOLS = ["<>", "<=", ">=", "!=", "||",
-            "(", ")", ",", ".", ";", "*", "+", "-", "/", "=", "<", ">",
-            "?"]
-
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyz"
-                   "ABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789$")
-
-#: ASCII digits only: str.isdigit() also accepts unicode digits (e.g.
-#: superscripts) that int()/float() reject.
-_DIGITS = set("0123456789")
+#: The master pattern.  Alternatives are tried in order: identifiers,
+#: the commonest lexeme, first; a comment before the ``-`` symbol (and
+#: ``/`` is a symbol only when no ``*`` follows), a number before
+#: ``.``, and multi-character symbols before their one-character
+#: prefixes (maximal munch).  Strings and quoted identifiers end at a
+#: quote that is not followed by another (``''`` / ``""`` escape one).
+#: The ``error`` group catches what starts a lexeme but cannot finish
+#: one -- an unclosed comment, string or quoted identifier -- and any
+#: character outside the language.  ``\Z`` ends the scan and takes a
+#: blank tail in one match (otherwise it would be re-scanned from every
+#: offset in it).  Digits are ASCII only: ``\d`` would also accept
+#: unicode digits that int()/float() reject.  ``?`` is the DB-API's
+#: qmark placeholder: ``api/dbapi.py`` substitutes it by offset before
+#: parsing, and no grammar rule accepts one that survives (the parser's
+#: usual "unexpected token" SQLSyntaxError).
+_MASTER = re.compile(r"""
+    [ \t\r\n]*
+    (?:
+        (?P<ident> [A-Za-z_][A-Za-z0-9_$]* )
+      | (?P<comment> --[^\n]* | /\*(?s:.*?)\*/ )
+      | (?P<number> (?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)? )
+      | (?P<symbol> <> | <= | >= | != | \|\| | /(?!\*) | [(),.;*+\-=<>?] )
+      | (?P<string> '[^'\n]*(?:''[^'\n]*)*'(?!') )
+      | (?P<quoted> "[^"\n]*(?:""[^"\n]*)*"(?!") )
+      | (?P<error> [^ \t\r\n] )
+      | \Z
+    )""", re.VERBOSE)
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize SQL text; raises :class:`SQLSyntaxError` on bad input."""
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            line_start = i
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        column = i - line_start + 1
-        # Comments: -- to end of line, /* ... */
-        if text.startswith("--", i):
-            end = text.find("\n", i)
-            i = n if end < 0 else end
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise SQLSyntaxError("unterminated comment", line, column)
-            segment = text[i:end]
-            line += segment.count("\n")
-            if "\n" in segment:
-                line_start = i + segment.rfind("\n") + 1
-            i = end + 2
-            continue
-        if ch == "'":
-            value, i = _scan_string(text, i, line, column)
-            tokens.append(Token(TokenType.STRING, value, line, column))
-            continue
-        if ch == '"':
-            value, i = _scan_quoted_ident(text, i, line, column)
-            tokens.append(Token(TokenType.IDENT, value, line, column,
-                                quoted=True))
-            continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n
-                             and text[i + 1] in _DIGITS):
-            value, i = _scan_number(text, i)
-            tokens.append(Token(TokenType.NUMBER, value, line, column))
-            continue
-        if ch in _IDENT_START:
-            start = i
-            while i < n and text[i] in _IDENT_CONT:
-                i += 1
-            tokens.append(Token(TokenType.IDENT, text[start:i],
-                                line, column))
-            continue
-        for symbol in _SYMBOLS:
-            if text.startswith(symbol, i):
-                tokens.append(Token(TokenType.SYMBOL, symbol, line, column))
-                i += len(symbol)
-                break
-        else:
-            raise SQLSyntaxError(f"unexpected character {ch!r}",
-                                 line, column)
-    tokens.append(Token(TokenType.END, None, line, n - line_start + 1))
+    append = tokens.append
+    ident, symbol = TokenType.IDENT, TokenType.SYMBOL
+    for match in _MASTER.finditer(text):
+        kind = match.lastgroup
+        if kind == "ident":
+            word = match["ident"]
+            append(Token(ident, word, word.upper(),
+                         match.start("ident"), text))
+        elif kind == "symbol":
+            lexeme = match["symbol"]
+            append(Token(symbol, lexeme, lexeme,
+                         match.start("symbol"), text))
+        elif kind == "number":
+            lexeme = match["number"]
+            value = (int(lexeme) if lexeme.isdigit() else float(lexeme))
+            append(Token(TokenType.NUMBER, value, None,
+                         match.start("number"), text))
+        elif kind == "string":
+            append(Token(TokenType.STRING,
+                         match["string"][1:-1].replace("''", "'"), None,
+                         match.start("string"), text))
+        elif kind == "quoted":
+            append(Token(ident, match["quoted"][1:-1].replace('""', '"'),
+                         None, match.start("quoted"), text))
+        elif kind == "error":
+            raise _lex_error(text, match.start("error"))
+        elif kind is None:
+            break
+    tokens.append(Token(TokenType.END, None, None, len(text), text))
     return tokens
 
 
-def _scan_string(text: str, i: int, line: int,
-                 column: int) -> tuple[str, int]:
-    """Scan a single-quoted string; '' escapes a quote."""
-    i += 1
-    parts: list[str] = []
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "'":
-            if i + 1 < n and text[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        if ch == "\n":
-            raise SQLSyntaxError("newline in string literal", line, column)
-        parts.append(ch)
-        i += 1
-    raise SQLSyntaxError("unterminated string literal", line, column)
+def _lex_error(text: str, offset: int) -> SQLSyntaxError:
+    """The typed error for the lexeme that cannot start at ``offset``."""
+    ch = text[offset]
+    if ch == "/":
+        message = "unterminated comment"
+    elif ch in "'\"":
+        what = "string literal" if ch == "'" else "quoted identifier"
+        newline = text.find("\n", offset) >= 0
+        message = f"{'newline in' if newline else 'unterminated'} {what}"
+    else:
+        message = f"unexpected character {ch!r}"
+    return SQLSyntaxError(message, *_position(text, offset))
 
 
-def _scan_quoted_ident(text: str, i: int, line: int,
-                       column: int) -> tuple[str, int]:
-    """Scan a double-quoted identifier (used for generated horizontal
-    column names such as ``"dweek=1"``)."""
-    i += 1
-    parts: list[str] = []
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == '"':
-            if i + 1 < n and text[i + 1] == '"':
-                parts.append('"')
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        if ch == "\n":
-            raise SQLSyntaxError("newline in quoted identifier",
-                                 line, column)
-        parts.append(ch)
-        i += 1
-    raise SQLSyntaxError("unterminated quoted identifier", line, column)
-
-
-def _scan_number(text: str, i: int) -> tuple[Any, int]:
-    start = i
-    n = len(text)
-    seen_dot = False
-    seen_exp = False
-    while i < n:
-        ch = text[i]
-        if ch in _DIGITS:
-            i += 1
-        elif ch == "." and not seen_dot and not seen_exp:
-            # A dot not followed by a digit terminates the number
-            # (e.g. "1.e" never occurs; "t1.col" must not eat the dot
-            # when scanning "1" inside an identifier context -- but a
-            # number token never precedes '.', so consuming is safe
-            # only when a digit follows).
-            if i + 1 < n and text[i + 1] in _DIGITS:
-                seen_dot = True
-                i += 1
-            else:
-                break
-        elif ch in "eE" and not seen_exp and i > start:
-            lookahead = i + 1
-            if lookahead < n and text[lookahead] in "+-":
-                lookahead += 1
-            if lookahead < n and text[lookahead] in _DIGITS:
-                seen_exp = True
-                i = lookahead
-            else:
-                break
-        else:
-            break
-    literal = text[start:i]
-    if seen_dot or seen_exp:
-        return float(literal), i
-    return int(literal), i
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, column) of ``offset``; only "\\n" ends a line."""
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))

@@ -9,7 +9,10 @@ so:
   :class:`~repro.engine.column.ColumnData` object (the executor's
   Frame holds strong references for the statement's duration, which
   the GROUP BY machinery's identity-based dedup relies on);
-* across statements the weak entries die with the last Frame, and the
+* the outermost query scope holds every column it read
+  (:func:`repro.engine.scope.hold`), so the statements of one
+  generated plan or script share them;
+* across queries the weak entries die with the last holder, and the
   next query re-fetches pages -- the buffer pool, not the table, is
   the cache, so resident memory stays bounded by the pool capacity
   plus live queries.
@@ -25,6 +28,7 @@ import threading
 import weakref
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
+from repro.engine import scope
 from repro.engine import table as table_mod
 from repro.engine.column import ColumnData
 from repro.engine.schema import TableSchema
@@ -96,6 +100,7 @@ class StoredTable(Table):
             if self._token is not None:
                 data.cache_token = (self._token[0], self._token[1], key)
             self._cache[key] = data
+            scope.hold(data)
             return data
 
     # ------------------------------------------------------------------

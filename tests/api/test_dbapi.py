@@ -77,6 +77,7 @@ class TestCursor:
         "SELECT a FROM t /* one ?\n or two ?? */ WHERE a = ?",
         'SELECT a AS "why?" FROM t WHERE a = ?',
         "SELECT a FROM t WHERE b <> '?' AND\n  a = ?",
+        "SELECT a FROM t\r\n WHERE b <> '?\r' AND a = ?",
     ])
     def test_only_real_placeholders_bind(self, conn, operation):
         """Placeholders are found by the engine's lexer: a ``?`` in a

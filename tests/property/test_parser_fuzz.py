@@ -41,7 +41,8 @@ _SQLISH = st.lists(st.sampled_from([
     "sum", "(", ")", ",", "*", "=", "1", "'x'", "CASE", "WHEN",
     "THEN", "END", "JOIN", "ON", "NULL", "Vpct", "OVER", "PARTITION",
     "DISTINCT", "AS", ";", "INSERT", "INTO", "VALUES", "UPDATE",
-    "SET", "-", "/", "AND", "OR", "NOT", "IN", "IS"]),
+    "SET", "-", "/", "AND", "OR", "NOT", "IN", "IS", "CAST", "CREATE",
+    "TABLE", "VARCHAR", "INT"]),
     min_size=1, max_size=25).map(" ".join)
 
 

@@ -85,3 +85,17 @@ def test_nested_errors_do_not_leak_other_exceptions():
     deep = "(" * 50 + "1" + ")" * 49
     with pytest.raises(SQLSyntaxError):
         parse_statement(f"SELECT {deep}")
+
+
+@pytest.mark.parametrize("sql, column", [
+    ("CREATE TABLE t (a VARCHAR(20", 29),
+    ("SELECT CAST(a AS VARCHAR(20", 28),
+])
+def test_unclosed_type_suffix_raises_at_end(sql, column):
+    """A type suffix like ``VARCHAR(20)`` left open is an error at the
+    end of the input -- skipping it once looped forever there."""
+    with pytest.raises(SQLSyntaxError) as err:
+        parse_statement(sql)
+    assert str(err.value).startswith("expected ')', got end of input")
+    assert (err.value.line, err.value.column) == (1, column)
+
