@@ -50,7 +50,7 @@ from repro.engine.table import Table
 from repro.engine.types import SQLType, coerce_scalar, type_from_name
 from repro.engine.window import evaluate_window
 from repro.errors import (CatalogError, ExecutionError,
-                          GroupingSetError, PlanningError,
+                          GroupingSetError, PlanningError, ReproError,
                           TypeMismatchError)
 from repro.obs.tracer import Tracer
 from repro.sql import ast
@@ -340,17 +340,20 @@ class Executor:
         frame = dataset.frame()
         # Each output is (frame, select items over it, HAVING): one for
         # a projection or GROUP BY, one per set for grouping sets.
+        # An item is ``(name, expression, shape)``; only the group
+        # rewrite gives items a shape (_group_rewriter).
         if plan.mode == "grouping-sets":
             outputs = self._run_grouping_sets(plan, frame)
         elif plan.mode == "aggregate":
             outputs = [self._run_aggregate(plan, frame)]
         else:
-            outputs = [(frame, plan.items, None)]
+            outputs = [(frame, [(name, expr, None)
+                                for name, expr in plan.items], None)]
 
         with self._operator("projection", site="projection") as op:
             result: Optional[Table] = None
             for out_frame, items, having in outputs:
-                piece = self._project(out_frame, items, having,
+                piece = self._project(out_frame, items, having, plan,
                                       result_name)
                 result = piece if result is None \
                     else result.append(piece)
@@ -461,28 +464,68 @@ class Executor:
                             null_safe=join.null_safe)
 
     # -- select-list evaluation ---------------------------------------------
-    def _project(self, frame: Frame, items: list[tuple[str, ast.Expr]],
-                 having: Optional[ast.Expr], result_name: str) -> Table:
+    def _project(self, frame: Frame,
+                 items: list[tuple[str, ast.Expr, Any]],
+                 having: Optional[ast.Expr], plan: SelectPlan,
+                 result_name: str) -> Table:
         """Evaluate named select items over ``frame``, keeping the rows
-        HAVING accepts."""
-        named = [(name, _concrete(evaluate(
-            self._bind_windows(expr, frame), frame, self.stats)))
-            for name, expr in items]
+        HAVING accepts.
+
+        Items that share a shape are evaluated together, once, over
+        their leaf columns stacked end to end, when the first of them
+        comes up; every other item -- and every item of a stack that
+        raises -- by its own :func:`evaluate`, in order, so a failing
+        statement raises its first failing item's error
+        (docs/engine_internals.md, "Select-list evaluation").  A stack
+        books its charge item by item as each one's turn comes, so the
+        ledger reads as if every item had run alone, up to any
+        error."""
+        stacks = _stacks(frame, items)
+        ready: dict[int, tuple[ColumnData, int]] = {}
+        unbooked = 0
+        named = []
+        for i, (name, expr, shape) in enumerate(items):
+            stack = stacks.get(i)
+            if stack is not None:
+                for member in stack:
+                    del stacks[member]
+                try:
+                    columns, share = _evaluate_stack(frame, [
+                        items[member][2] for member in stack])
+                except ReproError:
+                    pass   # each item, evaluated alone, says why
+                else:
+                    ready.update((member, (column, share)) for member,
+                                 column in zip(stack, columns))
+            done = ready.pop(i, None)
+            if done is not None:
+                column, share = done
+                unbooked += share
+            else:
+                if unbooked:
+                    self.stats.add(case_evaluations=unbooked)
+                    unbooked = 0
+                expr = _rewritten(expr, shape)
+                if i in plan.windowed:
+                    expr = self._bind_windows(expr, frame)
+                column = _concrete(evaluate(expr, frame, self.stats))
+            named.append((name, column))
+        if unbooked:
+            self.stats.add(case_evaluations=unbooked)
         result = Table.from_columns(result_name, named)
         if having is not None:
-            mask = truth_mask(self._bind_windows(having, frame), frame,
-                              self.stats)
+            if plan.having_windowed:
+                having = self._bind_windows(having, frame)
+            mask = truth_mask(having, frame, self.stats)
             result = result.take(np.nonzero(mask)[0])
         return result
 
     def _bind_windows(self, expr: ast.Expr, frame: Frame) -> ast.Expr:
         """Evaluate window function calls and splice their results into
         the frame, returning an expression free of OVER clauses."""
-        if not ast.contains_window(expr):
-            return expr
         counter = [0]
 
-        def replace(node: ast.Expr) -> Optional[ast.Expr]:
+        def replace(node: ast.Expr) -> Optional[tuple[ast.Expr, Any]]:
             if isinstance(node, ast.FuncCall) and node.over is not None:
                 with self._operator("window", func=node.name):
                     partition = [evaluate(p, frame, self.stats)
@@ -501,10 +544,10 @@ class Executor:
                 name = f"__win{counter[0]}"
                 counter[0] += 1
                 frame.add_column(name, result)
-                return ast.ColumnRef(name)
+                return ast.ColumnRef(name), None
             return None
 
-        return _rewrite_tree(expr, replace)
+        return _rewrite(expr, replace)[0]
 
     # -- aggregation --------------------------------------------------------
     def _run_aggregate(self, plan: SelectPlan, frame: Frame):
@@ -528,16 +571,15 @@ class Executor:
 
         aggs = _Bound("__agg")
         rewrite = _group_rewriter(frame, keys, aggs)
-        items = [(name, rewrite(expr)) for name, expr in plan.items]
+        items = [(name, *rewrite(expr)) for name, expr in plan.items]
         having = plan.select.having
         if having is not None:
-            having = rewrite(having)
+            having = _rewritten(*rewrite(having))
 
         with self._operator("group-by-aggregate",
                             groups=grouping.n_groups,
                             aggregates=len(aggs.calls)):
-            self._compute_aggregates(aggs.calls, frame, grouping,
-                                     group_frame)
+            self._compute_aggregates(aggs, frame, grouping, group_frame)
         return group_frame, items, having
 
     def _run_grouping_sets(self, plan: SelectPlan, frame: Frame):
@@ -573,8 +615,9 @@ class Executor:
         for spec in lattice.sets:
             rewrite = _group_rewriter(frame, keys, aggs, pcts, spec.dims)
             per_set.append((
-                [(name, rewrite(expr)) for name, expr in plan.items],
-                rewrite(having) if having is not None else None))
+                [(name, *rewrite(expr)) for name, expr in plan.items],
+                _rewritten(*rewrite(having)) if having is not None
+                else None))
 
         # The internal compute list: aggregate calls first (arguments
         # evaluated once -- the shared scan), then one sum per pct
@@ -697,8 +740,7 @@ class Executor:
                 yield f"__agg{i}", call.name, _concrete(arg), \
                     call.distinct
 
-    def _compute_aggregates(self, calls: list[ast.FuncCall],
-                            frame: Frame, grouping,
+    def _compute_aggregates(self, aggs: "_Bound", frame: Frame, grouping,
                             group_frame: Frame) -> None:
         """Evaluate each distinct aggregate over the base frame, binding
         ``__aggI`` columns into the group frame.  Families of disjoint
@@ -707,7 +749,8 @@ class Executor:
         operator opens only for a statement that has one), everything
         else through the generic evaluator."""
         handled: set[int] = set()
-        families = pivot_mod.detect_families(calls, frame)
+        calls = aggs.calls
+        families = pivot_mod.detect_families(calls, aggs.norms, frame)
         if families:
             with self._operator("pivot") as op:
                 handled = pivot_mod.compute_families(
@@ -734,8 +777,9 @@ class Executor:
         sort_keys = []
         for item in select.order_by:
             expr = item.expr
-            if isinstance(expr, ast.Literal) and isinstance(expr.value,
-                                                            int):
+            # Only an INTEGER literal is a position: TRUE/FALSE are
+            # constant keys (bool is an int subclass in Python).
+            if isinstance(expr, ast.Literal) and type(expr.value) is int:
                 position = expr.value
                 if not 1 <= position <= result.schema.width():
                     raise PlanningError(
@@ -1036,74 +1080,196 @@ class Executor:
 # ----------------------------------------------------------------------
 class _Bound:
     """Distinct calls of one kind (aggregates, ``pct()``), each bound
-    to a ``<prefix>N`` column of the group frame."""
+    to a ``<prefix>N`` column of the group frame.  ``norms`` holds each
+    call's :func:`_normalize` key, parallel to ``calls``: the pivot
+    kernel reads its terms off them (``pivot.detect_families``)."""
 
     def __init__(self, prefix: str) -> None:
         self.prefix = prefix
         self.calls: list[ast.FuncCall] = []
-        self._names: dict[Any, str] = {}
+        self.norms: list[Any] = []
+        self._refs: dict[Any, ast.ColumnRef] = {}
 
     def bind(self, norm, call: ast.FuncCall) -> ast.ColumnRef:
-        if norm not in self._names:
-            self._names[norm] = f"{self.prefix}{len(self.calls)}"
+        ref = self._refs.get(norm)
+        if ref is None:
+            ref = self._refs[norm] = ast.ColumnRef(
+                f"{self.prefix}{len(self.calls)}")
             self.calls.append(call)
-        return ast.ColumnRef(self._names[norm])
+            self.norms.append(norm)
+        return ref
 
 
 def _group_rewriter(frame: Frame, keys: dict[Any, int], aggs: _Bound,
                     pcts: Optional[_Bound] = None,
                     set_dims: Optional[tuple[int, ...]] = None
-                    ) -> Callable[[ast.Expr], ast.Expr]:
+                    ) -> Callable[[ast.Expr], tuple[ast.Expr, Any]]:
     """The rewrite of select items / HAVING onto a group frame: a
     grouping key becomes its ``__keyI`` column and each distinct
     aggregate call its ``aggs`` column.  Under grouping sets
     (``set_dims`` = the set's dims) ``grouping()`` folds to its mask
-    literal and ``pct()`` binds like an aggregate."""
-    # Keys of every node under the expression being rewritten: the
-    # first visit normalizes the whole tree once (raising what it
-    # always raised, in the same order), the descent only looks up.
-    # Emptied per expression -- a 1,201-item select list would
-    # otherwise hold every key until the statement ends.
-    norms: dict[int, Any] = {}
+    literal and ``pct()`` binds like an aggregate.
 
-    def replace(node: ast.Expr) -> Optional[ast.Expr]:
+    One descent per expression returns ``(rewritten, shape)``.  The
+    shape is ``(template, leaves)``: the rewritten tree keyed with each
+    distinct bound column a numbered placeholder and literals kept by
+    value and Python type, and those columns in placeholder order
+    (:func:`_rewrite`).  The descent only keys the tree: ``rewritten``
+    is None and :func:`_rewritten` builds it when it is needed -- for
+    the items a projection evaluates one by one.  A tree that calls a
+    window function has no shape and is built instead.
+
+    Errors are what they always were, in the same order: an unknown or
+    ambiguous column raises at once, and a column outside GROUP BY or
+    a malformed ``grouping()`` / ``pct()`` is deferred to the end of
+    its expression, then the first in reading order raises."""
+    key_refs = {j: ast.ColumnRef(f"__key{j}") for j in keys.values()}
+    # Grouping keys are usually plain columns, and only a column can
+    # equal one.  A key that is a whole expression needs the key of
+    # every node the descent passes: then each expression is
+    # normalized whole when the descent enters it, and looked up.
+    composite = any(type(key) is not int for key in keys)
+    norms: dict[int, Any] = {}
+    slots: dict[str, tuple] = {}
+    leaves: list[ast.ColumnRef] = []
+    # One copy of each distinct template outlives its descent: the
+    # items of a wide list share a few, and every copy kept would be
+    # traversed by each full collection the statement triggers.
+    templates: dict[tuple, tuple] = {}
+
+    def key_of(node: ast.Expr):
+        if not composite:
+            return _normalize(node, frame)
         norm = norms.get(id(node))
-        if norm is None:
-            norm = _normalize(node, frame, norms)
-        if norm in keys:
-            return ast.ColumnRef(f"__key{keys[norm]}")
+        return norm if norm is not None \
+            else _normalize(node, frame, norms)
+
+    def leaf(ref: ast.ColumnRef) -> tuple[ast.Expr, tuple]:
+        slot = slots.get(ref.name)
+        if slot is None:
+            slot = slots[ref.name] = ("?", len(leaves))
+            leaves.append(ref)
+        return ref, slot
+
+    def replace(node: ast.Expr) -> Optional[tuple[Any, Any]]:
+        is_ref = isinstance(node, ast.ColumnRef)
+        if composite or is_ref:
+            j = keys.get(key_of(node))
+            if j is not None:
+                return leaf(key_refs[j])
+            if is_ref:
+                return PlanningError(
+                    f"column {node.name!r} must appear in GROUP BY or "
+                    f"inside an aggregate"), None
         if isinstance(node, ast.FuncCall) and node.over is None:
             if set_dims is not None and node.name == "grouping":
                 if not node.args:
-                    raise GroupingSetError(
-                        "grouping() requires at least one argument")
+                    return GroupingSetError(
+                        "grouping() requires at least one argument"), None
                 arg_dims = [keys.get(_normalize(arg, frame))
                             for arg in node.args]
                 if None in arg_dims:
-                    raise GroupingSetError(
+                    return GroupingSetError(
                         "grouping() arguments must be grouping "
                         "columns of the query",
-                        gs_mod.render_set(node.args))
-                return ast.Literal(
-                    gs_mod.grouping_mask(arg_dims, set_dims))
+                        gs_mod.render_set(node.args)), None
+                mask = gs_mod.grouping_mask(arg_dims, set_dims)
+                return ast.Literal(mask), _literal_key(mask)
             if set_dims is not None and node.name == "pct":
                 if (len(node.args) != 1 or node.distinct
                         or node.by_columns or node.default is not None):
-                    raise GroupingSetError(
-                        "pct() takes exactly one plain argument")
-                return pcts.bind(norm, node)
+                    return GroupingSetError(
+                        "pct() takes exactly one plain argument"), None
+                return leaf(pcts.bind(key_of(node), node))
             if node.name in ast.AGGREGATE_NAMES:
-                return aggs.bind(norm, node)
-        if isinstance(node, ast.ColumnRef):
-            raise PlanningError(
-                f"column {node.name!r} must appear in GROUP BY or "
-                f"inside an aggregate")
+                return leaf(aggs.bind(key_of(node), node))
         return None
 
-    def rewrite_expression(expr: ast.Expr) -> ast.Expr:
+    def rewrite_expression(expr: ast.Expr
+                           ) -> tuple[Optional[ast.Expr], Any]:
+        # Emptied per expression -- a 1,201-item select list would
+        # otherwise hold every key until the statement ends.
         norms.clear()
-        return _rewrite_tree(expr, replace)
+        slots.clear()
+        leaves.clear()
+        outcome, template = _rewrite(expr, replace, build=False)
+        if isinstance(outcome, Exception):
+            raise outcome
+        if template is None:
+            # A window call: no shape, so build the tree itself.
+            return _rewrite(expr, replace)[0], None
+        template = templates.setdefault(template, template)
+        return None, (template, tuple(leaves))
     return rewrite_expression
+
+
+def _rewritten(expr: Optional[ast.Expr], shape: Any) -> ast.Expr:
+    """An item's rewritten expression: as the rewrite built it, or
+    built from its shape (:func:`_group_rewriter` only keys a tree it
+    can give a shape)."""
+    return expr if expr is not None else _instantiate(*shape)
+
+
+def _stacks(frame: Frame, items: list[tuple[str, ast.Expr, Any]]
+            ) -> dict[int, list[int]]:
+    """The positions of the items that share a shape -- template and
+    the SQL types of its leaf columns -- with another item, each mapped
+    to the positions of all of them.  A bare column or literal item is
+    never stacked: evaluated alone it is the frame's own column (with
+    its encoding-cache token) or a constant, and there is nothing to
+    share."""
+    by_shape: dict[Any, list[int]] = {}
+    for i, (_, _, shape) in enumerate(items):
+        if shape is None:
+            continue
+        template, leaves = shape
+        if template[0] in ("?", "lit"):
+            continue
+        # The rewrite keeps one copy of each template, so its identity
+        # stands for it (and spares hashing the whole tree per item).
+        key = (id(template), tuple([frame.resolve(ref).sql_type
+                                    for ref in leaves]))
+        by_shape.setdefault(key, []).append(i)
+    return {i: stack for stack in by_shape.values() if len(stack) > 1
+            for i in stack}
+
+
+class _Tally:
+    """The ledger a stacked evaluation charges, held back for
+    :meth:`Executor._project` to book item by item."""
+
+    def __init__(self) -> None:
+        self.case_evaluations = 0
+
+    def add(self, case_evaluations: int = 0) -> None:
+        self.case_evaluations += case_evaluations
+
+
+def _evaluate_stack(frame: Frame, shapes: list[tuple[tuple, tuple]]
+                    ) -> tuple[list[ColumnData], int]:
+    """Items of one shape -- ``(template, leaves)`` each -- evaluated as
+    one: the template with placeholder columns, over a frame whose
+    placeholder columns are every item's leaf columns end to end.  Each
+    item's column, and what one item charges the ledger.  The same
+    :func:`evaluate` runs, lane for lane, on the same values and SQL
+    types, so each slice is bit for bit what the item evaluated alone
+    returns."""
+    n, k = frame.n_rows, len(shapes)
+    template, first_leaves = shapes[0]
+    placeholders = [ast.ColumnRef(f"__s{slot}")
+                    for slot in range(len(first_leaves))]
+    stacked = Frame(n * k)
+    for slot, placeholder in enumerate(placeholders):
+        stacked.add_column(placeholder.name, ColumnData.concat(
+            [frame.resolve(leaves[slot]) for _, leaves in shapes]))
+    tally = _Tally()
+    result = evaluate(_instantiate(template, placeholders), stacked,
+                      tally)
+    columns = [_concrete(ColumnData(result.sql_type,
+                                    result.values[j * n:(j + 1) * n],
+                                    result.nulls[j * n:(j + 1) * n]))
+               for j in range(k)]
+    return columns, tally.case_evaluations // k
 
 
 def _concrete(data: ColumnData) -> ColumnData:
@@ -1128,55 +1294,124 @@ def _coerce_column(data: ColumnData, target: SQLType) -> ColumnData:
         f"cannot store {data.sql_type} values into a {target} column")
 
 
-def _rewrite_tree(expr: ast.Expr,
-                  replace: Callable[[ast.Expr], Optional[ast.Expr]]
-                  ) -> ast.Expr:
-    """``expr`` with nodes swapped top-down: ``replace(node)`` returns
-    the node's replacement, or None to keep the node and rewrite its
-    children.  The recursion lives here, so no rewriter refers to
-    itself: a closure over a statement's :class:`Frame` is then freed
-    by refcount when the statement ends, not by the cyclic collector
-    whenever it next runs."""
-    replaced = replace(expr)
-    if replaced is not None:
-        return replaced
-    return _rebuild(expr, lambda child: _rewrite_tree(child, replace))
+def _rewrite(expr: ast.Expr,
+             replace: Callable[[ast.Expr], Optional[tuple[Any, Any]]],
+             build: bool = True) -> tuple[Any, Any]:
+    """``(expr with nodes swapped top-down, its shape)``.
+
+    ``replace(node)`` returns the node's ``(replacement, shape)``, or
+    None to keep the node and rewrite its children.  A replacement may
+    be an exception -- a deferred error: every child is still
+    rewritten, so an error raised at once anywhere in the tree wins,
+    and then the tree rewrites to its first deferred error in reading
+    order.
+
+    The shape keys the rewritten tree: a leaf as ``replace`` keys it, a
+    literal by :func:`_literal_key`, any other node as ``(head,
+    children's shapes)`` -- what :func:`_instantiate` builds the tree
+    back from.  It is None when the tree calls a window function or
+    holds a column ``replace`` kept.  ``build=False`` keys the tree
+    without building it (the rewrite is then None).
+
+    The recursion lives here, so no rewriter refers to itself: a
+    closure over a statement's :class:`Frame` is then freed by refcount
+    when the statement ends, not by the cyclic collector whenever it
+    next runs."""
+    done = replace(expr)
+    if done is not None:
+        return done
+    kind = type(expr)   # exact types, most frequent first
+    if kind is ast.Literal:
+        return expr, _literal_key(expr.value)
+    if kind is ast.ColumnRef or kind is ast.Star:
+        return expr, None
+    if kind is ast.BinaryOp:
+        children, head = (expr.left, expr.right), ("bin", expr.op)
+    elif kind is ast.CaseWhen:
+        children = [part for when in expr.whens for part in when]
+        if expr.else_ is not None:
+            children.append(expr.else_)
+        head = ("case", len(expr.whens), expr.else_ is not None)
+    elif kind is ast.UnaryOp:
+        children, head = (expr.operand,), ("un", expr.op)
+    elif kind is ast.IsNull:
+        children, head = (expr.operand,), ("isnull", expr.negated)
+    elif kind is ast.InList:
+        children = (expr.operand, *expr.items)
+        head = ("in", expr.negated)
+    elif kind is ast.Cast:
+        children, head = (expr.operand,), ("cast", expr.type_name)
+    elif kind is ast.FuncCall:
+        children = list(expr.args)
+        if expr.default is not None:
+            children.append(expr.default)
+        window = None
+        if expr.over is not None:
+            children += expr.over.partition_by
+            window = len(expr.over.partition_by)
+        head = ("func", expr.name, expr.distinct, len(expr.args),
+                expr.default is not None, expr.by_columns, window)
+    else:
+        raise PlanningError(f"cannot rewrite expression node {expr!r}")
+
+    parts = [_rewrite(child, replace, build) for child in children]
+    for new, _ in parts:
+        if isinstance(new, Exception):
+            return new, None
+    shapes = tuple([shape for _, shape in parts])
+    windowed = head[0] == "func" and head[-1] is not None
+    shape = None if windowed or None in shapes else (head, shapes)
+    if not build:
+        return None, shape
+    return _node(head, [new for new, _ in parts]), shape
 
 
-def _rebuild(expr: ast.Expr, rewrite: Callable[[ast.Expr], ast.Expr]
-             ) -> ast.Expr:
-    """Rebuild a node with rewritten children (leaves returned as-is)."""
-    if isinstance(expr, (ast.Literal, ast.ColumnRef, ast.Star)):
-        return expr
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, rewrite(expr.operand))
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(expr.op, rewrite(expr.left),
-                            rewrite(expr.right))
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(rewrite(expr.operand), expr.negated)
-    if isinstance(expr, ast.InList):
-        return ast.InList(rewrite(expr.operand),
-                          tuple(rewrite(i) for i in expr.items),
-                          expr.negated)
-    if isinstance(expr, ast.CaseWhen):
-        whens = tuple((rewrite(c), rewrite(r)) for c, r in expr.whens)
-        else_ = rewrite(expr.else_) if expr.else_ is not None else None
-        return ast.CaseWhen(whens, else_)
-    if isinstance(expr, ast.Cast):
-        return ast.Cast(rewrite(expr.operand), expr.type_name)
-    if isinstance(expr, ast.FuncCall):
-        args = tuple(a if isinstance(a, ast.Star) else rewrite(a)
-                     for a in expr.args)
-        over = expr.over
-        if over is not None:
-            over = ast.WindowSpec(tuple(rewrite(p)
-                                        for p in over.partition_by))
-        default = rewrite(expr.default) if expr.default is not None \
-            else None
-        return ast.FuncCall(expr.name, args, expr.distinct,
-                            expr.by_columns, default, over)
-    raise PlanningError(f"cannot rewrite expression node {expr!r}")
+def _node(head: tuple, children: list) -> ast.Expr:
+    """The node ``head`` describes (see :func:`_rewrite`), over
+    ``children`` in reading order."""
+    tag = head[0]
+    if tag == "bin":
+        return ast.BinaryOp(head[1], children[0], children[1])
+    if tag == "case":
+        pairs = head[1] * 2
+        return ast.CaseWhen(
+            tuple(zip(children[0:pairs:2], children[1:pairs:2])),
+            children[pairs] if head[2] else None)
+    if tag == "un":
+        return ast.UnaryOp(head[1], children[0])
+    if tag == "isnull":
+        return ast.IsNull(children[0], head[1])
+    if tag == "in":
+        return ast.InList(children[0], tuple(children[1:]), head[1])
+    if tag == "cast":
+        return ast.Cast(children[0], head[1])
+    _, name, distinct, n_args, has_default, by_columns, window = head
+    over = None if window is None \
+        else ast.WindowSpec(tuple(children[len(children) - window:]))
+    return ast.FuncCall(name, tuple(children[:n_args]), distinct,
+                        by_columns,
+                        children[n_args] if has_default else None, over)
+
+
+def _instantiate(shape: tuple, leaves) -> ast.Expr:
+    """The tree a :func:`_rewrite` shape keys, with ``leaves[k]`` for
+    the k-th placeholder ``("?", k)``."""
+    tag = shape[0]
+    if tag == "?":
+        return leaves[shape[1]]
+    if tag == "lit":
+        return ast.Literal(shape[2])
+    head, children = shape
+    return _node(head, [_instantiate(child, leaves)
+                        for child in children])
+
+
+def _literal_key(value: Any) -> tuple:
+    """A literal's key.  Typed: ``0``, ``0.0`` and ``FALSE`` are equal
+    Python values but different SQL literals (``ELSE 0.0`` widens an
+    INTEGER CASE).  ``-0.0`` and ``0.0`` may share one: a literal zero
+    evaluates to ``+0.0`` (``ColumnData.constant``)."""
+    return ("lit", type(value), value)
 
 
 def _normalize(expr: ast.Expr, frame: Frame,
@@ -1186,46 +1421,53 @@ def _normalize(expr: ast.Expr, frame: Frame,
     ``D1``, ``F.D1`` and an aliased spelling all normalize equally.
     ``memo``, when given, collects every sub-expression's key under
     ``id(node)`` on the way, so a caller that needs the keys of a whole
-    tree pays for one traversal."""
-    if isinstance(expr, ast.Literal):
-        # Typed: ``0``, ``0.0`` and ``FALSE`` are equal Python values
-        # but different SQL literals (``ELSE 0.0`` widens an INTEGER
-        # CASE).
-        key = ("lit", type(expr.value), expr.value)
-    elif isinstance(expr, ast.ColumnRef):
-        key = ("col", id(frame.resolve(expr)))
-    elif isinstance(expr, ast.Star):
-        key = ("star", expr.table and expr.table.lower())
-    elif isinstance(expr, ast.UnaryOp):
-        key = ("un", expr.op, _normalize(expr.operand, frame, memo))
-    elif isinstance(expr, ast.BinaryOp):
+    tree pays for one traversal.
+
+    A column's key is that identity, an ``int``; every other key is a
+    flat tuple, its children's keys inline -- ``("case", n_whens,
+    cond, result, ..., else)``, ``("func", name, distinct, over, *args)``
+    -- because a wide select list keeps the keys of thousands of
+    aggregate calls (``_Bound``), and each tuple is an allocation the
+    cyclic collector counts towards its next collection."""
+    # Exact types, most frequent first: a generated select list
+    # normalizes tens of thousands of nodes.
+    kind = type(expr)
+    if kind is ast.ColumnRef:
+        key = id(frame.resolve(expr))
+    elif kind is ast.Literal:
+        key = _literal_key(expr.value)
+    elif kind is ast.BinaryOp:
         key = ("bin", expr.op, _normalize(expr.left, frame, memo),
                _normalize(expr.right, frame, memo))
-    elif isinstance(expr, ast.IsNull):
-        key = ("isnull", expr.negated,
-               _normalize(expr.operand, frame, memo))
-    elif isinstance(expr, ast.InList):
-        key = ("in", expr.negated,
-               _normalize(expr.operand, frame, memo),
-               tuple(_normalize(i, frame, memo) for i in expr.items))
-    elif isinstance(expr, ast.CaseWhen):
-        whens = tuple((_normalize(c, frame, memo),
-                       _normalize(r, frame, memo))
-                      for c, r in expr.whens)
-        else_ = _normalize(expr.else_, frame, memo) \
-            if expr.else_ is not None else None
-        key = ("case", whens, else_)
-    elif isinstance(expr, ast.Cast):
-        key = ("cast", expr.type_name.upper(),
-               _normalize(expr.operand, frame, memo))
-    elif isinstance(expr, ast.FuncCall):
+    elif kind is ast.CaseWhen:
+        parts = ["case", len(expr.whens)]
+        for cond, result in expr.whens:
+            parts.append(_normalize(cond, frame, memo))
+            parts.append(_normalize(result, frame, memo))
+        parts.append(_normalize(expr.else_, frame, memo)
+                     if expr.else_ is not None else None)
+        key = tuple(parts)
+    elif kind is ast.FuncCall:
         over = None
         if expr.over is not None:
-            over = tuple(_normalize(p, frame, memo)
-                         for p in expr.over.partition_by)
-        key = ("func", expr.name, expr.distinct,
-               tuple(_normalize(a, frame, memo) for a in expr.args),
-               over)
+            over = tuple([_normalize(p, frame, memo)
+                          for p in expr.over.partition_by])
+        key = ("func", expr.name, expr.distinct, over,
+               *[_normalize(a, frame, memo) for a in expr.args])
+    elif kind is ast.Star:
+        key = ("star", expr.table and expr.table.lower())
+    elif kind is ast.UnaryOp:
+        key = ("un", expr.op, _normalize(expr.operand, frame, memo))
+    elif kind is ast.IsNull:
+        key = ("isnull", expr.negated,
+               _normalize(expr.operand, frame, memo))
+    elif kind is ast.InList:
+        key = ("in", expr.negated,
+               _normalize(expr.operand, frame, memo),
+               tuple([_normalize(i, frame, memo) for i in expr.items]))
+    elif kind is ast.Cast:
+        key = ("cast", expr.type_name.upper(),
+               _normalize(expr.operand, frame, memo))
     else:
         raise PlanningError(f"cannot normalize expression {expr!r}")
     if memo is not None:

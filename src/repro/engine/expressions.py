@@ -41,6 +41,11 @@ class Frame:
     Columns are registered under their bare name and, when the source
     has a binding (table name or alias), under ``binding.name``.  Bare
     lookups that match several distinct registrations are ambiguous.
+
+    A successful :meth:`resolve` is remembered per ``(table, name)`` as
+    spelled: a wide select list names the same few columns thousands of
+    times.  Registering a column forgets every answer, so a name that a
+    new registration makes ambiguous raises on its next lookup.
     """
 
     def __init__(self, n_rows: int):
@@ -48,6 +53,7 @@ class Frame:
         self._qualified: dict[str, ColumnData] = {}
         self._bare: dict[str, list[str]] = {}
         self._bindings: list[str] = []
+        self._resolved: dict[tuple, ColumnData] = {}
 
     # ------------------------------------------------------------------
     def add_column(self, name: str, data: ColumnData,
@@ -62,6 +68,7 @@ class Frame:
             key = name.lower()
         self._qualified[key] = data
         self._bare.setdefault(name.lower(), []).append(key)
+        self._resolved.clear()
 
     def add_table(self, binding: str, table: Table) -> None:
         self._bindings.append(binding.lower())
@@ -80,6 +87,13 @@ class Frame:
         return True
 
     def resolve(self, ref: ast.ColumnRef) -> ColumnData:
+        spelled = (ref.table, ref.name)
+        data = self._resolved.get(spelled)
+        if data is None:
+            data = self._resolved[spelled] = self._lookup(ref)
+        return data
+
+    def _lookup(self, ref: ast.ColumnRef) -> ColumnData:
         if ref.table:
             key = f"{ref.table.lower()}.{ref.name.lower()}"
             data = self._qualified.get(key)

@@ -91,8 +91,10 @@ def encode_column(col: ColumnData,
 def _encode_values(col: ColumnData) -> EncodedColumn:
     n = len(col)
     if n == 0:
+        # The values' dtype, not the SQL type's: an untyped NULL
+        # column (``GROUP BY NULL``) has none.
         return EncodedColumn(np.empty(0, dtype=np.int64),
-                             np.empty(0, dtype=col.sql_type.numpy_dtype),
+                             np.empty(0, dtype=col.values.dtype),
                              col.sql_type)
     if col.nulls.any():
         valid = ~col.nulls

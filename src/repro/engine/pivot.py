@@ -47,7 +47,6 @@ from repro.engine.groupby import (EncodedColumn, encode_column,
 from repro.engine.planner import split_conjuncts
 from repro.engine.stats import StatsCollector
 from repro.engine.types import SQLType, infer_type
-from repro.errors import PlanningError
 from repro.sql import ast
 
 
@@ -71,21 +70,23 @@ class _Family:
     result_expr: ast.Expr
 
 
-def detect_families(agg_specs: list[ast.FuncCall],
+def detect_families(agg_specs: list[ast.FuncCall], norms: list[Any],
                     frame: Frame) -> list[_Family]:
     """The families of two or more pivot-pattern aggregates, grouped by
-    (pivot columns, THEN expr).  A lone term gains nothing from the
-    kernel and stays with the generic evaluator."""
-    from repro.engine.executor import _normalize
-
+    (pivot columns, THEN expr).  ``norms`` holds each spec's
+    normalized key (``executor._normalize``), which the group rewrite
+    computed when it bound the call: a term's pivot columns and THEN
+    expression are read off it, not normalized again.  A lone term
+    gains nothing from the kernel and stays with the generic
+    evaluator."""
     families: dict[tuple, _Family] = {}
-    for index, spec in enumerate(agg_specs):
-        parsed = _parse_term(index, spec, frame)
+    for index, (spec, norm) in enumerate(zip(agg_specs, norms)):
+        parsed = _parse_term(index, spec, norm, frame)
         if parsed is None:
             continue
-        term, columns, result_expr = parsed
+        term, columns, result_expr, result_key = parsed
         column_keys = tuple(sorted(term.literals, key=repr))
-        key = (column_keys, _normalize(result_expr, frame))
+        key = (column_keys, result_key)
         if key in families:
             families[key].terms.append(term)
         else:
@@ -120,11 +121,16 @@ def compute_families(families: list[_Family], frame: Frame,
 
 
 # ----------------------------------------------------------------------
-def _parse_term(index: int, spec: ast.FuncCall, frame: Frame
-                ) -> Optional[tuple[_PivotTerm,
-                                    dict[Any, ast.ColumnRef], ast.Expr]]:
-    from repro.engine.executor import _normalize
-
+def _parse_term(index: int, spec: ast.FuncCall, norm, frame: Frame
+                ) -> Optional[tuple[_PivotTerm, dict[Any, ast.ColumnRef],
+                                    ast.Expr, Any]]:
+    """``spec`` as a pivot term: the term, its pivot columns by key,
+    its THEN expression and that expression's key; None when the
+    kernel cannot reproduce it.  ``norm`` is ``spec``'s normalized key,
+    whose parts mirror the tree (``executor._normalize``): ``("func",
+    name, distinct, over, arg)``, a one-WHEN CASE ``("case", 1, cond,
+    result, else)``, an equality ``("bin", "=", left, right)`` and a
+    column an ``int``."""
     if spec.name not in ("sum", "count", "min", "max", "avg"):
         return None
     if spec.distinct or spec.over is not None or len(spec.args) != 1:
@@ -147,14 +153,18 @@ def _parse_term(index: int, spec: ast.FuncCall, frame: Frame
             else_zero = True
 
     condition, result_expr = case.whens[0]
-    if any(isinstance(node, ast.CaseWhen)
-           for node in ast.walk(result_expr)):
+    case_key = norm[4]
+    condition_key, result_key = case_key[2], case_key[3]
+    if not isinstance(result_expr, (ast.ColumnRef, ast.Literal)) and any(
+            isinstance(node, ast.CaseWhen)
+            for node in ast.walk(result_expr)):
         # The generic evaluator charges a nested CASE once per term;
         # declining keeps the "linear" ledger equal to its own.
         return None
     literals: dict[Any, Any] = {}
     columns: dict[Any, ast.ColumnRef] = {}
-    for conjunct in split_conjuncts(condition):
+    for conjunct, conjunct_key in zip(split_conjuncts(condition),
+                                      _split_conjunct_keys(condition_key)):
         pair = _column_equals_literal(conjunct)
         if pair is None:
             return None
@@ -163,11 +173,7 @@ def _parse_term(index: int, spec: ast.FuncCall, frame: Frame
             # ``d = NULL`` is never true, not ``d IS NULL``: no cell of
             # the family is this term's; the generic evaluator has it.
             return None
-        try:
-            column_type = frame.resolve(ref).sql_type
-            key = _normalize(ref, frame)
-        except PlanningError:
-            return None
+        column_type = frame.resolve(ref).sql_type
         if column_type is None or not comparable_types(
                 column_type, infer_type(value)):
             # The generic evaluator raises TypeMismatchError for
@@ -175,6 +181,8 @@ def _parse_term(index: int, spec: ast.FuncCall, frame: Frame
             # find no cell.  (So a string literal never meets a
             # non-VARCHAR column there: like compares with like.)
             return None
+        key = conjunct_key[2] if type(conjunct_key[2]) is int \
+            else conjunct_key[3]
         if key in literals:
             return None
         literals[key] = value
@@ -182,7 +190,15 @@ def _parse_term(index: int, spec: ast.FuncCall, frame: Frame
     if not literals:
         return None
     return (_PivotTerm(index, spec.name, literals, else_zero),
-            columns, result_expr)
+            columns, result_expr, result_key)
+
+
+def _split_conjunct_keys(key) -> list:
+    """The keys :func:`~repro.engine.planner.split_conjuncts` would
+    give the conjuncts of the expression ``key`` normalizes."""
+    if key[0] == "bin" and key[1] == "AND":
+        return _split_conjunct_keys(key[2]) + _split_conjunct_keys(key[3])
+    return [key]
 
 
 def _column_equals_literal(expr: ast.Expr

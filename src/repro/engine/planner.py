@@ -83,7 +83,11 @@ class SelectPlan:
     ``mode`` is ``projection``, ``aggregate`` (``group_by`` holds the
     resolved keys) or ``grouping-sets`` (``grouping_sets`` holds the
     expanded sets).  DISTINCT / ORDER BY / LIMIT are read off
-    ``select`` in that order.
+    ``select`` in that order.  ``windowed`` holds the positions in
+    ``items`` whose expression calls a window function and
+    ``having_windowed`` says whether HAVING does: the planner's one
+    walk over the list records them, so the projection binds windows
+    without walking it again.
     """
 
     select: ast.Select
@@ -93,6 +97,8 @@ class SelectPlan:
     items: list[tuple[str, ast.Expr]] = field(default_factory=list)
     group_by: list[ast.Expr] = field(default_factory=list)
     grouping_sets: list[tuple[ast.Expr, ...]] = field(default_factory=list)
+    windowed: frozenset[int] = frozenset()
+    having_windowed: bool = False
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -115,7 +121,8 @@ def plan_select(select: ast.Select, catalog, use_views: bool = True
         mv = match_view(catalog, select)
         if mv is not None:
             return SelectPlan(select, matview=mv)
-    plan = SelectPlan(select, mode=_mode(select))
+    mode, item_windows, having_windowed = _mode(select)
+    plan = SelectPlan(select, mode=mode, having_windowed=having_windowed)
     if select.from_ is not None:
         sources: dict[str, PlannedSource] = {}
         for source in select.from_.sources():
@@ -125,7 +132,7 @@ def plan_select(select: ast.Select, catalog, use_views: bool = True
                     f"duplicate table binding {source.binding!r}")
             sources[planned.binding.lower()] = planned
         plan.from_plan = plan_from(select.from_, select.where, sources)
-    plan.items = _select_items(select, plan)
+    plan.items, plan.windowed = _select_items(select, plan, item_windows)
 
     def resolve(expr: ast.Expr) -> ast.Expr:
         return _resolve_group_expr(expr, select)
@@ -137,17 +144,18 @@ def plan_select(select: ast.Select, catalog, use_views: bool = True
     return plan
 
 
-def _calls(expr: ast.Expr) -> list[ast.FuncCall]:
-    return [node for node in ast.walk(expr)
-            if isinstance(node, ast.FuncCall)]
-
-
-def _mode(select: ast.Select) -> str:
-    # One walk per expression (a generated Hpct select list is tens of
-    # thousands of nodes): every question below is about its calls.
-    calls = [call for item in select.items
-             if not isinstance(item.expr, ast.Star)
-             for call in _calls(item.expr)]
+def _mode(select: ast.Select) -> tuple[str, list[bool], bool]:
+    """The evaluation mode, which select items call a window function
+    and whether HAVING does.  One walk per expression (a generated
+    Hpct select list is tens of thousands of nodes): every question
+    here is about its calls."""
+    per_item = [ast.function_calls(item.expr) for item in select.items]
+    windowed = [any(call.over is not None for call in item_calls)
+                for item_calls in per_item]
+    calls = [call for item_calls in per_item for call in item_calls]
+    having_calls = ast.function_calls(select.having) \
+        if select.having is not None else []
+    having_windowed = any(call.over is not None for call in having_calls)
     if any(call.is_extended for call in calls):
         raise PlanningError(
             "Vpct()/Hpct()/BY-extended aggregates are not "
@@ -155,13 +163,12 @@ def _mode(select: ast.Select) -> str:
             "repro.core first (this engine plays the role of "
             "the standard-SQL DBMS in the paper's architecture)")
     if ast.has_grouping_sets(select):
-        if any(call.over is not None for call in calls):
+        if any(windowed):
             raise PlanningError(
                 "window functions are not supported with "
                 "CUBE/ROLLUP/GROUPING SETS")
-        return "grouping-sets"
-    if select.having is not None:
-        calls += _calls(select.having)
+        return "grouping-sets", windowed, having_windowed
+    calls += having_calls
     if any(call.name in ast.GROUPING_SET_FUNCS for call in calls):
         # Outside a lattice they get a typed error, not an unknown-
         # function failure.
@@ -171,8 +178,8 @@ def _mode(select: ast.Select) -> str:
     if select.group_by or select.having is not None \
             or any(call.name in ast.AGGREGATE_NAMES and call.over is None
                    for call in calls):
-        return "aggregate"
-    return "projection"
+        return "aggregate", windowed, having_windowed
+    return "projection", windowed, having_windowed
 
 
 def _classify(source: ast.FromSource, catalog, use_views: bool
@@ -243,14 +250,19 @@ def dedupe_names(names: list[str]) -> list[str]:
     return out
 
 
-def _select_items(select: ast.Select, plan: SelectPlan
-                  ) -> list[tuple[str, ast.Expr]]:
+def _select_items(select: ast.Select, plan: SelectPlan,
+                  item_windows: list[bool]
+                  ) -> tuple[list[tuple[str, ast.Expr]], frozenset[int]]:
     """The select list as ``(output name, expression)``, ``*`` expanded
-    to qualified column references over the planned sources."""
+    to qualified column references over the planned sources, and the
+    positions in it of the items ``item_windows`` flags."""
     sources = plan.sources()
     named: list[tuple[str, ast.Expr]] = []
+    windowed = set()
     for i, item in enumerate(select.items):
         if not isinstance(item.expr, ast.Star):
+            if item_windows[i]:
+                windowed.add(len(named))
             named.append((output_name(item, i), item.expr))
             continue
         if plan.mode != "projection":
@@ -267,7 +279,8 @@ def _select_items(select: ast.Select, plan: SelectPlan
         named.extend((column, ast.ColumnRef(column, s.binding))
                      for s in chosen for column in s.columns)
     names = dedupe_names([name for name, _ in named])
-    return [(name, expr) for name, (_, expr) in zip(names, named)]
+    return ([(name, expr) for name, (_, expr) in zip(names, named)],
+            frozenset(windowed))
 
 
 def _resolve_group_expr(expr: ast.Expr, select: ast.Select) -> ast.Expr:

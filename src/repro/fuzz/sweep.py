@@ -17,8 +17,8 @@ another harness.
 
 from __future__ import annotations
 
-import gc
 import textwrap
+import traceback
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -216,11 +216,11 @@ class _Run:
         try:
             return thunk(), None
         except ReproError as exc:
-            return None, exc
+            return None, _released(exc)
         except Exception as exc:  # noqa: BLE001 - the invariant
             self.finding("untyped error escaped",
                          f"{leg}: {type(exc).__name__}: {exc}")
-            return None, exc
+            return None, _released(exc)
 
     @contextmanager
     def opened(self) -> Iterator[Database]:
@@ -246,17 +246,6 @@ class _Run:
         changed catalog is rolled back afterwards: that undoes a
         mutating target's commit, and contains damage so later shots
         still sweep against the intended baseline."""
-        # A disk table's column cache holds its columns weakly.  The
-        # engine frees a statement's columns by refcount, but a
-        # cancelled or faulted leg leaves its error's traceback in a
-        # cycle with the frames it unwound through, and those keep
-        # columns cached until the cyclic collector runs.  Collect here
-        # so every leg starts from the same cache and a leg's
-        # ``page-fetch`` count depends on (seed, index, variant) alone:
-        # without it the armed leg finds columns its counting leg
-        # fetched, and shots go unreached (17 of 131 disk cancel shots
-        # at seed 0, budget 10, against none).
-        gc.collect()
         # The savepoint pins the baseline objects so the identity-based
         # fingerprint cannot suffer id() recycling.
         savepoint = db.catalog.savepoint()
@@ -324,6 +313,27 @@ class _Run:
                 if difference is not None:
                     self.finding("re-run after the shot differs from "
                                  "the reference", difference)
+
+
+def _released(error: BaseException) -> BaseException:
+    """``error`` (and the errors chained to it) without its traceback.
+
+    A disk table's column cache holds its columns weakly, and the
+    engine frees a statement's columns by refcount.  A cancelled or
+    faulted leg's traceback is in a cycle with the frames it unwound
+    through, which would keep those columns cached until the cyclic
+    collector ran: the next leg would find columns the last one
+    fetched, its ``page-fetch`` count would no longer depend on (seed,
+    index, variant) alone, and armed shots would go unreached.  No
+    post-condition reads a traceback."""
+    seen: set[int] = set()
+    link: Optional[BaseException] = error
+    while link is not None and id(link) not in seen:
+        seen.add(id(link))
+        traceback.clear_frames(link.__traceback__)
+        link.__traceback__ = None
+        link = link.__cause__ or link.__context__
+    return error
 
 
 # ----------------------------------------------------------------------

@@ -436,31 +436,55 @@ def walk(expr: Expr):
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, (Literal, ColumnRef, Star)):
+        _push_children(node, stack)
+
+
+def function_calls(expr: Expr) -> list[FuncCall]:
+    """Every function call in ``expr``, in :func:`walk` order: the same
+    traversal as a loop, without a generator's resume per node -- the
+    planner asks this of every item of a select list."""
+    calls = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is FuncCall:
+            calls.append(node)
+        elif kind is Literal or kind is ColumnRef:
             continue
-        if isinstance(node, BinaryOp):
-            stack += (node.right, node.left)
-        elif isinstance(node, (UnaryOp, IsNull, Cast)):
-            stack.append(node.operand)
-        elif isinstance(node, InList):
-            stack += node.items[::-1]
-            stack.append(node.operand)
-        elif isinstance(node, CaseWhen):
-            if node.else_ is not None:
-                stack.append(node.else_)
-            for cond, result in node.whens[::-1]:
-                stack += (result, cond)
-        elif isinstance(node, FuncCall):
-            if node.over is not None:
-                stack += node.over.partition_by[::-1]
-            if node.default is not None:
-                stack.append(node.default)
-            stack += node.args[::-1]
-        elif isinstance(node, (Cube, Rollup)):
-            stack += node.exprs[::-1]
-        elif isinstance(node, GroupingSets):
-            for gset in node.sets[::-1]:
-                stack += gset[::-1]
+        _push_children(node, stack)
+    return calls
+
+
+def _push_children(node: Expr, stack: list) -> None:
+    """Push ``node``'s children onto ``stack``, last child first, so
+    they pop in reading order."""
+    kind = type(node)
+    if kind is Literal or kind is ColumnRef or kind is Star:
+        return
+    if kind is BinaryOp:
+        stack += (node.right, node.left)
+    elif kind is FuncCall:
+        if node.over is not None:
+            stack += node.over.partition_by[::-1]
+        if node.default is not None:
+            stack.append(node.default)
+        stack += node.args[::-1]
+    elif kind is CaseWhen:
+        if node.else_ is not None:
+            stack.append(node.else_)
+        for cond, result in node.whens[::-1]:
+            stack += (result, cond)
+    elif kind is UnaryOp or kind is IsNull or kind is Cast:
+        stack.append(node.operand)
+    elif kind is InList:
+        stack += node.items[::-1]
+        stack.append(node.operand)
+    elif kind is Cube or kind is Rollup:
+        stack += node.exprs[::-1]
+    elif kind is GroupingSets:
+        for gset in node.sets[::-1]:
+            stack += gset[::-1]
 
 
 def contains_aggregate(expr: Expr) -> bool:
@@ -468,12 +492,6 @@ def contains_aggregate(expr: Expr) -> bool:
     return any(isinstance(node, FuncCall)
                and node.name in AGGREGATE_NAMES
                and node.over is None
-               for node in walk(expr))
-
-
-def contains_window(expr: Expr) -> bool:
-    """True when ``expr`` contains a windowed function call."""
-    return any(isinstance(node, FuncCall) and node.over is not None
                for node in walk(expr))
 
 

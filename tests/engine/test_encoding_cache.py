@@ -143,6 +143,31 @@ def _grouped(db):
     return sorted(db.query("SELECT k, sum(a) FROM f GROUP BY k"))
 
 
+class TestSelectItemsKeepTokens:
+    """A bare column in a select list is the base column itself, so the
+    DISTINCT / ORDER BY over it is served by the cache."""
+
+    def test_bare_column_item_keeps_its_cache_token(self, versioned_db):
+        db = versioned_db
+        result = db.execute("SELECT k, a, a + 1 FROM f")
+        base = db.table("f")
+        for name in ("k", "a"):
+            assert result.column(name).cache_token is not None
+            assert result.column(name).cache_token \
+                == base.column(name).cache_token
+        assert result.column("col3").cache_token is None
+
+    def test_repeated_distinct_hits_the_cache_for_both_columns(
+            self, versioned_db):
+        db = versioned_db
+        cache = db.catalog.encoding_cache
+        sql = "SELECT DISTINCT k, a FROM f"
+        db.query(sql)
+        hits, misses = cache.hits, cache.misses
+        assert sorted(db.query(sql)) == [("x", 1), ("x", 3), ("y", 2)]
+        assert (cache.hits - hits, cache.misses - misses) == (2, 0)
+
+
 class TestDMLInvalidation:
     def test_warm_cache_serves_repeat_queries(self, versioned_db):
         db = versioned_db

@@ -4,7 +4,7 @@ parser -> planner -> executor pipeline."""
 import pytest
 
 from repro import Database
-from repro.errors import PlanningError
+from repro.errors import PlanningError, TypeMismatchError
 
 
 @pytest.fixture
@@ -62,6 +62,15 @@ class TestDistinctOrderLimit:
     def test_order_by_position(self, db):
         rows = db.query("SELECT c FROM t ORDER BY 1")
         assert rows[0] == (None,)  # engine sorts NULLs first
+
+    @pytest.mark.parametrize("key", ["TRUE", "FALSE", "TRUE DESC"])
+    def test_order_by_boolean_literal_is_a_constant_key(self, db, key):
+        # Not a position: TRUE would sort by column 1 and FALSE would
+        # be "position 0".  A constant key keeps the input order.
+        unordered = db.query("SELECT a, b FROM t")
+        assert db.query(f"SELECT a, b FROM t ORDER BY {key}") == unordered
+        assert db.query(f"SELECT a, b FROM t ORDER BY {key}, a DESC") \
+            == sorted(unordered, key=lambda row: -row[0])
 
     def test_limit(self, db):
         assert len(db.query("SELECT a FROM t ORDER BY a LIMIT 2")) == 2
@@ -200,6 +209,18 @@ class TestErrors:
     def test_unknown_column(self, db):
         with pytest.raises(PlanningError):
             db.query("SELECT ghost FROM t")
+
+    def test_failing_items_of_one_shape_charge_as_if_alone(self, db):
+        # The two items share a shape, so they are evaluated stacked.
+        # The stack raises; the statement must raise, and charge, what
+        # its first item alone does: its CASE over the 3 groups, then
+        # the type error.
+        before = db.stats.case_evaluations
+        with pytest.raises(TypeMismatchError):
+            db.query("SELECT a, CASE WHEN sum(c) > 15 THEN 1 ELSE 0 END "
+                     "+ 'x', CASE WHEN max(c) > 15 THEN 1 ELSE 0 END "
+                     "+ 'x' FROM t GROUP BY a")
+        assert db.stats.case_evaluations - before == 3
 
     def test_having_without_group(self, db):
         with pytest.raises(PlanningError):

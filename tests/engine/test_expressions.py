@@ -200,6 +200,20 @@ class TestFrame:
             frame.resolve(ast.ColumnRef("x"))
         assert frame.resolve(ast.ColumnRef("x", table="t2"))[0] == 2
 
+    def test_resolve_forgets_its_answers_when_a_column_is_added(self):
+        # A resolved bare name is remembered; a second, different array
+        # registered under it afterwards must make it ambiguous.
+        from repro.sql import ast
+        frame = Frame(1)
+        frame.add_column("x", ColumnData.from_values(SQLType.INTEGER,
+                                                     [1]), binding="t1")
+        assert frame.resolve(ast.ColumnRef("x"))[0] == 1
+        frame.add_column("x", ColumnData.from_values(SQLType.INTEGER,
+                                                     [2]), binding="t2")
+        with pytest.raises(PlanningError, match="ambiguous"):
+            frame.resolve(ast.ColumnRef("x"))
+        assert frame.resolve(ast.ColumnRef("x", table="t1"))[0] == 1
+
     def test_unknown_column_raises(self):
         from repro.sql import ast
         with pytest.raises(PlanningError):

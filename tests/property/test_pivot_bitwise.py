@@ -1,4 +1,5 @@
-"""The pivot kernel against the generic CASE evaluator, bit for bit.
+"""The pivot kernel against the generic CASE evaluator, and stacked
+select items against items evaluated one by one, bit for bit.
 
 The oracle needs no hook in ``src``: a family of one term stays with
 the generic evaluator (``pivot.detect_families``), so every term asked
@@ -8,6 +9,12 @@ are the kernel's wherever it recognises a family.  The two must agree
 in value (``struct.pack('d', ...)``, so ``-0.0`` is not ``0.0``), in
 column type, in the error they raise, and -- under the default
 ``case_dispatch="linear"`` -- in what they charge the ledger.
+
+The same holds one level up.  A select item alone is evaluated by
+itself, and items of one shape in one statement are evaluated once,
+over their leaf columns stacked (``Executor._project``); so the outer
+cells the horizontal code generator writes, asked for one per
+statement and all together, must agree the same four ways.
 """
 
 import struct
@@ -105,6 +112,38 @@ def run(db, select_list, where, group_by):
     return types, rows
 
 
+def assert_alone_equals_together(rows, item_sqls, where, group_by):
+    """Each item asked for alone, then all of them in one statement:
+    the same values bit for bit, the same column types, the first
+    failing item's error, and -- under the default
+    ``case_dispatch="linear"`` -- the same ledger charge."""
+    db = Database()
+    db.load_table("t", SCHEMA, rows)
+
+    alone, charged_alone = [], 0
+    for sql in item_sqls:
+        before = db.stats.case_evaluations
+        alone.append(run(db, sql, where, group_by))
+        charged_alone += db.stats.case_evaluations - before
+    before = db.stats.case_evaluations
+    together = run(db, ", ".join(item_sqls), where, group_by)
+    charged_together = db.stats.case_evaluations - before
+
+    errors = [outcome for outcome in alone if isinstance(outcome, type)]
+    if errors:
+        # The statement raises what its first failing item raises.
+        assert together is errors[0]
+        return
+    types, rows_together = together
+    assert types == [outcome[0][0] for outcome in alone]
+    for position, (_, rows_alone) in enumerate(alone):
+        assert [row[position] for row in rows_together] == \
+            [row[0] for row in rows_alone], item_sqls[position]
+    # The default charge is the period DBMS's: one WHEN test per term
+    # per row, whichever evaluator ran.
+    assert charged_together == charged_alone
+
+
 @given(ROWS, STATEMENTS)
 # A NULL pivot value decodes to a filler that must not meet a literal.
 @example([(1, None, "x", None, 1.5, None)],
@@ -117,28 +156,93 @@ def run(db, select_list, where, group_by):
 def test_n_single_term_statements_equal_one_n_term_statement(rows,
                                                              statement):
     term_sqls, group_by, where = statement
-    db = Database()
-    db.load_table("t", SCHEMA, rows)
+    assert_alone_equals_together(rows, term_sqls, where, group_by)
 
-    alone, charged_alone = [], 0
-    for sql in term_sqls:
-        before = db.stats.case_evaluations
-        alone.append(run(db, sql, where, group_by))
-        charged_alone += db.stats.case_evaluations - before
-    before = db.stats.case_evaluations
-    together = run(db, ", ".join(term_sqls), where, group_by)
-    charged_together = db.stats.case_evaluations - before
 
-    errors = [outcome for outcome in alone if isinstance(outcome, type)]
-    if errors:
-        # The statement raises what its first failing term raises.
-        assert together is errors[0]
-        return
-    types, rows_together = together
-    assert types == [outcome[0][0] for outcome in alone]
-    for position, (_, rows_alone) in enumerate(alone):
-        assert [row[position] for row in rows_together] == \
-            [row[0] for row in rows_alone], term_sqls[position]
-    # The default charge is the period DBMS's: one WHEN test per term
-    # per row, whichever evaluator ran.
-    assert charged_together == charged_alone
+# ----------------------------------------------------------------------
+# The outer cells: one evaluation per repeated item shape
+# ----------------------------------------------------------------------
+#: The select items the horizontal code generator writes around the
+#: pivot terms (repro.core.horizontal).  ``{c}`` is a cell's match
+#: condition, ``{m}`` its measure, ``{f}`` its function, ``{d}`` its
+#: DEFAULT; the cells of one statement differ only in ``{c}``, so after
+#: the group rewrite they share a tree and differ in its leaf columns.
+CELLS = {
+    # Hpct, direct (F) strategy: the group's sum is the denominator.
+    "hpct-f": "CASE WHEN sum({m}) <> 0 THEN (CASE WHEN sum(CASE WHEN {c} "
+              "THEN 1 ELSE 0 END) > 0 THEN sum(CASE WHEN {c} THEN {m} "
+              "ELSE NULL END) / sum({m}) ELSE 0 END) ELSE NULL END",
+    # Hpct, indirect (FV) strategy: the measure plays FV's pct column.
+    "hpct-fv": "CASE WHEN count({m}) > 0 THEN (CASE WHEN sum(CASE WHEN "
+               "{c} THEN 1 ELSE 0 END) > 0 THEN sum(CASE WHEN {c} THEN "
+               "{m} ELSE NULL END) ELSE 0 END) ELSE NULL END",
+    # Hagg: a count is NULL, not 0, where no row matches.
+    "hagg-count": "CASE WHEN sum(CASE WHEN {c} THEN 1 ELSE 0 END) > 0 "
+                  "THEN {f}(CASE WHEN {c} THEN {m} ELSE NULL END) "
+                  "ELSE NULL END",
+    # Hagg with DEFAULT.
+    "hagg-default": "coalesce({f}(CASE WHEN {c} THEN {m} ELSE NULL END), "
+                    "{d})",
+}
+DEFAULTS = st.sampled_from(["0", "0.0", "-1", "NULL", "'x'"])
+
+
+@st.composite
+def cell_lists(draw):
+    """One to three runs of cells: each run fixes the cell, measure,
+    pivot columns, function and default and varies the match literals,
+    so a statement has stacks of several items, items of one tree over
+    leaves of different types, and cells no row matches.  No condition
+    is drawn twice: two cells on one condition share its guard
+    aggregate, which a statement binds once and charges once, where
+    the cells alone charge it once each."""
+    sqls, conditions = [], set()
+    for _ in range(draw(st.integers(1, 3))):
+        cell = CELLS[draw(st.sampled_from(sorted(CELLS)))]
+        pivots, measure = draw(PIVOTS), draw(MEASURES)
+        func, default = draw(FUNCS), draw(DEFAULTS)
+        for _ in range(draw(st.integers(1, 4))):
+            condition = " AND ".join(
+                f"{column} = {draw(LITERALS[column])}"
+                for column in pivots)
+            if condition not in conditions:
+                conditions.add(condition)
+                sqls.append(cell.format(c=condition, m=measure, f=func,
+                                        d=default))
+    return sqls
+
+
+FV_CELL = CELLS["hpct-fv"]
+F_CELL = CELLS["hpct-f"]
+
+
+@given(ROWS, st.tuples(
+    cell_lists(),
+    # GROUP BY NULL turns each NULL literal of a cell into the key
+    # column, an untyped all-NULL leaf.
+    st.sampled_from(["", " GROUP BY g", " GROUP BY g, d2",
+                     " GROUP BY g, NULL"]),
+    st.sampled_from(["", " WHERE m > 0"])))
+# One tree over INTEGER leaves (sums of m) and over REAL ones (sums of
+# a): the two pairs must not share a stack.
+@example([(1, 0, "x", 0.0, 1.5, 2), (1, 1, "y", 1.5, 0.1, 3),
+          (2, 0, "x", 2.0, 0.2, None)],
+         ([FV_CELL.format(c=f"d1 = {v}", m=m)
+           for m, v in (("m", 0), ("m", 1), ("a", 2), ("a", "1.0"))],
+          " GROUP BY g", ""))
+# An untyped all-NULL leaf: DEFAULT NULL under GROUP BY ..., NULL.
+@example([(1, 0, "x", 0.0, 1.5, 2), (2, 1, "y", 1.5, None, None)],
+         ([CELLS["hagg-default"].format(c=f"d1 = {v}", m="a", f="sum",
+                                        d="NULL") for v in (0, 1)],
+          " GROUP BY g, NULL", ""))
+# A zero denominator: group 1's a sums to 0, so its lanes are NULL and
+# the division's lanes divide by zero.
+@example([(1, 0, "x", 0.0, 0.0, 1), (1, 1, "y", 1.5, -0.0, 2),
+          (2, 0, "x", 2.0, 1e16, 3), (2, 1, "x", 2.0, -1e16, 4)],
+         ([F_CELL.format(c=f"d1 = {v}", m="a") for v in (0, 1, 2)],
+          " GROUP BY g", ""))
+@settings(max_examples=200, deadline=None)
+def test_n_single_cell_statements_equal_one_n_cell_statement(rows,
+                                                             statement):
+    cell_sqls, group_by, where = statement
+    assert_alone_equals_together(rows, cell_sqls, where, group_by)
