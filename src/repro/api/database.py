@@ -30,6 +30,7 @@ from repro.obs.clock import Clock, MonotonicClock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.sql import ast
+from repro.sql.formatter import format_statement
 from repro.sql.parser import parse_script, parse_statement
 from repro.storage.engine import StorageEngine
 from repro.storage.pages import DEFAULT_PAGE_SIZE
@@ -208,13 +209,19 @@ class Database:
                                       use_views)
 
     def execute_statement(self, statement: ast.Statement,
-                          sql: str = "",
+                          sql: Optional[str] = None,
                           deadline_seconds: Optional[float] = None,
                           cancel_token: Optional[CancelToken] = None,
                           use_views: bool = True
                           ) -> Table | int:
-        """Run an already-parsed statement (used by the code
-        generator); :meth:`execute` is this after parsing."""
+        """Run a statement tree -- parsed, or built by the code
+        generator; :meth:`execute` is this after parsing.  ``sql`` is
+        its text when the caller has it; without it the text is
+        printed from the tree only for a reader (an enabled tracer,
+        ``keep_history``)."""
+        if sql is None:
+            sql = format_statement(statement) \
+                if self.tracer.enabled or self.stats.keep_history else ""
         token = self._resolve_token(deadline_seconds, cancel_token)
         with self._lock:
             result, record = self.executor.run_statement(

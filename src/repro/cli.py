@@ -30,7 +30,7 @@ from repro.api.display import render_table
 from repro.core import (HorizontalAggStrategy, HorizontalStrategy,
                         VerticalStrategy, generate_plan,
                         run_percentage_query)
-from repro.core.model import parse_percentage_query
+from repro.core.model import build_percentage_query
 from repro.engine.table import Table
 from repro.errors import ReproError
 from repro.sql import ast
@@ -169,7 +169,7 @@ class Shell:
                 not isinstance(item.expr, ast.Star)
                 and ast.contains_extended(item.expr)
                 for item in statement.items):
-            query = parse_percentage_query(sql)
+            query = build_percentage_query(statement, sql)
             return run_percentage_query(self.db, query, self.strategy)
         return self.db.execute_statement(statement, sql)
 

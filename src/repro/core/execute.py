@@ -38,7 +38,7 @@ from repro.core.model import PercentageQuery, parse_percentage_query
 from repro.core.optimizer import (alternate_strategy,
                                   choose_horizontal_strategy,
                                   choose_vertical_strategy)
-from repro.core.plan import GeneratedPlan
+from repro.core.plan import GeneratedPlan, GeneratedStep
 from repro.core.vertical import VerticalStrategy, generate_vertical
 from repro.engine import faults
 from repro.engine.catalog import CatalogSnapshot
@@ -120,29 +120,21 @@ def _view_plan(db: Database,
                query: PercentageQuery) -> Optional[GeneratedPlan]:
     """A zero-step plan reading a matching materialized view, or None.
 
-    The plan's result statement is the *original* SELECT text: the
+    The plan's result statement is the user's own SELECT: the
     executor's whole-statement view rewrite serves it straight from
     the view (refreshing first when stale), so the answer is the
     maintained result itself -- no re-projection layer that could
     perturb bit-identity."""
-    if not query.sql or not db.catalog.matviews():
+    if query.select is None or not db.catalog.matviews():
         return None
-    from repro.sql import ast as sql_ast
-    from repro.sql.parser import parse_statement
     from repro.views.rewrite import match_view
-    try:
-        select = parse_statement(query.sql)
-    except ReproError:
-        return None
-    if not isinstance(select, sql_ast.Select):
-        return None
-    mv = match_view(db.catalog, select)
+    mv = match_view(db.catalog, query.select)
     if mv is None:
         return None
     base = db.catalog.table(mv.definition.base_table)
     freshness = "fresh" if mv.fresh(base) else "stale"
     return GeneratedPlan(
-        result_select=query.sql,
+        result_statement=query.select,
         description=f"view: {mv.definition.name} "
                     f"({freshness}@v{mv.base_version})")
 
@@ -284,21 +276,28 @@ def _run_steps(db: Database, plan: GeneratedPlan) -> tuple[Any, int]:
     statement; the last index is the result SELECT), which is what the
     crash-consistency sweep iterates over."""
     statements = 0
-    tracer = db.tracer
     for step in plan.steps:
         if step.purpose in _GENERATION_TIME:
             continue
-        faults.cross("plan-step")
-        with tracer.span("plan-step", kind="plan-step",
-                         purpose=step.purpose, sql=step.sql):
-            db.execute(step.sql)
+        _run_step(db, step)
         statements += 1
-    faults.cross("plan-step")
-    with tracer.span("plan-step", kind="plan-step",
-                     purpose=plan_mod.RESULT, sql=plan.result_select):
-        result = db.execute(plan.result_select)
+    result = _run_step(db, GeneratedStep(plan.result_statement,
+                                         plan_mod.RESULT))
     statements += 1
     return result, statements
+
+
+def _run_step(db: Database, step: GeneratedStep) -> Any:
+    """Hand one statement tree to the engine under its ``plan-step``
+    span.  Its text is printed only when that span records it."""
+    faults.cross("plan-step")
+    tracer = db.tracer
+    if not tracer.enabled:
+        return db.execute_statement(step.statement)
+    sql = step.sql
+    with tracer.span("plan-step", kind="plan-step",
+                     purpose=step.purpose, sql=sql):
+        return db.execute_statement(step.statement, sql)
 
 
 def rollback_or_chain(db: Database, savepoint: CatalogSnapshot,

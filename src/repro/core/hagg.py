@@ -30,14 +30,15 @@ from typing import Optional
 
 from repro.api.database import Database
 from repro.core import common, model, plan as plan_mod
-from repro.core.horizontal import (_hagg_type_name, _match_condition,
-                                   _union_by_columns,
+from repro.core.common import ZERO, call, cols, conjunction
+from repro.core.horizontal import (_distributive, _hagg_type_name,
+                                   _match_condition, _union_by_columns,
                                    discover_combinations)
 from repro.core.naming import NamingPolicy, combo_column_name
 from repro.core.partitioning import split_result_columns
 from repro.core.plan import GeneratedPlan
 from repro.errors import PercentageQueryError
-from repro.sql.formatter import format_literal, quote_ident
+from repro.sql import ast
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,10 @@ def _generate_plain_fv(db: Database, query: model.PercentageQuery,
                         HorizontalStrategy(source="FV"), prefix, result)
 
 
+#: F0's key when the query has no GROUP BY.
+_CONSTANT_KEY = (ast.ColumnSpec("_k", "INT"),)
+
+
 def _generate_f0(db: Database, query: model.PercentageQuery,
                  source: str, prefix: str,
                  result: GeneratedPlan) -> str:
@@ -142,20 +147,20 @@ def _generate_f0(db: Database, query: model.PercentageQuery,
         # Rule (1) of the companion paper: group by a constant so code
         # generation always has a key ("rows can be grouped by a
         # constant value, e.g. D1 = 0").
-        result.add(f"CREATE TABLE {f0} (_k INT) PRIMARY KEY (_k)",
+        result.add(ast.CreateTable(f0, _CONSTANT_KEY, ("_k",)),
                    plan_mod.CREATE_TEMP)
         result.temp_tables.append(f0)
-        result.add(f"INSERT INTO {f0} VALUES (0)", plan_mod.SPJ_PROJECT)
+        result.add(ast.InsertValues(f0, ((ZERO,),)),
+                   plan_mod.SPJ_PROJECT)
         return f0
-    key = common.column_list(query.group_by)
-    defs = common.typed_columns_sql(db, query.table, query.group_by)
-    result.add(f"CREATE TABLE {f0} (" + ", ".join(defs)
-               + f") PRIMARY KEY ({key})", plan_mod.CREATE_TEMP)
+    defs = common.typed_columns(db, query.table, query.group_by)
+    result.add(ast.CreateTable(f0, tuple(defs), query.group_by),
+               plan_mod.CREATE_TEMP)
     result.temp_tables.append(f0)
-    result.add(f"INSERT INTO {f0} SELECT DISTINCT {key} FROM {source}"
-               + common.where_suffix(query.where
-                                     if source == query.table else None),
-               plan_mod.SPJ_PROJECT)
+    result.add(ast.InsertSelect(f0, common.select(
+        cols(query.group_by), common.tables(source),
+        query.where if source == query.table else None, distinct=True)),
+        plan_mod.SPJ_PROJECT)
     return f0
 
 
@@ -174,98 +179,83 @@ def _generate_projected_tables(db: Database,
     max_len = db.catalog.max_name_length
     where_base = query.where if source == query.table else None
 
-    key = common.column_list(query.group_by)
-    key_defs = common.typed_columns_sql(db, query.table, query.group_by) \
-        if query.group_by else ["_k INT"]
-    key_select = key if query.group_by else "0"
-
     projected: list[_Projected] = []
     counter = 0
     for term in query.terms:
+        aggregate = _aggregate(term, base_columns, strategy.source)
         if term.is_horizontal:
             label = f"{term.label()}_" if multiple else ""
+            refs = cols(term.by_columns)
             for values in combos[term.position]:
                 counter += 1
                 name = combo_column_name(term.by_columns, values,
                                          strategy.naming, max_len, used,
                                          prefix=label)
                 table = f"{prefix}_p{counter}"
-                aggregate = _aggregate_sql(term, base_columns,
-                                           strategy.source)
-                match = _match_condition(term.by_columns, values)
-                conditions = [match]
-                if where_base is not None:
-                    conditions.append(
-                        common.where_suffix(where_base)[7:])
+                match = _match_condition(refs, values)
+                condition = conjunction(
+                    [match] if where_base is None else [match, where_base])
                 type_name = _hagg_type_name(db, query.table, term)
                 _emit_projection(db, query, table, name, type_name,
-                                 aggregate, " AND ".join(conditions),
-                                 source, key_defs, key_select, result)
+                                 aggregate, condition, source, result)
                 projected.append(_Projected(table, name, type_name,
                                             term.default))
         else:
             counter += 1
             name = common.vertical_term_name(term, used)
             table = f"{prefix}_p{counter}"
-            aggregate = _aggregate_sql(term, base_columns,
-                                       strategy.source)
-            condition = common.where_suffix(where_base)[7:] \
-                if where_base is not None else ""
             type_name = _hagg_type_name(db, query.table, term) \
                 if term.argument is not None else "INT"
             _emit_projection(db, query, table, name, type_name,
-                             aggregate, condition, source, key_defs,
-                             key_select, result)
+                             aggregate, where_base, source, result)
             projected.append(_Projected(table, name, type_name, None))
     return projected
 
 
-def _aggregate_sql(term: model.AggregateTerm,
-                   base_columns: dict[int, dict[str, str]],
-                   source: str) -> str:
+def _aggregate(term: model.AggregateTerm,
+               base_columns: dict[int, dict[str, str]],
+               source: str) -> ast.Expr:
     if source == "F":
         if term.argument is None:
-            return "count(*)"
-        distinct = "DISTINCT " if term.distinct else ""
-        return f"{term.func}({distinct}{common.argument_sql(term)})"
+            return call("count", common.STAR)
+        return call(term.func, term.argument, distinct=term.distinct)
     # From FV: distributive re-aggregation of the base columns.
-    from repro.core.horizontal import _distributive_sql
-    return _distributive_sql(term, base_columns[term.position],
-                             match=None)
+    return _distributive(term, base_columns[term.position], match=None)
 
 
 def _emit_projection(db: Database, query: model.PercentageQuery,
                      table: str, column: str, type_name: str,
-                     aggregate: str, condition: str, source: str,
-                     key_defs: list[str], key_select: str,
-                     result: GeneratedPlan) -> None:
-    defs = key_defs + [f"{quote_ident(column)} {type_name}"]
-    key = common.column_list(query.group_by) if query.group_by else "_k"
-    result.add(f"CREATE TABLE {table} (" + ", ".join(defs)
-               + f") PRIMARY KEY ({key})", plan_mod.CREATE_TEMP)
+                     aggregate: ast.Expr, condition: Optional[ast.Expr],
+                     source: str, result: GeneratedPlan) -> None:
+    """``F_I``: the keys and one aggregate column, keyed like F0."""
+    keys = cols(query.group_by)
+    if query.group_by:
+        key_defs = common.typed_columns(db, query.table, query.group_by)
+        key_names, key_select = query.group_by, keys
+    else:
+        key_defs, key_names, key_select = _CONSTANT_KEY, ("_k",), (ZERO,)
+    defs = (*key_defs, ast.ColumnSpec(column, type_name))
+    result.add(ast.CreateTable(table, defs, key_names),
+               plan_mod.CREATE_TEMP)
     result.temp_tables.append(table)
-    where = f" WHERE {condition}" if condition else ""
-    group = f" GROUP BY {common.column_list(query.group_by)}" \
-        if query.group_by else ""
-    result.add(f"INSERT INTO {table} SELECT {key_select}, {aggregate}"
-               f" FROM {source}{where}{group}", plan_mod.SPJ_PROJECT)
+    result.add(ast.InsertSelect(table, common.select(
+        [*key_select, aggregate], common.tables(source), condition,
+        keys)), plan_mod.SPJ_PROJECT)
 
 
 def _assemble(db: Database, query: model.PercentageQuery, f0: str,
               projected: list[_Projected], prefix: str,
               result: GeneratedPlan) -> None:
     """FH = F0 left-outer-joined with every projected table."""
-    keys = list(query.group_by) or ["_k"]
-    key_defs = common.typed_columns_sql(db, query.table, query.group_by) \
-        if query.group_by else ["_k INT"]
-    key = common.column_list(keys)
+    keys = query.group_by or ("_k",)
+    key_defs = common.typed_columns(db, query.table, query.group_by) \
+        if query.group_by else _CONSTANT_KEY
 
     result_columns = []
     for p in projected:
-        select = f"{p.table}.{quote_ident(p.column)}"
+        select: ast.Expr = ast.ColumnRef(p.column, p.table)
         if p.default is not None:
-            select = (f"coalesce({select}, "
-                      f"{format_literal(p.default)})")
+            select = call("coalesce", select, common.literal(p.default))
         result_columns.append((p, select))
 
     partitions = split_result_columns(
@@ -277,48 +267,41 @@ def _assemble(db: Database, query: model.PercentageQuery, f0: str,
         fh = f"{prefix}_fh" if len(partitions) == 1 \
             else f"{prefix}_fh{i + 1}"
         tables.append(fh)
-        defs = key_defs + [f"{quote_ident(p.column)} {p.type_name}"
-                           for p, _ in chunk]
-        result.add(f"CREATE TABLE {fh} (" + ", ".join(defs)
-                   + f") PRIMARY KEY ({key})", plan_mod.CREATE_TEMP)
+        defs = (*key_defs, *(ast.ColumnSpec(p.column, p.type_name)
+                             for p, _ in chunk))
+        result.add(ast.CreateTable(fh, defs, keys),
+                   plan_mod.CREATE_TEMP)
         result.temp_tables.append(fh)
-        selects = [common.column_list(keys, prefix=f0)]
-        joins = []
-        for p, select in chunk:
-            selects.append(select)
-            # Null-safe ON: a NULL grouping key in F0 must still find
-            # its per-combination aggregate row.
-            joins.append(f" LEFT OUTER JOIN {p.table} ON "
-                         + common.null_safe_equality_join(f0, p.table,
-                                                          keys))
-        result.add(f"INSERT INTO {fh} SELECT " + ", ".join(selects)
-                   + f" FROM {f0}" + "".join(joins), plan_mod.ASSEMBLE)
+        selects = [*cols(keys, f0), *(select for _, select in chunk)]
+        # Null-safe ON: a NULL grouping key in F0 must still find its
+        # per-combination aggregate row.
+        joins = tuple(
+            ast.JoinStep("left", ast.TableRef(p.table), conjunction(
+                common.null_safe_equalities(f0, p.table, keys)))
+            for p, _ in chunk)
+        result.add(ast.InsertSelect(fh, common.select(
+            selects, ast.FromClause(ast.TableRef(f0), joins))),
+            plan_mod.ASSEMBLE)
 
-    visible_keys = common.column_list(query.group_by) \
-        if query.group_by else ""
     if len(tables) == 1:
         result.result_table = tables[0]
         if query.group_by:
-            result.result_select = (f"SELECT * FROM {tables[0]} "
-                                    f"ORDER BY {visible_keys}")
+            result.result_statement = common.select_all(tables[0],
+                                                        query.group_by)
         else:
-            names = ", ".join(quote_ident(p.column)
-                              for p, _ in partitions[0])
-            result.result_select = f"SELECT {names} FROM {tables[0]}"
+            result.result_statement = common.select(
+                cols([p.column for p, _ in partitions[0]]),
+                common.tables(tables[0]))
         return
 
     first = tables[0]
-    selects = [common.column_list(keys, prefix=first)] if query.group_by \
-        else []
+    selects = list(cols(keys, first)) if query.group_by else []
     for table, chunk in zip(tables, partitions):
-        selects.extend(f"{table}.{quote_ident(p.column)}"
-                       for p, _ in chunk)
-    conditions = [common.null_safe_equality_join(first, other, keys)
-                  for other in tables[1:]]
-    order = f" ORDER BY {common.column_list(query.group_by)}" \
-        if query.group_by else ""
+        selects.extend(ast.ColumnRef(p.column, table) for p, _ in chunk)
+    conditions: list[ast.Expr] = []
+    for other in tables[1:]:
+        conditions += common.null_safe_equalities(first, other, keys)
     result.result_table = None
-    result.result_select = ("SELECT " + ", ".join(selects) + " FROM "
-                            + ", ".join(tables)
-                            + f" WHERE {' AND '.join(conditions)}"
-                            + order)
+    result.result_statement = common.select(
+        selects, common.tables(*tables), conjunction(conditions),
+        order_by=cols(query.group_by))

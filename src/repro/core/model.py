@@ -62,7 +62,8 @@ class AggregateTerm:
             return self.alias
         if self.argument is None:
             return f"{self.func}_star"
-        arg = self.argument_sql().replace(" ", "")
+        arg = format_expr(self.argument, full_parens=True) \
+            .replace(" ", "")
         safe = "".join(ch if ch.isalnum() else "_" for ch in arg)
         return f"{self.func}_{safe}" if self.kind != VPCT else safe
 
@@ -82,6 +83,8 @@ class PercentageQuery:
         source_select: the original FROM/WHERE select when ``F`` must
             be materialized from a join first (None for plain tables).
         sql: the original statement text, for diagnostics.
+        select: the user's SELECT as parsed (None for a query the
+            library built itself, e.g. a shared-summary rewrite).
     """
 
     table: str
@@ -91,6 +94,7 @@ class PercentageQuery:
     where: Optional[ast.Expr] = None
     source_select: Optional[ast.Select] = None
     sql: str = ""
+    select: Optional[ast.Select] = None
 
     # Convenience accessors ------------------------------------------------
     def vertical_pct_terms(self) -> list[AggregateTerm]:
@@ -164,7 +168,7 @@ def build_percentage_query(select: ast.Select,
     return PercentageQuery(table=table, group_by=group_by,
                            dimensions=tuple(dimensions), terms=terms,
                            where=where, source_select=source_select,
-                           sql=sql)
+                           sql=sql, select=select)
 
 
 def _resolve_source(select: ast.Select

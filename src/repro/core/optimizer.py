@@ -22,12 +22,12 @@ from dataclasses import replace
 from typing import Optional, Union
 
 from repro.api.database import Database
-from repro.core import model
+from repro.core import common, model
 from repro.core.hagg import HorizontalAggStrategy
 from repro.core.horizontal import HorizontalStrategy
 from repro.core.naming import NamingPolicy
 from repro.core.vertical import VerticalStrategy
-from repro.sql.formatter import quote_ident
+from repro.sql import ast
 
 
 #: A BY column with more distinct values than this counts as
@@ -125,6 +125,7 @@ def column_cardinality(db: Database, query: model.PercentageQuery,
     selectivity probe)."""
     if not db.has_table(query.table):
         return 0
-    rows = db.query(f"SELECT count(DISTINCT {quote_ident(column)}) "
-                    f"FROM {query.table}")
+    rows = common.feedback(db, common.select(
+        [common.call("count", ast.ColumnRef(column), distinct=True)],
+        common.tables(query.table))).to_rows()
     return int(rows[0][0])

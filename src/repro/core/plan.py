@@ -2,8 +2,10 @@
 
 A :class:`GeneratedPlan` is what the code generator hands back -- the
 Python equivalent of the SQL script the paper's Java program sent to
-Teradata.  Plans are inspectable (``plan.sql_script()``) and replayable
-against any :class:`~repro.api.database.Database`.
+Teradata.  Each step holds a statement *tree*, which the runner hands
+to the engine as is; its SQL text is printed from the tree only when
+something reads it (``step.sql``, ``plan.sql_script()``).  Plans are
+replayable against any :class:`~repro.api.database.Database`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
+
+from repro.sql import ast
+from repro.sql.formatter import format_statement
 
 
 #: Step purposes, used by tests and by the harness to attribute time.
@@ -33,8 +38,13 @@ RESULT = "result"
 class GeneratedStep:
     """One statement of a plan."""
 
-    sql: str
+    statement: ast.Statement
     purpose: str
+
+    @property
+    def sql(self) -> str:
+        """The statement's text, printed when read."""
+        return format_statement(self.statement)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"-- {self.purpose}\n{self.sql};"
@@ -47,9 +57,10 @@ class GeneratedPlan:
     Attributes:
         steps: statements to run, in order.
         result_table: temp table holding the final result, or None
-            when ``result_select`` returns it directly.
-        result_select: final SELECT text returning the result rows
-            (always set; reads ``result_table`` when one exists).
+            when ``result_statement`` returns it directly.
+        result_statement: final SELECT returning the result rows
+            (always set; reads ``result_table`` when one exists);
+            ``result_select`` is its text.
         temp_tables: every temporary table the plan creates, in
             creation order (dropped by the runner unless kept).
         description: human-readable strategy summary.
@@ -60,15 +71,22 @@ class GeneratedPlan:
 
     steps: list[GeneratedStep] = field(default_factory=list)
     result_table: Optional[str] = None
-    result_select: str = ""
+    result_statement: Optional[ast.Select] = None
     temp_tables: list[str] = field(default_factory=list)
     description: str = ""
     strategy: Any = None
     discovered: dict[int, list[tuple]] = field(default_factory=dict)
 
+    @property
+    def result_select(self) -> str:
+        """The result statement's text, printed when read."""
+        if self.result_statement is None:
+            return ""
+        return format_statement(self.result_statement)
+
     # ------------------------------------------------------------------
-    def add(self, sql: str, purpose: str) -> None:
-        self.steps.append(GeneratedStep(sql, purpose))
+    def add(self, statement: ast.Statement, purpose: str) -> None:
+        self.steps.append(GeneratedStep(statement, purpose))
 
     def extend(self, other: "GeneratedPlan") -> None:
         """Splice another plan's steps and temp tables in front of this
@@ -80,12 +98,12 @@ class GeneratedPlan:
     def sql_script(self) -> str:
         """The full plan as annotated SQL text."""
         lines = [str(step) for step in self.steps]
-        if self.result_select:
+        if self.result_statement is not None:
             lines.append(f"-- {RESULT}\n{self.result_select};")
         return "\n".join(lines)
 
     def statement_count(self) -> int:
-        return len(self.steps) + (1 if self.result_select else 0)
+        return len(self.steps) + (self.result_statement is not None)
 
 
 _counter = itertools.count(1)

@@ -30,7 +30,7 @@ from repro.core.model import PercentageQuery, parse_percentage_query
 from repro.core.validate import validate
 from repro.engine.table import Table
 from repro.sql import ast
-from repro.sql.formatter import format_expr, quote_ident
+from repro.sql.formatter import format_expr
 
 _counter = itertools.count(1)
 
@@ -182,19 +182,15 @@ class _SharedSummary:
                            signature, reused=True)
 
         table = f"_shared{next(_counter)}"
-        selects = [common.column_list(union)]
+        keys = common.cols(union)
+        selects: list[ast.Expr] = list(keys)
         for base in bases.values():
-            if base.argument is None:
-                selects.append(f"count(*) AS {base.column}")
-            else:
-                arg = format_expr(base.argument)
-                selects.append(f"{base.func}({arg}) AS {base.column}")
-        sql = (f"CREATE TABLE {table} AS SELECT "
-               + ", ".join(selects)
-               + f" FROM {first.table}"
-               + common.where_suffix(first.where)
-               + f" GROUP BY {common.column_list(union)}")
-        db.execute(sql)
+            argument = common.STAR if base.argument is None \
+                else base.argument
+            selects.append(ast.SelectItem(
+                common.call(base.func, argument), base.column))
+        common.feedback(db, ast.CreateTableAs(table, common.select(
+            selects, common.tables(first.table), first.where, keys)))
         n_rows = db.table(table).n_rows
         return cls(table, n_rows, bases, signature)
 

@@ -27,9 +27,10 @@ from typing import Optional
 
 from repro.api.database import Database
 from repro.core import common, model, plan as plan_mod
+from repro.core.common import NULL, ZERO, cols, conjunction
 from repro.core.plan import GeneratedPlan
 from repro.errors import PercentageQueryError
-from repro.sql.formatter import format_literal, quote_ident
+from repro.sql import ast
 
 
 @dataclass(frozen=True)
@@ -156,9 +157,8 @@ def generate_vertical(db: Database, query: model.PercentageQuery,
         _postprocess_missing_rows(db, fact, term_plans,
                                   result.result_table, prefix, result)
 
-    order = common.column_list(fact.group_by)
-    result.result_select = (f"SELECT * FROM {result.result_table}"
-                            + (f" ORDER BY {order}" if order else ""))
+    result.result_statement = common.select_all(result.result_table,
+                                                fact.group_by)
     return result
 
 
@@ -184,23 +184,19 @@ def _materialize_if_needed(db: Database, query: model.PercentageQuery,
     The step is still recorded in the plan, but the runner skips
     MATERIALIZE steps because they already ran.
     """
-    if query.source_select is None:
-        if db.catalog.has_view(query.table):
-            # F is a view: snapshot it so downstream statements (and
-            # schema inference) see a plain table.
-            view = f"{prefix}_f"
-            sql = (f"CREATE TABLE {view} AS SELECT * "
-                   f"FROM {query.table}")
-            result.add(sql, plan_mod.MATERIALIZE)
-            result.temp_tables.append(view)
-            db.execute(sql)
-            return view
+    if query.source_select is not None:
+        select = common.materialization_select(query)
+    elif db.catalog.has_view(query.table):
+        # F is a view: snapshot it so downstream statements (and
+        # schema inference) see a plain table.
+        select = common.select_all(query.table)
+    else:
         return query.table
     view = f"{prefix}_f"
-    sql = f"CREATE TABLE {view} AS {common.materialization_select(query)}"
-    result.add(sql, plan_mod.MATERIALIZE)
+    statement = ast.CreateTableAs(view, select)
+    result.add(statement, plan_mod.MATERIALIZE)
     result.temp_tables.append(view)
-    db.execute(sql)
+    common.feedback(db, statement)
     return view
 
 
@@ -224,35 +220,29 @@ def _generate_fk(db: Database, query: model.PercentageQuery,
                  result: GeneratedPlan) -> None:
     """CREATE + INSERT the fine-level aggregate Fk (from F only; the
     finest level "can only be computed from F")."""
-    columns = common.typed_columns_sql(db, query.table, query.group_by)
+    columns = common.typed_columns(db, query.table, query.group_by)
     for tp in term_plans:
         sql_type = _storage_type_of(db, query.table, tp.term)
-        columns.append(f"{quote_ident(tp.column)} "
-                       f"{common.column_type_name(sql_type)}")
-    key = common.column_list(query.group_by)
-    result.add(f"CREATE TABLE {fk} (" + ", ".join(columns)
-               + (f") PRIMARY KEY ({key})" if key else ")"),
+        columns.append(ast.ColumnSpec(
+            tp.column, common.column_type_name(sql_type)))
+    result.add(ast.CreateTable(fk, tuple(columns), query.group_by),
                plan_mod.CREATE_TEMP)
     result.temp_tables.append(fk)
 
-    selects = [common.column_list(query.group_by)] if query.group_by \
-        else []
-    for tp in term_plans:
-        selects.append(_fk_aggregate_sql(tp.term))
-    result.add(
-        f"INSERT INTO {fk} SELECT " + ", ".join(selects)
-        + f" FROM {query.table}" + common.where_suffix(query.where)
-        + (f" GROUP BY {key}" if key else ""),
+    keys = cols(query.group_by)
+    selects = [*keys, *(_fk_aggregate(tp.term) for tp in term_plans)]
+    result.add(ast.InsertSelect(fk, common.select(
+        selects, common.tables(query.table), query.where, keys)),
         plan_mod.AGGREGATE_FK)
 
 
-def _fk_aggregate_sql(term: model.AggregateTerm) -> str:
+def _fk_aggregate(term: model.AggregateTerm) -> ast.FuncCall:
     """The base aggregate stored in Fk for one term (Vpct stores the
     sum to be divided; other terms store their own aggregate)."""
     if term.kind == model.VPCT:
-        return f"sum({common.argument_sql(term)})"
-    distinct = "DISTINCT " if term.distinct else ""
-    return f"{term.func}({distinct}{common.argument_sql(term)})"
+        return common.call("sum", common.argument(term))
+    return common.call(term.func, common.argument(term),
+                       distinct=term.distinct)
 
 
 def _storage_type_of(db: Database, table: str,
@@ -286,27 +276,24 @@ def _generate_fj(db: Database, query: model.PercentageQuery,
                  lattice_source: Optional[_TermPlan] = None) -> None:
     """CREATE + INSERT one totals table Fj: from a finer Fj when the
     lattice allows, else from Fk (partial aggregates), else from F."""
-    columns = common.typed_columns_sql(db, query.table, tp.totals)
-    columns.append("total REAL")
-    key = common.column_list(tp.totals)
-    result.add(f"CREATE TABLE {tp.fj_table} (" + ", ".join(columns)
-               + (f") PRIMARY KEY ({key})" if key else ")"),
+    columns = common.typed_columns(db, query.table, tp.totals)
+    columns.append(ast.ColumnSpec("total", "REAL"))
+    result.add(ast.CreateTable(tp.fj_table, tuple(columns), tp.totals),
                plan_mod.CREATE_TEMP)
     result.temp_tables.append(tp.fj_table)
 
-    prefix = f"{key}, " if key else ""
+    keys = cols(tp.totals)
+    where = None
     if lattice_source is not None:
-        body = (f"SELECT {prefix}sum(total) "
-                f"FROM {lattice_source.fj_table}"
-                + (f" GROUP BY {key}" if key else ""))
+        source, measure = lattice_source.fj_table, ast.ColumnRef("total")
     elif strategy.fj_from_fk:
-        body = (f"SELECT {prefix}sum({quote_ident(tp.column)}) FROM {fk}"
-                + (f" GROUP BY {key}" if key else ""))
+        source, measure = fk, ast.ColumnRef(tp.column)
     else:
-        body = (f"SELECT {prefix}sum({common.argument_sql(tp.term)}) "
-                f"FROM {query.table}" + common.where_suffix(query.where)
-                + (f" GROUP BY {key}" if key else ""))
-    result.add(f"INSERT INTO {tp.fj_table} {body}", plan_mod.AGGREGATE_FJ)
+        source, measure = query.table, common.argument(tp.term)
+        where = query.where
+    body = common.select([*keys, common.call("sum", measure)],
+                         common.tables(source), where, keys)
+    result.add(ast.InsertSelect(tp.fj_table, body), plan_mod.AGGREGATE_FJ)
 
 
 def _generate_indexes(query: model.PercentageQuery,
@@ -318,61 +305,52 @@ def _generate_indexes(query: model.PercentageQuery,
     for i, tp in enumerate(term_plans):
         if tp.term.kind != model.VPCT or not tp.totals:
             continue
-        key = common.column_list(tp.totals)
         if strategy.matching_indexes:
-            result.add(f"CREATE INDEX {tp.fj_table}_ix ON "
-                       f"{tp.fj_table} ({key})", plan_mod.INDEX)
-        result.add(f"CREATE INDEX {fk}_ix{i + 1} ON {fk} ({key})",
+            result.add(ast.CreateIndex(f"{tp.fj_table}_ix", tp.fj_table,
+                                       tp.totals), plan_mod.INDEX)
+        result.add(ast.CreateIndex(f"{fk}_ix{i + 1}", fk, tp.totals),
                    plan_mod.INDEX)
 
 
-def _division_case(fk: str, tp: _TermPlan) -> str:
+def _division_case(fk: str, tp: _TermPlan) -> ast.CaseWhen:
     """The guarded division for one Vpct term."""
-    fj = tp.fj_table
-    return (f"CASE WHEN {fj}.total <> 0 THEN "
-            f"{fk}.{quote_ident(tp.column)} / {fj}.total "
-            f"ELSE NULL END")
+    total = ast.ColumnRef("total", tp.fj_table)
+    return common.case(ast.BinaryOp("<>", total, ZERO),
+                       ast.BinaryOp("/", ast.ColumnRef(tp.column, fk), total))
 
 
 def _generate_insert_division(db: Database,
                               query: model.PercentageQuery,
                               term_plans: list[_TermPlan], fk: str,
                               fv: str, result: GeneratedPlan) -> None:
-    columns = common.typed_columns_sql(db, query.table, query.group_by)
+    columns = common.typed_columns(db, query.table, query.group_by)
     for tp in term_plans:
         if tp.term.kind == model.VPCT:
-            columns.append(f"{quote_ident(tp.column)} REAL")
+            type_name = "REAL"
         else:
-            sql_type = _storage_type_of(db, query.table, tp.term)
-            columns.append(f"{quote_ident(tp.column)} "
-                           f"{common.column_type_name(sql_type)}")
-    key = common.column_list(query.group_by)
-    result.add(f"CREATE TABLE {fv} (" + ", ".join(columns)
-               + (f") PRIMARY KEY ({key})" if key else ")"),
+            type_name = common.column_type_name(
+                _storage_type_of(db, query.table, tp.term))
+        columns.append(ast.ColumnSpec(tp.column, type_name))
+    result.add(ast.CreateTable(fv, tuple(columns), query.group_by),
                plan_mod.CREATE_TEMP)
     result.temp_tables.append(fv)
 
-    selects = [common.column_list(query.group_by, prefix=fk)] \
-        if query.group_by else []
+    selects: list[ast.Expr] = list(cols(query.group_by, fk))
     sources = [fk]
-    join_conditions: list[str] = []
+    join_conditions: list[ast.Expr] = []
     for tp in term_plans:
         if tp.term.kind == model.VPCT:
             selects.append(_division_case(fk, tp))
             sources.append(tp.fj_table)
-            if tp.totals:
-                # Null-safe: a NULL totals key is a group like any
-                # other, and plain = would drop its rows from FV.
-                join_conditions.append(
-                    common.null_safe_equality_join(tp.fj_table, fk,
-                                                   tp.totals))
+            # Null-safe: a NULL totals key is a group like any other,
+            # and plain = would drop its rows from FV.
+            join_conditions += common.null_safe_equalities(
+                tp.fj_table, fk, tp.totals)
         else:
-            selects.append(f"{fk}.{quote_ident(tp.column)}")
-    where = f" WHERE {' AND '.join(join_conditions)}" \
-        if join_conditions else ""
-    result.add(f"INSERT INTO {fv} SELECT " + ", ".join(selects)
-               + " FROM " + ", ".join(sources) + where,
-               plan_mod.DIVIDE)
+            selects.append(ast.ColumnRef(tp.column, fk))
+    result.add(ast.InsertSelect(fv, common.select(
+        selects, common.tables(*sources), conjunction(join_conditions))),
+        plan_mod.DIVIDE)
 
 
 def _generate_update_division(db: Database,
@@ -386,14 +364,14 @@ def _generate_update_division(db: Database,
     for tp in term_plans:
         if tp.term.kind != model.VPCT:
             continue
-        column = quote_ident(tp.column)
+        target = ast.TableRef(fk)
         if tp.totals:
-            condition = common.null_safe_equality_join(fk, tp.fj_table,
-                                                       tp.totals)
-            result.add(
-                f"UPDATE {fk} SET {column} = "
-                f"{_division_case(fk, tp)} "
-                f"FROM {tp.fj_table} WHERE {condition}",
+            condition = conjunction(common.null_safe_equalities(
+                fk, tp.fj_table, tp.totals))
+            result.add(ast.Update(
+                target, (ast.Assignment(tp.column,
+                                        _division_case(fk, tp)),),
+                (ast.TableRef(tp.fj_table),), condition),
                 plan_mod.UPDATE_DIVIDE)
         else:
             if not db.has_table(query.table):
@@ -402,18 +380,17 @@ def _generate_update_division(db: Database,
                     "read the total at generation time, which is not "
                     "possible for a materialized view; use the INSERT "
                     "strategy instead")
-            total = db.query(
-                f"SELECT sum({common.argument_sql(tp.term)}) "
-                f"FROM {query.table}"
-                + common.where_suffix(query.where))[0][0]
+            total = common.feedback(db, common.select(
+                [common.call("sum", common.argument(tp.term))],
+                common.tables(query.table), query.where)).to_rows()[0][0]
             if total in (None, 0):
-                result.add(f"UPDATE {fk} SET {column} = NULL",
-                           plan_mod.UPDATE_DIVIDE)
+                value: ast.Expr = NULL
             else:
-                result.add(
-                    f"UPDATE {fk} SET {column} = {column} / "
-                    f"{format_literal(float(total))}",
-                    plan_mod.UPDATE_DIVIDE)
+                value = ast.BinaryOp("/", ast.ColumnRef(tp.column),
+                                     ast.Literal(float(total)))
+            result.add(ast.Update(
+                target, (ast.Assignment(tp.column, value),)),
+                plan_mod.UPDATE_DIVIDE)
 
 
 def _generate_single_statement(db: Database,
@@ -428,37 +405,31 @@ def _generate_single_statement(db: Database,
             "Vpct() term")
     tp = vpct_plans[0]
     tp.fj_table = "Fj"
-    key = common.column_list(query.group_by)
-    fk_select = (f"SELECT {key}{', ' if key else ''}"
-                 + ", ".join(
-                     f"{_fk_aggregate_sql(p.term)} AS "
-                     f"{quote_ident(p.column)}"
-                     for p in term_plans)
-                 + f" FROM {query.table}"
-                 + common.where_suffix(query.where)
-                 + (f" GROUP BY {key}" if key else ""))
-    totals_key = common.column_list(tp.totals)
-    fj_select = (f"SELECT {totals_key}{', ' if totals_key else ''}"
-                 f"sum({common.argument_sql(tp.term)}) AS total"
-                 f" FROM {query.table}"
-                 + common.where_suffix(query.where)
-                 + (f" GROUP BY {totals_key}" if totals_key else ""))
-    selects = [common.column_list(query.group_by, prefix="Fk")] \
-        if query.group_by else []
+    source = common.tables(query.table)
+    keys = cols(query.group_by)
+    fk_select = common.select(
+        [*keys, *(ast.SelectItem(_fk_aggregate(p.term), p.column)
+                  for p in term_plans)],
+        source, query.where, keys)
+    totals = cols(tp.totals)
+    fj_select = common.select(
+        [*totals, ast.SelectItem(
+            common.call("sum", common.argument(tp.term)), "total")],
+        source, query.where, totals)
+    selects: list[ast.Expr] = list(cols(query.group_by, "Fk"))
     for p in term_plans:
         if p.term.kind == model.VPCT:
-            selects.append(_division_case("Fk", p)
-                           + f" AS {quote_ident(p.column)}")
+            selects.append(ast.SelectItem(_division_case("Fk", p),
+                                          p.column))
         else:
-            selects.append(f"Fk.{quote_ident(p.column)}")
-    where = (f" WHERE "
-             f"{common.null_safe_equality_join('Fj', 'Fk', tp.totals)}"
-             if tp.totals else "")
-    order = f" ORDER BY {common.column_list(query.group_by)}" \
-        if query.group_by else ""
-    result.result_select = (
-        "SELECT " + ", ".join(selects)
-        + f" FROM ({fk_select}) Fk, ({fj_select}) Fj{where}{order}")
+            selects.append(ast.ColumnRef(p.column, "Fk"))
+    derived = ast.FromClause(
+        ast.SubquerySource(fk_select, "Fk"),
+        (ast.JoinStep("cross", ast.SubquerySource(fj_select, "Fj")),))
+    result.result_statement = common.select(
+        selects, derived,
+        conjunction(common.null_safe_equalities("Fj", "Fk", tp.totals)),
+        order_by=keys)
     result.description += " (derived tables)"
 
 
@@ -486,8 +457,6 @@ def _preprocess_missing_rows(db: Database,
     """Insert zero-measure rows into F for every absent
     (totals x BY-combination) cell.  Mutates F, and -- as the paper
     warns -- silently corrupts row-count percentages like Vpct(1)."""
-    from repro.sql import ast
-
     term = _single_vpct_with_cells(query, "pre")
     totals = _totals_of(term, query)
     by_cols = list(term.by_columns)
@@ -498,36 +467,20 @@ def _preprocess_missing_rows(db: Database,
     measure = term.argument.name
 
     schema = db.table(query.table).schema
-    select_values = []
+    select_values: list[ast.Expr] = []
     for column in schema.column_names():
         lowered = column.lower()
         if lowered in totals:
-            select_values.append(f"g.{quote_ident(column)}")
+            select_values.append(ast.ColumnRef(column, "g"))
         elif lowered in by_cols:
-            select_values.append(f"c.{quote_ident(column)}")
+            select_values.append(ast.ColumnRef(column, "c"))
         elif lowered == measure.lower():
-            select_values.append("0")
+            select_values.append(ZERO)
         else:
-            select_values.append("NULL")
-    combos_select = f"SELECT DISTINCT {common.column_list(by_cols)} " \
-                    f"FROM {query.table}"
-    if totals:
-        totals_select = (f"SELECT DISTINCT {common.column_list(totals)} "
-                         f"FROM {query.table}")
-        sources = f"({totals_select}) g, ({combos_select}) c"
-        probe = (common.equality_join("f", "g", totals) + " AND "
-                 + common.equality_join("f", "c", by_cols))
-    else:
-        sources = f"({combos_select}) c"
-        probe = common.equality_join("f", "c", by_cols)
-    first_dim = quote_ident(query.group_by[0])
-    result.add(
-        f"INSERT INTO {query.table} SELECT "
-        + ", ".join(select_values)
-        + f" FROM {sources}"
-        f" LEFT OUTER JOIN {query.table} f ON {probe}"
-        f" WHERE f.{first_dim} IS NULL",
-        plan_mod.MISSING_ROWS)
+            select_values.append(NULL)
+    result.add(_fill_missing_cells(query, query.table, "f", totals,
+                                   query.table, by_cols, select_values),
+               plan_mod.MISSING_ROWS)
 
 
 def _postprocess_missing_rows(db: Database,
@@ -541,29 +494,37 @@ def _postprocess_missing_rows(db: Database,
     totals = tp.totals
     by_cols = list(term.by_columns)
 
-    select_values = []
-    for column in query.group_by:
-        if column in totals:
-            select_values.append(f"g.{quote_ident(column)}")
-        else:
-            select_values.append(f"c.{quote_ident(column)}")
+    select_values: list[ast.Expr] = [
+        ast.ColumnRef(column, "g" if column in totals else "c")
+        for column in query.group_by]
     for p in term_plans:
-        select_values.append("0" if p.term is term else "NULL")
+        select_values.append(ZERO if p.term is term else NULL)
+    result.add(_fill_missing_cells(query, fv, "v", totals, fv, by_cols,
+                                   select_values),
+               plan_mod.MISSING_ROWS)
 
-    combos_select = f"SELECT DISTINCT {common.column_list(by_cols)} " \
-                    f"FROM {query.table}"
+
+def _fill_missing_cells(query: model.PercentageQuery, target: str,
+                        alias: str, totals: tuple[str, ...],
+                        totals_source: str, by_cols: list[str],
+                        select_values: list[ast.Expr]
+                        ) -> ast.InsertSelect:
+    """``INSERT INTO target SELECT ... FROM (totals) g, (combinations)
+    c LEFT OUTER JOIN target alias ON ... WHERE alias.D1 IS NULL``:
+    one row per (totals x BY-combination) cell ``target`` lacks."""
+    combos = ast.SubquerySource(common.select(
+        cols(by_cols), common.tables(query.table), distinct=True), "c")
+    probe = common.equalities(alias, "c", by_cols)
     if totals:
-        totals_select = (f"SELECT DISTINCT {common.column_list(totals)} "
-                         f"FROM {fv}")
-        sources = f"({totals_select}) g, ({combos_select}) c"
-        probe = common.equality_join("v", "g", totals) + " AND " + \
-            common.equality_join("v", "c", by_cols)
+        first: ast.FromSource = ast.SubquerySource(common.select(
+            cols(totals), common.tables(totals_source), distinct=True),
+            "g")
+        joins = [ast.JoinStep("cross", combos)]
+        probe = common.equalities(alias, "g", totals) + probe
     else:
-        sources = f"({combos_select}) c"
-        probe = common.equality_join("v", "c", by_cols)
-    first_dim = quote_ident(query.group_by[0])
-    result.add(
-        f"INSERT INTO {fv} SELECT " + ", ".join(select_values)
-        + f" FROM {sources} LEFT OUTER JOIN {fv} v ON {probe}"
-        f" WHERE v.{first_dim} IS NULL",
-        plan_mod.MISSING_ROWS)
+        first, joins = combos, []
+    joins.append(ast.JoinStep("left", ast.TableRef(target, alias),
+                              conjunction(probe)))
+    return ast.InsertSelect(target, common.select(
+        select_values, ast.FromClause(first, tuple(joins)),
+        ast.IsNull(ast.ColumnRef(query.group_by[0], alias))))

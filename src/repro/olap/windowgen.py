@@ -29,10 +29,11 @@ produces the same answer set").
 from __future__ import annotations
 
 from repro.api.database import Database
-from repro.core import common, model
+from repro.core import model
 from repro.core.model import PercentageQuery, parse_percentage_query
 from repro.engine.table import Table
 from repro.errors import PercentageQueryError
+from repro.sql.formatter import format_expr, quote_ident
 
 
 def generate_olap_percentage_query(query: PercentageQuery | str) -> str:
@@ -49,15 +50,15 @@ def generate_olap_percentage_query(query: PercentageQuery | str) -> str:
         raise PercentageQueryError(
             "materialize the fact table first (multi-table FROM)")
 
-    fine = common.column_list(query.group_by)
+    fine = _column_list(query.group_by)
     selects = [fine] if fine else []
     for term in query.terms:
-        arg = common.argument_sql(term)
+        arg = term.argument_sql()
         if term.kind == model.VPCT:
             by = set(term.by_columns)
             totals = tuple(c for c in query.group_by if c not in by) \
                 if term.by_columns else ()
-            coarse = common.column_list(totals)
+            coarse = _column_list(totals)
             fine_window = (f"sum({arg}) OVER (PARTITION BY {fine})")
             coarse_window = f"sum({arg}) OVER (PARTITION BY {coarse})" \
                 if coarse else f"sum({arg}) OVER ()"
@@ -70,11 +71,16 @@ def generate_olap_percentage_query(query: PercentageQuery | str) -> str:
             inner = arg if term.argument is not None else "*"
             selects.append(f"{term.func}({distinct}{inner}) "
                            f"OVER (PARTITION BY {fine})")
-    sql = ("SELECT DISTINCT " + ", ".join(selects)
-           + f" FROM {query.table}" + common.where_suffix(query.where))
+    sql = "SELECT DISTINCT " + ", ".join(selects) + f" FROM {query.table}"
+    if query.where is not None:
+        sql += f" WHERE {format_expr(query.where)}"
     if fine:
         sql += f" ORDER BY {fine}"
     return sql
+
+
+def _column_list(columns) -> str:
+    return ", ".join(quote_ident(c) for c in columns)
 
 
 def run_olap_percentage_query(db: Database,

@@ -1,12 +1,18 @@
 """Render AST nodes back to SQL text.
 
-The percentage-query code generator builds statement ASTs and uses this
-module to emit the standard SQL the paper's Java program would have
-sent over JDBC.  The output is deterministic and re-parseable by
-:mod:`repro.sql.parser` (round-trip property, tested).
+The percentage-query code generator builds statement ASTs and hands
+them to the engine as trees; this module prints the standard SQL the
+paper's Java program would have sent over JDBC, when something reads
+it (a trace, the statement history, ``EXPLAIN``, a plan's script).
+The output is deterministic and re-parseable by
+:mod:`repro.sql.parser` (round-trip property, tested), with as few
+parentheses as the grammar allows -- plus one kept for the reader: an
+``AND`` inside an ``OR``.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.sql import ast
 
@@ -130,14 +136,16 @@ def _format_table_ref(ref: ast.TableRef) -> str:
 
 
 def _format_create_table(statement: ast.CreateTable) -> str:
-    pieces = [f"{quote_ident(c.name)} {c.type_name}"
-              for c in statement.columns]
+    """The key follows the column list, Teradata style, as the paper's
+    generated code writes it."""
+    columns = ", ".join(f"{quote_ident(c.name)} {c.type_name}"
+                        for c in statement.columns)
+    exists = "IF NOT EXISTS " if statement.if_not_exists else ""
+    text = f"CREATE TABLE {exists}{quote_ident(statement.name)} ({columns})"
     if statement.primary_key:
         keys = ", ".join(quote_ident(c) for c in statement.primary_key)
-        pieces.append(f"PRIMARY KEY ({keys})")
-    exists = "IF NOT EXISTS " if statement.if_not_exists else ""
-    return (f"CREATE TABLE {exists}{quote_ident(statement.name)} ("
-            + ", ".join(pieces) + ")")
+        text += f" PRIMARY KEY ({keys})"
+    return text
 
 
 def _format_insert_values(statement: ast.InsertValues) -> str:
@@ -169,7 +177,13 @@ def _format_update(statement: ast.Update) -> str:
 # ----------------------------------------------------------------------
 # Expressions
 # ----------------------------------------------------------------------
-def format_expr(expr: ast.Expr) -> str:
+def format_expr(expr: ast.Expr, full_parens: bool = False) -> str:
+    """``expr`` as SQL text, with as few parentheses as the grammar
+    allows.  ``full_parens`` parenthesizes every compound operand
+    instead, whatever the binding powers: the spelling result-column
+    labels are derived from, so that they do not move when the rules
+    for the fewest parentheses do."""
+    fp = full_parens
     if isinstance(expr, ast.Literal):
         return format_literal(expr.value)
     if isinstance(expr, ast.ColumnRef):
@@ -180,62 +194,67 @@ def format_expr(expr: ast.Expr) -> str:
         return f"{quote_ident(expr.table)}.*" if expr.table else "*"
     if isinstance(expr, ast.UnaryOp):
         if expr.op == "NOT":
-            return f"NOT {_maybe_paren(expr.operand)}"
+            return "NOT " + _operand(expr.operand, _NOT, "", fp)
         # Always parenthesize the operand: "-(-1)" would otherwise
         # render as "--1" (a comment), and "-0" would re-parse as the
         # folded literal 0.
-        return f"-({format_expr(expr.operand)})"
+        return f"-({format_expr(expr.operand, fp)})"
     if isinstance(expr, ast.BinaryOp):
-        return (f"{_maybe_paren(expr.left)} {expr.op} "
-                f"{_maybe_paren(expr.right)}")
+        power = _BINARY_POWER[expr.op]
+        # Left-associative: a left operand of equal power needs no
+        # parentheses, a right one does; comparisons do not associate.
+        left = power + 1 if power == _COMPARE else power
+        return (f"{_operand(expr.left, left, expr.op, fp)} {expr.op} "
+                f"{_operand(expr.right, power + 1, expr.op, fp)}")
     if isinstance(expr, ast.IsNull):
         negation = "NOT " if expr.negated else ""
-        return f"{_maybe_paren(expr.operand)} IS {negation}NULL"
+        return f"{_operand(expr.operand, _ADD, '', fp)} IS {negation}NULL"
     if isinstance(expr, ast.InList):
-        items = ", ".join(format_expr(i) for i in expr.items)
+        items = ", ".join(format_expr(i, fp) for i in expr.items)
         negation = "NOT " if expr.negated else ""
-        return f"{_maybe_paren(expr.operand)} {negation}IN ({items})"
+        return (f"{_operand(expr.operand, _ADD, '', fp)} "
+                f"{negation}IN ({items})")
     if isinstance(expr, ast.CaseWhen):
         parts = ["CASE"]
         for condition, result in expr.whens:
-            parts.append(f"WHEN {format_expr(condition)} "
-                         f"THEN {format_expr(result)}")
+            parts.append(f"WHEN {format_expr(condition, fp)} "
+                         f"THEN {format_expr(result, fp)}")
         if expr.else_ is not None:
-            parts.append(f"ELSE {format_expr(expr.else_)}")
+            parts.append(f"ELSE {format_expr(expr.else_, fp)}")
         parts.append("END")
         return " ".join(parts)
     if isinstance(expr, ast.Cast):
-        return f"CAST({format_expr(expr.operand)} AS {expr.type_name})"
+        return f"CAST({format_expr(expr.operand, fp)} AS {expr.type_name})"
     if isinstance(expr, ast.FuncCall):
-        return _format_func(expr)
+        return _format_func(expr, fp)
     if isinstance(expr, ast.Cube):
-        columns = ", ".join(format_expr(e) for e in expr.exprs)
+        columns = ", ".join(format_expr(e, fp) for e in expr.exprs)
         return f"CUBE ({columns})"
     if isinstance(expr, ast.Rollup):
-        columns = ", ".join(format_expr(e) for e in expr.exprs)
+        columns = ", ".join(format_expr(e, fp) for e in expr.exprs)
         return f"ROLLUP ({columns})"
     if isinstance(expr, ast.GroupingSets):
         sets = ", ".join(
-            "(" + ", ".join(format_expr(e) for e in gset) + ")"
+            "(" + ", ".join(format_expr(e, fp) for e in gset) + ")"
             for gset in expr.sets)
         return f"GROUPING SETS ({sets})"
     raise TypeError(f"cannot format expression {expr!r}")
 
 
-def _format_func(expr: ast.FuncCall) -> str:
+def _format_func(expr: ast.FuncCall, fp: bool) -> str:
     inner = []
     if expr.distinct:
         inner.append("DISTINCT")
-    inner.append(", ".join(format_expr(a) for a in expr.args))
+    inner.append(", ".join(format_expr(a, fp) for a in expr.args))
     if expr.by_columns:
-        inner.append("BY " + ", ".join(format_expr(c)
+        inner.append("BY " + ", ".join(format_expr(c, fp)
                                        for c in expr.by_columns))
     if expr.default is not None:
-        inner.append("DEFAULT " + format_expr(expr.default))
+        inner.append("DEFAULT " + format_expr(expr.default, fp))
     rendered = f"{expr.name}({' '.join(p for p in inner if p)})"
     if expr.over is not None:
         if expr.over.partition_by:
-            partition = ", ".join(format_expr(e)
+            partition = ", ".join(format_expr(e, fp)
                                   for e in expr.over.partition_by)
             rendered += f" OVER (PARTITION BY {partition})"
         else:
@@ -243,13 +262,44 @@ def _format_func(expr: ast.FuncCall) -> str:
     return rendered
 
 
-def _maybe_paren(expr: ast.Expr) -> str:
-    """Parenthesize compound sub-expressions; the emitter does not track
-    precedence, so explicit parentheses keep round-trips exact."""
-    if isinstance(expr, (ast.BinaryOp, ast.UnaryOp, ast.InList,
-                         ast.IsNull)):
-        return f"({format_expr(expr)})"
-    return format_expr(expr)
+#: Binding powers, loosest first -- the parser's levels.  A prefix NOT
+#: binds a comparison; unary minus prints as ``-(x)``, which binds
+#: tighter than any infix operator.
+_OR, _AND, _NOT, _COMPARE, _ADD, _MUL, _PRIMARY = range(1, 8)
+
+_BINARY_POWER = {"OR": _OR, "AND": _AND,
+                 "=": _COMPARE, "<>": _COMPARE, "<": _COMPARE,
+                 "<=": _COMPARE, ">": _COMPARE, ">=": _COMPARE,
+                 "+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL}
+
+
+#: What ``full_parens`` parenthesizes as an operand.
+_COMPOUND = (ast.BinaryOp, ast.UnaryOp, ast.IsNull, ast.InList)
+
+
+def _power(expr: ast.Expr) -> int:
+    kind = type(expr)
+    if kind is ast.BinaryOp:
+        return _BINARY_POWER[expr.op]
+    if kind is ast.UnaryOp:
+        return _NOT if expr.op == "NOT" else _PRIMARY
+    if kind is ast.IsNull or kind is ast.InList:
+        return _COMPARE
+    return _PRIMARY
+
+
+def _operand(expr: ast.Expr, minimum: int, parent: str,
+             full_parens: bool) -> str:
+    """``expr`` in a slot that binds at least as tightly as
+    ``minimum``: parenthesized when it binds looser, and -- for the
+    reader, not the parser -- when it is an AND inside an OR.  With
+    ``full_parens``, parenthesized whenever it is compound."""
+    text = format_expr(expr, full_parens)
+    power = _power(expr)
+    if power < minimum or (power == _AND and parent == "OR") \
+            or (full_parens and isinstance(expr, _COMPOUND)):
+        return f"({text})"
+    return text
 
 
 _IDENT_SAFE = set("abcdefghijklmnopqrstuvwxyz"
@@ -274,9 +324,15 @@ def quote_ident(name: str) -> str:
 
 
 def format_literal(value) -> str:
-    """A Python value as a SQL literal -- the one printer the
-    formatter, the code generator and the DB-API's parameter binding
-    share."""
+    """A Python value as a SQL literal -- the one printer the formatter
+    and the DB-API's parameter binding share.
+
+    Infinities print as ``1e999`` / ``-1e999``, which the lexer reads
+    back as infinite floats.  Two values have no text that reads back:
+    NaN (SQL has no NaN literal) and a string holding a newline (the
+    lexer refuses a newline inside a string literal).  Their trees
+    still run -- the code generator hands the engine trees, not this
+    text."""
     if value is None:
         return "NULL"
     if isinstance(value, bool):
@@ -284,5 +340,7 @@ def format_literal(value) -> str:
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
     if isinstance(value, float):
-        return repr(value)
+        if value in (math.inf, -math.inf):
+            return "1e999" if value > 0 else "-1e999"
+        return repr(float(value))
     return str(value)

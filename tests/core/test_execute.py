@@ -7,6 +7,7 @@ from repro.core import (HorizontalAggStrategy, HorizontalStrategy,
                         run_percentage_query)
 from repro.core.execute import cleanup_plan, execute_plan
 from repro.errors import PercentageQueryError
+from repro.sql.parser import parse_statement
 
 
 class TestDispatch:
@@ -79,7 +80,8 @@ class TestExecutionReport:
         plan = generate_plan(
             sales_db, "SELECT state, Vpct(salesamt) FROM sales "
                       "GROUP BY state")
-        plan.steps[0].sql = "SELECT * FROM nonexistent"
+        plan.steps[0].statement = parse_statement(
+            "SELECT * FROM nonexistent")
         from repro.errors import CatalogError
         with pytest.raises(CatalogError):
             execute_plan(sales_db, plan)

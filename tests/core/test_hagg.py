@@ -1,11 +1,14 @@
 """Unit tests for the SPJ strategy (companion paper Section 3.4)."""
 
+import math
+
 import pytest
 
 from repro.core import (HorizontalAggStrategy, HorizontalStrategy,
                         generate_plan, run_percentage_query)
 from repro.core import plan as plan_mod
 from repro.errors import PercentageQueryError
+from tests.core.test_horizontal import load_unprintable, transposed
 
 QUERY = ("SELECT gender, sum(salary BY maritalstatus) FROM employee "
          "GROUP BY gender")
@@ -127,3 +130,47 @@ class TestExecution:
         case = run_percentage_query(employee_db, sql,
                                     HorizontalStrategy(source="F"))
         assert spj.to_rows() == case.to_rows()
+
+
+@pytest.mark.parametrize("source", ["F", "FV"])
+def test_no_result_column_is_refused(db, source):
+    # An empty table, no GROUP BY, no plain term: no BY combination
+    # exists, so the result would have no column at all.
+    db.load_table("f", [("d", "varchar"), ("m", "int")], [])
+    with pytest.raises(PercentageQueryError,
+                       match="no BY combinations and no GROUP BY"):
+        run_percentage_query(db, "SELECT sum(m BY d) FROM f",
+                             HorizontalAggStrategy(source=source))
+
+
+class TestByValuesWithoutLiteralText:
+    """``sum(m BY d)`` over BY values no SQL literal spells (a newline
+    inside a string, infinite REALs) equals the transposed GROUP BY in
+    every strategy; a NaN BY value is refused."""
+
+    STRATEGIES = [HorizontalAggStrategy(source="F"),
+                  HorizontalAggStrategy(source="FV"),
+                  HorizontalStrategy(source="F"),
+                  HorizontalStrategy(source="FV")]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES,
+                             ids=lambda s: s.describe())
+    @pytest.mark.parametrize("by", ["d", "r"])
+    def test_sum_by_equals_transposed_group_by(self, db, strategy, by):
+        load_unprintable(db)
+        values, sums = transposed(db, db.execute(
+            f"SELECT g, {by}, sum(m) FROM f GROUP BY g, {by}"), by)
+        result = run_percentage_query(
+            db, f"SELECT g, sum(m BY {by}) FROM f GROUP BY g", strategy)
+        for g, *row in result.to_rows():
+            assert dict(zip(values, row)) == \
+                {v: sums[g].get(v) for v in values}
+
+    @pytest.mark.parametrize("strategy", STRATEGIES,
+                             ids=lambda s: s.describe())
+    def test_nan_by_value_is_refused(self, db, strategy):
+        db.load_table("f", [("g", "int"), ("r", "real"), ("m", "real")],
+                      [(1, math.nan, 1.0), (1, 2.0, 3.0)])
+        with pytest.raises(PercentageQueryError, match="BY column r"):
+            run_percentage_query(
+                db, "SELECT g, sum(m BY r) FROM f GROUP BY g", strategy)

@@ -1,6 +1,8 @@
 """Unit tests for Hpct/Hagg CASE-strategy code generation and
 execution."""
 
+import math
+
 import pytest
 
 from repro.core import (HorizontalStrategy, generate_plan,
@@ -143,6 +145,22 @@ class TestMultipleTerms:
         assert rows["M"]["hpct_salary_Single"] == pytest.approx(1.0)
         assert rows["M"]["mx_Single"] == 45000.0
         assert rows["M"]["mx_Married"] is None
+
+    @pytest.mark.parametrize("source", ["F", "FV"])
+    def test_compound_argument_labels(self, db, source):
+        # Labels spell a compound argument with every operand
+        # parenthesized, whatever the printer's parenthesis rules.
+        db.load_table("f", [("g", "int"), ("d", "varchar"),
+                            ("a", "real"), ("b", "real"), ("c", "real")],
+                      [(1, "x", 1.0, 2.0, 3.0), (1, "y", 2.0, 1.0, 1.0)])
+        result = run_percentage_query(
+            db, "SELECT g, Hpct(a + b * c BY d), sum(a + b * c BY d), "
+                "max((a - b) - c BY d), count(NOT a = b BY d) FROM f "
+                "GROUP BY g", HorizontalStrategy(source=source))
+        assert result.column_names() == [
+            "g", "hpct_a__b_c__x", "hpct_a__b_c__y", "sum_a__b_c__x",
+            "sum_a__b_c__y", "max__a_b__c_x", "max__a_b__c_y",
+            "count_NOT_a_b__x", "count_NOT_a_b__y"]
 
 
 class TestNaming:
@@ -298,3 +316,69 @@ class TestEmptyTableGlobalAggregates:
         assert record["count_m_x"] == 0
         assert record["sum_m_x"] is None
         assert record["count_3"] == 1
+
+    @pytest.mark.parametrize("term", ["Hpct(m BY d)", "sum(m BY d)"])
+    @pytest.mark.parametrize("indirect", [False, True],
+                             ids=["direct", "indirect"])
+    def test_no_result_column_is_refused(self, db, term, indirect):
+        # No GROUP BY, no plain term and no BY combination: the result
+        # would have no column at all.
+        self._load(db)
+        with pytest.raises(PercentageQueryError,
+                           match="no BY combinations and no GROUP BY"):
+            run_percentage_query(
+                db, f"SELECT {term} FROM f",
+                HorizontalStrategy(source="FV" if indirect else "F"))
+
+
+#: BY values whose literal text does not read back: a string holding a
+#: newline and REAL infinities.
+UNPRINTABLE = [("a", "x\ny", math.inf, 1.0), ("a", "w", -math.inf, 3.0),
+               ("b", "x\ny", 1.5, 2.0), ("b", "w", math.inf, 6.0)]
+
+
+def load_unprintable(db):
+    db.load_table("f", [("g", "varchar"), ("d", "varchar"),
+                        ("r", "real"), ("m", "real")], UNPRINTABLE)
+
+
+def transposed(db, vertical, by):
+    """The BY values in result-column order, and ``{g: {value: cell}}``
+    read off the rows of a vertical query ``(g, value, cell)``."""
+    cells = {}
+    for g, value, cell in vertical.to_rows():
+        cells.setdefault(g, {})[value] = cell
+    values = [v for (v,) in db.query(
+        f"SELECT DISTINCT {by} FROM f ORDER BY {by}")]
+    return values, cells
+
+
+class TestByValuesWithoutLiteralText:
+    """The engine runs the generator's trees, so a BY value that no
+    SQL literal spells -- a newline inside a string, an infinite REAL
+    -- still makes its result column; a NaN, which no cell condition
+    can match, is refused."""
+
+    @pytest.mark.parametrize("source", ["F", "FV"])
+    @pytest.mark.parametrize("by", ["d", "r"])
+    def test_hpct_equals_transposed_vpct(self, db, source, by):
+        load_unprintable(db)
+        values, vpct = transposed(db, run_percentage_query(
+            db, f"SELECT g, {by}, Vpct(m BY {by}) FROM f "
+                f"GROUP BY g, {by}"), by)
+        assert len(values) == (2 if by == "d" else 3)
+        result = run_percentage_query(
+            db, f"SELECT g, Hpct(m BY {by}) FROM f GROUP BY g",
+            HorizontalStrategy(source=source))
+        for g, *row in result.to_rows():
+            assert dict(zip(values, row)) == pytest.approx(
+                {v: vpct[g].get(v, 0.0) for v in values})
+
+    @pytest.mark.parametrize("source", ["F", "FV"])
+    def test_nan_by_value_is_refused(self, db, source):
+        db.load_table("f", [("g", "int"), ("r", "real"), ("m", "real")],
+                      [(1, math.nan, 1.0), (1, 2.0, 3.0)])
+        with pytest.raises(PercentageQueryError, match="BY column r"):
+            run_percentage_query(
+                db, "SELECT g, Hpct(m BY r) FROM f GROUP BY g",
+                HorizontalStrategy(source=source))

@@ -1,19 +1,21 @@
 """Operator precedence, checked through text with as few parentheses as
 the grammar allows.
 
-The round-trip properties in ``tests/property/test_sql_roundtrip.py``
-format with full parentheses, so they cannot see a precedence slip.
-The code generator does not: it emits ``dept = 1 AND monthno = 1``.
-Here a test-local printer renders random expression trees with a
+A test-local printer renders random expression trees with a
 parenthesis only where the binding powers demand one, and parsing the
-text must give the tree back."""
+text must give the tree back.  The formatter prints by the same rules
+(plus parentheses around an AND inside an OR, for the reader), so the
+same trees run through ``format_expr`` too."""
+
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SQLSyntaxError
 from repro.sql import ast
+from repro.sql.formatter import format_expr
 from repro.sql.parser import parse_expression
 
 #: Binding power of each printed form, loosest first; a child binding
@@ -148,3 +150,43 @@ def test_comparisons_do_not_associate(text, column):
         parse_expression(text)
     assert str(err.value).startswith("unexpected trailing input: '='")
     assert (err.value.line, err.value.column) == (1, column)
+
+
+def _and(left, right):
+    return ast.BinaryOp("AND", left, right)
+
+
+#: Trees whose printing the formatter must get right, with the text.
+FORMATTED = [
+    (ast.BinaryOp("-", col("a"), lit(-3)), "a - -3"),
+    (ast.UnaryOp("NOT", ast.BinaryOp("=", col("a"), col("b"))),
+     "NOT a = b"),
+    (ast.BinaryOp("OR", ast.BinaryOp("=", col("a"), col("b")),
+                  _and(ast.IsNull(col("c")), ast.IsNull(col("d")))),
+     "a = b OR (c IS NULL AND d IS NULL)"),
+    (_and(_and(col("a"), col("b")), col("c")), "a AND b AND c"),
+    (_and(col("a"), _and(col("b"), col("c"))), "a AND (b AND c)"),
+    (lit(math.inf), "1e999"),
+    (lit(-math.inf), "-1e999"),
+]
+
+
+@given(_EXPRESSIONS)
+@example(FORMATTED[0][0])
+@example(FORMATTED[1][0])
+@example(FORMATTED[2][0])
+@example(FORMATTED[3][0])
+@example(FORMATTED[4][0])
+@example(FORMATTED[5][0])
+@settings(max_examples=600, deadline=None)
+def test_formatter_parses_back(expr):
+    assert parse_expression(format_expr(expr)) == expr
+
+
+@pytest.mark.parametrize("tree, text", FORMATTED)
+def test_formatter_prints_minimal_parentheses(tree, text):
+    assert format_expr(tree) == text
+    parsed = parse_expression(text)
+    assert parsed == tree
+    if isinstance(tree, ast.Literal):
+        assert type(parsed.value) is type(tree.value)
