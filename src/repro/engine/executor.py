@@ -39,7 +39,8 @@ from repro.engine.expressions import (Frame, evaluate, evaluate_scalar,
 from repro.engine.governor import ResourceGovernor
 from repro.engine import groupingsets as gs_mod
 from repro.engine.groupby import (distinct_indices, encode_column,
-                                  factorize, first_positions)
+                                  factorize, first_positions,
+                                  in_code_order)
 from repro.engine.join import join_indices
 from repro.engine.planner import (PlannedJoin, PlannedSource, SelectPlan,
                                   plan_select, plan_update_join)
@@ -371,9 +372,8 @@ class Executor:
                 # non-projected source columns.
                 aligned = plan.mode == "projection" \
                     and not select.distinct
-                with self._operator("sort", input_rows=result.n_rows):
-                    result = self._apply_order(
-                        select, result, frame if aligned else None)
+                result = self._apply_order(
+                    select, result, frame if aligned else None)
             if select.limit is not None:
                 result = result.take(
                     np.arange(min(select.limit, result.n_rows)))
@@ -771,32 +771,43 @@ class Executor:
                      fallback: Optional[Frame] = None) -> Table:
         """Sort the result.  Keys resolve against the output columns
         first; for plain (non-DISTINCT) projections they may also
-        reference source columns via ``fallback``."""
-        frame = Frame(result.n_rows)
-        frame.add_table(result.name, result)
-        sort_keys = []
-        for item in select.order_by:
-            expr = item.expr
-            # Only an INTEGER literal is a position: TRUE/FALSE are
-            # constant keys (bool is an int subclass in Python).
-            if isinstance(expr, ast.Literal) and type(expr.value) is int:
-                position = expr.value
-                if not 1 <= position <= result.schema.width():
-                    raise PlanningError(
-                        f"ORDER BY position {position} is out of range")
-                column = result.column(result.column_names()[position - 1])
-            else:
-                try:
-                    column = evaluate(expr, frame, self.stats)
-                except PlanningError:
-                    if fallback is None:
-                        raise
-                    column = evaluate(expr, fallback, self.stats)
-            codes = encode_column(_concrete(column),
-                                  self.encoding_cache).codes
-            sort_keys.append(codes if item.ascending else -codes)
-        order = np.lexsort(tuple(reversed(sort_keys)))
-        return result.take(order)
+        reference source columns via ``fallback``.  Rows already in
+        order are returned as they are: a stable sort of sorted input
+        is the identity, so only disorder pays for encoding and
+        ``np.lexsort`` (the ``sort`` span's ``presorted`` says which)."""
+        with self._operator("sort", input_rows=result.n_rows) as op:
+            frame = Frame(result.n_rows)
+            frame.add_table(result.name, result)
+            keys = []
+            for item in select.order_by:
+                expr = item.expr
+                # Only an INTEGER literal is a position: TRUE/FALSE are
+                # constant keys (bool is an int subclass in Python).
+                if isinstance(expr, ast.Literal) and type(expr.value) is int:
+                    position = expr.value
+                    if not 1 <= position <= result.schema.width():
+                        raise PlanningError(
+                            f"ORDER BY position {position} is out of range")
+                    column = result.column(
+                        result.column_names()[position - 1])
+                else:
+                    try:
+                        column = evaluate(expr, frame, self.stats)
+                    except PlanningError:
+                        if fallback is None:
+                            raise
+                        column = evaluate(expr, fallback, self.stats)
+                keys.append((_concrete(column), item.ascending))
+            presorted = in_code_order(keys)
+            op.stamp(presorted=presorted)
+            if presorted:
+                return result
+            sort_keys = []
+            for column, ascending in keys:
+                codes = encode_column(column, self.encoding_cache).codes
+                sort_keys.append(codes if ascending else -codes)
+            order = np.lexsort(tuple(reversed(sort_keys)))
+            return result.take(order)
 
     # ------------------------------------------------------------------
     # Materialized views (repro.views)

@@ -109,6 +109,66 @@ def _encode_values(col: ColumnData) -> EncodedColumn:
     return EncodedColumn(codes, uniques, col.sql_type)
 
 
+def in_code_order(keys: list[tuple[ColumnData, bool]]) -> bool:
+    """Whether rows already stand in the order a stable sort on the
+    keys' :func:`encode_column` codes would give them -- NULL lowest,
+    a descending key (``ascending`` False) reversed -- so that sort
+    would be the identity.
+
+    One O(n) pass per key over adjacent row pairs, on the raw values
+    and NULL masks (the filler under a NULL never decides a pair): a
+    pair out of order answers False, and a "still tied" mask carries
+    the pairs no key has told apart yet to the next key, which
+    decides only those.  VARCHAR values compare as Python objects, so
+    only the pairs a VARCHAR key decides are compared for order.  A
+    REAL key holding a NaN answers False, leaving its order to the
+    codes.
+    """
+    tied = None     # pair (i, i + 1) tied on every key so far
+    for col, ascending in keys:
+        values, nulls = col.values, col.nulls
+        if len(values) < 2:
+            return True
+        has_nulls = bool(nulls.any())
+        if values.dtype.kind == "f" and bool(
+                (np.isnan(values) & ~nulls).any() if has_nulls
+                else np.isnan(values).any()):
+            return False
+        a, b = values[:-1], values[1:]
+        na, nb = nulls[:-1], nulls[1:]
+        if not ascending:
+            a, b, na, nb = b, a, nb, na
+        # The pair is out of order when a > b, NULL lowest.
+        eq = np.asarray(a == b, dtype=bool)
+        if has_nulls:
+            valid = ~(na | nb)
+            eq &= valid
+            eq |= na & nb
+            null_last = ~na & nb
+        if values.dtype == object:
+            decided = ~eq if tied is None else tied & ~eq
+            if has_nulls:
+                if (decided & null_last).any():
+                    return False
+                decided &= valid
+            at = np.flatnonzero(decided)
+            if (a[at] > b[at]).any():
+                return False
+        else:
+            gt = a > b
+            if has_nulls:
+                gt &= valid
+                gt |= null_last
+            if tied is not None:
+                gt &= tied
+            if gt.any():
+                return False
+        tied = eq if tied is None else tied & eq
+        if not tied.any():
+            return True
+    return True
+
+
 @dataclass
 class Grouping:
     """The result of factorizing rows by a key-column list."""

@@ -182,6 +182,7 @@ class _Differential:
         self.variants = _variants(args)
         self.families: Counter = Counter()
         self.divergences = 0
+        self.printer_findings = 0
 
     def _run_case(self, case: FuzzCase):
         return run_case(case, inject_bug=self.args.inject_bug,
@@ -193,8 +194,13 @@ class _Differential:
         result = self._run_case(case)
         if not result.divergent:
             return False
-        self.divergences += 1
-        print(f"DIVERGENCE at case {case.index}: {result.explanation}")
+        if result.printer_finding:
+            self.printer_findings += 1
+            label = "PRINTER FINDING"
+        else:
+            self.divergences += 1
+            label = "DIVERGENCE"
+        print(f"{label} at case {case.index}: {result.explanation}")
         minimized = reduce_case(
             case, lambda c: self._run_case(c).divergent)
         final = self._run_case(minimized)
@@ -215,8 +221,9 @@ class _Differential:
         mix = ", ".join(f"{family}={count}" for family, count
                         in sorted(self.families.items()))
         print(f"ran {ran} cases in {elapsed:.1f}s ({mix}); "
-              f"{self.divergences} divergence(s)")
-        return self.divergences
+              f"{self.divergences} divergence(s), "
+              f"{self.printer_findings} printer finding(s)")
+        return self.divergences + self.printer_findings
 
 
 class _Sweep:

@@ -65,6 +65,8 @@ from repro.fuzz.oracle import (SqliteOracle, supports_update_from,
 from repro.fuzz.variants import LeakError, Variant, open_variant
 from repro.obs.tracer import audit_statement_span, validate_span_tree
 from repro.olap.windowgen import generate_olap_percentage_query
+from repro.sql.ast import typed
+from repro.sql.parser import parse_statement
 
 #: plan steps the oracle replay skips: DISCOVER/MATERIALIZE already ran
 #: at generation time and indexes cannot change results.
@@ -79,7 +81,8 @@ class VariantResult:
     """Outcome of one evaluation path."""
 
     name: str
-    status: str                      # "rows"|"error"|"timeout"|"leak"
+    #: "rows" | "error" | "timeout" | "leak" | "printer"
+    status: str
     rows: Optional[list] = None
     error: Optional[str] = None
 
@@ -96,6 +99,13 @@ class CaseResult:
     variants: list[VariantResult] = field(default_factory=list)
     divergent: bool = False
     explanation: str = ""
+
+    @property
+    def printer_finding(self) -> bool:
+        """Whether the case diverged because a plan's printed text is
+        not the tree the engine ran -- a formatter slip, not an engine
+        one."""
+        return any(v.status == "printer" for v in self.variants)
 
     def divergence_report(self) -> str:
         lines = [f"case seed={self.case.seed} index={self.case.index} "
@@ -148,7 +158,7 @@ def run_case(case: FuzzCase,
                                  trace, variants):
         result.variants.append(_evaluate(name, thunk))
     for variant in result.variants:
-        if variant.status == "leak":
+        if variant.status in ("leak", "printer"):
             result.divergent = True
             result.explanation = f"{variant.name}: {variant.error}"
             return result
@@ -205,6 +215,9 @@ def _evaluate(name: str, thunk: Callable[[], list]) -> VariantResult:
         rows = thunk()
     except LeakError as exc:
         return VariantResult(name=name, status="leak", error=str(exc))
+    except PrinterMismatch as exc:
+        return VariantResult(name=name, status="printer",
+                             error=f"printer finding: {exc}")
     except Exception as exc:  # noqa: BLE001 - errors are outcomes here
         if isinstance(exc, QueryCancelledError) \
                 and exc.reason == "deadline":
@@ -223,12 +236,26 @@ def _engine_rows(case: FuzzCase, strategy: "_Strategy",
         return rows
 
 
+class PrinterMismatch(Exception):
+    """A plan's printed text parses to a tree other than the one the
+    engine ran: the formatter is at fault, not the engine."""
+
+
 def _replay_rows(case: FuzzCase, strategy) -> list:
-    """Generate a plan against the engine, execute it in sqlite."""
+    """Generate a plan against the engine, execute it in sqlite.  The
+    engine runs the plan's trees and sqlite their printed text, so
+    each replayed text must first parse back to its tree (typed);
+    a slip raises :class:`PrinterMismatch`."""
     with open_variant(case, Variant()) as db:
         plan = generate_plan(db, case.query_sql(), strategy)
-    statements = [step.sql for step in plan.steps
-                  if step.purpose not in _REPLAY_SKIP]
+    replayed = [(step.sql, step.statement) for step in plan.steps
+                if step.purpose not in _REPLAY_SKIP]
+    replayed.append((plan.result_select, plan.result_statement))
+    for text, statement in replayed:
+        if typed(parse_statement(text)) != typed(statement):
+            raise PrinterMismatch(f"text does not parse to its tree: "
+                                  f"{text}")
+    statements = [text for text, _ in replayed[:-1]]
     return _on_sqlite(case, lambda oracle: oracle.replay_plan(
         statements, plan.result_select))
 

@@ -24,7 +24,7 @@ of a code generator in front of a standard-SQL DBMS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Optional, Union
 
 
@@ -504,3 +504,19 @@ def contains_extended(expr: Expr) -> bool:
 def column_refs(expr: Expr) -> list[ColumnRef]:
     """Every column reference inside ``expr``, in walk order."""
     return [node for node in walk(expr) if isinstance(node, ColumnRef)]
+
+
+def typed(node):
+    """``node`` as nested tuples in which every literal carries the
+    exact type of its value: two trees are the same statement only if
+    their ``typed`` forms are equal.  Dataclass equality alone is not
+    enough -- it takes ``Literal(1)``, ``Literal(1.0)``,
+    ``Literal(True)`` and ``Literal(np.int64(1))`` for one another."""
+    if isinstance(node, Literal):
+        return ("Literal", type(node.value), repr(node.value))
+    if is_dataclass(node):
+        return (type(node),) + tuple(typed(getattr(node, f.name))
+                                     for f in fields(node))
+    if isinstance(node, tuple):
+        return tuple(typed(item) for item in node)
+    return node

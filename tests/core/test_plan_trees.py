@@ -10,7 +10,6 @@ an untraced query must neither lex its plan nor print it: only its
 short generation-time feedback statements travel as text.
 """
 
-import dataclasses
 import sys
 
 import numpy as np
@@ -26,20 +25,8 @@ from repro.core.execute import (cleanup_plan, generate_plan,
 from repro.datagen import (load_census, load_employee, load_sales,
                            load_transaction_line)
 from repro.sql import ast, formatter, tokens
+from repro.sql.ast import typed
 from repro.sql.parser import parse_statement
-
-
-def typed(node):
-    """``node`` as nested tuples in which every literal carries the
-    exact type of its value."""
-    if isinstance(node, ast.Literal):
-        return ("Literal", type(node.value), repr(node.value))
-    if dataclasses.is_dataclass(node):
-        return (type(node),) + tuple(typed(getattr(node, f.name))
-                                     for f in dataclasses.fields(node))
-    if isinstance(node, tuple):
-        return tuple(typed(item) for item in node)
-    return node
 
 
 def test_typed_comparison_tells_literal_types_apart():

@@ -1,11 +1,13 @@
 """The differential runner: per-case timeouts, the variant-naming
-rule, and debris as a divergence."""
+rule, debris as a divergence, and a printer slip as a printer
+finding."""
 
 import pytest
 
 from repro.fuzz import runner as runner_mod
 from repro.fuzz.runner import run_case
 from repro.fuzz.variants import matrix
+from repro.sql import ast
 from tests.fuzz.conftest import cases
 
 
@@ -66,3 +68,24 @@ def test_injected_denominator_bug_is_caught():
     case, or the differential net has no teeth."""
     assert any(run_case(case, inject_bug="vpct-denominator").divergent
                for case in cases(12, families=("vpct",)))
+
+
+def test_a_printer_slip_is_named_as_one(monkeypatch):
+    """A replayed text that parses to another tree than the one the
+    engine ran is a printer finding against the sqlite replay, not an
+    engine divergence."""
+    parse = runner_mod.parse_statement
+
+    def misprinted(text):
+        tree = parse(text)
+        if isinstance(tree, ast.Select) and tree.order_by:
+            return parse(text.split(" ORDER BY ")[0])
+        return tree
+
+    monkeypatch.setattr(runner_mod, "parse_statement", misprinted)
+    result = run_case(cases(1, families=("vpct",))[0])
+    assert result.divergent and result.printer_finding
+    replay = [v for v in result.variants if v.status == "printer"]
+    assert replay and all(v.name.startswith("sqlite:replay")
+                          for v in replay)
+    assert "printer finding" in result.explanation
