@@ -4,12 +4,10 @@ extension A4, and write EXPERIMENTS.md.
 Usage:
     python benchmarks/run_experiments.py [--out EXPERIMENTS.md]
         [--employee N] [--sales N] [--tl N] [--census N]
-        [--reduced-sales N] [--full] [--no-encoding-cache]
+        [--no-encoding-cache]
 
-Without ``--full`` the widest SIGMOD row (sales dept,store -> 10,000
-result columns) runs the Hpct strategies on a reduced sales sample so
-the whole harness finishes in a few minutes; ``--full`` runs it at the
-configured sales scale (tens of seconds per cell).  Each section is
+Every cell of a row runs at the row's one n, the widest SIGMOD row
+(sales dept,store -> 10,000 result columns) included.  Each section is
 echoed to stdout as the markdown it adds to the output file.
 """
 
@@ -125,31 +123,22 @@ def run_table4(db: Database) -> list[ExperimentResult]:
     return results
 
 
-def run_table5(db: Database, reduced_db: Database | None
-               ) -> list[ExperimentResult]:
+def run_table5(db: Database) -> list[ExperimentResult]:
     results = []
     for spec in SIGMOD_QUERIES:
-        target = db
-        if "dept,store" in spec.label and reduced_db is not None:
-            target = reduced_db
         for name, source in (("from FV", "FV"), ("from F", "F")):
             results.append(run_hpct_experiment(
-                target, spec, HorizontalStrategy(source=source),
-                name=name))
+                db, spec, HorizontalStrategy(source=source), name=name))
     return results
 
 
-def run_table6(db: Database, reduced_db: Database | None
-               ) -> list[ExperimentResult]:
+def run_table6(db: Database) -> list[ExperimentResult]:
     results = []
     for spec in SIGMOD_QUERIES:
         results.append(run_vpct_experiment(db, spec, VerticalStrategy(),
                                            name="Vpct"))
-        target = db
-        if "dept,store" in spec.label and reduced_db is not None:
-            target = reduced_db
         results.append(run_hpct_experiment(
-            target, spec, HorizontalStrategy(source="FV"), name="Hpct"))
+            db, spec, HorizontalStrategy(source="FV"), name="Hpct"))
         results.append(run_olap_experiment(db, spec,
                                            name="OLAP extens"))
     return results
@@ -210,10 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sales", type=int, default=300_000)
     parser.add_argument("--tl", type=int, default=100_000)
     parser.add_argument("--census", type=int, default=50_000)
-    parser.add_argument("--reduced-sales", type=int, default=50_000,
-                        help="sales size for the 10,000-column row "
-                             "unless --full")
-    parser.add_argument("--full", action="store_true")
     parser.add_argument("--no-encoding-cache", action="store_true",
                         help="ablation: recompute dictionary encodings "
                              "at every plan step (results and logical "
@@ -232,10 +217,6 @@ def main(argv: list[str]) -> int:
     sigmod = Database(use_encoding_cache=use_cache)
     load_employee(sigmod, args.employee)
     load_sales(sigmod, args.sales)
-    reduced = None
-    if not args.full:
-        reduced = Database(use_encoding_cache=use_cache)
-        load_sales(reduced, args.reduced_sales)
     dmkd = Database(use_encoding_cache=use_cache)
     load_census(dmkd, args.census)
     load_transaction_line(dmkd, args.tl)
@@ -248,9 +229,9 @@ def main(argv: list[str]) -> int:
         ("Table 4 -- Vpct optimization strategies", PAPER_TABLE4,
          TABLE4_NOTE, lambda: run_table4(sigmod)),
         ("Table 5 -- Hpct strategy comparison", PAPER_TABLE5, "",
-         lambda: run_table5(sigmod, reduced)),
+         lambda: run_table5(sigmod)),
         ("Table 6 -- percentage aggregations vs OLAP extensions",
-         PAPER_TABLE6, "", lambda: run_table6(sigmod, reduced)),
+         PAPER_TABLE6, "", lambda: run_table6(sigmod)),
         ("DMKD Table 3 -- SPJ vs CASE strategies", PAPER_DMKD3, "",
          lambda: run_dmkd(dmkd, doubled)),
         ("Ablation A3 -- direct vs indirect CASE as n grows "
@@ -290,11 +271,6 @@ def _section(title: str, paper: str, note: str,
 
 def _header(args) -> str:
     notes = ""
-    if not args.full:
-        notes += (f"\n> The `sales dept,store` row (10,000 result "
-                  f"columns) ran its Hpct cells on a reduced sales "
-                  f"sample of n = {args.reduced_sales:,} "
-                  f"(pass `--full` for the configured scale).\n")
     if args.no_encoding_cache:
         notes += ("\n> **Encoding cache off** (`--no-encoding-cache`): "
                   "every plan step recomputed its dictionary "

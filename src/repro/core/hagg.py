@@ -32,9 +32,9 @@ from repro.api.database import Database
 from repro.core import common, model, plan as plan_mod
 from repro.core.common import ZERO, call, cols, conjunction
 from repro.core.horizontal import (_distributive, _hagg_type_name,
-                                   _match_condition, _union_by_columns,
+                                   _union_by_columns, cells,
                                    discover_combinations)
-from repro.core.naming import NamingPolicy, combo_column_name
+from repro.core.naming import NamingPolicy
 from repro.core.partitioning import split_result_columns
 from repro.core.plan import GeneratedPlan
 from repro.errors import PercentageQueryError
@@ -185,14 +185,11 @@ def _generate_projected_tables(db: Database,
         aggregate = _aggregate(term, base_columns, strategy.source)
         if term.is_horizontal:
             label = f"{term.label()}_" if multiple else ""
-            refs = cols(term.by_columns)
-            for values in combos[term.position]:
+            for name, match in cells(term, combos[term.position],
+                                     strategy.naming, max_len, used,
+                                     label):
                 counter += 1
-                name = combo_column_name(term.by_columns, values,
-                                         strategy.naming, max_len, used,
-                                         prefix=label)
                 table = f"{prefix}_p{counter}"
-                match = _match_condition(refs, values)
                 condition = conjunction(
                     [match] if where_base is None else [match, where_base])
                 type_name = _hagg_type_name(db, query.table, term)

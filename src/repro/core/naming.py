@@ -61,23 +61,48 @@ def combo_column_name(columns: Sequence[str], values: Sequence[Any],
     caller shares one set across terms); the returned name is added to
     it.
     """
-    if policy.style == "full":
-        body = "_".join(f"{c}_{sanitize(v)}"
-                        for c, v in zip(columns, values))
-    else:
-        body = "_".join(sanitize(v) for v in values)
-    name = f"{prefix}{body}" if prefix else body
-    # A leading digit is the common case, but sanitize() keeps any
-    # alphanumeric -- including characters like '¼' that are isalnum()
-    # yet not a valid identifier start -- so guard on the positive.
-    if name and not (name[0].isalpha() or name[0] == "_"):
-        name = "c" + name
+    return ColumnNamer(columns, policy, max_length, used,
+                       prefix).name(values)
 
-    limit = policy.max_length or max_length
-    name = _abbreviate(name, limit)
-    name = _uniquify(name, used, limit)
-    used.add(name.lower())
-    return name
+
+class ColumnNamer:
+    """Names the BY-combination result columns of one term
+    (:func:`combo_column_name`), sanitizing each distinct value of each
+    BY column once: a term's 10,000 combinations hold a few hundred
+    distinct values."""
+
+    def __init__(self, columns: Sequence[str], policy: NamingPolicy,
+                 max_length: int, used: set[str], prefix: str = ""
+                 ) -> None:
+        self.columns, self.policy, self.used = columns, policy, used
+        self.prefix = prefix
+        self.limit = policy.max_length or max_length
+        self._fragments: list[dict[tuple, str]] = [{} for _ in columns]
+
+    def name(self, values: Sequence[Any]) -> str:
+        parts = []
+        for column, value, fragments in zip(self.columns, values,
+                                            self._fragments):
+            # By type as well: True and 1 are equal dict keys.
+            key = (type(value), value)
+            fragment = fragments.get(key)
+            if fragment is None:
+                fragment = fragments[key] = sanitize(value) \
+                    if self.policy.style == "values" \
+                    else f"{column}_{sanitize(value)}"
+            parts.append(fragment)
+        body = "_".join(parts)
+        name = f"{self.prefix}{body}" if self.prefix else body
+        # A leading digit is the common case, but sanitize() keeps any
+        # alphanumeric -- including characters like '¼' that are
+        # isalnum() yet not a valid identifier start -- so guard on
+        # the positive.
+        if name and not (name[0].isalpha() or name[0] == "_"):
+            name = "c" + name
+        name = _uniquify(_abbreviate(name, self.limit), self.used,
+                         self.limit)
+        self.used.add(name.lower())
+        return name
 
 
 def _abbreviate(name: str, limit: int) -> str:

@@ -21,7 +21,8 @@ from repro.engine.types import NULL_FILLERS, SQLType, coerce_scalar
 from repro.errors import TypeMismatchError
 
 
-@dataclass
+# Slotted: a wide group frame holds one per aggregate, thousands.
+@dataclass(slots=True, weakref_slot=True)
 class ColumnData:
     """A typed vector of SQL values with NULL tracking.
 

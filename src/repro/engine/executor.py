@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
-from repro.engine import faults
+from repro.engine import binder, faults
 from repro.engine import pivot as pivot_mod
 from repro.engine.aggregates import compute_aggregate
 from repro.engine.catalog import Catalog
@@ -50,9 +50,8 @@ from repro.engine.stats import StatsCollector
 from repro.engine.table import Table
 from repro.engine.types import SQLType, coerce_scalar, type_from_name
 from repro.engine.window import evaluate_window
-from repro.errors import (CatalogError, ExecutionError,
-                          GroupingSetError, PlanningError, ReproError,
-                          TypeMismatchError)
+from repro.errors import (CatalogError, ExecutionError, PlanningError,
+                          ReproError, TypeMismatchError)
 from repro.obs.tracer import Tracer
 from repro.sql import ast
 
@@ -103,6 +102,8 @@ class Dataset:
 
     bindings: list[str] = field(default_factory=list)
     tables: dict[str, Table] = field(default_factory=dict)
+    #: The bindings whose tables a gather already made (intermediates).
+    gathered: set[str] = field(default_factory=set)
 
     @property
     def n_rows(self) -> int:
@@ -126,8 +127,17 @@ class Dataset:
         the chosen bindings (default: all)."""
         mask = indices < 0
         safe = np.where(mask, 0, indices)
+        # A join that keeps the rows where they stand (1:1, in key order:
+        # the partitions of a wide Hpct result) moves nothing, and a
+        # table a gather already made can stay as it is.
+        kept = not mask.any() and np.array_equal(
+            indices, np.arange(len(indices)))
         for binding in (which if which is not None else self.bindings):
             table = self.tables[binding]
+            if kept and binding in self.gathered \
+                    and table.n_rows == len(indices):
+                continue
+            self.gathered.add(binding)
             if table.n_rows == 0 and mask.any():
                 gathered = _all_null_like(table, len(indices))
             else:
@@ -339,23 +349,23 @@ class Executor:
         select = plan.select
         dataset = self._build_dataset(plan)
         frame = dataset.frame()
-        # Each output is (frame, select items over it, HAVING): one for
-        # a projection or GROUP BY, one per set for grouping sets.
-        # An item is ``(name, expression, shape)``; only the group
-        # rewrite gives items a shape (_group_rewriter).
+        # Each output is (frame, select items over it, HAVING, slots):
+        # one for a projection or GROUP BY, one per set for grouping
+        # sets.  A projection's items are ``(name, expression)``; a
+        # grouped statement's are ``(name, Rewritten)`` over the group
+        # frame columns ``slots`` names (repro.engine.binder).
         if plan.mode == "grouping-sets":
             outputs = self._run_grouping_sets(plan, frame)
         elif plan.mode == "aggregate":
             outputs = [self._run_aggregate(plan, frame)]
         else:
-            outputs = [(frame, [(name, expr, None)
-                                for name, expr in plan.items], None)]
+            outputs = [(frame, plan.items, None, None)]
 
         with self._operator("projection", site="projection") as op:
             result: Optional[Table] = None
-            for out_frame, items, having in outputs:
-                piece = self._project(out_frame, items, having, plan,
-                                      result_name)
+            for out_frame, items, having, slots in outputs:
+                piece = self._project(out_frame, items, having, slots,
+                                      plan, result_name)
                 result = piece if result is None \
                     else result.append(piece)
             if select.distinct:
@@ -464,9 +474,9 @@ class Executor:
                             null_safe=join.null_safe)
 
     # -- select-list evaluation ---------------------------------------------
-    def _project(self, frame: Frame,
-                 items: list[tuple[str, ast.Expr, Any]],
-                 having: Optional[ast.Expr], plan: SelectPlan,
+    def _project(self, frame: Frame, items: list[tuple[str, Any]],
+                 having: Optional[binder.Rewritten],
+                 slots: Optional[list[str]], plan: SelectPlan,
                  result_name: str) -> Table:
         """Evaluate named select items over ``frame``, keeping the rows
         HAVING accepts.
@@ -480,74 +490,81 @@ class Executor:
         books its charge item by item as each one's turn comes, so the
         ledger reads as if every item had run alone, up to any
         error."""
-        stacks = _stacks(frame, items)
-        ready: dict[int, tuple[ColumnData, int]] = {}
+        grouped = slots is not None
+        stacks, slot_data = _stacks(frame, items, slots) if grouped \
+            else ({}, None)
+        ready: dict[int, ColumnData] = {}
+        share: dict[int, int] = {}   # each stacked item's ledger charge
         unbooked = 0
         named = []
-        for i, (name, expr, shape) in enumerate(items):
+        for i, (name, item) in enumerate(items):
             stack = stacks.get(i)
             if stack is not None:
                 for member in stack:
                     del stacks[member]
                 try:
-                    columns, share = _evaluate_stack(frame, [
-                        items[member][2] for member in stack])
+                    columns, charge = _evaluate_stack(
+                        frame.n_rows, slot_data,
+                        [items[member][1] for member in stack])
                 except ReproError:
                     pass   # each item, evaluated alone, says why
                 else:
-                    ready.update((member, (column, share)) for member,
-                                 column in zip(stack, columns))
-            done = ready.pop(i, None)
-            if done is not None:
-                column, share = done
-                unbooked += share
+                    ready.update(zip(stack, columns))
+                    share.update(dict.fromkeys(stack, charge))
+            column = ready.pop(i, None)
+            if column is not None:
+                unbooked += share[i]
             else:
                 if unbooked:
                     self.stats.add(case_evaluations=unbooked)
                     unbooked = 0
-                expr = _rewritten(expr, shape)
-                if i in plan.windowed:
-                    expr = self._bind_windows(expr, frame)
+                windows = self._window_binder(frame) \
+                    if i in plan.windowed else None
+                if grouped:
+                    expr = item.tree(slots, windows)
+                elif windows is not None:
+                    expr = plan.windowed[i].tree(windows)
+                else:
+                    expr = item
                 column = _concrete(evaluate(expr, frame, self.stats))
             named.append((name, column))
         if unbooked:
             self.stats.add(case_evaluations=unbooked)
         result = Table.from_columns(result_name, named)
         if having is not None:
-            if plan.having_windowed:
-                having = self._bind_windows(having, frame)
-            mask = truth_mask(having, frame, self.stats)
+            mask = truth_mask(having.tree(slots, self._window_binder(
+                frame) if plan.having_windowed else None), frame,
+                self.stats)
             result = result.take(np.nonzero(mask)[0])
         return result
 
-    def _bind_windows(self, expr: ast.Expr, frame: Frame) -> ast.Expr:
-        """Evaluate window function calls and splice their results into
-        the frame, returning an expression free of OVER clauses."""
+    def _window_binder(self, frame: Frame
+                       ) -> Callable[[ast.FuncCall], ast.Expr]:
+        """What :func:`binder.build` calls on each window function call
+        of one expression: evaluate it, splice its result into the
+        frame, and stand a column reference in for it."""
         counter = [0]
 
-        def replace(node: ast.Expr) -> Optional[tuple[ast.Expr, Any]]:
-            if isinstance(node, ast.FuncCall) and node.over is not None:
-                with self._operator("window", func=node.name):
-                    partition = [evaluate(p, frame, self.stats)
-                                 for p in node.over.partition_by]
-                    if node.args and isinstance(node.args[0], ast.Star):
-                        arg = None
-                    elif node.args:
-                        arg = evaluate(node.args[0], frame, self.stats)
-                    else:
-                        raise PlanningError(
-                            f"window function {node.name}() needs an "
-                            f"argument")
-                    result = evaluate_window(node.name, arg, partition,
-                                             frame.n_rows, self.stats,
-                                             self.encoding_cache)
-                name = f"__win{counter[0]}"
-                counter[0] += 1
-                frame.add_column(name, result)
-                return ast.ColumnRef(name), None
-            return None
-
-        return _rewrite(expr, replace)[0]
+        def bind(node: ast.FuncCall) -> ast.Expr:
+            with self._operator("window", func=node.name):
+                partition = [evaluate(p, frame, self.stats)
+                             for p in node.over.partition_by]
+                if node.args and isinstance(node.args[0], ast.Star):
+                    arg = None
+                elif node.args:
+                    arg = evaluate(node.args[0], frame, self.stats)
+                else:
+                    raise PlanningError(
+                        f"window function {node.name}() needs an "
+                        f"argument")
+                result = evaluate_window(node.name, arg, partition,
+                                         frame.n_rows, self.stats,
+                                         self.encoding_cache)
+            name = f"__win{counter[0]}"
+            counter[0] += 1
+            frame.add_column(name, result)
+            return ast.ColumnRef(name)
+        return bind
 
     # -- aggregation --------------------------------------------------------
     def _run_aggregate(self, plan: SelectPlan, frame: Frame):
@@ -563,24 +580,23 @@ class Executor:
                                      grouping.n_groups)
 
         group_frame = Frame(grouping.n_groups)
-        keys: dict[Any, int] = {}
-        for j, (expr, column) in enumerate(zip(plan.group_by,
-                                               key_columns)):
-            group_frame.add_column(f"__key{j}", column.take(firsts))
-            keys[_normalize(expr, frame)] = j
+        group_frame.add_columns((f"__key{j}", column.take(firsts))
+                                for j, column in enumerate(key_columns))
 
-        aggs = _Bound("__agg")
-        rewrite = _group_rewriter(frame, keys, aggs)
-        items = [(name, *rewrite(expr)) for name, expr in plan.items]
-        having = plan.select.having
-        if having is not None:
-            having = _rewritten(*rewrite(having))
+        rewrite = binder.GroupRewrite(frame, plan.group_by)
+        items = [(name, rewrite.rewrite(bound))
+                 for (name, _), bound in zip(plan.items, plan.bound)]
+        having = rewrite.rewrite(plan.having_bound) \
+            if plan.having_bound is not None else None
 
         with self._operator("group-by-aggregate",
                             groups=grouping.n_groups,
-                            aggregates=len(aggs.calls)):
-            self._compute_aggregates(aggs, frame, grouping, group_frame)
-        return group_frame, items, having
+                            aggregates=len(rewrite.aggs.calls),
+                            items=len(items),
+                            shapes=rewrite.shapes) as op:
+            op.stamp(families=self._compute_aggregates(
+                rewrite.aggs, frame, grouping, group_frame))
+        return group_frame, items, having, rewrite.slots
 
     def _run_grouping_sets(self, plan: SelectPlan, frame: Frame):
         """Shared-scan evaluation of a CUBE/ROLLUP/GROUPING SETS query.
@@ -593,12 +609,11 @@ class Executor:
         Output rows carry NULL placeholders for absent dims and are
         emitted set by set in request order.
         """
-        lattice = gs_mod.build_plan(plan.grouping_sets,
-                                    key_of=lambda e: _normalize(e, frame))
+        lattice = gs_mod.build_plan(
+            plan.grouping_sets,
+            key_of=lambda e: binder.expression_key(e, frame))
         key_columns = [evaluate(e, frame, self.stats)
                        for e in lattice.dims]
-        keys = {_normalize(e, frame): i
-                for i, e in enumerate(lattice.dims)}
 
         with self._operator("grouping-sets-build",
                             input_rows=frame.n_rows, sets=lattice.n_sets,
@@ -607,25 +622,24 @@ class Executor:
                               self.encoding_cache)
             op.stamp(union_groups=union.n_groups)
 
-        # Masks differ per set; aggregate and pct calls are shared
-        # across sets through the bound registries.
-        aggs, pcts = _Bound("__agg"), _Bound("__pct")
-        having = plan.select.having
-        per_set = []
-        for spec in lattice.sets:
-            rewrite = _group_rewriter(frame, keys, aggs, pcts, spec.dims)
-            per_set.append((
-                [(name, *rewrite(expr)) for name, expr in plan.items],
-                _rewritten(*rewrite(having)) if having is not None
-                else None))
+        # One rewrite serves every set: only the grouping() masks
+        # differ per set (Rewritten.for_set), and the aggregate and
+        # pct calls are shared.
+        rewrite = binder.GroupRewrite(frame, lattice.dims,
+                                      grouping_sets=True)
+        items = [(name, rewrite.rewrite(bound))
+                 for (name, _), bound in zip(plan.items, plan.bound)]
+        having = rewrite.rewrite(plan.having_bound) \
+            if plan.having_bound is not None else None
+        aggs, pcts = rewrite.aggs.calls, rewrite.pcts.calls
 
         # The internal compute list: aggregate calls first (arguments
         # evaluated once -- the shared scan), then one sum per pct
         # measure (the shared partials percentages read).
-        compute = list(self._aggregate_items(aggs.calls, frame))
+        compute = list(self._aggregate_items(aggs, frame))
         compute += [(f"__pctsum{j}", "sum", _concrete(evaluate(
             call.args[0], frame, self.stats)), False)
-            for j, call in enumerate(pcts.calls)]
+            for j, call in enumerate(pcts)]
 
         # -- compute each distinct set once, finest first, so fold
         # sources exist before their dependants ------------------------
@@ -671,23 +685,21 @@ class Executor:
 
         # -- one output per requested set, in request order ------------
         outputs = []
-        for spec, (items, set_having) in zip(lattice.sets, per_set):
+        for spec in lattice.sets:
             sg = by_dims[spec.dims]
             n_groups = sg.grouping.n_groups
             group_frame = Frame(n_groups)
             dim_positions = {dim: pos
                              for pos, dim in enumerate(spec.dims)}
-            for i, key_col in enumerate(key_columns):
-                if i in dim_positions:
-                    data = sg.grouping.key_column(dim_positions[i])
-                else:
-                    data = ColumnData.all_null(key_col.sql_type,
-                                               n_groups)
-                group_frame.add_column(f"__key{i}", data)
-            for name, data in partials[spec.dims].items():
-                if not name.startswith("__pctsum"):
-                    group_frame.add_column(name, data)
-            for j in range(len(pcts.calls)):
+            group_frame.add_columns(
+                (f"__key{i}", sg.grouping.key_column(dim_positions[i])
+                 if i in dim_positions
+                 else ColumnData.all_null(key_col.sql_type, n_groups))
+                for i, key_col in enumerate(key_columns))
+            group_frame.add_columns(
+                (name, data) for name, data in partials[spec.dims].items()
+                if not name.startswith("__pctsum"))
+            for j in range(len(pcts)):
                 own = partials[spec.dims][f"__pctsum{j}"]
                 if spec.pct_parent is None:
                     parent_sums = own
@@ -700,7 +712,11 @@ class Executor:
                 group_frame.add_column(
                     f"__pct{j}", gs_mod.percentage_column(
                         own, parent_sums, parent_ids))
-            outputs.append((group_frame, items, set_having))
+            outputs.append((
+                group_frame,
+                [(name, item.for_set(spec.dims)) for name, item in items],
+                having.for_set(spec.dims) if having is not None else None,
+                rewrite.slots))
         return outputs
 
     def _aggregate_batch(self, items, group_ids: np.ndarray,
@@ -740,17 +756,17 @@ class Executor:
                 yield f"__agg{i}", call.name, _concrete(arg), \
                     call.distinct
 
-    def _compute_aggregates(self, aggs: "_Bound", frame: Frame, grouping,
-                            group_frame: Frame) -> None:
+    def _compute_aggregates(self, aggs: binder.CallSlots, frame: Frame,
+                            grouping, group_frame: Frame) -> int:
         """Evaluate each distinct aggregate over the base frame, binding
-        ``__aggI`` columns into the group frame.  Families of disjoint
-        pivot-style CASE aggregations go through the pivot kernel (one
-        factorize pass instead of N masked passes; the ``pivot``
-        operator opens only for a statement that has one), everything
-        else through the generic evaluator."""
+        ``__aggI`` columns into the group frame; the number of pivot
+        families.  Families of disjoint pivot-style CASE aggregations
+        go through the pivot kernel (one factorize pass instead of N
+        masked passes; the ``pivot`` operator opens only for a
+        statement that has one), everything else through the generic
+        evaluator."""
         handled: set[int] = set()
-        calls = aggs.calls
-        families = pivot_mod.detect_families(calls, aggs.norms, frame)
+        families = pivot_mod.detect_families(aggs)
         if families:
             with self._operator("pivot") as op:
                 handled = pivot_mod.compute_families(
@@ -760,11 +776,10 @@ class Executor:
                     self.options.case_dispatch)
                 op.stamp(aggregates=len(handled),
                          groups=grouping.n_groups)
-        results = self._aggregate_batch(
-            self._aggregate_items(calls, frame, frozenset(handled)),
-            grouping.group_ids, grouping.n_groups)
-        for name, data in results.items():
-            group_frame.add_column(name, data)
+        group_frame.add_columns(self._aggregate_batch(
+            self._aggregate_items(aggs.calls, frame, frozenset(handled)),
+            grouping.group_ids, grouping.n_groups).items())
+        return len(families)
 
     # -- ORDER BY -----------------------------------------------------------
     def _apply_order(self, select: ast.Select, result: Table,
@@ -1089,160 +1104,26 @@ class Executor:
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-class _Bound:
-    """Distinct calls of one kind (aggregates, ``pct()``), each bound
-    to a ``<prefix>N`` column of the group frame.  ``norms`` holds each
-    call's :func:`_normalize` key, parallel to ``calls``: the pivot
-    kernel reads its terms off them (``pivot.detect_families``)."""
-
-    def __init__(self, prefix: str) -> None:
-        self.prefix = prefix
-        self.calls: list[ast.FuncCall] = []
-        self.norms: list[Any] = []
-        self._refs: dict[Any, ast.ColumnRef] = {}
-
-    def bind(self, norm, call: ast.FuncCall) -> ast.ColumnRef:
-        ref = self._refs.get(norm)
-        if ref is None:
-            ref = self._refs[norm] = ast.ColumnRef(
-                f"{self.prefix}{len(self.calls)}")
-            self.calls.append(call)
-            self.norms.append(norm)
-        return ref
-
-
-def _group_rewriter(frame: Frame, keys: dict[Any, int], aggs: _Bound,
-                    pcts: Optional[_Bound] = None,
-                    set_dims: Optional[tuple[int, ...]] = None
-                    ) -> Callable[[ast.Expr], tuple[ast.Expr, Any]]:
-    """The rewrite of select items / HAVING onto a group frame: a
-    grouping key becomes its ``__keyI`` column and each distinct
-    aggregate call its ``aggs`` column.  Under grouping sets
-    (``set_dims`` = the set's dims) ``grouping()`` folds to its mask
-    literal and ``pct()`` binds like an aggregate.
-
-    One descent per expression returns ``(rewritten, shape)``.  The
-    shape is ``(template, leaves)``: the rewritten tree keyed with each
-    distinct bound column a numbered placeholder and literals kept by
-    value and Python type, and those columns in placeholder order
-    (:func:`_rewrite`).  The descent only keys the tree: ``rewritten``
-    is None and :func:`_rewritten` builds it when it is needed -- for
-    the items a projection evaluates one by one.  A tree that calls a
-    window function has no shape and is built instead.
-
-    Errors are what they always were, in the same order: an unknown or
-    ambiguous column raises at once, and a column outside GROUP BY or
-    a malformed ``grouping()`` / ``pct()`` is deferred to the end of
-    its expression, then the first in reading order raises."""
-    key_refs = {j: ast.ColumnRef(f"__key{j}") for j in keys.values()}
-    # Grouping keys are usually plain columns, and only a column can
-    # equal one.  A key that is a whole expression needs the key of
-    # every node the descent passes: then each expression is
-    # normalized whole when the descent enters it, and looked up.
-    composite = any(type(key) is not int for key in keys)
-    norms: dict[int, Any] = {}
-    slots: dict[str, tuple] = {}
-    leaves: list[ast.ColumnRef] = []
-    # One copy of each distinct template outlives its descent: the
-    # items of a wide list share a few, and every copy kept would be
-    # traversed by each full collection the statement triggers.
-    templates: dict[tuple, tuple] = {}
-
-    def key_of(node: ast.Expr):
-        if not composite:
-            return _normalize(node, frame)
-        norm = norms.get(id(node))
-        return norm if norm is not None \
-            else _normalize(node, frame, norms)
-
-    def leaf(ref: ast.ColumnRef) -> tuple[ast.Expr, tuple]:
-        slot = slots.get(ref.name)
-        if slot is None:
-            slot = slots[ref.name] = ("?", len(leaves))
-            leaves.append(ref)
-        return ref, slot
-
-    def replace(node: ast.Expr) -> Optional[tuple[Any, Any]]:
-        is_ref = isinstance(node, ast.ColumnRef)
-        if composite or is_ref:
-            j = keys.get(key_of(node))
-            if j is not None:
-                return leaf(key_refs[j])
-            if is_ref:
-                return PlanningError(
-                    f"column {node.name!r} must appear in GROUP BY or "
-                    f"inside an aggregate"), None
-        if isinstance(node, ast.FuncCall) and node.over is None:
-            if set_dims is not None and node.name == "grouping":
-                if not node.args:
-                    return GroupingSetError(
-                        "grouping() requires at least one argument"), None
-                arg_dims = [keys.get(_normalize(arg, frame))
-                            for arg in node.args]
-                if None in arg_dims:
-                    return GroupingSetError(
-                        "grouping() arguments must be grouping "
-                        "columns of the query",
-                        gs_mod.render_set(node.args)), None
-                mask = gs_mod.grouping_mask(arg_dims, set_dims)
-                return ast.Literal(mask), _literal_key(mask)
-            if set_dims is not None and node.name == "pct":
-                if (len(node.args) != 1 or node.distinct
-                        or node.by_columns or node.default is not None):
-                    return GroupingSetError(
-                        "pct() takes exactly one plain argument"), None
-                return leaf(pcts.bind(key_of(node), node))
-            if node.name in ast.AGGREGATE_NAMES:
-                return leaf(aggs.bind(key_of(node), node))
-        return None
-
-    def rewrite_expression(expr: ast.Expr
-                           ) -> tuple[Optional[ast.Expr], Any]:
-        # Emptied per expression -- a 1,201-item select list would
-        # otherwise hold every key until the statement ends.
-        norms.clear()
-        slots.clear()
-        leaves.clear()
-        outcome, template = _rewrite(expr, replace, build=False)
-        if isinstance(outcome, Exception):
-            raise outcome
-        if template is None:
-            # A window call: no shape, so build the tree itself.
-            return _rewrite(expr, replace)[0], None
-        template = templates.setdefault(template, template)
-        return None, (template, tuple(leaves))
-    return rewrite_expression
-
-
-def _rewritten(expr: Optional[ast.Expr], shape: Any) -> ast.Expr:
-    """An item's rewritten expression: as the rewrite built it, or
-    built from its shape (:func:`_group_rewriter` only keys a tree it
-    can give a shape)."""
-    return expr if expr is not None else _instantiate(*shape)
-
-
-def _stacks(frame: Frame, items: list[tuple[str, ast.Expr, Any]]
-            ) -> dict[int, list[int]]:
-    """The positions of the items that share a shape -- template and
-    the SQL types of its leaf columns -- with another item, each mapped
-    to the positions of all of them.  A bare column or literal item is
-    never stacked: evaluated alone it is the frame's own column (with
-    its encoding-cache token) or a constant, and there is nothing to
-    share."""
+def _stacks(frame: Frame, items: list[tuple[str, binder.Rewritten]],
+            slots: list[str]
+            ) -> tuple[dict[int, list[int]], list[ColumnData]]:
+    """The positions of the items that share a shape -- rewritten
+    template, literals and the SQL types of the columns their
+    placeholders bind -- with another item, each mapped to the
+    positions of all of them; and the group frame's column for every
+    slot."""
+    slot_data = [frame.named(name) for name in slots]
+    types = [data.sql_type for data in slot_data]
     by_shape: dict[Any, list[int]] = {}
-    for i, (_, _, shape) in enumerate(items):
-        if shape is None:
-            continue
-        template, leaves = shape
-        if template[0] in ("?", "lit"):
-            continue
-        # The rewrite keeps one copy of each template, so its identity
-        # stands for it (and spares hashing the whole tree per item).
-        key = (id(template), tuple([frame.resolve(ref).sql_type
-                                    for ref in leaves]))
-        by_shape.setdefault(key, []).append(i)
-    return {i: stack for stack in by_shape.values() if len(stack) > 1
-            for i in stack}
+    for i, (_, item) in enumerate(items):
+        program, literals = item.program, item.literals
+        if program.stackable:
+            by_shape.setdefault(
+                (id(program.template), literals,
+                 tuple(map(type, literals)),
+                 tuple([types[s] for s in item.leaves])), []).append(i)
+    return ({i: stack for stack in by_shape.values() if len(stack) > 1
+             for i in stack}, slot_data)
 
 
 class _Tally:
@@ -1256,26 +1137,26 @@ class _Tally:
         self.case_evaluations += case_evaluations
 
 
-def _evaluate_stack(frame: Frame, shapes: list[tuple[tuple, tuple]]
+def _evaluate_stack(n: int, slot_data: list[ColumnData],
+                    items: list[binder.Rewritten]
                     ) -> tuple[list[ColumnData], int]:
-    """Items of one shape -- ``(template, leaves)`` each -- evaluated as
-    one: the template with placeholder columns, over a frame whose
-    placeholder columns are every item's leaf columns end to end.  Each
-    item's column, and what one item charges the ledger.  The same
-    :func:`evaluate` runs, lane for lane, on the same values and SQL
-    types, so each slice is bit for bit what the item evaluated alone
-    returns."""
-    n, k = frame.n_rows, len(shapes)
-    template, first_leaves = shapes[0]
+    """Items of one shape evaluated as one: the template with
+    placeholder columns, over a frame whose placeholder columns are
+    every item's leaf columns end to end.  Each item's column, and what
+    one item charges the ledger.  The same :func:`evaluate` runs, lane
+    for lane, on the same values and SQL types, so each slice is bit
+    for bit what the item evaluated alone returns."""
+    k, first = len(items), items[0]
     placeholders = [ast.ColumnRef(f"__s{slot}")
-                    for slot in range(len(first_leaves))]
+                    for slot in range(len(first.leaves))]
     stacked = Frame(n * k)
-    for slot, placeholder in enumerate(placeholders):
-        stacked.add_column(placeholder.name, ColumnData.concat(
-            [frame.resolve(leaves[slot]) for _, leaves in shapes]))
+    stacked.add_columns(
+        (placeholder.name, ColumnData.concat(
+            [slot_data[item.leaves[slot]] for item in items]))
+        for slot, placeholder in enumerate(placeholders))
     tally = _Tally()
-    result = evaluate(_instantiate(template, placeholders), stacked,
-                      tally)
+    result = evaluate(binder.build(first.program.template, placeholders,
+                                   first.literals), stacked, tally)
     columns = [_concrete(ColumnData(result.sql_type,
                                     result.values[j * n:(j + 1) * n],
                                     result.nulls[j * n:(j + 1) * n]))
@@ -1303,184 +1184,3 @@ def _coerce_column(data: ColumnData, target: SQLType) -> ColumnData:
         return data.cast(target)
     raise TypeMismatchError(
         f"cannot store {data.sql_type} values into a {target} column")
-
-
-def _rewrite(expr: ast.Expr,
-             replace: Callable[[ast.Expr], Optional[tuple[Any, Any]]],
-             build: bool = True) -> tuple[Any, Any]:
-    """``(expr with nodes swapped top-down, its shape)``.
-
-    ``replace(node)`` returns the node's ``(replacement, shape)``, or
-    None to keep the node and rewrite its children.  A replacement may
-    be an exception -- a deferred error: every child is still
-    rewritten, so an error raised at once anywhere in the tree wins,
-    and then the tree rewrites to its first deferred error in reading
-    order.
-
-    The shape keys the rewritten tree: a leaf as ``replace`` keys it, a
-    literal by :func:`_literal_key`, any other node as ``(head,
-    children's shapes)`` -- what :func:`_instantiate` builds the tree
-    back from.  It is None when the tree calls a window function or
-    holds a column ``replace`` kept.  ``build=False`` keys the tree
-    without building it (the rewrite is then None).
-
-    The recursion lives here, so no rewriter refers to itself: a
-    closure over a statement's :class:`Frame` is then freed by refcount
-    when the statement ends, not by the cyclic collector whenever it
-    next runs."""
-    done = replace(expr)
-    if done is not None:
-        return done
-    kind = type(expr)   # exact types, most frequent first
-    if kind is ast.Literal:
-        return expr, _literal_key(expr.value)
-    if kind is ast.ColumnRef or kind is ast.Star:
-        return expr, None
-    if kind is ast.BinaryOp:
-        children, head = (expr.left, expr.right), ("bin", expr.op)
-    elif kind is ast.CaseWhen:
-        children = [part for when in expr.whens for part in when]
-        if expr.else_ is not None:
-            children.append(expr.else_)
-        head = ("case", len(expr.whens), expr.else_ is not None)
-    elif kind is ast.UnaryOp:
-        children, head = (expr.operand,), ("un", expr.op)
-    elif kind is ast.IsNull:
-        children, head = (expr.operand,), ("isnull", expr.negated)
-    elif kind is ast.InList:
-        children = (expr.operand, *expr.items)
-        head = ("in", expr.negated)
-    elif kind is ast.Cast:
-        children, head = (expr.operand,), ("cast", expr.type_name)
-    elif kind is ast.FuncCall:
-        children = list(expr.args)
-        if expr.default is not None:
-            children.append(expr.default)
-        window = None
-        if expr.over is not None:
-            children += expr.over.partition_by
-            window = len(expr.over.partition_by)
-        head = ("func", expr.name, expr.distinct, len(expr.args),
-                expr.default is not None, expr.by_columns, window)
-    else:
-        raise PlanningError(f"cannot rewrite expression node {expr!r}")
-
-    parts = [_rewrite(child, replace, build) for child in children]
-    for new, _ in parts:
-        if isinstance(new, Exception):
-            return new, None
-    shapes = tuple([shape for _, shape in parts])
-    windowed = head[0] == "func" and head[-1] is not None
-    shape = None if windowed or None in shapes else (head, shapes)
-    if not build:
-        return None, shape
-    return _node(head, [new for new, _ in parts]), shape
-
-
-def _node(head: tuple, children: list) -> ast.Expr:
-    """The node ``head`` describes (see :func:`_rewrite`), over
-    ``children`` in reading order."""
-    tag = head[0]
-    if tag == "bin":
-        return ast.BinaryOp(head[1], children[0], children[1])
-    if tag == "case":
-        pairs = head[1] * 2
-        return ast.CaseWhen(
-            tuple(zip(children[0:pairs:2], children[1:pairs:2])),
-            children[pairs] if head[2] else None)
-    if tag == "un":
-        return ast.UnaryOp(head[1], children[0])
-    if tag == "isnull":
-        return ast.IsNull(children[0], head[1])
-    if tag == "in":
-        return ast.InList(children[0], tuple(children[1:]), head[1])
-    if tag == "cast":
-        return ast.Cast(children[0], head[1])
-    _, name, distinct, n_args, has_default, by_columns, window = head
-    over = None if window is None \
-        else ast.WindowSpec(tuple(children[len(children) - window:]))
-    return ast.FuncCall(name, tuple(children[:n_args]), distinct,
-                        by_columns,
-                        children[n_args] if has_default else None, over)
-
-
-def _instantiate(shape: tuple, leaves) -> ast.Expr:
-    """The tree a :func:`_rewrite` shape keys, with ``leaves[k]`` for
-    the k-th placeholder ``("?", k)``."""
-    tag = shape[0]
-    if tag == "?":
-        return leaves[shape[1]]
-    if tag == "lit":
-        return ast.Literal(shape[2])
-    head, children = shape
-    return _node(head, [_instantiate(child, leaves)
-                        for child in children])
-
-
-def _literal_key(value: Any) -> tuple:
-    """A literal's key.  Typed: ``0``, ``0.0`` and ``FALSE`` are equal
-    Python values but different SQL literals (``ELSE 0.0`` widens an
-    INTEGER CASE).  ``-0.0`` and ``0.0`` may share one: a literal zero
-    evaluates to ``+0.0`` (``ColumnData.constant``)."""
-    return ("lit", type(value), value)
-
-
-def _normalize(expr: ast.Expr, frame: Frame,
-               memo: Optional[dict[int, Any]] = None):
-    """A hashable structural key for an expression, with column
-    references resolved to the identity of their backing arrays so that
-    ``D1``, ``F.D1`` and an aliased spelling all normalize equally.
-    ``memo``, when given, collects every sub-expression's key under
-    ``id(node)`` on the way, so a caller that needs the keys of a whole
-    tree pays for one traversal.
-
-    A column's key is that identity, an ``int``; every other key is a
-    flat tuple, its children's keys inline -- ``("case", n_whens,
-    cond, result, ..., else)``, ``("func", name, distinct, over, *args)``
-    -- because a wide select list keeps the keys of thousands of
-    aggregate calls (``_Bound``), and each tuple is an allocation the
-    cyclic collector counts towards its next collection."""
-    # Exact types, most frequent first: a generated select list
-    # normalizes tens of thousands of nodes.
-    kind = type(expr)
-    if kind is ast.ColumnRef:
-        key = id(frame.resolve(expr))
-    elif kind is ast.Literal:
-        key = _literal_key(expr.value)
-    elif kind is ast.BinaryOp:
-        key = ("bin", expr.op, _normalize(expr.left, frame, memo),
-               _normalize(expr.right, frame, memo))
-    elif kind is ast.CaseWhen:
-        parts = ["case", len(expr.whens)]
-        for cond, result in expr.whens:
-            parts.append(_normalize(cond, frame, memo))
-            parts.append(_normalize(result, frame, memo))
-        parts.append(_normalize(expr.else_, frame, memo)
-                     if expr.else_ is not None else None)
-        key = tuple(parts)
-    elif kind is ast.FuncCall:
-        over = None
-        if expr.over is not None:
-            over = tuple([_normalize(p, frame, memo)
-                          for p in expr.over.partition_by])
-        key = ("func", expr.name, expr.distinct, over,
-               *[_normalize(a, frame, memo) for a in expr.args])
-    elif kind is ast.Star:
-        key = ("star", expr.table and expr.table.lower())
-    elif kind is ast.UnaryOp:
-        key = ("un", expr.op, _normalize(expr.operand, frame, memo))
-    elif kind is ast.IsNull:
-        key = ("isnull", expr.negated,
-               _normalize(expr.operand, frame, memo))
-    elif kind is ast.InList:
-        key = ("in", expr.negated,
-               _normalize(expr.operand, frame, memo),
-               tuple([_normalize(i, frame, memo) for i in expr.items]))
-    elif kind is ast.Cast:
-        key = ("cast", expr.type_name.upper(),
-               _normalize(expr.operand, frame, memo))
-    else:
-        raise PlanningError(f"cannot normalize expression {expr!r}")
-    if memo is not None:
-        memo[id(expr)] = key
-    return key

@@ -22,7 +22,7 @@ queries (DMKD Section 3.5).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
@@ -41,6 +41,9 @@ class Frame:
     Columns are registered under their bare name and, when the source
     has a binding (table name or alias), under ``binding.name``.  Bare
     lookups that match several distinct registrations are ambiguous.
+    A table is registered by reference (:meth:`add_table`): its columns
+    are looked up in it when first resolved, so a 10,000-column Hpct
+    table costs a frame nothing until a column of it is read.
 
     A successful :meth:`resolve` is remembered per ``(table, name)`` as
     spelled: a wide select list names the same few columns thousands of
@@ -50,34 +53,48 @@ class Frame:
 
     def __init__(self, n_rows: int):
         self.n_rows = n_rows
-        self._qualified: dict[str, ColumnData] = {}
-        self._bare: dict[str, list[str]] = {}
-        self._bindings: list[str] = []
+        self._plain: dict[str, ColumnData] = {}      # unqualified
+        self._qualified: dict[str, ColumnData] = {}  # "binding.name"
+        self._bare: dict[str, tuple[str, ...]] = {}  # name -> those
+        self._tables: list[tuple[str, Table]] = []
         self._resolved: dict[tuple, ColumnData] = {}
 
     # ------------------------------------------------------------------
     def add_column(self, name: str, data: ColumnData,
                    binding: Optional[str] = None) -> None:
-        if len(data) != self.n_rows:
-            raise PlanningError(
-                f"column {name!r} has {len(data)} rows; frame has "
-                f"{self.n_rows}")
-        if binding:
-            key = f"{binding.lower()}.{name.lower()}"
-        else:
-            key = name.lower()
-        self._qualified[key] = data
-        self._bare.setdefault(name.lower(), []).append(key)
+        self.add_columns(((name, data),), binding)
+
+    def add_columns(self, columns: Iterable[tuple[str, ColumnData]],
+                    binding: Optional[str] = None) -> None:
+        """Register columns in one batch -- a wide group frame binds
+        thousands of ``__aggI`` columns -- forgetting the remembered
+        answers once."""
+        n_rows = self.n_rows
+        for name, data in columns:
+            if len(data.values) != n_rows:
+                raise PlanningError(
+                    f"column {name!r} has {len(data)} rows; frame has "
+                    f"{n_rows}")
+            name = name.lower()
+            if binding:
+                key = f"{binding.lower()}.{name}"
+                self._qualified[key] = data
+                self._bare[name] = self._bare.get(name, ()) + (key,)
+            else:
+                self._plain[name] = data
         self._resolved.clear()
 
     def add_table(self, binding: str, table: Table) -> None:
-        self._bindings.append(binding.lower())
-        for col in table.schema.columns:
-            self.add_column(col.name, table.column(col.name),
-                            binding=binding)
+        """Register every column of ``table`` under ``binding``."""
+        if table.schema.columns and table.n_rows != self.n_rows:
+            raise PlanningError(
+                f"column {table.schema.columns[0].name!r} has "
+                f"{table.n_rows} rows; frame has {self.n_rows}")
+        self._tables.append((binding.lower(), table))
+        self._resolved.clear()
 
     def bindings(self) -> list[str]:
-        return list(self._bindings)
+        return [binding for binding, _ in self._tables]
 
     def has(self, ref: ast.ColumnRef) -> bool:
         try:
@@ -90,26 +107,43 @@ class Frame:
         spelled = (ref.table, ref.name)
         data = self._resolved.get(spelled)
         if data is None:
-            data = self._resolved[spelled] = self._lookup(ref)
+            data = self._resolved[spelled] = self._lookup(*spelled)
         return data
 
-    def _lookup(self, ref: ast.ColumnRef) -> ColumnData:
-        if ref.table:
-            key = f"{ref.table.lower()}.{ref.name.lower()}"
-            data = self._qualified.get(key)
+    def named(self, name: str) -> ColumnData:
+        """What :meth:`resolve` finds for the unqualified ``name``."""
+        return self._lookup(None, name)
+
+    def _lookup(self, table: Optional[str], spelled: str) -> ColumnData:
+        name = spelled.lower()
+        if table:
+            binding = table.lower()
+            data = self._qualified.get(f"{binding}.{name}")
+            for bound, source in reversed(self._tables):
+                if data is not None:
+                    break
+                if bound == binding:
+                    data = source.find(name)
             if data is None:
-                raise PlanningError(f"unknown column {ref.table}.{ref.name}")
+                raise PlanningError(f"unknown column {table}.{spelled}")
             return data
-        keys = self._bare.get(ref.name.lower(), [])
-        if not keys:
-            raise PlanningError(f"unknown column {ref.name}")
-        if len(keys) > 1:
-            # Re-registrations of the same underlying array are fine
-            # (a column added bare and qualified); different arrays clash.
-            arrays = {id(self._qualified[k]) for k in keys}
-            if len(arrays) > 1:
-                raise PlanningError(f"ambiguous column reference {ref.name}")
-        return self._qualified[keys[0]]
+        data = self._plain.get(name)
+        keys = self._bare.get(name, ())
+        if data is not None and not keys and not self._tables:
+            return data
+        found = [] if data is None else [data]
+        found += [self._qualified[key] for key in keys]
+        for _, table in self._tables:
+            data = table.find(name)
+            if data is not None:
+                found.append(data)
+        if not found:
+            raise PlanningError(f"unknown column {spelled}")
+        # Registrations of the same underlying array are fine (a
+        # column added bare and qualified); different arrays clash.
+        if len(found) > 1 and len({id(data) for data in found}) > 1:
+            raise PlanningError(f"ambiguous column reference {spelled}")
+        return found[0]
 
 
 #: Pseudo-type for an all-NULL column whose type is not yet known

@@ -24,11 +24,13 @@ period DBMS performed -- the number the generic evaluator
 terms -- and ``"hash"`` the one probe per row of the proposed
 optimizer.
 
-A term the kernel cannot reproduce bit for bit is declined by
-:func:`_parse_term` (or, for the typing of the THEN expression, by
-:func:`_compute_family`) and keeps the generic evaluator, as does a
-family of one; ``tests/property/test_pivot_bitwise.py`` holds the two
-evaluators against each other.
+A term the kernel cannot reproduce bit for bit is declined -- by its
+call template (:func:`_pattern`), by its columns and literal types
+(:meth:`_Pattern.place`), by its ELSE literal
+(:func:`detect_families`) or, for the typing of the THEN expression,
+by :func:`_compute_family` -- and keeps the generic evaluator, as does
+a family of one; ``tests/property/test_pivot_bitwise.py`` holds the
+two evaluators against each other.
 """
 
 from __future__ import annotations
@@ -39,60 +41,90 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.engine import faults
+from repro.engine.binder import (COLUMN, LITERAL, CallSlots, children,
+                                 sizes)
 from repro.engine.column import ColumnData
 from repro.engine.encoding_cache import EncodingCache
 from repro.engine.expressions import Frame, comparable_types, evaluate
 from repro.engine.groupby import (EncodedColumn, encode_column,
                                   group_encoded)
-from repro.engine.planner import split_conjuncts
 from repro.engine.stats import StatsCollector
 from repro.engine.types import SQLType, infer_type
 from repro.sql import ast
 
 
 @dataclass
-class _PivotTerm:
-    """One aggregate select term matching the pivot pattern."""
-
-    index: int                      # position in agg_specs
-    func: str
-    literals: dict[Any, Any]        # column norm-key -> literal value
-    else_zero: bool
-
-
-@dataclass
 class _Family:
-    """The terms that share pivot columns and a THEN expression."""
+    """The terms that share pivot columns and a THEN expression: per
+    term its call's index among the bound calls and key, where in the
+    key its pivot literals sit (in ``columns`` order), its function
+    and whether it says ELSE 0."""
 
-    terms: list[_PivotTerm]
-    column_keys: tuple              # the pivot columns' norm-keys
-    columns: dict[Any, ast.ColumnRef]
+    indexes: list[int]
+    keys: list[tuple]
+    orders: list[tuple]
+    funcs: list[str]
+    else_zero: list[bool]
+    columns: dict[int, ColumnData]  # the pivot columns, by key
     result_expr: ast.Expr
 
 
-def detect_families(agg_specs: list[ast.FuncCall], norms: list[Any],
-                    frame: Frame) -> list[_Family]:
-    """The families of two or more pivot-pattern aggregates, grouped by
-    (pivot columns, THEN expr).  ``norms`` holds each spec's
-    normalized key (``executor._normalize``), which the group rewrite
-    computed when it bound the call: a term's pivot columns and THEN
-    expression are read off it, not normalized again.  A lone term
-    gains nothing from the kernel and stays with the generic
-    evaluator."""
+def detect_families(aggs: CallSlots) -> list[_Family]:
+    """The families of two or more pivot-pattern aggregates among the
+    statement's distinct aggregate calls, grouped by (pivot columns,
+    THEN expression).  Each call template is analysed once
+    (:func:`_pattern`), and once more per set of columns and literal
+    types its calls come with (:meth:`_Pattern.place`); every term's
+    literals are then read off its call's key.  A lone term gains
+    nothing from the kernel and stays with the generic evaluator."""
+    patterns: dict[int, Optional[_Pattern]] = {}
+    placed: dict[tuple, Any] = {}
+    results: dict[tuple, int] = {}
     families: dict[tuple, _Family] = {}
-    for index, (spec, norm) in enumerate(zip(agg_specs, norms)):
-        parsed = _parse_term(index, spec, norm, frame)
-        if parsed is None:
+    for index, (call, key) in enumerate(zip(aggs.calls, aggs.keys)):
+        tid, types, ids = key[0], key[1], key[2]
+        literals = key[3:]
+        if tid not in patterns:
+            patterns[tid] = _pattern(aggs.templates[tid])
+        pattern = patterns[tid]
+        if pattern is None:
             continue
-        term, columns, result_expr, result_key = parsed
-        column_keys = tuple(sorted(term.literals, key=repr))
-        key = (column_keys, result_key)
-        if key in families:
-            families[key].terms.append(term)
-        else:
-            families[key] = _Family([term], column_keys, columns,
-                                    result_expr)
-    return [f for f in families.values() if len(f.terms) >= 2]
+        where = placed.get((tid, types, ids))
+        if where is None:
+            where = pattern.place(aggs.data[ids], types, literals)
+            if where is not False:
+                # Terms of different templates share a family when
+                # their pivot columns and THEN expressions agree.
+                columns, order, span, result = where
+                where = (columns, order, span, results.setdefault(
+                    (tuple(columns), result), len(results)))
+            placed[tid, types, ids] = where
+        if where is False:
+            continue
+        else_zero = False
+        if pattern.else_literal is not None:
+            value = literals[pattern.else_literal]
+            if value is not None:
+                # ELSE 0 keeps the THEN expression's type and only
+                # turns a missing cell's NULL into 0 under sum();
+                # ``0.0`` would widen an INTEGER sum, any other
+                # function would count or compare the zeros.
+                if type(value) is not int or value != 0 \
+                        or pattern.func != "sum":
+                    continue
+                else_zero = True
+        columns, order, (l0, l1), result_id = where
+        family_key = (result_id, literals[l0:l1])
+        family = families.get(family_key)
+        if family is None:
+            family = families[family_key] = _Family(
+                [], [], [], [], [], columns, call.args[0].whens[0][1])
+        family.indexes.append(index)
+        family.keys.append(key)
+        family.orders.append(order)
+        family.funcs.append(pattern.func)
+        family.else_zero.append(else_zero)
+    return [f for f in families.values() if len(f.indexes) >= 2]
 
 
 def compute_families(families: list[_Family], frame: Frame,
@@ -103,164 +135,147 @@ def compute_families(families: list[_Family], frame: Frame,
                      cache: Optional[EncodingCache],
                      case_dispatch: str) -> set[int]:
     """Compute each family, binding its terms' ``__aggI`` columns into
-    ``group_frame``.  Returns the handled spec indexes; a family the
-    kernel declines is left out of them.
+    ``group_frame`` in one batch per family.  Returns the handled call
+    indexes; a family the kernel declines is left out of them.
 
     ``aggregate`` is the executor's batch entry point --
     ``(items, group_ids, n_groups) -> {key: ColumnData}`` -- which runs
     the per-cell aggregation.
     """
     handled: set[int] = set()
+    # Families over the same pivot columns share their cells: an Hpct
+    # cell's two sums are two families, one factorization.
+    cells: dict[tuple, tuple] = {}
     for family in families:
         faults.cross("pivot")
         if _compute_family(family, frame, group_ids, n_groups,
                            group_frame, stats, aggregate, cache,
-                           case_dispatch):
-            handled.update(t.index for t in family.terms)
+                           case_dispatch, cells):
+            handled.update(family.indexes)
     return handled
 
 
 # ----------------------------------------------------------------------
-def _parse_term(index: int, spec: ast.FuncCall, norm, frame: Frame
-                ) -> Optional[tuple[_PivotTerm, dict[Any, ast.ColumnRef],
-                                    ast.Expr, Any]]:
-    """``spec`` as a pivot term: the term, its pivot columns by key,
-    its THEN expression and that expression's key; None when the
-    kernel cannot reproduce it.  ``norm`` is ``spec``'s normalized key,
-    whose parts mirror the tree (``executor._normalize``): ``("func",
-    name, distinct, over, arg)``, a one-WHEN CASE ``("case", 1, cond,
-    result, else)``, an equality ``("bin", "=", left, right)`` and a
-    column an ``int``."""
-    if spec.name not in ("sum", "count", "min", "max", "avg"):
-        return None
-    if spec.distinct or spec.over is not None or len(spec.args) != 1:
-        return None
-    case = spec.args[0]
-    if not isinstance(case, ast.CaseWhen) or len(case.whens) != 1:
-        return None
-    else_zero = False
-    if case.else_ is not None:
-        if not isinstance(case.else_, ast.Literal):
-            return None
-        value = case.else_.value
-        if value is not None:
-            # ELSE 0 keeps the THEN expression's type and only turns a
-            # missing cell's NULL into 0 under sum(); ``0.0`` would
-            # widen an INTEGER sum, any other function would count or
-            # compare the zeros.
-            if type(value) is not int or value != 0 or spec.name != "sum":
-                return None
-            else_zero = True
+@dataclass
+class _Pattern:
+    """A call template of the pivot pattern, ``func(CASE WHEN c1 = v1
+    AND ... THEN result [ELSE literal] END)``, as positions in its
+    calls' columns and literals."""
 
-    condition, result_expr = case.whens[0]
-    case_key = norm[4]
-    condition_key, result_key = case_key[2], case_key[3]
-    if not isinstance(result_expr, (ast.ColumnRef, ast.Literal)) and any(
-            isinstance(node, ast.CaseWhen)
-            for node in ast.walk(result_expr)):
+    func: str
+    conjuncts: tuple[tuple[int, int], ...]   # (column, literal) each
+    else_literal: Optional[int]
+    result: tuple        # (template, column span, literal span)
+
+    def place(self, data: tuple, types: tuple, literals: tuple) -> Any:
+        """What the calls of this template over the columns ``data``
+        with literals of ``types`` share: the pivot columns by key (in
+        key order), where each one's literal is, the literal span of
+        the THEN expression and the rest of its key -- or False when
+        the kernel cannot reproduce them (``literals`` is one such
+        call's)."""
+        literal_at: dict[int, int] = {}
+        by_key: dict[int, ColumnData] = {}
+        for c, l in self.conjuncts:
+            column = data[c]
+            if id(column) in literal_at or column.sql_type is None:
+                return False
+            if types[l] is type(None):
+                # ``d = NULL`` is never true, not ``d IS NULL``: no
+                # cell of the family is this term's; the generic
+                # evaluator has it.
+                return False
+            if not comparable_types(column.sql_type,
+                                    infer_type(literals[l])):
+                # The generic evaluator raises TypeMismatchError for
+                # ``varchar_column = 1``; the kernel's lookup would
+                # just find no cell.  (So a string literal never meets
+                # a non-VARCHAR column there: like compares with like.)
+                return False
+            literal_at[id(column)] = l
+            by_key[id(column)] = column
+        keys = sorted(literal_at)
+        template, c0, c1, l0, l1 = self.result
+        # The THEN expression but for its literal values, which are
+        # each term's own.
+        result = (template, types[l0:l1],
+                  tuple([id(column) for column in data[c0:c1]]))
+        return ({key: by_key[key] for key in keys},
+                tuple([literal_at[key] for key in keys]), (l0, l1),
+                result)
+
+
+def _pattern(call: Any) -> Optional[_Pattern]:
+    """The pivot pattern of a call template, or None when no call of
+    that template is a term the kernel can reproduce."""
+    _, name, distinct, n_args, has_default, _, window = call[:7]
+    if name not in ("sum", "count", "min", "max", "avg") or distinct \
+            or window is not None or n_args != 1 or has_default:
+        return None
+    case = call[7]
+    if case is COLUMN or case is LITERAL or case[0] != "case" \
+            or case[1] != 1:
+        return None
+    condition, result = case[3], case[4]
+    if result is not COLUMN and result is not LITERAL \
+            and _calls_case(result):
         # The generic evaluator charges a nested CASE once per term;
         # declining keeps the "linear" ledger equal to its own.
         return None
-    literals: dict[Any, Any] = {}
-    columns: dict[Any, ast.ColumnRef] = {}
-    for conjunct, conjunct_key in zip(split_conjuncts(condition),
-                                      _split_conjunct_keys(condition_key)):
-        pair = _column_equals_literal(conjunct)
-        if pair is None:
+    conjuncts: list[tuple[int, int]] = []
+    at = [0, 0]
+    for conjunct in _split_conjuncts(condition):
+        if conjunct is COLUMN or conjunct is LITERAL \
+                or conjunct[:2] != ("bin", "=") \
+                or {conjunct[2], conjunct[3]} != {COLUMN, LITERAL}:
             return None
-        ref, value = pair
-        if value is None:
-            # ``d = NULL`` is never true, not ``d IS NULL``: no cell of
-            # the family is this term's; the generic evaluator has it.
+        conjuncts.append((at[0], at[1]))
+        at[0] += 1
+        at[1] += 1
+    n_columns, n_literals, _ = sizes(result)
+    else_literal = None
+    if case[2]:
+        if case[5] is not LITERAL:
             return None
-        column_type = frame.resolve(ref).sql_type
-        if column_type is None or not comparable_types(
-                column_type, infer_type(value)):
-            # The generic evaluator raises TypeMismatchError for
-            # ``varchar_column = 1``; the kernel's lookup would just
-            # find no cell.  (So a string literal never meets a
-            # non-VARCHAR column there: like compares with like.)
-            return None
-        key = conjunct_key[2] if type(conjunct_key[2]) is int \
-            else conjunct_key[3]
-        if key in literals:
-            return None
-        literals[key] = value
-        columns[key] = ref
-    if not literals:
-        return None
-    return (_PivotTerm(index, spec.name, literals, else_zero),
-            columns, result_expr, result_key)
+        else_literal = at[1] + n_literals
+    return _Pattern(name, tuple(conjuncts), else_literal,
+                    (result, at[0], at[0] + n_columns, at[1],
+                     at[1] + n_literals))
 
 
-def _split_conjunct_keys(key) -> list:
-    """The keys :func:`~repro.engine.planner.split_conjuncts` would
-    give the conjuncts of the expression ``key`` normalizes."""
-    if key[0] == "bin" and key[1] == "AND":
-        return _split_conjunct_keys(key[2]) + _split_conjunct_keys(key[3])
-    return [key]
+def _split_conjuncts(template: Any) -> list:
+    """The conjuncts of a condition template's top-level ``AND``s."""
+    if template is not COLUMN and template is not LITERAL \
+            and template[:2] == ("bin", "AND"):
+        return _split_conjuncts(template[2]) \
+            + _split_conjuncts(template[3])
+    return [template]
 
 
-def _column_equals_literal(expr: ast.Expr
-                           ) -> Optional[tuple[ast.ColumnRef, Any]]:
-    if not (isinstance(expr, ast.BinaryOp) and expr.op == "="):
-        return None
-    left, right = expr.left, expr.right
-    if isinstance(left, ast.ColumnRef) and isinstance(right, ast.Literal):
-        return left, right.value
-    if isinstance(right, ast.ColumnRef) and isinstance(left, ast.Literal):
-        return right, left.value
-    return None
+def _calls_case(template: Any) -> bool:
+    if template is COLUMN or template is LITERAL:
+        return False
+    return template[0] == "case" \
+        or any(_calls_case(child) for child in children(template))
 
 
 # ----------------------------------------------------------------------
-def _compute_family(family: _Family, frame: Frame,
-                    group_ids: np.ndarray, n_groups: int,
-                    group_frame: Frame,
-                    stats: Optional[StatsCollector],
-                    aggregate: Callable[..., dict],
-                    cache: Optional[EncodingCache],
-                    case_dispatch: str) -> bool:
-    terms = family.terms
-    n_rows = frame.n_rows
-    arg = evaluate(family.result_expr, frame, None)
-    any_else_zero = any(t.else_zero for t in terms)
-    if any_else_zero and not (arg.sql_type is not None
-                              and arg.sql_type.is_numeric):
-        # ``THEN NULL ELSE 0`` is INTEGER and ``THEN 'x' ELSE 0`` a
-        # type error in the generic evaluator: let it say so.
-        return False
-    if arg.sql_type is None:
-        arg = ColumnData.all_null(SQLType.REAL, len(arg))
-    if stats is not None:
-        # What the fan-out costs on the ledger, not what it cost here:
-        # one WHEN test per term per row, or one hash probe per row.
-        stats.add(case_evaluations=n_rows * len(terms)
-                  if case_dispatch == "linear" else n_rows)
-
-    # One cell per (group, pivot-value combination) that occurs.  The
-    # group ids are dense already, so they are their own codes, as
+def _cells(columns: dict[int, ColumnData], group_ids: np.ndarray,
+           n_groups: int, cache: Optional[EncodingCache]) -> tuple:
+    """``(cells, combos, combo_of)`` of one set of pivot columns: one
+    cell per (group, pivot-value combination) that occurs, the ranking
+    of those combinations, and the literal tuple -> combination
+    lookup."""
+    # The group ids are dense already, so they are their own codes, as
     # they stand: no row's group is NULL, so the slot the convention
     # keeps for NULL is simply the last one instead of code 0 (this
     # column is never decoded) and no shifted copy of the ids is made.
     # The pivot columns are usually base-table references whose
     # encodings the cache serves.
-    pivots = [encode_column(evaluate(family.columns[k], frame, None),
-                            cache)
-              for k in family.column_keys]
+    pivots = [encode_column(column, cache) for column in columns.values()]
     cells = group_encoded(
         [EncodedColumn(group_ids, np.arange(n_groups),
                        SQLType.INTEGER)] + pivots)
-    cell_group = cells.key_codes[:, 0]
-
-    # One aggregation pass per distinct function: terms with different
-    # functions share the factorization (the O(1) dispatch) but must
-    # not share cell values.
-    cells_by_func = aggregate(
-        [(func, func, arg, False)
-         for func in sorted({t.func for t in terms})],
-        cells.group_ids, cells.n_groups)
-
     # One ranking of the cells' pivot-value combinations, and the
     # literal tuple -> combination lookup: each distinct conjunction a
     # term asks for gets a *slot*, and every cell is routed to its
@@ -276,19 +291,62 @@ def _compute_family(family: _Family, frame: Frame,
     combo_of = dict(zip(
         zip(*(col.values[real].tolist() for col in combo_keys)),
         real.tolist()))
-    slot_of_combo = np.full(combos.n_groups, -1, dtype=np.int64)
-    n_slots = 1   # slot 0 receives no cell: the literals no row has
+    return cells, combos, combo_of
+
+
+def _compute_family(family: _Family, frame: Frame,
+                    group_ids: np.ndarray, n_groups: int,
+                    group_frame: Frame,
+                    stats: Optional[StatsCollector],
+                    aggregate: Callable[..., dict],
+                    cache: Optional[EncodingCache],
+                    case_dispatch: str, shared: dict) -> bool:
+    n_rows = frame.n_rows
+    arg = evaluate(family.result_expr, frame, None)
+    any_else_zero = any(family.else_zero)
+    if any_else_zero and not (arg.sql_type is not None
+                              and arg.sql_type.is_numeric):
+        # ``THEN NULL ELSE 0`` is INTEGER and ``THEN 'x' ELSE 0`` a
+        # type error in the generic evaluator: let it say so.
+        return False
+    if arg.sql_type is None:
+        arg = ColumnData.all_null(SQLType.REAL, len(arg))
+    if stats is not None:
+        # What the fan-out costs on the ledger, not what it cost here:
+        # one WHEN test per term per row, or one hash probe per row.
+        stats.add(case_evaluations=n_rows * len(family.indexes)
+                  if case_dispatch == "linear" else n_rows)
+
+    key = tuple(family.columns)
+    if key not in shared:
+        shared[key] = _cells(family.columns, group_ids, n_groups, cache)
+    cells, combos, combo_of = shared[key]
+    cell_group = cells.key_codes[:, 0]
+
+    # One aggregation pass per distinct function: terms with different
+    # functions share the factorization (the O(1) dispatch) but must
+    # not share cell values.
+    cells_by_func = aggregate(
+        [(func, func, arg, False)
+         for func in sorted(set(family.funcs))],
+        cells.group_ids, cells.n_groups)
+
+    # Slot 0 receives no cell: the literals no row has.
+    slot_of: dict[int, int] = {}
     term_slots = []
-    for term in terms:
-        combo = combo_of.get(tuple(term.literals[k]
-                                   for k in family.column_keys))
+    for key, order in zip(family.keys, family.orders):
+        # A key holds its call's literals from position 3 on.
+        combo = combo_of.get(tuple([key[3 + at] for at in order]))
         if combo is None:
             term_slots.append(0)
             continue
-        if slot_of_combo[combo] < 0:
-            slot_of_combo[combo] = n_slots
-            n_slots += 1
-        term_slots.append(int(slot_of_combo[combo]))
+        slot = slot_of.get(combo)
+        if slot is None:
+            slot = slot_of[combo] = len(slot_of) + 1
+        term_slots.append(slot)
+    n_slots = len(slot_of) + 1
+    slot_of_combo = np.full(combos.n_groups, -1, dtype=np.int64)
+    slot_of_combo[list(slot_of)] = list(slot_of.values())
     cell_slot = slot_of_combo[combos.group_ids]
     hit = np.flatnonzero(cell_slot >= 0)
     where = (cell_slot[hit], cell_group[hit])
@@ -314,11 +372,18 @@ def _compute_family(family: _Family, frame: Frame,
         else_zero_nulls[where] = cells_by_func["sum"].nulls[hit] \
             & whole[hit]
 
-    for term, slot in zip(terms, term_slots):
-        sql_type, values, nulls = scattered[term.func]
-        if term.else_zero:
-            nulls = else_zero_nulls
-        group_frame.add_column(
-            f"__agg{term.index}",
-            ColumnData(sql_type, values[slot], nulls[slot]))
+    group_frame.add_columns(
+        (f"__agg{index}", _cell_column(
+            scattered[func], slot, else_zero_nulls if else_zero else None))
+        for index, func, else_zero, slot in zip(
+            family.indexes, family.funcs, family.else_zero, term_slots))
     return True
+
+
+def _cell_column(scattered: tuple, slot: int,
+                 nulls: Optional[np.ndarray]) -> ColumnData:
+    """A term's result: its slot's row of the scattered block, with
+    the ELSE 0 NULLs when ``nulls`` is given."""
+    sql_type, values, block_nulls = scattered
+    return ColumnData(sql_type, values[slot],
+                      (block_nulls if nulls is None else nulls)[slot])

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.engine import groupingsets
+from repro.engine.binder import Binder, BoundExpr
 from repro.errors import GroupingSetError, PlanningError
 from repro.sql import ast
 
@@ -83,11 +84,13 @@ class SelectPlan:
     ``mode`` is ``projection``, ``aggregate`` (``group_by`` holds the
     resolved keys) or ``grouping-sets`` (``grouping_sets`` holds the
     expanded sets).  DISTINCT / ORDER BY / LIMIT are read off
-    ``select`` in that order.  ``windowed`` holds the positions in
-    ``items`` whose expression calls a window function and
-    ``having_windowed`` says whether HAVING does: the planner's one
-    walk over the list records them, so the projection binds windows
-    without walking it again.
+    ``select`` in that order.  ``bound`` is the binder's record of
+    each select item (parallel to ``select.items``) and
+    ``having_bound`` HAVING's (:mod:`repro.engine.binder`): the one
+    descent of each, which the executor reads instead of walking the
+    trees again.  ``windowed`` maps the positions in ``items`` whose
+    expression calls a window function to their records, and
+    ``having_windowed`` says whether HAVING does.
     """
 
     select: ast.Select
@@ -97,7 +100,9 @@ class SelectPlan:
     items: list[tuple[str, ast.Expr]] = field(default_factory=list)
     group_by: list[ast.Expr] = field(default_factory=list)
     grouping_sets: list[tuple[ast.Expr, ...]] = field(default_factory=list)
-    windowed: frozenset[int] = frozenset()
+    bound: list[BoundExpr] = field(default_factory=list)
+    having_bound: Optional[BoundExpr] = None
+    windowed: dict[int, BoundExpr] = field(default_factory=dict)
     having_windowed: bool = False
 
     @property
@@ -121,8 +126,14 @@ def plan_select(select: ast.Select, catalog, use_views: bool = True
         mv = match_view(catalog, select)
         if mv is not None:
             return SelectPlan(select, matview=mv)
-    mode, item_windows, having_windowed = _mode(select)
-    plan = SelectPlan(select, mode=mode, having_windowed=having_windowed)
+    binder = Binder()
+    bound = [binder.bind(item.expr) for item in select.items]
+    having = binder.bind(select.having) \
+        if select.having is not None else None
+    plan = SelectPlan(select, mode=_mode(select, bound, having),
+                      bound=bound, having_bound=having,
+                      having_windowed=having is not None
+                      and having.shape.windowed)
     if select.from_ is not None:
         sources: dict[str, PlannedSource] = {}
         for source in select.from_.sources():
@@ -132,7 +143,7 @@ def plan_select(select: ast.Select, catalog, use_views: bool = True
                     f"duplicate table binding {source.binding!r}")
             sources[planned.binding.lower()] = planned
         plan.from_plan = plan_from(select.from_, select.where, sources)
-    plan.items, plan.windowed = _select_items(select, plan, item_windows)
+    plan.items, plan.windowed = _select_items(select, plan)
 
     def resolve(expr: ast.Expr) -> ast.Expr:
         return _resolve_group_expr(expr, select)
@@ -144,42 +155,35 @@ def plan_select(select: ast.Select, catalog, use_views: bool = True
     return plan
 
 
-def _mode(select: ast.Select) -> tuple[str, list[bool], bool]:
-    """The evaluation mode, which select items call a window function
-    and whether HAVING does.  One walk per expression (a generated
-    Hpct select list is tens of thousands of nodes): every question
-    here is about its calls."""
-    per_item = [ast.function_calls(item.expr) for item in select.items]
-    windowed = [any(call.over is not None for call in item_calls)
-                for item_calls in per_item]
-    calls = [call for item_calls in per_item for call in item_calls]
-    having_calls = ast.function_calls(select.having) \
-        if select.having is not None else []
-    having_windowed = any(call.over is not None for call in having_calls)
-    if any(call.is_extended for call in calls):
+def _mode(select: ast.Select, bound: list[BoundExpr],
+          having: Optional[BoundExpr]) -> str:
+    """The evaluation mode, read off the shapes of the items and
+    HAVING: each shape says once what its template calls."""
+    shapes = list(dict.fromkeys(item.shape for item in bound))
+    if any(shape.extended for shape in shapes):
         raise PlanningError(
             "Vpct()/Hpct()/BY-extended aggregates are not "
             "executable directly; rewrite the query with "
             "repro.core first (this engine plays the role of "
             "the standard-SQL DBMS in the paper's architecture)")
     if ast.has_grouping_sets(select):
-        if any(windowed):
+        if any(shape.windowed for shape in shapes):
             raise PlanningError(
                 "window functions are not supported with "
                 "CUBE/ROLLUP/GROUPING SETS")
-        return "grouping-sets", windowed, having_windowed
-    calls += having_calls
-    if any(call.name in ast.GROUPING_SET_FUNCS for call in calls):
+        return "grouping-sets"
+    if having is not None:
+        shapes.append(having.shape)
+    if any(shape.grouping for shape in shapes):
         # Outside a lattice they get a typed error, not an unknown-
         # function failure.
         raise GroupingSetError(
             "grouping() and pct() require GROUP BY "
             "CUBE/ROLLUP/GROUPING SETS")
-    if select.group_by or select.having is not None \
-            or any(call.name in ast.AGGREGATE_NAMES and call.over is None
-                   for call in calls):
-        return "aggregate", windowed, having_windowed
-    return "projection", windowed, having_windowed
+    if select.group_by or having is not None \
+            or any(shape.aggregate for shape in shapes):
+        return "aggregate"
+    return "projection"
 
 
 def _classify(source: ast.FromSource, catalog, use_views: bool
@@ -250,19 +254,20 @@ def dedupe_names(names: list[str]) -> list[str]:
     return out
 
 
-def _select_items(select: ast.Select, plan: SelectPlan,
-                  item_windows: list[bool]
-                  ) -> tuple[list[tuple[str, ast.Expr]], frozenset[int]]:
+def _select_items(select: ast.Select, plan: SelectPlan
+                  ) -> tuple[list[tuple[str, ast.Expr]],
+                             dict[int, BoundExpr]]:
     """The select list as ``(output name, expression)``, ``*`` expanded
     to qualified column references over the planned sources, and the
-    positions in it of the items ``item_windows`` flags."""
+    records of the items in it that call a window function, by
+    position."""
     sources = plan.sources()
     named: list[tuple[str, ast.Expr]] = []
-    windowed = set()
+    windowed = {}
     for i, item in enumerate(select.items):
         if not isinstance(item.expr, ast.Star):
-            if item_windows[i]:
-                windowed.add(len(named))
+            if plan.bound[i].shape.windowed:
+                windowed[len(named)] = plan.bound[i]
             named.append((output_name(item, i), item.expr))
             continue
         if plan.mode != "projection":
@@ -280,7 +285,7 @@ def _select_items(select: ast.Select, plan: SelectPlan,
                      for s in chosen for column in s.columns)
     names = dedupe_names([name for name, _ in named])
     return ([(name, expr) for name, (_, expr) in zip(names, named)],
-            frozenset(windowed))
+            windowed)
 
 
 def _resolve_group_expr(expr: ast.Expr, select: ast.Select) -> ast.Expr:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.engine.types import SQLType
 from repro.errors import CatalogError
@@ -18,7 +18,7 @@ DEFAULT_MAX_COLUMNS = 2048
 DEFAULT_MAX_NAME_LENGTH = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnDef:
     """One column: a name and a SQL type."""
 
@@ -67,6 +67,10 @@ class TableSchema:
 
     def column(self, name: str) -> ColumnDef:
         return self.columns[self.column_index(name)]
+
+    def position(self, name: str) -> Optional[int]:
+        """Lower-cased ``name``'s position, or None."""
+        return self._positions.get(name)
 
     def column_index(self, name: str) -> int:
         try:

@@ -39,20 +39,25 @@ class Table:
         self._columns: dict[str, ColumnData] = {}
         n_rows = None
         for col_def in schema.columns:
-            try:
-                data = _lookup_ci(columns, col_def.name)
-            except KeyError:
-                raise ExecutionError(
-                    f"missing data for column {col_def.name!r}") from None
+            # Exact names first: the executor's own tables always match.
+            data = columns.get(col_def.name)
+            if data is None:
+                try:
+                    data = _lookup_ci(columns, col_def.name)
+                except KeyError:
+                    raise ExecutionError(
+                        f"missing data for column {col_def.name!r}"
+                    ) from None
             if data.sql_type != col_def.sql_type:
                 raise ExecutionError(
                     f"column {col_def.name!r}: declared {col_def.sql_type} "
                     f"but data is {data.sql_type}")
+            length = len(data.values)
             if n_rows is None:
-                n_rows = len(data)
-            elif len(data) != n_rows:
+                n_rows = length
+            elif length != n_rows:
                 raise ExecutionError(
-                    f"column {col_def.name!r} has {len(data)} rows, "
+                    f"column {col_def.name!r} has {length} rows, "
                     f"expected {n_rows}")
             self._columns[col_def.name] = data
 
@@ -85,6 +90,12 @@ class Table:
         except KeyError:
             raise ExecutionError(
                 f"no column {name!r} in table {self.name!r}") from None
+
+    def find(self, name: str) -> ColumnData | None:
+        """The column data for lower-cased ``name``, or None."""
+        position = self.schema.position(name)
+        return None if position is None \
+            else self._columns[self.schema.columns[position].name]
 
     def column_names(self) -> list[str]:
         return self.schema.column_names()

@@ -11,7 +11,10 @@ Per family:
 ``hpct``
     both CASE pivots (direct F, indirect FV) and a sqlite replay of
     the direct CASE plan -- the independent oracle for the pivot
-    kernel, which computes every engine variant's CASE fan-out.
+    kernel, which computes every engine variant's CASE fan-out.  Every
+    engine result is also held to two of the paper's identities
+    (:func:`_hpct_identities`): a row's percentages sum to 1, and the
+    result is the transposed Vpct result.
 ``hagg``
     the CASE pivots plus both SPJ forms, and sqlite replays of the
     CASE and SPJ plans.
@@ -81,7 +84,7 @@ class VariantResult:
     """Outcome of one evaluation path."""
 
     name: str
-    #: "rows" | "error" | "timeout" | "leak" | "printer"
+    #: "rows" | "error" | "timeout" | "leak" | "printer" | "identity"
     status: str
     rows: Optional[list] = None
     error: Optional[str] = None
@@ -158,7 +161,7 @@ def run_case(case: FuzzCase,
                                  trace, variants):
         result.variants.append(_evaluate(name, thunk))
     for variant in result.variants:
-        if variant.status in ("leak", "printer"):
+        if variant.status in ("leak", "printer", "identity"):
             result.divergent = True
             result.explanation = f"{variant.name}: {variant.error}"
             return result
@@ -218,6 +221,9 @@ def _evaluate(name: str, thunk: Callable[[], list]) -> VariantResult:
     except PrinterMismatch as exc:
         return VariantResult(name=name, status="printer",
                              error=f"printer finding: {exc}")
+    except IdentityViolation as exc:
+        return VariantResult(name=name, status="identity",
+                             error=f"identity violated: {exc}")
     except Exception as exc:  # noqa: BLE001 - errors are outcomes here
         if isinstance(exc, QueryCancelledError) \
                 and exc.reason == "deadline":
@@ -290,11 +296,79 @@ class _Strategy:
 
 
 def _plan(name: str, strategy, primary: bool = False) -> _Strategy:
-    """The generated multi-statement plan of ``strategy``."""
+    """The generated multi-statement plan of ``strategy``; an Hpct
+    result is checked against the paper's identities on the spot."""
     def rows(case: FuzzCase, db: Database) -> list:
         plan = generate_plan(db, case.query_sql(), strategy)
-        return execute_plan(db, plan).result.to_rows()
+        result = execute_plan(db, plan).result.to_rows()
+        if case.family == "hpct":
+            _hpct_identities(case, db, plan, result)
+        return result
     return _Strategy(name, rows, primary)
+
+
+class IdentityViolation(Exception):
+    """An engine result breaks one of the paper's identities."""
+
+
+def _hpct_identities(case: FuzzCase, db: Database, plan,
+                     rows: list) -> None:
+    """Hold an Hpct result to two identities (ROADMAP 8(a)).
+
+    - Each term's percentages in a row sum to 1 within 1e-9 when the
+      group's total is positive and no cell is NULL.
+    - The term is its Vpct result transposed: the cell of a BY
+      combination is the Vpct row of (group, combination) -- within
+      1e-9 -- and a combination with no Vpct row is 0, or NULL when
+      the whole row is (a zero or all-NULL total).
+
+    The generator's measures are small dyadic values, so every total
+    is exact whatever order it is summed in."""
+    n_keys = len(case.group_by)
+    names = case.column_names()
+    at = n_keys
+    for position, term in enumerate(case.terms):
+        if term.kind != "hpct":
+            at += 1
+            continue
+        # The select list puts the grouping columns first.
+        combos = plan.discovered[n_keys + position]
+        keys = [names.index(c) for c in case.group_by]
+        measure = names.index(term.argument)
+        totals: dict[tuple, list] = {}
+        for row in case.rows:
+            values = totals.setdefault(tuple(row[k] for k in keys), [])
+            if row[measure] is not None:
+                values.append(row[measure])
+        columns = list(case.group_by) + list(term.by)
+        vpct_sql = (f"SELECT {', '.join(columns)}, Vpct({term.argument} "
+                    f"BY {', '.join(term.by)}) FROM {case.table} "
+                    f"GROUP BY {', '.join(columns)}")
+        vpct = {tuple(row[:-1]): row[-1] for row in execute_plan(
+            db, generate_plan(db, vpct_sql)).result.to_rows()}
+        for row in rows:
+            group, cells = tuple(row[:n_keys]), row[at:at + len(combos)]
+            values = totals.get(group, [])
+            if values and sum(values) > 0 and None not in cells \
+                    and abs(sum(cells) - 1.0) > 1e-9:
+                raise IdentityViolation(
+                    f"{term.sql()} row {group} sums to {sum(cells)!r}")
+            for combo, cell in zip(combos, cells):
+                if group + tuple(combo) in vpct:
+                    expected = vpct[group + tuple(combo)]
+                    same = expected is None and cell is None or (
+                        expected is not None and cell is not None
+                        and abs(cell - expected)
+                        <= 1e-9 * max(1.0, abs(expected)))
+                else:
+                    whole_null = all(c is None for c in cells)
+                    same = cell is None if whole_null else cell == 0
+                    expected = "no Vpct row"
+                if not same:
+                    raise IdentityViolation(
+                        f"{term.sql()} cell {group + tuple(combo)} is "
+                        f"{cell!r}, Vpct says {expected!r}")
+        at += len(combos)
 
 
 def _direct(name: str) -> _Strategy:

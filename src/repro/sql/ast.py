@@ -31,20 +31,23 @@ from typing import Any, Optional, Union
 # ----------------------------------------------------------------------
 # Expressions
 # ----------------------------------------------------------------------
+# Every node class is slotted: a generated Hpct plan builds hundreds of
+# thousands of nodes, and a slotted frozen node is quicker to build and
+# smaller to keep.
 class Expr:
     """Base class for expression nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal(Expr):
     """A constant; ``value is None`` represents the NULL literal."""
 
     value: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnRef(Expr):
     """A possibly-qualified column reference, e.g. ``Fk.D1`` or ``A``."""
 
@@ -58,14 +61,14 @@ class ColumnRef(Expr):
         return self.name.lower()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star(Expr):
     """``*`` or ``t.*`` in a select list or ``count(*)``."""
 
     table: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnaryOp(Expr):
     """``-x`` or ``NOT x``."""
 
@@ -73,7 +76,7 @@ class UnaryOp(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryOp(Expr):
     """Arithmetic (+ - * /), comparison (= <> < <= > >=), AND, OR."""
 
@@ -82,7 +85,7 @@ class BinaryOp(Expr):
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsNull(Expr):
     """``x IS [NOT] NULL``."""
 
@@ -90,7 +93,7 @@ class IsNull(Expr):
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InList(Expr):
     """``x [NOT] IN (v1, v2, ...)`` with literal items."""
 
@@ -99,7 +102,7 @@ class InList(Expr):
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseWhen(Expr):
     """A searched CASE expression."""
 
@@ -107,7 +110,7 @@ class CaseWhen(Expr):
     else_: Optional[Expr] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cast(Expr):
     """``CAST(x AS type-name)``."""
 
@@ -115,7 +118,7 @@ class Cast(Expr):
     type_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowSpec:
     """``OVER (PARTITION BY cols)`` -- the only window shape needed for
     the OLAP-extensions baseline."""
@@ -123,7 +126,7 @@ class WindowSpec:
     partition_by: tuple[Expr, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuncCall(Expr):
     """A function call: scalar, aggregate, windowed aggregate, or one of
     the paper's extended aggregates.
@@ -171,14 +174,14 @@ GROUPING_SET_FUNCS = frozenset({"grouping", "pct"})
 # ----------------------------------------------------------------------
 # GROUP BY grouping-set constructs
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cube(Expr):
     """``CUBE (e1, ..., ek)`` inside GROUP BY: all 2**k subsets."""
 
     exprs: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rollup(Expr):
     """``ROLLUP (e1, ..., ek)`` inside GROUP BY: the k+1 prefixes,
     finest first."""
@@ -186,7 +189,7 @@ class Rollup(Expr):
     exprs: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupingSets(Expr):
     """``GROUPING SETS ((a, b), (a), ())`` inside GROUP BY: an explicit
     list of grouping sets, each a (possibly empty) expression tuple."""
@@ -214,7 +217,7 @@ def contains_grouping_func(expr: Expr) -> bool:
 # ----------------------------------------------------------------------
 # FROM clause
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRef:
     """A base-table source, optionally aliased."""
 
@@ -227,7 +230,7 @@ class TableRef:
         return self.alias or self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubquerySource:
     """A derived table: ``(SELECT ...) alias``."""
 
@@ -242,7 +245,7 @@ class SubquerySource:
 FromSource = Union[TableRef, SubquerySource]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinStep:
     """One additional source joined onto the accumulating FROM clause.
 
@@ -255,7 +258,7 @@ class JoinStep:
     on: Optional[Expr] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FromClause:
     first: FromSource
     joins: tuple[JoinStep, ...] = ()
@@ -273,19 +276,19 @@ class Statement:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectItem:
     expr: Expr
     alias: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderItem:
     expr: Expr
     ascending: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Select(Statement):
     items: tuple[SelectItem, ...]
     from_: Optional[FromClause] = None
@@ -297,13 +300,13 @@ class Select(Statement):
     distinct: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnSpec:
     name: str
     type_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreateTable(Statement):
     name: str
     columns: tuple[ColumnSpec, ...]
@@ -311,52 +314,52 @@ class CreateTable(Statement):
     if_not_exists: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreateTableAs(Statement):
     name: str
     select: Select
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DropTable(Statement):
     name: str
     if_exists: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreateIndex(Statement):
     name: str
     table: str
     columns: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DropIndex(Statement):
     name: str
     if_exists: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InsertValues(Statement):
     table: str
     rows: tuple[tuple[Expr, ...], ...]
     columns: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InsertSelect(Statement):
     table: str
     select: Select
     columns: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     column: str
     value: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Update(Statement):
     """``UPDATE t SET c = e, ... [FROM t2 [, t3 ...]] [WHERE p]``.
 
@@ -371,13 +374,13 @@ class Update(Statement):
     where: Optional[Expr] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delete(Statement):
     table: TableRef
     where: Optional[Expr] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreateView(Statement):
     """``CREATE VIEW name AS select`` -- the paper's Section 2 allows
     F to be "a view based on some complex SQL query"."""
@@ -386,13 +389,13 @@ class CreateView(Statement):
     select: Select
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DropView(Statement):
     name: str
     if_exists: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreateMaterializedView(Statement):
     """``CREATE MATERIALIZED VIEW name AS select`` -- snapshot a
     percentage/group-by query as delta-maintained per-group state."""
@@ -401,20 +404,20 @@ class CreateMaterializedView(Statement):
     select: Select
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DropMaterializedView(Statement):
     name: str
     if_exists: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RefreshMaterializedView(Statement):
     """``REFRESH MATERIALIZED VIEW name`` -- force a full recompute."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Explain(Statement):
     """``EXPLAIN [ANALYZE] statement`` -- returns the evaluation plan
     as text; with ANALYZE the statement also *executes* and the plan is
@@ -430,30 +433,13 @@ class Explain(Statement):
 def walk(expr: Expr):
     """Yield ``expr`` and every sub-expression, depth first (parents
     before children, children left to right).  An explicit stack, not
-    recursive generators: a generated Hpct select list is tens of
-    thousands of nodes and the planner walks all of it."""
+    recursive generators, which would resume one generator per level
+    for every node yielded."""
     stack = [expr]
     while stack:
         node = stack.pop()
         yield node
         _push_children(node, stack)
-
-
-def function_calls(expr: Expr) -> list[FuncCall]:
-    """Every function call in ``expr``, in :func:`walk` order: the same
-    traversal as a loop, without a generator's resume per node -- the
-    planner asks this of every item of a select list."""
-    calls = []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is FuncCall:
-            calls.append(node)
-        elif kind is Literal or kind is ColumnRef:
-            continue
-        _push_children(node, stack)
-    return calls
 
 
 def _push_children(node: Expr, stack: list) -> None:

@@ -5,13 +5,13 @@ whose column data lives on pages.  It keeps only the page map in
 memory; a column is deserialized on first access and cached *weakly*,
 so:
 
-* within one statement every accessor sees the same
-  :class:`~repro.engine.column.ColumnData` object (the executor's
-  Frame holds strong references for the statement's duration, which
-  the GROUP BY machinery's identity-based dedup relies on);
 * the outermost query scope holds every column it read
-  (:func:`repro.engine.scope.hold`), so the statements of one
-  generated plan or script share them;
+  (:func:`repro.engine.scope.hold`), so within one statement every
+  accessor sees the same :class:`~repro.engine.column.ColumnData`
+  object -- the GROUP BY machinery's identity-based dedup relies on
+  it -- and the statements of one generated plan or script share
+  them; a frame reads a column of a scanned table only when an
+  expression names it (:meth:`repro.engine.expressions.Frame.add_table`);
 * across queries the weak entries die with the last holder, and the
   next query re-fetches pages -- the buffer pool, not the table, is
   the cache, so resident memory stays bounded by the pool capacity

@@ -17,7 +17,7 @@ COMMAND = "python benchmarks/run_experiments.py"
 #: on a transactionLine of a few hundred rows the batch reads more than
 #: separate evaluation does.
 SCALES = ["--employee", "500", "--sales", "500", "--tl", "2000",
-          "--census", "500", "--reduced-sales", "500"]
+          "--census", "500"]
 
 HEADINGS = ("Table 4 -- ", "Table 5 -- ", "Table 6 -- ",
             "DMKD Table 3 -- ", "Ablation A3 -- ", "Extension A4 -- ")

@@ -124,6 +124,21 @@ class TestAggregation:
     def test_count_distinct(self, db):
         assert db.query("SELECT count(DISTINCT a) FROM t") == [(3,)]
 
+    def test_expression_keys_match_by_value(self, db):
+        """A GROUP BY key that is an expression stands for every
+        subtree equal to it -- same tree, literals of the same value
+        and type, the same columns however spelled -- outermost first,
+        and a column outside it must still be grouped."""
+        rows = db.query("SELECT (t.a + 1) * 2, A + 1, sum(c) FROM t "
+                        "GROUP BY a + 1, (a + 1) * 2 ORDER BY 2")
+        assert rows == [(4, 2, 40.0), (6, 3, 20.0), (8, 4, None)]
+        assert db.query("SELECT a * 1.0, count(*) FROM t "
+                        "GROUP BY a * 1.0 ORDER BY 1")[0] == (1.0, 2)
+        for sql in ("SELECT a * 1, count(*) FROM t GROUP BY a * 1.0",
+                    "SELECT a + 2, count(*) FROM t GROUP BY a + 1"):
+            with pytest.raises(PlanningError, match="must appear"):
+                db.query(sql)
+
 
 class TestJoins:
     @pytest.fixture
@@ -172,6 +187,21 @@ class TestJoins:
             "SELECT x.a, y.a FROM t x, t y "
             "WHERE x.a = y.a AND x.b = 'x' AND y.b = 'y'")
         assert rows == [(1, 1)]
+
+    @pytest.mark.parametrize("keys", [(1, 2, 3), (1, 2)])
+    def test_joins_that_keep_rows_in_place(self, db, keys):
+        """A chain of 1:1 joins in key order (the partitions of a wide
+        Hpct result) leaves rows where they stand; one that drops the
+        trailing rows still drops them from every table."""
+        for name in ("p", "q", "r"):
+            db.execute(f"CREATE TABLE {name} (k INT, v INT)")
+        db.execute("INSERT INTO p VALUES (1, 10), (2, 20), (3, 30)")
+        db.execute("INSERT INTO q VALUES (1, 100), (2, 200), (3, 300)")
+        db.execute("INSERT INTO r VALUES " + ", ".join(
+            f"({k}, {k * 1000})" for k in keys))
+        rows = db.query("SELECT p.k, p.v, q.v, r.v FROM p, q, r "
+                        "WHERE p.k = q.k AND q.k = r.k")
+        assert rows == [(k, 10 * k, 100 * k, 1000 * k) for k in keys]
 
 
 class TestWindowQueries:

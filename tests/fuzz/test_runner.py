@@ -89,3 +89,32 @@ def test_a_printer_slip_is_named_as_one(monkeypatch):
     assert replay and all(v.name.startswith("sqlite:replay")
                           for v in replay)
     assert "printer finding" in result.explanation
+
+
+def test_a_broken_paper_identity_is_named_as_one(monkeypatch):
+    """An Hpct result whose percentages are off is caught by the
+    paper's identities -- rows sum to 1, Hpct is Vpct transposed --
+    even where every engine variant agrees with the others."""
+    execute_plan = runner_mod.execute_plan
+
+    def nudged(db, plan):
+        outcome = execute_plan(db, plan)
+        if not plan.description.startswith("horizontal"):
+            return outcome
+        rows = outcome.result.to_rows()
+        for i, row in enumerate(rows):
+            j = next((j for j, v in enumerate(row)
+                      if isinstance(v, float) and v > 0), None)
+            if j is not None:
+                rows[i] = row[:j] + (row[j] + 0.25,) + row[j + 1:]
+                break
+        table = type("Nudged", (), {"to_rows": lambda self: rows})()
+        return type("Outcome", (), {"result": table})()
+
+    monkeypatch.setattr(runner_mod, "execute_plan", nudged)
+    results = [run_case(case) for case in cases(12, families=("hpct",))]
+    caught = [r for r in results if r.divergent]
+    assert caught
+    assert all("identity violated" in r.explanation for r in caught)
+    assert all(v.status == "identity" for r in caught
+               for v in r.variants if v.name.startswith("engine:"))
