@@ -4,7 +4,6 @@ extension A4, and write EXPERIMENTS.md.
 Usage:
     python benchmarks/run_experiments.py [--out EXPERIMENTS.md]
         [--employee N] [--sales N] [--tl N] [--census N]
-        [--no-encoding-cache]
 
 Every cell of a row runs at the row's one n, the widest SIGMOD row
 (sales dept,store -> 10,000 result columns) included.  Each section is
@@ -78,8 +77,8 @@ One DMKD Table 3 row under direct (from F) and indirect (from FV) CASE
 while transactionLine doubles twice (DMKD section 4.2's scalability
 discussion). The two larger sizes rerun the cells on the DMKD Table 3
 databases; the smallest loads its own. Every size answers the query
-once untimed before its cells, so no cell pays the encoding cache's
-first fill.
+once untimed before its cells, so no cell pays for filling the
+columns' encoding memos.
 """
 
 #: Extension A4's batch: four percentage queries over one fact table.
@@ -199,30 +198,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sales", type=int, default=300_000)
     parser.add_argument("--tl", type=int, default=100_000)
     parser.add_argument("--census", type=int, default=50_000)
-    parser.add_argument("--no-encoding-cache", action="store_true",
-                        help="ablation: recompute dictionary encodings "
-                             "at every plan step (results and logical "
-                             "I/O are unchanged; wall time grows)")
     return parser
 
 
 def main(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
-    use_cache = not args.no_encoding_cache
 
     started = time.perf_counter()
     print(f"Loading data (employee={args.employee:,}, "
           f"sales={args.sales:,}, tl={args.tl // 2:,}/{args.tl:,}/"
           f"{2 * args.tl:,}, census={args.census:,}) ...")
-    sigmod = Database(use_encoding_cache=use_cache)
+    sigmod = Database()
     load_employee(sigmod, args.employee)
     load_sales(sigmod, args.sales)
-    dmkd = Database(use_encoding_cache=use_cache)
+    dmkd = Database()
     load_census(dmkd, args.census)
     load_transaction_line(dmkd, args.tl)
-    doubled = Database(use_encoding_cache=use_cache)
+    doubled = Database()
     load_transaction_line(doubled, 2 * args.tl)
-    halved = Database(use_encoding_cache=use_cache)
+    halved = Database()
     load_transaction_line(halved, args.tl // 2)
 
     sections = [
@@ -270,12 +264,6 @@ def _section(title: str, paper: str, note: str,
 
 
 def _header(args) -> str:
-    notes = ""
-    if args.no_encoding_cache:
-        notes += ("\n> **Encoding cache off** (`--no-encoding-cache`): "
-                  "every plan step recomputed its dictionary "
-                  "encodings, so the wall times are the cache "
-                  "ablation's; results and logical I/O are unchanged.\n")
     return f"""# EXPERIMENTS -- paper versus measured
 
 Generated by `python benchmarks/run_experiments.py`
@@ -283,7 +271,7 @@ Generated by `python benchmarks/run_experiments.py`
 transactionLine n={args.tl:,} and {2 * args.tl:,} (A3 adds
 {args.tl // 2:,}), census n={args.census:,}; the paper used
 1M / 10M / 1M+2M / 200k on an 800 MHz Teradata node).
-{notes}
+
 **How to read these tables.** Absolute seconds are not comparable to
 the paper's (different hardware, disk-based DBMS vs in-memory columnar
 engine); what should match -- and does, see the per-table notes in

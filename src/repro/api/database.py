@@ -81,11 +81,10 @@ class Database:
         default_deadline_seconds: wall-clock deadline of every
             top-level query (statement, script or generated plan) that
             names none of its own.
-        **execution: the execution knobs -- ``case_dispatch`` and
-            ``use_encoding_cache`` -- passed straight to
-            :class:`~repro.engine.executor.ExecutorOptions`, which
-            states their defaults and legal values;
-            :meth:`configure` changes them later.
+        **execution: the execution knob ``case_dispatch``, passed
+            straight to :class:`~repro.engine.executor.ExecutorOptions`,
+            which states its default and legal values;
+            :meth:`configure` changes it later.
     """
 
     def __init__(self, max_columns: int = DEFAULT_MAX_COLUMNS,
@@ -350,11 +349,6 @@ class Database:
 
     def table_names(self) -> list[str]:
         return self.catalog.table_names()
-
-    def encoding_cache_info(self) -> dict[str, Any]:
-        """Occupancy and traffic counters of the dictionary-encoding
-        cache (hits/misses/evictions, bytes, hit rate)."""
-        return self.catalog.encoding_cache.info()
 
     def set_resource_budget(self,
                             budget: ResourceBudget = ResourceBudget()

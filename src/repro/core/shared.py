@@ -37,8 +37,7 @@ _counter = itertools.count(1)
 #: Per-database registry of kept summaries: signature -> summary table
 #: name.  The signature embeds the fact table's *version* (see
 #: :mod:`repro.engine.table`), so any DML on the fact table silently
-#: invalidates its summaries -- the same mechanism that keys the
-#: dictionary-encoding cache.
+#: invalidates its summaries.
 _kept_summaries: "weakref.WeakKeyDictionary[Database, dict]" = \
     weakref.WeakKeyDictionary()
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from repro.engine import kernels
 from repro.engine.column import ColumnData
-from repro.engine.encoding_cache import EncodingCache
 from repro.engine.groupby import encode_column
+from repro.engine.stats import StatsCollector
 from repro.engine.types import SQLType
 from repro.errors import PlanningError
 
@@ -38,12 +38,12 @@ def count_star(group_ids: np.ndarray, n_groups: int) -> ColumnData:
 def compute_aggregate(func: str, arg: Optional[ColumnData],
                       distinct: bool, group_ids: np.ndarray,
                       n_groups: int,
-                      cache: Optional[EncodingCache] = None) -> ColumnData:
+                      stats: Optional[StatsCollector] = None) -> ColumnData:
     """Aggregate ``arg`` per group; ``arg`` is ``None`` for ``f(*)``.
 
     ``func`` is one of sum/count/avg/min/max/var/stdev; ``count``
-    honors ``distinct`` (and can reuse a cached dictionary encoding of
-    a base-table argument via ``cache``).
+    honors ``distinct`` (and, given the query's ``stats``, reuses the
+    memoized encoding of a base-table argument).
     """
     if arg is None:
         if func == "count" and not distinct:
@@ -52,7 +52,7 @@ def compute_aggregate(func: str, arg: Optional[ColumnData],
                             f"may take *")
     if func == "count":
         if distinct:
-            encoded = encode_column(arg, cache)
+            encoded = encode_column(arg, stats)
             return kernels.kernel_count_distinct(
                 encoded.codes, encoded.cardinality, group_ids, n_groups)
         return kernels.kernel_count(arg.nulls, group_ids, n_groups)

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from repro.engine.encoding_cache import EncodingCache
 from repro.engine.schema import (DEFAULT_MAX_COLUMNS,
                                  DEFAULT_MAX_NAME_LENGTH, TableSchema)
 from repro.engine.table import Table
@@ -91,20 +90,16 @@ class CatalogSnapshot:
 class Catalog:
     """Case-insensitive registry of tables and their indexes.
 
-    The catalog also owns the dictionary-encoding cache: it is the one
-    component that sees every base-table lifecycle event, so it seals
-    cache tokens onto table columns on create/replace and invalidates
-    entries on replace/drop (every DML path funnels through
-    :meth:`replace_table`).
+    Every table the catalog publishes is sealed (:meth:`Table.seal`):
+    its columns get the encoding memos that let a query encode each
+    base-table column once.  A memo dies with its column, so no
+    lifecycle event has anything to invalidate.
     """
 
     def __init__(self, max_columns: int = DEFAULT_MAX_COLUMNS,
-                 max_name_length: int = DEFAULT_MAX_NAME_LENGTH,
-                 encoding_cache: EncodingCache | None = None):
+                 max_name_length: int = DEFAULT_MAX_NAME_LENGTH):
         self.max_columns = max_columns
         self.max_name_length = max_name_length
-        self.encoding_cache = encoding_cache if encoding_cache is not None \
-            else EncodingCache()
         #: Mutation counter: bumped once per mutating operation (not
         #: per statement), so snapshot versions totally order catalog
         #: states.
@@ -174,12 +169,9 @@ class Catalog:
         snapshot-isolated reader can run multi-statement plans (temp
         CREATE/INSERT/UPDATE/DROP) without any of it becoming visible
         outside -- the copy-on-write discipline guarantees the shared
-        objects are never mutated.  The dictionary-encoding cache is
-        shared: it is thread-safe and version-keyed, so overlay temps
-        and base tables coexist.
+        objects are never mutated.
         """
-        overlay = Catalog(self.max_columns, self.max_name_length,
-                          self.encoding_cache)
+        overlay = Catalog(self.max_columns, self.max_name_length)
         overlay._tables = dict(snapshot.tables)
         overlay._views = dict(snapshot.views)
         overlay._indexes = dict(snapshot.indexes)
@@ -211,13 +203,11 @@ class Catalog:
         if key in self._matviews:
             raise CatalogError(f"{table.name!r} is a materialized view")
         self.validate_schema(table.schema)
-        if replace and key in self._tables:
-            self.encoding_cache.invalidate_table(key)
         if self.storage is not None:
             # Persist + WAL-commit before the in-memory publish: a
             # crash in between redoes the publish on reopen.
             table = self.storage.on_create_table(table, replace=replace)
-        table.seal_cache_tokens()
+        table.seal()
         tables = dict(self._tables)
         tables[key] = table
         self._publish(tables=tables)
@@ -235,9 +225,7 @@ class Catalog:
                       matviews: Mapping[str, object] | None = None
                       ) -> None:
         """Swap in new contents for an existing table (its index
-        definitions stand).  The replacement carries a fresh version,
-        so its cached encodings start cold; the old version's entries
-        are dropped eagerly.
+        definitions stand).
 
         ``matviews`` optionally carries delta-maintained replacement
         materialized views (key -> MaterializedView); they are
@@ -247,10 +235,9 @@ class Catalog:
         key = table.name.lower()
         if key not in self._tables:
             raise CatalogError(f"no such table: {table.name!r}")
-        self.encoding_cache.invalidate_table(key)
         if self.storage is not None:
             table = self.storage.on_replace_table(table)
-        table.seal_cache_tokens()
+        table.seal()
         tables = dict(self._tables)
         tables[key] = table
         merged = None
@@ -269,7 +256,6 @@ class Catalog:
             self.storage.log_drop_table(key)
         tables = dict(self._tables)
         del tables[key]
-        self.encoding_cache.invalidate_table(key)
         indexes = {idx_name: idx for idx_name, idx in
                    self._indexes.items()
                    if idx.table_name.lower() != key}
@@ -453,15 +439,8 @@ class Catalog:
         """Restore the catalog to ``savepoint``.
 
         Tables, views and index definitions snap back to the exact
-        objects captured (immutability makes that sufficient);
-        encoding-cache entries of tables created or replaced since the
-        savepoint are invalidated.
+        objects captured (immutability makes that sufficient).
         """
-        for key, table in self._tables.items():
-            if savepoint.tables.get(key) is not table:
-                # Created or replaced since the savepoint: its cached
-                # encodings (any version) must not outlive it.
-                self.encoding_cache.invalidate_table(key)
         if self.storage is not None:
             # One full-manifest WAL record re-asserting the restored
             # state.  This is what heals a fault injected mid-commit:
@@ -493,7 +472,7 @@ class Catalog:
         :meth:`~repro.storage.engine.StorageEngine.open_catalog` before
         the database accepts statements."""
         for table in tables.values():
-            table.seal_cache_tokens()
+            table.seal()
         self._publish(tables=dict(tables), views=dict(views),
                       indexes=dict(indexes),
                       matviews=dict(matviews) if matviews is not None

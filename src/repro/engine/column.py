@@ -13,12 +13,35 @@ intermediate expression results and aggregate outputs are all
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import (TYPE_CHECKING, Any, Iterable, Iterator, Optional,
+                    Sequence)
 
 import numpy as np
 
 from repro.engine.types import NULL_FILLERS, SQLType, coerce_scalar
 from repro.errors import TypeMismatchError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.engine.groupby import EncodedColumn
+
+
+class EncodingMemo:
+    """The dictionary encoding of one sealed base-table column, filled
+    by the first :func:`~repro.engine.groupby.encode_column` that reads
+    it and returned by every later one.
+
+    A sealed column never changes -- DML publishes new columns -- so
+    the memo is never stale and lives exactly as long as its column.
+    Two threads filling it at once compute identical encodings, so it
+    needs no lock.  ``table`` names the table that sealed it, for the
+    ``encoding-cache`` charge event.
+    """
+
+    __slots__ = ("table", "encoded")
+
+    def __init__(self, table: str):
+        self.table = table
+        self.encoded: Optional["EncodedColumn"] = None
 
 
 # Slotted: a wide group frame holds one per aggregate, thousands.
@@ -31,16 +54,15 @@ class ColumnData:
         values: dense numpy array of ``sql_type.numpy_dtype``; positions
             where ``nulls`` is True hold an arbitrary filler.
         nulls: boolean numpy array, True where the value is NULL.
-        cache_token: ``(table, version, column)`` provenance stamped by
-            the catalog when this column belongs to a base table; keys
-            the dictionary-encoding cache.  None for intermediates.
+        memo: the :class:`EncodingMemo` the catalog gives a column
+            when it seals a base table; None for intermediates.
     """
 
     sql_type: SQLType
     values: np.ndarray
     nulls: np.ndarray
-    cache_token: Optional[tuple] = field(default=None, repr=False,
-                                         compare=False)
+    memo: Optional["EncodingMemo"] = field(default=None, repr=False,
+                                           compare=False)
 
     def __post_init__(self) -> None:
         if len(self.values) != len(self.nulls):
@@ -181,10 +203,10 @@ class ColumnData:
             f"cannot cast {self.sql_type} to {target}")
 
     def copy(self) -> "ColumnData":
-        # The copy has identical content, so it keeps the cache token
-        # (e.g. the window spool copies partition keys before encoding).
+        # The copy has identical content, so it shares the memo (e.g.
+        # the window spool copies partition keys before encoding).
         return ColumnData(self.sql_type, self.values.copy(),
-                          self.nulls.copy(), cache_token=self.cache_token)
+                          self.nulls.copy(), memo=self.memo)
 
     @staticmethod
     def concat(parts: Sequence["ColumnData"]) -> "ColumnData":

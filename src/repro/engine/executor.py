@@ -76,23 +76,13 @@ class ExecutorOptions:
         one probe per row of the dispatch the paper proposes
         (Section 3.2 / DMKD Section 3.5).  Ledger only: results and
         wall-clock are identical either way.
-    ``use_encoding_cache``:
-        base-table dictionary encodings are served from the catalog's
-        table-versioned cache instead of recomputed per plan step.
-        Wall-clock only: results and logical-I/O counters are identical
-        either way.
     """
 
     case_dispatch: str = "linear"
-    use_encoding_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.case_dispatch not in ("linear", "hash"):
             raise ValueError("case_dispatch must be 'linear' or 'hash'")
-        # Not truthiness: a None meant as "unset" must not silently
-        # read as "off".
-        if not isinstance(self.use_encoding_cache, bool):
-            raise ValueError("use_encoding_cache must be True or False")
 
 
 @dataclass
@@ -208,20 +198,11 @@ class Executor:
         # its (possibly enabled) tracer.
         self.tracer = tracer if tracer is not None \
             else Tracer(enabled=False)
-        self.catalog.encoding_cache.bind_stats(stats)
         #: This thread's query scopes (repro.engine.scope):
         #: ``scopes.root`` is the outermost open one's record,
         #: ``scopes.last`` the record of the last outermost one that
         #: finished -- what a plain ``db.execute`` cost.
         self.scopes = ScopeLocal()
-
-    @property
-    def encoding_cache(self):
-        """The catalog's dictionary-encoding cache, or None when the
-        ablation toggle disables it."""
-        if not self.options.use_encoding_cache:
-            return None
-        return self.catalog.encoding_cache
 
     # ------------------------------------------------------------------
     # The query boundary (repro.engine.scope)
@@ -374,7 +355,7 @@ class Executor:
                     columns = [result.column(c)
                                for c in result.column_names()]
                     result = result.take(distinct_indices(
-                        columns, result.n_rows, self.encoding_cache))
+                        columns, result.n_rows, self.stats))
                     distinct.stamp(rows=result.n_rows)
             if select.order_by:
                 # A plain projection's rows are still aligned 1:1 with
@@ -470,7 +451,7 @@ class Executor:
                    outer: bool) -> tuple[np.ndarray, np.ndarray]:
         """``(probe, build)`` row-index pairs."""
         return join_indices(probe_cols, build_cols, outer,
-                            cache=self.encoding_cache,
+                            stats=self.stats,
                             null_safe=join.null_safe)
 
     # -- select-list evaluation ---------------------------------------------
@@ -558,8 +539,7 @@ class Executor:
                         f"window function {node.name}() needs an "
                         f"argument")
                 result = evaluate_window(node.name, arg, partition,
-                                         frame.n_rows, self.stats,
-                                         self.encoding_cache)
+                                         frame.n_rows, self.stats)
             name = f"__win{counter[0]}"
             counter[0] += 1
             frame.add_column(name, result)
@@ -572,8 +552,7 @@ class Executor:
                        for e in plan.group_by]
         with self._operator("group-by-build",
                             input_rows=frame.n_rows) as op:
-            grouping = factorize(key_columns, frame.n_rows,
-                                 self.encoding_cache)
+            grouping = factorize(key_columns, frame.n_rows, self.stats)
             op.charge(rows=grouping.n_groups, context="group-by")
             op.stamp(groups=grouping.n_groups)
             firsts = first_positions(grouping.group_ids,
@@ -618,8 +597,7 @@ class Executor:
         with self._operator("grouping-sets-build",
                             input_rows=frame.n_rows, sets=lattice.n_sets,
                             dims=len(lattice.dims)) as op:
-            union = factorize(key_columns, frame.n_rows,
-                              self.encoding_cache)
+            union = factorize(key_columns, frame.n_rows, self.stats)
             op.stamp(union_groups=union.n_groups)
 
         # One rewrite serves every set: only the grouping() masks
@@ -728,9 +706,8 @@ class Executor:
         that evaluates argument expressions lazily never holds more
         than one argument column (the 1,000-column Hpct statements
         depend on this)."""
-        cache = self.encoding_cache
         return {key: compute_aggregate(func, arg, distinct, group_ids,
-                                       n_groups, cache)
+                                       n_groups, self.stats)
                 for key, func, arg, distinct in items}
 
     def _aggregate_items(self, calls: list[ast.FuncCall], frame: Frame,
@@ -772,8 +749,7 @@ class Executor:
                 handled = pivot_mod.compute_families(
                     families, frame, grouping.group_ids,
                     grouping.n_groups, group_frame, self.stats,
-                    self._aggregate_batch, self.encoding_cache,
-                    self.options.case_dispatch)
+                    self._aggregate_batch, self.options.case_dispatch)
                 op.stamp(aggregates=len(handled),
                          groups=grouping.n_groups)
         group_frame.add_columns(self._aggregate_batch(
@@ -819,7 +795,7 @@ class Executor:
                 return result
             sort_keys = []
             for column, ascending in keys:
-                codes = encode_column(column, self.encoding_cache).codes
+                codes = encode_column(column, self.stats).codes
                 sort_keys.append(codes if ascending else -codes)
             order = np.lexsort(tuple(reversed(sort_keys)))
             return result.take(order)

@@ -81,20 +81,17 @@ def _plan_lines(executor, statement: ast.Statement,
     storage = _storage_line(executor)
     if storage is not None:
         lines.append(storage)
-    lines.append(_cache_line(executor))
     return lines
 
 
 def _governor_line(executor) -> str:
-    """The resource budgets this statement will run under (the cache
-    line stays last; consumers assert on the leading rows)."""
+    """The resource budgets this statement will run under."""
     return f"governor: {executor.governor.budget.describe()}"
 
 
 def _deadline_line() -> Optional[str]:
     """The ambient cancel token's deadline, if one is active; omitted
-    entirely otherwise so deadline-free plans are unchanged (the cache
-    line stays last either way)."""
+    entirely otherwise so deadline-free plans are unchanged."""
     token = cancel.active_token()
     if token is None:
         return None
@@ -107,8 +104,7 @@ def _deadline_line() -> Optional[str]:
 def _storage_line(executor) -> Optional[str]:
     """The table substrate plus buffer-pool occupancy; omitted when
     the catalog is memory-resident (no storage engine behind it) so
-    those plans are unchanged (the cache line stays last either
-    way)."""
+    those plans are unchanged."""
     engine = executor.catalog.storage
     if engine is None:
         return None
@@ -117,17 +113,6 @@ def _storage_line(executor) -> Optional[str]:
             f"pool={pool['pages']}/{pool['capacity']} pages "
             f"hits={pool['hits']} misses={pool['misses']} "
             f"evictions={pool['evictions']}")
-
-
-def _cache_line(executor) -> str:
-    """Encoding-cache occupancy/traffic, appended as the last plan row
-    (existing consumers assert on the leading rows)."""
-    if not executor.options.use_encoding_cache:
-        return "encoding cache: off"
-    info = executor.catalog.encoding_cache.info()
-    return (f"encoding cache: {info['entries']} entries, "
-            f"{info['bytes']} bytes, hits={info['hits']} "
-            f"misses={info['misses']} evictions={info['evictions']}")
 
 
 def _explain_select(executor, select: ast.Select, lines: list[str],

@@ -2,8 +2,8 @@
 
 The engine exposes named *sites* (:data:`SITES`) -- the plan runner's
 statement boundary, executor entry, the operators a real DBMS would
-consider failure-atomic units, the encoding cache, the disk page reads
-and the WAL kill points.  Every instrumented point calls one hook,
+consider failure-atomic units, the disk page reads and the WAL kill
+points.  Every instrumented point calls one hook,
 :func:`cross`, which
 
 1. counts the hit on the :class:`FaultInjector` active on this thread
@@ -69,7 +69,6 @@ SITES: dict[str, bool] = {
     "join-build": True,          # hash-join build side (engine/join.py)
     "group-by": True,            # factorize entry (engine/groupby.py)
     "pivot": True,               # pivot-family pass (engine/pivot.py)
-    "encoding-cache": False,     # dictionary-encoding cache lookup
     "page-fetch": True,          # per column page run (storage/engine.py)
     "projection": True,          # entering a SELECT's projection
     "dml": True,                 # entering an INSERT/UPDATE/DELETE's write

@@ -19,14 +19,17 @@ window partitions, hash joins -- goes through :func:`factorize`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.engine import faults
 from repro.engine.column import ColumnData
-from repro.engine.encoding_cache import EncodingCache
 from repro.engine.types import SQLType
+from repro.obs import tracer as tracer_mod
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.stats import StatsCollector
 
 
 @dataclass
@@ -42,8 +45,8 @@ class EncodedColumn:
     uniques: np.ndarray
     sql_type: SQLType
 
-    #: Instances are shared through the encoding cache; treat ``codes``
-    #: and ``uniques`` as immutable.
+    #: Instances are shared through column memos; treat ``codes`` and
+    #: ``uniques`` as immutable.
 
     @property
     def cardinality(self) -> int:
@@ -64,7 +67,8 @@ class EncodedColumn:
 
 
 def encode_column(col: ColumnData,
-                  cache: Optional[EncodingCache] = None) -> EncodedColumn:
+                  stats: Optional["StatsCollector"] = None
+                  ) -> EncodedColumn:
     """Encode one column to dense integer codes (NULL -> 0).
 
     ``uniques`` holds exactly the distinct **non-NULL** values: NULL
@@ -73,18 +77,25 @@ def encode_column(col: ColumnData,
     spurious ``""`` dictionary entry (and numeric fillers no longer
     inflate ``cardinality``).
 
-    When ``cache`` is given and the column carries a base-table
-    ``cache_token``, the encoding is served from / stored into the
-    dictionary-encoding cache.
+    A query passes its ``stats``: a sealed base-table column is then
+    encoded once, into its :class:`~repro.engine.column.EncodingMemo`,
+    and every read of the memo is charged as an ``encode_cache_hits``
+    or ``encode_cache_misses``.  Without ``stats`` (view maintenance)
+    the column is encoded afresh.
     """
-    token = col.cache_token
-    if cache is not None and token is not None:
-        cached = cache.get(token)
-        if cached is not None:
-            return cached
-    encoded = _encode_values(col)
-    if cache is not None and token is not None:
-        cache.put(token, encoded)
+    memo = col.memo
+    if stats is None or memo is None:
+        return _encode_values(col)
+    encoded = memo.encoded
+    counter = ("encode_cache_misses" if encoded is None
+               else "encode_cache_hits")
+    stats.add(**{counter: 1})
+    tracer = tracer_mod.active_tracer()
+    if tracer is not None and tracer.enabled:
+        tracer.event("encoding-cache", kind="charge", table=memo.table,
+                     **{counter: 1})
+    if encoded is None:
+        encoded = memo.encoded = _encode_values(col)
     return encoded
 
 
@@ -193,21 +204,21 @@ _MAX_CODE_SPACE = 2 ** 62
 
 
 def factorize(columns: list[ColumnData], n_rows: int,
-              cache: Optional[EncodingCache] = None) -> Grouping:
+              stats: Optional["StatsCollector"] = None) -> Grouping:
     """:func:`group_rows` as a query operator: crosses the
     ``group-by`` site first."""
     faults.cross("group-by")
-    return group_rows(columns, n_rows, cache)
+    return group_rows(columns, n_rows, stats)
 
 
 def group_rows(columns: list[ColumnData], n_rows: int,
-               cache: Optional[EncodingCache] = None) -> Grouping:
+               stats: Optional["StatsCollector"] = None) -> Grouping:
     """Group rows by the tuple of ``columns`` (possibly empty).
 
     With no key columns every row lands in one global group, which is
-    exactly SQL's "aggregation without GROUP BY".  ``cache`` lets
-    base-table key columns reuse dictionary encodings across plan
-    steps and queries.  Pure: no safepoint, no fault site -- view
+    exactly SQL's "aggregation without GROUP BY".  With ``stats``,
+    base-table key columns reuse their memoized encodings
+    (:func:`encode_column`).  Pure: no safepoint, no fault site -- view
     maintenance keys rows with it without adding ``group-by``
     crossings to the DML that triggered it.
     """
@@ -215,7 +226,7 @@ def group_rows(columns: list[ColumnData], n_rows: int,
         group_ids = np.zeros(n_rows, dtype=np.int64)
         return Grouping(group_ids, 1 if n_rows >= 0 else 0,
                         np.empty((1, 0), dtype=np.int64), [])
-    return group_encoded([encode_column(c, cache) for c in columns])
+    return group_encoded([encode_column(c, stats) for c in columns])
 
 
 def group_encoded(encodings: list[EncodedColumn]) -> Grouping:
@@ -320,10 +331,11 @@ def first_positions(group_ids: np.ndarray, n_groups: int) -> np.ndarray:
 
 
 def distinct_indices(columns: list[ColumnData], n_rows: int,
-                     cache: Optional[EncodingCache] = None) -> np.ndarray:
+                     stats: Optional["StatsCollector"] = None
+                     ) -> np.ndarray:
     """Positions of the first row of each distinct key combination, in
     first-appearance order (stable DISTINCT)."""
-    grouping = factorize(columns, n_rows, cache)
+    grouping = factorize(columns, n_rows, stats)
     if n_rows == 0:
         return np.empty(0, dtype=np.int64)
     # Sorting the groups' first rows restores appearance order.

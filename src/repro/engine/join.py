@@ -28,8 +28,8 @@ import numpy as np
 
 from repro.engine import faults
 from repro.engine.column import ColumnData
-from repro.engine.encoding_cache import EncodingCache
 from repro.engine.groupby import encode_column
+from repro.engine.stats import StatsCollector
 from repro.engine.types import SQLType
 
 
@@ -76,7 +76,7 @@ def _null_safe_flags(null_safe: Optional[Sequence[bool]],
 
 
 def prepare_side(columns: list[ColumnData],
-                 cache: Optional[EncodingCache] = None,
+                 stats: Optional[StatsCollector] = None,
                  null_safe: Optional[Sequence[bool]] = None
                  ) -> PreparedJoinSide:
     """Digest build-side key columns (NULL-keyed rows are dropped,
@@ -84,8 +84,8 @@ def prepare_side(columns: list[ColumnData],
 
     Per-column dictionaries come from :func:`~repro.engine.groupby.
     encode_column` (whose ``uniques`` are exactly the sorted non-NULL
-    distinct values), so base-table build keys reuse the
-    dictionary-encoding cache instead of re-running ``np.unique``.
+    distinct values), so base-table build keys reuse their memoized
+    encodings instead of re-running ``np.unique``.
     """
     if not columns:
         raise ValueError("join requires at least one key column")
@@ -95,7 +95,7 @@ def prepare_side(columns: list[ColumnData],
     uniques_list: list[np.ndarray] = []
     codes_list: list[np.ndarray] = []
     for col, ns in zip(columns, flags):
-        encoded = encode_column(col, cache)
+        encoded = encode_column(col, stats)
         uniques_list.append(encoded.uniques)
         if ns:
             # NULL keeps its dictionary code 0 and matches probe NULLs.
@@ -184,10 +184,10 @@ def probe(prepared: PreparedJoinSide, columns: list[ColumnData],
 def join_indices(left_columns: list[ColumnData],
                  right_columns: list[ColumnData],
                  outer: bool,
-                 cache: Optional[EncodingCache] = None,
+                 stats: Optional[StatsCollector] = None,
                  null_safe: Optional[Sequence[bool]] = None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Join row indices ``(left_idx, right_idx)`` for ``left JOIN
     right`` on positional key pairs; the right side builds."""
-    return probe(prepare_side(right_columns, cache, null_safe),
+    return probe(prepare_side(right_columns, stats, null_safe),
                  left_columns, outer)

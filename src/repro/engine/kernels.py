@@ -4,7 +4,7 @@ A *kernel* is a pure function over raw buffers::
 
     (value/null buffers, group_ids, n_groups) -> ColumnData
 
-with no frames, catalog or encoding cache in its signature.
+with no frames, catalog or encoding memos in its signature.
 :mod:`repro.engine.aggregates` unwraps argument columns and dispatches
 on the function name; every operator that aggregates (GROUP BY, the
 pivot kernel, grouping sets, windows, view maintenance) reaches these
@@ -62,8 +62,8 @@ def kernel_count_distinct(codes: np.ndarray, cardinality: int,
     """count(DISTINCT x) over pre-computed dictionary codes.
 
     ``codes`` follow the :class:`~repro.engine.groupby.EncodedColumn`
-    convention (0 = NULL); the caller encodes, so the encoding cache
-    is charged there.
+    convention (0 = NULL); the caller encodes, so a memo read is
+    charged there.
     """
     if counting_pass_fits(n_groups * cardinality, len(codes)):
         # The (group, code) space is small for this many rows: mark the

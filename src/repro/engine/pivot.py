@@ -44,7 +44,6 @@ from repro.engine import faults
 from repro.engine.binder import (COLUMN, LITERAL, CallSlots, children,
                                  sizes)
 from repro.engine.column import ColumnData
-from repro.engine.encoding_cache import EncodingCache
 from repro.engine.expressions import Frame, comparable_types, evaluate
 from repro.engine.groupby import (EncodedColumn, encode_column,
                                   group_encoded)
@@ -132,7 +131,6 @@ def compute_families(families: list[_Family], frame: Frame,
                      group_frame: Frame,
                      stats: Optional[StatsCollector],
                      aggregate: Callable[..., dict],
-                     cache: Optional[EncodingCache],
                      case_dispatch: str) -> set[int]:
     """Compute each family, binding its terms' ``__aggI`` columns into
     ``group_frame`` in one batch per family.  Returns the handled call
@@ -149,7 +147,7 @@ def compute_families(families: list[_Family], frame: Frame,
     for family in families:
         faults.cross("pivot")
         if _compute_family(family, frame, group_ids, n_groups,
-                           group_frame, stats, aggregate, cache,
+                           group_frame, stats, aggregate,
                            case_dispatch, cells):
             handled.update(family.indexes)
     return handled
@@ -261,7 +259,7 @@ def _calls_case(template: Any) -> bool:
 
 # ----------------------------------------------------------------------
 def _cells(columns: dict[int, ColumnData], group_ids: np.ndarray,
-           n_groups: int, cache: Optional[EncodingCache]) -> tuple:
+           n_groups: int, stats: Optional[StatsCollector]) -> tuple:
     """``(cells, combos, combo_of)`` of one set of pivot columns: one
     cell per (group, pivot-value combination) that occurs, the ranking
     of those combinations, and the literal tuple -> combination
@@ -271,8 +269,8 @@ def _cells(columns: dict[int, ColumnData], group_ids: np.ndarray,
     # keeps for NULL is simply the last one instead of code 0 (this
     # column is never decoded) and no shifted copy of the ids is made.
     # The pivot columns are usually base-table references whose
-    # encodings the cache serves.
-    pivots = [encode_column(column, cache) for column in columns.values()]
+    # encodings their memos serve.
+    pivots = [encode_column(column, stats) for column in columns.values()]
     cells = group_encoded(
         [EncodedColumn(group_ids, np.arange(n_groups),
                        SQLType.INTEGER)] + pivots)
@@ -299,7 +297,6 @@ def _compute_family(family: _Family, frame: Frame,
                     group_frame: Frame,
                     stats: Optional[StatsCollector],
                     aggregate: Callable[..., dict],
-                    cache: Optional[EncodingCache],
                     case_dispatch: str, shared: dict) -> bool:
     n_rows = frame.n_rows
     arg = evaluate(family.result_expr, frame, None)
@@ -319,7 +316,7 @@ def _compute_family(family: _Family, frame: Frame,
 
     key = tuple(family.columns)
     if key not in shared:
-        shared[key] = _cells(family.columns, group_ids, n_groups, cache)
+        shared[key] = _cells(family.columns, group_ids, n_groups, stats)
     cells, combos, combo_of = shared[key]
     cell_group = cells.key_codes[:, 0]
 

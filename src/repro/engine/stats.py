@@ -19,11 +19,15 @@ Counters (all cumulative until :meth:`reset`):
 * ``index_lookups``  -- 0 by construction: no join probes an index
   (``CREATE INDEX`` is a catalog definition only).  Kept because the
   frozen benchmark reads it (``benchmarks/e2e/layers.py``).
-* ``encode_cache_hits`` / ``encode_cache_misses`` /
-  ``encode_cache_evictions`` -- dictionary-encoding cache traffic.
+* ``encode_cache_hits`` / ``encode_cache_misses`` -- reads of
+  base-table columns' encoding memos that found the encoding already
+  computed, or computed it (:func:`repro.engine.groupby.encode_column`).
   These are deliberately **not** part of :meth:`StatementStats.
-  logical_io`: the cache saves wall-clock work, not logical I/O, so
-  the paper's cost shapes are bit-identical with the cache on or off.
+  logical_io`: a memo saves wall-clock work, not logical I/O, so the
+  paper's cost shapes are bit-identical whether it is warm or cold.
+* ``encode_cache_evictions`` -- 0 by construction: a memo is never
+  evicted, it dies with its column.  Kept because the frozen benchmark
+  reads it (``benchmarks/e2e/layers.py``).
 * ``storage_page_fetches`` / ``storage_pool_hits`` /
   ``storage_page_reads`` -- buffer-pool traffic charged by the disk
   backend's column reads (``hits + reads == fetches`` always).  Also
@@ -77,9 +81,11 @@ _HELP = {
     "case_evaluations": "WHEN-branch evaluations charged to CASE "
                         "expressions",
     "index_lookups": "always 0: no join probes an index",
-    "encode_cache_hits": "dictionary-encoding cache hits",
-    "encode_cache_misses": "dictionary-encoding cache misses",
-    "encode_cache_evictions": "dictionary-encoding cache evictions",
+    "encode_cache_hits": "base-table column encodings served by a memo",
+    "encode_cache_misses": "base-table column encodings computed into "
+                           "a memo",
+    "encode_cache_evictions": "always 0: encoding memos are never "
+                              "evicted",
     "storage_page_fetches": "pages requested from the buffer pool",
     "storage_pool_hits": "page fetches served from the buffer pool",
     "storage_page_reads": "page fetches that read from disk",
@@ -106,6 +112,7 @@ class StatementStats:
     index_lookups: int = 0
     encode_cache_hits: int = 0
     encode_cache_misses: int = 0
+    # Charged by nothing; benchmarks/e2e/layers.py still reads it.
     encode_cache_evictions: int = 0
     storage_page_fetches: int = 0
     storage_pool_hits: int = 0

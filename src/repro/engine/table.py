@@ -13,7 +13,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.engine.column import ColumnData
+from repro.engine.column import ColumnData, EncodingMemo
 from repro.engine.schema import ColumnDef, TableSchema
 from repro.engine.types import SQLType
 from repro.errors import ExecutionError
@@ -21,8 +21,7 @@ from repro.errors import ExecutionError
 
 #: Globally unique, monotonically increasing table versions.  Every
 #: Table instance gets a fresh version (DML always swaps in a new
-#: instance via the catalog), so a ``(table, version, column)`` cache
-#: token can never outlive the column content it was minted for.
+#: instance via the catalog), so equal identities imply equal content.
 _VERSION_COUNTER = itertools.count(1)
 
 
@@ -204,17 +203,18 @@ class Table:
         return renamed
 
     # ------------------------------------------------------------------
-    # Encoding-cache provenance
-    # ------------------------------------------------------------------
-    def seal_cache_tokens(self) -> None:
-        """Stamp every column with a ``(table, version, column)`` cache
-        token.  Called by the catalog when this table becomes (or
-        replaces) a base table; intermediate result tables are never
-        sealed, so only base-table encodings enter the cache."""
+    def seal(self) -> None:
+        """Give every column an encoding memo, unless it has one.
+        Called by the catalog when this table becomes (or replaces) a
+        base table; intermediate result tables are never sealed, so
+        only base-table columns memoize their encodings.  A column
+        another base table sealed first (``CREATE TABLE t2 AS SELECT *
+        FROM t``, the columns an UPDATE left alone) has the same
+        content, so it keeps that table's memo."""
         table_key = self.name.lower()
-        for col_def in self.schema.columns:
-            self._columns[col_def.name].cache_token = (
-                table_key, self.version, col_def.name.lower())
+        for data in self._columns.values():
+            if data.memo is None:
+                data.memo = EncodingMemo(table_key)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.engine import aggregates
 from repro.engine.column import ColumnData
-from repro.engine.encoding_cache import EncodingCache
 from repro.engine.groupby import encode_column, factorize
 from repro.engine.stats import StatsCollector
 from repro.obs import tracer as tracer_mod
@@ -33,8 +32,7 @@ from repro.obs import tracer as tracer_mod
 
 def evaluate_window(func: str, arg: Optional[ColumnData],
                     partition_columns: list[ColumnData], n_rows: int,
-                    stats: Optional[StatsCollector] = None,
-                    cache: Optional[EncodingCache] = None) -> ColumnData:
+                    stats: Optional[StatsCollector] = None) -> ColumnData:
     """Evaluate ``func(arg) OVER (PARTITION BY partition_columns)``.
 
     ``arg is None`` means ``count(*)``.  The result has one value per
@@ -49,12 +47,12 @@ def evaluate_window(func: str, arg: Optional[ColumnData],
             tracer.event("window-spool", kind="charge", func=func,
                          rows_scanned=n_rows, rows_written=n_rows)
 
-    order = _spool_sort(partition_columns, arg, n_rows, cache)
-    # Factorize the *original* partition columns (cache-hittable for
+    order = _spool_sort(partition_columns, arg, n_rows, stats)
+    # Factorize the *original* partition columns (memo-served for
     # base-table keys) and permute the group ids into spool order; this
     # is equivalent to factorizing the taken columns because group ids
     # only identify equal-key rows.
-    base = factorize(partition_columns, n_rows, cache)
+    base = factorize(partition_columns, n_rows, stats)
     sorted_ids = base.group_ids[order]
     sorted_arg = arg.take(order) if arg is not None else None
 
@@ -72,7 +70,7 @@ def evaluate_window(func: str, arg: Optional[ColumnData],
 
 def _spool_sort(partition_columns: list[ColumnData],
                 arg: Optional[ColumnData], n_rows: int,
-                cache: Optional[EncodingCache] = None) -> np.ndarray:
+                stats: Optional[StatsCollector] = None) -> np.ndarray:
     """The sort phase of the spool: a stable lexicographic sort of the
     materialized partition keys (the write cost the stats counters
     charge; the sort itself is the wall-clock cost)."""
@@ -81,9 +79,9 @@ def _spool_sort(partition_columns: list[ColumnData],
     keys = []
     for column in partition_columns:
         # Materialize the spool column (copy), then reduce it to
-        # sortable codes.  The copy keeps its cache token, so the
-        # encoding is served from the cache for base-table keys.
-        keys.append(encode_column(column.copy(), cache).codes)
+        # sortable codes.  The copy shares its memo, so a base-table
+        # key is encoded once.
+        keys.append(encode_column(column.copy(), stats).codes)
     if arg is not None:
         _ = arg.values.copy()  # the argument rides along in the spool
     return np.lexsort(tuple(reversed(keys))).astype(np.int64)

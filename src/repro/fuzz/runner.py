@@ -7,7 +7,9 @@ Per family:
     update join, no indexes, mismatched indexes, single statement when
     legal), the OLAP window rewrite on the engine, the OLAP rewrite on
     sqlite, and sqlite replays of the insert-join and update-join
-    plans.
+    plans.  Every engine result, on every matrix cell, is also held to
+    the paper's identity that a term's percentages sum to 1 within
+    each parent group (:func:`_vpct_identities`).
 ``hpct``
     both CASE pivots (direct F, indirect FV) and a sqlite replay of
     the direct CASE plan -- the independent oracle for the pivot
@@ -238,6 +240,8 @@ def _engine_rows(case: FuzzCase, strategy: "_Strategy",
                  variant: Variant, db_kwargs: dict[str, Any]) -> list:
     with open_variant(case, variant, **db_kwargs) as db:
         rows = strategy.rows(case, db)
+        if case.family == "vpct":
+            _vpct_identities(case, rows)
         _check_trace(db)
         return rows
 
@@ -369,6 +373,42 @@ def _hpct_identities(case: FuzzCase, db: Database, plan,
                         f"{term.sql()} cell {group + tuple(combo)} is "
                         f"{cell!r}, Vpct says {expected!r}")
         at += len(combos)
+
+
+def _vpct_identities(case: FuzzCase, rows: list) -> None:
+    """Hold a Vpct result to the paper's identity (ROADMAP 8(a)): a
+    term's percentages sum to 1 within 1e-9 over the rows of each
+    parent group -- the GROUP BY columns minus the term's BY columns,
+    the level its totals are taken at (none: the grand total).  A
+    group whose total is NULL or 0 is skipped; a row whose own sum is
+    NULL adds nothing to its parent's total and nothing to the sum.
+
+    The generator's measures are small dyadic values, so every total
+    is exact whatever order it is summed in."""
+    n_keys = len(case.group_by)
+    names = case.column_names()
+    for position, term in enumerate(case.terms):
+        if term.kind != "vpct":
+            continue
+        parent = [i for i, c in enumerate(case.group_by)
+                  if c not in term.by] if term.by else []
+        keys = [names.index(case.group_by[i]) for i in parent]
+        measure = names.index(term.argument)
+        totals: dict[tuple, float] = {}
+        for row in case.rows:
+            if row[measure] is not None:
+                group = tuple(row[k] for k in keys)
+                totals[group] = totals.get(group, 0) + row[measure]
+        sums: dict[tuple, float] = {}
+        for row in rows:
+            cell = row[n_keys + position]
+            group = tuple(row[i] for i in parent)
+            sums[group] = sums.get(group, 0.0) + (cell or 0.0)
+        for group, total in totals.items():
+            if total != 0 and abs(sums.get(group, 0.0) - 1.0) > 1e-9:
+                raise IdentityViolation(
+                    f"{term.sql()} parent group {group} sums to "
+                    f"{sums.get(group, 0.0)!r}")
 
 
 def _direct(name: str) -> _Strategy:

@@ -29,8 +29,8 @@ Threading
 
 Each thread keeps its own span stack, so concurrent sessions sharing
 one tracer interleave without corrupting each other's nesting.
-Deep modules with no executor reference (the governor, the encoding
-cache) reach the ambient tracer through
+Deep modules with no executor reference (the governor, the column
+encoder) reach the ambient tracer through
 :func:`activate` / :func:`active_tracer`, which is also thread-local.
 
 When the tracer is disabled, :meth:`Tracer.span` returns a shared
@@ -59,8 +59,7 @@ from repro.obs.clock import Clock, MonotonicClock
 #: ``kind="charge"`` event with the same name=delta attribute, so the
 #: span tree and the stats ledger must agree exactly.
 #: (``case_evaluations`` is charged per-row deep inside expression
-#: evaluation and ``encode_cache_evictions`` inside cache insertion;
-#: neither has a span-event mirror, so neither is audited.)
+#: evaluation, with no span-event mirror, so it is not audited.)
 AUDITED_COUNTERS = (
     "rows_scanned", "rows_written", "rows_updated", "rows_joined",
     "encode_cache_hits", "encode_cache_misses",
@@ -437,6 +436,6 @@ class _Activation:
 
 def activate(tracer: Optional[Tracer]) -> _Activation:
     """Make ``tracer`` this thread's ambient tracer for a ``with``
-    block, so modules without an executor reference (governor, cache)
-    can emit events into the right tree."""
+    block, so modules without an executor reference (governor, column
+    encoder) can emit events into the right tree."""
     return _Activation(tracer)

@@ -31,16 +31,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 class SessionDefaults:
     """Per-session execution defaults.
 
-    ``SessionDefaults(deadline_seconds=2.0, case_dispatch="hash",
-    use_encoding_cache=False)``: every keyword but ``deadline_seconds``
-    is an override of one :class:`~repro.engine.executor.
-    ExecutorOptions` field for this session's snapshot readers -- same
-    names, same legal values, checked here at construction; a knob not
-    named inherits the base database's setting.  Write scripts run on
-    the base database and keep its settings: the knobs steer read
-    evaluation (CASE dispatch, cache usage), and applying them to the
-    shared writer would leak one session's preferences into every
-    other client's view.
+    ``SessionDefaults(deadline_seconds=2.0, case_dispatch="hash")``:
+    every keyword but ``deadline_seconds`` is an override of one
+    :class:`~repro.engine.executor.ExecutorOptions` field for this
+    session's snapshot readers -- same names, same legal values,
+    checked here at construction; a knob not named inherits the base
+    database's setting.  Write scripts run on the base database and
+    keep its settings: the knobs steer read evaluation (what CASE
+    dispatch is charged), and applying them to the shared writer would
+    leak one session's preferences into every other client's view.
     """
 
     def __init__(self, deadline_seconds: Optional[float] = None,

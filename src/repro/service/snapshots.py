@@ -72,12 +72,8 @@ class SnapshotDatabase(Database):
     the base's shared parts -- everything that is thread-safe and
     global by design -- plus what carries per-query state:
 
-    * shared: the statistics collector (the executor binds it to the
-      shared encoding cache; a private one would steal the cache's
-      stats mirror from the base), the resource governor, the
-      dictionary-encoding cache (version-keyed, so overlay temps and
-      base tables coexist), the clock, and the tracer and metrics
-      registry -- overlay statements trace under whatever script span
+    * shared: the statistics collector, the resource governor, the
+      clock, and the tracer and metrics registry -- overlay statements trace under whatever script span
       the scheduler opened and meter into the base registry, so the
       telemetry view stays whole-service;
     * private: the overlay catalog, the executor options (where

@@ -15,11 +15,14 @@ so:
 * across queries the weak entries die with the last holder, and the
   next query re-fetches pages -- the buffer pool, not the table, is
   the cache, so resident memory stays bounded by the pool capacity
-  plus live queries.
+  plus live queries, plus one encoding memo (an int64 code array and
+  its dictionary) per encoded column of a live version: the memo
+  outlives the column objects it is attached to, and dies with the
+  version.
 
 ``renamed()`` (called on every scan) returns a lazy sibling sharing
-the same store, page map and weak cache instead of materializing
-everything the way the base class would.
+the same store, page map, weak cache and memos instead of
+materializing everything the way the base class would.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from repro.engine import scope
 from repro.engine import table as table_mod
-from repro.engine.column import ColumnData
+from repro.engine.column import ColumnData, EncodingMemo
 from repro.engine.schema import TableSchema
 from repro.engine.table import Table
 from repro.errors import ExecutionError
@@ -47,7 +50,7 @@ class StoredTable(Table):
                  version: Optional[int] = None,
                  shared_cache: Optional[
                      "weakref.WeakValueDictionary"] = None,
-                 token: Optional[tuple] = None):
+                 memos: Optional[dict[str, EncodingMemo]] = None):
         # Deliberately does NOT call Table.__init__: there is no
         # eager column dict to validate -- the page map is the data.
         self.schema = schema
@@ -60,11 +63,16 @@ class StoredTable(Table):
         self._cache = (shared_cache if shared_cache is not None
                        else weakref.WeakValueDictionary())
         self._cache_lock = threading.Lock()
-        #: ``(table_key, version)`` stamped by :meth:`seal_cache_tokens`
-        #: -- shared by renamed siblings so scans under an alias still
-        #: mint the base table's encoding-cache tokens.
-        self._token = token
-        self._columns = _StoredColumns(self)
+        #: Column key -> the memo :meth:`seal` made, attached to every
+        #: fresh column object; shared by renamed siblings.
+        self._memos = memos if memos is not None else {}
+
+    @property
+    def _columns(self) -> "_StoredColumns":
+        # Made per access: a view kept on the table would point back at
+        # it, and that cycle would leave every replaced version to the
+        # cyclic collector, its memos with it.
+        return _StoredColumns(self)
 
     # ------------------------------------------------------------------
     @property
@@ -97,8 +105,7 @@ class StoredTable(Table):
                     f"column {key!r} of table {self.name!r} "
                     f"deserialized to {len(data)} rows, expected "
                     f"{self._row_count}")
-            if self._token is not None:
-                data.cache_token = (self._token[0], self._token[1], key)
+            data.memo = self._memos.get(key)
             self._cache[key] = data
             scope.hold(data)
             return data
@@ -111,14 +118,12 @@ class StoredTable(Table):
         return StoredTable(schema, self._store, self._pages,
                            self._row_count, version=self.version,
                            shared_cache=self._cache,
-                           token=self._token)
+                           memos=self._memos)
 
-    def seal_cache_tokens(self) -> None:
-        self._token = (self.name.lower(), self.version)
-        with self._cache_lock:
-            for key, data in list(self._cache.items()):
-                data.cache_token = (self._token[0], self._token[1],
-                                    key)
+    def seal(self) -> None:
+        table_key = self.name.lower()
+        for key in self._pages:
+            self._memos.setdefault(key, EncodingMemo(table_key))
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -31,9 +31,8 @@ class TestExecute:
             db.query("INSERT INTO t VALUES (1)")
 
     def test_encoding_cache_budget_is_not_a_database_option(self):
-        """Nobody set it, so the knob was dropped from the constructor;
-        a test that needs a small budget hands the catalog an
-        ``EncodingCache`` itself."""
+        """There is no cache to budget: encodings are memoized per
+        sealed column (DESIGN.md section 5)."""
         with pytest.raises(TypeError):
             Database(encoding_cache_bytes=1)
 

@@ -25,15 +25,20 @@ KNOBS = [f.name for f in dataclasses.fields(ExecutorOptions)]
 #: Per knob: a legal non-default value and an illegal one.
 VALUES = {
     "case_dispatch": ("hash", "quantum"),
-    "use_encoding_cache": (False, "off"),
 }
+
+#: Knobs the dataclass has dropped, each with a value that used to be
+#: legal: every surface must refuse them exactly as the dataclass does.
+#: ``use_encoding_cache`` went with the encoding cache (DESIGN.md
+#: section 5: sealed columns memoize their encodings, with no switch).
+RETIRED = {"use_encoding_cache": False}
 
 #: Names that are not knobs, each with a value that used to be legal
 #: (no alias, no deprecation path): the intra-query parallelism knobs
-#: retired with the feature (DESIGN.md section 5) and ``use_indexes``,
-#: retired with the index probe (DESIGN.md section 2).
+#: retired with the feature (DESIGN.md section 5), ``use_indexes``,
+#: retired with the index probe (DESIGN.md section 2), and RETIRED.
 REFUSED = {"parallel_workers": 2, "parallel_backend": "thread",
-           "morsel_rows": 8192, "use_indexes": False}
+           "morsel_rows": 8192, "use_indexes": False, **RETIRED}
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "engine_internals.md"
 
@@ -74,14 +79,20 @@ SURFACES = [_database, _configure, _session_defaults, _query_service,
 
 
 def test_every_knob_has_a_row():
-    assert KNOBS == ["case_dispatch", "use_encoding_cache"]
+    assert KNOBS == ["case_dispatch"]
     assert sorted(VALUES) == sorted(KNOBS)
 
 
 @pytest.mark.parametrize("surface", SURFACES,
                          ids=lambda s: s.__name__.lstrip("_"))
-@pytest.mark.parametrize("knob", KNOBS)
+@pytest.mark.parametrize("knob", KNOBS + list(RETIRED))
 def test_surface_accepts_and_rejects_like_the_dataclass(surface, knob):
+    if knob in RETIRED:
+        with pytest.raises(TypeError, match=knob):
+            ExecutorOptions(**{knob: RETIRED[knob]})
+        with pytest.raises(TypeError, match=knob):
+            surface(**{knob: RETIRED[knob]})
+        return
     legal, illegal = VALUES[knob]
     assert legal != getattr(ExecutorOptions(), knob)
     resolved = surface(**{knob: legal})
@@ -106,9 +117,8 @@ def test_surface_refuses_a_name_the_dataclass_lacks(surface):
 
 def test_configure_keeps_the_knobs_it_was_not_given():
     db = Database(case_dispatch="hash")
-    db.configure(use_encoding_cache=False)
-    assert db.options == ExecutorOptions(
-        case_dispatch="hash", use_encoding_cache=False)
+    db.configure()
+    assert db.options == ExecutorOptions(case_dispatch="hash")
     assert db.executor.options is db.options
 
 

@@ -72,13 +72,6 @@ def test_shared_summary_batch_reads_less(written):
     assert int(cells["shared summary"]) < int(cells["separate"])
 
 
-def test_header_says_when_the_encoding_cache_was_off(written, tmp_path):
-    default_header, _ = written
-    assert "--no-encoding-cache" not in default_header
-    header, _ = _run(tmp_path, "--no-encoding-cache")
-    assert "**Encoding cache off** (`--no-encoding-cache`)" in header
-
-
 def _documented_commands(path):
     """Every ``python benchmarks/run_experiments.py ...`` argument list
     in ``path``: backslash continuations joined, cut at a shell comment

@@ -198,8 +198,9 @@ class TestDatabaseDeadlines:
         deadline = [r for r in lines if r.startswith("deadline:")]
         assert len(deadline) == 1
         assert "remaining" in deadline[0]
-        # the cache line stays last, governor before deadline
-        assert lines[-1].startswith("encoding cache:")
+        # the deadline line is last, after the governor line
+        assert lines[-1] == deadline[0]
+        assert lines[-2].startswith("governor:")
 
     def test_cancelled_metric_reason_deadline(self):
         db = self._db()

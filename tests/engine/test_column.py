@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine.column import ColumnData
+from repro.engine.column import ColumnData, EncodingMemo
 from repro.engine.types import SQLType
 from repro.errors import TypeMismatchError
 
@@ -114,8 +114,8 @@ class TestTransformations:
 
     def test_copy_preserves_cache_token(self):
         col = ColumnData.from_values(SQLType.INTEGER, [1, 2])
-        col.cache_token = ("t", 7, "a")
-        assert col.copy().cache_token == ("t", 7, "a")
+        col.memo = EncodingMemo("t")
+        assert col.copy().memo is col.memo
 
     def test_to_pylist_matches_getitem(self):
         # The bulk tolist() + null-mask patch must agree element-wise

@@ -1,17 +1,23 @@
-"""The table-versioned dictionary-encoding cache: correctness of the
-invalidation discipline, LRU bounding, and the ablation toggle."""
+"""Encoding memos: a sealed base-table column is encoded once, and a
+memo never outlives -- or serves anything but -- its column.  (The
+class names date from the table-versioned encoding cache the memos
+replaced; each test holds the memo to what it held the cache to.)"""
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from repro import Database
-from repro.engine.column import ColumnData
-from repro.engine.encoding_cache import EncodingCache
+from repro.engine import groupby
+from repro.engine.column import ColumnData, EncodingMemo
 from repro.engine.groupby import encode_column
+from repro.engine.stats import StatsCollector
+from repro.engine.table import Table
 from repro.engine.types import SQLType
 
 
@@ -22,114 +28,87 @@ def _make_column(values, nulls=None):
     return ColumnData(SQLType.INTEGER, arr, mask)
 
 
+def _traffic(stats: StatsCollector) -> tuple[int, int]:
+    return stats.encode_cache_hits, stats.encode_cache_misses
+
+
 # ----------------------------------------------------------------------
-# Unit: the cache container itself
+# Unit: encode_column and the memo
 # ----------------------------------------------------------------------
 class TestEncodingCacheUnit:
     def test_miss_then_hit(self):
-        cache = EncodingCache()
+        stats = StatsCollector()
         col = _make_column([3, 1, 3])
-        col.cache_token = ("t", 1, "a")
-        first = encode_column(col, cache)
-        second = encode_column(col, cache)
+        col.memo = EncodingMemo("t")
+        first = encode_column(col, stats)
+        second = encode_column(col, stats)
         assert second is first           # served the same object
-        assert cache.hits == 1 and cache.misses == 1
+        assert col.memo.encoded is first
+        assert _traffic(stats) == (1, 1)
 
     def test_untokenized_columns_bypass(self):
-        cache = EncodingCache()
-        col = _make_column([1, 2])        # intermediate: no token
-        encode_column(col, cache)
-        encode_column(col, cache)
-        assert cache.hits == 0 and cache.misses == 0
-        assert cache.entry_count == 0
+        stats = StatsCollector()
+        col = _make_column([1, 2])        # intermediate: no memo
+        assert encode_column(col, stats) is not encode_column(col, stats)
+        assert _traffic(stats) == (0, 0)
 
     def test_disabled_cache_is_inert(self):
-        cache = EncodingCache()
-        cache.enabled = False
+        """Without a query's stats (view maintenance) the memo is
+        neither read nor filled, and nothing is charged."""
         col = _make_column([1, 2])
-        col.cache_token = ("t", 1, "a")
-        encode_column(col, cache)
-        encode_column(col, cache)
-        assert cache.entry_count == 0
-        assert cache.hits == 0 and cache.misses == 0
-
-    def test_lru_eviction_under_byte_budget(self):
-        col = _make_column(list(range(100)))
-        col.cache_token = ("t", 1, "a")
-        one_entry = EncodingCache()
-        encoded = encode_column(col, one_entry)
-        entry_bytes = one_entry.payload_bytes
-        assert entry_bytes > 0
-
-        # Budget for exactly two entries: inserting a third evicts the
-        # least recently used one.
-        cache = EncodingCache(max_bytes=2 * entry_bytes)
-        for name in ("a", "b", "c"):
-            fresh = _make_column(list(range(100)))
-            fresh.cache_token = ("t", 1, name)
-            encode_column(fresh, cache)
-        assert cache.entry_count == 2
-        assert cache.evictions == 1
-        assert cache.tokens() == [("t", 1, "b"), ("t", 1, "c")]
-
-        # A hit refreshes recency: touch "b", insert "d", "c" goes.
-        touch = _make_column(list(range(100)))
-        touch.cache_token = ("t", 1, "b")
-        encode_column(touch, cache)
-        newest = _make_column(list(range(100)))
-        newest.cache_token = ("t", 1, "d")
-        encode_column(newest, cache)
-        assert cache.tokens() == [("t", 1, "b"), ("t", 1, "d")]
-        _ = encoded  # keep the reference alive for the size probe
-
-    def test_oversized_payload_skipped(self):
-        cache = EncodingCache(max_bytes=8)
-        col = _make_column(list(range(100)))
-        col.cache_token = ("t", 1, "a")
-        encode_column(col, cache)
-        assert cache.entry_count == 0
-        assert cache.evictions == 0
+        col.memo = EncodingMemo("t")
+        encode_column(col)
+        encode_column(col)
+        assert col.memo.encoded is None
 
     def test_invalidate_table_frees_bytes(self):
-        cache = EncodingCache()
-        for table, name in (("t", "a"), ("t", "b"), ("u", "a")):
-            col = _make_column([1, 2, 3])
-            col.cache_token = (table, 1, name)
-            encode_column(col, cache)
-        cache.invalidate_table("T")
-        assert cache.tokens() == [("u", 1, "a")]
-        assert cache.payload_bytes > 0
-        cache.invalidate_table("u")
-        assert cache.payload_bytes == 0
+        """An encoding is freed with its column: nothing else holds it."""
+        col = _make_column([1, 2, 3])
+        col.memo = EncodingMemo("t")
+        encoded = weakref.ref(encode_column(col, StatsCollector()))
+        gc.disable()
+        try:
+            assert encoded() is not None
+            del col
+            assert encoded() is None
+        finally:
+            gc.enable()
 
     def test_thread_safety_smoke(self):
-        cache = EncodingCache(max_bytes=4096)
+        """Workers filling one memo at once, with no lock: every result
+        is the column's encoding, and every read is charged once."""
+        stats = StatsCollector()
+        rng = np.random.default_rng(7)
+        columns = [_make_column(rng.integers(0, 10, size=200))
+                   for _ in range(5)]
+        for i, col in enumerate(columns):
+            col.memo = EncodingMemo(f"t{i}")
         errors = []
+        results = []
 
-        def worker(seed: int) -> None:
+        def worker() -> None:
             try:
-                rng = np.random.default_rng(seed)
-                for i in range(50):
-                    col = _make_column(rng.integers(0, 10, size=20))
-                    col.cache_token = ("t", seed, f"c{i % 5}")
-                    encode_column(col, cache)
-                    if i % 17 == 0:
-                        cache.invalidate_table("t")
+                for _ in range(40):
+                    for col in columns:
+                        results.append((col, encode_column(col, stats)))
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker, args=(s,))
-                   for s in range(8)]
+        threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
         assert not errors
-        assert cache.payload_bytes <= cache.max_bytes
+        for col, encoded in results:
+            fresh = groupby._encode_values(col)
+            np.testing.assert_array_equal(encoded.codes, fresh.codes)
+            np.testing.assert_array_equal(encoded.uniques, fresh.uniques)
+        assert sum(_traffic(stats)) == len(results) == 8 * 40 * 5
 
 
 # ----------------------------------------------------------------------
-# Integration: DML invalidation through the Database facade
+# Integration: sealing and DML through the Database facade
 # ----------------------------------------------------------------------
 @pytest.fixture
 def versioned_db():
@@ -143,55 +122,61 @@ def _grouped(db):
     return sorted(db.query("SELECT k, sum(a) FROM f GROUP BY k"))
 
 
+def _delta(db, run) -> tuple[int, int]:
+    before = _traffic(db.stats)
+    run()
+    after = _traffic(db.stats)
+    return after[0] - before[0], after[1] - before[1]
+
+
 class TestSelectItemsKeepTokens:
     """A bare column in a select list is the base column itself, so the
-    DISTINCT / ORDER BY over it is served by the cache."""
+    DISTINCT / ORDER BY over it is served by its memo."""
 
     def test_bare_column_item_keeps_its_cache_token(self, versioned_db):
         db = versioned_db
         result = db.execute("SELECT k, a, a + 1 FROM f")
         base = db.table("f")
         for name in ("k", "a"):
-            assert result.column(name).cache_token is not None
-            assert result.column(name).cache_token \
-                == base.column(name).cache_token
-        assert result.column("col3").cache_token is None
+            assert result.column(name).memo is not None
+            assert result.column(name).memo is base.column(name).memo
+        assert result.column("col3").memo is None
 
     def test_repeated_distinct_hits_the_cache_for_both_columns(
             self, versioned_db):
         db = versioned_db
-        cache = db.catalog.encoding_cache
         sql = "SELECT DISTINCT k, a FROM f"
         db.query(sql)
-        hits, misses = cache.hits, cache.misses
+        assert _delta(db, lambda: db.query(sql)) == (2, 0)
         assert sorted(db.query(sql)) == [("x", 1), ("x", 3), ("y", 2)]
-        assert (cache.hits - hits, cache.misses - misses) == (2, 0)
 
 
 class TestDMLInvalidation:
     def test_warm_cache_serves_repeat_queries(self, versioned_db):
         db = versioned_db
         _grouped(db)
-        before = db.catalog.encoding_cache.hits
-        _grouped(db)
-        assert db.catalog.encoding_cache.hits > before
+        assert _delta(db, lambda: _grouped(db)) == (1, 0)
 
     def test_insert_invalidates(self, versioned_db):
         db = versioned_db
         assert _grouped(db) == [("x", 4), ("y", 2)]
+        old = db.table("f").column("k").memo
         db.execute("INSERT INTO f VALUES ('z', 10)")
+        assert db.table("f").column("k").memo is not old
         assert _grouped(db) == [("x", 4), ("y", 2), ("z", 10)]
-        # Only the new version's tokens remain reachable.
-        version = db.table("f").version
-        for token in db.catalog.encoding_cache.tokens():
-            if token[0] == "f":
-                assert token[1] == version
 
     def test_update_invalidates(self, versioned_db):
         db = versioned_db
         _grouped(db)
         db.execute("UPDATE f SET k = 'y' WHERE a = 1")
         assert _grouped(db) == [("x", 3), ("y", 3)]
+
+    def test_update_leaves_untouched_columns_warm(self, versioned_db):
+        db = versioned_db
+        _grouped(db)
+        db.execute("UPDATE f SET a = a + 1 WHERE a = 1")
+        assert _delta(db, lambda: _grouped(db)) == (1, 0)
+        assert _grouped(db) == [("x", 5), ("y", 2)]
 
     def test_delete_invalidates(self, versioned_db):
         db = versioned_db
@@ -203,8 +188,6 @@ class TestDMLInvalidation:
         db = versioned_db
         _grouped(db)
         db.execute("DROP TABLE f")
-        assert not any(t[0] == "f"
-                       for t in db.catalog.encoding_cache.tokens())
         db.load_table("f", [("k", "varchar"), ("a", "int")],
                       [("q", 7)])
         assert _grouped(db) == [("q", 7)]
@@ -216,41 +199,100 @@ class TestDMLInvalidation:
                       [("r", 9)], replace=True)
         assert _grouped(db) == [("r", 9)]
 
-    def test_ablation_toggle(self, versioned_db):
+    def test_savepoint_rollback_restores_the_warm_memo(self, versioned_db):
         db = versioned_db
-        db.configure(use_encoding_cache=False)
         _grouped(db)
+        savepoint = db.catalog.savepoint()
+        db.execute("INSERT INTO f VALUES ('z', 10)")
         _grouped(db)
-        off_io = db.executor.scopes.last.counters.logical_io()
-        assert db.catalog.encoding_cache.hits == 0
-        assert db.catalog.encoding_cache.entry_count == 0
-        db.configure(use_encoding_cache=True)
-        _grouped(db)
-        _grouped(db)
-        on_io = db.executor.scopes.last.counters.logical_io()
-        assert db.catalog.encoding_cache.hits > 0
-        # the cache saves encoding work, never a ledger charge
+        db.catalog.rollback(savepoint)
+        assert _delta(db, lambda: _grouped(db)) == (1, 0)
+        assert _grouped(db) == [("x", 4), ("y", 2)]
+
+    def test_ablation_toggle(self, monkeypatch):
+        """With sealing patched out no column has a memo: the same
+        results and logical I/O, and no memo is ever read."""
+        def run() -> tuple[Database, list, int]:
+            db = Database()
+            db.load_table("f", [("k", "varchar"), ("a", "int")],
+                          [("x", 1), ("y", 2), ("x", 3)])
+            results = [_grouped(db), _grouped(db)]
+            return db, results, \
+                db.executor.scopes.last.counters.logical_io()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Table, "seal", lambda table: None)
+            off_db, off_results, off_io = run()
+        on_db, on_results, on_io = run()
+        assert _traffic(off_db.stats) == (0, 0)
+        assert off_db.table("f").column("k").memo is None
+        assert _traffic(on_db.stats) == (1, 1)
+        assert off_results == on_results
+        # a memo saves encoding work, never a ledger charge
         assert off_io == on_io > 0
 
     def test_stats_mirror_cache_counters(self, versioned_db):
+        """Each miss fills one memo; the statement's own counters and
+        the database's agree."""
         db = versioned_db
         _grouped(db)
         _grouped(db)
-        assert db.stats.encode_cache_hits == \
-            db.catalog.encoding_cache.hits
-        assert db.stats.encode_cache_misses == \
-            db.catalog.encoding_cache.misses
+        table = db.table("f")
+        filled = sum(table.column(c.name).memo.encoded is not None
+                     for c in table.schema.columns)
+        assert filled == 1                  # k, the grouping column
+        assert _traffic(db.stats) == (1, filled)
+        last = db.executor.scopes.last.counters
+        assert (last.encode_cache_hits, last.encode_cache_misses) == (1, 0)
 
     def test_info_shape(self, versioned_db):
+        """The memo traffic is reported by the stats snapshot; nothing
+        is ever evicted."""
         db = versioned_db
         _grouped(db)
-        info = db.encoding_cache_info()
-        assert info["enabled"] is True
-        assert info["entries"] > 0
-        assert 0.0 <= info["hit_rate"] <= 1.0
+        _grouped(db)
+        snapshot = db.stats.snapshot()
+        assert snapshot.encode_cache_hits == 1
+        assert snapshot.encode_cache_misses == 1
+        assert snapshot.encode_cache_evictions == 0
+        counters = snapshot.counters()
+        assert {"encode_cache_hits", "encode_cache_misses",
+                "encode_cache_evictions"} <= set(counters)
 
     def test_explain_reports_cache_line(self, versioned_db):
+        """EXPLAIN ANALYZE shows the memo read as an ``encoding-cache``
+        charge naming the table: a miss first, a hit after."""
         db = versioned_db
-        result = db.execute("EXPLAIN SELECT k, sum(a) FROM f GROUP BY k")
-        lines = [row[0] for row in result.to_rows()]
-        assert lines[-1].startswith("encoding cache:")
+        sql = "EXPLAIN ANALYZE SELECT k, sum(a) FROM f GROUP BY k"
+
+        def charges() -> list[str]:
+            return [row[0].strip() for row in db.execute(sql).to_rows()
+                    if row[0].strip().startswith("encoding-cache")]
+
+        assert charges() == ["encoding-cache encode_cache_misses=1 "
+                             "table=f"]
+        assert charges() == ["encoding-cache encode_cache_hits=1 "
+                             "table=f"]
+
+
+class TestMemoLifetime:
+    def test_derived_table_leaves_its_source_warm(self, versioned_db):
+        """``CREATE TABLE g AS SELECT * FROM f`` shares f's columns;
+        sealing g must not take them over, so dropping g leaves f's
+        encodings where they were."""
+        db = versioned_db
+        _grouped(db)
+        db.execute("CREATE TABLE g AS SELECT * FROM f")
+        db.execute("DROP TABLE g")
+        assert _delta(db, lambda: _grouped(db)) == (1, 0)
+
+    def test_encoding_dies_with_its_table(self, versioned_db):
+        db = versioned_db
+        _grouped(db)
+        encoded = weakref.ref(db.table("f").column("k").memo.encoded)
+        gc.disable()
+        try:
+            db.execute("DROP TABLE f")
+            assert encoded() is None
+        finally:
+            gc.enable()

@@ -30,7 +30,7 @@ class TestFaultSpec:
 
     def test_cancel_only_where_the_token_is_checked(self):
         FaultSpec("dml", error="cancel")
-        for site in ("plan-step", "encoding-cache", "storage-commit"):
+        for site in ("plan-step", "storage-commit"):
             with pytest.raises(ValueError, match="cancel token"):
                 FaultSpec(site, error="cancel")
 

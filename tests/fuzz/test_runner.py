@@ -118,3 +118,31 @@ def test_a_broken_paper_identity_is_named_as_one(monkeypatch):
     assert all("identity violated" in r.explanation for r in caught)
     assert all(v.status == "identity" for r in caught
                for v in r.variants if v.name.startswith("engine:"))
+
+
+def test_a_vpct_that_does_not_sum_to_one_is_named(monkeypatch):
+    """A Vpct result whose percentages are off is caught by the paper's
+    identity -- each parent group sums to 1 -- on every strategy that
+    produced it, even where those variants agree with each other."""
+    execute_plan = runner_mod.execute_plan
+
+    def nudged(db, plan):
+        outcome = execute_plan(db, plan)
+        if not plan.description.startswith("vertical"):
+            return outcome
+        rows = outcome.result.to_rows()
+        for i, row in enumerate(rows):
+            j = next((j for j, v in enumerate(row)
+                      if isinstance(v, float) and v > 0), None)
+            if j is not None:
+                rows[i] = row[:j] + (row[j] + 0.25,) + row[j + 1:]
+                break
+        table = type("Nudged", (), {"to_rows": lambda self: rows})()
+        return type("Outcome", (), {"result": table})()
+
+    monkeypatch.setattr(runner_mod, "execute_plan", nudged)
+    results = [run_case(case) for case in cases(12, families=("vpct",))]
+    caught = [r for r in results if r.divergent]
+    assert caught
+    assert all("identity violated" in r.explanation for r in caught)
+

@@ -7,9 +7,13 @@ otherwise; ``first_positions`` is one ``np.minimum.at``; the dense
 array* the sort-based definition yields -- values and dtypes -- so the
 references below are those definitions, kept here verbatim.  A spy on
 ``np.unique`` says which side of the density rule ran, so a test fails
-if either side of a branch is deleted.
+if either side of a branch is deleted.  Last, the encoding memos: after
+any history of DML, derived tables and rollbacks, every memo a query
+filled is the encoding its column has now.
 """
 
+import shutil
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -17,11 +21,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import Database
 from repro.engine import groupby, kernels
 from repro.engine.column import ColumnData
 from repro.engine.groupby import (counting_pass_fits, first_positions,
                                   group_rows)
 from repro.engine.types import SQLType
+from repro.errors import CatalogError
 
 
 def _bound(n_rows: int) -> int:
@@ -219,3 +225,97 @@ def test_dense_group_by_never_sorts_row_length_arrays(n_keys):
         first_positions(grouping.group_ids, grouping.n_groups)
 
     assert _spied(run)[1] == n_keys
+
+
+# ----------------------------------------------------------------------
+# Encoding memos never go stale
+# ----------------------------------------------------------------------
+def _literal(value) -> str:
+    return "NULL" if value is None else repr(value)
+
+
+_VALUE = st.one_of(st.none(), st.integers(0, 3)).map(_literal)
+_KEY = st.one_of(st.none(), st.sampled_from("abc")).map(_literal)
+
+#: Statements over ``f (k VARCHAR, d INT, m REAL)`` and its derived
+#: copy ``g``; each runs alone, or inside a savepoint it rolls back.
+_STATEMENTS = st.one_of(
+    st.builds("INSERT INTO f VALUES ({}, {}, {})".format,
+              _KEY, _VALUE, _VALUE),
+    st.builds("UPDATE f SET d = {} WHERE k = {!r}".format,
+              st.integers(0, 3), st.sampled_from("abc")),
+    st.builds("UPDATE f SET k = {!r} WHERE d = {}".format,
+              st.sampled_from("abc"), st.integers(0, 3)),
+    st.builds("DELETE FROM f WHERE d = {}".format, st.integers(0, 3)),
+    st.just("CREATE TABLE g AS SELECT * FROM f"),
+    st.just("DROP TABLE IF EXISTS g"),
+)
+_HISTORY = st.lists(st.tuples(_STATEMENTS, st.booleans()), max_size=8)
+
+#: Queries that fill the memos of every column of both tables: group-by
+#: keys, DISTINCT, count(DISTINCT) and the join build.
+_FILL = ("SELECT k, d, sum(m) FROM f GROUP BY k, d",
+         "SELECT DISTINCT m FROM f",
+         "SELECT k, count(DISTINCT d) FROM g GROUP BY k",
+         "SELECT f.k, count(*) FROM f, g WHERE f.d = g.d GROUP BY f.k")
+
+
+def _check_memos(db: Database) -> int:
+    """Hold every filled memo of the catalog's tables to a fresh
+    encoding of its column; the number of filled memos."""
+    filled = 0
+    for name in db.table_names():
+        table = db.table(name)
+        for col_def in table.schema.columns:
+            column = table.column(col_def.name)
+            encoded = column.memo.encoded
+            if encoded is None:
+                continue
+            filled += 1
+            fresh = groupby._encode_values(column)
+            _same(encoded.codes, fresh.codes)
+            _same(encoded.uniques, fresh.uniques)
+            assert encoded.sql_type == fresh.sql_type
+    return filled
+
+
+def _fill(db: Database) -> None:
+    for query in _FILL:
+        if " g" not in query or db.catalog.has_table("g"):
+            db.query(query)
+
+
+def _replay(db: Database, history) -> None:
+    db.execute("CREATE TABLE f (k VARCHAR, d INT, m REAL)")
+    db.execute("INSERT INTO f VALUES ('a', 1, 2), (NULL, 2, NULL)")
+    for statement, rolled_back in history:
+        savepoint = db.catalog.savepoint() if rolled_back else None
+        try:
+            db.execute(statement)
+        except CatalogError:    # CREATE TABLE g while g exists
+            pass
+        _fill(db)
+        if savepoint is not None:
+            db.catalog.rollback(savepoint)
+        _check_memos(db)
+    _fill(db)
+    assert _check_memos(db) > 0
+
+
+@given(_HISTORY)
+@settings(max_examples=60, deadline=None)
+def test_filled_memos_match_a_fresh_encoding_in_memory(history):
+    _replay(Database(), history)
+
+
+@given(_HISTORY)
+@settings(max_examples=20, deadline=None)
+def test_filled_memos_match_a_fresh_encoding_on_disk(history):
+    tmp = tempfile.mkdtemp(prefix="repro-prop-memo-")
+    db = Database(storage="disk", storage_path=tmp, pool_pages=8,
+                  page_size=256)
+    try:
+        _replay(db, history)
+    finally:
+        db.close()
+        shutil.rmtree(tmp, ignore_errors=True)

@@ -16,22 +16,27 @@ class TestSessionDefaults:
         assert SessionDefaults().resolve(db.options) == db.options
 
     def test_overrides_apply(self, db):
-        resolved = SessionDefaults(
-            case_dispatch="hash",
-            use_encoding_cache=False).resolve(db.options)
+        resolved = SessionDefaults(case_dispatch="hash").resolve(
+            db.options)
         assert resolved.case_dispatch == "hash"
-        assert resolved.use_encoding_cache is False
 
     def test_defaults_steer_read_execution(self, db):
-        explain = "EXPLAIN SELECT d1, sum(a) FROM f GROUP BY d1"
+        # Two pivot terms over f's four rows: "linear" charges a WHEN
+        # test per term per row, "hash" one probe per row.
+        sql = ("SELECT d1, sum(CASE WHEN d2 = 'x' THEN a END), "
+               "sum(CASE WHEN d2 = 'y' THEN a END) FROM f GROUP BY d1")
+
+        def charged(session) -> int:
+            before = db.stats.case_evaluations
+            session.execute(sql).rows()
+            return db.stats.case_evaluations - before
+
         with QueryService(db, workers=2) as service:
-            defaults = SessionDefaults(use_encoding_cache=False)
+            defaults = SessionDefaults(case_dispatch="hash")
             with service.create_session(defaults) as session:
-                assert session.execute(explain).rows()[-1] == (
-                    "encoding cache: off",)
+                assert charged(session) == 4
             with service.create_session() as session:
-                assert session.execute(explain).rows()[-1] != (
-                    "encoding cache: off",)
+                assert charged(session) == 8
 
 
 class TestSessionLifecycle:

@@ -63,19 +63,19 @@ class TestSnapshotReader:
     def test_reader_shares_stats_and_cache(self, service, db):
         reader = service.snapshots.reader()
         assert reader.stats is db.stats
-        assert reader.catalog.encoding_cache is db.catalog.encoding_cache
         assert reader.governor is db.governor
+        # The overlay holds the base's own table objects, so a reader
+        # and the base fill and read the same encoding memos.
+        assert reader.table("f").column("d1").memo \
+            is db.table("f").column("d1").memo
 
     def test_session_defaults_reach_reader_options(self, service, db):
-        defaults = SessionDefaults(case_dispatch="hash",
-                                   use_encoding_cache=False)
+        defaults = SessionDefaults(case_dispatch="hash")
         reader = service.snapshots.reader(
             options=defaults.resolve(db.options))
         assert reader.options.case_dispatch == "hash"
-        assert reader.options.use_encoding_cache is False
         # The base database's own options are untouched.
         assert db.options.case_dispatch == "linear"
-        assert db.options.use_encoding_cache is True
 
     def test_reader_is_a_database(self, service):
         assert isinstance(service.snapshots.reader(), Database)

@@ -1,8 +1,10 @@
 """Disk-backend end-to-end tests: durability, recovery, EXPLAIN,
 stats accounting, checkpoint reclamation and configuration errors."""
 
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
@@ -147,10 +149,8 @@ def test_explain_reports_storage_line(tmp_path):
         assert len(storage_lines) == 1
         assert storage_lines[0].startswith(
             "storage: disk page_size=512 pool=")
-        # The cache line stays last (other tests pin that position);
-        # the storage line slots in just before it.
-        assert lines[-1].startswith("encoding cache:")
-        assert lines[-2] == storage_lines[0]
+        # The storage line is the last plan line.
+        assert lines[-1] == storage_lines[0]
 
 
 def test_explain_omits_storage_line_on_memory_backend():
@@ -249,3 +249,20 @@ def test_shadow_copy_keeps_the_table_version(tmp_path):
         stored = db.storage_engine.persist_table(heap)
         assert stored.version == heap.version
         assert stored.to_rows() == heap.to_rows()
+
+
+def test_replaced_version_is_freed_by_refcount(tmp_path):
+    """A StoredTable is in no reference cycle: the version an UPDATE
+    replaces, and the encoding memos it holds, go as soon as nothing
+    (no snapshot, no savepoint) pins it, without the cyclic
+    collector."""
+    with _disk_db(tmp_path) as db:
+        _load_sales(db)
+        db.query("SELECT state, sum(salesamt) FROM sales GROUP BY state")
+        old = weakref.ref(db.table("sales"))
+        gc.disable()
+        try:
+            db.execute("UPDATE sales SET salesamt = 0 WHERE rid = 1")
+            assert old() is None
+        finally:
+            gc.enable()
