@@ -287,11 +287,13 @@ kernel -- one pass per `agg(CASE WHEN d = v THEN a END)` family,
 whatever the fan-out -- while the ledger still books the N WHEN tests
 per row the paper's DBMS performed (DESIGN.md section 5). Ablation A1
 (the O(1) hash dispatch both papers propose) is therefore a *ledger*
-factor, `case_evaluations` under `case_dispatch="linear"` over
-`"hash"`, asserted in tier 1 on the DMKD `transactionLine subdeptId`
-cell by `tests/integration/test_reproduction_shapes.py`
+factor: the booked `case_evaluations` over the one probe per row a
+hash dispatch would book, which one traced run gives as `families` x
+input rows (the `group-by-aggregate` and `group-by-build` spans). It
+is asserted in tier 1 on the DMKD `transactionLine subdeptId` cell by
+`tests/integration/test_reproduction_shapes.py`
 (`test_hash_dispatch_removes_the_n_factor`); there is no wall-clock
-pair, and no cell below depends on the knob.
+pair.
 """
 
 

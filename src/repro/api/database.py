@@ -8,17 +8,16 @@ JDBC stand-in) both talk to it.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.engine import cancel as cancel_mod
-from repro.engine.cancel import CancelToken
+from repro.engine.cancel import CancelToken, check_deadline
 from repro.engine.catalog import Catalog
 from repro.engine.column import ColumnData
-from repro.engine.executor import Executor, ExecutorOptions
+from repro.engine.executor import Executor
 from repro.engine.governor import ResourceBudget, ResourceGovernor
 from repro.engine.schema import (DEFAULT_MAX_COLUMNS,
                                  DEFAULT_MAX_NAME_LENGTH, TableSchema)
@@ -81,10 +80,6 @@ class Database:
         default_deadline_seconds: wall-clock deadline of every
             top-level query (statement, script or generated plan) that
             names none of its own.
-        **execution: the execution knob ``case_dispatch``, passed
-            straight to :class:`~repro.engine.executor.ExecutorOptions`,
-            which states its default and legal values;
-            :meth:`configure` changes it later.
     """
 
     def __init__(self, max_columns: int = DEFAULT_MAX_COLUMNS,
@@ -98,10 +93,7 @@ class Database:
                  storage_path: Optional[str] = None,
                  pool_pages: int = DEFAULT_POOL_PAGES,
                  page_size: int = DEFAULT_PAGE_SIZE,
-                 default_deadline_seconds: Optional[float] = None,
-                 **execution: Any):
-        # First: a bad knob must fail before a disk store is opened.
-        options = ExecutorOptions(**execution)
+                 default_deadline_seconds: Optional[float] = None):
         if storage not in STORAGE_BACKENDS:
             raise ValueError(
                 f"storage must be one of {', '.join(STORAGE_BACKENDS)}")
@@ -112,9 +104,8 @@ class Database:
                 "storage_path is only valid with storage='disk'")
         if pool_pages < 1:
             raise ValueError("pool_pages must be >= 1")
-        if default_deadline_seconds is not None \
-                and default_deadline_seconds <= 0:
-            raise ValueError("default_deadline_seconds must be > 0")
+        check_deadline(default_deadline_seconds,
+                       "default_deadline_seconds")
         clock = clock if clock is not None else MonotonicClock()
         metrics = metrics if metrics is not None else MetricsRegistry()
         catalog = Catalog(max_columns=max_columns,
@@ -137,21 +128,20 @@ class Database:
                 storage_engine.abandon()
                 raise
         self._assemble(
-            catalog, stats, options,
-            ResourceGovernor(budget),
+            catalog, stats, ResourceGovernor(budget),
             Tracer(clock=clock, enabled=tracing), clock, metrics,
             storage_engine, default_deadline_seconds)
 
     def _assemble(self, catalog: Catalog, stats: StatsCollector,
-                  options: ExecutorOptions, governor: ResourceGovernor,
-                  tracer: Tracer, clock: Clock, metrics: MetricsRegistry,
+                  governor: ResourceGovernor, tracer: Tracer,
+                  clock: Clock, metrics: MetricsRegistry,
                   storage_engine: Optional[StorageEngine],
                   default_deadline_seconds: Optional[float]) -> None:
         """Wire a database from its parts.  ``__init__`` builds fresh
         parts from keywords; a snapshot reader
         (:class:`~repro.service.snapshots.SnapshotDatabase`) hands in
-        the base's shared ones beside its private catalog and options.
-        Every attribute a Database has is set here and nowhere else."""
+        the base's shared ones beside its private catalog.  Every
+        attribute a Database has is set here and nowhere else."""
         self.catalog = catalog
         self.stats = stats
         self.governor = governor
@@ -160,28 +150,12 @@ class Database:
         self.metrics = metrics
         self.storage_engine = storage_engine
         self.default_deadline_seconds = default_deadline_seconds
-        self.executor = Executor(catalog, stats, options,
-                                 governor=governor, tracer=tracer)
+        self.executor = Executor(catalog, stats, governor=governor,
+                                 tracer=tracer)
         # Statement-level serialization: concurrent sessions (the
         # paper's closing scenario, "users concurrently submit
         # percentage queries") interleave whole statements safely.
         self._lock = threading.RLock()
-
-    @property
-    def options(self) -> ExecutorOptions:
-        """The execution knobs in force (immutable; see
-        :meth:`configure`)."""
-        return self.executor.options
-
-    def configure(self, **overrides: Any) -> None:
-        """Change execution knobs:
-        ``db.configure(case_dispatch="hash")``.  Takes the fields of
-        :class:`~repro.engine.executor.ExecutorOptions` and validates
-        exactly as the constructor does; waits out a statement in
-        flight, so no statement runs under a mix of old and new."""
-        with self._lock:
-            self.executor.options = dataclasses.replace(self.options,
-                                                        **overrides)
 
     # ------------------------------------------------------------------
     # SQL execution

@@ -41,6 +41,7 @@ import threading
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.api.database import Database
+from repro.engine.cancel import check_deadline
 from repro.engine.table import Table
 from repro.engine.types import SQLType
 from repro.errors import (CrossThreadError, ExecutionError, ReproError,
@@ -114,8 +115,10 @@ class Connection:
         on this connection's cursors (``None`` clears it).  A deadline
         overrun surfaces as :class:`OperationalError` wrapping the
         typed :class:`~repro.errors.QueryCancelledError`."""
-        if seconds is not None and seconds <= 0:
-            raise InterfaceError("deadline must be > 0 seconds")
+        try:
+            check_deadline(seconds)
+        except ValueError:
+            raise InterfaceError("deadline must be > 0 seconds") from None
         self._check_thread()
         self._deadline_seconds = seconds
 

@@ -44,6 +44,16 @@ from repro.obs.metrics import MetricsRegistry, global_registry
 REASONS = ("client", "deadline", "shed")
 
 
+def check_deadline(seconds: Optional[float],
+                   name: str = "deadline seconds") -> None:
+    """Refuse a deadline that is not a positive number of seconds;
+    ``None`` (no deadline) passes.  The test is ``not seconds > 0``
+    because ``nan <= 0`` is false: NaN would slip past and never
+    fire."""
+    if seconds is not None and not seconds > 0:
+        raise ValueError(f"{name} must be > 0")
+
+
 class CancelToken:
     """One query's (or script's) cancellation state.
 
@@ -81,8 +91,7 @@ class CancelToken:
                      registry: Optional[MetricsRegistry] = None
                      ) -> "CancelToken":
         """A token whose deadline is ``seconds`` from now."""
-        if seconds <= 0:
-            raise ValueError("deadline seconds must be > 0")
+        check_deadline(seconds)
         if clock is None:
             clock = parent.clock if parent is not None \
                 else MonotonicClock()

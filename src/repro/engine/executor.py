@@ -56,35 +56,6 @@ from repro.obs.tracer import Tracer
 from repro.sql import ast
 
 
-@dataclass(frozen=True)
-class ExecutorOptions:
-    """The execution knobs -- names, defaults and legal values -- stated
-    once.  ``Database(**execution)``, ``Database.configure``,
-    ``SessionDefaults``, ``QueryService`` and ``dbapi.connect`` all
-    build or ``dataclasses.replace`` this value, so every surface
-    accepts the same names and rejects an illegal value with the same
-    ``ValueError`` from ``__post_init__``.  What each knob costs or
-    buys, and which of the paper's levers it is:
-    docs/engine_internals.md, "Execution options".
-
-    ``case_dispatch``:
-        what the ledger *charges* for a family of disjoint pivot-style
-        CASE aggregations, not how it is computed (the pivot kernel
-        computes it either way, :mod:`repro.engine.pivot`):
-        ``"linear"`` books one WHEN test per term per row, which is
-        what the paper says real optimizers do; ``"hash"`` books the
-        one probe per row of the dispatch the paper proposes
-        (Section 3.2 / DMKD Section 3.5).  Ledger only: results and
-        wall-clock are identical either way.
-    """
-
-    case_dispatch: str = "linear"
-
-    def __post_init__(self) -> None:
-        if self.case_dispatch not in ("linear", "hash"):
-            raise ValueError("case_dispatch must be 'linear' or 'hash'")
-
-
 @dataclass
 class Dataset:
     """Aligned tables produced by FROM/JOIN evaluation; every table
@@ -185,12 +156,10 @@ class Executor:
     """Executes statements against a catalog, charging ``stats``."""
 
     def __init__(self, catalog: Catalog, stats: StatsCollector,
-                 options: Optional[ExecutorOptions] = None,
                  governor: Optional[ResourceGovernor] = None,
                  tracer: Optional[Tracer] = None):
         self.catalog = catalog
         self.stats = stats
-        self.options = options or ExecutorOptions()
         # Budget checks are no-ops outside an open query scope, so a
         # standalone Executor (unit tests) runs ungoverned.
         self.governor = governor or ResourceGovernor()
@@ -582,11 +551,10 @@ class Executor:
 
         One factorize over the union of all grouping dims; every set's
         grouping is derived from it at group level (bit-identical to a
-        standalone GROUP BY of that set, see repro.engine.groupingsets).
-        Exact aggregates fold from the fold source's partials along
-        lattice edges; order-sensitive ones recompute from base rows.
-        Output rows carry NULL placeholders for absent dims and are
-        emitted set by set in request order.
+        standalone GROUP BY of that set, see repro.engine.groupingsets),
+        and its aggregates are computed over base rows through
+        :meth:`_aggregate_batch`.  Output rows carry NULL placeholders
+        for absent dims and are emitted set by set in request order.
         """
         lattice = gs_mod.build_plan(
             plan.grouping_sets,
@@ -613,25 +581,19 @@ class Executor:
 
         # The internal compute list: aggregate calls first (arguments
         # evaluated once -- the shared scan), then one sum per pct
-        # measure (the shared partials percentages read).
+        # measure (the sums percentages read).
         compute = list(self._aggregate_items(aggs, frame))
         compute += [(f"__pctsum{j}", "sum", _concrete(evaluate(
             call.args[0], frame, self.stats)), False)
             for j, call in enumerate(pcts)]
 
-        # -- compute each distinct set once, finest first, so fold
-        # sources exist before their dependants ------------------------
+        # -- compute each distinct set once ---------------------------
         by_dims: dict[tuple[int, ...], gs_mod.SetGrouping] = {}
-        partials: dict[tuple[int, ...], dict[str, ColumnData]] = {}
-        fold_source_of: dict[tuple[int, ...], Optional[tuple[int, ...]]] \
-            = {}
+        aggregated: dict[tuple[int, ...], dict[str, ColumnData]] = {}
         for spec in lattice.sets:
-            if spec.dims not in fold_source_of:
-                fold_source_of[spec.dims] = (
-                    lattice.sets[spec.fold_source].dims
-                    if spec.fold_source is not None else None)
-        order = sorted(fold_source_of, key=lambda d: (-len(d), d))
-        for dims in order:
+            dims = spec.dims
+            if dims in by_dims:
+                continue
             label = gs_mod.render_set(
                 tuple(lattice.dims[i] for i in dims))
             with self._operator("grouping-set", site="group-by",
@@ -639,27 +601,10 @@ class Executor:
                 sg = gs_mod.derive_set_grouping(union, dims,
                                                 frame.n_rows)
                 op.charge(rows=sg.grouping.n_groups, context="group-by")
+                op.stamp(groups=sg.grouping.n_groups)
                 by_dims[dims] = sg
-                source = fold_source_of[dims]
-                local: dict[str, ColumnData] = {}
-                recompute = []
-                for name, func, arg, distinct in compute:
-                    if source is not None \
-                            and by_dims[source].grouping.n_groups > 0 \
-                            and gs_mod.fold_eligible(func, arg, distinct):
-                        local[name] = gs_mod.fold_aggregate(
-                            func, partials[source][name],
-                            gs_mod.fine_to_coarse(by_dims[source], sg),
-                            sg.grouping.n_groups)
-                    else:
-                        recompute.append((name, func, arg, distinct))
-                op.stamp(groups=sg.grouping.n_groups, folded=len(local),
-                         recomputed=len(recompute))
-                if recompute:
-                    local.update(self._aggregate_batch(
-                        recompute, sg.grouping.group_ids,
-                        sg.grouping.n_groups))
-                partials[dims] = local
+                aggregated[dims] = self._aggregate_batch(
+                    compute, sg.grouping.group_ids, sg.grouping.n_groups)
 
         # -- one output per requested set, in request order ------------
         outputs = []
@@ -675,16 +620,16 @@ class Executor:
                  else ColumnData.all_null(key_col.sql_type, n_groups))
                 for i, key_col in enumerate(key_columns))
             group_frame.add_columns(
-                (name, data) for name, data in partials[spec.dims].items()
+                (name, data) for name, data in aggregated[spec.dims].items()
                 if not name.startswith("__pctsum"))
             for j in range(len(pcts)):
-                own = partials[spec.dims][f"__pctsum{j}"]
+                own = aggregated[spec.dims][f"__pctsum{j}"]
                 if spec.pct_parent is None:
                     parent_sums = own
                     parent_ids = np.arange(n_groups, dtype=np.int64)
                 else:
                     parent_dims = lattice.sets[spec.pct_parent].dims
-                    parent_sums = partials[parent_dims][f"__pctsum{j}"]
+                    parent_sums = aggregated[parent_dims][f"__pctsum{j}"]
                     parent_ids = gs_mod.fine_to_coarse(
                         sg, by_dims[parent_dims])
                 group_frame.add_column(
@@ -749,7 +694,7 @@ class Executor:
                 handled = pivot_mod.compute_families(
                     families, frame, grouping.group_ids,
                     grouping.n_groups, group_frame, self.stats,
-                    self._aggregate_batch, self.options.case_dispatch)
+                    self._aggregate_batch)
                 op.stamp(aggregates=len(handled),
                          groups=grouping.n_groups)
         group_frame.add_columns(self._aggregate_batch(

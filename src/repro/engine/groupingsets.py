@@ -23,14 +23,9 @@ paths give the same combined codes the same ascending ranking
 :mod:`repro.engine.groupby`, by its density rule), the derived group
 ids (and key codes) are **bit-identical** to a direct factorization --
 which is what makes the shared scan safe to substitute for N separate
-group-bys (see docs/cube.md for the full argument).
-
-Coarser sets *fold* exact aggregates (count, count(*), INTEGER sum,
-min, max) from the partials of their fold source -- the requested
-proper superset with the fewest extra dims -- while order-sensitive
-aggregates (REAL sum, avg, var, stdev, count DISTINCT) are recomputed
-from base rows through the shared kernels so IEEE-754 non-associativity
-can never leak into results.
+group-bys (see docs/cube.md for the full argument).  Every set's
+aggregates are then computed from base rows over its derived grouping,
+through the same kernels a plain GROUP BY uses.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.engine import aggregates as agg_mod
 from repro.engine.column import ColumnData
 from repro.engine.groupby import Grouping, _MAX_CODE_SPACE
 from repro.engine.types import SQLType
@@ -107,10 +101,6 @@ class SetSpec:
 
     position: int
     dims: tuple[int, ...]            # ascending union-dim indices
-    #: position of the requested finer set partials fold from (the
-    #: proper superset with the fewest extra dims), or None for the
-    #: finest sets.
-    fold_source: Optional[int]
     #: position of the parent lattice level percentages divide by (the
     #: proper subset with the most dims), or None at the lattice top...
     #: which for pct() means the set is its own parent (ratio 1.0).
@@ -158,20 +148,13 @@ def build_plan(raw_sets: list[tuple[ast.Expr, ...]],
     sets: list[SetSpec] = []
     for position, indices in enumerate(index_sets):
         here = frozenset(indices)
-        fold_source = None
-        fold_size = None
         pct_parent = None
         parent_size = -1
         for other_pos, other in enumerate(index_sets):
-            other_set = frozenset(other)
-            if other_set > here and (fold_size is None
-                                     or len(other) < fold_size):
-                fold_source = other_pos
-                fold_size = len(other)
-            if other_set < here and len(other) > parent_size:
+            if frozenset(other) < here and len(other) > parent_size:
                 pct_parent = other_pos
                 parent_size = len(other)
-        sets.append(SetSpec(position, indices, fold_source, pct_parent))
+        sets.append(SetSpec(position, indices, pct_parent))
     return GroupingSetsPlan(dims, sets, raw_sets)
 
 
@@ -194,8 +177,8 @@ def grouping_mask(arg_dims: list[int], set_dims: tuple[int, ...]) -> int:
 class SetGrouping:
     """A set's grouping plus its mapping from union groups.
 
-    ``to_set[union_gid]`` is the set-level group id -- the hook both
-    lattice folds and pct() parent lookups compose through.
+    ``to_set[union_gid]`` is the set-level group id -- the hook pct()
+    parent lookups compose through (:func:`fine_to_coarse`).
     """
 
     grouping: Grouping
@@ -259,43 +242,6 @@ def fine_to_coarse(fine: SetGrouping, coarse: SetGrouping) -> np.ndarray:
     mapping = np.empty(fine.grouping.n_groups, dtype=np.int64)
     mapping[fine.to_set] = coarse.to_set
     return mapping
-
-
-# ----------------------------------------------------------------------
-# Lattice folds
-# ----------------------------------------------------------------------
-def fold_eligible(func: str, arg: Optional[ColumnData],
-                  distinct: bool) -> bool:
-    """True when ``func`` can fold exactly from finer partials.
-
-    count/count(*) and INTEGER sum fold by integer summation; min/max
-    by re-minimization -- all order-insensitive, hence bit-identical to
-    direct aggregation.  REAL sum, avg, var, stdev and DISTINCT counts
-    stay row-recomputed (IEEE-754 addition is not associative; DISTINCT
-    does not decompose)."""
-    if distinct:
-        return False
-    if func == "count":
-        return True
-    if func in ("min", "max"):
-        return True
-    if func == "sum":
-        return arg is not None and arg.sql_type == SQLType.INTEGER
-    return False
-
-
-def fold_aggregate(func: str, partial: ColumnData,
-                   mapping: np.ndarray, n_coarse: int) -> ColumnData:
-    """Fold one fine-set partial column into the coarse set.
-
-    The fold runs through the same kernel wrappers as base-row
-    aggregation -- counts sum, extremes re-minimize -- over
-    ``n_fine_groups`` entries, so a coarse set's cost is proportional
-    to its source's group count, not the table's row count.
-    """
-    fold_func = "sum" if func == "count" else func
-    return agg_mod.compute_aggregate(fold_func, partial, False,
-                                     mapping, n_coarse)
 
 
 # ----------------------------------------------------------------------

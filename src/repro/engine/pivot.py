@@ -12,17 +12,16 @@ result column -- and propose reducing the per-row cost from ``O(N)`` to
 ``O(1)`` "using a hash table that maps one conjunction to one result
 column" (DMKD Section 3.5).
 
-This module is how the engine *computes* every such family, whatever
-``ExecutorOptions.case_dispatch`` says: the input is factorized once
-over (group keys x pivot columns) -- a vectorized stand-in for the
-per-row hash probe -- each cell is aggregated once, and the cells are
-scattered into the per-term result columns.  The option only selects
-what the ledger *charges* for it (DESIGN.md section 5, "Period-faithful
-cost choices"): ``"linear"`` books the ``N`` WHEN tests per row the
-period DBMS performed -- the number the generic evaluator
+This module is how the engine *computes* every such family: the input
+is factorized once over (group keys x pivot columns) -- a vectorized
+stand-in for the per-row hash probe -- each cell is aggregated once,
+and the cells are scattered into the per-term result columns.  The
+ledger still *charges* the ``N`` WHEN tests per row the period DBMS
+performed (DESIGN.md section 5, "Period-faithful cost choices") -- the
+number the generic evaluator
 (:func:`repro.engine.expressions._eval_case`) books for the same
-terms -- and ``"hash"`` the one probe per row of the proposed
-optimizer.
+terms.  The proposed optimizer's one probe per row is not booked; it
+is read off a trace (ablation A1, DESIGN.md section 3).
 
 A term the kernel cannot reproduce bit for bit is declined -- by its
 call template (:func:`_pattern`), by its columns and literal types
@@ -130,8 +129,7 @@ def compute_families(families: list[_Family], frame: Frame,
                      group_ids: np.ndarray, n_groups: int,
                      group_frame: Frame,
                      stats: Optional[StatsCollector],
-                     aggregate: Callable[..., dict],
-                     case_dispatch: str) -> set[int]:
+                     aggregate: Callable[..., dict]) -> set[int]:
     """Compute each family, binding its terms' ``__aggI`` columns into
     ``group_frame`` in one batch per family.  Returns the handled call
     indexes; a family the kernel declines is left out of them.
@@ -147,8 +145,7 @@ def compute_families(families: list[_Family], frame: Frame,
     for family in families:
         faults.cross("pivot")
         if _compute_family(family, frame, group_ids, n_groups,
-                           group_frame, stats, aggregate,
-                           case_dispatch, cells):
+                           group_frame, stats, aggregate, cells):
             handled.update(family.indexes)
     return handled
 
@@ -297,7 +294,7 @@ def _compute_family(family: _Family, frame: Frame,
                     group_frame: Frame,
                     stats: Optional[StatsCollector],
                     aggregate: Callable[..., dict],
-                    case_dispatch: str, shared: dict) -> bool:
+                    shared: dict) -> bool:
     n_rows = frame.n_rows
     arg = evaluate(family.result_expr, frame, None)
     any_else_zero = any(family.else_zero)
@@ -310,9 +307,8 @@ def _compute_family(family: _Family, frame: Frame,
         arg = ColumnData.all_null(SQLType.REAL, len(arg))
     if stats is not None:
         # What the fan-out costs on the ledger, not what it cost here:
-        # one WHEN test per term per row, or one hash probe per row.
-        stats.add(case_evaluations=n_rows * len(family.indexes)
-                  if case_dispatch == "linear" else n_rows)
+        # one WHEN test per term per row.
+        stats.add(case_evaluations=n_rows * len(family.indexes))
 
     key = tuple(family.columns)
     if key not in shared:

@@ -165,7 +165,7 @@ def cube_to_union_sql(sql: str) -> str:
     its per-set plain group-bys, in sqlite dialect.
 
     This is the differential oracle for the engine's shared-scan
-    evaluation: sqlite computes every set independently, so any fold or
+    evaluation: sqlite computes every set independently, so any
     group-derivation bug in the engine diverges from it.  Per set, dim
     columns missing from the set project as NULL literals and
     ``grouping()`` calls become their constant bitmask.  The rewrite is

@@ -27,9 +27,8 @@ Per family:
     the engine's shared-scan grouping-sets operator versus sqlite
     running the same CUBE/ROLLUP/GROUPING SETS query expanded into a
     UNION ALL of per-set plain group-bys (sqlite has no native
-    grouping sets).  Any shared-scan derivation, partial-fold, or
-    GROUPING() bitmask bug diverges from the independent per-set
-    recomputation.
+    grouping sets).  Any shared-scan derivation or GROUPING() bitmask
+    bug diverges from the independent per-set recomputation.
 
 Variant names follow one rule: ``engine:<strategy>`` runs on a plain
 ``Database()`` (the matrix's ``memory`` cell),
@@ -471,8 +470,8 @@ def _strategies(case: FuzzCase, inject_bug: Optional[str]
         return engine, sqlite
     if case.family == "cube":
         # sqlite computes every set independently from the base rows,
-        # so any shared-scan derivation or partial-fold bug in the
-        # engine diverges from it.
+        # so any shared-scan derivation bug in the engine diverges
+        # from it.
         return [_direct("shared-scan")], [
             ("union-all", lambda: _on_sqlite(
                 case, lambda oracle: oracle.run_raw(

@@ -7,7 +7,7 @@ shared fact tables while batch loads refresh them.  This package is
 that deployment story for the repro engine:
 
 * :class:`~repro.service.session.Session` -- per-client handles with
-  their own DB-API cursor state and per-session execution defaults;
+  their own DB-API cursor state and a per-session deadline;
 * :class:`~repro.service.snapshots.SnapshotDatabase` -- snapshot
   isolation built on the copy-on-write catalog: readers run whole
   multi-statement percentage plans against a pinned, immutable view,

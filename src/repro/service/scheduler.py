@@ -317,9 +317,7 @@ class Scheduler:
                 savepoint = db.catalog.savepoint()
             else:
                 snapshot = service.snapshots.acquire()
-                db = service.snapshots.reader(
-                    snapshot,
-                    session.defaults.resolve(service.db.options))
+                db = service.snapshots.reader(snapshot)
                 attrs["snapshot_version"] = snapshot.version
             wait = self._clock.now() - enqueued
             self._metrics.histogram(

@@ -1,8 +1,7 @@
 """Client sessions for the concurrent query service.
 
 A :class:`Session` is one client's handle on the service: it carries
-per-session execution defaults (applied to every snapshot reader the
-scheduler builds for the session's queries), its own DB-API
+per-session defaults (the deadline its scripts run under), its own DB-API
 connection/cursor state, and the in-flight accounting the scheduler's
 admission control charges against.
 
@@ -13,11 +12,10 @@ exactly the DB-API picture (one connection per client).
 
 from __future__ import annotations
 
-import dataclasses
 import threading
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.engine.executor import ExecutorOptions
+from repro.engine.cancel import check_deadline
 from repro.errors import (AdmissionRejected, CircuitBreakerOpen,
                           SessionClosed)
 
@@ -29,23 +27,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 
 class SessionDefaults:
-    """Per-session execution defaults.
+    """Per-session defaults: ``SessionDefaults(deadline_seconds=2.0)``."""
 
-    ``SessionDefaults(deadline_seconds=2.0, case_dispatch="hash")``:
-    every keyword but ``deadline_seconds`` is an override of one
-    :class:`~repro.engine.executor.ExecutorOptions` field for this
-    session's snapshot readers -- same names, same legal values,
-    checked here at construction; a knob not named inherits the base
-    database's setting.  Write scripts run on the base database and
-    keep its settings: the knobs steer read evaluation (what CASE
-    dispatch is charged), and applying them to the shared writer would
-    leak one session's preferences into every other client's view.
-    """
-
-    def __init__(self, deadline_seconds: Optional[float] = None,
-                 **overrides: Any):
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be > 0")
+    def __init__(self, deadline_seconds: Optional[float] = None):
+        check_deadline(deadline_seconds, "deadline_seconds")
         #: Wall-clock deadline (seconds) every script submitted through
         #: this session runs under.  The clock starts at *submission*,
         #: so queue wait counts against it -- that is what lets the
@@ -53,13 +38,6 @@ class SessionDefaults:
         #: it.  ``None`` falls back to the database's
         #: ``default_deadline_seconds``.
         self.deadline_seconds = deadline_seconds
-        self.overrides = overrides
-        self.resolve(ExecutorOptions())  # unknown knob or illegal value
-
-    def resolve(self, base: ExecutorOptions) -> ExecutorOptions:
-        """The effective options: ``base`` with this session's
-        overrides applied (a fresh object; ``base`` is not touched)."""
-        return dataclasses.replace(base, **self.overrides)
 
 
 class Session:

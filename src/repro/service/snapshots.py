@@ -34,7 +34,6 @@ from typing import Optional
 
 from repro.api.database import Database
 from repro.engine.catalog import CatalogSnapshot
-from repro.engine.executor import ExecutorOptions
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,12 @@ class SnapshotDatabase(Database):
     global by design -- plus what carries per-query state:
 
     * shared: the statistics collector, the resource governor, the
-      clock, and the tracer and metrics registry -- overlay statements trace under whatever script span
-      the scheduler opened and meter into the base registry, so the
-      telemetry view stays whole-service;
-    * private: the overlay catalog, the executor options (where
-      per-session defaults land), the executor and the statement lock.
+      clock, and the tracer and metrics registry -- overlay statements
+      trace under whatever script span the scheduler opened and meter
+      into the base registry, so the telemetry view stays
+      whole-service;
+    * private: the overlay catalog, the executor and the statement
+      lock.
 
     DML against this object mutates only the overlay; the base catalog
     and every published object stay untouched.  That is what lets a
@@ -88,11 +88,9 @@ class SnapshotDatabase(Database):
     :meth:`checkpoint` and :meth:`close` leave it to the base.
     """
 
-    def __init__(self, base: Database, snapshot: Snapshot,
-                 options: Optional[ExecutorOptions] = None):
+    def __init__(self, base: Database, snapshot: Snapshot):
         self._assemble(base.catalog.overlay(snapshot.catalog),
-                       base.stats, options or base.options,
-                       base.governor, base.tracer, base.clock,
+                       base.stats, base.governor, base.tracer, base.clock,
                        base.metrics, base.storage_engine,
                        base.default_deadline_seconds)
         self.snapshot = snapshot
@@ -126,12 +124,10 @@ class SnapshotManager:
         with self._write_lock:
             return Snapshot(catalog=self._db.catalog.snapshot())
 
-    def reader(self, snapshot: Optional[Snapshot] = None,
-               options: Optional[ExecutorOptions] = None
+    def reader(self, snapshot: Optional[Snapshot] = None
                ) -> SnapshotDatabase:
         """A private overlay database over ``snapshot`` (a fresh
-        capture when none is given), with ``options`` as its executor
-        defaults."""
+        capture when none is given)."""
         if snapshot is None:
             snapshot = self.acquire()
-        return SnapshotDatabase(self._db, snapshot, options)
+        return SnapshotDatabase(self._db, snapshot)

@@ -43,6 +43,25 @@ def no_leaks(request, monkeypatch):
             f"@pytest.mark.allow_leaks")
 
 
+def case_fanout(db: Database) -> tuple[int, int]:
+    """Ablation A1 read off ``db``'s trace: what the ledger booked for
+    its pivot families (N WHEN tests per row: the ``pivot`` span's
+    ``aggregates``) and what the proposed hash dispatch would book (one
+    probe per row per family: ``families`` on the
+    ``group-by-aggregate`` span), both times ``input_rows`` on the
+    ``group-by-build`` span beside it."""
+    booked = probes = 0
+    for root in db.tracer.roots():
+        for build, aggregate in zip(root.find(name="group-by-build"),
+                                    root.find(name="group-by-aggregate"),
+                                    strict=True):
+            n_rows = build.attrs["input_rows"]
+            probes += aggregate.attrs["families"] * n_rows
+            booked += sum(span.attrs["aggregates"] * n_rows
+                          for span in aggregate.find(name="pivot"))
+    return booked, probes
+
+
 #: The SIGMOD paper's Table 1 example fact table.
 PAPER_SALES_ROWS = [
     (1, "CA", "San Francisco", 13.0),

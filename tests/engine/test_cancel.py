@@ -1,8 +1,11 @@
 """Cooperative cancellation: tokens, deadlines and the checks at the
 cancellable sites."""
 
+import math
+
 import pytest
 
+from repro.api import dbapi
 from repro.api.database import Database
 from repro.engine import cancel, faults
 from repro.engine.cancel import REASONS, CancelToken
@@ -11,6 +14,7 @@ from repro.engine.scope import QueryRecord
 from repro.errors import ExecutionError, QueryCancelledError
 from repro.obs.clock import ManualClock
 from repro.obs.metrics import MetricsRegistry
+from repro.service import SessionDefaults
 
 
 class TestToken:
@@ -233,3 +237,31 @@ class TestDbapiDeadline:
         conn = dbapi.connect()
         with pytest.raises(dbapi.InterfaceError):
             conn.set_deadline(0)
+
+
+
+def _nan_database():
+    Database(default_deadline_seconds=math.nan)
+
+
+def _nan_session_defaults():
+    SessionDefaults(deadline_seconds=math.nan)
+
+
+def _nan_statement():
+    Database().execute("SELECT 1", deadline_seconds=math.nan)
+
+
+def _nan_connection():
+    dbapi.connect().set_deadline(math.nan)
+
+
+@pytest.mark.parametrize("surface, error", [
+    (_nan_database, ValueError), (_nan_session_defaults, ValueError),
+    (_nan_statement, ValueError), (_nan_connection, dbapi.InterfaceError),
+], ids=["database", "session_defaults", "statement", "connection"])
+def test_nan_deadline_is_refused(surface, error):
+    """``nan <= 0`` is false, so a ``<= 0`` check lets NaN through as
+    a deadline that never fires; every surface refuses it."""
+    with pytest.raises(error, match="> 0"):
+        surface()

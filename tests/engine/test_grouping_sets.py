@@ -1,7 +1,7 @@
 """End-to-end tests for GROUP BY CUBE/ROLLUP/GROUPING SETS through the
 shared-scan operator: lattice expansion, NULL placeholders, GROUPING()
-bitmasks, percentage hierarchies, fold-vs-recompute, error paths, and
-bit-identity across storages."""
+bitmasks, percentage hierarchies, exact and REAL aggregates, error
+paths, and bit-identity across storages."""
 
 import pytest
 
@@ -94,9 +94,9 @@ class TestLattice:
 
     def test_real_and_exact_aggregates_agree_with_plain_group_by(
             self, db):
-        """Fold-eligible (count/sum INT/min/max) and recompute-only
-        (avg/sum REAL) aggregates both match standalone group-bys at
-        every lattice level."""
+        """Exact (count/sum INT/min/max) and order-sensitive (avg/sum
+        REAL) aggregates both match standalone group-bys at every
+        lattice level."""
         cube = db.query(
             "SELECT region, sum(qty), min(qty), max(price), "
             "avg(price), count(price) FROM sales "

@@ -1,6 +1,6 @@
 """Unit tests for the pivot kernel (the one evaluator of a disjoint
-``agg(CASE WHEN d = v THEN a END)`` family) and for what
-``case_dispatch`` charges for it.
+``agg(CASE WHEN d = v THEN a END)`` family) and for what the ledger
+charges for it.
 
 The oracle is the generic CASE evaluator, reached without any hook: a
 term asked for alone is a family of one, which the kernel leaves
@@ -13,6 +13,8 @@ import pytest
 
 from repro import Database
 from repro.engine import pivot as pivot_mod
+
+from tests.conftest import case_fanout
 
 ROWS = ("(1, 1, 10.0), (1, 1, 5.0), (1, 2, 2.0), (2, 2, 7.0), "
         "(2, 3, NULL), (3, 1, 1.0)")
@@ -98,30 +100,30 @@ class TestEquivalence:
 
 
 class TestCostAccounting:
-    """``case_dispatch`` selects the charge; the kernel runs either
-    way and the results are the same."""
+    """The ledger books the period DBMS's N WHEN tests per row; the
+    proposed hash dispatch's one probe per row is read off the
+    trace."""
 
     N_ROWS = 6
 
-    def run(self, mode, terms):
-        db = Database(case_dispatch=mode)
+    def run(self, terms):
+        db = Database(tracing=True)
         db.execute("CREATE TABLE t (g INT, d INT, a REAL)")
         db.execute(f"INSERT INTO t VALUES {ROWS}")
+        db.tracer.reset()
         before = db.stats.case_evaluations
         with mock.patch.object(pivot_mod, "_compute_family",
                                wraps=pivot_mod._compute_family) as spy:
             rows = together(db, terms)
         return (rows, db.stats.case_evaluations - before,
-                spy.call_count)
+                spy.call_count, case_fanout(db))
 
     def test_hash_dispatch_charges_one_probe_per_row(self):
-        # A family of N terms over n rows: N*n WHEN tests by default
-        # (the period DBMS), n probes under "hash"; one kernel pass and
-        # the same rows under both.
-        linear = self.run("linear", PIVOT_TERMS)
-        hashed = self.run("hash", PIVOT_TERMS)
-        assert linear == (hashed[0], 3 * self.N_ROWS, 1)
-        assert hashed[1:] == (self.N_ROWS, 1)
+        # A family of N terms over n rows in one kernel pass: N*n WHEN
+        # tests on the ledger (the period DBMS), n probes on the trace.
+        rows, charged, passes, (booked, probes) = self.run(PIVOT_TERMS)
+        assert (charged, passes) == (3 * self.N_ROWS, 1)
+        assert (booked, probes) == (charged, self.N_ROWS)
 
     def test_linear_charge_is_the_generic_evaluators(self, db):
         before = db.stats.case_evaluations
@@ -129,11 +131,10 @@ class TestCostAccounting:
         assert db.stats.case_evaluations - before == 3 * self.N_ROWS
 
     def test_single_term_stays_linear(self):
-        # A family of one is the generic evaluator's under either
-        # setting, charge included.
-        for mode in ("linear", "hash"):
-            assert self.run(mode, PIVOT_TERMS[:1]) == \
-                ([(1, 15.0), (2, None), (3, 1.0)], self.N_ROWS, 0)
+        # A family of one is the generic evaluator's, charge included:
+        # no family, so nothing a hash dispatch would save.
+        assert self.run(PIVOT_TERMS[:1]) == \
+            ([(1, 15.0), (2, None), (3, 1.0)], self.N_ROWS, 0, (0, 0))
 
 
 class TestNonPivotShapesFallThrough:
@@ -170,12 +171,11 @@ class TestNonPivotShapesFallThrough:
         sql = ("SELECT g, sum(CASE WHEN d = NULL THEN a END), "
                "sum(CASE WHEN d = 1 THEN a END) "
                "FROM t GROUP BY g ORDER BY g")
-        for mode in ("linear", "hash"):
-            db = Database(case_dispatch=mode)
-            db.execute("CREATE TABLE t (g INT, d INT, a INT)")
-            db.execute("INSERT INTO t VALUES (1, NULL, 10), (1, 1, 20), "
-                       "(2, NULL, 30), (2, 1, 5)")
-            assert db.query(sql) == [(1, None, 20), (2, None, 5)], mode
+        db = Database()
+        db.execute("CREATE TABLE t (g INT, d INT, a INT)")
+        db.execute("INSERT INTO t VALUES (1, NULL, 10), (1, 1, 20), "
+                   "(2, NULL, 30), (2, 1, 5)")
+        assert db.query(sql) == [(1, None, 20), (2, None, 5)]
 
 
 class TestMixedFunctionFamilies:

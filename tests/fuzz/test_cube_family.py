@@ -108,19 +108,21 @@ class TestDifferentialSmoke:
                          "engine:shared-scan@disk"]
 
     def test_injected_fold_bug_is_caught(self, monkeypatch):
-        """Harness self-test: break the fold path (coarse levels get
-        the wrong source values) and the union oracle must notice on
-        some case."""
+        """Harness self-test: break the per-set grouping derived from
+        the union factorization (a coarse set's first row lands in the
+        wrong group) and the union oracle must notice on some case."""
         from repro.engine import groupingsets as gs_mod
 
-        real = gs_mod.fold_aggregate
+        real = gs_mod.derive_set_grouping
 
-        def broken(func, partial, mapping, n_coarse):
-            data = real(func, partial, mapping, n_coarse)
-            if func in ("count", "sum") and data.values.size:
-                data.values[0] += 1
-            return data
+        def broken(union, dims, n_rows):
+            sg = real(union, dims, n_rows)
+            grouping = sg.grouping
+            if len(dims) < len(union.encodings) and grouping.n_groups > 1:
+                grouping.group_ids[0] = \
+                    (grouping.group_ids[0] + 1) % grouping.n_groups
+            return sg
 
-        monkeypatch.setattr(gs_mod, "fold_aggregate", broken)
+        monkeypatch.setattr(gs_mod, "derive_set_grouping", broken)
         assert any(run_case(case).divergent
                    for case in _cube_cases(25, seed=5))

@@ -1,10 +1,9 @@
 """Golden EXPLAIN ANALYZE traces for the shared-scan grouping-sets
 operator: one CUBE, one ROLLUP, one multi-level percentage hierarchy.
 
-Any change to the lattice plan (set count, fold/recompute split,
-per-set group counts) or to the span/charge accounting shows up as a
-golden diff.  Regenerate intentionally changed traces with
-``pytest tests/obs --update-golden``.
+Any change to the lattice plan (set count, per-set group counts) or
+to the span/charge accounting shows up as a golden diff.  Regenerate
+intentionally changed traces with ``pytest tests/obs --update-golden``.
 """
 
 from repro.obs.tracer import audit_statement_span, validate_span_tree
@@ -66,15 +65,3 @@ class TestSpanShape:
         assert labels == {"(state, city)", "(state)", "(city)", "()"}
         for span in sets:
             assert span.attrs["groups"] >= 1
-            assert span.attrs["folded"] + span.attrs["recomputed"] >= 1
-
-    def test_fold_split_recorded(self, traced_sales_db):
-        db = traced_sales_db
-        db.execute("SELECT state, count(*), sum(salesamt) FROM sales "
-                   "GROUP BY ROLLUP(state)")
-        spans = {s.attrs["set"]: s for root in db.tracer.roots()
-                 for s in root.find(name="grouping-set")}
-        # count folds from (state) partials; REAL sum must recompute
-        assert spans["()"].attrs["folded"] == 1
-        assert spans["()"].attrs["recomputed"] == 1
-        assert spans["(state)"].attrs["folded"] == 0

@@ -5,8 +5,8 @@ evaluation is **bit-identical** -- values, SQL types, and row order --
 to running one plain ``GROUP BY`` per set and concatenating the
 results in request order.  Hypothesis drives random schemas, NULL
 densities, and set lattices through that equivalence, plus the
-GROUPING() bitmask invariants, the fold-vs-recompute split, and the
-degenerate corners (empty tables, all-NULL key columns).
+GROUPING() bitmask invariants, a ROLLUP chain of exact aggregates, and
+the degenerate corners (empty tables, all-NULL key columns).
 """
 
 import math
@@ -157,10 +157,10 @@ def test_cube_bit_identical_to_n_queries(rows):
 @given(ROWS)
 @settings(max_examples=60, deadline=None)
 def test_rollup_fold_chain_matches_direct(rows):
-    """ROLLUP over every dim with exclusively fold-eligible aggregates
-    (count/count(*)/INTEGER sum/min/max): every coarse level folds
-    from the finer partials, and must still be bit-identical to
-    recomputing each level from the base rows."""
+    """ROLLUP over every dim with exact aggregates only
+    (count/count(*)/INTEGER sum/min/max): every level of the chain is
+    bit-identical to a plain GROUP BY of that level over the base
+    rows."""
     db = load(rows)
     aggs = ("count(*)", "count(m1)", "sum(m1)", "min(m1)", "max(m1)")
     actual = db.query(

@@ -7,8 +7,8 @@ for alone -- ``SELECT g, sum(CASE WHEN d = 1 THEN a END) FROM t GROUP
 BY g`` -- is the generic answer, and the same terms asked for together
 are the kernel's wherever it recognises a family.  The two must agree
 in value (``struct.pack('d', ...)``, so ``-0.0`` is not ``0.0``), in
-column type, in the error they raise, and -- under the default
-``case_dispatch="linear"`` -- in what they charge the ledger.
+column type, in the error they raise, and in what they charge the
+ledger.
 
 The same holds one level up.  A select item alone is evaluated by
 itself, and items of one shape in one statement are evaluated once,
@@ -115,8 +115,7 @@ def run(db, select_list, where, group_by):
 def assert_alone_equals_together(rows, item_sqls, where, group_by):
     """Each item asked for alone, then all of them in one statement:
     the same values bit for bit, the same column types, the first
-    failing item's error, and -- under the default
-    ``case_dispatch="linear"`` -- the same ledger charge."""
+    failing item's error, and the same ledger charge."""
     db = Database()
     db.load_table("t", SCHEMA, rows)
 

@@ -6,37 +6,50 @@ import threading
 
 import pytest
 
+from repro.api.database import Database
 from repro.errors import (AdmissionRejected, CrossThreadError,
-                          SessionClosed)
+                          QueryCancelledError, SessionClosed)
+from repro.obs.clock import ManualClock
 from repro.service import QueryService, SessionDefaults
 
 
 class TestSessionDefaults:
-    def test_none_means_inherit(self, db):
-        assert SessionDefaults().resolve(db.options) == db.options
+    """A session's one default is its deadline; a snapshot reader has
+    no options of its own."""
 
-    def test_overrides_apply(self, db):
-        resolved = SessionDefaults(case_dispatch="hash").resolve(
-            db.options)
-        assert resolved.case_dispatch == "hash"
+    SQL = "SELECT d1, sum(a) FROM f GROUP BY d1"
 
-    def test_defaults_steer_read_execution(self, db):
-        # Two pivot terms over f's four rows: "linear" charges a WHEN
-        # test per term per row, "hash" one probe per row.
-        sql = ("SELECT d1, sum(CASE WHEN d2 = 'x' THEN a END), "
-               "sum(CASE WHEN d2 = 'y' THEN a END) FROM f GROUP BY d1")
+    def test_none_means_inherit(self):
+        db = Database(default_deadline_seconds=60.0)
+        with QueryService(db, workers=1) as service:
+            with service.create_session(SessionDefaults()) as session:
+                assert session.execute("SELECT 1").deadline_seconds \
+                    == 60.0
 
-        def charged(session) -> int:
-            before = db.stats.case_evaluations
-            session.execute(sql).rows()
-            return db.stats.case_evaluations - before
-
-        with QueryService(db, workers=2) as service:
-            defaults = SessionDefaults(case_dispatch="hash")
+    def test_overrides_apply(self):
+        db = Database(default_deadline_seconds=60.0)
+        defaults = SessionDefaults(deadline_seconds=5.0)
+        with QueryService(db, workers=1) as service:
             with service.create_session(defaults) as session:
-                assert charged(session) == 4
+                assert session.execute("SELECT 1").deadline_seconds \
+                    == 5.0
+
+    def test_defaults_steer_read_execution(self):
+        # Every clock reading advances a second: a read under a
+        # half-second session deadline is cancelled, the same read in
+        # a session without one answers.
+        db = Database(clock=ManualClock(step=1.0))
+        db.execute("CREATE TABLE f (d1 INT, a REAL)")
+        db.execute("INSERT INTO f VALUES (1, 10.0), (2, 0.25)")
+        with QueryService(db, workers=2) as service:
+            defaults = SessionDefaults(deadline_seconds=0.5)
+            with service.create_session(defaults) as session:
+                with pytest.raises(QueryCancelledError) as info:
+                    session.execute(self.SQL)
+                assert info.value.reason == "deadline"
             with service.create_session() as session:
-                assert charged(session) == 8
+                assert session.execute(self.SQL).rows() == \
+                    [(1, 10.0), (2, 0.25)]
 
 
 class TestSessionLifecycle:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.api.database import Database
 from repro.core.execute import run_resilient
-from repro.service import QueryService, SessionDefaults
+from repro.service import QueryService
 from repro.service.snapshots import SnapshotDatabase
 
 
@@ -70,12 +70,21 @@ class TestSnapshotReader:
             is db.table("f").column("d1").memo
 
     def test_session_defaults_reach_reader_options(self, service, db):
-        defaults = SessionDefaults(case_dispatch="hash")
-        reader = service.snapshots.reader(
-            options=defaults.resolve(db.options))
-        assert reader.options.case_dispatch == "hash"
-        # The base database's own options are untouched.
-        assert db.options.case_dispatch == "linear"
+        # A reader is built from the snapshot alone: there are no
+        # executor options for session defaults to reach, and the
+        # reader books what the base books for the same pivot family.
+        sql = ("SELECT d1, sum(CASE WHEN d2 = 'x' THEN a END), "
+               "sum(CASE WHEN d2 = 'y' THEN a END) FROM f GROUP BY d1")
+        reader = service.snapshots.reader(service.snapshots.acquire())
+        assert not hasattr(reader, "options")
+        assert not hasattr(reader.executor, "options")
+        expected = db.query(sql)
+        charges = []
+        for target in (db, reader):
+            before = db.stats.case_evaluations
+            assert target.query(sql) == expected
+            charges.append(db.stats.case_evaluations - before)
+        assert charges == [8, 8]  # two terms over four rows, each
 
     def test_reader_is_a_database(self, service):
         assert isinstance(service.snapshots.reader(), Database)

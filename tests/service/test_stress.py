@@ -145,7 +145,7 @@ def test_stress_parallel_readers_match_serial(service, db):
     sql = ("SELECT d1, d2, sum(a), count(*) FROM f "
            "GROUP BY d1, d2 ORDER BY d1, d2")
     expected = db.query(sql)
-    defaults = SessionDefaults(case_dispatch="hash")
+    defaults = SessionDefaults(deadline_seconds=60.0)
     results: list = []
     errors: list[BaseException] = []
 
