@@ -783,13 +783,16 @@ class Executor:
     def _maintained(self, mv, refresh):
         """Run ``refresh() -> (replacement view, mode)`` as one
         ``view-maintenance`` operator, timed by the injected clock into
-        the per-view refresh metrics."""
+        the per-view refresh metrics.  The span says how many groups
+        the view holds and how many result rows the refresh wrote."""
         clock, registry = self.tracer.clock, self.stats.registry
         with self._operator("view-maintenance", view=mv.name) as op:
             started = clock.now()
             refreshed, mode = refresh()
             elapsed = clock.now() - started
-            op.stamp(mode=mode)
+            state = refreshed.state
+            op.stamp(mode=mode, groups=len(state.levels[0].slots),
+                     rederived=state.rederived)
         registry.counter(
             "view_refreshes_total",
             help="materialized-view refreshes by maintenance mode",

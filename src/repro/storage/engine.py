@@ -148,8 +148,7 @@ class StorageEngine:
         chunks = chunk_payload(serialize_column(data),
                                self.disk.payload_capacity)
         page_ids = self.disk.allocate(len(chunks))
-        for page_id, chunk in zip(page_ids, chunks):
-            self.pool.write(page_id, chunk)
+        self.pool.write_many(page_ids, chunks)
         return page_ids
 
     def persist_table(self, table: Table) -> StoredTable:

@@ -100,17 +100,32 @@ class BufferPool:
         return self.fetch_many([page_id])[0][0]
 
     def write(self, page_id: int, payload: bytes) -> None:
-        """Write-through: the page hits disk now and the payload is
-        cached (not counted as pool traffic -- fetch counters measure
-        read behavior only)."""
-        self.disk.write_page(page_id, payload)
-        with self._lock:
-            self._pages[page_id] = payload
-            self._pages.move_to_end(page_id)
-            evicted = self._evict_over_capacity()
-            self.evictions += evicted
-            self.pages_written += 1
-        self._record(evictions=evicted, written=1)
+        self.write_many([page_id], [payload])
+
+    def write_many(self, page_ids: Sequence[int],
+                   payloads: Sequence[bytes]) -> None:
+        """Write-through, the mirror of :meth:`fetch_many`: each page
+        hits disk now, in order, and the payloads are cached (not
+        counted as pool traffic -- fetch counters measure read
+        behavior only).  The pages written are cached under one lock
+        and recorded in one registry batch, also when a write fails
+        midway."""
+        written = 0
+        try:
+            for page_id, payload in zip(page_ids, payloads):
+                self.disk.write_page(page_id, payload)
+                written += 1
+        finally:
+            evicted = 0
+            with self._lock:
+                for page_id, payload in zip(page_ids[:written],
+                                            payloads):
+                    self._pages[page_id] = payload
+                    self._pages.move_to_end(page_id)
+                    evicted += self._evict_over_capacity()
+                self.evictions += evicted
+                self.pages_written += written
+            self._record(evictions=evicted, written=written)
 
     def _evict_over_capacity(self) -> int:
         evicted = 0

@@ -12,8 +12,14 @@ group's stored value is exactly what a full scan would produce.
 
 Cost per statement: one O(changed rows) pass to re-key the changed
 rows, one O(n) boolean gather to collect the touched groups' members,
-and kernel work proportional to the touched member count -- against a
-full refresh's O(n) re-keying plus kernels over every group.
+kernel work proportional to the touched member count, and a
+re-derive of the result (:func:`~repro.views.rewrite.derive_delta`)
+whose Python work is per touched slot and whose O(groups) part -- a
+Vpct view's denominators, the rows sharing one -- is numpy over the
+row order the last full derive cached.  A write that births or
+retracts a group pays a full derive instead: a sort of the live
+groups and per-group Python.  A full refresh pays O(n) re-keying plus
+kernels over every group.
 
 Group lifecycle is count-based: membership counts track how many
 WHERE-passing base rows each slot holds; a count reaching zero

@@ -6,12 +6,12 @@ by column* so a view-answered read is bit-identical to a recompute:
 * **plain** group-by -- select items in position order, factorize row
   order (sorted keys, NULL first / NaN last), raw kernel result types.
 * **vertical** (``Vpct``) -- the default join-insert strategy: REAL
-  fine sums (Fk), denominators accumulated through the fj lattice
-  (coarser totals sum the smallest finer total with the same
-  argument, in its sorted-key order -- the exact float addend order
-  the engine's ``sum(total) FROM fj GROUP BY ...`` consumes), the
-  three-way NULL/zero-denominator CASE division, result ordered by the
-  full GROUP BY.
+  fine sums (Fk), denominators summed through the fj lattice with the
+  engine's own grouping core and ``sum`` kernel (coarser totals sum
+  the smallest finer total with the same argument, in its sorted-key
+  order -- the exact float addend order the engine's ``sum(total)
+  FROM fj GROUP BY ...`` consumes), the three-way NULL/zero-denominator
+  CASE division in arrays, result ordered by the full GROUP BY.
 * **horizontal** (``Hpct``/``Hagg``) -- the direct (source=F)
   strategy: combinations discovered as sorted DISTINCT BY-tuples of
   WHERE-passing rows, CASE cells (absent combination 0 for Hpct /
@@ -22,7 +22,11 @@ by column* so a view-answered read is bit-identical to a recompute:
 group's existence (no births/deaths, and for horizontal views no
 combination changes) only the result rows whose numerator group was
 touched -- or, for Vpct, whose denominator group changed -- are
-re-derived; every other row's column data is reused bit-for-bit.
+re-derived; every other row's column data is reused bit-for-bit.  It
+sorts nothing: the row order, and for Vpct the fine sums and
+denominator groups, cached by the last full derive still hold, so its
+per-slot Python work is for the touched slots only and the rest is
+O(groups) numpy.
 """
 
 from __future__ import annotations
@@ -34,11 +38,13 @@ import numpy as np
 from repro.core import common, model
 from repro.core.naming import NamingPolicy, combo_column_name
 from repro.engine.column import ColumnData
+from repro.engine.groupby import group_rows
+from repro.engine.kernels import kernel_sum
 from repro.engine.table import Table
 from repro.engine.types import SQLType
 from repro.sql.formatter import format_select
 from repro.views.state import (HORIZONTAL, PLAIN, VERTICAL, DeltaInfo,
-                               ViewDefinition, ViewState,
+                               Denominators, ViewDefinition, ViewState,
                                normalize_key, sort_key)
 
 
@@ -46,16 +52,25 @@ from repro.views.state import (HORIZONTAL, PLAIN, VERTICAL, DeltaInfo,
 # Full derivation
 # ----------------------------------------------------------------------
 def derive(definition: ViewDefinition, state: ViewState) -> Table:
-    """Derive the full result table; refreshes the patch caches."""
+    """Derive the full result table; refreshes the derive caches."""
     level = state.levels[0]
     order = level.ordered_slots()
+    state.row_of_slot = np.full(level.n_slots, -1, dtype=np.int64)
+    state.row_of_slot[order] = np.arange(len(order), dtype=np.int64)
     named = _key_columns(definition, state, order)
     if definition.kind == PLAIN:
         named = _interleave_plain(definition, named,
                                   _cells(definition, state, order))
+    elif definition.kind == VERTICAL:
+        _cache_vertical(definition, state, order,
+                        [column for _, column in named])
+        rows = np.arange(len(order), dtype=np.int64)
+        for (_, _, column), plan in zip(
+                _vertical_cells(definition, state, order, rows, rows),
+                definition.vplans):
+            named.append((plan.name, column))
     else:
-        if definition.kind == HORIZONTAL:
-            state.combos = _discover_combos(definition, state)
+        state.combos = _discover_combos(definition, state)
         for (_, sql_type, values), name in zip(
                 _cells(definition, state, order),
                 _cell_names(definition, state)):
@@ -63,7 +78,7 @@ def derive(definition: ViewDefinition, state: ViewState) -> Table:
                                                        values)))
     table = Table.from_columns(definition.name, named)
     state.result = table
-    state.row_of_slot = {slot: row for row, slot in enumerate(order)}
+    state.rederived = len(order)
     return table
 
 
@@ -96,62 +111,142 @@ def derive_delta(definition: ViewDefinition, state: ViewState,
     """Patch only changed rows of the previous result when no group
     was born or retracted; otherwise fall back to a full derive."""
     previous = state.result
-    if previous is None or state.row_of_slot is None \
-            or not delta.primary_stable():
+    if previous is None or not delta.primary_stable():
         return derive(definition, state)
     if definition.kind == HORIZONTAL and not delta.fine_stable():
         return derive(definition, state)
-    slots = _patch_slots(definition, state, delta)
+    slots = delta.touched[0]
+    state.rederived = 0
     if not slots:
         return previous
-    rows = np.array([state.row_of_slot[s] for s in slots],
-                    dtype=np.int64)
-    patched = {pos: (sql_type, values)
-               for pos, sql_type, values in
-               _cells(definition, state, slots)}
-    named = []
-    for pos, col_def in enumerate(previous.schema.columns):
-        data = previous.column(col_def.name)
-        if pos in patched:
-            sql_type, values = patched[pos]
-            small = ColumnData.from_values(sql_type, values)
-            merged = data.values.copy()
-            nulls = data.nulls.copy()
-            merged[rows] = small.values
-            nulls[rows] = small.nulls
-            data = ColumnData(sql_type, merged, nulls)
-        named.append((col_def.name, data))
-    table = Table.from_columns(definition.name, named)
+    rows = state.row_of_slot[slots]
+    if definition.kind == VERTICAL:
+        level = state.levels[0]
+        state.sums = {idx: _patched(column, rows, ColumnData.from_values(
+                          SQLType.REAL,
+                          [level.values[idx][s] for s in slots]))
+                      for idx, column in state.sums.items()}
+        patches = _vertical_cells(definition, state, slots, rows,
+                                    _widen(state, rows))
+    else:
+        patches = [(pos, rows, ColumnData.from_values(sql_type, values))
+                   for pos, sql_type, values in
+                   _cells(definition, state, slots)]
+    columns = [(col_def.name, previous.column(col_def.name))
+               for col_def in previous.schema.columns]
+    patched = np.zeros(previous.n_rows, dtype=bool)
+    for pos, at, small in patches:
+        name, data = columns[pos]
+        columns[pos] = (name, _patched(data, at, small))
+        patched[at] = True
+    table = Table.from_columns(definition.name, columns)
     state.result = table
+    state.rederived = int(np.count_nonzero(patched))
     return table
 
 
-def _patch_slots(definition, state, delta) -> list[int]:
+def _widen(state, rows: np.ndarray) -> np.ndarray:
+    """The touched result rows plus every row sharing a denominator
+    group with one of them: those may see a new percentage."""
     from repro.views import maintenance
 
-    touched = set(delta.touched[0])
-    if definition.kind == VERTICAL and \
-            maintenance.INJECT_BUG != "views-stale-denominator":
-        # Any row sharing a denominator group with a touched row may
-        # see a new percentage; fold those groups in.
-        level = state.levels[0]
-        group_by = definition.group_by
-        for plan in definition.vplans:
-            if not plan.is_vpct:
-                continue
-            pos = [group_by.index(c) for c in plan.totals]
-            changed = {normalize_key(tuple(level.keys[s][p]
-                                           for p in pos))
-                       for s in touched}
-            for slot in level.slots.values():
-                if normalize_key(tuple(level.keys[slot][p]
-                                       for p in pos)) in changed:
-                    touched.add(slot)
-    return sorted(touched)
+    if maintenance.INJECT_BUG == "views-stale-denominator":
+        return rows
+    widened = np.zeros(state.result.n_rows, dtype=bool)
+    widened[rows] = True
+    for groups in state.denominators.values():
+        widened |= np.isin(groups.rows, groups.rows[rows])
+    return np.flatnonzero(widened)
 
 
 # ----------------------------------------------------------------------
-# Cell computation (shared by full derive and patching)
+# Vertical (Vpct) cells, in arrays over the cached row order
+# ----------------------------------------------------------------------
+def _cache_vertical(definition, state, order, key_columns) -> None:
+    """Fine sums in row order and denominator groups, per Vpct term.
+
+    Each term's totals group the result rows by its totals columns
+    with the engine's grouping core; a term sourced through the fj
+    lattice groups its source's denominator groups instead, which are
+    in sorted-key order -- the fj table's row order."""
+    level = state.levels[0]
+    group_by = definition.group_by
+    state.sums = {
+        idx: ColumnData.from_values(
+            SQLType.REAL, [level.values[idx][s] for s in order])
+        for idx, plan in enumerate(definition.vplans) if plan.is_vpct}
+    denominators: dict[int, Denominators] = {}
+    key_sets: dict[int, list[ColumnData]] = {}
+    for plan_idx, source_idx in definition.lattice:
+        plan = definition.vplans[plan_idx]
+        if source_idx is None:
+            grouping = group_rows(
+                [key_columns[group_by.index(c)] for c in plan.totals],
+                len(order))
+            rows = grouping.group_ids
+        else:
+            source = definition.vplans[source_idx]
+            grouping = group_rows(
+                [key_sets[source_idx][source.totals.index(c)]
+                 for c in plan.totals],
+                denominators[source_idx].n_groups)
+            rows = grouping.group_ids[denominators[source_idx].rows]
+        denominators[plan_idx] = Denominators(
+            rows, grouping.n_groups, source_idx, grouping.group_ids)
+        key_sets[plan_idx] = grouping.key_columns()
+    state.denominators = denominators
+
+
+def _vertical_cells(definition, state, slots, rows, widened):
+    """``(position, rows, column)`` per term: plain terms at the
+    ``rows`` of ``slots``, Vpct terms at the ``widened`` rows, divided
+    by denominators summed from the cached fine sums."""
+    level = state.levels[0]
+    n_keys = len(definition.group_by)
+    sums = state.sums
+    totals: dict[int, ColumnData] = {}
+    for plan_idx, _ in definition.lattice:
+        groups = state.denominators[plan_idx]
+        addends = sums[plan_idx] if groups.source is None \
+            else totals[groups.source]
+        totals[plan_idx] = kernel_sum(
+            addends.values, addends.nulls, SQLType.REAL,
+            groups.addends, groups.n_groups)
+    cells = []
+    for idx, plan in enumerate(definition.vplans):
+        if not plan.is_vpct:
+            cells.append((n_keys + idx, rows, ColumnData.from_values(
+                plan.out_type, [level.values[idx][s] for s in slots])))
+            continue
+        groups = state.denominators[idx].rows[widened]
+        cells.append((n_keys + idx, widened, _divide(
+            sums[idx].take(widened), totals[idx].take(groups))))
+    return cells
+
+
+def _patched(column: ColumnData, rows: np.ndarray,
+             small: ColumnData) -> ColumnData:
+    values = column.values.copy()
+    nulls = column.nulls.copy()
+    values[rows] = small.values
+    nulls[rows] = small.nulls
+    return ColumnData(small.sql_type, values, nulls)
+
+
+def _divide(numerator: ColumnData, total: ColumnData) -> ColumnData:
+    """The engine's three-way CASE division: NULL when the total is
+    NULL or zero or the numerator is NULL, else numerator / total."""
+    nulls = numerator.nulls | total.nulls | (total.values == 0)
+    with np.errstate(divide="ignore", invalid="ignore",
+                     over="ignore"):
+        values = np.where(nulls, 0.0, numerator.values
+                          / np.where(nulls, 1.0, total.values))
+    return ColumnData(SQLType.REAL, values, nulls)
+
+
+# ----------------------------------------------------------------------
+# Cell computation for plain and horizontal views (full derive and
+# patching)
 # ----------------------------------------------------------------------
 def _cells(definition, state, slots
            ) -> list[tuple[int, SQLType, list]]:
@@ -159,8 +254,6 @@ def _cells(definition, state, slots
     ``(result column position, type, values)`` triples."""
     if definition.kind == PLAIN:
         return _plain_cells(definition, state, slots)
-    if definition.kind == VERTICAL:
-        return _vertical_cells(definition, state, slots)
     return _horizontal_cells(definition, state, slots)
 
 
@@ -175,85 +268,6 @@ def _plain_cells(definition, state, slots):
             cells.append((pos, level.measure_types[idx],
                           [level.values[idx][s] for s in slots]))
     return cells
-
-
-def _vertical_cells(definition, state, slots):
-    level = state.levels[0]
-    group_by = definition.group_by
-    totals = _vertical_totals(definition, state)
-    cells = []
-    for idx, plan in enumerate(definition.vplans):
-        pos = len(group_by) + idx
-        if not plan.is_vpct:
-            cells.append((pos, plan.out_type,
-                          [level.values[idx][s] for s in slots]))
-            continue
-        projection = [group_by.index(c) for c in plan.totals]
-        total_map = totals[idx]
-        values: list[Any] = []
-        for s in slots:
-            raw = level.keys[s]
-            total = total_map[normalize_key(
-                tuple(raw[p] for p in projection))]
-            numerator = level.values[idx][s]
-            if total is None or total == 0 or numerator is None:
-                values.append(None)
-            else:
-                values.append(float(numerator) / total)
-        cells.append((pos, SQLType.REAL, values))
-    return cells
-
-
-def _vertical_totals(definition, state) -> dict[int, dict]:
-    """Denominator sums per Vpct term, via the engine's fj lattice.
-
-    Fine sums are accumulated in sorted fine-key order (the fk table's
-    row order); a coarser total that can source a finer one accumulates
-    that fj's totals in *its* sorted-key order instead -- replicating
-    ``sum(...) FROM <source> GROUP BY <totals>`` addend for addend.
-    NULL handling matches SQL ``sum``: NULLs are skipped and an
-    all-NULL group's total is NULL.
-    """
-    level = state.levels[0]
-    group_by = definition.group_by
-    order = level.ordered_slots()
-    entries_by_plan: dict[int, dict] = {}
-    for plan_idx, source_idx in definition.lattice:
-        plan = definition.vplans[plan_idx]
-        entries: dict[tuple, list] = {}
-        if source_idx is None:
-            projection = [group_by.index(c) for c in plan.totals]
-            for s in order:
-                raw_key = level.keys[s]
-                raw = tuple(raw_key[p] for p in projection)
-                value = level.values[plan_idx][s]
-                _accumulate(entries, raw,
-                            None if value is None else float(value))
-        else:
-            source = definition.vplans[source_idx]
-            projection = [source.totals.index(c)
-                          for c in plan.totals]
-            source_entries = sorted(
-                entries_by_plan[source_idx].values(),
-                key=lambda entry: sort_key(entry[0]))
-            for raw_source, value in source_entries:
-                raw = tuple(raw_source[p] for p in projection)
-                _accumulate(entries, raw, value)
-        entries_by_plan[plan_idx] = entries
-    return {plan_idx: {key: entry[1]
-                       for key, entry in entries.items()}
-            for plan_idx, entries in entries_by_plan.items()}
-
-
-def _accumulate(entries: dict, raw: tuple,
-                value: Optional[float]) -> None:
-    key = normalize_key(raw)
-    current = entries.get(key)
-    if current is None:
-        entries[key] = [raw, value]
-    elif value is not None:
-        current[1] = value if current[1] is None \
-            else current[1] + value
 
 
 def _discover_combos(definition, state) -> list[list[tuple]]:

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core import common, model
 from repro.core import validate as validate_mod
+from repro.engine.column import ColumnData
 from repro.engine.types import SQLType
 from repro.errors import MaterializedViewError
 from repro.sql import ast
@@ -152,28 +153,58 @@ class GroupLevel:
         return twin
 
 
+@dataclass(frozen=True)
+class Denominators:
+    """One Vpct term's denominator groups, over the result rows.
+
+    ``rows`` maps each result row to its denominator group (groups in
+    sorted-key order, the fj table's row order).  ``addends`` maps
+    each addend of the group sums to its group: the result rows when
+    ``source`` is None (the fine sums), else the groups of the
+    ``source`` term's denominators -- the engine's fj lattice.
+    """
+
+    rows: np.ndarray
+    n_groups: int
+    source: Optional[int]
+    addends: np.ndarray
+
+
 class ViewState:
     """All levels of one view plus derive caches.
 
-    The caches (last derived result, its slot-to-row map, discovered
-    BY combinations) let delta maintenance patch only changed result
-    rows; they are replaced -- never mutated -- alongside the state.
+    The caches are what the last full derive worked out from the
+    group set: the result table, the result-row order
+    (``row_of_slot``: slot -> row, ``-1`` for a slot with no row), for
+    vertical views each Vpct term's fine sums in row order
+    (``sums``) and denominator groups (``denominators``), and for
+    horizontal views the discovered BY combinations.  They stay valid
+    until a group is born or retracted, which is exactly when
+    :func:`~repro.views.rewrite.derive_delta` falls back to a full
+    derive; they are replaced -- never mutated -- alongside the state.
+    ``rederived`` counts the result rows the last derive wrote.
     """
 
-    __slots__ = ("levels", "n_rows", "result", "row_of_slot", "combos")
+    __slots__ = ("levels", "n_rows", "result", "row_of_slot", "sums",
+                 "denominators", "combos", "rederived")
 
     def __init__(self, levels: list[GroupLevel]):
         self.levels = levels
         self.n_rows = 0
         self.result = None           # Table of the last derive
-        self.row_of_slot: Optional[dict[int, int]] = None
+        self.row_of_slot: Optional[np.ndarray] = None
+        self.sums: dict[int, ColumnData] = {}
+        self.denominators: dict[int, Denominators] = {}
         self.combos: Optional[list[list[tuple]]] = None
+        self.rederived = 0
 
     def clone(self) -> "ViewState":
         twin = ViewState([level.clone() for level in self.levels])
         twin.n_rows = self.n_rows
         twin.result = self.result
         twin.row_of_slot = self.row_of_slot
+        twin.sums = self.sums
+        twin.denominators = self.denominators
         twin.combos = self.combos
         return twin
 
