@@ -791,7 +791,7 @@ class Executor:
             refreshed, mode = refresh()
             elapsed = clock.now() - started
             state = refreshed.state
-            op.stamp(mode=mode, groups=len(state.levels[0].slots),
+            op.stamp(mode=mode, groups=len(state.levels[0].live()),
                      rederived=state.rederived)
         registry.counter(
             "view_refreshes_total",

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.engine.column import ColumnData
 from repro.engine.groupby import Grouping, _MAX_CODE_SPACE
-from repro.engine.types import SQLType
+from repro.engine.kernels import kernel_percentage
 from repro.errors import GroupingSetError
 from repro.sql import ast
 from repro.sql.formatter import format_expr
@@ -249,17 +249,6 @@ def fine_to_coarse(fine: SetGrouping, coarse: SetGrouping) -> np.ndarray:
 # ----------------------------------------------------------------------
 def percentage_column(numer: ColumnData, parent_sums: ColumnData,
                       parent_ids: np.ndarray) -> ColumnData:
-    """``pct(m)``: each group's sum(m) over its pct-parent's sum(m).
-
-    NULL-safe exactly like the engine's division and the paper's Vpct:
-    a NULL numerator, NULL denominator, or zero denominator yields
-    NULL, never a ZeroDivisionError.
-    """
-    numer_values = np.asarray(numer.values, dtype=np.float64)
-    denom_values = np.asarray(parent_sums.values,
-                              dtype=np.float64)[parent_ids]
-    denom_nulls = parent_sums.nulls[parent_ids]
-    invalid = numer.nulls | denom_nulls | (denom_values == 0.0)
-    safe = np.where(invalid, 1.0, denom_values)
-    values = np.where(invalid, 0.0, numer_values / safe)
-    return ColumnData(SQLType.REAL, values, invalid)
+    """``pct(m)``: each group's sum(m) over its pct-parent's sum(m),
+    by the engine's one NULL-safe percentage division."""
+    return kernel_percentage(numer, parent_sums.take(parent_ids))

@@ -183,6 +183,21 @@ def kernel_min_max_sorted(func: str, values: np.ndarray,
     return ColumnData(SQLType.VARCHAR, out, out_nulls)
 
 
+def kernel_percentage(numerators: ColumnData,
+                      totals: ColumnData) -> ColumnData:
+    """``numerators / totals`` row by row, as REAL: NULL when either
+    side is NULL or the total is 0 -- the paper's Vpct/Hpct division,
+    which never divides by zero."""
+    numerator = np.asarray(numerators.values, dtype=np.float64)
+    total = np.asarray(totals.values, dtype=np.float64)
+    nulls = numerators.nulls | totals.nulls | (total == 0)
+    with np.errstate(divide="ignore", invalid="ignore",
+                     over="ignore"):
+        values = np.where(nulls, 0.0,
+                          numerator / np.where(nulls, 1.0, total))
+    return ColumnData(SQLType.REAL, values, nulls)
+
+
 def _max_sentinel(sql_type: SQLType):
     if sql_type == SQLType.INTEGER:
         return np.iinfo(np.int64).max

@@ -7,42 +7,46 @@ membership incrementally and then **re-aggregates only the touched
 groups** by gathering their member rows from the new base table in
 original row order -- the same addend sequence the engine's kernels
 (:func:`np.bincount` and friends) consume on a full scan -- so every
-touched group's value is recomputed exactly, and every untouched
-group's stored value is exactly what a full scan would produce.
+touched group's value is recomputed exactly and scattered into the
+level's measure columns, and every untouched group's stored value is
+exactly what a full scan would produce.
 
-Cost per statement: one O(changed rows) pass to re-key the changed
-rows, one O(n) boolean gather to collect the touched groups' members,
-kernel work proportional to the touched member count, and a
-re-derive of the result (:func:`~repro.views.rewrite.derive_delta`)
-whose Python work is per touched slot and whose O(groups) part -- a
-Vpct view's denominators, the rows sharing one -- is numpy over the
+Keying is one :func:`~repro.engine.groupby.group_rows` per level per
+statement, over the live slots' keys followed by the changed rows'
+keys: a changed row joins the live slot whose key it shares, and keys
+no live slot holds become new slots in first-appearance order.
+
+Cost per statement: that O(groups + changed rows) probe, one O(n)
+boolean gather to collect the touched groups' members, kernel work
+proportional to the touched member count, and a re-derive of the
+result (:func:`~repro.views.rewrite.derive_delta`) in numpy over the
 row order the last full derive cached.  A write that births or
-retracts a group pays a full derive instead: a sort of the live
-groups and per-group Python.  A full refresh pays O(n) re-keying plus
-kernels over every group.
+retracts a group pays a full derive instead: O(groups) numpy.  A full
+refresh pays O(n) re-keying plus kernels over every group.
 
 Group lifecycle is count-based: membership counts track how many
 WHERE-passing base rows each slot holds; a count reaching zero
-retracts the slot (its key is removed from the index, the slot number
-is never reused).  All of this happens on *clones* -- published
+retracts the slot (it no longer matches keys, and its number is never
+reused).  All of this happens on *clones* -- published
 :class:`~repro.views.state.ViewState` objects are never mutated, so a
 catalog savepoint rollback restores consistent (table, view) pairs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.engine import faults
 from repro.engine.aggregates import compute_aggregate, count_star
+from repro.engine.column import ColumnData
 from repro.engine.expressions import Frame, evaluate, truth_mask
 from repro.engine.groupby import first_positions, group_rows
 from repro.sql import ast
 from repro.views import rewrite
 from repro.views.state import (DeltaInfo, GroupLevel, MaterializedView,
-                               ViewDefinition, ViewState, normalize_key)
+                               ViewDefinition, ViewState, patched)
 
 #: Deliberately mis-maintain state for harness self-tests (set via
 #: ``fuzz --sweep views --inject-bug ...``; see :data:`VIEWS_BUGS`).
@@ -58,17 +62,26 @@ VIEWS_BUGS = ("views-skip-retraction", "views-stale-denominator")
 def build_state(definition: ViewDefinition, table,
                 stats=None) -> ViewState:
     """Full build: every level keyed and aggregated from scratch."""
-    levels = [GroupLevel(columns, measures)
+    # Zero-row evaluations type the empty key and measure columns, so
+    # a view with no (remaining) groups still derives the exact column
+    # types a recompute would produce.
+    none = np.empty(0, dtype=np.int64)
+    _, frame = _frame_over(definition, table, none, stats)
+    levels = [GroupLevel(
+                  columns, measures,
+                  [evaluate(ast.ColumnRef(name=c), frame, stats)
+                   for c in columns],
+                  [_aggregate(spec, frame, none, 0, stats)
+                   for spec in measures])
               for columns, measures in definition.level_specs()]
     state = ViewState(levels)
     state.n_rows = table.n_rows
     positions = np.arange(table.n_rows, dtype=np.int64)
     for level in levels:
-        _bootstrap_types(definition, level, table, stats)
         ids, touched, _ = _assign_ids(definition, level, table,
                                       positions, stats)
         level.group_ids = ids
-        _recompute(definition, level, table, sorted(touched), stats)
+        _recompute(definition, level, table, touched, stats)
     return state
 
 
@@ -140,16 +153,16 @@ def apply_dml(definition: ViewDefinition, state: ViewState, new_table,
 
 
 def _level_insert(definition, level, new_table, old_rows, stats
-                  ) -> tuple[list[int], bool, bool]:
+                  ) -> tuple[np.ndarray, bool, bool]:
     positions = np.arange(old_rows, new_table.n_rows, dtype=np.int64)
     ids, touched, births = _assign_ids(definition, level, new_table,
                                        positions, stats)
     level.group_ids = np.concatenate([level.group_ids, ids])
-    return sorted(touched), births, False
+    return touched, births, False
 
 
 def _level_update(definition, level, new_table, updated_mask, stats
-                  ) -> tuple[list[int], bool, bool]:
+                  ) -> tuple[np.ndarray, bool, bool]:
     positions = np.flatnonzero(np.asarray(updated_mask, dtype=bool))
     old_at = level.group_ids[positions]
     new_at, touched, births = _assign_ids(definition, level, new_table,
@@ -158,40 +171,31 @@ def _level_update(definition, level, new_table, updated_mask, stats
     group_ids = level.group_ids.copy()
     group_ids[positions] = new_at
     level.group_ids = group_ids
-    for slot in old_at[old_at >= 0]:
-        touched.add(int(slot))
-    live = set(level.slots.values())
-    return sorted(touched & live), births, deaths
+    touched = np.union1d(touched, old_at[old_at >= 0])
+    return touched[level.counts[touched] > 0], births, deaths
 
 
 def _level_delete(definition, level, new_table, keep_mask, stats
-                  ) -> tuple[list[int], bool, bool]:
+                  ) -> tuple[np.ndarray, bool, bool]:
     keep = np.asarray(keep_mask, dtype=bool)
     removed = level.group_ids[~keep]
     deaths = _drop_members(level, removed)
     level.group_ids = level.group_ids[keep]
-    touched = {int(s) for s in removed[removed >= 0]}
-    live = set(level.slots.values())
-    return sorted(touched & live), False, deaths
+    touched = np.unique(removed[removed >= 0])
+    return touched[level.counts[touched] > 0], False, deaths
 
 
 def _drop_members(level: GroupLevel, ids: np.ndarray) -> bool:
-    """Decrement membership; retract slots that reach zero."""
+    """Decrement membership; a slot whose count reaches zero is
+    retracted.  Returns whether one was."""
     ids = ids[ids >= 0]
     if not len(ids):
         return False
-    drops = np.bincount(ids, minlength=level.n_slots)
-    deaths = False
-    for slot in np.flatnonzero(drops):
-        slot = int(slot)
-        level.counts[slot] -= int(drops[slot])
-        if level.counts[slot] == 0:
-            if INJECT_BUG == "views-skip-retraction":
-                continue
-            key = normalize_key(level.keys[slot])
-            if level.slots.get(key) == slot:
-                del level.slots[key]
-                deaths = True
+    counts = level.counts - np.bincount(ids, minlength=level.n_slots)
+    if INJECT_BUG == "views-skip-retraction":
+        counts = np.maximum(counts, 1)
+    deaths = bool(((level.counts > 0) & (counts == 0)).any())
+    level.counts = counts
     return deaths
 
 
@@ -213,62 +217,65 @@ def _where_mask(definition, frame, n: int, stats) -> np.ndarray:
 
 def _assign_ids(definition, level: GroupLevel, table,
                 positions: np.ndarray, stats
-                ) -> tuple[np.ndarray, set[int], bool]:
-    """Slot ids for the rows at ``positions`` of ``table``.
+                ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Slot ids for the rows at ``positions`` of ``table``, the slots
+    they touch (ascending) and whether any was born.
 
-    Rows failing the WHERE clause get ``-1``; new keys are appended as
-    fresh slots.  Membership counts are incremented here (callers that
-    replace old memberships decrement separately, after assignment, so
-    an unchanged group never transits through zero)."""
+    Rows failing the WHERE clause get ``-1``.  One grouping of the
+    live slots' keys followed by the passing rows' keys matches each
+    row to the live slot holding its key; the keys no live slot holds
+    become new slots in first-appearance order -- the numbering a
+    row-at-a-time walk would produce.  Membership counts are
+    incremented here (callers that replace old memberships decrement
+    separately, after assignment, so an unchanged group never transits
+    through zero)."""
     sub, frame = _frame_over(definition, table, positions, stats)
     n = sub.n_rows
     passing = np.flatnonzero(_where_mask(definition, frame, n, stats))
     ids = np.full(n, -1, dtype=np.int64)
-    touched: set[int] = set()
-    births = False
     if not len(passing):
-        return ids, touched, births
-    # Group the passing rows with the engine's own grouping core, then
-    # probe the slot index once per *distinct key*, in first-appearance
-    # order -- the slot numbering a row-at-a-time walk would produce.
-    key_cols = [evaluate(ast.ColumnRef(name=c), frame, stats)
-                .take(passing) for c in level.columns]
-    grouping = group_rows(key_cols, len(passing))
-    firsts = first_positions(grouping.group_ids, grouping.n_groups)
-    members = np.bincount(grouping.group_ids,
-                          minlength=grouping.n_groups)
-    slot_of = np.empty(grouping.n_groups, dtype=np.int64)
-    representatives = [col.take(firsts).to_pylist() for col in key_cols]
-    for group in np.argsort(firsts, kind="stable").tolist():
-        raw = tuple(values[group] for values in representatives)
-        key = normalize_key(raw)
-        slot = level.slots.get(key)
-        if slot is None:
-            slot = level.n_slots
-            level.slots[key] = slot
-            level.keys.append(raw)
-            level.counts.append(0)
-            for values in level.values:
-                values.append(None)
-            births = True
-        level.counts[slot] += int(members[group])
-        slot_of[group] = slot
-        touched.add(slot)
-    ids[passing] = slot_of[grouping.group_ids]
-    return ids, touched, births
+        return ids, np.empty(0, dtype=np.int64), False
+    batch = [evaluate(ast.ColumnRef(name=c), frame, stats)
+             .take(passing) for c in level.columns]
+    live = level.live()
+    grouping = group_rows(
+        [ColumnData.concat([key.take(live), column])
+         for key, column in zip(level.keys, batch)],
+        len(live) + len(passing))
+    slot_of = np.full(grouping.n_groups, -1, dtype=np.int64)
+    slot_of[grouping.group_ids[:len(live)]] = live
+    rows = grouping.group_ids[len(live):]
+    new = np.flatnonzero(slot_of < 0)
+    if len(new):
+        firsts = first_positions(rows, grouping.n_groups)[new]
+        born = np.argsort(firsts)
+        slot_of[new[born]] = level.grow(
+            [column.take(firsts[born]) for column in batch])
+    ids[passing] = slot_of[rows]
+    level.counts = level.counts + np.bincount(
+        ids[passing], minlength=level.n_slots)
+    return ids, np.unique(slot_of[rows]), bool(len(new))
+
+
+def _aggregate(spec, frame, group_ids, n_groups, stats) -> ColumnData:
+    from repro.engine.executor import _concrete
+
+    if spec.argument is None:
+        return count_star(group_ids, n_groups)
+    arg = _concrete(evaluate(spec.argument, frame, stats))
+    return compute_aggregate(spec.func, arg, spec.distinct, group_ids,
+                             n_groups)
 
 
 def _recompute(definition, level: GroupLevel, table,
-               touched: list[int], stats) -> None:
+               touched: np.ndarray, stats) -> None:
     """Re-aggregate the touched slots from their member rows.
 
     The gather preserves base-table row order, so each group's addends
     hit the kernels in exactly the sequence a full scan would feed
     them -- the bit-identity argument for float sums."""
-    if not touched:
+    if not len(touched):
         return
-    from repro.engine.executor import _concrete
-
     ids = level.group_ids
     flag = np.zeros(level.n_slots, dtype=bool)
     flag[touched] = True
@@ -278,33 +285,9 @@ def _recompute(definition, level: GroupLevel, table,
     remap = np.full(level.n_slots, -1, dtype=np.int64)
     remap[touched] = np.arange(len(touched), dtype=np.int64)
     local = remap[ids[positions]]
-    sub, frame = _frame_over(definition, table, positions, stats)
+    _, frame = _frame_over(definition, table, positions, stats)
     for m, spec in enumerate(level.measures):
         faults.cross("view-maintenance")
-        if spec.argument is None:
-            col = count_star(local, len(touched))
-        else:
-            arg = _concrete(evaluate(spec.argument, frame, stats))
-            col = compute_aggregate(spec.func, arg, spec.distinct,
-                                    local, len(touched))
-        for j, slot in enumerate(touched):
-            level.values[m][slot] = col[j]
-
-
-def _bootstrap_types(definition, level: GroupLevel, table,
-                     stats) -> None:
-    """Pin each measure's result type via a zero-row kernel run, so
-    derives of views with no (remaining) groups still carry the exact
-    column types a recompute would produce."""
-    from repro.engine.executor import _concrete
-
-    empty = np.empty(0, dtype=np.int64)
-    _, frame = _frame_over(definition, table, empty, stats)
-    for m, spec in enumerate(level.measures):
-        if spec.argument is None:
-            col = count_star(empty, 0)
-        else:
-            arg = _concrete(evaluate(spec.argument, frame, stats))
-            col = compute_aggregate(spec.func, arg, spec.distinct,
-                                    empty, 0)
-        level.measure_types[m] = col.sql_type
+        level.values[m] = patched(
+            level.values[m], touched,
+            _aggregate(spec, frame, local, len(touched), stats))

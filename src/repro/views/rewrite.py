@@ -1,51 +1,56 @@
 """Deriving view results from state, and matching queries to views.
 
 Derivation replicates the engine's own evaluation strategies *column
-by column* so a view-answered read is bit-identical to a recompute:
+by column*, in arrays, so a view-answered read is bit-identical to a
+recompute.  The result rows stand in the group order of the engine's
+grouping core over the live keys (NULL first, NaN last): the
+factorize order a recompute's GROUP BY gives.
 
-* **plain** group-by -- select items in position order, factorize row
-  order (sorted keys, NULL first / NaN last), raw kernel result types.
+* **plain** group-by -- select items in position order, each a take
+  of a key or measure column; raw kernel result types.
 * **vertical** (``Vpct``) -- the default join-insert strategy: REAL
   fine sums (Fk), denominators summed through the fj lattice with the
   engine's own grouping core and ``sum`` kernel (coarser totals sum
   the smallest finer total with the same argument, in its sorted-key
   order -- the exact float addend order the engine's ``sum(total)
-  FROM fj GROUP BY ...`` consumes), the three-way NULL/zero-denominator
-  CASE division in arrays, result ordered by the full GROUP BY.
+  FROM fj GROUP BY ...`` consumes), the NULL-safe division of
+  :func:`~repro.engine.kernels.kernel_percentage`, result ordered by
+  the full GROUP BY.
 * **horizontal** (``Hpct``/``Hagg``) -- the direct (source=F)
-  strategy: combinations discovered as sorted DISTINCT BY-tuples of
-  WHERE-passing rows, CASE cells (absent combination 0 for Hpct /
-  NULL for Hagg, zero-or-NULL denominator nulls the Hpct row, count
-  guarded on match existence, DEFAULT coalesce), declared cell types.
+  strategy: combinations are the grouped BY columns of the live fine
+  slots (the sorted DISTINCT BY-tuples of WHERE-passing rows); each
+  term scatters its fine values into a combinations x rows block
+  (absent combination 0 for Hpct / NULL for Hagg, zero-or-NULL
+  denominator nulls the Hpct row, DEFAULT coalesce), declared cell
+  types.
 
 :func:`derive_delta` is the selective path: when a DML changes no
 group's existence (no births/deaths, and for horizontal views no
 combination changes) only the result rows whose numerator group was
 touched -- or, for Vpct, whose denominator group changed -- are
 re-derived; every other row's column data is reused bit-for-bit.  It
-sorts nothing: the row order, and for Vpct the fine sums and
-denominator groups, cached by the last full derive still hold, so its
-per-slot Python work is for the touched slots only and the rest is
-O(groups) numpy.
+groups nothing: the row order, and for Vpct the fine sums and
+denominator groups, for Hpct/Hagg the combinations, cached by the last
+full derive still hold.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core import common, model
 from repro.core.naming import NamingPolicy, combo_column_name
 from repro.engine.column import ColumnData
-from repro.engine.groupby import group_rows
-from repro.engine.kernels import kernel_sum
+from repro.engine.groupby import first_positions, group_rows
+from repro.engine.kernels import kernel_percentage, kernel_sum
 from repro.engine.table import Table
 from repro.engine.types import SQLType
 from repro.sql.formatter import format_select
-from repro.views.state import (HORIZONTAL, PLAIN, VERTICAL, DeltaInfo,
+from repro.views.state import (PLAIN, VERTICAL, Combinations, DeltaInfo,
                                Denominators, ViewDefinition, ViewState,
-                               normalize_key, sort_key)
+                               patched)
 
 
 # ----------------------------------------------------------------------
@@ -54,53 +59,35 @@ from repro.views.state import (HORIZONTAL, PLAIN, VERTICAL, DeltaInfo,
 def derive(definition: ViewDefinition, state: ViewState) -> Table:
     """Derive the full result table; refreshes the derive caches."""
     level = state.levels[0]
-    order = level.ordered_slots()
+    live = level.live()
+    rank = group_rows([key.take(live) for key in level.keys],
+                      len(live)).group_ids
+    order = np.empty_like(live)
+    order[rank] = live
     state.row_of_slot = np.full(level.n_slots, -1, dtype=np.int64)
-    state.row_of_slot[order] = np.arange(len(order), dtype=np.int64)
-    named = _key_columns(definition, state, order)
+    state.row_of_slot[live] = rank
     if definition.kind == PLAIN:
-        named = _interleave_plain(definition, named,
-                                  _cells(definition, state, order))
-    elif definition.kind == VERTICAL:
-        _cache_vertical(definition, state, order,
-                        [column for _, column in named])
-        rows = np.arange(len(order), dtype=np.int64)
-        for (_, _, column), plan in zip(
-                _vertical_cells(definition, state, order, rows, rows),
-                definition.vplans):
-            named.append((plan.name, column))
+        named = list(zip(definition.plain_names,
+                         _plain_columns(definition, level, order)))
     else:
-        state.combos = _discover_combos(definition, state)
-        for (_, sql_type, values), name in zip(
-                _cells(definition, state, order),
-                _cell_names(definition, state)):
-            named.append((name, ColumnData.from_values(sql_type,
-                                                       values)))
+        keys = [key.take(order) for key in level.keys]
+        named = list(zip(definition.group_by, keys))
+        if definition.kind == VERTICAL:
+            _cache_vertical(definition, state, order, keys)
+            rows = np.arange(len(order), dtype=np.int64)
+            for (_, _, column), plan in zip(
+                    _vertical_cells(definition, state, order, rows,
+                                    rows),
+                    definition.vplans):
+                named.append((plan.name, column))
+        else:
+            state.combos = _combinations(definition, state)
+            named += zip(_cell_names(definition, state),
+                         _horizontal_columns(definition, state, order))
     table = Table.from_columns(definition.name, named)
     state.result = table
     state.rederived = len(order)
     return table
-
-
-def _key_columns(definition, state, order) -> list:
-    level = state.levels[0]
-    named = []
-    if definition.kind == PLAIN:
-        return named
-    for i, column in enumerate(definition.group_by):
-        values = [level.keys[s][i] for s in order]
-        named.append((column, ColumnData.from_values(
-            definition.key_types[i], values)))
-    return named
-
-
-def _interleave_plain(definition, named, cells) -> list:
-    """Plain views emit keys and aggregates in select-item order."""
-    out = list(named)
-    for (pos, sql_type, values), name in zip(cells,
-                                             definition.plain_names):
-        out.append((name, ColumnData.from_values(sql_type, values)))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -113,35 +100,37 @@ def derive_delta(definition: ViewDefinition, state: ViewState,
     previous = state.result
     if previous is None or not delta.primary_stable():
         return derive(definition, state)
-    if definition.kind == HORIZONTAL and not delta.fine_stable():
+    if definition.kind != VERTICAL and not delta.fine_stable():
         return derive(definition, state)
     slots = delta.touched[0]
     state.rederived = 0
-    if not slots:
+    if not len(slots):
         return previous
     rows = state.row_of_slot[slots]
+    level = state.levels[0]
     if definition.kind == VERTICAL:
-        level = state.levels[0]
-        state.sums = {idx: _patched(column, rows, ColumnData.from_values(
-                          SQLType.REAL,
-                          [level.values[idx][s] for s in slots]))
+        state.sums = {idx: patched(column, rows, level.values[idx]
+                                   .take(slots).cast(SQLType.REAL))
                       for idx, column in state.sums.items()}
         patches = _vertical_cells(definition, state, slots, rows,
-                                    _widen(state, rows))
+                                  _widen(state, rows))
+    elif definition.kind == PLAIN:
+        patches = [(pos, rows, column) for pos, column in enumerate(
+            _plain_columns(definition, level, slots))]
     else:
-        patches = [(pos, rows, ColumnData.from_values(sql_type, values))
-                   for pos, sql_type, values in
-                   _cells(definition, state, slots)]
+        first = len(definition.group_by)
+        patches = [(first + i, rows, column) for i, column in enumerate(
+            _horizontal_columns(definition, state, slots))]
     columns = [(col_def.name, previous.column(col_def.name))
                for col_def in previous.schema.columns]
-    patched = np.zeros(previous.n_rows, dtype=bool)
+    rederived = np.zeros(previous.n_rows, dtype=bool)
     for pos, at, small in patches:
         name, data = columns[pos]
-        columns[pos] = (name, _patched(data, at, small))
-        patched[at] = True
+        columns[pos] = (name, patched(data, at, small))
+        rederived[at] = True
     table = Table.from_columns(definition.name, columns)
     state.result = table
-    state.rederived = int(np.count_nonzero(patched))
+    state.rederived = int(np.count_nonzero(rederived))
     return table
 
 
@@ -160,7 +149,16 @@ def _widen(state, rows: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Vertical (Vpct) cells, in arrays over the cached row order
+# Plain cells
+# ----------------------------------------------------------------------
+def _plain_columns(definition, level, slots) -> list[ColumnData]:
+    """Plain views emit keys and aggregates in select-item order."""
+    return [(level.keys if kind == "key" else level.values)[idx]
+            .take(slots) for kind, idx in definition.plain_items]
+
+
+# ----------------------------------------------------------------------
+# Vertical (Vpct) cells, over the cached row order
 # ----------------------------------------------------------------------
 def _cache_vertical(definition, state, order, key_columns) -> None:
     """Fine sums in row order and denominator groups, per Vpct term.
@@ -171,10 +169,9 @@ def _cache_vertical(definition, state, order, key_columns) -> None:
     in sorted-key order -- the fj table's row order."""
     level = state.levels[0]
     group_by = definition.group_by
-    state.sums = {
-        idx: ColumnData.from_values(
-            SQLType.REAL, [level.values[idx][s] for s in order])
-        for idx, plan in enumerate(definition.vplans) if plan.is_vpct}
+    state.sums = {idx: level.values[idx].take(order).cast(SQLType.REAL)
+                  for idx, plan in enumerate(definition.vplans)
+                  if plan.is_vpct}
     denominators: dict[int, Denominators] = {}
     key_sets: dict[int, list[ColumnData]] = {}
     for plan_idx, source_idx in definition.lattice:
@@ -215,128 +212,102 @@ def _vertical_cells(definition, state, slots, rows, widened):
     cells = []
     for idx, plan in enumerate(definition.vplans):
         if not plan.is_vpct:
-            cells.append((n_keys + idx, rows, ColumnData.from_values(
-                plan.out_type, [level.values[idx][s] for s in slots])))
+            cells.append((n_keys + idx, rows, level.values[idx]
+                          .take(slots).cast(plan.out_type)))
             continue
         groups = state.denominators[idx].rows[widened]
-        cells.append((n_keys + idx, widened, _divide(
+        cells.append((n_keys + idx, widened, kernel_percentage(
             sums[idx].take(widened), totals[idx].take(groups))))
     return cells
 
 
-def _patched(column: ColumnData, rows: np.ndarray,
-             small: ColumnData) -> ColumnData:
-    values = column.values.copy()
-    nulls = column.nulls.copy()
-    values[rows] = small.values
-    nulls[rows] = small.nulls
-    return ColumnData(small.sql_type, values, nulls)
-
-
-def _divide(numerator: ColumnData, total: ColumnData) -> ColumnData:
-    """The engine's three-way CASE division: NULL when the total is
-    NULL or zero or the numerator is NULL, else numerator / total."""
-    nulls = numerator.nulls | total.nulls | (total.values == 0)
-    with np.errstate(divide="ignore", invalid="ignore",
-                     over="ignore"):
-        values = np.where(nulls, 0.0, numerator.values
-                          / np.where(nulls, 1.0, total.values))
-    return ColumnData(SQLType.REAL, values, nulls)
-
-
 # ----------------------------------------------------------------------
-# Cell computation for plain and horizontal views (full derive and
-# patching)
+# Horizontal (Hpct/Hagg) cells
 # ----------------------------------------------------------------------
-def _cells(definition, state, slots
-           ) -> list[tuple[int, SQLType, list]]:
-    """Non-key cell values for the given primary slots, as
-    ``(result column position, type, values)`` triples."""
-    if definition.kind == PLAIN:
-        return _plain_cells(definition, state, slots)
-    return _horizontal_cells(definition, state, slots)
-
-
-def _plain_cells(definition, state, slots):
-    level = state.levels[0]
-    cells = []
-    for pos, (kind, idx) in enumerate(definition.plain_items):
-        if kind == "key":
-            cells.append((pos, definition.key_types[idx],
-                          [level.keys[s][idx] for s in slots]))
-        else:
-            cells.append((pos, level.measure_types[idx],
-                          [level.values[idx][s] for s in slots]))
-    return cells
-
-
-def _discover_combos(definition, state) -> list[list[tuple]]:
-    """Distinct BY-tuples among live fine slots, sorted -- the same
-    combinations ``SELECT DISTINCT ... ORDER BY ...`` discovers over
-    the WHERE-passing rows."""
+def _combinations(definition, state) -> list[Combinations]:
+    """Per fine level: its live slots' BY combinations, grouped and
+    ordered by the engine's grouping core, and the coarse slot that
+    holds each live fine slot's GROUP BY key."""
     n_keys = len(definition.group_by)
-    combos = []
-    for level in state.levels[1:]:
-        seen: dict[tuple, tuple] = {}
-        for key, slot in level.slots.items():
-            seen.setdefault(key[n_keys:], level.keys[slot][n_keys:])
-        combos.append(sorted(seen.values(), key=sort_key))
-    return combos
-
-
-def _horizontal_cells(definition, state, slots):
     coarse = state.levels[0]
-    n_keys = len(definition.group_by)
-    combos = state.combos
-    if combos is None:
-        combos = _discover_combos(definition, state)
-        state.combos = combos
-    cells = []
-    pos = n_keys
+    coarse_live = coarse.live()
+    out = []
+    for fine in state.levels[1:]:
+        live = fine.live()
+        by = group_rows([key.take(live) for key in fine.keys[n_keys:]],
+                        len(live))
+        firsts = live[first_positions(by.group_ids, by.n_groups)]
+        values = list(zip(*(key.take(firsts).to_pylist()
+                            for key in fine.keys[n_keys:])))
+        both = group_rows(
+            [ColumnData.concat([mine.take(coarse_live), theirs.take(live)])
+             for mine, theirs in zip(coarse.keys, fine.keys)],
+            len(coarse_live) + len(live))
+        slot_of = np.empty(both.n_groups, dtype=np.int64)
+        slot_of[both.group_ids[:len(coarse_live)]] = coarse_live
+        out.append(Combinations(
+            live, slot_of[both.group_ids[len(coarse_live):]],
+            by.group_ids, values))
+    return out
+
+
+def _horizontal_columns(definition, state, slots) -> list[ColumnData]:
+    """The non-key columns at the coarse ``slots``, in column order.
+
+    A plain term is a take of its coarse measure.  An Hpct/Hagg term
+    scatters its fine values into a combinations x rows block, one
+    column per combination: Hpct divides by the coarse sums (an absent
+    combination is 0), Hagg leaves an absent combination NULL and then
+    its DEFAULT, cast to the declared cell type."""
+    coarse = state.levels[0]
+    k = len(slots)
+    row_at = np.full(coarse.n_slots, -1, dtype=np.int64)
+    row_at[slots] = np.arange(k, dtype=np.int64)
+    columns = []
     for plan in definition.hplans:
         if plan.kind == model.VERTICAL:
-            cells.append((pos, plan.out_type,
-                          [coarse.values[plan.coarse_measure][s]
-                           for s in slots]))
-            pos += 1
+            columns.append(coarse.values[plan.coarse_measure]
+                           .take(slots).cast(plan.out_type))
             continue
-        fine = state.levels[plan.level]
-        fine_values = fine.values[plan.fine_measure]
-        for combo in combos[plan.level - 1]:
-            combo_key = normalize_key(combo)
-            values: list[Any] = []
-            for s in slots:
-                slot = fine.slots.get(
-                    normalize_key(coarse.keys[s]) + combo_key)
-                if plan.kind == model.HPCT:
-                    total = coarse.values[plan.coarse_measure][s]
-                    if total is None or total == 0:
-                        values.append(None)
-                    elif slot is None:
-                        values.append(0.0)
-                    else:
-                        numerator = fine_values[slot]
-                        values.append(
-                            None if numerator is None
-                            else float(numerator) / float(total))
-                else:
-                    value = None if slot is None else fine_values[slot]
-                    if value is None and plan.default is not None:
-                        value = plan.default
-                    values.append(value)
-            cells.append((pos, plan.out_type, values))
-            pos += 1
-    return cells
+        combos = state.combos[plan.level - 1]
+        n_combos = len(combos.values)
+        rows = row_at[combos.coarse]
+        here = rows >= 0
+        cells = combos.ids[here] * k + rows[here]
+        fine = state.levels[plan.level].values[plan.fine_measure] \
+            .take(combos.fine[here])
+        if plan.kind == model.HPCT:
+            numerators = ColumnData.constant(SQLType.REAL, 0.0,
+                                             n_combos * k)
+            numerators.values[cells] = fine.values
+            numerators.nulls[cells] = fine.nulls
+            block = kernel_percentage(
+                numerators, coarse.values[plan.coarse_measure]
+                .take(np.tile(slots, n_combos)))
+            absent = np.ones(n_combos * k, dtype=bool)
+            absent[cells] = False
+            block.values[absent] = 0.0
+        else:
+            block = ColumnData.all_null(plan.out_type, n_combos * k)
+            block.values[cells] = fine.values
+            block.nulls[cells] = fine.nulls
+            if plan.default is not None and block.nulls.any():
+                block.values[block.nulls] = ColumnData.constant(
+                    plan.out_type, plan.default, 1).values[0]
+                block.nulls[:] = False
+        columns += [ColumnData(block.sql_type,
+                               block.values[c * k:(c + 1) * k],
+                               block.nulls[c * k:(c + 1) * k])
+                    for c in range(n_combos)]
+    return columns
 
 
 def _cell_names(definition, state) -> list[str]:
-    """Non-key output column names, in cell order.
+    """Non-key output column names of a horizontal view, in cell order.
 
-    Horizontal names interleave plain-term names with per-combination
-    names through one shared ``used`` set, exactly as the engine's
-    direct strategy builds its FH column list."""
-    if definition.kind == VERTICAL:
-        return [plan.name for plan in definition.vplans]
+    They interleave plain-term names with per-combination names
+    through one shared ``used`` set, exactly as the engine's direct
+    strategy builds its FH column list."""
     used = {c.lower() for c in definition.group_by}
     policy = NamingPolicy()
     names = []
@@ -346,7 +317,7 @@ def _cell_names(definition, state) -> list[str]:
             names.append(common.vertical_term_name(term, used))
             continue
         label = f"{term.label()}_" if definition.multiple else ""
-        for combo in state.combos[plan.level - 1]:
+        for combo in state.combos[plan.level - 1].values:
             names.append(combo_column_name(
                 term.by_columns, combo, policy,
                 definition.max_name_length, used, prefix=label))

@@ -1,10 +1,11 @@
 """Materialized-view definitions and per-group aggregate state.
 
 A materialized percentage view keeps, for each *group level* it needs,
-a base-row-aligned group-id array plus per-slot membership counts and
-partial-aggregate values.  Slots are append-only: a group that loses
-its last member row is retracted (removed from the key index, count
-pinned at zero) but its slot number is never reused, so stale
+a base-row-aligned group-id array plus per-slot columns: the key
+values, the membership counts and one typed column per partial
+aggregate.  A slot is live while its count is above 0.  Slots are
+append-only: a group that loses its last member row is retracted (its
+count reaches 0) but its slot number is never reused, so stale
 references cannot alias a new group.
 
 Levels per view kind:
@@ -20,10 +21,10 @@ Levels per view kind:
   distinct ``BY`` column set (cell numerators; slot liveness doubles
   as the "combination has rows" predicate of the paper's CASE cells).
 
-NULL group keys are first-class: a key component of ``None`` is a real
-slot key (SQL GROUP BY groups NULLs together), and NaN is mapped to a
-module sentinel because ``float('nan') != float('nan')`` would
-otherwise split one group per row.
+When two keys are equal, and in which order groups stand, is decided
+by the engine's grouping core (:func:`repro.engine.groupby.group_rows`)
+alone: NULLs group together and sort first, NaNs group together and
+sort last, ``-0.0`` equals ``0.0``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from repro.core import common, model
 from repro.core import validate as validate_mod
 from repro.engine.column import ColumnData
-from repro.engine.types import SQLType
+from repro.engine.types import NULL_FILLERS, SQLType
 from repro.errors import MaterializedViewError
 from repro.sql import ast
 from repro.sql.formatter import format_select
@@ -44,48 +45,6 @@ from repro.sql.formatter import format_select
 PLAIN = "plain"
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
-
-
-class _NanKey:
-    """Dictionary-stable stand-in for NaN group-key components."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "NaN"
-
-
-NAN_KEY = _NanKey()
-
-
-def normalize_component(value: Any) -> Any:
-    """A hashable, self-equal form of one key component."""
-    if isinstance(value, float) and value != value:
-        return NAN_KEY
-    return value
-
-
-def normalize_key(values: tuple) -> tuple:
-    return tuple(normalize_component(v) for v in values)
-
-
-def sort_component(value: Any) -> tuple:
-    """Mirror the engine's encoded order: NULL first, NaN last.
-
-    :func:`repro.engine.groupby.encode_column` gives NULL code 0 and
-    ranks non-NULL values by ``np.unique`` (ascending, NaN sorted
-    last), so derived result rows ordered by these tuples match the
-    executor's factorize order and ``ORDER BY`` output exactly.
-    """
-    if value is None:
-        return (0, 0)
-    if value is NAN_KEY or (isinstance(value, float) and value != value):
-        return (2, 0)
-    return (1, value)
-
-
-def sort_key(values: tuple) -> tuple:
-    return tuple(sort_component(v) for v in values)
 
 
 # ----------------------------------------------------------------------
@@ -101,56 +60,77 @@ class MeasureSpec:
 
 
 class GroupLevel:
-    """Per-group state for one key set.
+    """Per-group state for one key set, in columns indexed by slot.
 
     ``group_ids`` is aligned with the base table's rows; ``-1`` marks
-    rows failing the view's WHERE clause.  ``slots`` maps normalized
-    key tuples to slot numbers; ``keys``/``counts``/``values`` are
-    indexed by slot (``values`` holds one native-Python value, or
-    ``None`` for SQL NULL, per measure per slot).
+    rows failing the view's WHERE clause.  ``keys`` holds one column
+    per key column, ``counts`` the member rows of each slot (int64)
+    and ``values`` one typed column per measure.  Maintenance replaces
+    these arrays wholesale and never writes into one, so a clone
+    shares them.
     """
 
-    __slots__ = ("columns", "measures", "measure_types", "group_ids",
-                 "slots", "keys", "counts", "values")
+    __slots__ = ("columns", "measures", "group_ids", "keys", "counts",
+                 "values")
 
     def __init__(self, columns: tuple[str, ...],
-                 measures: tuple[MeasureSpec, ...]):
+                 measures: tuple[MeasureSpec, ...],
+                 keys: list[ColumnData], values: list[ColumnData]):
         self.columns = tuple(columns)
         self.measures = tuple(measures)
-        self.measure_types: list[Optional[SQLType]] = \
-            [None] * len(measures)
         self.group_ids = np.empty(0, dtype=np.int64)
-        self.slots: dict[tuple, int] = {}
-        self.keys: list[tuple] = []
-        self.counts: list[int] = []
-        self.values: list[list[Any]] = [[] for _ in measures]
+        self.keys = list(keys)
+        self.counts = np.empty(0, dtype=np.int64)
+        self.values = list(values)
 
     @property
     def n_slots(self) -> int:
-        return len(self.keys)
+        return len(self.counts)
 
-    def ordered_slots(self) -> list[int]:
-        """Live slots in the engine's result-row order."""
-        return sorted(self.slots.values(),
-                      key=lambda s: sort_key(self.keys[s]))
+    def live(self) -> np.ndarray:
+        """The live slots, ascending."""
+        return np.flatnonzero(self.counts > 0)
+
+    def grow(self, keys: list[ColumnData]) -> np.ndarray:
+        """Append one slot per row of ``keys``, with count 0 and NULL
+        measures; returns the new slot numbers."""
+        first, n = self.n_slots, len(keys[0])
+        self.keys = [ColumnData.concat([old, _filled(new)])
+                     for old, new in zip(self.keys, keys)]
+        self.counts = np.concatenate(
+            [self.counts, np.zeros(n, dtype=np.int64)])
+        self.values = [ColumnData.concat(
+                           [old, ColumnData.all_null(old.sql_type, n)])
+                       for old in self.values]
+        return np.arange(first, first + n, dtype=np.int64)
 
     def clone(self) -> "GroupLevel":
-        """A maintenance working copy; shared immutables stay shared.
-
-        ``group_ids`` is shared by reference -- every maintenance path
-        replaces it wholesale (concatenate/filter/copy-then-assign),
-        never mutates the published array in place.
-        """
-        twin = GroupLevel.__new__(GroupLevel)
-        twin.columns = self.columns
-        twin.measures = self.measures
-        twin.measure_types = list(self.measure_types)
+        """A maintenance working copy sharing every array."""
+        twin = GroupLevel(self.columns, self.measures, self.keys,
+                          self.values)
         twin.group_ids = self.group_ids
-        twin.slots = dict(self.slots)
-        twin.keys = list(self.keys)
-        twin.counts = list(self.counts)
-        twin.values = [list(v) for v in self.values]
+        twin.counts = self.counts
         return twin
+
+
+def _filled(column: ColumnData) -> ColumnData:
+    """``column`` with its type's filler under every NULL, as a column
+    built from Python values has it."""
+    if not column.nulls.any():
+        return column
+    values = column.values.copy()
+    values[column.nulls] = NULL_FILLERS[column.sql_type]
+    return ColumnData(column.sql_type, values, column.nulls)
+
+
+def patched(column: ColumnData, at: np.ndarray,
+            small: ColumnData) -> ColumnData:
+    """A copy of ``column`` with ``small``'s rows written at ``at``."""
+    values = column.values.copy()
+    nulls = column.nulls.copy()
+    values[at] = small.values
+    nulls[at] = small.nulls
+    return ColumnData(column.sql_type, values, nulls)
 
 
 @dataclass(frozen=True)
@@ -170,6 +150,23 @@ class Denominators:
     addends: np.ndarray
 
 
+@dataclass(frozen=True)
+class Combinations:
+    """One fine level's BY combinations, over its live slots.
+
+    ``fine`` are the live fine slots, ``coarse`` the coarse slot
+    holding each one's GROUP BY key and ``ids`` each one's combination,
+    numbered in sorted BY order -- the order DISCOVER's ``SELECT
+    DISTINCT ... ORDER BY`` gives.  ``values`` has one BY tuple per
+    combination, taken from its lowest live slot, for the column names.
+    """
+
+    fine: np.ndarray
+    coarse: np.ndarray
+    ids: np.ndarray
+    values: list[tuple]
+
+
 class ViewState:
     """All levels of one view plus derive caches.
 
@@ -178,7 +175,7 @@ class ViewState:
     (``row_of_slot``: slot -> row, ``-1`` for a slot with no row), for
     vertical views each Vpct term's fine sums in row order
     (``sums``) and denominator groups (``denominators``), and for
-    horizontal views the discovered BY combinations.  They stay valid
+    horizontal views each fine level's :class:`Combinations`.  They stay valid
     until a group is born or retracted, which is exactly when
     :func:`~repro.views.rewrite.derive_delta` falls back to a full
     derive; they are replaced -- never mutated -- alongside the state.
@@ -195,7 +192,7 @@ class ViewState:
         self.row_of_slot: Optional[np.ndarray] = None
         self.sums: dict[int, ColumnData] = {}
         self.denominators: dict[int, Denominators] = {}
-        self.combos: Optional[list[list[tuple]]] = None
+        self.combos: list[Combinations] = []
         self.rederived = 0
 
     def clone(self) -> "ViewState":
@@ -211,9 +208,10 @@ class ViewState:
 
 @dataclass
 class DeltaInfo:
-    """What one maintenance step touched, per level."""
+    """What one maintenance step touched, per level: the touched live
+    slots (ascending) and whether a group was born or retracted."""
 
-    touched: list[list[int]]
+    touched: list[np.ndarray]
     births: list[bool]
     deaths: list[bool]
 

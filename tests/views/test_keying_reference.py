@@ -1,13 +1,16 @@
 """View keying against its row-at-a-time reference.
 
-``maintenance._assign_ids`` groups rows with the engine's grouping
-core and probes the slot index once per distinct key.  The loop it
-replaced is kept here as the reference: over adversarial keys (NULLs,
-NaN, signed zeros, duplicates, a WHERE that drops rows) and a DML
-script (births, deaths, migrations), both must leave *exactly* the
-same state -- slot numbering, representative keys, membership counts
-and per-row ids -- not merely the same query answers.
+``maintenance._assign_ids`` matches a batch against a level's live
+slots with one grouping of the live keys followed by the batch's keys,
+by the engine's grouping core.  The dict-of-normalized-keys loop it
+replaced is kept here as the reference model: over adversarial keys
+(NULLs, NaN, signed zeros, duplicates, a WHERE that drops rows) and a
+DML script (births, deaths, migrations), both must leave *exactly* the
+same observable state -- per-slot keys, membership counts, per-row
+ids and measure columns -- not merely the same query answers.
 """
+
+from typing import Any
 
 import numpy as np
 import pytest
@@ -16,7 +19,26 @@ from repro.api.database import Database
 from repro.engine.expressions import evaluate
 from repro.sql import ast
 from repro.views import maintenance
-from repro.views.state import normalize_key
+
+
+class _NanKey:
+    """Dictionary-stable stand-in for NaN key components."""
+
+    __slots__ = ()
+
+
+NAN_KEY = _NanKey()
+
+
+def normalize_component(value: Any) -> Any:
+    """A hashable, self-equal form of one key component."""
+    if isinstance(value, float) and value != value:
+        return NAN_KEY
+    return value
+
+
+def normalize_key(values: tuple) -> tuple:
+    return tuple(normalize_component(v) for v in values)
 
 
 def _assign_ids_reference(definition, level, table, positions, stats):
@@ -26,27 +48,27 @@ def _assign_ids_reference(definition, level, table, positions, stats):
     passing = maintenance._where_mask(definition, frame, n, stats)
     key_cols = [evaluate(ast.ColumnRef(name=c), frame, stats)
                 for c in level.columns]
+    index = {normalize_key(tuple(key[s] for key in level.keys)): int(s)
+             for s in level.live()}
+    counts = level.counts.tolist()
     ids = np.full(n, -1, dtype=np.int64)
-    touched: set[int] = set()
-    births = False
+    born: list[int] = []
     for i in range(n):
         if not passing[i]:
             continue
-        raw = tuple(col[i] for col in key_cols)
-        key = normalize_key(raw)
-        slot = level.slots.get(key)
+        key = normalize_key(tuple(col[i] for col in key_cols))
+        slot = index.get(key)
         if slot is None:
-            slot = level.n_slots
-            level.slots[key] = slot
-            level.keys.append(raw)
-            level.counts.append(0)
-            for values in level.values:
-                values.append(None)
-            births = True
-        level.counts[slot] += 1
+            slot = index[key] = len(counts)
+            counts.append(0)
+            born.append(i)
+        counts[slot] += 1
         ids[i] = slot
-        touched.add(slot)
-    return ids, touched, births
+    if born:
+        level.grow([col.take(np.array(born, dtype=np.int64))
+                    for col in key_cols])
+    level.counts = np.array(counts, dtype=np.int64)
+    return ids, np.unique(ids[ids >= 0]), bool(born)
 
 
 SETUP = """
@@ -86,9 +108,11 @@ def _database(nan_rows: bool) -> Database:
 
 
 def _states(db: Database) -> str:
-    out = [(level.columns, dict(level.slots), list(level.keys),
-            list(level.counts), level.group_ids.tolist(),
-            [list(v) for v in level.values])
+    out = [(level.columns,
+            [(key.sql_type, key.to_pylist()) for key in level.keys],
+            level.counts.tolist(), level.group_ids.tolist(),
+            [(values.sql_type, values.to_pylist())
+             for values in level.values])
            for level in db.catalog.matview("v").state.levels]
     return repr(out)  # repr: NaN != NaN would fail a plain ==
 

@@ -4,8 +4,8 @@ The ``view-maintenance`` span says how many groups the view holds
 (``groups``) and how many result rows the refresh wrote
 (``rederived``: the rows of the touched groups plus every row sharing
 a denominator with one of them; all rows on a full derive).  A write
-that births or retracts no group sorts nothing: the row order cached
-by the last full derive serves it.
+that births or retracts no group derives no full view: the row order
+cached by the last full derive serves it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api.database import Database
-from repro.views.state import GroupLevel
+from repro.views import rewrite
 
 VIEW = ("SELECT dept, dweek, monthno, Vpct(salesamt BY dweek, monthno) "
         "FROM sales GROUP BY dept, dweek, monthno")
@@ -40,12 +40,13 @@ def _maintenance_span(db: Database, sql: str):
     return span.attrs
 
 
-def _refuse(self):
-    raise AssertionError("a write that changes no group sorted them")
+def _refuse(*args, **kwargs):
+    raise AssertionError("a write that changes no group derived the "
+                         "whole view")
 
 
 def test_an_update_of_one_dept_rederives_its_84_rows(db, monkeypatch):
-    monkeypatch.setattr(GroupLevel, "ordered_slots", _refuse)
+    monkeypatch.setattr(rewrite, "derive", _refuse)
     attrs = _maintenance_span(
         db, "UPDATE sales SET salesamt = salesamt + 1 WHERE dept = 5")
     assert (attrs["mode"], attrs["groups"], attrs["rederived"]) \
@@ -54,7 +55,7 @@ def test_an_update_of_one_dept_rederives_its_84_rows(db, monkeypatch):
 
 def test_an_insert_into_existing_groups_rederives_their_depts(
         db, monkeypatch):
-    monkeypatch.setattr(GroupLevel, "ordered_slots", _refuse)
+    monkeypatch.setattr(rewrite, "derive", _refuse)
     attrs = _maintenance_span(
         db, "INSERT INTO sales VALUES (7, 1, 1, 2.0), (9, 3, 4, 1.0)")
     assert (attrs["groups"], attrs["rederived"]) == (8400, 168)
