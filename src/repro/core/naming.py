@@ -46,7 +46,11 @@ def sanitize(value: Any) -> str:
     if value is None:
         return "null"
     text = str(value)
-    if isinstance(value, float) and value.is_integer():
+    if isinstance(value, float) and value.is_integer() \
+            and abs(value) < 2 ** 53:
+        # Below 2**53 every integral float is exactly the integer it
+        # prints as; beyond it ``int()`` spells out binary digits the
+        # value never had (1e23 -> 99999999999999991611392).
         text = str(int(value))
     cleaned = "".join(ch if ch.isalnum() else "_" for ch in text)
     return cleaned or "_"

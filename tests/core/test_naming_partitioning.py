@@ -19,6 +19,17 @@ class TestSanitize:
 
     def test_integral_float(self):
         assert sanitize(2.0) == "2"
+        assert sanitize(-7.0) == "_7"
+        assert sanitize(2.0 ** 53 - 1) == "9007199254740991"
+
+    def test_huge_float_invents_no_digits(self):
+        # int(1e23) is 99999999999999991611392: digits the REAL value
+        # never had.  From 2**53 on a float is spelled as repr() does.
+        assert sanitize(1e23) == "1e_23"
+        assert sanitize(-1e23) == "_1e_23"
+        assert sanitize(2.0 ** 53) == "9007199254740992_0"
+        assert combo_column_name(["a"], [1e23], NamingPolicy("values"),
+                                 64, set()) == "c1e_23"
 
     def test_empty(self):
         assert sanitize("") == "_"
