@@ -3,11 +3,13 @@ extension A4, and write EXPERIMENTS.md.
 
 Usage:
     python benchmarks/run_experiments.py [--out EXPERIMENTS.md]
-        [--employee N] [--sales N] [--tl N] [--census N]
+        [--employee N] [--sales N] [--tl N] [--census N] [--runs K]
 
 Every cell of a row runs at the row's one n, the widest SIGMOD row
-(sales dept,store -> 10,000 result columns) included.  Each section is
-echoed to stdout as the markdown it adds to the output file.
+(sales dept,store -> 10,000 result columns) included.  A cell runs
+once untimed and then K times on the clock (default 5); its wall time
+is the median, with the interquartile range beside it.  Each section
+is echoed to stdout as the markdown it adds to the output file.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import time
 from pathlib import Path
 
 from repro import Database
-from repro.bench.harness import (ExperimentResult, measure,
+from repro.bench.harness import (RUNS, ExperimentResult, measure,
                                  run_hagg_experiment,
                                  run_hpct_experiment,
                                  run_olap_experiment,
@@ -76,9 +78,9 @@ A3_NOTE = """\
 One DMKD Table 3 row under direct (from F) and indirect (from FV) CASE
 while transactionLine doubles twice (DMKD section 4.2's scalability
 discussion). The two larger sizes rerun the cells on the DMKD Table 3
-databases; the smallest loads its own. Every size answers the query
-once untimed before its cells, so no cell pays for filling the
-columns' encoding memos.
+databases; the smallest loads its own. Like every cell, each runs once
+untimed before it is timed, so no cell pays for filling the columns'
+encoding memos.
 """
 
 #: Extension A4's batch: four percentage queries over one fact table.
@@ -107,7 +109,7 @@ four queries, run on the DMKD Table 3 transactionLine table:
 """ + "\n".join(SHARED_BATCH) + "\n```\n"
 
 
-def run_table4(db: Database) -> list[ExperimentResult]:
+def run_table4(db: Database, runs: int) -> list[ExperimentResult]:
     strategies = [
         ("(1) best", VerticalStrategy()),
         ("(2) mismatched idx", VerticalStrategy(matching_indexes=False)),
@@ -118,32 +120,55 @@ def run_table4(db: Database) -> list[ExperimentResult]:
     for spec in SIGMOD_QUERIES:
         for name, strategy in strategies:
             results.append(run_vpct_experiment(db, spec, strategy,
-                                               name=name))
+                                               name=name, runs=runs))
     return results
 
 
-def run_table5(db: Database) -> list[ExperimentResult]:
+def run_table5(db: Database, runs: int) -> list[ExperimentResult]:
     results = []
     for spec in SIGMOD_QUERIES:
         for name, source in (("from FV", "FV"), ("from F", "F")):
             results.append(run_hpct_experiment(
-                db, spec, HorizontalStrategy(source=source), name=name))
+                db, spec, HorizontalStrategy(source=source), name=name,
+                runs=runs))
     return results
 
 
-def run_table6(db: Database) -> list[ExperimentResult]:
+def run_table6(db: Database, runs: int) -> list[ExperimentResult]:
     results = []
     for spec in SIGMOD_QUERIES:
         results.append(run_vpct_experiment(db, spec, VerticalStrategy(),
-                                           name="Vpct"))
+                                           name="Vpct", runs=runs))
         results.append(run_hpct_experiment(
-            db, spec, HorizontalStrategy(source="FV"), name="Hpct"))
+            db, spec, HorizontalStrategy(source="FV"), name="Hpct",
+            runs=runs))
         results.append(run_olap_experiment(db, spec,
-                                           name="OLAP extens"))
+                                           name="OLAP extens",
+                                           runs=runs))
     return results
 
 
-def run_dmkd(db: Database, doubled: Database) -> list[ExperimentResult]:
+def widest_row(table5: list[ExperimentResult],
+               table6: list[ExperimentResult]) -> str:
+    """Row 8 of Tables 5 and 6 on the clock: Hpct from F and from FV
+    against the OLAP rendition, as the medians those tables hold.
+    DESIGN.md section 4 expects Hpct to beat OLAP."""
+    label = SIGMOD_QUERIES[-1].label
+    cells = {(r.label, r.strategy): r for r in table5 + table6}
+    olap = cells[label, "OLAP extens"]
+    lines = [f"Row 8 ({label}) on the clock, medians of "
+             f"{olap.runs} timed runs (interquartile range):", ""]
+    for name, cell in (("Hpct from F", cells[label, "from F"]),
+                       ("Hpct from FV", cells[label, "from FV"]),
+                       ("OLAP extensions", olap)):
+        ratio = cell.seconds / olap.seconds if olap.seconds else 0.0
+        lines.append(f"- {name}: {cell.seconds:.3f} s "
+                     f"({cell.spread:.3f}), {ratio:.2f}x OLAP")
+    return "\n".join(lines) + "\n"
+
+
+def run_dmkd(db: Database, doubled: Database,
+             runs: int) -> list[ExperimentResult]:
     strategies = [
         ("SPJ from F", HorizontalAggStrategy(source="F")),
         ("SPJ from FV", HorizontalAggStrategy(source="FV")),
@@ -154,40 +179,41 @@ def run_dmkd(db: Database, doubled: Database) -> list[ExperimentResult]:
     for spec in DMKD_CENSUS_QUERIES + DMKD_TRANSACTION_QUERIES:
         for name, strategy in strategies:
             results.append(run_hagg_experiment(db, spec, strategy,
-                                               name=name))
+                                               name=name, runs=runs))
     for spec in DMKD_TRANSACTION_QUERIES:
         for name, strategy in strategies:
             result = run_hagg_experiment(doubled, spec, strategy,
-                                         name=name)
+                                         name=name, runs=runs)
             result.label = f"{spec.label} (2x)"
             results.append(result)
     return results
 
 
-def run_a3(by_size: dict[int, Database]) -> list[ExperimentResult]:
+def run_a3(by_size: dict[int, Database],
+           runs: int) -> list[ExperimentResult]:
     """Ablation A3: one CASE row, direct and indirect, at each size."""
     spec = DMKD_TRANSACTION_QUERIES[4]
     results = []
     for n_rows, db in by_size.items():
-        # Untimed: the first query over a table fills the encoding
-        # cache, which about doubles that cell's wall time.
-        run_hagg_experiment(db, spec)
         for name, source in (("CASE from F", "F"), ("CASE from FV", "FV")):
             result = run_hagg_experiment(
-                db, spec, HorizontalStrategy(source=source), name=name)
+                db, spec, HorizontalStrategy(source=source), name=name,
+                runs=runs)
             result.label = f"n = {n_rows:,}"
             results.append(result)
     return results
 
 
-def run_a4(db: Database) -> list[ExperimentResult]:
+def run_a4(db: Database, runs: int) -> list[ExperimentResult]:
     """Extension A4: the shared-summary batch vs one query at a time."""
     label = f"{len(SHARED_BATCH)}-query batch"
     return [
         measure(db, label, "separate", lambda: [
-            run_percentage_query(db, sql) for sql in SHARED_BATCH]),
+            run_percentage_query(db, sql) for sql in SHARED_BATCH],
+            runs),
         measure(db, label, "shared summary",
-                lambda: run_percentage_batch(db, SHARED_BATCH).results),
+                lambda: run_percentage_batch(db, SHARED_BATCH).results,
+                runs),
     ]
 
 
@@ -198,6 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sales", type=int, default=300_000)
     parser.add_argument("--tl", type=int, default=100_000)
     parser.add_argument("--census", type=int, default=50_000)
+    parser.add_argument("--runs", type=int, default=RUNS,
+                        help="timed runs per cell, after one untimed "
+                             "run (default %(default)s)")
     return parser
 
 
@@ -219,26 +248,31 @@ def main(argv: list[str]) -> int:
     halved = Database()
     load_transaction_line(halved, args.tl // 2)
 
+    runs = args.runs
     sections = [
         ("Table 4 -- Vpct optimization strategies", PAPER_TABLE4,
-         TABLE4_NOTE, lambda: run_table4(sigmod)),
+         TABLE4_NOTE, lambda: run_table4(sigmod, runs)),
         ("Table 5 -- Hpct strategy comparison", PAPER_TABLE5, "",
-         lambda: run_table5(sigmod)),
+         lambda: run_table5(sigmod, runs)),
         ("Table 6 -- percentage aggregations vs OLAP extensions",
-         PAPER_TABLE6, "", lambda: run_table6(sigmod)),
+         PAPER_TABLE6, "", lambda: run_table6(sigmod, runs)),
         ("DMKD Table 3 -- SPJ vs CASE strategies", PAPER_DMKD3, "",
-         lambda: run_dmkd(dmkd, doubled)),
+         lambda: run_dmkd(dmkd, doubled, runs)),
         ("Ablation A3 -- direct vs indirect CASE as n grows "
          "(DMKD section 4.2)", PAPER_A3, A3_NOTE,
          lambda: run_a3({args.tl // 2: halved, args.tl: dmkd,
-                         2 * args.tl: doubled})),
+                         2 * args.tl: doubled}, runs)),
         ("Extension A4 -- shared summaries (section 6 future work)",
-         "", A4_NOTE, lambda: run_a4(dmkd)),
+         "", A4_NOTE, lambda: run_a4(dmkd, runs)),
     ]
     output = [_header(args)]
+    measured: list[list[ExperimentResult]] = []
     for title, paper, note, run in sections:
         print(f"Running {title} ...")
-        section = _section(title, paper, note, run())
+        measured.append(run())
+        section = _section(title, paper, note, measured[-1])
+        if title.startswith("Table 6"):
+            section += "\n" + widest_row(measured[1], measured[2])
         print(section)
         output.append(section)
 

@@ -18,7 +18,9 @@ def pivot_results(results: Iterable[ExperimentResult],
     """Pivot cells into (strategy headers, rows of label + values).
 
     ``value`` selects the reported metric: ``seconds``, ``logical_io``,
-    ``case_evaluations`` or ``statements``.
+    ``case_evaluations`` or ``statements``.  A cell timed more than
+    once shows its median seconds with the interquartile range of its
+    runs in parentheses.
     """
     strategies: list[str] = []
     labels: list[str] = []
@@ -31,6 +33,8 @@ def pivot_results(results: Iterable[ExperimentResult],
         raw = getattr(result, value)
         if value == "seconds":
             rendered = f"{raw:.3f}"
+            if result.runs > 1:
+                rendered += f" ({result.spread:.3f})"
         else:
             rendered = str(raw)
         cells[(result.label, result.strategy)] = rendered

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Database
-from repro.bench.harness import (run_hagg_experiment,
+from repro.bench.harness import (measure, run_hagg_experiment,
                                  run_hpct_experiment,
                                  run_olap_experiment,
                                  run_vpct_experiment)
@@ -125,3 +125,30 @@ class TestReport:
         text = format_markdown("t", results)
         assert text.splitlines()[-1].endswith(" | - |")
 
+
+
+class TestMeasure:
+    def test_median_of_timed_runs_after_one_untimed(self, bench_db):
+        calls = []
+
+        def run():
+            calls.append(None)
+            return bench_db.execute(
+                "SELECT regionid, sum(salesamt) FROM transactionline "
+                "GROUP BY regionid")
+
+        result = measure(bench_db, "x", "y", run, runs=2)
+        assert len(calls) == 3
+        assert result.runs == 2 and result.spread >= 0
+        assert result.logical_io > 0 and result.result_rows == 4
+
+    def test_runs_booking_different_io_are_refused(self, bench_db):
+        tables = iter(["transactionline", "transactionline",
+                       "(SELECT regionid FROM transactionline "
+                       "WHERE regionid = 1) one"])
+
+        def run():
+            return bench_db.execute(f"SELECT count(*) FROM {next(tables)}")
+
+        with pytest.raises(RuntimeError, match="different logical I/O"):
+            measure(bench_db, "x", "y", run, runs=2)
