@@ -109,7 +109,7 @@ def select(items: Sequence[ast.Expr], from_: ast.FromClause,
            order_by: Sequence[ast.Expr] = (),
            distinct: bool = False) -> ast.Select:
     return ast.Select(
-        items=tuple(i if isinstance(i, ast.SelectItem)
+        items=tuple(i if isinstance(i, (ast.SelectItem, ast.CellFamily))
                     else ast.SelectItem(i) for i in items),
         from_=from_, where=where, group_by=tuple(group_by),
         order_by=tuple(ast.OrderItem(e) for e in order_by),

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 from repro.api.database import Database
 from repro.core import common, model, plan as plan_mod
@@ -65,12 +65,23 @@ class HorizontalStrategy:
 
 
 @dataclass
-class _ResultColumn:
-    """One non-key output column of FH."""
+class _ResultColumns:
+    """A run of FH's non-key output columns and what produces them:
+    one aggregate expression, or the cells of one Hpct/Hagg term as an
+    :class:`~repro.sql.ast.CellFamily` (one name per cell)."""
 
-    name: str
+    names: list[str]
     type_name: str
-    select: ast.Expr         # the aggregate expression producing it
+    select: Union[ast.Expr, ast.CellFamily]
+
+    def cut(self, start: int, stop: int) -> "_ResultColumns":
+        """Columns ``start:stop`` of the run."""
+        select = self.select
+        if isinstance(select, ast.CellFamily):
+            select = ast.CellFamily(select.template, select.by,
+                                    select.values[start:stop])
+        return _ResultColumns(self.names[start:stop], self.type_name,
+                              select)
 
 
 def generate_horizontal(db: Database, query: model.PercentageQuery,
@@ -150,27 +161,37 @@ def discover_combinations(db: Database, query: model.PercentageQuery,
 # ----------------------------------------------------------------------
 # Column builders
 # ----------------------------------------------------------------------
+def cell_names(term: model.AggregateTerm, combos: list[tuple],
+               naming: NamingPolicy, max_length: int, used: set[str],
+               label: str) -> list[str]:
+    """The result column name of each BY combination of ``term``."""
+    namer = ColumnNamer(term.by_columns, naming, max_length, used,
+                        prefix=label)
+    return [namer.name(values) for values in combos]
+
+
 def cells(term: model.AggregateTerm, combos: list[tuple],
           naming: NamingPolicy, max_length: int, used: set[str],
           label: str) -> Iterator[tuple[str, ast.Expr]]:
     """``(result column name, Dh = vh AND ... AND Dk = vk)`` per BY
-    combination of ``term`` (IS NULL for a NULL value).  Each distinct
-    value of each BY column is named once and compared once: its
-    ``D = v`` node is shared by every condition it is part of."""
-    namer = ColumnNamer(term.by_columns, naming, max_length, used,
-                        prefix=label)
-    refs = cols(term.by_columns)
-    tests: list[dict[tuple, ast.Expr]] = [{} for _ in refs]
-    for values in combos:
-        parts = []
-        for ref, value, made in zip(refs, values, tests):
-            key = (type(value), value)
-            test = made.get(key)
-            if test is None:
-                test = made[key] = ast.IsNull(ref) if value is None \
-                    else ast.BinaryOp("=", ref, common.literal(value))
-            parts.append(test)
-        yield namer.name(values), common.conjunction(parts)
+    combination of ``term`` (IS NULL for a NULL value)."""
+    family = ast.CellFamily(ast.MATCH, cols(term.by_columns),
+                            tuple(combos))
+    names = cell_names(term, combos, naming, max_length, used, label)
+    for i, name in enumerate(names):
+        yield name, family.match(i)
+
+
+def _family(term: model.AggregateTerm, combos: list[tuple],
+            template: ast.Expr, type_name: str, naming: NamingPolicy,
+            max_length: int, used: set[str], label: str
+            ) -> _ResultColumns:
+    """The cells of ``term``: ``template`` with each combination's
+    match in place of :data:`~repro.sql.ast.MATCH`."""
+    return _ResultColumns(
+        cell_names(term, combos, naming, max_length, used, label),
+        type_name, ast.CellFamily(template, cols(term.by_columns),
+                                  tuple(combos)))
 
 
 def _matched(match: ast.Expr) -> ast.Expr:
@@ -182,12 +203,14 @@ def _matched(match: ast.Expr) -> ast.Expr:
 def _direct_columns(db: Database, query: model.PercentageQuery,
                     combos: dict[int, list[tuple]],
                     strategy: HorizontalStrategy
-                    ) -> tuple[list[_ResultColumn], str, tuple[str, ...]]:
+                    ) -> tuple[list[_ResultColumns], str,
+                               tuple[str, ...]]:
     """Result columns computed straight from F in one scan."""
     used = {c.lower() for c in query.group_by}
-    columns: list[_ResultColumn] = []
+    columns: list[_ResultColumns] = []
     multiple = len(query.horizontal_terms()) > 1
     max_len = db.catalog.max_name_length
+    match = ast.MATCH
 
     for term in query.terms:
         if not term.is_horizontal:
@@ -195,46 +218,44 @@ def _direct_columns(db: Database, query: model.PercentageQuery,
             continue
         arg = common.argument(term)
         label = f"{term.label()}_" if multiple else ""
-        # Shared by every cell of the term.
-        total = call("sum", arg)
-        nonzero = ast.BinaryOp("<>", total, ZERO)
-        for name, match in cells(term, combos[term.position],
-                                 strategy.naming, max_len, used, label):
-            if term.kind == model.HPCT:
-                # Three-way cell semantics, kept transposition-
-                # consistent with Vpct: a zero/all-NULL group
-                # denominator nulls the whole row; a combination with
-                # rows but an all-NULL numerator is NULL (its Vpct row
-                # is NULL); only a genuinely absent combination is 0.
-                share = ast.BinaryOp("/", call("sum", case(match, arg)),
-                                     total)
-                select = case(nonzero,
-                              case(_matched(match), share, ZERO))
-                type_name = "REAL"
-            else:
-                select = call(term.func, case(match, arg),
-                              distinct=term.distinct)
-                if term.func == "count":
-                    # count() alone would report 0 for groups with no
-                    # qualifying rows; the paper requires NULL there,
-                    # consistent with the SPJ outer joins (DMKD
-                    # Section 3.4).  Guard on the match count.
-                    select = case(_matched(match), select)
-                select = _apply_default(select, term)
-                type_name = _hagg_type_name(db, query.table, term)
-            columns.append(_ResultColumn(name, type_name, select))
+        if term.kind == model.HPCT:
+            # Three-way cell semantics, kept transposition-consistent
+            # with Vpct: a zero/all-NULL group denominator nulls the
+            # whole row; a combination with rows but an all-NULL
+            # numerator is NULL (its Vpct row is NULL); only a
+            # genuinely absent combination is 0.
+            total = call("sum", arg)
+            share = ast.BinaryOp("/", call("sum", case(match, arg)),
+                                 total)
+            select = case(ast.BinaryOp("<>", total, ZERO),
+                          case(_matched(match), share, ZERO))
+            type_name = "REAL"
+        else:
+            select = call(term.func, case(match, arg),
+                          distinct=term.distinct)
+            if term.func == "count":
+                # count() alone would report 0 for groups with no
+                # qualifying rows; the paper requires NULL there,
+                # consistent with the SPJ outer joins (DMKD Section
+                # 3.4).  Guard on the match count.
+                select = case(_matched(match), select)
+            select = _apply_default(select, term)
+            type_name = _hagg_type_name(db, query.table, term)
+        columns.append(_family(term, combos[term.position], select,
+                               type_name, strategy.naming, max_len,
+                               used, label))
     return columns, query.table, query.group_by
 
 
 def _plain_direct_column(db: Database, query: model.PercentageQuery,
                          term: model.AggregateTerm,
-                         used: set[str]) -> _ResultColumn:
+                         used: set[str]) -> _ResultColumns:
     name = common.vertical_term_name(term, used)
     if term.argument is None:
-        return _ResultColumn(name, "INT", call("count", common.STAR))
-    return _ResultColumn(name, _hagg_type_name(db, query.table, term),
-                         call(term.func, term.argument,
-                              distinct=term.distinct))
+        return _ResultColumns([name], "INT", call("count", common.STAR))
+    return _ResultColumns([name], _hagg_type_name(db, query.table, term),
+                          call(term.func, term.argument,
+                               distinct=term.distinct))
 
 
 def _hagg_type_name(db: Database, table: str,
@@ -261,7 +282,8 @@ def _indirect_columns(db: Database, query: model.PercentageQuery,
                       combos: dict[int, list[tuple]],
                       strategy: HorizontalStrategy, prefix: str,
                       result: GeneratedPlan
-                      ) -> tuple[list[_ResultColumn], str, tuple[str, ...]]:
+                      ) -> tuple[list[_ResultColumns], str,
+                                 tuple[str, ...]]:
     """Materialize FV at the D1..Dj + allBY level, then express every
     result column as a distributive aggregate over FV."""
     for term in query.terms:
@@ -283,41 +305,40 @@ def _indirect_columns(db: Database, query: model.PercentageQuery,
                             strategy, prefix, result)
 
     used = {c.lower() for c in query.group_by}
-    columns: list[_ResultColumn] = []
+    columns: list[_ResultColumns] = []
     multiple = len(query.horizontal_terms()) > 1
     max_len = db.catalog.max_name_length
+    match = ast.MATCH
 
     for term in query.terms:
         bases = base_columns[term.position]
         if not term.is_horizontal:
             name = common.vertical_term_name(term, used)
-            columns.append(_ResultColumn(
-                name, _hagg_type_name(db, query.table, term)
+            columns.append(_ResultColumns(
+                [name], _hagg_type_name(db, query.table, term)
                 if term.argument is not None else "INT",
                 _distributive(term, bases, match=None)))
             continue
         label = f"{term.label()}_" if multiple else ""
         if term.kind == model.HPCT:
+            # Mirror the direct strategy's three-way semantics from FV
+            # alone: every percentage in the group is NULL exactly when
+            # the group denominator was zero/all-NULL (a healthy group
+            # always has one non-NULL pct), a matching FV row carries
+            # the cell's value (NULL when its numerator was all-NULL),
+            # and no matching row means the combination is absent -> 0.
             pct = ast.ColumnRef(bases["pct"])
             healthy = ast.BinaryOp(">", call("count", pct), ZERO)
-        for name, match in cells(term, combos[term.position],
-                                 strategy.naming, max_len, used, label):
-            if term.kind == model.HPCT:
-                # Mirror the direct strategy's three-way semantics
-                # from FV alone: every percentage in the group is NULL
-                # exactly when the group denominator was zero/all-NULL
-                # (a healthy group always has one non-NULL pct), a
-                # matching FV row carries the cell's value (NULL when
-                # its numerator was all-NULL), and no matching row
-                # means the combination is absent -> 0.
-                select = case(healthy, case(
-                    _matched(match), call("sum", case(match, pct)), ZERO))
-                type_name = "REAL"
-            else:
-                select = _distributive(term, bases, match)
-                select = _apply_default(select, term)
-                type_name = _hagg_type_name(db, query.table, term)
-            columns.append(_ResultColumn(name, type_name, select))
+            select = case(healthy, case(
+                _matched(match), call("sum", case(match, pct)), ZERO))
+            type_name = "REAL"
+        else:
+            select = _distributive(term, bases, match)
+            select = _apply_default(select, term)
+            type_name = _hagg_type_name(db, query.table, term)
+        columns.append(_family(term, combos[term.position], select,
+                               type_name, strategy.naming, max_len,
+                               used, label))
     return columns, fv_table, query.group_by
 
 
@@ -438,8 +459,30 @@ def _distributive(term: model.AggregateTerm, bases: dict[str, str],
 # ----------------------------------------------------------------------
 # FH emission (with vertical partitioning)
 # ----------------------------------------------------------------------
+def _partitions(n_keys: int, columns: list[_ResultColumns],
+                max_columns: int) -> list[list[_ResultColumns]]:
+    """:func:`split_result_columns` over the runs' columns, each
+    partition as the runs cut to its column range: a family split
+    across two partitions is two families."""
+    width = sum(len(run.names) for run in columns)
+    ranges = [(chunk[0], chunk[-1] + 1) if chunk else (0, 0)
+              for chunk in split_result_columns(n_keys, range(width),
+                                                max_columns)]
+    partitions = []
+    for start, stop in ranges:
+        chunk, at = [], 0
+        for run in columns:
+            lo, hi = max(start - at, 0), min(stop - at, len(run.names))
+            if lo < hi:
+                chunk.append(run if hi - lo == len(run.names)
+                             else run.cut(lo, hi))
+            at += len(run.names)
+        partitions.append(chunk)
+    return partitions
+
+
 def _emit_transpose(db: Database, query: model.PercentageQuery,
-                    columns: list[_ResultColumn], source: str,
+                    columns: list[_ResultColumns], source: str,
                     group_keys: tuple[str, ...], prefix: str,
                     result: GeneratedPlan, where,
                     type_source: str) -> None:
@@ -451,9 +494,8 @@ def _emit_transpose(db: Database, query: model.PercentageQuery,
     ``type_source`` is an existing table carrying the key columns'
     types.
     """
-    partitions = split_result_columns(
-        n_keys=len(group_keys), columns=columns,
-        max_columns=db.catalog.max_columns)
+    partitions = _partitions(len(group_keys), columns,
+                             db.catalog.max_columns)
     keys = cols(group_keys)
     key_defs = common.typed_columns(db, type_source, group_keys)
 
@@ -462,12 +504,12 @@ def _emit_transpose(db: Database, query: model.PercentageQuery,
         fh = f"{prefix}_fh" if len(partitions) == 1 \
             else f"{prefix}_fh{p + 1}"
         tables.append(fh)
-        defs = (*key_defs, *(ast.ColumnSpec(c.name, c.type_name)
-                             for c in chunk))
+        defs = (*key_defs, *(ast.ColumnSpec(name, run.type_name)
+                             for run in chunk for name in run.names))
         result.add(ast.CreateTable(fh, defs, group_keys),
                    plan_mod.CREATE_TEMP)
         result.temp_tables.append(fh)
-        selects = [*keys, *(c.select for c in chunk)]
+        selects = [*keys, *(run.select for run in chunk)]
         result.add(ast.InsertSelect(fh, common.select(
             selects, common.tables(source), where, keys)),
             plan_mod.TRANSPOSE)
@@ -483,7 +525,8 @@ def _emit_transpose(db: Database, query: model.PercentageQuery,
     first = tables[0]
     selects = list(cols(group_keys, first))
     for table, chunk in zip(tables, partitions):
-        selects.extend(ast.ColumnRef(c.name, table) for c in chunk)
+        selects.extend(ast.ColumnRef(name, table)
+                       for run in chunk for name in run.names)
     conditions: list[ast.Expr] = []
     for other in tables[1:]:
         conditions += common.null_safe_equalities(first, other,

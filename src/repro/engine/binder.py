@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+import numpy as np
+
 from repro.engine import groupingsets as gs_mod
 from repro.engine.expressions import Frame
 from repro.engine.types import type_from_name
@@ -42,9 +44,11 @@ from repro.errors import GroupingSetError, PlanningError, TypeMismatchError
 from repro.sql import ast
 
 #: Template leaves: the next column / literal of the vectors, in
-#: reading order.
+#: reading order, and a cell family's match (:data:`ast.MATCH`), which
+#: stands for no column and no literal of the vectors.
 COLUMN = "c"
 LITERAL = "l"
+MATCH = "m"
 
 #: Where a template node's children start: ``(tag, *params,
 #: *children)``.
@@ -61,20 +65,22 @@ class Shape:
     """What one template says, worked out once per statement: how many
     columns, literals and calls it spans, and whether it calls a window
     function, a Vpct/Hpct/BY extension, ``grouping()`` / ``pct()`` or a
-    plain aggregate."""
+    plain aggregate, and whether it holds a cell family's match."""
 
     __slots__ = ("template", "n_columns", "n_literals", "n_calls",
-                 "windowed", "extended", "grouping", "aggregate")
+                 "windowed", "extended", "grouping", "aggregate",
+                 "matched")
 
     def __init__(self, template: Any) -> None:
         self.template = template
         self.n_columns, self.n_literals, self.n_calls = sizes(template)
         self.windowed = self.extended = self.grouping = False
-        self.aggregate = False
+        self.aggregate = self.matched = False
         stack = [template]
         while stack:
             node = stack.pop()
-            if node is COLUMN or node is LITERAL:
+            if node is COLUMN or node is LITERAL or node is MATCH:
+                self.matched |= node is MATCH
                 continue
             if node[0] == "func":
                 _, name, _, _, _, by_columns, window = node[:7]
@@ -91,14 +97,18 @@ class BoundExpr:
     """One select item (or HAVING) as the binder saw it: its shape and
     where its columns, literals and calls start in the binder's
     vectors (one object per item: a wide list's records outlive many
-    collections of the young generation)."""
+    collections of the young generation).  For a cell family,
+    ``family`` is the :class:`~repro.sql.ast.CellFamily` and the shape
+    its template's: one record for all its cells."""
 
-    __slots__ = ("binder", "shape", "c0", "l0", "f0")
+    __slots__ = ("binder", "shape", "c0", "l0", "f0", "family")
 
     def __init__(self, binder: "Binder", shape: Shape, c0: int, l0: int,
-                 f0: int) -> None:
+                 f0: int, family: Optional[ast.CellFamily] = None
+                 ) -> None:
         self.binder, self.shape = binder, shape
         self.c0, self.l0, self.f0 = c0, l0, f0
+        self.family = family
 
     @property
     def columns(self) -> list[ast.ColumnRef]:
@@ -145,7 +155,23 @@ class Binder:
         shape = self.shapes.get(key)
         if shape is None:
             shape = self.shapes[key] = Shape(_nest(iter(key)))
+        if shape.matched:
+            raise PlanningError("a cell match outside a cell family")
         return BoundExpr(self, shape, c0, l0, f0)
+
+    def bind_family(self, family: ast.CellFamily) -> BoundExpr:
+        """All the cells of ``family`` in one descent: its template's
+        shape and vectors; the BY columns and values stay on the
+        family."""
+        columns, literals, calls = self.columns, self.literals, self.calls
+        c0, l0, f0 = len(columns), len(literals), len(calls)
+        tokens: list = []
+        _flatten(family.template, tokens, columns, literals, calls)
+        key = tuple(tokens)
+        shape = self.shapes.get(key)
+        if shape is None:
+            shape = self.shapes[key] = Shape(_nest(iter(key)))
+        return BoundExpr(self, shape, c0, l0, f0, family)
 
 
 #: One head object per binary operator: a cell's template repeats
@@ -221,6 +247,8 @@ def _flatten(expr: ast.Expr, tokens: list, columns: list, literals: list,
             push(node.operand)
         elif kind is ast.Star:
             token(("star", node.table and node.table.lower()))
+        elif kind is ast.CellMatch:
+            token(MATCH)
         else:
             raise PlanningError(f"cannot bind expression node {node!r}")
 
@@ -228,7 +256,7 @@ def _flatten(expr: ast.Expr, tokens: list, columns: list, literals: list,
 def _nest(tokens) -> Any:
     """The template a pre-order token stream spells (once per shape)."""
     head = next(tokens)
-    if head is COLUMN or head is LITERAL:
+    if head is COLUMN or head is LITERAL or head is MATCH:
         return head
     tag = head[0]
     if tag == "bin":
@@ -272,6 +300,8 @@ def _build(template: Any, columns, literals, windows) -> ast.Expr:
         return next(columns)
     if template is LITERAL:
         return ast.Literal(next(literals))
+    if template is MATCH:
+        return ast.MATCH
     tag = template[0]
     if tag == "star":
         return ast.Star(template[1])
@@ -308,6 +338,8 @@ def sizes(template: Any) -> tuple[int, int, int]:
         return 1, 0, 0
     if template is LITERAL:
         return 0, 1, 0
+    if template is MATCH:
+        return 0, 0, 0
     n_columns, n_literals, n_calls = 0, 0, template[0] == "func"
     for child in children(template):
         c, l, f = sizes(child)
@@ -338,6 +370,24 @@ def expression_key(expr: ast.Expr, frame: Frame) -> Any:
 # ----------------------------------------------------------------------
 # The group rewrite
 # ----------------------------------------------------------------------
+class CellBlock:
+    """An aggregate call inside a cell family, once per cell: ``call``
+    (whose condition is :data:`~repro.sql.ast.MATCH`) and ``key`` as a
+    :class:`CallSlots` call has them, the family, its BY columns'
+    arrays, and for each cell the number of its aggregate among the
+    statement's cell aggregates (``numbers``).  The block computes the
+    cells ``own`` lists -- all of them, but for those an earlier block
+    of the same call over the same columns has already numbered."""
+
+    __slots__ = ("call", "key", "family", "by_data", "numbers", "own")
+
+    def __init__(self, call: ast.FuncCall, key: tuple,
+                 family: ast.CellFamily, by_data: list,
+                 numbers: np.ndarray, own: np.ndarray) -> None:
+        self.call, self.key, self.family = call, key, family
+        self.by_data, self.numbers, self.own = by_data, numbers, own
+
+
 class CallSlots:
     """Distinct calls of one kind, each bound to a ``<prefix>N`` column
     of the group frame and to a slot of the rewrite.  Call ``N`` is
@@ -345,7 +395,12 @@ class CallSlots:
     template number, its literals' types, the ids of the arrays its
     columns resolve to, *its literals)``; ``templates`` and ``data``
     (shared with the rewrite) turn a key's template number and ids back
-    into the call template and the columns."""
+    into the call template and the columns.
+
+    The calls inside cell families are :class:`CellBlock` s
+    (``blocks``), numbered apart: ``n_cells`` aggregates in all, one
+    per distinct (call, cell).  ``order`` lists the calls (by number)
+    and blocks as they were first bound."""
 
     def __init__(self, prefix: str, slots: list[str], templates: list,
                  data: dict) -> None:
@@ -356,13 +411,64 @@ class CallSlots:
         self.calls: list[ast.FuncCall] = []
         self.keys: list[tuple] = []
         self.slot_of: dict[tuple, int] = {}
+        self.blocks: list[CellBlock] = []
+        self.n_cells = 0
+        self.order: list = []
+        self._blocks_of: dict[tuple, list[CellBlock]] = {}
+        self._cells_of: dict[tuple, dict] = {}
+
+    def __len__(self) -> int:
+        """How many distinct aggregates: calls and cells."""
+        return len(self.calls) + self.n_cells
 
     def add(self, call: ast.FuncCall, key: tuple) -> int:
         slot = self.slot_of[key] = len(self._slots)
         self._slots.append(f"{self.prefix}{len(self.calls)}")
+        self.order.append(len(self.calls))
         self.calls.append(call)
         self.keys.append(key)
         return slot
+
+    def add_cells(self, call: ast.FuncCall, key: tuple,
+                  family: ast.CellFamily, by_data: list) -> CellBlock:
+        """The block of ``call`` (bound under ``key``) over the cells of
+        ``family``, whose BY columns resolve to ``by_data``."""
+        block_key = (key, tuple(map(id, by_data)))
+        earlier = self._blocks_of.setdefault(block_key, [])
+        n, first = len(family), self.n_cells
+        if not earlier:
+            own = np.arange(n)
+            numbers = own + first
+            self.n_cells += n
+        else:
+            # The same call over the same columns in two families of
+            # one statement (two terms, or two FH partitions' cuts):
+            # a cell is one aggregate per value tuple, by value and
+            # type, as one call per literal tuple is.
+            cells = self._cells_of.get(block_key)
+            if cells is None:
+                cells = self._cells_of[block_key] = {
+                    _typed_row(row): number for block in earlier
+                    for row, number in zip(block.family.values,
+                                           block.numbers.tolist())}
+            numbers_of, owned = [], []
+            for i, row in enumerate(family.values):
+                number = cells.setdefault(_typed_row(row), self.n_cells)
+                if number == self.n_cells:
+                    self.n_cells += 1
+                    owned.append(i)
+                numbers_of.append(number)
+            numbers = np.array(numbers_of, dtype=np.int64)
+            own = np.array(owned, dtype=np.int64)
+        block = CellBlock(call, key, family, by_data, numbers, own)
+        earlier.append(block)
+        self.blocks.append(block)
+        self.order.append(block)
+        return block
+
+
+def _typed_row(row: tuple) -> tuple:
+    return tuple([(type(value), value) for value in row])
 
 
 class Rewritten:
@@ -370,14 +476,18 @@ class Rewritten:
     (:class:`_Program`, whose template it instantiates), the slots its
     placeholders bind (:attr:`GroupRewrite.slots`), its literals, and
     -- under grouping sets -- which literals are the masks of its
-    ``grouping()`` calls."""
+    ``grouping()`` calls.  For a cell family, ``family`` is set and a
+    placeholder inside a cell aggregate binds a :class:`CellBlock`
+    instead of a slot: the rewrite of every cell at once."""
 
-    __slots__ = ("program", "leaves", "literals", "masks")
+    __slots__ = ("program", "leaves", "literals", "masks", "family")
 
     def __init__(self, program: "_Program", leaves: tuple,
-                 literals: tuple, masks: tuple) -> None:
+                 literals: tuple, masks: tuple,
+                 family: Optional[ast.CellFamily] = None) -> None:
         self.program, self.leaves = program, leaves
         self.literals, self.masks = literals, masks
+        self.family = family
 
     def for_set(self, set_dims: tuple[int, ...]) -> "Rewritten":
         """This item in the output of one grouping set: every
@@ -400,21 +510,26 @@ class _Program:
     """A shape compiled for the rewrite: the steps that bind its slots
     in reading order, the rewritten template, where each of its
     literals comes from (an item literal's position, or None for a
-    ``grouping()`` mask), whether items of it are stacked -- not a bare
-    column or literal, which alone is the frame's own column or a
-    constant, nor a window call or a ``*`` -- and the columns an item
-    resolves (None: all of them)."""
+    ``grouping()`` mask), whether it calls no window function and
+    holds no ``*``, whether items of it are stacked -- windowless, and
+    not a bare column or literal, which alone is the frame's own column
+    or a constant -- and the columns an item resolves (None: all of
+    them)."""
 
-    __slots__ = ("steps", "template", "literals", "stackable", "resolve")
+    __slots__ = ("steps", "template", "literals", "windowless",
+                 "stackable", "resolve")
 
-    def __init__(self, steps, template, literals, stackable, resolve):
+    def __init__(self, steps, template, literals, windowless, resolve):
         self.steps, self.template, self.literals = steps, template, \
             literals
-        self.stackable, self.resolve = stackable, resolve
+        self.windowless = windowless
+        self.stackable = windowless and template is not COLUMN \
+            and template is not LITERAL
+        self.resolve = resolve
 
 
 # Program steps (see GroupRewrite._compile).
-_COLUMN, _KEY, _CALL, _GROUPING, _ERROR = range(5)
+_COLUMN, _KEY, _CALL, _GROUPING, _ERROR, _CELLS = range(6)
 
 
 class GroupRewrite:
@@ -465,6 +580,7 @@ class GroupRewrite:
         self._interned: dict[tuple, tuple] = {}
         self._values: dict[tuple, tuple] = {}
         self._found: dict[Shape, list] = {}
+        self._matched: dict[Any, bool] = {}
 
     @property
     def shapes(self) -> int:
@@ -472,16 +588,33 @@ class GroupRewrite:
         return len(self._programs)
 
     def rewrite(self, bound: BoundExpr) -> Rewritten:
+        """``bound`` over the group frame; a cell family's cells all at
+        once, each aggregate call that holds the match bound as one
+        :class:`CellBlock`."""
         binder, shape = bound.binder, bound.shape
         c0, l0, f0 = bound.c0, bound.l0, bound.f0
         columns = binder.columns[c0:c0 + shape.n_columns]
         literals = tuple(binder.literals[l0:l0 + shape.n_literals])
         resolve = self.frame.resolve
-        if self._composite:
-            data = list(map(resolve, columns))
+        family, by_data = bound.family, None
+        if family is not None or self._composite:
+            if family is None:
+                data = list(map(resolve, columns))
+            else:
+                # The BY columns resolve where a cell's match stands in
+                # reading order.
+                at = _columns_before(shape.template, MATCH)
+                at = len(columns) if at is None else at
+                data = list(map(resolve, columns[:at]))
+                by_data = list(map(resolve, family.by))
+                data += map(resolve, columns[at:])
             program = self._program(shape, tuple(
                 self._keys.get(value_key(t, literals[a:b], data[c:d]))
-                for t, c, d, a, b in self._candidates(shape)))
+                for t, c, d, a, b in self._candidates(shape))
+                if self._composite else ())
+            if family is not None and not program.windowless:
+                raise PlanningError(
+                    "a cell family cannot hold a window function or *")
         else:
             program = self._program(shape, ())
             data = list(map(resolve, columns)) if program.resolve is None \
@@ -492,7 +625,7 @@ class GroupRewrite:
         error: Optional[Exception] = None
         for step in program.steps:
             tag = step[0]
-            if tag is _CALL:
+            if tag is _CALL or tag is _CELLS:
                 _, registry, tid, c, d, a, b, f = step
                 call_literals = literals[a:b]
                 resolved = data[c:d]
@@ -505,6 +638,10 @@ class GroupRewrite:
                 if ids not in self.data:
                     self.data[ids] = tuple(resolved)
                 key = (tid, types, ids, *call_literals)
+                if tag is _CELLS:
+                    leaves.append(registry.add_cells(
+                        binder.calls[f0 + f], key, family, by_data))
+                    continue
                 slot = registry.slot_of.get(key)
                 if slot is None:
                     slot = registry.add(binder.calls[f0 + f], key)
@@ -541,7 +678,8 @@ class GroupRewrite:
         # value and type: 0, 0.0 and FALSE are three vectors).
         values = self._values.setdefault(
             (values, tuple(map(type, values))), values)
-        return Rewritten(program, tuple(leaves), values, tuple(masks))
+        return Rewritten(program, tuple(leaves), values, tuple(masks),
+                         family)
 
     # ------------------------------------------------------------------
     def _program(self, shape: Shape, matches: tuple) -> _Program:
@@ -555,11 +693,9 @@ class GroupRewrite:
             template = self._compile(shape.template, steps, state)
             # Equal rewrites are one object: stacks are keyed by it.
             template = self._templates.setdefault(template, template)
-            stackable = state[4] and template is not COLUMN \
-                and template is not LITERAL
             skipped = state[6]
             program = self._programs[key] = _Program(
-                steps, template, tuple(state[5]), stackable,
+                steps, template, tuple(state[5]), state[4],
                 frozenset(set(range(state[0])) - skipped) if skipped
                 else None)
         return program
@@ -580,6 +716,9 @@ class GroupRewrite:
             state[5].append(state[1])
             state[1] += 1
             return LITERAL
+        if template is MATCH:
+            raise PlanningError(
+                "a cell match must sit inside an aggregate call")
         tag = template[0]
         if tag == "star":
             state[4] = False
@@ -618,8 +757,15 @@ class GroupRewrite:
                 tid = self._template_numbers[template] = \
                     len(self.call_templates)
                 self.call_templates.append(template)
-            steps.append((_CALL, registry, tid, c0, state[0], l0,
-                          state[1], f))
+            matched = self._matched.get(template)
+            if matched is None:
+                matched = self._matched[template] = \
+                    _columns_before(template, MATCH) is not None
+            if matched and registry is not self.aggs:
+                raise PlanningError(
+                    "a cell match must sit inside an aggregate call")
+            steps.append((_CELLS if matched else _CALL, registry, tid,
+                          c0, state[0], l0, state[1], f))
             return COLUMN
         if tag == "func":
             state[2] += 1
@@ -662,6 +808,8 @@ class GroupRewrite:
         return found
 
     def _scan(self, template: Any, at: list, found: list) -> list:
+        if template is MATCH:
+            return found
         if template is COLUMN or template is LITERAL:
             at[template is LITERAL] += 1
             return found
@@ -679,6 +827,22 @@ class GroupRewrite:
         if index < len(found) and found[index] is None:
             found[index] = (template, c0, at[0], l0, at[1])
         return found
+
+
+def _columns_before(template: Any, leaf: str) -> Optional[int]:
+    """How many columns ``template`` spans before its first ``leaf``,
+    in reading order; None when it holds none."""
+    count = 0
+    stack = [template]
+    while stack:
+        node = stack.pop()
+        if node is leaf:
+            return count
+        if node is COLUMN:
+            count += 1
+        elif node is not LITERAL and node is not MATCH:
+            stack.extend(reversed(children(node)))
+    return None
 
 
 def _spans(call: Any, c0: int, l0: int) -> tuple:

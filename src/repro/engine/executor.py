@@ -299,23 +299,25 @@ class Executor:
         select = plan.select
         dataset = self._build_dataset(plan)
         frame = dataset.frame()
-        # Each output is (frame, select items over it, HAVING, slots):
-        # one for a projection or GROUP BY, one per set for grouping
-        # sets.  A projection's items are ``(name, expression)``; a
-        # grouped statement's are ``(name, Rewritten)`` over the group
-        # frame columns ``slots`` names (repro.engine.binder).
+        # Each output is (frame, select items over it, HAVING, slots,
+        # cells): one for a projection or GROUP BY, one per set for
+        # grouping sets.  A projection's items are ``(name,
+        # expression)``; a grouped statement's are ``(name, Rewritten)``
+        # over the group frame columns ``slots`` names and -- for a
+        # cell family, ``(names, Rewritten)`` -- the cell aggregates
+        # ``cells`` holds (repro.engine.binder, repro.engine.pivot).
         if plan.mode == "grouping-sets":
             outputs = self._run_grouping_sets(plan, frame)
         elif plan.mode == "aggregate":
             outputs = [self._run_aggregate(plan, frame)]
         else:
-            outputs = [(frame, plan.items, None, None)]
+            outputs = [(frame, plan.items, None, None, None)]
 
         with self._operator("projection", site="projection") as op:
             result: Optional[Table] = None
-            for out_frame, items, having, slots in outputs:
+            for out_frame, items, having, slots, cells in outputs:
                 piece = self._project(out_frame, items, having, slots,
-                                      plan, result_name)
+                                      cells, plan, result_name)
                 result = piece if result is None \
                     else result.append(piece)
             if select.distinct:
@@ -424,9 +426,10 @@ class Executor:
                             null_safe=join.null_safe)
 
     # -- select-list evaluation ---------------------------------------------
-    def _project(self, frame: Frame, items: list[tuple[str, Any]],
+    def _project(self, frame: Frame, items: list[tuple[Any, Any]],
                  having: Optional[binder.Rewritten],
-                 slots: Optional[list[str]], plan: SelectPlan,
+                 slots: Optional[list[str]],
+                 cells: Optional[pivot_mod.CellStore], plan: SelectPlan,
                  result_name: str) -> Table:
         """Evaluate named select items over ``frame``, keeping the rows
         HAVING accepts.
@@ -439,7 +442,10 @@ class Executor:
         (docs/engine_internals.md, "Select-list evaluation").  A stack
         books its charge item by item as each one's turn comes, so the
         ledger reads as if every item had run alone, up to any
-        error."""
+        error.  A cell family is a stack known in advance: its
+        template is evaluated once over its leaves stacked -- the cell
+        aggregates straight from their groups x cells block -- and its
+        cells are sliced out."""
         grouped = slots is not None
         stacks, slot_data = _stacks(frame, items, slots) if grouped \
             else ({}, None)
@@ -448,6 +454,12 @@ class Executor:
         unbooked = 0
         named = []
         for i, (name, item) in enumerate(items):
+            if grouped and item.family is not None:
+                columns, charge = self._project_family(
+                    frame.n_rows, slot_data, cells, item, unbooked)
+                unbooked += charge
+                named.extend(zip(name, columns))
+                continue
             stack = stacks.get(i)
             if stack is not None:
                 for member in stack:
@@ -487,6 +499,35 @@ class Executor:
                 self.stats)
             result = result.take(np.nonzero(mask)[0])
         return result
+
+    def _project_family(self, n: int, slot_data: list[ColumnData],
+                        cells: pivot_mod.CellStore,
+                        item: binder.Rewritten, unbooked: int
+                        ) -> tuple[list[ColumnData], int]:
+        """A cell family's columns over ``n`` groups, and what its
+        cells charge the ledger.  Should the family raise, the ledger
+        is booked up to its first cell, which is evaluated alone: every
+        cell is the same tree over leaves of the same types, so the
+        first raises what the family did, charging what it would have
+        charged alone."""
+        k = len(item.family)
+        if not k:
+            return [], 0
+        stacked, expr = _family_input(n, slot_data, cells, item, k)
+        tally = _Tally()
+        try:
+            result = evaluate(expr, stacked, tally)
+        except ReproError:
+            if unbooked:
+                self.stats.add(case_evaluations=unbooked)
+            first, expr = _family_input(n, slot_data, cells, item, 1)
+            evaluate(expr, first, self.stats)
+            raise
+        values = result.values.reshape(k, n)
+        nulls = result.nulls.reshape(k, n)
+        return ([_concrete(ColumnData(result.sql_type, values[j],
+                                      nulls[j])) for j in range(k)],
+                tally.case_evaluations)
 
     def _window_binder(self, frame: Frame
                        ) -> Callable[[ast.FuncCall], ast.Expr]:
@@ -536,15 +577,16 @@ class Executor:
                  for (name, _), bound in zip(plan.items, plan.bound)]
         having = rewrite.rewrite(plan.having_bound) \
             if plan.having_bound is not None else None
+        cells = pivot_mod.CellStore(rewrite.aggs.n_cells)
 
         with self._operator("group-by-aggregate",
                             groups=grouping.n_groups,
-                            aggregates=len(rewrite.aggs.calls),
-                            items=len(items),
+                            aggregates=len(rewrite.aggs),
+                            items=len(plan.columns),
                             shapes=rewrite.shapes) as op:
             op.stamp(families=self._compute_aggregates(
-                rewrite.aggs, frame, grouping, group_frame))
-        return group_frame, items, having, rewrite.slots
+                rewrite.aggs, frame, grouping, group_frame, cells))
+        return group_frame, items, having, rewrite.slots, cells
 
     def _run_grouping_sets(self, plan: SelectPlan, frame: Frame):
         """Shared-scan evaluation of a CUBE/ROLLUP/GROUPING SETS query.
@@ -582,7 +624,8 @@ class Executor:
         # The internal compute list: aggregate calls first (arguments
         # evaluated once -- the shared scan), then one sum per pct
         # measure (the sums percentages read).
-        compute = list(self._aggregate_items(aggs, frame))
+        compute = list(self._aggregate_items(
+            ((f"__agg{i}", call) for i, call in enumerate(aggs)), frame))
         compute += [(f"__pctsum{j}", "sum", _concrete(evaluate(
             call.args[0], frame, self.stats)), False)
             for j, call in enumerate(pcts)]
@@ -639,7 +682,7 @@ class Executor:
                 group_frame,
                 [(name, item.for_set(spec.dims)) for name, item in items],
                 having.for_set(spec.dims) if having is not None else None,
-                rewrite.slots))
+                rewrite.slots, None))
         return outputs
 
     def _aggregate_batch(self, items, group_ids: np.ndarray,
@@ -655,51 +698,76 @@ class Executor:
                                        n_groups, self.stats)
                 for key, func, arg, distinct in items}
 
-    def _aggregate_items(self, calls: list[ast.FuncCall], frame: Frame,
-                         skip: frozenset = frozenset()):
-        """``(__aggI, func, argument column, distinct)`` per aggregate
-        call, validated; ``None`` is ``count(*)``'s argument.  Lazy:
-        :meth:`_aggregate_batch` pulls one item at a time, so argument
-        expressions are evaluated (and released) per aggregate exactly
-        as a plain loop would."""
-        for i, call in enumerate(calls):
-            if i in skip:
-                continue
+    def _aggregate_items(self, calls, frame: Frame):
+        """``(key, func, argument column, distinct)`` per ``(key,
+        aggregate call)``, validated; ``None`` is ``count(*)``'s
+        argument.  Lazy: :meth:`_aggregate_batch` pulls one item at a
+        time, so argument expressions are evaluated (and released) per
+        aggregate exactly as a plain loop would."""
+        for key, call in calls:
             if call.args and isinstance(call.args[0], ast.Star):
                 if call.name != "count":
                     raise PlanningError(
                         f"{call.name}(*) is not valid; only count(*)")
-                yield f"__agg{i}", "count", None, False
+                yield key, "count", None, False
             else:
                 if len(call.args) != 1:
                     raise PlanningError(
                         f"{call.name}() takes exactly one argument")
                 arg = evaluate(call.args[0], frame, self.stats)
-                yield f"__agg{i}", call.name, _concrete(arg), \
-                    call.distinct
+                yield key, call.name, _concrete(arg), call.distinct
 
     def _compute_aggregates(self, aggs: binder.CallSlots, frame: Frame,
-                            grouping, group_frame: Frame) -> int:
+                            grouping, group_frame: Frame,
+                            cells: pivot_mod.CellStore) -> int:
         """Evaluate each distinct aggregate over the base frame, binding
-        ``__aggI`` columns into the group frame; the number of pivot
-        families.  Families of disjoint pivot-style CASE aggregations
-        go through the pivot kernel (one factorize pass instead of N
-        masked passes; the ``pivot`` operator opens only for a
-        statement that has one), everything else through the generic
-        evaluator."""
+        ``__aggI`` columns into the group frame and filing cell family
+        aggregates in ``cells``; the number of pivot families.
+        Families of disjoint pivot-style CASE aggregations go through
+        the pivot kernel (one factorize pass instead of N masked
+        passes; the ``pivot`` operator opens only for a statement that
+        has one), everything else through the generic evaluator, in
+        the order the calls were bound -- a cell block's cells one by
+        one."""
         handled: set[int] = set()
+        blocks: set[binder.CellBlock] = set()
         families = pivot_mod.detect_families(aggs)
         if families:
             with self._operator("pivot") as op:
-                handled = pivot_mod.compute_families(
+                handled, blocks = pivot_mod.compute_families(
                     families, frame, grouping.group_ids,
-                    grouping.n_groups, group_frame, self.stats,
+                    grouping.n_groups, group_frame, cells, self.stats,
                     self._aggregate_batch)
-                op.stamp(aggregates=len(handled),
-                         groups=grouping.n_groups)
-        group_frame.add_columns(self._aggregate_batch(
-            self._aggregate_items(aggs.calls, frame, frozenset(handled)),
-            grouping.group_ids, grouping.n_groups).items())
+                op.stamp(aggregates=len(handled) + sum(
+                    len(block.own) for block in blocks),
+                    groups=grouping.n_groups)
+
+        def generic():
+            for entry in aggs.order:
+                if type(entry) is int:
+                    if entry not in handled:
+                        yield f"__agg{entry}", aggs.calls[entry]
+                elif entry not in blocks:
+                    for i in entry.own.tolist():
+                        yield (entry, i), ast.with_match(
+                            entry.call, entry.family.match(i))
+
+        computed = self._aggregate_batch(
+            self._aggregate_items(generic(), frame),
+            grouping.group_ids, grouping.n_groups)
+        group_frame.add_columns((key, column)
+                                for key, column in computed.items()
+                                if type(key) is str)
+        by_block: dict[binder.CellBlock, list[ColumnData]] = {}
+        for key, column in computed.items():
+            if type(key) is tuple:
+                by_block.setdefault(key[0], []).append(column)
+        for block, columns in by_block.items():
+            cells.put(block.numbers[block.own], (
+                columns[0].sql_type,
+                np.stack([column.values for column in columns]),
+                np.stack([column.nulls for column in columns])),
+                np.arange(len(columns)))
         return len(families)
 
     # -- ORDER BY -----------------------------------------------------------
@@ -1041,7 +1109,7 @@ def _stacks(frame: Frame, items: list[tuple[str, binder.Rewritten]],
     by_shape: dict[Any, list[int]] = {}
     for i, (_, item) in enumerate(items):
         program, literals = item.program, item.literals
-        if program.stackable:
+        if program.stackable and item.family is None:
             by_shape.setdefault(
                 (id(program.template), literals,
                  tuple(map(type, literals)),
@@ -1086,6 +1154,26 @@ def _evaluate_stack(n: int, slot_data: list[ColumnData],
                                     result.nulls[j * n:(j + 1) * n]))
                for j in range(k)]
     return columns, tally.case_evaluations // k
+
+
+def _family_input(n: int, slot_data: list[ColumnData],
+                  cells: pivot_mod.CellStore, item: binder.Rewritten,
+                  k: int) -> tuple[Frame, ast.Expr]:
+    """The first ``k`` cells of a family item stacked, as for
+    :func:`_evaluate_stack`: a frame of ``k * n`` rows whose
+    placeholder columns are the cells' leaves end to end -- a slot
+    repeated, a cell aggregate read off its block -- and the template
+    over them."""
+    placeholders = [ast.ColumnRef(f"__s{j}")
+                    for j in range(len(item.leaves))]
+    stacked = Frame(n * k)
+    stacked.add_columns(
+        (placeholder.name,
+         cells.take(leaf.numbers[:k]) if type(leaf) is binder.CellBlock
+         else ColumnData.concat([slot_data[leaf]] * k))
+        for placeholder, leaf in zip(placeholders, item.leaves))
+    return stacked, binder.build(item.program.template, placeholders,
+                                 item.literals)
 
 
 def _concrete(data: ColumnData) -> ColumnData:

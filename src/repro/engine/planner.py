@@ -21,7 +21,7 @@ returned as residual filters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from repro.engine import groupingsets
 from repro.engine.binder import Binder, BoundExpr
@@ -80,7 +80,8 @@ class SelectPlan:
 
     ``matview`` set means the whole statement is answered from that
     materialized view and nothing else applies.  ``items`` is the
-    select list with ``*`` expanded, as ``(output name, expression)``;
+    select list with ``*`` expanded, as ``(output name, expression)``
+    -- a cell family as ``(its cells' names, family)``;
     ``mode`` is ``projection``, ``aggregate`` (``group_by`` holds the
     resolved keys) or ``grouping-sets`` (``grouping_sets`` holds the
     expanded sets).  DISTINCT / ORDER BY / LIMIT are read off
@@ -109,7 +110,9 @@ class SelectPlan:
     def columns(self) -> tuple[str, ...]:
         if self.matview is not None:
             return tuple(self.matview.result.column_names())
-        return tuple(name for name, _ in self.items)
+        return tuple(name for names, item in self.items
+                     for name in (names if isinstance(
+                         item, ast.CellFamily) else (names,)))
 
     def sources(self) -> list[PlannedSource]:
         if self.from_plan is None:
@@ -127,7 +130,8 @@ def plan_select(select: ast.Select, catalog, use_views: bool = True
         if mv is not None:
             return SelectPlan(select, matview=mv)
     binder = Binder()
-    bound = [binder.bind(item.expr) for item in select.items]
+    bound = [binder.bind_family(item) if isinstance(item, ast.CellFamily)
+             else binder.bind(item.expr) for item in select.items]
     having = binder.bind(select.having) \
         if select.having is not None else None
     plan = SelectPlan(select, mode=_mode(select, bound, having),
@@ -167,6 +171,9 @@ def _mode(select: ast.Select, bound: list[BoundExpr],
             "repro.core first (this engine plays the role of "
             "the standard-SQL DBMS in the paper's architecture)")
     if ast.has_grouping_sets(select):
+        if any(item.family is not None for item in bound):
+            raise PlanningError("a cell family cannot be grouped by "
+                                "CUBE/ROLLUP/GROUPING SETS")
         if any(shape.windowed for shape in shapes):
             raise PlanningError(
                 "window functions are not supported with "
@@ -183,6 +190,9 @@ def _mode(select: ast.Select, bound: list[BoundExpr],
     if select.group_by or having is not None \
             or any(shape.aggregate for shape in shapes):
         return "aggregate"
+    if any(item.family is not None for item in bound):
+        raise PlanningError("a cell family needs GROUP BY or an "
+                            "aggregate")
     return "projection"
 
 
@@ -255,20 +265,27 @@ def dedupe_names(names: list[str]) -> list[str]:
 
 
 def _select_items(select: ast.Select, plan: SelectPlan
-                  ) -> tuple[list[tuple[str, ast.Expr]],
-                             dict[int, BoundExpr]]:
-    """The select list as ``(output name, expression)``, ``*`` expanded
-    to qualified column references over the planned sources, and the
+                  ) -> tuple[list[tuple], dict[int, BoundExpr]]:
+    """The select list as ``(output name, expression)`` -- a cell
+    family as ``(its cells' names, family)`` --, ``*`` expanded to
+    qualified column references over the planned sources, and the
     records of the items in it that call a window function, by
     position."""
     sources = plan.sources()
-    named: list[tuple[str, ast.Expr]] = []
+    named: list[tuple[list[str], Any]] = []
     windowed = {}
+    position = 0   # among the items the families stand for
     for i, item in enumerate(select.items):
+        if isinstance(item, ast.CellFamily):
+            named.append(([f"col{position + j + 1}"
+                           for j in range(len(item))], item))
+            position += len(item)
+            continue
+        position += 1
         if not isinstance(item.expr, ast.Star):
             if plan.bound[i].shape.windowed:
                 windowed[len(named)] = plan.bound[i]
-            named.append((output_name(item, i), item.expr))
+            named.append(([output_name(item, position - 1)], item.expr))
             continue
         if plan.mode != "projection":
             raise PlanningError("'*' cannot appear in an aggregate "
@@ -281,11 +298,13 @@ def _select_items(select: ast.Select, plan: SelectPlan
         if not chosen:
             raise PlanningError(f"unknown table {star.table!r} in "
                                 f"'{star.table}.*'")
-        named.extend((column, ast.ColumnRef(column, s.binding))
+        named.extend(([column], ast.ColumnRef(column, s.binding))
                      for s in chosen for column in s.columns)
-    names = dedupe_names([name for name, _ in named])
-    return ([(name, expr) for name, (_, expr) in zip(names, named)],
-            windowed)
+    names = iter(dedupe_names([name for names, _ in named
+                               for name in names]))
+    return ([([next(names) for _ in names_], expr)
+             if isinstance(expr, ast.CellFamily) else (next(names), expr)
+             for names_, expr in named], windowed)
 
 
 def _resolve_group_expr(expr: ast.Expr, select: ast.Select) -> ast.Expr:
@@ -293,10 +312,11 @@ def _resolve_group_expr(expr: ast.Expr, select: ast.Select) -> ast.Expr:
     applied inside CUBE/ROLLUP/GROUPING SETS elements)."""
     if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
         position = expr.value
-        if not 1 <= position <= len(select.items):
+        items = ast.expand_families(select).items
+        if not 1 <= position <= len(items):
             raise PlanningError(
                 f"GROUP BY position {position} is out of range")
-        target = select.items[position - 1].expr
+        target = items[position - 1].expr
         if ast.contains_aggregate(target):
             raise PlanningError(
                 f"GROUP BY position {position} refers to an "

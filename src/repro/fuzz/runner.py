@@ -69,7 +69,7 @@ from repro.fuzz.oracle import (SqliteOracle, supports_update_from,
 from repro.fuzz.variants import LeakError, Variant, open_variant
 from repro.obs.tracer import audit_statement_span, validate_span_tree
 from repro.olap.windowgen import generate_olap_percentage_query
-from repro.sql.ast import typed
+from repro.sql.ast import expand_families, typed
 from repro.sql.parser import parse_statement
 
 #: plan steps the oracle replay skips: DISCOVER/MATERIALIZE already ran
@@ -253,15 +253,17 @@ class PrinterMismatch(Exception):
 def _replay_rows(case: FuzzCase, strategy) -> list:
     """Generate a plan against the engine, execute it in sqlite.  The
     engine runs the plan's trees and sqlite their printed text, so
-    each replayed text must first parse back to its tree (typed);
-    a slip raises :class:`PrinterMismatch`."""
+    each replayed text must first parse back to its tree (typed, cell
+    families expanded into their items); a slip raises
+    :class:`PrinterMismatch`."""
     with open_variant(case, Variant()) as db:
         plan = generate_plan(db, case.query_sql(), strategy)
     replayed = [(step.sql, step.statement) for step in plan.steps
                 if step.purpose not in _REPLAY_SKIP]
     replayed.append((plan.result_select, plan.result_statement))
     for text, statement in replayed:
-        if typed(parse_statement(text)) != typed(statement):
+        if typed(parse_statement(text)) \
+                != typed(expand_families(statement)):
             raise PrinterMismatch(f"text does not parse to its tree: "
                                   f"{text}")
     statements = [text for text, _ in replayed[:-1]]

@@ -24,7 +24,7 @@ of a code generator in front of a standard-SQL DBMS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Optional, Union
 
 
@@ -289,8 +289,58 @@ class OrderItem:
 
 
 @dataclass(frozen=True, slots=True)
+class CellMatch(Expr):
+    """Where a :class:`CellFamily` template puts each cell's match
+    (use the one instance, :data:`MATCH`)."""
+
+
+MATCH = CellMatch()
+
+
+@dataclass(frozen=True, slots=True)
+class CellFamily:
+    """A run of select items that differ only in one condition: item
+    ``i`` is ``template`` with every :data:`MATCH` replaced by
+    ``by[0] = values[i][0] AND ... AND by[-1] = values[i][-1]`` (``IS
+    NULL`` for a NULL value), unaliased.
+
+    The code generator writes the result columns of one Hpct/Hagg term
+    (Section 3.2 of the paper) as one family instead of N trees, and
+    the engine binds, aggregates and projects it as one block.  The
+    formatter prints the N items; the parser never produces a family
+    (:func:`expand_families` turns one into its items)."""
+
+    template: Expr
+    by: tuple[ColumnRef, ...]
+    values: tuple[tuple, ...]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def match(self, i: int) -> Expr:
+        """Cell ``i``'s condition: one conjunct per BY column,
+        left-deep, as the parser reads ``a AND b AND c``."""
+        match: Optional[Expr] = None
+        for ref, value in zip(self.by, self.values[i]):
+            test = IsNull(ref) if value is None \
+                else BinaryOp("=", ref, Literal(value))
+            match = test if match is None else BinaryOp("AND", match, test)
+        return match
+
+    def cell(self, i: int) -> Expr:
+        """Cell ``i``'s select expression."""
+        return with_match(self.template, self.match(i))
+
+    def items(self) -> tuple[SelectItem, ...]:
+        return tuple(SelectItem(self.cell(i)) for i in range(len(self)))
+
+
+@dataclass(frozen=True, slots=True)
 class Select(Statement):
-    items: tuple[SelectItem, ...]
+    """``items`` are :class:`SelectItem` s, and -- in generated
+    statements only -- :class:`CellFamily` runs of them."""
+
+    items: tuple[Union[SelectItem, CellFamily], ...]
     from_: Optional[FromClause] = None
     where: Optional[Expr] = None
     group_by: tuple[Expr, ...] = ()
@@ -490,6 +540,79 @@ def contains_extended(expr: Expr) -> bool:
 def column_refs(expr: Expr) -> list[ColumnRef]:
     """Every column reference inside ``expr``, in walk order."""
     return [node for node in walk(expr) if isinstance(node, ColumnRef)]
+
+
+def with_match(expr: Expr, match: Expr) -> Expr:
+    """``expr`` with every :data:`MATCH` in it replaced by ``match``;
+    the subtrees without one are shared, not copied."""
+    kind = type(expr)
+    if expr is MATCH:
+        return match
+    if kind is Literal or kind is ColumnRef or kind is Star:
+        return expr
+    if kind is BinaryOp:
+        left = with_match(expr.left, match)
+        right = with_match(expr.right, match)
+        if left is expr.left and right is expr.right:
+            return expr
+        return BinaryOp(expr.op, left, right)
+    if kind is CaseWhen:
+        whens = tuple((with_match(c, match), with_match(r, match))
+                      for c, r in expr.whens)
+        else_ = expr.else_ if expr.else_ is None \
+            else with_match(expr.else_, match)
+        return CaseWhen(whens, else_)
+    if kind is FuncCall:
+        args = tuple(with_match(arg, match) for arg in expr.args)
+        default = expr.default if expr.default is None \
+            else with_match(expr.default, match)
+        over = expr.over if expr.over is None else WindowSpec(tuple(
+            with_match(e, match) for e in expr.over.partition_by))
+        return FuncCall(expr.name, args, expr.distinct, expr.by_columns,
+                        default, over)
+    if kind is UnaryOp:
+        return UnaryOp(expr.op, with_match(expr.operand, match))
+    if kind is IsNull:
+        return IsNull(with_match(expr.operand, match), expr.negated)
+    if kind is Cast:
+        return Cast(with_match(expr.operand, match), expr.type_name)
+    if kind is InList:
+        return InList(with_match(expr.operand, match),
+                      tuple(with_match(i, match) for i in expr.items),
+                      expr.negated)
+    return expr
+
+
+def expand_families(node):
+    """``node`` -- a statement, a FROM clause or anything below -- with
+    every :class:`CellFamily` of every SELECT in it replaced by the
+    select items it stands for: the tree the parser reads back from the
+    formatter's text.  Pure; the nodes without a family are returned
+    as they are."""
+    if isinstance(node, CellFamily):
+        return node.items()
+    if isinstance(node, Expr) or not is_dataclass(node):
+        return node
+    changes = {}
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if isinstance(node, Select) and f.name == "items":
+            new = tuple(expanded for item in value
+                        for expanded in (item.items()
+                                         if isinstance(item, CellFamily)
+                                         else (item,)))
+            if len(new) == len(value) \
+                    and all(a is b for a, b in zip(new, value)):
+                new = value
+        elif isinstance(value, tuple):
+            new = tuple(expand_families(item) for item in value)
+            if all(a is b for a, b in zip(new, value)):
+                new = value
+        else:
+            new = expand_families(value)
+        if new is not value:
+            changes[f.name] = new
+    return replace(node, **changes) if changes else node
 
 
 def typed(node):

@@ -3,7 +3,9 @@
 Plans hand the engine statement trees; ``step.sql`` and
 ``plan.result_select`` are the formatter's rendering of them, printed
 only when read.  For every paper query shape and every strategy the
-text must parse back to the very tree -- compared *typed*, because
+text must parse back to the very tree -- with each cell family the
+generator wrote expanded into the select items it stands for (the
+parser never produces one) -- compared *typed*, because
 dataclass equality takes ``Literal(1)``, ``Literal(1.0)``,
 ``Literal(True)`` and ``Literal(np.int64(1))`` for one another -- and
 an untraced query must neither lex its plan nor print it: only its
@@ -25,7 +27,7 @@ from repro.core.execute import (cleanup_plan, generate_plan,
 from repro.datagen import (load_census, load_employee, load_sales,
                            load_transaction_line)
 from repro.sql import ast, formatter, tokens
-from repro.sql.ast import typed
+from repro.sql.ast import expand_families, typed
 from repro.sql.parser import parse_statement
 
 
@@ -71,9 +73,9 @@ def test_printed_text_parses_to_the_tree(paper_db, sql, strategy):
     try:
         for step in plan.steps:
             assert typed(parse_statement(step.sql)) == \
-                typed(step.statement), step.sql
+                typed(expand_families(step.statement)), step.sql
         assert typed(parse_statement(plan.result_select)) == \
-            typed(plan.result_statement)
+            typed(expand_families(plan.result_statement))
     finally:
         cleanup_plan(paper_db, plan)
 

@@ -1,11 +1,12 @@
-"""A generated Hpct statement costs analysis per shape, not per cell.
+"""A generated Hpct statement costs analysis per family, not per cell.
 
-The transpose INSERT of an Hpct plan has one select item per result
-cell, all of two or three shapes.  Spies count what the binder and its
-readers do for it: each item is descended once, each call template of
-a pivot family is analysed once, each shape is compiled once, and the
-code generator sanitizes each distinct BY value once -- the same counts
-for 4 x 6 cells as for 8 x 12.
+The transpose INSERT of an Hpct plan prints one select item per result
+cell, but holds them as one cell family.  Spies count what the binder
+and its readers do for it: the family's template is descended once
+(and no cell at all), each call template of a pivot family is analysed
+once, each shape is compiled once, and the code generator sanitizes
+each distinct BY value once -- the same counts for 4 x 6 cells as for
+8 x 12.
 """
 
 import pytest
@@ -62,10 +63,14 @@ def _transpose_counts(monkeypatch, n_d1: int, n_d2: int, source: str):
         cleanup_plan(db, plan)
     # The cells: the one other item, ``g``, is also the GROUP BY key
     # (one node in both places), which the rewrite binds as well.
-    cells = [item.expr for item in transpose.statement.select.items
-             if not isinstance(item.expr, ast.ColumnRef)]
-    per_cell = [sum(root is expr for root in descended) for expr in cells]
-    return {"cells": len(cells), "descents": set(per_cell),
+    family, = [item for item in transpose.statement.select.items
+               if isinstance(item, ast.CellFamily)]
+    cells = [expr for expr in descended
+             if any(expr == cell.expr for cell in family.items())]
+    return {"cells": len(family), "descents": len(descended),
+            "family_descents": sum(root is family.template
+                                   for root in descended),
+            "cell_descents": len(cells),
             "patterns": len(patterns), "programs": len(programs),
             "sanitized": len(sanitized)}
 
@@ -76,8 +81,11 @@ def test_analysis_is_per_shape_not_per_cell(monkeypatch, source):
     wide = _transpose_counts(monkeypatch, 8, 12, source)
     for counts, cells in ((small, 4 * 6), (wide, 8 * 12)):
         assert counts["cells"] == cells
-        # Each cell of the transpose is descended exactly once.
-        assert counts["descents"] == {1}
+        # The family is descended once, as one template; no cell is.
+        assert counts["family_descents"] == 1
+        assert counts["cell_descents"] == 0
+    # So the plan's descents do not grow with its cells.
+    assert wide["descents"] == small["descents"]
     # One BY value, one sanitize: 4 + 6 and 8 + 12 distinct values.
     assert small["sanitized"] == 4 + 6
     assert wide["sanitized"] == 8 + 12

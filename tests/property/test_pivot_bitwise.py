@@ -25,6 +25,8 @@ from hypothesis import strategies as st
 from repro import Database
 from repro.errors import ReproError
 
+IS_NULL = "IS NULL"
+
 SCHEMA = [("g", "int"), ("d1", "int"), ("d2", "varchar"),
           ("d3", "real"), ("a", "real"), ("m", "int")]
 
@@ -45,14 +47,22 @@ ROWS = st.lists(
     max_size=30)
 
 #: Literal SQL per pivot column: values that occur, one that matches
-#: no row, a numeric literal of the other numeric type, and a
-#: literal of a type the column cannot be compared with.
+#: no row, a numeric literal of the other numeric type, a literal of a
+#: type the column cannot be compared with, and ``IS NULL`` in place
+#: of ``= literal``.
 LITERALS = {
     "d1": st.sampled_from(["0", "1", "1", "2", "9", "1.0", "'x'",
-                           "TRUE"]),
-    "d2": st.sampled_from(["''", "'x'", "'x'", "'y'", "'q'", "1"]),
-    "d3": st.sampled_from(["0", "0.0", "1.5", "1.5", "2", "7.5", "'x'"]),
+                           "TRUE", IS_NULL]),
+    "d2": st.sampled_from(["''", "'x'", "'x'", "'y'", "'q'", "1",
+                           IS_NULL]),
+    "d3": st.sampled_from(["0", "0.0", "1.5", "1.5", "2", "7.5", "'x'",
+                           IS_NULL]),
 }
+
+
+def conjunct(column, literal):
+    return f"{column} IS NULL" if literal is IS_NULL \
+        else f"{column} = {literal}"
 
 
 PIVOTS = st.sampled_from([("d1",), ("d2",), ("d3",), ("d1", "d2"),
@@ -77,7 +87,7 @@ def select_lists(draw):
         pivots, measure = draw(PIVOTS), draw(MEASURES)
         for _ in range(draw(st.integers(1, 4))):
             condition = " AND ".join(
-                f"{column} = {draw(LITERALS[column])}"
+                conjunct(column, draw(LITERALS[column]))
                 for column in pivots)
             sqls.append(f"{draw(FUNCS)}(CASE WHEN {condition} "
                         f"THEN {measure}{draw(ELSES)} END)")
@@ -148,6 +158,13 @@ def assert_alone_equals_together(rows, item_sqls, where, group_by):
 @example([(1, None, "x", None, 1.5, None)],
          (["sum(CASE WHEN d1 = 0 AND d2 = 'x' THEN a END)",
            "sum(CASE WHEN d1 = 1 AND d2 = 'x' THEN a END)"], "", ""))
+# A NULL pivot value is the cell ``IS NULL`` asks for, next to ``=``.
+@example([(1, None, "x", None, 1.5, None), (1, 0, None, 2.0, 0.1, 4),
+          (2, None, None, 1.5, 0.2, 7)],
+         (["sum(CASE WHEN d1 IS NULL AND d2 = 'x' THEN a END)",
+           "sum(CASE WHEN d1 IS NULL AND d2 IS NULL THEN a END)",
+           "count(CASE WHEN d1 = 0 AND d2 IS NULL THEN m END)"],
+          " GROUP BY g", ""))
 # The empty input's one group has no row to add ELSE 0's zero.
 @example([], (["sum(CASE WHEN d1 = 0 THEN a END)",
                "sum(CASE WHEN d1 = 0 THEN a ELSE 0 END)"], "", ""))
@@ -202,7 +219,7 @@ def cell_lists(draw):
         func, default = draw(FUNCS), draw(DEFAULTS)
         for _ in range(draw(st.integers(1, 4))):
             condition = " AND ".join(
-                f"{column} = {draw(LITERALS[column])}"
+                conjunct(column, draw(LITERALS[column]))
                 for column in pivots)
             if condition not in conditions:
                 conditions.add(condition)
