@@ -306,15 +306,19 @@ transactionLine n={args.tl:,} and {2 * args.tl:,} (A3 adds
 {args.tl // 2:,}), census n={args.census:,}; the paper used
 1M / 10M / 1M+2M / 200k on an 800 MHz Teradata node).
 
-**How to read these tables.** Absolute seconds are not comparable to
-the paper's (different hardware, disk-based DBMS vs in-memory columnar
-engine); what should match -- and does, see the per-table notes in
-README/DESIGN -- is the *shape*: which strategy wins each row, and how
-the logical-I/O factors line up with the paper's wall-clock factors.
-The engine's logical-I/O counter (rows read + rows written +
-2 x rows updated) restores the cost asymmetries that RAM hides:
-UPDATE write-amplification, the SPJ strategy's N extra scans, and the
-OLAP window spools.
+**How to read these tables.** Each wall-time cell is the median of
+{args.runs} timed runs after one untimed run (warm encoding memos),
+with the interquartile range of those runs in parentheses; every run
+of a cell books the same logical I/O, or the cell is refused.
+Absolute seconds are not comparable to the paper's (different
+hardware, disk-based DBMS vs in-memory columnar engine); what should
+match -- and does, see the per-table notes in README/DESIGN -- is the
+*shape*: which strategy wins each row, and how the logical-I/O
+factors line up with the paper's wall-clock factors. The engine's
+logical-I/O counter (rows read + rows written + 2 x rows updated)
+restores the cost asymmetries that RAM hides: UPDATE
+write-amplification, the SPJ strategy's N extra scans, and the OLAP
+window spools.
 
 The CASE columns of Table 5 and DMKD Table 3 are computed by the pivot
 kernel -- one pass per `agg(CASE WHEN d = v THEN a END)` family,

@@ -24,6 +24,11 @@ The BY-combination discovery ("there must be a feedback process to
 produce the table definition") runs against the database at generation
 time; the discovery SELECTs are recorded as DISCOVER steps that the
 runner does not re-execute.
+
+A term's result columns differ only in their combination's match, so
+the transpose holds them as one :class:`~repro.sql.ast.CellFamily` --
+one template, the BY columns, the discovered values -- which prints as
+the N CASE items and which the engine evaluates as one block.
 """
 
 from __future__ import annotations
@@ -175,11 +180,10 @@ def cells(term: model.AggregateTerm, combos: list[tuple],
           label: str) -> Iterator[tuple[str, ast.Expr]]:
     """``(result column name, Dh = vh AND ... AND Dk = vk)`` per BY
     combination of ``term`` (IS NULL for a NULL value)."""
-    family = ast.CellFamily(ast.MATCH, cols(term.by_columns),
-                            tuple(combos))
+    refs = cols(term.by_columns)
     names = cell_names(term, combos, naming, max_length, used, label)
-    for i, name in enumerate(names):
-        yield name, family.match(i)
+    for name, values in zip(names, combos):
+        yield name, ast.cell_match(refs, values)
 
 
 def _family(term: model.AggregateTerm, combos: list[tuple],

@@ -152,9 +152,7 @@ class Binder:
             tokens: list = []
             _flatten(expr, tokens, columns, literals, calls)
             key = tuple(tokens)
-        shape = self.shapes.get(key)
-        if shape is None:
-            shape = self.shapes[key] = Shape(_nest(iter(key)))
+        shape = self._shape(key)
         if shape.matched:
             raise PlanningError("a cell match outside a cell family")
         return BoundExpr(self, shape, c0, l0, f0)
@@ -167,11 +165,15 @@ class Binder:
         c0, l0, f0 = len(columns), len(literals), len(calls)
         tokens: list = []
         _flatten(family.template, tokens, columns, literals, calls)
-        key = tuple(tokens)
+        return BoundExpr(self, self._shape(tuple(tokens)), c0, l0, f0,
+                         family)
+
+    def _shape(self, key: tuple) -> Shape:
+        """The one shape of a pre-order token stream."""
         shape = self.shapes.get(key)
         if shape is None:
             shape = self.shapes[key] = Shape(_nest(iter(key)))
-        return BoundExpr(self, shape, c0, l0, f0, family)
+        return shape
 
 
 #: One head object per binary operator: a cell's template repeats
@@ -603,7 +605,7 @@ class GroupRewrite:
             else:
                 # The BY columns resolve where a cell's match stands in
                 # reading order.
-                at = _columns_before(shape.template, MATCH)
+                at = _columns_before_match(shape.template)
                 at = len(columns) if at is None else at
                 data = list(map(resolve, columns[:at]))
                 by_data = list(map(resolve, family.by))
@@ -759,8 +761,7 @@ class GroupRewrite:
                 self.call_templates.append(template)
             matched = self._matched.get(template)
             if matched is None:
-                matched = self._matched[template] = \
-                    _columns_before(template, MATCH) is not None
+                matched = self._matched[template] = holds_match(template)
             if matched and registry is not self.aggs:
                 raise PlanningError(
                     "a cell match must sit inside an aggregate call")
@@ -829,14 +830,19 @@ class GroupRewrite:
         return found
 
 
-def _columns_before(template: Any, leaf: str) -> Optional[int]:
-    """How many columns ``template`` spans before its first ``leaf``,
-    in reading order; None when it holds none."""
+def holds_match(template: Any) -> bool:
+    """Whether ``template`` holds a cell family's match."""
+    return _columns_before_match(template) is not None
+
+
+def _columns_before_match(template: Any) -> Optional[int]:
+    """How many columns ``template`` spans before its first
+    :data:`MATCH`, in reading order; None when it holds none."""
     count = 0
     stack = [template]
     while stack:
         node = stack.pop()
-        if node is leaf:
+        if node is MATCH:
             return count
         if node is COLUMN:
             count += 1

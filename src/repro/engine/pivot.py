@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.engine import faults
 from repro.engine.binder import (COLUMN, LITERAL, MATCH, CallSlots,
-                                 CellBlock, children, sizes)
+                                 CellBlock, children, holds_match, sizes)
 from repro.engine.column import ColumnData
 from repro.engine.expressions import Frame, comparable_types, evaluate
 from repro.engine.groupby import (EncodedColumn, encode_column,
@@ -341,7 +341,7 @@ def _pattern(call: Any) -> Optional[_Pattern]:
             or case[0] != "case" or case[1] != 1:
         return None
     condition, result = case[3], case[4]
-    if _holds_match(result):
+    if holds_match(result):
         return None
     if result is not COLUMN and result is not LITERAL \
             and _calls_case(result):
@@ -374,14 +374,6 @@ def _pattern(call: Any) -> Optional[_Pattern]:
     return _Pattern(name, tuple(conjuncts), else_literal,
                     (result, at[0], at[0] + n_columns, at[1],
                      at[1] + n_literals), cells)
-
-
-def _holds_match(template: Any) -> bool:
-    if template is MATCH:
-        return True
-    if template is COLUMN or template is LITERAL:
-        return False
-    return any(_holds_match(child) for child in children(template))
 
 
 def _split_conjuncts(template: Any) -> list:

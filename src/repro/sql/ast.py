@@ -297,6 +297,18 @@ class CellMatch(Expr):
 MATCH = CellMatch()
 
 
+def cell_match(by: tuple[ColumnRef, ...], values: tuple) -> Expr:
+    """``by[0] = values[0] AND ...`` (``IS NULL`` for a NULL value):
+    one conjunct per BY column, left-deep, as the parser reads ``a AND
+    b AND c``."""
+    match: Optional[Expr] = None
+    for ref, value in zip(by, values):
+        test = IsNull(ref) if value is None \
+            else BinaryOp("=", ref, Literal(value))
+        match = test if match is None else BinaryOp("AND", match, test)
+    return match
+
+
 @dataclass(frozen=True, slots=True)
 class CellFamily:
     """A run of select items that differ only in one condition: item
@@ -318,14 +330,8 @@ class CellFamily:
         return len(self.values)
 
     def match(self, i: int) -> Expr:
-        """Cell ``i``'s condition: one conjunct per BY column,
-        left-deep, as the parser reads ``a AND b AND c``."""
-        match: Optional[Expr] = None
-        for ref, value in zip(self.by, self.values[i]):
-            test = IsNull(ref) if value is None \
-                else BinaryOp("=", ref, Literal(value))
-            match = test if match is None else BinaryOp("AND", match, test)
-        return match
+        """Cell ``i``'s condition."""
+        return cell_match(self.by, self.values[i])
 
     def cell(self, i: int) -> Expr:
         """Cell ``i``'s select expression."""
@@ -543,19 +549,16 @@ def column_refs(expr: Expr) -> list[ColumnRef]:
 
 
 def with_match(expr: Expr, match: Expr) -> Expr:
-    """``expr`` with every :data:`MATCH` in it replaced by ``match``;
-    the subtrees without one are shared, not copied."""
+    """``expr`` with every :data:`MATCH` in it replaced by ``match``
+    (its leaves shared, not copied)."""
     kind = type(expr)
     if expr is MATCH:
         return match
     if kind is Literal or kind is ColumnRef or kind is Star:
         return expr
     if kind is BinaryOp:
-        left = with_match(expr.left, match)
-        right = with_match(expr.right, match)
-        if left is expr.left and right is expr.right:
-            return expr
-        return BinaryOp(expr.op, left, right)
+        return BinaryOp(expr.op, with_match(expr.left, match),
+                        with_match(expr.right, match))
     if kind is CaseWhen:
         whens = tuple((with_match(c, match), with_match(r, match))
                       for c, r in expr.whens)
@@ -589,8 +592,6 @@ def expand_families(node):
     select items it stands for: the tree the parser reads back from the
     formatter's text.  Pure; the nodes without a family are returned
     as they are."""
-    if isinstance(node, CellFamily):
-        return node.items()
     if isinstance(node, Expr) or not is_dataclass(node):
         return node
     changes = {}

@@ -328,20 +328,33 @@ def test_family_cut_across_partitions_runs_as_its_cells(sql, strategy):
         whole, sql, strategy))[:2]
 
 
-@pytest.mark.parametrize("max_columns", [None, 8])
-def test_two_families_share_their_common_cells(max_columns):
+SHARING = "SELECT g, Hpct(a BY d), sum(a BY d), count(a BY d) " \
+          "FROM n GROUP BY g"
+
+
+@pytest.mark.parametrize("sql, max_columns, first", [
+    # The total, 5 guards, 5 shared cell sums and 5 counts.
+    (SHARING, None, 16),
+    # At eight columns a table the first partition holds all five Hpct
+    # cells and the first two of the sum's, which share two cells and
+    # no more: the total, 5 guards, 5 cell sums.
+    (SHARING, 8, 11),
+    # At seven, the second partition holds Hpct's last cell and all
+    # five of the sum's: one shared, four of the sum's own.
+    ("SELECT g, sum(a), count(a), Hpct(a BY d), sum(a BY d) FROM n "
+     "GROUP BY g", 7, None),
+    # The same, for cells the generic evaluator computes.
+    ("SELECT g, sum(a), count(a), stdev(a BY d), stdev(a BY d) FROM n "
+     "GROUP BY g", 7, None),
+])
+def test_two_families_share_their_common_cells(sql, max_columns, first):
     """An Hpct and a sum over the same BY columns ask for the same
     ``sum(CASE WHEN match THEN a END)`` per cell, an Hpct and a count
     for the same match guard: one aggregate each, charged once -- as
-    the expanded statement binds it once.  At eight columns a table
-    the first partition holds all five Hpct cells and the first two of
-    the sum's, which share two cells and no more."""
+    the expanded statement binds it once."""
     kwargs = {} if max_columns is None else {"max_columns": max_columns}
     db = _narrow(tracing=True, **kwargs)
-    sql = "SELECT g, Hpct(a BY d), sum(a BY d), count(a BY d) " \
-          "FROM n GROUP BY g"
-    plan, _ = _family_against_cells(db, sql,
-                                    HorizontalStrategy(source="F"))
+    _family_against_cells(db, sql, HorizontalStrategy(source="F"))
     stamps = [span.attrs for root in db.tracer.roots()
               for step in root.find("plan-step")
               if step.attrs["purpose"] == plan_mod.TRANSPOSE
@@ -349,12 +362,8 @@ def test_two_families_share_their_common_cells(max_columns):
     half = len(stamps) // 2
     assert [(s["aggregates"], s["families"]) for s in stamps[:half]] \
         == [(s["aggregates"], s["families"]) for s in stamps[half:]]
-    if max_columns is None:
-        # The total, 5 guards, 5 shared cell sums and 5 counts.
-        assert stamps[0]["aggregates"] == 16
-    else:
-        # The total, 5 guards, 5 cell sums, 2 of them shared.
-        assert stamps[0]["aggregates"] == 11
+    if first is not None:
+        assert stamps[0]["aggregates"] == first
 
 
 # ----------------------------------------------------------------------
