@@ -28,7 +28,7 @@ from repro.core.execute import (cleanup_plan, execute_plan,
                                 generate_plan)
 from repro.core import plan as plan_mod
 from repro.core.plan import GeneratedPlan, GeneratedStep
-from repro.errors import PlanningError
+from repro.errors import PlanningError, ReproError, TypeMismatchError
 from repro.sql import ast, formatter
 from repro.sql.ast import expand_families, typed
 from repro.sql.parser import parse_statement
@@ -364,6 +364,36 @@ def test_two_families_share_their_common_cells(sql, max_columns, first):
         == [(s["aggregates"], s["families"]) for s in stamps[half:]]
     if first is not None:
         assert stamps[0]["aggregates"] == first
+
+
+def test_a_failing_family_raises_and_charges_as_its_first_cell():
+    """The cells are one tree over leaves of one type, so the family
+    fails where its first cell would: same error, and the ledger
+    charged as the items one by one charge it up to the error -- the
+    item before the family, then the first cell's CASE."""
+    guard = ast.BinaryOp(">", _sum(_case(ast.MATCH, ONE, ZERO)), ZERO)
+    family = ast.CellFamily(
+        ast.FuncCall("coalesce", (_case(guard, ast.FuncCall(
+            "count", (_case(ast.MATCH, _A),))), ast.Literal("x"))),
+        (_D,), (("p",), ("q'r",), (None,)))
+    select = ast.Select(
+        (ast.SelectItem(ast.ColumnRef("g")),
+         ast.SelectItem(_case(ast.BinaryOp(">", _sum(_A), ZERO), ONE)),
+         family),
+        ast.FromClause(ast.TableRef("n")),
+        group_by=(ast.ColumnRef("g"),))
+    outcomes = []
+    for statement in (select, expand_families(select)):
+        db = _narrow()
+        with pytest.raises(ReproError) as raised:
+            db.execute_statement(statement)
+        outcomes.append((type(raised.value), str(raised.value),
+                         db.stats.case_evaluations))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] is TypeMismatchError
+    # The aggregates' two CASEs per cell over 40 rows, then over three
+    # groups the CASE before the family and the first cell's.
+    assert outcomes[0][2] == 2 * 3 * 40 + 3 + 3
 
 
 # ----------------------------------------------------------------------
