@@ -1,12 +1,14 @@
 """The select-list binder: one descent per select item, one analysis
 per item shape.
 
-A generated Hpct statement has one select item per result cell (1,201
-on the benchmark's ``hpct_wide``, 10,001 on Table 5's widest row), and
-every item is the same tree over different columns and literals.  So
-the planner descends each select item (and HAVING) exactly once, in
-:meth:`Binder.bind`, and every later consumer reads the resulting
-:class:`BoundExpr` instead of walking the tree again:
+A wide select list repeats a few trees over different columns and
+literals.  So the planner descends each select item (and HAVING)
+exactly once, in :meth:`Binder.bind`, and every later consumer reads
+the resulting :class:`BoundExpr` instead of walking the tree again.
+A generated Hpct statement's cells (1,201 on the benchmark's
+``hpct_wide``, 10,001 on Table 5's widest row) come as one
+:class:`~repro.sql.ast.CellFamily` per term, descended once for all
+its cells (:meth:`Binder.bind_family`):
 
 - the **template**: the tree with every column reference a ``COLUMN``
   leaf and every literal a ``LITERAL`` leaf, each other node ``(tag,
@@ -25,8 +27,10 @@ slice is an aggregate call, this literal stays -- and runs it over
 each item's vectors; an aggregate call is deduplicated by its call
 template, its literals (by value *and* type: ``0``, ``0.0``, ``FALSE``
 and ``NULL`` are four keys) and the identities of the arrays its
-columns resolve to, so ``f.d``, ``d`` and ``D`` are one column.  The
-pivot kernel reads its terms off the same records
+columns resolve to, so ``f.d``, ``d`` and ``D`` are one column.  A
+cell family's calls that hold its match are bound as one
+:class:`CellBlock` each, for all its cells.  The pivot kernel reads
+its terms off the same records
 (:func:`repro.engine.pivot.detect_families`).  docs/engine_internals.md,
 "Select-list evaluation", has the whole design.
 """

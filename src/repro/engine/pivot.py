@@ -12,13 +12,16 @@ result column -- and propose reducing the per-row cost from ``O(N)`` to
 ``O(1)`` "using a hash table that maps one conjunction to one result
 column" (DMKD Section 3.5).
 
-This module is how the engine *computes* every such family: the input
-is factorized once over (group keys x pivot columns) -- a vectorized
-stand-in for the per-row hash probe -- each cell is aggregated once,
-and the cells are scattered into the per-term result columns.  The
-ledger still *charges* the ``N`` WHEN tests per row the period DBMS
-performed (DESIGN.md section 5, "Period-faithful cost choices") -- the
-number the generic evaluator
+This module is how the engine *computes* every such family -- the
+user-written terms of a statement and the cell blocks of its
+generated cell families (:class:`~repro.sql.ast.CellFamily`) alike:
+the input is factorized once over (group keys x pivot columns) -- a
+vectorized stand-in for the per-row hash probe -- each cell is
+aggregated once, and the cells are scattered into the per-term result
+columns, or kept as one groups x cells block per cell family
+(:class:`CellStore`).  The ledger still *charges* the ``N`` WHEN tests
+per row the period DBMS performed (DESIGN.md section 5,
+"Period-faithful cost choices") -- the number the generic evaluator
 (:func:`repro.engine.expressions._eval_case`) books for the same
 terms.  The proposed optimizer's one probe per row is not booked; it
 is read off a trace (ablation A1, DESIGN.md section 3).
