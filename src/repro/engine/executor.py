@@ -513,21 +513,19 @@ class Executor:
         k = len(item.family)
         if not k:
             return [], 0
-        stacked, expr = _family_input(n, slot_data, cells, item, k)
         tally = _Tally()
         try:
-            result = evaluate(expr, stacked, tally)
+            columns = _evaluate_stacked(
+                n, k, item, _family_leaves(slot_data, cells, item, k),
+                tally)
         except ReproError:
             if unbooked:
                 self.stats.add(case_evaluations=unbooked)
-            first, expr = _family_input(n, slot_data, cells, item, 1)
-            evaluate(expr, first, self.stats)
+            _evaluate_stacked(n, 1, item,
+                              _family_leaves(slot_data, cells, item, 1),
+                              self.stats)
             raise
-        values = result.values.reshape(k, n)
-        nulls = result.nulls.reshape(k, n)
-        return ([_concrete(ColumnData(result.sql_type, values[j],
-                                      nulls[j])) for j in range(k)],
-                tally.case_evaluations)
+        return columns, tally.case_evaluations
 
     def _window_binder(self, frame: Frame
                        ) -> Callable[[ast.FuncCall], ast.Expr]:
@@ -1129,51 +1127,54 @@ class _Tally:
         self.case_evaluations += case_evaluations
 
 
+def _evaluate_stacked(n: int, k: int, item: binder.Rewritten,
+                      leaves: list[ColumnData], ledger
+                      ) -> list[ColumnData]:
+    """``k`` items of ``item``'s shape evaluated as one: its template
+    with placeholder columns, over a frame of ``k * n`` rows whose
+    placeholder columns are ``leaves`` -- each the items' leaf columns
+    end to end.  Each item's column.  The same :func:`evaluate` runs,
+    lane for lane, on the same values and SQL types, so each slice is
+    bit for bit what the item evaluated alone returns."""
+    placeholders = [ast.ColumnRef(f"__s{slot}")
+                    for slot in range(len(leaves))]
+    stacked = Frame(n * k)
+    stacked.add_columns(
+        (placeholder.name, data)
+        for placeholder, data in zip(placeholders, leaves))
+    result = evaluate(binder.build(item.program.template, placeholders,
+                                   item.literals), stacked, ledger)
+    values = result.values.reshape(k, n)
+    nulls = result.nulls.reshape(k, n)
+    return [_concrete(ColumnData(result.sql_type, values[j], nulls[j]))
+            for j in range(k)]
+
+
 def _evaluate_stack(n: int, slot_data: list[ColumnData],
                     items: list[binder.Rewritten]
                     ) -> tuple[list[ColumnData], int]:
-    """Items of one shape evaluated as one: the template with
-    placeholder columns, over a frame whose placeholder columns are
-    every item's leaf columns end to end.  Each item's column, and what
-    one item charges the ledger.  The same :func:`evaluate` runs, lane
-    for lane, on the same values and SQL types, so each slice is bit
-    for bit what the item evaluated alone returns."""
+    """Items of one shape evaluated as one (:func:`_evaluate_stacked`
+    over each slot's group columns end to end): each item's column,
+    and what one item charges the ledger."""
     k, first = len(items), items[0]
-    placeholders = [ast.ColumnRef(f"__s{slot}")
-                    for slot in range(len(first.leaves))]
-    stacked = Frame(n * k)
-    stacked.add_columns(
-        (placeholder.name, ColumnData.concat(
-            [slot_data[item.leaves[slot]] for item in items]))
-        for slot, placeholder in enumerate(placeholders))
     tally = _Tally()
-    result = evaluate(binder.build(first.program.template, placeholders,
-                                   first.literals), stacked, tally)
-    columns = [_concrete(ColumnData(result.sql_type,
-                                    result.values[j * n:(j + 1) * n],
-                                    result.nulls[j * n:(j + 1) * n]))
-               for j in range(k)]
+    columns = _evaluate_stacked(
+        n, k, first,
+        [ColumnData.concat([slot_data[item.leaves[slot]]
+                            for item in items])
+         for slot in range(len(first.leaves))], tally)
     return columns, tally.case_evaluations // k
 
 
-def _family_input(n: int, slot_data: list[ColumnData],
-                  cells: pivot_mod.CellStore, item: binder.Rewritten,
-                  k: int) -> tuple[Frame, ast.Expr]:
-    """The first ``k`` cells of a family item stacked, as for
-    :func:`_evaluate_stack`: a frame of ``k * n`` rows whose
-    placeholder columns are the cells' leaves end to end -- a slot
-    repeated, a cell aggregate read off its block -- and the template
-    over them."""
-    placeholders = [ast.ColumnRef(f"__s{j}")
-                    for j in range(len(item.leaves))]
-    stacked = Frame(n * k)
-    stacked.add_columns(
-        (placeholder.name,
-         cells.take(leaf.numbers[:k]) if type(leaf) is binder.CellBlock
-         else ColumnData.concat([slot_data[leaf]] * k))
-        for placeholder, leaf in zip(placeholders, item.leaves))
-    return stacked, binder.build(item.program.template, placeholders,
-                                 item.literals)
+def _family_leaves(slot_data: list[ColumnData],
+                   cells: pivot_mod.CellStore, item: binder.Rewritten,
+                   k: int) -> list[ColumnData]:
+    """The leaf columns of a family item's first ``k`` cells, each
+    end to end as :func:`_evaluate_stacked` takes them: a slot
+    repeated, a cell aggregate read off its block."""
+    return [cells.take(leaf.numbers[:k]) if type(leaf) is binder.CellBlock
+            else ColumnData.concat([slot_data[leaf]] * k)
+            for leaf in item.leaves]
 
 
 def _concrete(data: ColumnData) -> ColumnData:

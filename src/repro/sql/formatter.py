@@ -113,39 +113,10 @@ def _format_select_item(item) -> str:
     return rendered
 
 
-#: What a cell family's template prints where its match goes: the
-#: slot's context -- ``full_parens``, and for an operand slot the
-#: binding power and parent operator :func:`_operand` was given --
-#: between two of these.
-_MARK = "\x00"
-
-
 def _format_family(family: ast.CellFamily) -> str:
-    """The items a family stands for, as their own trees print: the
-    template printed once, each cell's match printed into its slots.
-    A template whose own text holds the mark (a literal with a NUL in
-    it) prints each cell whole."""
-    pieces = format_expr(family.template).split(_MARK)
-    slots = [context.split(" ") for context in pieces[1::2]]
-    if len(slots) != sum(node is ast.MATCH
-                         for node in ast.walk(family.template)):
-        return ", ".join(format_expr(family.cell(i))
-                         for i in range(len(family)))
-    cells = []
-    for i in range(len(family)):
-        match = family.match(i)
-        printed: dict[str, str] = {}
-        text = pieces[0]
-        for context, slot, piece in zip(pieces[1::2], slots,
-                                        pieces[2::2]):
-            if context not in printed:
-                full_parens = slot[0] == "1"
-                printed[context] = format_expr(match, full_parens) \
-                    if len(slot) == 1 else \
-                    _operand(match, int(slot[1]), slot[2], full_parens)
-            text += printed[context] + piece
-        cells.append(text)
-    return ", ".join(cells)
+    """The items a family stands for, as their own trees print."""
+    return ", ".join(format_expr(family.cell(i))
+                     for i in range(len(family)))
 
 
 def _format_from(from_: ast.FromClause) -> str:
@@ -223,8 +194,6 @@ def format_expr(expr: ast.Expr, full_parens: bool = False) -> str:
     fp = full_parens
     if isinstance(expr, ast.Literal):
         return format_literal(expr.value)
-    if expr is ast.MATCH:
-        return f"{_MARK}{int(fp)}{_MARK}"
     if isinstance(expr, ast.ColumnRef):
         if expr.table:
             return f"{quote_ident(expr.table)}.{quote_ident(expr.name)}"
@@ -333,8 +302,6 @@ def _operand(expr: ast.Expr, minimum: int, parent: str,
     ``minimum``: parenthesized when it binds looser, and -- for the
     reader, not the parser -- when it is an AND inside an OR.  With
     ``full_parens``, parenthesized whenever it is compound."""
-    if expr is ast.MATCH:
-        return f"{_MARK}{int(full_parens)} {minimum} {parent}{_MARK}"
     text = format_expr(expr, full_parens)
     power = _power(expr)
     if power < minimum or (power == _AND and parent == "OR") \

@@ -53,13 +53,13 @@ class TestWorkloadSpecs:
 
     def test_every_spec_is_runnable(self, bench_db):
         result = run_hagg_experiment(bench_db, SPEC,
-                                     HorizontalStrategy(source="F"))
+                                     HorizontalStrategy(source="F"), runs=1)
         assert result.result_rows == 4
 
 
 class TestHarness:
     def test_vpct_experiment_fields(self, bench_db):
-        result = run_vpct_experiment(bench_db, SPEC)
+        result = run_vpct_experiment(bench_db, SPEC, runs=1)
         assert result.seconds > 0
         assert result.logical_io > 0
         assert result.statements > 0
@@ -67,29 +67,29 @@ class TestHarness:
         assert result.strategy.startswith("vertical")
 
     def test_hpct_experiment(self, bench_db):
-        result = run_hpct_experiment(bench_db, SPEC, name="hp")
+        result = run_hpct_experiment(bench_db, SPEC, name="hp", runs=1)
         assert result.strategy == "hp"
         assert result.result_columns == 8  # key + 7 days
 
     def test_spj_vs_case_logical_io_order(self, bench_db):
         spj = run_hagg_experiment(bench_db, SPEC,
-                                  HorizontalAggStrategy(source="F"))
+                                  HorizontalAggStrategy(source="F"), runs=1)
         case = run_hagg_experiment(bench_db, SPEC,
-                                   HorizontalStrategy(source="F"))
+                                   HorizontalStrategy(source="F"), runs=1)
         # The SPJ strategy scans F once per BY combination.
         assert spj.logical_io > 3 * case.logical_io
 
     def test_olap_experiment(self, bench_db):
-        result = run_olap_experiment(bench_db, SPEC)
+        result = run_olap_experiment(bench_db, SPEC, runs=1)
         assert result.result_rows == 28
         assert result.strategy == "OLAP extensions"
 
     def test_update_strategy_has_more_logical_io(self, bench_db):
         from repro.core import VerticalStrategy
         insert = run_vpct_experiment(bench_db, SPEC,
-                                     VerticalStrategy())
+                                     VerticalStrategy(), runs=1)
         update = run_vpct_experiment(bench_db, SPEC,
-                                     VerticalStrategy(use_update=True))
+                                     VerticalStrategy(use_update=True), runs=1)
         assert update.logical_io > insert.logical_io
 
 
@@ -97,8 +97,8 @@ class TestReport:
     @pytest.fixture
     def results(self, bench_db):
         return [
-            run_vpct_experiment(bench_db, SPEC, name="best"),
-            run_hpct_experiment(bench_db, SPEC, name="hpct"),
+            run_vpct_experiment(bench_db, SPEC, name="best", runs=1),
+            run_hpct_experiment(bench_db, SPEC, name="hpct", runs=1),
         ]
 
     def test_markdown_names_strategies_and_queries(self, results):
@@ -121,7 +121,7 @@ class TestReport:
         other = QuerySpec("other", "transactionline", "salesamt",
                           totals=(), by=("regionid",))
         results.append(run_vpct_experiment(bench_db, other,
-                                           name="best"))
+                                           name="best", runs=1))
         text = format_markdown("t", results)
         assert text.splitlines()[-1].endswith(" | - |")
 

@@ -191,10 +191,7 @@ _POSITIVE = ast.BinaryOp(">", _A, ZERO)
     _sum(_case(ast.BinaryOp("AND", _POSITIVE, ast.MATCH), _A)),
     _sum(_case(ast.BinaryOp("=", ast.MATCH, ast.Literal(True)), _A)),
     _sum(_case(ast.IsNull(ast.MATCH), _A)),
-    # A literal holding the formatter's mark.
-    ast.FuncCall("coalesce", (_sum(_case(ast.MATCH, _D)),
-                              ast.Literal("x\x00y"))),
-], ids=["when", "not", "or", "and", "compare", "isnull", "marked"])
+], ids=["when", "not", "or", "and", "compare", "isnull"])
 @pytest.mark.parametrize("values", [((1,), (None,)), ((1, "p"), (None, "q"),
                                                       (2, None))],
                          ids=["one", "two"])

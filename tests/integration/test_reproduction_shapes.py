@@ -46,19 +46,19 @@ class TestTable4Findings:
     def test_update_costs_more_where_fv_is_large(self, db):
         """'Doing insertion instead of update ... reduces time ... when
         FV has comparable size to F.'"""
-        insert = run_vpct_experiment(db, WIDE, VerticalStrategy())
+        insert = run_vpct_experiment(db, WIDE, VerticalStrategy(), runs=1)
         update = run_vpct_experiment(db, WIDE,
-                                     VerticalStrategy(use_update=True))
+                                     VerticalStrategy(use_update=True), runs=1)
         assert update.logical_io > insert.logical_io
 
     def test_update_penalty_grows_with_fv_size(self, db):
         narrow_insert = run_vpct_experiment(db, NARROW,
-                                            VerticalStrategy())
+                                            VerticalStrategy(), runs=1)
         narrow_update = run_vpct_experiment(
-            db, NARROW, VerticalStrategy(use_update=True))
-        wide_insert = run_vpct_experiment(db, WIDE, VerticalStrategy())
+            db, NARROW, VerticalStrategy(use_update=True), runs=1)
+        wide_insert = run_vpct_experiment(db, WIDE, VerticalStrategy(), runs=1)
         wide_update = run_vpct_experiment(
-            db, WIDE, VerticalStrategy(use_update=True))
+            db, WIDE, VerticalStrategy(use_update=True), runs=1)
         narrow_ratio = narrow_update.logical_io / \
             narrow_insert.logical_io
         wide_ratio = wide_update.logical_io / wide_insert.logical_io
@@ -68,9 +68,9 @@ class TestTable4Findings:
         """'Computing Fj from Fk saves significant time, particularly
         when |Fk| << |F|.'"""
         with_partial = run_vpct_experiment(db, NARROW,
-                                           VerticalStrategy())
+                                           VerticalStrategy(), runs=1)
         without = run_vpct_experiment(
-            db, NARROW, VerticalStrategy(fj_from_fk=False))
+            db, NARROW, VerticalStrategy(fj_from_fk=False), runs=1)
         assert without.logical_io >= \
             with_partial.logical_io + db.table("sales").n_rows * 0.9
 
@@ -102,10 +102,11 @@ class TestTable4Findings:
                            if f.name not in ("sql", "elapsed_seconds"))
 
         bare = run_vpct_experiment(
-            db, NARROW, VerticalStrategy(create_indexes=False))
+            db, NARROW, VerticalStrategy(create_indexes=False), runs=1)
         for matching in (True, False):
             indexed = run_vpct_experiment(
-                db, NARROW, VerticalStrategy(matching_indexes=matching))
+                db, NARROW, VerticalStrategy(matching_indexes=matching),
+                runs=1)
             assert indexed.logical_io == bare.logical_io
 
 
@@ -115,8 +116,8 @@ class TestTable6Findings:
         than OLAP extensions.'  The factor is largest when Fk is much
         smaller than F (the window form always spools the detail)."""
         for spec, factor in ((NARROW, 2.0), (WIDE, 1.0)):
-            vpct = run_vpct_experiment(db, spec, VerticalStrategy())
-            olap = run_olap_experiment(db, spec)
+            vpct = run_vpct_experiment(db, spec, VerticalStrategy(), runs=1)
+            olap = run_olap_experiment(db, spec, runs=1)
             assert olap.logical_io > factor * vpct.logical_io
 
 
@@ -126,21 +127,21 @@ class TestDMKDTable3Findings:
 
     def test_spj_an_order_of_magnitude_above_case(self, db):
         spj = run_hagg_experiment(db, self.SPEC,
-                                  HorizontalAggStrategy(source="F"))
+                                  HorizontalAggStrategy(source="F"), runs=1)
         case = run_hagg_experiment(db, self.SPEC,
-                                   HorizontalStrategy(source="F"))
+                                   HorizontalStrategy(source="F"), runs=1)
         assert spj.logical_io > 10 * case.logical_io
 
     def test_spj_fv_beats_spj_f(self, db):
         direct = run_hagg_experiment(db, self.SPEC,
-                                     HorizontalAggStrategy(source="F"))
+                                     HorizontalAggStrategy(source="F"), runs=1)
         indirect = run_hagg_experiment(
-            db, self.SPEC, HorizontalAggStrategy(source="FV"))
+            db, self.SPEC, HorizontalAggStrategy(source="FV"), runs=1)
         assert indirect.logical_io < direct.logical_io
 
     def test_case_linear_charges_n_comparisons_per_row(self, db):
         result = run_hpct_experiment(db, self.SPEC,
-                                     HorizontalStrategy(source="F"))
+                                     HorizontalStrategy(source="F"), runs=1)
         n = db.table("sales").n_rows
         n_columns = 100  # dept cardinality
         assert result.case_evaluations >= n * n_columns
@@ -161,7 +162,7 @@ class TestDMKDTable3Findings:
         db = Database()
         load(db, 5_000)
         db.tracer.enable()
-        linear = run(db, spec, HorizontalStrategy(source="F"))
+        linear = run(db, spec, HorizontalStrategy(source="F"), runs=1)
         booked, probes = case_fanout(db)
         hashed = linear.case_evaluations - booked + probes
         assert hashed * 10 < linear.case_evaluations
