@@ -10,47 +10,18 @@ import numpy as np
 from repro.api.database import Database
 from repro.core import model
 from repro.engine.table import Table
-from repro.engine.types import SQLType, infer_type
+from repro.engine.types import SQLType
 from repro.errors import PercentageQueryError
 from repro.sql import ast
 from repro.sql.formatter import format_statement
 
 
-def infer_expr_type(db: Database, table: str, expr: ast.Expr) -> SQLType:
-    """Best-effort static type of an argument expression over ``table``.
-
-    Column references use the schema; literals their own type; any
-    compound arithmetic is assumed REAL (safe for aggregation storage).
-    """
-    if isinstance(expr, ast.ColumnRef):
-        schema = db.table(table).schema
-        if schema.has_column(expr.name):
-            return schema.column_type(expr.name)
-        return SQLType.REAL
-    if isinstance(expr, ast.Literal) and expr.value is not None:
-        return infer_type(expr.value)
-    return SQLType.REAL
-
-
-def storage_type(func: str, arg_type: SQLType) -> SQLType:
-    """Column type for storing an aggregate's value in a temp table.
-
-    Sums are widened to REAL (the UPDATE-based strategy overwrites the
-    same column with a percentage, and integer sums lose nothing a
-    percentage query cares about); counts are INTEGER; min/max keep
-    the argument type; avg is REAL.
-    """
-    if func == "count":
-        return SQLType.INTEGER
-    if func in ("min", "max"):
-        return arg_type
-    return SQLType.REAL
+_TYPE_NAMES = {SQLType.INTEGER: "INT", SQLType.REAL: "REAL",
+               SQLType.VARCHAR: "VARCHAR", SQLType.BOOLEAN: "BOOLEAN"}
 
 
 def column_type_name(sql_type: SQLType) -> str:
-    return {SQLType.INTEGER: "INT", SQLType.REAL: "REAL",
-            SQLType.VARCHAR: "VARCHAR",
-            SQLType.BOOLEAN: "BOOLEAN"}[sql_type]
+    return _TYPE_NAMES[sql_type]
 
 
 #: Leaves every generator shares: AST nodes are frozen, so one node
@@ -169,27 +140,6 @@ def feedback(db: Database, statement: ast.Statement) -> Table | int:
     They are a few hundred bytes each; the plan's own steps, which
     carry the wide statements, reach the engine as trees."""
     return db.execute(format_statement(statement))
-
-
-def vertical_term_name(term: model.AggregateTerm,
-                       used: set[str]) -> str:
-    """Output column name for a (vertical or percentage) term."""
-    if term.alias:
-        base = term.alias
-    elif term.argument is not None and \
-            isinstance(term.argument, ast.ColumnRef):
-        base = term.argument.name
-        if term.kind == model.VERTICAL:
-            base = f"{term.func}_{base}"
-    else:
-        base = f"{term.func}_{term.position + 1}"
-    name = base
-    i = 2
-    while name.lower() in used:
-        name = f"{base}_{i}"
-        i += 1
-    used.add(name.lower())
-    return name
 
 
 def materialization_select(query: model.PercentageQuery) -> ast.Select:

@@ -31,12 +31,13 @@ from typing import Optional
 from repro.api.database import Database
 from repro.core import common, model, plan as plan_mod
 from repro.core.common import ZERO, call, cols, conjunction
-from repro.core.horizontal import (_distributive, _hagg_type_name,
-                                   _union_by_columns, cells,
+from repro.core.horizontal import (_distributive, _union_by_columns,
                                    discover_combinations)
+from repro.core.layout import Layout, layout_of
 from repro.core.naming import NamingPolicy
 from repro.core.partitioning import split_result_columns
 from repro.core.plan import GeneratedPlan
+from repro.engine.types import SQLType
 from repro.errors import PercentageQueryError
 from repro.sql import ast
 
@@ -93,6 +94,7 @@ def generate_spj(db: Database, query: model.PercentageQuery,
                                      replace_table)
     table = _materialize_if_needed(db, query, prefix, result)
     fact = replace_table(query, table)
+    layout = layout_of(db.catalog, fact)
 
     combos = discover_combinations(db, fact, result)
     base_columns: dict[int, dict[str, str]] = {}
@@ -103,9 +105,9 @@ def generate_spj(db: Database, query: model.PercentageQuery,
         source = fact.table
 
     f0 = _generate_f0(db, fact, source, prefix, result)
-    projected = _generate_projected_tables(db, fact, combos, source,
-                                           base_columns, strategy,
-                                           prefix, result)
+    projected = _generate_projected_tables(db, fact, layout, combos,
+                                           source, base_columns,
+                                           strategy, prefix, result)
     _assemble(db, fact, f0, projected, prefix, result)
     return result
 
@@ -117,7 +119,7 @@ class _Projected:
 
     table: str
     column: str          # output column name
-    type_name: str
+    sql_type: SQLType
     default: Optional[object]
 
 
@@ -166,6 +168,7 @@ def _generate_f0(db: Database, query: model.PercentageQuery,
 
 def _generate_projected_tables(db: Database,
                                query: model.PercentageQuery,
+                               layout: Layout,
                                combos: dict[int, list[tuple]],
                                source: str,
                                base_columns: dict[int, dict[str, str]],
@@ -174,38 +177,28 @@ def _generate_projected_tables(db: Database,
                                ) -> list[_Projected]:
     """One aggregate table per (term, BY-combination), plus one table
     per plain vertical term."""
-    used = {c.lower() for c in query.group_by}
-    multiple = len(query.horizontal_terms()) > 1
-    max_len = db.catalog.max_name_length
     where_base = query.where if source == query.table else None
+    filters = [] if where_base is None else [where_base]
+    names = layout.names(combos, strategy.naming)
 
     projected: list[_Projected] = []
-    counter = 0
-    for term in query.terms:
+    for t, term_names in zip(layout.terms, names):
+        term = t.term
         aggregate = _aggregate(term, base_columns, strategy.source)
         if term.is_horizontal:
-            label = f"{term.label()}_" if multiple else ""
-            for name, match in cells(term, combos[term.position],
-                                     strategy.naming, max_len, used,
-                                     label):
-                counter += 1
-                table = f"{prefix}_p{counter}"
-                condition = conjunction(
-                    [match] if where_base is None else [match, where_base])
-                type_name = _hagg_type_name(db, query.table, term)
-                _emit_projection(db, query, table, name, type_name,
-                                 aggregate, condition, source, result)
-                projected.append(_Projected(table, name, type_name,
-                                            term.default))
+            refs = cols(term.by_columns)
+            conditions = [
+                conjunction([ast.cell_match(refs, values), *filters])
+                for values in combos[term.position]]
+            default = term.default
         else:
-            counter += 1
-            name = common.vertical_term_name(term, used)
-            table = f"{prefix}_p{counter}"
-            type_name = _hagg_type_name(db, query.table, term) \
-                if term.argument is not None else "INT"
-            _emit_projection(db, query, table, name, type_name,
-                             aggregate, where_base, source, result)
-            projected.append(_Projected(table, name, type_name, None))
+            conditions, default = [where_base], None
+        for name, condition in zip(term_names, conditions):
+            table = f"{prefix}_p{len(projected) + 1}"
+            _emit_projection(db, query, table, name, t.sql_type,
+                             aggregate, condition, source, result)
+            projected.append(_Projected(table, name, t.sql_type,
+                                        default))
     return projected
 
 
@@ -221,7 +214,7 @@ def _aggregate(term: model.AggregateTerm,
 
 
 def _emit_projection(db: Database, query: model.PercentageQuery,
-                     table: str, column: str, type_name: str,
+                     table: str, column: str, sql_type: SQLType,
                      aggregate: ast.Expr, condition: Optional[ast.Expr],
                      source: str, result: GeneratedPlan) -> None:
     """``F_I``: the keys and one aggregate column, keyed like F0."""
@@ -231,7 +224,8 @@ def _emit_projection(db: Database, query: model.PercentageQuery,
         key_names, key_select = query.group_by, keys
     else:
         key_defs, key_names, key_select = _CONSTANT_KEY, ("_k",), (ZERO,)
-    defs = (*key_defs, ast.ColumnSpec(column, type_name))
+    defs = (*key_defs, ast.ColumnSpec(column,
+                                      common.column_type_name(sql_type)))
     result.add(ast.CreateTable(table, defs, key_names),
                plan_mod.CREATE_TEMP)
     result.temp_tables.append(table)
@@ -264,8 +258,9 @@ def _assemble(db: Database, query: model.PercentageQuery, f0: str,
         fh = f"{prefix}_fh" if len(partitions) == 1 \
             else f"{prefix}_fh{i + 1}"
         tables.append(fh)
-        defs = (*key_defs, *(ast.ColumnSpec(p.column, p.type_name)
-                             for p, _ in chunk))
+        defs = (*key_defs, *(ast.ColumnSpec(
+            p.column, common.column_type_name(p.sql_type))
+            for p, _ in chunk))
         result.add(ast.CreateTable(fh, defs, keys),
                    plan_mod.CREATE_TEMP)
         result.temp_tables.append(fh)

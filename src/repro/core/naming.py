@@ -103,13 +103,15 @@ class ColumnNamer:
         # the positive.
         if name and not (name[0].isalpha() or name[0] == "_"):
             name = "c" + name
-        name = _uniquify(_abbreviate(name, self.limit), self.used,
+        name = uniquify(abbreviate(name, self.limit), self.used,
                          self.limit)
         self.used.add(name.lower())
         return name
 
 
-def _abbreviate(name: str, limit: int) -> str:
+def abbreviate(name: str, limit: int) -> str:
+    """``name``, truncated and suffixed with a stable hash when it is
+    longer than ``limit``."""
     if len(name) <= limit:
         return name
     digest = hashlib.sha1(name.encode()).hexdigest()[:4]
@@ -117,12 +119,14 @@ def _abbreviate(name: str, limit: int) -> str:
     return f"{name[:keep]}_{digest}"
 
 
-def _uniquify(name: str, used: set[str], limit: int) -> str:
+def uniquify(name: str, used: set[str], limit: int) -> str:
+    """``name``, or the first ``name_2``, ``name_3``, ... (abbreviated
+    to fit ``limit``) not in ``used``."""
     if name.lower() not in used:
         return name
     for i in range(2, 10_000):
         suffix = f"_{i}"
-        candidate = _abbreviate(name, limit - len(suffix)) + suffix
+        candidate = abbreviate(name, limit - len(suffix)) + suffix
         if candidate.lower() not in used:
             return candidate
     raise ValueError(f"cannot uniquify column name {name!r}")

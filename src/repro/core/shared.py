@@ -26,6 +26,7 @@ from typing import Optional
 from repro.api.database import Database
 from repro.core import common, model
 from repro.core.execute import run_percentage_query
+from repro.core.layout import term_stem
 from repro.core.model import PercentageQuery, parse_percentage_query
 from repro.core.validate import validate
 from repro.engine.table import Table
@@ -85,7 +86,7 @@ def run_percentage_batch(db: Database, queries: list[str],
         report.summary_rows[summary.table] = summary.n_rows
         try:
             for position in positions:
-                rewritten = summary.rewrite(parsed[position])
+                rewritten = summary.rewrite(db, parsed[position])
                 report.results[position] = run_percentage_query(
                     db, rewritten)
                 shared_positions.add(position)
@@ -194,14 +195,15 @@ class _SharedSummary:
         return cls(table, n_rows, bases, signature)
 
     # ------------------------------------------------------------------
-    def rewrite(self, query: PercentageQuery) -> PercentageQuery:
+    def rewrite(self, db: Database,
+                query: PercentageQuery) -> PercentageQuery:
         """The query re-based onto the summary table."""
         terms = []
         for term in query.terms:
             base = self._bases[_base_key(term)]
             # Preserve the column names the un-rewritten query would
-            # produce: the label is what the generators use.
-            alias = term.alias or term.label()
+            # produce: the stem is what the generators name them after.
+            alias = term_stem(term, db.catalog.max_name_length)
             terms.append(model.AggregateTerm(
                 kind=term.kind,
                 func=base.refold if term.kind == model.VERTICAL

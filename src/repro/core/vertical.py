@@ -22,12 +22,13 @@ the paper's Table 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.api.database import Database
 from repro.core import common, model, plan as plan_mod
 from repro.core.common import NULL, ZERO, cols, conjunction
+from repro.core.layout import Layout, TermLayout, layout_of
 from repro.core.plan import GeneratedPlan
 from repro.errors import PercentageQueryError
 from repro.sql import ast
@@ -86,16 +87,6 @@ class VerticalStrategy:
         return " ".join(parts)
 
 
-@dataclass
-class _TermPlan:
-    """Resolved layout for one aggregate term inside Fk/FV."""
-
-    term: model.AggregateTerm
-    column: str                  # storage/result column name
-    totals: tuple[str, ...] = ()  # D1..Dj for Vpct terms
-    fj_table: str = ""
-
-
 def generate_vertical(db: Database, query: model.PercentageQuery,
                       strategy: Optional[VerticalStrategy] = None
                       ) -> GeneratedPlan:
@@ -113,49 +104,38 @@ def generate_vertical(db: Database, query: model.PercentageQuery,
 
     table = _materialize_if_needed(db, query, prefix, result)
     fact = replace_table(query, table)
+    layout = layout_of(db.catalog, fact)
 
     if strategy.missing_rows == "pre":
-        _preprocess_missing_rows(db, fact, prefix, result)
-
-    used: set[str] = set(c.lower() for c in fact.group_by)
-    term_plans = [
-        _TermPlan(term=t, column=common.vertical_term_name(t, used),
-                  totals=_totals_of(t, fact))
-        for t in fact.terms]
+        _preprocess_missing_rows(db, fact, layout, result)
 
     if strategy.single_statement:
-        _generate_single_statement(db, fact, term_plans, result)
+        _generate_single_statement(fact, layout, result)
         return result
 
     fk = f"{prefix}_fk"
-    _generate_fk(db, fact, term_plans, fk, result)
-    vpct_plans = [t for t in term_plans if t.term.kind == model.VPCT]
-    for i, tp in enumerate(vpct_plans):
-        tp.fj_table = f"{prefix}_fj{i + 1}"
-    # Bottom-up over the dimension lattice (Section 3.1: "partial
-    # aggregations need to be computed bottom-up based on the
-    # dimension lattice"): generate finer totals first so coarser ones
-    # can re-aggregate them instead of rescanning Fk.
-    generated: list[_TermPlan] = []
-    for tp in sorted(vpct_plans, key=lambda t: -len(t.totals)):
-        source = _lattice_source(tp, generated) \
-            if strategy.fj_from_fk else None
-        _generate_fj(db, fact, tp, fk, strategy, result,
-                     lattice_source=source)
-        generated.append(tp)
-    _generate_indexes(fact, term_plans, fk, strategy, result)
+    _generate_fk(db, fact, layout, fk, result)
+    vpct = [i for i, t in enumerate(layout.terms) if t.kind == model.VPCT]
+    fj = {i: f"{prefix}_fj{n + 1}" for n, i in enumerate(vpct)}
+    # Bottom-up over the dimension lattice: finer totals first, so
+    # coarser ones can re-aggregate them instead of rescanning Fk.
+    for i, source in layout.lattice:
+        _generate_fj(db, fact, layout.terms[i], fj[i], fk, strategy,
+                     result, finer=fj[source] if source is not None
+                     and strategy.fj_from_fk else None)
+    _generate_indexes(layout, fj, fk, strategy, result)
 
     if strategy.use_update:
-        _generate_update_division(db, fact, term_plans, fk, result)
+        _generate_update_division(db, fact, layout, fj, fk, result)
         result.result_table = fk
     else:
         fv = f"{prefix}_fv"
-        _generate_insert_division(db, fact, term_plans, fk, fv, result)
+        _generate_insert_division(db, fact, layout, fj, fk, fv, result)
         result.result_table = fv
 
     if strategy.missing_rows == "post":
-        _postprocess_missing_rows(db, fact, term_plans,
-                                  result.result_table, prefix, result)
+        _postprocess_missing_rows(fact, layout, result.result_table,
+                                  result)
 
     result.result_statement = common.select_all(result.result_table,
                                                 fact.group_by)
@@ -200,40 +180,31 @@ def _materialize_if_needed(db: Database, query: model.PercentageQuery,
     return view
 
 
-def _totals_of(term: model.AggregateTerm,
-               query: model.PercentageQuery) -> tuple[str, ...]:
-    """D1..Dj for a Vpct term: GROUP BY minus the BY columns; no BY
-    clause means global totals (empty tuple)."""
-    if term.kind != model.VPCT:
-        return ()
-    if not term.by_columns:
-        return ()
-    by = set(term.by_columns)
-    return tuple(c for c in query.group_by if c not in by)
-
-
 # ----------------------------------------------------------------------
 # Step generators
 # ----------------------------------------------------------------------
 def _generate_fk(db: Database, query: model.PercentageQuery,
-                 term_plans: list[_TermPlan], fk: str,
-                 result: GeneratedPlan) -> None:
+                 layout: Layout, fk: str, result: GeneratedPlan) -> None:
     """CREATE + INSERT the fine-level aggregate Fk (from F only; the
     finest level "can only be computed from F")."""
     columns = common.typed_columns(db, query.table, query.group_by)
-    for tp in term_plans:
-        sql_type = _storage_type_of(db, query.table, tp.term)
-        columns.append(ast.ColumnSpec(
-            tp.column, common.column_type_name(sql_type)))
+    columns += _term_columns(layout)
     result.add(ast.CreateTable(fk, tuple(columns), query.group_by),
                plan_mod.CREATE_TEMP)
     result.temp_tables.append(fk)
 
     keys = cols(query.group_by)
-    selects = [*keys, *(_fk_aggregate(tp.term) for tp in term_plans)]
+    selects = [*keys, *(_fk_aggregate(t.term) for t in layout.terms)]
     result.add(ast.InsertSelect(fk, common.select(
         selects, common.tables(query.table), query.where, keys)),
         plan_mod.AGGREGATE_FK)
+
+
+def _term_columns(layout: Layout) -> list[ast.ColumnSpec]:
+    """The term columns of Fk and FV: a Vpct term's REAL sum is
+    divided in place by the UPDATE strategy."""
+    return [ast.ColumnSpec(t.name, common.column_type_name(t.sql_type))
+            for t in layout.terms]
 
 
 def _fk_aggregate(term: model.AggregateTerm) -> ast.FuncCall:
@@ -245,92 +216,61 @@ def _fk_aggregate(term: model.AggregateTerm) -> ast.FuncCall:
                        distinct=term.distinct)
 
 
-def _storage_type_of(db: Database, table: str,
-                     term: model.AggregateTerm):
-    func = "sum" if term.kind == model.VPCT else term.func
-    arg_type = common.infer_expr_type(db, table, term.argument) \
-        if term.argument is not None else None
-    return common.storage_type(func, arg_type) if arg_type is not None \
-        else common.storage_type("count", None)
-
-
-def _lattice_source(tp: _TermPlan,
-                    generated: list[_TermPlan]) -> Optional[_TermPlan]:
-    """A finer, already-generated totals table this term can
-    re-aggregate (same argument, strictly coarser grouping)."""
-    mine = set(tp.totals)
-    best: Optional[_TermPlan] = None
-    for candidate in generated:
-        if candidate.term.argument != tp.term.argument:
-            continue
-        theirs = set(candidate.totals)
-        if mine < theirs:
-            if best is None or len(candidate.totals) < len(best.totals):
-                best = candidate
-    return best
-
-
 def _generate_fj(db: Database, query: model.PercentageQuery,
-                 tp: _TermPlan, fk: str, strategy: VerticalStrategy,
-                 result: GeneratedPlan,
-                 lattice_source: Optional[_TermPlan] = None) -> None:
-    """CREATE + INSERT one totals table Fj: from a finer Fj when the
+                 t: TermLayout, fj: str, fk: str,
+                 strategy: VerticalStrategy, result: GeneratedPlan,
+                 finer: Optional[str]) -> None:
+    """CREATE + INSERT one totals table Fj: from the ``finer`` Fj the
     lattice allows, else from Fk (partial aggregates), else from F."""
-    columns = common.typed_columns(db, query.table, tp.totals)
+    columns = common.typed_columns(db, query.table, t.totals)
     columns.append(ast.ColumnSpec("total", "REAL"))
-    result.add(ast.CreateTable(tp.fj_table, tuple(columns), tp.totals),
+    result.add(ast.CreateTable(fj, tuple(columns), t.totals),
                plan_mod.CREATE_TEMP)
-    result.temp_tables.append(tp.fj_table)
+    result.temp_tables.append(fj)
 
-    keys = cols(tp.totals)
+    keys = cols(t.totals)
     where = None
-    if lattice_source is not None:
-        source, measure = lattice_source.fj_table, ast.ColumnRef("total")
+    if finer is not None:
+        source, measure = finer, ast.ColumnRef("total")
     elif strategy.fj_from_fk:
-        source, measure = fk, ast.ColumnRef(tp.column)
+        source, measure = fk, ast.ColumnRef(t.name)
     else:
-        source, measure = query.table, common.argument(tp.term)
+        source, measure = query.table, common.argument(t.term)
         where = query.where
     body = common.select([*keys, common.call("sum", measure)],
                          common.tables(source), where, keys)
-    result.add(ast.InsertSelect(tp.fj_table, body), plan_mod.AGGREGATE_FJ)
+    result.add(ast.InsertSelect(fj, body), plan_mod.AGGREGATE_FJ)
 
 
-def _generate_indexes(query: model.PercentageQuery,
-                      term_plans: list[_TermPlan], fk: str,
+def _generate_indexes(layout: Layout, fj: dict[int, str], fk: str,
                       strategy: VerticalStrategy,
                       result: GeneratedPlan) -> None:
     if not strategy.create_indexes:
         return
-    for i, tp in enumerate(term_plans):
-        if tp.term.kind != model.VPCT or not tp.totals:
+    for i, t in enumerate(layout.terms):
+        if t.kind != model.VPCT or not t.totals:
             continue
         if strategy.matching_indexes:
-            result.add(ast.CreateIndex(f"{tp.fj_table}_ix", tp.fj_table,
-                                       tp.totals), plan_mod.INDEX)
-        result.add(ast.CreateIndex(f"{fk}_ix{i + 1}", fk, tp.totals),
+            result.add(ast.CreateIndex(f"{fj[i]}_ix", fj[i], t.totals),
+                       plan_mod.INDEX)
+        result.add(ast.CreateIndex(f"{fk}_ix{i + 1}", fk, t.totals),
                    plan_mod.INDEX)
 
 
-def _division_case(fk: str, tp: _TermPlan) -> ast.CaseWhen:
+def _division_case(fk: str, column: str, fj: str) -> ast.CaseWhen:
     """The guarded division for one Vpct term."""
-    total = ast.ColumnRef("total", tp.fj_table)
+    total = ast.ColumnRef("total", fj)
     return common.case(ast.BinaryOp("<>", total, ZERO),
-                       ast.BinaryOp("/", ast.ColumnRef(tp.column, fk), total))
+                       ast.BinaryOp("/", ast.ColumnRef(column, fk), total))
 
 
 def _generate_insert_division(db: Database,
                               query: model.PercentageQuery,
-                              term_plans: list[_TermPlan], fk: str,
-                              fv: str, result: GeneratedPlan) -> None:
+                              layout: Layout, fj: dict[int, str],
+                              fk: str, fv: str,
+                              result: GeneratedPlan) -> None:
     columns = common.typed_columns(db, query.table, query.group_by)
-    for tp in term_plans:
-        if tp.term.kind == model.VPCT:
-            type_name = "REAL"
-        else:
-            type_name = common.column_type_name(
-                _storage_type_of(db, query.table, tp.term))
-        columns.append(ast.ColumnSpec(tp.column, type_name))
+    columns += _term_columns(layout)
     result.add(ast.CreateTable(fv, tuple(columns), query.group_by),
                plan_mod.CREATE_TEMP)
     result.temp_tables.append(fv)
@@ -338,16 +278,16 @@ def _generate_insert_division(db: Database,
     selects: list[ast.Expr] = list(cols(query.group_by, fk))
     sources = [fk]
     join_conditions: list[ast.Expr] = []
-    for tp in term_plans:
-        if tp.term.kind == model.VPCT:
-            selects.append(_division_case(fk, tp))
-            sources.append(tp.fj_table)
+    for i, t in enumerate(layout.terms):
+        if t.kind == model.VPCT:
+            selects.append(_division_case(fk, t.name, fj[i]))
+            sources.append(fj[i])
             # Null-safe: a NULL totals key is a group like any other,
             # and plain = would drop its rows from FV.
             join_conditions += common.null_safe_equalities(
-                tp.fj_table, fk, tp.totals)
+                fj[i], fk, t.totals)
         else:
-            selects.append(ast.ColumnRef(tp.column, fk))
+            selects.append(ast.ColumnRef(t.name, fk))
     result.add(ast.InsertSelect(fv, common.select(
         selects, common.tables(*sources), conjunction(join_conditions))),
         plan_mod.DIVIDE)
@@ -355,23 +295,23 @@ def _generate_insert_division(db: Database,
 
 def _generate_update_division(db: Database,
                               query: model.PercentageQuery,
-                              term_plans: list[_TermPlan], fk: str,
-                              result: GeneratedPlan) -> None:
+                              layout: Layout, fj: dict[int, str],
+                              fk: str, result: GeneratedPlan) -> None:
     """UPDATE Fk in place; FV = Fk.  Global-total terms (empty D1..Dj)
     have no join key, so the generator fetches the scalar total itself
     and emits a literal division -- part of the "feedback process" the
     architecture already requires."""
-    for tp in term_plans:
-        if tp.term.kind != model.VPCT:
+    for i, t in enumerate(layout.terms):
+        if t.kind != model.VPCT:
             continue
         target = ast.TableRef(fk)
-        if tp.totals:
+        if t.totals:
             condition = conjunction(common.null_safe_equalities(
-                fk, tp.fj_table, tp.totals))
+                fk, fj[i], t.totals))
             result.add(ast.Update(
-                target, (ast.Assignment(tp.column,
-                                        _division_case(fk, tp)),),
-                (ast.TableRef(tp.fj_table),), condition),
+                target, (ast.Assignment(
+                    t.name, _division_case(fk, t.name, fj[i])),),
+                (ast.TableRef(fj[i]),), condition),
                 plan_mod.UPDATE_DIVIDE)
         else:
             if not db.has_table(query.table):
@@ -381,54 +321,51 @@ def _generate_update_division(db: Database,
                     "possible for a materialized view; use the INSERT "
                     "strategy instead")
             total = common.feedback(db, common.select(
-                [common.call("sum", common.argument(tp.term))],
+                [common.call("sum", common.argument(t.term))],
                 common.tables(query.table), query.where)).to_rows()[0][0]
             if total in (None, 0):
                 value: ast.Expr = NULL
             else:
-                value = ast.BinaryOp("/", ast.ColumnRef(tp.column),
+                value = ast.BinaryOp("/", ast.ColumnRef(t.name),
                                      ast.Literal(float(total)))
             result.add(ast.Update(
-                target, (ast.Assignment(tp.column, value),)),
+                target, (ast.Assignment(t.name, value),)),
                 plan_mod.UPDATE_DIVIDE)
 
 
-def _generate_single_statement(db: Database,
-                               query: model.PercentageQuery,
-                               term_plans: list[_TermPlan],
+def _generate_single_statement(query: model.PercentageQuery,
+                               layout: Layout,
                                result: GeneratedPlan) -> None:
-    vpct_plans = [tp for tp in term_plans
-                  if tp.term.kind == model.VPCT]
-    if len(vpct_plans) != 1:
+    vpct = [t for t in layout.terms if t.kind == model.VPCT]
+    if len(vpct) != 1:
         raise PercentageQueryError(
             "the single-statement rephrasal supports exactly one "
             "Vpct() term")
-    tp = vpct_plans[0]
-    tp.fj_table = "Fj"
+    t = vpct[0]
     source = common.tables(query.table)
     keys = cols(query.group_by)
     fk_select = common.select(
-        [*keys, *(ast.SelectItem(_fk_aggregate(p.term), p.column)
-                  for p in term_plans)],
+        [*keys, *(ast.SelectItem(_fk_aggregate(p.term), p.name)
+                  for p in layout.terms)],
         source, query.where, keys)
-    totals = cols(tp.totals)
+    totals = cols(t.totals)
     fj_select = common.select(
         [*totals, ast.SelectItem(
-            common.call("sum", common.argument(tp.term)), "total")],
+            common.call("sum", common.argument(t.term)), "total")],
         source, query.where, totals)
     selects: list[ast.Expr] = list(cols(query.group_by, "Fk"))
-    for p in term_plans:
-        if p.term.kind == model.VPCT:
-            selects.append(ast.SelectItem(_division_case("Fk", p),
-                                          p.column))
+    for p in layout.terms:
+        if p.kind == model.VPCT:
+            selects.append(ast.SelectItem(
+                _division_case("Fk", p.name, "Fj"), p.name))
         else:
-            selects.append(ast.ColumnRef(p.column, "Fk"))
+            selects.append(ast.ColumnRef(p.name, "Fk"))
     derived = ast.FromClause(
         ast.SubquerySource(fk_select, "Fk"),
         (ast.JoinStep("cross", ast.SubquerySource(fj_select, "Fj")),))
     result.result_statement = common.select(
         selects, derived,
-        conjunction(common.null_safe_equalities("Fj", "Fk", tp.totals)),
+        conjunction(common.null_safe_equalities("Fj", "Fk", t.totals)),
         order_by=keys)
     result.description += " (derived tables)"
 
@@ -436,29 +373,28 @@ def _generate_single_statement(db: Database,
 # ----------------------------------------------------------------------
 # Missing rows (Section 3.1, "Issues with vertical percentages")
 # ----------------------------------------------------------------------
-def _single_vpct_with_cells(query: model.PercentageQuery,
-                            what: str) -> model.AggregateTerm:
-    terms = query.vertical_pct_terms()
+def _single_vpct_with_cells(layout: Layout, what: str) -> TermLayout:
+    terms = [t for t in layout.terms if t.kind == model.VPCT]
     if len(terms) != 1:
         raise PercentageQueryError(
             f"{what} missing-row handling supports exactly one Vpct() "
             f"term")
-    term = terms[0]
-    if not term.by_columns:
+    if not terms[0].term.by_columns:
         raise PercentageQueryError(
             f"{what} missing-row handling needs a BY clause (cells are "
             f"defined by the BY columns)")
-    return term
+    return terms[0]
 
 
 def _preprocess_missing_rows(db: Database,
-                             query: model.PercentageQuery, prefix: str,
+                             query: model.PercentageQuery,
+                             layout: Layout,
                              result: GeneratedPlan) -> None:
     """Insert zero-measure rows into F for every absent
     (totals x BY-combination) cell.  Mutates F, and -- as the paper
     warns -- silently corrupts row-count percentages like Vpct(1)."""
-    term = _single_vpct_with_cells(query, "pre")
-    totals = _totals_of(term, query)
+    t = _single_vpct_with_cells(layout, "pre")
+    term, totals = t.term, t.totals
     by_cols = list(term.by_columns)
     if not isinstance(term.argument, ast.ColumnRef):
         raise PercentageQueryError(
@@ -483,22 +419,19 @@ def _preprocess_missing_rows(db: Database,
                plan_mod.MISSING_ROWS)
 
 
-def _postprocess_missing_rows(db: Database,
-                              query: model.PercentageQuery,
-                              term_plans: list[_TermPlan],
-                              fv: str, prefix: str,
+def _postprocess_missing_rows(query: model.PercentageQuery,
+                              layout: Layout, fv: str,
                               result: GeneratedPlan) -> None:
     """Insert zero-percentage rows into FV for absent cells."""
-    term = _single_vpct_with_cells(query, "post")
-    tp = next(p for p in term_plans if p.term is term)
-    totals = tp.totals
-    by_cols = list(term.by_columns)
+    t = _single_vpct_with_cells(layout, "post")
+    totals = t.totals
+    by_cols = list(t.term.by_columns)
 
     select_values: list[ast.Expr] = [
         ast.ColumnRef(column, "g" if column in totals else "c")
         for column in query.group_by]
-    for p in term_plans:
-        select_values.append(ZERO if p.term is term else NULL)
+    for p in layout.terms:
+        select_values.append(ZERO if p is t else NULL)
     result.add(_fill_missing_cells(query, fv, "v", totals, fv, by_cols,
                                    select_values),
                plan_mod.MISSING_ROWS)

@@ -36,12 +36,13 @@ full derive still hold.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from repro.core import common, model
-from repro.core.naming import NamingPolicy, combo_column_name
+from repro.core import model
+from repro.core.naming import NamingPolicy
 from repro.engine.column import ColumnData
 from repro.engine.groupby import first_positions, group_rows
 from repro.engine.kernels import kernel_percentage, kernel_sum
@@ -75,14 +76,19 @@ def derive(definition: ViewDefinition, state: ViewState) -> Table:
         if definition.kind == VERTICAL:
             _cache_vertical(definition, state, order, keys)
             rows = np.arange(len(order), dtype=np.int64)
-            for (_, _, column), plan in zip(
+            for (_, _, column), t in zip(
                     _vertical_cells(definition, state, order, rows,
                                     rows),
-                    definition.vplans):
-                named.append((plan.name, column))
+                    definition.layout.terms):
+                named.append((t.name, column))
         else:
             state.combos = _combinations(definition, state)
-            named += zip(_cell_names(definition, state),
+            names = definition.layout.names(
+                {t.term.position: state.combos[plan.level - 1].values
+                 for t, plan in zip(definition.layout.terms,
+                                    definition.hplans)
+                 if plan.level is not None}, NamingPolicy())
+            named += zip(chain.from_iterable(names),
                          _horizontal_columns(definition, state, order))
     table = Table.from_columns(definition.name, named)
     state.result = table
@@ -169,20 +175,20 @@ def _cache_vertical(definition, state, order, key_columns) -> None:
     in sorted-key order -- the fj table's row order."""
     level = state.levels[0]
     group_by = definition.group_by
+    terms = definition.layout.terms
     state.sums = {idx: level.values[idx].take(order).cast(SQLType.REAL)
-                  for idx, plan in enumerate(definition.vplans)
-                  if plan.is_vpct}
+                  for idx, t in enumerate(terms) if t.kind == model.VPCT}
     denominators: dict[int, Denominators] = {}
     key_sets: dict[int, list[ColumnData]] = {}
-    for plan_idx, source_idx in definition.lattice:
-        plan = definition.vplans[plan_idx]
+    for plan_idx, source_idx in definition.layout.lattice:
+        plan = terms[plan_idx]
         if source_idx is None:
             grouping = group_rows(
                 [key_columns[group_by.index(c)] for c in plan.totals],
                 len(order))
             rows = grouping.group_ids
         else:
-            source = definition.vplans[source_idx]
+            source = terms[source_idx]
             grouping = group_rows(
                 [key_sets[source_idx][source.totals.index(c)]
                  for c in plan.totals],
@@ -202,7 +208,7 @@ def _vertical_cells(definition, state, slots, rows, widened):
     n_keys = len(definition.group_by)
     sums = state.sums
     totals: dict[int, ColumnData] = {}
-    for plan_idx, _ in definition.lattice:
+    for plan_idx, _ in definition.layout.lattice:
         groups = state.denominators[plan_idx]
         addends = sums[plan_idx] if groups.source is None \
             else totals[groups.source]
@@ -210,10 +216,10 @@ def _vertical_cells(definition, state, slots, rows, widened):
             addends.values, addends.nulls, SQLType.REAL,
             groups.addends, groups.n_groups)
     cells = []
-    for idx, plan in enumerate(definition.vplans):
-        if not plan.is_vpct:
+    for idx, t in enumerate(definition.layout.terms):
+        if t.kind != model.VPCT:
             cells.append((n_keys + idx, rows, level.values[idx]
-                          .take(slots).cast(plan.out_type)))
+                          .take(slots).cast(t.sql_type)))
             continue
         groups = state.denominators[idx].rows[widened]
         cells.append((n_keys + idx, widened, kernel_percentage(
@@ -264,10 +270,10 @@ def _horizontal_columns(definition, state, slots) -> list[ColumnData]:
     row_at = np.full(coarse.n_slots, -1, dtype=np.int64)
     row_at[slots] = np.arange(k, dtype=np.int64)
     columns = []
-    for plan in definition.hplans:
-        if plan.kind == model.VERTICAL:
+    for t, plan in zip(definition.layout.terms, definition.hplans):
+        if t.kind == model.VERTICAL:
             columns.append(coarse.values[plan.coarse_measure]
-                           .take(slots).cast(plan.out_type))
+                           .take(slots).cast(t.sql_type))
             continue
         combos = state.combos[plan.level - 1]
         n_combos = len(combos.values)
@@ -276,7 +282,7 @@ def _horizontal_columns(definition, state, slots) -> list[ColumnData]:
         cells = combos.ids[here] * k + rows[here]
         fine = state.levels[plan.level].values[plan.fine_measure] \
             .take(combos.fine[here])
-        if plan.kind == model.HPCT:
+        if t.kind == model.HPCT:
             numerators = ColumnData.constant(SQLType.REAL, 0.0,
                                              n_combos * k)
             numerators.values[cells] = fine.values
@@ -288,40 +294,19 @@ def _horizontal_columns(definition, state, slots) -> list[ColumnData]:
             absent[cells] = False
             block.values[absent] = 0.0
         else:
-            block = ColumnData.all_null(plan.out_type, n_combos * k)
+            block = ColumnData.all_null(t.sql_type, n_combos * k)
             block.values[cells] = fine.values
             block.nulls[cells] = fine.nulls
-            if plan.default is not None and block.nulls.any():
+            default = t.term.default
+            if default is not None and block.nulls.any():
                 block.values[block.nulls] = ColumnData.constant(
-                    plan.out_type, plan.default, 1).values[0]
+                    t.sql_type, default, 1).values[0]
                 block.nulls[:] = False
         columns += [ColumnData(block.sql_type,
                                block.values[c * k:(c + 1) * k],
                                block.nulls[c * k:(c + 1) * k])
                     for c in range(n_combos)]
     return columns
-
-
-def _cell_names(definition, state) -> list[str]:
-    """Non-key output column names of a horizontal view, in cell order.
-
-    They interleave plain-term names with per-combination names
-    through one shared ``used`` set, exactly as the engine's direct
-    strategy builds its FH column list."""
-    used = {c.lower() for c in definition.group_by}
-    policy = NamingPolicy()
-    names = []
-    for plan in definition.hplans:
-        term = definition.query.terms[plan.position]
-        if plan.kind == model.VERTICAL:
-            names.append(common.vertical_term_name(term, used))
-            continue
-        label = f"{term.label()}_" if definition.multiple else ""
-        for combo in state.combos[plan.level - 1].values:
-            names.append(combo_column_name(
-                term.by_columns, combo, policy,
-                definition.max_name_length, used, prefix=label))
-    return names
 
 
 # ----------------------------------------------------------------------

@@ -30,12 +30,13 @@ sort last, ``-0.0`` equals ``0.0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.core import common, model
+from repro.core import model
 from repro.core import validate as validate_mod
+from repro.core.layout import Layout, layout_of
 from repro.engine.column import ColumnData
 from repro.engine.types import NULL_FILLERS, SQLType
 from repro.errors import MaterializedViewError
@@ -226,29 +227,15 @@ class DeltaInfo:
 # Definition analysis
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class VTermPlan:
-    """Derive plan for one term of a vertical (Vpct) view."""
-
-    position: int                   # index into query.terms
-    name: str                       # FV output column
-    out_type: SQLType               # FV column type (Vpct -> REAL)
-    is_vpct: bool
-    totals: tuple[str, ...] = ()    # denominator key (group_by - by)
-
-
-@dataclass(frozen=True)
 class HTermPlan:
-    """Derive plan for one term of a horizontal (Hpct/Hagg) view."""
+    """Where one term of a horizontal view keeps its partial
+    aggregates: a plain or Hpct term at a coarse measure (the
+    aggregate, or the row denominator), an Hpct or Hagg term at a
+    measure of its BY set's fine level."""
 
-    position: int
-    kind: str                       # model.VERTICAL / HPCT / HAGG
-    func: str
-    out_type: SQLType               # declared FH cell type
-    by_columns: tuple[str, ...] = ()
-    coarse_measure: Optional[int] = None   # denominator / plain agg
+    coarse_measure: Optional[int] = None
     level: Optional[int] = None            # fine level index in state
     fine_measure: Optional[int] = None
-    default: Optional[Any] = None
 
 
 @dataclass(frozen=True)
@@ -264,60 +251,39 @@ class ViewDefinition:
     group_by: tuple[str, ...]
     key_types: tuple[SQLType, ...]
     where: Optional[ast.Expr] = None
-    max_name_length: int = 128
     # plain views: select items as ("key", key index) / ("agg",
     # measure index), plus precomputed deduped output names.
     plain_items: tuple[tuple[str, int], ...] = ()
     plain_names: tuple[str, ...] = ()
-    # vertical views: one plan per term (term order) and the fj
-    # lattice: (vplan index, source vplan index or None) in the
-    # engine's generation order.
-    vplans: tuple[VTermPlan, ...] = ()
-    lattice: tuple[tuple[int, Optional[int]], ...] = ()
-    # horizontal views.
+    # percentage views: the query's result layout (term names, types,
+    # Vpct totals, the fj lattice, the BY sets), as the generators
+    # read it; horizontal views also place each term's measures.
+    layout: Optional[Layout] = field(default=None, compare=False)
     hplans: tuple[HTermPlan, ...] = ()
-    by_sets: tuple[tuple[str, ...], ...] = ()
-    multiple: bool = False
-    query: Optional[model.PercentageQuery] = field(default=None,
-                                                   compare=False)
 
     def level_specs(self) -> list[tuple[tuple[str, ...],
                                         tuple[MeasureSpec, ...]]]:
         """(columns, measures) per level; index 0 is the primary."""
         if self.kind == PLAIN:
-            measures = tuple(
-                _plain_measures(self.select))
-            return [(self.group_by, measures)]
-        if self.kind == VERTICAL:
-            measures = []
-            for term in self.query.terms:
-                if term.kind == model.VPCT:
-                    measures.append(MeasureSpec("sum", term.argument))
-                else:
-                    measures.append(MeasureSpec(
-                        term.func, term.argument, term.distinct))
-            return [(self.group_by, tuple(measures))]
-        # Horizontal: coarse denominators/plain terms + one fine level
-        # per BY set.
-        coarse: list[MeasureSpec] = []
-        fine: dict[tuple[str, ...], list[MeasureSpec]] = \
-            {by: [] for by in self.by_sets}
-        for plan in self.hplans:
-            term = self.query.terms[plan.position]
-            if plan.kind == model.HPCT:
-                coarse.append(MeasureSpec("sum", term.argument))
-                fine[plan.by_columns].append(
-                    MeasureSpec("sum", term.argument))
-            elif plan.kind == model.HAGG:
-                fine[plan.by_columns].append(MeasureSpec(
-                    term.func, term.argument, term.distinct))
-            else:
-                coarse.append(MeasureSpec(
-                    term.func, term.argument, term.distinct))
-        levels = [(self.group_by, tuple(coarse))]
-        for by in self.by_sets:
-            levels.append((self.group_by + by, tuple(fine[by])))
-        return levels
+            return [(self.group_by, tuple(_plain_measures(self.select)))]
+        terms = [t.term for t in self.layout.terms]
+        # The primary level holds Vpct numerators, Hpct denominators
+        # and plain terms; each BY set's fine level its cells'
+        # numerators.
+        return [(self.group_by, tuple(_measure(term) for term in terms
+                                      if term.kind != model.HAGG)),
+                *((self.group_by + by,
+                   tuple(_measure(term) for term in terms
+                         if term.by_columns == by))
+                  for by in self.layout.by_sets)]
+
+
+def _measure(term: model.AggregateTerm) -> MeasureSpec:
+    """A percentage term's numerator or denominator sum, or the term's
+    own aggregate."""
+    if term.kind in (model.VPCT, model.HPCT):
+        return MeasureSpec("sum", term.argument)
+    return MeasureSpec(term.func, term.argument, term.distinct)
 
 
 def _plain_measures(select: ast.Select) -> list[MeasureSpec]:
@@ -393,16 +359,6 @@ def _key_types(base, group_by) -> tuple[SQLType, ...]:
     return tuple(types)
 
 
-class _SchemaShim:
-    """Just enough of the Database surface for infer_expr_type."""
-
-    def __init__(self, catalog):
-        self._catalog = catalog
-
-    def table(self, name: str):
-        return self._catalog.table(name)
-
-
 def _analyze_percentage(catalog, name, select, sql, ref, base
                         ) -> ViewDefinition:
     query = model.build_percentage_query(select, sql)
@@ -413,124 +369,31 @@ def _analyze_percentage(catalog, name, select, sql, ref, base
             "aliased percentage sources are not supported")
     group_by = tuple(query.group_by)
     key_types = _key_types(base, group_by)
-    shim = _SchemaShim(catalog)
+    layout = layout_of(catalog, query)
     kind = VERTICAL if query.has_vertical_pct else HORIZONTAL
-    if kind == VERTICAL:
-        vplans, lattice = _plan_vertical(shim, query)
-        return ViewDefinition(
-            name=name, select=select, sql=sql, kind=kind,
-            base_table=query.table.lower(), binding=ref.binding,
-            group_by=group_by, key_types=key_types, where=query.where,
-            max_name_length=catalog.max_name_length, vplans=vplans,
-            lattice=lattice, query=query)
-    hplans, by_sets = _plan_horizontal(shim, query)
     return ViewDefinition(
         name=name, select=select, sql=sql, kind=kind,
         base_table=query.table.lower(), binding=ref.binding,
         group_by=group_by, key_types=key_types, where=query.where,
-        max_name_length=catalog.max_name_length, hplans=hplans,
-        by_sets=by_sets,
-        multiple=len(query.horizontal_terms()) > 1, query=query)
+        layout=layout,
+        hplans=_place_measures(layout) if kind == HORIZONTAL else ())
 
 
-def _plan_vertical(shim, query) -> tuple[tuple[VTermPlan, ...],
-                                         tuple[tuple[int,
-                                                     Optional[int]],
-                                               ...]]:
-    """Mirror generate_vertical's naming, typing and fj lattice."""
-    used = {c.lower() for c in query.group_by}
-    plans = []
-    for position, term in enumerate(query.terms):
-        column = common.vertical_term_name(term, used)
-        if term.kind == model.VPCT:
-            # _totals_of: GROUP BY minus BY; no BY => global totals.
-            if term.by_columns:
-                by = set(term.by_columns)
-                totals = tuple(c for c in query.group_by
-                               if c not in by)
-            else:
-                totals = ()
-            plans.append(VTermPlan(position, column, SQLType.REAL,
-                                   True, totals))
-        else:
-            if term.argument is not None:
-                arg_type = common.infer_expr_type(
-                    shim, query.table, term.argument)
-                out = common.storage_type(term.func, arg_type)
-            else:
-                out = SQLType.INTEGER
-            plans.append(VTermPlan(position, column, out, False))
-    # fj generation order: Vpct plans by descending totals arity
-    # (stable), each sourcing the smallest already-generated plan with
-    # an AST-equal argument and strictly finer totals -- so coarse
-    # denominators accumulate finer denominators in exactly the
-    # engine's float addend order.
-    vpct = [i for i, p in enumerate(plans) if p.is_vpct]
-    order = sorted(vpct, key=lambda i: -len(plans[i].totals))
-    lattice = []
-    generated: list[int] = []
-    for i in order:
-        source: Optional[int] = None
-        for j in generated:
-            if query.terms[j].argument != query.terms[i].argument:
-                continue
-            if not set(plans[i].totals) < set(plans[j].totals):
-                continue
-            if source is None or \
-                    len(plans[j].totals) < len(plans[source].totals):
-                source = j
-        lattice.append((i, source))
-        generated.append(i)
-    return tuple(plans), tuple(lattice)
-
-
-def _plan_horizontal(shim, query) -> tuple[tuple[HTermPlan, ...],
-                                           tuple[tuple[str, ...],
-                                                 ...]]:
-    """Mirror the direct (source=F) horizontal strategy's cells."""
-    by_sets: list[tuple[str, ...]] = []
+def _place_measures(layout: Layout) -> tuple[HTermPlan, ...]:
+    """Each term's measures in :meth:`ViewDefinition.level_specs`."""
     coarse = 0
-    fine_counts: dict[tuple[str, ...], int] = {}
+    fine = [0] * len(layout.by_sets)
     plans = []
-    for position, term in enumerate(query.terms):
-        if term.is_horizontal:
-            by = tuple(term.by_columns)
-            if by not in fine_counts:
-                fine_counts[by] = 0
-                by_sets.append(by)
-            level = by_sets.index(by) + 1
-            fine_measure = fine_counts[by]
-            fine_counts[by] += 1
-            if term.kind == model.HPCT:
-                plans.append(HTermPlan(
-                    position, term.kind, term.func, SQLType.REAL,
-                    by_columns=by, coarse_measure=coarse, level=level,
-                    fine_measure=fine_measure))
-                coarse += 1
-            else:
-                if term.func == "count":
-                    out = SQLType.INTEGER
-                else:
-                    arg_type = common.infer_expr_type(
-                        shim, query.table, term.argument)
-                    out = arg_type if term.func in ("min", "max") \
-                        else SQLType.REAL
-                plans.append(HTermPlan(
-                    position, term.kind, term.func, out,
-                    by_columns=by, level=level,
-                    fine_measure=fine_measure, default=term.default))
-        else:
-            if term.argument is None or term.func == "count":
-                out = SQLType.INTEGER
-            else:
-                arg_type = common.infer_expr_type(
-                    shim, query.table, term.argument)
-                out = arg_type if term.func in ("min", "max") \
-                    else SQLType.REAL
-            plans.append(HTermPlan(position, term.kind, term.func,
-                                   out, coarse_measure=coarse))
-            coarse += 1
-    return tuple(plans), tuple(by_sets)
+    for t in layout.terms:
+        coarse_measure = level = fine_measure = None
+        if t.kind != model.HAGG:
+            coarse_measure, coarse = coarse, coarse + 1
+        if t.term.is_horizontal:
+            level = layout.by_sets.index(t.term.by_columns) + 1
+            fine_measure = fine[level - 1]
+            fine[level - 1] += 1
+        plans.append(HTermPlan(coarse_measure, level, fine_measure))
+    return tuple(plans)
 
 
 def _analyze_plain(catalog, name, select, sql, ref, base
@@ -579,8 +442,8 @@ def _analyze_plain(catalog, name, select, sql, ref, base
         name=name, select=select, sql=sql, kind=PLAIN,
         base_table=ref.name.lower(), binding=ref.binding,
         group_by=tuple(group_by), key_types=key_types,
-        where=select.where, max_name_length=catalog.max_name_length,
-        plain_items=tuple(items), plain_names=names)
+        where=select.where, plain_items=tuple(items),
+        plain_names=names)
 
 
 # ----------------------------------------------------------------------

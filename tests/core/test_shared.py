@@ -90,6 +90,22 @@ class TestSharedSummaries:
         first = report.results[0]
         assert "monthno" in first.column_names()
 
+    def test_generated_names_match_individual_runs(self, tdb):
+        """count(*) and a compound argument are named by their select
+        position, on the summary as on the fact table."""
+        queries = [
+            "SELECT regionid, dayofweekno, Vpct(salesamt BY dayofweekno), "
+            "count(*), sum(salesamt * 2) FROM transactionline "
+            "GROUP BY regionid, dayofweekno",
+            "SELECT regionid, Hpct(salesamt BY monthno), "
+            "max(salesamt + 1) FROM transactionline GROUP BY regionid",
+        ]
+        report = run_percentage_batch(tdb, queries)
+        assert report.shared_groups == 1
+        for sql, got in zip(queries, report.results):
+            want = run_percentage_query(tdb, sql)
+            assert got.column_names() == want.column_names()
+
 
 @pytest.mark.allow_leaks  # the kept summary *is* the subject
 class TestKeptSummaryReuse:

@@ -69,10 +69,10 @@ def test_a_fuzz_line_runs_under_a_deadline():
 def test_every_sweep_kind_runs_in_smoke_and_nightly():
     swept = [argv[argv.index("--sweep") + 1]
              for argv in _commands("repro.fuzz") if "--sweep" in argv]
-    # Smoke adds two single-family views legs (hpct, hagg): the
-    # mixed-family leg keys only a handful of horizontal views.
-    assert sorted(swept) == sorted(itertools.chain(KINDS, KINDS,
-                                                   ["views", "views"]))
+    # Smoke adds three single-family views legs (vpct, hpct, hagg):
+    # the mixed-family leg keys only a handful of horizontal views.
+    assert sorted(swept) == sorted(itertools.chain(
+        KINDS, KINDS, ["views", "views", "views"]))
 
 
 def test_benchmark_commands_parse(monkeypatch):

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.api.database import Database
-from repro.core import common, model
+from repro.core import model
 from repro.core.naming import NamingPolicy, combo_column_name
 from repro.engine.column import ColumnData
 from repro.engine.table import Table
@@ -88,7 +88,7 @@ def _derive_reference(definition, state):
         names = _horizontal_names(definition, state.combos)
     else:
         names = definition.plain_names if definition.kind == PLAIN \
-            else [plan.name for plan in definition.vplans]
+            else [t.name for t in definition.layout.terms]
     for (_, sql_type, values), name in zip(
             _cells(definition, state, order), names):
         named.append((name, ColumnData.from_values(sql_type, values)))
@@ -166,8 +166,8 @@ def _patch_slots(definition, state, delta) -> list[int]:
     touched = {int(s) for s in delta.touched[0]}
     level = state.levels[0]
     group_by = definition.group_by
-    for plan in definition.vplans:
-        if not plan.is_vpct:
+    for plan in definition.layout.terms:
+        if plan.kind != model.VPCT:
             continue
         pos = [group_by.index(c) for c in plan.totals]
         changed = {normalize_key(tuple(_key(level, s)[p] for p in pos))
@@ -184,10 +184,10 @@ def _vertical_cells(definition, state, slots):
     group_by = definition.group_by
     totals = _vertical_totals(definition, state)
     cells = []
-    for idx, plan in enumerate(definition.vplans):
+    for idx, plan in enumerate(definition.layout.terms):
         pos = len(group_by) + idx
-        if not plan.is_vpct:
-            cells.append((pos, plan.out_type,
+        if plan.kind != model.VPCT:
+            cells.append((pos, plan.sql_type,
                           [level.values[idx][s] for s in slots]))
             continue
         projection = [group_by.index(c) for c in plan.totals]
@@ -211,8 +211,8 @@ def _vertical_totals(definition, state) -> dict[int, dict]:
     group_by = definition.group_by
     order = ordered_slots(level)
     entries_by_plan: dict[int, dict] = {}
-    for plan_idx, source_idx in definition.lattice:
-        plan = definition.vplans[plan_idx]
+    for plan_idx, source_idx in definition.layout.lattice:
+        plan = definition.layout.terms[plan_idx]
         entries: dict[tuple, list] = {}
         if source_idx is None:
             projection = [group_by.index(c) for c in plan.totals]
@@ -222,7 +222,7 @@ def _vertical_totals(definition, state) -> dict[int, dict]:
                 _accumulate(entries, raw,
                             None if value is None else float(value))
         else:
-            source = definition.vplans[source_idx]
+            source = definition.layout.terms[source_idx]
             projection = [source.totals.index(c) for c in plan.totals]
             source_entries = sorted(
                 entries_by_plan[source_idx].values(),
@@ -267,11 +267,11 @@ def _horizontal_cells(definition, state, slots):
     n_keys = len(definition.group_by)
     cells = []
     pos = n_keys
-    for plan in definition.hplans:
+    for t, plan in zip(definition.layout.terms, definition.hplans):
         coarse_values = None if plan.coarse_measure is None \
             else coarse.values[plan.coarse_measure]
-        if plan.kind == model.VERTICAL:
-            cells.append((pos, plan.out_type,
+        if t.kind == model.VERTICAL:
+            cells.append((pos, t.sql_type,
                           [coarse_values[s] for s in slots]))
             pos += 1
             continue
@@ -284,7 +284,7 @@ def _horizontal_cells(definition, state, slots):
             for s in slots:
                 slot = fine_slots.get(
                     normalize_key(_key(coarse, s)) + combo_key)
-                if plan.kind == model.HPCT:
+                if t.kind == model.HPCT:
                     total = coarse_values[s]
                     if total is None or total == 0:
                         values.append(None)
@@ -297,10 +297,10 @@ def _horizontal_cells(definition, state, slots):
                             else float(numerator) / float(total))
                 else:
                     value = None if slot is None else fine_values[slot]
-                    if value is None and plan.default is not None:
-                        value = plan.default
+                    if value is None and t.term.default is not None:
+                        value = t.term.default
                     values.append(value)
-            cells.append((pos, plan.out_type, values))
+            cells.append((pos, t.sql_type, values))
             pos += 1
     return cells
 
@@ -309,17 +309,24 @@ def _horizontal_names(definition, combos) -> list[str]:
     used = {c.lower() for c in definition.group_by}
     policy = NamingPolicy()
     names = []
-    for plan in definition.hplans:
-        term = definition.query.terms[plan.position]
-        if plan.kind == model.VERTICAL:
-            names.append(common.vertical_term_name(term, used))
+    for t, plan in zip(definition.layout.terms, definition.hplans):
+        if t.kind == model.VERTICAL:
+            names.append(_unique(t.stem, used))
             continue
-        label = f"{term.label()}_" if definition.multiple else ""
         for combo in combos[plan.level - 1]:
             names.append(combo_column_name(
-                term.by_columns, combo, policy,
-                definition.max_name_length, used, prefix=label))
+                t.term.by_columns, combo, policy,
+                definition.layout.max_name_length, used,
+                prefix=t.prefix))
     return names
+
+
+def _unique(stem: str, used: set[str]) -> str:
+    name, i = stem, 2
+    while name.lower() in used:
+        name, i = f"{stem}_{i}", i + 1
+    used.add(name.lower())
+    return name
 
 
 # ----------------------------------------------------------------------
@@ -443,10 +450,11 @@ def test_the_views_cover_the_lattice_and_the_grand_total():
         db.execute(f"CREATE MATERIALIZED VIEW v{i} AS {view}")
     definitions = [db.catalog.matview(f"v{i}").definition
                    for i in range(len(VIEWS))]
-    assert [source for _, source in definitions[1].lattice] == [None, 0]
-    assert [source for _, source in definitions[2].lattice] \
+    assert [source for _, source in definitions[1].layout.lattice] \
+        == [None, 0]
+    assert [source for _, source in definitions[2].layout.lattice] \
         == [None, 0, 1]
-    assert definitions[3].vplans[0].totals == ()
+    assert definitions[3].layout.terms[0].totals == ()
 
 
 def test_stable_writes_patch_rows_without_a_full_derive(monkeypatch):

@@ -12,6 +12,7 @@ from repro.api.database import Database
 from repro.core.execute import (generate_plan, run_percentage_query,
                                 run_resilient)
 from repro.core.horizontal import HorizontalStrategy
+from repro.core.model import parse_percentage_query
 from repro.core.vertical import VerticalStrategy
 from repro.errors import CatalogError, MaterializedViewError
 from repro.fuzz.comparator import table_diff
@@ -20,6 +21,25 @@ VPCT = "SELECT d1, d2, Vpct(a BY d2) FROM f GROUP BY d1, d2"
 HPCT = "SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1"
 PLAIN = "SELECT d1, sum(a), count(*) FROM f GROUP BY d1"
 
+#: Definitions over ``g`` that pin the views' result layout -- names,
+#: types, the fj lattice, label prefixes -- to the generators'.
+LAYOUT = (
+    "SELECT d1, sum(a) AS x, Hpct(a BY d2), max(a BY d2) FROM g "
+    "GROUP BY d1",
+    "SELECT d1, d2, d3, Vpct(a BY d2), Vpct(a BY d2, d3), Vpct(a) "
+    "FROM g GROUP BY d1, d2, d3",
+    "SELECT d1, d2, Vpct(a BY d2) AS d1x, avg(m), count(*) FROM g "
+    "GROUP BY d1, d2",
+    "SELECT d1, count(DISTINCT a BY d2), sum(m BY d2 DEFAULT 0) FROM g "
+    "GROUP BY d1",
+    "SELECT d1, Hpct(a BY d2) FROM g WHERE m > 1 GROUP BY d1",
+    "SELECT d1, Hpct(a BY d2), Hpct(m BY d2) FROM g GROUP BY d1",
+    "SELECT d1, d2, Vpct(m BY d2) AS vpct_m, sum(m) AS m FROM g "
+    "GROUP BY d1, d2",
+    "SELECT d1, min(d2 BY d3) FROM g GROUP BY d1",
+    "SELECT d1, Hpct(a BY d2, d3) FROM g GROUP BY d1",
+)
+
 #: Mixed DML exercising group birth, measure drift and group death.
 DML = (
     "INSERT INTO f VALUES (4, 'z', 5.0), (1, 'x', NULL)",
@@ -27,18 +47,37 @@ DML = (
     "UPDATE f SET d2 = 'y' WHERE d1 = 3",
     "DELETE FROM f WHERE d1 = 1",
 )
+G_DML = (
+    "INSERT INTO g VALUES (4, 'z', 1, 5.0, 3), (1, 'x', 2, NULL, 1)",
+    "UPDATE g SET a = 2.0, m = 0 WHERE d1 = 2",
+    "UPDATE g SET d2 = 'y', d3 = 1 WHERE d1 = 3",
+    "DELETE FROM g WHERE d1 = 1",
+)
+
+
+@pytest.fixture
+def db(db):
+    """The views' ``f`` plus ``g``, wide enough for :data:`LAYOUT`."""
+    db.execute_script("""
+        CREATE TABLE g (d1 INT, d2 VARCHAR, d3 INT, a REAL, m INT);
+        INSERT INTO g VALUES (1, 'x', 1, 10.0, 2), (1, 'y', 2, 30.0, 3),
+                             (2, 'x', 1, 60.0, 1), (2, 'y', 1, 0.25, 4),
+                             (2, 'y', 2, -0.25, NULL), (3, 'x', 2, NULL, 5),
+                             (3, NULL, NULL, 7.0, 2)
+    """)
+    return db
 
 
 def _recompute(db, sql):
-    if "Vpct" in sql:
-        return run_percentage_query(db, sql,
-                                    strategy=VerticalStrategy(),
-                                    use_views=False)
-    if "Hpct" in sql:
-        return run_percentage_query(
-            db, sql, strategy=HorizontalStrategy(source="F"),
-            use_views=False)
-    return db.execute(sql, use_views=False)
+    query = parse_percentage_query(sql)
+    if query.has_vertical_pct:
+        strategy = VerticalStrategy()
+    elif query.has_horizontal:
+        strategy = HorizontalStrategy(source="F")
+    else:
+        return db.execute(sql, use_views=False)
+    return run_percentage_query(db, sql, strategy=strategy,
+                                use_views=False)
 
 
 def _assert_served(db, sql):
@@ -47,22 +86,23 @@ def _assert_served(db, sql):
 
 
 class TestCreateAndServe:
-    @pytest.mark.parametrize("sql", (VPCT, HPCT, PLAIN))
+    @pytest.mark.parametrize("sql", (VPCT, HPCT, PLAIN, *LAYOUT))
     def test_served_bit_identical(self, db, sql):
         rows = db.execute(f"CREATE MATERIALIZED VIEW v AS {sql}")
         assert rows == db.execute(sql).n_rows
         assert db.catalog.has_matview("v")
         _assert_served(db, sql)
 
-    @pytest.mark.parametrize("sql", (VPCT, HPCT, PLAIN))
+    @pytest.mark.parametrize("sql", (VPCT, HPCT, PLAIN, *LAYOUT))
     def test_delta_maintenance_under_dml(self, db, sql):
         db.execute(f"CREATE MATERIALIZED VIEW v AS {sql}")
-        for dml in DML:
+        script = G_DML if " FROM g " in sql else DML
+        for dml in script:
             db.execute(dml)
             _assert_served(db, sql)
         assert db.stats.registry.value("view_refreshes_total",
                                        view="v", mode="delta") \
-            == len(DML)
+            == len(script)
 
     def test_from_name_scan_serves_the_view(self, db):
         db.execute(f"CREATE MATERIALIZED VIEW v AS {VPCT}")
