@@ -35,7 +35,9 @@ from repro.core.horizontal import (_distributive, _union_by_columns,
                                    discover_combinations)
 from repro.core.layout import Layout, layout_of
 from repro.core.naming import NamingPolicy
-from repro.core.partitioning import split_result_columns
+from repro.core.partitioning import (assemble_partitions,
+                                     partition_tables,
+                                     split_result_columns)
 from repro.core.plan import GeneratedPlan
 from repro.engine.types import SQLType
 from repro.errors import PercentageQueryError
@@ -253,11 +255,8 @@ def _assemble(db: Database, query: model.PercentageQuery, f0: str,
         n_keys=len(keys), columns=result_columns,
         max_columns=db.catalog.max_columns)
 
-    tables = []
-    for i, chunk in enumerate(partitions):
-        fh = f"{prefix}_fh" if len(partitions) == 1 \
-            else f"{prefix}_fh{i + 1}"
-        tables.append(fh)
+    tables = partition_tables(prefix, len(partitions))
+    for fh, chunk in zip(tables, partitions):
         defs = (*key_defs, *(ast.ColumnSpec(
             p.column, common.column_type_name(p.sql_type))
             for p, _ in chunk))
@@ -275,25 +274,7 @@ def _assemble(db: Database, query: model.PercentageQuery, f0: str,
             selects, ast.FromClause(ast.TableRef(f0), joins))),
             plan_mod.ASSEMBLE)
 
-    if len(tables) == 1:
-        result.result_table = tables[0]
-        if query.group_by:
-            result.result_statement = common.select_all(tables[0],
-                                                        query.group_by)
-        else:
-            result.result_statement = common.select(
-                cols([p.column for p, _ in partitions[0]]),
-                common.tables(tables[0]))
-        return
-
-    first = tables[0]
-    selects = list(cols(keys, first)) if query.group_by else []
-    for table, chunk in zip(tables, partitions):
-        selects.extend(ast.ColumnRef(p.column, table) for p, _ in chunk)
-    conditions: list[ast.Expr] = []
-    for other in tables[1:]:
-        conditions += common.null_safe_equalities(first, other, keys)
-    result.result_table = None
-    result.result_statement = common.select(
-        selects, common.tables(*tables), conjunction(conditions),
-        order_by=cols(query.group_by))
+    assemble_partitions(result, tables,
+                        [[p.column for p, _ in chunk]
+                         for chunk in partitions], keys,
+                        stand_in=not query.group_by)

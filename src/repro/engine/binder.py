@@ -541,9 +541,10 @@ _COLUMN, _KEY, _CALL, _GROUPING, _ERROR, _CELLS = range(6)
 class GroupRewrite:
     """The rewrite of a grouped statement's select items and HAVING
     onto its group frame: a grouping key becomes its ``__keyI`` column,
-    each distinct aggregate call its ``__aggI`` column and, under
-    grouping sets, ``pct()`` its ``__pctI`` column and ``grouping()``
-    its mask literal.  Key ``I`` is slot ``I``.
+    each distinct aggregate call its ``__aggI`` column, ``pct()`` its
+    ``__pctI`` column and ``grouping()`` its mask literal (the planner
+    admits those two only under CUBE/ROLLUP/GROUPING SETS).  Key ``I``
+    is slot ``I``.
 
     Each shape is compiled once (:meth:`_compile`) into a program that
     runs over each item's vectors.  Errors are what a walk of the tree
@@ -556,10 +557,8 @@ class GroupRewrite:
     column of an item is resolved and each subtree that could equal a
     key is looked up; the item's program then depends on which did."""
 
-    def __init__(self, frame: Frame, keys: list[ast.Expr],
-                 grouping_sets: bool = False) -> None:
+    def __init__(self, frame: Frame, keys: list[ast.Expr]) -> None:
         self.frame = frame
-        self.grouping_sets = grouping_sets
         #: The name of every distinct group frame column the rewritten
         #: items read, by slot.
         self.slots = [f"__key{j}" for j in range(len(keys))]
@@ -739,7 +738,7 @@ class GroupRewrite:
             c0, l0, f = state[0], state[1], state[2]
             self._skip(template, state)
             name = template[1]
-            if self.grouping_sets and name == "grouping":
+            if name == "grouping":
                 if not children(template):
                     steps.append((_ERROR, "grouping() requires at least "
                                           "one argument"))
@@ -749,7 +748,7 @@ class GroupRewrite:
                 state[5].append(None)
                 return LITERAL
             registry = self.aggs
-            if self.grouping_sets and name == "pct":
+            if name == "pct":
                 _, _, distinct, n_args, has_default, by_columns = \
                     template[:6]
                 if n_args != 1 or distinct or by_columns or has_default:
@@ -782,13 +781,14 @@ class GroupRewrite:
                   for child in template[start:]])
 
     def _replaced(self, template: Any) -> bool:
-        """Whether the rewrite replaces this node whole: a plain
-        aggregate call, or a grouping-sets function under grouping
-        sets."""
+        """Whether the rewrite replaces this node whole: an aggregate
+        call or a grouping-sets function (the planner keeps the latter
+        out of a statement without a CUBE/ROLLUP/GROUPING SETS
+        clause)."""
         if template[0] != "func" or template[6] is not None:
             return False
-        return template[1] in ast.AGGREGATE_NAMES or (
-            self.grouping_sets and template[1] in ast.GROUPING_SET_FUNCS)
+        return template[1] in ast.AGGREGATE_NAMES \
+            or template[1] in ast.GROUPING_SET_FUNCS
 
     def _skip(self, template: Any, state: list) -> None:
         """Move ``state`` past a subtree the rewrite replaces whole,

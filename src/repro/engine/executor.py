@@ -8,7 +8,7 @@ renders -- and :meth:`Executor._run_plan` walks it:
 
     scan each source (a view or derived table runs its own plan)
     -> join (hash / cartesian) -> residual filter
-    -> group-by build + aggregate, or grouping sets, or nothing
+    -> the grouping sets (a plain GROUP BY is one), or nothing
     -> projection (window functions, HAVING)
        -> DISTINCT -> ORDER BY -> LIMIT
 
@@ -300,16 +300,14 @@ class Executor:
         dataset = self._build_dataset(plan)
         frame = dataset.frame()
         # Each output is (frame, select items over it, HAVING, slots,
-        # cells): one for a projection or GROUP BY, one per set for
-        # grouping sets.  A projection's items are ``(name,
+        # cells): one for a projection, one per grouping set for a
+        # grouped statement.  A projection's items are ``(name,
         # expression)``; a grouped statement's are ``(name, Rewritten)``
         # over the group frame columns ``slots`` names and -- for a
         # cell family, ``(names, Rewritten)`` -- the cell aggregates
         # ``cells`` holds (repro.engine.binder, repro.engine.pivot).
-        if plan.mode == "grouping-sets":
-            outputs = self._run_grouping_sets(plan, frame)
-        elif plan.mode == "aggregate":
-            outputs = [self._run_aggregate(plan, frame)]
+        if plan.mode == "aggregate":
+            outputs = self._run_grouped(plan, frame)
         else:
             outputs = [(frame, plan.items, None, None, None)]
 
@@ -555,192 +553,119 @@ class Executor:
         return bind
 
     # -- aggregation --------------------------------------------------------
-    def _run_aggregate(self, plan: SelectPlan, frame: Frame):
-        key_columns = [evaluate(e, frame, self.stats)
-                       for e in plan.group_by]
-        with self._operator("group-by-build",
-                            input_rows=frame.n_rows) as op:
-            grouping = factorize(key_columns, frame.n_rows, self.stats)
-            op.charge(rows=grouping.n_groups, context="group-by")
-            op.stamp(groups=grouping.n_groups)
-            firsts = first_positions(grouping.group_ids,
-                                     grouping.n_groups)
-
-        group_frame = Frame(grouping.n_groups)
-        group_frame.add_columns((f"__key{j}", column.take(firsts))
-                                for j, column in enumerate(key_columns))
-
-        rewrite = binder.GroupRewrite(frame, plan.group_by)
-        items = [(name, rewrite.rewrite(bound))
-                 for (name, _), bound in zip(plan.items, plan.bound)]
-        having = rewrite.rewrite(plan.having_bound) \
-            if plan.having_bound is not None else None
-        cells = pivot_mod.CellStore(rewrite.aggs.n_cells)
-
-        with self._operator("group-by-aggregate",
-                            groups=grouping.n_groups,
-                            aggregates=len(rewrite.aggs),
-                            items=len(plan.columns),
-                            shapes=rewrite.shapes) as op:
-            op.stamp(families=self._compute_aggregates(
-                rewrite.aggs, frame, grouping, group_frame, cells))
-        return group_frame, items, having, rewrite.slots, cells
-
-    def _run_grouping_sets(self, plan: SelectPlan, frame: Frame):
-        """Shared-scan evaluation of a CUBE/ROLLUP/GROUPING SETS query.
-
-        One factorize over the union of all grouping dims; every set's
-        grouping is derived from it at group level (bit-identical to a
-        standalone GROUP BY of that set, see repro.engine.groupingsets),
-        and its aggregates are computed over base rows through
-        :meth:`_aggregate_batch`.  Output rows carry NULL placeholders
-        for absent dims and are emitted set by set in request order.
-        """
+    def _run_grouped(self, plan: SelectPlan, frame: Frame):
+        """Every grouped SELECT as the lattice of its grouping sets (a
+        plain GROUP BY is the one set of its keys, a global aggregate
+        ``()``): one factorize over the union dims; per distinct set a
+        grouping derived at group level (the set of every dim is the
+        union's own), keys at its groups' first rows (NULL for absent
+        dims) and aggregates over base rows; outputs in request order.
+        A CUBE/ROLLUP/GROUPING SETS clause names the spans and keeps
+        the pivot kernel out: it would book a CASE fan-out per set."""
+        n_rows = frame.n_rows
+        clause = ast.has_grouping_sets(plan.select)
         lattice = gs_mod.build_plan(
             plan.grouping_sets,
             key_of=lambda e: binder.expression_key(e, frame))
         key_columns = [evaluate(e, frame, self.stats)
                        for e in lattice.dims]
 
-        with self._operator("grouping-sets-build",
-                            input_rows=frame.n_rows, sets=lattice.n_sets,
-                            dims=len(lattice.dims)) as op:
-            union = factorize(key_columns, frame.n_rows, self.stats)
-            op.stamp(union_groups=union.n_groups)
+        build = self._operator(
+            "grouping-sets-build", input_rows=n_rows, sets=len(lattice.sets),
+            dims=len(lattice.dims)) if clause \
+            else self._operator("group-by-build", input_rows=n_rows)
+        with build as op:
+            union = factorize(key_columns, n_rows, self.stats)
+            if clause:
+                op.stamp(union_groups=union.n_groups)
+            else:
+                op.charge(rows=union.n_groups, context="group-by")
+                op.stamp(groups=union.n_groups)
+            union_firsts = first_positions(union.group_ids,
+                                           union.n_groups)
 
         # One rewrite serves every set: only the grouping() masks
-        # differ per set (Rewritten.for_set), and the aggregate and
-        # pct calls are shared.
-        rewrite = binder.GroupRewrite(frame, lattice.dims,
-                                      grouping_sets=True)
+        # differ per set (Rewritten.for_set).
+        rewrite = binder.GroupRewrite(frame, lattice.dims)
         items = [(name, rewrite.rewrite(bound))
                  for (name, _), bound in zip(plan.items, plan.bound)]
         having = rewrite.rewrite(plan.having_bound) \
             if plan.having_bound is not None else None
-        aggs, pcts = rewrite.aggs.calls, rewrite.pcts.calls
-
-        # The internal compute list: aggregate calls first (arguments
-        # evaluated once -- the shared scan), then one sum per pct
-        # measure (the sums percentages read).
-        compute = list(self._aggregate_items(
-            ((f"__agg{i}", call) for i, call in enumerate(aggs)), frame))
-        compute += [(f"__pctsum{j}", "sum", _concrete(evaluate(
-            call.args[0], frame, self.stats)), False)
-            for j, call in enumerate(pcts)]
+        cells = pivot_mod.CellStore(rewrite.aggs.n_cells)
+        families = [] if clause \
+            else pivot_mod.detect_families(rewrite.aggs)
+        # The distinct sets, in request order.
+        distinct = {spec.dims: spec for spec in lattice.sets}
+        # The shared scan: a lattice evaluates each argument once for
+        # all its sets; one set pulls them one at a time.
+        batch = list(self._aggregate_items(rewrite, frame)) \
+            if len(distinct) > 1 else None
 
         # -- compute each distinct set once ---------------------------
-        by_dims: dict[tuple[int, ...], gs_mod.SetGrouping] = {}
-        aggregated: dict[tuple[int, ...], dict[str, ColumnData]] = {}
-        for spec in lattice.sets:
-            dims = spec.dims
-            if dims in by_dims:
-                continue
-            label = gs_mod.render_set(
-                tuple(lattice.dims[i] for i in dims))
-            with self._operator("grouping-set", site="group-by",
-                                set=label) as op:
-                sg = gs_mod.derive_set_grouping(union, dims,
-                                                frame.n_rows)
-                op.charge(rows=sg.grouping.n_groups, context="group-by")
-                op.stamp(groups=sg.grouping.n_groups)
-                by_dims[dims] = sg
-                aggregated[dims] = self._aggregate_batch(
-                    compute, sg.grouping.group_ids, sg.grouping.n_groups)
+        by_dims: dict[tuple[int, ...], tuple] = {}
+        for dims in distinct:
+            span = self._operator(
+                "grouping-set", site="group-by", set=gs_mod.render_set(
+                    tuple(lattice.dims[i] for i in dims))) if clause \
+                else self._operator(
+                    "group-by-aggregate", groups=union.n_groups,
+                    aggregates=len(rewrite.aggs),
+                    items=len(plan.columns), shapes=rewrite.shapes,
+                    families=len(families))
+            with span as op:
+                sg = gs_mod.derive_set_grouping(union, dims, n_rows)
+                grouping = sg.grouping
+                if clause:
+                    op.charge(rows=grouping.n_groups, context="group-by")
+                    op.stamp(groups=grouping.n_groups)
+                if sg.to_set is None:
+                    firsts = union_firsts
+                else:   # the earliest of its union groups' first rows
+                    firsts = np.full(grouping.n_groups, n_rows)
+                    np.minimum.at(firsts, sg.to_set, union_firsts)
+                group_frame = Frame(grouping.n_groups)
+                group_frame.add_columns(
+                    (f"__key{i}", column.take(firsts) if i in dims
+                     else ColumnData.all_null(_concrete(column).sql_type,
+                                              grouping.n_groups))
+                    for i, column in enumerate(key_columns))
+                self._compute_aggregates(rewrite, families, frame,
+                                         grouping, group_frame, cells,
+                                         batch)
+            by_dims[dims] = sg, group_frame
+
+        # -- pct(): each group's sum over its parent level's -----------
+        for dims, spec in distinct.items() if rewrite.pcts.calls else ():
+            sg, group_frame = by_dims[dims]
+            parent, parent_frame = by_dims[spec.pct_parent]
+            parent_ids = gs_mod.fine_to_coarse(sg, parent)
+            group_frame.add_columns(
+                (f"__pct{j}", gs_mod.percentage_column(
+                    group_frame.named(f"__pctsum{j}"),
+                    parent_frame.named(f"__pctsum{j}"), parent_ids))
+                for j in range(len(rewrite.pcts.calls)))
 
         # -- one output per requested set, in request order ------------
-        outputs = []
-        for spec in lattice.sets:
-            sg = by_dims[spec.dims]
-            n_groups = sg.grouping.n_groups
-            group_frame = Frame(n_groups)
-            dim_positions = {dim: pos
-                             for pos, dim in enumerate(spec.dims)}
-            group_frame.add_columns(
-                (f"__key{i}", sg.grouping.key_column(dim_positions[i])
-                 if i in dim_positions
-                 else ColumnData.all_null(key_col.sql_type, n_groups))
-                for i, key_col in enumerate(key_columns))
-            group_frame.add_columns(
-                (name, data) for name, data in aggregated[spec.dims].items()
-                if not name.startswith("__pctsum"))
-            for j in range(len(pcts)):
-                own = aggregated[spec.dims][f"__pctsum{j}"]
-                if spec.pct_parent is None:
-                    parent_sums = own
-                    parent_ids = np.arange(n_groups, dtype=np.int64)
-                else:
-                    parent_dims = lattice.sets[spec.pct_parent].dims
-                    parent_sums = aggregated[parent_dims][f"__pctsum{j}"]
-                    parent_ids = gs_mod.fine_to_coarse(
-                        sg, by_dims[parent_dims])
-                group_frame.add_column(
-                    f"__pct{j}", gs_mod.percentage_column(
-                        own, parent_sums, parent_ids))
-            outputs.append((
-                group_frame,
-                [(name, item.for_set(spec.dims)) for name, item in items],
-                having.for_set(spec.dims) if having is not None else None,
-                rewrite.slots, None))
-        return outputs
+        return [(by_dims[spec.dims][1],
+                 [(name, item.for_set(spec.dims)) for name, item in items],
+                 having.for_set(spec.dims) if having is not None else None,
+                 rewrite.slots, cells)
+                for spec in lattice.sets]
 
-    def _aggregate_batch(self, items, group_ids: np.ndarray,
-                         n_groups: int) -> dict[Any, ColumnData]:
-        """Every grouped aggregate of every operator goes through here:
-        ``(key, func, arg, distinct)`` items over one grouping in,
-        ``{key: ColumnData}`` out, in item order.  ``items`` may be a
-        generator and is consumed one aggregate at a time, so a caller
-        that evaluates argument expressions lazily never holds more
-        than one argument column (the 1,000-column Hpct statements
-        depend on this)."""
-        return {key: compute_aggregate(func, arg, distinct, group_ids,
-                                       n_groups, self.stats)
-                for key, func, arg, distinct in items}
+    def _aggregate_items(self, rewrite: binder.GroupRewrite,
+                         frame: Frame, handled: set[int] = frozenset(),
+                         blocks: set = frozenset()):
+        """``(key, func, argument column, distinct)`` per aggregate the
+        pivot kernel left -- the calls not ``handled`` and the cells of
+        the cell blocks not in ``blocks``, validated, in the order they
+        were bound, then one sum per ``pct()`` measure (the sums
+        percentages read); ``None`` is ``count(*)``'s argument.  Lazy:
+        :meth:`_compute_aggregates` pulls one item at a time, so argument
+        expressions are evaluated (and released) per aggregate exactly
+        as a plain loop would."""
+        aggs = rewrite.aggs
 
-    def _aggregate_items(self, calls, frame: Frame):
-        """``(key, func, argument column, distinct)`` per ``(key,
-        aggregate call)``, validated; ``None`` is ``count(*)``'s
-        argument.  Lazy: :meth:`_aggregate_batch` pulls one item at a
-        time, so argument expressions are evaluated (and released) per
-        aggregate exactly as a plain loop would."""
-        for key, call in calls:
-            if call.args and isinstance(call.args[0], ast.Star):
-                if call.name != "count":
-                    raise PlanningError(
-                        f"{call.name}(*) is not valid; only count(*)")
-                yield key, "count", None, False
-            else:
-                if len(call.args) != 1:
-                    raise PlanningError(
-                        f"{call.name}() takes exactly one argument")
-                arg = evaluate(call.args[0], frame, self.stats)
-                yield key, call.name, _concrete(arg), call.distinct
-
-    def _compute_aggregates(self, aggs: binder.CallSlots, frame: Frame,
-                            grouping, group_frame: Frame,
-                            cells: pivot_mod.CellStore) -> int:
-        """Evaluate each distinct aggregate over the base frame, binding
-        ``__aggI`` columns into the group frame and filing cell family
-        aggregates in ``cells``; the number of pivot families.
-        Families of disjoint pivot-style CASE aggregations go through
-        the pivot kernel (one factorize pass instead of N masked
-        passes; the ``pivot`` operator opens only for a statement that
-        has one), everything else through the generic evaluator, in
-        the order the calls were bound -- a cell block's cells one by
-        one."""
-        handled: set[int] = set()
-        blocks: set[binder.CellBlock] = set()
-        families = pivot_mod.detect_families(aggs)
-        if families:
-            with self._operator("pivot") as op:
-                handled, blocks = pivot_mod.compute_families(
-                    families, frame, grouping.group_ids,
-                    grouping.n_groups, group_frame, cells, self.stats,
-                    self._aggregate_batch)
-                op.stamp(aggregates=len(handled) + sum(
-                    len(block.own) for block in blocks),
-                    groups=grouping.n_groups)
-
-        def generic():
+        def calls():
             for entry in aggs.order:
                 if type(entry) is int:
                     if entry not in handled:
@@ -750,9 +675,57 @@ class Executor:
                         yield (entry, i), ast.with_match(
                             entry.call, entry.family.match(i))
 
-        computed = self._aggregate_batch(
-            self._aggregate_items(generic(), frame),
-            grouping.group_ids, grouping.n_groups)
+        for key, call in calls():
+            if call.args and isinstance(call.args[0], ast.Star):
+                if call.name != "count":
+                    raise PlanningError(
+                        f"{call.name}(*) is not valid; only count(*)")
+                yield key, "count", None, False
+            else:
+                if len(call.args) != 1:
+                    raise PlanningError(
+                        f"{call.name}() takes exactly one argument")
+                yield key, call.name, _concrete(evaluate(
+                    call.args[0], frame, self.stats)), call.distinct
+        for j, call in enumerate(rewrite.pcts.calls):
+            yield f"__pctsum{j}", "sum", _concrete(evaluate(
+                call.args[0], frame, self.stats)), False
+
+    def _compute_aggregates(self, rewrite: binder.GroupRewrite,
+                            families: list, frame: Frame, grouping,
+                            group_frame: Frame,
+                            cells: pivot_mod.CellStore,
+                            batch: Optional[list] = None) -> None:
+        """Evaluate each distinct aggregate over the base frame, binding
+        ``__aggI`` (and ``__pctsumJ``) columns into the group frame and
+        filing cell family aggregates in ``cells``.  ``families`` of
+        disjoint pivot-style CASE aggregations go through the pivot
+        kernel (one factorize pass instead of N masked passes; the
+        ``pivot`` operator opens only for a statement that has one),
+        everything else through the generic evaluator, in the order the
+        calls were bound -- a cell block's cells one by one -- from
+        ``batch`` when a lattice evaluated the items once for all its
+        sets."""
+        handled: set[int] = set()
+        blocks: set[binder.CellBlock] = set()
+        if families:
+            with self._operator("pivot") as op:
+                handled, blocks = pivot_mod.compute_families(
+                    families, frame, grouping.group_ids,
+                    grouping.n_groups, group_frame, cells, self.stats)
+                op.stamp(aggregates=len(handled) + sum(
+                    len(block.own) for block in blocks),
+                    groups=grouping.n_groups)
+
+        # One aggregate at a time: a lazy item source holds one argument
+        # column, not a thousand (the wide Hpct statements).
+        computed = {key: compute_aggregate(func, arg, distinct,
+                                           grouping.group_ids,
+                                           grouping.n_groups, self.stats)
+                    for key, func, arg, distinct in (
+                        batch if batch is not None else
+                        self._aggregate_items(rewrite, frame, handled,
+                                              blocks))}
         group_frame.add_columns((key, column)
                                 for key, column in computed.items()
                                 if type(key) is str)
@@ -766,7 +739,6 @@ class Executor:
                 np.stack([column.values for column in columns]),
                 np.stack([column.nulls for column in columns])),
                 np.arange(len(columns)))
-        return len(families)
 
     # -- ORDER BY -----------------------------------------------------------
     def _apply_order(self, select: ast.Select, result: Table,

@@ -140,7 +140,7 @@ def _explain_select(executor, select: ast.Select, lines: list[str],
         group = ", ".join(format_expr(e) for e in select.group_by)
         emit("aggregate" + (f" group by {group}" if group
                             else " (global)"))
-        if plan.mode == "grouping-sets":
+        if ast.has_grouping_sets(select):
             emit(f"grouping-sets: {len(plan.grouping_sets)} sets, "
                  f"shared-scan", 1)
         if select.having is not None:

@@ -1,10 +1,12 @@
-"""Lattice planning and shared-scan evaluation for CUBE / ROLLUP /
-GROUPING SETS.
+"""Lattice planning and shared-scan evaluation for every grouped
+SELECT: CUBE / ROLLUP / GROUPING SETS, and a plain GROUP BY or global
+aggregate as the lattice of one set.
 
 A grouping-sets query names k grouping sets over d distinct key
 expressions (the *union dims*).  Instead of running k separate
 group-bys, the executor factorizes the **union** of all dims once and
-derives every set's grouping from it at *group level*:
+derives every set's grouping from it at *group level* (the set that
+holds every dim is the union grouping itself):
 
 1. the union factorize produces ``group_ids`` (one per row) plus a
    ``key_codes`` matrix with one dense per-dim code per union group;
@@ -23,9 +25,10 @@ paths give the same combined codes the same ascending ranking
 :mod:`repro.engine.groupby`, by its density rule), the derived group
 ids (and key codes) are **bit-identical** to a direct factorization --
 which is what makes the shared scan safe to substitute for N separate
-group-bys (see docs/cube.md for the full argument).  Every set's
-aggregates are then computed from base rows over its derived grouping,
-through the same kernels a plain GROUP BY uses.
+group-bys (see docs/cube.md for the full argument).  Every set's keys
+are its dims' values at its groups' first rows, and its aggregates are
+computed from base rows over its derived grouping, through the same
+kernels whatever the set.
 """
 
 from __future__ import annotations
@@ -97,14 +100,13 @@ def expand_group_by(group_by: tuple[ast.Expr, ...],
 
 @dataclass(frozen=True)
 class SetSpec:
-    """One requested grouping set, positioned in the request order."""
+    """One requested grouping set."""
 
-    position: int
     dims: tuple[int, ...]            # ascending union-dim indices
-    #: position of the parent lattice level percentages divide by (the
-    #: proper subset with the most dims), or None at the lattice top...
-    #: which for pct() means the set is its own parent (ratio 1.0).
-    pct_parent: Optional[int]
+    #: the dims of the parent lattice level percentages divide by: the
+    #: first requested proper subset with the most dims, or at the
+    #: lattice top the set itself (ratio 1.0).
+    pct_parent: tuple[int, ...]
 
 
 @dataclass
@@ -113,11 +115,6 @@ class GroupingSetsPlan:
 
     dims: list[ast.Expr]             # union dims, first-appearance order
     sets: list[SetSpec]              # request order
-    raw_sets: list[tuple[ast.Expr, ...]]
-
-    @property
-    def n_sets(self) -> int:
-        return len(self.sets)
 
 
 def build_plan(raw_sets: list[tuple[ast.Expr, ...]],
@@ -145,17 +142,11 @@ def build_plan(raw_sets: list[tuple[ast.Expr, ...]],
                 indices.append(idx)
         index_sets.append(tuple(sorted(indices)))
 
-    sets: list[SetSpec] = []
-    for position, indices in enumerate(index_sets):
-        here = frozenset(indices)
-        pct_parent = None
-        parent_size = -1
-        for other_pos, other in enumerate(index_sets):
-            if frozenset(other) < here and len(other) > parent_size:
-                pct_parent = other_pos
-                parent_size = len(other)
-        sets.append(SetSpec(position, indices, pct_parent))
-    return GroupingSetsPlan(dims, sets, raw_sets)
+    def pct_parent(indices: tuple[int, ...]) -> tuple[int, ...]:
+        below = [other for other in index_sets if set(other) < set(indices)]
+        return max(below, key=len, default=indices)
+    return GroupingSetsPlan(dims, [SetSpec(indices, pct_parent(indices))
+                                   for indices in index_sets])
 
 
 def grouping_mask(arg_dims: list[int], set_dims: tuple[int, ...]) -> int:
@@ -178,11 +169,12 @@ class SetGrouping:
     """A set's grouping plus its mapping from union groups.
 
     ``to_set[union_gid]`` is the set-level group id -- the hook pct()
-    parent lookups compose through (:func:`fine_to_coarse`).
+    parent lookups compose through (:func:`fine_to_coarse`); None for
+    the union grouping itself, whose groups are the union's.
     """
 
     grouping: Grouping
-    to_set: np.ndarray
+    to_set: Optional[np.ndarray]
 
 
 def derive_set_grouping(union: Grouping, dims: tuple[int, ...],
@@ -192,8 +184,12 @@ def derive_set_grouping(union: Grouping, dims: tuple[int, ...],
     Bit-identical to ``factorize([key_columns[i] for i in dims], ...)``:
     same encodings, same mixed-radix combination order, same
     ``np.unique`` ranking -- only computed over union *groups* instead
-    of rows.
+    of rows.  The set that holds every dim -- a plain GROUP BY's one
+    set -- is the union grouping itself: its group ids already are
+    that ranking.
     """
+    if len(dims) == len(union.encodings):
+        return SetGrouping(union, None)
     if not dims:
         # SQL's global aggregate: one group even over an empty table,
         # exactly like factorize([] , n_rows).
@@ -239,6 +235,9 @@ def fine_to_coarse(fine: SetGrouping, coarse: SetGrouping) -> np.ndarray:
     union groups sharing a fine group then share a coarse group, so the
     scatter below writes each slot a consistent value.
     """
+    if fine.to_set is None:        # the union: coarse is it, or below
+        return np.arange(fine.grouping.n_groups, dtype=np.int64) \
+            if coarse.to_set is None else coarse.to_set
     mapping = np.empty(fine.grouping.n_groups, dtype=np.int64)
     mapping[fine.to_set] = coarse.to_set
     return mapping

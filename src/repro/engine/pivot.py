@@ -38,11 +38,12 @@ two evaluators against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.engine import faults
+from repro.engine.aggregates import compute_aggregate
 from repro.engine.binder import (COLUMN, LITERAL, MATCH, CallSlots,
                                  CellBlock, children, holds_match, sizes)
 from repro.engine.column import ColumnData
@@ -223,18 +224,12 @@ def _lookups(block: CellBlock, order: tuple) -> list[tuple]:
 def compute_families(families: list[_Family], frame: Frame,
                      group_ids: np.ndarray, n_groups: int,
                      group_frame: Frame, store: CellStore,
-                     stats: Optional[StatsCollector],
-                     aggregate: Callable[..., dict]
+                     stats: Optional[StatsCollector]
                      ) -> tuple[set[int], set[CellBlock]]:
     """Compute each family, binding its calls' ``__aggI`` columns into
     ``group_frame`` in one batch per family and filing its cell blocks'
     results in ``store``.  Returns the handled call indexes and cell
-    blocks; a family the kernel declines is left out of them.
-
-    ``aggregate`` is the executor's batch entry point --
-    ``(items, group_ids, n_groups) -> {key: ColumnData}`` -- which runs
-    the per-cell aggregation.
-    """
+    blocks; a family the kernel declines is left out of them."""
     handled: set[int] = set()
     blocks: set[CellBlock] = set()
     # Families over the same pivot columns share their cells: an Hpct
@@ -243,7 +238,7 @@ def compute_families(families: list[_Family], frame: Frame,
     for family in families:
         faults.cross("pivot")
         if _compute_family(family, frame, group_ids, n_groups,
-                           group_frame, store, stats, aggregate, cells):
+                           group_frame, store, stats, cells):
             for terms in family.terms:
                 if terms.block is None:
                     handled.add(terms.index)
@@ -437,7 +432,6 @@ def _compute_family(family: _Family, frame: Frame,
                     group_ids: np.ndarray, n_groups: int,
                     group_frame: Frame, store: CellStore,
                     stats: Optional[StatsCollector],
-                    aggregate: Callable[..., dict],
                     shared: dict) -> bool:
     n_rows = frame.n_rows
     arg = evaluate(family.result_expr, frame, None)
@@ -463,10 +457,10 @@ def _compute_family(family: _Family, frame: Frame,
     # One aggregation pass per distinct function: terms with different
     # functions share the factorization (the O(1) dispatch) but must
     # not share cell values.
-    cells_by_func = aggregate(
-        [(func, func, arg, False)
-         for func in sorted({terms.func for terms in family.terms})],
-        cells.group_ids, cells.n_groups)
+    cells_by_func = {func: compute_aggregate(func, arg, False,
+                                             cells.group_ids,
+                                             cells.n_groups, stats)
+                     for func in sorted({t.func for t in family.terms})}
 
     # Each term's combination (-1: no row has its values), then one
     # slot per distinct combination asked for; slot 0 receives no

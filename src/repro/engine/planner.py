@@ -81,11 +81,12 @@ class SelectPlan:
     ``matview`` set means the whole statement is answered from that
     materialized view and nothing else applies.  ``items`` is the
     select list with ``*`` expanded, as ``(output name, expression)``
-    -- a cell family as ``(its cells' names, family)``;
-    ``mode`` is ``projection``, ``aggregate`` (``group_by`` holds the
-    resolved keys) or ``grouping-sets`` (``grouping_sets`` holds the
-    expanded sets).  DISTINCT / ORDER BY / LIMIT are read off
-    ``select`` in that order.  ``bound`` is the binder's record of
+    -- a cell family as ``(its cells' names, family)``; ``mode`` is
+    ``projection`` or ``aggregate``, whose ``grouping_sets`` holds the
+    expanded sets, positions resolved: a plain GROUP BY is the one set
+    of its keys, a global aggregate the set ``()`` (the Data Cube's
+    generalization of GROUP BY).  DISTINCT / ORDER BY / LIMIT are read
+    off ``select`` in that order.  ``bound`` is the binder's record of
     each select item (parallel to ``select.items``) and
     ``having_bound`` HAVING's (:mod:`repro.engine.binder`): the one
     descent of each, which the executor reads instead of walking the
@@ -99,7 +100,6 @@ class SelectPlan:
     from_plan: Optional[FromPlan] = None
     mode: str = "projection"
     items: list[tuple[str, ast.Expr]] = field(default_factory=list)
-    group_by: list[ast.Expr] = field(default_factory=list)
     grouping_sets: list[tuple[ast.Expr, ...]] = field(default_factory=list)
     bound: list[BoundExpr] = field(default_factory=list)
     having_bound: Optional[BoundExpr] = None
@@ -148,14 +148,9 @@ def plan_select(select: ast.Select, catalog, use_views: bool = True
             sources[planned.binding.lower()] = planned
         plan.from_plan = plan_from(select.from_, select.where, sources)
     plan.items, plan.windowed = _select_items(select, plan)
-
-    def resolve(expr: ast.Expr) -> ast.Expr:
-        return _resolve_group_expr(expr, select)
-    if plan.mode == "grouping-sets":
+    if plan.mode == "aggregate":
         plan.grouping_sets = groupingsets.expand_group_by(
-            select.group_by, resolve)
-    else:
-        plan.group_by = [resolve(e) for e in select.group_by]
+            select.group_by, lambda e: _resolve_group_expr(e, select))
     return plan
 
 
@@ -178,7 +173,7 @@ def _mode(select: ast.Select, bound: list[BoundExpr],
             raise PlanningError(
                 "window functions are not supported with "
                 "CUBE/ROLLUP/GROUPING SETS")
-        return "grouping-sets"
+        return "aggregate"
     if having is not None:
         shapes.append(having.shape)
     if any(shape.grouping for shape in shapes):

@@ -40,19 +40,32 @@ _INT_DIM_VALUES = (0, 1, 2)
 
 @dataclass(frozen=True)
 class TermSpec:
-    """One aggregate item of a generated select list."""
+    """One aggregate item of a generated select list -- for a
+    ``pivot`` term, a run of them."""
 
-    kind: str                      # vpct | hpct | hagg | plain
+    kind: str                      # vpct|hpct|hagg|plain|grouping|pivot
     func: str                      # vpct/hpct or sum/count/avg/min/max
     argument: str                  # column name, or "*" (count only)
     by: tuple[str, ...] = ()
-    default: Optional[Any] = None  # literal for ``DEFAULT`` (hagg only)
+    #: the literal of hagg's ``DEFAULT``, or of a pivot run's ``ELSE``
+    default: Optional[Any] = None
+    values: tuple[Any, ...] = ()   # a pivot run's dim values
 
     def sql(self) -> str:
         if self.kind == "grouping":
             # grouping() takes the dim list in ``by`` (``argument`` is
             # unused); it tags each output row with its set's bitmask.
             return f"grouping({', '.join(self.by)})"
+        if self.kind == "pivot":
+            # One disjoint CASE aggregate per value of the dim in
+            # ``by``: the family shape the engine's pivot kernel
+            # computes (repro.engine.pivot.detect_families).
+            otherwise = "" if self.default is None \
+                else f" ELSE {format_literal(self.default)}"
+            return ", ".join(
+                f"{self.func}(CASE WHEN {self.by[0]} = "
+                f"{format_literal(value)} THEN {self.argument}"
+                f"{otherwise} END)" for value in self.values)
         inner = self.argument
         if self.by:
             inner += " BY " + ", ".join(self.by)
@@ -64,14 +77,15 @@ class TermSpec:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "func": self.func,
                 "argument": self.argument, "by": list(self.by),
-                "default": self.default}
+                "default": self.default, "values": list(self.values)}
 
     @staticmethod
     def from_dict(data: dict) -> "TermSpec":
         return TermSpec(kind=data["kind"], func=data["func"],
                         argument=data["argument"],
                         by=tuple(data.get("by", ())),
-                        default=data.get("default"))
+                        default=data.get("default"),
+                        values=tuple(data.get("values", ())))
 
 
 @dataclass(frozen=True)
@@ -290,9 +304,11 @@ class CaseGenerator:
 
         group_by = tuple(sorted(rng.sample(
             dims, rng.randint(0, len(dims)))))
-        terms = tuple(self._plain_term(rng, measures)
-                      for _ in range(rng.randint(1, 3)))
-        return group_by, terms
+        terms = [self._plain_term(rng, measures)
+                 for _ in range(rng.randint(1, 3))]
+        if dims and rng.random() < 0.4:
+            terms.append(self._pivot_term(rng, dims, measures))
+        return group_by, tuple(terms)
 
     def _cube_query(self, rng: random.Random, dims: list[str],
                     measures: list[str]
@@ -339,6 +355,8 @@ class CaseGenerator:
                 list(union_dims), rng.randint(1, len(union_dims)))))
             terms.append(TermSpec("grouping", "grouping", "*",
                                   by=args))
+        if rng.random() < 0.4:
+            terms.append(self._pivot_term(rng, dims, measures))
         return union_dims, tuple(terms), clause
 
     def _plain_term(self, rng: random.Random,
@@ -347,6 +365,20 @@ class CaseGenerator:
         if func == "count" and rng.random() < 0.5:
             return TermSpec("plain", "count", "*")
         return TermSpec("plain", func, rng.choice(measures))
+
+    def _pivot_term(self, rng: random.Random, dims: list[str],
+                    measures: list[str]) -> TermSpec:
+        """Two or more ``func(CASE WHEN dim = value THEN measure [ELSE
+        0] END)`` items over one dim (only a sum says ELSE 0, the
+        kernel's rule), a value now and then absent from the data."""
+        dim = rng.choice(dims)
+        pool = _VARCHAR_VALUES + ("z",) if dict(_DIM_POOL)[dim] == \
+            "varchar" else _INT_DIM_VALUES + (7,)
+        values = tuple(rng.sample(pool, rng.randint(2, 3)))
+        func = rng.choice(PLAIN_FUNCS)
+        default = 0 if func == "sum" and rng.random() < 0.6 else None
+        return TermSpec("pivot", func, rng.choice(measures), (dim,),
+                        default=default, values=values)
 
 
 # ----------------------------------------------------------------------

@@ -48,6 +48,7 @@ from repro.engine.groupby import first_positions, group_rows
 from repro.engine.kernels import kernel_percentage, kernel_sum
 from repro.engine.table import Table
 from repro.engine.types import SQLType
+from repro.sql import ast
 from repro.sql.formatter import format_select
 from repro.views.state import (PLAIN, VERTICAL, Combinations, DeltaInfo,
                                Denominators, ViewDefinition, ViewState,
@@ -314,15 +315,13 @@ def _horizontal_columns(definition, state, slots) -> list[ColumnData]:
 # ----------------------------------------------------------------------
 def match_view(catalog, select) -> Optional[object]:
     """The materialized view whose canonical definition text equals
-    this SELECT's, if any (whole-statement structural rewrite)."""
-    matviews = catalog.matviews()
-    if not matviews:
+    this SELECT's, if any (whole-statement structural rewrite).  Every
+    definition groups one base table, so nothing else is printed."""
+    from_ = select.from_
+    if not select.group_by or from_ is None or from_.joins \
+            or not isinstance(from_.first, ast.TableRef):
         return None
-    try:
-        canonical = format_select(select)
-    except TypeError:  # pragma: no cover - non-select statements
-        return None
-    for mv in matviews.values():
-        if mv.definition.sql == canonical:
-            return mv
-    return None
+    candidates = catalog.matviews_on(from_.first.name)
+    canonical = format_select(select) if candidates else None
+    return next((mv for mv in candidates
+                 if mv.definition.sql == canonical), None)

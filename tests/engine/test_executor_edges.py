@@ -146,48 +146,57 @@ class TestFeatureInteractions:
 
 
 class TestAggregateBatchIsLazy:
-    """``Executor._aggregate_batch`` consumes its items one aggregate
+    """A grouped statement of one set consumes its aggregate items one
     at a time: the 1,000-column Hpct statements evaluate one argument
     column, aggregate it, and only then evaluate the next, so peak
-    memory is one argument, not a thousand."""
+    memory is one argument, not a thousand.  Every grouped statement
+    takes its items from ``Executor._aggregate_items``, which
+    evaluates an argument when its item is pulled."""
 
     def test_item_k_plus_1_is_pulled_after_aggregate_k(self, db,
                                                        monkeypatch):
         import weakref
 
-        import numpy as np
-
         from repro.engine import executor as executor_mod
-        from repro.engine.column import ColumnData
-        from repro.engine.types import SQLType
+        from repro.engine.executor import Executor
 
+        db.execute("CREATE TABLE lazy (g INT, a REAL)")
+        db.execute("INSERT INTO lazy VALUES (0, 0.0), (1, 1.0), "
+                   "(0, 2.0), (1, 3.0)")
         events = []
-        group_ids = np.array([0, 1, 0, 1], dtype=np.int64)
         arguments = []          # weak: the batch must not be kept alive
+        real_items = Executor._aggregate_items
 
-        def items():
-            for k in range(4):
-                events.append(("pulled", k))
+        def items(self, *args, **kwargs):
+            source = real_items(self, *args, **kwargs)
+            while True:
                 # By the time item k is asked for, the argument of
                 # item k - 2 is garbage (k - 1's is still the loop
                 # variable of the consumer).
                 assert all(ref() is None for ref in arguments[:-1])
-                arg = ColumnData.from_values(
-                    SQLType.REAL, [float(k), 1.0, 2.0, 3.0])
-                arguments.append(weakref.ref(arg))
-                yield k, "sum", arg, False
-                del arg
+                try:
+                    item = next(source)
+                except StopIteration:
+                    return
+                events.append(("pulled", item[0]))
+                arguments.append(weakref.ref(item[2]))
+                yield item
+                del item
 
         real = executor_mod.compute_aggregate
 
         def recording(func, arg, *rest):
             out = real(func, arg, *rest)
-            events.append(("computed", int(arg.values[0])))
+            # Argument k is a + k, whose first row is k.
+            events.append(("computed", f"__agg{int(arg.values[0])}"))
             return out
 
+        monkeypatch.setattr(Executor, "_aggregate_items", items)
         monkeypatch.setattr(executor_mod, "compute_aggregate", recording)
-        out = db.executor._aggregate_batch(items(), group_ids, 2)
-        assert events == [(what, k) for k in range(4)
+        rows = db.query("SELECT g, sum(a + 0), sum(a + 1), sum(a + 2), "
+                        "sum(a + 3) FROM lazy GROUP BY g")
+        assert events == [(what, f"__agg{k}") for k in range(4)
                           for what in ("pulled", "computed")]
-        assert list(out) == [0, 1, 2, 3]
-        assert out[3].to_pylist() == [5.0, 4.0]
+        assert len(arguments) == 4
+        assert rows == [(0, 2.0, 4.0, 6.0, 8.0),
+                        (1, 4.0, 6.0, 8.0, 10.0)]

@@ -92,6 +92,15 @@ class TestLattice:
             "SELECT a, count(*), sum(m) FROM t "
             "GROUP BY GROUPING SETS ((a), ())") == [(None, 0, None)]
 
+    def test_untyped_null_key_gets_a_placeholder(self, db):
+        """An untyped NULL key's placeholder is a NULL column of the
+        type its set's own column projects as (REAL), not a crash."""
+        rows = db.query("SELECT NULL, count(*) FROM sales "
+                        "GROUP BY GROUPING SETS ((NULL), ())")
+        assert rows == [(None, 4), (None, 4)]
+        assert rows == db.query("SELECT NULL, count(*) FROM sales "
+                                "GROUP BY NULL") * 2
+
     def test_real_and_exact_aggregates_agree_with_plain_group_by(
             self, db):
         """Exact (count/sum INT/min/max) and order-sensitive (avg/sum

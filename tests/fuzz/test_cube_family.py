@@ -40,6 +40,23 @@ class TestGenerator:
             clone = FuzzCase.from_dict(case.to_dict())
             assert clone == case
 
+    def test_pivot_runs_under_group_by_and_lattices(self):
+        """The ``pivot`` term -- a run of disjoint CASE aggregates over
+        one dim -- rides on plain GROUP BYs (the pivot kernel) and on
+        lattices (the generic evaluator), survives the corpus format,
+        and agrees with sqlite on both."""
+        cases = [c for c in CaseGenerator(
+            seed=3, families=("plain", "cube")).cases(60)
+            if any(t.kind == "pivot" for t in c.terms)]
+        assert {c.family for c in cases} == {"plain", "cube"}
+        for case in cases:
+            assert FuzzCase.from_dict(case.to_dict()) == case
+            (run,) = [t for t in case.terms if t.kind == "pivot"]
+            assert len(run.values) >= 2
+            assert run.sql().count("CASE WHEN") == len(run.values)
+            result = run_case(case)
+            assert not result.divergent, result.divergence_report()
+
     def test_old_corpus_entries_without_clause_still_load(self):
         case = _cube_cases(1)[0]
         data = case.to_dict()

@@ -41,8 +41,22 @@ GROUPING_SETS = st.lists(
         lambda s: tuple(d for d in DIMS if d in s)),
     min_size=1, max_size=5, unique=True)
 
+#: plain aggregates, then what the pivot kernel computes under a plain
+#: GROUP BY and the generic evaluator under a lattice: a run of
+#: disjoint CASE aggregates on d2 (and count(DISTINCT ...)).
 AGGS = ("count(*)", "count(m1)", "sum(m1)", "min(m1)", "max(m1)",
-        "sum(m2)", "avg(m2)")
+        "sum(m2)", "avg(m2)", "count(DISTINCT m1)",
+        "sum(CASE WHEN d2 = 'x' THEN m1 ELSE 0 END)",
+        "sum(CASE WHEN d2 = 'y' THEN m1 ELSE 0 END)",
+        "max(CASE WHEN d2 = 'x' THEN m2 END)",
+        "max(CASE WHEN d2 = 'y' THEN m2 END)")
+
+#: GROUP BY key lists for the one-set equivalence: NULL-bearing
+#: columns, a REAL key (signed zeros), a composite key, a key twice
+#: (one union dim) and none (the global aggregate).
+ONE_SET_KEYS = st.sampled_from((
+    ("d1",), ("d2", "d1"), ("d1", "d2", "d3"), ("m2",), ("d1 + 1",),
+    ("d1", "d1"), ()))
 
 
 def _sql_value(value):
@@ -138,6 +152,55 @@ def test_shared_scan_bit_identical_to_n_queries(rows, sets):
         f"SELECT {', '.join(items)} FROM t GROUP BY {sets_sql(sets)}")
     expected = n_query_reference(db, dims, sets, AGGS, gargs)
     assert bit_rows(actual) == bit_rows(expected)
+
+
+@given(ROWS, ONE_SET_KEYS)
+@settings(max_examples=80, deadline=None)
+def test_one_set_lattice_is_its_plain_group_by(rows, keys):
+    """A plain GROUP BY is the lattice of one set: ``GROUPING SETS
+    ((k...))`` returns what ``GROUP BY k...`` does -- column names,
+    SQL types and every value bit for bit, NULL keys, -0.0 keys and
+    the empty table included."""
+    db = load(rows)
+    select = f"SELECT {', '.join([*keys, *AGGS])} FROM t"
+    plain = db.execute(select + (f" GROUP BY {', '.join(keys)}"
+                                 if keys else ""))
+    # A set names each of its dims once.
+    lattice = db.execute(f"{select} GROUP BY GROUPING SETS "
+                         f"(({', '.join(dict.fromkeys(keys))}))")
+    assert lattice.column_names() == plain.column_names()
+    assert [lattice.column(c).sql_type for c in lattice.column_names()] \
+        == [plain.column(c).sql_type for c in plain.column_names()]
+    assert bit_rows(lattice.to_rows()) == bit_rows(plain.to_rows())
+
+
+KEY_TWICE_ROWS = [(1, "x", 0, 5, 1.0), (1, "y", 1, 7, 2.0),
+                  (None, "x", 0, 3, None)]
+
+
+def ledger(sql):
+    """The counters ``sql`` books on a fresh table (cold memos)."""
+    db = load(KEY_TWICE_ROWS)
+    db.execute(sql)
+    return db.executor.scopes.last.counters.counters()
+
+
+def test_a_key_twice_keeps_both_columns():
+    """``GROUP BY a, a`` groups by one union dim, and the select list
+    still names both of its columns.  The dim is read (its memo) and
+    evaluated (its CASE) once: the statement books what the key
+    written once books."""
+    db = load(KEY_TWICE_ROWS)
+    result = db.execute("SELECT d1, d1, sum(m1) FROM t GROUP BY d1, d1")
+    assert result.column_names() == ["d1", "d1_1", "col3"]
+    assert result.to_rows() == [(None, None, 3), (1, 1, 12)]
+    for key, misses, cases in (("d1", 1, 0),
+                               ("CASE WHEN d1 = 1 THEN 'a' END", 0, 3)):
+        once = ledger(f"SELECT {key}, sum(m1) FROM t GROUP BY {key}")
+        assert (once["encode_cache_misses"],
+                once["case_evaluations"]) == (misses, cases)
+        assert ledger(f"SELECT {key}, {key}, sum(m1) FROM t "
+                      f"GROUP BY {key}, {key}") == once
 
 
 @given(ROWS)

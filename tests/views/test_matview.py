@@ -187,6 +187,31 @@ class TestMetricsAndBypass:
         assert db.stats.registry.value("view_hits_total",
                                        view="v") == 0
 
+    def test_no_select_a_view_cannot_answer_is_printed(self, db,
+                                                       monkeypatch):
+        """Matching prints a SELECT to compare it with the definitions'
+        text; one over a table no view reads, or without a GROUP BY,
+        is never printed -- nor is any statement of a percentage
+        query's plan over such a table."""
+        from repro.views import rewrite
+
+        db.execute(f"CREATE MATERIALIZED VIEW v AS {VPCT}")
+        printed = []
+        real = rewrite.format_select
+        monkeypatch.setattr(rewrite, "format_select",
+                            lambda select: printed.append(select)
+                            or real(select))
+        db.execute("SELECT d1, a FROM g")
+        db.execute("SELECT a FROM f")
+        for sql in ("SELECT d1, Hpct(a BY d2) FROM g GROUP BY d1",
+                    "SELECT d1, d2, Vpct(a BY d2) FROM g "
+                    "GROUP BY d1, d2"):
+            run_percentage_query(db, sql)
+        assert printed == []
+        db.execute(VPCT)
+        assert len(printed) == 1
+        assert db.stats.registry.value("view_hits_total", view="v") == 1
+
     def test_view_read_scans_nothing_where_recompute_scans(self, db):
         """The view-read bar as a ledger fact: a served Vpct charges
         no scan, the recomputation does -- before and after a
