@@ -12,8 +12,12 @@ from FV using Vpct() when there are three or more grouping columns or
 when the grouping columns have high selectivity."
 
 Selectivity is measured with ``count(DISTINCT column)`` probes against
-the fact table (cheap in the columnar engine, and the kind of statistic
-a real optimizer keeps anyway).
+the fact table -- the kind of statistic a real optimizer keeps anyway.
+A probe is a real statement, charged its scan on the ledger; the engine
+answers it from the column's dictionary encoding, which its memo keeps
+(docs/engine_internals.md, "Encoding memos"), so beyond the scan's
+charge it costs the statement's text, parse and plan, not a pass that
+ranks the rows.
 """
 
 from __future__ import annotations

@@ -43,7 +43,9 @@ def compute_aggregate(func: str, arg: Optional[ColumnData],
 
     ``func`` is one of sum/count/avg/min/max/var/stdev; ``count``
     honors ``distinct`` (and, given the query's ``stats``, reuses the
-    memoized encoding of a base-table argument).
+    memoized encoding of a base-table argument).  Over one group --
+    which then holds every row -- a full dictionary's
+    ``count(DISTINCT)`` is its number of values, read off the encoding.
     """
     if arg is None:
         if func == "count" and not distinct:
@@ -53,6 +55,11 @@ def compute_aggregate(func: str, arg: Optional[ColumnData],
     if func == "count":
         if distinct:
             encoded = encode_column(arg, stats)
+            if n_groups == 1 and encoded.full:
+                return ColumnData(SQLType.INTEGER,
+                                  np.array([len(encoded.uniques)],
+                                           dtype=np.int64),
+                                  np.zeros(1, dtype=bool))
             return kernels.kernel_count_distinct(
                 encoded.codes, encoded.cardinality, group_ids, n_groups)
         return kernels.kernel_count(arg.nulls, group_ids, n_groups)

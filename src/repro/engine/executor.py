@@ -39,8 +39,7 @@ from repro.engine.expressions import (Frame, evaluate, evaluate_scalar,
 from repro.engine.governor import ResourceGovernor
 from repro.engine import groupingsets as gs_mod
 from repro.engine.groupby import (distinct_indices, encode_column,
-                                  factorize, first_positions,
-                                  in_code_order)
+                                  factorize, in_code_order)
 from repro.engine.join import join_indices
 from repro.engine.planner import (PlannedJoin, PlannedSource, SelectPlan,
                                   plan_select, plan_update_join)
@@ -581,8 +580,7 @@ class Executor:
             else:
                 op.charge(rows=union.n_groups, context="group-by")
                 op.stamp(groups=union.n_groups)
-            union_firsts = first_positions(union.group_ids,
-                                           union.n_groups)
+            union_firsts = union.first_rows()
 
         # One rewrite serves every set: only the grouping() masks
         # differ per set (Rewritten.for_set).

@@ -14,11 +14,18 @@ window partitions, hash joins -- goes through :func:`factorize`:
    :func:`counting_pass_fits`); both yield the same arrays;
 4. the result is a :class:`Grouping`: one group id per row, the group
    count, and per-column representative values for each group.
+
+A *full dictionary* -- the encoding :func:`encode_column` builds, every
+code ``1..len(uniques)`` occurring -- is already that ranking for its
+one column: grouping by it alone reads the codes as group ids, its
+first rows are computed once and kept on it, and a one-group
+``count(DISTINCT)`` over it is ``len(uniques)``
+(docs/engine_internals.md, "Encoding memos").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -44,13 +51,41 @@ class EncodedColumn:
     codes: np.ndarray
     uniques: np.ndarray
     sql_type: SQLType
+    #: A full dictionary: every code ``1..len(uniques)`` occurs, and
+    #: ``has_null`` says whether code 0 does.  Only
+    #: :func:`_encode_values` claims it; an encoding built by hand (the
+    #: pivot kernel's group-id and combination columns) does not, and
+    #: is ranked like any other codes.
+    full: bool = False
+    has_null: bool = False
+    #: A full dictionary's first row per group id, filled by the first
+    #: :meth:`first_rows` (see there).
+    firsts: Optional[np.ndarray] = field(default=None, init=False,
+                                         repr=False, compare=False)
 
-    #: Instances are shared through column memos; treat ``codes`` and
-    #: ``uniques`` as immutable.
+    #: Instances are shared through column memos; treat ``codes``,
+    #: ``uniques`` and ``firsts`` as immutable (``_encode_values``
+    #: makes the arrays it builds read-only).
 
     @property
     def cardinality(self) -> int:
         return len(self.uniques) + 1
+
+    def first_rows(self) -> np.ndarray:
+        """The first row of each group of a full dictionary's grouping
+        (:func:`_factorize_single`), ordered by group id: one pass over
+        the codes the first time it is asked, then kept, so a memo
+        answers it once per sealed column.  Two threads filling it at
+        once compute the same array, so it needs no lock."""
+        firsts = self.firsts
+        if firsts is None:
+            # Slot 0 is NULL's; without NULLs no row fills it, and the
+            # group ids start at code 1.
+            firsts = first_positions(self.codes, self.cardinality)[
+                0 if self.has_null else 1:]
+            firsts.flags.writeable = False
+            self.firsts = firsts
+        return firsts
 
     def decode(self, codes: np.ndarray) -> ColumnData:
         """Map codes back to a value column (code 0 -> NULL)."""
@@ -100,24 +135,30 @@ def encode_column(col: ColumnData,
 
 
 def _encode_values(col: ColumnData) -> EncodedColumn:
+    """The full dictionary of ``col``: ``uniques`` are the values
+    present, so every code ``1..len(uniques)`` occurs."""
     n = len(col)
+    has_null = bool(col.nulls.any())
     if n == 0:
         # The values' dtype, not the SQL type's: an untyped NULL
         # column (``GROUP BY NULL``) has none.
-        return EncodedColumn(np.empty(0, dtype=np.int64),
-                             np.empty(0, dtype=col.values.dtype),
-                             col.sql_type)
-    if col.nulls.any():
+        codes = np.empty(0, dtype=np.int64)
+        uniques = np.empty(0, dtype=col.values.dtype)
+    elif has_null:
         valid = ~col.nulls
         present = col.values[valid]
         uniques = np.unique(present)
         codes = np.zeros(n, dtype=np.int64)
         if len(uniques):
             codes[valid] = np.searchsorted(uniques, present) + 1
-        return EncodedColumn(codes, uniques, col.sql_type)
-    uniques, inverse = np.unique(col.values, return_inverse=True)
-    codes = inverse.astype(np.int64) + 1
-    return EncodedColumn(codes, uniques, col.sql_type)
+    else:
+        uniques, inverse = np.unique(col.values, return_inverse=True)
+        codes = inverse.astype(np.int64) + 1
+    # A full dictionary hands its codes out as group ids: no caller
+    # may write them.
+    codes.flags.writeable = False
+    return EncodedColumn(codes, uniques, col.sql_type, full=True,
+                         has_null=has_null)
 
 
 def in_code_order(keys: list[tuple[ColumnData, bool]]) -> bool:
@@ -196,6 +237,20 @@ class Grouping:
 
     def key_columns(self) -> list[ColumnData]:
         return [self.key_column(i) for i in range(len(self.encodings))]
+
+    def first_rows(self) -> np.ndarray:
+        """Index of the first row of each group, ordered by group id.
+
+        The global group's is row 0.  A grouping by one full
+        dictionary numbers its groups by code, so its first rows are
+        the dictionary's, computed once per encoding
+        (:meth:`EncodedColumn.first_rows`); any other grouping takes
+        one :func:`first_positions` pass over its rows."""
+        if not self.encodings:
+            return np.zeros(1, dtype=np.int64)
+        if len(self.encodings) == 1 and self.encodings[0].full:
+            return self.encodings[0].first_rows()
+        return first_positions(self.group_ids, self.n_groups)
 
 
 #: Mixed-radix combination is used only while the combined code space
@@ -286,6 +341,15 @@ def _rank_codes(codes: np.ndarray,
 
 
 def _factorize_single(enc: EncodedColumn) -> Grouping:
+    if enc.full:
+        # Every code occurs, so the codes are their own ranking: code
+        # 0 (NULL) is group 0 when some row is NULL, else group ids
+        # start at code 1.
+        start = 0 if enc.has_null else 1
+        group_ids = enc.codes if start == 0 else enc.codes - 1
+        key_codes = np.arange(start, enc.cardinality, dtype=np.int64)
+        return Grouping(group_ids, enc.cardinality - start,
+                        key_codes.reshape(-1, 1), [enc])
     present, group_ids = _rank_codes(enc.codes, enc.cardinality)
     return Grouping(group_ids, len(present), present.reshape(-1, 1),
                     [enc])
@@ -339,4 +403,4 @@ def distinct_indices(columns: list[ColumnData], n_rows: int,
     if n_rows == 0:
         return np.empty(0, dtype=np.int64)
     # Sorting the groups' first rows restores appearance order.
-    return np.sort(first_positions(grouping.group_ids, grouping.n_groups))
+    return np.sort(grouping.first_rows())

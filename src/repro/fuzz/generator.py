@@ -50,6 +50,7 @@ class TermSpec:
     #: the literal of hagg's ``DEFAULT``, or of a pivot run's ``ELSE``
     default: Optional[Any] = None
     values: tuple[Any, ...] = ()   # a pivot run's dim values
+    distinct: bool = False         # a plain ``count(DISTINCT x)``
 
     def sql(self) -> str:
         if self.kind == "grouping":
@@ -66,7 +67,8 @@ class TermSpec:
                 f"{self.func}(CASE WHEN {self.by[0]} = "
                 f"{format_literal(value)} THEN {self.argument}"
                 f"{otherwise} END)" for value in self.values)
-        inner = self.argument
+        inner = f"DISTINCT {self.argument}" if self.distinct \
+            else self.argument
         if self.by:
             inner += " BY " + ", ".join(self.by)
         if self.default is not None:
@@ -77,7 +79,8 @@ class TermSpec:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "func": self.func,
                 "argument": self.argument, "by": list(self.by),
-                "default": self.default, "values": list(self.values)}
+                "default": self.default, "values": list(self.values),
+                "distinct": self.distinct}
 
     @staticmethod
     def from_dict(data: dict) -> "TermSpec":
@@ -85,7 +88,8 @@ class TermSpec:
                         argument=data["argument"],
                         by=tuple(data.get("by", ())),
                         default=data.get("default"),
-                        values=tuple(data.get("values", ())))
+                        values=tuple(data.get("values", ())),
+                        distinct=data.get("distinct", False))
 
 
 @dataclass(frozen=True)
@@ -308,6 +312,13 @@ class CaseGenerator:
                  for _ in range(rng.randint(1, 3))]
         if dims and rng.random() < 0.4:
             terms.append(self._pivot_term(rng, dims, measures))
+        # count(DISTINCT x), which sqlite runs natively, over a measure
+        # or a dim (VARCHAR among them), NULLs and all.  Drawn last, so
+        # the rest of the case is what it was without it.
+        if rng.random() < 0.3:
+            terms.append(TermSpec("plain", "count",
+                                  rng.choice(measures + dims),
+                                  distinct=True))
         return group_by, tuple(terms)
 
     def _cube_query(self, rng: random.Random, dims: list[str],

@@ -373,7 +373,6 @@ class _Parser:
         self.expect_symbol(")")
         seen: dict[str, None] = {}
         for gset in sets:
-            self._check_set_duplicates(gset, "grouping set")
             rendered = _render_set(gset)
             if rendered in seen:
                 raise GroupingSetError("duplicate grouping set",
@@ -383,13 +382,18 @@ class _Parser:
 
     def _grouping_set(self) -> tuple[ast.Expr, ...]:
         """One member of a GROUPING SETS list: ``(a, b)``, ``()`` (the
-        grand total) or a bare expression."""
+        grand total) or a bare expression.  A key named twice in one
+        set groups once, as in ``GROUP BY a, a``: ``(a, a)`` is
+        ``(a)``."""
         if self.accept_symbol("("):
             if self.accept_symbol(")"):
                 return ()
-            exprs = tuple(self._expression_list())
+            from repro.sql.formatter import format_expr
+            exprs: dict[str, ast.Expr] = {}
+            for expr in self._expression_list():
+                exprs.setdefault(format_expr(expr), expr)
             self.expect_symbol(")")
-            return exprs
+            return tuple(exprs.values())
         return (self.expression(),)
 
     @staticmethod

@@ -44,7 +44,7 @@ import numpy as np
 from repro.core import model
 from repro.core.naming import NamingPolicy
 from repro.engine.column import ColumnData
-from repro.engine.groupby import first_positions, group_rows
+from repro.engine.groupby import group_rows
 from repro.engine.kernels import kernel_percentage, kernel_sum
 from repro.engine.table import Table
 from repro.engine.types import SQLType
@@ -243,7 +243,7 @@ def _combinations(definition, state) -> list[Combinations]:
         live = fine.live()
         by = group_rows([key.take(live) for key in fine.keys[n_keys:]],
                         len(live))
-        firsts = live[first_positions(by.group_ids, by.n_groups)]
+        firsts = live[by.first_rows()]
         values = list(zip(*(key.take(firsts).to_pylist()
                             for key in fine.keys[n_keys:])))
         both = group_rows(

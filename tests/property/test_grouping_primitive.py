@@ -7,11 +7,16 @@ otherwise; ``first_positions`` is one ``np.minimum.at``; the dense
 array* the sort-based definition yields -- values and dtypes -- so the
 references below are those definitions, kept here verbatim.  A spy on
 ``np.unique`` says which side of the density rule ran, so a test fails
-if either side of a branch is deleted.  Last, the encoding memos: after
-any history of DML, derived tables and rollbacks, every memo a query
-filled is the encoding its column has now.
+if either side of a branch is deleted.  A full dictionary -- every
+encoding ``_encode_values`` builds -- is grouped without ranking; its
+grouping must be the ranked one, first rows included, and no encoding
+built by hand claims to be full.  Last, the encoding memos: after any
+history of DML, derived tables and rollbacks, every memo a query
+filled is the encoding its column has now, and the first rows it keeps
+are a fresh pass's.
 """
 
+import math
 import shutil
 import tempfile
 from unittest import mock
@@ -22,7 +27,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Database
-from repro.engine import groupby, kernels
+from repro.engine import groupby, kernels, pivot
+from repro.engine.aggregates import compute_aggregate
 from repro.engine.column import ColumnData
 from repro.engine.groupby import (counting_pass_fits, first_positions,
                                   group_rows)
@@ -228,6 +234,123 @@ def test_dense_group_by_never_sorts_row_length_arrays(n_keys):
 
 
 # ----------------------------------------------------------------------
+# A full dictionary groups by its codes
+# ----------------------------------------------------------------------
+_TYPED_VALUES = {
+    SQLType.INTEGER: st.integers(-3, 3),
+    SQLType.REAL: st.sampled_from((0.0, -0.0, 1.5, -2.0, math.nan)),
+    SQLType.VARCHAR: st.sampled_from(("", "a", "b", "zz")),
+}
+
+
+@st.composite
+def typed_columns(draw):
+    """A column of any type with NULLs in any share: none, some, all;
+    NaN (and -0.0 beside 0.0) among the REALs; zero or one row."""
+    sql_type = draw(st.sampled_from(sorted(_TYPED_VALUES, key=str)))
+    n_rows = draw(st.sampled_from((0, 1, draw(st.integers(2, 40)))))
+    null_share = draw(st.sampled_from((0.0, 0.3, 1.0)))
+    raw = [None if draw(st.floats(0, 1)) < null_share
+           else draw(_TYPED_VALUES[sql_type]) for _ in range(n_rows)]
+    return ColumnData.from_values(sql_type, raw)
+
+
+def _ranked(enc):
+    """The grouping, and its first rows, by ranking the codes."""
+    present, group_ids = groupby._rank_codes(enc.codes, enc.cardinality)
+    return (groupby.Grouping(group_ids, len(present),
+                             present.reshape(-1, 1), [enc]),
+            first_positions(group_ids, len(present)))
+
+
+@given(typed_columns())
+@example(ColumnData.from_values(SQLType.REAL, []))
+@example(ColumnData.from_values(SQLType.VARCHAR, [None]))
+@example(ColumnData.from_values(SQLType.INTEGER, [None, None]))
+@example(ColumnData.from_values(SQLType.REAL, [math.nan, None, math.nan]))
+@settings(max_examples=200, deadline=None)
+def test_a_full_dictionary_groups_like_the_ranking(column):
+    enc = groupby._encode_values(column)
+    assert enc.full
+    assert enc.has_null == bool(column.nulls.any())
+    # Every code 1..len(uniques) occurs; code 0 exactly when NULLs do.
+    assert set(enc.codes.tolist()) == \
+        set(range(0 if enc.has_null else 1, enc.cardinality))
+    expected, expected_firsts = _ranked(enc)
+    with mock.patch.object(groupby, "_rank_codes") as rank:
+        grouping = groupby.group_encoded([enc])
+        firsts = grouping.first_rows()
+    assert not rank.called
+    assert grouping.n_groups == expected.n_groups
+    _same(grouping.group_ids, expected.group_ids)
+    _same(grouping.key_codes, expected.key_codes)
+    _same(firsts, expected_firsts)
+    # Kept on the encoding: the second grouping reads the same array.
+    assert groupby.group_encoded([enc]).first_rows() is firsts
+    # DISTINCT's positions are the ranked firsts in row order.
+    _same(groupby.distinct_indices([column], len(column)),
+          np.sort(expected_firsts) if len(column)
+          else np.empty(0, dtype=np.int64))
+
+
+@given(typed_columns())
+@settings(max_examples=100, deadline=None)
+def test_one_group_count_distinct_reads_the_dictionary(column):
+    enc = groupby._encode_values(column)
+    group_ids = np.zeros(len(column), dtype=np.int64)
+    expected = kernels.kernel_count_distinct(enc.codes, enc.cardinality,
+                                             group_ids, 1)
+    with mock.patch.object(kernels, "kernel_count_distinct") as kernel:
+        state = compute_aggregate("count", column, True, group_ids, 1)
+    assert not kernel.called
+    assert state.sql_type == expected.sql_type
+    _same(state.values, expected.values)
+    _same(state.nulls, expected.nulls)
+
+
+def test_a_dictionary_hands_out_read_only_codes():
+    column = ColumnData.from_values(SQLType.INTEGER, [2, None, 2, 5])
+    enc = groupby._encode_values(column)
+    grouping = groupby.group_encoded([enc])
+    assert grouping.group_ids is enc.codes      # NULLs: the codes as is
+    for array in (enc.codes, grouping.group_ids, grouping.first_rows()):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    # Without NULLs the group ids are a shifted copy, the codes intact.
+    enc = groupby._encode_values(
+        ColumnData.from_values(SQLType.INTEGER, [2, 2, 5]))
+    _same(groupby.group_encoded([enc]).group_ids,
+          np.array([0, 0, 1], dtype=np.int64))
+    _same(enc.codes, np.array([1, 1, 2], dtype=np.int64))
+
+
+def test_the_global_group_carries_row_zero():
+    for n_rows in (0, 3):
+        _same(group_rows([], n_rows).first_rows(),
+              np.zeros(1, dtype=np.int64))
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from("abc")),
+                max_size=30),
+       st.sampled_from((1, 3)))
+@settings(max_examples=60, deadline=None)
+def test_hand_built_encodings_never_claim_to_be_full(rows, n_groups):
+    """The pivot kernel's group-id column keeps a real group on code 0
+    and its combination columns need not hold every dictionary value:
+    neither may take the dictionary path."""
+    n_rows = len(rows)
+    group_ids = np.asarray([g % n_groups for g, _ in rows],
+                           dtype=np.int64)
+    pivot_column = ColumnData.from_values(SQLType.VARCHAR,
+                                          [v for _, v in rows])
+    cells, combos, _ = pivot._cells({0: pivot_column}, group_ids,
+                                    n_groups if n_rows else 1, None)
+    hand_built = [cells.encodings[0]] + combos.encodings
+    assert not any(enc.full for enc in hand_built)
+    assert cells.encodings[1].full    # the pivot column's own encoding
+
+
+# ----------------------------------------------------------------------
 # Encoding memos never go stale
 # ----------------------------------------------------------------------
 def _literal(value) -> str:
@@ -254,16 +377,21 @@ _HISTORY = st.lists(st.tuples(_STATEMENTS, st.booleans()), max_size=8)
 
 #: Queries that fill the memos of every column of both tables: group-by
 #: keys, DISTINCT, count(DISTINCT) and the join build.
+#: A DISTINCT and a single-key GROUP BY keep first rows on their memos.
 _FILL = ("SELECT k, d, sum(m) FROM f GROUP BY k, d",
          "SELECT DISTINCT m FROM f",
          "SELECT k, count(DISTINCT d) FROM g GROUP BY k",
+         "SELECT count(DISTINCT k) FROM f",
+         "SELECT d, sum(m) FROM f GROUP BY d",
          "SELECT f.k, count(*) FROM f, g WHERE f.d = g.d GROUP BY f.k")
 
 
-def _check_memos(db: Database) -> int:
+def _check_memos(db: Database) -> tuple[int, int]:
     """Hold every filled memo of the catalog's tables to a fresh
-    encoding of its column; the number of filled memos."""
-    filled = 0
+    encoding of its column, and the first rows a memo keeps to a fresh
+    pass over that encoding's grouping; the number of filled memos and
+    of memos keeping first rows."""
+    filled = kept = 0
     for name in db.table_names():
         table = db.table(name)
         for col_def in table.schema.columns:
@@ -276,7 +404,13 @@ def _check_memos(db: Database) -> int:
             _same(encoded.codes, fresh.codes)
             _same(encoded.uniques, fresh.uniques)
             assert encoded.sql_type == fresh.sql_type
-    return filled
+            assert (encoded.full, encoded.has_null) == \
+                (fresh.full, fresh.has_null)
+            assert not encoded.codes.flags.writeable
+            if encoded.firsts is not None:
+                kept += 1
+                _same(encoded.firsts, _ranked(fresh)[1])
+    return filled, kept
 
 
 def _fill(db: Database) -> None:
@@ -299,7 +433,8 @@ def _replay(db: Database, history) -> None:
             db.catalog.rollback(savepoint)
         _check_memos(db)
     _fill(db)
-    assert _check_memos(db) > 0
+    filled, kept = _check_memos(db)
+    assert filled > 0 and kept > 0
 
 
 @given(_HISTORY)

@@ -3,6 +3,7 @@ SETS, and the pinned typed errors that name the offending set."""
 
 import pytest
 
+from repro import Database
 from repro.errors import GroupingSetError, SQLSyntaxError
 from repro.sql import ast
 from repro.sql.formatter import format_statement
@@ -82,8 +83,10 @@ def test_grouping_still_works_as_column_name():
      "duplicate expression d1 in CUBE", "(d1, d2, d1)"),
     ("SELECT 1 FROM t GROUP BY ROLLUP(d2, d2)",
      "duplicate expression d2 in ROLLUP", "(d2, d2)"),
-    ("SELECT 1 FROM t GROUP BY GROUPING SETS ((d1, d1))",
-     "duplicate expression d1 in grouping set", "(d1, d1)"),
+    # A key twice in one set is that set once, so this names a set
+    # twice.
+    ("SELECT 1 FROM t GROUP BY GROUPING SETS ((d1, d1), (d1))",
+     "duplicate grouping set", "(d1)"),
 ])
 def test_malformed_constructs_name_the_offending_set(sql, message,
                                                      named_set):
@@ -91,6 +94,25 @@ def test_malformed_constructs_name_the_offending_set(sql, message,
         parse_statement(sql)
     assert message in str(excinfo.value)
     assert excinfo.value.grouping_set == named_set
+
+
+def test_a_key_twice_in_a_grouping_set_groups_once():
+    """``GROUPING SETS ((d1, d1))`` is ``(d1)``, as ``GROUP BY d1, d1``
+    is ``GROUP BY d1``: the same rows as the plain GROUP BY."""
+    (sets,) = parse_statement(
+        "SELECT d1 FROM t GROUP BY GROUPING SETS ((d1, d2, d1))"
+    ).group_by
+    assert [tuple(e.name for e in s) for s in sets.sets] == [("d1", "d2")]
+    db = Database()
+    db.execute("CREATE TABLE t (d1 VARCHAR, m INT)")
+    db.execute("INSERT INTO t VALUES ('a', 1), (NULL, 2), ('a', 3), "
+               "('b', NULL)")
+    twice = db.query("SELECT d1, sum(m), count(*) FROM t "
+                     "GROUP BY GROUPING SETS ((d1, d1))")
+    assert twice == db.query("SELECT d1, sum(m), count(*) FROM t "
+                             "GROUP BY d1")
+    assert sorted(twice, key=repr) == sorted(
+        [("a", 4, 2), (None, 2, 1), ("b", None, 1)], key=repr)
 
 
 def test_grouping_set_error_is_catchable_as_planning_error():
