@@ -151,16 +151,12 @@ def _generate_f0(db: Database, query: model.PercentageQuery,
         # Rule (1) of the companion paper: group by a constant so code
         # generation always has a key ("rows can be grouped by a
         # constant value, e.g. D1 = 0").
-        result.add(ast.CreateTable(f0, _CONSTANT_KEY, ("_k",)),
-                   plan_mod.CREATE_TEMP)
-        result.temp_tables.append(f0)
+        result.create_temp(f0, _CONSTANT_KEY, ("_k",))
         result.add(ast.InsertValues(f0, ((ZERO,),)),
                    plan_mod.SPJ_PROJECT)
         return f0
     defs = common.typed_columns(db, query.table, query.group_by)
-    result.add(ast.CreateTable(f0, tuple(defs), query.group_by),
-               plan_mod.CREATE_TEMP)
-    result.temp_tables.append(f0)
+    result.create_temp(f0, defs, query.group_by)
     result.add(ast.InsertSelect(f0, common.select(
         cols(query.group_by), common.tables(source),
         query.where if source == query.table else None, distinct=True)),
@@ -228,9 +224,7 @@ def _emit_projection(db: Database, query: model.PercentageQuery,
         key_defs, key_names, key_select = _CONSTANT_KEY, ("_k",), (ZERO,)
     defs = (*key_defs, ast.ColumnSpec(column,
                                       common.column_type_name(sql_type)))
-    result.add(ast.CreateTable(table, defs, key_names),
-               plan_mod.CREATE_TEMP)
-    result.temp_tables.append(table)
+    result.create_temp(table, defs, key_names)
     result.add(ast.InsertSelect(table, common.select(
         [*key_select, aggregate], common.tables(source), condition,
         keys)), plan_mod.SPJ_PROJECT)
@@ -260,9 +254,7 @@ def _assemble(db: Database, query: model.PercentageQuery, f0: str,
         defs = (*key_defs, *(ast.ColumnSpec(
             p.column, common.column_type_name(p.sql_type))
             for p, _ in chunk))
-        result.add(ast.CreateTable(fh, defs, keys),
-                   plan_mod.CREATE_TEMP)
-        result.temp_tables.append(fh)
+        result.create_temp(fh, defs, keys)
         selects = [*cols(keys, f0), *(select for _, select in chunk)]
         # Null-safe ON: a NULL grouping key in F0 must still find its
         # per-combination aggregate row.

@@ -88,6 +88,13 @@ class GeneratedPlan:
     def add(self, statement: ast.Statement, purpose: str) -> None:
         self.steps.append(GeneratedStep(statement, purpose))
 
+    def create_temp(self, name: str, columns, primary_key) -> None:
+        """Add the CREATE TABLE of temp table ``name`` and record it for
+        cleanup."""
+        self.add(ast.CreateTable(name, tuple(columns), primary_key),
+                 CREATE_TEMP)
+        self.temp_tables.append(name)
+
     def extend(self, other: "GeneratedPlan") -> None:
         """Splice another plan's steps and temp tables in front of this
         plan's own bookkeeping (used when the FV step is itself a

@@ -189,9 +189,7 @@ def _generate_fk(db: Database, query: model.PercentageQuery,
     finest level "can only be computed from F")."""
     columns = common.typed_columns(db, query.table, query.group_by)
     columns += _term_columns(layout)
-    result.add(ast.CreateTable(fk, tuple(columns), query.group_by),
-               plan_mod.CREATE_TEMP)
-    result.temp_tables.append(fk)
+    result.create_temp(fk, columns, query.group_by)
 
     keys = cols(query.group_by)
     selects = [*keys, *(_fk_aggregate(t.term) for t in layout.terms)]
@@ -224,9 +222,7 @@ def _generate_fj(db: Database, query: model.PercentageQuery,
     lattice allows, else from Fk (partial aggregates), else from F."""
     columns = common.typed_columns(db, query.table, t.totals)
     columns.append(ast.ColumnSpec("total", "REAL"))
-    result.add(ast.CreateTable(fj, tuple(columns), t.totals),
-               plan_mod.CREATE_TEMP)
-    result.temp_tables.append(fj)
+    result.create_temp(fj, columns, t.totals)
 
     keys = cols(t.totals)
     where = None
@@ -271,9 +267,7 @@ def _generate_insert_division(db: Database,
                               result: GeneratedPlan) -> None:
     columns = common.typed_columns(db, query.table, query.group_by)
     columns += _term_columns(layout)
-    result.add(ast.CreateTable(fv, tuple(columns), query.group_by),
-               plan_mod.CREATE_TEMP)
-    result.temp_tables.append(fv)
+    result.create_temp(fv, columns, query.group_by)
 
     selects: list[ast.Expr] = list(cols(query.group_by, fk))
     sources = [fk]

@@ -11,10 +11,10 @@ the base table.
 * :mod:`repro.views.state` -- definition analysis and the per-group
   state layout (:class:`GroupLevel` / :class:`ViewState` /
   :class:`MaterializedView`).
-* :mod:`repro.views.maintenance` -- full build plus the
-  INSERT/UPDATE/DELETE delta paths (copy-on-maintain: published state
-  is never mutated, so catalog savepoint rollback restores consistent
-  view objects for free).
+* :mod:`repro.views.maintenance` -- one write rule (rows leave and
+  join slots) for the build and INSERT/UPDATE/DELETE (copy-on-maintain:
+  published state is never mutated, so catalog savepoint rollback
+  restores consistent view objects for free).
 * :mod:`repro.views.rewrite` -- result derivation (bit-identical to
   the engine's own evaluation strategies) and query matching.
 """

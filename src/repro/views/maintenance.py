@@ -11,9 +11,14 @@ touched group's value is recomputed exactly and scattered into the
 level's measure columns, and every untouched group's stored value is
 exactly what a full scan would produce.
 
+Every write is one rule: rows *leave* their slot and rows *join* one
+(:func:`_moves`); a build inserts every row into empty levels.  As a
+touched group is re-aggregated from its member rows, an INSERT and a
+DELETE are one problem even for ``min`` and ``max``.
+
 Keying is one :func:`~repro.engine.groupby.group_rows` per level per
-statement, over the live slots' keys followed by the changed rows'
-keys: a changed row joins the live slot whose key it shares, and keys
+statement, over the live slots' keys followed by the joined rows'
+keys: a joined row joins the live slot whose key it shares, and keys
 no live slot holds become new slots in first-appearance order.
 
 Cost per statement: that O(groups + changed rows) probe, one O(n)
@@ -59,36 +64,28 @@ VIEWS_BUGS = ("views-skip-retraction", "views-stale-denominator")
 # ----------------------------------------------------------------------
 # Building and refreshing
 # ----------------------------------------------------------------------
-def build_state(definition: ViewDefinition, table,
-                stats=None) -> ViewState:
-    """Full build: every level keyed and aggregated from scratch."""
+def _empty_state(definition: ViewDefinition, table, stats) -> ViewState:
+    """Every level with no slot and no row."""
     # Zero-row evaluations type the empty key and measure columns, so
     # a view with no (remaining) groups still derives the exact column
     # types a recompute would produce.
     none = np.empty(0, dtype=np.int64)
     _, frame = _frame_over(definition, table, none, stats)
-    levels = [GroupLevel(
-                  columns, measures,
-                  [evaluate(ast.ColumnRef(name=c), frame, stats)
-                   for c in columns],
-                  [_aggregate(spec, frame, none, 0, stats)
-                   for spec in measures])
-              for columns, measures in definition.level_specs()]
-    state = ViewState(levels)
-    state.n_rows = table.n_rows
-    positions = np.arange(table.n_rows, dtype=np.int64)
-    for level in levels:
-        ids, touched, _ = _assign_ids(definition, level, table,
-                                      positions, stats)
-        level.group_ids = ids
-        _recompute(definition, level, table, touched, stats)
-    return state
+    return ViewState([GroupLevel(
+                          columns, measures,
+                          [evaluate(ast.ColumnRef(name=c), frame, stats)
+                           for c in columns],
+                          [_aggregate(spec, frame, none, 0, stats)
+                           for spec in measures])
+                      for columns, measures in definition.level_specs()])
 
 
 def refresh(definition: ViewDefinition, table,
             stats=None) -> MaterializedView:
-    """Full recompute against ``table`` (REFRESH / stale fallback)."""
-    state = build_state(definition, table, stats)
+    """Full recompute against ``table`` (REFRESH / stale fallback): the
+    write rule inserting every row into empty levels."""
+    state, _ = apply_dml(definition, _empty_state(definition, table, stats),
+                         table, ("insert", 0), stats)
     result = rewrite.derive(definition, state)
     return MaterializedView(definition, state, result, table.version)
 
@@ -124,79 +121,63 @@ def maintain(mv: MaterializedView, old_table, new_table, change,
 
 
 # ----------------------------------------------------------------------
-# The three DML delta paths
+# The write rule
 # ----------------------------------------------------------------------
+def _moves(change, n_rows: int):
+    """``(gone, keep, joined)``: the old positions of the rows leaving
+    their slot, the kept old rows, the new positions of the rows joining
+    one.  An INSERT joins the appended rows, a DELETE's deleted rows
+    leave, an UPDATE's updated rows leave and join again."""
+    kind, arg = change
+    none = np.empty(0, dtype=np.int64)
+    if kind == "insert":
+        return none, slice(None), np.arange(arg, n_rows, dtype=np.int64)
+    if kind == "update":
+        moved = np.flatnonzero(np.asarray(arg, dtype=bool))
+        return moved, slice(None), moved
+    if kind == "delete":
+        keep = np.asarray(arg, dtype=bool)
+        return np.flatnonzero(~keep), keep, none
+    raise ValueError(f"unknown DML kind {kind!r}")  # pragma: no cover
+
+
 def apply_dml(definition: ViewDefinition, state: ViewState, new_table,
               change, stats=None) -> tuple[ViewState, DeltaInfo]:
-    """Apply one DML to a *clone* of ``state``; never mutates it."""
-    kind, arg = change
+    """Apply one write to a *clone* of ``state``; never mutates it."""
+    moves = _moves(change, new_table.n_rows)
     twin = state.clone()
-    twin.n_rows = new_table.n_rows
-    delta = DeltaInfo([], [], [])
-    for level in twin.levels:
-        if kind == "insert":
-            touched, births, deaths = _level_insert(
-                definition, level, new_table, arg, stats)
-        elif kind == "update":
-            touched, births, deaths = _level_update(
-                definition, level, new_table, arg, stats)
-        elif kind == "delete":
-            touched, births, deaths = _level_delete(
-                definition, level, new_table, arg, stats)
-        else:  # pragma: no cover - caller bug
-            raise ValueError(f"unknown DML kind {kind!r}")
-        _recompute(definition, level, new_table, touched, stats)
-        delta.touched.append(touched)
-        delta.births.append(births)
-        delta.deaths.append(deaths)
-    return twin, delta
+    written = [_write(definition, level, new_table, *moves, stats)
+               for level in twin.levels]
+    return twin, DeltaInfo(written[0][0],
+                           all(stable for _, stable in written))
 
 
-def _level_insert(definition, level, new_table, old_rows, stats
-                  ) -> tuple[np.ndarray, bool, bool]:
-    positions = np.arange(old_rows, new_table.n_rows, dtype=np.int64)
-    ids, touched, births = _assign_ids(definition, level, new_table,
-                                       positions, stats)
-    level.group_ids = np.concatenate([level.group_ids, ids])
-    return touched, births, False
-
-
-def _level_update(definition, level, new_table, updated_mask, stats
-                  ) -> tuple[np.ndarray, bool, bool]:
-    positions = np.flatnonzero(np.asarray(updated_mask, dtype=bool))
-    old_at = level.group_ids[positions]
-    new_at, touched, births = _assign_ids(definition, level, new_table,
-                                          positions, stats)
-    deaths = _drop_members(level, old_at)
-    group_ids = level.group_ids.copy()
-    group_ids[positions] = new_at
+def _write(definition, level: GroupLevel, table, gone, keep, joined,
+           stats) -> tuple[np.ndarray, bool]:
+    """Key the joined rows, then drop the leaving rows' memberships (so
+    a group that keeps a member never passes through zero), and
+    re-aggregate the touched live slots.  Returns them (ascending) and
+    whether no group was born or retracted."""
+    left = level.group_ids[gone]
+    left = left[left >= 0]
+    kept = level.group_ids[keep]
+    group_ids = np.concatenate(
+        [kept, np.full(table.n_rows - len(kept), -1, dtype=np.int64)])
+    ids, touched, births = _assign_ids(definition, level, table, joined,
+                                       stats)
+    group_ids[joined] = ids
     level.group_ids = group_ids
-    touched = np.union1d(touched, old_at[old_at >= 0])
-    return touched[level.counts[touched] > 0], births, deaths
-
-
-def _level_delete(definition, level, new_table, keep_mask, stats
-                  ) -> tuple[np.ndarray, bool, bool]:
-    keep = np.asarray(keep_mask, dtype=bool)
-    removed = level.group_ids[~keep]
-    deaths = _drop_members(level, removed)
-    level.group_ids = level.group_ids[keep]
-    touched = np.unique(removed[removed >= 0])
-    return touched[level.counts[touched] > 0], False, deaths
-
-
-def _drop_members(level: GroupLevel, ids: np.ndarray) -> bool:
-    """Decrement membership; a slot whose count reaches zero is
-    retracted.  Returns whether one was."""
-    ids = ids[ids >= 0]
-    if not len(ids):
-        return False
-    counts = level.counts - np.bincount(ids, minlength=level.n_slots)
-    if INJECT_BUG == "views-skip-retraction":
-        counts = np.maximum(counts, 1)
-    deaths = bool(((level.counts > 0) & (counts == 0)).any())
-    level.counts = counts
-    return deaths
+    deaths = False
+    if len(left):  # a slot whose count reaches zero is retracted
+        counts = level.counts - np.bincount(left, minlength=level.n_slots)
+        if INJECT_BUG == "views-skip-retraction":
+            counts = np.maximum(counts, 1)
+        deaths = bool(((level.counts > 0) & (counts == 0)).any())
+        level.counts = counts
+        touched = np.union1d(touched, left)
+    touched = touched[level.counts[touched] > 0]
+    _recompute(definition, level, table, touched, stats)
+    return touched, not (births or deaths)
 
 
 # ----------------------------------------------------------------------

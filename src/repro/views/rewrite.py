@@ -24,14 +24,14 @@ factorize order a recompute's GROUP BY gives.
   denominator nulls the Hpct row, DEFAULT coalesce), declared cell
   types.
 
-:func:`derive_delta` is the selective path: when a DML changes no
-group's existence (no births/deaths, and for horizontal views no
-combination changes) only the result rows whose numerator group was
-touched -- or, for Vpct, whose denominator group changed -- are
-re-derived; every other row's column data is reused bit-for-bit.  It
-groups nothing: the row order, and for Vpct the fine sums and
-denominator groups, for Hpct/Hagg the combinations, cached by the last
-full derive still hold.
+:func:`derive_delta` is the selective path: when a write births or
+retracts no group at any level (so no combination changes either) only
+the result rows whose numerator group was touched -- or, for Vpct,
+whose denominator group changed -- are re-derived; every other row's
+column data is reused bit-for-bit.  It groups nothing: the row order,
+and for Vpct the denominator groups, for Hpct/Hagg the combinations,
+cached by the last full derive still hold.  Vpct fine sums are read
+off the primary level in row order by every derive, never cached.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ def derive(definition: ViewDefinition, state: ViewState) -> Table:
                       len(live)).group_ids
     order = np.empty_like(live)
     order[rank] = live
+    state.order = order
     state.row_of_slot = np.full(level.n_slots, -1, dtype=np.int64)
     state.row_of_slot[live] = rank
     if definition.kind == PLAIN:
@@ -75,7 +76,7 @@ def derive(definition: ViewDefinition, state: ViewState) -> Table:
         keys = [key.take(order) for key in level.keys]
         named = list(zip(definition.group_by, keys))
         if definition.kind == VERTICAL:
-            _cache_vertical(definition, state, order, keys)
+            _cache_vertical(definition, state, keys)
             rows = np.arange(len(order), dtype=np.int64)
             for (_, _, column), t in zip(
                     _vertical_cells(definition, state, order, rows,
@@ -105,25 +106,19 @@ def derive_delta(definition: ViewDefinition, state: ViewState,
     """Patch only changed rows of the previous result when no group
     was born or retracted; otherwise fall back to a full derive."""
     previous = state.result
-    if previous is None or not delta.primary_stable():
+    if previous is None or not delta.stable:
         return derive(definition, state)
-    if definition.kind != VERTICAL and not delta.fine_stable():
-        return derive(definition, state)
-    slots = delta.touched[0]
+    slots = delta.touched
     state.rederived = 0
     if not len(slots):
         return previous
     rows = state.row_of_slot[slots]
-    level = state.levels[0]
     if definition.kind == VERTICAL:
-        state.sums = {idx: patched(column, rows, level.values[idx]
-                                   .take(slots).cast(SQLType.REAL))
-                      for idx, column in state.sums.items()}
         patches = _vertical_cells(definition, state, slots, rows,
                                   _widen(state, rows))
     elif definition.kind == PLAIN:
         patches = [(pos, rows, column) for pos, column in enumerate(
-            _plain_columns(definition, level, slots))]
+            _plain_columns(definition, state.levels[0], slots))]
     else:
         first = len(definition.group_by)
         patches = [(first + i, rows, column) for i, column in enumerate(
@@ -167,18 +162,15 @@ def _plain_columns(definition, level, slots) -> list[ColumnData]:
 # ----------------------------------------------------------------------
 # Vertical (Vpct) cells, over the cached row order
 # ----------------------------------------------------------------------
-def _cache_vertical(definition, state, order, key_columns) -> None:
-    """Fine sums in row order and denominator groups, per Vpct term.
+def _cache_vertical(definition, state, key_columns) -> None:
+    """Denominator groups, per Vpct term.
 
     Each term's totals group the result rows by its totals columns
     with the engine's grouping core; a term sourced through the fj
     lattice groups its source's denominator groups instead, which are
     in sorted-key order -- the fj table's row order."""
-    level = state.levels[0]
     group_by = definition.group_by
     terms = definition.layout.terms
-    state.sums = {idx: level.values[idx].take(order).cast(SQLType.REAL)
-                  for idx, t in enumerate(terms) if t.kind == model.VPCT}
     denominators: dict[int, Denominators] = {}
     key_sets: dict[int, list[ColumnData]] = {}
     for plan_idx, source_idx in definition.layout.lattice:
@@ -186,7 +178,7 @@ def _cache_vertical(definition, state, order, key_columns) -> None:
         if source_idx is None:
             grouping = group_rows(
                 [key_columns[group_by.index(c)] for c in plan.totals],
-                len(order))
+                len(state.order))
             rows = grouping.group_ids
         else:
             source = terms[source_idx]
@@ -204,10 +196,12 @@ def _cache_vertical(definition, state, order, key_columns) -> None:
 def _vertical_cells(definition, state, slots, rows, widened):
     """``(position, rows, column)`` per term: plain terms at the
     ``rows`` of ``slots``, Vpct terms at the ``widened`` rows, divided
-    by denominators summed from the cached fine sums."""
+    by denominators summed from the fine sums in row order."""
     level = state.levels[0]
     n_keys = len(definition.group_by)
-    sums = state.sums
+    sums = {idx: level.values[idx].take(state.order).cast(SQLType.REAL)
+            for idx, t in enumerate(definition.layout.terms)
+            if t.kind == model.VPCT}
     totals: dict[int, ColumnData] = {}
     for plan_idx, _ in definition.layout.lattice:
         groups = state.denominators[plan_idx]

@@ -172,36 +172,35 @@ class ViewState:
     """All levels of one view plus derive caches.
 
     The caches are what the last full derive worked out from the
-    group set: the result table, the result-row order
-    (``row_of_slot``: slot -> row, ``-1`` for a slot with no row), for
-    vertical views each Vpct term's fine sums in row order
-    (``sums``) and denominator groups (``denominators``), and for
-    horizontal views each fine level's :class:`Combinations`.  They stay valid
-    until a group is born or retracted, which is exactly when
-    :func:`~repro.views.rewrite.derive_delta` falls back to a full
-    derive; they are replaced -- never mutated -- alongside the state.
-    ``rederived`` counts the result rows the last derive wrote.
+    group set: the result table, the row order (``order``: live slots
+    by row; ``row_of_slot``: slot -> row, ``-1`` for a slot with no
+    row), for vertical views each Vpct term's ``denominators`` and for
+    horizontal views each fine level's :class:`Combinations`.  Fine
+    sums are read off the primary level through ``order``, not cached.
+    The caches stay valid until a group is born or retracted, which is
+    exactly when :func:`~repro.views.rewrite.derive_delta` falls back
+    to a full derive; they are replaced -- never mutated -- alongside
+    the state.  ``rederived`` counts the result rows the last derive
+    wrote.
     """
 
-    __slots__ = ("levels", "n_rows", "result", "row_of_slot", "sums",
+    __slots__ = ("levels", "result", "order", "row_of_slot",
                  "denominators", "combos", "rederived")
 
     def __init__(self, levels: list[GroupLevel]):
         self.levels = levels
-        self.n_rows = 0
         self.result = None           # Table of the last derive
+        self.order: Optional[np.ndarray] = None
         self.row_of_slot: Optional[np.ndarray] = None
-        self.sums: dict[int, ColumnData] = {}
         self.denominators: dict[int, Denominators] = {}
         self.combos: list[Combinations] = []
         self.rederived = 0
 
     def clone(self) -> "ViewState":
         twin = ViewState([level.clone() for level in self.levels])
-        twin.n_rows = self.n_rows
         twin.result = self.result
+        twin.order = self.order
         twin.row_of_slot = self.row_of_slot
-        twin.sums = self.sums
         twin.denominators = self.denominators
         twin.combos = self.combos
         return twin
@@ -209,18 +208,11 @@ class ViewState:
 
 @dataclass
 class DeltaInfo:
-    """What one maintenance step touched, per level: the touched live
-    slots (ascending) and whether a group was born or retracted."""
+    """What one write touched: the primary level's touched live slots
+    (ascending), and whether no level had a group born or retracted."""
 
-    touched: list[np.ndarray]
-    births: list[bool]
-    deaths: list[bool]
-
-    def primary_stable(self) -> bool:
-        return not (self.births[0] or self.deaths[0])
-
-    def fine_stable(self) -> bool:
-        return not (any(self.births[1:]) or any(self.deaths[1:]))
+    touched: np.ndarray
+    stable: bool
 
 
 # ----------------------------------------------------------------------

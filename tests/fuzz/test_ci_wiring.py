@@ -5,7 +5,6 @@ on the next scheduled run: every ``python -m repro.fuzz`` command in
 ``.github/workflows/ci.yml`` must parse with the fuzz CLI's parser
 and every ``python -m benchmarks.e2e`` command with the benchmark's."""
 
-import itertools
 import re
 import shlex
 from pathlib import Path
@@ -66,13 +65,19 @@ def test_a_fuzz_line_runs_under_a_deadline():
                for argv in _commands("repro.fuzz"))
 
 
+def _flag(argv, name):
+    return argv[argv.index(name) + 1] if name in argv else ""
+
+
 def test_every_sweep_kind_runs_in_smoke_and_nightly():
-    swept = [argv[argv.index("--sweep") + 1]
+    swept = [(_flag(argv, "--sweep"), _flag(argv, "--family"))
              for argv in _commands("repro.fuzz") if "--sweep" in argv]
-    # Smoke adds three single-family views legs (vpct, hpct, hagg):
-    # the mixed-family leg keys only a handful of horizontal views.
-    assert sorted(swept) == sorted(itertools.chain(
-        KINDS, KINDS, ["views", "views", "views"]))
+    # Smoke and nightly each add three single-family views legs (vpct,
+    # hpct, hagg): the mixed-family leg keys only a handful of
+    # horizontal views.
+    legs = [(kind, "") for kind in KINDS] \
+        + [("views", family) for family in ("vpct", "hpct", "hagg")]
+    assert sorted(swept) == sorted(legs + legs)
 
 
 def test_benchmark_commands_parse(monkeypatch):

@@ -101,14 +101,12 @@ def _derive_reference(definition, state):
 def _derive_delta_reference(definition, state, delta):
     previous = state.result
     if previous is None or not isinstance(state.row_of_slot, dict) \
-            or not delta.primary_stable() \
-            or (definition.kind == HORIZONTAL
-                and not delta.fine_stable()):
+            or not delta.stable:
         return _derive_reference(definition, state)
     if definition.kind == VERTICAL:
         slots = _patch_slots(definition, state, delta)
     else:
-        slots = [int(s) for s in delta.touched[0]]
+        slots = [int(s) for s in delta.touched]
     if not slots:
         return previous
     rows = np.array([state.row_of_slot[s] for s in slots],
@@ -163,7 +161,7 @@ def _plain_cells(definition, state, slots):
 # Vertical (Vpct) cells
 # ----------------------------------------------------------------------
 def _patch_slots(definition, state, delta) -> list[int]:
-    touched = {int(s) for s in delta.touched[0]}
+    touched = {int(s) for s in delta.touched}
     level = state.levels[0]
     group_by = definition.group_by
     for plan in definition.layout.terms:

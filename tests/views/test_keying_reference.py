@@ -86,6 +86,11 @@ DML = [
     "DELETE FROM f WHERE s = 'gone'",
     "UPDATE f SET a = -1.0 WHERE k IS NULL",
     "INSERT INTO f VALUES (7.0, 'gone', 3.0)",
+    # Retract every slot, then bring old keys back: slot numbers are
+    # never reused, so they come back as new slots.
+    "DELETE FROM f",
+    "INSERT INTO f VALUES (2.0, 'b', 1.0), (NULL, 'a', 4.0), "
+    "(2.0, 'b', -3.0), (NULL, NULL, 6.0)",
 ]
 VIEWS = [
     "SELECT k, s, Vpct(a BY s) FROM f GROUP BY k, s",
@@ -134,3 +139,20 @@ def test_grouped_keying_equals_the_row_loop(monkeypatch, view, nan_rows):
             return states
 
     assert run(reference=False) == run(reference=True)
+
+
+@pytest.mark.parametrize("nan_rows", [False, True])
+@pytest.mark.parametrize("view", VIEWS)
+def test_a_build_is_an_insert_into_an_empty_view(view, nan_rows):
+    """A view created over every row leaves exactly the state of one
+    created over an empty table that then receives those rows."""
+    built = _database(nan_rows)
+    built.execute(f"CREATE MATERIALIZED VIEW v AS {view}")
+    inserted = _database(nan_rows)
+    inserted.execute_script("""
+        CREATE TABLE g AS SELECT * FROM f;
+        DELETE FROM f
+    """)
+    inserted.execute(f"CREATE MATERIALIZED VIEW v AS {view}")
+    inserted.execute("INSERT INTO f SELECT * FROM g")
+    assert _states(inserted) == _states(built)
