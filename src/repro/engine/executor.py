@@ -40,7 +40,7 @@ from repro.engine.governor import ResourceGovernor
 from repro.engine import groupingsets as gs_mod
 from repro.engine.groupby import (distinct_indices, encode_column,
                                   factorize, in_code_order)
-from repro.engine.join import join_indices
+from repro.engine.join import match, prepare_side
 from repro.engine.planner import (PlannedJoin, PlannedSource, SelectPlan,
                                   plan_select, plan_update_join)
 from repro.engine.schema import ColumnDef, TableSchema
@@ -87,15 +87,20 @@ class Dataset:
         the chosen bindings (default: all)."""
         mask = indices < 0
         safe = np.where(mask, 0, indices)
-        # A join that keeps the rows where they stand (1:1, in key order:
-        # the partitions of a wide Hpct result) moves nothing, and a
-        # table a gather already made can stay as it is.
+        # A join that keeps the rows where they stand (1:1 in key
+        # order, as the partitions of a wide Hpct result join, or N:1
+        # with every probe row once and in order, as the Vpct join)
+        # moves nothing: a table a gather already made stays as it is,
+        # and a scanned one keeps its arrays without their memos, as a
+        # copy would have none.
         kept = not mask.any() and np.array_equal(
             indices, np.arange(len(indices)))
         for binding in (which if which is not None else self.bindings):
             table = self.tables[binding]
-            if kept and binding in self.gathered \
-                    and table.n_rows == len(indices):
+            if kept and table.n_rows == len(indices):
+                if binding not in self.gathered:
+                    self.gathered.add(binding)
+                    self.tables[binding] = _without_memos(table)
                 continue
             self.gathered.add(binding)
             if table.n_rows == 0 and mask.any():
@@ -106,6 +111,15 @@ class Dataset:
                 if mask.any():
                     gathered = _null_out(gathered, mask)
             self.tables[binding] = gathered
+
+
+def _without_memos(table: Table) -> Table:
+    columns = {}
+    for col_def in table.schema.columns:
+        data = table.column(col_def.name)
+        columns[col_def.name] = ColumnData(data.sql_type, data.values,
+                                           data.nulls)
+    return Table(table.schema, columns)
 
 
 def _all_null_like(table: Table, length: int) -> Table:
@@ -398,10 +412,10 @@ class Executor:
                 if join.kind != "left" \
                         and dataset.n_rows < right_table.n_rows:
                     right_indices, left_indices = self._join_rows(
-                        right_cols, left_cols, join, outer=False)
+                        op, right_cols, left_cols, join, outer=False)
                 else:
                     left_indices, right_indices = self._join_rows(
-                        left_cols, right_cols, join,
+                        op, left_cols, right_cols, join,
                         outer=join.kind == "left")
             op.charge(rows=len(left_indices),
                       context="join" if join.left_keys
@@ -414,13 +428,16 @@ class Executor:
         if join.residual is not None:
             self._filter(dataset, join.residual)
 
-    def _join_rows(self, probe_cols: list[ColumnData],
+    def _join_rows(self, op: _Op, probe_cols: list[ColumnData],
                    build_cols: list[ColumnData], join: PlannedJoin,
                    outer: bool) -> tuple[np.ndarray, np.ndarray]:
-        """``(probe, build)`` row-index pairs."""
-        return join_indices(probe_cols, build_cols, outer,
-                            stats=self.stats,
-                            null_safe=join.null_safe)
+        """``(probe, build)`` row-index pairs; the span's
+        ``probe_runs`` is the number of probe keys looked up (the run
+        heads of a probe side in runs, else every row)."""
+        prepared = prepare_side(build_cols, self.stats, join.null_safe)
+        probe_idx, build_idx, probed = match(prepared, probe_cols, outer)
+        op.stamp(probe_runs=probed)
+        return probe_idx, build_idx
 
     # -- select-list evaluation ---------------------------------------------
     def _project(self, frame: Frame, items: list[tuple[Any, Any]],
@@ -1021,7 +1038,7 @@ class Executor:
         with self._operator("join", charge="join-output",
                             table=from_binding, join_kind="left") as op:
             probe_idx, build_idx = self._join_rows(
-                [target_frame.resolve(k) for k in join.left_keys],
+                op, [target_frame.resolve(k) for k in join.left_keys],
                 [from_frame.resolve(k) for k in join.right_keys],
                 join, outer=True)
             if len(probe_idx) != table.n_rows:

@@ -4,7 +4,9 @@ Everything that needs "rows with equal keys" -- GROUP BY, DISTINCT,
 window partitions, hash joins -- goes through :func:`factorize`:
 
 1. each key column is *encoded* to dense integer codes (NULL gets its
-   own code, so SQL GROUP BY semantics of NULLs-compare-equal hold);
+   own code, so SQL GROUP BY semantics of NULLs-compare-equal hold) --
+   by counting when it is an INTEGER column with a dense value range,
+   by ``np.unique`` otherwise (the density rule again);
 2. multi-column keys are combined either by mixed-radix arithmetic (the
    fast path, when the code space fits in int64) or by lexicographic
    ``np.unique(axis=0)``;
@@ -107,8 +109,8 @@ def encode_column(col: ColumnData,
     """Encode one column to dense integer codes (NULL -> 0).
 
     ``uniques`` holds exactly the distinct **non-NULL** values: NULL
-    lanes are excluded before ``np.unique`` rather than substituted
-    with a filler, so a NULL-bearing VARCHAR column no longer grows a
+    lanes are excluded before encoding rather than substituted with a
+    filler, so a NULL-bearing VARCHAR column no longer grows a
     spurious ``""`` dictionary entry (and numeric fillers no longer
     inflate ``cardinality``).
 
@@ -136,17 +138,31 @@ def encode_column(col: ColumnData,
 
 def _encode_values(col: ColumnData) -> EncodedColumn:
     """The full dictionary of ``col``: ``uniques`` are the values
-    present, so every code ``1..len(uniques)`` occurs."""
+    present, so every code ``1..len(uniques)`` occurs.
+
+    An INTEGER column whose value range is dense for its rows (the
+    density rule, :func:`counting_pass_fits`) is encoded by counting
+    (:func:`_encode_dense`); any other column by ``np.unique``.  Both
+    give the same arrays."""
     n = len(col)
     has_null = bool(col.nulls.any())
-    if n == 0:
+    valid = ~col.nulls if has_null else None
+    present = col.values[valid] if has_null else col.values
+    dense = _encode_dense(present) \
+        if col.sql_type == SQLType.INTEGER and len(present) else None
+    if dense is not None:
+        uniques, ranks = dense
+        if has_null:
+            codes = np.zeros(n, dtype=np.int64)
+            codes[valid] = ranks
+        else:
+            codes = ranks.astype(np.int64)
+    elif n == 0:
         # The values' dtype, not the SQL type's: an untyped NULL
         # column (``GROUP BY NULL``) has none.
         codes = np.empty(0, dtype=np.int64)
         uniques = np.empty(0, dtype=col.values.dtype)
     elif has_null:
-        valid = ~col.nulls
-        present = col.values[valid]
         uniques = np.unique(present)
         codes = np.zeros(n, dtype=np.int64)
         if len(uniques):
@@ -159,6 +175,27 @@ def _encode_values(col: ColumnData) -> EncodedColumn:
     codes.flags.writeable = False
     return EncodedColumn(codes, uniques, col.sql_type, full=True,
                          has_null=has_null)
+
+
+def _encode_dense(values: np.ndarray
+                  ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """``(uniques, ranks)`` of non-empty integer ``values`` by
+    counting -- ``np.unique``'s sorted uniques and each value's 1-based
+    rank among them -- or None when their range is too sparse for the
+    rows (:func:`counting_pass_fits`).  A bitmap of the values present,
+    offset by the minimum; its running count is each value's rank."""
+    low, high = int(values.min()), int(values.max())
+    space = high - low + 1      # a Python int: no int64 overflow
+    if not counting_pass_fits(space, len(values)):
+        return None
+    offsets = values - low
+    seen = np.zeros(space, dtype=bool)
+    seen[offsets] = True
+    uniques = np.flatnonzero(seen) + low
+    # The narrowest dtype that holds a rank keeps the one allocation
+    # proportional to ``space`` small.
+    rank = np.cumsum(seen, dtype=np.min_scalar_type(len(uniques)))
+    return uniques.astype(values.dtype, copy=False), rank[offsets]
 
 
 def in_code_order(keys: list[tuple[ColumnData, bool]]) -> bool:

@@ -8,6 +8,14 @@ The join works in two phases, mirroring a classic hash join:
 * :func:`probe` encodes the probe side's keys against those
   dictionaries and emits matching row-index pairs.
 
+:func:`match` probes by *runs*: adjacent probe rows with equal keys
+have equal matches, so when the runs are at most half the rows (a
+probe side that came out of a GROUP BY in key order, as the Vpct
+plan's ``Fk`` does) only each run's head is probed and every row of a
+run gets its head's matches.  One O(n) pass over adjacent key pairs
+(:func:`run_heads`) decides; a shuffled probe side is probed row by
+row.  Both paths return the same index arrays.
+
 Every join builds its side afresh: ``CREATE INDEX`` is a catalog
 definition only (DESIGN.md section 2 says why the paper's index lever
 is kept as SQL text and nothing more).
@@ -181,6 +189,70 @@ def probe(prepared: PreparedJoinSide, columns: list[ColumnData],
     return probe_idx, build_idx
 
 
+def run_heads(columns: list[ColumnData]) -> Optional[np.ndarray]:
+    """The first row of each run of adjacent probe rows with equal
+    keys, ascending -- or None when those runs are more than half the
+    rows, where probing the heads would save too little to pay for
+    spreading their matches.
+
+    One O(n) pass per key over adjacent row pairs, key by key, on the
+    raw values and NULL masks: NULL equals NULL (the filler under it
+    never decides), NaN never equals NaN.  Adjacent rows are tied only
+    while every key so far ties them, so the pass stops at the first
+    key that leaves too many runs."""
+    n = len(columns[0]) if columns else 0
+    if n < 2:
+        return None
+    tied = None     # pair (i, i + 1) equal on every key so far
+    for col in columns:
+        values, nulls = col.values, col.nulls
+        eq = np.asarray(values[1:] == values[:-1], dtype=bool)
+        if nulls.any():
+            later, earlier = nulls[1:], nulls[:-1]
+            eq &= ~(later | earlier)
+            eq |= later & earlier
+        tied = eq if tied is None else tied & eq
+        # n - count(tied) runs: one head per untied pair, plus row 0.
+        if 2 * (n - int(np.count_nonzero(tied))) > n:
+            return None
+    return np.flatnonzero(np.concatenate(([True], ~tied)))
+
+
+def match(prepared: PreparedJoinSide, columns: list[ColumnData],
+          outer: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`probe`'s ``(probe_indices, build_indices)``, and the
+    number of probe keys looked up.
+
+    When :func:`run_heads` finds runs, only the heads are probed and
+    each run's rows get their head's matches -- probe-row major, each
+    row's matches in build-row order, the arrays :func:`probe` gives
+    row by row.  Otherwise every row is probed."""
+    heads = run_heads(columns)
+    if heads is None:
+        probe_idx, build_idx = probe(prepared, columns, outer)
+        return probe_idx, build_idx, len(columns[0]) if columns else 0
+    n = len(columns[0])
+    head_idx, head_build = probe(prepared,
+                                 [col.take(heads) for col in columns],
+                                 outer)
+    lengths = np.diff(np.append(heads, n))
+    per_head = np.bincount(head_idx, minlength=len(heads))
+    if (per_head == 1).all():
+        # One output row per probe row (the N:1 join): rows stay put.
+        return (np.arange(n, dtype=np.int64),
+                np.repeat(head_build, lengths), len(heads))
+    per_row = np.repeat(per_head, lengths)
+    probe_idx = np.repeat(np.arange(n, dtype=np.int64), per_row)
+    # Output position -> its row's head's block, plus its rank within
+    # the row's matches.
+    head_block = np.repeat(np.cumsum(per_head) - per_head, lengths)
+    row_start = np.cumsum(per_row) - per_row
+    within = np.arange(len(probe_idx), dtype=np.int64) - \
+        np.repeat(row_start, per_row)
+    build_idx = head_build[np.repeat(head_block, per_row) + within]
+    return probe_idx, build_idx, len(heads)
+
+
 def join_indices(left_columns: list[ColumnData],
                  right_columns: list[ColumnData],
                  outer: bool,
@@ -189,5 +261,5 @@ def join_indices(left_columns: list[ColumnData],
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Join row indices ``(left_idx, right_idx)`` for ``left JOIN
     right`` on positional key pairs; the right side builds."""
-    return probe(prepare_side(right_columns, stats, null_safe),
-                 left_columns, outer)
+    return match(prepare_side(right_columns, stats, null_safe),
+                 left_columns, outer)[:2]

@@ -318,7 +318,8 @@ class IdentityViolation(Exception):
 
 def _hpct_identities(case: FuzzCase, db: Database, plan,
                      rows: list) -> None:
-    """Hold an Hpct result to two identities (ROADMAP 8(a)).
+    """Hold an Hpct result to two identities of the paper's, an oracle
+    beside sqlite that needs no second engine.
 
     - Each term's percentages in a row sum to 1 within 1e-9 when the
       group's total is positive and no cell is NULL.
@@ -377,12 +378,13 @@ def _hpct_identities(case: FuzzCase, db: Database, plan,
 
 
 def _vpct_identities(case: FuzzCase, rows: list) -> None:
-    """Hold a Vpct result to the paper's identity (ROADMAP 8(a)): a
-    term's percentages sum to 1 within 1e-9 over the rows of each
-    parent group -- the GROUP BY columns minus the term's BY columns,
-    the level its totals are taken at (none: the grand total).  A
-    group whose total is NULL or 0 is skipped; a row whose own sum is
-    NULL adds nothing to its parent's total and nothing to the sum.
+    """Hold a Vpct result to the paper's identity, an oracle beside
+    sqlite that needs no second engine: a term's percentages sum to 1
+    within 1e-9 over the rows of each parent group -- the GROUP BY
+    columns minus the term's BY columns, the level its totals are
+    taken at (none: the grand total).  A group whose total is NULL or
+    0 is skipped; a row whose own sum is NULL adds nothing to its
+    parent's total and nothing to the sum.
 
     The generator's measures are small dyadic values, so every total
     is exact whatever order it is summed in."""

@@ -80,6 +80,19 @@ def test_every_sweep_kind_runs_in_smoke_and_nightly():
     assert sorted(swept) == sorted(legs + legs)
 
 
+def test_the_vertical_leg_runs_in_smoke_and_nightly():
+    """Every Vpct plan's division join, on both substrates: one
+    ``--family vpct`` leg outside the sweeps in smoke, and its twin
+    nightly (``test_fuzz_commands_parse`` parses both)."""
+    legs = [argv for argv in _commands("repro.fuzz")
+            if "--sweep" not in argv and _flag(argv, "--family") == "vpct"]
+    assert len(legs) == 2
+    for argv in legs:
+        assert argv.count("--family") == 1
+        assert [argv[i + 1] for i, flag in enumerate(argv)
+                if flag == "--storage"] == ["memory", "disk"]
+
+
 def test_benchmark_commands_parse(monkeypatch):
     """The benchmark's parser lives inside its ``main``; with the
     self-test body stubbed out, ``main`` is parse + dispatch."""

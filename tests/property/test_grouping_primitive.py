@@ -5,7 +5,9 @@ the code space is small for the row count and with ``np.unique``
 otherwise; ``first_positions`` is one ``np.minimum.at``; the dense
 ``count(DISTINCT)`` kernel marks a bitmap.  Each must be the *same
 array* the sort-based definition yields -- values and dtypes -- so the
-references below are those definitions, kept here verbatim.  A spy on
+references below are those definitions, kept here verbatim.  So must
+the encoding of a dense INTEGER column, which counts instead of
+calling ``np.unique``.  A spy on
 ``np.unique`` says which side of the density rule ran, so a test fails
 if either side of a branch is deleted.  A full dictionary -- every
 encoding ``_encode_values`` builds -- is grouped without ranking; its
@@ -217,20 +219,115 @@ def test_dense_count_distinct_matches_the_pair_sort(case):
     assert sorts == (0 if dense else 1)
 
 
-@pytest.mark.parametrize("n_keys", [1, 2])
-def test_dense_group_by_never_sorts_row_length_arrays(n_keys):
-    # The engine-level statement of the point: grouping dictionary
-    # codes whose space fits reaches np.unique only to *encode* (once
-    # per key column), never to rank or to find first rows.
+def _key_column(kind: str, rng) -> ColumnData:
+    """500 rows of a key column: dense INTEGER, VARCHAR, REAL, or
+    INTEGER over a range far too sparse to count."""
+    values = rng.integers(0, 9, 500)
+    if kind == "varchar":
+        return ColumnData.from_values(SQLType.VARCHAR,
+                                      [f"v{v}" for v in values])
+    if kind == "real":
+        return ColumnData.from_values(SQLType.REAL, values / 2)
+    if kind == "sparse":
+        values = values * 10 ** 12
+    return _int_column(values.tolist())
+
+
+def _group_by_sorts(kind: str, n_keys: int) -> int:
+    """How many times grouping 500 rows by ``n_keys`` columns of
+    ``kind`` (and finding first rows) reaches ``np.unique``."""
     rng = np.random.default_rng(0)
-    columns = [_int_column(rng.integers(0, 9, 500).tolist())
-               for _ in range(n_keys)]
+    columns = [_key_column(kind, rng) for _ in range(n_keys)]
 
     def run():
         grouping = group_rows(columns, 500)
         first_positions(grouping.group_ids, grouping.n_groups)
 
-    assert _spied(run)[1] == n_keys
+    return _spied(run)[1]
+
+
+@pytest.mark.parametrize("n_keys", [1, 2])
+def test_dense_group_by_never_sorts_row_length_arrays(n_keys):
+    # The engine-level statement of the point: grouping dictionary
+    # codes whose space fits never sorts to rank or to find first
+    # rows, and a dense INTEGER key is encoded by counting too.
+    assert _group_by_sorts("dense", n_keys) == 0
+
+
+@pytest.mark.parametrize("kind", ["varchar", "real", "sparse"])
+@pytest.mark.parametrize("n_keys", [1, 2])
+def test_keys_that_cannot_be_counted_sort_once_to_encode(kind, n_keys):
+    # A VARCHAR, REAL or sparse INTEGER key reaches np.unique once, to
+    # encode; the ranking still counts.
+    assert _group_by_sorts(kind, n_keys) == n_keys
+
+
+@st.composite
+def integer_columns(draw):
+    """An INTEGER column: NULLs in any share, a dense or sparse range
+    anywhere in int64 (negative, around zero, at either extreme), one
+    value or many, zero rows or some."""
+    n_rows = draw(st.sampled_from((0, 1, draw(st.integers(2, 60)))))
+    low = draw(st.sampled_from((-2 ** 63, -1000, -3, 0, 2 ** 40,
+                                2 ** 63 - 64)))
+    width = draw(st.sampled_from((1, 5, 64, 10 ** 9, 2 ** 64)))
+    high = min(low + width - 1, 2 ** 63 - 1)
+    pool = draw(st.lists(st.integers(low, high), min_size=1, max_size=8))
+    if draw(st.booleans()):        # both int64 extremes: must fall back
+        pool += [-2 ** 63, 2 ** 63 - 1]
+    null_share = draw(st.sampled_from((0.0, 0.3, 1.0)))
+    raw = [None if draw(st.floats(0, 1)) < null_share
+           else draw(st.sampled_from(pool)) for _ in range(n_rows)]
+    return _int_column(raw)
+
+
+def _encoding_by_unique(column: ColumnData):
+    """``_encode_values``' ``np.unique`` definition: sorted non-NULL
+    uniques, codes 1-based ranks, NULL 0."""
+    valid = ~column.nulls
+    present = column.values[valid]
+    uniques = np.unique(present)
+    codes = np.zeros(len(column), dtype=np.int64)
+    if len(uniques):
+        codes[valid] = np.searchsorted(uniques, present) + 1
+    return uniques, codes
+
+
+@given(integer_columns())
+@example(_int_column([]))
+@example(_int_column([7]))
+@example(_int_column([None, None]))
+@example(_int_column([-5, None, -5, -1]))
+@example(_int_column([-2 ** 63, 2 ** 63 - 1, 0]))
+@example(_int_column([2 ** 63 - 1, 2 ** 63 - 2]))
+@settings(max_examples=300, deadline=None)
+def test_dense_integer_encoding_is_np_unique(column):
+    uniques, codes = _encoding_by_unique(column)
+    enc, sorts = _spied(lambda: groupby._encode_values(column))
+    _same(enc.uniques, uniques)
+    _same(enc.codes, codes)
+    assert enc.sql_type == SQLType.INTEGER
+    assert enc.full
+    assert enc.has_null == bool(column.nulls.any())
+    assert not enc.codes.flags.writeable
+    present = column.values[~column.nulls]
+    dense = len(present) > 0 and counting_pass_fits(
+        int(present.max()) - int(present.min()) + 1, len(present))
+    # Counting when the range is dense, np.unique otherwise -- over
+    # nothing for an all-NULL column; a zero-row one calls neither.
+    assert sorts == (0 if dense or len(column) == 0 else 1)
+
+
+@pytest.mark.parametrize("n_values", [255, 256, 65_535, 65_536, 65_537])
+def test_dense_ranks_fit_their_narrow_dtype(n_values):
+    # The running count is kept in the narrowest dtype that holds the
+    # largest rank: the last rank of each width, and the first past it.
+    column = _int_column([None] + list(range(n_values, 0, -1)))
+    uniques, codes = _encoding_by_unique(column)
+    enc, sorts = _spied(lambda: groupby._encode_values(column))
+    assert sorts == 0
+    _same(enc.uniques, uniques)
+    _same(enc.codes, codes)
 
 
 # ----------------------------------------------------------------------
