@@ -7,7 +7,11 @@ makes three-valued logic explicit everywhere.
 
 Instances are the unit of data flow inside the engine: table columns,
 intermediate expression results and aggregate outputs are all
-``ColumnData``.
+``ColumnData``.  A :class:`Block` is a run of adjacent same-typed
+columns held as one ``k x n`` pair of arrays -- how a
+:class:`~repro.engine.table.Table` stores its columns, so a wide
+result moves in one numpy call per block, not one Python call per
+column; each of its columns is a zero-copy ``ColumnData`` view.
 """
 
 from __future__ import annotations
@@ -221,3 +225,107 @@ class ColumnData:
         values = np.concatenate([p.values for p in parts])
         nulls = np.concatenate([p.nulls for p in parts])
         return ColumnData(sql_type, values, nulls)
+
+
+@dataclass(slots=True)
+class Block:
+    """``k`` adjacent columns of one SQL type over the same ``n`` rows.
+
+    ``values`` and ``nulls`` are C-contiguous ``k x n`` arrays stored
+    column-major: row ``j`` holds column ``j``, so :meth:`column` is a
+    contiguous 1-D view and a kernel over one column sees the same
+    arrays a ``ColumnData`` of its own would hold.  Blocks are
+    immutable by convention, like columns.
+    """
+
+    sql_type: SQLType
+    values: np.ndarray
+    nulls: np.ndarray
+
+    # ------------------------------------------------------------------
+    # Constructors
+    # ------------------------------------------------------------------
+    @classmethod
+    def of(cls, column: ColumnData) -> "Block":
+        """One column as a one-column block (zero-copy: C-contiguous
+        when the column is)."""
+        return cls(column.sql_type, column.values[None], column.nulls[None])
+
+    @classmethod
+    def all_null(cls, sql_type: SQLType, width: int,
+                 length: int) -> "Block":
+        """``width`` columns of ``length`` NULLs (the fillers of
+        :meth:`ColumnData.all_null`)."""
+        if sql_type == SQLType.VARCHAR:
+            values = np.full((width, length), "", dtype=object)
+        else:
+            values = np.zeros((width, length), dtype=sql_type.numpy_dtype)
+        return cls(sql_type, values, np.ones((width, length), dtype=bool))
+
+    @staticmethod
+    def concat(parts: Sequence["Block"]) -> "Block":
+        """The rows of ``parts`` (same type and width) end to end:
+        one ``np.concatenate`` per array."""
+        return Block(parts[0].sql_type,
+                     np.concatenate([p.values for p in parts], axis=1),
+                     np.concatenate([p.nulls for p in parts], axis=1))
+
+    @staticmethod
+    def stack(parts: Sequence["Block"]) -> "Block":
+        """The columns of ``parts`` (same type, same rows) side by side
+        as one block; a lone part is itself."""
+        if len(parts) == 1:
+            return parts[0]
+        return Block(parts[0].sql_type,
+                     np.concatenate([p.values for p in parts]),
+                     np.concatenate([p.nulls for p in parts]))
+
+    # ------------------------------------------------------------------
+    def column(self, j: int,
+               memo: Optional[EncodingMemo] = None) -> ColumnData:
+        """Column ``j`` as a zero-copy view."""
+        return ColumnData(self.sql_type, self.values[j], self.nulls[j],
+                          memo)
+
+    def columns(self) -> list[ColumnData]:
+        return [self.column(j) for j in range(len(self.values))]
+
+    def sliced(self, start: int, stop: int) -> "Block":
+        """Columns ``start:stop`` (zero-copy)."""
+        if start == 0 and stop == len(self.values):
+            return self
+        return Block(self.sql_type, self.values[start:stop],
+                     self.nulls[start:stop])
+
+    def sliced_rows(self, start: int, stop: int) -> "Block":
+        """Rows ``start:stop`` of every column (zero-copy)."""
+        if start == 0 and stop >= self.values.shape[1]:
+            return self
+        return Block(self.sql_type, self.values[:, start:stop],
+                     self.nulls[:, start:stop])
+
+    def to_lists(self) -> list[list[Any]]:
+        """Each column as a list of Python values (None for NULL): one
+        ``tolist`` for the block, then NULLs patched in."""
+        lists = self.values.tolist()
+        if self.nulls.any():
+            columns, rows = np.nonzero(self.nulls)
+            for j, i in zip(columns.tolist(), rows.tolist()):
+                lists[j][i] = None
+        return lists
+
+    # ------------------------------------------------------------------
+    # Row-set transformations: one numpy call per array, C-contiguous
+    # out (``take`` / ``compress`` along the rows, not fancy indexing).
+    # ------------------------------------------------------------------
+    def take(self, indices: np.ndarray) -> "Block":
+        return Block(self.sql_type, np.take(self.values, indices, axis=1),
+                     np.take(self.nulls, indices, axis=1))
+
+    def filter(self, mask: np.ndarray) -> "Block":
+        return Block(self.sql_type, np.compress(mask, self.values, axis=1),
+                     np.compress(mask, self.nulls, axis=1))
+
+    def null_out(self, mask: np.ndarray) -> "Block":
+        """The same values, NULL also where ``mask`` is True."""
+        return Block(self.sql_type, self.values, self.nulls | mask)

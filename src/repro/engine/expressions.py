@@ -96,6 +96,13 @@ class Frame:
     def bindings(self) -> list[str]:
         return [binding for binding, _ in self._tables]
 
+    def table(self, binding: str) -> Table:
+        """The table registered last under lower-cased ``binding``."""
+        for bound, table in reversed(self._tables):
+            if bound == binding:
+                return table
+        raise PlanningError(f"unknown table {binding!r}")
+
     def has(self, ref: ast.ColumnRef) -> bool:
         try:
             self.resolve(ref)

@@ -189,33 +189,46 @@ def probe(prepared: PreparedJoinSide, columns: list[ColumnData],
     return probe_idx, build_idx
 
 
+#: The fewest adjacent pairs :func:`run_heads` compares at a time.
+_MIN_PAIRS = 4096
+
+
 def run_heads(columns: list[ColumnData]) -> Optional[np.ndarray]:
     """The first row of each run of adjacent probe rows with equal
     keys, ascending -- or None when those runs are more than half the
     rows, where probing the heads would save too little to pay for
     spreading their matches.
 
-    One O(n) pass per key over adjacent row pairs, key by key, on the
-    raw values and NULL masks: NULL equals NULL (the filler under it
-    never decides), NaN never equals NaN.  Adjacent rows are tied only
-    while every key so far ties them, so the pass stops at the first
-    key that leaves too many runs."""
+    Adjacent row pairs are compared key by key on the raw values and
+    NULL masks: NULL equals NULL (the filler under it never decides),
+    NaN never equals NaN.  A pair is tied while every key so far ties
+    it; each untied pair starts a run.  The pairs go in chunks, each as
+    long as the untied pairs still missing from "more than half", so
+    a shuffled probe side stops after about half its pairs, and an
+    ordered one is compared in about two chunks."""
     n = len(columns[0]) if columns else 0
     if n < 2:
         return None
-    tied = None     # pair (i, i + 1) equal on every key so far
-    for col in columns:
-        values, nulls = col.values, col.nulls
-        eq = np.asarray(values[1:] == values[:-1], dtype=bool)
-        if nulls.any():
-            later, earlier = nulls[1:], nulls[:-1]
-            eq &= ~(later | earlier)
-            eq |= later & earlier
-        tied = eq if tied is None else tied & eq
-        # n - count(tied) runs: one head per untied pair, plus row 0.
-        if 2 * (n - int(np.count_nonzero(tied))) > n:
-            return None
-    return np.flatnonzero(np.concatenate(([True], ~tied)))
+    need = n // 2   # untied pairs that make more than n / 2 runs
+    untied, start, chunks = 0, 0, []
+    while start < n - 1:
+        stop = min(n - 1, start + max(need - untied, _MIN_PAIRS))
+        tied = None     # pair (i, i + 1) equal on every key so far
+        for col in columns:
+            values, nulls = col.values, col.nulls
+            eq = np.asarray(values[start + 1:stop + 1]
+                            == values[start:stop], dtype=bool)
+            later, earlier = nulls[start + 1:stop + 1], nulls[start:stop]
+            if later.any() or earlier.any():
+                eq &= ~(later | earlier)
+                eq |= later & earlier
+            tied = eq if tied is None else tied & eq
+            if untied + len(tied) - int(np.count_nonzero(tied)) >= need:
+                return None
+        untied += len(tied) - int(np.count_nonzero(tied))
+        chunks.append(tied)
+        start = stop
+    return np.flatnonzero(np.concatenate([[True]] + [~t for t in chunks]))
 
 
 def match(prepared: PreparedJoinSide, columns: list[ColumnData],

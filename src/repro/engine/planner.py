@@ -42,10 +42,27 @@ class PlannedSource:
     plan: Optional["SelectPlan"] = None
 
     def __post_init__(self) -> None:
-        self._names = frozenset(c.lower() for c in self.columns)
+        self._positions: dict[str, int] = {}
+        for i, column in enumerate(self.columns):
+            self._positions.setdefault(column.lower(), i)
 
     def has_column(self, name: str) -> bool:
-        return name.lower() in self._names
+        return name.lower() in self._positions
+
+    def position(self, name: str) -> Optional[int]:
+        return self._positions.get(name.lower())
+
+
+@dataclass
+class ColumnRun:
+    """Columns ``start:stop`` of the source bound as ``binding``: a
+    ``*``, or adjacent plain references to adjacent columns of one
+    source, planned as one select item whose data is a slice of that
+    source's blocks."""
+
+    binding: str
+    start: int
+    stop: int
 
 
 @dataclass
@@ -80,8 +97,10 @@ class SelectPlan:
 
     ``matview`` set means the whole statement is answered from that
     materialized view and nothing else applies.  ``items`` is the
-    select list with ``*`` expanded, as ``(output name, expression)``
-    -- a cell family as ``(its cells' names, family)``; ``mode`` is
+    select list as ``(output name, expression)`` -- a cell family as
+    ``(its cells' names, family)``, and, in a projection, a ``*`` or a
+    run of plain references to adjacent columns of one source as
+    ``(their names, ColumnRun)``; ``mode`` is
     ``projection`` or ``aggregate``, whose ``grouping_sets`` holds the
     expanded sets, positions resolved: a plain GROUP BY is the one set
     of its keys, a global aggregate the set ``()`` (the Data Cube's
@@ -112,7 +131,8 @@ class SelectPlan:
             return tuple(self.matview.result.column_names())
         return tuple(name for names, item in self.items
                      for name in (names if isinstance(
-                         item, ast.CellFamily) else (names,)))
+                         item, (ast.CellFamily, ColumnRun))
+                         else (names,)))
 
     def sources(self) -> list[PlannedSource]:
         if self.from_plan is None:
@@ -246,6 +266,8 @@ def output_name(item: ast.SelectItem, position: int) -> str:
 
 
 def dedupe_names(names: list[str]) -> list[str]:
+    if len({name.lower() for name in names}) == len(names):
+        return list(names)
     seen: dict[str, int] = {}
     out = []
     for name in names:
@@ -262,13 +284,19 @@ def dedupe_names(names: list[str]) -> list[str]:
 def _select_items(select: ast.Select, plan: SelectPlan
                   ) -> tuple[list[tuple], dict[int, BoundExpr]]:
     """The select list as ``(output name, expression)`` -- a cell
-    family as ``(its cells' names, family)`` --, ``*`` expanded to
-    qualified column references over the planned sources, and the
+    family as ``(its cells' names, family)``, a ``*`` or a run of
+    plain column references as ``(their names, ColumnRun)`` -- and the
     records of the items in it that call a window function, by
-    position."""
+    position.  A projection with no window function resolves its plain
+    references to a source here, as the frame will: a reference only
+    one source can own joins the run before it when it names the
+    next column of the same source."""
     sources = plan.sources()
     named: list[tuple[list[str], Any]] = []
     windowed = {}
+    runs = plan.mode == "projection" \
+        and not any(bound.shape.windowed for bound in plan.bound)
+    by_binding = {source.binding.lower(): source for source in sources}
     position = 0   # among the items the families stand for
     for i, item in enumerate(select.items):
         if isinstance(item, ast.CellFamily):
@@ -280,7 +308,21 @@ def _select_items(select: ast.Select, plan: SelectPlan
         if not isinstance(item.expr, ast.Star):
             if plan.bound[i].shape.windowed:
                 windowed[len(named)] = plan.bound[i]
-            named.append(([output_name(item, position - 1)], item.expr))
+            name = output_name(item, position - 1)
+            at = _owner_position(item.expr, sources, by_binding) \
+                if runs else None
+            if at is None:
+                named.append(([name], item.expr))
+                continue
+            binding, column = at
+            last = named[-1][1] if named else None
+            if type(last) is ColumnRun and last.binding == binding \
+                    and last.stop == column:
+                named[-1][0].append(name)
+                last.stop += 1
+            else:
+                named.append(([name], ColumnRun(binding, column,
+                                                column + 1)))
             continue
         if plan.mode != "projection":
             raise PlanningError("'*' cannot appear in an aggregate "
@@ -293,13 +335,37 @@ def _select_items(select: ast.Select, plan: SelectPlan
         if not chosen:
             raise PlanningError(f"unknown table {star.table!r} in "
                                 f"'{star.table}.*'")
-        named.extend(([column], ast.ColumnRef(column, s.binding))
-                     for s in chosen for column in s.columns)
+        named.extend((list(s.columns), ColumnRun(
+            s.binding.lower(), 0, len(s.columns))) for s in chosen)
     names = iter(dedupe_names([name for names, _ in named
                                for name in names]))
     return ([([next(names) for _ in names_], expr)
-             if isinstance(expr, ast.CellFamily) else (next(names), expr)
+             if isinstance(expr, (ast.CellFamily, ColumnRun))
+             else (next(names), expr)
              for names_, expr in named], windowed)
+
+
+def _owner_position(expr: ast.Expr, sources: list[PlannedSource],
+                    by_binding: dict[str, PlannedSource]
+                    ) -> Optional[tuple[str, int]]:
+    """The lower-cased binding of the one source a plain column
+    reference can resolve to, and the column's position in it; None
+    for anything else."""
+    if type(expr) is not ast.ColumnRef:
+        return None
+    if expr.table:
+        binding = expr.table.lower()
+        source = by_binding.get(binding)
+        column = None if source is None else source.position(expr.name)
+        return None if column is None else (binding, column)
+    found = None
+    for source in sources:
+        column = source.position(expr.name)
+        if column is not None:
+            if found is not None:
+                return None
+            found = source.binding.lower(), column
+    return found
 
 
 def _resolve_group_expr(expr: ast.Expr, select: ast.Select) -> ast.Expr:

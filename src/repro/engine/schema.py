@@ -58,6 +58,14 @@ class TableSchema:
                     f"primary key column {key_col!r} not in table "
                     f"{self.name!r}")
 
+    def renamed(self, name: str) -> "TableSchema":
+        """The same columns and key under another table name, sharing
+        the column list and the name index instead of rebuilding them
+        (schemas are immutable by convention)."""
+        schema = TableSchema.__new__(TableSchema)
+        schema.__dict__.update(self.__dict__, name=name)
+        return schema
+
     # ------------------------------------------------------------------
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]

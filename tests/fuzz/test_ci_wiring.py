@@ -93,6 +93,24 @@ def test_the_vertical_leg_runs_in_smoke_and_nightly():
                 if flag == "--storage"] == ["memory", "disk"]
 
 
+def test_the_horizontal_leg_runs_in_smoke_and_nightly():
+    """Every Hpct/Hagg plan's cell families, on both substrates: one
+    ``--family hpct --family hagg`` leg outside the sweeps in smoke,
+    and its twin nightly with the long budget."""
+    legs = [argv for argv in _commands("repro.fuzz")
+            if "--sweep" not in argv
+            and _flag(argv, "--family") in ("hpct", "hagg")]
+    assert len(legs) == 2
+    for argv in legs:
+        assert [argv[i + 1] for i, flag in enumerate(argv)
+                if flag == "--family"] == ["hpct", "hagg"]
+        assert [argv[i + 1] for i, flag in enumerate(argv)
+                if flag == "--storage"] == ["memory", "disk"]
+    assert sorted(_flag(argv, "--budget") for argv in legs) == \
+        ["1000000", "300"]
+    assert any(_flag(argv, "--max-seconds") == "900" for argv in legs)
+
+
 def test_benchmark_commands_parse(monkeypatch):
     """The benchmark's parser lives inside its ``main``; with the
     self-test body stubbed out, ``main`` is parse + dispatch."""

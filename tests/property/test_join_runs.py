@@ -19,6 +19,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.engine import join
 from repro.engine.column import ColumnData
 from repro.engine.join import match, prepare_side, probe, run_heads
 from repro.engine.types import SQLType
@@ -127,6 +128,47 @@ def test_run_heads_follow_null_safe_equality(case):
         _same(found, np.asarray(heads, dtype=np.intp))
     else:
         assert found is None
+
+
+def _one_pass_heads(columns):
+    """The heads in one pass over every pair, key by key."""
+    n = len(columns[0]) if columns else 0
+    if n < 2:
+        return None
+    tied = None
+    for col in columns:
+        values, nulls = col.values, col.nulls
+        eq = np.asarray(values[1:] == values[:-1], dtype=bool)
+        if nulls.any():
+            later, earlier = nulls[1:], nulls[:-1]
+            eq &= ~(later | earlier)
+            eq |= later & earlier
+        tied = eq if tied is None else tied & eq
+        if 2 * (n - int(np.count_nonzero(tied))) > n:
+            return None
+    return np.flatnonzero(np.concatenate(([True], ~tied)))
+
+
+@given(join_cases(), st.sampled_from((1, 2, 3, join._MIN_PAIRS)))
+@example(([SQLType.VARCHAR], [], [("a",), ("b",)] * 5, (False,), False), 1)
+@example(([SQLType.REAL], [], [(math.nan,)] * 6 + [(None,)] * 6,
+          (False,), False), 2)
+@settings(max_examples=300, deadline=None)
+def test_chunked_run_heads_decide_as_one_pass(case, min_pairs):
+    """Chunks that stop at "more than half" give the heads -- or the
+    None -- that one pass over every pair gives."""
+    types, _, probe_rows, _, _ = case
+    columns = _columns(types, probe_rows)
+    expected = _one_pass_heads(columns)
+    saved, join._MIN_PAIRS = join._MIN_PAIRS, min_pairs
+    try:
+        found = run_heads(columns)
+    finally:
+        join._MIN_PAIRS = saved
+    if expected is None:
+        assert found is None
+    else:
+        _same(found, expected)
 
 
 def test_a_key_ordered_probe_side_probes_one_key_per_run():
