@@ -23,9 +23,8 @@ evaluations).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -127,14 +126,34 @@ def _null_out(table: Table, mask: np.ndarray) -> Table:
 
 
 class _Op:
-    """What :meth:`Executor._operator` hands an operator body."""
+    """One operator's boundary (:meth:`Executor._operator`): ``with``
+    it to cross its site and open its span; the body charges and
+    stamps through it."""
 
-    __slots__ = ("_executor", "_name", "_event", "_span")
+    __slots__ = ("_executor", "_name", "_event", "_site", "_attrs",
+                 "_handle", "_span")
 
-    def __init__(self, executor: "Executor", name: str, event: str,
-                 span) -> None:
+    def __init__(self, executor: "Executor", name: str,
+                 site: Optional[str], event: str,
+                 attrs: dict[str, Any]) -> None:
         self._executor, self._name = executor, name
-        self._event, self._span = event, span
+        self._site, self._event, self._attrs = site, event, attrs
+        self._handle = self._span = None
+
+    def __enter__(self) -> "_Op":
+        if self._site is not None:
+            faults.cross(self._site)
+        tracer = self._executor.tracer
+        if tracer.enabled:
+            self._handle = tracer.span(self._name, kind="operator",
+                                       **self._attrs)
+            self._span = self._handle.__enter__()
+        return self
+
+    def __exit__(self, *exc: Any) -> bool:
+        if self._handle is not None:
+            self._handle.__exit__(*exc)
+        return False
 
     def charge(self, rows: Optional[int] = None,
                context: Optional[str] = None, **counts: int) -> None:
@@ -210,22 +229,17 @@ class Executor:
         if tracer.enabled:
             tracer.event(op, kind="charge", **counts)
 
-    @contextmanager
     def _operator(self, name: str, site: Optional[str] = None,
-                  charge: Optional[str] = None,
-                  **attrs: Any) -> Iterator[_Op]:
-        """Every operator runs inside this: cross the named site
-        ``site`` (when the operator owns one), open the
-        ``kind="operator"`` span, and hand the body an :class:`_Op`
-        through which it charges the ledger (as event ``charge``,
-        default ``name``) and the governor and stamps the span.  The
-        sites of kernels several operators share (``join-build``,
-        ``group-by``, ``pivot``) stay inside those kernels, where their
-        crossing counts are."""
-        if site is not None:
-            faults.cross(site)
-        with self.tracer.span(name, kind="operator", **attrs) as span:
-            yield _Op(self, name, charge or name, span)
+                  charge: Optional[str] = None, **attrs: Any) -> _Op:
+        """Every operator runs inside this: entering it crosses the
+        named site ``site`` (when the operator owns one), opens the
+        ``kind="operator"`` span (when tracing) and hands the body the
+        :class:`_Op` through which it charges the ledger (as event
+        ``charge``, default ``name``) and the governor and stamps the
+        span.  The sites of kernels several operators share
+        (``join-build``, ``group-by``, ``pivot``) stay inside those
+        kernels, where their crossing counts are."""
+        return _Op(self, name, site, charge or name, attrs)
 
     # ------------------------------------------------------------------
     # Entry point

@@ -54,6 +54,7 @@ can no longer observe a previous instance's totals.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -96,6 +97,9 @@ _HELP = {
 #: elapsed_seconds) -- the diffable set.
 _SNAPSHOT_NAMES = tuple(name for name in COUNTER_NAMES
                         if name != "statements")
+
+#: A StatementStats' counters as a tuple, in _SNAPSHOT_NAMES order.
+_as_vector = operator.attrgetter(*_SNAPSHOT_NAMES)
 
 
 @dataclass
@@ -140,6 +144,10 @@ class StatsCollector:
     outright.  Plain attribute reads remain supported for
     compatibility; use :meth:`snapshot` when a consistent
     multi-counter cut matters.
+
+    The collector resolves its registry counters once, here, and
+    holds them: a charge or a read is then one registry-lock
+    acquisition over the held objects, with no name lookup.
     """
 
     def __init__(self, keep_history: bool = False,
@@ -149,16 +157,19 @@ class StatsCollector:
             else MetricsRegistry()
         self.history: list[StatementStats] = []
         self._history_lock = threading.Lock()
-        for name in COUNTER_NAMES:
-            self.registry.counter(METRIC_NAMES[name],
-                                  help=_HELP[name])
+        self._counters = {
+            name: self.registry.counter(METRIC_NAMES[name],
+                                        help=_HELP[name])
+            for name in COUNTER_NAMES}
+        #: The counters of a StatementStats, in its field order.
+        self._vector = [self._counters[name] for name in _SNAPSHOT_NAMES]
 
     # ------------------------------------------------------------------
     def __getattr__(self, name: str) -> int:
         # Only reached when normal lookup fails, i.e. for the counter
         # names that used to be dataclass fields.
         if name in COUNTER_NAMES:
-            return self.registry.value(METRIC_NAMES[name])
+            return self._counters[name].value
         raise AttributeError(name)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -177,11 +188,12 @@ class StatsCollector:
         :meth:`snapshot` taken by another thread sees either all of a
         call's increments or none of them.
         """
-        for name in counts:
-            if name not in COUNTER_NAMES:
-                raise AttributeError(f"unknown stats counter {name!r}")
-        self.registry.increment(
-            {METRIC_NAMES[name]: int(n) for name, n in counts.items()})
+        try:
+            held = [self._counters[name] for name in counts]
+        except KeyError as unknown:
+            raise AttributeError(
+                f"unknown stats counter {unknown.args[0]!r}") from None
+        self.registry.add_held(held, counts.values())
 
     def reset(self) -> None:
         self.registry.zero(METRIC_NAMES.values())
@@ -190,27 +202,23 @@ class StatsCollector:
 
     def snapshot(self) -> StatementStats:
         """Current totals as a StatementStats value (consistent cut)."""
-        values = self.registry.read(
-            [METRIC_NAMES[name] for name in _SNAPSHOT_NAMES])
-        return StatementStats(**{
-            name: values[METRIC_NAMES[name]]
-            for name in _SNAPSHOT_NAMES})
+        return StatementStats("", *self.registry.read_held(self._vector))
 
     def diff_since(self, before: StatementStats) -> StatementStats:
         """Counters accumulated since ``before`` was snapshotted."""
-        now = self.snapshot()
-        return StatementStats(**{
-            name: getattr(now, name) - getattr(before, name)
-            for name in _SNAPSHOT_NAMES})
+        now = self.registry.read_held(self._vector)
+        return StatementStats("", *map(operator.sub, now,
+                                       _as_vector(before)))
 
     # ------------------------------------------------------------------
     def record_statement(self, stats: StatementStats) -> None:
-        self.registry.counter(METRIC_NAMES["statements"]).inc()
+        self._counters["statements"].inc()
         if self.keep_history:
             with self._history_lock:
                 self.history.append(stats)
 
 
-# Keep the dataclass-fields import honest: StatementStats is still a
-# dataclass and some callers introspect it.
-assert {f.name for f in fields(StatementStats)} >= set(_SNAPSHOT_NAMES)
+# snapshot() and diff_since() build StatementStats positionally: its
+# fields must be sql, then the counters in _SNAPSHOT_NAMES order.
+assert [f.name for f in fields(StatementStats)] == \
+    ["sql", *_SNAPSHOT_NAMES, "elapsed_seconds"]

@@ -21,7 +21,9 @@ between operators.
 from __future__ import annotations
 
 import bisect
+import gc
 import itertools
+import threading
 from typing import (Any, Callable, Iterable, Iterator, Optional, Sequence,
                     Union)
 
@@ -82,11 +84,14 @@ class Table:
                     f"expected {n_rows}")
             views[position] = _contiguous(data)
         self._set(schema, [Block.of(view) for view in views.values()],
-                  n_rows or 0, views, [view.memo for view in views.values()])
+                  n_rows or 0, views, {
+                      position: view.memo for position, view in views.items()
+                      if view.memo is not None})
 
     def _set(self, schema: TableSchema, blocks: list[Block], n_rows: int,
              views: Optional[dict[int, ColumnData]] = None,
-             memos: Optional[list[Optional[EncodingMemo]]] = None,
+             memos: Optional[dict[int, EncodingMemo]] = None,
+             sealed: Optional[str] = None,
              version: Optional[int] = None) -> None:
         self.schema = schema
         self.version = next(_VERSION_COUNTER) if version is None \
@@ -97,8 +102,11 @@ class Table:
         #: the GROUP BY machinery and the frame tell columns apart by
         #: identity, so a column is one object for the table's life.
         self._views = {} if views is None else views
-        #: Position -> the column's encoding memo (None until sealed).
-        self._memos = [None] * schema.width() if memos is None else memos
+        #: Position -> the column's encoding memo, where it has one.
+        self._memos = {} if memos is None else memos
+        #: The sealing table's key: a position's memo is made with its
+        #: view, not all at :meth:`seal` (None until sealed).
+        self._sealed = sealed
         self._ends: Optional[list[int]] = None
 
     @classmethod
@@ -157,8 +165,27 @@ class Table:
             start = ends[b - 1] if b else 0
             # setdefault: two threads reading one column keep one view.
             view = self._views.setdefault(position, self._blocks[b].column(
-                position - start, self._memos[position]))
+                position - start, self._memo_at(position)))
         return view
+
+    def _memo_at(self, position: int) -> Optional[EncodingMemo]:
+        """The memo of the column at ``position``; a sealed table
+        makes it on first request."""
+        memo = self._memos.get(position)
+        if memo is None and self._sealed is not None:
+            # setdefault: two threads keep one memo.
+            memo = self._memos.setdefault(position,
+                                          EncodingMemo(self._sealed))
+        return memo
+
+    def _memos_between(self, start: int, stop: int
+                       ) -> dict[int, EncodingMemo]:
+        """The memos of columns ``start:stop``, by offset: all of them
+        when sealed, so what is built from these columns shares them."""
+        if self._sealed is None:
+            return {q - start: memo for q, memo in self._memos.items()
+                    if start <= q < stop}
+        return {q - start: self._memo_at(q) for q in range(start, stop)}
 
     def column_names(self) -> list[str]:
         return self.schema.column_names()
@@ -179,21 +206,22 @@ class Table:
         """Materialize all rows: one ``tolist`` per block, zipped."""
         return self._loaded()._rows_between(0, self.n_rows)
 
+    def row(self, i: int) -> tuple[Any, ...]:
+        i = range(self.n_rows)[i]
+        return self._loaded()._rows_between(i, i + 1)[0]
+
     def _rows_between(self, start: int, stop: int
                       ) -> list[tuple[Any, ...]]:
+        """Rows ``start:stop``, built with the collector paused (the
+        pause ends before the caller sees them, so it never spans a
+        ``yield`` of :meth:`rows`)."""
         if not self.schema.columns or start >= stop:
             return []
-        lists = []
-        for block in self._blocks:
-            lists.extend(block.sliced_rows(start, stop).to_lists())
-        return list(zip(*lists))
-
-    def row(self, i: int) -> tuple[Any, ...]:
-        out: list[Any] = []
-        for block in self._loaded()._blocks:
-            out.extend(None if null else value for value, null in zip(
-                block.values[:, i].tolist(), block.nulls[:, i].tolist()))
-        return tuple(out)
+        with _COLLECTOR_PAUSE:
+            lists = []
+            for block in self._blocks:
+                lists.extend(block.sliced_rows(start, stop).to_lists())
+            return list(zip(*lists))
 
     def _loaded(self) -> "Table":
         """This table with its blocks in memory: itself (a disk table
@@ -276,7 +304,7 @@ class Table:
         defs: list[ColumnDef] = []
         blocks: list[Block] = []
         views: dict[int, ColumnData] = {}
-        memos: list[Optional[EncodingMemo]] = []
+        memos: dict[int, EncodingMemo] = {}
         for names, part in parts:
             position = len(defs)
             if isinstance(part, ColumnData):
@@ -284,11 +312,11 @@ class Table:
                 defs.append(ColumnDef(names[0], part.sql_type))
                 blocks.append(Block.of(part))
                 views[position] = part
-                memos.append(part.memo)
+                if part.memo is not None:
+                    memos[position] = part.memo
             elif isinstance(part, Block):
                 defs.extend(ColumnDef(n, part.sql_type) for n in names)
                 blocks.append(part)
-                memos.extend([None] * len(names))
             else:
                 source, start, stop = part
                 own = source.schema.columns[start:stop]
@@ -299,19 +327,20 @@ class Table:
                 blocks.extend(run)
                 views.update((position + q, view)
                              for q, view in run_views.items())
-                memos.extend(run_memos)
+                memos.update((position + q, memo)
+                             for q, memo in run_memos.items())
         n_rows = blocks[0].values.shape[1] if blocks else 0
         return cls._of(TableSchema(name, defs), blocks, n_rows,
                        views=views, memos=memos)
 
     def _run(self, start: int, stop: int) -> tuple[
-            list[Block], dict[int, ColumnData], list[Optional[EncodingMemo]]]:
+            list[Block], dict[int, ColumnData], dict[int, EncodingMemo]]:
         """Columns ``start:stop`` as :meth:`assemble` takes them: the
-        blocks, the views made (by offset) and the memos."""
+        blocks, the views made and the memos (by offset)."""
         return (self._sliced(start, stop),
                 {q - start: view for q, view in self._views.items()
                  if start <= q < stop},
-                self._memos[start:stop])
+                self._memos_between(start, stop))
 
     def _sliced(self, start: int, stop: int) -> list[Block]:
         """The blocks of columns ``start:stop``, cut at the ends."""
@@ -403,8 +432,10 @@ class Table:
         data = _contiguous(data)
         views = dict(source._views)
         views[position] = data
-        memos = list(source._memos)
-        memos[position] = data.memo
+        memos = source._memos_between(0, self.schema.width())
+        memos.pop(position, None)
+        if data.memo is not None:
+            memos[position] = data.memo
         blocks = (source._sliced(0, position) + [Block.of(data)]
                   + source._sliced(position + 1, self.schema.width()))
         return Table._of(self.schema, blocks, self.n_rows, views=views,
@@ -416,7 +447,8 @@ class Table:
         content)."""
         return Table._of(self.schema.renamed(new_name), self._blocks,
                          self._n_rows, views=self._views,
-                         memos=self._memos, version=self.version)
+                         memos=self._memos, sealed=self._sealed,
+                         version=self.version)
 
     # ------------------------------------------------------------------
     def seal(self) -> None:
@@ -426,22 +458,63 @@ class Table:
         only base-table columns memoize their encodings.  A column
         another base table sealed first (``CREATE TABLE t2 AS SELECT *
         FROM t``, the columns an UPDATE left alone) has the same
-        content, so it keeps that table's memo.  A view made later
-        takes its position's memo."""
-        table_key = self.name.lower()
+        content, so it keeps that table's memo.  Only the views made
+        so far get theirs now; a column's memo is otherwise made with
+        its view (:meth:`_memo_at`), so a wide table that is replaced
+        before it is read -- an empty FH table an INSERT fills --
+        makes none."""
         memos, views = self._memos, self._views
         for position, view in views.items():
             if view.memo is not None:
                 memos[position] = view.memo
-        memos[:] = [EncodingMemo(table_key) if memo is None else memo
-                    for memo in memos]
+        self._sealed = self.name.lower()
         for position, view in views.items():
-            view.memo = memos[position]
+            view.memo = self._memo_at(position)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cols = ", ".join(str(c) for c in self.schema.columns)
         return f"<Table {self.name} [{cols}] rows={self.n_rows}>"
+
+
+class _CollectorPause:
+    """CPython's cyclic collector paused while rows are built.  A
+    result row holds only ints, floats, strs and None, so it can never
+    be part of a cycle, yet every ~700 new tuples set off a collection
+    that walks them: about half the time of a 250,000-row
+    :meth:`Table.to_rows`.
+
+    The pause is counted across threads: the first to enter notes
+    whether the collector is on and turns it off, the last to leave
+    turns it back on if it was.  A plain ``enabled = gc.isenabled();
+    gc.disable(); ...; if enabled: gc.enable()`` per build is wrong
+    when the service's workers build rows at once: thread B reads
+    ``isenabled()`` False inside thread A's pause, A leaves and turns
+    the collector back on, B turns it off, and B, having seen it off,
+    leaves it off for good.  ``gc.collect()`` still works in a
+    pause."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._was_enabled = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc: object) -> bool:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._was_enabled:
+                gc.enable()
+        return False
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
 
 
 def _contiguous(data: ColumnData) -> ColumnData:

@@ -215,20 +215,28 @@ class MetricsRegistry:
     def value(self, name: str, **labels: str) -> int:
         return self.counter(name, **labels).value
 
-    def read(self, names: Iterable[str], **labels: str) -> dict:
-        """Consistent multi-counter read (one lock acquisition).  Every
-        query scope pays two of these, so a counter that already exists
-        is read straight from the map; only a new one goes through
-        :meth:`counter`."""
-        key = _label_key(labels)
-        values = {}
+    def add_held(self, counters: Iterable[Counter],
+                 counts: Iterable[int]) -> None:
+        """:meth:`increment` for counters the caller already holds:
+        ``counts`` added pairwise, under one lock acquisition."""
+        counts = [int(n) for n in counts]
+        if counts and min(counts) < 0:
+            raise ValueError("counters only go up")
         with self._lock:
-            for name in names:
-                metric = self._metrics.get((name, key)) \
-                    if self._types.get(name) == "counter" else None
-                values[name] = (metric
-                                or self.counter(name, **labels))._value
-        return values
+            for counter, n in zip(counters, counts):
+                counter._value += n
+
+    def read_held(self, counters: Iterable[Counter]) -> list[int]:
+        """:meth:`read` for counters the caller already holds: their
+        values in order, as one consistent cut."""
+        with self._lock:
+            return [counter._value for counter in counters]
+
+    def read(self, names: Iterable[str], **labels: str) -> dict:
+        """Consistent multi-counter read (one lock acquisition)."""
+        with self._lock:
+            return {name: self.counter(name, **labels)._value
+                    for name in names}
 
     def zero(self, names: Iterable[str], **labels: str) -> None:
         """Reset the named counters to zero (for ``stats.reset()``)."""

@@ -82,11 +82,13 @@ class StoredTable(Table):
                                    for i, c in enumerate(self.schema.columns)})
 
     def _run(self, start: int, stop: int) -> tuple[
-            list[Block], dict[int, ColumnData], list[Optional[EncodingMemo]]]:
+            list[Block], dict[int, ColumnData], dict[int, EncodingMemo]]:
         """Columns ``start:stop`` read in, and only those."""
         columns = [self._column_at(q) for q in range(start, stop)]
         return ([Block.of(column) for column in columns],
-                dict(enumerate(columns)), [column.memo for column in columns])
+                dict(enumerate(columns)),
+                {q: column.memo for q, column in enumerate(columns)
+                 if column.memo is not None})
 
     def page_map(self) -> dict[str, list[int]]:
         """Column name (lowered) -> page id run (a copy)."""

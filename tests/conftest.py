@@ -3,6 +3,8 @@ plus the one leak guard every test runs under."""
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import Database
@@ -25,7 +27,10 @@ def no_leaks(request, monkeypatch):
     from their base's parts, not through ``__init__``, so the service
     suites track their readers explicitly), no open page store.
     Debris is reclaimed either way; opt out of the assertion with
-    ``@pytest.mark.allow_leaks``."""
+    ``@pytest.mark.allow_leaks``.  Nor may a test end with the cyclic
+    collector off (row building pauses it, and so do a few tests):
+    that always fails, and the collector is turned back on for the
+    next test."""
     created: list[Database] = []
     original = Database.__init__
 
@@ -35,7 +40,10 @@ def no_leaks(request, monkeypatch):
 
     monkeypatch.setattr(Database, "__init__", tracking)
     yield
+    collector_on = gc.isenabled()
+    gc.enable()
     problems = leaks(created, stores=())
+    assert collector_on, "the test ended with the cyclic collector off"
     if not request.node.get_closest_marker("allow_leaks"):
         assert not problems, (
             f"leaked past the test: {problems}; either a cleanup, "

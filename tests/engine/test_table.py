@@ -330,3 +330,261 @@ def test_iterating_a_disk_table_reads_each_column_once(tmp_path,
         calls = _counting(monkeypatch, table._store, "read_column")
         assert list(table.rows()) == rows
         assert len(calls) == 3
+
+
+# ----------------------------------------------------------------------
+# Memos made with their views
+# ----------------------------------------------------------------------
+def _memo_constructions(monkeypatch):
+    """Count the encoding memos the table module makes from now on."""
+    import repro.engine.table as table_mod
+    made = []
+
+    class Counted(table_mod.EncodingMemo):
+        __slots__ = ()
+
+        def __init__(self, table):
+            made.append(table)
+            super().__init__(table)
+    monkeypatch.setattr(table_mod, "EncodingMemo", Counted)
+    return made
+
+
+def _fh_schema():
+    return TableSchema.build(
+        "fh", [("k", SQLType.INTEGER)]
+        + [(f"c{i}", SQLType.REAL) for i in range(1200)])
+
+
+class TestMemosMadeWithViews:
+    def test_sealing_an_empty_wide_table_makes_no_memo(self, monkeypatch):
+        made = _memo_constructions(monkeypatch)
+        table = Table(_fh_schema())
+        table.seal()
+        assert made == []
+        first = table.column("c7").memo
+        assert first is not None and first is table.column("C7").memo
+        assert made == ["fh"]
+
+    def test_creating_a_wide_table_makes_no_memo(self, monkeypatch):
+        from repro import Database
+        db = Database()
+        made = _memo_constructions(monkeypatch)
+        cells = ", ".join(f"c{i} REAL" for i in range(1200))
+        db.execute(f"CREATE TABLE fh (k INT, {cells})")
+        assert made == []
+
+    def test_columns_built_from_a_sealed_table_share_its_memos(self):
+        table = block_wise()
+        table.seal()
+        projected = Table.assemble("p", [(["y", "z"], (table, 2, 4))])
+        assert projected.column("y").memo is table.column("y").memo
+        assert projected.column("z").memo is table.column("z").memo
+        new = ColumnData.from_values(SQLType.REAL, [9.0, None, 9.5, 1.0])
+        updated = table.replace_column("x", new)
+        assert updated.column("s").memo is table.column("s").memo
+        assert updated.column("x").memo is None
+        updated.seal()
+        assert updated.column("x").memo is not table.column("x").memo
+        assert updated.column("k").memo is table.column("k").memo
+
+    def test_two_threads_keep_one_memo(self, monkeypatch):
+        import threading
+
+        import repro.engine.table as table_mod
+        table = block_wise()
+        table.seal()
+        inside, release = threading.Event(), threading.Event()
+
+        class Slow(table_mod.EncodingMemo):
+            __slots__ = ()
+
+            def __init__(self, key):
+                super().__init__(key)
+                if threading.current_thread().name == "first":
+                    inside.set()
+                    release.wait(10)
+        monkeypatch.setattr(table_mod, "EncodingMemo", Slow)
+        seen = {}
+        first = threading.Thread(
+            name="first",
+            target=lambda: seen.__setitem__("first", table.column("y")))
+        first.start()
+        try:
+            assert inside.wait(10)      # first is making its memo
+            seen["second"] = table.column("y")
+        finally:
+            release.set()
+            first.join()
+        assert seen["first"] is seen["second"] is table.column("y")
+        assert table._memo_at(2) is table.column("y").memo
+
+
+# ----------------------------------------------------------------------
+# Rows built with the cyclic collector paused
+# ----------------------------------------------------------------------
+def _long_table():
+    """_ROWS repeated across two batch boundaries: NULLs in all three
+    blocks, on both sides of each boundary."""
+    from repro.engine.table import _ROW_BATCH
+    return block_wise().take(np.arange(2 * _ROW_BATCH + 7) % 4)
+
+
+def _zipped(table):
+    """Rows the plain way: one ``to_pylist`` per column, zipped."""
+    return list(zip(*(table.column(name).to_pylist()
+                      for name in table.column_names())))
+
+
+@pytest.fixture
+def collector_on():
+    import gc
+    assert gc.isenabled()
+    return gc
+
+
+class TestCollectorPause:
+    def test_rows_equal_the_per_column_zip(self):
+        import gc
+        table = _long_table()
+        expected = _zipped(table)
+        assert len(expected) == table.n_rows
+        assert any(None in row[:1] for row in expected)
+        assert any(None in row[1:4] for row in expected)
+        assert any(None in row[4:] for row in expected)
+        for state in (True, False):
+            (gc.enable if state else gc.disable)()
+            try:
+                assert table.to_rows() == expected
+                assert list(table.rows()) == expected
+                assert [table.row(i) for i in range(table.n_rows)] \
+                    == expected
+                assert table.row(-1) == expected[-1]
+                with pytest.raises(IndexError):
+                    table.row(table.n_rows)
+                assert gc.isenabled() is state
+            finally:
+                gc.enable()
+
+    def test_the_collector_is_paused_during_the_build_only(
+            self, collector_on, monkeypatch):
+        states, found = [], []
+        original = Block.to_lists
+
+        def to_lists(block):
+            states.append(collector_on.isenabled())
+            cycle = []
+            cycle.append(cycle)
+            del cycle
+            found.append(collector_on.collect())   # still works
+            return original(block)
+        monkeypatch.setattr(Block, "to_lists", to_lists)
+        assert block_wise().to_rows() == _ROWS
+        assert states == [False] * 3 and min(found) >= 1
+        assert collector_on.isenabled()
+
+    def test_a_failing_build_restores_the_collector(self, collector_on,
+                                                    monkeypatch):
+        def to_lists(block):
+            raise RuntimeError("conversion failed")
+        monkeypatch.setattr(Block, "to_lists", to_lists)
+        for state in (True, False):
+            (collector_on.enable if state else collector_on.disable)()
+            try:
+                with pytest.raises(RuntimeError):
+                    block_wise().to_rows()
+                assert collector_on.isenabled() is state
+            finally:
+                collector_on.enable()
+
+    def test_an_abandoned_row_iterator_leaves_the_collector_on(
+            self, collector_on):
+        rows = _long_table().rows()
+        assert next(rows) == _ROWS[0]
+        assert collector_on.isenabled()    # no pause spans a yield
+        del rows
+        assert collector_on.isenabled()
+
+    def test_overlapping_builds_leave_the_collector_on(self, collector_on,
+                                                       monkeypatch):
+        """Thread B starts building inside thread A's pause, and A
+        finishes first.  Per-build bookkeeping would have B read
+        ``isenabled()`` False, A turn the collector back on before B
+        turns it off, and B leave it off for good; the counted pause
+        keeps it off until B is done, then turns it on."""
+        import threading
+        entered = {"A": threading.Event(), "B": threading.Event()}
+        leave = {"A": threading.Event(), "B": threading.Event()}
+        b_started, a_gone = threading.Event(), threading.Event()
+        to_lists, disable = Block.to_lists, collector_on.disable
+
+        def building(block):
+            name = threading.current_thread().name
+            entered[name].set()
+            if name == "B":
+                b_started.set()
+            assert leave[name].wait(10)
+            return to_lists(block)
+
+        def disabling():
+            if threading.current_thread().name == "B":
+                b_started.set()
+                assert a_gone.wait(10)
+            disable()
+        monkeypatch.setattr(Block, "to_lists", building)
+        monkeypatch.setattr(collector_on, "disable", disabling)
+        table = Table.from_columns("t", [
+            ("a", ColumnData.from_values(SQLType.INTEGER, [1, None]))])
+        got = {}
+        threads = {name: threading.Thread(
+            name=name, target=lambda name=name: got.__setitem__(
+                name, table.to_rows())) for name in ("A", "B")}
+        try:
+            threads["A"].start()
+            assert entered["A"].wait(10)
+            assert not collector_on.isenabled()
+            threads["B"].start()
+            assert b_started.wait(10)
+            leave["A"].set()
+            threads["A"].join()
+            a_gone.set()
+            assert not collector_on.isenabled()    # B is still building
+            leave["B"].set()
+            threads["B"].join()
+            assert collector_on.isenabled()
+        finally:
+            a_gone.set()
+            for name in threads:
+                leave[name].set()
+                if threads[name].is_alive():
+                    threads[name].join()
+        assert got == {"A": [(1,), (None,)], "B": [(1,), (None,)]}
+
+    def test_many_threads_building_at_once_end_with_the_collector_on(
+            self, collector_on):
+        import sys
+        import threading
+
+        from repro.engine import table as table_mod
+        table = block_wise()
+        wrong = []
+
+        def build():
+            for _ in range(300):
+                if table.to_rows() != _ROWS:
+                    wrong.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert table_mod._COLLECTOR_PAUSE._depth == 0
+        assert collector_on.isenabled()
