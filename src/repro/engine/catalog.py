@@ -236,7 +236,7 @@ class Catalog:
         if key not in self._tables:
             raise CatalogError(f"no such table: {table.name!r}")
         if self.storage is not None:
-            table = self.storage.on_replace_table(table)
+            table = self.storage.on_replace_table(table, self._tables[key])
         table.seal()
         tables = dict(self._tables)
         tables[key] = table

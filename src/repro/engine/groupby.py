@@ -260,12 +260,27 @@ def in_code_order(keys: list[tuple[ColumnData, bool]]) -> bool:
 
 @dataclass
 class Grouping:
-    """The result of factorizing rows by a key-column list."""
+    """The result of factorizing rows by a key-column list.
+
+    A mixed-radix factorization leaves each group's combined code; its
+    per-key codes are split out on the first read of :attr:`key_codes`
+    (the pivot kernel, grouping-set derivation, :meth:`key_column`),
+    which a plain GROUP BY, DISTINCT or window partition never makes.
+    """
 
     group_ids: np.ndarray          # int64, one per input row
     n_groups: int
-    key_codes: np.ndarray          # (n_groups, n_keys) codes per group
+    #: (n_groups, n_keys) codes per group, or (n_groups,) combined
+    #: mixed-radix codes until :attr:`key_codes` splits them.
+    _codes: np.ndarray
     encodings: list[EncodedColumn]
+
+    @property
+    def key_codes(self) -> np.ndarray:
+        """(n_groups, n_keys): each group's dictionary code per key."""
+        if self._codes.ndim == 1:
+            self._codes = split_codes(self._codes, self.encodings)
+        return self._codes
 
     def key_column(self, position: int) -> ColumnData:
         """The representative values of key column ``position``, one row
@@ -400,13 +415,20 @@ def _factorize_radix(encodings: list[EncodedColumn],
         combined *= enc.cardinality
         combined += enc.codes
     present, group_ids = _rank_codes(combined, code_space)
-    key_codes = np.empty((len(present), len(encodings)), dtype=np.int64)
-    remaining = present.copy()
+    return Grouping(group_ids, len(present), present, encodings)
+
+
+def split_codes(combined: np.ndarray,
+                encodings: list[EncodedColumn]) -> np.ndarray:
+    """Mixed-radix combined codes (the first encoding most
+    significant) split into one column of codes per encoding."""
+    key_codes = np.empty((len(combined), len(encodings)), dtype=np.int64)
+    remaining = combined.copy()
     for position in range(len(encodings) - 1, -1, -1):
         radix = encodings[position].cardinality
         key_codes[:, position] = remaining % radix
         remaining //= radix
-    return Grouping(group_ids, len(present), key_codes, encodings)
+    return key_codes
 
 
 def _factorize_lex(encodings: list[EncodedColumn]) -> Grouping:

@@ -209,22 +209,16 @@ def derive_set_grouping(union: Grouping, dims: tuple[int, ...],
         for position, i in enumerate(dims):
             combined *= encodings[position].cardinality
             combined += union.key_codes[:, i]
-        present, to_set = np.unique(combined, return_inverse=True)
-        key_codes = np.empty((len(present), len(dims)), dtype=np.int64)
-        remaining = present.copy()
-        for position in range(len(dims) - 1, -1, -1):
-            radix = encodings[position].cardinality
-            key_codes[:, position] = remaining % radix
-            remaining //= radix
+        # Combined codes: Grouping.key_codes splits them when read.
+        codes, to_set = np.unique(combined, return_inverse=True)
     else:
         # Lexicographic fallback, mirroring _factorize_lex: unique over
         # the projected code rows ranks identically to the radix path.
         matrix = union.key_codes[:, list(dims)]
-        key_codes, to_set = np.unique(matrix, axis=0,
-                                      return_inverse=True)
+        codes, to_set = np.unique(matrix, axis=0, return_inverse=True)
     to_set = to_set.astype(np.int64)
     group_ids = to_set[union.group_ids]
-    grouping = Grouping(group_ids, len(key_codes), key_codes, encodings)
+    grouping = Grouping(group_ids, len(codes), codes, encodings)
     return SetGrouping(grouping, to_set)
 
 

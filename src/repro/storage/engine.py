@@ -4,11 +4,13 @@ Durability model
 ================
 Engine tables are immutable -- every DML publishes a whole new
 :class:`~repro.engine.table.Table` -- so the disk backend is *shadow
-paged*: a catalog mutation first writes the new table's columns to
-freshly allocated pages, fsyncs the data file, and only then appends
-one WAL record describing the mutation (schema + page map for table
-ops, definitions for views/indexes).  The record's fsync is the commit
-point:
+paged*, page by page: a catalog mutation first writes the page slots
+of the new table's columns that differ from the version it replaces
+to freshly allocated pages (sharing the old version's pages for every
+other slot), fsyncs the data file when it wrote any, and only then
+appends one WAL record describing the mutation (schema + page map for
+table ops, definitions for views/indexes).  The record's fsync is the
+commit point:
 
 * crash **before** the record is durable (the ``storage-page-write``
   and ``storage-wal-fsync`` fault sites): the new pages are
@@ -29,7 +31,9 @@ the catalog its recovered name spaces.
 Page reclamation happens **only** at checkpoints.  In between, pages
 of superseded table versions stay on disk, which is what lets catalog
 savepoint rollback (and its ``restore`` WAL record) re-publish an
-older table version without any copying.
+older table version without any copying.  A page may belong to
+several versions; it is live while any manifest table references
+it.
 
 The module-level live-store registry is the leak oracle the tests and
 the differential fuzzer use: every open engine registers its directory
@@ -43,7 +47,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from repro.engine import faults
 from repro.engine.catalog import IndexDefinition
@@ -53,7 +57,8 @@ from repro.engine.types import SQLType
 from repro.errors import StorageError
 from repro.obs import tracer as tracer_mod
 from repro.storage.disk import DiskManager
-from repro.storage.pages import (DEFAULT_PAGE_SIZE, chunk_payload,
+from repro.storage.pages import (DEFAULT_PAGE_SIZE, changed_rows,
+                                 changed_slots, chunk_payload,
                                  deserialize_column, serialize_column)
 from repro.storage.pool import DEFAULT_POOL_PAGES, BufferPool
 from repro.storage.stored import StoredTable
@@ -65,6 +70,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: The files a store directory legitimately contains.
 STORE_FILES = ("data.pages", "wal.log", "checkpoint.json")
+#: The manifest's ``format``: 2 since column chunks are laid out
+#: position-stable (row count and type in a trailer) and table
+#: versions share pages.  Nothing converts an older store.
+STORE_FORMAT = 2
 _CHECKPOINT_TMP = "checkpoint.json.tmp"
 
 _live_lock = threading.Lock()
@@ -142,27 +151,65 @@ class StorageEngine:
             tracer = tracer_mod.active_tracer()
             if tracer is not None and tracer.enabled:
                 tracer.event("storage-fetch", kind="charge", **counts)
-        return deserialize_column(b"".join(payloads))
+        return deserialize_column(bytearray().join(payloads))
 
-    def _write_column(self, data) -> list[int]:
-        chunks = chunk_payload(serialize_column(data),
-                               self.disk.payload_capacity)
-        page_ids = self.disk.allocate(len(chunks))
-        self.pool.write_many(page_ids, chunks)
-        return page_ids
+    def _write_column(self, data, old=None,
+                      old_ids: Sequence[int] = ()) -> tuple[list[int], int]:
+        """``data``'s page run, and how many pages it wrote.  With the
+        column ``old`` whose chunk lies on ``old_ids``, every page slot
+        whose bytes cannot have changed keeps its old page; the rest,
+        and every slot past the old run, get fresh ones."""
+        capacity = self.disk.payload_capacity
+        if old is None:
+            chunks = chunk_payload(serialize_column(data), capacity)
+            page_ids = self.disk.allocate(len(chunks))
+            self.pool.write_many(page_ids, chunks)
+            return page_ids, len(page_ids)
+        rows = changed_rows(old, data)
+        if len(old) == len(data) and not len(rows):
+            return list(old_ids), 0
+        raw = serialize_column(data)
+        dirty = changed_slots(old, data, rows, raw, capacity)
+        fresh = [slot for slot, changed in enumerate(dirty)
+                 if changed or slot >= len(old_ids)]
+        page_ids = list(old_ids[:len(dirty)])
+        page_ids += [-1] * (len(dirty) - len(page_ids))
+        allocated = self.disk.allocate(len(fresh))
+        for slot, page_id in zip(fresh, allocated):
+            page_ids[slot] = page_id
+        # Only the slots written are cut out of the chunk.
+        self.pool.write_many(allocated, [
+            raw[slot * capacity:(slot + 1) * capacity] for slot in fresh])
+        return page_ids, len(fresh)
 
-    def persist_table(self, table: Table) -> StoredTable:
-        """Write ``table``'s columns to fresh pages (shadow copy) and
-        return the page-backed equivalent.  Nothing is committed until
-        a WAL record referencing these pages lands.  The copy keeps
-        the table's version (same content, same identity -- the rule
-        ``Table.renamed`` follows): views maintained against the heap
-        table stay ``fresh()`` for the stored one."""
+    def persist_table(self, table: Table,
+                      replaced: Optional[Table] = None) -> StoredTable:
+        """Write ``table``'s columns to pages (a shadow copy) and
+        return the page-backed equivalent.  Against ``replaced``, the
+        stored version ``table`` succeeds, a column shares every page
+        whose bytes it leaves unchanged and writes fresh pages for the
+        rest -- never over a page a committed version reads.  Nothing
+        is committed until a WAL record referencing these pages lands;
+        a version that writes no page skips the data-file fsync.  The
+        copy keeps the table's version (same content, same identity --
+        the rule ``Table.renamed`` follows): views maintained against
+        the heap table stay ``fresh()`` for the stored one."""
+        old_pages = replaced.page_map() \
+            if isinstance(replaced, StoredTable) else {}
         pages: dict[str, list[int]] = {}
+        written = 0
         for col_def in table.schema.columns:
-            pages[col_def.name.lower()] = self._write_column(
-                table.column(col_def.name))
-        self.disk.sync()
+            key = col_def.name.lower()
+            data = table.column(col_def.name)
+            old, old_ids = None, old_pages.get(key, ())
+            if old_ids:
+                old = replaced.column(col_def.name)
+                if old.sql_type != data.sql_type:
+                    old, old_ids = None, ()
+            pages[key], count = self._write_column(data, old, old_ids)
+            written += count
+        if written:
+            self.disk.sync()
         return StoredTable(table.schema, self, pages, table.n_rows,
                            version=table.version)
 
@@ -193,10 +240,14 @@ class StorageEngine:
                           "table": _table_entry(stored)})
             return stored
 
-    def on_replace_table(self, table: Table) -> StoredTable:
+    def on_replace_table(self, table: Table,
+                         replaced: Optional[Table] = None
+                         ) -> StoredTable:
+        """Persist ``table`` against ``replaced``, the version it
+        succeeds (see :meth:`persist_table`), and commit it."""
         with self._lock:
             stored = table if isinstance(table, StoredTable) \
-                else self.persist_table(table)
+                else self.persist_table(table, replaced)
             self._commit({"op": "replace_table",
                           "table": _table_entry(stored)})
             return stored
@@ -289,7 +340,7 @@ class StorageEngine:
                 live |= table.page_ids()
             from repro.sql.formatter import format_statement
             state = {
-                "format": 1,
+                "format": STORE_FORMAT,
                 "page_size": self.page_size,
                 "next_page_id": self.disk.next_page_id,
                 "tables": manifest_tables,
@@ -340,6 +391,11 @@ class StorageEngine:
                     raise StorageError(
                         f"unreadable checkpoint "
                         f"{self._checkpoint_path!r}: {exc}") from None
+                if state.get("format") != STORE_FORMAT:
+                    raise StorageError(
+                        f"store {self.path!r} is in format "
+                        f"{state.get('format')}; this version reads "
+                        f"format {STORE_FORMAT} only")
                 if state.get("page_size") != self.page_size:
                     raise StorageError(
                         f"store was written with page_size="

@@ -9,15 +9,17 @@ naming the page, never as silently wrong data.
 
 A *column chunk* is what pages carry: one
 :class:`~repro.engine.column.ColumnData` serialized to a flat byte
-string (type code, row count, packed null bitmap, then the values in a
-fixed little-endian layout).  Chunks larger than one page's payload
-capacity are split across consecutive pages by
+string (the values in a fixed little-endian layout, the packed null
+bitmap, then a type code and row count).  Chunks larger than one
+page's payload capacity are split across a run of page slots by
 :func:`chunk_payload` and reassembled on read.
 
 The layout is deliberately columnar, matching the engine's execution
 model: a scan materializes whole columns, so each column's bytes live
 on their own run of pages and a query touching three columns fetches
-only those columns' pages.
+only those columns' pages.  It is also position-stable, so a new
+version of a column changes only the slots :func:`changed_slots`
+names and can share the rest of its predecessor's pages.
 """
 
 from __future__ import annotations
@@ -110,11 +112,24 @@ _TYPE_CODES = {
 }
 _CODE_TYPES = {code: sql_type for sql_type, code in _TYPE_CODES.items()}
 
-_COLUMN_HEADER = struct.Struct("<BQ")
+#: The chunk trailer: type code, row count.
+_TRAILER = struct.Struct("<BQ")
+
+#: The little-endian layout of the fixed-width types' values.
+_VALUE_DTYPES = {SQLType.INTEGER: "<i8", SQLType.REAL: "<f8"}
+
+#: Bytes per row at the head of a chunk: the value of a fixed-width
+#: type, the length of a VARCHAR (BOOLEAN values are packed bits).
+_ROW_WIDTHS = {SQLType.INTEGER: 8, SQLType.REAL: 8, SQLType.VARCHAR: 4}
 
 
 def serialize_column(data: ColumnData) -> bytes:
-    """One column as a flat byte string.
+    """One column as a flat byte string, laid out so that row *i*'s
+    bytes sit at an offset fixed by *i*: the values (little-endian
+    int64 / float64, packed bits for BOOLEAN; for VARCHAR the uint32
+    byte lengths, then the UTF-8 heap), then the packed null bitmap,
+    then the type code and row count.  An append therefore leaves
+    every earlier values page byte-identical.
 
     NULL positions are normalized to the type's zero filler before
     encoding, so serialization is a pure function of the column's
@@ -124,62 +139,160 @@ def serialize_column(data: ColumnData) -> bytes:
     """
     n = len(data)
     nulls = np.asarray(data.nulls, dtype=bool)
-    parts = [_COLUMN_HEADER.pack(_TYPE_CODES[data.sql_type], n),
-             np.packbits(nulls).tobytes()]
-    if data.sql_type == SQLType.INTEGER:
-        values = np.where(nulls, 0, data.values).astype("<i8")
-        parts.append(values.tobytes())
-    elif data.sql_type == SQLType.REAL:
-        values = np.where(nulls, 0.0, data.values).astype("<f8")
-        parts.append(values.tobytes())
+    # Buffers, not copies, wherever the column already holds the
+    # bytes: each needless copy of a whole column costs more than the
+    # join that follows.
+    values = data.values
+    if data.sql_type in _VALUE_DTYPES:
+        if nulls.any():
+            values = np.where(nulls, 0, values)
+        parts = [np.ascontiguousarray(
+            values, dtype=_VALUE_DTYPES[data.sql_type]).data]
     elif data.sql_type == SQLType.BOOLEAN:
-        values = np.where(nulls, False, data.values).astype(bool)
-        parts.append(np.packbits(values).tobytes())
+        if nulls.any():
+            values = np.where(nulls, False, values)
+        parts = [np.packbits(np.asarray(values, dtype=bool)).data]
     else:  # VARCHAR
-        encoded = [b"" if nulls[i] else str(data.values[i]).encode()
+        encoded = [b"" if nulls[i] else str(values[i]).encode()
                    for i in range(n)]
         lengths = np.fromiter((len(e) for e in encoded), dtype="<u4",
                               count=n)
-        parts.append(lengths.tobytes())
-        parts.append(b"".join(encoded))
+        parts = [lengths.data, b"".join(encoded)]
+    parts.append(np.packbits(nulls).data)
+    parts.append(_TRAILER.pack(_TYPE_CODES[data.sql_type], n))
     return b"".join(parts)
 
 
-def deserialize_column(raw: bytes) -> ColumnData:
-    """Invert :func:`serialize_column`."""
+def deserialize_column(raw) -> ColumnData:
+    """Invert :func:`serialize_column`.  INTEGER and REAL values are
+    read in place: over a writable buffer (the bytearray
+    :meth:`~repro.storage.engine.StorageEngine.read_column` joins)
+    they are not copied again."""
     try:
-        code, n = _COLUMN_HEADER.unpack_from(raw)
+        code, n = _TRAILER.unpack_from(
+            raw, max(len(raw) - _TRAILER.size, 0))
         sql_type = _CODE_TYPES[code]
     except (struct.error, KeyError) as exc:
         raise StorageError(f"unreadable column chunk: {exc}") from None
-    offset = _COLUMN_HEADER.size
     bitmap_bytes = (n + 7) // 8
-    nulls = _unpack_bits(raw[offset:offset + bitmap_bytes], n)
-    offset += bitmap_bytes
-    if sql_type == SQLType.INTEGER:
-        values = np.frombuffer(raw, dtype="<i8", count=n,
-                               offset=offset).astype(np.int64)
-    elif sql_type == SQLType.REAL:
-        values = np.frombuffer(raw, dtype="<f8", count=n,
-                               offset=offset).astype(np.float64)
+    end = len(raw) - _TRAILER.size - bitmap_bytes
+    width = _ROW_WIDTHS.get(sql_type)
+    expected = bitmap_bytes if width is None else width * n
+    if sql_type == SQLType.VARCHAR and 0 <= expected <= end:
+        lengths = np.frombuffer(raw, dtype="<u4", count=n)
+        expected += int(lengths.sum())
+    if end != expected:
+        raise StorageError(
+            f"column chunk truncated: {n} rows need {expected} value "
+            f"bytes, the chunk holds {max(end, 0)}")
+    nulls = _unpack_bits(raw, end, n)
+    if sql_type in _VALUE_DTYPES:
+        native = sql_type.numpy_dtype
+        values = np.frombuffer(raw, dtype=_VALUE_DTYPES[sql_type],
+                               count=n).astype(native, copy=False)
+        if not values.flags.writeable:
+            values = values.copy()
     elif sql_type == SQLType.BOOLEAN:
-        values = _unpack_bits(raw[offset:offset + bitmap_bytes], n)
+        values = _unpack_bits(raw, 0, n)
     else:  # VARCHAR
-        lengths = np.frombuffer(raw, dtype="<u4", count=n,
-                                offset=offset)
-        offset += 4 * n
+        offset = 4 * n
         values = np.empty(n, dtype=object)
         for i in range(n):
             size = int(lengths[i])
             values[i] = raw[offset:offset + size].decode()
             offset += size
-    if len(values) != n:
-        raise StorageError(
-            f"column chunk truncated: expected {n} rows, "
-            f"decoded {len(values)}")
     return ColumnData(sql_type, values, nulls)
 
 
-def _unpack_bits(raw: bytes, n: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n)
-    return bits.astype(bool)
+def _unpack_bits(raw, offset: int, n: int) -> np.ndarray:
+    """The ``n`` bits packed at byte ``offset`` of ``raw``."""
+    packed = np.frombuffer(raw, dtype=np.uint8, count=(n + 7) // 8,
+                           offset=offset)
+    return np.unpackbits(packed, count=n).view(bool)
+
+
+# ----------------------------------------------------------------------
+# What a new version changes
+# ----------------------------------------------------------------------
+def changed_rows(old: ColumnData, new: ColumnData) -> np.ndarray:
+    """The rows below both columns' lengths whose bytes can differ
+    between their chunks, ascending: a row whose NULL flag differs, or
+    whose non-NULL value does (REAL compared bit for bit, so ``-0.0``
+    and ``0.0`` differ).  The columns must have the same type."""
+    m = min(len(old), len(new))
+    old_values, new_values = old.values[:m], new.values[:m]
+    if new.sql_type == SQLType.REAL:
+        old_values = np.asarray(old_values, dtype=np.float64).view(
+            np.uint64)
+        new_values = np.asarray(new_values, dtype=np.float64).view(
+            np.uint64)
+    differ = old_values != new_values
+    old_nulls = np.asarray(old.nulls[:m], dtype=bool)
+    new_nulls = np.asarray(new.nulls[:m], dtype=bool)
+    if old_nulls.any() or new_nulls.any():
+        differ &= ~new_nulls
+        differ |= old_nulls != new_nulls
+    return np.flatnonzero(differ)
+
+
+def changed_slots(old: ColumnData, new: ColumnData, rows: np.ndarray,
+                  raw: bytes, capacity: int) -> np.ndarray:
+    """For each page slot of ``raw`` (``new``'s chunk, split every
+    ``capacity`` bytes), whether its bytes can differ from the same
+    slot of ``old``'s chunk; ``rows`` is :func:`changed_rows` of the
+    two.  The test may flag a slot whose bytes are equal, never pass
+    one whose bytes changed: every byte whose offset moves -- past the
+    end of the shorter values region when the row count changes, past
+    the first VARCHAR whose length changes -- is flagged with the rest
+    of the chunk, since the bitmap and trailer move with it."""
+    n, m = len(new), min(len(old), len(new))
+    width = _ROW_WIDTHS.get(new.sql_type)
+    dirty = np.zeros(-(-len(raw) // capacity), dtype=bool)
+    # Past the end of the shorter version's rows every byte moves.
+    moved_from = None if len(old) == n \
+        else (m // 8 if width is None else m * width)
+    if len(rows):
+        if width is None:   # BOOLEAN: row i is a bit of byte i // 8
+            starts = rows // 8
+            stops = starts + 1
+        else:
+            starts = rows * width
+            stops = starts + width
+        spans = [(starts, stops)]
+        if len(old) == n:
+            flipped = rows[old.nulls[rows] != new.nulls[rows]]
+            bitmap = len(raw) - _TRAILER.size - (n + 7) // 8 \
+                + flipped // 8
+            spans.append((bitmap, bitmap + 1))
+            if new.sql_type == SQLType.VARCHAR:
+                moved_from = _heap_spans(old, new, rows, raw, spans)
+        starts = np.concatenate([s for s, _ in spans])
+        stops = np.concatenate([e for _, e in spans])
+        touched = stops > starts
+        # +1 where a span's first slot begins, -1 past its last one.
+        marks = np.bincount(starts[touched] // capacity,
+                            minlength=len(dirty) + 1) \
+            - np.bincount((stops[touched] - 1) // capacity + 1,
+                          minlength=len(dirty) + 1)
+        dirty |= np.cumsum(marks[:len(dirty)]) > 0
+    if moved_from is not None:
+        dirty[moved_from // capacity:] = True
+    return dirty
+
+
+def _heap_spans(old: ColumnData, new: ColumnData, rows: np.ndarray,
+                raw: bytes, spans: list) -> int | None:
+    """Add the heap bytes of VARCHAR ``rows`` (same row count) to
+    ``spans``; return the heap offset of the first row whose byte
+    length changed -- every heap byte after it moves -- or None."""
+    n = len(new)
+    lengths = np.frombuffer(raw, dtype="<u4", count=n)
+    heap = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=heap[1:])
+    heap += 4 * n
+    spans.append((heap[rows], heap[rows + 1]))
+    old_lengths = np.fromiter(
+        (0 if old.nulls[i] else len(str(old.values[i]).encode())
+         for i in rows), dtype=np.int64, count=len(rows))
+    resized = rows[old_lengths != lengths[rows]]
+    return int(heap[resized[0]]) if len(resized) else None

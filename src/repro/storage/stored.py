@@ -23,6 +23,11 @@ so:
 ``renamed()`` (called on every scan) returns a lazy sibling sharing
 the same store, page map, weak cache and memos instead of
 materializing everything the way the base class would.
+
+A version's page map may name pages of the version it replaced: the
+storage engine writes only the page slots a DML changed.  The map
+holds page ids, never the other version, so a replaced version is
+freed by refcount like any other.
 """
 
 from __future__ import annotations

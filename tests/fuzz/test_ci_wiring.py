@@ -111,6 +111,20 @@ def test_the_horizontal_leg_runs_in_smoke_and_nightly():
     assert any(_flag(argv, "--max-seconds") == "900" for argv in legs)
 
 
+def test_the_storage_leg_runs_nightly():
+    """The disk store's tests run nightly under a date-varied
+    hypothesis seed, so each night draws new DML sequences against the
+    page-sharing commit path."""
+    nightly = yaml.safe_load(WORKFLOW.read_text())["jobs"]["nightly"]
+    runs = [entry["run"] for entry in nightly["strategy"]["matrix"]["include"]
+            if entry["kind"] == "storage"]
+    assert runs == ["python -m pytest -x -q tests/storage "
+                    "tests/property/test_storage_oracle.py "
+                    "--hypothesis-seed=$(date +%Y%m%d)"]
+    for path in ("tests/storage", "tests/property/test_storage_oracle.py"):
+        assert (ROOT / path).exists(), path
+
+
 def test_benchmark_commands_parse(monkeypatch):
     """The benchmark's parser lives inside its ``main``; with the
     self-test body stubbed out, ``main`` is parse + dispatch."""

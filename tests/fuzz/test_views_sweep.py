@@ -56,8 +56,8 @@ class TestViewsSweep:
 
         original = StorageEngine.persist_table
 
-        def reminted(self, table):
-            stored = original(self, table)
+        def reminted(self, table, *replaced):
+            stored = original(self, table, *replaced)
             return StoredTable(stored.schema, self, stored._pages,
                                stored.n_rows)
 

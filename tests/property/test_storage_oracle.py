@@ -1,13 +1,16 @@
 """Property-based tests for the disk storage backend.
 
-Two invariants over random data and DML sequences:
+Three invariants over random data and DML sequences:
 
 * a disk-backed database with a tiny buffer pool (so every query
   forces evictions) answers every query identically to the memory
   backend -- paging is invisible to query semantics;
 * the per-statement stats ledger accounts for exactly the buffer
   pool's fetch traffic: ``storage_pool_hits + storage_page_reads ==
-  storage_page_fetches`` and both sides match the pool's own counters.
+  storage_page_fetches`` and both sides match the pool's own counters;
+* a new table version shares its predecessor's unchanged pages and
+  replaces the rest, so after every statement each column's pages
+  hold exactly the serialization of its content.
 """
 
 import shutil
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database
+from repro.storage.pages import serialize_column
 
 MEASURES = st.one_of(st.none(), st.integers(min_value=-100,
                                             max_value=100))
@@ -112,4 +116,63 @@ def test_reopen_is_bit_identical(rows):
         finally:
             db.close()
     finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+#: DML that shares and replaces pages in every way a version can: a
+#: VARCHAR made longer, a multi-row INSERT ... SELECT, an UPDATE that
+#: changes nothing, a DELETE in the middle of the table.
+SHARING_DML = st.lists(st.sampled_from([
+    "UPDATE t SET m = m + 1 WHERE state = 'CA'",
+    "UPDATE t SET state = 'CALIFORNIA' WHERE state = 'CA'",
+    "INSERT INTO t SELECT rid + 100, state, m FROM t WHERE rid < 6",
+    "UPDATE t SET m = m WHERE state = 'AZ'",
+    "DELETE FROM t WHERE rid = 2",
+    "UPDATE t SET m = NULL WHERE state = 'WA'",
+    "INSERT INTO t VALUES (99, 'NV', 7)",
+]), max_size=5)
+
+
+def _open_store(path):
+    return Database(storage="disk", storage_path=path, pool_pages=1,
+                    page_size=64)
+
+
+def _assert_pages_hold(disk, mem):
+    """Each column's page run of ``disk``'s t, read straight off the
+    data file, is the serialization of ``mem``'s t's column."""
+    engine = disk.storage_engine
+    table = mem.table("t")
+    for name, page_ids in disk.table("t").page_map().items():
+        on_disk = b"".join(engine.disk.read_page(page_id)
+                           for page_id in page_ids)
+        assert on_disk == serialize_column(table.column(name)), name
+
+
+@given(ROWS, SHARING_DML)
+@settings(max_examples=25, deadline=None)
+def test_versions_share_only_unchanged_pages(rows, statements):
+    """The statements run twice: then a clean close and a reopen, then
+    a simulated kill (``abandon``) and a reopen that replays the WAL."""
+    mem = Database()
+    _load(mem, rows)
+    tmp = tempfile.mkdtemp(prefix="repro-prop-sharing-")
+    disk = _open_store(tmp)
+    try:
+        _load(disk, rows)
+        _assert_pages_hold(disk, mem)
+        for kill in (False, True):
+            for statement in statements:
+                assert mem.execute(statement) == disk.execute(statement)
+                _assert_pages_hold(disk, mem)
+            if kill:
+                disk.storage_engine.abandon()
+            else:
+                disk.close()
+            disk = _open_store(tmp)
+            _assert_pages_hold(disk, mem)
+            for query in QUERIES:
+                assert mem.query(query) == disk.query(query)
+    finally:
+        disk.close()
         shutil.rmtree(tmp, ignore_errors=True)

@@ -11,6 +11,7 @@ import pytest
 from repro import Database
 from repro.engine.catalog import IndexDefinition
 from repro.errors import StorageError
+from repro.storage.pages import payload_capacity
 from tests.conftest import PAPER_SALES_ROWS
 
 SALES_SCHEMA = [("rid", "int"), ("state", "varchar"),
@@ -109,8 +110,9 @@ def test_unreadable_checkpoint_rejected(tmp_path):
 def test_checkpoint_truncates_wal_and_reclaims_pages(tmp_path):
     with _disk_db(tmp_path) as db:
         _load_sales(db)
-        # Each UPDATE shadow-writes the whole table; its old pages
-        # become garbage reclaimable only at the next checkpoint.
+        # Each UPDATE shadow-writes the page it changes; the page it
+        # replaces becomes garbage reclaimable only at the next
+        # checkpoint.
         for value in (1.0, 2.0, 3.0):
             db.execute(f"UPDATE sales SET salesamt = {value} "
                        f"WHERE rid = 1")
@@ -227,7 +229,7 @@ def test_checkpoint_manifest_is_json(tmp_path):
         _load_sales(db)
     with open(os.path.join(tmp_path, "checkpoint.json")) as fh:
         state = json.load(fh)
-    assert state["format"] == 1
+    assert state["format"] == 2
     assert state["page_size"] == 512
     assert "sales" in state["tables"]
     entry = state["tables"]["sales"]
@@ -266,3 +268,129 @@ def test_replaced_version_is_freed_by_refcount(tmp_path):
             assert old() is None
         finally:
             gc.enable()
+
+
+# ----------------------------------------------------------------------
+# Page sharing between versions
+# ----------------------------------------------------------------------
+#: Bytes per row at the head of each column's chunk of ``t``: the
+#: INTEGER and REAL values, the VARCHAR lengths.
+ROW_BYTES = {"k": 8, "v": 8, "name": 4}
+CAPACITY = payload_capacity(512)
+
+
+def _numbered(db, n=1000):
+    db.load_table("t", [("k", "int"), ("v", "real"), ("name", "varchar")],
+                  [(i, i * 0.5, f"n{i}") for i in range(n)])
+
+
+def test_one_row_update_replaces_only_the_pages_holding_it(tmp_path):
+    with _disk_db(tmp_path) as db:
+        _numbered(db)
+        old = db.table("t")
+        before = old.page_map()
+        written = db.storage_engine.pool.pages_written
+        db.execute("UPDATE t SET k = -1 WHERE k = 500")
+        after = db.table("t").page_map()
+        slots = {8 * 500 // CAPACITY, (8 * 500 + 7) // CAPACITY}
+        assert after["v"] == before["v"]
+        assert after["name"] == before["name"]
+        assert len(after["k"]) == len(before["k"])
+        assert {slot for slot, (a, b) in
+                enumerate(zip(before["k"], after["k"]))
+                if a != b} == slots
+        # A replaced slot gets a fresh page, never one a version reads.
+        assert not {after["k"][slot] for slot in slots} & old.page_ids()
+        assert db.storage_engine.pool.pages_written - written \
+            == len(slots)
+        assert db.query("SELECT k FROM t WHERE k < 0") == [(-1,)]
+
+
+def test_multi_page_insert_shares_every_full_values_page(tmp_path):
+    with _disk_db(tmp_path) as db:
+        _numbered(db)
+        before = db.table("t").page_map()
+        db.execute("INSERT INTO t SELECT k + 1000, v, name FROM t "
+                   "WHERE k < 300")
+        after = db.table("t").page_map()
+        for name, width in ROW_BYTES.items():
+            full = 1000 * width // CAPACITY
+            assert full > 1
+            assert after[name][:full] == before[name][:full]
+            assert not set(after[name][full:]) & set(before[name])
+        assert db.query("SELECT count(*), max(k) FROM t") == [(1300, 1299)]
+
+
+def test_update_that_changes_nothing_writes_no_page(tmp_path,
+                                                    monkeypatch):
+    with _disk_db(tmp_path) as db:
+        _numbered(db)
+        engine = db.storage_engine
+        before = db.table("t").page_map()
+        syncs = []
+        sync = engine.disk.sync
+        monkeypatch.setattr(engine.disk, "sync",
+                            lambda: (syncs.append(True), sync()))
+        written = engine.pool.pages_written
+        wal_bytes = engine.wal.size_bytes()
+        db.execute("UPDATE t SET k = k, name = name WHERE k < 100")
+        assert engine.pool.pages_written == written
+        assert syncs == []
+        # The new version still commits.
+        assert engine.wal.size_bytes() > wal_bytes
+        assert db.table("t").page_map() == before
+
+
+def test_middle_delete_rewrites_from_the_first_deleted_rows_page(
+        tmp_path):
+    with _disk_db(tmp_path) as db:
+        _numbered(db)
+        before = db.table("t").page_map()
+        db.execute("DELETE FROM t WHERE k >= 500 AND k < 520")
+        after = db.table("t").page_map()
+        for name, width in ROW_BYTES.items():
+            first = 500 * width // CAPACITY
+            assert after[name][:first] == before[name][:first]
+            assert not set(after[name][first:]) & set(before[name])
+        assert db.query("SELECT count(*) FROM t") == [(980,)]
+
+
+def test_rollback_to_a_sharing_version_survives_checkpoint(tmp_path):
+    """Savepoint rollback re-publishes a version whose pages its
+    successors shared; the checkpoint after it must keep every page
+    that version reads and reuse only the ones it does not."""
+    query = "SELECT * FROM t ORDER BY k"
+    mem = Database()
+    with _disk_db(tmp_path) as db:
+        for each in (mem, db):
+            _numbered(each)
+            each.execute("UPDATE t SET v = -1 WHERE k = 10")
+            savepoint = each.catalog.savepoint()
+            each.execute("INSERT INTO t SELECT k + 1000, v, name FROM t "
+                         "WHERE k < 50")
+            each.execute("UPDATE t SET name = 'renamed' WHERE k = 20")
+            rolled_back = each.table("t")
+            each.catalog.rollback(savepoint)
+        restored = db.table("t")
+        assert restored is savepoint.tables["t"]
+        assert restored.page_ids() & rolled_back.page_ids()
+        assert rolled_back.page_ids() - restored.page_ids()
+        db.checkpoint()
+        for each in (mem, db):
+            each.execute("UPDATE t SET k = k + 1 WHERE k >= 900")
+        assert db.query(query) == mem.query(query)
+    with _disk_db(tmp_path) as db:
+        assert db.query(query) == mem.query(query)
+
+
+def test_format_one_store_is_refused(tmp_path):
+    with _disk_db(tmp_path) as db:
+        _load_sales(db)
+    path = os.path.join(tmp_path, "checkpoint.json")
+    with open(path) as fh:
+        state = json.load(fh)
+    state["format"] = 1
+    with open(path, "w") as fh:
+        json.dump(state, fh)
+    with pytest.raises(StorageError, match="format 1"):
+        _disk_db(tmp_path)

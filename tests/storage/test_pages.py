@@ -7,13 +7,17 @@ contract the torn-page and recovery tests build on.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.column import ColumnData
 from repro.engine.types import SQLType
 from repro.errors import PageCorruptError, StorageError
-from repro.storage.pages import (HEADER_SIZE, chunk_payload, decode_page,
-                                 deserialize_column, encode_page,
-                                 payload_capacity, serialize_column)
+from repro.storage.pages import (HEADER_SIZE, changed_rows,
+                                 changed_slots, chunk_payload,
+                                 decode_page, deserialize_column,
+                                 encode_page, payload_capacity,
+                                 serialize_column)
 
 PAGE_SIZE = 256
 
@@ -143,3 +147,86 @@ def test_null_fillers_are_normalized():
 def test_unreadable_chunk_is_typed():
     with pytest.raises(StorageError, match="unreadable column chunk"):
         deserialize_column(b"\xff")
+
+
+def test_values_sit_at_offsets_fixed_by_the_row():
+    """An append leaves every byte of the earlier values in place."""
+    short = serialize_column(ColumnData.from_values(SQLType.INTEGER,
+                                                    [1, 2, 3]))
+    longer = serialize_column(ColumnData.from_values(SQLType.INTEGER,
+                                                     [1, 2, 3, 4]))
+    assert longer[:24] == short[:24]
+
+
+# ----------------------------------------------------------------------
+VALUES = {
+    SQLType.INTEGER: st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1),
+    SQLType.REAL: st.floats(allow_nan=True, allow_infinity=True),
+    # A small alphabet makes equal-length changes common; the
+    # two-byte "é" makes a change of byte length with the same
+    # number of characters.
+    SQLType.VARCHAR: st.text(alphabet="abé", max_size=3),
+    SQLType.BOOLEAN: st.booleans(),
+}
+
+
+@st.composite
+def _versions(draw):
+    """A column and its successor by an UPDATE, an append or a
+    DELETE."""
+    sql_type = draw(st.sampled_from(list(VALUES)))
+    value = st.one_of(st.none(), VALUES[sql_type])
+    old = draw(st.lists(value, min_size=1, max_size=40))
+    new = list(old)
+    edit = draw(st.sampled_from(["update", "append", "delete"]))
+    if edit == "update":
+        for _ in range(draw(st.integers(1, 3))):
+            new[draw(st.integers(0, len(new) - 1))] = draw(value)
+    elif edit == "append":
+        new += draw(st.lists(value, min_size=1, max_size=10))
+    else:
+        start = draw(st.integers(0, len(new) - 1))
+        del new[start:start + draw(st.integers(1, 5))]
+    return (ColumnData.from_values(sql_type, old),
+            ColumnData.from_values(sql_type, new))
+
+
+@given(_versions(), st.integers(min_value=8, max_value=64))
+@settings(max_examples=300, deadline=None)
+def test_changed_slots_flag_every_slot_whose_bytes_change(versions,
+                                                          capacity):
+    old, new = versions
+    old_raw, new_raw = serialize_column(old), serialize_column(new)
+    dirty = changed_slots(old, new, changed_rows(old, new), new_raw,
+                          capacity)
+    assert len(dirty) == len(chunk_payload(new_raw, capacity))
+    for slot in range(min(len(dirty), -(-len(old_raw) // capacity))):
+        span = slice(slot * capacity, (slot + 1) * capacity)
+        if old_raw[span] != new_raw[span]:
+            assert dirty[slot], slot
+
+
+def test_a_real_is_compared_bit_for_bit():
+    old = ColumnData.from_values(SQLType.REAL, [0.0, 1.0])
+    new = ColumnData.from_values(SQLType.REAL, [-0.0, 1.0])
+    assert list(changed_rows(old, new)) == [0]
+
+
+def test_changed_slots_flag_only_the_changed_rows_pages():
+    old = ColumnData.from_values(SQLType.INTEGER, list(range(100)))
+    new = ColumnData.from_values(SQLType.INTEGER,
+                                 [-1 if i == 50 else i for i in range(100)])
+    dirty = changed_slots(old, new, changed_rows(old, new),
+                          serialize_column(new), 64)
+    assert list(np.flatnonzero(dirty)) == [8 * 50 // 64]
+
+
+def test_an_equal_length_varchar_change_keeps_the_heap_in_place():
+    old = ColumnData.from_values(SQLType.VARCHAR, ["aa"] * 40)
+    new = ColumnData.from_values(
+        SQLType.VARCHAR, ["bb" if i == 30 else "aa" for i in range(40)])
+    dirty = changed_slots(old, new, changed_rows(old, new),
+                          serialize_column(new), 16)
+    heap_offset = 4 * 40 + 2 * 30
+    assert list(np.flatnonzero(dirty)) == [4 * 30 // 16,
+                                           heap_offset // 16]
