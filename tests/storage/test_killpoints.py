@@ -33,15 +33,23 @@ from tests.conftest import PAPER_SALES_ROWS
 STORAGE_SITES = ("storage-page-write", "storage-wal-fsync",
                  "storage-commit")
 
-#: Statements whose commit paths the matrix kills.  Each runs against
-#: a store holding the paper's sales table.
-WORKLOADS = (
-    "UPDATE sales SET salesamt = 99.0 WHERE rid = 1",
-    "INSERT INTO sales VALUES (11, 'AZ', 'Phoenix', 8.0)",
-    "DELETE FROM sales WHERE state = 'CA'",
-    "CREATE VIEW tx_sales AS SELECT * FROM sales WHERE state = 'TX'",
-    "DROP TABLE sales",
-)
+#: Statements whose commit paths the matrix kills, by test id.  Each
+#: runs against a store holding the paper's sales table and a
+#: ``returns`` table with an index and a materialized view on it, so
+#: every catalog name space is written and the last DROP cascades.
+WORKLOADS = {
+    "update-sales": "UPDATE sales SET salesamt = 99.0 WHERE rid = 1",
+    "insert-INTO": "INSERT INTO sales VALUES (11, 'AZ', 'Phoenix', 8.0)",
+    "delete-FROM": "DELETE FROM sales WHERE state = 'CA'",
+    "create-VIEW":
+        "CREATE VIEW tx_sales AS SELECT * FROM sales WHERE state = 'TX'",
+    "drop-TABLE": "DROP TABLE sales",
+    "create-INDEX": "CREATE INDEX sales_state ON sales (state)",
+    "create-MATERIALIZED":
+        "CREATE MATERIALIZED VIEW sales_by_state AS "
+        "SELECT state, sum(salesamt) FROM sales GROUP BY state",
+    "drop-TABLE-cascade": "DROP TABLE returns",
+}
 
 
 def _open(path):
@@ -56,6 +64,12 @@ def _setup(path):
         [("rid", "int"), ("state", "varchar"), ("city", "varchar"),
          ("salesamt", "real")],
         PAPER_SALES_ROWS, primary_key=["rid"])
+    db.execute_script(
+        "CREATE TABLE returns (rid INT, state VARCHAR, amt REAL); "
+        "INSERT INTO returns VALUES (1, 'CA', 2.0), (2, 'TX', 3.5); "
+        "CREATE INDEX returns_rid ON returns (rid); "
+        "CREATE MATERIALIZED VIEW returns_by_state AS "
+        "SELECT state, sum(amt) FROM returns GROUP BY state")
     return db
 
 
@@ -64,6 +78,8 @@ def _snapshot(db):
         "tables": {name: sorted(db.query(f"SELECT * FROM {name}"))
                    for name in db.table_names()},
         "views": sorted(db.catalog.view_names()),
+        "indexes": sorted(db.catalog.index_names()),
+        "matviews": sorted(db.catalog.matviews()),
     }
 
 
@@ -87,9 +103,8 @@ def _sampled(hits):
 
 
 @pytest.mark.parametrize("site", STORAGE_SITES)
-@pytest.mark.parametrize("statement", WORKLOADS,
-                         ids=[s.split()[0].lower() + "-" + s.split()[1]
-                              for s in WORKLOADS])
+@pytest.mark.parametrize("statement", list(WORKLOADS.values()),
+                         ids=list(WORKLOADS))
 def test_kill_point_matrix(site, statement):
     hits = _probe(statement, site)
     if hits == 0:
@@ -145,7 +160,7 @@ def test_matrix_covers_every_site():
     workload (a silent zero-hit matrix would prove nothing)."""
     for site in STORAGE_SITES:
         assert any(_probe(statement, site) > 0
-                   for statement in WORKLOADS), (
+                   for statement in WORKLOADS.values()), (
             f"no workload ever reaches {site}")
 
 
