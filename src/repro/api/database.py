@@ -152,10 +152,12 @@ class Database:
         self.default_deadline_seconds = default_deadline_seconds
         self.executor = Executor(catalog, stats, governor=governor,
                                  tracer=tracer)
-        # Statement-level serialization: concurrent sessions (the
-        # paper's closing scenario, "users concurrently submit
-        # percentage queries") interleave whole statements safely.
-        self._lock = threading.RLock()
+        #: Statement-level serialization: concurrent sessions (the
+        #: paper's closing scenario, "users concurrently submit
+        #: percentage queries") interleave whole statements safely.  A
+        #: :class:`~repro.service.QueryService` holds it across each
+        #: write script.
+        self.statement_lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # SQL execution
@@ -196,7 +198,7 @@ class Database:
             sql = format_statement(statement) \
                 if self.tracer.enabled or self.stats.keep_history else ""
         token = self._resolve_token(deadline_seconds, cancel_token)
-        with self._lock:
+        with self.statement_lock:
             result, record = self.executor.run_statement(
                 statement, use_views, sql, token)
             record.counters.sql = sql
@@ -297,7 +299,7 @@ class Database:
             table = Table(schema, column_data)
         else:
             table = Table.from_rows(schema, data)
-        with self._lock:
+        with self.statement_lock:
             if replace:
                 self.catalog.drop_table(name, if_exists=True)
             self.catalog.create_table(table)
@@ -350,15 +352,15 @@ class Database:
         """Persist the full catalog manifest and truncate the WAL.
         A no-op on the memory backend."""
         if self.storage_engine is not None:
-            with self._lock:
-                self.storage_engine.checkpoint(self.catalog)
+            with self.statement_lock:
+                self.storage_engine.checkpoint()
 
     def close(self) -> None:
         """Shut down cleanly: on disk, checkpoint and release the
         store's file handles.  Idempotent; a no-op on memory."""
         if self.storage_engine is not None:
-            with self._lock:
-                self.storage_engine.close(self.catalog)
+            with self.statement_lock:
+                self.storage_engine.close()
 
     def __enter__(self) -> "Database":
         return self

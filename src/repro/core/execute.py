@@ -260,8 +260,8 @@ def execute_plan(db: Database, plan: GeneratedPlan,
             # A faulted cleanup DROP can leave a temp half-dropped --
             # on a durable catalog, the WAL and the in-memory name
             # space disagreeing about it.  Rolling back to the
-            # pre-plan savepoint heals both sides atomically (the
-            # restore re-asserts a state without the temps), and the
+            # pre-plan savepoint heals both sides atomically (its WAL
+            # record drops whatever temp is still durable), and the
             # failure surfaces as the plan's error rather than a leak.
             rollback_or_chain(db, savepoint, exc)
             raise

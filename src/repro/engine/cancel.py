@@ -10,8 +10,8 @@ charge, so a single vectorized numpy call is never interrupted but
 every statement is checked many times.  A check that observes a
 cancelled token raises :class:`~repro.errors.QueryCancelledError`,
 which unwinds through the existing savepoint/finally discipline --
-catalog rollback, WAL restore, buffer-pool unpin, temp-table drop --
-so a cancelled query leaves nothing behind.
+catalog rollback (and its WAL record), buffer-pool unpin, temp-table
+drop -- so a cancelled query leaves nothing behind.
 
 The deadline is the engine's only wall-clock limit.  The token reads
 time through an injected :class:`~repro.obs.clock.Clock`, so deadline

@@ -106,12 +106,11 @@ class Catalog:
         self.version = 0
         #: Optional :class:`~repro.storage.engine.StorageEngine`.  When
         #: set (by the Database, before any table exists), every
-        #: mutating operation commits through the engine's write-ahead
-        #: log *before* publishing in memory, and tables are persisted
-        #: to pages on the way in.  Overlay catalogs built by
-        #: :meth:`overlay` leave it ``None``: snapshot-isolated
-        #: temp DDL stays in memory (published StoredTables keep their
-        #: own engine reference, so overlay reads still work).
+        #: publish commits through it *before* swapping in (see
+        #: :meth:`_publish`).  Overlay catalogs built by :meth:`overlay`
+        #: leave it ``None``: snapshot-isolated temp DDL stays in
+        #: memory (published StoredTables keep their own engine
+        #: reference, so overlay reads still work).
         self.storage = None
         self._publish_lock = threading.Lock()
         self._tables: dict[str, Table] = {}
@@ -124,25 +123,30 @@ class Catalog:
     # ------------------------------------------------------------------
     # Copy-on-write publication
     # ------------------------------------------------------------------
-    def _publish(self, tables: dict[str, Table] | None = None,
-                 views: dict[str, object] | None = None,
-                 indexes: dict[str, IndexDefinition] | None = None,
-                 matviews: dict[str, object] | None = None) -> None:
-        """Atomically swap in replacement name-space dicts.
+    def _publish(self, **spaces: dict) -> None:
+        """Atomically swap in replacement name-space dicts (``tables``,
+        ``views``, ``indexes``, ``matviews``; one not passed stays).
 
         Callers pass *new* dict objects (never the published ones
         mutated in place); the published dicts stay frozen forever, so
-        concurrent snapshot holders are unaffected.
+        concurrent snapshot holders are unaffected.  This is the one
+        place the catalog calls its store: the store persists the new
+        tables and logs what differs *before* the swap, so a crash in
+        between is redone on reopen.  A table new under its key is
+        sealed on the way in.
         """
+        before = {"tables": self._tables, "views": self._views,
+                  "indexes": self._indexes, "matviews": self._matviews}
+        after = {**before, **spaces}
+        if self.storage is not None:
+            after["tables"] = self.storage.commit(before, after)
+        for key, table in after["tables"].items():
+            if table is not before["tables"].get(key):
+                table.seal()
         with self._publish_lock:
-            if tables is not None:
-                self._tables = tables
-            if views is not None:
-                self._views = views
-            if indexes is not None:
-                self._indexes = indexes
-            if matviews is not None:
-                self._matviews = matviews
+            self._tables, self._views, self._indexes, self._matviews = (
+                after["tables"], after["views"], after["indexes"],
+                after["matviews"])
             self.version += 1
 
     def snapshot(self) -> CatalogSnapshot:
@@ -194,23 +198,16 @@ class Catalog:
                     f"identifier {name!r} is {len(name)} characters; "
                     f"the maximum is {self.max_name_length}")
 
-    def create_table(self, table: Table, replace: bool = False) -> None:
+    def create_table(self, table: Table) -> None:
         key = table.name.lower()
-        if key in self._tables and not replace:
+        if key in self._tables:
             raise CatalogError(f"table {table.name!r} already exists")
         if key in self._views:
             raise CatalogError(f"{table.name!r} is a view")
         if key in self._matviews:
             raise CatalogError(f"{table.name!r} is a materialized view")
         self.validate_schema(table.schema)
-        if self.storage is not None:
-            # Persist + WAL-commit before the in-memory publish: a
-            # crash in between redoes the publish on reopen.
-            table = self.storage.on_create_table(table, replace=replace)
-        table.seal()
-        tables = dict(self._tables)
-        tables[key] = table
-        self._publish(tables=tables)
+        self._publish(tables={**self._tables, key: table})
 
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables
@@ -235,16 +232,8 @@ class Catalog:
         key = table.name.lower()
         if key not in self._tables:
             raise CatalogError(f"no such table: {table.name!r}")
-        if self.storage is not None:
-            table = self.storage.on_replace_table(table, self._tables[key])
-        table.seal()
-        tables = dict(self._tables)
-        tables[key] = table
-        merged = None
-        if matviews:
-            merged = dict(self._matviews)
-            merged.update(matviews)
-        self._publish(tables=tables, matviews=merged)
+        self._publish(tables={**self._tables, key: table},
+                      matviews={**self._matviews, **(matviews or {})})
 
     def drop_table(self, name: str, if_exists: bool = False) -> None:
         key = name.lower()
@@ -252,16 +241,13 @@ class Catalog:
             if if_exists:
                 return
             raise CatalogError(f"no such table: {name!r}")
-        if self.storage is not None:
-            self.storage.log_drop_table(key)
-        tables = dict(self._tables)
-        del tables[key]
+        tables = {k: t for k, t in self._tables.items() if k != key}
         indexes = {idx_name: idx for idx_name, idx in
                    self._indexes.items()
                    if idx.table_name.lower() != key}
         # Dependent materialized views cannot outlive their base: drop
-        # them in the same atomic publish (their WAL records ride on
-        # the recorded base table, so recovery cascades identically).
+        # them in the same atomic publish (whose one WAL record drops
+        # them too, so recovery needs no cascade of its own).
         matviews = {mv_key: mv for mv_key, mv in self._matviews.items()
                     if mv.definition.base_table != key}
         self._publish(tables=tables, indexes=indexes,
@@ -274,24 +260,19 @@ class Catalog:
     # Views (the paper's Section 2: F may be "a view based on some
     # complex SQL query"; views re-run their defining SELECT on use)
     # ------------------------------------------------------------------
-    def create_view(self, name: str, select, replace: bool = False
-                    ) -> None:
+    def create_view(self, name: str, select) -> None:
         key = name.lower()
         if key in self._tables:
             raise CatalogError(f"{name!r} is a table")
         if key in self._matviews:
             raise CatalogError(f"{name!r} is a materialized view")
-        if key in self._views and not replace:
+        if key in self._views:
             raise CatalogError(f"view {name!r} already exists")
         if len(name) > self.max_name_length:
             raise CatalogError(
                 f"identifier {name!r} is {len(name)} characters; "
                 f"the maximum is {self.max_name_length}")
-        if self.storage is not None:
-            self.storage.log_create_view(key, select, replace=replace)
-        views = dict(self._views)
-        views[key] = select
-        self._publish(views=views)
+        self._publish(views={**self._views, key: select})
 
     def has_view(self, name: str) -> bool:
         return name.lower() in self._views
@@ -308,11 +289,8 @@ class Catalog:
             if if_exists:
                 return
             raise CatalogError(f"no such view: {name!r}")
-        if self.storage is not None:
-            self.storage.log_drop_view(key)
-        views = dict(self._views)
-        del views[key]
-        self._publish(views=views)
+        self._publish(views={k: v for k, v in self._views.items()
+                             if k != key})
 
     def view_names(self) -> list[str]:
         return list(self._views)
@@ -335,24 +313,15 @@ class Catalog:
             raise CatalogError(
                 f"identifier {mv.name!r} is {len(mv.name)} characters; "
                 f"the maximum is {self.max_name_length}")
-        if self.storage is not None:
-            self.storage.log_create_matview(
-                key, mv.definition.sql, mv.definition.base_table,
-                display_name=mv.definition.name)
-        matviews = dict(self._matviews)
-        matviews[key] = mv
-        self._publish(matviews=matviews)
+        self._publish(matviews={**self._matviews, key: mv})
 
     def publish_matviews(self, replacements: Mapping[str, object]
                          ) -> None:
-        """Swap in replacement view objects (refresh-on-read and
-        REFRESH publish through here; definitions are unchanged so
-        nothing needs logging)."""
-        if not replacements:
-            return
-        matviews = dict(self._matviews)
-        matviews.update(replacements)
-        self._publish(matviews=matviews)
+        """Swap in replacement view objects (refresh-on-read, REFRESH
+        and recovery publish through here; their definitions are the
+        durable ones, so the store logs nothing)."""
+        if replacements:
+            self._publish(matviews={**self._matviews, **replacements})
 
     def has_matview(self, name: str) -> bool:
         return name.lower() in self._matviews
@@ -370,11 +339,8 @@ class Catalog:
             if if_exists:
                 return
             raise CatalogError(f"no such materialized view: {name!r}")
-        if self.storage is not None:
-            self.storage.log_drop_matview(key)
-        matviews = dict(self._matviews)
-        del matviews[key]
-        self._publish(matviews=matviews)
+        self._publish(matviews={k: mv for k, mv in self._matviews.items()
+                                if k != key})
 
     def matviews(self) -> Mapping[str, object]:
         return self._matviews
@@ -400,11 +366,7 @@ class Catalog:
                     f"no column {col!r} in table {table_name!r}")
         index = IndexDefinition(name, table.name,
                                 tuple(c.lower() for c in column_names))
-        if self.storage is not None:
-            self.storage.log_create_index(index)
-        indexes = dict(self._indexes)
-        indexes[key] = index
-        self._publish(indexes=indexes)
+        self._publish(indexes={**self._indexes, key: index})
         return index
 
     def drop_index(self, name: str, if_exists: bool = False) -> None:
@@ -413,11 +375,8 @@ class Catalog:
             if if_exists:
                 return
             raise CatalogError(f"no such index: {name!r}")
-        if self.storage is not None:
-            self.storage.log_drop_index(key)
-        indexes = dict(self._indexes)
-        del indexes[key]
-        self._publish(indexes=indexes)
+        self._publish(indexes={k: idx for k, idx in self._indexes.items()
+                               if k != key})
 
     def index_names(self) -> list[str]:
         return [idx.name for idx in self._indexes.values()]
@@ -439,17 +398,11 @@ class Catalog:
         """Restore the catalog to ``savepoint``.
 
         Tables, views and index definitions snap back to the exact
-        objects captured (immutability makes that sufficient).
+        objects captured (immutability makes that sufficient).  On a
+        store, the publish logs the savepoint's difference from the
+        *durable* state, not from the published one: that heals a
+        statement whose record became durable before it failed.
         """
-        if self.storage is not None:
-            # One full-manifest WAL record re-asserting the restored
-            # state.  This is what heals a fault injected mid-commit:
-            # whatever half-committed records the failed statement left
-            # in the log, the restore record replayed after them lands
-            # the recovered store back on the savepoint state.
-            self.storage.log_restore(savepoint.tables, savepoint.views,
-                                     savepoint.indexes,
-                                     matviews=savepoint.matviews)
         # Materialized views snap back with their tables: each captured
         # MaterializedView is immutable and was published atomically
         # with the table version it matches, so the restored pair is
@@ -464,16 +417,9 @@ class Catalog:
     # ------------------------------------------------------------------
     def bootstrap(self, tables: Mapping[str, Table],
                   views: Mapping[str, object],
-                  indexes: Mapping[str, IndexDefinition],
-                  matviews: Mapping[str, object] | None = None) -> None:
-        """Publish recovered name spaces wholesale, bypassing the
-        storage hooks (the state *came from* the store; re-logging it
-        would be circular).  Called once by
-        :meth:`~repro.storage.engine.StorageEngine.open_catalog` before
-        the database accepts statements."""
-        for table in tables.values():
-            table.seal()
+                  indexes: Mapping[str, IndexDefinition]) -> None:
+        """Publish recovered name spaces wholesale.  Called once by
+        :meth:`~repro.storage.engine.StorageEngine.open_catalog`, which
+        holds them as durable already, so the publish logs nothing."""
         self._publish(tables=dict(tables), views=dict(views),
-                      indexes=dict(indexes),
-                      matviews=dict(matviews) if matviews is not None
-                      else None)
+                      indexes=dict(indexes))

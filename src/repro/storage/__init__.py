@@ -4,9 +4,9 @@ The package sits *behind* the engine's storage interface: a
 storage-backed :class:`~repro.engine.catalog.Catalog` publishes
 :class:`~repro.storage.stored.StoredTable` objects whose columns
 materialize through the :class:`~repro.storage.pool.BufferPool`, and
-every catalog mutation commits through the
-:class:`~repro.storage.engine.StorageEngine`'s write-ahead log before
-it becomes visible.  See ``docs/storage.md`` for the design.
+every catalog publish commits through
+:meth:`~repro.storage.engine.StorageEngine.commit` -- one write-ahead
+log record of what changed -- before it becomes visible.  See ``docs/storage.md`` for the design.
 """
 
 from repro.storage.disk import DiskManager

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import os
 import threading
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.engine import faults
 from repro.errors import PageCorruptError, StorageError
@@ -71,15 +71,6 @@ class DiskManager:
                         and page_id not in known:
                     heapq.heappush(self._free, page_id)
                     known.add(page_id)
-
-    def set_allocation(self, next_page_id: int,
-                       free: Sequence[int]) -> None:
-        """Install recovered allocation state (recovery only)."""
-        with self._lock:
-            self.next_page_id = max(int(next_page_id), 0)
-            self._free = [p for p in set(free)
-                          if 0 <= p < self.next_page_id]
-            heapq.heapify(self._free)
 
     def free_page_ids(self) -> set[int]:
         with self._lock:

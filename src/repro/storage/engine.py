@@ -4,36 +4,39 @@ Durability model
 ================
 Engine tables are immutable -- every DML publishes a whole new
 :class:`~repro.engine.table.Table` -- so the disk backend is *shadow
-paged*, page by page: a catalog mutation first writes the page slots
-of the new table's columns that differ from the version it replaces
-to freshly allocated pages (sharing the old version's pages for every
-other slot), fsyncs the data file when it wrote any, and only then
-appends one WAL record describing the mutation (schema + page map for
-table ops, definitions for views/indexes).  The record's fsync is the
-commit point:
+paged*, page by page.  The catalog calls the store from one place,
+its publish (:meth:`StorageEngine.commit`): the new table versions'
+changed page slots are written to freshly allocated pages (every
+other slot shares the replaced version's page), the data file is
+fsynced when any page was written, and then one WAL record holds
+every manifest entry that differs from what is durable.  The
+record's fsync is the commit point:
 
 * crash **before** the record is durable (the ``storage-page-write``
   and ``storage-wal-fsync`` fault sites): the new pages are
   unreferenced garbage, the old catalog state survives, and the
-  garbage is reclaimed by the next checkpoint's live-set sweep;
-* crash **after** (the ``storage-commit`` site): replay redoes the
-  mutation from the record, so the committed state is recovered even
-  though the in-memory publish never happened.
+  garbage is reclaimed by the next checkpoint;
+* crash **after** (the ``storage-commit`` site): replay merges the
+  record, so the committed state is recovered even though the
+  in-memory publish never happened.  A savepoint rollback is a
+  publish too: its record is the savepoint's difference from the
+  durable state, which heals a statement that committed halfway.
 
-A *checkpoint* writes the whole catalog manifest to
-``checkpoint.json`` (atomically: temp file + fsync + rename), truncates
-the WAL, and frees every allocated page the manifest no longer
-references.  Recovery is therefore always: load the checkpoint, replay
-the WAL on top (records are complete-or-truncated, see
-:mod:`repro.storage.wal`), verify every live page's checksum, and hand
-the catalog its recovered name spaces.
+A *checkpoint* writes the durable manifest to ``checkpoint.json``
+(atomically: temp file + fsync + rename), truncates the WAL, and
+frees every allocated page no live table version names.  Recovery is
+therefore always: load the checkpoint, merge the WAL's records on top
+(set or delete each entry; records are complete-or-truncated, see
+:mod:`repro.storage.wal`), verify every live page's checksum, publish,
+and checkpoint.
 
 Page reclamation happens **only** at checkpoints.  In between, pages
-of superseded table versions stay on disk, which is what lets catalog
-savepoint rollback (and its ``restore`` WAL record) re-publish an
-older table version without any copying.  A page may belong to
-several versions; it is live while any manifest table references
-it.
+of superseded table versions stay on disk, which is what lets
+savepoint rollback re-publish an older version without copying.  A
+page may belong to several versions; it is live while any
+:class:`StoredTable` naming it is -- the current one, one a snapshot
+reader pins, one a savepoint holds.  A restart keeps only the
+manifest's tables, because no reader survives it.
 
 The module-level live-store registry is the leak oracle the tests and
 the differential fuzzer use: every open engine registers its directory
@@ -47,6 +50,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import weakref
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from repro.engine import faults
@@ -56,6 +60,8 @@ from repro.engine.table import Table
 from repro.engine.types import SQLType
 from repro.errors import StorageError
 from repro.obs import tracer as tracer_mod
+from repro.sql.formatter import format_statement
+from repro.sql.parser import parse_statement
 from repro.storage.disk import DiskManager
 from repro.storage.pages import (DEFAULT_PAGE_SIZE, changed_rows,
                                  changed_slots, chunk_payload,
@@ -70,10 +76,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: The files a store directory legitimately contains.
 STORE_FILES = ("data.pages", "wal.log", "checkpoint.json")
-#: The manifest's ``format``: 2 since column chunks are laid out
-#: position-stable (row count and type in a trailer) and table
-#: versions share pages.  Nothing converts an older store.
-STORE_FORMAT = 2
+#: The manifest's ``format``: 3 since a WAL record is one
+#: ``{space: {key: entry or null}}`` difference (2 laid column chunks
+#: out position-stable and shared pages between versions).  Nothing
+#: converts an older store.
+STORE_FORMAT = 3
 _CHECKPOINT_TMP = "checkpoint.json.tmp"
 
 _live_lock = threading.Lock()
@@ -126,6 +133,14 @@ class StorageEngine:
         self._checkpoint_path = os.path.join(path, "checkpoint.json")
         self._lock = threading.RLock()
         self._closed = False
+        #: Name space -> key -> ``(object, entry)``: what the WAL and
+        #: checkpoint hold as durable (see :meth:`commit`).
+        self._durable: dict[str, dict[str, tuple]] = {
+            space: {} for space in _ENTRIES}
+        #: Every StoredTable of this store still alive: the checkpoint
+        #: frees only pages none of them names.
+        self._versions: "weakref.WeakSet[StoredTable]" = weakref.WeakSet()
+        self._versions_lock = threading.Lock()
         with _live_lock:
             _live_stores[self.path] = self
 
@@ -216,141 +231,83 @@ class StorageEngine:
     # ------------------------------------------------------------------
     # Commit protocol
     # ------------------------------------------------------------------
-    def _commit(self, record: dict[str, Any]) -> None:
-        """Append + fsync one WAL record; the injectable kill sites
-        bracket the durability point: ``storage-wal-fsync`` fires just
-        before the record exists (a crash there loses the mutation
-        cleanly), ``storage-commit`` just after it is durable but
-        before the in-memory publish (a crash there must be redone on
-        reopen)."""
-        self._check_open()
-        faults.cross("storage-wal-fsync")
-        self.wal.append(record, sync=True)
-        faults.cross("storage-commit")
+    def commit(self, before: Mapping[str, Mapping[str, Any]],
+               after: Mapping[str, Mapping[str, Any]]
+               ) -> dict[str, Table]:
+        """Make one catalog publish durable; returns ``after``'s
+        tables, every one page-backed.
 
-    # ------------------------------------------------------------------
-    # Catalog mutation hooks (called by Catalog before publishing)
-    # ------------------------------------------------------------------
-    def on_create_table(self, table: Table,
-                        replace: bool = False) -> StoredTable:
+        ``before`` and ``after`` are the catalog's name spaces
+        (``tables``, ``views``, ``indexes``, ``matviews``) around the
+        publish.  A table not yet on pages is persisted against the
+        version it replaces.  Then one WAL record ``{space: {key:
+        entry or null}}`` logs every entry that differs from the
+        durable manifest; a publish that differs in nothing writes
+        nothing.  The kill sites bracket the record's fsync:
+        ``storage-wal-fsync`` fires just before it exists (a crash
+        there loses the publish cleanly), ``storage-commit`` just
+        after it is durable but before the in-memory publish (a crash
+        there is redone on reopen)."""
         with self._lock:
-            stored = table if isinstance(table, StoredTable) \
-                else self.persist_table(table)
-            self._commit({"op": "create_table", "replace": replace,
-                          "table": _table_entry(stored)})
-            return stored
+            self._check_open()
+            replaced = before["tables"]
+            tables = {key: table if isinstance(table, StoredTable)
+                      else self.persist_table(table, replaced.get(key))
+                      for key, table in after["tables"].items()}
+            durable, record = {}, {}
+            for space, objects in dict(after, tables=tables).items():
+                durable[space], changes = self._diff(space, objects)
+                if changes:
+                    record[space] = changes
+            if record:
+                faults.cross("storage-wal-fsync")
+                self.wal.append(record, sync=True)
+            self._durable = durable
+            if record:
+                faults.cross("storage-commit")
+            return tables
 
-    def on_replace_table(self, table: Table,
-                         replaced: Optional[Table] = None
-                         ) -> StoredTable:
-        """Persist ``table`` against ``replaced``, the version it
-        succeeds (see :meth:`persist_table`), and commit it."""
-        with self._lock:
-            stored = table if isinstance(table, StoredTable) \
-                else self.persist_table(table, replaced)
-            self._commit({"op": "replace_table",
-                          "table": _table_entry(stored)})
-            return stored
-
-    def log_drop_table(self, name: str) -> None:
-        with self._lock:
-            self._commit({"op": "drop_table", "name": name.lower()})
-
-    def log_create_view(self, name: str, select,
-                        replace: bool = False) -> None:
-        from repro.sql.formatter import format_statement
-        with self._lock:
-            self._commit({"op": "create_view", "name": name.lower(),
-                          "sql": format_statement(select),
-                          "replace": replace})
-
-    def log_drop_view(self, name: str) -> None:
-        with self._lock:
-            self._commit({"op": "drop_view", "name": name.lower()})
-
-    def log_create_matview(self, name: str, sql: str, base: str,
-                           display_name: str | None = None) -> None:
-        """Materialized views are *definitions-durable*: the WAL and
-        checkpoint carry the defining SQL and base-table key; the
-        per-group state is rebuilt from the recovered base table at
-        reopen (rebuild-on-recovery keeps the bit-identity contract
-        without serializing float state)."""
-        with self._lock:
-            self._commit({"op": "create_matview", "name": name.lower(),
-                          "display_name": display_name or name,
-                          "sql": sql, "base": base})
-
-    def log_drop_matview(self, name: str) -> None:
-        with self._lock:
-            self._commit({"op": "drop_matview", "name": name.lower()})
-
-    def log_create_index(self, index: IndexDefinition) -> None:
-        with self._lock:
-            self._commit({"op": "create_index",
-                          "index": _index_entry(index)})
-
-    def log_drop_index(self, name: str) -> None:
-        with self._lock:
-            self._commit({"op": "drop_index", "name": name.lower()})
-
-    def log_restore(self, tables: Mapping[str, Table],
-                    views: Mapping[str, Any],
-                    indexes: Mapping[str, IndexDefinition],
-                    matviews: Mapping[str, Any] | None = None) -> None:
-        """One record re-asserting the whole catalog state (savepoint
-        rollback).  Every table must already be page-backed -- true by
-        construction on a storage-backed catalog, where every publish
-        went through the hooks above."""
-        from repro.sql.formatter import format_statement
-        entries = {}
-        for key, table in tables.items():
-            if not isinstance(table, StoredTable):
-                raise StorageError(
-                    f"cannot restore table {key!r}: not page-backed")
-            entries[key] = _table_entry(table)
-        with self._lock:
-            self._commit({
-                "op": "restore",
-                "tables": entries,
-                "views": {key: format_statement(view)
-                          for key, view in views.items()},
-                "indexes": [_index_entry(idx)
-                            for idx in indexes.values()],
-                "matviews": {key: _matview_entry(mv)
-                             for key, mv in (matviews or {}).items()},
-            })
+    def _diff(self, space: str, objects: Mapping[str, Any]
+              ) -> tuple[dict[str, tuple], dict[str, Any]]:
+        """``objects`` as durable ``(object, entry)`` pairs, and the
+        entries that differ from the durable manifest (``None`` for a
+        key that is gone).  A table, view or index is unchanged while
+        it is the durable object; a materialized view while its
+        definition entry is (maintenance and REFRESH publish new
+        objects of one definition)."""
+        held = self._durable[space]
+        durable, changes = {}, {}
+        for key, obj in objects.items():
+            kept = held.get(key)
+            if kept is None or kept[0] is not obj:
+                entry = _ENTRIES[space](obj)
+                if kept is None or space != "matviews" \
+                        or kept[1] != entry:
+                    changes[key] = entry
+                kept = (obj, entry)
+            durable[key] = kept
+        changes.update(dict.fromkeys(held.keys() - objects.keys()))
+        return durable, changes
 
     # ------------------------------------------------------------------
     # Checkpoint
     # ------------------------------------------------------------------
-    def checkpoint(self, catalog: "Catalog") -> None:
-        """Atomically persist the full manifest, truncate the WAL and
-        reclaim every page the manifest no longer references."""
+    def register(self, table: StoredTable) -> None:
+        """Count ``table``'s pages live while it lives (every
+        :class:`StoredTable` calls this when it is made)."""
+        with self._versions_lock:
+            self._versions.add(table)
+
+    def checkpoint(self) -> None:
+        """Atomically write the durable manifest, truncate the WAL and
+        free every page no live table version names: current, pinned
+        by a snapshot or held by a savepoint."""
         with self._lock:
             self._check_open()
-            snap = catalog.snapshot()
-            manifest_tables = {}
-            live: set[int] = set()
-            for key, table in snap.tables.items():
-                if not isinstance(table, StoredTable):
-                    raise StorageError(
-                        f"cannot checkpoint table {key!r}: not "
-                        f"page-backed")
-                manifest_tables[key] = _table_entry(table)
-                live |= table.page_ids()
-            from repro.sql.formatter import format_statement
-            state = {
-                "format": STORE_FORMAT,
-                "page_size": self.page_size,
-                "next_page_id": self.disk.next_page_id,
-                "tables": manifest_tables,
-                "views": {key: format_statement(view)
-                          for key, view in snap.views.items()},
-                "indexes": [_index_entry(idx)
-                            for idx in snap.indexes.values()],
-                "matviews": {key: _matview_entry(mv)
-                             for key, mv in snap.matviews.items()},
-            }
+            state = {space: {key: entry for key, (_, entry)
+                             in held.items()}
+                     for space, held in self._durable.items()}
+            state.update(format=STORE_FORMAT, page_size=self.page_size)
             tmp = os.path.join(self.path, _CHECKPOINT_TMP)
             with open(tmp, "w") as handle:
                 json.dump(state, handle, sort_keys=True)
@@ -360,10 +317,11 @@ class StorageEngine:
             os.replace(tmp, self._checkpoint_path)
             _fsync_dir(self.path)
             self.wal.reset()
-            dead = [page_id
-                    for page_id in range(self.disk.next_page_id)
-                    if page_id not in live]
-            dead = sorted(set(dead) - self.disk.free_page_ids())
+            with self._versions_lock:
+                versions = list(self._versions)
+            live = set().union(*(table.page_ids() for table in versions))
+            dead = sorted(set(range(self.disk.next_page_id)) - live
+                          - self.disk.free_page_ids())
             if dead:
                 self.disk.free(dead)
                 self.pool.invalidate(dead)
@@ -371,103 +329,87 @@ class StorageEngine:
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
-    def open_catalog(self, catalog: "Catalog") -> bool:
-        """Recover durable state into ``catalog``; returns True when
-        anything was recovered.  Ends with a checkpoint, collapsing
-        the replayed WAL into a fresh manifest."""
+    def open_catalog(self, catalog: "Catalog") -> None:
+        """Recover durable state into ``catalog``: load the
+        checkpoint, merge every WAL record into it, verify every live
+        page and publish.  Ends with a checkpoint, collapsing the
+        replayed WAL into a fresh manifest."""
         with self._lock:
-            tables: dict[str, dict] = {}
-            views: dict[str, str] = {}
-            indexes: dict[str, dict] = {}
-            matviews: dict[str, dict] = {}
-            next_page_id = 0
-            had_state = False
-            if os.path.exists(self._checkpoint_path):
-                had_state = True
-                try:
-                    with open(self._checkpoint_path) as handle:
-                        state = json.load(handle)
-                except ValueError as exc:
-                    raise StorageError(
-                        f"unreadable checkpoint "
-                        f"{self._checkpoint_path!r}: {exc}") from None
-                if state.get("format") != STORE_FORMAT:
-                    raise StorageError(
-                        f"store {self.path!r} is in format "
-                        f"{state.get('format')}; this version reads "
-                        f"format {STORE_FORMAT} only")
-                if state.get("page_size") != self.page_size:
-                    raise StorageError(
-                        f"store was written with page_size="
-                        f"{state.get('page_size')}, opened with "
-                        f"{self.page_size}")
-                tables = dict(state.get("tables", {}))
-                views = dict(state.get("views", {}))
-                indexes = {e["name"]: e
-                           for e in state.get("indexes", [])}
-                matviews = dict(state.get("matviews", {}))
-                next_page_id = int(state.get("next_page_id", 0))
+            manifest: dict[str, dict] = {space: {} for space in _ENTRIES}
+            had_state = os.path.exists(self._checkpoint_path)
+            if had_state:
+                state = self._read_checkpoint()
+                for space in manifest:
+                    manifest[space].update(state[space])
             records = self.wal.replay()
-            had_state = had_state or bool(records)
             for record in records:
-                _apply_record(record, tables, views, indexes, matviews)
-            if not had_state:
-                # Fresh store: nothing to recover; leave the catalog
-                # alone and start from a clean checkpoint baseline.
-                self.checkpoint(catalog)
-                return False
-
-            live: set[int] = set()
-            for entry in tables.values():
-                for ids in entry["pages"].values():
-                    live |= set(ids)
-            next_page_id = max([next_page_id, self.disk.next_page_id]
-                               + [pid + 1 for pid in live])
-            self.disk.set_allocation(
-                next_page_id,
-                [p for p in range(next_page_id) if p not in live])
-
-            recovered_tables: dict[str, StoredTable] = {}
-            for key, entry in tables.items():
-                recovered_tables[key] = StoredTable(
-                    _schema_from_entry(entry["schema"]), self,
-                    entry["pages"], entry["n_rows"])
+                for space, entries in manifest.items():
+                    for key, entry in record.get(space, {}).items():
+                        if entry is None:
+                            entries.pop(key, None)
+                        else:
+                            entries[key] = entry
+            if not (had_state or records):
+                # Fresh store: start from a clean checkpoint baseline.
+                self.checkpoint()
+                return
+            tables = {key: StoredTable(_schema_from_entry(entry["schema"]),
+                                       self, entry["pages"],
+                                       entry["n_rows"])
+                      for key, entry in manifest["tables"].items()}
             # Torn-write detection: verify every committed page's
             # checksum now, so corruption surfaces as a typed error at
             # reopen instead of wrong data mid-query.
-            for page_id in sorted(live):
+            for page_id in sorted(set().union(
+                    *(table.page_ids() for table in tables.values()))):
                 self.pool.fetch(page_id)
-
-            from repro.sql.parser import parse_statement
-            recovered_views = {key: parse_statement(sql)
-                               for key, sql in views.items()}
-            recovered_indexes: dict[str, IndexDefinition] = {}
-            for key, entry in indexes.items():
-                table = recovered_tables.get(entry["table"].lower())
-                if table is not None:
-                    recovered_indexes[key] = IndexDefinition(
-                        entry["display_name"], table.name,
-                        tuple(entry["columns"]))
-            catalog.bootstrap(recovered_tables, recovered_views,
-                              recovered_indexes)
-            if matviews:
+            views = {key: parse_statement(sql)
+                     for key, sql in manifest["views"].items()}
+            indexes = {key: IndexDefinition(entry["display_name"],
+                                            entry["table"],
+                                            tuple(entry["columns"]))
+                       for key, entry in manifest["indexes"].items()}
+            recovered = {"tables": tables, "views": views,
+                         "indexes": indexes, "matviews": {}}
+            self._durable = {
+                space: {key: (obj, manifest[space][key])
+                        for key, obj in objects.items()}
+                for space, objects in recovered.items()}
+            catalog.bootstrap(tables, views, indexes)
+            if manifest["matviews"]:
                 # Rebuild (never deserialize) each materialized view
-                # from its recorded definition against the recovered
-                # base tables: crash recovery and clean reopen land on
-                # the same state a fresh CREATE would produce.
+                # from its definition against the recovered base
+                # tables: crash recovery and clean reopen land on the
+                # state a fresh CREATE would produce.
                 from repro.views.maintenance import build_matview
-                recovered_matviews: dict[str, Any] = {}
-                for key, entry in matviews.items():
-                    if entry["base"] not in recovered_tables:
-                        continue
-                    select = parse_statement(entry["sql"])
-                    recovered_matviews[key] = build_matview(
-                        catalog, entry.get("display_name", key), select)
-                catalog.bootstrap(recovered_tables, recovered_views,
-                                  recovered_indexes,
-                                  matviews=recovered_matviews)
-            self.checkpoint(catalog)
-            return True
+                self._durable["matviews"] = {
+                    key: (None, entry)
+                    for key, entry in manifest["matviews"].items()}
+                catalog.publish_matviews({
+                    key: build_matview(catalog, entry["display_name"],
+                                       parse_statement(entry["sql"]))
+                    for key, entry in manifest["matviews"].items()})
+            self.checkpoint()
+
+    def _read_checkpoint(self) -> dict:
+        try:
+            with open(self._checkpoint_path) as handle:
+                state = json.load(handle)
+        except ValueError as exc:
+            raise StorageError(
+                f"unreadable checkpoint "
+                f"{self._checkpoint_path!r}: {exc}") from None
+        if state.get("format") != STORE_FORMAT:
+            raise StorageError(
+                f"store {self.path!r} is in format "
+                f"{state.get('format')}; this version reads "
+                f"format {STORE_FORMAT} only")
+        if state.get("page_size") != self.page_size:
+            raise StorageError(
+                f"store was written with page_size="
+                f"{state.get('page_size')}, opened with "
+                f"{self.page_size}")
+        return state
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -476,14 +418,13 @@ class StorageEngine:
     def closed(self) -> bool:
         return self._closed
 
-    def close(self, catalog: Optional["Catalog"] = None) -> None:
-        """Clean shutdown: checkpoint (when a catalog is given), then
-        release file handles and deregister.  Idempotent."""
+    def close(self) -> None:
+        """Clean shutdown: checkpoint, then release file handles and
+        deregister.  Idempotent."""
         with self._lock:
             if self._closed:
                 return
-            if catalog is not None:
-                self.checkpoint(catalog)
+            self.checkpoint()
             self._teardown()
 
     def abandon(self) -> None:
@@ -549,7 +490,6 @@ def _schema_from_entry(entry: dict) -> TableSchema:
 
 def _matview_entry(mv) -> dict:
     return {
-        "name": mv.key,
         "display_name": mv.definition.name,
         "sql": mv.definition.sql,
         "base": mv.definition.base_table,
@@ -558,61 +498,15 @@ def _matview_entry(mv) -> dict:
 
 def _index_entry(index: IndexDefinition) -> dict:
     return {
-        "name": index.name.lower(),
         "display_name": index.name,
         "table": index.table_name,
         "columns": list(index.column_names),
     }
 
 
-def _apply_record(record: dict, tables: dict, views: dict,
-                  indexes: dict,
-                  matviews: dict | None = None) -> None:
-    """Redo one WAL record against the manifest dicts (idempotent:
-    records always carry the full new state of the name they touch)."""
-    if matviews is None:
-        matviews = {}
-    op = record.get("op")
-    if op in ("create_table", "replace_table"):
-        entry = record["table"]
-        tables[entry["schema"]["name"].lower()] = entry
-    elif op == "drop_table":
-        key = record["name"]
-        tables.pop(key, None)
-        for idx_key in [k for k, e in indexes.items()
-                        if e["table"].lower() == key]:
-            indexes.pop(idx_key)
-        for mv_key in [k for k, e in matviews.items()
-                       if e["base"] == key]:
-            matviews.pop(mv_key)
-    elif op == "create_view":
-        views[record["name"]] = record["sql"]
-    elif op == "drop_view":
-        views.pop(record["name"], None)
-    elif op == "create_matview":
-        matviews[record["name"]] = {
-            "name": record["name"],
-            "display_name": record.get("display_name",
-                                       record["name"]),
-            "sql": record["sql"], "base": record["base"]}
-    elif op == "drop_matview":
-        matviews.pop(record["name"], None)
-    elif op == "create_index":
-        entry = record["index"]
-        indexes[entry["name"]] = entry
-    elif op == "drop_index":
-        indexes.pop(record["name"], None)
-    elif op == "restore":
-        tables.clear()
-        tables.update(record["tables"])
-        views.clear()
-        views.update(record["views"])
-        indexes.clear()
-        indexes.update({e["name"]: e for e in record["indexes"]})
-        matviews.clear()
-        matviews.update(record.get("matviews", {}))
-    else:
-        raise StorageError(f"unknown WAL record op {op!r}")
+#: Each name space's manifest entry of an object.
+_ENTRIES = {"tables": _table_entry, "views": format_statement,
+            "indexes": _index_entry, "matviews": _matview_entry}
 
 
 def _fsync_dir(path: str) -> None:

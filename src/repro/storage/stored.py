@@ -27,7 +27,9 @@ materializing everything the way the base class would.
 A version's page map may name pages of the version it replaced: the
 storage engine writes only the page slots a DML changed.  The map
 holds page ids, never the other version, so a replaced version is
-freed by refcount like any other.
+freed by refcount like any other.  Every instance, renamed siblings
+included, registers itself with its store, weakly: a checkpoint frees
+only pages no live instance names.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ class StoredTable(Table):
         #: Column key -> the memo :meth:`seal` made, attached to every
         #: fresh column object; shared by renamed siblings.
         self._memos = memos if memos is not None else {}
+        store.register(self)
 
     # ------------------------------------------------------------------
     @property

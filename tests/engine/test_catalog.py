@@ -27,11 +27,6 @@ class TestTables:
         with pytest.raises(CatalogError):
             catalog.create_table(make_table())
 
-    def test_replace_flag(self):
-        catalog = Catalog()
-        catalog.create_table(make_table())
-        catalog.create_table(make_table(), replace=True)
-
     def test_drop(self):
         catalog = Catalog()
         catalog.create_table(make_table())

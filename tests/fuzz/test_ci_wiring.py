@@ -125,6 +125,24 @@ def test_the_storage_leg_runs_nightly():
         assert (ROOT / path).exists(), path
 
 
+def test_the_stress_leg_runs_both_stores_nightly():
+    """The nightly stress leg runs the whole stress file -- its memory
+    and its disk-store variant -- at 5,000 ops."""
+    from tests.service import test_stress
+
+    nightly = yaml.safe_load(WORKFLOW.read_text())["jobs"]["nightly"]
+    runs = [entry["run"] for entry in nightly["strategy"]["matrix"]["include"]
+            if entry["kind"] == "stress"]
+    assert runs == ["python -m pytest -x -q tests/service/test_stress.py"]
+    [env] = [step["env"] for step in nightly["steps"]
+             if step.get("name") == "Run"]
+    assert env["REPRO_STRESS_OPS"] == "5000"
+    assert {name for name in vars(test_stress)
+            if name.startswith("test_stress_snapshot_consistency")} == {
+        "test_stress_snapshot_consistency",
+        "test_stress_snapshot_consistency_on_disk"}
+
+
 def test_benchmark_commands_parse(monkeypatch):
     """The benchmark's parser lives inside its ``main``; with the
     self-test body stubbed out, ``main`` is parse + dispatch."""

@@ -14,14 +14,18 @@ from repro.api.database import Database
 from repro.service import QueryService
 
 
+#: The fact table every service test starts from.
+F_SCRIPT = """
+    CREATE TABLE f (d1 INT, d2 VARCHAR, a REAL);
+    INSERT INTO f VALUES (1, 'x', 10.0), (1, 'y', 30.0),
+                         (2, 'x', 60.0), (2, 'y', 0.25)
+"""
+
+
 @pytest.fixture
 def db() -> Database:
     database = Database()
-    database.execute_script("""
-        CREATE TABLE f (d1 INT, d2 VARCHAR, a REAL);
-        INSERT INTO f VALUES (1, 'x', 10.0), (1, 'y', 30.0),
-                             (2, 'x', 60.0), (2, 'y', 0.25)
-    """)
+    database.execute_script(F_SCRIPT)
     return database
 
 

@@ -144,3 +144,41 @@ class TestSessionCursorState:
     def test_connection_reused(self, service):
         with service.create_session() as session:
             assert session.connection() is session.connection()
+
+    def test_cursor_write_waits_out_a_write_script(self, service, db,
+                                                    monkeypatch):
+        """A cursor runs on the base database.  Its INSERT, sent while
+        a write script holds its savepoint, must wait for the script:
+        inside it, the script's rollback would delete a row the cursor
+        saw committed."""
+        from repro.errors import ReproError
+        from repro.service.scheduler import Scheduler
+
+        db.execute("CREATE TABLE u (a INT)")
+        db.execute("INSERT INTO u VALUES (1), (2)")
+        rowcounts: list = []
+
+        def cursor_insert():
+            with service.create_session() as session:
+                cursor = session.cursor()
+                cursor.execute("INSERT INTO u VALUES (3)")
+                rowcounts.append(cursor.rowcount)
+
+        client = threading.Thread(target=cursor_insert)
+        run_statements = Scheduler._run_statements
+
+        def after_the_cursor(db, statements, sql):
+            client.start()
+            client.join(timeout=0.5)
+            return run_statements(db, statements, sql)
+
+        monkeypatch.setattr(Scheduler, "_run_statements",
+                            staticmethod(after_the_cursor))
+        with pytest.raises(ReproError):
+            service.execute("INSERT INTO u VALUES (10); "
+                            "SELECT nope FROM missing_table")
+        client.join(timeout=30)
+        assert not client.is_alive()
+        assert rowcounts == [1]
+        assert db.query("SELECT a FROM u ORDER BY a") == \
+            [(1,), (2,), (3,)]

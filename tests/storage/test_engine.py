@@ -229,7 +229,7 @@ def test_checkpoint_manifest_is_json(tmp_path):
         _load_sales(db)
     with open(os.path.join(tmp_path, "checkpoint.json")) as fh:
         state = json.load(fh)
-    assert state["format"] == 2
+    assert state["format"] == 3
     assert state["page_size"] == 512
     assert "sales" in state["tables"]
     entry = state["tables"]["sales"]
@@ -394,3 +394,98 @@ def test_format_one_store_is_refused(tmp_path):
         json.dump(state, fh)
     with pytest.raises(StorageError, match="format 1"):
         _disk_db(tmp_path)
+
+
+# ----------------------------------------------------------------------
+# Page liveness across versions
+# ----------------------------------------------------------------------
+def _pinned_t(path):
+    """A store whose pool holds two pages, so every read goes to the
+    data file, over ``t(k, v)`` with ``sum(v)`` = 19,900."""
+    db = _disk_db(path, pool_pages=2, page_size=256)
+    db.load_table("t", [("k", "int"), ("v", "int")],
+                  [(i, i) for i in range(200)])
+    return db
+
+
+def test_snapshot_reader_reads_its_version_after_a_checkpoint(tmp_path):
+    """A checkpoint frees only pages no live version names: the
+    version a snapshot reader pins keeps its pages, so the writes after
+    the checkpoint cannot reuse them under the reader."""
+    from repro.service import QueryService
+
+    with _pinned_t(tmp_path) as db, QueryService(db, workers=1) as svc:
+        reader = svc.snapshots.reader(svc.snapshot())
+        db.execute("UPDATE t SET v = v + 1 WHERE k < 50")
+        db.checkpoint()
+        db.execute("UPDATE t SET v = v + 1")
+        assert reader.query("SELECT sum(v) FROM t") == [(19900,)]
+        assert db.query("SELECT sum(v) FROM t") == [(20150,)]
+
+
+def test_savepoint_rollback_reads_its_version_after_a_checkpoint(
+        tmp_path):
+    with _pinned_t(tmp_path) as db:
+        db.execute("UPDATE t SET v = v + 10 WHERE k < 145")
+        savepoint = db.catalog.savepoint()
+        db.execute("UPDATE t SET v = v + 1 WHERE k < 50")
+        db.checkpoint()
+        db.execute("UPDATE t SET v = v + 1")
+        db.catalog.rollback(savepoint)
+        assert db.query("SELECT sum(v) FROM t") == [(21350,)]
+    with _disk_db(tmp_path, pool_pages=2, page_size=256) as db:
+        assert db.query("SELECT sum(v) FROM t") == [(21350,)]
+
+
+# ----------------------------------------------------------------------
+# The commit step: one record of what changed
+# ----------------------------------------------------------------------
+BY_STATE = ("CREATE MATERIALIZED VIEW by_state AS "
+            "SELECT state, sum(salesamt) FROM sales GROUP BY state")
+
+
+def test_drop_table_logs_its_cascade_in_one_record(tmp_path):
+    with _disk_db(tmp_path) as db:
+        _load_sales(db)
+        db.execute("CREATE INDEX sales_rid ON sales (rid)")
+        db.execute(BY_STATE)
+        db.checkpoint()
+        db.execute("DROP TABLE sales")
+        assert db.storage_engine.wal.replay() == [{
+            "seq": 1, "tables": {"sales": None},
+            "indexes": {"sales_rid": None},
+            "matviews": {"by_state": None}}]
+
+
+def test_a_publish_that_changes_nothing_writes_no_record(tmp_path,
+                                                         monkeypatch):
+    """REFRESH, a rollback to the durable state and recovery's own
+    publish log nothing; an UPDATE logs one record naming one table."""
+    from repro.storage.wal import WriteAheadLog
+
+    with _disk_db(tmp_path) as db:
+        _load_sales(db)
+        db.execute(BY_STATE)
+        db.checkpoint()
+        wal = db.storage_engine.wal
+        savepoint = db.catalog.savepoint()
+        db.execute("REFRESH MATERIALIZED VIEW by_state")
+        db.execute("DELETE FROM sales WHERE rid = 1")
+        db.catalog.rollback(savepoint)
+        db.execute("REFRESH MATERIALIZED VIEW by_state")
+        [delete, rollback] = wal.replay()
+        assert set(delete) == set(rollback) == {"seq", "tables"}
+        assert rollback["tables"]["sales"]["pages"] == \
+            savepoint.tables["sales"].page_map()
+        db.storage_engine.abandon()
+    appended = []
+    append = WriteAheadLog.append
+    monkeypatch.setattr(WriteAheadLog, "append",
+                        lambda self, record, **kw: (
+                            appended.append(record),
+                            append(self, record, **kw))[1])
+    with _disk_db(tmp_path) as db:
+        assert appended == []
+        assert db.catalog.has_matview("by_state")
+        assert db.query("SELECT count(*) FROM sales") == \
+            [(len(PAPER_SALES_ROWS),)]
