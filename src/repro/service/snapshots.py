@@ -28,7 +28,6 @@ statements commit to the catalog one at a time.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -107,21 +106,20 @@ class SnapshotDatabase(Database):
 class SnapshotManager:
     """Hands out snapshots and snapshot-isolated readers.
 
-    ``write_lock`` is the service's single writer lock; taking it for
-    the (instant) duration of a capture serializes acquisition against
-    whole write *scripts*, which is the multi-statement consistency
-    guarantee -- the catalog itself would happily hand out a snapshot
-    between two statements of one script.
+    The database's statement lock is the service's single writer lock;
+    taking it for the (instant) duration of a capture serializes
+    acquisition against whole write *scripts*, which is the
+    multi-statement consistency guarantee -- the catalog itself would
+    happily hand out a snapshot between two statements of one script.
     """
 
-    def __init__(self, db: Database, write_lock: threading.RLock):
+    def __init__(self, db: Database):
         self._db = db
-        self._write_lock = write_lock
 
     def acquire(self) -> Snapshot:
         """Capture the current committed state (waits out any write
         script in flight; never blocks on readers)."""
-        with self._write_lock:
+        with self._db.statement_lock:
             return Snapshot(catalog=self._db.catalog.snapshot())
 
     def reader(self, snapshot: Optional[Snapshot] = None
