@@ -64,10 +64,6 @@ class Database:
         clock: time source for statement timing and span boundaries;
             tests inject a :class:`~repro.obs.clock.ManualClock` to
             make every duration deterministic.
-        metrics: the :class:`~repro.obs.metrics.MetricsRegistry`
-            backing ``db.stats`` and the service histograms.  Each
-            database owns a fresh registry by default, so a reopened
-            database starts from zero (no stale-counter carryover).
         storage: ``"memory"`` (default, tables live on the heap) or
             ``"disk"`` (tables live on checksummed pages behind an LRU
             buffer pool, with write-ahead-logged catalog mutations and
@@ -88,7 +84,6 @@ class Database:
                  keep_history: bool = False,
                  tracing: bool = False,
                  clock: Optional[Clock] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  storage: str = "memory",
                  storage_path: Optional[str] = None,
                  pool_pages: int = DEFAULT_POOL_PAGES,
@@ -107,7 +102,9 @@ class Database:
         check_deadline(default_deadline_seconds,
                        "default_deadline_seconds")
         clock = clock if clock is not None else MonotonicClock()
-        metrics = metrics if metrics is not None else MetricsRegistry()
+        # Each database owns its registry, so a reopened one starts
+        # from zero.
+        metrics = MetricsRegistry()
         catalog = Catalog(max_columns=max_columns,
                           max_name_length=max_name_length)
         stats = StatsCollector(keep_history=keep_history,

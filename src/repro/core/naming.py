@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 
 @dataclass
@@ -26,15 +26,13 @@ class NamingPolicy:
         ``2_Mon``); this is what the paper's example tables show.
         ``"full"`` -- ``col=value`` pairs (``dweek=Mon_month=2``); this
         is what the paper's CREATE TABLE sketch shows.
-    ``max_length``:
-        identifier ceiling (defaults to the catalog's limit at use
-        time); longer names are truncated and suffixed with a stable
-        4-hex-digit hash, the "abbreviations" option the paper
-        recommends over opaque integer identifiers.
+
+    A name longer than the catalog's identifier limit is truncated and
+    suffixed with a stable 4-hex-digit hash, the "abbreviations"
+    option the paper recommends over opaque integer identifiers.
     """
 
     style: str = "values"
-    max_length: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.style not in ("values", "full"):
@@ -80,7 +78,7 @@ class ColumnNamer:
                  ) -> None:
         self.columns, self.policy, self.used = columns, policy, used
         self.prefix = prefix
-        self.limit = policy.max_length or max_length
+        self.limit = max_length
         self._fragments: list[dict[tuple, str]] = [{} for _ in columns]
 
     def name(self, values: Sequence[Any]) -> str:

@@ -19,7 +19,6 @@ would not actually reduce the data.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,13 +34,6 @@ from repro.sql.formatter import format_expr
 
 _counter = itertools.count(1)
 
-#: Per-database registry of kept summaries: signature -> summary table
-#: name.  The signature embeds the fact table's *version* (see
-#: :mod:`repro.engine.table`), so any DML on the fact table silently
-#: invalidates its summaries.
-_kept_summaries: "weakref.WeakKeyDictionary[Database, dict]" = \
-    weakref.WeakKeyDictionary()
-
 
 @dataclass
 class BatchReport:
@@ -50,14 +42,13 @@ class BatchReport:
     results: list[Table]
     shared_groups: int = 0          # query groups that shared a summary
     fallback_queries: int = 0       # queries evaluated individually
-    reused_summaries: int = 0       # kept summaries served from registry
     summary_rows: dict[str, int] = field(default_factory=dict)
 
 
-def run_percentage_batch(db: Database, queries: list[str],
-                         keep_summaries: bool = False) -> BatchReport:
+def run_percentage_batch(db: Database, queries: list[str]) -> BatchReport:
     """Evaluate several percentage queries, sharing summaries where
-    the queries allow it.  Results come back in input order."""
+    the queries allow it.  Results come back in input order; each
+    summary is dropped once its queries have run."""
     parsed: list[PercentageQuery] = []
     for sql in queries:
         query = parse_percentage_query(sql)
@@ -76,13 +67,10 @@ def run_percentage_batch(db: Database, queries: list[str],
         if len(positions) < 2:
             continue
         summary = _SharedSummary.build(db, [parsed[p] for p in
-                                            positions],
-                                       allow_reuse=keep_summaries)
+                                            positions])
         if summary is None:
             continue
         report.shared_groups += 1
-        if summary.reused:
-            report.reused_summaries += 1
         report.summary_rows[summary.table] = summary.n_rows
         try:
             for position in positions:
@@ -91,11 +79,7 @@ def run_percentage_batch(db: Database, queries: list[str],
                     db, rewritten)
                 shared_positions.add(position)
         finally:
-            if not keep_summaries:
-                db.drop_table(summary.table, if_exists=True)
-            elif summary.signature is not None:
-                _kept_summaries.setdefault(db, {})[summary.signature] = \
-                    summary.table
+            db.drop_table(summary.table, if_exists=True)
 
     for position, query in enumerate(parsed):
         if position not in shared_positions:
@@ -131,19 +115,15 @@ class _SharedSummary:
     """The shared summary table plus the term-rewriting rules."""
 
     def __init__(self, table: str, n_rows: int,
-                 bases: dict[tuple, _Base],
-                 signature: Optional[tuple] = None,
-                 reused: bool = False):
+                 bases: dict[tuple, _Base]):
         self.table = table
         self.n_rows = n_rows
-        self.signature = signature
-        self.reused = reused
         self._bases = bases
 
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, db: Database, queries: list[PercentageQuery],
-              allow_reuse: bool = False) -> Optional["_SharedSummary"]:
+    def build(cls, db: Database, queries: list[PercentageQuery]
+              ) -> Optional["_SharedSummary"]:
         union: list[str] = []
         for query in queries:
             for column in query.group_by:
@@ -164,23 +144,6 @@ class _SharedSummary:
                     bases[key] = _make_base(term, len(bases))
 
         first = queries[0]
-        signature = None
-        if db.has_table(first.table):
-            # The fact table's version uniquely identifies its contents
-            # (versions are never reused), so a kept summary built at
-            # this version is valid exactly until the next DML.
-            signature = (first.table.lower(),
-                         db.table(first.table).version,
-                         tuple(union), tuple(sorted(bases)),
-                         format_expr(first.where)
-                         if first.where is not None else "")
-        if allow_reuse and signature is not None:
-            registry = _kept_summaries.get(db, {})
-            kept = registry.get(signature)
-            if kept is not None and db.has_table(kept):
-                return cls(kept, db.table(kept).n_rows, bases,
-                           signature, reused=True)
-
         table = f"_shared{next(_counter)}"
         keys = common.cols(union)
         selects: list[ast.Expr] = list(keys)
@@ -192,7 +155,7 @@ class _SharedSummary:
         common.feedback(db, ast.CreateTableAs(table, common.select(
             selects, common.tables(first.table), first.where, keys)))
         n_rows = db.table(table).n_rows
-        return cls(table, n_rows, bases, signature)
+        return cls(table, n_rows, bases)
 
     # ------------------------------------------------------------------
     def rewrite(self, db: Database,

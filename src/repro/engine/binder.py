@@ -517,20 +517,16 @@ class _Program:
     in reading order, the rewritten template, where each of its
     literals comes from (an item literal's position, or None for a
     ``grouping()`` mask), whether it calls no window function and
-    holds no ``*``, whether items of it are stacked -- windowless, and
-    not a bare column or literal, which alone is the frame's own column
-    or a constant -- and the columns an item resolves (None: all of
+    holds no ``*``, and the columns an item resolves (None: all of
     them)."""
 
     __slots__ = ("steps", "template", "literals", "windowless",
-                 "stackable", "resolve")
+                 "resolve")
 
     def __init__(self, steps, template, literals, windowless, resolve):
         self.steps, self.template, self.literals = steps, template, \
             literals
         self.windowless = windowless
-        self.stackable = windowless and template is not COLUMN \
-            and template is not LITERAL
         self.resolve = resolve
 
 
@@ -581,7 +577,6 @@ class GroupRewrite:
                               self.data)
         self._template_numbers: dict[Any, int] = {}
         self._programs: dict[Any, _Program] = {}
-        self._templates: dict[Any, Any] = {}
         self._interned: dict[tuple, tuple] = {}
         self._values: dict[tuple, tuple] = {}
         self._found: dict[Shape, list] = {}
@@ -696,8 +691,6 @@ class GroupRewrite:
             steps: list[tuple] = []
             state = [0, 0, 0, iter(matches), True, [], set()]
             template = self._compile(shape.template, steps, state)
-            # Equal rewrites are one object: stacks are keyed by it.
-            template = self._templates.setdefault(template, template)
             skipped = state[6]
             program = self._programs[key] = _Program(
                 steps, template, tuple(state[5]), state[4],
@@ -707,12 +700,11 @@ class GroupRewrite:
 
     def _compile(self, template: Any, steps: list, state: list) -> Any:
         """Append ``template``'s steps; return its rewrite's template.
-        ``state`` is ``[column, literal, call, matches, stackable,
+        ``state`` is ``[column, literal, call, matches, windowless,
         literal sources, skipped columns]``: the positions reached in
         the item's vectors, the key matches still to consume, whether
-        the rewrite can be stacked (not with a window call or a ``*``
-        in it), where the rewrite's literals come from, and the
-        columns no step reads."""
+        the rewrite holds no window call and no ``*``, where the
+        rewrite's literals come from, and the columns no step reads."""
         if template is COLUMN:
             steps.append((_COLUMN, state[0]))
             state[0] += 1

@@ -448,27 +448,14 @@ class Executor:
                  slots: Optional[list[str]],
                  cells: Optional[pivot_mod.CellStore], plan: SelectPlan,
                  result_name: str) -> Table:
-        """Evaluate named select items over ``frame``, keeping the rows
-        HAVING accepts.
-
-        Items that share a shape are evaluated together, once, over
-        their leaf columns stacked end to end, when the first of them
-        comes up; every other item -- and every item of a stack that
-        raises -- by its own :func:`evaluate`, in order, so a failing
-        statement raises its first failing item's error
-        (docs/engine_internals.md, "Select-list evaluation").  A stack
-        books its charge item by item as each one's turn comes, so the
-        ledger reads as if every item had run alone, up to any
-        error.  A cell family is a stack known in advance: its
-        template is evaluated once over its leaves stacked -- the cell
-        aggregates straight from their groups x cells block -- and its
-        cells are sliced out."""
+        """Evaluate named select items over ``frame`` in order, keeping
+        the rows HAVING accepts; a failing statement raises its first
+        failing item's error (docs/engine_internals.md, "Select-list
+        evaluation").  A :class:`ColumnRun` is a slice of its table,
+        and a cell family is evaluated once, by
+        :meth:`_project_family`; every other item by its own
+        :func:`evaluate`."""
         grouped = slots is not None
-        stacks, slot_data = _stacks(frame, items, slots) if grouped \
-            else ({}, None)
-        ready: dict[int, ColumnData] = {}
-        share: dict[int, int] = {}   # each stacked item's ledger charge
-        unbooked = 0
         named: list[tuple[list[str], Any]] = []
         for i, (name, item) in enumerate(items):
             if type(item) is ColumnRun:
@@ -477,44 +464,20 @@ class Executor:
                                      item.start, item.stop)))
                 continue
             if grouped and item.family is not None:
-                block, charge = self._project_family(
-                    frame.n_rows, slot_data, cells, item, unbooked)
-                unbooked += charge
-                if block is not None:
-                    named.append((name, block))
+                if item.family:
+                    named.append((name, self._project_family(
+                        frame, slots, cells, item)))
                 continue
-            stack = stacks.get(i)
-            if stack is not None:
-                for member in stack:
-                    del stacks[member]
-                try:
-                    columns, charge = _evaluate_stack(
-                        frame.n_rows, slot_data,
-                        [items[member][1] for member in stack])
-                except ReproError:
-                    pass   # each item, evaluated alone, says why
-                else:
-                    ready.update(zip(stack, columns))
-                    share.update(dict.fromkeys(stack, charge))
-            column = ready.pop(i, None)
-            if column is not None:
-                unbooked += share[i]
+            windows = self._window_binder(frame) \
+                if i in plan.windowed else None
+            if grouped:
+                expr = item.tree(slots, windows)
+            elif windows is not None:
+                expr = plan.windowed[i].tree(windows)
             else:
-                if unbooked:
-                    self.stats.add(case_evaluations=unbooked)
-                    unbooked = 0
-                windows = self._window_binder(frame) \
-                    if i in plan.windowed else None
-                if grouped:
-                    expr = item.tree(slots, windows)
-                elif windows is not None:
-                    expr = plan.windowed[i].tree(windows)
-                else:
-                    expr = item
-                column = _concrete(evaluate(expr, frame, self.stats))
-            named.append(([name], column))
-        if unbooked:
-            self.stats.add(case_evaluations=unbooked)
+                expr = item
+            named.append(([name], _concrete(
+                evaluate(expr, frame, self.stats))))
         result = Table.assemble(result_name, named)
         if having is not None:
             mask = truth_mask(having.tree(slots, self._window_binder(
@@ -523,32 +486,24 @@ class Executor:
             result = result.take(np.nonzero(mask)[0])
         return result
 
-    def _project_family(self, n: int, slot_data: list[ColumnData],
+    def _project_family(self, frame: Frame, slots: list[str],
                         cells: pivot_mod.CellStore,
-                        item: binder.Rewritten, unbooked: int
-                        ) -> tuple[Optional[Block], int]:
-        """A cell family's groups x cells block over ``n`` groups (None
-        for no cells), and what its cells charge the ledger.  Should
-        the family raise, the ledger is booked up to its first cell,
-        which is evaluated alone: every cell is the same tree over
+                        item: binder.Rewritten) -> Block:
+        """A cell family's groups x cells block, its template evaluated
+        once over all its cells (:func:`_evaluate_cells`).  Its charge
+        is booked once it succeeds.  Should the family raise, its first
+        cell is evaluated alone: every cell is the same tree over
         leaves of the same types, so the first raises what the family
         did, charging what it would have charged alone."""
-        k = len(item.family)
-        if not k:
-            return None, 0
         tally = _Tally()
         try:
-            block = _evaluate_stacked(
-                n, k, item, _family_leaves(slot_data, cells, item, k),
-                tally)
+            block = _evaluate_cells(frame, slots, cells, item,
+                                    len(item.family), tally)
         except ReproError:
-            if unbooked:
-                self.stats.add(case_evaluations=unbooked)
-            _evaluate_stacked(n, 1, item,
-                              _family_leaves(slot_data, cells, item, 1),
-                              self.stats)
+            _evaluate_cells(frame, slots, cells, item, 1, self.stats)
             raise
-        return block, tally.case_evaluations
+        self.stats.add(case_evaluations=tally.case_evaluations)
+        return block
 
     def _window_binder(self, frame: Frame
                        ) -> Callable[[ast.FuncCall], ast.Expr]:
@@ -1089,31 +1044,10 @@ class Executor:
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def _stacks(frame: Frame, items: list[tuple[str, binder.Rewritten]],
-            slots: list[str]
-            ) -> tuple[dict[int, list[int]], list[ColumnData]]:
-    """The positions of the items that share a shape -- rewritten
-    template, literals and the SQL types of the columns their
-    placeholders bind -- with another item, each mapped to the
-    positions of all of them; and the group frame's column for every
-    slot."""
-    slot_data = [frame.named(name) for name in slots]
-    types = [data.sql_type for data in slot_data]
-    by_shape: dict[Any, list[int]] = {}
-    for i, (_, item) in enumerate(items):
-        program, literals = item.program, item.literals
-        if program.stackable and item.family is None:
-            by_shape.setdefault(
-                (id(program.template), literals,
-                 tuple(map(type, literals)),
-                 tuple([types[s] for s in item.leaves])), []).append(i)
-    return ({i: stack for stack in by_shape.values() if len(stack) > 1
-             for i in stack}, slot_data)
-
-
 class _Tally:
-    """The ledger a stacked evaluation charges, held back for
-    :meth:`Executor._project` to book item by item."""
+    """The ledger a cell family's evaluation charges, held back for
+    :meth:`Executor._project_family` to book once the family has
+    succeeded."""
 
     def __init__(self) -> None:
         self.case_evaluations = 0
@@ -1122,15 +1056,22 @@ class _Tally:
         self.case_evaluations += case_evaluations
 
 
-def _evaluate_stacked(n: int, k: int, item: binder.Rewritten,
-                      leaves: list[ColumnData], ledger) -> Block:
-    """``k`` items of ``item``'s shape evaluated as one: its template
-    with placeholder columns, over a frame of ``k * n`` rows whose
-    placeholder columns are ``leaves`` -- each the items' leaf columns
-    end to end.  The items' columns, as one ``k x n`` block.  The same
-    :func:`evaluate` runs, lane for lane, on the same values and SQL
-    types, so each row of the block is bit for bit what the item
-    evaluated alone returns."""
+def _evaluate_cells(frame: Frame, slots: list[str],
+                    cells: pivot_mod.CellStore, item: binder.Rewritten,
+                    k: int, ledger) -> Block:
+    """The first ``k`` cells of family item ``item`` evaluated as one:
+    its template with placeholder columns, over a frame of ``k * n``
+    rows (``n`` groups) whose placeholder columns are its leaves, each
+    the cells' leaf columns end to end -- a slot's group frame column
+    repeated, a cell aggregate read off its block.  The cells' columns,
+    as one ``k x n`` block.  The same :func:`evaluate` runs, lane for
+    lane, on the same values and SQL types, so each row of the block
+    is bit for bit what the cell evaluated alone returns."""
+    n = frame.n_rows
+    leaves = [cells.take(leaf.numbers[:k])
+              if type(leaf) is binder.CellBlock
+              else ColumnData.concat([frame.named(slots[leaf])] * k)
+              for leaf in item.leaves]
     placeholders = [ast.ColumnRef(f"__s{slot}")
                     for slot in range(len(leaves))]
     stacked = Frame(n * k)
@@ -1143,33 +1084,6 @@ def _evaluate_stacked(n: int, k: int, item: binder.Rewritten,
         return Block.all_null(SQLType.REAL, k, n)
     return Block(result.sql_type, result.values.reshape(k, n),
                  result.nulls.reshape(k, n))
-
-
-def _evaluate_stack(n: int, slot_data: list[ColumnData],
-                    items: list[binder.Rewritten]
-                    ) -> tuple[list[ColumnData], int]:
-    """Items of one shape evaluated as one (:func:`_evaluate_stacked`
-    over each slot's group columns end to end): each item's column,
-    and what one item charges the ledger."""
-    k, first = len(items), items[0]
-    tally = _Tally()
-    block = _evaluate_stacked(
-        n, k, first,
-        [ColumnData.concat([slot_data[item.leaves[slot]]
-                            for item in items])
-         for slot in range(len(first.leaves))], tally)
-    return block.columns(), tally.case_evaluations // k
-
-
-def _family_leaves(slot_data: list[ColumnData],
-                   cells: pivot_mod.CellStore, item: binder.Rewritten,
-                   k: int) -> list[ColumnData]:
-    """The leaf columns of a family item's first ``k`` cells, each
-    end to end as :func:`_evaluate_stacked` takes them: a slot
-    repeated, a cell aggregate read off its block."""
-    return [cells.take(leaf.numbers[:k]) if type(leaf) is binder.CellBlock
-            else ColumnData.concat([slot_data[leaf]] * k)
-            for leaf in item.leaves]
 
 
 def _concrete(data: ColumnData) -> ColumnData:

@@ -11,6 +11,7 @@ import pytest
 
 from repro import Database
 from repro.api import dbapi
+from repro.obs.metrics import MetricsRegistry
 from repro.service import QueryService, SessionDefaults
 
 #: Retired names, each with a value that used to be legal:
@@ -18,11 +19,14 @@ from repro.service import QueryService, SessionDefaults
 #: CASE fan-out; ablation A1 reads the hash figure off a trace), the
 #: intra-query parallelism knobs retired with the feature (DESIGN.md
 #: section 5), ``use_indexes``, retired with the index probe (DESIGN.md
-#: section 2), and ``use_encoding_cache``, which went with the encoding
-#: cache (sealed columns memoize their encodings, with no switch).
+#: section 2), ``use_encoding_cache``, which went with the encoding
+#: cache (sealed columns memoize their encodings, with no switch), and
+#: ``metrics``, a registry handed in that no caller ever passed (each
+#: database makes its own).
 REFUSED = {"case_dispatch": "hash", "parallel_workers": 2,
            "parallel_backend": "thread", "morsel_rows": 8192,
-           "use_indexes": False, "use_encoding_cache": False}
+           "use_indexes": False, "use_encoding_cache": False,
+           "metrics": MetricsRegistry()}
 
 #: The two knobs an options dataclass held last, before it went too.
 RETIRED = ["case_dispatch", "use_encoding_cache"]

@@ -52,11 +52,13 @@ class TestSharedSummaries:
         assert not any(t.startswith("_shared")
                        for t in tdb.table_names())
 
-    def test_keep_summaries(self, tdb):
-        report = run_percentage_batch(tdb, BATCH, keep_summaries=True)
-        assert any(t.startswith("_shared") for t in tdb.table_names())
-        for table in report.summary_rows:
-            tdb.drop_table(table)
+    def test_keeping_summaries_is_refused(self, tdb):
+        # A batch always drops its summary: there is no knob to keep
+        # one for a later batch.
+        with pytest.raises(TypeError, match="keep_summaries"):
+            run_percentage_batch(tdb, BATCH, keep_summaries=True)
+        assert not any(t.startswith("_shared")
+                       for t in tdb.table_names())
 
     def test_avg_falls_back(self, tdb):
         queries = BATCH[:1] + [
@@ -105,56 +107,6 @@ class TestSharedSummaries:
         for sql, got in zip(queries, report.results):
             want = run_percentage_query(tdb, sql)
             assert got.column_names() == want.column_names()
-
-
-@pytest.mark.allow_leaks  # the kept summary *is* the subject
-class TestKeptSummaryReuse:
-    @pytest.fixture()
-    def rdb(self):
-        db = Database(keep_history=True)
-        load_transaction_line(db, 5_000)
-        return db
-
-    def test_second_batch_reuses_kept_summary(self, rdb):
-        first = run_percentage_batch(rdb, BATCH, keep_summaries=True)
-        assert first.reused_summaries == 0
-        rdb.stats.reset()
-        second = run_percentage_batch(rdb, BATCH, keep_summaries=True)
-        assert second.reused_summaries == 1
-        # The fact table is never rescanned: only the (much smaller)
-        # summary is.
-        n_fact = rdb.table("transactionline").n_rows
-        summary_rows = sum(second.summary_rows.values())
-        assert rdb.stats.rows_scanned < n_fact
-        assert summary_rows < n_fact
-        for a, b in zip(first.results, second.results):
-            for ra, rb in zip(a.to_rows(), b.to_rows()):
-                assert ra == pytest.approx(rb, nan_ok=True)
-
-    def test_reuse_requires_keep_summaries(self, rdb):
-        run_percentage_batch(rdb, BATCH, keep_summaries=True)
-        report = run_percentage_batch(rdb, BATCH)
-        assert report.reused_summaries == 0
-
-    def test_dml_expires_kept_summary(self, rdb):
-        run_percentage_batch(rdb, BATCH, keep_summaries=True)
-        rdb.execute("INSERT INTO transactionline "
-                    "SELECT * FROM transactionline WHERE regionid = 1")
-        report = run_percentage_batch(rdb, BATCH, keep_summaries=True)
-        # The fact table's version changed, so the old summary's
-        # signature no longer matches and a fresh one is built.
-        assert report.reused_summaries == 0
-        for sql, got in zip(BATCH, report.results):
-            want = run_percentage_query(rdb, sql)
-            for a, b in zip(got.to_rows(), want.to_rows()):
-                assert a == pytest.approx(b, nan_ok=True)
-
-    def test_dropped_summary_not_reused(self, rdb):
-        report = run_percentage_batch(rdb, BATCH, keep_summaries=True)
-        for table in report.summary_rows:
-            rdb.drop_table(table)
-        again = run_percentage_batch(rdb, BATCH, keep_summaries=True)
-        assert again.reused_summaries == 0
 
 
 class TestLatticeFjReuse:

@@ -241,10 +241,9 @@ class TestErrors:
             db.query("SELECT ghost FROM t")
 
     def test_failing_items_of_one_shape_charge_as_if_alone(self, db):
-        # The two items share a shape, so they are evaluated stacked.
-        # The stack raises; the statement must raise, and charge, what
-        # its first item alone does: its CASE over the 3 groups, then
-        # the type error.
+        # The two items share a shape and both raise.  The statement
+        # must raise, and charge, what its first item alone does: its
+        # CASE over the 3 groups, then the type error.
         before = db.stats.case_evaluations
         with pytest.raises(TypeMismatchError):
             db.query("SELECT a, CASE WHEN sum(c) > 15 THEN 1 ELSE 0 END "

@@ -125,6 +125,22 @@ def test_the_storage_leg_runs_nightly():
         assert (ROOT / path).exists(), path
 
 
+def test_the_select_list_leg_runs_nightly():
+    """The files that hold per-item evaluation of a wide parsed select
+    list to the cell family's one block run nightly under a
+    date-varied hypothesis seed, so each night draws new lists."""
+    nightly = yaml.safe_load(WORKFLOW.read_text())["jobs"]["nightly"]
+    runs = [entry["run"] for entry in nightly["strategy"]["matrix"]["include"]
+            if entry["kind"] == "select-list"]
+    files = ["tests/property/test_select_list_oracle.py",
+             "tests/property/test_pivot_bitwise.py",
+             "tests/core/test_cell_families.py"]
+    assert runs == ["python -m pytest -x -q " + " ".join(files)
+                    + " --hypothesis-seed=$(date +%Y%m%d)"]
+    for path in files:
+        assert (ROOT / path).exists(), path
+
+
 def test_the_stress_leg_runs_both_stores_nightly():
     """The nightly stress leg runs the whole stress file -- its memory
     and its disk-store variant -- at 5,000 ops."""

@@ -1,5 +1,5 @@
-"""The pivot kernel against the generic CASE evaluator, and stacked
-select items against items evaluated one by one, bit for bit.
+"""The pivot kernel against the generic CASE evaluator, and a wide
+select list against its items asked for one by one, bit for bit.
 
 The oracle needs no hook in ``src``: a family of one term stays with
 the generic evaluator (``pivot.detect_families``), so every term asked
@@ -10,11 +10,11 @@ in value (``struct.pack('d', ...)``, so ``-0.0`` is not ``0.0``), in
 column type, in the error they raise, and in what they charge the
 ledger.
 
-The same holds one level up.  A select item alone is evaluated by
-itself, and items of one shape in one statement are evaluated once,
-over their leaf columns stacked (``Executor._project``); so the outer
-cells the horizontal code generator writes, asked for one per
-statement and all together, must agree the same four ways.
+The same holds one level up.  The outer cells the horizontal code
+generator writes, parsed back, are select items evaluated one by one
+(``Executor._project``) over aggregates the kernel computed together;
+asked for one per statement and all together, they must agree the
+same four ways.
 """
 
 import struct
@@ -207,8 +207,8 @@ DEFAULTS = st.sampled_from(["0", "0.0", "-1", "NULL", "'x'"])
 def cell_lists(draw):
     """One to three runs of cells: each run fixes the cell, measure,
     pivot columns, function and default and varies the match literals,
-    so a statement has stacks of several items, items of one tree over
-    leaves of different types, and cells no row matches.  No condition
+    so a statement has runs of several items of one tree, items of one
+    tree over leaves of different types, and cells no row matches.  No condition
     is drawn twice: two cells on one condition share its guard
     aggregate, which a statement binds once and charges once, where
     the cells alone charge it once each."""
@@ -240,7 +240,7 @@ F_CELL = CELLS["hpct-f"]
                      " GROUP BY g, NULL"]),
     st.sampled_from(["", " WHERE m > 0"])))
 # One tree over INTEGER leaves (sums of m) and over REAL ones (sums of
-# a): the two pairs must not share a stack.
+# a): each pair keeps its own column type.
 @example([(1, 0, "x", 0.0, 1.5, 2), (1, 1, "y", 1.5, 0.1, 3),
           (2, 0, "x", 2.0, 0.2, None)],
          ([FV_CELL.format(c=f"d1 = {v}", m=m)

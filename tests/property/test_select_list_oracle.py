@@ -1,8 +1,8 @@
 """A wide grouped select list against its items asked for one at a time.
 
 The binder descends each select item once, deduplicates aggregate calls
-by (call template, typed literals, resolved columns), computes pivot
-families in one kernel pass and evaluates items of one shape stacked
+by (call template, typed literals, resolved columns), compiles each
+item shape once and computes pivot families in one kernel pass
 (``repro.engine.binder``).  None of that may show: every item of a wide
 statement must come back bit for bit -- value, NULL and column SQL type
 -- as the same item in a single-item ``SELECT``, a failing statement
