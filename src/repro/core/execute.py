@@ -339,7 +339,6 @@ def run_resilient(db: Database, query: Union[str, PercentageQuery],
                   strategy: Optional[Strategy] = None,
                   keep_temps: bool = False,
                   retry: Optional[RetryPolicy] = None,
-                  allow_fallback: bool = True,
                   use_views: bool = True) -> ExecutionReport:
     """Plan and execute with automatic strategy fallback.
 
@@ -358,7 +357,7 @@ def run_resilient(db: Database, query: Union[str, PercentageQuery],
         plan = generate_plan(db, query, strategy, use_views=use_views)
         return execute_plan(db, plan, keep_temps=keep_temps, retry=retry)
     except ReproError as exc:
-        if not allow_fallback or not exc.fallback_eligible:
+        if not exc.fallback_eligible:
             raise
         chosen = _resolved_strategy(db, query, strategy)
         fallback = (alternate_strategy(db, query, chosen)
@@ -392,20 +391,16 @@ def run_percentage_query(db: Database,
                          strategy: Optional[Strategy] = None,
                          keep_temps: bool = False,
                          retry: Optional[RetryPolicy] = None,
-                         allow_fallback: bool = False,
                          use_views: bool = True) -> Table:
     """Parse, plan, execute; return the result table.
 
-    Fallback is off by default so an explicitly requested strategy is
-    the one that runs (the fuzz harness compares strategies against
-    each other); pass ``allow_fallback=True`` or use
-    :func:`run_resilient` for the self-healing behavior.
+    It never falls back, so an explicitly requested strategy is the
+    one that runs (the fuzz harness compares strategies against each
+    other); :func:`run_resilient` is the self-healing form.
     """
-    report = run_resilient(db, query, strategy=strategy,
-                           keep_temps=keep_temps, retry=retry,
-                           allow_fallback=allow_fallback,
-                           use_views=use_views)
-    return report.result
+    plan = generate_plan(db, query, strategy, use_views=use_views)
+    return execute_plan(db, plan, keep_temps=keep_temps,
+                        retry=retry).result
 
 
 def run_explain_analyze(db: Database,

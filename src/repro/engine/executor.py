@@ -315,23 +315,23 @@ class Executor:
         select = plan.select
         dataset = self._build_dataset(plan)
         frame = dataset.frame()
-        # Each output is (frame, select items over it, HAVING, slots,
-        # cells): one for a projection, one per grouping set for a
-        # grouped statement.  A projection's items are ``(name,
-        # expression)``; a grouped statement's are ``(name, Rewritten)``
-        # over the group frame columns ``slots`` names and -- for a
-        # cell family, ``(names, Rewritten)`` -- the cell aggregates
-        # ``cells`` holds (repro.engine.binder, repro.engine.pivot).
+        # Each output is (frame, select items over it, HAVING, cells):
+        # one for a projection, one per grouping set for a grouped
+        # statement.  A projection's items are ``(name, expression)``;
+        # a grouped statement's are ``(name, Rewritten)`` over the
+        # group frame and -- for a cell family, ``(names, Rewritten)``
+        # -- the cell aggregates ``cells`` holds (repro.engine.binder,
+        # repro.engine.pivot).
         if plan.mode == "aggregate":
             outputs = self._run_grouped(plan, frame)
         else:
-            outputs = [(frame, plan.items, None, None, None)]
+            outputs = [(frame, plan.items, None, None)]
 
         with self._operator("projection", site="projection") as op:
             result: Optional[Table] = None
-            for out_frame, items, having, slots, cells in outputs:
-                piece = self._project(out_frame, items, having, slots,
-                                      cells, plan, result_name)
+            for out_frame, items, having, cells in outputs:
+                piece = self._project(out_frame, items, having, cells,
+                                      plan, result_name)
                 result = piece if result is None \
                     else result.append(piece)
             if select.distinct:
@@ -445,7 +445,6 @@ class Executor:
     # -- select-list evaluation ---------------------------------------------
     def _project(self, frame: Frame, items: list[tuple[Any, Any]],
                  having: Optional[binder.Rewritten],
-                 slots: Optional[list[str]],
                  cells: Optional[pivot_mod.CellStore], plan: SelectPlan,
                  result_name: str) -> Table:
         """Evaluate named select items over ``frame`` in order, keeping
@@ -455,7 +454,7 @@ class Executor:
         and a cell family is evaluated once, by
         :meth:`_project_family`; every other item by its own
         :func:`evaluate`."""
-        grouped = slots is not None
+        grouped = cells is not None
         named: list[tuple[list[str], Any]] = []
         for i, (name, item) in enumerate(items):
             if type(item) is ColumnRun:
@@ -466,50 +465,50 @@ class Executor:
             if grouped and item.family is not None:
                 if item.family:
                     named.append((name, self._project_family(
-                        frame, slots, cells, item)))
+                        frame, cells, item)))
                 continue
             windows = self._window_binder(frame) \
                 if i in plan.windowed else None
             if grouped:
-                expr = item.tree(slots, windows)
+                expr = item.tree(windows)
             elif windows is not None:
-                expr = plan.windowed[i].tree(windows)
+                expr = binder.with_windows(item, windows)
             else:
                 expr = item
             named.append(([name], _concrete(
                 evaluate(expr, frame, self.stats))))
         result = Table.assemble(result_name, named)
         if having is not None:
-            mask = truth_mask(having.tree(slots, self._window_binder(
-                frame) if plan.having_windowed else None), frame,
-                self.stats)
+            mask = truth_mask(having.tree(self._window_binder(frame)
+                                          if plan.having_windowed
+                                          else None), frame, self.stats)
             result = result.take(np.nonzero(mask)[0])
         return result
 
-    def _project_family(self, frame: Frame, slots: list[str],
-                        cells: pivot_mod.CellStore,
+    def _project_family(self, frame: Frame, cells: pivot_mod.CellStore,
                         item: binder.Rewritten) -> Block:
-        """A cell family's groups x cells block, its template evaluated
-        once over all its cells (:func:`_evaluate_cells`).  Its charge
-        is booked once it succeeds.  Should the family raise, its first
-        cell is evaluated alone: every cell is the same tree over
-        leaves of the same types, so the first raises what the family
-        did, charging what it would have charged alone."""
+        """A cell family's groups x cells block, its rewritten template
+        evaluated once over all its cells (:func:`_evaluate_cells`).
+        Its charge is booked once it succeeds.  Should the family
+        raise, its first cell is evaluated alone: every cell is the
+        same tree over leaves of the same types, so the first raises
+        what the family did, charging what it would have charged
+        alone."""
         tally = _Tally()
         try:
-            block = _evaluate_cells(frame, slots, cells, item,
+            block = _evaluate_cells(frame, cells, item,
                                     len(item.family), tally)
         except ReproError:
-            _evaluate_cells(frame, slots, cells, item, 1, self.stats)
+            _evaluate_cells(frame, cells, item, 1, self.stats)
             raise
         self.stats.add(case_evaluations=tally.case_evaluations)
         return block
 
     def _window_binder(self, frame: Frame
                        ) -> Callable[[ast.FuncCall], ast.Expr]:
-        """What :func:`binder.build` calls on each window function call
-        of one expression: evaluate it, splice its result into the
-        frame, and stand a column reference in for it."""
+        """What :func:`binder.with_windows` calls on each window
+        function call of one expression: evaluate it, splice its result
+        into the frame, and stand a column reference in for it."""
         counter = [0]
 
         def bind(node: ast.FuncCall) -> ast.Expr:
@@ -546,7 +545,7 @@ class Executor:
         clause = ast.has_grouping_sets(plan.select)
         lattice = gs_mod.build_plan(
             plan.grouping_sets,
-            key_of=lambda e: binder.expression_key(e, frame))
+            key_of=lambda e: binder.value_key(e, frame.resolve))
         key_columns = [evaluate(e, frame, self.stats)
                        for e in lattice.dims]
 
@@ -572,7 +571,7 @@ class Executor:
             if plan.having_bound is not None else None
         cells = pivot_mod.CellStore(rewrite.aggs.n_cells)
         families = [] if clause \
-            else pivot_mod.detect_families(rewrite.aggs)
+            else pivot_mod.detect_families(rewrite.aggs, frame.resolve)
         # The distinct sets, in request order.
         distinct = {spec.dims: spec for spec in lattice.sets}
         # The shared scan: a lattice evaluates each argument once for
@@ -589,8 +588,7 @@ class Executor:
                 else self._operator(
                     "group-by-aggregate", groups=union.n_groups,
                     aggregates=len(rewrite.aggs),
-                    items=len(plan.columns), shapes=rewrite.shapes,
-                    families=len(families))
+                    items=len(plan.columns), families=len(families))
             with span as op:
                 sg = gs_mod.derive_set_grouping(union, dims, n_rows)
                 grouping = sg.grouping
@@ -628,7 +626,7 @@ class Executor:
         return [(by_dims[spec.dims][1],
                  [(name, item.for_set(spec.dims)) for name, item in items],
                  having.for_set(spec.dims) if having is not None else None,
-                 rewrite.slots, cells)
+                 cells)
                 for spec in lattice.sets]
 
     def _aggregate_items(self, rewrite: binder.GroupRewrite,
@@ -1056,30 +1054,23 @@ class _Tally:
         self.case_evaluations += case_evaluations
 
 
-def _evaluate_cells(frame: Frame, slots: list[str],
-                    cells: pivot_mod.CellStore, item: binder.Rewritten,
-                    k: int, ledger) -> Block:
+def _evaluate_cells(frame: Frame, cells: pivot_mod.CellStore,
+                    item: binder.Rewritten, k: int, ledger) -> Block:
     """The first ``k`` cells of family item ``item`` evaluated as one:
-    its template with placeholder columns, over a frame of ``k * n``
-    rows (``n`` groups) whose placeholder columns are its leaves, each
-    the cells' leaf columns end to end -- a slot's group frame column
-    repeated, a cell aggregate read off its block.  The cells' columns,
-    as one ``k x n`` block.  The same :func:`evaluate` runs, lane for
-    lane, on the same values and SQL types, so each row of the block
-    is bit for bit what the cell evaluated alone returns."""
+    its rewritten template over a frame of ``k * n`` rows (``n``
+    groups) whose columns are its leaves, each the cells' leaf columns
+    end to end -- a group frame column repeated, a cell aggregate read
+    off its block.  The cells' columns, as one ``k x n`` block.  The
+    same :func:`evaluate` runs, lane for lane, on the same values and
+    SQL types, so each row of the block is bit for bit what the cell
+    evaluated alone returns."""
     n = frame.n_rows
-    leaves = [cells.take(leaf.numbers[:k])
-              if type(leaf) is binder.CellBlock
-              else ColumnData.concat([frame.named(slots[leaf])] * k)
-              for leaf in item.leaves]
-    placeholders = [ast.ColumnRef(f"__s{slot}")
-                    for slot in range(len(leaves))]
     stacked = Frame(n * k)
     stacked.add_columns(
-        (placeholder.name, data)
-        for placeholder, data in zip(placeholders, leaves))
-    result = evaluate(binder.build(item.program.template, placeholders,
-                                   item.literals), stacked, ledger)
+        (name, ColumnData.concat([frame.named(name)] * k) if block is None
+         else cells.take(block.numbers[:k]))
+        for name, block in item.leaves.items())
+    result = evaluate(item.expr, stacked, ledger)
     if result.sql_type is None:
         return Block.all_null(SQLType.REAL, k, n)
     return Block(result.sql_type, result.values.reshape(k, n),

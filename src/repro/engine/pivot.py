@@ -26,10 +26,11 @@ per row the period DBMS performed (DESIGN.md section 5,
 terms.  The proposed optimizer's one probe per row is not booked; it
 is read off a trace (ablation A1, DESIGN.md section 3).
 
-A term the kernel cannot reproduce bit for bit is declined -- by its
-call template (:func:`_pattern`), by its columns and literal types
-(:meth:`_Pattern.place`), by its ELSE literal
-(:func:`detect_families`) or, for the typing of the THEN expression,
+The terms are read off the tree of each distinct aggregate call the
+group rewrite bound (:func:`detect_families`).  A term the kernel
+cannot reproduce bit for bit is declined -- by its tree or its ELSE
+literal (:func:`_pattern`), by its columns and literal types
+(:meth:`_Pattern.place`) or, for the typing of the THEN expression,
 by :func:`_compute_family` -- and keeps the generic evaluator, as does
 a family of one; ``tests/property/test_pivot_bitwise.py`` holds the
 two evaluators against each other.
@@ -44,8 +45,7 @@ import numpy as np
 
 from repro.engine import faults
 from repro.engine.aggregates import compute_aggregate
-from repro.engine.binder import (COLUMN, LITERAL, MATCH, CallSlots,
-                                 CellBlock, children, holds_match, sizes)
+from repro.engine.binder import CallSlots, CellBlock, value_key
 from repro.engine.column import ColumnData
 from repro.engine.expressions import Frame, comparable_types, evaluate
 from repro.engine.groupby import (EncodedColumn, encode_column,
@@ -123,89 +123,40 @@ class CellStore:
                           out_nulls.reshape(-1))
 
 
-def detect_families(aggs: CallSlots) -> list[_Family]:
+def detect_families(aggs: CallSlots, resolve) -> list[_Family]:
     """The families of two or more pivot-pattern aggregates among the
     statement's distinct aggregate calls and cell blocks, grouped by
-    (pivot columns, THEN expression).  Each call template is analysed
-    once (:func:`_pattern`), and once more per set of columns and
-    literal types its calls come with (:meth:`_Pattern.place`); every
-    term's pivot literals are then read off its call's key -- or, for
-    a cell block, off its family's value matrix.  A lone term gains
+    (pivot columns, THEN expression).  Each distinct call's tree is
+    read once for the pattern (:func:`_pattern`), its columns resolved
+    with ``resolve`` (:meth:`_Pattern.place`), and its pivot literals
+    read off its conjuncts -- or, for a cell block, off its family's
+    value matrix (:meth:`_Pattern.place_cells`).  A lone term gains
     nothing from the kernel and stays with the generic evaluator."""
-    patterns: dict[int, Optional[_Pattern]] = {}
-    placed: dict[tuple, Any] = {}
-    results: dict[tuple, int] = {}
     families: dict[tuple, _Family] = {}
-
-    def pattern_of(tid: int) -> Optional[_Pattern]:
-        if tid not in patterns:
-            patterns[tid] = _pattern(aggs.templates[tid])
-        return patterns[tid]
-
-    def family_of(call, key, pattern, where) -> Optional[tuple]:
-        """The family the calls of ``key`` join and whether they say
-        ELSE 0; None when ELSE keeps them out of the kernel."""
-        literals = key[3:]
-        else_zero = False
-        if pattern.else_literal is not None:
-            value = literals[pattern.else_literal]
-            if value is not None:
-                # ELSE 0 keeps the THEN expression's type and only
-                # turns a missing cell's NULL into 0 under sum();
-                # ``0.0`` would widen an INTEGER sum, any other
-                # function would count or compare the zeros.
-                if type(value) is not int or value != 0 \
-                        or pattern.func != "sum":
-                    return None
-                else_zero = True
-        columns, _, (l0, l1), result = where
-        # Terms of different templates share a family when their pivot
+    for entry in aggs.order:
+        block = None if type(entry) is int else entry
+        if block is not None and not len(block.own):
+            continue
+        pattern = _pattern(aggs.calls[entry] if block is None
+                           else block.call)
+        if pattern is None or pattern.cells != (block is not None):
+            continue
+        placed = pattern.place(resolve) if block is None \
+            else pattern.place_cells(block)
+        if placed is None:
+            continue
+        columns, lookups = placed
+        # Terms of different calls share a family when their pivot
         # columns and THEN expressions agree.
-        result_id = results.setdefault((tuple(columns), result),
-                                       len(results))
-        family_key = (result_id, literals[l0:l1])
+        family_key = (tuple(columns), value_key(pattern.result, resolve))
         family = families.get(family_key)
         if family is None:
             family = families[family_key] = _Family(
-                columns, call.args[0].whens[0][1], [])
-        return family, else_zero
-
-    for entry in aggs.order:
-        if type(entry) is int:
-            call, key = aggs.calls[entry], aggs.keys[entry]
-            tid, types, ids = key[0], key[1], key[2]
-            pattern = pattern_of(tid)
-            if pattern is None or pattern.cells:
-                continue
-            where = placed.get((tid, types, ids))
-            if where is None:
-                where = placed[tid, types, ids] = pattern.place(
-                    aggs.data[ids], types, key[3:])
-            if where is False:
-                continue
-            joined = family_of(call, key, pattern, where)
-            if joined is None:
-                continue
-            family, else_zero = joined
-            family.terms.append(_Terms(
-                pattern.func, else_zero,
-                [tuple([None if at is None else key[3 + at]
-                        for at in where[1]])], index=entry))
-            continue
-        block = entry
-        pattern = pattern_of(block.key[0])
-        if pattern is None or not pattern.cells or not len(block.own):
-            continue
-        where = pattern.place_cells(block, aggs.data[block.key[2]])
-        if where is False:
-            continue
-        joined = family_of(block.call, block.key, pattern, where)
-        if joined is None:
-            continue
-        family, else_zero = joined
-        family.terms.append(_Terms(pattern.func, else_zero,
-                                   _lookups(block, where[1]),
-                                   block=block, cells=block.own))
+                columns, pattern.result, [])
+        family.terms.append(_Terms(
+            pattern.func, pattern.else_zero, lookups,
+            index=entry if block is None else None, block=block,
+            cells=None if block is None else block.own))
     return [f for f in families.values() if f.size >= 2]
 
 
@@ -250,68 +201,57 @@ def compute_families(families: list[_Family], frame: Frame,
 # ----------------------------------------------------------------------
 @dataclass
 class _Pattern:
-    """A call template of the pivot pattern, ``func(CASE WHEN c1 = v1
-    AND ... THEN result [ELSE literal] END)`` -- a conjunct may be ``c
-    IS NULL`` -- as positions in its calls' columns and literals; or,
-    with ``cells``, ``func(CASE WHEN MATCH THEN ...)``, a cell family's
-    call, whose conjuncts are its family's."""
+    """A call of the pivot pattern, ``func(CASE WHEN c1 = v1 AND ...
+    THEN result [ELSE literal] END)`` -- a conjunct may be ``c IS
+    NULL`` --, as its conjuncts' columns and literals; or, with
+    ``cells``, ``func(CASE WHEN MATCH THEN ...)``, a cell family's
+    call, whose conjuncts are its family's.  ``else_zero``: it says
+    ``ELSE 0``."""
 
     func: str
-    conjuncts: tuple[tuple[int, Optional[int]], ...]  # (column, literal)
-    else_literal: Optional[int]
-    result: tuple        # (template, column span, literal span)
-    cells: bool = False
+    conjuncts: tuple[tuple[ast.ColumnRef, Optional[ast.Literal]], ...]
+    else_zero: bool
+    result: ast.Expr
+    cells: bool
 
-    def place(self, data: tuple, types: tuple, literals: tuple) -> Any:
-        """What the calls of this template over the columns ``data``
-        with literals of ``types`` share: the pivot columns by key (in
-        key order), where each one's literal is (None for ``IS NULL``),
-        the literal span of the THEN expression and the rest of its key
-        -- or False when the kernel cannot reproduce them
-        (``literals`` is one such call's)."""
-        literal_at: dict[int, Optional[int]] = {}
+    def place(self, resolve) -> Optional[tuple]:
+        """The pivot columns by key (in key order) and the call's one
+        lookup, its pivot values in that order (None for ``IS NULL``)
+        -- or None when the kernel cannot reproduce the call."""
+        values: dict[int, Any] = {}
         by_key: dict[int, ColumnData] = {}
-        for c, l in self.conjuncts:
-            column = data[c]
-            if id(column) in literal_at or column.sql_type is None:
-                return False
-            if l is not None and not _comparable(column, types[l],
-                                                 literals[l]):
-                return False
-            literal_at[id(column)] = l
+        for ref, literal in self.conjuncts:
+            column = resolve(ref)
+            if id(column) in by_key or column.sql_type is None:
+                return None
+            if literal is not None and not _comparable(
+                    column, type(literal.value), literal.value):
+                return None
+            values[id(column)] = None if literal is None else literal.value
             by_key[id(column)] = column
-        return self._placed(by_key, literal_at, data, types)
+        keys = sorted(by_key)
+        return ({key: by_key[key] for key in keys},
+                [tuple([values[key] for key in keys])])
 
-    def place_cells(self, block: CellBlock, data: tuple) -> Any:
-        """:meth:`place` for a cell block whose call's columns are
-        ``data``: its BY columns are the pivot columns, and where each
-        one's literal is, its position in the family's value
-        tuples."""
-        literal_at: dict[int, Optional[int]] = {}
+    def place_cells(self, block: CellBlock) -> Optional[tuple]:
+        """:meth:`place` for a cell block: its BY columns are the pivot
+        columns, and each cell's lookup its row of the family's value
+        matrix, put in key order."""
+        at: dict[int, int] = {}
         by_key: dict[int, ColumnData] = {}
         for j, column in enumerate(block.by_data):
-            if id(column) in literal_at or column.sql_type is None:
-                return False
+            if id(column) in by_key or column.sql_type is None:
+                return None
             of_type = {type(row[j]): row[j] for row in block.family.values}
             if not all(_comparable(column, kind, value)
                        for kind, value in of_type.items()
                        if value is not None):
-                return False
-            literal_at[id(column)] = j
+                return None
+            at[id(column)] = j
             by_key[id(column)] = column
-        return self._placed(by_key, literal_at, data, block.key[1])
-
-    def _placed(self, by_key: dict, literal_at: dict, data: tuple,
-                types: tuple) -> tuple:
-        keys = sorted(literal_at)
-        template, c0, c1, l0, l1 = self.result
-        # The THEN expression but for its literal values, which are
-        # each term's own.
-        result = (template, types[l0:l1],
-                  tuple([id(column) for column in data[c0:c1]]))
+        keys = sorted(by_key)
         return ({key: by_key[key] for key in keys},
-                tuple([literal_at[key] for key in keys]), (l0, l1),
-                result)
+                _lookups(block, tuple([at[key] for key in keys])))
 
 
 def _comparable(column: ColumnData, kind: type, literal: Any) -> bool:
@@ -327,67 +267,60 @@ def _comparable(column: ColumnData, kind: type, literal: Any) -> bool:
     return comparable_types(column.sql_type, infer_type(literal))
 
 
-def _pattern(call: Any) -> Optional[_Pattern]:
-    """The pivot pattern of a call template, or None when no call of
-    that template is a term the kernel can reproduce."""
-    _, name, distinct, n_args, has_default, _, window = call[:7]
-    if name not in ("sum", "count", "min", "max", "avg") or distinct \
-            or window is not None or n_args != 1 or has_default:
+def _pattern(call: ast.FuncCall) -> Optional[_Pattern]:
+    """The pivot pattern of a call, or None when the call is no term
+    the kernel can reproduce."""
+    if call.name not in ("sum", "count", "min", "max", "avg") \
+            or call.distinct or call.over is not None \
+            or len(call.args) != 1 or call.default is not None:
         return None
-    case = call[7]
-    if case is COLUMN or case is LITERAL or case is MATCH \
-            or case[0] != "case" or case[1] != 1:
+    case = call.args[0]
+    if type(case) is not ast.CaseWhen or len(case.whens) != 1:
         return None
-    condition, result = case[3], case[4]
-    if holds_match(result):
-        return None
-    if result is not COLUMN and result is not LITERAL \
-            and _calls_case(result):
+    condition, result = case.whens[0]
+    for node in ast.walk(result):
         # The generic evaluator charges a nested CASE once per term;
         # declining keeps the "linear" ledger equal to its own.
-        return None
-    conjuncts: list[tuple[int, Optional[int]]] = []
-    at = [0, 0]
-    cells = condition is MATCH
+        if node is ast.MATCH or type(node) is ast.CaseWhen:
+            return None
+    conjuncts = []
+    cells = condition is ast.MATCH
     for conjunct in () if cells else _split_conjuncts(condition):
-        if conjunct is COLUMN or conjunct is LITERAL \
-                or conjunct is MATCH:
-            return None
-        if conjunct == ("isnull", False, COLUMN):
-            conjuncts.append((at[0], None))
-            at[0] += 1
+        kind = type(conjunct)
+        if kind is ast.IsNull and not conjunct.negated \
+                and type(conjunct.operand) is ast.ColumnRef:
+            conjuncts.append((conjunct.operand, None))
             continue
-        if conjunct[:2] != ("bin", "=") \
-                or {conjunct[2], conjunct[3]} != {COLUMN, LITERAL}:
+        if kind is not ast.BinaryOp or conjunct.op != "=":
             return None
-        conjuncts.append((at[0], at[1]))
-        at[0] += 1
-        at[1] += 1
-    n_columns, n_literals, _ = sizes(result)
-    else_literal = None
-    if case[2]:
-        if case[5] is not LITERAL:
+        column, literal = conjunct.left, conjunct.right
+        if type(column) is ast.Literal:
+            column, literal = literal, column
+        if type(column) is not ast.ColumnRef \
+                or type(literal) is not ast.Literal:
             return None
-        else_literal = at[1] + n_literals
-    return _Pattern(name, tuple(conjuncts), else_literal,
-                    (result, at[0], at[0] + n_columns, at[1],
-                     at[1] + n_literals), cells)
+        conjuncts.append((column, literal))
+    else_zero = False
+    if case.else_ is not None:
+        if type(case.else_) is not ast.Literal:
+            return None
+        value = case.else_.value
+        if value is not None:
+            # ELSE 0 keeps the THEN expression's type and only turns a
+            # missing cell's NULL into 0 under sum(); ``0.0`` would
+            # widen an INTEGER sum, any other function would count or
+            # compare the zeros.
+            if type(value) is not int or value != 0 or call.name != "sum":
+                return None
+            else_zero = True
+    return _Pattern(call.name, tuple(conjuncts), else_zero, result, cells)
 
 
-def _split_conjuncts(template: Any) -> list:
-    """The conjuncts of a condition template's top-level ``AND``s."""
-    if template is not COLUMN and template is not LITERAL \
-            and template[:2] == ("bin", "AND"):
-        return _split_conjuncts(template[2]) \
-            + _split_conjuncts(template[3])
-    return [template]
-
-
-def _calls_case(template: Any) -> bool:
-    if template is COLUMN or template is LITERAL:
-        return False
-    return template[0] == "case" \
-        or any(_calls_case(child) for child in children(template))
+def _split_conjuncts(expr: ast.Expr) -> list:
+    """The conjuncts of a condition's top-level ``AND``s."""
+    if type(expr) is ast.BinaryOp and expr.op == "AND":
+        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
+    return [expr]
 
 
 # ----------------------------------------------------------------------

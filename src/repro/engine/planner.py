@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.engine import groupingsets
-from repro.engine.binder import Binder, BoundExpr
+from repro.engine.binder import BoundExpr, bind
 from repro.errors import GroupingSetError, PlanningError
 from repro.sql import ast
 
@@ -108,10 +108,10 @@ class SelectPlan:
     off ``select`` in that order.  ``bound`` is the binder's record of
     each select item (parallel to ``select.items``) and
     ``having_bound`` HAVING's (:mod:`repro.engine.binder`): the one
-    descent of each, which the executor reads instead of walking the
-    trees again.  ``windowed`` maps the positions in ``items`` whose
-    expression calls a window function to their records, and
-    ``having_windowed`` says whether HAVING does.
+    walk of each, which the executor reads instead of walking the
+    trees again.  ``windowed`` holds the positions in ``items`` whose
+    expression calls a window function, and ``having_windowed`` says
+    whether HAVING does.
     """
 
     select: ast.Select
@@ -122,7 +122,7 @@ class SelectPlan:
     grouping_sets: list[tuple[ast.Expr, ...]] = field(default_factory=list)
     bound: list[BoundExpr] = field(default_factory=list)
     having_bound: Optional[BoundExpr] = None
-    windowed: dict[int, BoundExpr] = field(default_factory=dict)
+    windowed: set[int] = field(default_factory=set)
     having_windowed: bool = False
 
     @property
@@ -149,15 +149,13 @@ def plan_select(select: ast.Select, catalog, use_views: bool = True
         mv = match_view(catalog, select)
         if mv is not None:
             return SelectPlan(select, matview=mv)
-    binder = Binder()
-    bound = [binder.bind_family(item) if isinstance(item, ast.CellFamily)
-             else binder.bind(item.expr) for item in select.items]
-    having = binder.bind(select.having) \
-        if select.having is not None else None
+    bound = [bind(item if isinstance(item, ast.CellFamily) else item.expr)
+             for item in select.items]
+    having = bind(select.having) if select.having is not None else None
     plan = SelectPlan(select, mode=_mode(select, bound, having),
                       bound=bound, having_bound=having,
                       having_windowed=having is not None
-                      and having.shape.windowed)
+                      and having.windowed)
     if select.from_ is not None:
         sources: dict[str, PlannedSource] = {}
         for source in select.from_.sources():
@@ -176,10 +174,8 @@ def plan_select(select: ast.Select, catalog, use_views: bool = True
 
 def _mode(select: ast.Select, bound: list[BoundExpr],
           having: Optional[BoundExpr]) -> str:
-    """The evaluation mode, read off the shapes of the items and
-    HAVING: each shape says once what its template calls."""
-    shapes = list(dict.fromkeys(item.shape for item in bound))
-    if any(shape.extended for shape in shapes):
+    """The evaluation mode, read off what the items and HAVING call."""
+    if any(item.extended for item in bound):
         raise PlanningError(
             "Vpct()/Hpct()/BY-extended aggregates are not "
             "executable directly; rewrite the query with "
@@ -189,21 +185,21 @@ def _mode(select: ast.Select, bound: list[BoundExpr],
         if any(item.family is not None for item in bound):
             raise PlanningError("a cell family cannot be grouped by "
                                 "CUBE/ROLLUP/GROUPING SETS")
-        if any(shape.windowed for shape in shapes):
+        if any(item.windowed for item in bound):
             raise PlanningError(
                 "window functions are not supported with "
                 "CUBE/ROLLUP/GROUPING SETS")
         return "aggregate"
     if having is not None:
-        shapes.append(having.shape)
-    if any(shape.grouping for shape in shapes):
+        bound = bound + [having]
+    if any(item.grouping for item in bound):
         # Outside a lattice they get a typed error, not an unknown-
         # function failure.
         raise GroupingSetError(
             "grouping() and pct() require GROUP BY "
             "CUBE/ROLLUP/GROUPING SETS")
     if select.group_by or having is not None \
-            or any(shape.aggregate for shape in shapes):
+            or any(item.aggregate for item in bound):
         return "aggregate"
     if any(item.family is not None for item in bound):
         raise PlanningError("a cell family needs GROUP BY or an "
@@ -282,20 +278,20 @@ def dedupe_names(names: list[str]) -> list[str]:
 
 
 def _select_items(select: ast.Select, plan: SelectPlan
-                  ) -> tuple[list[tuple], dict[int, BoundExpr]]:
+                  ) -> tuple[list[tuple], set[int]]:
     """The select list as ``(output name, expression)`` -- a cell
     family as ``(its cells' names, family)``, a ``*`` or a run of
     plain column references as ``(their names, ColumnRun)`` -- and the
-    records of the items in it that call a window function, by
-    position.  A projection with no window function resolves its plain
-    references to a source here, as the frame will: a reference only
-    one source can own joins the run before it when it names the
-    next column of the same source."""
+    positions of the items in it that call a window function.  A
+    projection with no window function resolves its plain references
+    to a source here, as the frame will: a reference only one source
+    can own joins the run before it when it names the next column of
+    the same source."""
     sources = plan.sources()
     named: list[tuple[list[str], Any]] = []
-    windowed = {}
+    windowed = set()
     runs = plan.mode == "projection" \
-        and not any(bound.shape.windowed for bound in plan.bound)
+        and not any(bound.windowed for bound in plan.bound)
     by_binding = {source.binding.lower(): source for source in sources}
     position = 0   # among the items the families stand for
     for i, item in enumerate(select.items):
@@ -306,8 +302,8 @@ def _select_items(select: ast.Select, plan: SelectPlan
             continue
         position += 1
         if not isinstance(item.expr, ast.Star):
-            if plan.bound[i].shape.windowed:
-                windowed[len(named)] = plan.bound[i]
+            if plan.bound[i].windowed:
+                windowed.add(len(named))
             name = output_name(item, position - 1)
             at = _owner_position(item.expr, sources, by_binding) \
                 if runs else None

@@ -63,10 +63,10 @@ class QueryService:
             the pool before submissions raise
             :class:`~repro.errors.AdmissionRejected`.
         session_inflight_cap: per-session concurrent-query ceiling.
-        shed_enabled / breaker_threshold / breaker_cooldown_seconds:
-            overload-protection knobs forwarded to the
-            :class:`~repro.service.scheduler.Scheduler` (load shedding,
-            per-session circuit breaker).
+        breaker_threshold / breaker_cooldown_seconds: the per-session
+            circuit breaker's knobs, forwarded to the
+            :class:`~repro.service.scheduler.Scheduler` (which also
+            sheds load).
 
     Usable as a context manager; :meth:`shutdown` closes every session
     and drains the pool.
@@ -75,7 +75,6 @@ class QueryService:
     def __init__(self, db: Optional[Database] = None, workers: int = 4,
                  max_queue_depth: int = 16,
                  session_inflight_cap: int = 4,
-                 shed_enabled: bool = True,
                  breaker_threshold: int = 5,
                  breaker_cooldown_seconds: float = 1.0, **db_options):
         if db is not None and db_options:
@@ -94,7 +93,6 @@ class QueryService:
         self.scheduler = Scheduler(
             self, workers=workers, max_queue_depth=max_queue_depth,
             session_inflight_cap=session_inflight_cap,
-            shed_enabled=shed_enabled,
             breaker_threshold=breaker_threshold,
             breaker_cooldown_seconds=breaker_cooldown_seconds)
 

@@ -111,6 +111,13 @@ def _classify(statements: list[ast.Statement]) -> str:
 class Scheduler:
     """Bounded worker pool with admission control.
 
+    Admission sheds load by queue wait: a deadline-bearing query whose
+    *predicted* queue wait already exceeds its deadline is refused with
+    a retryable :class:`~repro.errors.OverloadError` instead of being
+    admitted, burning a worker slot, and cancelled anyway.  Prediction
+    is backlog ahead of it divided by throughput (an EWMA of recent
+    script runtimes per worker).
+
     Args:
         service: the owning :class:`~repro.service.QueryService`.
         workers: pool size (concurrent queries; reads run truly
@@ -118,13 +125,6 @@ class Scheduler:
         max_queue_depth: admitted-but-not-running queries allowed
             beyond the pool size before submissions are rejected.
         session_inflight_cap: per-session concurrent-query ceiling.
-        shed_enabled: queue-wait-aware load shedding -- refuse (with a
-            retryable :class:`~repro.errors.OverloadError`) a
-            deadline-bearing query whose *predicted* queue wait already
-            exceeds its deadline, instead of admitting it, burning a
-            worker slot, and cancelling it anyway.  Prediction is
-            backlog ahead of it divided by throughput (an EWMA of
-            recent script runtimes per worker).
         breaker_threshold / breaker_cooldown_seconds: per-session
             circuit breaker -- after ``breaker_threshold`` consecutive
             failures the session's submissions are refused
@@ -138,7 +138,6 @@ class Scheduler:
     def __init__(self, service, workers: int = 4,
                  max_queue_depth: int = 16,
                  session_inflight_cap: int = 4,
-                 shed_enabled: bool = True,
                  breaker_threshold: int = 5,
                  breaker_cooldown_seconds: float = 1.0):
         if workers < 1:
@@ -155,7 +154,6 @@ class Scheduler:
         self.workers = workers
         self.max_queue_depth = max_queue_depth
         self.session_inflight_cap = session_inflight_cap
-        self.shed_enabled = shed_enabled
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown_seconds = breaker_cooldown_seconds
         self._pool = ThreadPoolExecutor(max_workers=workers,
@@ -221,8 +219,7 @@ class Scheduler:
                     f"scheduler queue is full ({self._admitted} queries "
                     f"admitted; capacity {self.workers} workers + "
                     f"{self.max_queue_depth} queued)")
-            if self.shed_enabled and deadline is not None \
-                    and self._ewma_run_seconds > 0.0:
+            if deadline is not None and self._ewma_run_seconds > 0.0:
                 backlog = max(0, self._admitted - self.workers + 1)
                 predicted = (backlog * self._ewma_run_seconds
                              / self.workers)

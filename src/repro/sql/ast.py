@@ -495,10 +495,10 @@ def walk(expr: Expr):
     while stack:
         node = stack.pop()
         yield node
-        _push_children(node, stack)
+        push_children(node, stack)
 
 
-def _push_children(node: Expr, stack: list) -> None:
+def push_children(node: Expr, stack: list) -> None:
     """Push ``node``'s children onto ``stack``, last child first, so
     they pop in reading order."""
     kind = type(node)
@@ -551,37 +551,42 @@ def column_refs(expr: Expr) -> list[ColumnRef]:
 def with_match(expr: Expr, match: Expr) -> Expr:
     """``expr`` with every :data:`MATCH` in it replaced by ``match``
     (its leaves shared, not copied)."""
+    return rebuild(expr, lambda node: match if node is MATCH else None)
+
+
+def rebuild(expr: Expr, visit) -> Expr:
+    """``expr`` rebuilt in reading order: ``visit`` is offered each
+    node, parents first, and returns its replacement -- or None to keep
+    it and offer its children (a leaf is kept as it is)."""
+    new = visit(expr)
+    if new is not None:
+        return new
     kind = type(expr)
-    if expr is MATCH:
-        return match
-    if kind is Literal or kind is ColumnRef or kind is Star:
-        return expr
     if kind is BinaryOp:
-        return BinaryOp(expr.op, with_match(expr.left, match),
-                        with_match(expr.right, match))
+        return BinaryOp(expr.op, rebuild(expr.left, visit),
+                        rebuild(expr.right, visit))
     if kind is CaseWhen:
-        whens = tuple((with_match(c, match), with_match(r, match))
-                      for c, r in expr.whens)
-        else_ = expr.else_ if expr.else_ is None \
-            else with_match(expr.else_, match)
-        return CaseWhen(whens, else_)
+        whens = tuple([(rebuild(c, visit), rebuild(r, visit))
+                       for c, r in expr.whens])
+        return CaseWhen(whens, None if expr.else_ is None
+                        else rebuild(expr.else_, visit))
     if kind is FuncCall:
-        args = tuple(with_match(arg, match) for arg in expr.args)
-        default = expr.default if expr.default is None \
-            else with_match(expr.default, match)
-        over = expr.over if expr.over is None else WindowSpec(tuple(
-            with_match(e, match) for e in expr.over.partition_by))
+        args = tuple([rebuild(arg, visit) for arg in expr.args])
+        default = None if expr.default is None \
+            else rebuild(expr.default, visit)
+        over = None if expr.over is None else WindowSpec(tuple(
+            [rebuild(e, visit) for e in expr.over.partition_by]))
         return FuncCall(expr.name, args, expr.distinct, expr.by_columns,
                         default, over)
     if kind is UnaryOp:
-        return UnaryOp(expr.op, with_match(expr.operand, match))
+        return UnaryOp(expr.op, rebuild(expr.operand, visit))
     if kind is IsNull:
-        return IsNull(with_match(expr.operand, match), expr.negated)
+        return IsNull(rebuild(expr.operand, visit), expr.negated)
     if kind is Cast:
-        return Cast(with_match(expr.operand, match), expr.type_name)
+        return Cast(rebuild(expr.operand, visit), expr.type_name)
     if kind is InList:
-        return InList(with_match(expr.operand, match),
-                      tuple(with_match(i, match) for i in expr.items),
+        return InList(rebuild(expr.operand, visit),
+                      tuple([rebuild(i, visit) for i in expr.items]),
                       expr.negated)
     return expr
 

@@ -26,7 +26,7 @@ from repro.service import QueryService, SessionDefaults
 REFUSED = {"case_dispatch": "hash", "parallel_workers": 2,
            "parallel_backend": "thread", "morsel_rows": 8192,
            "use_indexes": False, "use_encoding_cache": False,
-           "metrics": MetricsRegistry()}
+           "metrics": MetricsRegistry(), "shed_enabled": False}
 
 #: The two knobs an options dataclass held last, before it went too.
 RETIRED = ["case_dispatch", "use_encoding_cache"]

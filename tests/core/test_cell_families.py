@@ -13,8 +13,9 @@ family must be those N trees in every respect that can be observed:
   for bit, and charges the ledger the same, on every cell kind: Hpct
   from F and from FV, Hagg with DEFAULT, ``count`` with its match
   guard, two terms sharing cells, FH partitions cutting a family;
-- analysis is per family: the ``group-by-aggregate`` span compiles as
-  many shapes for 8 x 12 cells as for 4 x 6.
+- analysis is per family: a plan of 8 x 12 cells rewrites as many
+  select items onto its group frames as one of 4 x 6, and its
+  ``group-by-aggregate`` span counts as many families.
 """
 
 import functools
@@ -28,6 +29,7 @@ from repro.core.execute import (cleanup_plan, execute_plan,
                                 generate_plan)
 from repro.core import plan as plan_mod
 from repro.core.plan import GeneratedPlan, GeneratedStep
+from repro.engine import binder
 from repro.errors import PlanningError, ReproError, TypeMismatchError
 from repro.sql import ast, formatter
 from repro.sql.ast import expand_families, typed
@@ -406,18 +408,26 @@ def _wide_db(n_d1: int, n_d2: int) -> Database:
 
 
 @pytest.mark.parametrize("source", ["F", "FV"])
-def test_shapes_are_per_family_not_per_cell(source):
-    stamps = []
+def test_shapes_are_per_family_not_per_cell(monkeypatch, source):
+    stamps, rewrites = [], []
+    rewrite = binder.GroupRewrite.rewrite
+
+    def counted(self, bound):
+        rewrites[-1] += 1
+        return rewrite(self, bound)
+    monkeypatch.setattr(binder.GroupRewrite, "rewrite", counted)
     for n_d1, n_d2 in ((4, 6), (8, 12)):
         db = _wide_db(n_d1, n_d2)
-        report = execute_plan(db, generate_plan(
+        plan = generate_plan(
             db, "SELECT g, Hpct(a BY d1, d2), sum(a BY d1) "
-                "FROM f GROUP BY g", HorizontalStrategy(source=source)))
+                "FROM f GROUP BY g", HorizontalStrategy(source=source))
+        rewrites.append(0)
+        report = execute_plan(db, plan)
         transpose, = [span.attrs for step in report.trace.find(
             "plan-step") if step.attrs["purpose"] == plan_mod.TRANSPOSE
             for span in step.find("group-by-aggregate")]
         assert transpose["items"] == 1 + n_d1 * n_d2 + n_d1
         stamps.append(transpose)
     small, wide = stamps
-    assert small["shapes"] == wide["shapes"] <= 4
+    assert rewrites[0] == rewrites[1]
     assert small["families"] == wide["families"]

@@ -2,11 +2,10 @@
 
 The transpose INSERT of an Hpct plan prints one select item per result
 cell, but holds them as one cell family.  Spies count what the binder
-and its readers do for it: the family's template is descended once
-(and no cell at all), each call template of a pivot family is analysed
-once, each shape is compiled once, and the code generator sanitizes
-each distinct BY value once -- the same counts for 4 x 6 cells as for
-8 x 12.
+and its readers do for it: the family is bound and rewritten once (and
+no cell at all), the pivot patterns are read once per distinct call
+or cell block, and the code generator sanitizes each distinct BY value
+once -- the same counts for 4 x 6 cells as for 8 x 12.
 """
 
 import pytest
@@ -15,7 +14,7 @@ from repro import Database
 from repro.core import HorizontalStrategy
 from repro.core.execute import cleanup_plan, execute_plan, generate_plan
 from repro.core import naming, plan as plan_mod
-from repro.engine import binder, pivot
+from repro.engine import binder, pivot, planner
 from repro.sql import ast
 
 
@@ -35,7 +34,7 @@ def _count(monkeypatch, module, name, calls):
     original = getattr(module, name)
 
     def spy(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args[0] if len(args) == 1 else args)
         return original(*args, **kwargs)
     monkeypatch.setattr(module, name, spy)
 
@@ -53,26 +52,26 @@ def _transpose_counts(monkeypatch, n_d1: int, n_d2: int, source: str):
     transpose = next(step for step in plan.steps
                      if step.purpose == plan_mod.TRANSPOSE)
     try:
-        descended, patterns, programs = [], [], []
+        bound, rewritten, patterns = [], [], []
         with monkeypatch.context() as patch:
-            _count(patch, binder, "_flatten", descended)
+            _count(patch, planner, "bind", bound)
+            _count(patch, binder.GroupRewrite, "rewrite", rewritten)
             _count(patch, pivot, "_pattern", patterns)
-            _count(patch, binder, "_Program", programs)
             execute_plan(db, plan)
     finally:
         cleanup_plan(db, plan)
-    # The cells: the one other item, ``g``, is also the GROUP BY key
-    # (one node in both places), which the rewrite binds as well.
     family, = [item for item in transpose.statement.select.items
                if isinstance(item, ast.CellFamily)]
-    cells = [expr for expr in descended
-             if any(expr == cell.expr for cell in family.items())]
-    return {"cells": len(family), "descents": len(descended),
-            "family_descents": sum(root is family.template
-                                   for root in descended),
-            "cell_descents": len(cells),
-            "patterns": len(patterns), "programs": len(programs),
-            "sanitized": len(sanitized)}
+    cells = [cell.expr for cell in family.items()]
+    # ``rewrite`` is spied on its class: its first argument is the
+    # rewrite, its second the binder's record.
+    walked = bound + [record.family or record.expr
+                      for _, record in rewritten]
+    return {"cells": len(family), "walks": len(walked),
+            "family_walks": sum(root is family for root in walked),
+            "cell_walks": sum(any(root == cell for cell in cells)
+                              for root in walked),
+            "patterns": len(patterns), "sanitized": len(sanitized)}
 
 
 @pytest.mark.parametrize("source", ["FV", "F"])
@@ -81,15 +80,15 @@ def test_analysis_is_per_shape_not_per_cell(monkeypatch, source):
     wide = _transpose_counts(monkeypatch, 8, 12, source)
     for counts, cells in ((small, 4 * 6), (wide, 8 * 12)):
         assert counts["cells"] == cells
-        # The family is descended once, as one template; no cell is.
-        assert counts["family_descents"] == 1
-        assert counts["cell_descents"] == 0
-    # So the plan's descents do not grow with its cells.
-    assert wide["descents"] == small["descents"]
+        # The family is bound once and rewritten once; no cell is
+        # walked.
+        assert counts["family_walks"] == 2
+        assert counts["cell_walks"] == 0
+    # So the plan's walks do not grow with its cells.
+    assert wide["walks"] == small["walks"]
     # One BY value, one sanitize: 4 + 6 and 8 + 12 distinct values.
     assert small["sanitized"] == 4 + 6
     assert wide["sanitized"] == 8 + 12
-    # Call templates are analysed, and shapes compiled, once each,
-    # whatever the cell count.
+    # Pivot patterns are read once per call or cell block, whatever
+    # the cell count.
     assert wide["patterns"] == small["patterns"]
-    assert wide["programs"] == small["programs"]

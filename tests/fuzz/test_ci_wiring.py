@@ -93,6 +93,20 @@ def test_the_vertical_leg_runs_in_smoke_and_nightly():
                 if flag == "--storage"] == ["memory", "disk"]
 
 
+def test_the_plain_leg_runs_in_smoke():
+    """Hand-written grouped SQL, the traffic that reaches the select-list
+    binder item by item, on both substrates: one ``--family plain``
+    leg outside the sweeps in smoke."""
+    legs = [argv for argv in _commands("repro.fuzz")
+            if "--sweep" not in argv and _flag(argv, "--family") == "plain"]
+    assert len(legs) == 1
+    argv, = legs
+    assert argv.count("--family") == 1
+    assert _flag(argv, "--budget") == "300"
+    assert [argv[i + 1] for i, flag in enumerate(argv)
+            if flag == "--storage"] == ["memory", "disk"]
+
+
 def test_the_horizontal_leg_runs_in_smoke_and_nightly():
     """Every Hpct/Hagg plan's cell families, on both substrates: one
     ``--family hpct --family hagg`` leg outside the sweeps in smoke,

@@ -1,9 +1,9 @@
 """A wide grouped select list against its items asked for one at a time.
 
-The binder descends each select item once, deduplicates aggregate calls
-by (call template, typed literals, resolved columns), compiles each
-item shape once and computes pivot families in one kernel pass
-(``repro.engine.binder``).  None of that may show: every item of a wide
+The binder walks each select item once, rewrites its tree over the
+group frame, deduplicates aggregate calls by their value key (the tree,
+typed literals, resolved columns) and computes pivot families in one
+kernel pass (``repro.engine.binder``).  None of that may show: every item of a wide
 statement must come back bit for bit -- value, NULL and column SQL type
 -- as the same item in a single-item ``SELECT``, a failing statement
 must raise the first failing item's error, and the ledger must charge

@@ -102,29 +102,12 @@ class TestLoadShedding:
                 blocked.result()
                 queued.result()
 
-    def test_shed_disabled_admits_doomed_queries(self, db, monkeypatch):
-        with QueryService(db, workers=1, max_queue_depth=8,
-                          shed_enabled=False) as service:
-            gate = _Gate(service)
-            defaults = SessionDefaults(deadline_seconds=30.0)
-            with service.create_session(defaults) as session:
-                session.execute("SELECT d1 FROM f")
-                service.scheduler._ewma_run_seconds = 100.0
-                gate.install(monkeypatch)
-                blocked = session.submit("SELECT d1 FROM f")
-                queued = session.submit("SELECT d2 FROM f")
-                gate.event.set()
-                blocked.result()
-                queued.result()
-                assert _rejections(db, "shed") == 0
-
     def test_deadline_covers_queue_wait(self, db, monkeypatch):
         """The script token starts at submission, so a query stuck
         behind a long-running one cancels on deadline once it runs."""
         import time
 
-        with QueryService(db, workers=1, max_queue_depth=8,
-                          shed_enabled=False) as service:
+        with QueryService(db, workers=1, max_queue_depth=8) as service:
             gate = _Gate(service)
             gate.install(monkeypatch)
             doomed_defaults = SessionDefaults(deadline_seconds=0.05)
