@@ -971,12 +971,8 @@ class Executor:
             # Row-store semantics (the substrate stands in for
             # Teradata): an UPDATE rewrites whole rows, not just the
             # assigned column.
-            assigned = {a.column.lower() for a in statement.assignments}
-            for col_def in table.schema.columns:
-                if col_def.name.lower() not in assigned:
-                    updated = updated.replace_column(
-                        col_def.name,
-                        updated.column(col_def.name).copy())
+            updated = updated.with_rows_rewritten(
+                {a.column.lower() for a in statement.assignments})
             count = int(to_update.sum())
             self._publish(op, table, updated, ("update", to_update),
                           table.n_rows, "update", rows_updated=count)

@@ -416,8 +416,7 @@ class Table:
         return Table._of(self.schema, list(blocks),
                          self.n_rows + other.n_rows)
 
-    def replace_column(self, name: str, data: ColumnData) -> "Table":
-        """A new table with one column's data replaced (same type)."""
+    def _check_replacement(self, name: str, data: ColumnData) -> None:
         col_def = self.schema.column(name)
         if data.sql_type != col_def.sql_type:
             raise ExecutionError(
@@ -427,6 +426,10 @@ class Table:
             raise ExecutionError(
                 f"replacement column has {len(data)} rows, "
                 f"table has {self.n_rows}")
+
+    def replace_column(self, name: str, data: ColumnData) -> "Table":
+        """A new table with one column's data replaced (same type)."""
+        self._check_replacement(name, data)
         source = self._loaded()
         position = self.schema.column_index(name)
         data = _contiguous(data)
@@ -440,6 +443,17 @@ class Table:
                   + source._sliced(position + 1, self.schema.width()))
         return Table._of(self.schema, blocks, self.n_rows, views=views,
                          memos=memos)
+
+    def with_rows_rewritten(self, assigned: set[str]) -> "Table":
+        """A new table whose columns not named in ``assigned`` (lowered)
+        are copies: an UPDATE rewrites whole rows, as the row store the
+        engine stands in for does (the ledger's 2x)."""
+        updated = self
+        for col_def in self.schema.columns:
+            if col_def.name.lower() not in assigned:
+                updated = updated.replace_column(
+                    col_def.name, updated.column(col_def.name).copy())
+        return updated
 
     def renamed(self, new_name: str) -> "Table":
         """The same data under a different table name: the same

@@ -34,12 +34,19 @@ STORAGES = ("memory", "disk")
 #: is inside the net, not just the happy path.
 POOL_PAGES = 8
 
+#: Page size of every disk variant.  A fuzz table has at most 30 rows,
+#: so at the default 4 KB page every column would fit on one page; at
+#: 64 bytes its columns span several, and every gather, append and
+#: UPDATE crosses page edges.
+PAGE_SIZE = 64
+
 #: One line per axis value, printed by ``--list-variants`` and
 #: mirrored in docs/testing.md.
 AXIS_DESCRIPTIONS = {
     "memory": "in-memory column store",
     "disk": f"page-backed store in a fresh temp directory, "
-            f"{POOL_PAGES}-page buffer pool (evicts on purpose)",
+            f"{PAGE_SIZE}-byte pages, {POOL_PAGES}-page buffer pool "
+            f"(evicts on purpose)",
     "--trace": "the differential run opens every cell traced and "
                "validates each trace",
 }
@@ -68,7 +75,7 @@ class Variant:
         the page-store directory of a disk variant."""
         if self.storage == "disk":
             return dict(storage="disk", storage_path=store,
-                        pool_pages=POOL_PAGES)
+                        pool_pages=POOL_PAGES, page_size=PAGE_SIZE)
         return {}
 
 

@@ -63,11 +63,13 @@ from repro.obs import tracer as tracer_mod
 from repro.sql.formatter import format_statement
 from repro.sql.parser import parse_statement
 from repro.storage.disk import DiskManager
-from repro.storage.pages import (DEFAULT_PAGE_SIZE, changed_rows,
+from repro.storage.pages import (DEFAULT_PAGE_SIZE, append_start,
+                                 appended_chunk, changed_rows,
                                  changed_slots, chunk_payload,
-                                 deserialize_column, serialize_column)
+                                 deserialize_column, gather_rows,
+                                 serialize_column)
 from repro.storage.pool import DEFAULT_POOL_PAGES, BufferPool
-from repro.storage.stored import StoredTable
+from repro.storage.stored import Appended, Chunk, StoredTable
 from repro.storage.wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -145,12 +147,12 @@ class StorageEngine:
             _live_stores[self.path] = self
 
     # ------------------------------------------------------------------
-    # Column I/O (StoredTable's read path)
+    # Column I/O (StoredTable's read path, persist_table's write path)
     # ------------------------------------------------------------------
-    def read_column(self, page_ids: list[int]):
-        """Fetch a column's page run through the pool and deserialize;
-        charges the fetches to the stats ledger (mirrored as a trace
-        charge event, keeping the span/ledger audit exact)."""
+    def fetch_pages(self, page_ids: Sequence[int]) -> list[bytes]:
+        """Fetch pages through the pool; charges the fetches to the
+        stats ledger (mirrored as a trace charge event, keeping the
+        span/ledger audit exact)."""
         # Cross the site before the pool touches anything: a cancel
         # here leaves no pages pinned, so the unwind has nothing to
         # release.
@@ -166,28 +168,43 @@ class StorageEngine:
             tracer = tracer_mod.active_tracer()
             if tracer is not None and tracer.enabled:
                 tracer.event("storage-fetch", kind="charge", **counts)
-        return deserialize_column(bytearray().join(payloads))
+        return payloads
 
-    def _write_column(self, data, old=None,
-                      old_ids: Sequence[int] = ()) -> tuple[list[int], int]:
-        """``data``'s page run, and how many pages it wrote.  With the
-        column ``old`` whose chunk lies on ``old_ids``, every page slot
-        whose bytes cannot have changed keeps its old page; the rest,
-        and every slot past the old run, get fresh ones."""
+    def read_column(self, page_ids: Sequence[int]):
+        """A whole column chunk's page run, deserialized."""
+        return deserialize_column(
+            bytearray().join(self.fetch_pages(page_ids)))
+
+    def gather_column(self, chunk: Chunk, positions):
+        """Rows ``positions`` of ``chunk``, fetching only the page
+        slots that hold them (:func:`repro.storage.pages.gather_rows`,
+        which says what it returns)."""
+        return gather_rows(
+            chunk.sql_type, chunk.rows, positions,
+            self.disk.payload_capacity, len(chunk.ids),
+            lambda slots: self.fetch_pages([chunk.ids[s] for s in slots]))
+
+    def _write_column(self, data, old: Optional[Chunk] = None
+                      ) -> tuple[Chunk, int]:
+        """``data``'s chunk, and how many pages it wrote.  Against the
+        chunk ``old``, every page slot whose bytes cannot have changed
+        keeps its old page; the rest, and every slot past the old run,
+        get fresh ones.  Unchanged, the column is ``old`` itself."""
         capacity = self.disk.payload_capacity
         if old is None:
             chunks = chunk_payload(serialize_column(data), capacity)
             page_ids = self.disk.allocate(len(chunks))
             self.pool.write_many(page_ids, chunks)
-            return page_ids, len(page_ids)
-        rows = changed_rows(old, data)
-        if len(old) == len(data) and not len(rows):
-            return list(old_ids), 0
+            return Chunk(page_ids, data.sql_type, len(data)), len(page_ids)
+        before = old.read(self)
+        rows = changed_rows(before, data)
+        if len(before) == len(data) and not len(rows):
+            return old, 0
         raw = serialize_column(data)
-        dirty = changed_slots(old, data, rows, raw, capacity)
+        dirty = changed_slots(before, data, rows, raw, capacity)
         fresh = [slot for slot, changed in enumerate(dirty)
-                 if changed or slot >= len(old_ids)]
-        page_ids = list(old_ids[:len(dirty)])
+                 if changed or slot >= len(old.ids)]
+        page_ids = old.ids[:len(dirty)]
         page_ids += [-1] * (len(dirty) - len(page_ids))
         allocated = self.disk.allocate(len(fresh))
         for slot, page_id in zip(fresh, allocated):
@@ -195,38 +212,69 @@ class StorageEngine:
         # Only the slots written are cut out of the chunk.
         self.pool.write_many(allocated, [
             raw[slot * capacity:(slot + 1) * capacity] for slot in fresh])
-        return page_ids, len(fresh)
+        return Chunk(page_ids, data.sql_type, len(data)), len(fresh)
+
+    def _append_chunk(self, old: Chunk, tail) -> tuple[Chunk, int]:
+        """``old``'s chunk with ``tail``'s rows appended, and how many
+        pages it wrote: every slot before the one the tail starts in is
+        kept; only the slots from there on are read, then written to
+        fresh pages (for a fixed-width column, the boundary page and
+        the null bitmap's)."""
+        capacity = self.disk.payload_capacity
+        first = append_start(old.sql_type, old.rows, capacity)
+        suffix = bytearray().join(self.fetch_pages(old.ids[first:]))
+        chunks = chunk_payload(appended_chunk(
+            old.sql_type, old.rows, first * capacity, suffix, tail),
+            capacity)
+        page_ids = self.disk.allocate(len(chunks))
+        self.pool.write_many(page_ids, chunks)
+        return (Chunk(old.ids[:first] + page_ids, old.sql_type,
+                      old.rows + len(tail)), len(page_ids))
 
     def persist_table(self, table: Table,
                       replaced: Optional[Table] = None) -> StoredTable:
         """Write ``table``'s columns to pages (a shadow copy) and
-        return the page-backed equivalent.  Against ``replaced``, the
-        stored version ``table`` succeeds, a column shares every page
-        whose bytes it leaves unchanged and writes fresh pages for the
-        rest -- never over a page a committed version reads.  Nothing
-        is committed until a WAL record referencing these pages lands;
-        a version that writes no page skips the data-file fsync.  The
-        copy keeps the table's version (same content, same identity --
-        the rule ``Table.renamed`` follows): views maintained against
-        the heap table stay ``fresh()`` for the stored one."""
-        old_pages = replaced.page_map() \
-            if isinstance(replaced, StoredTable) else {}
-        pages: dict[str, list[int]] = {}
+        return the page-backed equivalent, column by column:
+
+        * a chunk (a column a DML left alone) is kept, unread;
+        * a chunk with rows appended is rewritten from the slot its
+          tail starts in (:meth:`_append_chunk`);
+        * any other column is compared with ``replaced``'s -- the
+          stored version ``table`` succeeds -- and shares every page
+          whose bytes it leaves unchanged (:meth:`_write_column`).
+
+        Nothing is written over a page a committed version reads, and
+        nothing is committed until a WAL record referencing these
+        pages lands; a version that writes no page skips the data-file
+        fsync.  The copy keeps the table's version (same content, same
+        identity -- the rule ``Table.renamed`` follows): views
+        maintained against the pending table stay ``fresh()`` for the
+        stored one."""
+        sources = table._sources if isinstance(table, StoredTable) else {}
+        old = replaced._sources if isinstance(replaced, StoredTable) \
+            else {}
+        chunks: dict[str, Chunk] = {}
         written = 0
         for col_def in table.schema.columns:
             key = col_def.name.lower()
-            data = table.column(col_def.name)
-            old, old_ids = None, old_pages.get(key, ())
-            if old_ids:
-                old = replaced.column(col_def.name)
-                if old.sql_type != data.sql_type:
-                    old, old_ids = None, ()
-            pages[key], count = self._write_column(data, old, old_ids)
+            source = sources.get(key)
+            if type(source) is Chunk:
+                chunks[key], count = source, 0
+            elif type(source) is Appended:
+                chunks[key], count = self._append_chunk(source.chunk,
+                                                        source.tail)
+            else:
+                base = old.get(key)
+                if type(base) is not Chunk \
+                        or base.sql_type != col_def.sql_type:
+                    base = None
+                chunks[key], count = self._write_column(
+                    table.column(col_def.name), base)
             written += count
         if written:
             self.disk.sync()
-        return StoredTable(table.schema, self, pages, table.n_rows,
-                           version=table.version)
+        return StoredTable._over(table.schema, self, chunks, table.n_rows,
+                                 version=table.version)
 
     # ------------------------------------------------------------------
     # Commit protocol
@@ -252,6 +300,7 @@ class StorageEngine:
             self._check_open()
             replaced = before["tables"]
             tables = {key: table if isinstance(table, StoredTable)
+                      and table.on_pages
                       else self.persist_table(table, replaced.get(key))
                       for key, table in after["tables"].items()}
             durable, record = {}, {}

@@ -14,12 +14,23 @@ bitmap, then a type code and row count).  Chunks larger than one
 page's payload capacity are split across a run of page slots by
 :func:`chunk_payload` and reassembled on read.
 
-The layout is deliberately columnar, matching the engine's execution
-model: a scan materializes whole columns, so each column's bytes live
-on their own run of pages and a query touching three columns fetches
-only those columns' pages.  It is also position-stable, so a new
-version of a column changes only the slots :func:`changed_slots`
-names and can share the rest of its predecessor's pages.
+The layout is deliberately columnar: each column's bytes live on
+their own run of pages, so a query touching three columns fetches only
+those columns' pages.  It is also position-stable -- row *i*'s bytes
+sit at an offset fixed by *i* -- so:
+
+* a column read whole is one join of its run plus one parse
+  (:func:`deserialize_column`);
+* a gather of some rows fetches only the slots that hold them
+  (:func:`gather_rows`): the slot of a fixed-width value, a BOOLEAN
+  bit or a null bit is arithmetic on the row number, and a VARCHAR's
+  heap range is placed by its lengths, read first;
+* an append leaves every slot before the end of the values
+  byte-identical and rewrites the rest from the old chunk's tail
+  alone (:func:`append_start`, :func:`appended_chunk`);
+* any other new version of a column changes only the slots
+  :func:`changed_slots` names and shares the rest of its
+  predecessor's pages.
 """
 
 from __future__ import annotations
@@ -266,15 +277,9 @@ def changed_slots(old: ColumnData, new: ColumnData, rows: np.ndarray,
             spans.append((bitmap, bitmap + 1))
             if new.sql_type == SQLType.VARCHAR:
                 moved_from = _heap_spans(old, new, rows, raw, spans)
-        starts = np.concatenate([s for s, _ in spans])
-        stops = np.concatenate([e for _, e in spans])
-        touched = stops > starts
-        # +1 where a span's first slot begins, -1 past its last one.
-        marks = np.bincount(starts[touched] // capacity,
-                            minlength=len(dirty) + 1) \
-            - np.bincount((stops[touched] - 1) // capacity + 1,
-                          minlength=len(dirty) + 1)
-        dirty |= np.cumsum(marks[:len(dirty)]) > 0
+        dirty |= _touched(np.concatenate([s for s, _ in spans]),
+                          np.concatenate([e for _, e in spans]),
+                          capacity, len(dirty))
     if moved_from is not None:
         dirty[moved_from // capacity:] = True
     return dirty
@@ -296,3 +301,128 @@ def _heap_spans(old: ColumnData, new: ColumnData, rows: np.ndarray,
          for i in rows), dtype=np.int64, count=len(rows))
     resized = rows[old_lengths != lengths[rows]]
     return int(heap[resized[0]]) if len(resized) else None
+
+
+def _touched(starts: np.ndarray, stops: np.ndarray, capacity: int,
+             n_slots: int) -> np.ndarray:
+    """For each of ``n_slots`` page slots, whether a byte span
+    ``[starts[i], stops[i])`` lies on it (an empty span lies on
+    none)."""
+    touched = stops > starts
+    # +1 where a span's first slot begins, -1 past its last one.
+    marks = np.bincount(starts[touched] // capacity,
+                        minlength=n_slots + 1) \
+        - np.bincount((stops[touched] - 1) // capacity + 1,
+                      minlength=n_slots + 1)
+    return np.cumsum(marks[:n_slots]) > 0
+
+
+# ----------------------------------------------------------------------
+# Some rows of a chunk; a chunk with rows appended
+# ----------------------------------------------------------------------
+def gather_rows(sql_type: SQLType, n: int, rows: np.ndarray,
+                capacity: int, n_slots: int, fetch
+                ) -> tuple[ColumnData | None, bytearray | None]:
+    """Rows ``rows`` (positions, in any order) of the ``n``-row chunk
+    of ``sql_type`` on ``n_slots`` page slots, fetching through
+    ``fetch(slots) -> payloads`` only the slots that hold their bytes:
+    each row's value (BOOLEAN: bit) and null bit; for VARCHAR, every
+    lengths slot first, which places the heap ranges.  Returns
+    ``(column, None)``, or ``(None, chunk)`` when that was every slot:
+    the whole chunk, for the caller to read as a column."""
+    if not len(rows):
+        return ColumnData.empty(sql_type), None
+    held: dict[int, bytes] = {}
+
+    def load(slots) -> None:
+        missing = [int(slot) for slot in slots if slot not in held]
+        if missing:
+            held.update(zip(missing, fetch(missing)))
+
+    rows = np.asarray(rows, dtype=np.int64)
+    width = _ROW_WIDTHS.get(sql_type)
+    if sql_type == SQLType.VARCHAR:
+        load(range(-(-4 * n // capacity)))
+        lengths = np.frombuffer(b"".join(held[s] for s in sorted(held)),
+                                dtype="<u4", count=n)
+        heap = np.full(n + 1, 4 * n, dtype=np.int64)
+        heap[1:] += np.cumsum(lengths, dtype=np.int64)
+        starts, stops, bitmap = heap[rows], heap[rows + 1], int(heap[n])
+    elif width is None:   # BOOLEAN: row i is a bit of byte i // 8
+        starts = rows // 8
+        stops, bitmap = starts + 1, (n + 7) // 8
+    else:
+        starts = rows * width
+        stops, bitmap = starts + width, n * width
+    bits = bitmap + rows // 8
+    load(np.flatnonzero(_touched(np.concatenate([starts, bits]),
+                                 np.concatenate([stops, bits + 1]),
+                                 capacity, n_slots)))
+    if len(held) == n_slots:
+        return None, bytearray().join(held[s] for s in range(n_slots))
+    # The held slots end to end: every payload but a chunk's last one
+    # is ``capacity`` bytes, so a span across two adjacent slots is
+    # contiguous here too.
+    slots = sorted(held)
+    base = np.zeros(n_slots, dtype=np.int64)
+    base[slots] = np.arange(len(slots), dtype=np.int64) * capacity
+    buffer = bytearray().join(held[s] for s in slots)
+    data = np.frombuffer(buffer, dtype=np.uint8)
+
+    def at(offsets: np.ndarray) -> np.ndarray:
+        return base[offsets // capacity] + offsets % capacity
+
+    shift = 7 - rows % 8
+    nulls = ((data[at(bits)] >> shift) & 1).astype(bool)
+    if sql_type in _VALUE_DTYPES:
+        picked = data[at(starts)[:, None] + np.arange(width)]
+        values = picked.view(_VALUE_DTYPES[sql_type]).reshape(-1) \
+            .astype(sql_type.numpy_dtype, copy=False)
+    elif width is None:
+        values = ((data[at(starts)] >> shift) & 1).astype(bool)
+    else:
+        values = np.empty(len(rows), dtype=object)
+        for i, (start, size) in enumerate(zip(
+                at(starts).tolist(), (stops - starts).tolist())):
+            values[i] = buffer[start:start + size].decode()
+    return ColumnData(sql_type, values, nulls), None
+
+
+def append_start(sql_type: SQLType, n: int, capacity: int) -> int:
+    """The first page slot an append to an ``n``-row chunk rewrites:
+    the one holding the end of the values (VARCHAR: of the lengths).
+    Every byte from there on changes or moves; every slot before it
+    stays byte-identical."""
+    width = _ROW_WIDTHS.get(sql_type)
+    return (n // 8 if width is None else n * width) // capacity
+
+
+def appended_chunk(sql_type: SQLType, n: int, start: int,
+                   suffix, tail: ColumnData) -> bytes:
+    """The bytes from offset ``start`` on of the chunk of an ``n``-row
+    column with ``tail``'s rows appended -- :func:`serialize_column` of
+    the whole new column, cut at ``start`` -- made from ``suffix``, the
+    old chunk's bytes from ``start`` on (``start`` no later than the
+    end of its values, VARCHAR lengths), and ``tail`` alone."""
+    t = len(tail)
+    raw = serialize_column(tail)
+    width = _ROW_WIDTHS.get(sql_type)
+    if width is None:   # BOOLEAN: re-pack the bits from byte ``start``
+        bitmap = (n + 7) // 8 - start
+        parts = [np.packbits(np.concatenate([
+            _unpack_bits(suffix, 0, n - 8 * start),
+            _unpack_bits(raw, 0, t)])).data]
+    else:
+        bitmap = n * width - start
+        parts = [suffix[:bitmap], raw[:t * width]]
+        if sql_type == SQLType.VARCHAR:
+            old_heap = len(suffix) - bitmap - (n + 7) // 8 \
+                - _TRAILER.size
+            parts += [suffix[bitmap:bitmap + old_heap],
+                      raw[4 * t:len(raw) - (t + 7) // 8 - _TRAILER.size]]
+            bitmap += old_heap
+    nulls = np.concatenate([_unpack_bits(suffix, bitmap, n),
+                            np.asarray(tail.nulls, dtype=bool)])
+    parts += [np.packbits(nulls).data,
+              _TRAILER.pack(_TYPE_CODES[sql_type], n + t)]
+    return b"".join(parts)

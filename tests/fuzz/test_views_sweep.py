@@ -58,7 +58,7 @@ class TestViewsSweep:
 
         def reminted(self, table, *replaced):
             stored = original(self, table, *replaced)
-            return StoredTable(stored.schema, self, stored._pages,
+            return StoredTable(stored.schema, self, stored.page_map(),
                                stored.n_rows)
 
         monkeypatch.setattr(StorageEngine, "persist_table", reminted)

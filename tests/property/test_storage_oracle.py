@@ -11,6 +11,14 @@ Three invariants over random data and DML sequences:
 * a new table version shares its predecessor's unchanged pages and
   replaces the rest, so after every statement each column's pages
   hold exactly the serialization of its content.
+
+The inputs reach every page edge a write crosses at ``page_size=64``:
+INTEGER, REAL, BOOLEAN and VARCHAR columns (empty and NULL strings
+among them), tables long enough that the null bitmap and the VARCHAR
+heap span several pages, and appends of one row and of more than a
+page of rows -- so the page-granular gathers of INSERT ... SELECT,
+UPDATE and DELETE, and the appends that rewrite only a chunk's tail,
+are held to the memory backend, the data file and the pool.
 """
 
 import shutil
@@ -24,9 +32,19 @@ from repro.storage.pages import serialize_column
 
 MEASURES = st.one_of(st.none(), st.integers(min_value=-100,
                                             max_value=100))
-STATES = st.sampled_from(["CA", "TX", "AZ", "WA"])
+STATES = st.sampled_from(["CA", "TX", "AZ", "WA", "", None])
+REALS = st.one_of(st.none(), st.sampled_from([0.5, -0.0, 1e300]),
+                  st.floats(-1e3, 1e3, allow_nan=False))
+FLAGS = st.one_of(st.none(), st.booleans())
 
-ROWS = st.lists(st.tuples(STATES, MEASURES), min_size=0, max_size=20)
+ROW = st.tuples(STATES, MEASURES, REALS, FLAGS)
+#: Short tables, and long ones -- a drawn run of rows repeated 40 to
+#: 80 times, 400 to 1,600 rows -- whose null bitmap and VARCHAR heap
+#: span several 64-byte pages.
+ROWS = st.one_of(
+    st.lists(ROW, min_size=0, max_size=20),
+    st.tuples(st.lists(ROW, min_size=10, max_size=20),
+              st.integers(40, 80)).map(lambda drawn: drawn[0] * drawn[1]))
 
 #: Statement sequences applied identically to both backends.  Each
 #: replaces the whole table version on the disk backend, exercising
@@ -34,8 +52,11 @@ ROWS = st.lists(st.tuples(STATES, MEASURES), min_size=0, max_size=20)
 DML = st.lists(st.sampled_from([
     "UPDATE t SET m = m + 1 WHERE state = 'CA'",
     "UPDATE t SET m = 0 WHERE m IS NULL",
+    "UPDATE t SET r = r * 2, b = NOT b WHERE state = 'AZ'",
     "DELETE FROM t WHERE state = 'TX'",
-    "INSERT INTO t VALUES (99, 'NV', 7)",
+    "INSERT INTO t VALUES (99, 'NV', 7, 2.5, TRUE)",
+    "INSERT INTO t SELECT rid + 5000, state, m, r, b FROM t "
+    "WHERE rid >= 3 AND rid < 15",
 ]), max_size=4)
 
 QUERIES = (
@@ -43,15 +64,25 @@ QUERIES = (
     "SELECT state, SUM(m), COUNT(m), COUNT(*) FROM t "
     "GROUP BY state ORDER BY state",
     "SELECT MIN(m), MAX(m) FROM t",
+    "SELECT b, SUM(r), COUNT(r) FROM t GROUP BY b ORDER BY b",
 )
 
 
+def _literal(value):
+    if value is None:
+        return "NULL"
+    if isinstance(value, str):
+        return f"'{value}'"
+    return repr(value).upper() if isinstance(value, bool) else repr(value)
+
+
 def _load(db, rows):
-    db.execute("CREATE TABLE t (rid INT, state VARCHAR, m INT)")
+    db.execute("CREATE TABLE t (rid INT, state VARCHAR, m INT, r REAL, "
+               "b BOOLEAN)")
     if rows:
         values = ", ".join(
-            f"({rid}, '{state}', {'NULL' if m is None else m})"
-            for rid, (state, m) in enumerate(rows))
+            f"({', '.join(map(_literal, (rid, *row)))})"
+            for rid, row in enumerate(rows))
         db.execute(f"INSERT INTO t VALUES {values}")
 
 
@@ -125,11 +156,18 @@ def test_reopen_is_bit_identical(rows):
 SHARING_DML = st.lists(st.sampled_from([
     "UPDATE t SET m = m + 1 WHERE state = 'CA'",
     "UPDATE t SET state = 'CALIFORNIA' WHERE state = 'CA'",
-    "INSERT INTO t SELECT rid + 100, state, m FROM t WHERE rid < 6",
+    "INSERT INTO t SELECT rid + 100, state, m, r, b FROM t WHERE rid < 6",
     "UPDATE t SET m = m WHERE state = 'AZ'",
     "DELETE FROM t WHERE rid = 2",
     "UPDATE t SET m = NULL WHERE state = 'WA'",
-    "INSERT INTO t VALUES (99, 'NV', 7)",
+    "UPDATE t SET state = '' WHERE state IS NULL",
+    "UPDATE t SET r = -r, b = NOT b WHERE m > 0",
+    "INSERT INTO t VALUES (99, 'NV', 7, NULL, FALSE)",
+    # One row; then more rows than a page holds of any column, BOOLEAN
+    # bits included.
+    "INSERT INTO t SELECT rid + 2000, state, m, r, b FROM t WHERE rid = 3",
+    "INSERT INTO t SELECT rid + 3000, state, m, r, b FROM t "
+    "WHERE rid < 400",
 ]), max_size=5)
 
 
@@ -186,7 +224,8 @@ STEPS = st.lists(st.one_of(
     st.tuples(st.just("dml"), st.sampled_from([
         "UPDATE t SET m = m + 1 WHERE state = 'CA'",
         "UPDATE t SET state = 'CALIFORNIA' WHERE state = 'CA'",
-        "INSERT INTO t SELECT rid + 100, state, m FROM t WHERE rid < 6",
+        "INSERT INTO t SELECT rid + 100, state, m, r, b FROM t "
+        "WHERE rid < 6",
         "DELETE FROM t WHERE state = 'TX'",
     ])),
     st.just(("checkpoint",)),

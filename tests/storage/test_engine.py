@@ -397,6 +397,127 @@ def test_format_one_store_is_refused(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Pages a write reads
+# ----------------------------------------------------------------------
+SMALL_CAPACITY = payload_capacity(256)
+
+
+def _fetching(db, monkeypatch):
+    """The page ids the pool fetches from now on, in order."""
+    pool = db.storage_engine.pool
+    fetched = []
+    fetch_many = pool.fetch_many
+    monkeypatch.setattr(pool, "fetch_many", lambda page_ids: (
+        fetched.extend(page_ids), fetch_many(page_ids))[1])
+    return fetched
+
+
+@pytest.mark.parametrize("r", [1, 40])
+def test_insert_select_reads_its_where_column_and_o_r_pages_of_the_rest(
+        tmp_path, monkeypatch, r):
+    """An INSERT ... SELECT of ``r`` contiguous rows reads its WHERE
+    column whole; of every other column only the slots holding the
+    ``r`` rows, their null bits, and for the append the boundary page
+    and the null bitmap's pages."""
+    n = 2000
+    with _disk_db(tmp_path, page_size=256) as db:
+        db.load_table("t", [("k", "int"), ("a", "int"), ("v", "real"),
+                            ("flag", "boolean")],
+                      [(i, i % 7, i * 0.5, i % 3 == 0) for i in range(n)])
+        pages = db.table("t").page_map()
+        fetched = _fetching(db, monkeypatch)
+        before = db.stats.storage_page_fetches
+        db.execute(f"INSERT INTO t SELECT k + {n}, a, v, flag FROM t "
+                   f"WHERE k BETWEEN 1000 AND {999 + r}")
+        assert db.stats.storage_page_fetches - before == len(fetched)
+        assert set(pages["k"]) <= set(fetched)
+        bitmap_pages = -(-n // 8 // SMALL_CAPACITY) + 1
+        for name in ("a", "v", "flag"):
+            read = [pid for pid in fetched if pid in set(pages[name])]
+            assert len(read) <= r * 8 // SMALL_CAPACITY + 4 \
+                + bitmap_pages, name
+        assert len(fetched) < sum(map(len, pages.values())) // 2
+        assert db.query(f"SELECT count(*), sum(a), sum(v) FROM t "
+                        f"WHERE k >= {n}") == db.query(
+            f"SELECT count(*), sum(a), sum(v) FROM t "
+            f"WHERE k BETWEEN 1000 AND {999 + r}")
+
+
+def _five_columns(db, n=2000):
+    db.load_table("t", [("k", "int"), ("a", "int"), ("b", "int"),
+                        ("c", "int"), ("name", "varchar")],
+                  [(i, i % 11, i % 13, i % 5, f"n{i}") for i in range(n)])
+
+
+def test_update_reads_no_page_of_a_column_nothing_names(tmp_path,
+                                                        monkeypatch):
+    """The row-store rewrite of an UPDATE's unassigned columns is
+    page sharing: a column neither the UPDATE nor a view on the table
+    names is not read, and keeps every page."""
+    with _disk_db(tmp_path, page_size=256) as db:
+        _five_columns(db)
+        db.execute("CREATE MATERIALIZED VIEW by_c AS "
+                   "SELECT c, sum(a) FROM t GROUP BY c")
+        pages = db.table("t").page_map()
+        fetched = _fetching(db, monkeypatch)
+        before = db.stats.storage_page_fetches
+        assert db.execute("UPDATE t SET a = a + 100 WHERE b = 3") == 154
+        assert db.stats.storage_page_fetches - before == len(fetched)
+        assert not set(fetched) & (set(pages["k"]) | set(pages["name"]))
+        after = db.table("t").page_map()
+        assert {name: after[name] == pages[name] for name in after} == {
+            "k": True, "a": False, "b": True, "c": True, "name": True}
+        assert db.catalog.matview("by_c").fresh(db.table("t"))
+        assert db.query("SELECT sum(a) FROM t") == [(
+            sum(i % 11 for i in range(2000)) + 100 * 154,)]
+
+
+def test_update_maintenance_reuses_the_column_its_where_read(
+        tmp_path, monkeypatch):
+    """A version that keeps a column shares the weak column cache of
+    the version it replaces: the view's maintenance finds the WHERE
+    column the UPDATE's scan read, and fetches none of its pages
+    again."""
+    with _disk_db(tmp_path, page_size=256) as db:
+        _five_columns(db)
+        db.execute("CREATE MATERIALIZED VIEW by_c AS "
+                   "SELECT c, sum(a) FROM t GROUP BY c")
+        pages = db.table("t").page_map()
+        fetched = _fetching(db, monkeypatch)
+        db.execute("UPDATE t SET a = a + 1 WHERE c = 3")
+        assert sorted(pid for pid in fetched if pid in set(pages["c"])) \
+            == sorted(pages["c"])
+
+
+def test_dml_in_a_reader_overlay_stacks_versions_off_pages(tmp_path):
+    """A snapshot reader's overlay catalog has no store, so its DML
+    publishes versions that never reach pages -- appended, replaced
+    and gathered columns stacked on one another -- and they answer as
+    the memory backend's, leaving the base untouched."""
+    from repro.service.snapshots import SnapshotManager
+
+    script = ("UPDATE t SET v = 0 WHERE k < 10",
+              "INSERT INTO t SELECT k + 100, v FROM t WHERE k < 5",
+              "INSERT INTO t VALUES (500, 7)",
+              "DELETE FROM t WHERE k = 3",
+              "UPDATE t SET v = v + 1 WHERE k > 50",
+              "INSERT INTO t SELECT k + 1000, v FROM t WHERE k >= 100")
+    with _disk_db(tmp_path, page_size=256) as db:
+        readers = []
+        for each in (Database(), db):
+            each.load_table("t", [("k", "int"), ("v", "int")],
+                            [(i, i) for i in range(100)])
+            readers.append(SnapshotManager(each).reader())
+        on_mem, on_disk = readers
+        for statement in script:
+            assert on_mem.execute(statement) == on_disk.execute(statement)
+        assert not on_disk.catalog.table("t").on_pages
+        query = "SELECT * FROM t ORDER BY k"
+        assert on_mem.query(query) == on_disk.query(query)
+        assert db.query("SELECT count(*), sum(v) FROM t") == [(100, 4950)]
+
+
+# ----------------------------------------------------------------------
 # Page liveness across versions
 # ----------------------------------------------------------------------
 def _pinned_t(path):
