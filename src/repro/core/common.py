@@ -97,7 +97,7 @@ def typed_columns(db: Database, table: str,
     """Column definitions for dimension columns copied from
     ``table``'s schema."""
     schema = db.table(table).schema
-    return [ast.ColumnSpec(name,
+    return [ast.ColumnSpec((name,),
                            column_type_name(schema.column_type(name)))
             for name in columns]
 

@@ -25,6 +25,7 @@ SPJ loses to CASE by one to two orders of magnitude.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -139,14 +140,14 @@ def _generate_plain_fv(db: Database, query: model.PercentageQuery,
 
 
 #: F0's key when the query has no GROUP BY.
-_CONSTANT_KEY = (ast.ColumnSpec("_k", "INT"),)
+_CONSTANT_KEY = (ast.ColumnSpec(("_k",), "INT"),)
 
 
 def _generate_f0(db: Database, query: model.PercentageQuery,
                  source: str, prefix: str,
                  result: GeneratedPlan) -> str:
     """F0 defines the result rows: every existing D1..Dj combination."""
-    f0 = f"{prefix}_f0"
+    f0 = plan_mod.temp_name(prefix, "f0", db.catalog.max_name_length)
     if not query.group_by:
         # Rule (1) of the companion paper: group by a constant so code
         # generation always has a key ("rows can be grouped by a
@@ -192,7 +193,8 @@ def _generate_projected_tables(db: Database,
         else:
             conditions, default = [where_base], None
         for name, condition in zip(term_names, conditions):
-            table = f"{prefix}_p{len(projected) + 1}"
+            table = plan_mod.temp_name(prefix, f"p{len(projected) + 1}",
+                                       db.catalog.max_name_length)
             _emit_projection(db, query, table, name, t.sql_type,
                              aggregate, condition, source, result)
             projected.append(_Projected(table, name, t.sql_type,
@@ -222,7 +224,7 @@ def _emit_projection(db: Database, query: model.PercentageQuery,
         key_names, key_select = query.group_by, keys
     else:
         key_defs, key_names, key_select = _CONSTANT_KEY, ("_k",), (ZERO,)
-    defs = (*key_defs, ast.ColumnSpec(column,
+    defs = (*key_defs, ast.ColumnSpec((column,),
                                       common.column_type_name(sql_type)))
     result.create_temp(table, defs, key_names)
     result.add(ast.InsertSelect(table, common.select(
@@ -249,11 +251,14 @@ def _assemble(db: Database, query: model.PercentageQuery, f0: str,
         n_keys=len(keys), columns=result_columns,
         max_columns=db.catalog.max_columns)
 
-    tables = partition_tables(prefix, len(partitions))
+    tables = partition_tables(prefix, len(partitions),
+                              db.catalog.max_name_length)
     for fh, chunk in zip(tables, partitions):
         defs = (*key_defs, *(ast.ColumnSpec(
-            p.column, common.column_type_name(p.sql_type))
-            for p, _ in chunk))
+            tuple(p.column for p, _ in run),
+            common.column_type_name(sql_type))
+            for sql_type, run in itertools.groupby(
+                chunk, key=lambda pair: pair[0].sql_type)))
         result.create_temp(fh, defs, keys)
         selects = [*cols(keys, f0), *(select for _, select in chunk)]
         # Null-safe ON: a NULL grouping key in F0 must still find its

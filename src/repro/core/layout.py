@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from repro.core import model
-from repro.core.naming import (ColumnNamer, NamingPolicy, abbreviate,
+from repro.core.naming import (NamingPolicy, abbreviate, cell_names,
                                uniquify)
 from repro.engine.types import SQLType, infer_type
 from repro.sql import ast
@@ -80,11 +80,9 @@ class Layout:
         out = []
         for t in self.terms:
             if t.term.is_horizontal:
-                namer = ColumnNamer(t.term.by_columns, naming,
-                                    self.max_name_length, used,
-                                    prefix=t.prefix)
-                out.append([namer.name(values) for values
-                            in combos_by_term[t.term.position]])
+                out.append(cell_names(
+                    t.term.by_columns, combos_by_term[t.term.position],
+                    naming, self.max_name_length, used, t.prefix))
             else:
                 out.append([_claim(t.stem, used, self.max_name_length)])
         return out

@@ -16,6 +16,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from repro.errors import PercentageQueryError
+
 
 @dataclass
 class NamingPolicy:
@@ -63,68 +65,93 @@ def combo_column_name(columns: Sequence[str], values: Sequence[Any],
     caller shares one set across terms); the returned name is added to
     it.
     """
-    return ColumnNamer(columns, policy, max_length, used,
-                       prefix).name(values)
+    return cell_names(columns, [values], policy, max_length, used,
+                      prefix)[0]
 
 
-class ColumnNamer:
-    """Names the BY-combination result columns of one term
-    (:func:`combo_column_name`), sanitizing each distinct value of each
-    BY column once: a term's 10,000 combinations hold a few hundred
-    distinct values."""
+def cell_names(columns: Sequence[str], combos: Sequence[Sequence[Any]],
+               policy: NamingPolicy, max_length: int, used: set[str],
+               prefix: str = "") -> list[str]:
+    """:func:`combo_column_name` of each combination in turn, named in
+    one pass over the combinations: each distinct value of each BY
+    column is sanitized once (a term's 10,000 combinations hold a few
+    hundred distinct values), the fragments are joined, and the
+    leading-character guard, abbreviation and :func:`uniquify` are
+    applied only where they bite."""
+    if not combos:
+        return []
+    if prefix:
+        # Every name starts with the prefix: its first character
+        # decides the guard for all of them.
+        prefix = _leading(prefix)
+    parts = []
+    for j, (column, values) in enumerate(zip(columns, zip(*combos))):
+        # Keyed by type as well where types mix: True and 1 are equal
+        # dict keys.
+        single = len(set(map(type, values))) == 1
+        keys = values if single else list(zip(map(type, values), values))
+        fragments = {}
+        for key in dict.fromkeys(keys):
+            fragment = sanitize(key if single else key[1])
+            if policy.style == "full":
+                fragment = f"{column}_{fragment}"
+            fragments[key] = _leading(fragment) if j == 0 and not prefix \
+                else fragment
+        parts.append(list(map(fragments.__getitem__, keys)))
+    names = list(map("_".join, zip(*parts))) if parts \
+        else [""] * len(combos)
+    if prefix:
+        names = list(map(prefix.__add__, names))
+    if max(map(len, names)) > max_length:
+        names = [abbreviate(name, max_length) for name in names]
+    lowered = list(map(str.lower, names))
+    if used.isdisjoint(lowered) and len(set(lowered)) == len(lowered):
+        used.update(lowered)
+        return names
+    out = []
+    for name in names:
+        name = uniquify(name, used, max_length)
+        used.add(name.lower())
+        out.append(name)
+    return out
 
-    def __init__(self, columns: Sequence[str], policy: NamingPolicy,
-                 max_length: int, used: set[str], prefix: str = ""
-                 ) -> None:
-        self.columns, self.policy, self.used = columns, policy, used
-        self.prefix = prefix
-        self.limit = max_length
-        self._fragments: list[dict[tuple, str]] = [{} for _ in columns]
 
-    def name(self, values: Sequence[Any]) -> str:
-        parts = []
-        for column, value, fragments in zip(self.columns, values,
-                                            self._fragments):
-            # By type as well: True and 1 are equal dict keys.
-            key = (type(value), value)
-            fragment = fragments.get(key)
-            if fragment is None:
-                fragment = fragments[key] = sanitize(value) \
-                    if self.policy.style == "values" \
-                    else f"{column}_{sanitize(value)}"
-            parts.append(fragment)
-        body = "_".join(parts)
-        name = f"{self.prefix}{body}" if self.prefix else body
-        # A leading digit is the common case, but sanitize() keeps any
-        # alphanumeric -- including characters like '¼' that are
-        # isalnum() yet not a valid identifier start -- so guard on
-        # the positive.
-        if name and not (name[0].isalpha() or name[0] == "_"):
-            name = "c" + name
-        name = uniquify(abbreviate(name, self.limit), self.used,
-                         self.limit)
-        self.used.add(name.lower())
-        return name
+def _leading(text: str) -> str:
+    """``text`` as the start of an identifier: ``c`` in front of a
+    first character that cannot start one.  A leading digit is the
+    common case, but sanitize() keeps any alphanumeric -- including
+    characters like '¼' that are isalnum() yet not a valid identifier
+    start -- so guard on the positive."""
+    if text and not (text[0].isalpha() or text[0] == "_"):
+        return "c" + text
+    return text
 
 
 def abbreviate(name: str, limit: int) -> str:
     """``name``, truncated and suffixed with a stable hash when it is
-    longer than ``limit``."""
+    longer than ``limit``; never longer than ``limit``."""
     if len(name) <= limit:
         return name
     digest = hashlib.sha1(name.encode()).hexdigest()[:4]
     keep = max(limit - 5, 1)
-    return f"{name[:keep]}_{digest}"
+    # Below six characters not even one kept character, the separator
+    # and the hash fit: the abbreviation is cut to the limit.
+    return f"{name[:keep]}_{digest}"[:max(limit, 0)]
 
 
 def uniquify(name: str, used: set[str], limit: int) -> str:
-    """``name``, or the first ``name_2``, ``name_3``, ... (abbreviated
-    to fit ``limit``) not in ``used``."""
+    """``name``, or the first ``name_2``, ``name_3``, ... not in
+    ``used``, the name abbreviated to leave the suffix room within
+    ``limit``."""
     if name.lower() not in used:
         return name
     for i in range(2, 10_000):
         suffix = f"_{i}"
+        if len(suffix) >= limit:
+            break
         candidate = abbreviate(name, limit - len(suffix)) + suffix
         if candidate.lower() not in used:
             return candidate
-    raise ValueError(f"cannot uniquify column name {name!r}")
+    raise PercentageQueryError(
+        f"cannot name column {name!r} apart from the others within "
+        f"the identifier limit of {limit} characters")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence, TypeVar
 
 from repro.core import common
-from repro.core.plan import GeneratedPlan
+from repro.core.plan import GeneratedPlan, temp_name
 from repro.errors import PercentageQueryError
 from repro.sql import ast
 
@@ -41,11 +41,15 @@ def split_result_columns(n_keys: int, columns: Sequence[ColumnT],
             for start in range(0, max(len(columns), 1), capacity)]
 
 
-def partition_tables(prefix: str, n_partitions: int) -> list[str]:
-    """The FH tables: ``{prefix}_fh`` alone, else ``{prefix}_fhN``."""
+def partition_tables(prefix: str, n_partitions: int,
+                     limit: int) -> list[str]:
+    """The FH tables: ``{prefix}_fh`` alone, else ``{prefix}_fhN``
+    (:func:`~repro.core.plan.temp_name` under the identifier limit
+    ``limit``)."""
     if n_partitions == 1:
-        return [f"{prefix}_fh"]
-    return [f"{prefix}_fh{i + 1}" for i in range(n_partitions)]
+        return [temp_name(prefix, "fh", limit)]
+    return [temp_name(prefix, f"fh{i + 1}", limit)
+            for i in range(n_partitions)]
 
 
 def assemble_partitions(result: GeneratedPlan, tables: list[str],

@@ -91,8 +91,8 @@ class GeneratedPlan:
     def create_temp(self, name: str, columns, primary_key) -> None:
         """Add the CREATE TABLE of temp table ``name`` and record it for
         cleanup."""
-        self.add(ast.CreateTable(name, tuple(columns), primary_key),
-                 CREATE_TEMP)
+        self.add(ast.CreateTable(name, ast.column_runs(columns),
+                                 primary_key), CREATE_TEMP)
         self.temp_tables.append(name)
 
     def extend(self, other: "GeneratedPlan") -> None:
@@ -119,3 +119,16 @@ _counter = itertools.count(1)
 def fresh_prefix(tag: str) -> str:
     """A unique temp-table prefix (``_vp3``, ``_hp7``, ...)."""
     return f"_{tag}{next(_counter)}"
+
+
+_short = itertools.count(1)
+
+
+def temp_name(prefix: str, role: str, limit: int) -> str:
+    """The temp table ``{prefix}_{role}`` (``_hp7_fh2``), or -- when
+    that is longer than the identifier limit ``limit``, as the
+    process's plan count or a partition count grows -- ``_t`` and a
+    fresh hex number in its place: a temp table is named only by the
+    plan that makes it."""
+    name = f"{prefix}_{role}"
+    return name if len(name) <= limit else f"_t{next(_short):x}"

@@ -113,10 +113,12 @@ def generate_vertical(db: Database, query: model.PercentageQuery,
         _generate_single_statement(fact, layout, result)
         return result
 
-    fk = f"{prefix}_fk"
+    limit = db.catalog.max_name_length
+    fk = plan_mod.temp_name(prefix, "fk", limit)
     _generate_fk(db, fact, layout, fk, result)
     vpct = [i for i, t in enumerate(layout.terms) if t.kind == model.VPCT]
-    fj = {i: f"{prefix}_fj{n + 1}" for n, i in enumerate(vpct)}
+    fj = {i: plan_mod.temp_name(prefix, f"fj{n + 1}", limit)
+          for n, i in enumerate(vpct)}
     # Bottom-up over the dimension lattice: finer totals first, so
     # coarser ones can re-aggregate them instead of rescanning Fk.
     for i, source in layout.lattice:
@@ -129,7 +131,7 @@ def generate_vertical(db: Database, query: model.PercentageQuery,
         _generate_update_division(db, fact, layout, fj, fk, result)
         result.result_table = fk
     else:
-        fv = f"{prefix}_fv"
+        fv = plan_mod.temp_name(prefix, "fv", limit)
         _generate_insert_division(db, fact, layout, fj, fk, fv, result)
         result.result_table = fv
 
@@ -172,7 +174,7 @@ def _materialize_if_needed(db: Database, query: model.PercentageQuery,
         select = common.select_all(query.table)
     else:
         return query.table
-    view = f"{prefix}_f"
+    view = plan_mod.temp_name(prefix, "f", db.catalog.max_name_length)
     statement = ast.CreateTableAs(view, select)
     result.add(statement, plan_mod.MATERIALIZE)
     result.temp_tables.append(view)
@@ -201,7 +203,7 @@ def _generate_fk(db: Database, query: model.PercentageQuery,
 def _term_columns(layout: Layout) -> list[ast.ColumnSpec]:
     """The term columns of Fk and FV: a Vpct term's REAL sum is
     divided in place by the UPDATE strategy."""
-    return [ast.ColumnSpec(t.name, common.column_type_name(t.sql_type))
+    return [ast.ColumnSpec((t.name,), common.column_type_name(t.sql_type))
             for t in layout.terms]
 
 
@@ -221,7 +223,7 @@ def _generate_fj(db: Database, query: model.PercentageQuery,
     """CREATE + INSERT one totals table Fj: from the ``finer`` Fj the
     lattice allows, else from Fk (partial aggregates), else from F."""
     columns = common.typed_columns(db, query.table, t.totals)
-    columns.append(ast.ColumnSpec("total", "REAL"))
+    columns.append(ast.ColumnSpec(("total",), "REAL"))
     result.create_temp(fj, columns, t.totals)
 
     keys = cols(t.totals)

@@ -192,11 +192,12 @@ class Catalog:
             raise CatalogError(
                 f"table {schema.name!r} would have {schema.width()} "
                 f"columns; the maximum is {self.max_columns}")
-        for name in [schema.name] + schema.column_names():
-            if len(name) > self.max_name_length:
-                raise CatalogError(
-                    f"identifier {name!r} is {len(name)} characters; "
-                    f"the maximum is {self.max_name_length}")
+        names = (schema.name, *schema.names)
+        if max(map(len, names)) > self.max_name_length:
+            name = next(n for n in names if len(n) > self.max_name_length)
+            raise CatalogError(
+                f"identifier {name!r} is {len(name)} characters; "
+                f"the maximum is {self.max_name_length}")
 
     def create_table(self, table: Table) -> None:
         key = table.name.lower()

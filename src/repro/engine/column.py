@@ -307,12 +307,14 @@ class Block:
     def to_lists(self) -> list[list[Any]]:
         """Each column as a list of Python values (None for NULL): one
         ``tolist`` for the block, then NULLs patched in."""
-        lists = self.values.tolist()
-        if self.nulls.any():
-            columns, rows = np.nonzero(self.nulls)
-            for j, i in zip(columns.tolist(), rows.tolist()):
-                lists[j][i] = None
-        return lists
+        return _patched(self.values.tolist(), self.nulls)
+
+    def row_lists(self) -> list[list[Any]]:
+        """Each row as a list of Python values (None for NULL): one
+        transposed ``tolist`` for the block, then NULLs patched in --
+        for a block wider than it is long, where zipping a list per
+        column costs a call per column per row."""
+        return _patched(self.values.T.tolist(), self.nulls.T)
 
     # ------------------------------------------------------------------
     # Row-set transformations: one numpy call per array, C-contiguous
@@ -329,3 +331,14 @@ class Block:
     def null_out(self, mask: np.ndarray) -> "Block":
         """The same values, NULL also where ``mask`` is True."""
         return Block(self.sql_type, self.values, self.nulls | mask)
+
+
+def _patched(lists: list[list[Any]], nulls: np.ndarray
+             ) -> list[list[Any]]:
+    """``lists`` (``nulls``-shaped) with None where ``nulls`` is
+    True."""
+    if nulls.any():
+        outer, inner = np.nonzero(nulls)
+        for j, i in zip(outer.tolist(), inner.tolist()):
+            lists[j][i] = None
+    return lists

@@ -42,7 +42,7 @@ from repro.engine.groupby import (distinct_indices, encode_column,
 from repro.engine.join import match, prepare_side
 from repro.engine.planner import (ColumnRun, PlannedJoin, PlannedSource,
                                   SelectPlan, plan_select, plan_update_join)
-from repro.engine.schema import ColumnDef, TableSchema
+from repro.engine.schema import TableSchema
 from repro.engine.scope import QueryRecord, ScopeLocal, query_scope
 from repro.engine.stats import StatsCollector
 from repro.engine.table import Table
@@ -845,10 +845,11 @@ class Executor:
         if statement.if_not_exists \
                 and self.catalog.has_table(statement.name):
             return 0
-        columns = [ColumnDef(c.name, type_from_name(c.type_name))
-                   for c in statement.columns]
-        schema = TableSchema(statement.name, columns,
-                             tuple(statement.primary_key))
+        schema = TableSchema(
+            statement.name,
+            [name for spec in statement.columns for name in spec.names],
+            [(type_from_name(spec.type_name), len(spec.names))
+             for spec in statement.columns], statement.primary_key)
         self.governor.check_width(self.scopes.root, schema.width(),
                                   "create table")
         self.catalog.create_table(Table(schema))
@@ -889,6 +890,7 @@ class Executor:
                 raise PlanningError(
                     "INSERT with a column list must cover every column "
                     "(partial inserts are not supported)")
+            keys = [name.lower() for name in schema.names]
             rows = []
             for row in statement.rows:
                 if len(row) != len(column_order):
@@ -901,8 +903,7 @@ class Executor:
                     raw = evaluate_scalar(expr)
                     values[name.lower()] = coerce_scalar(raw, target) \
                         if raw is not None else None
-                rows.append(tuple(values[c.name.lower()]
-                                  for c in schema.columns))
+                rows.append(tuple(values[key] for key in keys))
             appended = table.append(Table.from_rows(schema, rows))
             self._publish(op, table, appended, ("insert", table.n_rows),
                           len(rows), "insert", rows_written=len(rows))
@@ -1011,10 +1012,10 @@ class Executor:
             frame = Frame(table.n_rows)
             frame.add_table(binding, table)
             safe = np.where(matched, build_for_target, 0)
-            for col_def in from_table.schema.columns:
-                data = from_table.column(col_def.name)
+            for name in from_table.schema.names:
+                data = from_table.column(name)
                 frame.add_column(
-                    col_def.name,
+                    name,
                     ColumnData(data.sql_type, data.values[safe],
                                data.nulls[safe] | ~matched),
                     binding=from_binding)
@@ -1087,14 +1088,12 @@ def _in_target_order(result: Table, schema: TableSchema,
     the target once."""
     source_of = {schema.column_index(target): source
                  for source, target in enumerate(column_order)}
-    for position, col_def in enumerate(schema.columns):
+    for position, name in enumerate(schema.names):
         if position not in source_of:
-            raise ExecutionError(
-                f"missing data for column {col_def.name!r}")
+            raise ExecutionError(f"missing data for column {name!r}")
     return Table.assemble(schema.name, [
-        ([col_def.name], (result, source_of[position],
-                          source_of[position] + 1))
-        for position, col_def in enumerate(schema.columns)])
+        ([name], (result, source_of[position], source_of[position] + 1))
+        for position, name in enumerate(schema.names)])
 
 
 def _coerce_column(data: ColumnData, target: SQLType) -> ColumnData:

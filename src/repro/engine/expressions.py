@@ -86,9 +86,9 @@ class Frame:
 
     def add_table(self, binding: str, table: Table) -> None:
         """Register every column of ``table`` under ``binding``."""
-        if table.schema.columns and table.n_rows != self.n_rows:
+        if table.schema.width() and table.n_rows != self.n_rows:
             raise PlanningError(
-                f"column {table.schema.columns[0].name!r} has "
+                f"column {table.schema.names[0]!r} has "
                 f"{table.n_rows} rows; frame has {self.n_rows}")
         self._tables.append((binding.lower(), table))
         self._resolved.clear()

@@ -20,6 +20,7 @@ returned as residual filters.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -40,17 +41,21 @@ class PlannedSource:
     kind: str = "table"
     columns: tuple[str, ...] = ()
     plan: Optional["SelectPlan"] = None
+    #: Lower-cased column name -> position (a base table's is its
+    #: schema's name index).
+    index: Optional[dict[str, int]] = None
 
     def __post_init__(self) -> None:
-        self._positions: dict[str, int] = {}
-        for i, column in enumerate(self.columns):
-            self._positions.setdefault(column.lower(), i)
+        if self.index is None:
+            self.index = {}
+            for i, column in enumerate(self.columns):
+                self.index.setdefault(column.lower(), i)
 
     def has_column(self, name: str) -> bool:
-        return name.lower() in self._positions
+        return name.lower() in self.index
 
     def position(self, name: str) -> Optional[int]:
-        return self._positions.get(name.lower())
+        return self.index.get(name.lower())
 
 
 @dataclass
@@ -129,10 +134,9 @@ class SelectPlan:
     def columns(self) -> tuple[str, ...]:
         if self.matview is not None:
             return tuple(self.matview.result.column_names())
-        return tuple(name for names, item in self.items
-                     for name in (names if isinstance(
-                         item, (ast.CellFamily, ColumnRun))
-                         else (names,)))
+        return tuple(itertools.chain.from_iterable(
+            names if isinstance(item, (ast.CellFamily, ColumnRun))
+            else (names,) for names, item in self.items))
 
     def sources(self) -> list[PlannedSource]:
         if self.from_plan is None:
@@ -226,8 +230,8 @@ def _classify(source: ast.FromSource, catalog, use_views: bool
 
 def _base_table(ref: ast.TableRef, catalog) -> PlannedSource:
     schema = catalog.table(ref.name).schema
-    return PlannedSource(ref, ref.binding, "table",
-                         tuple(schema.column_names()))
+    return PlannedSource(ref, ref.binding, "table", schema.names,
+                         index=schema.index)
 
 
 def plan_update_join(statement: ast.Update, catalog) -> FromPlan:
@@ -262,7 +266,7 @@ def output_name(item: ast.SelectItem, position: int) -> str:
 
 
 def dedupe_names(names: list[str]) -> list[str]:
-    if len({name.lower() for name in names}) == len(names):
+    if len(set(map(str.lower, names))) == len(names):
         return list(names)
     seen: dict[str, int] = {}
     out = []
@@ -333,12 +337,16 @@ def _select_items(select: ast.Select, plan: SelectPlan
                                 f"'{star.table}.*'")
         named.extend((list(s.columns), ColumnRun(
             s.binding.lower(), 0, len(s.columns))) for s in chosen)
-    names = iter(dedupe_names([name for names, _ in named
-                               for name in names]))
-    return ([([next(names) for _ in names_], expr)
-             if isinstance(expr, (ast.CellFamily, ColumnRun))
-             else (next(names), expr)
-             for names_, expr in named], windowed)
+    flat = list(itertools.chain.from_iterable(
+        names for names, _ in named))
+    deduped = dedupe_names(flat)
+    if deduped != flat:
+        at = 0
+        for names, _ in named:
+            names[:] = deduped[at:at + len(names)]
+            at += len(names)
+    return ([(names, expr) if isinstance(expr, (ast.CellFamily, ColumnRun))
+             else (names[0], expr) for names, expr in named], windowed)
 
 
 def _owner_position(expr: ast.Expr, sources: list[PlannedSource],

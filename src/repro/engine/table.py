@@ -30,7 +30,7 @@ from typing import (Any, Callable, Iterable, Iterator, Optional, Sequence,
 import numpy as np
 
 from repro.engine.column import Block, ColumnData, EncodingMemo
-from repro.engine.schema import ColumnDef, TableSchema
+from repro.engine.schema import TableSchema
 from repro.engine.types import SQLType
 from repro.errors import ExecutionError
 
@@ -47,6 +47,12 @@ _ROW_BATCH = 1024
 #: column, a block, or columns ``start:stop`` of a table.
 Part = Union[ColumnData, Block, tuple["Table", int, int]]
 
+#: ``(start, stop, memos, key, offset)``: columns ``start:stop`` have
+#: the memos of a sealed table's columns from ``offset`` on -- that
+#: table's memo dict and sealing key, not the table, so a table built
+#: from its columns keeps no more of it than its memos.
+Lender = tuple[int, int, dict[int, EncodingMemo], str, int]
+
 
 class Table:
     """A named, schema-typed collection of equal-length columns."""
@@ -57,30 +63,30 @@ class Table:
             # An empty table states one block per run of same-typed
             # columns: a 1,201-column CREATE TABLE is two blocks.
             self._set(schema, [Block.all_null(sql_type, k, 0)
-                               for sql_type, k in _type_runs(schema)], 0)
+                               for sql_type, k in schema.runs], 0)
             return
         views: dict[int, ColumnData] = {}
         n_rows = None
-        for position, col_def in enumerate(schema.columns):
+        for position, (name, sql_type) in enumerate(
+                zip(schema.names, schema.types())):
             # Exact names first: the executor's own tables always match.
-            data = columns.get(col_def.name)
+            data = columns.get(name)
             if data is None:
                 try:
-                    data = _lookup_ci(columns, col_def.name)
+                    data = _lookup_ci(columns, name)
                 except KeyError:
                     raise ExecutionError(
-                        f"missing data for column {col_def.name!r}"
-                    ) from None
-            if data.sql_type != col_def.sql_type:
+                        f"missing data for column {name!r}") from None
+            if data.sql_type != sql_type:
                 raise ExecutionError(
-                    f"column {col_def.name!r}: declared {col_def.sql_type} "
+                    f"column {name!r}: declared {sql_type} "
                     f"but data is {data.sql_type}")
             length = len(data.values)
             if n_rows is None:
                 n_rows = length
             elif length != n_rows:
                 raise ExecutionError(
-                    f"column {col_def.name!r} has {length} rows, "
+                    f"column {name!r} has {length} rows, "
                     f"expected {n_rows}")
             views[position] = _contiguous(data)
         self._set(schema, [Block.of(view) for view in views.values()],
@@ -92,7 +98,8 @@ class Table:
              views: Optional[dict[int, ColumnData]] = None,
              memos: Optional[dict[int, EncodingMemo]] = None,
              sealed: Optional[str] = None,
-             version: Optional[int] = None) -> None:
+             version: Optional[int] = None,
+             lenders: Sequence[Lender] = ()) -> None:
         self.schema = schema
         self.version = next(_VERSION_COUNTER) if version is None \
             else version
@@ -107,6 +114,9 @@ class Table:
         #: The sealing table's key: a position's memo is made with its
         #: view, not all at :meth:`seal` (None until sealed).
         self._sealed = sealed
+        #: Runs of columns whose memos are another table's, asked for
+        #: a position at a time (:meth:`_memo_at`).
+        self._lenders = tuple(lenders)
         self._ends: Optional[list[int]] = None
 
     @classmethod
@@ -169,23 +179,66 @@ class Table:
         return view
 
     def _memo_at(self, position: int) -> Optional[EncodingMemo]:
-        """The memo of the column at ``position``; a sealed table
-        makes it on first request."""
+        """The memo of the column at ``position``: the one it has, else
+        its lender's (the same column of the table it was taken from),
+        else -- sealed -- one made now.  A column's memo is made on
+        first request, so projecting a 1,201-column sealed table makes
+        none until a column is read."""
         memo = self._memos.get(position)
-        if memo is None and self._sealed is not None:
+        if memo is not None:
+            return memo
+        for start, stop, memos, key, offset in self._lenders:
+            if start <= position < stop:
+                q = position - start + offset
+                memo = memos.get(q)
+                if memo is None:
+                    memo = memos.setdefault(q, EncodingMemo(key))
+                break
+        else:
+            if self._sealed is not None:
+                memo = EncodingMemo(self._sealed)
+        if memo is not None:
             # setdefault: two threads keep one memo.
-            memo = self._memos.setdefault(position,
-                                          EncodingMemo(self._sealed))
+            memo = self._memos.setdefault(position, memo)
         return memo
+
+    def _lent(self, start: int, stop: int, at: int) -> tuple[
+            dict[int, EncodingMemo], list[Lender]]:
+        """The memos of columns ``start:stop`` for a table that places
+        them at ``at``: those made so far (by offset), and the lender
+        runs the rest come from -- this table's own, cut to the
+        columns, and, sealed, its memo dict for the columns those do
+        not cover.  A lender names a sealed table's memos, never a
+        table that lends, so a chain of projections stays one hop."""
+        memos = {q - start: memo for q, memo in self._memos.items()
+                 if start <= q < stop}
+        lenders: list[Lender] = []
+        done = start
+        for first, last, lent, key, offset in self._lenders:
+            lo, hi = max(first, start), min(last, stop)
+            if lo >= hi:
+                continue
+            if self._sealed is not None and done < lo:
+                lenders.append((at + done - start, at + lo - start,
+                                self._memos, self._sealed, done))
+            lenders.append((at + lo - start, at + hi - start, lent, key,
+                            offset + lo - first))
+            done = hi
+        if self._sealed is not None and done < stop:
+            lenders.append((at + done - start, at + stop - start,
+                            self._memos, self._sealed, done))
+        return memos, lenders
 
     def _memos_between(self, start: int, stop: int
                        ) -> dict[int, EncodingMemo]:
         """The memos of columns ``start:stop``, by offset: all of them
-        when sealed, so what is built from these columns shares them."""
-        if self._sealed is None:
+        when sealed or lent, so what is built from these columns shares
+        them."""
+        if self._sealed is None and not self._lenders:
             return {q - start: memo for q, memo in self._memos.items()
                     if start <= q < stop}
-        return {q - start: self._memo_at(q) for q in range(start, stop)}
+        return {q - start: memo for q in range(start, stop)
+                if (memo := self._memo_at(q)) is not None}
 
     def column_names(self) -> list[str]:
         return self.schema.column_names()
@@ -214,14 +267,33 @@ class Table:
                       ) -> list[tuple[Any, ...]]:
         """Rows ``start:stop``, built with the collector paused (the
         pause ends before the caller sees them, so it never spans a
-        ``yield`` of :meth:`rows`)."""
-        if not self.schema.columns or start >= stop:
+        ``yield`` of :meth:`rows`).  A block at most as wide as it is
+        long gives a list per column, and a run of such blocks is
+        zipped into rows; a wider block -- an Hpct result's cells --
+        gives a list per row (one transposed ``tolist``), so no row is
+        zipped from thousands of lists."""
+        if not self.schema.width() or start >= stop:
             return []
         with _COLLECTOR_PAUSE:
-            lists = []
+            parts: list[Any] = []
+            columns: list[list[Any]] = []
             for block in self._blocks:
-                lists.extend(block.sliced_rows(start, stop).to_lists())
-            return list(zip(*lists))
+                piece = block.sliced_rows(start, stop)
+                if len(piece.values) <= piece.values.shape[1]:
+                    columns.extend(piece.to_lists())
+                    continue
+                if columns:
+                    parts.append(zip(*columns))
+                    columns = []
+                parts.append(piece.row_lists())
+            if not parts:
+                return list(zip(*columns))
+            if columns:
+                parts.append(zip(*columns))
+            if len(parts) == 1:
+                return list(map(tuple, parts[0]))
+            return [tuple(itertools.chain.from_iterable(row))
+                    for row in zip(*parts)]
 
     def _loaded(self) -> "Table":
         """This table with its blocks in memory: itself (a disk table
@@ -243,9 +315,10 @@ class Table:
                     f"row has {len(r)} values, table {schema.name!r} "
                     f"has {width} columns")
         columns = {}
-        for i, col_def in enumerate(schema.columns):
-            columns[col_def.name] = ColumnData.from_values(
-                col_def.sql_type, (r[i] for r in rows))
+        for i, (name, sql_type) in enumerate(zip(schema.names,
+                                                 schema.types())):
+            columns[name] = ColumnData.from_values(
+                sql_type, (r[i] for r in rows))
         return cls(schema, columns)
 
     @classmethod
@@ -253,10 +326,8 @@ class Table:
                      named: Sequence[tuple[str, ColumnData]],
                      primary_key: Sequence[str] = ()) -> "Table":
         """Build a table (and its schema) from named column data."""
-        schema = TableSchema(
-            name=name,
-            columns=[ColumnDef(n, c.sql_type) for n, c in named],
-            primary_key=tuple(primary_key))
+        schema = TableSchema.build(
+            name, [(n, c.sql_type) for n, c in named], primary_key)
         return cls(schema, dict(named))
 
     @classmethod
@@ -265,7 +336,7 @@ class Table:
         """A table over ``blocks``, in schema order: each block is
         checked once -- its type against the columns it covers, its
         length against the first block's."""
-        types = [c.sql_type for c in schema.columns]
+        types = schema.types()
         start, n_rows = 0, None
         for block in blocks:
             k, length = block.values.shape
@@ -290,7 +361,7 @@ class Table:
     def all_null(cls, schema: TableSchema, length: int) -> "Table":
         """``length`` rows of NULLs, one block per type run."""
         return cls._of(schema, [Block.all_null(sql_type, k, length)
-                                for sql_type, k in _type_runs(schema)],
+                                for sql_type, k in schema.runs],
                        length)
 
     @classmethod
@@ -299,48 +370,65 @@ class Table:
         """A result table from named parts in column order, each with
         as many names as it has columns: a column (kept as it is), a
         block, or ``(table, start, stop)`` -- that table's columns,
-        sliced off its blocks with their views and memos, and under
-        its column definitions when the names are the table's own."""
-        defs: list[ColumnDef] = []
+        sliced off its blocks with their views, their memos lent run
+        by run (:meth:`_memo_at`).  The schema is declared a part at a
+        time: the names, and a type run per part (a table's columns as
+        its runs); the whole of a table under its own names keeps its
+        schema."""
+        schema = None
+        if len(parts) == 1 and type(parts[0][1]) is tuple:
+            names, (source, start, stop) = parts[0]
+            if start == 0 and stop == source.schema.width() \
+                    and tuple(names) == source.schema.names:
+                schema = source.schema.renamed(name, primary_key=())
+        all_names: list[str] = []
+        runs: list[tuple[SQLType, int]] = []
         blocks: list[Block] = []
         views: dict[int, ColumnData] = {}
         memos: dict[int, EncodingMemo] = {}
+        lenders: list[Lender] = []
         for names, part in parts:
-            position = len(defs)
+            position = len(all_names)
+            all_names.extend(names)
             if isinstance(part, ColumnData):
                 part = _contiguous(part)
-                defs.append(ColumnDef(names[0], part.sql_type))
+                runs.append((part.sql_type, 1))
                 blocks.append(Block.of(part))
                 views[position] = part
                 if part.memo is not None:
                     memos[position] = part.memo
             elif isinstance(part, Block):
-                defs.extend(ColumnDef(n, part.sql_type) for n in names)
+                runs.append((part.sql_type, len(names)))
                 blocks.append(part)
             else:
                 source, start, stop = part
-                own = source.schema.columns[start:stop]
-                defs.extend(own if [c.name for c in own] == list(names)
-                            else (ColumnDef(n, c.sql_type)
-                                  for n, c in zip(names, own)))
-                run, run_views, run_memos = source._run(start, stop)
+                runs.extend(source.schema.runs_between(start, stop))
+                run, run_views, run_memos, run_lenders = source._run(
+                    start, stop, position)
                 blocks.extend(run)
-                views.update((position + q, view)
-                             for q, view in run_views.items())
+                for q, view in run_views.items():
+                    views[position + q] = view
+                    if view.memo is not None:
+                        memos[position + q] = view.memo
                 memos.update((position + q, memo)
                              for q, memo in run_memos.items())
+                lenders.extend(run_lenders)
+        if schema is None:
+            schema = TableSchema(name, all_names, runs)
         n_rows = blocks[0].values.shape[1] if blocks else 0
-        return cls._of(TableSchema(name, defs), blocks, n_rows,
-                       views=views, memos=memos)
+        return cls._of(schema, blocks, n_rows, views=views, memos=memos,
+                       lenders=lenders)
 
-    def _run(self, start: int, stop: int) -> tuple[
-            list[Block], dict[int, ColumnData], dict[int, EncodingMemo]]:
-        """Columns ``start:stop`` as :meth:`assemble` takes them: the
-        blocks, the views made and the memos (by offset)."""
+    def _run(self, start: int, stop: int, at: int = 0) -> tuple[
+            list[Block], dict[int, ColumnData], dict[int, EncodingMemo],
+            list[Lender]]:
+        """Columns ``start:stop`` as :meth:`assemble` takes them, to be
+        placed at ``at``: the blocks, the views and memos made (by
+        offset) and the lender runs the other memos come from."""
         return (self._sliced(start, stop),
                 {q - start: view for q, view in self._views.items()
                  if start <= q < stop},
-                self._memos_between(start, stop))
+                *self._lent(start, stop, at))
 
     def _sliced(self, start: int, stop: int) -> list[Block]:
         """The blocks of columns ``start:stop``, cut at the ends."""
@@ -378,7 +466,7 @@ class Table:
         piece through ``coerce(piece, declared type)`` once, and the
         pieces of a run stacked into one block (a run one block
         already covers is that block, uncopied)."""
-        runs = _type_runs(schema)
+        runs = schema.runs
         cuts = _cut(self._loaded()._blocks, [k for _, k in runs])
         return Table.from_blocks(schema, [
             Block.stack([coerce(piece, sql_type) for piece in pieces])
@@ -402,7 +490,7 @@ class Table:
             for piece in pieces:
                 if piece.sql_type != block.sql_type:
                     raise ExecutionError(
-                        f"column {self.schema.columns[start].name!r}: "
+                        f"column {self.schema.names[start]!r}: "
                         f"cannot append {piece.sql_type} to "
                         f"{block.sql_type}")
                 start += len(piece.values)
@@ -449,10 +537,10 @@ class Table:
         are copies: an UPDATE rewrites whole rows, as the row store the
         engine stands in for does (the ledger's 2x)."""
         updated = self
-        for col_def in self.schema.columns:
-            if col_def.name.lower() not in assigned:
+        for name in self.schema.names:
+            if name.lower() not in assigned:
                 updated = updated.replace_column(
-                    col_def.name, updated.column(col_def.name).copy())
+                    name, updated.column(name).copy())
         return updated
 
     def renamed(self, new_name: str) -> "Table":
@@ -462,7 +550,7 @@ class Table:
         return Table._of(self.schema.renamed(new_name), self._blocks,
                          self._n_rows, views=self._views,
                          memos=self._memos, sealed=self._sealed,
-                         version=self.version)
+                         version=self.version, lenders=self._lenders)
 
     # ------------------------------------------------------------------
     def seal(self) -> None:
@@ -537,12 +625,6 @@ def _contiguous(data: ColumnData) -> ColumnData:
         return data
     return ColumnData(data.sql_type, np.ascontiguousarray(data.values),
                       np.ascontiguousarray(data.nulls), data.memo)
-
-
-def _type_runs(schema: TableSchema) -> list[tuple[SQLType, int]]:
-    """``(type, width)`` per run of adjacent same-typed columns."""
-    return [(sql_type, len(list(run))) for sql_type, run
-            in itertools.groupby([c.sql_type for c in schema.columns])]
 
 
 def _cut(blocks: Sequence[Block], widths: Sequence[int]

@@ -30,11 +30,17 @@ Per family:
     grouping sets).  Any shared-scan derivation or GROUPING() bitmask
     bug diverges from the independent per-set recomputation.
 
+An ``hpct`` or ``hagg`` case also runs its primary strategies on a
+database narrowed by :func:`narrow_limits`, so FH partitions, cell
+families cut across them and abbreviated, suffixed cell names are
+compared too.
+
 Variant names follow one rule: ``engine:<strategy>`` runs on a plain
 ``Database()`` (the matrix's ``memory`` cell),
 ``engine:<strategy>@<storage>`` is the same strategy on another cell
-of the variant matrix (:mod:`repro.fuzz.variants`), and
-``sqlite:<path>`` is an oracle run.
+of the variant matrix (:mod:`repro.fuzz.variants`),
+``engine:<strategy>@narrow(max_columns=K,max_name_length=L)`` the same
+strategy under those limits, and ``sqlite:<path>`` is an oracle run.
 
 An exception is an outcome, not a crash: if **every** variant raises,
 the engines agree the input is degenerate and the case is consistent;
@@ -49,6 +55,7 @@ criterion.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Optional, Sequence
@@ -507,8 +514,36 @@ def _variants(case: FuzzCase, inject_bug: Optional[str],
 
     # The baseline (engine defaults) first: it is the comparison base.
     baseline = Variant()
+    narrow = []
+    if case.family in ("hpct", "hagg"):
+        limits = narrow_limits(case)
+        label = ",".join(f"{key}={value}" for key, value in limits.items())
+        narrow = [(f"engine:{s.name}@narrow({label})",
+                   partial(_engine_rows, case, s, baseline,
+                           {**kw, **limits}))
+                  for s in engine if s.primary]
     return ([(f"engine:{s.name}", on(s, baseline)) for s in engine]
             + [(f"sqlite:{name}", thunk) for name, thunk in sqlite]
             + [(f"engine:{s.name}@{v.name}", on(s, v))
                for v in variants if v != baseline
-               for s in engine if s.primary])
+               for s in engine if s.primary]
+            + narrow)
+
+
+def narrow_limits(case: FuzzCase) -> dict[str, int]:
+    """The ``Database`` limits of an Hpct/Hagg case's narrow variant,
+    drawn from the case's seed and index: a column limit from the
+    widest table the plan makes besides FH up to 8, so FH is split
+    into partitions and a term's cells are cut across them, and an
+    identifier limit of 8 to 12, so cell names are abbreviated and
+    suffixed.  The paper partitions FH alone: a limit below the fact
+    table's width, or below FV's (the keys, every BY column and a
+    base column per term, two for avg), refuses that table
+    outright."""
+    rng = random.Random(f"{case.seed}:{case.index}:narrow")
+    by = {column for term in case.terms for column in term.by}
+    fv = len(case.group_by) + len(by) + sum(
+        2 if term.func == "avg" else 1 for term in case.terms)
+    widest = max(len(case.columns), fv)
+    return {"max_columns": rng.randint(widest, max(widest, 8)),
+            "max_name_length": rng.randint(8, 12)}

@@ -49,6 +49,13 @@ AXIS_DESCRIPTIONS = {
             f"(evicts on purpose)",
     "--trace": "the differential run opens every cell traced and "
                "validates each trace",
+    "narrow": "hpct and hagg cases also run their primary strategies "
+              "on a memory cell narrowed from the case seed: "
+              "max_columns from the widest table besides FH up to 8 "
+              "(FH split into partitions, a term's cells cut across "
+              "them) and max_name_length 8 to 12 (cell names "
+              "abbreviated and suffixed); the variant is named "
+              "engine:<strategy>@narrow(max_columns=K,max_name_length=L)",
 }
 
 

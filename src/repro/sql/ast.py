@@ -24,8 +24,9 @@ of a code generator in front of a standard-SQL DBMS.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Any, Optional, Union
+from typing import Any, Iterable, Optional, Union
 
 
 # ----------------------------------------------------------------------
@@ -358,8 +359,22 @@ class Select(Statement):
 
 @dataclass(frozen=True, slots=True)
 class ColumnSpec:
-    name: str
+    """A run of adjacent columns of one written type in a CREATE TABLE
+    (:func:`column_runs`): a 1,201-column FH table is declared in
+    two."""
+
+    names: tuple[str, ...]
     type_name: str
+
+
+def column_runs(specs: Iterable[ColumnSpec]) -> tuple[ColumnSpec, ...]:
+    """``specs`` with adjacent runs of one type name joined: the
+    columns as the parser reads them back from the printed text."""
+    return tuple(
+        ColumnSpec(tuple(itertools.chain.from_iterable(
+            spec.names for spec in run)), type_name)
+        for type_name, run in itertools.groupby(
+            specs, key=lambda spec: spec.type_name))
 
 
 @dataclass(frozen=True, slots=True)

@@ -146,8 +146,8 @@ def _format_table_ref(ref: ast.TableRef) -> str:
 def _format_create_table(statement: ast.CreateTable) -> str:
     """The key follows the column list, Teradata style, as the paper's
     generated code writes it."""
-    columns = ", ".join(f"{quote_ident(c.name)} {c.type_name}"
-                        for c in statement.columns)
+    columns = ", ".join(f"{quote_ident(name)} {c.type_name}"
+                        for c in statement.columns for name in c.names)
     exists = "IF NOT EXISTS " if statement.if_not_exists else ""
     text = f"CREATE TABLE {exists}{quote_ident(statement.name)} ({columns})"
     if statement.primary_key:

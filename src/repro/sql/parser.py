@@ -470,7 +470,7 @@ class _Parser:
                 col_name = self.expect_ident("column name")
                 type_name = self.expect_ident("type name")
                 self._skip_type_suffix()
-                columns.append(ast.ColumnSpec(col_name, type_name))
+                columns.append(ast.ColumnSpec((col_name,), type_name))
             if not self.accept_symbol(","):
                 break
         self.expect_symbol(")")
@@ -479,7 +479,7 @@ class _Parser:
             self.expect_symbol("(")
             primary_key = tuple(self._ident_list())
             self.expect_symbol(")")
-        return ast.CreateTable(name, tuple(columns), primary_key,
+        return ast.CreateTable(name, ast.column_runs(columns), primary_key,
                                if_not_exists)
 
     def _drop(self) -> ast.Statement:

@@ -206,7 +206,7 @@ class StoredTable(Table):
         return all(type(s) is Chunk for s in self._sources.values())
 
     def _column_at(self, position: int) -> ColumnData:
-        key = self.schema.columns[position].name.lower()
+        key = self.schema.names[position].lower()
         source = self._sources[key]
         if type(source) is Chunk:
             return source.read(self._store)
@@ -244,17 +244,17 @@ class StoredTable(Table):
     def _loaded(self) -> Table:
         """Every column read in, as a table of one block per column
         (what the base class's row-set methods work on)."""
-        return Table(self.schema, {c.name: self._column_at(i)
-                                   for i, c in enumerate(self.schema.columns)})
+        return Table(self.schema, {
+            name: self._column_at(i)
+            for i, name in enumerate(self.schema.names)})
 
-    def _run(self, start: int, stop: int) -> tuple[
-            list[Block], dict[int, ColumnData], dict[int, EncodingMemo]]:
-        """Columns ``start:stop`` read in, and only those."""
+    def _run(self, start: int, stop: int, at: int = 0) -> tuple[
+            list[Block], dict[int, ColumnData], dict, list]:
+        """Columns ``start:stop`` read in, and only those; their memos
+        travel with them, so nothing is lent."""
         columns = [self._column_at(q) for q in range(start, stop)]
         return ([Block.of(column) for column in columns],
-                dict(enumerate(columns)),
-                {q: column.memo for q, column in enumerate(columns)
-                 if column.memo is not None})
+                dict(enumerate(columns)), {}, [])
 
     def page_map(self) -> dict[str, list[int]]:
         """Column name (lowered) -> page id run of each chunk (a

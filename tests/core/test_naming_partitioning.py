@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.naming import NamingPolicy, combo_column_name, sanitize
+from repro.core.naming import (NamingPolicy, abbreviate, combo_column_name,
+                               sanitize)
 from repro.core.partitioning import split_result_columns
 from repro.errors import PercentageQueryError
 
@@ -80,6 +81,82 @@ class TestComboColumnName:
     def test_bad_style_rejected(self):
         with pytest.raises(ValueError):
             NamingPolicy("fancy")
+
+    @pytest.mark.parametrize("limit", [6, 7, 8])
+    def test_suffixed_abbreviations_fit_the_limit(self, limit):
+        # Below six characters an abbreviation cannot keep its hash
+        # whole; the suffix then cuts it shorter still.
+        used: set[str] = set()
+        names = [combo_column_name(["d"], ["y" * 29 + ch],
+                                   NamingPolicy("values"), limit, used)
+                 for ch in "!@#$%^&*()-+"]
+        assert len({n.lower() for n in names}) == 12
+        assert all(len(n) <= limit for n in names), names
+        # The first name is the plain abbreviation, as it always was.
+        assert names[0] == abbreviate("y" * 29 + "_", limit)
+        assert len(names[0]) == limit
+
+    @pytest.mark.parametrize("limit, fits", [(2, 1), (3, 9)])
+    def test_no_suffix_fits_a_tiny_limit(self, limit, fits):
+        """Past the last suffix that fits the limit, naming fails with a
+        typed error that names the limit, not a bare ValueError."""
+        used: set[str] = set()
+        names = [combo_column_name(["d"], ["y" * 29 + ch],
+                                   NamingPolicy("values"), limit, used)
+                 for ch in "!@#$%^&*("[:fits]]
+        assert all(len(n) <= limit for n in names), names
+        with pytest.raises(PercentageQueryError, match=f"of {limit} "):
+            combo_column_name(["d"], ["y" * 29 + ")"],
+                              NamingPolicy("values"), limit, used)
+
+    def test_a_tiny_limit_fails_typed_end_to_end(self):
+        from repro import Database
+        from repro.core.execute import run_percentage_query
+        from repro.errors import ReproError
+        db = Database(max_name_length=2)
+        db.execute("CREATE TABLE t (g INT, d VARCHAR, a REAL)")
+        db.execute("INSERT INTO t VALUES (1, 'yyy!', 1), (1, 'yyy@', 2)")
+        with pytest.raises(ReproError):
+            run_percentage_query(db, "SELECT g, Hpct(a BY d) FROM t "
+                                     "GROUP BY g")
+
+    def test_names_fit_the_limit_end_to_end(self):
+        """Twelve BY values that sanitize alike under an identifier
+        limit of 8: the tenth collision's suffix ``_10`` used to make
+        ``y_d2e7_10``, nine characters."""
+        from repro import Database
+        from repro.core.execute import run_percentage_query
+        db = Database(max_name_length=8)
+        db.execute("CREATE TABLE t (g INT, d VARCHAR, a REAL)")
+        values = ["y" * 29 + ch for ch in "!@#$%^&*()-+"]
+        db.execute("INSERT INTO t VALUES " + ", ".join(
+            f"(1, '{v}', {i + 1})" for i, v in enumerate(values)))
+        table = run_percentage_query(db, "SELECT g, Hpct(a BY d) FROM t "
+                                         "GROUP BY g")
+        names = table.column_names()
+        assert len(names) == 13
+        assert all(len(name) <= 8 for name in names), names
+        assert sum(table.to_rows()[0][1:]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("source", ["F", "FV"])
+    def test_temp_tables_fit_the_limit(self, source):
+        """Twelve FH partitions under an identifier limit of 8:
+        ``_hpN_fh12`` does not fit, so the partitions take ``_t``
+        names; the result is the unpartitioned one."""
+        from repro import Database
+        from repro.core.execute import run_percentage_query
+        from repro.core.horizontal import HorizontalStrategy
+        rows = ", ".join(f"(1, {d}, {d + 1}.0)" for d in range(24))
+        results = []
+        for limits in ({}, {"max_columns": 3, "max_name_length": 8}):
+            db = Database(**limits)
+            db.execute("CREATE TABLE t (g INT, d INT, a REAL)")
+            db.execute(f"INSERT INTO t VALUES {rows}")
+            results.append(run_percentage_query(
+                db, "SELECT g, Hpct(a BY d) FROM t GROUP BY g",
+                HorizontalStrategy(source=source)).to_rows())
+            assert db.table_names() == ["t"]
+        assert results[0] == results[1]
 
 
 class TestSplitResultColumns:

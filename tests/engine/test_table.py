@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.column import Block, ColumnData
-from repro.engine.schema import ColumnDef, TableSchema
+from repro.engine.schema import TableSchema
 from repro.engine.table import Table
 from repro.engine.types import SQLType
 from repro.errors import CatalogError, ExecutionError
@@ -19,8 +19,8 @@ def make_schema():
 class TestSchema:
     def test_duplicate_column_raises(self):
         with pytest.raises(CatalogError):
-            TableSchema("t", [ColumnDef("a", SQLType.INTEGER),
-                              ColumnDef("A", SQLType.REAL)])
+            TableSchema("t", ["a", "A"],
+                        [(SQLType.INTEGER, 1), (SQLType.REAL, 1)])
 
     def test_primary_key_must_exist(self):
         with pytest.raises(CatalogError):
@@ -388,6 +388,71 @@ class TestMemosMadeWithViews:
         assert updated.column("x").memo is not table.column("x").memo
         assert updated.column("k").memo is table.column("k").memo
 
+    def test_a_projected_sealed_table_makes_memos_only_when_read(
+            self, monkeypatch):
+        """``SELECT *`` of a sealed table lends the columns' memos run
+        by run: none is made until a column is read, and the one made
+        then is the sealed table's own."""
+        table = block_wise()
+        table.seal()
+        made = _memo_constructions(monkeypatch)
+        whole = Table.assemble("p", [(table.column_names(),
+                                      (table, 0, table.schema.width()))])
+        again = Table.assemble("q", [(whole.column_names(),
+                                      (whole, 0, whole.schema.width()))])
+        assert made == []
+        assert whole.schema.primary_key == ()
+        assert again.column("y").memo is table.column("y").memo
+        assert made == ["w"]
+        assert whole.column("y").memo is table.column("y").memo
+        assert made == ["w"]
+
+    def test_a_projection_keeps_the_memos_not_the_sealed_table(self):
+        """A CTAS of one column, and one over that, keep the dropped
+        source's memos -- one hop, whatever the chain -- but not the
+        source table: its block of a type they never took is freed."""
+        import gc
+        import weakref
+
+        from repro import Database
+        db = Database()
+        db.execute("CREATE TABLE a (k INTEGER, s VARCHAR, x REAL)")
+        db.execute("INSERT INTO a VALUES (1, 'p', 1.0), (2, 'q', 2.0)")
+        text = weakref.ref(db.table("a")._blocks[1].values)
+        key_memo = db.table("a").column("k").memo
+        db.execute("CREATE TABLE b AS SELECT k FROM a")
+        db.execute("CREATE TABLE c AS SELECT * FROM b")
+        held = db.execute("SELECT k, x FROM a")
+        db.execute("DROP TABLE a")
+        gc.collect()
+        assert text() is None
+        assert db.table("c").column("k").memo is key_memo
+        assert held.column("k").memo is key_memo
+        assert [len(db.table(t)._lenders) for t in ("b", "c")] == [1, 1]
+
+    def test_a_wide_hpct_op_makes_a_handful_of_memos(self, monkeypatch):
+        """The 1,201-column FH table the result statement projects is
+        sealed and then dropped: its cells' memos are never read, so
+        none is made."""
+        from repro import Database
+        from repro.core.execute import run_percentage_query
+        db = Database()
+        db.execute("CREATE TABLE sales (dweek INT, dept INT, "
+                   "monthno INT, salesamt REAL)")
+        db.execute("INSERT INTO sales VALUES " + ", ".join(
+            f"({w}, {d}, {m}, {(w + d + m) % 7 + 1}.0)"
+            for w in (1, 2) for d in range(100) for m in range(12)))
+        sql = ("SELECT dweek, Hpct(salesamt BY dept, monthno) FROM sales "
+               "GROUP BY dweek")
+        run_percentage_query(db, sql)
+        made = _memo_constructions(monkeypatch)
+        result = run_percentage_query(db, sql)
+        assert result.schema.width() == 1201
+        assert len(result.to_rows()) == 2
+        # The memos made are those of the key columns the plan groups,
+        # joins and orders on, none of the FH table's cells.
+        assert len(made) <= 10, made
+
     def test_two_threads_keep_one_memo(self, monkeypatch):
         import threading
 
@@ -465,6 +530,48 @@ class TestCollectorPause:
                 assert gc.isenabled() is state
             finally:
                 gc.enable()
+
+    @pytest.mark.parametrize("nulls", ["none", "one column",
+                                       "all-null column"])
+    def test_wide_block_rows_equal_the_per_column_zip(self, monkeypatch,
+                                                      nulls):
+        """A block wider than it is long turns into rows by one
+        transposed ``tolist``; beside narrow blocks, across two batch
+        boundaries of :meth:`Table.rows`, NULLs still ``None``."""
+        import repro.engine.table as table_mod
+        monkeypatch.setattr(table_mod, "_ROW_BATCH", 4)
+        n_rows, width = 2 * 4 + 3, 16
+        values = np.arange(width * n_rows, dtype=float).reshape(width,
+                                                               n_rows)
+        mask = np.zeros((width, n_rows), dtype=bool)
+        if nulls == "one column":
+            mask[3, ::2] = True
+        elif nulls == "all-null column":
+            mask[5] = True
+        schema = TableSchema.build(
+            "wide", [("k", SQLType.INTEGER)]
+            + [(f"c{i}", SQLType.REAL) for i in range(width)]
+            + [("s", SQLType.VARCHAR)])
+        key = ColumnData.from_values(SQLType.INTEGER,
+                                     [None, *range(1, n_rows)])
+        text = ColumnData.from_values(SQLType.VARCHAR,
+                                      ["a", None] * 5 + ["b"])
+        table = Table.from_blocks(schema, [
+            Block.of(key), Block(SQLType.REAL, values, mask),
+            Block.of(text)])
+        alone = Table.from_blocks(
+            TableSchema.build("cells", [(f"c{i}", SQLType.REAL)
+                                        for i in range(width)]),
+            [Block(SQLType.REAL, values, mask)])
+        for built in (table, alone):
+            expected = _zipped(built)
+            assert expected[0][:2] == ((None, 0.0) if built is table
+                                       else (0.0, 11.0))
+            assert built.to_rows() == expected
+            assert list(built.rows()) == expected
+            assert [built.row(i) for i in range(n_rows)] == expected
+        if nulls != "none":
+            assert any(None in row[1:-1] for row in table.to_rows())
 
     def test_the_collector_is_paused_during_the_build_only(
             self, collector_on, monkeypatch):

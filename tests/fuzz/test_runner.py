@@ -44,6 +44,44 @@ class TestMatrixVariants:
         assert names[0] == "engine:join-insert"
         assert names[-len(crossed):] == crossed
 
+    def test_horizontal_cases_run_narrowed(self):
+        """An Hpct/Hagg case's primary strategies also run under the
+        limits drawn from its seed, named with them, last."""
+        case = cases(1, families=("hpct",))[0]
+        limits = runner_mod.narrow_limits(case)
+        assert 8 <= limits["max_name_length"] <= 12
+        assert len(case.columns) <= limits["max_columns"] <= \
+            max(len(case.columns), 8)
+        result = run_case(case)
+        assert not result.divergent, result.divergence_report()
+        label = (f"narrow(max_columns={limits['max_columns']},"
+                 f"max_name_length={limits['max_name_length']})")
+        assert [v.name for v in result.variants][-2:] == \
+            [f"engine:case-{source}@{label}"
+             for source in ("direct", "indirect")]
+        assert not any("narrow" in v.name for v in run_case(
+            cases(1, families=("vpct",))[0]).variants)
+
+    def test_a_family_cut_across_partitions_is_compared(
+            self, monkeypatch):
+        """Only the narrowed run splits FH: a cut family whose cells
+        are shuffled diverges there and nowhere else."""
+        from repro.core import horizontal
+
+        def lossy(run, start, stop):
+            cut = real(run, start, stop)
+            if isinstance(cut.select, ast.CellFamily) and stop - start > 1:
+                cut.select = ast.CellFamily(
+                    cut.select.template, cut.select.by,
+                    cut.select.values[1:] + cut.select.values[:1])
+            return cut
+        real = horizontal._ResultColumns.cut
+        monkeypatch.setattr(horizontal._ResultColumns, "cut", lossy)
+        found = [run_case(case) for case in cases(40, families=("hpct",))]
+        divergent = [r for r in found if r.divergent]
+        assert divergent
+        assert all("@narrow(" in r.explanation for r in divergent)
+
     @pytest.mark.allow_leaks  # the debris is the point
     def test_debris_is_a_divergence(self, monkeypatch):
         """A variant that leaves a plan temp table behind diverges

@@ -4,7 +4,8 @@ partitioning."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.naming import NamingPolicy, combo_column_name, sanitize
+from repro.core.naming import (NamingPolicy, cell_names, combo_column_name,
+                               sanitize)
 from repro.core.partitioning import split_result_columns
 
 VALUES = st.one_of(
@@ -23,10 +24,20 @@ def test_sanitize_yields_identifier_fragment(value):
 
 
 @given(st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=30),
+       st.integers(min_value=12, max_value=16),
        st.sampled_from(["values", "full"]),
-       st.integers(min_value=8, max_value=40))
-@settings(max_examples=80, deadline=None)
-def test_combo_names_unique_and_bounded(combos, style, limit):
+       st.integers(min_value=6, max_value=40))
+@settings(max_examples=120, deadline=None)
+def test_combo_names_unique_and_bounded(combos, collisions, style, limit):
+    """Every name is unique and within the limit, down to a limit of
+    6 and through a dozen or more combinations of one long value that
+    sanitize alike (each suffixed name abbreviated to leave room for
+    its suffix); one pass over all the combinations names them as
+    the combinations named one at a time do."""
+    long_value = "y" * 29
+    combos = combos + [(long_value + ch, long_value)
+                       for ch in "!@#$%^&*()-+=~"[:collisions - 2]] \
+        + [(long_value + "?", long_value)] * 2
     used: set[str] = set()
     names = [combo_column_name(["colx", "coly"], values,
                                NamingPolicy(style), limit, used)
@@ -35,6 +46,8 @@ def test_combo_names_unique_and_bounded(combos, style, limit):
     for name in names:
         assert len(name) <= limit
         assert name[0].isalpha() or name[0] == "_"
+    assert cell_names(["colx", "coly"], combos, NamingPolicy(style),
+                      limit, set()) == names
 
 
 @given(st.lists(VALUES, min_size=1, max_size=20),

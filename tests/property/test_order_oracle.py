@@ -29,7 +29,7 @@ from repro.engine import groupby
 from repro.engine.column import ColumnData
 from repro.engine.expressions import Frame, evaluate
 from repro.engine.groupby import encode_column
-from repro.engine.schema import ColumnDef, TableSchema
+from repro.engine.schema import TableSchema
 from repro.engine.table import Table
 from repro.engine.types import SQLType
 from repro.errors import PlanningError
@@ -87,8 +87,8 @@ def assert_bit_identical(got: Table, expected: Table) -> None:
 
 
 def _table(name: str, columns: dict) -> Table:
-    schema = TableSchema(name, [ColumnDef(c, data.sql_type)
-                                for c, data in columns.items()])
+    schema = TableSchema.build(name, [(c, data.sql_type)
+                                      for c, data in columns.items()])
     return Table(schema, dict(columns))
 
 

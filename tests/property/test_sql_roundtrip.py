@@ -92,7 +92,7 @@ def test_select_roundtrip(items, table, group_by):
 @settings(max_examples=60, deadline=None)
 def test_create_table_roundtrip(columns):
     statement = ast.CreateTable(
-        "t", tuple(ast.ColumnSpec(n, tn) for n, tn in columns),
+        "t", tuple(ast.ColumnSpec((n,), tn) for n, tn in columns),
         primary_key=(columns[0][0],))
     rendered = format_statement(statement)
     reparsed = parse_statement(rendered)
